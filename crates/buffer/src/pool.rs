@@ -2,7 +2,6 @@
 
 use crate::policy::{PagePolicy, ReplacementPolicy};
 use crate::stats::BufferStats;
-use std::collections::HashMap;
 use tc_storage::{
     with_retries, FileId, FileKind, Page, PageId, PageStore, Pager, RetryPolicy, RetryTally,
     StorageError, StorageResult,
@@ -15,6 +14,9 @@ struct Frame {
     dirty: bool,
     pins: u32,
 }
+
+/// Page-table entry of a page with no resident frame.
+const NO_FRAME: u32 = u32::MAX;
 
 /// A fixed-capacity buffer pool wrapping a [`PageStore`] backend.
 ///
@@ -32,7 +34,13 @@ pub struct BufferPool {
     store: Box<dyn PageStore>,
     capacity: usize,
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    /// The page table: frame index per page id, [`NO_FRAME`] when the
+    /// page is not resident. Stores hand out page ids densely from 0
+    /// and recycle them, so a request is one indexed load instead of a
+    /// hash probe, and a walk of the table visits pages in id order.
+    /// Only pages the store has produced are ever entered, so the table
+    /// never outgrows the store's page count.
+    table: Vec<u32>,
     free: Vec<usize>,
     policy: Box<dyn ReplacementPolicy>,
     stats: BufferStats,
@@ -61,7 +69,7 @@ impl BufferPool {
             store,
             capacity,
             frames: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity * 2),
+            table: Vec::new(),
             free: Vec::new(),
             policy: policy.build(capacity),
             stats: BufferStats::default(),
@@ -93,7 +101,8 @@ impl BufferPool {
 
     /// Number of resident pages.
     pub fn resident(&self) -> usize {
-        self.map.len()
+        // Every frame is either mapped or on the free list.
+        self.frames.len() - self.free.len()
     }
 
     /// Logical request statistics.
@@ -133,7 +142,7 @@ impl BufferPool {
     /// Releases one pin on `pid`. Panics if the page is not resident or
     /// not pinned (a bookkeeping bug, not a data condition).
     pub fn unpin(&mut self, pid: PageId) {
-        let Some(&f) = self.map.get(&pid) else {
+        let Some(f) = self.frame_of(pid) else {
             panic!("unpin of non-resident page {pid:?}");
         };
         assert!(self.frames[f].pins > 0, "unpin of unpinned page");
@@ -150,9 +159,9 @@ impl BufferPool {
     /// of the first violation found.
     ///
     /// Checked: the pool never exceeds its capacity; every frame is
-    /// accounted for exactly once (resident in the map or on the free
-    /// list); map entries point at frames holding that page; and free
-    /// frames are unpinned and clean (an error path must never drop a
+    /// accounted for exactly once (resident in the page table or on the
+    /// free list); table entries point at frames holding that page; and
+    /// free frames are unpinned and clean (an error path must never drop a
     /// dirty page or leak a pin). The fault-injection property test runs
     /// this after every operation.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -163,16 +172,20 @@ impl BufferPool {
                 self.capacity
             ));
         }
-        if self.map.len() + self.free.len() != self.frames.len() {
+        let mapped = self.table.iter().filter(|&&f| f != NO_FRAME).count();
+        if mapped + self.free.len() != self.frames.len() {
             return Err(format!(
-                "{} mapped + {} free != {} frames",
-                self.map.len(),
+                "{mapped} mapped + {} free != {} frames",
                 self.free.len(),
                 self.frames.len()
             ));
         }
         let mut seen = vec![false; self.frames.len()];
-        for (&pid, &f) in &self.map {
+        for (i, &f) in self.table.iter().enumerate() {
+            if f == NO_FRAME {
+                continue;
+            }
+            let (pid, f) = (PageId(i as u32), f as usize);
             if f >= self.frames.len() {
                 return Err(format!("map entry {pid:?} -> frame {f} out of range"));
             }
@@ -210,12 +223,29 @@ impl BufferPool {
 
     /// Whether `pid` is currently resident.
     pub fn is_resident(&self, pid: PageId) -> bool {
-        self.map.contains_key(&pid)
+        self.frame_of(pid).is_some()
     }
 
     /// Whether `pid` is currently pinned.
     pub fn is_pinned(&self, pid: PageId) -> bool {
-        self.map.get(&pid).is_some_and(|&f| self.frames[f].pins > 0)
+        self.frame_of(pid).is_some_and(|f| self.frames[f].pins > 0)
+    }
+
+    /// The frame holding `pid`, if it is resident.
+    #[inline]
+    fn frame_of(&self, pid: PageId) -> Option<usize> {
+        match self.table.get(pid.index()) {
+            Some(&f) if f != NO_FRAME => Some(f as usize),
+            _ => None,
+        }
+    }
+
+    /// Enters `pid -> f` into the page table, growing it to cover `pid`.
+    fn map_page(&mut self, pid: PageId, f: usize) {
+        if pid.index() >= self.table.len() {
+            self.table.resize(pid.index() + 1, NO_FRAME);
+        }
+        self.table[pid.index()] = f as u32;
     }
 
     /// Physically reads `pid` into frame `f`, retrying transient faults.
@@ -280,7 +310,7 @@ impl BufferPool {
     /// source nodes are written out").
     pub fn flush_pages(&mut self, pages: &[PageId]) -> StorageResult<()> {
         for &pid in pages {
-            if let Some(f) = self.map.get(&pid).copied() {
+            if let Some(f) = self.frame_of(pid) {
                 if self.frames[f].dirty {
                     self.write_back(f)?;
                     self.frames[f].dirty = false;
@@ -310,19 +340,19 @@ impl BufferPool {
     /// Deletes `file`: evicts its resident frames without write-back,
     /// then releases the pages in the store for reuse.
     pub fn free_file(&mut self, file: FileId) -> StorageResult<()> {
-        let mut victims: Vec<(PageId, usize)> = self
-            .map
-            .iter()
-            .map(|(&pid, &f)| (pid, f))
-            .filter(|&(pid, _)| self.store.page_file(pid) == Ok(file))
-            .collect();
-        // The map's iteration order is per-process random; sort so the
+        // Victims leave in page-id order (the order of the table), so the
         // free-stack order (and thus future frame placement and policy
-        // state) stays a pure function of the request stream.
-        victims.sort_unstable_by_key(|&(pid, _)| pid.0);
-        for (pid, f) in victims {
+        // state) is a pure function of the request stream.
+        for i in 0..self.table.len() {
+            let pid = PageId(i as u32);
+            let Some(f) = self.frame_of(pid) else {
+                continue;
+            };
+            if self.store.page_file(pid) != Ok(file) {
+                continue;
+            }
             assert_eq!(self.frames[f].pins, 0, "freeing a pinned page");
-            self.map.remove(&pid);
+            self.table[pid.index()] = NO_FRAME;
             self.frames[f].dirty = false;
             self.policy.on_evict(f);
             self.free.push(f);
@@ -357,7 +387,7 @@ impl BufferPool {
         if read {
             self.stats.read_requests += 1;
         }
-        if let Some(&f) = self.map.get(&pid) {
+        if let Some(f) = self.frame_of(pid) {
             self.stats.hits += 1;
             if read {
                 self.stats.read_hits += 1;
@@ -383,7 +413,7 @@ impl BufferPool {
         self.frames[f].pid = pid;
         self.frames[f].dirty = false;
         self.frames[f].pins = 0;
-        self.map.insert(pid, f);
+        self.map_page(pid, f);
         self.policy.on_admit(f);
         Ok(f)
     }
@@ -428,7 +458,7 @@ impl BufferPool {
             page: old_pid.0,
             dirty: was_dirty,
         });
-        self.map.remove(&old_pid);
+        self.table[old_pid.index()] = NO_FRAME;
         self.policy.on_evict(victim);
         Ok(victim)
     }
@@ -469,7 +499,7 @@ impl Pager for BufferPool {
         self.frames[f].pid = pid;
         self.frames[f].dirty = true;
         self.frames[f].pins = 0;
-        self.map.insert(pid, f);
+        self.map_page(pid, f);
         self.policy.on_admit(f);
         self.tracer.emit(Event::PageAlloc {
             page: pid.0,

@@ -10,19 +10,18 @@
 //! reduction) arcs.
 //!
 //! `BJ` is this same expansion run on the single-parent-reduced magic
-//! graph, and `HYB` wraps it in blocking; both reuse
-//! [`expand_node`].
+//! graph; `HYB` with `ILIMIT = 0` runs it unchanged.
 
 use crate::algorithms::{AnswerCollector, ChildIndex};
 use crate::metrics::CostMetrics;
 use crate::restructure::Restructured;
 use tc_buffer::BufferPool;
-use tc_graph::NodeId;
 use tc_storage::StorageResult;
 use tc_succ::{ListCursor, NodeBitVec};
 
 /// Expands every node of the restructured graph in reverse topological
-/// order (the BTC computation phase).
+/// order (the BTC computation phase). Every unmarked child's list is
+/// fully expanded by the time its parent is.
 pub fn expand_all(
     pool: &mut BufferPool,
     r: &mut Restructured,
@@ -32,77 +31,64 @@ pub fn expand_all(
     let n = r.children.len();
     let mut bitvec = NodeBitVec::new(n);
     let mut cidx = ChildIndex::new(n);
-    let order = r.order.clone();
-    for &u in order.iter().rev() {
-        expand_node(pool, r, metrics, answer, &mut bitvec, &mut cidx, u)?;
-    }
-    Ok(())
-}
-
-/// Expands a single node's successor list in place.
-///
-/// Shared by BTC (all nodes, reverse topological order), BJ (same, on the
-/// reduced graph) and HYB (off-diagonal/diagonal scheduling). The caller
-/// guarantees every unmarked child's list is fully expanded.
-#[allow(clippy::too_many_arguments)]
-pub fn expand_node(
-    pool: &mut BufferPool,
-    r: &mut Restructured,
-    metrics: &mut CostMetrics,
-    answer: &mut AnswerCollector,
-    bitvec: &mut NodeBitVec,
-    cidx: &mut ChildIndex,
-    u: NodeId,
-) -> StorageResult<()> {
-    let children = &r.children[u as usize];
-    if children.is_empty() {
-        return Ok(());
-    }
-    let nchildren = children.len();
-    cidx.load(children);
-    bitvec.clear_fast();
-
-    // Seed the duplicate filter from the list's current contents (the
-    // immediate children written during restructuring) — this read is the
-    // paper's "tuples of the input relation ... converted into successor
-    // lists" being picked back up for expansion.
-    metrics.count_list_fetch();
-    for e in ListCursor::new(&r.store, u).collect_entries(pool)? {
-        metrics.count_tuple_read();
-        bitvec.insert(e.node);
-    }
-    let is_source = r.is_source[u as usize];
-
-    let mut marked = vec![false; nchildren];
-    for ci in 0..nchildren {
-        let c = r.children[u as usize][ci];
-        if marked[ci] {
-            metrics.count_arc(true);
+    // Scratch reused by every node and union: the list being unioned and
+    // the marked flags of the node's children.
+    let mut entries = Vec::new();
+    let mut marked: Vec<bool> = Vec::new();
+    for i in (0..r.order.len()).rev() {
+        let u = r.order[i];
+        let children = &r.children[u as usize];
+        if children.is_empty() {
             continue;
         }
-        metrics.count_arc(false);
-        metrics.count_union();
-        metrics.count_list_fetch();
-        metrics.count_locality(r.arc_locality(u, c));
+        let nchildren = children.len();
+        cidx.load(children);
+        bitvec.clear_fast();
 
-        // Union S_c into S_u (materialized: see ListCursor::collect_entries).
-        let entries = ListCursor::new(&r.store, c).collect_entries(pool)?;
-        for e in entries {
+        // Seed the duplicate filter from the list's current contents (the
+        // immediate children written during restructuring) — this read is
+        // the paper's "tuples of the input relation ... converted into
+        // successor lists" being picked back up for expansion.
+        metrics.count_list_fetch();
+        ListCursor::new(&r.store, u).collect_into(pool, &mut entries)?;
+        for e in &entries {
             metrics.count_tuple_read();
-            let x = e.node;
-            if bitvec.insert(x) {
-                r.store.append_flat(pool, u, x)?;
-                metrics.count_generated(is_source);
-                if is_source {
-                    answer.emit(u, x);
-                }
-            } else {
-                metrics.count_duplicate();
-                // Marking optimization: x reached u through c, so a
-                // direct arc (u, x) not yet expanded is redundant.
-                if let Some(cj) = cidx.position(x) {
-                    if cj > ci && !marked[cj] {
-                        marked[cj] = true;
+            bitvec.insert(e.node);
+        }
+        let is_source = r.is_source[u as usize];
+
+        marked.clear();
+        marked.resize(nchildren, false);
+        for ci in 0..nchildren {
+            let c = r.children[u as usize][ci];
+            if marked[ci] {
+                metrics.count_arc(true);
+                continue;
+            }
+            metrics.count_arc(false);
+            metrics.count_union();
+            metrics.count_list_fetch();
+            metrics.count_locality(r.arc_locality(u, c));
+
+            // Union S_c into S_u (materialized: see ListCursor::collect_entries).
+            ListCursor::new(&r.store, c).collect_into(pool, &mut entries)?;
+            for e in &entries {
+                metrics.count_tuple_read();
+                let x = e.node;
+                if bitvec.insert(x) {
+                    r.store.append_flat(pool, u, x)?;
+                    metrics.count_generated(is_source);
+                    if is_source {
+                        answer.emit(u, x);
+                    }
+                } else {
+                    metrics.count_duplicate();
+                    // Marking optimization: x reached u through c, so a
+                    // direct arc (u, x) not yet expanded is redundant.
+                    if let Some(cj) = cidx.position(x) {
+                        if cj > ci {
+                            marked[cj] = true;
+                        }
                     }
                 }
             }

@@ -16,14 +16,12 @@
 //! forfeits markings. All four effects are mechanical consequences of
 //! this implementation.
 
-use crate::algorithms::btc;
-use crate::algorithms::AnswerCollector;
+use crate::algorithms::{btc, AnswerCollector, ChildIndex};
 use crate::metrics::CostMetrics;
 use crate::restructure::Restructured;
-use std::collections::HashMap;
 use tc_buffer::BufferPool;
 use tc_graph::NodeId;
-use tc_storage::{PageId, StorageError, StorageResult};
+use tc_storage::{PageId, StorageError, StorageResult, SuccEntry};
 use tc_succ::{ListCursor, NodeBitVec};
 
 /// Expands all lists with blocking at the given `ILIMIT`.
@@ -44,23 +42,25 @@ pub fn expand_all(
     // scanned, one for the growing tail, one for splits.
     let budget = (((ilimit * m as f64).floor() as usize).max(1)).min(m.saturating_sub(3).max(1));
 
-    let order = r.order.clone();
-    let n = r.children.len();
-    let mut idx = order.len();
+    let mut idx = r.order.len();
+    // One set of tables and buffers serves every block.
+    let mut state = BlockState::new(r.children.len());
+    let mut block: Vec<NodeId> = Vec::new();
+    let mut pages: Vec<PageId> = Vec::new();
 
     while idx > 0 {
         // Carve the next diagonal block off the tail of the order.
-        let mut block: Vec<NodeId> = Vec::new();
-        let mut pages: Vec<PageId> = Vec::new();
+        block.clear();
+        pages.clear();
         while idx > 0 {
-            let u = order[idx - 1];
-            let upages = r.store.pages_of(u);
-            let new: Vec<PageId> = upages.into_iter().filter(|p| !pages.contains(p)).collect();
-            if !block.is_empty() && pages.len() + new.len() > budget {
+            let u = r.order[idx - 1];
+            let before = pages.len();
+            r.store.add_pages_of(u, &mut pages);
+            if !block.is_empty() && pages.len() > budget {
+                pages.truncate(before);
                 break;
             }
             block.push(u);
-            pages.extend(new);
             idx -= 1;
             if pages.len() >= budget {
                 break;
@@ -70,9 +70,9 @@ pub fn expand_all(
         // Process the block, shrinking it on memory pressure (dynamic
         // reblocking): nodes dropped from the block are pushed back onto
         // the unprocessed tail.
-        let mut state = BlockState::new(r, &block, n);
+        state.begin_block(r, &block);
         loop {
-            match process_block(pool, r, metrics, answer, &block, &mut state) {
+            match process_block(pool, r, metrics, answer, &block, &mut state, &mut pages) {
                 Ok(()) => break,
                 Err(StorageError::AllFramesPinned) if block.len() > 1 => {
                     // Shrink: give the lowest-position node back to the
@@ -81,46 +81,121 @@ pub fn expand_all(
                     // *later* in topological order), making the drop safe.
                     let dropped = block.pop().expect("non-empty block");
                     idx += 1;
-                    debug_assert_eq!(order[idx - 1], dropped);
+                    debug_assert_eq!(r.order[idx - 1], dropped);
                     state.in_block[dropped as usize] = false;
                 }
                 Err(e) => return Err(e),
             }
         }
+        for &u in &block {
+            state.in_block[u as usize] = false;
+        }
     }
     Ok(())
 }
 
-/// Per-block expansion state that survives dynamic-reblocking restarts:
-/// which child arcs are done or marked.
+/// Where a child arc of a block node stands.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ArcState {
+    /// Not yet unioned, not known to be redundant.
+    Pending,
+    /// Found redundant by the marking optimization; never unioned.
+    Marked,
+    /// Unioned, or marked and accounted for.
+    Done,
+}
+
+/// The tables of one diagonal block, all direct-indexed: by node id
+/// (`in_block`, the child index) or by *block position* (arc states,
+/// duplicate filters). Allocated once and reused by every block.
 struct BlockState {
-    /// done/marked flags per block node, aligned with its child list.
-    done: HashMap<NodeId, Vec<bool>>,
-    marked: HashMap<NodeId, Vec<bool>>,
     in_block: Vec<bool>,
+    /// State of every child arc of the block: the arcs of the node at
+    /// block position `bi` start at `first[bi]`, aligned with its child
+    /// list. Survives dynamic-reblocking restarts (a shrink only drops
+    /// the last position).
+    arcs: Vec<ArcState>,
+    first: Vec<usize>,
+    /// Duplicate filter per block position.
+    bitvecs: Vec<NodeBitVec>,
+    /// Child positions of the node currently being unioned into.
+    cidx: ChildIndex,
+    /// Off-diagonal arcs of the block as `(pos[child], bi, ci)`.
+    off: Vec<(usize, usize, usize)>,
+    /// The list being unioned.
+    entries: Vec<SuccEntry>,
 }
 
 impl BlockState {
-    fn new(r: &Restructured, block: &[NodeId], n: usize) -> BlockState {
-        let mut in_block = vec![false; n];
-        let mut done = HashMap::new();
-        let mut marked = HashMap::new();
-        for &u in block {
-            in_block[u as usize] = true;
-            done.insert(u, vec![false; r.children(u).len()]);
-            marked.insert(u, vec![false; r.children(u).len()]);
-        }
+    fn new(n: usize) -> BlockState {
         BlockState {
-            done,
-            marked,
-            in_block,
+            in_block: vec![false; n],
+            arcs: Vec::new(),
+            first: Vec::new(),
+            bitvecs: Vec::new(),
+            cidx: ChildIndex::new(n),
+            off: Vec::new(),
+            entries: Vec::new(),
         }
+    }
+
+    /// Resets the tables for a freshly carved block.
+    fn begin_block(&mut self, r: &Restructured, block: &[NodeId]) {
+        self.arcs.clear();
+        self.first.clear();
+        for &u in block {
+            self.in_block[u as usize] = true;
+            self.first.push(self.arcs.len());
+            let nchildren = r.children(u).len();
+            self.arcs
+                .resize(self.arcs.len() + nchildren, ArcState::Pending);
+        }
+        let n = self.in_block.len();
+        while self.bitvecs.len() < block.len() {
+            self.bitvecs.push(NodeBitVec::new(n));
+        }
+    }
+
+    /// Unions the materialized list in `entries` into the list of `u`
+    /// (block position `bi`, whose children are loaded in `cidx`).
+    fn union(
+        &mut self,
+        pool: &mut BufferPool,
+        r: &mut Restructured,
+        metrics: &mut CostMetrics,
+        answer: &mut AnswerCollector,
+        bi: usize,
+        u: NodeId,
+    ) -> StorageResult<()> {
+        let is_source = r.is_source[u as usize];
+        let bv = &mut self.bitvecs[bi];
+        let arcs = &mut self.arcs[self.first[bi]..];
+        for e in &self.entries {
+            metrics.count_tuple_read();
+            let x = e.node;
+            if bv.insert(x) {
+                r.store.append_flat(pool, u, x)?;
+                metrics.count_generated(is_source);
+                if is_source {
+                    answer.emit(u, x);
+                }
+            } else {
+                metrics.count_duplicate();
+                if let Some(cj) = self.cidx.position(x) {
+                    if arcs[cj] == ArcState::Pending {
+                        arcs[cj] = ArcState::Marked;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
 /// One attempt at expanding a diagonal block. On
 /// [`StorageError::AllFramesPinned`] the caller shrinks the block and
-/// retries; `state` carries completed work across attempts.
+/// retries; `state` carries completed work across attempts. `pages` is
+/// scratch.
 fn process_block(
     pool: &mut BufferPool,
     r: &mut Restructured,
@@ -128,162 +203,143 @@ fn process_block(
     answer: &mut AnswerCollector,
     block: &[NodeId],
     state: &mut BlockState,
+    pages: &mut Vec<PageId>,
 ) -> StorageResult<()> {
     // Pin the block's current pages (faulting them in together — the
     // "block of successor lists at a time is read into memory").
-    let mut pinned: Vec<PageId> = Vec::new();
-    let result = (|| -> StorageResult<()> {
-        for &u in block {
-            for p in r.store.pages_of(u) {
-                if !pinned.contains(&p) {
-                    pool.pin(p)?;
-                    pinned.push(p);
-                }
-            }
-        }
-
-        // Seed a duplicate filter per diagonal list from its current
-        // contents, and index children for marking.
-        let n = r.children.len();
-        let mut bitvecs: HashMap<NodeId, NodeBitVec> = HashMap::new();
-        let mut child_pos: HashMap<NodeId, HashMap<NodeId, usize>> = HashMap::new();
-        for &u in block {
-            let mut bv = NodeBitVec::new(n);
-            metrics.count_list_fetch();
-            for e in ListCursor::new(&r.store, u).collect_entries(pool)? {
-                metrics.count_tuple_read();
-                bv.insert(e.node);
-            }
-            bitvecs.insert(u, bv);
-            child_pos.insert(
-                u,
-                r.children(u)
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| (c, i))
-                    .collect(),
-            );
-        }
-
-        // ---- Off-diagonal phase. ----
-        // Distinct off-diagonal children in ascending topological order
-        // (nearest first), the same order BTC processes children in: a
-        // union of a near list can still mark arcs to far lists and save
-        // their fetches. Markings are lost only across the off-diagonal /
-        // diagonal split — the paper's "expand redundant arcs" effect.
-        let mut off: Vec<NodeId> = block
-            .iter()
-            .flat_map(|&u| r.children(u).iter().copied())
-            .filter(|&c| !state.in_block[c as usize])
-            .collect();
-        off.sort_unstable_by_key(|&c| r.pos[c as usize]);
-        off.dedup();
-
-        for &j in &off {
-            // Which diagonal lists still want this child?
-            let takers: Vec<(NodeId, usize)> = block
-                .iter()
-                .filter_map(|&u| child_pos[&u].get(&j).map(|&ci| (u, ci)))
-                .filter(|&(u, ci)| !state.done[&u][ci] && !state.marked[&u][ci])
-                .collect();
-            if takers.is_empty() {
-                continue;
-            }
-            // One fetch of S_j serves every taker — blocking's benefit.
-            metrics.count_list_fetch();
-            let entries = ListCursor::new(&r.store, j).collect_entries(pool)?;
-            for (u, ci) in takers {
-                metrics.count_arc(false);
-                metrics.count_union();
-                metrics.count_locality(r.arc_locality(u, j));
-                let is_source = r.is_source[u as usize];
-                let bv = bitvecs.get_mut(&u).expect("block bitvec");
-                for e in &entries {
-                    metrics.count_tuple_read();
-                    let x = e.node;
-                    if bv.insert(x) {
-                        r.store.append_flat(pool, u, x)?;
-                        metrics.count_generated(is_source);
-                        if is_source {
-                            answer.emit(u, x);
-                        }
-                    } else {
-                        metrics.count_duplicate();
-                        if let Some(&cj) = child_pos[&u].get(&x) {
-                            let done_u = &state.done[&u];
-                            let marked_u = state.marked.get_mut(&u).expect("marked");
-                            if !done_u[cj] && !marked_u[cj] {
-                                marked_u[cj] = true;
-                            }
-                        }
-                    }
-                }
-                state.done.get_mut(&u).expect("done")[ci] = true;
-            }
-        }
-
-        // ---- Diagonal phase: intra-block arcs, reverse topo order. ----
-        for &u in block {
-            let children = r.children(u).to_vec();
-            for (ci, &c) in children.iter().enumerate() {
-                if !state.in_block[c as usize] {
-                    continue; // off-diagonal, handled above
-                }
-                if state.done[&u][ci] {
-                    continue;
-                }
-                if state.marked[&u][ci] {
-                    metrics.count_arc(true);
-                    state.done.get_mut(&u).expect("done")[ci] = true;
-                    continue;
-                }
-                metrics.count_arc(false);
-                metrics.count_union();
-                metrics.count_list_fetch();
-                metrics.count_locality(r.arc_locality(u, c));
-                let is_source = r.is_source[u as usize];
-                let entries = ListCursor::new(&r.store, c).collect_entries(pool)?;
-                let bv = bitvecs.get_mut(&u).expect("block bitvec");
-                for e in entries {
-                    metrics.count_tuple_read();
-                    let x = e.node;
-                    if bv.insert(x) {
-                        r.store.append_flat(pool, u, x)?;
-                        metrics.count_generated(is_source);
-                        if is_source {
-                            answer.emit(u, x);
-                        }
-                    } else {
-                        metrics.count_duplicate();
-                        if let Some(&cj) = child_pos[&u].get(&x) {
-                            let done_u = &state.done[&u];
-                            let marked_u = state.marked.get_mut(&u).expect("marked");
-                            if !done_u[cj] && !marked_u[cj] {
-                                marked_u[cj] = true;
-                            }
-                        }
-                    }
-                }
-                state.done.get_mut(&u).expect("done")[ci] = true;
-            }
-            // Also account marked off-diagonal arcs never unioned.
-            for (ci, _) in children.iter().enumerate() {
-                if state.marked[&u][ci] && !state.done[&u][ci] {
-                    metrics.count_arc(true);
-                    state.done.get_mut(&u).expect("done")[ci] = true;
-                }
-            }
-        }
-        Ok(())
-    })();
+    pages.clear();
+    for &u in block {
+        r.store.add_pages_of(u, pages);
+    }
+    let mut pinned = 0;
+    let result = pages
+        .iter()
+        .try_for_each(|&p| {
+            pool.pin(p)?;
+            pinned += 1;
+            Ok(())
+        })
+        .and_then(|()| expand_block(pool, r, metrics, answer, block, state));
 
     // Always release our pins, success or failure.
-    for p in pinned {
+    for &p in &pages[..pinned] {
         if pool.is_pinned(p) {
             pool.unpin(p);
         }
     }
     result
+}
+
+/// Expands a pinned diagonal block: off-diagonal arcs first, then the
+/// intra-block arcs.
+fn expand_block(
+    pool: &mut BufferPool,
+    r: &mut Restructured,
+    metrics: &mut CostMetrics,
+    answer: &mut AnswerCollector,
+    block: &[NodeId],
+    state: &mut BlockState,
+) -> StorageResult<()> {
+    // Seed a duplicate filter per diagonal list from its current
+    // contents.
+    for (bi, &u) in block.iter().enumerate() {
+        state.bitvecs[bi].clear_fast();
+        metrics.count_list_fetch();
+        ListCursor::new(&r.store, u).collect_into(pool, &mut state.entries)?;
+        for e in &state.entries {
+            metrics.count_tuple_read();
+            state.bitvecs[bi].insert(e.node);
+        }
+    }
+
+    // ---- Off-diagonal phase. ----
+    // Distinct off-diagonal children in ascending topological order
+    // (nearest first), the same order BTC processes children in: a
+    // union of a near list can still mark arcs to far lists and save
+    // their fetches. Markings are lost only across the off-diagonal /
+    // diagonal split — the paper's "expand redundant arcs" effect.
+    // Sorting the arcs groups each child's takers, in block order.
+    state.off.clear();
+    for (bi, &u) in block.iter().enumerate() {
+        for (ci, &c) in r.children(u).iter().enumerate() {
+            if !state.in_block[c as usize] {
+                state.off.push((r.pos[c as usize], bi, ci));
+            }
+        }
+    }
+    state.off.sort_unstable();
+
+    let mut next = 0;
+    while next < state.off.len() {
+        let start = next;
+        let pos = state.off[start].0;
+        while next < state.off.len() && state.off[next].0 == pos {
+            next += 1;
+        }
+        // Which diagonal lists still want this child?
+        let wanted = |&(_, bi, ci): &(usize, usize, usize)| {
+            state.arcs[state.first[bi] + ci] == ArcState::Pending
+        };
+        if !state.off[start..next].iter().any(wanted) {
+            continue;
+        }
+        // One fetch of S_j serves every taker — blocking's benefit.
+        let (_, bi, ci) = state.off[start];
+        let j = r.children(block[bi])[ci];
+        metrics.count_list_fetch();
+        ListCursor::new(&r.store, j).collect_into(pool, &mut state.entries)?;
+        for t in start..next {
+            let (_, bi, ci) = state.off[t];
+            let arc = state.first[bi] + ci;
+            if state.arcs[arc] != ArcState::Pending {
+                continue;
+            }
+            let u = block[bi];
+            metrics.count_arc(false);
+            metrics.count_union();
+            metrics.count_locality(r.arc_locality(u, j));
+            state.cidx.load(r.children(u));
+            state.union(pool, r, metrics, answer, bi, u)?;
+            state.arcs[arc] = ArcState::Done;
+        }
+    }
+
+    // ---- Diagonal phase: intra-block arcs, reverse topo order. ----
+    for (bi, &u) in block.iter().enumerate() {
+        state.cidx.load(r.children(u));
+        let first = state.first[bi];
+        let nchildren = r.children(u).len();
+        for ci in 0..nchildren {
+            let c = r.children(u)[ci];
+            if !state.in_block[c as usize] {
+                continue; // off-diagonal, handled above
+            }
+            match state.arcs[first + ci] {
+                ArcState::Done => {}
+                ArcState::Marked => {
+                    metrics.count_arc(true);
+                    state.arcs[first + ci] = ArcState::Done;
+                }
+                ArcState::Pending => {
+                    metrics.count_arc(false);
+                    metrics.count_union();
+                    metrics.count_list_fetch();
+                    metrics.count_locality(r.arc_locality(u, c));
+                    ListCursor::new(&r.store, c).collect_into(pool, &mut state.entries)?;
+                    state.union(pool, r, metrics, answer, bi, u)?;
+                    state.arcs[first + ci] = ArcState::Done;
+                }
+            }
+        }
+        // Also account marked off-diagonal arcs never unioned.
+        for arc in &mut state.arcs[first..first + nchildren] {
+            if *arc == ArcState::Marked {
+                metrics.count_arc(true);
+                *arc = ArcState::Done;
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -59,9 +59,41 @@ impl AnswerCollector {
     }
 
     /// The collected pairs (empty unless collecting), sorted.
-    pub fn into_pairs(mut self) -> Vec<(NodeId, NodeId)> {
-        self.pairs.sort_unstable();
-        self.pairs
+    ///
+    /// Node ids are dense, so this is an LSD radix sort with one digit
+    /// per component: a stable counting pass on the successor, then one
+    /// on the source — linear in pairs + ids, against a comparison sort
+    /// of the ~1.5 M tuples of a full closure. The scratch buffer of the
+    /// first pass is freed before returning.
+    pub fn into_pairs(self) -> Vec<(NodeId, NodeId)> {
+        let mut pairs = self.pairs;
+        let mut scratch = vec![(0, 0); pairs.len()];
+        counting_pass(&pairs, &mut scratch, |p| p.1);
+        counting_pass(&scratch, &mut pairs, |p| p.0);
+        pairs
+    }
+}
+
+/// Stable counting sort of `src` into `dst` (same length) by `key`.
+fn counting_pass(
+    src: &[(NodeId, NodeId)],
+    dst: &mut [(NodeId, NodeId)],
+    key: impl Fn(&(NodeId, NodeId)) -> NodeId,
+) {
+    let buckets = src.iter().map(&key).max().map_or(0, |m| m as usize + 1);
+    // next[k]: where the next pair with key k goes.
+    let mut next = vec![0usize; buckets];
+    for p in src {
+        next[key(p) as usize] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        start += std::mem::replace(slot, start);
+    }
+    for p in src {
+        let slot = &mut next[key(p) as usize];
+        dst[*slot] = *p;
+        *slot += 1;
     }
 }
 

@@ -38,9 +38,14 @@ pub fn expand_all(
     // the complete union of S_c delivers all of succ(c) ⊇ succ(x).
     let mut covered = NodeBitVec::new(n);
     let mut cidx = ChildIndex::new(n);
-    let order = r.order.clone();
+    // Scratch reused by every node and union: the list being unioned,
+    // the marked flags of the node's children, the nodes a union visited.
+    let mut entries = Vec::new();
+    let mut marked: Vec<bool> = Vec::new();
+    let mut seen_this_union: Vec<u32> = Vec::new();
 
-    for &u in order.iter().rev() {
+    for i in (0..r.order.len()).rev() {
+        let u = r.order[i];
         let children = &r.children[u as usize];
         if children.is_empty() {
             continue;
@@ -53,7 +58,8 @@ pub fn expand_all(
         // Seed from the initial (flat, root-level) list of children; the
         // node is expanded exactly once, so no parent markers exist yet.
         metrics.count_list_fetch();
-        for e in ListCursor::new(&r.store, u).collect_entries(pool)? {
+        ListCursor::new(&r.store, u).collect_into(pool, &mut entries)?;
+        for e in &entries {
             debug_assert!(!e.tagged);
             metrics.count_tuple_read();
             bitvec.insert(e.node);
@@ -61,7 +67,8 @@ pub fn expand_all(
         let is_source = r.is_source[u as usize];
         let mut appender = TreeAppender::new(u);
 
-        let mut marked = vec![false; nchildren];
+        marked.clear();
+        marked.resize(nchildren, false);
         for ci in 0..nchildren {
             let c = r.children[u as usize][ci];
             if marked[ci] {
@@ -78,10 +85,10 @@ pub fn expand_all(
             // are materialized first (every page fetched — the paper's
             // "real I/O was not saved" observation), then classified.
             skips.clear_fast();
-            let entries = ListCursor::new(&r.store, c).collect_entries(pool)?;
+            ListCursor::new(&r.store, c).collect_into(pool, &mut entries)?;
             let mut state = TreeScanState::new(c);
-            let mut seen_this_union: Vec<u32> = Vec::new();
-            for e in entries {
+            seen_this_union.clear();
+            for &e in &entries {
                 match state.step(e, &mut skips) {
                     TreeStep::Marker => {
                         metrics.count_tuple_read();
@@ -110,7 +117,7 @@ pub fn expand_all(
                             // covered: x ∈ succ(c), and this union's
                             // completion delivers all of succ(c).
                             if let Some(cj) = cidx.position(x) {
-                                if cj > ci && !marked[cj] {
+                                if cj > ci {
                                     marked[cj] = true;
                                 }
                             }
@@ -127,7 +134,7 @@ pub fn expand_all(
             // The union is complete: every node it touched now has its
             // full successor set in u's tree.
             covered.insert(c);
-            for x in seen_this_union {
+            for &x in &seen_this_union {
                 covered.insert(x);
             }
         }

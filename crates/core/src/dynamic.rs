@@ -65,8 +65,11 @@ pub struct UpdateResult {
     pub fault_trace: Vec<FaultEvent>,
 }
 
-/// The arcs of a batch that actually changed the graph (no-op inserts
-/// of present arcs and deletes of absent arcs are tolerated and skipped).
+/// The *net* arc changes of a batch, each list in op order: no-op
+/// inserts of present arcs and deletes of absent arcs are skipped, and
+/// an insert and a delete of the same arc cancel — maintenance must
+/// neither propagate from an arc that is gone again nor overdelete
+/// through one that is back.
 struct AppliedOps {
     inserted: Vec<(NodeId, NodeId)>,
     deleted: Vec<(NodeId, NodeId)>,
@@ -356,12 +359,12 @@ fn apply_to_base(
         match *op {
             UpdateOp::Insert(u, v) => {
                 if db.graph.add_arc(u, v) {
-                    ops.inserted.push((u, v));
+                    net_op((u, v), &mut ops.inserted, &mut ops.deleted);
                 }
             }
             UpdateOp::Delete(u, v) => {
                 if db.graph.remove_arc(u, v) {
-                    ops.deleted.push((u, v));
+                    net_op((u, v), &mut ops.deleted, &mut ops.inserted);
                 }
             }
         }
@@ -381,6 +384,21 @@ fn apply_to_base(
         db.index = ClusteredIndex::build(disk, &db.relation)?;
     }
     Ok(ops)
+}
+
+/// Records an effective change of `arc`: it cancels the batch's earlier
+/// opposite change of the same arc if there is one, else joins `same`.
+fn net_op(
+    arc: (NodeId, NodeId),
+    same: &mut Vec<(NodeId, NodeId)>,
+    opposite: &mut Vec<(NodeId, NodeId)>,
+) {
+    match opposite.iter().position(|&a| a == arc) {
+        Some(i) => {
+            opposite.remove(i);
+        }
+        None => same.push(arc),
+    }
 }
 
 /// Probes the base relation for the children of `z` through the

@@ -362,11 +362,7 @@ fn write_out_lists(
     } else {
         let mut pages: Vec<tc_storage::PageId> = Vec::new();
         for &s in sources {
-            for p in store.pages_of(s) {
-                if !pages.contains(&p) {
-                    pages.push(p);
-                }
-            }
+            store.add_pages_of(s, &mut pages);
         }
         pool.flush_pages(&pages)?;
         pool.discard_file(store.file_id())

@@ -172,7 +172,7 @@ pub struct DiskSim {
     files: Vec<FileMeta>,
     pages: Vec<Page>,
     page_file: Vec<FileId>,
-    /// FNV-1a checksum of each page, recorded on write and verified on
+    /// [`Page::checksum`] of each page, recorded on write and verified on
     /// read while a fault plan is armed (silent corruption is detected,
     /// never absorbed).
     checksums: Vec<u64>,
@@ -229,14 +229,13 @@ impl PageStore for DiskSim {
         // Reuse space released by drop_file before growing the disk.
         let pid = if let Some(pid) = self.free_pages.pop() {
             self.pages[pid.index()].clear();
-            self.checksums[pid.index()] = self.pages[pid.index()].checksum();
+            self.checksums[pid.index()] = Page::ZERO_CHECKSUM;
             self.page_file[pid.index()] = file;
             pid
         } else {
             let pid = PageId(self.pages.len() as u32);
-            let page = Page::new();
-            self.checksums.push(page.checksum());
-            self.pages.push(page);
+            self.checksums.push(Page::ZERO_CHECKSUM);
+            self.pages.push(Page::new());
             self.page_file.push(file);
             pid
         };

@@ -21,10 +21,11 @@
 //!       16  2048  page image
 //!   ```
 //!
-//!   The checksum is the same FNV-1a the simulator records per page
-//!   ([`Page::checksum`]), so both backends agree on what "corrupt"
-//!   means. Reads *always* verify header and checksum; a mismatch (or a
-//!   slot truncated by a crash mid-write) surfaces as
+//!   The checksum is byte-wise FNV-1a, fixed by the on-disk format; the
+//!   simulator's in-memory [`Page::checksum`] folds 8-byte words. Either
+//!   detects any single flipped byte, so both backends agree on what
+//!   "corrupt" means. Reads *always* verify header and checksum; a
+//!   mismatch (or a slot truncated by a crash mid-write) surfaces as
 //!   [`StorageError::ChecksumMismatch`] — the same typed error the
 //!   simulator raises under fault injection.
 //!
@@ -80,8 +81,8 @@ pub const SEGMENT_FILE: &str = "pages.tcs";
 /// Manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.tcm";
 
-/// FNV-1a 64 over an arbitrary byte slice — the same function
-/// [`Page::checksum`] applies to page images, reused for the manifest.
+/// Byte-wise FNV-1a 64 over an arbitrary byte slice: the on-disk
+/// checksum of slot payloads and of the manifest.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {

@@ -111,21 +111,43 @@ impl Page {
         self.bytes.fill(0);
     }
 
-    /// FNV-1a (64-bit) checksum of the page image.
+    /// Checksum of the page image: FNV-1a (64-bit) folded over the
+    /// page's 256 little-endian 8-byte words instead of its bytes.
+    ///
+    /// Each step `h = (h ^ word) * prime` is a bijection of `h` for a
+    /// fixed word and of the word for a fixed `h` (the prime is odd), so
+    /// two images that differ in any one word — in particular by any
+    /// single flipped byte — always get different checksums.
     ///
     /// The simulated disk records this at write time and verifies it on
     /// read when fault injection is armed, so silent corruption is
     /// *detected* (as [`crate::StorageError::ChecksumMismatch`]) rather
     /// than absorbed into query answers.
     pub fn checksum(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for &b in self.bytes.iter() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        let mut h = FNV_OFFSET;
+        for chunk in self.bytes.chunks_exact(8) {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            h = (h ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
         }
         h
     }
+
+    /// [`Page::checksum`] of a zero-filled page, for stores that hand out
+    /// fresh pages.
+    pub const ZERO_CHECKSUM: u64 = {
+        let mut h = FNV_OFFSET;
+        let mut words = PAGE_SIZE / 8;
+        while words > 0 {
+            h = h.wrapping_mul(FNV_PRIME);
+            words -= 1;
+        }
+        h
+    };
 }
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 impl Default for Page {
     fn default() -> Self {
@@ -190,9 +212,27 @@ mod tests {
         assert_eq!(with_data, p.checksum());
         p.clear();
         assert_eq!(p.checksum(), zero);
-        // A single flipped byte is visible.
-        p.put_u8(2047, 1);
-        assert_ne!(p.checksum(), zero);
+        assert_eq!(zero, Page::ZERO_CHECKSUM);
+    }
+
+    #[test]
+    fn checksum_sees_a_flip_at_every_byte_offset() {
+        // On an empty and on a busy page: the word fold must not lose
+        // any byte position (e.g. to a chunking remainder).
+        let mut busy = Page::new();
+        for off in (0..PAGE_SIZE).step_by(4) {
+            busy.put_u32(off, (off as u32).wrapping_mul(0x9E37_79B9) | 1);
+        }
+        for base in [Page::new(), busy] {
+            let clean = base.checksum();
+            for off in 0..PAGE_SIZE {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut p = base.clone();
+                    p.bytes_mut()[off] ^= mask;
+                    assert_ne!(p.checksum(), clean, "flip {mask:#04x} at byte {off}");
+                }
+            }
+        }
     }
 
     #[test]

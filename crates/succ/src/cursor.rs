@@ -62,8 +62,19 @@ impl ListCursor {
     /// Reads the next contiguous same-page run of blocks; returns `None`
     /// at end of list. One pager access per call.
     pub fn next_batch<P: Pager>(&mut self, pager: &mut P) -> StorageResult<Option<Vec<SuccEntry>>> {
+        let mut out = Vec::new();
+        Ok(self.read_run(pager, &mut out)?.then_some(out))
+    }
+
+    /// Appends the entries of the next same-page run of blocks to `out`
+    /// (one pager access); `false` at end of list.
+    fn read_run<P: Pager>(
+        &mut self,
+        pager: &mut P,
+        out: &mut Vec<SuccEntry>,
+    ) -> StorageResult<bool> {
         if self.pos >= self.blocks.len() {
-            return Ok(None);
+            return Ok(false);
         }
         let page = self.blocks[self.pos].0.page;
         let mut end = self.pos;
@@ -71,7 +82,7 @@ impl ListCursor {
             end += 1;
         }
         let run = &self.blocks[self.pos..end];
-        let mut out = Vec::with_capacity(run.len() * ENTRIES_PER_BLOCK);
+        out.reserve(run.iter().map(|&(_, used)| used as usize).sum());
         pager.with_page(page, &mut |pg: &Page| {
             for &(r, used) in run {
                 for k in 0..used as usize {
@@ -80,17 +91,14 @@ impl ListCursor {
             }
         })?;
         self.pos = end;
-        Ok(Some(out))
+        Ok(true)
     }
 
     /// Convenience: drains the cursor into a vector of node ids (tags
     /// dropped).
-    pub fn collect_nodes<P: Pager>(mut self, pager: &mut P) -> StorageResult<Vec<u32>> {
-        let mut out = Vec::new();
-        while let Some(batch) = self.next_batch(pager)? {
-            out.extend(batch.iter().map(|e| e.node));
-        }
-        Ok(out)
+    pub fn collect_nodes<P: Pager>(self, pager: &mut P) -> StorageResult<Vec<u32>> {
+        let entries = self.collect_entries(pager)?;
+        Ok(entries.iter().map(|e| e.node).collect())
     }
 
     /// Drains the cursor into raw entries (tags preserved).
@@ -101,12 +109,23 @@ impl ListCursor {
     /// the one being scanned. Materializing first (still one pager access
     /// per page, charged identically) makes the union immune to such
     /// relocation, the way a real system's latching would.
-    pub fn collect_entries<P: Pager>(mut self, pager: &mut P) -> StorageResult<Vec<SuccEntry>> {
-        let mut out = Vec::with_capacity(self.remaining_entries());
-        while let Some(batch) = self.next_batch(pager)? {
-            out.extend(batch);
-        }
+    pub fn collect_entries<P: Pager>(self, pager: &mut P) -> StorageResult<Vec<SuccEntry>> {
+        let mut out = Vec::new();
+        self.collect_into(pager, &mut out)?;
         Ok(out)
+    }
+
+    /// [`ListCursor::collect_entries`] into a caller-owned buffer (cleared
+    /// first), so a loop of unions reuses one allocation.
+    pub fn collect_into<P: Pager>(
+        mut self,
+        pager: &mut P,
+        out: &mut Vec<SuccEntry>,
+    ) -> StorageResult<()> {
+        out.clear();
+        out.reserve(self.remaining_entries());
+        while self.read_run(pager, out)? {}
+        Ok(())
     }
 }
 
@@ -184,5 +203,26 @@ mod tests {
         let mut cur = ListCursor::new(&store, 0);
         let batch = cur.next_batch(&mut disk).unwrap().unwrap();
         assert_eq!(batch, vec![SuccEntry::tagged(5), SuccEntry::plain(6)]);
+    }
+
+    #[test]
+    fn collect_into_replaces_the_buffer_contents() {
+        let mut disk = DiskSim::new();
+        let mut store = SuccStore::new(&mut disk, 2, ListPolicy::Spill);
+        for v in 0..500u32 {
+            store.append(&mut disk, 0, SuccEntry::plain(v)).unwrap();
+        }
+        store.append(&mut disk, 1, SuccEntry::tagged(7)).unwrap();
+        let mut buf = Vec::new();
+        for node in [0, 1, 0] {
+            ListCursor::new(&store, node)
+                .collect_into(&mut disk, &mut buf)
+                .unwrap();
+            let fresh = ListCursor::new(&store, node)
+                .collect_entries(&mut disk)
+                .unwrap();
+            assert_eq!(buf, fresh, "node {node}");
+        }
+        assert_eq!(buf.len(), 500);
     }
 }

@@ -44,7 +44,9 @@ pub struct SuccStore {
     file: FileId,
     dir: Vec<ListMeta>,
     fill_page: Option<PageId>,
-    free_cache: HashMap<PageId, u8>,
+    /// Free blocks per page, indexed by page id (0 for pages of other
+    /// files, which this store never asks about).
+    free_cache: Vec<u8>,
     policy: ListPolicy,
     stats: SuccStats,
 }
@@ -57,7 +59,7 @@ impl SuccStore {
             file,
             dir: vec![ListMeta::default(); n],
             fill_page: None,
-            free_cache: HashMap::new(),
+            free_cache: Vec::new(),
             policy,
             stats: SuccStats::default(),
         }
@@ -91,12 +93,20 @@ impl SuccStore {
     /// The distinct pages holding `node`'s list, in chain order.
     pub fn pages_of(&self, node: u32) -> Vec<PageId> {
         let mut out: Vec<PageId> = Vec::new();
+        self.add_pages_of(node, &mut out);
+        out
+    }
+
+    /// Appends to `pages` the pages holding `node`'s list that `pages`
+    /// does not list yet, in chain order (the set-union form of
+    /// [`SuccStore::pages_of`], for callers gathering the pages of many
+    /// lists into one buffer).
+    pub fn add_pages_of(&self, node: u32, pages: &mut Vec<PageId>) {
         for b in &self.dir[node as usize].blocks {
-            if out.last() != Some(&b.page) && !out.contains(&b.page) {
-                out.push(b.page);
+            if pages.last() != Some(&b.page) && !pages.contains(&b.page) {
+                pages.push(b.page);
             }
         }
-        out
     }
 
     /// The block chain of `node` (for cursors).
@@ -159,7 +169,8 @@ impl SuccStore {
         }
         // Reverse direction: owned blocks on pages must be chained, and
         // the free cache must agree with the pages.
-        for (&page, &free) in &self.free_cache {
+        for page in pager.file_page_ids(self.file) {
+            let free = self.free_on(page);
             let on_page_free = pager.with_page(page, &mut |pg: &Page| {
                 for b in 0..BLOCKS_PER_PAGE {
                     if let Some(owner) = SuccPage::owner(pg, b) {
@@ -253,7 +264,7 @@ impl SuccStore {
     }
 
     fn free_on(&self, page: PageId) -> u8 {
-        *self.free_cache.get(&page).unwrap_or(&0)
+        self.free_cache.get(page.index()).copied().unwrap_or(0)
     }
 
     /// Claims a free block on `page` for `node`.
@@ -269,7 +280,7 @@ impl SuccStore {
             SuccPage::set_owner(pg, b, node);
             b as u8
         })?;
-        *self.free_cache.get_mut(&page).expect("cached page") -= 1;
+        self.free_cache[page.index()] -= 1;
         let r = SuccBlockRef { page, block };
         self.dir[node as usize].blocks.push(r);
         self.stats.blocks_allocated += 1;
@@ -295,7 +306,10 @@ impl SuccStore {
 
     fn fresh_page<P: Pager>(&mut self, pager: &mut P) -> StorageResult<PageId> {
         let p = pager.alloc_page(self.file)?;
-        self.free_cache.insert(p, BLOCKS_PER_PAGE as u8);
+        if p.index() >= self.free_cache.len() {
+            self.free_cache.resize(p.index() + 1, 0);
+        }
+        self.free_cache[p.index()] = BLOCKS_PER_PAGE as u8;
         self.stats.pages_allocated += 1;
         Ok(p)
     }
@@ -443,12 +457,12 @@ impl SuccStore {
             }
             b as u8
         })?;
-        *self.free_cache.get_mut(&dest_page).expect("cached") -= 1;
+        self.free_cache[dest_page.index()] -= 1;
         // Free the original.
         pager.with_page_mut(old.page, &mut |pg: &mut Page| {
             SuccPage::free_block(pg, old.block as usize);
         })?;
-        *self.free_cache.entry(old.page).or_insert(0) += 1;
+        self.free_cache[old.page.index()] += 1;
         self.stats.blocks_moved += 1;
         Ok(SuccBlockRef {
             page: dest_page,

@@ -172,3 +172,105 @@ fn incremental_matches_scratch_on_random_streams() {
             Ok(())
         });
 }
+
+/// Applies `batch` as one `apply` to a fresh closure of `g` and checks
+/// the maintained tuples and the reported net delta against the oracle.
+fn check_batch(g: &Graph, batch: &[UpdateOp]) -> Result<(), String> {
+    let mut dyn_tc = DynamicClosure::build(g, &SystemConfig::with_buffer(6))
+        .map_err(|e| format!("build failed: {e}"))?;
+    let mut live = g.clone();
+    for op in batch {
+        match *op {
+            UpdateOp::Insert(u, v) => live.add_arc(u, v),
+            UpdateOp::Delete(u, v) => live.remove_arc(u, v),
+        };
+    }
+    let (before, after) = (oracle(g), oracle(&live));
+    let res = dyn_tc
+        .apply(batch)
+        .map_err(|e| format!("apply failed: {e}"))?;
+    let tuples = dyn_tc.tuples().map_err(|e| format!("scan failed: {e}"))?;
+    require!(
+        tuples == after,
+        "maintained closure diverged from the oracle after batch {:?}",
+        batch
+    );
+    let gone = before.iter().filter(|t| !after.contains(t)).count() as u64;
+    let new = after.iter().filter(|t| !before.contains(t)).count() as u64;
+    require_eq!(
+        (res.inserted, res.removed),
+        (new, gone),
+        "batch {:?}",
+        batch
+    );
+    Ok(())
+}
+
+#[test]
+fn an_arc_inserted_and_deleted_in_one_batch_derives_nothing() {
+    use UpdateOp::{Delete, Insert};
+    // 0 -> 1, and 2 isolated: (1, 2) comes and goes inside the batch, so
+    // neither (1, 2) nor (0, 2) may appear. The defect PR 11 reported:
+    // the arc was recorded as inserted *and* deleted, and the insert
+    // phase propagated from it.
+    let g = Graph::from_arcs(3, [(0, 1)]);
+    for batch in [
+        vec![Insert(1, 2), Delete(1, 2)],
+        // With other work around it, and coming back a second time.
+        vec![Insert(1, 2), Delete(0, 1), Delete(1, 2), Insert(0, 2)],
+        vec![Insert(1, 2), Delete(1, 2), Insert(1, 2)],
+    ] {
+        assert_eq!(check_batch(&g, &batch), Ok(()));
+    }
+}
+
+#[test]
+fn an_arc_deleted_and_reinserted_in_one_batch_changes_nothing() {
+    use UpdateOp::{Delete, Insert};
+    let g = Graph::from_arcs(4, [(0, 1), (1, 2), (2, 3)]);
+    for batch in [
+        vec![Delete(1, 2), Insert(1, 2)],
+        vec![Delete(1, 2), Insert(0, 3), Insert(1, 2), Delete(2, 3)],
+    ] {
+        assert_eq!(check_batch(&g, &batch), Ok(()));
+    }
+}
+
+#[test]
+fn whole_batches_on_tiny_graphs_match_the_oracle() {
+    // Few nodes and many ops per batch, so one batch touches the same
+    // arc repeatedly (the one-op-per-batch property above never does).
+    Checker::new("dynamic_batched_eq_oracle").cases(48).run(
+        |rng: &mut Rng| {
+            let n = rng.random_range(2..7usize);
+            let pairs = check::vec_of(rng, 0..12, |r| {
+                (r.random_range(0..n as u32), r.random_range(0..n as u32))
+            });
+            let ops = check::vec_of(rng, 2..24, |r| {
+                (
+                    r.random_bool(0.5),
+                    r.random_range(0..n as u32),
+                    r.random_range(0..n as u32),
+                )
+            });
+            ((n, pairs), ops)
+        },
+        |((n, pairs), ops)| {
+            let mut out: Vec<_> = check::shrink_vec(ops)
+                .into_iter()
+                .map(|o| ((*n, pairs.clone()), o))
+                .collect();
+            out.extend(
+                check::shrink_vec(pairs)
+                    .into_iter()
+                    .map(|p| ((*n, p), ops.clone())),
+            );
+            out
+        },
+        |(raw, raw_ops)| {
+            let g = dag_of(raw);
+            let batch: Vec<UpdateOp> = raw_ops.iter().filter_map(|o| op_of(g.n(), o)).collect();
+            check_batch(&g, &batch)
+        },
+    );
+}

@@ -122,6 +122,128 @@ fn buffer_pool_refines_flat_memory() {
 }
 
 // ---------------------------------------------------------------------
+// Page table vs. a BTreeMap of live pages, with recycled page ids.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum FileOp {
+    Alloc { slot: usize },
+    Write { slot: usize, k: usize, value: u32 },
+    Read { slot: usize, k: usize },
+    FreeFile { slot: usize },
+    Flush,
+}
+
+fn file_op(rng: &mut Rng) -> FileOp {
+    let slot = rng.random_range(0..3usize);
+    let k = rng.random_range(0..8usize);
+    match rng.random_range(0..10u32) {
+        0..=2 => FileOp::Alloc { slot },
+        3..=5 => FileOp::Write {
+            slot,
+            k,
+            value: rng.next_u32(),
+        },
+        6..=7 => FileOp::Read { slot, k },
+        8 => FileOp::FreeFile { slot },
+        _ => FileOp::Flush,
+    }
+}
+
+/// Files come and go through the pool, so the store recycles page ids
+/// (LIFO after `drop_file`) for unrelated files while the page table
+/// still has entries from their previous life. The table must agree
+/// with a `BTreeMap` of the live pages at every step: a freed page is
+/// never resident, a recycled id starts out zeroed, reads see the
+/// model's values across evictions, and the structural invariants hold.
+#[test]
+fn page_table_refines_btreemap_under_recycled_ids() {
+    use std::collections::BTreeMap;
+    Checker::new("page_table_refines_btreemap_under_recycled_ids")
+        .cases(64)
+        .run(
+            |rng| {
+                let ops = check::vec_of(rng, 1..160, file_op);
+                let policy_idx = rng.random_range(0..PagePolicy::ALL.len());
+                let capacity = rng.random_range(1..5usize);
+                (ops, policy_idx, capacity)
+            },
+            |(ops, policy_idx, capacity)| {
+                check::shrink_vec(ops)
+                    .into_iter()
+                    .filter(|o| !o.is_empty())
+                    .map(|o| (o, *policy_idx, *capacity))
+                    .collect()
+            },
+            |(ops, policy_idx, capacity)| {
+                let mut pool =
+                    BufferPool::new(DiskSim::new(), *capacity, PagePolicy::ALL[*policy_idx]);
+                let mut files: Vec<_> = (0..3).map(|_| pool.create_file(FileKind::Temp)).collect();
+                let mut pages: Vec<Vec<PageId>> = vec![Vec::new(); 3];
+                let mut live: BTreeMap<PageId, u32> = BTreeMap::new();
+                let mut ever_freed: Vec<PageId> = Vec::new();
+
+                for op in ops {
+                    match *op {
+                        FileOp::Alloc { slot } => {
+                            let pid = pool.alloc_page(files[slot]).unwrap();
+                            require!(
+                                live.insert(pid, 0).is_none(),
+                                "store handed out live page {pid:?}"
+                            );
+                            require!(pool.is_resident(pid), "fresh page {pid:?} not resident");
+                            pages[slot].push(pid);
+                        }
+                        FileOp::Write { slot, k, value } => {
+                            let Some(&pid) = pages[slot].get(k) else {
+                                continue;
+                            };
+                            pool.with_page_mut(pid, &mut |p: &mut Page| p.put_u32(0, value))
+                                .unwrap();
+                            live.insert(pid, value);
+                        }
+                        FileOp::Read { slot, k } => {
+                            let Some(&pid) = pages[slot].get(k) else {
+                                continue;
+                            };
+                            let v = pool.with_page(pid, &mut |p: &Page| p.get_u32(0)).unwrap();
+                            require_eq!(v, live[&pid], "page {:?}", pid);
+                            require!(pool.is_resident(pid), "read page {pid:?} not resident");
+                        }
+                        FileOp::FreeFile { slot } => {
+                            Pager::free_file(&mut pool, files[slot]).unwrap();
+                            for pid in pages[slot].drain(..) {
+                                live.remove(&pid);
+                                ever_freed.push(pid);
+                            }
+                            files[slot] = pool.create_file(FileKind::Temp);
+                        }
+                        FileOp::Flush => pool.flush_all().unwrap(),
+                    }
+                    pool.check_invariants()?;
+                    require!(pool.resident() <= *capacity, "capacity exceeded");
+                    require!(pool.resident() <= live.len(), "more resident than live");
+                    for &pid in &ever_freed {
+                        require!(
+                            live.contains_key(&pid) || !pool.is_resident(pid),
+                            "freed page {pid:?} still resident"
+                        );
+                    }
+                }
+                // The disk agrees with the model for every live page.
+                pool.flush_all().unwrap();
+                let mut disk = pool.into_store_discard();
+                for (&pid, &value) in &live {
+                    let mut page = Page::new();
+                    disk.read_page(pid, &mut page).unwrap();
+                    require_eq!(page.get_u32(0), value, "page {:?}", pid);
+                }
+                Ok(())
+            },
+        );
+}
+
+// ---------------------------------------------------------------------
 // Successor store vs. Vec<Vec<u32>>.
 // ---------------------------------------------------------------------
 

@@ -282,3 +282,119 @@ fn metric_invariants() {
         },
     );
 }
+
+/// `AnswerCollector::into_pairs` (two counting passes over dense node
+/// ids) returns exactly what a comparison sort returns, duplicates
+/// included — on arbitrary pairs, on a single source, and with one node.
+#[test]
+fn answer_pairs_come_out_like_a_comparison_sort() {
+    use tc_study::core::algorithms::AnswerCollector;
+    let sorted_by_collector = |pairs: &[(u32, u32)]| {
+        let mut a = AnswerCollector::new(true);
+        for &(s, x) in pairs {
+            a.emit(s, x);
+        }
+        a.into_pairs()
+    };
+    assert!(sorted_by_collector(&[]).is_empty());
+    assert_eq!(sorted_by_collector(&[(0, 0)]), vec![(0, 0)]);
+    Checker::new("into_pairs_eq_sort_unstable").cases(128).run(
+        |rng| {
+            let n = match rng.random_range(0..4u32) {
+                0 => 1,
+                _ => rng.random_range(1..300u32),
+            };
+            let one_source = rng.random_bool(0.25).then(|| rng.random_range(0..n));
+            check::vec_of(rng, 0..400, |r| {
+                let s = one_source.unwrap_or_else(|| r.random_range(0..n));
+                (s, r.random_range(0..n))
+            })
+        },
+        check::shrink_vec,
+        |pairs| {
+            let mut expect = pairs.clone();
+            expect.sort_unstable();
+            require_eq!(sorted_by_collector(pairs), expect);
+            Ok(())
+        },
+    );
+}
+
+/// Runs HYB (`ILIMIT` 0.9) on a 12-frame pool of which `squeeze` frames
+/// are pinned by someone else; returns the answer and how many page
+/// requests failed with `AllFramesPinned` (each one a forced shrink of
+/// the diagonal block that the run survived).
+fn hyb_on_a_squeezed_pool(
+    g: &Graph,
+    squeeze: usize,
+    list_policy: ListPolicy,
+) -> Result<(Vec<(u32, u32)>, usize), String> {
+    use std::sync::Arc;
+    use tc_study::buffer::BufferPool;
+    use tc_study::core::algorithms::{hybrid, AnswerCollector};
+    use tc_study::core::restructure::{restructure, RestructureOptions};
+    use tc_study::storage::{FileKind, Pager};
+    use tc_study::trace::{Event, Tracer, VecSink};
+
+    let err = |e| format!("{e}");
+    let mut db = Database::build(g, false).map_err(err)?;
+    let mut pool = BufferPool::with_store(db.take_store().map_err(err)?, 12, PagePolicy::Lru);
+    let scratch = pool.create_file(FileKind::Temp);
+    for _ in 0..squeeze {
+        let p = pool.alloc_page(scratch).map_err(err)?;
+        pool.pin(p).map_err(err)?;
+    }
+    let mut metrics = CostMetrics::new(Algorithm::Hyb);
+    let opts = RestructureOptions {
+        single_parent_reduction: false,
+        build_lists: true,
+        tree_format: false,
+        list_policy,
+    };
+    let mut r = restructure(&db, &mut pool, &Query::full(), &opts, &mut metrics).map_err(err)?;
+    let mut answer = AnswerCollector::new(true);
+    for u in 0..g.n() as u32 {
+        for &c in r.children(u) {
+            answer.emit(u, c);
+        }
+    }
+    let sink = Arc::new(VecSink::unbounded());
+    pool.set_tracer(Tracer::new(sink.clone()));
+    hybrid::expand_all(&mut pool, &mut r, &mut metrics, &mut answer, 0.9).map_err(err)?;
+    // No faults are armed, so a miss that neither read nor allocated its
+    // page is one the pool refused for want of an unpinned frame.
+    let count = |f: fn(&Event) -> bool| sink.events().iter().filter(|e| f(e)).count();
+    let refused = count(|e| matches!(e, Event::BufMiss { .. }))
+        - count(|e| matches!(e, Event::PageRead { .. } | Event::PageAlloc { .. }));
+    Ok((answer.into_pairs(), refused))
+}
+
+/// Dynamic reblocking never fires on its own (a block is carved to fit
+/// the frames HYB reserved), so force it: with 7 of 12 frames pinned
+/// from outside, blocks carved for 9 pages cannot be pinned and must
+/// shrink, some of them mid-expansion. The arc states and duplicate
+/// filters kept by block position must carry the finished work over.
+#[test]
+fn hyb_validates_under_forced_reblocking() {
+    let all = |g: &Graph| closure::ptc_answer(g, &(0..g.n() as u32).collect::<Vec<_>>());
+    let g = DagGenerator::new(600, 5.0, 300).seed(5).generate();
+    let (pairs, refused) = hyb_on_a_squeezed_pool(&g, 7, ListPolicy::Spill).unwrap();
+    assert!(refused > 0, "the squeeze forced no reblocking");
+    assert_eq!(pairs, all(&g));
+
+    Checker::new("hyb_forced_reblocking").cases(16).run(
+        |rng| {
+            (
+                raw_graph(rng, 400, 2500),
+                rng.random_range(0..ListPolicy::ALL.len()),
+            )
+        },
+        |(raw, lp)| shrink_raw(raw).into_iter().map(|r| (r, *lp)).collect(),
+        |(raw, lp)| {
+            let g = dag_of(raw);
+            let (pairs, _) = hyb_on_a_squeezed_pool(&g, 7, ListPolicy::ALL[*lp])?;
+            require!(pairs == all(&g), "HYB answer differs from the oracle");
+            Ok(())
+        },
+    );
+}
