@@ -3,22 +3,17 @@
 //! The paper's experiments run against a *simulated* buffer manager that
 //! records the number of page I/Os (§6.1); wall-clock time is then compared
 //! with an estimated I/O time of 20 ms per page transfer. [`DiskSim`] is
-//! that disk: it stores page images, tags every page with the file it
-//! belongs to, and counts physical reads and writes, broken down by file
-//! kind so that the harness can report relation vs. index vs.
-//! successor-list traffic separately.
-//!
-//! `DiskSim` is one of two implementations of the
-//! [`PageStore`](crate::PageStore) backend trait — the in-memory,
-//! counting one. The file-backed one lives in
-//! [`crate::FileStore`]; both are driven through the trait.
+//! that disk: the accounting core ([`Store`]) over page images held in
+//! memory ([`Mem`]). The vocabulary the core counts in lives here too:
+//! [`FileKind`], [`FileId`] and [`DiskStats`], broken down by file kind
+//! so that the harness can report relation vs. index vs. successor-list
+//! traffic separately.
 
 use crate::error::{StorageError, StorageResult};
-use crate::fault::{FaultPlan, RetryPolicy, RetryTally};
+use crate::medium::Medium;
 use crate::page::{Page, PageId};
-use crate::store::PageStore;
+use crate::store::Store;
 use std::fmt;
-use tc_trace::{Event, Kind, Tracer};
 
 /// What role a file plays in the study's storage layout.
 ///
@@ -83,11 +78,6 @@ impl FileKind {
 /// Identifier of a file (an extent of pages) on a page store.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FileId(pub u32);
-
-pub(crate) struct FileMeta {
-    pub(crate) kind: FileKind,
-    pub(crate) pages: Vec<PageId>,
-}
 
 /// Physical I/O counters, overall and broken down by [`FileKind`].
 ///
@@ -158,271 +148,90 @@ impl IoCostModel {
     }
 }
 
+/// The in-memory medium: page images plus the [`Page::checksum`] of
+/// each, recorded on write and verified on read while a fault plan is
+/// armed (silent corruption is detected, never absorbed).
+#[derive(Default)]
+pub struct Mem {
+    pages: Vec<Page>,
+    checksums: Vec<u64>,
+}
+
+/// Copies `image` into `out`, then checks it against the checksum
+/// `recorded` for it, if one is given. Shared by the in-memory media.
+pub(crate) fn read_image(
+    image: &Page,
+    recorded: Option<u64>,
+    pid: PageId,
+    out: &mut Page,
+) -> StorageResult<()> {
+    out.bytes_mut().copy_from_slice(image.bytes());
+    if let Some(stored) = recorded {
+        let computed = out.checksum();
+        if computed != stored {
+            return Err(StorageError::ChecksumMismatch {
+                pid,
+                stored,
+                computed,
+            });
+        }
+    }
+    Ok(())
+}
+
+impl Medium for Mem {
+    fn read(&mut self, pid: PageId, out: &mut Page, verify: bool) -> StorageResult<()> {
+        let i = pid.index();
+        read_image(&self.pages[i], verify.then(|| self.checksums[i]), pid, out)
+    }
+
+    fn write(&mut self, pid: PageId, data: &Page, tear_at: Option<usize>) -> StorageResult<()> {
+        // Record the checksum of the bytes the writer intended; a torn
+        // write leaves it stale so verification catches the corruption.
+        self.checksums[pid.index()] = data.checksum();
+        let dst = self.pages[pid.index()].bytes_mut();
+        dst.copy_from_slice(data.bytes());
+        if let Some(off) = tear_at {
+            dst[off] ^= 0xFF;
+        }
+        Ok(())
+    }
+
+    fn zero(&mut self, pid: PageId) -> StorageResult<()> {
+        match self.pages.get_mut(pid.index()) {
+            Some(page) => {
+                page.clear();
+                self.checksums[pid.index()] = Page::ZERO_CHECKSUM;
+            }
+            None => {
+                self.pages.push(Page::new());
+                self.checksums.push(Page::ZERO_CHECKSUM);
+            }
+        }
+        Ok(())
+    }
+
+    fn name(&self) -> &'static str {
+        "sim"
+    }
+}
+
 /// A simulated disk.
 ///
 /// Pages live in memory but every [`PageStore::read_page`] /
 /// [`PageStore::write_page`] is counted as a physical transfer. Higher
 /// layers access pages through the buffer pool, so these counters reflect
 /// buffer misses and dirty-page write-backs — the paper's primary cost
-/// metric.
+/// metric. Durability is not modeled: `sync` does nothing.
 ///
-/// All page and file operations live in the [`PageStore`] impl below;
-/// `DiskSim` itself only constructs.
-pub struct DiskSim {
-    files: Vec<FileMeta>,
-    pages: Vec<Page>,
-    page_file: Vec<FileId>,
-    /// [`Page::checksum`] of each page, recorded on write and verified on
-    /// read while a fault plan is armed (silent corruption is detected,
-    /// never absorbed).
-    checksums: Vec<u64>,
-    free_pages: Vec<PageId>,
-    stats: DiskStats,
-    fault: Option<FaultPlan>,
-    /// Retry policy of the *direct* pager path (tests and bulk loads);
-    /// buffered access retries in `tc-buffer` instead.
-    retry: RetryPolicy,
-    retry_tally: RetryTally,
-    /// Event tracer; disabled (free) unless the engine arms one for a
-    /// run. Emits one event per successful transfer and per injection.
-    tracer: Tracer,
-}
+/// [`PageStore::read_page`]: crate::PageStore::read_page
+/// [`PageStore::write_page`]: crate::PageStore::write_page
+pub type DiskSim = Store<Mem>;
 
 impl DiskSim {
     /// Creates an empty disk.
-    pub fn new() -> Self {
-        DiskSim {
-            files: Vec::new(),
-            pages: Vec::new(),
-            page_file: Vec::new(),
-            checksums: Vec::new(),
-            free_pages: Vec::new(),
-            stats: DiskStats::default(),
-            fault: None,
-            retry: RetryPolicy::default(),
-            retry_tally: RetryTally::default(),
-            tracer: Tracer::disabled(),
-        }
-    }
-}
-
-impl Default for DiskSim {
-    fn default() -> Self {
-        DiskSim::new()
-    }
-}
-
-impl PageStore for DiskSim {
-    fn new_file(&mut self, kind: FileKind) -> FileId {
-        let id = FileId(self.files.len() as u32);
-        self.files.push(FileMeta {
-            kind,
-            pages: Vec::new(),
-        });
-        id
-    }
-
-    fn alloc(&mut self, file: FileId) -> StorageResult<PageId> {
-        if file.0 as usize >= self.files.len() {
-            return Err(StorageError::UnknownFile(file.0));
-        }
-        // Reuse space released by drop_file before growing the disk.
-        let pid = if let Some(pid) = self.free_pages.pop() {
-            self.pages[pid.index()].clear();
-            self.checksums[pid.index()] = Page::ZERO_CHECKSUM;
-            self.page_file[pid.index()] = file;
-            pid
-        } else {
-            let pid = PageId(self.pages.len() as u32);
-            self.checksums.push(Page::ZERO_CHECKSUM);
-            self.pages.push(Page::new());
-            self.page_file.push(file);
-            pid
-        };
-        self.files[file.0 as usize].pages.push(pid);
-        Ok(pid)
-    }
-
-    fn drop_file(&mut self, file: FileId) -> StorageResult<()> {
-        let meta = self
-            .files
-            .get_mut(file.0 as usize)
-            .ok_or(StorageError::UnknownFile(file.0))?;
-        self.free_pages.append(&mut meta.pages);
-        Ok(())
-    }
-
-    /// Physically reads page `pid` into `out`, counting one read.
-    ///
-    /// With a fault plan armed the attempt may fail instead (transient or
-    /// permanent fault), and the page image is checksum-verified so a
-    /// torn write surfaces as [`StorageError::ChecksumMismatch`]. Failed
-    /// attempts are *not* counted in [`DiskStats`]: the I/O counters keep
-    /// recording exactly the successful transfers, so a transient-fault
-    /// run reports the same page-I/O metrics as a fault-free one.
-    fn read_page(&mut self, pid: PageId, out: &mut Page) -> StorageResult<()> {
-        if pid.index() >= self.pages.len() {
-            return Err(StorageError::PageOutOfBounds(pid));
-        }
-        let op = match self.fault.as_mut() {
-            Some(plan) => match plan.on_read(pid) {
-                Ok(op) => Some(op),
-                Err(e) => {
-                    self.tracer.emit(Event::FaultInjected {
-                        page: pid.0,
-                        write: false,
-                    });
-                    return Err(e);
-                }
-            },
-            None => None,
-        };
-        out.bytes_mut()
-            .copy_from_slice(self.pages[pid.index()].bytes());
-        if let Some(op) = op {
-            let stored = self.checksums[pid.index()];
-            let computed = out.checksum();
-            if computed != stored {
-                if let Some(plan) = self.fault.as_mut() {
-                    plan.on_detection(op, pid);
-                }
-                self.tracer.emit(Event::CorruptionDetected { page: pid.0 });
-                return Err(StorageError::ChecksumMismatch {
-                    pid,
-                    stored,
-                    computed,
-                });
-            }
-        }
-        self.stats.reads += 1;
-        let file = self.page_file[pid.index()];
-        let kind = self.files[file.0 as usize].kind;
-        self.stats.reads_by_kind[kind.idx()] += 1;
-        self.tracer.emit(Event::PageRead {
-            page: pid.0,
-            kind: Kind::from_idx(kind.idx()),
-        });
-        Ok(())
-    }
-
-    /// Physically writes `data` to page `pid`, counting one write.
-    ///
-    /// With a fault plan armed the attempt may fail transiently, or be
-    /// *torn*: the call reports success but one stored byte is flipped
-    /// while the recorded checksum still describes the intended image, so
-    /// the next physical read detects the damage.
-    fn write_page(&mut self, pid: PageId, data: &Page) -> StorageResult<()> {
-        if pid.index() >= self.pages.len() {
-            return Err(StorageError::PageOutOfBounds(pid));
-        }
-        let corrupt_at = match self.fault.as_mut() {
-            Some(plan) => match plan.on_write(pid) {
-                Ok((_, off)) => off,
-                Err(e) => {
-                    self.tracer.emit(Event::FaultInjected {
-                        page: pid.0,
-                        write: true,
-                    });
-                    return Err(e);
-                }
-            },
-            None => None,
-        };
-        // Record the checksum of the bytes the writer intended; a torn
-        // write leaves it stale so verification catches the corruption.
-        self.checksums[pid.index()] = data.checksum();
-        let dst = &mut self.pages[pid.index()];
-        dst.bytes_mut().copy_from_slice(data.bytes());
-        if let Some(off) = corrupt_at {
-            // A torn write is a silent injection: it reports success.
-            dst.bytes_mut()[off] ^= 0xFF;
-            self.tracer.emit(Event::FaultInjected {
-                page: pid.0,
-                write: true,
-            });
-        }
-        self.stats.writes += 1;
-        let file = self.page_file[pid.index()];
-        let kind = self.files[file.0 as usize].kind;
-        self.stats.writes_by_kind[kind.idx()] += 1;
-        self.tracer.emit(Event::PageWrite {
-            page: pid.0,
-            kind: Kind::from_idx(kind.idx()),
-        });
-        Ok(())
-    }
-
-    /// Durability is not modeled by the simulator: all pages are always
-    /// "persistent" in memory, so `sync` is a counted-nothing no-op.
-    fn sync(&mut self) -> StorageResult<()> {
-        Ok(())
-    }
-
-    fn file_pages(&self, file: FileId) -> &[PageId] {
-        &self.files[file.0 as usize].pages
-    }
-
-    fn file_kind(&self, file: FileId) -> FileKind {
-        self.files[file.0 as usize].kind
-    }
-
-    fn page_file(&self, pid: PageId) -> StorageResult<FileId> {
-        self.page_file
-            .get(pid.index())
-            .copied()
-            .ok_or(StorageError::PageOutOfBounds(pid))
-    }
-
-    fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
-    fn stats(&self) -> &DiskStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Some(plan);
-    }
-
-    fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.fault.take()
-    }
-
-    fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
-    fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    fn note_retries(&mut self, tally: RetryTally) {
-        self.retry_tally.absorb(tally);
-    }
-
-    fn retry_tally(&self) -> RetryTally {
-        self.retry_tally
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "sim"
+    pub fn new() -> DiskSim {
+        Store::default()
     }
 }
 
@@ -430,48 +239,7 @@ impl PageStore for DiskSim {
 mod tests {
     use super::*;
     use crate::pager::Pager;
-
-    #[test]
-    fn alloc_and_rw_counts_io() {
-        let mut d = DiskSim::new();
-        let f = d.new_file(FileKind::Relation);
-        let p = d.alloc(f).unwrap();
-        assert_eq!(d.stats().total(), 0, "allocation is free");
-
-        let mut page = Page::new();
-        page.put_u32(0, 7);
-        d.write_page(p, &page).unwrap();
-        let mut back = Page::new();
-        d.read_page(p, &mut back).unwrap();
-        assert_eq!(back.get_u32(0), 7);
-        assert_eq!(d.stats().reads, 1);
-        assert_eq!(d.stats().writes, 1);
-        assert_eq!(d.stats().reads_by_kind[FileKind::Relation.idx()], 1);
-    }
-
-    #[test]
-    fn files_track_their_pages() {
-        let mut d = DiskSim::new();
-        let f1 = d.new_file(FileKind::Relation);
-        let f2 = d.new_file(FileKind::SuccessorList);
-        let a = d.alloc(f1).unwrap();
-        let b = d.alloc(f2).unwrap();
-        let c = d.alloc(f1).unwrap();
-        assert_eq!(d.file_pages(f1), &[a, c]);
-        assert_eq!(d.file_pages(f2), &[b]);
-        assert_eq!(d.page_file(b).unwrap(), f2);
-        assert_eq!(d.file_kind(f2), FileKind::SuccessorList);
-    }
-
-    #[test]
-    fn out_of_bounds_page_errors() {
-        let mut d = DiskSim::new();
-        let mut p = Page::new();
-        assert_eq!(
-            d.read_page(PageId(3), &mut p),
-            Err(StorageError::PageOutOfBounds(PageId(3)))
-        );
-    }
+    use crate::store::PageStore;
 
     #[test]
     fn stats_since_subtracts() {

@@ -519,14 +519,6 @@ pub struct RetryTally {
     pub backoff_ms: u64,
 }
 
-impl RetryTally {
-    /// Adds another tally's counts into this one.
-    pub fn absorb(&mut self, other: RetryTally) {
-        self.retries += other.retries;
-        self.backoff_ms += other.backoff_ms;
-    }
-}
-
 /// Runs `attempt` under `policy`: transient failures are retried with
 /// accounted backoff until they clear or the attempt budget is spent
 /// (then [`StorageError::RetriesExhausted`]); any other error propagates

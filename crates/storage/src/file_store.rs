@@ -1,9 +1,9 @@
-//! [`FileStore`]: the real, file-backed [`PageStore`] implementation.
+//! [`FileStore`]: the accounting core over a real file ([`Segment`]).
 //!
-//! Where [`crate::DiskSim`] *counts* page transfers in memory, this
-//! backend performs them against an actual file, with a crash-safety
-//! story modeled on small page-store engines (per-page CRC, persistent
-//! free list, atomic metadata replacement):
+//! Where [`crate::DiskSim`] keeps page images in memory, this medium
+//! moves them to and from an actual file, with a crash-safety story
+//! modeled on small page-store engines (per-page CRC, persistent free
+//! list, atomic metadata replacement):
 //!
 //! # On-disk layout
 //!
@@ -22,8 +22,8 @@
 //!   ```
 //!
 //!   The checksum is byte-wise FNV-1a, fixed by the on-disk format; the
-//!   simulator's in-memory [`Page::checksum`] folds 8-byte words. Either
-//!   detects any single flipped byte, so both backends agree on what
+//!   in-memory media's [`Page::checksum`] folds 8-byte words. Either
+//!   detects any single flipped byte, so all media agree on what
 //!   "corrupt" means. Reads *always* verify header and checksum; a
 //!   mismatch (or a slot truncated by a crash mid-write) surfaces as
 //!   [`StorageError::ChecksumMismatch`] — the same typed error the
@@ -48,22 +48,20 @@
 //!
 //! # Counting contract
 //!
-//! The store mirrors [`crate::DiskSim`]'s bookkeeping *exactly* — LIFO
-//! free-page reuse, uncounted alloc/free, one counted transfer and one
-//! trace event per successful read/write, fault-plan hooks in the same
-//! order — so a query run produces bit-identical [`DiskStats`] and trace
-//! digests on either backend (`tests/backend_differential.rs`).
+//! None of its own: allocation, counting, fault hooks and tracing are
+//! [`Store`]'s, the same code that runs over every other medium. This
+//! file holds only what is specific to bytes on disk.
 
-use crate::disk::{DiskSim, DiskStats, FileId, FileKind};
+use crate::disk::{FileId, FileKind};
 use crate::error::{StorageError, StorageResult};
-use crate::fault::{FaultPlan, RetryPolicy, RetryTally};
+use crate::medium::{Catalog, FileMeta, Medium};
 use crate::page::{Page, PageId, PAGE_SIZE};
-use crate::store::PageStore;
+use crate::store::{PageStore, Store};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tc_trace::{Event, Kind, Tracer};
+use std::sync::Arc;
 
 /// Slot header magic: `"TCP1"` (transitive-closure page, format 1).
 const PAGE_MAGIC: u32 = u32::from_le_bytes(*b"TCP1");
@@ -168,159 +166,88 @@ impl RecoveryReport {
     }
 }
 
-struct FileEntry {
-    kind: FileKind,
-    pages: Vec<PageId>,
-}
-
-/// The file-backed page store. See the module docs for the on-disk
-/// format and recovery protocol.
-pub struct FileStore {
+/// The file medium: the page segment of one store directory, plus what
+/// it takes to persist and recover the catalog beside it.
+pub struct Segment {
     dir: PathBuf,
-    segment: File,
-    files: Vec<FileEntry>,
-    page_file: Vec<FileId>,
-    free_pages: Vec<PageId>,
-    stats: DiskStats,
-    fault: Option<FaultPlan>,
-    retry: RetryPolicy,
-    retry_tally: RetryTally,
-    tracer: Tracer,
+    file: File,
+    /// The one slot image every read, write and zero goes through.
+    slot: [u8; SLOT_SIZE],
     recovery: RecoveryReport,
     /// Present when the store owns an auto-cleaned temp directory.
     temp: Option<TempDir>,
 }
 
-impl FileStore {
-    /// Creates a *fresh, empty* store in `dir` (created if missing;
-    /// existing segment/manifest files are truncated).
-    pub fn create(dir: impl AsRef<Path>) -> StorageResult<FileStore> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir).map_err(|e| os_err("create store directory", e))?;
-        let segment = OpenOptions::new()
+impl Segment {
+    /// Opens `dir`'s segment file; `fresh` creates or truncates it.
+    fn open(dir: &Path, fresh: bool) -> StorageResult<Segment> {
+        let op = if fresh {
+            "create segment"
+        } else {
+            "open segment"
+        };
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
-            .create(true)
-            .truncate(true)
+            .create(fresh)
+            .truncate(fresh)
             .open(dir.join(SEGMENT_FILE))
-            .map_err(|e| os_err("create segment", e))?;
-        let mut store = FileStore {
-            dir,
-            segment,
-            files: Vec::new(),
-            page_file: Vec::new(),
-            free_pages: Vec::new(),
-            stats: DiskStats::default(),
-            fault: None,
-            retry: RetryPolicy::default(),
-            retry_tally: RetryTally::default(),
-            tracer: Tracer::disabled(),
+            .map_err(|e| os_err(op, e))?;
+        Ok(Segment {
+            dir: dir.to_path_buf(),
+            file,
+            slot: [0u8; SLOT_SIZE],
             recovery: RecoveryReport::default(),
             temp: None,
-        };
-        // An empty manifest makes a freshly created directory openable
-        // even if the process stops before the first sync.
-        store.write_manifest()?;
-        Ok(store)
+        })
     }
 
-    /// Creates a fresh store inside an owned [`TempDir`]; the directory
-    /// (and everything in it) is removed when the store is dropped.
-    pub fn create_in(temp: TempDir) -> StorageResult<FileStore> {
-        let mut store = FileStore::create(temp.path())?;
-        store.temp = Some(temp);
-        Ok(store)
-    }
-
-    /// Opens an existing store, verifying the manifest checksum and
-    /// scanning every allocated page slot for torn or corrupt data (see
-    /// [`RecoveryReport`]). Damaged pages are reported here and produce
-    /// [`StorageError::ChecksumMismatch`] when read.
-    pub fn open(dir: impl AsRef<Path>) -> StorageResult<FileStore> {
-        let dir = dir.as_ref().to_path_buf();
-        let manifest = fs::read(dir.join(MANIFEST_FILE)).map_err(|e| os_err("read manifest", e))?;
-        let (files, page_file, free_pages) = decode_manifest(&manifest)?;
-        let segment = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(dir.join(SEGMENT_FILE))
-            .map_err(|e| os_err("open segment", e))?;
-        let mut store = FileStore {
-            dir,
-            segment,
-            files,
-            page_file,
-            free_pages,
-            stats: DiskStats::default(),
-            fault: None,
-            retry: RetryPolicy::default(),
-            retry_tally: RetryTally::default(),
-            tracer: Tracer::disabled(),
-            recovery: RecoveryReport::default(),
-            temp: None,
-        };
-        store.recovery = store.scan_segment()?;
-        Ok(store)
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The recovery scan result from [`FileStore::open`] (empty for a
-    /// freshly created store).
-    pub fn recovery(&self) -> &RecoveryReport {
-        &self.recovery
-    }
-
-    /// Reads slot `pid` into `buf` (sized [`SLOT_SIZE`]). Bytes past the
-    /// end of the segment read as zero; `Ok(false)` reports that the slot
-    /// was cut short (torn), `Ok(true)` that it was fully present.
-    fn read_slot(&mut self, pid: PageId, buf: &mut [u8]) -> StorageResult<bool> {
+    fn seek_to(&mut self, pid: PageId) -> StorageResult<()> {
         let off = pid.index() as u64 * SLOT_SIZE as u64;
-        self.segment
+        self.file
             .seek(SeekFrom::Start(off))
-            .map_err(|e| os_err("seek segment", e))?;
-        buf.fill(0);
+            .map(drop)
+            .map_err(|e| os_err("seek segment", e))
+    }
+
+    /// Reads slot `pid` into `self.slot`. Bytes past the end of the
+    /// segment read as zero, so a slot cut short fails verification.
+    fn load_slot(&mut self, pid: PageId) -> StorageResult<()> {
+        self.seek_to(pid)?;
         let mut filled = 0;
-        while filled < buf.len() {
-            match self.segment.read(&mut buf[filled..]) {
+        while filled < SLOT_SIZE {
+            match self.file.read(&mut self.slot[filled..]) {
                 Ok(0) => break,
                 Ok(n) => filled += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(os_err("read segment", e)),
             }
         }
-        Ok(filled == buf.len())
+        self.slot[filled..].fill(0);
+        Ok(())
     }
 
-    /// Writes a fully formed slot image for `pid`.
-    fn write_slot(&mut self, pid: PageId, slot: &[u8]) -> StorageResult<()> {
-        let off = pid.index() as u64 * SLOT_SIZE as u64;
-        self.segment
-            .seek(SeekFrom::Start(off))
-            .map_err(|e| os_err("seek segment", e))?;
-        self.segment
-            .write_all(slot)
+    /// Builds the on-disk image of `pid` with `payload` in `self.slot`.
+    fn encode_slot(&mut self, pid: PageId, payload: &[u8; PAGE_SIZE]) {
+        self.slot[0..4].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
+        self.slot[4..8].copy_from_slice(&pid.0.to_le_bytes());
+        self.slot[8..16].copy_from_slice(&fnv1a(payload).to_le_bytes());
+        self.slot[HEADER_SIZE..].copy_from_slice(payload);
+    }
+
+    /// Writes `self.slot` as slot `pid`.
+    fn store_slot(&mut self, pid: PageId) -> StorageResult<()> {
+        self.seek_to(pid)?;
+        self.file
+            .write_all(&self.slot)
             .map_err(|e| os_err("write segment", e))
     }
 
-    /// Builds the on-disk slot image for `pid` with `payload`.
-    fn encode_slot(pid: PageId, payload: &[u8; PAGE_SIZE]) -> Vec<u8> {
-        let mut slot = Vec::with_capacity(SLOT_SIZE);
-        slot.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
-        slot.extend_from_slice(&pid.0.to_le_bytes());
-        slot.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        slot.extend_from_slice(payload);
-        slot
-    }
-
-    /// Verifies a slot image; on success returns the payload offset.
-    /// `Err((stored, computed))` carries the checksums for the typed
-    /// error (a bad magic or page id reports the raw header checksum
+    /// Verifies `self.slot` as the image of `pid`. The error carries the
+    /// checksums (a bad magic or page id reports the raw header checksum
     /// field as `stored`).
-    fn verify_slot(pid: PageId, slot: &[u8]) -> Result<(), (u64, u64)> {
+    fn verify_slot(&self, pid: PageId) -> StorageResult<()> {
+        let slot = &self.slot;
         let magic = u32::from_le_bytes([slot[0], slot[1], slot[2], slot[3]]);
         let hdr_pid = u32::from_le_bytes([slot[4], slot[5], slot[6], slot[7]]);
         let stored = u64::from_le_bytes([
@@ -328,77 +255,124 @@ impl FileStore {
         ]);
         let computed = fnv1a(&slot[HEADER_SIZE..]);
         if magic != PAGE_MAGIC || hdr_pid != pid.0 || stored != computed {
-            return Err((stored, computed));
+            return Err(StorageError::ChecksumMismatch {
+                pid,
+                stored,
+                computed,
+            });
         }
         Ok(())
     }
 
-    /// Scans every allocated slot, classifying damage. Uncounted: this
+    /// Scans the first `pages` slots, classifying damage. Uncounted: this
     /// is recovery, not query I/O.
-    fn scan_segment(&mut self) -> StorageResult<RecoveryReport> {
+    fn scan(&mut self, pages: usize) -> StorageResult<RecoveryReport> {
         let len = self
-            .segment
+            .file
             .metadata()
             .map_err(|e| os_err("stat segment", e))?
             .len();
         let mut report = RecoveryReport::default();
-        let mut slot = vec![0u8; SLOT_SIZE];
-        for i in 0..self.page_file.len() {
+        for i in 0..pages {
             let pid = PageId(i as u32);
             let end = (i as u64 + 1) * SLOT_SIZE as u64;
             if end > len {
                 report.torn_pages.push(pid);
                 continue;
             }
-            self.read_slot(pid, &mut slot)?;
-            if FileStore::verify_slot(pid, &slot).is_err() {
+            self.load_slot(pid)?;
+            if self.verify_slot(pid).is_err() {
                 report.corrupt_pages.push(pid);
             }
         }
         Ok(report)
     }
+}
 
-    /// Serializes and atomically replaces the manifest, fsyncing the
-    /// segment first so the manifest never describes pages that have not
-    /// reached the disk.
-    fn write_manifest(&mut self) -> StorageResult<()> {
-        self.segment
+impl Medium for Segment {
+    /// Unlike the in-memory media (which trust their own memory unless a
+    /// fault plan is armed), real bytes are *always* verified: a
+    /// truncated slot read back zero-padded fails the magic check, a
+    /// flipped bit fails the CRC.
+    fn read(&mut self, pid: PageId, out: &mut Page, _verify: bool) -> StorageResult<()> {
+        self.load_slot(pid)?;
+        self.verify_slot(pid)?;
+        out.bytes_mut().copy_from_slice(&self.slot[HEADER_SIZE..]);
+        Ok(())
+    }
+
+    /// The header checksum always describes the *intended* payload; a
+    /// torn write flips a stored byte afterwards, so the next read
+    /// detects the damage.
+    fn write(&mut self, pid: PageId, data: &Page, tear_at: Option<usize>) -> StorageResult<()> {
+        self.encode_slot(pid, data.bytes());
+        if let Some(off) = tear_at {
+            self.slot[HEADER_SIZE + off] ^= 0xFF;
+        }
+        self.store_slot(pid)
+    }
+
+    fn zero(&mut self, pid: PageId) -> StorageResult<()> {
+        self.encode_slot(pid, &[0u8; PAGE_SIZE]);
+        self.store_slot(pid)
+    }
+
+    /// Fsyncs the segment, then atomically replaces the manifest, so the
+    /// manifest never describes pages that have not reached the disk.
+    /// After a successful `sync`, [`FileStore::open`] recovers the exact
+    /// file directory and free list.
+    fn sync(&mut self, catalog: &Catalog) -> StorageResult<()> {
+        self.file
             .sync_all()
             .map_err(|e| os_err("sync segment", e))?;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(self.page_file.len() as u32).to_le_bytes());
-        for f in &self.page_file {
-            buf.extend_from_slice(&f.0.to_le_bytes());
-        }
-        buf.extend_from_slice(&(self.free_pages.len() as u32).to_le_bytes());
-        for p in &self.free_pages {
-            buf.extend_from_slice(&p.0.to_le_bytes());
-        }
-        buf.extend_from_slice(&(self.files.len() as u32).to_le_bytes());
-        for file in &self.files {
-            buf.push(file.kind.idx() as u8);
-            buf.extend_from_slice(&(file.pages.len() as u32).to_le_bytes());
-            for p in &file.pages {
-                buf.extend_from_slice(&p.0.to_le_bytes());
-            }
-        }
-        let checksum = fnv1a(&buf);
-        buf.extend_from_slice(&checksum.to_le_bytes());
-
         let tmp = self.dir.join("manifest.tmp");
-        let final_path = self.dir.join(MANIFEST_FILE);
         let mut out = File::create(&tmp).map_err(|e| os_err("create manifest", e))?;
-        out.write_all(&buf)
+        out.write_all(&encode_manifest(catalog))
             .map_err(|e| os_err("write manifest", e))?;
         out.sync_all().map_err(|e| os_err("sync manifest", e))?;
-        fs::rename(&tmp, &final_path).map_err(|e| os_err("install manifest", e))?;
+        fs::rename(&tmp, self.dir.join(MANIFEST_FILE))
+            .map_err(|e| os_err("install manifest", e))?;
         // Make the rename itself durable.
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
         Ok(())
+    }
+
+    fn name(&self) -> &'static str {
+        "file"
+    }
+}
+
+/// Appends a count-prefixed list of ids.
+fn put_ids(buf: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
+    buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+    for id in ids {
+        buf.extend_from_slice(&id.to_le_bytes());
+    }
+}
+
+/// Serializes `catalog` in the manifest format, checksum last.
+fn encode_manifest(catalog: &Catalog) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
+    put_ids(&mut buf, catalog.page_file.iter().map(|f| f.0));
+    put_ids(&mut buf, catalog.free_pages.iter().map(|p| p.0));
+    buf.extend_from_slice(&(catalog.files.len() as u32).to_le_bytes());
+    for file in &catalog.files {
+        buf.push(file.kind.idx() as u8);
+        put_ids(&mut buf, file.pages.iter().map(|p| p.0));
+    }
+    let checksum = fnv1a(&buf);
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf
+}
+
+fn bad_manifest(detail: impl Into<String>) -> StorageError {
+    StorageError::Backend {
+        op: "decode manifest",
+        detail: detail.into(),
     }
 }
 
@@ -407,25 +381,36 @@ fn take_u32(buf: &[u8], pos: &mut usize) -> StorageResult<u32> {
     let end = pos
         .checked_add(4)
         .filter(|&e| e <= buf.len())
-        .ok_or(StorageError::Backend {
-            op: "decode manifest",
-            detail: "truncated field".into(),
-        })?;
+        .ok_or_else(|| bad_manifest("truncated field"))?;
     let mut b = [0u8; 4];
     b.copy_from_slice(&buf[*pos..end]);
     *pos = end;
     Ok(u32::from_le_bytes(b))
 }
 
+/// Reads a count-prefixed list of ids, each below `limit`.
+fn take_ids<T>(
+    buf: &[u8],
+    pos: &mut usize,
+    limit: usize,
+    id: fn(u32) -> T,
+) -> StorageResult<Vec<T>> {
+    let n = take_u32(buf, pos)? as usize;
+    let mut ids = Vec::with_capacity(n.min(buf.len() / 4));
+    for _ in 0..n {
+        let raw = take_u32(buf, pos)?;
+        if raw as usize >= limit {
+            return Err(bad_manifest("page id out of range"));
+        }
+        ids.push(id(raw));
+    }
+    Ok(ids)
+}
+
 /// Decodes and checksum-verifies a manifest image.
-#[allow(clippy::type_complexity)]
-fn decode_manifest(buf: &[u8]) -> StorageResult<(Vec<FileEntry>, Vec<FileId>, Vec<PageId>)> {
-    let bad = |detail: &str| StorageError::Backend {
-        op: "decode manifest",
-        detail: detail.to_string(),
-    };
+fn decode_manifest(buf: &[u8]) -> StorageResult<Catalog> {
     if buf.len() < 8 + 8 {
-        return Err(bad("file too short"));
+        return Err(bad_manifest("file too short"));
     }
     let (body, tail) = buf.split_at(buf.len() - 8);
     let mut stored = [0u8; 8];
@@ -433,332 +418,101 @@ fn decode_manifest(buf: &[u8]) -> StorageResult<(Vec<FileEntry>, Vec<FileId>, Ve
     let stored = u64::from_le_bytes(stored);
     let computed = fnv1a(body);
     if stored != computed {
-        return Err(bad(&format!(
+        return Err(bad_manifest(format!(
             "checksum mismatch: stored {stored:#018X}, computed {computed:#018X}"
         )));
     }
     let mut pos = 0usize;
     if take_u32(body, &mut pos)? != MANIFEST_MAGIC {
-        return Err(bad("bad magic"));
+        return Err(bad_manifest("bad magic"));
     }
     if take_u32(body, &mut pos)? != MANIFEST_VERSION {
-        return Err(bad("unsupported version"));
+        return Err(bad_manifest("unsupported version"));
     }
-    let page_total = take_u32(body, &mut pos)? as usize;
-    let mut page_file = Vec::with_capacity(page_total);
-    for _ in 0..page_total {
-        page_file.push(FileId(take_u32(body, &mut pos)?));
-    }
-    let free_len = take_u32(body, &mut pos)? as usize;
-    let mut free_pages = Vec::with_capacity(free_len);
-    for _ in 0..free_len {
-        let p = take_u32(body, &mut pos)?;
-        if p as usize >= page_total {
-            return Err(bad("free page out of range"));
-        }
-        free_pages.push(PageId(p));
-    }
+    // Owners are checked against the file table once it is known.
+    let page_file = take_ids(body, &mut pos, usize::MAX, FileId)?;
+    let free_pages = take_ids(body, &mut pos, page_file.len(), PageId)?;
     let file_count = take_u32(body, &mut pos)? as usize;
     let mut files = Vec::with_capacity(file_count);
     for _ in 0..file_count {
-        if pos >= body.len() {
-            return Err(bad("truncated file entry"));
-        }
-        let kind_idx = body[pos] as usize;
+        let kind = body
+            .get(pos)
+            .and_then(|&idx| FileKind::ALL.get(idx as usize))
+            .ok_or_else(|| bad_manifest("truncated or unknown file kind"))?;
         pos += 1;
-        let kind = *FileKind::ALL
-            .get(kind_idx)
-            .ok_or_else(|| bad("unknown file kind"))?;
-        let n = take_u32(body, &mut pos)? as usize;
-        let mut pages = Vec::with_capacity(n);
-        for _ in 0..n {
-            let p = take_u32(body, &mut pos)?;
-            if p as usize >= page_total {
-                return Err(bad("file page out of range"));
-            }
-            pages.push(PageId(p));
-        }
-        files.push(FileEntry { kind, pages });
+        let pages = take_ids(body, &mut pos, page_file.len(), PageId)?;
+        files.push(FileMeta { kind: *kind, pages });
     }
-    for f in &page_file {
-        if f.0 as usize >= files.len() {
-            return Err(bad("page mapped to unknown file"));
-        }
+    if page_file.iter().any(|f| f.0 as usize >= files.len()) {
+        return Err(bad_manifest("page mapped to unknown file"));
     }
     if pos != body.len() {
-        return Err(bad("trailing bytes"));
+        return Err(bad_manifest("trailing bytes"));
     }
-    Ok((files, page_file, free_pages))
+    Ok(Catalog {
+        files,
+        page_file,
+        free_pages,
+    })
 }
 
-impl PageStore for FileStore {
-    fn new_file(&mut self, kind: FileKind) -> FileId {
-        let id = FileId(self.files.len() as u32);
-        self.files.push(FileEntry {
-            kind,
-            pages: Vec::new(),
-        });
-        id
+/// The file-backed page store. See the module docs for the on-disk
+/// format and recovery protocol.
+pub type FileStore = Store<Segment>;
+
+impl FileStore {
+    /// Creates a *fresh, empty* store in `dir` (created if missing;
+    /// existing segment/manifest files are truncated).
+    pub fn create(dir: impl AsRef<Path>) -> StorageResult<FileStore> {
+        FileStore::create_with(dir.as_ref(), None)
     }
 
-    /// Mirrors the simulator bit for bit: LIFO reuse of freed slots, a
-    /// zeroed (valid-CRC) slot materialized on disk, nothing counted.
-    fn alloc(&mut self, file: FileId) -> StorageResult<PageId> {
-        if file.0 as usize >= self.files.len() {
-            return Err(StorageError::UnknownFile(file.0));
-        }
-        let pid = if let Some(pid) = self.free_pages.pop() {
-            self.page_file[pid.index()] = file;
-            pid
-        } else {
-            let pid = PageId(self.page_file.len() as u32);
-            self.page_file.push(file);
-            pid
-        };
-        let zeroes = [0u8; PAGE_SIZE];
-        let slot = FileStore::encode_slot(pid, &zeroes);
-        self.write_slot(pid, &slot)?;
-        self.files[file.0 as usize].pages.push(pid);
-        Ok(pid)
+    /// Creates a fresh store inside an owned [`TempDir`]; the directory
+    /// (and everything in it) is removed when the store is dropped.
+    pub fn create_in(temp: TempDir) -> StorageResult<FileStore> {
+        let dir = temp.path().to_path_buf();
+        FileStore::create_with(&dir, Some(temp))
     }
 
-    fn drop_file(&mut self, file: FileId) -> StorageResult<()> {
-        let meta = self
-            .files
-            .get_mut(file.0 as usize)
-            .ok_or(StorageError::UnknownFile(file.0))?;
-        self.free_pages.append(&mut meta.pages);
-        Ok(())
+    fn create_with(dir: &Path, temp: Option<TempDir>) -> StorageResult<FileStore> {
+        fs::create_dir_all(dir).map_err(|e| os_err("create store directory", e))?;
+        let mut segment = Segment::open(dir, true)?;
+        segment.temp = temp;
+        let mut store = Store::over(segment);
+        // An empty manifest makes a freshly created directory openable
+        // even if the process stops before the first sync.
+        store.sync()?;
+        Ok(store)
     }
 
-    fn read_page(&mut self, pid: PageId, out: &mut Page) -> StorageResult<()> {
-        if pid.index() >= self.page_file.len() {
-            return Err(StorageError::PageOutOfBounds(pid));
-        }
-        let op = match self.fault.as_mut() {
-            Some(plan) => match plan.on_read(pid) {
-                Ok(op) => Some(op),
-                Err(e) => {
-                    self.tracer.emit(Event::FaultInjected {
-                        page: pid.0,
-                        write: false,
-                    });
-                    return Err(e);
-                }
-            },
-            None => None,
-        };
-        let mut slot = vec![0u8; SLOT_SIZE];
-        self.read_slot(pid, &mut slot)?;
-        // Unlike the simulator (which trusts its own memory unless a
-        // fault plan is armed), real bytes are *always* verified: a
-        // truncated slot read back zero-padded fails the magic check, a
-        // flipped bit fails the CRC.
-        if let Err((stored, computed)) = FileStore::verify_slot(pid, &slot) {
-            if let (Some(op), Some(plan)) = (op, self.fault.as_mut()) {
-                plan.on_detection(op, pid);
-            }
-            self.tracer.emit(Event::CorruptionDetected { page: pid.0 });
-            return Err(StorageError::ChecksumMismatch {
-                pid,
-                stored,
-                computed,
-            });
-        }
-        out.bytes_mut().copy_from_slice(&slot[HEADER_SIZE..]);
-        self.stats.reads += 1;
-        let file = self.page_file[pid.index()];
-        let kind = self.files[file.0 as usize].kind;
-        self.stats.reads_by_kind[kind.idx()] += 1;
-        self.tracer.emit(Event::PageRead {
-            page: pid.0,
-            kind: Kind::from_idx(kind.idx()),
-        });
-        Ok(())
+    /// Opens an existing store, verifying the manifest checksum and
+    /// scanning every allocated page slot for torn or corrupt data (see
+    /// [`RecoveryReport`]). Damaged pages are reported here and produce
+    /// [`StorageError::ChecksumMismatch`] when read.
+    pub fn open(dir: impl AsRef<Path>) -> StorageResult<FileStore> {
+        let dir = dir.as_ref();
+        let manifest = fs::read(dir.join(MANIFEST_FILE)).map_err(|e| os_err("read manifest", e))?;
+        let catalog = decode_manifest(&manifest)?;
+        let mut segment = Segment::open(dir, false)?;
+        segment.recovery = segment.scan(catalog.page_file.len())?;
+        Ok(Store::with_catalog(segment, Arc::new(catalog)))
     }
 
-    fn write_page(&mut self, pid: PageId, data: &Page) -> StorageResult<()> {
-        if pid.index() >= self.page_file.len() {
-            return Err(StorageError::PageOutOfBounds(pid));
-        }
-        let corrupt_at = match self.fault.as_mut() {
-            Some(plan) => match plan.on_write(pid) {
-                Ok((_, off)) => off,
-                Err(e) => {
-                    self.tracer.emit(Event::FaultInjected {
-                        page: pid.0,
-                        write: true,
-                    });
-                    return Err(e);
-                }
-            },
-            None => None,
-        };
-        // The header checksum always describes the *intended* payload; a
-        // torn-write injection flips a stored byte afterwards, so the
-        // next read detects the damage — same semantics as the sim.
-        let mut slot = FileStore::encode_slot(pid, data.bytes());
-        if let Some(off) = corrupt_at {
-            slot[HEADER_SIZE + off] ^= 0xFF;
-        }
-        self.write_slot(pid, &slot)?;
-        if corrupt_at.is_some() {
-            self.tracer.emit(Event::FaultInjected {
-                page: pid.0,
-                write: true,
-            });
-        }
-        self.stats.writes += 1;
-        let file = self.page_file[pid.index()];
-        let kind = self.files[file.0 as usize].kind;
-        self.stats.writes_by_kind[kind.idx()] += 1;
-        self.tracer.emit(Event::PageWrite {
-            page: pid.0,
-            kind: Kind::from_idx(kind.idx()),
-        });
-        Ok(())
+    /// The store's directory.
+    pub fn dir(&self) -> &Path {
+        &self.medium().dir
     }
 
-    /// Durability point: fsync the segment, then atomically replace the
-    /// manifest. After a successful `sync`, [`FileStore::open`] recovers
-    /// the exact file directory and free list.
-    fn sync(&mut self) -> StorageResult<()> {
-        self.write_manifest()
+    /// The recovery scan result from [`FileStore::open`] (empty for a
+    /// freshly created store).
+    pub fn recovery(&self) -> &RecoveryReport {
+        &self.medium().recovery
     }
-
-    fn file_pages(&self, file: FileId) -> &[PageId] {
-        &self.files[file.0 as usize].pages
-    }
-
-    fn file_kind(&self, file: FileId) -> FileKind {
-        self.files[file.0 as usize].kind
-    }
-
-    fn page_file(&self, pid: PageId) -> StorageResult<FileId> {
-        self.page_file
-            .get(pid.index())
-            .copied()
-            .ok_or(StorageError::PageOutOfBounds(pid))
-    }
-
-    fn page_count(&self) -> usize {
-        self.page_file.len()
-    }
-
-    fn stats(&self) -> &DiskStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Some(plan);
-    }
-
-    fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.fault.take()
-    }
-
-    fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
-    fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    fn note_retries(&mut self, tally: RetryTally) {
-        self.retry_tally.absorb(tally);
-    }
-
-    fn retry_tally(&self) -> RetryTally {
-        self.retry_tally
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "file"
-    }
-}
-
-/// A `FileStore` mirrors the simulator's allocator state; this check
-/// (used by tests) asserts the two stay in lockstep after the same
-/// operation sequence.
-pub fn allocator_state_matches(sim: &DiskSim, file: &FileStore) -> bool {
-    sim.page_count() == file.page_count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_store() -> FileStore {
-        FileStore::create_in(TempDir::new("tc-filestore-test").unwrap()).unwrap()
-    }
-
-    #[test]
-    fn round_trip_and_counting() {
-        let mut s = temp_store();
-        let f = s.new_file(FileKind::Relation);
-        let pid = s.alloc(f).unwrap();
-        assert_eq!(s.stats().total(), 0, "allocation is free");
-        let mut p = Page::new();
-        p.put_u32(0, 0xBEEF);
-        s.write_page(pid, &p).unwrap();
-        let mut back = Page::new();
-        s.read_page(pid, &mut back).unwrap();
-        assert_eq!(back.get_u32(0), 0xBEEF);
-        assert_eq!(s.stats().reads, 1);
-        assert_eq!(s.stats().writes, 1);
-        assert_eq!(s.stats().reads_by_kind[FileKind::Relation.idx()], 1);
-    }
-
-    #[test]
-    fn fresh_page_reads_zeroed() {
-        let mut s = temp_store();
-        let f = s.new_file(FileKind::Temp);
-        let pid = s.alloc(f).unwrap();
-        let mut p = Page::new();
-        p.put_u32(0, 1);
-        s.read_page(pid, &mut p).unwrap();
-        assert!(p.bytes().iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn free_pages_reused_lifo_like_sim() {
-        let mut sim = DiskSim::new();
-        let mut fil = temp_store();
-        for store in [
-            &mut sim as &mut dyn PageStore,
-            &mut fil as &mut dyn PageStore,
-        ] {
-            let a = store.new_file(FileKind::Temp);
-            let pids: Vec<_> = (0..3).map(|_| store.alloc(a).unwrap()).collect();
-            store.drop_file(a).unwrap();
-            let b = store.new_file(FileKind::Output);
-            // LIFO: the most recently allocated page comes back first.
-            assert_eq!(store.alloc(b).unwrap(), pids[2]);
-            assert_eq!(store.alloc(b).unwrap(), pids[1]);
-            assert_eq!(store.alloc(b).unwrap(), pids[0]);
-            // Only after the free list drains does the store grow.
-            assert_eq!(store.alloc(b).unwrap(), PageId(3));
-            assert_eq!(store.page_count(), 4);
-        }
-        assert!(allocator_state_matches(&sim, &fil));
-    }
 
     #[test]
     fn sync_then_open_recovers_directory() {

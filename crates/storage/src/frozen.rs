@@ -7,50 +7,36 @@
 //! * [`FrozenPageSet`] — an immutable capture of the page images of a
 //!   chosen set of files, taken once through the ordinary
 //!   [`PageStore::read_page`] path (so a capture behaves identically on
-//!   the simulated disk and the file-backed store). Shared behind an
-//!   [`Arc`]; never mutated again.
-//! * [`FrozenStore`] — a full [`PageStore`] implementation over one such
-//!   `Arc`. Each serving session owns its *own* `FrozenStore` (and its
-//!   own buffer pool above it), with private [`DiskStats`], tracer,
-//!   fault plan and retry policy — reads never touch shared mutable
-//!   state, so per-session counters are deterministic at any worker
-//!   count. All mutations fail with [`StorageError::ReadOnlyStore`].
+//!   every medium). Shared behind an [`Arc`]; never mutated again.
+//! * [`FrozenStore`] — the accounting core over one such `Arc`. Each
+//!   serving session owns its *own* `FrozenStore` (and its own buffer
+//!   pool above it), with private [`crate::DiskStats`], tracer, fault
+//!   plan and retry policy — reads never touch shared mutable state, so
+//!   per-session counters are deterministic at any worker count. All
+//!   mutations fail with [`StorageError::ReadOnlyStore`].
 //!
-//! The read path mirrors [`crate::DiskSim`] exactly: one read charged
-//! per successful transfer, checksum verification while a fault plan is
-//! armed, one `PageRead` event per success — so a served query's page
-//! accounting is bit-compatible with a direct engine run over the same
-//! pages.
+//! Reads are counted, verified and traced by the same code as a
+//! [`crate::DiskSim`] read, so a served query's page accounting is
+//! bit-compatible with a direct engine run over the same pages.
 
-use crate::disk::{DiskStats, FileId, FileKind};
+use crate::disk::{read_image, FileId};
 use crate::error::{StorageError, StorageResult};
-use crate::fault::{FaultPlan, RetryPolicy, RetryTally};
+use crate::medium::{Catalog, FileMeta, Medium, NO_FILE};
 use crate::page::{Page, PageId};
-use crate::store::PageStore;
+use crate::store::{PageStore, Store};
 use std::sync::Arc;
-use tc_trace::{Event, Kind, Tracer};
-
-/// One captured page: its file kind (for per-kind counters), the image,
-/// and the checksum recorded at capture time (verified on faulted reads).
-struct FrozenPage {
-    file: FileId,
-    kind: FileKind,
-    image: Page,
-    checksum: u64,
-}
 
 /// An immutable capture of the page images of a set of files.
 ///
-/// Indexed by the *original* [`PageId`]s of the source store, so
-/// catalogs captured alongside (relation descriptors, indexes, label
-/// files) keep working unchanged against a [`FrozenStore`].
+/// Indexed by the *original* [`PageId`]s and [`FileId`]s of the source
+/// store, so catalogs captured alongside (relation descriptors, indexes,
+/// label files) keep working unchanged against a [`FrozenStore`]. A file
+/// that was not captured looks like a dropped one: its kind, no pages.
 pub struct FrozenPageSet {
-    /// Sparse: `slots[pid]` is populated for captured pages only.
-    slots: Vec<Option<FrozenPage>>,
-    /// The captured files, in capture order: id, kind, pages.
-    files: Vec<(FileId, FileKind, Vec<PageId>)>,
-    /// Backend the capture was taken from (`"sim"` / `"file"`).
-    origin: &'static str,
+    /// Sparse: populated for captured pages only, each image with the
+    /// [`Page::checksum`] recorded at capture time.
+    images: Vec<Option<(Page, u64)>>,
+    catalog: Arc<Catalog>,
 }
 
 impl FrozenPageSet {
@@ -60,236 +46,89 @@ impl FrozenPageSet {
     /// treat freezing as setup (not serving) should reset those
     /// counters afterwards, as database builds do.
     pub fn capture(store: &mut dyn PageStore, files: &[FileId]) -> StorageResult<FrozenPageSet> {
-        let mut slots: Vec<Option<FrozenPage>> = Vec::new();
-        slots.resize_with(store.page_count(), || None);
-        let mut metas = Vec::with_capacity(files.len());
+        let mut images: Vec<Option<(Page, u64)>> = Vec::new();
+        images.resize_with(store.page_count(), || None);
+        let mut catalog = Catalog::default();
+        catalog.page_file.resize(images.len(), NO_FILE);
         for &file in files {
+            for id in catalog.files.len() as u32..=file.0 {
+                catalog.files.push(FileMeta {
+                    kind: store.file_kind(FileId(id)),
+                    pages: Vec::new(),
+                });
+            }
             let pages: Vec<PageId> = store.file_pages(file).to_vec();
-            let kind = store.file_kind(file);
             for &pid in &pages {
                 let mut image = Page::new();
                 store.read_page(pid, &mut image)?;
                 let checksum = image.checksum();
-                let slot = slots
+                let slot = images
                     .get_mut(pid.index())
                     .ok_or(StorageError::PageOutOfBounds(pid))?;
-                *slot = Some(FrozenPage {
-                    file,
-                    kind,
-                    image,
-                    checksum,
-                });
+                *slot = Some((image, checksum));
+                catalog.page_file[pid.index()] = file;
             }
-            metas.push((file, kind, pages));
+            catalog.files[file.0 as usize].pages = pages;
         }
         Ok(FrozenPageSet {
-            slots,
-            files: metas,
-            origin: store.backend_name(),
+            images,
+            catalog: Arc::new(catalog),
         })
     }
 
     /// Number of captured pages.
     pub fn page_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.catalog.files.iter().map(|f| f.pages.len()).sum()
+    }
+}
+
+/// The read-only medium: a shared [`FrozenPageSet`].
+pub struct Frozen(Arc<FrozenPageSet>);
+
+impl Medium for Frozen {
+    fn read(&mut self, pid: PageId, out: &mut Page, verify: bool) -> StorageResult<()> {
+        match self.0.images.get(pid.index()) {
+            Some(Some((image, sum))) => read_image(image, verify.then_some(*sum), pid, out),
+            _ => Err(StorageError::PageOutOfBounds(pid)),
+        }
     }
 
-    /// The captured files (id, kind, pages), in capture order.
-    pub fn files(&self) -> impl Iterator<Item = (FileId, FileKind)> + '_ {
-        self.files.iter().map(|&(f, k, _)| (f, k))
+    fn write(&mut self, _: PageId, _: &Page, _: Option<usize>) -> StorageResult<()> {
+        Err(StorageError::ReadOnlyStore)
     }
 
-    /// Backend name of the store the capture was taken from.
-    pub fn origin(&self) -> &'static str {
-        self.origin
+    fn zero(&mut self, _: PageId) -> StorageResult<()> {
+        Err(StorageError::ReadOnlyStore)
     }
 
-    fn page(&self, pid: PageId) -> Option<&FrozenPage> {
-        self.slots.get(pid.index()).and_then(|s| s.as_ref())
+    fn name(&self) -> &'static str {
+        "frozen"
+    }
+
+    fn writable(&self) -> StorageResult<()> {
+        Err(StorageError::ReadOnlyStore)
     }
 }
 
 /// A read-only [`PageStore`] over a shared [`FrozenPageSet`].
 ///
-/// Cheap to construct (an `Arc` clone plus zeroed counters): serving
+/// Cheap to construct (two `Arc` clones plus zeroed counters): serving
 /// sessions open one per client. Every read is counted and traced like
 /// a [`crate::DiskSim`] read; every mutation fails with
-/// [`StorageError::ReadOnlyStore`]. [`PageStore::new_file`] hands out a
-/// dummy id (the trait cannot fail there); the first `alloc` against it
-/// reports the read-only error instead.
-pub struct FrozenStore {
-    pages: Arc<FrozenPageSet>,
-    stats: DiskStats,
-    fault: Option<FaultPlan>,
-    retry: RetryPolicy,
-    retry_tally: RetryTally,
-    tracer: Tracer,
-}
+/// [`StorageError::ReadOnlyStore`], and a page that was not captured is
+/// [`StorageError::PageOutOfBounds`].
+pub type FrozenStore = Store<Frozen>;
 
 impl FrozenStore {
     /// Opens a read-only view over `pages` with fresh counters.
     pub fn new(pages: Arc<FrozenPageSet>) -> FrozenStore {
-        FrozenStore {
-            pages,
-            stats: DiskStats::default(),
-            fault: None,
-            retry: RetryPolicy::default(),
-            retry_tally: RetryTally::default(),
-            tracer: Tracer::disabled(),
-        }
+        let catalog = Arc::clone(&pages.catalog);
+        Store::with_catalog(Frozen(pages), catalog)
     }
 
     /// The shared page set this store reads.
     pub fn pages(&self) -> &Arc<FrozenPageSet> {
-        &self.pages
-    }
-}
-
-impl PageStore for FrozenStore {
-    /// Read-only: returns a dummy file id one past every captured file;
-    /// allocating on it (or any other id) fails with
-    /// [`StorageError::ReadOnlyStore`].
-    fn new_file(&mut self, _kind: FileKind) -> FileId {
-        let max = self.pages.files.iter().map(|&(f, _, _)| f.0 + 1).max();
-        FileId(max.unwrap_or(0))
-    }
-
-    fn alloc(&mut self, _file: FileId) -> StorageResult<PageId> {
-        Err(StorageError::ReadOnlyStore)
-    }
-
-    fn drop_file(&mut self, _file: FileId) -> StorageResult<()> {
-        Err(StorageError::ReadOnlyStore)
-    }
-
-    /// Mirrors [`crate::DiskSim`]: fault plan consulted first, checksum
-    /// verified while a plan is armed, one read charged and one
-    /// `PageRead` emitted per successful transfer.
-    fn read_page(&mut self, pid: PageId, out: &mut Page) -> StorageResult<()> {
-        let Some(frozen) = self.pages.page(pid) else {
-            return Err(StorageError::PageOutOfBounds(pid));
-        };
-        let op = match self.fault.as_mut() {
-            Some(plan) => match plan.on_read(pid) {
-                Ok(op) => Some(op),
-                Err(e) => {
-                    self.tracer.emit(Event::FaultInjected {
-                        page: pid.0,
-                        write: false,
-                    });
-                    return Err(e);
-                }
-            },
-            None => None,
-        };
-        out.bytes_mut().copy_from_slice(frozen.image.bytes());
-        if let Some(op) = op {
-            let computed = out.checksum();
-            if computed != frozen.checksum {
-                if let Some(plan) = self.fault.as_mut() {
-                    plan.on_detection(op, pid);
-                }
-                self.tracer.emit(Event::CorruptionDetected { page: pid.0 });
-                return Err(StorageError::ChecksumMismatch {
-                    pid,
-                    stored: frozen.checksum,
-                    computed,
-                });
-            }
-        }
-        self.stats.reads += 1;
-        self.stats.reads_by_kind[frozen.kind.idx()] += 1;
-        self.tracer.emit(Event::PageRead {
-            page: pid.0,
-            kind: Kind::from_idx(frozen.kind.idx()),
-        });
-        Ok(())
-    }
-
-    fn write_page(&mut self, _pid: PageId, _data: &Page) -> StorageResult<()> {
-        Err(StorageError::ReadOnlyStore)
-    }
-
-    /// Nothing to persist: the images are immutable.
-    fn sync(&mut self) -> StorageResult<()> {
-        Ok(())
-    }
-
-    fn file_pages(&self, file: FileId) -> &[PageId] {
-        self.pages
-            .files
-            .iter()
-            .find(|&&(f, _, _)| f == file)
-            .map(|(_, _, pages)| pages.as_slice())
-            .unwrap_or(&[])
-    }
-
-    fn file_kind(&self, file: FileId) -> FileKind {
-        self.pages
-            .files
-            .iter()
-            .find(|&&(f, _, _)| f == file)
-            .map(|&(_, k, _)| k)
-            .unwrap_or(FileKind::Temp)
-    }
-
-    fn page_file(&self, pid: PageId) -> StorageResult<FileId> {
-        self.pages
-            .page(pid)
-            .map(|p| p.file)
-            .ok_or(StorageError::PageOutOfBounds(pid))
-    }
-
-    fn page_count(&self) -> usize {
-        self.pages.page_count()
-    }
-
-    fn stats(&self) -> &DiskStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Some(plan);
-    }
-
-    fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.fault.take()
-    }
-
-    fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
-    fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    fn note_retries(&mut self, tally: RetryTally) {
-        self.retry_tally.absorb(tally);
-    }
-
-    fn retry_tally(&self) -> RetryTally {
-        self.retry_tally
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "frozen"
+        &self.medium().0
     }
 }
 
@@ -307,7 +146,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::DiskSim;
+    use crate::disk::{DiskSim, FileKind};
     use crate::relation::RelationFile;
 
     fn frozen_fixture() -> (Arc<FrozenPageSet>, RelationFile) {
@@ -322,7 +161,6 @@ mod tests {
     fn capture_preserves_images_and_catalog() {
         let (set, rel) = frozen_fixture();
         assert_eq!(set.page_count(), rel.page_count());
-        assert_eq!(set.origin(), "sim");
         let mut store = FrozenStore::new(set);
         let scanned = rel.scan(&mut store).unwrap();
         assert_eq!(scanned.len(), 6000);
@@ -345,61 +183,5 @@ mod tests {
         assert_eq!(b.stats().reads, 0);
         rel.scan(&mut b).unwrap();
         assert_eq!(a.stats().reads, b.stats().reads);
-    }
-
-    #[test]
-    fn mutations_are_rejected() {
-        let (set, rel) = frozen_fixture();
-        let mut store = FrozenStore::new(set);
-        let pid = rel.pages()[0];
-        assert_eq!(
-            store.write_page(pid, &Page::new()),
-            Err(StorageError::ReadOnlyStore)
-        );
-        let dummy = store.new_file(FileKind::Temp);
-        assert_eq!(store.alloc(dummy), Err(StorageError::ReadOnlyStore));
-        assert_eq!(
-            store.drop_file(rel.file_id()),
-            Err(StorageError::ReadOnlyStore)
-        );
-        assert_eq!(store.stats().writes, 0, "failed mutations charge nothing");
-    }
-
-    #[test]
-    fn uncaptured_pages_are_out_of_bounds() {
-        let (set, _rel) = frozen_fixture();
-        let mut store = FrozenStore::new(set);
-        let missing = PageId(10_000);
-        let mut out = Page::new();
-        assert_eq!(
-            store.read_page(missing, &mut out),
-            Err(StorageError::PageOutOfBounds(missing))
-        );
-    }
-
-    #[test]
-    fn transient_faults_retry_clean_and_charge_once() {
-        use crate::fault::FaultConfig;
-        let (set, rel) = frozen_fixture();
-        let mut plain = FrozenStore::new(Arc::clone(&set));
-        let baseline = {
-            rel.scan(&mut plain).unwrap();
-            plain.stats().reads
-        };
-        let mut faulted = FrozenStore::new(set);
-        faulted.set_fault_plan(FaultPlan::new(
-            FaultConfig::new(11)
-                .transient_reads(0.3)
-                .max_transient_streak(2),
-        ));
-        faulted.set_retry_policy(RetryPolicy::default());
-        rel.scan(&mut faulted).unwrap();
-        assert_eq!(
-            faulted.stats().reads,
-            baseline,
-            "failed attempts must not be charged"
-        );
-        let plan = faulted.clear_fault_plan().unwrap();
-        assert!(plan.stats().transient_reads > 0, "no fault was injected");
     }
 }

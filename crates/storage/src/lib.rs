@@ -3,21 +3,24 @@
 //! Dar and Ramakrishnan's SIGMOD '94 performance study measures *page I/O*
 //! against a simulated disk and buffer manager. This crate provides that
 //! disk: fixed-size 2048-byte pages ([`page::PAGE_SIZE`]), a page-granular
-//! simulated disk with full I/O accounting ([`DiskSim`]), file/extent
+//! store with full I/O accounting ([`Store`]), file/extent
 //! management tagged by [`FileKind`], byte-exact page layouts for the
 //! paper's formats (8-byte tuples at 256 per page, sparse clustered index
 //! pages, and 30-block successor-list pages), clustered relation files, and
 //! an external merge sort used to build inverse relations.
 //!
-//! The disk is one of two interchangeable backends behind the
-//! [`PageStore`] trait — the other, [`FileStore`], persists pages to real
-//! files with per-page CRCs and torn-write recovery (select one with
-//! [`Backend`]). Everything above the store performs its page accesses
-//! through the [`Pager`] trait (every [`PageStore`] is a `Pager` via a
-//! blanket impl) so that the same access paths can run either directly
-//! against a store (every access is a physical I/O) or through the buffer
-//! pool in the `tc-buffer` crate (accesses hit the pool and only misses
-//! become physical I/O). The paper's cost metrics fall directly out of the
+//! There is one store, generic over the byte [`Medium`] it keeps page
+//! images on: [`DiskSim`] holds them in memory (the paper's simulated
+//! disk), [`FileStore`] in a real file with per-page CRCs and torn-write
+//! recovery (select one with [`Backend`]), and [`FrozenStore`] reads a
+//! shared immutable capture. Catalog, allocator, counters, fault hooks
+//! and trace events are the store's, so they cannot differ by medium.
+//! Everything above the store performs its page accesses through the
+//! [`Pager`] trait (every [`PageStore`] is a `Pager` via a blanket impl)
+//! so that the same access paths can run either directly against a store
+//! (every access is a physical I/O) or through the buffer pool in the
+//! `tc-buffer` crate (accesses hit the pool and only misses become
+//! physical I/O). The paper's cost metrics fall directly out of the
 //! counters maintained here and in the pool.
 //!
 //! # Example
@@ -48,27 +51,29 @@ pub mod file_store;
 pub mod frozen;
 pub mod index;
 pub mod layout;
+pub mod medium;
 pub mod page;
 pub mod pager;
 pub mod relation;
 pub mod store;
 
-pub use disk::{DiskSim, DiskStats, FileId, FileKind, IoCostModel};
+pub use disk::{DiskSim, DiskStats, FileId, FileKind, IoCostModel, Mem};
 pub use error::{StorageError, StorageResult};
 pub use extsort::external_sort;
 pub use fault::{
     with_retries, FaultConfig, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultStats,
     RetryPolicy, RetryTally, ScheduledFault,
 };
-pub use file_store::{FileStore, RecoveryReport, TempDir};
+pub use file_store::{FileStore, RecoveryReport, Segment, TempDir};
 pub use file_store::{HEADER_SIZE as FILE_STORE_HEADER_SIZE, SLOT_SIZE as FILE_STORE_SLOT_SIZE};
-pub use frozen::{FrozenPageSet, FrozenStore};
+pub use frozen::{Frozen, FrozenPageSet, FrozenStore};
 pub use index::ClusteredIndex;
 pub use layout::{
     IndexPage, SuccBlockRef, SuccEntry, SuccPage, TuplePage, BLOCKS_PER_PAGE, ENTRIES_PER_BLOCK,
     SUCCESSORS_PER_PAGE, TUPLES_PER_PAGE,
 };
+pub use medium::{Catalog, Medium};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pager::Pager;
 pub use relation::{RelationFile, Tuple, TupleWriter};
-pub use store::{Backend, PageStore};
+pub use store::{Backend, PageStore, Store};

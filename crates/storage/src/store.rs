@@ -1,50 +1,46 @@
-//! The [`PageStore`] backend trait: the storage substrate behind the
-//! buffer pool, and the [`Backend`] selector that picks an
-//! implementation.
+//! The storage substrate behind the buffer pool: the [`PageStore`]
+//! contract, its one implementation [`Store`], and the [`Backend`]
+//! selector.
 //!
-//! The paper's methodology runs entirely against a *simulated* disk that
-//! counts page transfers ([`crate::DiskSim`]). A production reachability
-//! store needs real persistence. This trait extracts the substrate
-//! contract — page-image reads and writes, file/extent management,
-//! allocation with free-page reuse, durability, I/O accounting, tracer
-//! and fault-plan hooks — so the same engine, buffer pool and experiment
-//! harness run unchanged over either backend:
+//! The paper's instrument is a disk that counts page transfers (§6.1).
+//! [`Store<M>`](Store) is that instrument, written once: it owns the
+//! file [`Catalog`], the LIFO free-page list, [`DiskStats`], the
+//! [`FaultPlan`] consult, the retry policy, the [`Tracer`] and every
+//! event emission, over a byte [`Medium`] that only moves page images.
+//! The three stores the rest of the workspace names are aliases:
 //!
-//! * [`crate::DiskSim`] — in-memory, counts every transfer (the paper's
-//!   instrument; the default);
-//! * [`crate::FileStore`] — real files with a CRC-carrying on-disk page
-//!   format, a persistent free-page list and torn-write detection on
-//!   recovery (see `crates/storage/src/file_store.rs`).
+//! * [`crate::DiskSim`] = `Store<Mem>` — in memory (the default);
+//! * [`crate::FileStore`] = `Store<Segment>` — a segment file with
+//!   per-slot checksums plus an atomically replaced manifest;
+//! * [`crate::FrozenStore`] = `Store<Frozen>` — a shared immutable page
+//!   set, mutations refused.
 //!
-//! The contract is deliberately *counting-exact*: both implementations
-//! make the same allocation decisions (LIFO free-page reuse), charge the
-//! same transfers to [`DiskStats`], and emit the same trace events, so a
-//! run's metrics and trace digest are bit-identical across backends
-//! (`tests/backend_differential.rs` holds them to that).
+//! Allocation decisions, charged transfers and emitted events are
+//! therefore identical on every medium by construction, not by test.
 //!
 //! Every [`PageStore`] also gets the direct (unbuffered) [`Pager`]
-//! implementation for free via the blanket impl below — the single
-//! trait-object path for bulk loads and tests, replacing the old
-//! duplicated inherent-vs-trait method surfaces on `DiskSim`.
+//! implementation via the blanket impl below — the trait-object path for
+//! bulk loads and tests.
 
 use crate::disk::{DiskSim, DiskStats, FileId, FileKind};
-use crate::error::StorageResult;
+use crate::error::{StorageError, StorageResult};
 use crate::fault::{with_retries, FaultPlan, RetryPolicy, RetryTally};
 use crate::file_store::{FileStore, TempDir};
+use crate::medium::{Catalog, FileMeta, Medium};
 use crate::page::{Page, PageId};
 use crate::pager::Pager;
 use std::path::PathBuf;
-use tc_trace::Tracer;
+use std::sync::Arc;
+use tc_trace::{Event, Kind, Tracer};
 
-/// The storage-backend contract shared by the simulated disk and the
-/// file-backed store.
+/// What the buffer pool, the engine and the experiment harness need
+/// from the substrate.
 ///
-/// Everything the buffer pool, the engine and the experiment harness
-/// need from the substrate goes through this trait, so a
-/// `Box<dyn PageStore>` can be threaded through [`tc_buffer`-style]
-/// pools and `Database`s without the upper layers knowing which backend
-/// they run on. Implementations must be `Send`: the experiment
-/// scheduler ships a fresh store (inside its `Database`) to a worker
+/// A `Box<dyn PageStore>` is threaded through `tc-buffer` pools and
+/// `Database`s so the upper layers do not know which medium they run
+/// on. [`Store`] is the only implementation; a new backend implements
+/// [`Medium`], not this trait. Stores are `Send`: the experiment
+/// scheduler ships a fresh one (inside its `Database`) to a worker
 /// thread per cell.
 ///
 /// # Counting contract
@@ -59,7 +55,7 @@ use tc_trace::Tracer;
 /// * Free pages are reused LIFO ([`drop_file`](PageStore::drop_file)
 ///   appends a file's pages in allocation order;
 ///   [`alloc`](PageStore::alloc) pops from the end) so page-id streams —
-///   and therefore trace digests — are identical on every backend.
+///   and therefore trace digests — are identical on every medium.
 pub trait PageStore: Send {
     /// Creates a new, empty file of the given kind.
     fn new_file(&mut self, kind: FileKind) -> FileId;
@@ -85,19 +81,22 @@ pub trait PageStore: Send {
 
     /// Durability point: persists page images and store metadata (free
     /// list, file directory) so a reopen recovers them. A no-op for the
-    /// simulated disk. Never counted as I/O and never traced.
+    /// media without a reopen. Never counted as I/O and never traced.
     fn sync(&mut self) -> StorageResult<()>;
 
-    /// The pages belonging to `file`, in allocation order.
+    /// The pages belonging to `file`, in allocation order (none once it
+    /// is dropped). Panics on a [`FileId`] this store never issued.
     fn file_pages(&self, file: FileId) -> &[PageId];
 
-    /// The kind of `file`.
+    /// The kind of `file`. Panics on a [`FileId`] this store never
+    /// issued.
     fn file_kind(&self, file: FileId) -> FileKind;
 
     /// The file a page belongs to.
     fn page_file(&self, pid: PageId) -> StorageResult<FileId>;
 
-    /// Number of allocated pages across all files.
+    /// Number of page slots the store addresses, released ones
+    /// included.
     fn page_count(&self) -> usize;
 
     /// Physical I/O counters.
@@ -110,9 +109,6 @@ pub trait PageStore: Send {
     /// Attaches (or, with a disabled tracer, detaches) the event tracer.
     fn set_tracer(&mut self, tracer: Tracer);
 
-    /// The currently attached tracer handle.
-    fn tracer(&self) -> &Tracer;
-
     /// Arms deterministic fault injection: subsequent page transfers are
     /// subjected to `plan`'s schedule and probability draws. Replaces
     /// any previous plan.
@@ -122,45 +118,254 @@ pub trait PageStore: Send {
     /// trace and counters) if one was armed.
     fn clear_fault_plan(&mut self) -> Option<FaultPlan>;
 
-    /// The armed fault plan, if any (for trace/stats inspection).
-    fn fault_plan(&self) -> Option<&FaultPlan>;
-
     /// Sets the retry policy used by the direct (unbuffered) pager path.
     fn set_retry_policy(&mut self, retry: RetryPolicy);
 
     /// The retry policy of the direct (unbuffered) pager path.
     fn retry_policy(&self) -> RetryPolicy;
 
-    /// Folds a direct-pager transfer's retry accounting into the
-    /// store's tally.
-    fn note_retries(&mut self, tally: RetryTally);
-
-    /// Retry accounting of the direct pager path.
-    fn retry_tally(&self) -> RetryTally;
-
-    /// Short stable backend name (`"sim"`, `"file"`), used in reports
-    /// and error messages.
+    /// Short stable backend name (`"sim"`, `"file"`, `"frozen"`), used
+    /// in reports and error messages.
     fn backend_name(&self) -> &'static str;
+}
+
+/// The accounting core: one counting, tracing, fault-injecting page
+/// store over any [`Medium`].
+///
+/// Every transfer runs in the same order on every medium: bounds check
+/// against the catalog, fault-plan consult, the medium, then charge and
+/// emit. Catalog changes commit only after the medium succeeded, so a
+/// failed or refused operation leaves catalog, free list and page count
+/// exactly as they were.
+pub struct Store<M: Medium> {
+    medium: M,
+    /// Shared so a frozen view opens without copying it; a store that
+    /// mutates holds the only reference, so `make_mut` never copies
+    /// there.
+    catalog: Arc<Catalog>,
+    stats: DiskStats,
+    fault: Option<FaultPlan>,
+    /// Retry policy of the *direct* pager path (tests and bulk loads);
+    /// buffered access retries in `tc-buffer` instead.
+    retry: RetryPolicy,
+    /// Disabled (free) unless the engine arms one for a run.
+    tracer: Tracer,
+}
+
+impl<M: Medium> Store<M> {
+    /// An empty store over an empty `medium`.
+    pub fn over(medium: M) -> Store<M> {
+        Store::with_catalog(medium, Arc::default())
+    }
+
+    /// A store over a `medium` that already holds the pages `catalog`
+    /// describes (a reopened or captured one), with fresh counters.
+    pub fn with_catalog(medium: M, catalog: Arc<Catalog>) -> Store<M> {
+        Store {
+            medium,
+            catalog,
+            stats: DiskStats::default(),
+            fault: None,
+            retry: RetryPolicy::default(),
+            tracer: Tracer::disabled(),
+        }
+    }
+
+    /// The medium under this store.
+    pub fn medium(&self) -> &M {
+        &self.medium
+    }
+
+    /// The store's bookkeeping.
+    pub fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    fn emit_fault(&self, pid: PageId, write: bool) {
+        self.tracer
+            .emit(Event::FaultInjected { page: pid.0, write });
+    }
+}
+
+impl<M: Medium + Default> Default for Store<M> {
+    fn default() -> Self {
+        Store::over(M::default())
+    }
+}
+
+impl<M: Medium> PageStore for Store<M> {
+    /// Cannot fail, so a read-only medium hands out ids too; allocating
+    /// on them is what gets refused.
+    fn new_file(&mut self, kind: FileKind) -> FileId {
+        let files = &mut Arc::make_mut(&mut self.catalog).files;
+        files.push(FileMeta {
+            kind,
+            pages: Vec::new(),
+        });
+        FileId(files.len() as u32 - 1)
+    }
+
+    fn alloc(&mut self, file: FileId) -> StorageResult<PageId> {
+        self.medium.writable()?;
+        if file.0 as usize >= self.catalog.files.len() {
+            return Err(StorageError::UnknownFile(file.0));
+        }
+        // Reuse space released by drop_file before growing the medium.
+        let reused = self.catalog.free_pages.last().copied();
+        let pid = reused.unwrap_or(PageId(self.catalog.page_file.len() as u32));
+        self.medium.zero(pid)?;
+        let catalog = Arc::make_mut(&mut self.catalog);
+        if reused.is_some() {
+            catalog.free_pages.pop();
+            catalog.page_file[pid.index()] = file;
+        } else {
+            catalog.page_file.push(file);
+        }
+        catalog.files[file.0 as usize].pages.push(pid);
+        Ok(pid)
+    }
+
+    fn drop_file(&mut self, file: FileId) -> StorageResult<()> {
+        self.medium.writable()?;
+        let catalog = Arc::make_mut(&mut self.catalog);
+        let meta = catalog
+            .files
+            .get_mut(file.0 as usize)
+            .ok_or(StorageError::UnknownFile(file.0))?;
+        catalog.free_pages.append(&mut meta.pages);
+        Ok(())
+    }
+
+    /// With a fault plan armed the attempt may fail instead (transient or
+    /// permanent fault), and the medium verifies the image so a torn
+    /// write surfaces as [`StorageError::ChecksumMismatch`]. Failed
+    /// attempts are *not* counted: [`DiskStats`] records exactly the
+    /// successful transfers, so a transient-fault run reports the same
+    /// page-I/O metrics as a fault-free one.
+    fn read_page(&mut self, pid: PageId, out: &mut Page) -> StorageResult<()> {
+        let kind = self.catalog.page_kind(pid)?;
+        let op = match self.fault.as_mut().map(|plan| plan.on_read(pid)) {
+            Some(Err(e)) => {
+                self.emit_fault(pid, false);
+                return Err(e);
+            }
+            Some(Ok(op)) => Some(op),
+            None => None,
+        };
+        if let Err(e) = self.medium.read(pid, out, op.is_some()) {
+            if matches!(e, StorageError::ChecksumMismatch { .. }) {
+                if let (Some(op), Some(plan)) = (op, self.fault.as_mut()) {
+                    plan.on_detection(op, pid);
+                }
+                self.tracer.emit(Event::CorruptionDetected { page: pid.0 });
+            }
+            return Err(e);
+        }
+        self.stats.reads += 1;
+        self.stats.reads_by_kind[kind.idx()] += 1;
+        self.tracer.emit(Event::PageRead {
+            page: pid.0,
+            kind: Kind::from_idx(kind.idx()),
+        });
+        Ok(())
+    }
+
+    /// With a fault plan armed the attempt may fail transiently, or be
+    /// *torn*: the call reports success but one stored byte is flipped
+    /// while the medium's integrity data still describes the intended
+    /// image, so the next physical read detects the damage.
+    fn write_page(&mut self, pid: PageId, data: &Page) -> StorageResult<()> {
+        self.medium.writable()?;
+        let kind = self.catalog.page_kind(pid)?;
+        let tear_at = match self.fault.as_mut().map(|plan| plan.on_write(pid)) {
+            Some(Err(e)) => {
+                self.emit_fault(pid, true);
+                return Err(e);
+            }
+            Some(Ok((_, tear_at))) => tear_at,
+            None => None,
+        };
+        self.medium.write(pid, data, tear_at)?;
+        if tear_at.is_some() {
+            // A torn write is a silent injection: it reports success.
+            self.emit_fault(pid, true);
+        }
+        self.stats.writes += 1;
+        self.stats.writes_by_kind[kind.idx()] += 1;
+        self.tracer.emit(Event::PageWrite {
+            page: pid.0,
+            kind: Kind::from_idx(kind.idx()),
+        });
+        Ok(())
+    }
+
+    fn sync(&mut self) -> StorageResult<()> {
+        self.medium.sync(&self.catalog)
+    }
+
+    fn file_pages(&self, file: FileId) -> &[PageId] {
+        &self.catalog.files[file.0 as usize].pages
+    }
+
+    fn file_kind(&self, file: FileId) -> FileKind {
+        self.catalog.files[file.0 as usize].kind
+    }
+
+    fn page_file(&self, pid: PageId) -> StorageResult<FileId> {
+        self.catalog.page_file(pid)
+    }
+
+    fn page_count(&self) -> usize {
+        self.catalog.page_file.len()
+    }
+
+    fn stats(&self) -> &DiskStats {
+        &self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = DiskStats::default();
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.fault = Some(plan);
+    }
+
+    fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
+        self.fault.take()
+    }
+
+    fn set_retry_policy(&mut self, retry: RetryPolicy) {
+        self.retry = retry;
+    }
+
+    fn retry_policy(&self) -> RetryPolicy {
+        self.retry
+    }
+
+    fn backend_name(&self) -> &'static str {
+        self.medium.name()
+    }
 }
 
 /// Direct, unbuffered paging over any [`PageStore`]: every access is a
 /// physical transfer, with transient faults retried under the store's
 /// [`RetryPolicy`].
 ///
-/// This blanket impl is the *single* trait-object path for structures
-/// that bypass the buffer pool (bulk loads, tests): the old duplicated
-/// surfaces — `DiskSim`'s inherent methods shimmed into a separate
-/// `Pager` impl — collapse into `PageStore` plus this derivation.
-/// Query execution always goes through the buffer pool in `tc-buffer`,
-/// which has its own (buffered) `Pager` impl.
+/// This blanket impl is the trait-object path for structures that
+/// bypass the buffer pool (bulk loads, tests). Query execution always
+/// goes through the buffer pool in `tc-buffer`, which has its own
+/// (buffered) `Pager` impl.
 impl<S: PageStore + ?Sized> Pager for S {
     fn with_page<R>(&mut self, pid: PageId, f: &mut dyn FnMut(&Page) -> R) -> StorageResult<R> {
         let mut tmp = Page::new();
         let policy = self.retry_policy();
         let mut tally = RetryTally::default();
-        let r = with_retries(&policy, &mut tally, || self.read_page(pid, &mut tmp));
-        self.note_retries(tally);
-        r?;
+        with_retries(&policy, &mut tally, || self.read_page(pid, &mut tmp))?;
         Ok(f(&tmp))
     }
 
@@ -172,16 +377,10 @@ impl<S: PageStore + ?Sized> Pager for S {
         let mut tmp = Page::new();
         let policy = self.retry_policy();
         let mut tally = RetryTally::default();
-        let read = with_retries(&policy, &mut tally, || self.read_page(pid, &mut tmp));
-        let out = match read {
-            Ok(()) => {
-                let r = f(&mut tmp);
-                with_retries(&policy, &mut tally, || self.write_page(pid, &tmp)).map(|()| r)
-            }
-            Err(e) => Err(e),
-        };
-        self.note_retries(tally);
-        out
+        with_retries(&policy, &mut tally, || self.read_page(pid, &mut tmp))?;
+        let r = f(&mut tmp);
+        with_retries(&policy, &mut tally, || self.write_page(pid, &tmp))?;
+        Ok(r)
     }
 
     fn alloc_page(&mut self, file: FileId) -> StorageResult<PageId> {
@@ -295,21 +494,10 @@ mod tests {
     }
 
     #[test]
-    fn both_backends_open_and_page() {
+    fn each_backend_opens_its_medium() {
         for backend in [Backend::Sim, Backend::file_temp()] {
-            let mut store = backend.open().unwrap();
+            let store = backend.open().unwrap();
             assert_eq!(store.backend_name(), backend.name());
-            let f = store.new_file(FileKind::Temp);
-            let pid = store.alloc(f).unwrap();
-            let mut p = Page::new();
-            p.put_u32(0, 77);
-            store.write_page(pid, &p).unwrap();
-            let mut back = Page::new();
-            store.read_page(pid, &mut back).unwrap();
-            assert_eq!(back.get_u32(0), 77, "{}", backend.name());
-            assert_eq!(store.stats().reads, 1);
-            assert_eq!(store.stats().writes, 1);
-            store.sync().unwrap();
         }
     }
 

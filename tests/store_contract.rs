@@ -1,0 +1,299 @@
+//! The page-store contract, checked once for every medium.
+//!
+//! `DiskSim`, `FileStore` and `FrozenStore` are one `Store<M>` over three
+//! media, so what used to be three copies of the same unit tests is one
+//! function, [`contract`], instantiated for `Mem`, `Segment` and
+//! `Frozen`. The second half drives the core over a medium that fails on
+//! demand and checks that a failed operation leaves the catalog exactly
+//! as it was — the seed of crash-point enumeration (ROADMAP 5c).
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use tc_study::storage::{
+    DiskSim, FaultConfig, FaultPlan, FileId, FileKind, FileStore, FrozenPageSet, FrozenStore,
+    Medium, Mem, Page, PageId, PageStore, Pager, StorageError, StorageResult, Store, TempDir,
+};
+
+/// Pages of the canonical population: file 0, kind `Relation`.
+const POPULATION: usize = 40;
+/// The word the `i`-th page of the population carries at offset 0.
+fn stamp(i: usize) -> u32 {
+    0xC0DE_0000 | i as u32
+}
+
+/// Fills `store` with the canonical population and clears the counters.
+fn populate<S: PageStore>(mut store: S) -> S {
+    let file = store.new_file(FileKind::Relation);
+    assert_eq!(file, FileId(0));
+    for i in 0..POPULATION {
+        let pid = store.alloc(file).expect("alloc");
+        let mut page = Page::new();
+        page.put_u32(0, stamp(i));
+        store.write_page(pid, &page).expect("write");
+    }
+    store.reset_stats();
+    store
+}
+
+fn temp_file_store() -> FileStore {
+    FileStore::create_in(TempDir::new("tc-contract").expect("tempdir")).expect("create")
+}
+
+/// What every store promises, whatever its medium. `store` holds the
+/// canonical population with zeroed counters; `read_only` says which
+/// half of the mutation contract applies.
+fn contract(store: &mut dyn PageStore, name: &str, read_only: bool) {
+    assert_eq!(store.backend_name(), name);
+    let file = FileId(0);
+    let pages = store.file_pages(file).to_vec();
+    assert_eq!(pages.len(), POPULATION, "{name}");
+    assert_eq!(store.file_kind(file), FileKind::Relation, "{name}");
+
+    // Round trip and counting: one read charged per transfer, by kind.
+    let mut out = Page::new();
+    for (i, &pid) in pages.iter().enumerate() {
+        assert_eq!(store.page_file(pid), Ok(file), "{name}");
+        store.read_page(pid, &mut out).expect("read");
+        assert_eq!(out.get_u32(0), stamp(i), "{name}: page {i}");
+    }
+    let n = POPULATION as u64;
+    assert_eq!(
+        (store.stats().reads, store.stats().writes),
+        (n, 0),
+        "{name}"
+    );
+    assert_eq!(store.stats().reads_by_kind[FileKind::Relation.idx()], n);
+
+    // Out of bounds is a typed error and charges nothing.
+    let missing = PageId(10_000);
+    assert_eq!(
+        store.read_page(missing, &mut out),
+        Err(StorageError::PageOutOfBounds(missing)),
+        "{name}"
+    );
+    assert_eq!(
+        store.page_file(missing),
+        Err(StorageError::PageOutOfBounds(missing))
+    );
+    assert_eq!(store.stats().reads, n, "{name}: a failed read was charged");
+
+    // A file id the store never issued is a caller bug on every medium.
+    let unknown = FileId(9_999);
+    assert!(catch_unwind(AssertUnwindSafe(|| store.file_pages(unknown).len())).is_err());
+    assert!(catch_unwind(AssertUnwindSafe(|| store.file_kind(unknown))).is_err());
+
+    // Transient faults retry clean and charge once: failed attempts are
+    // not transfers.
+    store.set_fault_plan(FaultPlan::new(
+        FaultConfig::new(11)
+            .transient_reads(0.3)
+            .max_transient_streak(2),
+    ));
+    for (i, &pid) in pages.iter().enumerate() {
+        let got = store.with_page(pid, &mut |pg: &Page| pg.get_u32(0));
+        assert_eq!(got, Ok(stamp(i)), "{name}: faulted read of page {i}");
+    }
+    assert_eq!(
+        store.stats().reads,
+        2 * n,
+        "{name}: failed attempts charged"
+    );
+    let plan = store.clear_fault_plan().expect("plan was armed");
+    assert!(plan.stats().transient_reads > 0, "{name}: nothing injected");
+
+    let before = store.stats().clone();
+    if read_only {
+        // Every mutation is refused and leaves the store as it was.
+        let refused = Err(StorageError::ReadOnlyStore);
+        assert_eq!(store.write_page(pages[0], &Page::new()), refused);
+        let dummy = store.new_file(FileKind::Temp);
+        assert_eq!(store.alloc(dummy), Err(StorageError::ReadOnlyStore));
+        assert_eq!(store.drop_file(file), refused);
+        assert_eq!(store.file_pages(file), &pages[..], "{name}");
+        store.read_page(pages[0], &mut out).expect("read");
+        assert_eq!(out.get_u32(0), stamp(0), "{name}: refused write landed");
+        assert_eq!(store.stats().writes, 0, "{name}");
+        return;
+    }
+
+    // Allocation and deletion are catalog operations: never charged.
+    let a = store.new_file(FileKind::Temp);
+    let fresh: Vec<PageId> = (0..3).map(|_| store.alloc(a).expect("alloc")).collect();
+    assert_eq!(fresh[0], PageId(POPULATION as u32), "{name}: grows densely");
+    assert_eq!(store.file_pages(a), &fresh[..]);
+    assert_eq!(store.alloc(unknown), Err(StorageError::UnknownFile(9_999)));
+    assert_eq!(
+        store.drop_file(unknown),
+        Err(StorageError::UnknownFile(9_999))
+    );
+    let mut dirty = Page::new();
+    dirty.put_u32(0, 7);
+    store.write_page(fresh[2], &dirty).expect("write");
+    store.drop_file(a).expect("drop");
+    assert!(store.file_pages(a).is_empty(), "{name}");
+    assert_eq!(store.stats().since(&before).total(), 1, "{name}: one write");
+    assert_eq!(store.stats().writes_by_kind[FileKind::Temp.idx()], 1);
+
+    // LIFO reuse: the most recently allocated page comes back first,
+    // zeroed, and the store grows only after the free list drains.
+    let b = store.new_file(FileKind::Output);
+    for expect in [fresh[2], fresh[1], fresh[0], PageId(POPULATION as u32 + 3)] {
+        assert_eq!(store.alloc(b), Ok(expect), "{name}");
+    }
+    assert_eq!(store.page_count(), POPULATION + 4, "{name}");
+    assert_eq!(store.page_file(fresh[2]), Ok(b), "{name}");
+    out.put_u32(0, 1);
+    store.read_page(fresh[2], &mut out).expect("read");
+    assert!(
+        out.bytes().iter().all(|&x| x == 0),
+        "{name}: reused page not zeroed"
+    );
+    store.sync().expect("sync");
+}
+
+#[test]
+fn mem_honours_the_contract() {
+    contract(&mut populate(DiskSim::new()), "sim", false);
+}
+
+#[test]
+fn segment_honours_the_contract() {
+    contract(&mut populate(temp_file_store()), "file", false);
+}
+
+#[test]
+fn frozen_honours_the_contract() {
+    // Captured from either writable medium, the view behaves the same.
+    let mut sim = populate(DiskSim::new());
+    let mut file = populate(temp_file_store());
+    let sources: [&mut dyn PageStore; 2] = [&mut sim, &mut file];
+    for source in sources {
+        // An uncaptured file between captured ones leaves holes: its
+        // pages are out of bounds and it looks like a dropped file.
+        let other = source.new_file(FileKind::Temp);
+        let hole = source.alloc(other).expect("alloc");
+        let empty = source.new_file(FileKind::Output);
+        let set = FrozenPageSet::capture(source, &[FileId(0), empty]).expect("capture");
+        assert_eq!(set.page_count(), POPULATION);
+        let mut store = FrozenStore::new(Arc::new(set));
+        assert_eq!(
+            store.read_page(hole, &mut Page::new()),
+            Err(StorageError::PageOutOfBounds(hole)),
+            "uncaptured pages are out of bounds"
+        );
+        assert!(store.file_pages(other).is_empty());
+        assert_eq!(store.file_kind(other), FileKind::Temp);
+        contract(&mut store, "frozen", true);
+    }
+}
+
+/// Test double: a `Mem` whose `zero`/`write` calls start failing once
+/// `budget` of them have succeeded.
+struct Failing {
+    inner: Mem,
+    budget: usize,
+}
+
+impl Failing {
+    fn spend(&mut self) -> StorageResult<()> {
+        if self.budget == 0 {
+            return Err(StorageError::Backend {
+                op: "injected",
+                detail: "medium failure".into(),
+            });
+        }
+        self.budget -= 1;
+        Ok(())
+    }
+}
+
+impl Medium for Failing {
+    fn read(&mut self, pid: PageId, out: &mut Page, verify: bool) -> StorageResult<()> {
+        self.inner.read(pid, out, verify)
+    }
+
+    fn write(&mut self, pid: PageId, data: &Page, tear_at: Option<usize>) -> StorageResult<()> {
+        self.spend()?;
+        self.inner.write(pid, data, tear_at)
+    }
+
+    fn zero(&mut self, pid: PageId) -> StorageResult<()> {
+        self.spend()?;
+        self.inner.zero(pid)
+    }
+
+    fn name(&self) -> &'static str {
+        "failing"
+    }
+}
+
+/// One operation of the failure script.
+type Step<'a> = &'a dyn Fn(&mut Store<Failing>) -> StorageResult<()>;
+
+/// Everything the catalog knows, in comparable form.
+fn snapshot(store: &Store<Failing>, files: &[FileId]) -> (Vec<Vec<PageId>>, Vec<PageId>, usize) {
+    (
+        files
+            .iter()
+            .map(|&f| store.file_pages(f).to_vec())
+            .collect(),
+        store.catalog().free_pages().to_vec(),
+        store.page_count(),
+    )
+}
+
+#[test]
+fn failed_medium_operations_leave_the_catalog_untouched() {
+    // The script allocates, writes, drops and reallocates; cutting the
+    // medium off after every possible number of successful operations
+    // visits a failure in each of them, on the growing and on the
+    // reusing allocation path.
+    let mut failures = 0;
+    for budget in 0..12 {
+        let mut store = Store::over(Failing {
+            inner: Mem::default(),
+            budget,
+        });
+        let a = store.new_file(FileKind::Temp);
+        let b = store.new_file(FileKind::Output);
+        let files = [a, b];
+        let script: [Step; 9] = [
+            &|s| s.alloc(a).map(drop),
+            &|s| s.alloc(a).map(drop),
+            &|s| s.write_page(PageId(1), &Page::new()),
+            &|s| s.alloc(b).map(drop),
+            &|s| s.drop_file(a),
+            &|s| s.alloc(b).map(drop),
+            &|s| s.write_page(PageId(1), &Page::new()),
+            &|s| s.alloc(b).map(drop),
+            &|s| s.alloc(b).map(drop),
+        ];
+        for (step, op) in script.iter().enumerate() {
+            let before = snapshot(&store, &files);
+            let writes = store.stats().writes;
+            if let Err(e) = op(&mut store) {
+                // Once an allocation failed, a later write may find its
+                // page missing; that too must change nothing.
+                match e {
+                    StorageError::Backend { op: "injected", .. } => failures += 1,
+                    StorageError::PageOutOfBounds(_) => {}
+                    other => panic!("budget {budget}, step {step}: {other}"),
+                }
+                assert_eq!(
+                    snapshot(&store, &files),
+                    before,
+                    "budget {budget}, step {step}: a failed operation moved the catalog"
+                );
+                assert_eq!(store.stats().writes, writes, "failed write charged");
+            }
+            // No page is ever lost: each slot is in one file or free.
+            let (owned, free, slots) = snapshot(&store, &files);
+            let held: usize = owned.iter().map(Vec::len).sum();
+            assert_eq!(held + free.len(), slots, "budget {budget}, step {step}");
+        }
+    }
+    assert!(
+        failures > 20,
+        "the double injected only {failures} failures"
+    );
+}

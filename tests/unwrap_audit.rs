@@ -1,41 +1,50 @@
-//! Error-propagation audit: no `unwrap()`/`expect()` on I/O paths.
+//! Error-propagation audit: no `unwrap()`/`expect()` on run paths.
 //!
 //! The fault-injection layer is only as good as the error plumbing above
-//! it: a single `unwrap()` between `DiskSim` and `Database::run` turns a
-//! typed, injectable `StorageError` into a panic. This test freezes the
-//! audit — the page-transfer paths of `tc-storage` and `tc-buffer` must
-//! stay free of `unwrap()`/`expect()` outside `#[cfg(test)]` modules.
-//! The same rule covers all of `crates/bench/src`: an experiment cell
-//! failure must surface as a typed [`ExpError`] naming the cell, never a
-//! worker-thread panic. And it covers all of `crates/trace/src`: a trace
-//! sink rides inside every instrumented run, so a sink I/O failure (or a
-//! poisoned sink mutex) must never panic the engine it is observing.
-//! And it covers all of `crates/reach/src`: the reachability index
-//! persists its chains and labels through the same store/pool plumbing
-//! as the engines, under the same fault-injection layer. The CI grep
-//! gate enforces the same rule repo-side; this test makes it fail
-//! locally first.
-//!
-//! [`ExpError`]: tc_bench::experiments::ExpError
+//! it: a single `unwrap()` between a page store and `Database::run` turns
+//! a typed, injectable `StorageError` into a panic. This test freezes the
+//! audit: everything in [`AUDITED`] must stay free of
+//! `unwrap()`/`expect()` outside `#[cfg(test)]` modules. It is the only
+//! home of the rule (CI runs it with the rest of the suite); a new file
+//! in an audited directory is covered the moment it exists.
 
 use std::fs;
 use std::path::Path;
 
-/// Files on the physical page-transfer path (the issue's hard floor),
-/// plus the dynamic-maintenance layer: `DynamicClosure::apply` owns the
-/// same store/pool lifecycle as the engine, and `UpdateStream` feeds it.
-const IO_PATH_FILES: &[&str] = &[
-    "crates/storage/src/disk.rs",
-    "crates/storage/src/pager.rs",
-    "crates/storage/src/relation.rs",
-    "crates/storage/src/extsort.rs",
-    "crates/storage/src/store.rs",
-    "crates/storage/src/file_store.rs",
-    "crates/storage/src/frozen.rs",
-    "crates/buffer/src/pool.rs",
-    "crates/core/src/dynamic.rs",
-    "crates/core/src/snapshot.rs",
-    "crates/graph/src/update.rs",
+/// What is audited: `(group, directory or file, least files expected)`.
+/// Directories are walked recursively. Each group is one `#[test]` below,
+/// so a failure names the layer that regressed.
+const AUDITED: &[(&str, &str, usize)] = &[
+    // The physical page-transfer path: all of the store (core, media,
+    // fault layer, layouts) and the buffer pool above it.
+    ("io", "crates/storage/src", 16),
+    ("io", "crates/buffer/src", 2),
+    // The dynamic-maintenance and freeze layers own the same store/pool
+    // lifecycle as the engine, and `UpdateStream` feeds them.
+    ("io", "crates/core/src/dynamic.rs", 1),
+    ("io", "crates/core/src/snapshot.rs", 1),
+    ("io", "crates/graph/src/update.rs", 1),
+    // The experiment scheduler joins worker threads and reassembles cell
+    // results; a cell failure must surface as a typed `ExpError` naming
+    // its coordinates, never a panic that tears down the whole sweep.
+    ("bench", "crates/bench/src", 15),
+    // A Tracer rides inside every instrumented run: sink errors are
+    // deferred (`JsonlSink::finish`) and mutex poisoning is recovered.
+    ("trace", "crates/trace/src", 5),
+    // A ProfileSink rides the same runs, and `tcq analyze` folds
+    // untrusted JSONL from disk: typed `JsonlError`s, never a panic.
+    ("profile", "crates/profile/src", 4),
+    // The reachability index persists chains and labels through the same
+    // store/pool plumbing, under the same fault-injection layer.
+    ("reach", "crates/reach/src", 3),
+    // Sessions run on worker threads over shared snapshot state: a panic
+    // poisons the report mutexes of the whole serve; a read failure must
+    // be a typed ServeError naming client and sequence.
+    ("serve", "crates/serve/src", 5),
+    // The span recorder and metrics registry must never panic the
+    // deterministic run they only observe (`lock_unpoisoned`, typed
+    // parse errors).
+    ("obs", "crates/obs/src", 3),
 ];
 
 /// Audited sites that are allowed to stay: compile-time-constant offset
@@ -43,10 +52,13 @@ const IO_PATH_FILES: &[&str] = &[
 /// not data-dependent conditions). Format: (file, needle).
 const ALLOWLIST: &[(&str, &str)] = &[("crates/storage/src/page.rs", "expect(\"in-page offset\")")];
 
-/// All `.rs` files under `dir` (recursing into `bin/`, `experiments/`,
-/// ...), as repo-relative paths in sorted order.
-fn rust_files_under(repo: &Path, dir: &str) -> Vec<String> {
-    let mut stack = vec![repo.join(dir)];
+/// All `.rs` files under `path` (a file, or a directory walked into
+/// `bin/`, `layout/`, ...), as repo-relative paths in sorted order.
+fn rust_files_under(repo: &Path, path: &str) -> Vec<String> {
+    if repo.join(path).is_file() {
+        return vec![path.to_string()];
+    }
+    let mut stack = vec![repo.join(path)];
     let mut out = Vec::new();
     while let Some(d) = stack.pop() {
         let entries = fs::read_dir(&d).unwrap_or_else(|e| panic!("read_dir {}: {e}", d.display()));
@@ -101,179 +113,65 @@ fn violations_in(repo: &Path, rel: &str) -> Vec<String> {
     out
 }
 
-#[test]
-fn io_paths_stay_free_of_unwrap_and_expect() {
+/// Audits every [`AUDITED`] entry of `group`.
+fn audit(group: &str) {
     // CARGO_MANIFEST_DIR is the workspace root: the tests/ dir belongs
     // to the umbrella crate at the repository top level.
     let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut violations = Vec::new();
-    for rel in IO_PATH_FILES {
-        violations.extend(violations_in(repo, rel));
+    for &(_, path, at_least) in AUDITED.iter().filter(|&&(g, ..)| g == group) {
+        let files = rust_files_under(repo, path);
+        assert!(
+            files.len() >= at_least,
+            "{path}: audit walked only {} files — layout changed?",
+            files.len()
+        );
+        for rel in &files {
+            violations.extend(violations_in(repo, rel));
+        }
     }
     assert!(
         violations.is_empty(),
-        "unwrap()/expect() on I/O paths (convert to StorageResult plumbing, \
-         or add an audited allowlist entry here AND in .github/workflows/ci.yml):\n{}",
+        "unwrap()/expect() on audited {group} run paths (propagate a typed error, \
+         recover poisoned locks with into_inner, or add an audited ALLOWLIST \
+         entry in tests/unwrap_audit.rs):\n{}",
         violations.join("\n")
     );
+}
+
+#[test]
+fn io_paths_stay_free_of_unwrap_and_expect() {
+    audit("io");
 }
 
 #[test]
 fn bench_run_paths_stay_free_of_unwrap_and_expect() {
-    // The experiment scheduler joins worker threads and reassembles cell
-    // results; a panic inside a cell would tear down the whole sweep
-    // instead of reporting which coordinates failed. Audit every file in
-    // the bench crate, including the binaries and the section modules.
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let files = rust_files_under(repo, "crates/bench/src");
-    assert!(
-        files.len() >= 15,
-        "bench audit walked only {} files — directory layout changed?",
-        files.len()
-    );
-    let mut violations = Vec::new();
-    for rel in &files {
-        violations.extend(violations_in(repo, rel));
-    }
-    assert!(
-        violations.is_empty(),
-        "unwrap()/expect() on bench run paths (convert to ExpResult plumbing, \
-         or add an audited allowlist entry here AND in .github/workflows/ci.yml):\n{}",
-        violations.join("\n")
-    );
+    audit("bench");
 }
 
 #[test]
 fn trace_paths_stay_free_of_unwrap_and_expect() {
-    // A Tracer is threaded through the engine, buffer pool and disk of
-    // every instrumented run; a panic inside a sink would take the run
-    // down with it. Sink errors are deferred (`JsonlSink::finish`) and
-    // mutex poisoning is recovered, never unwrapped.
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let files = rust_files_under(repo, "crates/trace/src");
-    assert!(
-        files.len() >= 5,
-        "trace audit walked only {} files — directory layout changed?",
-        files.len()
-    );
-    let mut violations = Vec::new();
-    for rel in &files {
-        violations.extend(violations_in(repo, rel));
-    }
-    assert!(
-        violations.is_empty(),
-        "unwrap()/expect() in tc-trace (defer sink errors, recover poisoned \
-         locks, or add an audited allowlist entry here AND in \
-         .github/workflows/ci.yml):\n{}",
-        violations.join("\n")
-    );
+    audit("trace");
 }
 
 #[test]
 fn profile_paths_stay_free_of_unwrap_and_expect() {
-    // A ProfileSink rides inside instrumented runs exactly like a trace
-    // sink, and `tcq analyze` folds untrusted JSONL from disk; both must
-    // surface failures as typed errors (`JsonlError`, recovered mutex
-    // poisoning), never a panic mid-run or mid-parse.
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let files = rust_files_under(repo, "crates/profile/src");
-    assert!(
-        files.len() >= 4,
-        "profile audit walked only {} files — directory layout changed?",
-        files.len()
-    );
-    let mut violations = Vec::new();
-    for rel in &files {
-        violations.extend(violations_in(repo, rel));
-    }
-    assert!(
-        violations.is_empty(),
-        "unwrap()/expect() in tc-profile (return typed parse/IO errors, \
-         recover poisoned locks, or add an audited allowlist entry here AND \
-         in .github/workflows/ci.yml):\n{}",
-        violations.join("\n")
-    );
+    audit("profile");
 }
 
 #[test]
 fn reach_paths_stay_free_of_unwrap_and_expect() {
-    // The reachability index builds and queries through the same
-    // PageStore/BufferPool plumbing as the engines, under the same
-    // fault-injection layer: a storage failure during chain persistence
-    // or a label-row read must surface as a typed StorageError, never a
-    // panic inside `ReachIndex::build` or the REACHINDEX engine arm.
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let files = rust_files_under(repo, "crates/reach/src");
-    assert!(
-        files.len() >= 3,
-        "reach audit walked only {} files — directory layout changed?",
-        files.len()
-    );
-    let mut violations = Vec::new();
-    for rel in &files {
-        violations.extend(violations_in(repo, rel));
-    }
-    assert!(
-        violations.is_empty(),
-        "unwrap()/expect() in tc-reach (convert to StorageResult plumbing, \
-         or add an audited allowlist entry here AND in \
-         .github/workflows/ci.yml):\n{}",
-        violations.join("\n")
-    );
+    audit("reach");
 }
 
 #[test]
 fn serve_paths_stay_free_of_unwrap_and_expect() {
-    // The service loop runs sessions on worker threads over shared
-    // snapshot state: a panic inside a session poisons the report
-    // mutexes of the whole serve, and an unwrap on a session's read
-    // path would turn an injectable transient fault into a torn-down
-    // run instead of a typed ServeError naming client and sequence.
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let files = rust_files_under(repo, "crates/serve/src");
-    assert!(
-        files.len() >= 5,
-        "serve audit walked only {} files — directory layout changed?",
-        files.len()
-    );
-    let mut violations = Vec::new();
-    for rel in &files {
-        violations.extend(violations_in(repo, rel));
-    }
-    assert!(
-        violations.is_empty(),
-        "unwrap()/expect() in tc-serve (propagate StorageResult, recover \
-         poisoned locks with into_inner, or add an audited allowlist entry \
-         here AND in .github/workflows/ci.yml):\n{}",
-        violations.join("\n")
-    );
+    audit("serve");
 }
 
 #[test]
 fn obs_paths_stay_free_of_unwrap_and_expect() {
-    // The span recorder and metrics registry ride inside engine runs
-    // and the serve loop's worker threads; a panic in the wall-clock
-    // layer would tear down the deterministic run it is only supposed
-    // to observe. Mutex poisoning is recovered (`lock_unpoisoned`),
-    // parse errors surface as typed `Result`s, never unwrapped.
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let files = rust_files_under(repo, "crates/obs/src");
-    assert!(
-        files.len() >= 3,
-        "obs audit walked only {} files — directory layout changed?",
-        files.len()
-    );
-    let mut violations = Vec::new();
-    for rel in &files {
-        violations.extend(violations_in(repo, rel));
-    }
-    assert!(
-        violations.is_empty(),
-        "unwrap()/expect() in tc-obs (recover poisoned locks with \
-         lock_unpoisoned, return typed parse errors, or add an audited \
-         allowlist entry here AND in .github/workflows/ci.yml):\n{}",
-        violations.join("\n")
-    );
+    audit("obs");
 }
 
 #[test]
