@@ -362,7 +362,12 @@ impl Cell {
                             UpdateOp::Delete(u, v) => live.remove_arc(u, v),
                         };
                     }
-                    let res = dyn_tc.apply(batch).map_err(|e| self.error(e))?;
+                    // The generated stream keeps the graph acyclic, so
+                    // a rejected batch is a harness bug, not a cell error.
+                    let res = dyn_tc.apply(batch).map_err(|e| match e {
+                        UpdateError::Storage(e) => self.error(e),
+                        rejected => ExpError::Internal(rejected.to_string()),
+                    })?;
                     let mut db =
                         Database::build_for(&live, Algorithm::Seminaive.needs_inverse(), cfg)
                             .map_err(|e| self.error(e))?;

@@ -29,26 +29,72 @@
 //! over unchanged, so dynamic runs are first-class citizens of the
 //! experiment and differential-testing harnesses.
 //!
-//! The whole layer is deterministic: hash containers are used for
-//! membership only, every iteration order is derived from sorted data,
-//! and all I/O goes through the same counted paths as static runs — a
-//! given (graph, stream, config) triple produces bit-identical tuples,
-//! metrics and trace digests on every backend and at any parallelism.
+//! In memory the closure is its scanned sorted tuple list plus a bit
+//! row per source the batch writes to ([`TupleRows`]), and the batch's
+//! own lookup tables are node-indexed (`NodeLists`), so the wall-clock
+//! cost follows the rows a batch touches, like the counted cost does.
+//!
+//! The whole layer is deterministic: there is no hash container, every
+//! iteration order is derived from sorted data, and all I/O goes
+//! through the same counted paths as static runs — a given (graph,
+//! stream, config) triple produces bit-identical tuples, metrics and
+//! trace digests on every backend and at any parallelism.
 
 use crate::algorithm::Algorithm;
 use crate::config::SystemConfig;
 use crate::database::Database;
 use crate::metrics::{CostMetrics, PhaseIo};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::fmt;
 use std::time::Instant;
 use tc_buffer::BufferPool;
 use tc_graph::{closure, Graph, NodeId, UpdateOp};
 use tc_reach::{NullMeter, ReachIndex};
 use tc_storage::{
     ClusteredIndex, FaultEvent, FaultPlan, FileKind, FrozenPageSet, PageStore, RelationFile,
-    StorageResult, TupleWriter,
+    StorageError, StorageResult, TupleWriter,
 };
+use tc_succ::{row_offsets, NodeBitVec, TupleRows};
 use tc_trace::{Event, Phase, Tracer};
+
+/// Why [`DynamicClosure::apply`] did not apply a batch.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum UpdateError {
+    /// The store failed underneath the run; the instance may be
+    /// partially rewritten (see [`DynamicClosure::apply`]).
+    Storage(StorageError),
+    /// The batch's inserts would close a cycle. Nothing was changed:
+    /// graph, relation, index and closure are as before the call.
+    ClosesCycle {
+        /// Operations in the rejected batch.
+        ops: usize,
+        /// The inserted arc `(src, dst)` that closes the cycle: with the
+        /// batch's other changes and its earlier inserts in place, `dst`
+        /// already reaches `src`.
+        arc: (NodeId, NodeId),
+    },
+}
+
+impl fmt::Display for UpdateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UpdateError::Storage(e) => e.fmt(f),
+            UpdateError::ClosesCycle { ops, arc } => write!(
+                f,
+                "update batch of {ops} ops rejected: inserting {} -> {} closes a cycle \
+                 (dynamic maintenance requires a DAG; nothing was changed)",
+                arc.0, arc.1
+            ),
+        }
+    }
+}
+
+impl std::error::Error for UpdateError {}
+
+impl From<StorageError> for UpdateError {
+    fn from(e: StorageError) -> UpdateError {
+        UpdateError::Storage(e)
+    }
+}
 
 /// The outcome of one incremental maintenance run ([`DynamicClosure::apply`]).
 #[derive(Clone, Debug)]
@@ -96,6 +142,10 @@ struct AppliedOps {
 pub struct DynamicClosure {
     db: Database,
     tc: RelationFile,
+    /// Row offsets of `tc` (`n + 1` entries): source `u`'s tuples are
+    /// `rows[u]..rows[u + 1]`. Known at build and after every `apply`,
+    /// so `freeze` hands them to the snapshot without a scan.
+    rows: Vec<u32>,
     cfg: SystemConfig,
 }
 
@@ -126,6 +176,7 @@ impl DynamicClosure {
         Ok(DynamicClosure {
             db,
             tc,
+            rows: row_offsets(graph.n(), &full),
             cfg: cfg.clone(),
         })
     }
@@ -192,23 +243,17 @@ impl DynamicClosure {
         };
         let flushed = reach.files().iter().try_for_each(|&f| pool.flush_file(f));
         let mut store = pool.into_store_discard();
-        let outcome = flushed
-            .and_then(|()| self.tc.scan(store.as_mut()))
-            .and_then(|tuples| {
-                let rows = crate::snapshot::closure_rows(&tuples, self.db.graph().n());
-                let files = crate::snapshot::capture_set(&self.db, &self.tc, &reach);
-                let pages = FrozenPageSet::capture(store.as_mut(), &files)?;
-                Ok((rows, pages))
-            })
-            .and_then(|ok| {
-                // The index files were only needed for the capture; give
-                // their pages back to the live store either way.
-                reach.files().iter().try_for_each(|&f| store.drop_file(f))?;
-                Ok(ok)
-            });
+        let captured = flushed.and_then(|()| {
+            let files = crate::snapshot::capture_set(&self.db, &self.tc, &reach);
+            FrozenPageSet::capture(store.as_mut(), &files)
+        });
+        // The index files were only needed for the capture; give their
+        // pages back to the live store whether or not it succeeded.
+        let dropped = reach.files().iter().try_for_each(|&f| store.drop_file(f));
         store.reset_stats();
         self.db.restore_store(store);
-        let (rows, pages) = outcome?;
+        let pages = captured?;
+        dropped?;
         Ok(crate::ClosedSnapshot::assemble(
             epoch,
             origin,
@@ -217,7 +262,7 @@ impl DynamicClosure {
             self.db.relation.clone(),
             self.db.index.clone(),
             self.tc.clone(),
-            rows,
+            self.rows.clone(),
             reach,
         ))
     }
@@ -230,17 +275,21 @@ impl DynamicClosure {
     /// its [`Event::UpdateApply`]). After the batch the closure file
     /// again holds exactly the transitive closure of the mutated graph.
     ///
-    /// On error (e.g. an injected unrecoverable fault) the store is
-    /// reattached and disarmed, but the instance's relation, index and
-    /// closure may be partially rewritten — discard the instance, as a
-    /// crashed database would be recovered, not trusted.
+    /// # Errors
+    ///
+    /// A batch whose inserts would close a cycle is rejected whole with
+    /// [`UpdateError::ClosesCycle`] before any file is touched: graph,
+    /// relation, index and closure are exactly as before, and the next
+    /// `apply` works. On [`UpdateError::Storage`] (e.g. an injected
+    /// unrecoverable fault) the store is reattached and disarmed, but
+    /// the instance's relation, index and closure may be partially
+    /// rewritten — discard the instance, as a crashed database would be
+    /// recovered, not trusted.
     ///
     /// # Panics
     ///
-    /// Panics if an insert closes a cycle: update streams generated by
-    /// `tc_graph::UpdateStream` preserve acyclicity by construction, so
-    /// a cycle here is a programming error, not a data condition.
-    pub fn apply(&mut self, batch: &[UpdateOp]) -> StorageResult<UpdateResult> {
+    /// Panics if an op names a node outside the graph.
+    pub fn apply(&mut self, batch: &[UpdateOp]) -> Result<UpdateResult, UpdateError> {
         let start = Instant::now();
         let cfg = self.cfg.clone();
         // Wall-clock spans (observability only, never in a digest):
@@ -284,10 +333,8 @@ impl DynamicClosure {
         let buffer_at_phase_end = pool.stats().clone();
 
         let compute_span = cfg.obs.enter("compute");
-        let outcome = match applied {
-            Ok(ops) => maintain(&self.db, &mut pool, &self.tc, &ops, &mut metrics),
-            Err(e) => Err(e),
-        };
+        let outcome = applied
+            .and_then(|ops| Ok(maintain(&self.db, &mut pool, &self.tc, &ops, &mut metrics)?));
         drop(compute_span);
 
         // Finalize exactly like the engine: the store returns to the
@@ -303,9 +350,15 @@ impl DynamicClosure {
         let fault = store.clear_fault_plan();
         let synced = store.sync();
         self.db.restore_store(store);
-        let (new_tc, inserted, removed) = outcome?;
+        let Maintained {
+            file,
+            rows,
+            inserted,
+            removed,
+        } = outcome?;
         synced?;
-        self.tc = new_tc;
+        self.tc = file;
+        self.rows = rows;
 
         let run_total = disk_stats_total.since(&disk_base);
         metrics.restructure_io = PhaseIo::from_disk(&disk_at_phase_end.since(&disk_base));
@@ -339,12 +392,14 @@ impl DynamicClosure {
 
 /// Restructuring phase: applies the batch to the in-memory graph and
 /// rebuilds the clustered base relation and its index on the raw store.
+/// A batch that leaves the graph cyclic is taken back out of the graph
+/// and refused before any file is dropped.
 fn apply_to_base(
     db: &mut Database,
     disk: &mut dyn PageStore,
     batch: &[UpdateOp],
     cfg: &SystemConfig,
-) -> StorageResult<AppliedOps> {
+) -> Result<AppliedOps, UpdateError> {
     let mut ops = AppliedOps {
         inserted: Vec::new(),
         deleted: Vec::new(),
@@ -369,10 +424,26 @@ fn apply_to_base(
             }
         }
     }
-    assert!(
-        ops.inserted.is_empty() || db.graph.is_acyclic(),
-        "update batch closed a cycle — dynamic maintenance requires the DAG invariant"
-    );
+    if !ops.inserted.is_empty() && !db.graph.is_acyclic() {
+        // The net changes are the whole difference between the two arc
+        // sets, so taking them back restores the graph exactly. Inserts
+        // go newest first: the one whose removal breaks the last cycle
+        // is the arc that closed it.
+        let mut closing = None;
+        for &(u, v) in ops.inserted.iter().rev() {
+            db.graph.remove_arc(u, v);
+            if closing.is_none() && db.graph.is_acyclic() {
+                closing = Some((u, v));
+            }
+        }
+        for &(u, v) in &ops.deleted {
+            db.graph.add_arc(u, v);
+        }
+        return Err(UpdateError::ClosesCycle {
+            ops: batch.len(),
+            arc: closing.unwrap_or(ops.inserted[0]),
+        });
+    }
     if !ops.inserted.is_empty() || !ops.deleted.is_empty() {
         // In-place rebuild: dropping the old files first lets the new
         // ones reuse their pages (LIFO), keeping page-id streams — and
@@ -401,82 +472,168 @@ fn net_op(
     }
 }
 
+/// Marks a node that has no list in a [`NodeLists`].
+const NO_LIST: u32 = u32::MAX;
+
+/// Node-indexed lists for the few nodes a batch gives one: a dense slot
+/// table (one `u32` per node) and a `Vec` per listed node. A node is
+/// either unlisted or has a (possibly empty) list.
+struct NodeLists {
+    slot: Vec<u32>,
+    lists: Vec<Vec<NodeId>>,
+}
+
+impl NodeLists {
+    fn new(n: usize) -> NodeLists {
+        NodeLists {
+            slot: vec![NO_LIST; n],
+            lists: Vec::new(),
+        }
+    }
+
+    /// The list of `v`, if it has one.
+    fn get(&self, v: NodeId) -> Option<&[NodeId]> {
+        match self.slot[v as usize] {
+            NO_LIST => None,
+            i => Some(&self.lists[i as usize]),
+        }
+    }
+
+    fn get_mut(&mut self, v: NodeId) -> Option<&mut Vec<NodeId>> {
+        match self.slot[v as usize] {
+            NO_LIST => None,
+            i => Some(&mut self.lists[i as usize]),
+        }
+    }
+
+    /// The list of `v`; empty if it has none.
+    fn of(&self, v: NodeId) -> &[NodeId] {
+        self.get(v).unwrap_or(&[])
+    }
+
+    /// The list of `v`, created empty if it had none.
+    fn entry(&mut self, v: NodeId) -> &mut Vec<NodeId> {
+        if self.slot[v as usize] == NO_LIST {
+            self.slot[v as usize] = self.lists.len() as u32;
+            self.lists.push(Vec::new());
+        }
+        &mut self.lists[self.slot[v as usize] as usize]
+    }
+
+    /// The destinations of `arcs`, listed by source in arc order.
+    fn by_source(n: usize, arcs: &[(NodeId, NodeId)]) -> NodeLists {
+        let mut lists = NodeLists::new(n);
+        for &(u, v) in arcs {
+            lists.entry(u).push(v);
+        }
+        lists
+    }
+}
+
 /// Probes the base relation for the children of `z` through the
-/// clustered index (charged through the pool), memoizing per node: the
-/// maintenance fixpoints revisit nodes, and a real system would keep
-/// such join state pinned.
-fn fetch_children(
+/// clustered index (charged through the pool), memoizing per node in
+/// `cache`: the maintenance fixpoints revisit nodes, and a real system
+/// would keep such join state pinned.
+fn fetch_children<'c>(
     db: &Database,
     pool: &mut BufferPool,
     metrics: &mut CostMetrics,
-    cache: &mut HashMap<NodeId, Vec<NodeId>>,
+    cache: &'c mut NodeLists,
     z: NodeId,
-) -> StorageResult<Vec<NodeId>> {
-    if let Some(kids) = cache.get(&z) {
-        return Ok(kids.clone());
+) -> StorageResult<&'c [NodeId]> {
+    if cache.get(z).is_none() {
+        metrics.count_list_fetch();
+        let kids = cache.entry(z);
+        if let Some((lo, hi)) = db.index.probe(pool, z)? {
+            db.relation.probe_range(pool, z, lo, hi, kids)?;
+        }
     }
-    let mut kids = Vec::new();
-    metrics.count_list_fetch();
-    if let Some((lo, hi)) = db.index.probe(pool, z)? {
-        db.relation.probe_range(pool, z, lo, hi, &mut kids)?;
+    Ok(cache.of(z))
+}
+
+/// The fetched (post-update) children `kids` of a node without the
+/// `inserted` arcs this batch gave it, plus the arcs it `restored`
+/// (deleted by this batch) when the pre-update children are wanted.
+/// Only a node the batch changed pays for the copy into `buf`.
+fn without_batch<'k>(
+    kids: &'k [NodeId],
+    inserted: &[NodeId],
+    restored: &[NodeId],
+    buf: &'k mut Vec<NodeId>,
+) -> &'k [NodeId] {
+    if inserted.is_empty() && restored.is_empty() {
+        return kids;
     }
-    cache.insert(z, kids.clone());
-    Ok(kids)
+    buf.clear();
+    buf.extend(kids.iter().filter(|y| !inserted.contains(y)));
+    if !restored.is_empty() {
+        buf.extend_from_slice(restored);
+        buf.sort_unstable();
+        buf.dedup();
+    }
+    buf
+}
+
+/// What [`maintain`] leaves behind: the rewritten closure file, its row
+/// offsets, and the net tuple delta.
+struct Maintained {
+    file: RelationFile,
+    rows: Vec<u32>,
+    inserted: u64,
+    removed: u64,
 }
 
 /// Computation phase: DRed overdelete/rederive for the deleted arcs,
 /// seminaive delta propagation for the inserted arcs, then the closure
-/// file rewrite. Returns the new closure file and the net tuple delta.
+/// file rewrite.
 fn maintain(
     db: &Database,
     pool: &mut BufferPool,
     tc: &RelationFile,
     ops: &AppliedOps,
     metrics: &mut CostMetrics,
-) -> StorageResult<(RelationFile, u64, u64)> {
-    // Materialize the current closure through the pool (charged), with
-    // a hash view for membership tests only — every iteration below
-    // walks sorted data, never a hash container.
+) -> StorageResult<Maintained> {
+    let n = db.graph().n();
+    // Materialize the current closure through the pool (charged). The
+    // sorted list stays as scanned; only rows written to below get a
+    // bit row, and every iteration walks sorted data.
     let mut old: Vec<(NodeId, NodeId)> = Vec::with_capacity(tc.tuple_count());
     tc.scan_pages(pool, &mut |chunk| old.extend_from_slice(chunk))?;
-    let mut tc_set: HashSet<(NodeId, NodeId)> = old.iter().copied().collect();
+    let mut closure = TupleRows::new(n, &old);
 
-    // tc-by-destination, for the `(x, v) ← tc(x, u)` seed rule. Built
-    // from the sorted closure, so each predecessor list is sorted.
-    let needs_preds = !ops.deleted.is_empty() || !ops.inserted.is_empty();
-    let mut preds_tc: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    if needs_preds {
+    // tc-by-destination, for the `(x, v) ← tc(x, u)` seed rule, for the
+    // sources of the changed arcs only. One pass over the sorted
+    // closure, so each predecessor list is sorted.
+    let mut preds_tc = NodeLists::new(n);
+    for &(u, _) in ops.deleted.iter().chain(&ops.inserted) {
+        preds_tc.entry(u);
+    }
+    if !ops.deleted.is_empty() || !ops.inserted.is_empty() {
         for &(x, y) in &old {
-            preds_tc.entry(y).or_default().push(x);
+            if let Some(xs) = preds_tc.get_mut(y) {
+                xs.push(x);
+            }
         }
     }
 
-    let inserted_set: HashSet<(NodeId, NodeId)> = ops.inserted.iter().copied().collect();
-    let mut deleted_by_src: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for &(u, v) in &ops.deleted {
-        deleted_by_src.entry(u).or_default().push(v);
-    }
+    let inserted_by_src = NodeLists::by_source(n, &ops.inserted);
+    let deleted_by_src = NodeLists::by_source(n, &ops.deleted);
 
-    let mut cache: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+    let mut cache = NodeLists::new(n);
+    let mut kids_buf: Vec<NodeId> = Vec::new();
     let mut round: u64 = 0;
 
     // ---- DRed step 1: overdelete. A fixpoint over the *old* graph
     // (the probed post-update children, minus this batch's inserts,
     // plus its deletes): every tuple with a derivation through a
     // deleted arc goes into `over`, transitively.
-    let mut over: HashSet<(NodeId, NodeId)> = HashSet::new();
-    let mut over_list: Vec<(NodeId, NodeId)> = Vec::new();
     if !ops.deleted.is_empty() {
+        let mut over = TupleRows::new(n, &[]);
         let mut frontier: Vec<(NodeId, NodeId)> = Vec::new();
         for &(u, v) in &ops.deleted {
-            let mut seeds = vec![(u, v)];
-            if let Some(xs) = preds_tc.get(&u) {
-                seeds.extend(xs.iter().map(|&x| (x, v)));
-            }
-            for t in seeds {
-                if tc_set.contains(&t) && over.insert(t) {
-                    over_list.push(t);
-                    frontier.push(t);
+            for &x in std::iter::once(&u).chain(preds_tc.of(u)) {
+                if closure.contains(x, v) && over.insert(x, v) {
+                    frontier.push((x, v));
                 }
             }
         }
@@ -486,21 +643,19 @@ fn maintain(
             let mut next = Vec::new();
             for (x, z) in frontier.drain(..) {
                 metrics.count_union();
-                let mut kids = fetch_children(db, pool, metrics, &mut cache, z)?;
+                let kids = fetch_children(db, pool, metrics, &mut cache, z)?;
                 // Reconstruct the pre-update children of z.
-                kids.retain(|&y| !inserted_set.contains(&(z, y)));
-                if let Some(dels) = deleted_by_src.get(&z) {
-                    kids.extend_from_slice(dels);
-                    kids.sort_unstable();
-                    kids.dedup();
-                }
+                let kids = without_batch(
+                    kids,
+                    inserted_by_src.of(z),
+                    deleted_by_src.of(z),
+                    &mut kids_buf,
+                );
                 metrics.count_arcs_bulk(kids.len() as u64);
-                for y in kids {
+                for &y in kids {
                     metrics.count_tuple_read();
-                    let t = (x, y);
-                    if tc_set.contains(&t) && over.insert(t) {
-                        over_list.push(t);
-                        next.push(t);
+                    if closure.contains(x, y) && over.insert(x, y) {
+                        next.push((x, y));
                     }
                 }
             }
@@ -511,39 +666,38 @@ fn maintain(
         // sources' rows over the surviving arcs (the post-update graph
         // minus this batch's inserts — those are the insert phase's
         // job), reinstating tuples with an alternative derivation.
-        let affected: BTreeSet<NodeId> = over_list.iter().map(|&(x, _)| x).collect();
-        let mut reach_of: HashMap<NodeId, HashSet<NodeId>> = HashMap::new();
-        for &x in &affected {
+        let mut seen = NodeBitVec::new(n);
+        let mut queue: Vec<NodeId> = Vec::new();
+        let mut rederived: u64 = 0;
+        for x in over.touched() {
             metrics.trace.emit(Event::IterationBegin { i: round });
             round += 1;
-            let mut reach: HashSet<NodeId> = HashSet::new();
-            let mut queue: Vec<NodeId> = vec![x];
-            let mut seen: HashSet<NodeId> = HashSet::new();
+            seen.clear_fast();
             seen.insert(x);
+            queue.push(x);
             while let Some(z) = queue.pop() {
                 metrics.count_union();
-                let mut kids = fetch_children(db, pool, metrics, &mut cache, z)?;
-                kids.retain(|&y| !inserted_set.contains(&(z, y)));
+                let kids = fetch_children(db, pool, metrics, &mut cache, z)?;
+                let kids = without_batch(kids, inserted_by_src.of(z), &[], &mut kids_buf);
                 metrics.count_arcs_bulk(kids.len() as u64);
-                for y in kids {
+                for &y in kids {
                     metrics.count_tuple_read();
-                    if y != x {
-                        reach.insert(y);
-                    }
                     if seen.insert(y) {
                         queue.push(y);
                     }
                 }
             }
-            reach_of.insert(x, reach);
-        }
-        for &t in &over_list {
-            let rederived = reach_of.get(&t.0).is_some_and(|r| r.contains(&t.1));
-            if rederived {
-                metrics.count_duplicate();
-            } else {
-                tc_set.remove(&t);
+            // `seen` minus x itself is what x still reaches.
+            for y in over.row(x) {
+                if y != x && seen.contains(y) {
+                    rederived += 1;
+                } else {
+                    closure.remove(x, y);
+                }
             }
+        }
+        for _ in 0..rederived {
+            metrics.count_duplicate();
         }
     }
 
@@ -552,22 +706,18 @@ fn maintain(
     // frontier with the post-update relation until it empties.
     if !ops.inserted.is_empty() {
         let mut frontier: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut seeds: Vec<NodeId> = Vec::new();
         for &(u, v) in &ops.inserted {
-            let mut seeds = vec![(u, v)];
-            if let Some(xs) = preds_tc.get(&u) {
-                seeds.extend(
-                    xs.iter()
-                        .filter(|&&x| tc_set.contains(&(x, u)))
-                        .map(|&x| (x, v)),
-                );
-            }
-            for t in seeds {
-                if t.0 == t.1 {
+            seeds.clear();
+            seeds.push(u);
+            seeds.extend(preds_tc.of(u).iter().filter(|&&x| closure.contains(x, u)));
+            for &x in &seeds {
+                if x == v {
                     continue;
                 }
-                if tc_set.insert(t) {
+                if closure.insert(x, v) {
                     metrics.count_generated(true);
-                    frontier.push(t);
+                    frontier.push((x, v));
                 } else {
                     metrics.count_duplicate();
                 }
@@ -581,15 +731,14 @@ fn maintain(
                 metrics.count_union();
                 let kids = fetch_children(db, pool, metrics, &mut cache, z)?;
                 metrics.count_arcs_bulk(kids.len() as u64);
-                for y in kids {
+                for &y in kids {
                     metrics.count_tuple_read();
                     if y == x {
                         continue;
                     }
-                    let t = (x, y);
-                    if tc_set.insert(t) {
+                    if closure.insert(x, y) {
                         metrics.count_generated(true);
-                        next.push(t);
+                        next.push((x, y));
                     } else {
                         metrics.count_duplicate();
                     }
@@ -599,15 +748,13 @@ fn maintain(
         }
     }
 
-    // ---- Net delta and closure rewrite.
-    let removed = old.iter().filter(|t| !tc_set.contains(t)).count() as u64;
-    let inserted = (tc_set.len() as u64 + removed) - old.len() as u64;
-    let mut new_tc: Vec<(NodeId, NodeId)> = tc_set.into_iter().collect();
-    new_tc.sort_unstable();
+    // ---- Net delta and closure rewrite, row by row: untouched rows
+    // come straight from the old list, written rows off their bits.
+    let (inserted, removed) = closure.delta();
     // Free the old file first so the rewrite reuses its pages.
     pool.free_file(tc.file_id())?;
     let mut out = TupleWriter::new(pool, FileKind::Output);
-    for &t in &new_tc {
+    for t in closure.iter() {
         out.push(pool, t)?;
     }
     let file = out.finish();
@@ -616,7 +763,12 @@ fn maintain(
     metrics
         .trace
         .emit(Event::DeltaApplied { inserted, removed });
-    Ok((file, inserted, removed))
+    Ok(Maintained {
+        file,
+        rows: closure.row_offsets(),
+        inserted,
+        removed,
+    })
 }
 
 #[cfg(test)]
@@ -717,11 +869,102 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cycle")]
-    fn cycle_closing_insert_panics() {
+    fn cycle_closing_batch_is_rejected_whole() {
         let g = tc_graph::gen::path(5);
         let cfg = SystemConfig::default();
         let mut d = DynamicClosure::build(&g, &cfg).unwrap();
-        let _ = d.apply(&[UpdateOp::Insert(4, 0)]);
+        let before = d.tuples().unwrap();
+        // A legal delete and a legal insert ride in the refused batch:
+        // neither may stick.
+        let batch = [
+            UpdateOp::Delete(1, 2),
+            UpdateOp::Insert(0, 3),
+            UpdateOp::Insert(4, 0),
+        ];
+        let err = d.apply(&batch).unwrap_err();
+        assert_eq!(
+            err,
+            UpdateError::ClosesCycle {
+                ops: 3,
+                arc: (4, 0)
+            }
+        );
+        assert!(err.to_string().contains("4 -> 0"), "{err}");
+        assert_eq!(d.graph(), &g, "graph changed by a refused batch");
+        assert_eq!(d.tuples().unwrap(), before);
+        let snapshot = d.freeze(1).unwrap();
+        assert_eq!(snapshot.closure_tuples(), before.len());
+
+        // The instance is as good as new: the next batch applies.
+        let mut live = g.clone();
+        live.remove_arc(1, 2);
+        live.add_arc(0, 3);
+        let res = d.apply(&batch[..2]).unwrap();
+        assert!(res.removed > 0);
+        assert_eq!(d.tuples().unwrap(), oracle(&live));
+    }
+
+    #[test]
+    fn freeze_returns_the_index_pages_when_capture_fails() {
+        use std::fs::OpenOptions;
+        use std::io::{Read, Seek, SeekFrom, Write};
+        use tc_storage::file_store::SEGMENT_FILE;
+        use tc_storage::{Backend, TempDir, FILE_STORE_HEADER_SIZE, FILE_STORE_SLOT_SIZE};
+
+        let g = DagGenerator::new(200, 3.0, 40).seed(11).generate();
+        let dirs = [
+            TempDir::new("tc-freeze-leak").unwrap(),
+            TempDir::new("tc-freeze-twin").unwrap(),
+        ];
+        let mut pair = dirs.each_ref().map(|dir| {
+            let cfg = SystemConfig::with_buffer(12).backend(Backend::File {
+                dir: Some(dir.path().to_path_buf()),
+            });
+            DynamicClosure::build(&g, &cfg).unwrap()
+        });
+        let segment = dirs.each_ref().map(|dir| dir.path().join(SEGMENT_FILE));
+
+        // Flip one payload byte of the first closure page, under the
+        // store's feet: the capture read must fail its checksum.
+        let flip = |path: &std::path::Path, slot: usize| {
+            let mut file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(path)
+                .unwrap();
+            let at = (slot * FILE_STORE_SLOT_SIZE + FILE_STORE_HEADER_SIZE + 40) as u64;
+            let mut b = [0u8; 1];
+            file.seek(SeekFrom::Start(at)).unwrap();
+            file.read_exact(&mut b).unwrap();
+            b[0] ^= 0x10;
+            file.seek(SeekFrom::Start(at)).unwrap();
+            file.write_all(&b).unwrap();
+        };
+        let slot = pair[0].tc.pages()[0].index();
+        flip(&segment[0], slot);
+        match pair[0].freeze(1) {
+            Err(StorageError::ChecksumMismatch { .. }) => {}
+            other => panic!(
+                "expected ChecksumMismatch, got {:?}",
+                other.map(|s| s.epoch())
+            ),
+        }
+        flip(&segment[0], slot);
+
+        // From here on both instances do the same work; had the failed
+        // freeze kept its index files, the first store would now grow
+        // past its twin.
+        let batch = [UpdateOp::Insert(0, 199), UpdateOp::Delete(0, 199)];
+        for d in &mut pair {
+            d.freeze(2).unwrap();
+            d.apply(&batch[..1]).unwrap();
+            d.freeze(3).unwrap();
+            d.apply(&batch[1..]).unwrap();
+        }
+        let len = segment
+            .each_ref()
+            .map(|p| std::fs::metadata(p).unwrap().len());
+        assert_eq!(len[0], len[1], "a failed freeze leaked pages");
+        assert_eq!(pair[0].tuples().unwrap(), oracle(&g));
     }
 }

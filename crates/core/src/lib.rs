@@ -66,7 +66,7 @@ pub use algorithm::Algorithm;
 pub use config::SystemConfig;
 pub use cyclic::{run_cyclic, CyclicResult};
 pub use database::Database;
-pub use dynamic::{DynamicClosure, UpdateResult};
+pub use dynamic::{DynamicClosure, UpdateError, UpdateResult};
 pub use engine::RunResult;
 pub use metrics::{CostMetrics, PhaseIo};
 pub use paths::PathIndex;
@@ -112,7 +112,7 @@ pub mod prelude {
     pub use crate::config::SystemConfig;
     pub use crate::cyclic::{run_cyclic, CyclicResult};
     pub use crate::database::Database;
-    pub use crate::dynamic::{DynamicClosure, UpdateResult};
+    pub use crate::dynamic::{DynamicClosure, UpdateError, UpdateResult};
     pub use crate::engine::RunResult;
     pub use crate::metrics::CostMetrics;
     pub use crate::paths::PathIndex;

@@ -57,9 +57,10 @@ pub struct ClosedSnapshot {
     index: ClusteredIndex,
     /// Materialized transitive closure, sorted `(source, successor)`.
     closure: RelationFile,
-    /// Per-source tuple range `[start, end)` into `closure`; `ptc(u)`
-    /// reads exactly the pages covering `closure_rows[u]`.
-    closure_rows: Vec<(u32, u32)>,
+    /// Row offsets into `closure` (`n + 1` entries); `ptc(u)` reads
+    /// exactly the pages covering tuples
+    /// `closure_rows[u]..closure_rows[u + 1]`.
+    closure_rows: Vec<u32>,
     /// Chain-decomposition reachability index (labels answer `reach`).
     reach: ReachIndex,
 }
@@ -85,7 +86,7 @@ impl ClosedSnapshot {
         relation: RelationFile,
         index: ClusteredIndex,
         closure: RelationFile,
-        closure_rows: Vec<(u32, u32)>,
+        closure_rows: Vec<u32>,
         reach: ReachIndex,
     ) -> ClosedSnapshot {
         ClosedSnapshot {
@@ -157,9 +158,13 @@ impl ClosedSnapshot {
     /// holding row `u`. Out-of-range sources reach nothing.
     pub fn ptc<P: Pager>(&self, pager: &mut P, u: NodeId) -> StorageResult<Vec<NodeId>> {
         let mut out = Vec::new();
-        let Some(&(start, end)) = self.closure_rows.get(u as usize) else {
+        if u as usize >= self.n {
             return Ok(out);
-        };
+        }
+        let (start, end) = (
+            self.closure_rows[u as usize],
+            self.closure_rows[u as usize + 1],
+        );
         if start < end {
             read_value_range(pager, &self.closure, start as usize, end as usize, &mut out)?;
         }
@@ -219,24 +224,6 @@ impl ClosedSnapshot {
             "path walk exceeded n hops — frozen graph is not acyclic",
         ))
     }
-}
-
-/// Scans the closure file once and derives the per-source tuple ranges
-/// `ptc` reads from; also returns the file ids to capture.
-pub(crate) fn closure_rows(tuples: &[(NodeId, NodeId)], n: usize) -> Vec<(u32, u32)> {
-    let mut rows = vec![(0u32, 0u32); n];
-    let mut i = 0usize;
-    while i < tuples.len() {
-        let src = tuples[i].0 as usize;
-        let start = i;
-        while i < tuples.len() && tuples[i].0 as usize == src {
-            i += 1;
-        }
-        if src < n {
-            rows[src] = (start as u32, i as u32);
-        }
-    }
-    rows
 }
 
 /// The files a snapshot captures: base relation, clustered index,
@@ -380,15 +367,5 @@ mod tests {
         assert!(res.inserted > 0);
         // The old snapshots are unaffected by the mutation.
         assert_eq!(a.ptc(&mut sa, 0).unwrap(), oracle(&g, 0));
-    }
-
-    #[test]
-    fn closure_rows_ranges_cover_and_partition() {
-        let tuples = vec![(0, 1), (0, 2), (2, 3), (5, 0)];
-        let rows = closure_rows(&tuples, 6);
-        assert_eq!(rows[0], (0, 2));
-        assert_eq!(rows[1], (0, 0), "empty row");
-        assert_eq!(rows[2], (2, 3));
-        assert_eq!(rows[5], (3, 4));
     }
 }

@@ -155,24 +155,32 @@ impl ReachIndex {
 
         let mut chain_starts = Vec::with_capacity(cd.width() + 1);
         let mut chains_w = TupleWriter::new(pager, FileKind::Index);
-        let mut start = 0usize;
-        for (c, chain) in cd.chains.iter().enumerate() {
-            chain_starts.push(start);
-            for &comp in chain {
-                chains_w.push(pager, (c as u32, comp))?;
-            }
-            start += chain.len();
-        }
-        let chains_file = chains_w.finish();
-
-        let k = cd.width();
         let mut labels_w = TupleWriter::new(pager, FileKind::SuccessorList);
-        for v in 0..cond.component_count() as NodeId {
-            for &p in labels.row(v) {
-                labels_w.push(pager, (v, p))?;
+        let written = (|| {
+            let mut start = 0usize;
+            for (c, chain) in cd.chains.iter().enumerate() {
+                chain_starts.push(start);
+                for &comp in chain {
+                    chains_w.push(pager, (c as u32, comp))?;
+                }
+                start += chain.len();
             }
+            for v in 0..cond.component_count() as NodeId {
+                for &p in labels.row(v) {
+                    labels_w.push(pager, (v, p))?;
+                }
+            }
+            Ok(())
+        })();
+        let (chains_file, labels_file) = (chains_w.finish(), labels_w.finish());
+        if let Err(e) = written {
+            // A half-written index is of no use: give its pages back
+            // (best effort — the write error is the one to report).
+            let _ = pager.free_file(chains_file.file_id());
+            let _ = pager.free_file(labels_file.file_id());
+            return Err(e);
         }
-        let labels_file = labels_w.finish();
+        let k = cd.width();
         tracer.emit(Event::LabelsBuilt {
             entries: (cond.component_count() * k) as u64,
             finite: labels.finite_entries(),

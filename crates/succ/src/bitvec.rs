@@ -5,24 +5,23 @@
 //! §6.2). Each list being expanded keeps one [`NodeBitVec`] recording
 //! which nodes are already present, so a union degenerates to a test+set
 //! per scanned entry.
+//!
+//! [`BitRow`] is the word array underneath: [`NodeBitVec`] adds the
+//! set list that makes its reset cheap, and [`crate::TupleRows`] keeps
+//! one per closure row that maintenance has written to.
 
-/// A fixed-size bit set over node ids with O(set-bits) reset.
-///
-/// `clear_fast` erases only the bits that were set, so reusing one vector
-/// across the expansion of many lists costs time proportional to the work
-/// done, not to `n` per list.
+/// A fixed-size bit set over node ids: test, set, unset, and the set
+/// ids in ascending order.
 #[derive(Clone, Debug)]
-pub struct NodeBitVec {
+pub struct BitRow {
     words: Vec<u64>,
-    set_list: Vec<u32>,
 }
 
-impl NodeBitVec {
-    /// Creates an empty bit vector over `n` node ids.
-    pub fn new(n: usize) -> NodeBitVec {
-        NodeBitVec {
+impl BitRow {
+    /// Creates an empty row over `n` node ids.
+    pub fn new(n: usize) -> BitRow {
+        BitRow {
             words: vec![0u64; n.div_ceil(64)],
-            set_list: Vec::new(),
         }
     }
 
@@ -36,7 +35,7 @@ impl NodeBitVec {
 
     /// Sets bit `v`; returns `true` if it was newly set.
     #[inline]
-    pub fn insert(&mut self, v: u32) -> bool {
+    pub fn set(&mut self, v: u32) -> bool {
         let idx = v as usize;
         debug_assert!(idx < self.words.len() * 64);
         let mask = 1u64 << (idx % 64);
@@ -44,9 +43,97 @@ impl NodeBitVec {
             false
         } else {
             self.words[idx / 64] |= mask;
-            self.set_list.push(v);
             true
         }
+    }
+
+    /// Clears bit `v`; returns `true` if it was set.
+    #[inline]
+    pub fn unset(&mut self, v: u32) -> bool {
+        let idx = v as usize;
+        debug_assert!(idx < self.words.len() * 64);
+        let mask = 1u64 << (idx % 64);
+        if self.words[idx / 64] & mask == 0 {
+            false
+        } else {
+            self.words[idx / 64] &= !mask;
+            true
+        }
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The set node ids, ascending.
+    pub fn ones(&self) -> Ones<'_> {
+        Ones {
+            words: &self.words,
+            next_word: 0,
+            current: 0,
+        }
+    }
+}
+
+/// Ascending iterator over the set bits of a [`BitRow`].
+#[derive(Clone, Debug)]
+pub struct Ones<'a> {
+    words: &'a [u64],
+    next_word: usize,
+    /// Unvisited bits of word `next_word - 1`.
+    current: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        while self.current == 0 {
+            self.current = *self.words.get(self.next_word)?;
+            self.next_word += 1;
+        }
+        let bit = self.current.trailing_zeros();
+        self.current &= self.current - 1;
+        Some((self.next_word as u32 - 1) * 64 + bit)
+    }
+}
+
+/// A fixed-size bit set over node ids with O(set-bits) reset.
+///
+/// `clear_fast` erases only the bits that were set, so reusing one vector
+/// across the expansion of many lists costs time proportional to the work
+/// done, not to `n` per list.
+#[derive(Clone, Debug)]
+pub struct NodeBitVec {
+    bits: BitRow,
+    set_list: Vec<u32>,
+}
+
+impl NodeBitVec {
+    /// Creates an empty bit vector over `n` node ids.
+    pub fn new(n: usize) -> NodeBitVec {
+        NodeBitVec {
+            bits: BitRow::new(n),
+            set_list: Vec::new(),
+        }
+    }
+
+    /// Tests bit `v`.
+    #[inline]
+    pub fn contains(&self, v: u32) -> bool {
+        self.bits.contains(v)
+    }
+
+    /// Sets bit `v`; returns `true` if it was newly set.
+    #[inline]
+    pub fn insert(&mut self, v: u32) -> bool {
+        let fresh = self.bits.set(v);
+        if fresh {
+            self.set_list.push(v);
+        }
+        fresh
     }
 
     /// Number of set bits.
@@ -62,13 +149,13 @@ impl NodeBitVec {
     /// Clears all set bits in O(set-bits).
     pub fn clear_fast(&mut self) {
         for &v in &self.set_list {
-            self.words[v as usize / 64] = 0;
+            self.bits.words[v as usize / 64] = 0;
         }
         // Whole-word zeroing above may clear neighbours of still-listed
         // bits that share a word — but every set bit is in set_list, so
         // every word touched is fully accounted for and ends zero.
         self.set_list.clear();
-        debug_assert!(self.words.iter().all(|&w| w == 0));
+        debug_assert!(self.bits.words.iter().all(|&w| w == 0));
     }
 
     /// The set node ids, in insertion order.
@@ -118,5 +205,27 @@ mod tests {
         b.insert(128);
         assert!(b.contains(63) && b.contains(64) && b.contains(127) && b.contains(128));
         assert!(!b.contains(65));
+    }
+
+    #[test]
+    fn bit_row_sets_unsets_and_lists_ascending() {
+        for n in [0usize, 1, 63, 64, 65, 200] {
+            let mut row = BitRow::new(n);
+            assert_eq!(row.ones().count(), 0, "n = {n}");
+            let ids: Vec<u32> = (0..n as u32).filter(|v| v % 3 != 1).collect();
+            for &v in ids.iter().rev() {
+                assert!(row.set(v));
+                assert!(!row.set(v), "second set of {v} reports fresh");
+            }
+            assert_eq!(row.ones().collect::<Vec<_>>(), ids, "n = {n}");
+            assert_eq!(row.count_ones(), ids.len());
+            for &v in &ids {
+                assert!(row.contains(v));
+                assert!(row.unset(v));
+                assert!(!row.unset(v), "second unset of {v} reports set");
+                assert!(!row.contains(v));
+            }
+            assert_eq!(row.count_ones(), 0);
+        }
     }
 }

@@ -13,7 +13,9 @@
 //! * [`ListCursor`] — page-batched sequential readers charging I/O
 //!   through the pool;
 //! * [`NodeBitVec`] — the bit-vector duplicate elimination the paper
-//!   found to cost under 6% of CPU (§6.2);
+//!   found to cost under 6% of CPU (§6.2), over the plain [`BitRow`];
+//! * [`TupleRows`] — a closure relation as a sorted tuple list plus a
+//!   bit row per source written to, for dynamic maintenance;
 //! * [`tree`] — the successor spanning-tree encoding (parent stored once,
 //!   negated, followed by its children) and its skip-union, plus the
 //!   special-node predecessor trees of Compute_Tree.
@@ -24,10 +26,12 @@
 pub mod bitvec;
 pub mod cursor;
 pub mod policy;
+pub mod rows;
 pub mod store;
 pub mod tree;
 
-pub use bitvec::NodeBitVec;
+pub use bitvec::{BitRow, NodeBitVec};
 pub use cursor::ListCursor;
 pub use policy::ListPolicy;
+pub use rows::{row_offsets, TupleRows};
 pub use store::{SuccStats, SuccStore};

@@ -112,11 +112,13 @@ fn update(args: &UpdateArgs) -> Result<(), String> {
         args.seed,
     );
     let mut total_io = 0u64;
+    let mut total_elapsed = Duration::ZERO;
     for (i, batch) in stream.batches().iter().enumerate() {
         let res = dyn_tc.apply(batch).map_err(|e| e.to_string())?;
         total_io += res.metrics.total_io();
+        total_elapsed += res.metrics.elapsed;
         eprintln!(
-            "batch {}: {} ops, +{} -{} tuples, {} page I/O ({} restructure + {} compute)",
+            "batch {}: {} ops, +{} -{} tuples, {} page I/O ({} restructure + {} compute), {:.1} ms",
             i + 1,
             batch.len(),
             res.inserted,
@@ -124,6 +126,7 @@ fn update(args: &UpdateArgs) -> Result<(), String> {
             res.metrics.total_io(),
             res.metrics.restructure_io.total(),
             res.metrics.compute_io.total(),
+            res.metrics.elapsed.as_secs_f64() * 1e3,
         );
     }
     if let Some((path, sink)) = sink {
@@ -131,12 +134,13 @@ fn update(args: &UpdateArgs) -> Result<(), String> {
         eprintln!("trace written to {path}");
     }
     eprintln!(
-        "{} stream done: {} ops in {} batches, closure now {} tuples, {} total page I/O",
+        "{} stream done: {} ops in {} batches, closure now {} tuples, {} total page I/O, {:.1} ms",
         args.stream.name(),
         stream.op_count(),
         stream.batches().len(),
         dyn_tc.tuple_count(),
         total_io,
+        total_elapsed.as_secs_f64() * 1e3,
     );
     Ok(())
 }

@@ -1,12 +1,12 @@
 //! Model-based property tests: the stateful substrates (buffer pool,
-//! successor store) against trivial in-memory reference models under
-//! randomized operation sequences, on the `tc-det` harness.
+//! successor store, closure rows) against trivial in-memory reference
+//! models under randomized operation sequences, on the `tc-det` harness.
 
 use tc_study::buffer::{BufferPool, PagePolicy};
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require, require_eq, Rng};
 use tc_study::storage::{DiskSim, FileKind, Page, PageId, PageStore, Pager, SuccEntry};
-use tc_study::succ::{ListCursor, ListPolicy, SuccStore};
+use tc_study::succ::{row_offsets, ListCursor, ListPolicy, SuccStore, TupleRows};
 
 // ---------------------------------------------------------------------
 // Buffer pool vs. a flat array of page images.
@@ -334,6 +334,126 @@ fn flat_tag_invariant() {
                     require!(rest.iter().all(|e| !e.tagged), "non-last entry tagged");
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
+// Closure rows vs. BTreeSet<(u32, u32)>.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum RowOp {
+    Insert(u32, u32),
+    Remove(u32, u32),
+    Contains(u32, u32),
+    /// Removes every tuple of one row, one `remove` at a time.
+    EmptyRow(u32),
+}
+
+/// Over a random sorted base list, any sequence of writes and reads
+/// answers like a `BTreeSet`, reads back ascending, counts its delta
+/// against the base, and gives a bit row to exactly the sources an
+/// effective write went to. Sizes sit on and around the word boundary;
+/// sparse bases leave empty rows and sources that occur only as
+/// destinations.
+#[test]
+fn tuple_rows_refine_btreeset() {
+    use std::collections::BTreeSet;
+    Checker::new("tuple_rows_refine_btreeset").cases(96).run(
+        |rng| {
+            let n = match rng.random_range(0..8u32) {
+                0 => 0,
+                1 => 1,
+                2 => 63,
+                3 => 64,
+                4 => 65,
+                _ => rng.random_range(2..140usize),
+            };
+            let id = |r: &mut Rng| r.random_range(0..n.max(1)) as u32;
+            // Half the cases draw sources from a few nodes only, so most
+            // rows start empty and many nodes are destinations only.
+            let few = rng.random_range(0..2u32) == 0;
+            let src = |r: &mut Rng| if few { id(r) % 5 } else { id(r) };
+            let base: BTreeSet<(u32, u32)> = if n == 0 {
+                BTreeSet::new()
+            } else {
+                check::vec_of(rng, 0..300, |r| (src(r), id(r)))
+                    .into_iter()
+                    .collect()
+            };
+            let ops = if n == 0 {
+                Vec::new()
+            } else {
+                check::vec_of(rng, 0..200, |r| match r.random_range(0..8u32) {
+                    0..=2 => RowOp::Insert(id(r), id(r)),
+                    3..=4 => RowOp::Remove(src(r), id(r)),
+                    5..=6 => RowOp::Contains(src(r), id(r)),
+                    _ => RowOp::EmptyRow(src(r)),
+                })
+            };
+            (n, base.into_iter().collect::<Vec<_>>(), ops)
+        },
+        |(n, base, ops)| {
+            check::shrink_vec(ops)
+                .into_iter()
+                .map(|o| (*n, base.clone(), o))
+                .collect()
+        },
+        |(n, base, ops)| {
+            let n = *n;
+            let mut rows = TupleRows::new(n, base);
+            let mut model: BTreeSet<(u32, u32)> = base.iter().copied().collect();
+            let mut written: BTreeSet<u32> = BTreeSet::new();
+            for op in ops {
+                match *op {
+                    RowOp::Insert(s, d) => {
+                        let fresh = model.insert((s, d));
+                        require_eq!(rows.insert(s, d), fresh, "insert ({}, {})", s, d);
+                        if fresh {
+                            written.insert(s);
+                        }
+                    }
+                    RowOp::Remove(s, d) => {
+                        let present = model.remove(&(s, d));
+                        require_eq!(rows.remove(s, d), present, "remove ({}, {})", s, d);
+                        if present {
+                            written.insert(s);
+                        }
+                    }
+                    RowOp::Contains(s, d) => {
+                        require_eq!(rows.contains(s, d), model.contains(&(s, d)));
+                    }
+                    RowOp::EmptyRow(s) => {
+                        let row: Vec<u32> = rows.row(s).collect();
+                        for &d in &row {
+                            require!(model.remove(&(s, d)), "row {s} lists absent {d}");
+                            require!(rows.remove(s, d), "remove of listed ({s}, {d})");
+                            written.insert(s);
+                        }
+                        require_eq!(rows.row(s).count(), 0, "row {} after emptying", s);
+                    }
+                }
+            }
+            let expected: Vec<(u32, u32)> = model.iter().copied().collect();
+            require_eq!(rows.iter().collect::<Vec<_>>(), expected);
+            for s in 0..n as u32 {
+                let row: Vec<u32> = model.range((s, 0)..=(s, u32::MAX)).map(|t| t.1).collect();
+                require_eq!(rows.row(s).collect::<Vec<_>>(), row, "row {}", s);
+            }
+            let inserted = expected.iter().filter(|t| base.binary_search(t).is_err());
+            let removed = base.iter().filter(|t| !model.contains(t));
+            require_eq!(
+                rows.delta(),
+                (inserted.count() as u64, removed.count() as u64)
+            );
+            require_eq!(rows.row_offsets(), row_offsets(n, &expected));
+            require_eq!(
+                rows.touched().collect::<Vec<_>>(),
+                written.into_iter().collect::<Vec<_>>(),
+                "bit rows exist for exactly the written sources"
+            );
             Ok(())
         },
     );
