@@ -149,8 +149,9 @@ impl IoCostModel {
 }
 
 /// The in-memory medium: page images plus the [`Page::checksum`] of
-/// each, recorded on write and verified on read while a fault plan is
-/// armed (silent corruption is detected, never absorbed).
+/// each (the one function all media use; the file medium keeps it in
+/// its slot header), recorded on write and verified on read while a
+/// fault plan is armed (silent corruption is detected, never absorbed).
 #[derive(Default)]
 pub struct Mem {
     pages: Vec<Page>,

@@ -15,34 +15,44 @@
 //!
 //!   ```text
 //!   offset  size  field
-//!        0     4  magic "TCP1" (little-endian u32)
+//!        0     4  magic "TCP2" (little-endian u32)
 //!        4     4  page id (must equal the slot index)
-//!        8     8  FNV-1a 64 checksum of the 2048 payload bytes
+//!        8     8  [`Page::checksum`] of the page image
 //!       16  2048  page image
 //!   ```
 //!
-//!   The checksum is byte-wise FNV-1a, fixed by the on-disk format; the
-//!   in-memory media's [`Page::checksum`] folds 8-byte words. Either
-//!   detects any single flipped byte, so all media agree on what
-//!   "corrupt" means. Reads *always* verify header and checksum; a
-//!   mismatch (or a slot truncated by a crash mid-write) surfaces as
-//!   [`StorageError::ChecksumMismatch`] — the same typed error the
-//!   simulator raises under fault injection.
+//!   All media use one function: the header holds the same
+//!   [`Page::checksum`] the in-memory media record, so "corrupt" means
+//!   the same thing everywhere and a page costs one lane-parallel fold,
+//!   not a byte-serial hash. Reads *always* verify magic, page id and
+//!   checksum; a mismatch (or a slot truncated by a crash mid-write)
+//!   surfaces as [`StorageError::ChecksumMismatch`] — the same typed
+//!   error the simulator raises under fault injection. A page moves
+//!   with one positional syscall (`pread`/`pwrite` through
+//!   [`std::os::unix::fs::FileExt`]); this module is Unix-only, like the
+//!   platforms the repository builds and tests on, and has no fallback
+//!   path.
 //!
-//! * **`manifest.tcm`** — the store metadata: the file directory (kind +
-//!   page list per file), the page→file map and the persistent free-page
-//!   list, finished by an FNV-1a checksum of the manifest bytes. It is
-//!   replaced atomically on [`PageStore::sync`] (write to `manifest.tmp`,
-//!   fsync, rename), so a crash leaves either the old or the new
-//!   manifest, never a torn one.
+//! * **`manifest.tcm`** — the store metadata: magic `"TCM1"`, format
+//!   version 2, the file directory (kind + page list per file), the
+//!   page→file map and the persistent free-page list, finished by a
+//!   byte-wise FNV-1a checksum of the manifest bytes. It is replaced
+//!   atomically on [`PageStore::sync`] (write to `manifest.tmp`, fsync,
+//!   rename), so a crash leaves either the old or the new manifest,
+//!   never a torn one.
+//!
+//! Format 1 (slot magic `"TCP1"`, byte-wise FNV-1a slot checksums,
+//! manifest version 1) has no reader: [`FileStore::open`] refuses such a
+//! directory by its manifest version before it looks at any slot.
 //!
 //! # Recovery
 //!
 //! [`FileStore::open`] reads the manifest (rejecting one whose checksum
-//! does not match) and then scans every allocated slot, classifying
-//! damage into a [`RecoveryReport`]: *torn* pages (slot cut short by a
-//! crash — the segment ends mid-slot) and *corrupt* pages (slot present
-//! but header or CRC wrong, e.g. a bit flip). Damaged pages stay
+//! or version does not match) and then scans every allocated slot, in
+//! sequential chunks of whole slots, classifying damage into a
+//! [`RecoveryReport`]: *torn* pages (slot cut short by a crash — the
+//! segment ends mid-slot) and *corrupt* pages (slot present but header
+//! or checksum wrong, e.g. a bit flip). Damaged pages stay
 //! readable-as-errors: accessing one returns the typed error rather than
 //! absorbing bad bytes into query answers.
 //!
@@ -58,29 +68,32 @@ use crate::medium::{Catalog, FileMeta, Medium};
 use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::store::{PageStore, Store};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Slot header magic: `"TCP1"` (transitive-closure page, format 1).
-const PAGE_MAGIC: u32 = u32::from_le_bytes(*b"TCP1");
+/// Slot header magic: `"TCP2"` (transitive-closure page, format 2).
+const PAGE_MAGIC: u32 = u32::from_le_bytes(*b"TCP2");
 /// Manifest magic: `"TCM1"`.
 const MANIFEST_MAGIC: u32 = u32::from_le_bytes(*b"TCM1");
-/// Manifest format version.
-const MANIFEST_VERSION: u32 = 1;
+/// Manifest format version; names the slot format beside it.
+const MANIFEST_VERSION: u32 = 2;
 /// Slot header size: magic (4) + page id (4) + checksum (8).
 pub const HEADER_SIZE: usize = 16;
 /// On-disk slot size: header + page image.
 pub const SLOT_SIZE: usize = HEADER_SIZE + PAGE_SIZE;
+/// Slots the recovery scan reads per syscall (a buffer under 256 KB).
+const SCAN_SLOTS: usize = (256 << 10) / SLOT_SIZE;
 
 /// Segment file name inside a store directory.
 pub const SEGMENT_FILE: &str = "pages.tcs";
 /// Manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.tcm";
 
-/// Byte-wise FNV-1a 64 over an arbitrary byte slice: the on-disk
-/// checksum of slot payloads and of the manifest.
+/// Byte-wise FNV-1a 64: the checksum of the (small) manifest. Page
+/// images use [`Page::checksum`].
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
@@ -202,101 +215,103 @@ impl Segment {
         })
     }
 
-    fn seek_to(&mut self, pid: PageId) -> StorageResult<()> {
-        let off = pid.index() as u64 * SLOT_SIZE as u64;
-        self.file
-            .seek(SeekFrom::Start(off))
-            .map(drop)
-            .map_err(|e| os_err("seek segment", e))
-    }
-
-    /// Reads slot `pid` into `self.slot`. Bytes past the end of the
-    /// segment read as zero, so a slot cut short fails verification.
+    /// Reads slot `pid` into `self.slot`. A slot the segment ends before
+    /// or inside is torn whatever its surviving bytes say (a lost tail of
+    /// zeros would otherwise read back "intact"): it loads as all zero,
+    /// which has no valid magic, so verification reports it.
     fn load_slot(&mut self, pid: PageId) -> StorageResult<()> {
-        self.seek_to(pid)?;
-        let mut filled = 0;
-        while filled < SLOT_SIZE {
-            match self.file.read(&mut self.slot[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(os_err("read segment", e)),
+        match self.file.read_exact_at(&mut self.slot, slot_offset(pid)) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                self.slot.fill(0);
+                Ok(())
             }
+            Err(e) => Err(os_err("read segment", e)),
         }
-        self.slot[filled..].fill(0);
-        Ok(())
     }
 
-    /// Builds the on-disk image of `pid` with `payload` in `self.slot`.
-    fn encode_slot(&mut self, pid: PageId, payload: &[u8; PAGE_SIZE]) {
+    /// Builds the on-disk image of `pid` in `self.slot`: `payload` under
+    /// a header that carries `checksum`.
+    fn encode_slot(&mut self, pid: PageId, payload: &[u8; PAGE_SIZE], checksum: u64) {
         self.slot[0..4].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
         self.slot[4..8].copy_from_slice(&pid.0.to_le_bytes());
-        self.slot[8..16].copy_from_slice(&fnv1a(payload).to_le_bytes());
+        self.slot[8..16].copy_from_slice(&checksum.to_le_bytes());
         self.slot[HEADER_SIZE..].copy_from_slice(payload);
     }
 
     /// Writes `self.slot` as slot `pid`.
     fn store_slot(&mut self, pid: PageId) -> StorageResult<()> {
-        self.seek_to(pid)?;
         self.file
-            .write_all(&self.slot)
+            .write_all_at(&self.slot, slot_offset(pid))
             .map_err(|e| os_err("write segment", e))
     }
 
-    /// Verifies `self.slot` as the image of `pid`. The error carries the
-    /// checksums (a bad magic or page id reports the raw header checksum
-    /// field as `stored`).
-    fn verify_slot(&self, pid: PageId) -> StorageResult<()> {
-        let slot = &self.slot;
-        let magic = u32::from_le_bytes([slot[0], slot[1], slot[2], slot[3]]);
-        let hdr_pid = u32::from_le_bytes([slot[4], slot[5], slot[6], slot[7]]);
-        let stored = u64::from_le_bytes([
-            slot[8], slot[9], slot[10], slot[11], slot[12], slot[13], slot[14], slot[15],
-        ]);
-        let computed = fnv1a(&slot[HEADER_SIZE..]);
-        if magic != PAGE_MAGIC || hdr_pid != pid.0 || stored != computed {
-            return Err(StorageError::ChecksumMismatch {
-                pid,
-                stored,
-                computed,
-            });
-        }
-        Ok(())
-    }
-
-    /// Scans the first `pages` slots, classifying damage. Uncounted: this
-    /// is recovery, not query I/O.
-    fn scan(&mut self, pages: usize) -> StorageResult<RecoveryReport> {
+    /// Scans the first `pages` slots, classifying damage: a slot the
+    /// segment ends before or inside is torn, a whole one that fails
+    /// [`verify_slot`] is corrupt. Uncounted: this is recovery, not
+    /// query I/O.
+    fn scan(&self, pages: usize) -> StorageResult<RecoveryReport> {
         let len = self
             .file
             .metadata()
             .map_err(|e| os_err("stat segment", e))?
             .len();
+        let whole = (len / SLOT_SIZE as u64).min(pages as u64) as usize;
         let mut report = RecoveryReport::default();
-        for i in 0..pages {
-            let pid = PageId(i as u32);
-            let end = (i as u64 + 1) * SLOT_SIZE as u64;
-            if end > len {
-                report.torn_pages.push(pid);
-                continue;
-            }
-            self.load_slot(pid)?;
-            if self.verify_slot(pid).is_err() {
-                report.corrupt_pages.push(pid);
+        let mut chunk = vec![0u8; SCAN_SLOTS.min(whole) * SLOT_SIZE];
+        for first in (0..whole).step_by(SCAN_SLOTS) {
+            let slots = SCAN_SLOTS.min(whole - first);
+            let chunk = &mut chunk[..slots * SLOT_SIZE];
+            self.file
+                .read_exact_at(chunk, (first * SLOT_SIZE) as u64)
+                .map_err(|e| os_err("read segment", e))?;
+            for (i, slot) in chunk.chunks_exact(SLOT_SIZE).enumerate() {
+                let pid = PageId((first + i) as u32);
+                if verify_slot(slot, pid).is_err() {
+                    report.corrupt_pages.push(pid);
+                }
             }
         }
+        report
+            .torn_pages
+            .extend((whole..pages).map(|i| PageId(i as u32)));
         Ok(report)
     }
+}
+
+/// Byte offset of slot `pid` in the segment.
+fn slot_offset(pid: PageId) -> u64 {
+    pid.index() as u64 * SLOT_SIZE as u64
+}
+
+/// Verifies the [`SLOT_SIZE`] bytes of `slot` as the image of `pid`:
+/// magic, page id and checksum. The error carries the checksums (a bad
+/// magic or page id reports the raw header checksum field as `stored`).
+fn verify_slot(slot: &[u8], pid: PageId) -> StorageResult<()> {
+    let magic = u32::from_le_bytes([slot[0], slot[1], slot[2], slot[3]]);
+    let hdr_pid = u32::from_le_bytes([slot[4], slot[5], slot[6], slot[7]]);
+    let stored = u64::from_le_bytes([
+        slot[8], slot[9], slot[10], slot[11], slot[12], slot[13], slot[14], slot[15],
+    ]);
+    let computed = Page::checksum_of(&slot[HEADER_SIZE..]);
+    if magic != PAGE_MAGIC || hdr_pid != pid.0 || stored != computed {
+        return Err(StorageError::ChecksumMismatch {
+            pid,
+            stored,
+            computed,
+        });
+    }
+    Ok(())
 }
 
 impl Medium for Segment {
     /// Unlike the in-memory media (which trust their own memory unless a
     /// fault plan is armed), real bytes are *always* verified: a
-    /// truncated slot read back zero-padded fails the magic check, a
-    /// flipped bit fails the CRC.
+    /// truncated slot loads as zeros and fails the magic check, a
+    /// flipped bit fails the checksum.
     fn read(&mut self, pid: PageId, out: &mut Page, _verify: bool) -> StorageResult<()> {
         self.load_slot(pid)?;
-        self.verify_slot(pid)?;
+        verify_slot(&self.slot, pid)?;
         out.bytes_mut().copy_from_slice(&self.slot[HEADER_SIZE..]);
         Ok(())
     }
@@ -305,7 +320,7 @@ impl Medium for Segment {
     /// torn write flips a stored byte afterwards, so the next read
     /// detects the damage.
     fn write(&mut self, pid: PageId, data: &Page, tear_at: Option<usize>) -> StorageResult<()> {
-        self.encode_slot(pid, data.bytes());
+        self.encode_slot(pid, data.bytes(), data.checksum());
         if let Some(off) = tear_at {
             self.slot[HEADER_SIZE + off] ^= 0xFF;
         }
@@ -313,7 +328,7 @@ impl Medium for Segment {
     }
 
     fn zero(&mut self, pid: PageId) -> StorageResult<()> {
-        self.encode_slot(pid, &[0u8; PAGE_SIZE]);
+        self.encode_slot(pid, &[0u8; PAGE_SIZE], Page::ZERO_CHECKSUM);
         self.store_slot(pid)
     }
 
@@ -426,8 +441,11 @@ fn decode_manifest(buf: &[u8]) -> StorageResult<Catalog> {
     if take_u32(body, &mut pos)? != MANIFEST_MAGIC {
         return Err(bad_manifest("bad magic"));
     }
-    if take_u32(body, &mut pos)? != MANIFEST_VERSION {
-        return Err(bad_manifest("unsupported version"));
+    let version = take_u32(body, &mut pos)?;
+    if version != MANIFEST_VERSION {
+        return Err(bad_manifest(format!(
+            "unsupported version {version} (this build reads {MANIFEST_VERSION})"
+        )));
     }
     // Owners are checked against the file table once it is known.
     let page_file = take_ids(body, &mut pos, usize::MAX, FileId)?;

@@ -111,43 +111,93 @@ impl Page {
         self.bytes.fill(0);
     }
 
-    /// Checksum of the page image: FNV-1a (64-bit) folded over the
-    /// page's 256 little-endian 8-byte words instead of its bytes.
+    /// Checksum of the page image: four interleaved multiply-xorshift
+    /// lanes over the page's 256 little-endian 8-byte words (word `i`
+    /// feeds lane `i % 4`), folded into one value at the end. The one
+    /// integrity function of every medium: the in-memory media record it
+    /// at write or capture time, the file medium stores it in the slot
+    /// header.
     ///
-    /// Each step `h = (h ^ word) * prime` is a bijection of `h` for a
-    /// fixed word and of the word for a fixed `h` (the prime is odd), so
-    /// two images that differ in any one word — in particular by any
-    /// single flipped byte — always get different checksums.
+    /// Each lane step `h = (h ^ word) * P; h ^= h >> 32` is a bijection
+    /// of `h` for a fixed word and of the word for a fixed `h` (`P` is
+    /// odd, the xorshift is invertible), and the fold applies the same
+    /// step to each lane in turn, so it is a bijection in every lane.
+    /// Two images that differ in exactly one word — in particular by any
+    /// single flipped bit or byte — therefore *always* get different
+    /// checksums. Damage to several words is caught with probability
+    /// 1 − 2⁻⁶⁴, not certainty; the xorshift is what keeps a flipped high
+    /// bit from staying confined to the bits above it, where the same
+    /// flip in a second word would cancel it. The four lanes carry no
+    /// dependency on one another, so the cost is 64 dependent steps, not
+    /// 256 (or 2048, for a byte-wise hash).
     ///
-    /// The simulated disk records this at write time and verifies it on
-    /// read when fault injection is armed, so silent corruption is
+    /// A medium that cannot trust its bytes verifies it on every read,
+    /// the others while fault injection is armed, so silent corruption is
     /// *detected* (as [`crate::StorageError::ChecksumMismatch`]) rather
     /// than absorbed into query answers.
     pub fn checksum(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for chunk in self.bytes.chunks_exact(8) {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(chunk);
-            h = (h ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
+        Page::checksum_of(&self.bytes[..])
+    }
+
+    /// [`Page::checksum`] of a page image held outside a [`Page`] (a
+    /// slot of the file segment). `image` is [`PAGE_SIZE`] bytes.
+    pub(crate) fn checksum_of(image: &[u8]) -> u64 {
+        debug_assert_eq!(image.len(), PAGE_SIZE);
+        let mut lanes = LANE_SEEDS;
+        for group in image.chunks_exact(8 * LANES) {
+            for (lane, chunk) in lanes.iter_mut().zip(group.chunks_exact(8)) {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(chunk);
+                *lane = mix(*lane, u64::from_le_bytes(word));
+            }
         }
-        h
+        fold(lanes)
     }
 
     /// [`Page::checksum`] of a zero-filled page, for stores that hand out
     /// fresh pages.
     pub const ZERO_CHECKSUM: u64 = {
-        let mut h = FNV_OFFSET;
-        let mut words = PAGE_SIZE / 8;
-        while words > 0 {
-            h = h.wrapping_mul(FNV_PRIME);
-            words -= 1;
+        let mut lanes = LANE_SEEDS;
+        let mut word = 0;
+        while word < PAGE_SIZE / 8 {
+            lanes[word % LANES] = mix(lanes[word % LANES], 0);
+            word += 1;
         }
-        h
+        fold(lanes)
     };
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Independent dependency chains in [`Page::checksum`].
+const LANES: usize = 4;
+/// Lane start values (the SplitMix64 increment and its multiples), so a
+/// word moved to another lane meets a different state.
+const LANE_SEEDS: [u64; LANES] = [
+    0x9E37_79B9_7F4A_7C15,
+    0x3C6E_F372_FE94_F82A,
+    0xDAA6_6D2C_7DDF_743F,
+    0x78DD_E6E5_FD29_F054,
+];
+/// The odd multiplier of every step (SplitMix64's first finalizer).
+const MIX_PRIME: u64 = 0xBF58_476D_1CE4_E5B9;
+
+/// One checksum step: absorbs `word` into `h`. A bijection in either
+/// argument with the other fixed.
+#[inline]
+const fn mix(h: u64, word: u64) -> u64 {
+    let h = (h ^ word).wrapping_mul(MIX_PRIME);
+    h ^ (h >> 32)
+}
+
+/// Folds the lanes into the checksum, one [`mix`] per lane.
+const fn fold(lanes: [u64; LANES]) -> u64 {
+    let mut h = PAGE_SIZE as u64;
+    let mut lane = 0;
+    while lane < LANES {
+        h = mix(h, lanes[lane]);
+        lane += 1;
+    }
+    h
+}
 
 impl Default for Page {
     fn default() -> Self {
@@ -215,23 +265,75 @@ mod tests {
         assert_eq!(zero, Page::ZERO_CHECKSUM);
     }
 
-    #[test]
-    fn checksum_sees_a_flip_at_every_byte_offset() {
-        // On an empty and on a busy page: the word fold must not lose
-        // any byte position (e.g. to a chunking remainder).
+    /// A page with no zero word and no two equal words.
+    fn busy_page() -> Page {
         let mut busy = Page::new();
         for off in (0..PAGE_SIZE).step_by(4) {
             busy.put_u32(off, (off as u32).wrapping_mul(0x9E37_79B9) | 1);
         }
-        for base in [Page::new(), busy] {
-            let clean = base.checksum();
-            for off in 0..PAGE_SIZE {
-                for mask in [0x01u8, 0x80, 0xFF] {
-                    let mut p = base.clone();
-                    p.bytes_mut()[off] ^= mask;
-                    assert_ne!(p.checksum(), clean, "flip {mask:#04x} at byte {off}");
-                }
+        busy
+    }
+
+    #[test]
+    fn checksum_sees_every_single_bit_flip() {
+        // All 16,384 bits, on an empty and on a busy page: the lane fold
+        // must not lose any position (e.g. to a chunking remainder).
+        for mut page in [Page::new(), busy_page()] {
+            let clean = page.checksum();
+            for bit in 0..PAGE_SIZE * 8 {
+                let mask = 1u8 << (bit % 8);
+                page.bytes_mut()[bit / 8] ^= mask;
+                assert_ne!(page.checksum(), clean, "flip of bit {bit}");
+                page.bytes_mut()[bit / 8] ^= mask;
             }
+            assert_eq!(page.checksum(), clean);
+        }
+    }
+
+    #[test]
+    fn checksum_sees_every_same_bit_double_flip() {
+        // The same bit flipped in two different words: all 64 × C(256,2)
+        // pairs. A multiply-only fold keeps a flipped bit 63 as exactly
+        // bit 63 of the state, so a second flip of it cancels the first;
+        // the xorshift of every step is what rules that out.
+        let mut page = busy_page();
+        let clean = page.checksum();
+        let words = PAGE_SIZE / 8;
+        let mut missed = 0u32;
+        for bit in 0..64 {
+            let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+            for i in 0..words {
+                page.bytes_mut()[i * 8 + byte] ^= mask;
+                for j in i + 1..words {
+                    page.bytes_mut()[j * 8 + byte] ^= mask;
+                    missed += u32::from(page.checksum() == clean);
+                    page.bytes_mut()[j * 8 + byte] ^= mask;
+                }
+                page.bytes_mut()[i * 8 + byte] ^= mask;
+            }
+        }
+        assert_eq!(missed, 0, "double flips that left the checksum unchanged");
+    }
+
+    #[test]
+    fn checksum_depends_on_word_order() {
+        let base = busy_page();
+        let clean = base.checksum();
+        let swapped = |a: usize, b: usize| {
+            let mut p = base.clone();
+            for k in 0..8 {
+                p.bytes_mut().swap(a * 8 + k, b * 8 + k);
+            }
+            p.checksum()
+        };
+        for w in 0..PAGE_SIZE / 8 - LANES {
+            assert_ne!(swapped(w, w + 1), clean, "neighbours {w}, {}", w + 1);
+            assert_ne!(
+                swapped(w, w + LANES),
+                clean,
+                "lane mates {w}, {}",
+                w + LANES
+            );
         }
     }
 

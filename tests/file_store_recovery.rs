@@ -1,16 +1,19 @@
 //! Crash-safety tests for the file-backed store against *real* files:
-//! CRC detection of bit rot, torn-write detection on reopen, and
-//! free-page reuse keeping the segment from growing.
+//! CRC detection of bit rot, torn-write detection on reopen, free-page
+//! reuse keeping the segment from growing, refusal of the retired
+//! format 1, and the chunked recovery scan against a per-slot oracle.
 //!
 //! Every test works in a `TempDir`, so the on-disk artifacts vanish on
 //! drop — pass or fail.
 
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
-use tc_study::storage::file_store::SEGMENT_FILE;
+use tc_study::det::check::{shrink_vec, vec_of, Checker};
+use tc_study::det::{require, require_eq, Rng};
+use tc_study::storage::file_store::{MANIFEST_FILE, SEGMENT_FILE};
 use tc_study::storage::{
-    Backend, FileKind, FileStore, Page, PageStore, StorageError, TempDir, FILE_STORE_HEADER_SIZE,
-    FILE_STORE_SLOT_SIZE, PAGE_SIZE,
+    Backend, FileKind, FileStore, Page, PageId, PageStore, RecoveryReport, StorageError, TempDir,
+    FILE_STORE_HEADER_SIZE, FILE_STORE_SLOT_SIZE, PAGE_SIZE,
 };
 
 /// Creates a store in `dir`, writes one recognizable page, syncs, and
@@ -160,4 +163,226 @@ fn clean_reopen_round_trips_the_directory() {
     // The backend keeps its name stable for diagnostics.
     assert_eq!(store.backend_name(), "file");
     assert_eq!(Backend::file_temp().name(), "file");
+}
+
+/// Byte-wise FNV-1a 64: the manifest checksum, and format 1's slot
+/// checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn format_1_manifest_is_refused_by_name() {
+    // The empty format-1 manifest, built by hand: magic, version 1, no
+    // pages, no free pages, no files, checksum. There is no segment
+    // beside it, so a refusal that came after the manifest check would
+    // be an "open segment" error instead.
+    let tmp = TempDir::new("tc-recovery-format1").expect("tempdir");
+    let mut manifest = Vec::new();
+    manifest.extend_from_slice(b"TCM1");
+    for field in [1u32, 0, 0, 0] {
+        manifest.extend_from_slice(&field.to_le_bytes());
+    }
+    let checksum = fnv1a(&manifest);
+    manifest.extend_from_slice(&checksum.to_le_bytes());
+    assert_eq!(manifest.len(), 28);
+    std::fs::write(tmp.path().join(MANIFEST_FILE), &manifest).expect("write manifest");
+
+    match FileStore::open(tmp.path()) {
+        Err(StorageError::Backend { op, detail }) => {
+            assert_eq!(op, "decode manifest");
+            assert_eq!(detail, "unsupported version 1 (this build reads 2)");
+        }
+        Err(other) => panic!("wrong error: {other:?}"),
+        Ok(_) => panic!("a format-1 store was opened"),
+    }
+}
+
+#[test]
+fn format_1_slot_under_a_format_2_manifest_is_corrupt() {
+    let tmp = TempDir::new("tc-recovery-tcp1").expect("tempdir");
+    let slot = seed_store(tmp.path());
+
+    // Rewrite the slot header as format 1 wrote it: magic "TCP1" and the
+    // byte-wise FNV-1a of the (unchanged) payload.
+    let seg = tmp.path().join(SEGMENT_FILE);
+    let mut bytes = std::fs::read(&seg).expect("read segment");
+    let at = slot * FILE_STORE_SLOT_SIZE;
+    let checksum = fnv1a(&bytes[at + FILE_STORE_HEADER_SIZE..at + FILE_STORE_SLOT_SIZE]);
+    bytes[at..at + 4].copy_from_slice(b"TCP1");
+    bytes[at + 8..at + 16].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&seg, &bytes).expect("write segment");
+
+    let mut store = FileStore::open(tmp.path()).expect("open");
+    let pid = PageId(slot as u32);
+    assert_eq!(store.recovery().corrupt_pages, [pid]);
+    assert!(store.recovery().torn_pages.is_empty());
+    let mut page = Page::new();
+    assert!(matches!(
+        store.read_page(pid, &mut page),
+        Err(StorageError::ChecksumMismatch { .. })
+    ));
+}
+
+/// Slots `FileStore::open` reads per chunk (private there): page counts
+/// around its multiples put damage on both sides of a chunk boundary.
+const SCAN_SLOTS: usize = (256 << 10) / FILE_STORE_SLOT_SIZE;
+
+/// One damaged store: `pages` pages, then byte flips, then a cut.
+#[derive(Clone, Debug)]
+struct Damage {
+    pages: usize,
+    /// `(position, mask)`: the byte at `position % segment length` is
+    /// xor-ed with `mask` (never zero).
+    flips: Vec<(u64, u8)>,
+    /// `(slot, offset)`: the segment is cut at `offset` bytes into slot
+    /// `slot % pages`.
+    cut: Option<(usize, usize)>,
+}
+
+fn gen_damage(rng: &mut Rng) -> Damage {
+    let pages = if rng.random_bool(0.25) {
+        // An exact multiple of the chunk, one short, one over.
+        SCAN_SLOTS * rng.random_range(1..=2usize) + rng.random_range(0..3usize) - 1
+    } else {
+        rng.random_range(1..=300usize)
+    };
+    let flips = vec_of(rng, 0..12, |r| {
+        let slot = r.random_range(0..pages);
+        // Half the flips land in the 16 header bytes.
+        let within = if r.random_bool(0.5) {
+            r.random_range(0..FILE_STORE_HEADER_SIZE)
+        } else {
+            r.random_range(FILE_STORE_HEADER_SIZE..FILE_STORE_SLOT_SIZE)
+        };
+        let pos = (slot * FILE_STORE_SLOT_SIZE + within) as u64;
+        (pos, r.random_range(1..=255u32) as u8)
+    });
+    let cut = rng.random_bool(0.5).then(|| {
+        let offset = match rng.random_range(0..3u32) {
+            0 => 0,
+            1 => rng.random_range(1..FILE_STORE_HEADER_SIZE),
+            _ => rng.random_range(FILE_STORE_HEADER_SIZE..FILE_STORE_SLOT_SIZE),
+        };
+        (rng.random_range(0..pages), offset)
+    });
+    Damage { pages, flips, cut }
+}
+
+fn shrink_damage(d: &Damage) -> Vec<Damage> {
+    let mut out = Vec::new();
+    if d.cut.is_some() {
+        out.push(Damage {
+            cut: None,
+            ..d.clone()
+        });
+    }
+    out.extend(
+        shrink_vec(&d.flips)
+            .into_iter()
+            .map(|flips| Damage { flips, ..d.clone() }),
+    );
+    for pages in [d.pages / 2, d.pages - 1] {
+        if pages >= 1 && pages < d.pages {
+            out.push(Damage { pages, ..d.clone() });
+        }
+    }
+    out
+}
+
+/// Every fifth page of the property's store is never written and stays
+/// as `alloc` zeroed it.
+fn is_written(i: usize) -> bool {
+    i % 5 != 0
+}
+
+/// What page `i` of the property's store holds.
+fn expected_page(i: usize) -> Page {
+    let mut page = Page::new();
+    if is_written(i) {
+        for w in 0..(PAGE_SIZE / 4) {
+            page.put_u32(w * 4, (i as u32 + 1).wrapping_mul(0x9E37_79B9) ^ w as u32);
+        }
+    }
+    page
+}
+
+/// The oracle: is `slot`, looked at alone, a valid format-2 image of
+/// page `i`?
+fn slot_is_valid(slot: &[u8], i: usize) -> bool {
+    let mut payload = Page::new();
+    payload
+        .bytes_mut()
+        .copy_from_slice(&slot[FILE_STORE_HEADER_SIZE..]);
+    slot[0..4] == *b"TCP2"
+        && slot[4..8] == (i as u32).to_le_bytes()
+        && slot[8..16] == payload.checksum().to_le_bytes()
+}
+
+#[test]
+fn recovery_scan_matches_a_per_slot_oracle() {
+    Checker::new("recovery_scan_matches_a_per_slot_oracle").run(gen_damage, shrink_damage, |d| {
+        let tmp = TempDir::new("tc-recovery-oracle").map_err(|e| e.to_string())?;
+        {
+            let mut store = FileStore::create(tmp.path()).map_err(|e| e.to_string())?;
+            let f = store.new_file(FileKind::Relation);
+            for i in 0..d.pages {
+                let pid = store.alloc(f).map_err(|e| e.to_string())?;
+                require_eq!(pid.index(), i);
+                if is_written(i) {
+                    store
+                        .write_page(pid, &expected_page(i))
+                        .map_err(|e| e.to_string())?;
+                }
+            }
+            store.sync().map_err(|e| e.to_string())?;
+        }
+        let seg = tmp.path().join(SEGMENT_FILE);
+        let pristine = std::fs::read(&seg).map_err(|e| e.to_string())?;
+        require_eq!(pristine.len(), d.pages * FILE_STORE_SLOT_SIZE);
+        let mut damaged = pristine.clone();
+        for &(pos, mask) in &d.flips {
+            damaged[pos as usize % pristine.len()] ^= mask;
+        }
+        if let Some((slot, offset)) = d.cut {
+            damaged.truncate(slot % d.pages * FILE_STORE_SLOT_SIZE + offset);
+        }
+        std::fs::write(&seg, &damaged).map_err(|e| e.to_string())?;
+
+        let mut oracle = RecoveryReport::default();
+        for i in 0..d.pages {
+            let (from, to) = (i * FILE_STORE_SLOT_SIZE, (i + 1) * FILE_STORE_SLOT_SIZE);
+            if to > damaged.len() {
+                oracle.torn_pages.push(PageId(i as u32));
+                continue;
+            }
+            let valid = slot_is_valid(&damaged[from..to], i);
+            // The format oracle agrees with the ground truth: a
+            // whole slot is valid exactly when no byte of it moved.
+            require_eq!(valid, damaged[from..to] == pristine[from..to], "slot {i}");
+            if !valid {
+                oracle.corrupt_pages.push(PageId(i as u32));
+            }
+        }
+
+        let mut store = FileStore::open(tmp.path()).map_err(|e| e.to_string())?;
+        require_eq!(store.recovery(), &oracle);
+        let mut page = Page::new();
+        for i in 0..d.pages {
+            let pid = PageId(i as u32);
+            let read = store.read_page(pid, &mut page);
+            if oracle.torn_pages.contains(&pid) || oracle.corrupt_pages.contains(&pid) {
+                require!(
+                    matches!(read, Err(StorageError::ChecksumMismatch { .. })),
+                    "damaged page {i} read as {read:?}"
+                );
+            } else {
+                require!(read.is_ok(), "intact page {i} read as {read:?}");
+                require!(page == expected_page(i), "intact page {i} read back wrong");
+            }
+        }
+        Ok(())
+    });
 }

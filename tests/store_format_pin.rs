@@ -2,12 +2,19 @@
 //!
 //! A canonical three-file store is driven through every catalog
 //! transition (alloc, write, drop, LIFO realloc, sync) and the bytes of
-//! `pages.tcs` and `manifest.tcm` are digested. The constants were taken
-//! at the commit *before* the three page stores were folded into one
-//! `Store<M>` (this file uses only API that exists on both sides), so
-//! moving the slot and manifest encoders behind the medium cannot drift
-//! the format silently. A deliberate format change bumps the magic and
-//! re-pins here, with a CHANGES.md note.
+//! `pages.tcs` and `manifest.tcm` are digested, so moving or rewriting
+//! the slot and manifest encoders cannot drift the format silently. A
+//! deliberate format change bumps the magic and re-pins here, with a
+//! CHANGES.md note.
+//!
+//! Pinned format: **2**. Against format 1 the slot magic is `TCP2` (was
+//! `TCP1`), the slot header's checksum field holds `Page::checksum` (the
+//! four-lane word fold every medium uses; was a byte-wise FNV-1a that
+//! cost more than the page transfer it guarded) and the manifest says
+//! version 2 (was 1). Nothing moved or changed size: a slot is still 16
+//! + 2,048 bytes and the manifest layout is the same, which the lengths
+//! below pin separately from the digests so a size change cannot hide in
+//! a re-pin.
 
 use tc_study::storage::file_store::{MANIFEST_FILE, SEGMENT_FILE};
 use tc_study::storage::{FileKind, FileStore, Page, PageStore, TempDir, PAGE_SIZE};
@@ -28,8 +35,11 @@ fn stamped(tag: u32) -> Page {
     page
 }
 
-const SEGMENT_DIGEST: (usize, u64) = (12_384, 0xB1832AA67AB16BDD);
-const MANIFEST_DIGEST: (usize, u64) = (91, 0xEF0A034E8A15AE3D);
+/// Six slots of 2,064 bytes; the canonical manifest.
+const SEGMENT_LEN: usize = 12_384;
+const MANIFEST_LEN: usize = 91;
+const SEGMENT_DIGEST: u64 = 0xCAF1BAF85189EE65;
+const MANIFEST_DIGEST: u64 = 0x3EBF578225CCA6D7;
 
 #[test]
 fn segment_and_manifest_bytes_are_pinned() {
@@ -52,13 +62,17 @@ fn segment_and_manifest_bytes_are_pinned() {
     store.write_page(reused, &stamped(99)).expect("write");
     store.sync().expect("sync");
 
-    let digest = |name: &str| {
-        let bytes = std::fs::read(tmp.path().join(name)).expect("read store file");
-        (bytes.len(), fnv1a(&bytes))
-    };
+    let bytes = |name: &str| std::fs::read(tmp.path().join(name)).expect("read store file");
+    let (segment, manifest) = (bytes(SEGMENT_FILE), bytes(MANIFEST_FILE));
     assert_eq!(
-        (digest(SEGMENT_FILE), digest(MANIFEST_FILE)),
+        (segment.len(), manifest.len()),
+        (SEGMENT_LEN, MANIFEST_LEN),
+        "on-disk sizes changed (segment, manifest)"
+    );
+    let digests = (fnv1a(&segment), fnv1a(&manifest));
+    assert_eq!(
+        digests,
         (SEGMENT_DIGEST, MANIFEST_DIGEST),
-        "on-disk bytes changed (segment, manifest) as (len, fnv1a)"
+        "on-disk bytes changed (segment, manifest) as fnv1a: {digests:#018X?}"
     );
 }
