@@ -10,7 +10,9 @@ use tc_trace::{Event, Kind, Tracer};
 
 struct Frame {
     pid: PageId,
-    page: Page,
+    /// The frame's own copy of the page; `None` over a store that lends
+    /// its images, where a frame is residency bookkeeping only.
+    page: Option<Page>,
     dirty: bool,
     pins: u32,
 }
@@ -30,10 +32,20 @@ const NO_FRAME: u32 = u32::MAX;
 /// pool refuses to evict pinned frames, failing with
 /// [`StorageError::AllFramesPinned`] when nothing is evictable (the signal
 /// Hybrid uses to trigger dynamic reblocking).
+///
+/// Over a store whose medium lends its pages (a frozen capture:
+/// immutable and in memory) the pool owns no page images. Every request
+/// is counted, admitted, evicted, retried and traced by the same code;
+/// only the byte move of a miss is gone, and writing through such a pool
+/// is refused with [`StorageError::ReadOnlyStore`].
 pub struct BufferPool {
     store: Box<dyn PageStore>,
     capacity: usize,
     frames: Vec<Frame>,
+    /// Whether the store lends its pages ([`PageStore::lent`]): frames
+    /// then hold no image, a miss admits the read without moving bytes,
+    /// and readers borrow the store's own image.
+    lends: bool,
     /// The page table: frame index per page id, [`NO_FRAME`] when the
     /// page is not resident. Stores hand out page ids densely from 0
     /// and recycle them, so a request is one indexed load instead of a
@@ -66,15 +78,16 @@ impl BufferPool {
     ) -> BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         BufferPool {
-            store,
             capacity,
             frames: Vec::with_capacity(capacity),
+            lends: store.lent().is_some(),
             table: Vec::new(),
             free: Vec::new(),
             policy: policy.build(capacity),
             stats: BufferStats::default(),
             retry: RetryPolicy::default(),
             tracer: Tracer::disabled(),
+            store,
         }
     }
 
@@ -158,7 +171,8 @@ impl BufferPool {
     /// Verifies the pool's structural invariants, returning a description
     /// of the first violation found.
     ///
-    /// Checked: the pool never exceeds its capacity; every frame is
+    /// Checked: the pool never exceeds its capacity; every frame holds a
+    /// page image, or none does over a store that lends; every frame is
     /// accounted for exactly once (resident in the page table or on the
     /// free list); table entries point at frames holding that page; and
     /// free frames are unpinned and clean (an error path must never drop a
@@ -170,6 +184,17 @@ impl BufferPool {
                 "{} frames exceed capacity {}",
                 self.frames.len(),
                 self.capacity
+            ));
+        }
+        if let Some(f) = self
+            .frames
+            .iter()
+            .position(|fr| fr.page.is_none() != self.lends)
+        {
+            return Err(format!(
+                "frame {f} {} a page image (lends: {})",
+                if self.lends { "holds" } else { "lacks" },
+                self.lends
             ));
         }
         let mapped = self.table.iter().filter(|&&f| f != NO_FRAME).count();
@@ -254,8 +279,10 @@ impl BufferPool {
         let mut tally = RetryTally::default();
         let r = {
             let store = &mut self.store;
+            // A frame with no image of its own (the store lends them)
+            // has the read admitted in place.
             let page = &mut self.frames[f].page;
-            with_retries(&policy, &mut tally, || store.read_page(pid, page))
+            with_retries(&policy, &mut tally, || store.admit_read(pid, page.as_mut()))
         };
         self.tally_retries(tally);
         r
@@ -282,9 +309,10 @@ impl BufferPool {
         let r = {
             let store = &mut self.store;
             let frame = &self.frames[f];
-            with_retries(&policy, &mut tally, || {
-                store.write_page(frame.pid, &frame.page)
-            })
+            let Some(page) = &frame.page else {
+                return Err(StorageError::ReadOnlyStore);
+            };
+            with_retries(&policy, &mut tally, || store.write_page(frame.pid, page))
         };
         self.tally_retries(tally);
         r
@@ -431,7 +459,7 @@ impl BufferPool {
         if self.frames.len() < self.capacity {
             self.frames.push(Frame {
                 pid: PageId(u32::MAX),
-                page: Page::new(),
+                page: (!self.lends).then(Page::new),
                 dirty: false,
                 pins: 0,
             });
@@ -467,7 +495,14 @@ impl BufferPool {
 impl Pager for BufferPool {
     fn with_page<R>(&mut self, pid: PageId, f: &mut dyn FnMut(&Page) -> R) -> StorageResult<R> {
         let fr = self.fetch_counted(pid, true)?;
-        Ok(f(&self.frames[fr].page))
+        let page = match &self.frames[fr].page {
+            Some(page) => page,
+            None => {
+                let lent = self.store.lent().and_then(|set| set.page(pid));
+                lent.ok_or(StorageError::PageOutOfBounds(pid))?
+            }
+        };
+        Ok(f(page))
     }
 
     fn with_page_mut<R>(
@@ -475,9 +510,14 @@ impl Pager for BufferPool {
         pid: PageId,
         f: &mut dyn FnMut(&mut Page) -> R,
     ) -> StorageResult<R> {
+        if self.lends {
+            return Err(StorageError::ReadOnlyStore);
+        }
         let fr = self.fetch(pid)?;
-        self.frames[fr].dirty = true;
-        Ok(f(&mut self.frames[fr].page))
+        let frame = &mut self.frames[fr];
+        let page = frame.page.as_mut().ok_or(StorageError::ReadOnlyStore)?;
+        frame.dirty = true;
+        Ok(f(page))
     }
 
     /// Allocates a page in the store and materializes it dirty in the
@@ -495,7 +535,9 @@ impl Pager for BufferPool {
             read: false,
         });
         let f = self.take_frame()?;
-        self.frames[f].page.clear();
+        if let Some(page) = &mut self.frames[f].page {
+            page.clear();
+        }
         self.frames[f].pid = pid;
         self.frames[f].dirty = true;
         self.frames[f].pins = 0;

@@ -9,7 +9,9 @@
 //! `reach`/`ptc`/`path` queries concurrently:
 //!
 //! * the page images and catalog are shared behind one `Arc` — zero
-//!   copies per session;
+//!   copies per session, at open and after: a buffer pool over the
+//!   session's store borrows the images it reads (the store lends them)
+//!   instead of copying each missed page into a frame;
 //! * each session opens its **own** [`FrozenStore`] (and buffer pool
 //!   above it) via [`ClosedSnapshot::open_store`], so page reads never
 //!   contend on pool or counter state and per-session I/O metrics stay
@@ -24,7 +26,8 @@
 //! label row of `u`'s component ([`tc_reach::ReachIndex`]), `ptc(u)`
 //! reads exactly the closure pages holding row `u`, and `path(u, v)`
 //! walks guided by the index, probing base-relation children one node
-//! at a time.
+//! at a time. Accounting is by page requested; decoding is by need —
+//! `reach` requests the whole label row and decodes one entry of it.
 
 use crate::config::SystemConfig;
 use crate::database::Database;
@@ -33,7 +36,7 @@ use tc_graph::{Graph, NodeId};
 use tc_reach::ReachIndex;
 use tc_storage::{
     ClusteredIndex, FileId, FrozenPageSet, FrozenStore, Pager, RelationFile, StorageError,
-    StorageResult, TuplePage, TUPLES_PER_PAGE,
+    StorageResult,
 };
 
 /// An immutable, `Arc`-shared view of a closed database: catalog +
@@ -165,9 +168,8 @@ impl ClosedSnapshot {
             self.closure_rows[u as usize],
             self.closure_rows[u as usize + 1],
         );
-        if start < end {
-            read_value_range(pager, &self.closure, start as usize, end as usize, &mut out)?;
-        }
+        self.closure
+            .read_value_range(pager, start as usize, end as usize, &mut out)?;
         Ok(out)
     }
 
@@ -236,31 +238,6 @@ pub(crate) fn capture_set(
     let mut files = vec![db.relation.file_id(), db.index.file_id(), closure.file_id()];
     files.extend(reach.files());
     files
-}
-
-/// Reads the tuple *values* at global tuple indices `[start, end)` of a
-/// contiguously written relation file — the same access shape as the
-/// reach index's label-row reads: one page access per page touched.
-fn read_value_range<P: Pager>(
-    pager: &mut P,
-    file: &RelationFile,
-    start: usize,
-    end: usize,
-    out: &mut Vec<u32>,
-) -> StorageResult<()> {
-    let (lo, hi) = (start / TUPLES_PER_PAGE, (end - 1) / TUPLES_PER_PAGE);
-    for i in lo..=hi {
-        let count = file.tuples_on_page(i);
-        let base = i * TUPLES_PER_PAGE;
-        pager.with_page(file.pages()[i], &mut |pg: &tc_storage::Page| {
-            let s = start.saturating_sub(base);
-            let e = (end - base).min(count);
-            for slot in s..e {
-                out.push(TuplePage::get(pg, slot).1);
-            }
-        })?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -251,7 +251,8 @@ impl ReachIndex {
             return Ok(());
         }
         let start = v as usize * k;
-        read_value_range(pager, &self.labels_file, start, start + k, out)
+        self.labels_file
+            .read_value_range(pager, start, start + k, out)
     }
 
     /// Reads the components at positions `from_pos..` of chain `c` from
@@ -272,7 +273,7 @@ impl ReachIndex {
         }
         let start = self.chain_starts[c as usize] + from;
         let end = self.chain_starts[c as usize] + len;
-        read_value_range(pager, &self.chains_file, start, end, out)
+        self.chains_file.read_value_range(pager, start, end, out)
     }
 
     /// Whether `u` reaches `v` by a non-empty path, answered from the
@@ -282,9 +283,21 @@ impl ReachIndex {
         if a == b {
             return Ok(self.cond.members[a as usize].len() > 1);
         }
-        let mut row = Vec::with_capacity(self.cd.width());
-        self.label_row(pager, a, &mut row)?;
-        Ok(row[self.cd.chain_of[b as usize] as usize] <= self.cd.pos_of[b as usize])
+        // The cost of a lookup is defined as reading the label row, so
+        // every page of the row is requested, in order; the answer is one
+        // entry of it, and only that one is decoded.
+        let k = self.cd.width();
+        let start = a as usize * k;
+        let at = start + self.cd.chain_of[b as usize] as usize;
+        let mut entry = NO_POS;
+        for i in start / TUPLES_PER_PAGE..=(start + k - 1) / TUPLES_PER_PAGE {
+            pager.with_page(self.labels_file.pages()[i], &mut |pg: &tc_storage::Page| {
+                if i == at / TUPLES_PER_PAGE {
+                    entry = TuplePage::get(pg, at % TUPLES_PER_PAGE).1;
+                }
+            })?;
+        }
+        Ok(entry <= self.cd.pos_of[b as usize])
     }
 
     /// Whether `u` reaches `v` by a non-empty path, answered from the
@@ -296,30 +309,6 @@ impl ReachIndex {
         }
         self.labels.row(a)[self.cd.chain_of[b as usize] as usize] <= self.cd.pos_of[b as usize]
     }
-}
-
-/// Reads the tuple *values* at global tuple indices `[start, end)` of a
-/// contiguously written relation file, one page access per page touched.
-fn read_value_range<P: Pager>(
-    pager: &mut P,
-    file: &RelationFile,
-    start: usize,
-    end: usize,
-    out: &mut Vec<u32>,
-) -> StorageResult<()> {
-    let (lo, hi) = (start / TUPLES_PER_PAGE, (end - 1) / TUPLES_PER_PAGE);
-    for i in lo..=hi {
-        let count = file.tuples_on_page(i);
-        let base = i * TUPLES_PER_PAGE;
-        pager.with_page(file.pages()[i], &mut |pg: &tc_storage::Page| {
-            let s = start.saturating_sub(base);
-            let e = (end - base).min(count);
-            for slot in s..e {
-                out.push(TuplePage::get(pg, slot).1);
-            }
-        })?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -14,17 +14,17 @@
 //! wall-time track (latencies, queries/sec) remains free to vary.
 //!
 //! [`Service::publish`] swaps in a new snapshot while a serve is in
-//! flight: workers re-fetch the current `Arc` before every request and
-//! rebind their session when the epoch moved, so in-flight queries
-//! finish on the epoch they started with and each reply reflects
-//! exactly one consistent closure. Old snapshots die when the last
-//! session drops its `Arc`.
+//! flight: workers load the current epoch (one atomic, no lock) before
+//! every request and rebind their session when it moved, so in-flight
+//! queries finish on the epoch they started with and each reply
+//! reflects exactly one consistent closure. Old snapshots die when the
+//! last session drops its `Arc`.
 
 use crate::load::QueryStream;
 use crate::obs::ServeObs;
 use crate::request::{Reply, Request};
 use crate::session::{Session, SessionConfig, SessionStats};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -155,14 +155,22 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// The query service: the current snapshot plus the serve loop.
 pub struct Service {
     current: Mutex<Arc<tc_core::ClosedSnapshot>>,
+    /// Epoch of `current`, so a worker learns that nothing was
+    /// published without taking the lock. Stored (`Release`) while the
+    /// lock is held; a worker that loads (`Acquire`) an epoch other than
+    /// its session's then takes the lock and finds that snapshot or a
+    /// later one.
+    epoch: AtomicU64,
 }
 
 impl Service {
     /// Starts a service over `snapshot` (owned, or already shared
     /// behind an `Arc`).
     pub fn new(snapshot: impl Into<Arc<tc_core::ClosedSnapshot>>) -> Service {
+        let snapshot = snapshot.into();
         Service {
-            current: Mutex::new(snapshot.into()),
+            epoch: AtomicU64::new(snapshot.epoch()),
+            current: Mutex::new(snapshot),
         }
     }
 
@@ -175,7 +183,10 @@ impl Service {
     /// already being answered finish on the epoch they started; the
     /// next request of every session sees the new one.
     pub fn publish(&self, snap: impl Into<Arc<tc_core::ClosedSnapshot>>) {
-        *lock(&self.current) = snap.into();
+        let snap = snap.into();
+        let mut current = lock(&self.current);
+        self.epoch.store(snap.epoch(), Ordering::Release);
+        *current = snap;
     }
 
     /// Plays `stream` against the service with `cfg.workers` threads
@@ -271,7 +282,9 @@ impl Service {
         for (seq, req, posted) in rx {
             // Pick up a published snapshot between requests; the one in
             // hand keeps serving the request already being answered.
-            session.rebind(self.snapshot());
+            if self.epoch.load(Ordering::Acquire) != session.epoch() {
+                session.rebind(self.snapshot());
+            }
             let t0 = Instant::now();
             let queue_wait_ns = t0.saturating_duration_since(posted).as_nanos() as u64;
             match session.handle(&req) {

@@ -9,6 +9,12 @@
 //! the serving layer's determinism contract: which worker thread runs a
 //! session, and when, cannot change any counted number.
 //!
+//! The pool is private but holds no page images: a frozen store lends
+//! its own, so the pool keeps only who is resident. A miss is still a
+//! miss — a victim evicted, the read admitted through the store's whole
+//! checked, fault-injectable, counted and traced sequence — it just
+//! moves no bytes, and a session costs no `buffer_pages` × 2 KB.
+//!
 //! The hot-source cache is keyed on the source vertex and holds full
 //! `ptc` rows. Admission happens on `ptc` misses (the row was just paid
 //! for); `reach(u, v)` queries consult it first and answer by binary
@@ -130,7 +136,8 @@ impl SourceCache {
         self.entries.iter().find(|(k, _)| *k == u).map(|(_, v)| v)
     }
 
-    fn admit(&mut self, u: NodeId, row: Vec<NodeId>) {
+    /// Copies `row` only if it is actually stored.
+    fn admit(&mut self, u: NodeId, row: &[NodeId]) {
         if self.cap == 0 || self.get(u).is_some() {
             return;
         }
@@ -138,7 +145,7 @@ impl SourceCache {
             let victim = self.rng.random_range(0..self.entries.len());
             self.entries.swap_remove(victim);
         }
-        self.entries.push((u, row));
+        self.entries.push((u, row.to_vec()));
     }
 }
 
@@ -218,7 +225,7 @@ impl Session {
                     return Ok(Reply::Ptc(row.clone()));
                 }
                 let row = self.snapshot.ptc(&mut self.pool, u)?;
-                self.cache.admit(u, row.clone());
+                self.cache.admit(u, &row);
                 Ok(Reply::Ptc(row))
             }
             Request::Path { u, v } => Ok(Reply::Path(self.snapshot.path(&mut self.pool, u, v)?)),
@@ -235,8 +242,9 @@ impl Session {
         self.pool.stats()
     }
 
-    /// Physical pages read by this session (misses of its private pool
-    /// against the frozen images; writes are impossible).
+    /// Physical pages read by this session (misses of its private pool,
+    /// each admitted and charged by the frozen store; writes are
+    /// impossible).
     pub fn pages_read(&self) -> u64 {
         self.pool.store().stats().reads
     }

@@ -158,17 +158,11 @@ pub struct Mem {
     checksums: Vec<u64>,
 }
 
-/// Copies `image` into `out`, then checks it against the checksum
-/// `recorded` for it, if one is given. Shared by the in-memory media.
-pub(crate) fn read_image(
-    image: &Page,
-    recorded: Option<u64>,
-    pid: PageId,
-    out: &mut Page,
-) -> StorageResult<()> {
-    out.bytes_mut().copy_from_slice(image.bytes());
+/// Checks `image` against the checksum `recorded` for it, if one is
+/// given. Shared by the in-memory media.
+pub(crate) fn verify_image(image: &Page, recorded: Option<u64>, pid: PageId) -> StorageResult<()> {
     if let Some(stored) = recorded {
-        let computed = out.checksum();
+        let computed = image.checksum();
         if computed != stored {
             return Err(StorageError::ChecksumMismatch {
                 pid,
@@ -183,7 +177,8 @@ pub(crate) fn read_image(
 impl Medium for Mem {
     fn read(&mut self, pid: PageId, out: &mut Page, verify: bool) -> StorageResult<()> {
         let i = pid.index();
-        read_image(&self.pages[i], verify.then(|| self.checksums[i]), pid, out)
+        out.bytes_mut().copy_from_slice(self.pages[i].bytes());
+        verify_image(&self.pages[i], verify.then(|| self.checksums[i]), pid)
     }
 
     fn write(&mut self, pid: PageId, data: &Page, tear_at: Option<usize>) -> StorageResult<()> {

@@ -18,8 +18,15 @@
 //! Reads are counted, verified and traced by the same code as a
 //! [`crate::DiskSim`] read, so a served query's page accounting is
 //! bit-compatible with a direct engine run over the same pages.
+//!
+//! Because the images can never change and are already in memory, this
+//! is the one medium that *lends* them ([`Medium::lent`]): a reader
+//! above the store — the buffer pool — has each read admitted by that
+//! same code ([`PageStore::admit_read`] with no destination: bounds,
+//! fault plan, verification, charge, event) and then borrows the image
+//! through [`FrozenPageSet::page`] instead of receiving a 2 KB copy.
 
-use crate::disk::{read_image, FileId};
+use crate::disk::{verify_image, FileId};
 use crate::error::{StorageError, StorageResult};
 use crate::medium::{Catalog, FileMeta, Medium, NO_FILE};
 use crate::page::{Page, PageId};
@@ -80,6 +87,20 @@ impl FrozenPageSet {
     pub fn page_count(&self) -> usize {
         self.catalog.files.iter().map(|f| f.pages.len()).sum()
     }
+
+    /// The captured image of `pid` with its recorded checksum.
+    pub(crate) fn image(&self, pid: PageId) -> StorageResult<&(Page, u64)> {
+        match self.images.get(pid.index()) {
+            Some(Some(image)) => Ok(image),
+            _ => Err(StorageError::PageOutOfBounds(pid)),
+        }
+    }
+
+    /// The captured image of `pid`, if it was captured.
+    #[inline]
+    pub fn page(&self, pid: PageId) -> Option<&Page> {
+        self.image(pid).ok().map(|(image, _)| image)
+    }
 }
 
 /// The read-only medium: a shared [`FrozenPageSet`].
@@ -87,10 +108,13 @@ pub struct Frozen(Arc<FrozenPageSet>);
 
 impl Medium for Frozen {
     fn read(&mut self, pid: PageId, out: &mut Page, verify: bool) -> StorageResult<()> {
-        match self.0.images.get(pid.index()) {
-            Some(Some((image, sum))) => read_image(image, verify.then_some(*sum), pid, out),
-            _ => Err(StorageError::PageOutOfBounds(pid)),
-        }
+        let (image, sum) = self.0.image(pid)?;
+        out.bytes_mut().copy_from_slice(image.bytes());
+        verify_image(image, verify.then_some(*sum), pid)
+    }
+
+    fn lent(&self) -> Option<&FrozenPageSet> {
+        Some(&self.0)
     }
 
     fn write(&mut self, _: PageId, _: &Page, _: Option<usize>) -> StorageResult<()> {

@@ -35,6 +35,14 @@ impl TuplePage {
         page.put_u32(off + 4, dst);
     }
 
+    /// Appends the second components of slots `from..to` to `out`, in
+    /// one pass over the page bytes.
+    pub fn read_values(page: &Page, from: usize, to: usize, out: &mut Vec<u32>) {
+        debug_assert!(from <= to && to <= TUPLES_PER_PAGE);
+        let slots = page.bytes()[from * 8..to * 8].chunks_exact(8);
+        out.extend(slots.map(|t| u32::from_le_bytes([t[4], t[5], t[6], t[7]])));
+    }
+
     /// Reads the first `count` tuples of the page into `out`.
     pub fn read_all(page: &Page, count: usize, out: &mut Vec<(u32, u32)>) {
         debug_assert!(count <= TUPLES_PER_PAGE);

@@ -4,12 +4,13 @@
 //! A medium moves page images by id and nothing else: it does not count,
 //! trace, consult a fault plan or know which file a page belongs to. All
 //! of that lives once, in [`crate::Store`]. Adding a backend means
-//! implementing the six methods here (the shape of a minimal page store:
+//! implementing the methods here (the shape of a minimal page store:
 //! get bytes, put bytes, allocate, flush), each medium keeping its own
 //! integrity format in exactly one place.
 
 use crate::disk::{FileId, FileKind};
 use crate::error::{StorageError, StorageResult};
+use crate::frozen::FrozenPageSet;
 use crate::page::{Page, PageId};
 
 /// Where page images physically live.
@@ -42,6 +43,15 @@ pub trait Medium: Send {
 
     /// Short stable backend name (`"sim"`, `"file"`, `"frozen"`).
     fn name(&self) -> &'static str;
+
+    /// The page set this medium lends, if it is one whose images are in
+    /// memory and can never change: the core then admits a read without
+    /// moving the bytes, and the reader borrows the image in place for
+    /// as long as it needs it. Every other medium lends nothing and
+    /// readers keep their own copy.
+    fn lent(&self) -> Option<&FrozenPageSet> {
+        None
+    }
 
     /// Refuses mutation: a read-only medium answers
     /// [`StorageError::ReadOnlyStore`] and the core then leaves both the

@@ -174,19 +174,52 @@ impl RelationFile {
             let count = self.tuples_on_page(i);
             let mut past_key = false;
             pager.with_page(self.pages[i], &mut |pg: &Page| {
-                for slot in 0..count {
-                    let (k, v) = TuplePage::get(pg, slot);
-                    if k == key {
-                        out.push(v);
-                    } else if k > key {
-                        past_key = true;
-                        break;
+                // Tuples are clustered, so the key's run starts at the
+                // first slot not below it: bisect to it, then walk it.
+                let (mut a, mut b) = (0, count);
+                while a < b {
+                    let mid = (a + b) / 2;
+                    if TuplePage::get(pg, mid).0 < key {
+                        a = mid + 1;
+                    } else {
+                        b = mid;
                     }
                 }
+                let mut end = a;
+                while end < count && TuplePage::get(pg, end).0 == key {
+                    end += 1;
+                }
+                TuplePage::read_values(pg, a, end, out);
+                past_key = end < count;
             })?;
             if past_key {
                 break;
             }
+        }
+        Ok(())
+    }
+
+    /// Reads the tuple *values* at global tuple indices `[start, end)`
+    /// of a contiguously written file, appending them to `out`: one page
+    /// access per page touched, in page order.
+    pub fn read_value_range<P: Pager>(
+        &self,
+        pager: &mut P,
+        start: usize,
+        end: usize,
+        out: &mut Vec<u32>,
+    ) -> StorageResult<()> {
+        if start >= end {
+            return Ok(());
+        }
+        out.reserve_exact(end - start);
+        for i in start / TUPLES_PER_PAGE..=(end - 1) / TUPLES_PER_PAGE {
+            let base = i * TUPLES_PER_PAGE;
+            let from = start.saturating_sub(base);
+            let to = (end - base).min(self.tuples_on_page(i));
+            pager.with_page(self.pages[i], &mut |pg: &Page| {
+                TuplePage::read_values(pg, from, to, out);
+            })?;
         }
         Ok(())
     }

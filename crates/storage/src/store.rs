@@ -22,10 +22,11 @@
 //! implementation via the blanket impl below — the trait-object path for
 //! bulk loads and tests.
 
-use crate::disk::{DiskSim, DiskStats, FileId, FileKind};
+use crate::disk::{verify_image, DiskSim, DiskStats, FileId, FileKind};
 use crate::error::{StorageError, StorageResult};
 use crate::fault::{with_retries, FaultPlan, RetryPolicy, RetryTally};
 use crate::file_store::{FileStore, TempDir};
+use crate::frozen::FrozenPageSet;
 use crate::medium::{Catalog, FileMeta, Medium};
 use crate::page::{Page, PageId};
 use crate::pager::Pager;
@@ -73,7 +74,22 @@ pub trait PageStore: Send {
 
     /// Physically reads page `pid` into `out`, counting one read on
     /// success and emitting one `PageRead` event.
-    fn read_page(&mut self, pid: PageId, out: &mut Page) -> StorageResult<()>;
+    fn read_page(&mut self, pid: PageId, out: &mut Page) -> StorageResult<()> {
+        self.admit_read(pid, Some(out))
+    }
+
+    /// The read admission sequence, which every physical read runs:
+    /// bounds check, fault-plan consult, the medium (verifying the image
+    /// while a plan is armed), then one read charged and one `PageRead`
+    /// event. With `out` absent the image is admitted but not moved, for
+    /// a reader that borrows it from [`lent`](PageStore::lent) instead
+    /// (an error on a store that lends nothing).
+    fn admit_read(&mut self, pid: PageId, out: Option<&mut Page>) -> StorageResult<()>;
+
+    /// The page set this store lends its readers, if its medium is
+    /// immutable and in memory (a frozen capture); `None` on a medium
+    /// whose readers must keep their own copy of a page.
+    fn lent(&self) -> Option<&FrozenPageSet>;
 
     /// Physically writes `data` to page `pid`, counting one write on
     /// success and emitting one `PageWrite` event.
@@ -242,7 +258,7 @@ impl<M: Medium> PageStore for Store<M> {
     /// attempts are *not* counted: [`DiskStats`] records exactly the
     /// successful transfers, so a transient-fault run reports the same
     /// page-I/O metrics as a fault-free one.
-    fn read_page(&mut self, pid: PageId, out: &mut Page) -> StorageResult<()> {
+    fn admit_read(&mut self, pid: PageId, out: Option<&mut Page>) -> StorageResult<()> {
         let kind = self.catalog.page_kind(pid)?;
         let op = match self.fault.as_mut().map(|plan| plan.on_read(pid)) {
             Some(Err(e)) => {
@@ -252,7 +268,17 @@ impl<M: Medium> PageStore for Store<M> {
             Some(Ok(op)) => Some(op),
             None => None,
         };
-        if let Err(e) = self.medium.read(pid, out, op.is_some()) {
+        let verify = op.is_some();
+        let moved = match (out, self.medium.lent()) {
+            (Some(out), _) => self.medium.read(pid, out, verify),
+            (None, Some(set)) => set
+                .image(pid)
+                .and_then(|(image, sum)| verify_image(image, verify.then_some(*sum), pid)),
+            (None, None) => Err(StorageError::Internal(
+                "in-place read of a medium that lends no pages",
+            )),
+        };
+        if let Err(e) = moved {
             if matches!(e, StorageError::ChecksumMismatch { .. }) {
                 if let (Some(op), Some(plan)) = (op, self.fault.as_mut()) {
                     plan.on_detection(op, pid);
@@ -297,6 +323,10 @@ impl<M: Medium> PageStore for Store<M> {
             kind: Kind::from_idx(kind.idx()),
         });
         Ok(())
+    }
+
+    fn lent(&self) -> Option<&FrozenPageSet> {
+        self.medium.lent()
     }
 
     fn sync(&mut self) -> StorageResult<()> {

@@ -1,0 +1,235 @@
+//! The read path's cheaper decodes against what they replaced, kept
+//! here as oracles: `Fnv::u32`'s zero-byte fast path against byte-wise
+//! FNV-1a, `RelationFile::probe_range`'s in-page bisection against the
+//! linear slot scan, and `ReachIndex::reach`'s single-entry decode
+//! against reading the whole label row. Equal answers are not enough:
+//! each must also make the same page requests, because those are what
+//! the study counts.
+
+use tc_study::buffer::{BufferPool, PagePolicy};
+use tc_study::det::Rng;
+use tc_study::graph::{DagGenerator, NodeId};
+use tc_study::reach::{NullMeter, ReachIndex};
+use tc_study::storage::{
+    DiskSim, FileKind, Page, PageStore, Pager, RelationFile, Tuple, TuplePage, TUPLES_PER_PAGE,
+};
+use tc_study::trace::{Event, Fnv, Kind, Tracer};
+
+/// FNV-1a 64, one byte at a time.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn fnv_u32_fast_path_is_bytewise_fnv1a() {
+    let mut rng = Rng::from_seed(0xF17A);
+    let mut values = vec![0, 1, 0xFF, 0x100, 0xFFFF, 0x1_0000, 0x00FF_0000, u32::MAX];
+    for _ in 0..10_000 {
+        // Both sides of the 16-bit boundary, densely.
+        let x = rng.next_u32();
+        values.push(x >> rng.random_range(0..32u32));
+    }
+    // Each value alone, and all of them as one running digest (the
+    // fast path must leave the state right for whatever follows).
+    let (mut running, mut bytes) = (Fnv::new(), Vec::new());
+    for &x in &values {
+        let mut h = Fnv::new();
+        h.u32(x);
+        assert_eq!(h.finish(), fnv1a(&x.to_le_bytes()), "{x:#x}");
+        running.u32(x);
+        bytes.extend(x.to_le_bytes());
+    }
+    assert_eq!(running.finish(), fnv1a(&bytes));
+}
+
+#[test]
+fn fnv_event_digest_is_bytewise_over_a_mixed_stream() {
+    let mut rng = Rng::from_seed(0xE7E7);
+    let (mut h, mut bytes) = (Fnv::new(), Vec::new());
+    for i in 0..4_000u64 {
+        // Ids on both sides of the fast path's boundary.
+        let mut id = || rng.next_u32() >> [0, 12, 20, 28][rng.random_range(0..4usize)];
+        let (page, a, b) = (id(), id(), id());
+        let kind = Kind::from_idx((i % 6) as usize);
+        let (ev, tag, fields): (Event, u8, Vec<Vec<u8>>) = match i % 5 {
+            0 => (
+                Event::PageRead { page, kind },
+                5,
+                vec![page.to_le_bytes().into(), vec![kind.idx() as u8]],
+            ),
+            1 => (
+                Event::BufMiss { page, read: true },
+                10,
+                vec![page.to_le_bytes().into(), vec![1]],
+            ),
+            2 => (
+                Event::Retry {
+                    n: i,
+                    backoff_ms: a as u64,
+                },
+                15,
+                vec![i.to_le_bytes().into(), (a as u64).to_le_bytes().into()],
+            ),
+            3 => (
+                Event::TupleEmit { source: a, node: b },
+                27,
+                vec![a.to_le_bytes().into(), b.to_le_bytes().into()],
+            ),
+            _ => (
+                Event::ChainAssigned {
+                    comp: page,
+                    chain: a,
+                    pos: b,
+                },
+                36,
+                vec![
+                    page.to_le_bytes().into(),
+                    a.to_le_bytes().into(),
+                    b.to_le_bytes().into(),
+                ],
+            ),
+        };
+        h.event(&ev);
+        bytes.push(tag);
+        bytes.extend(fields.concat());
+    }
+    assert_eq!(h.finish(), fnv1a(&bytes));
+}
+
+/// Appends `len` tuples of `key` with distinct values.
+fn push_run(data: &mut Vec<Tuple>, key: u32, len: usize) {
+    let at = data.len() as u32;
+    data.extend((0..len as u32).map(|d| (key, at + d)));
+}
+
+/// `probe_range` as it was: every slot from the top of each page.
+fn probe_linear(
+    rel: &RelationFile,
+    pager: &mut DiskSim,
+    key: u32,
+    lo: usize,
+    hi: usize,
+    out: &mut Vec<u32>,
+) {
+    for i in lo..=hi.min(rel.page_count().saturating_sub(1)) {
+        let count = rel.tuples_on_page(i);
+        let mut past_key = false;
+        pager
+            .with_page(rel.pages()[i], &mut |pg: &Page| {
+                for slot in 0..count {
+                    let (k, v) = TuplePage::get(pg, slot);
+                    if k == key {
+                        out.push(v);
+                    } else if k > key {
+                        past_key = true;
+                        break;
+                    }
+                }
+            })
+            .unwrap();
+        if past_key {
+            break;
+        }
+    }
+}
+
+#[test]
+fn probe_range_bisection_matches_the_linear_scan() {
+    let mut rng = Rng::from_seed(0xB15E);
+    for case in 0..40 {
+        // Even keys only, so every odd key is absent; run lengths from
+        // one tuple to three pages' worth; the first relations are
+        // shaped by hand for the boundary cases.
+        let mut data: Vec<Tuple> = Vec::new();
+        match case {
+            // Key 2 starts mid-page and covers all of the next two.
+            0 => {
+                push_run(&mut data, 0, 100);
+                push_run(&mut data, 2, 2 * TUPLES_PER_PAGE + 156);
+                push_run(&mut data, 4, 10);
+            }
+            // Key 2 ends exactly on a page boundary, then on the file's.
+            1 => {
+                push_run(&mut data, 0, 56);
+                push_run(&mut data, 2, 200);
+                push_run(&mut data, 4, TUPLES_PER_PAGE);
+            }
+            _ => {
+                let mut key = 2 * rng.random_range(0..3u32);
+                let tuples = rng.random_range(1..1500usize);
+                while data.len() < tuples {
+                    let len = match rng.random_range(0..10u32) {
+                        0 => rng.random_range(200..800usize),
+                        _ => rng.random_range(1..12usize),
+                    };
+                    push_run(&mut data, key, len);
+                    key += 2 * rng.random_range(1..4u32);
+                }
+            }
+        }
+        let mut disk = DiskSim::new();
+        let rel = RelationFile::bulk_load(&mut disk, FileKind::Relation, &data).unwrap();
+        let last = rel.page_count() - 1;
+        let max_key = data[data.len() - 1].0;
+        for key in 0..=max_key + 2 {
+            // The whole file, and every narrower range a sparse-index
+            // probe could produce for the key (plus a page of slack).
+            let first = (data.partition_point(|t| t.0 < key) / TUPLES_PER_PAGE).min(last);
+            for (lo, hi) in [(0, last), (first, last), (first.saturating_sub(1), first)] {
+                let (mut fast, mut slow) = (Vec::new(), Vec::new());
+                let before = disk.stats().reads;
+                rel.probe_range(&mut disk, key, lo, hi, &mut fast).unwrap();
+                let fast_reads = disk.stats().reads - before;
+                probe_linear(&rel, &mut disk, key, lo, hi, &mut slow);
+                let slow_reads = disk.stats().reads - before - fast_reads;
+                assert_eq!(fast, slow, "case {case} key {key} pages {lo}..={hi}");
+                assert_eq!(
+                    fast_reads, slow_reads,
+                    "case {case} key {key} pages {lo}..={hi}: pages requested"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn reach_decodes_one_entry_but_requests_the_whole_row() {
+    let g = DagGenerator::new(240, 3.0, 30).seed(21).generate();
+    // Two identical builds, so both pools start in the same state.
+    let build = || {
+        let mut pool = BufferPool::new(DiskSim::new(), 3, PagePolicy::Lru);
+        let idx = ReachIndex::build(&mut pool, &g, &Tracer::disabled(), &mut NullMeter).unwrap();
+        (pool, idx)
+    };
+    let ((mut fast_pool, idx), (mut slow_pool, _)) = (build(), build());
+    assert!(
+        TUPLES_PER_PAGE % idx.width() != 0,
+        "some rows must straddle pages for the test to mean anything (k = {})",
+        idx.width()
+    );
+    let cd = idx.decomposition();
+    let mut row = Vec::new();
+    for u in 0..g.n() as NodeId {
+        for v in 0..g.n() as NodeId {
+            let fast = idx.reach(&mut fast_pool, u, v).unwrap();
+            let (a, b) = (idx.component(u), idx.component(v));
+            let slow = if a == b {
+                idx.condensation().members[a as usize].len() > 1
+            } else {
+                idx.label_row(&mut slow_pool, a, &mut row).unwrap();
+                row[cd.chain_of[b as usize] as usize] <= cd.pos_of[b as usize]
+            };
+            assert_eq!(fast, slow, "reach({u}, {v})");
+            assert_eq!(fast, idx.reach_mem(u, v), "reach({u}, {v}) vs memory");
+            assert_eq!(
+                fast_pool.stats(),
+                slow_pool.stats(),
+                "after reach({u}, {v})"
+            );
+            assert_eq!(fast_pool.store().stats(), slow_pool.store().stats());
+        }
+    }
+    assert!(fast_pool.stats().evictions > 0, "the pool never filled");
+}
