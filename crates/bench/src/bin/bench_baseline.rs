@@ -13,72 +13,20 @@
 //!
 //! The output is byte-deterministic at any `--jobs` value **and on
 //! either backend**, so a plain byte comparison is the whole gate.
-//! `--timing` additionally prints a non-gating wall-clock line (median /
-//! p95 of serial suite executions on the `tc-det` bench harness) to
-//! stderr for eyeballing backend overhead; it never affects the JSON or
-//! the exit code.
+//! Wall time is `benchmark/run.sh`'s job, not this binary's.
 
 use std::process::ExitCode;
 use tc_bench::baseline::{baseline_json_on, diff_report};
 use tc_storage::Backend;
 
 fn usage() {
-    eprintln!(
-        "usage: bench_baseline [--jobs N] [--backend sim|file|file:DIR] [--timing] \
-         [--time PATH] [--check PATH]"
-    );
-}
-
-/// Non-gating wall-time track: re-measures the G5 block of the suite
-/// with per-phase span attribution and writes `BENCH_TIME.json`-shaped
-/// output to `path`. Never touches stdout or the exit code.
-fn write_time_track(path: &str) -> Result<(), String> {
-    let iters = std::env::var("TC_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let cells = tc_bench::timetrack::baseline_time_cells(iters)
-        .map_err(|e| format!("time track failed: {e}"))?;
-    let json = tc_bench::timetrack::render_time_json(&cells);
-    std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-    eprintln!(
-        "wall-time track (non-gating): {} cells x {iters} iters -> {path}",
-        cells.len()
-    );
-    Ok(())
-}
-
-/// Non-gating wall-clock probe: run the whole suite serially a few times
-/// through the `tc-det` bench harness and report median/p95 to stderr.
-fn print_timing(backend: &Backend) {
-    let mut runner = tc_det::bench::Runner::new(1, 3);
-    let b = backend.clone();
-    runner
-        .group("baseline-suite")
-        .bench(
-            "suite-jobs1",
-            move || match tc_bench::baseline::run_suite_on(1, b.clone()) {
-                Ok(rows) => rows.len() as u64,
-                Err(_) => 0,
-            },
-        );
-    if let Some(rec) = runner.records().first() {
-        eprintln!(
-            "timing (non-gating): backend={} suite median {:.1} ms, p95 {:.1} ms, p99 {:.1} ms",
-            backend.name(),
-            rec.median_ns as f64 / 1e6,
-            rec.p95_ns as f64 / 1e6,
-            rec.p99_ns as f64 / 1e6,
-        );
-    }
+    eprintln!("usage: bench_baseline [--jobs N] [--backend sim|file|file:DIR] [--check PATH]");
 }
 
 fn main() -> ExitCode {
     let mut jobs = tc_bench::opts::default_jobs();
     let mut check: Option<String> = None;
     let mut backend = Backend::Sim;
-    let mut timing = false;
-    let mut time_path: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -110,18 +58,6 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--timing" => timing = true,
-            "--time" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => time_path = Some(path.clone()),
-                    None => {
-                        eprintln!("error: --time takes a path");
-                        usage();
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--check" => {
                 i += 1;
                 match args.get(i) {
@@ -149,15 +85,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if timing {
-        print_timing(&backend);
-    }
-    if let Some(path) = &time_path {
-        if let Err(e) = write_time_track(path) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     let Some(path) = check else {
         print!("{current}");
         return ExitCode::SUCCESS;

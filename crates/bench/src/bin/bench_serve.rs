@@ -1,36 +1,29 @@
-//! Serving benchmark: plays seeded query mixes against a frozen
-//! canonical-G5 snapshot and reports two strictly separated tracks.
+//! Serving gate: plays seeded query mixes against a frozen
+//! canonical-G5 snapshot and prints the deterministic track.
 //!
 //! ```text
-//! # deterministic track (stdout) + wall-time track (stderr):
 //! cargo run --release -p tc-bench --bin bench_serve -- --workers 4
 //!
 //! # CI byte-diff gate — stdout must be identical at any worker count:
 //! bench_serve --workers 1 > a.txt && bench_serve --workers 4 > b.txt && diff a.txt b.txt
 //! ```
 //!
-//! The **deterministic track** goes to stdout: per-mix stream digest,
-//! aggregate reply digest, replies, total pages read, and hot-source
-//! cache hit rate. It never mentions the worker count or any time, so
-//! a plain byte comparison across `--workers` values is the whole
-//! gate. The **wall-time track** goes to stderr in the `tc-det` bench
-//! harness's warmup/median/p95 shape (queries/sec and latency
-//! percentiles per mix) and never gates anything.
+//! Stdout carries, per mix: stream digest, aggregate reply digest,
+//! replies, total pages read, and hot-source cache hit rate. It never
+//! mentions the worker count or any time, so a plain byte comparison
+//! across `--workers` values is the whole gate. Serving wall time is
+//! measured by `benchmark/run.sh` (`serve_cold`, `serve_resident`).
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use tc_core::{ClosedSnapshot, SystemConfig};
 use tc_graph::DagGenerator;
-use tc_obs::LatencyHistogram;
-use tc_serve::{
-    LoopMode, MixSpec, QueryStream, ServeConfig, ServeObs, Service, CANONICAL_SERVE_SEED,
-};
+use tc_serve::{LoopMode, MixSpec, QueryStream, ServeConfig, Service, CANONICAL_SERVE_SEED};
 use tc_storage::Backend;
 
 fn usage() {
     eprintln!(
         "usage: bench_serve [--workers N] [--clients N] [--per-client N] \
-         [--backend sim|file|file:DIR] [--warmup N] [--iters N] [--time PATH]"
+         [--backend sim|file|file:DIR]"
     );
 }
 
@@ -39,9 +32,6 @@ struct Opts {
     clients: usize,
     per_client: usize,
     backend: Backend,
-    warmup: u32,
-    iters: u32,
-    time_path: Option<String>,
 }
 
 fn parse(args: &[String]) -> Result<Opts, String> {
@@ -50,9 +40,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
         clients: 4,
         per_client: 64,
         backend: Backend::Sim,
-        warmup: 1,
-        iters: 5,
-        time_path: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -71,22 +58,9 @@ fn parse(args: &[String]) -> Result<Opts, String> {
                     _ => o.per_client = n,
                 }
             }
-            "--warmup" | "--iters" => {
-                let n: u32 = value
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("{flag} takes a number"))?;
-                if flag == "--warmup" {
-                    o.warmup = n;
-                } else {
-                    o.iters = n.max(1);
-                }
-            }
             "--backend" => {
                 o.backend = Backend::parse(value.map(String::as_str).unwrap_or(""))
                     .map_err(|e| e.to_string())?;
-            }
-            "--time" => {
-                o.time_path = Some(value.ok_or("--time takes a path")?.clone());
             }
             other => return Err(format!("unknown argument {other}")),
         }
@@ -130,11 +104,7 @@ fn main() -> ExitCode {
         snapshot.closure_tuples()
     );
 
-    let service = Arc::new(Service::new(snapshot));
-    let mut runner = tc_det::bench::Runner::new(o.warmup, o.iters);
-    // One armed recorder per mix when --time is set; histograms
-    // accumulate across every probe iteration of that mix.
-    let mut per_mix_obs: Vec<(&str, ServeObs)> = Vec::new();
+    let service = Service::new(snapshot);
     for (name, mix) in MIXES {
         let stream = QueryStream::generate(
             g.n(),
@@ -163,105 +133,6 @@ fn main() -> ExitCode {
             report.digest(),
             report.pages_read(),
         );
-
-        // Wall-time track through the tc-det harness: each iteration
-        // replays the whole mix; the probed latencies ride stderr only.
-        let obs = if o.time_path.is_some() {
-            ServeObs::enabled()
-        } else {
-            ServeObs::disabled()
-        };
-        per_mix_obs.push((name, obs.clone()));
-        let svc = Arc::clone(&service);
-        let probe_cfg = serve_cfg.clone().observed(obs);
-        runner
-            .group(name)
-            .bench("serve", move || match svc.serve(&stream, &probe_cfg) {
-                Ok(r) => {
-                    eprintln!(
-                        "  {:>12}: {:>9.0} q/s  p50 {:>7} ns  p95 {:>7} ns  p99 {:>7} ns",
-                        "probe",
-                        r.qps(),
-                        r.latency_percentile_ns(50),
-                        r.latency_percentile_ns(95),
-                        r.latency_percentile_ns(99)
-                    );
-                    r.replies() as u64
-                }
-                Err(_) => 0,
-            });
-    }
-
-    eprintln!("wall-time track (non-gating), workers={}:", o.workers);
-    for rec in runner.records() {
-        eprintln!(
-            "  {}/{}: median {:.2} ms, p95 {:.2} ms, p99 {:.2} ms per mix replay",
-            rec.group,
-            rec.name,
-            rec.median_ns as f64 / 1e6,
-            rec.p95_ns as f64 / 1e6,
-            rec.p99_ns as f64 / 1e6
-        );
-    }
-    if let Some(path) = &o.time_path {
-        let json = render_time_json(&o, runner.records(), &per_mix_obs);
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wall-time track (non-gating) written to {path}");
     }
     ExitCode::SUCCESS
-}
-
-fn hist_json(h: &LatencyHistogram) -> String {
-    format!(
-        "{{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}}",
-        h.count(),
-        h.mean(),
-        h.percentile(50.0),
-        h.percentile(95.0),
-        h.percentile(99.0)
-    )
-}
-
-/// The serve side of `BENCH_TIME.json`: per-mix whole-replay quantiles
-/// from the `tc-det` harness plus per-reply service and queue-wait
-/// histograms accumulated across the probe iterations. Strictly
-/// non-gating; the deterministic track on stdout never mentions it.
-fn render_time_json(
-    o: &Opts,
-    records: &[tc_det::bench::Record],
-    per_mix_obs: &[(&str, ServeObs)],
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"suite\": \"tc-bench-serve-time-v1\",\n");
-    s.push_str("  \"gating\": false,\n");
-    s.push_str("  \"unit\": \"ns\",\n");
-    s.push_str(&format!("  \"workers\": {},\n", o.workers));
-    s.push_str("  \"mixes\": [\n");
-    for (i, (name, obs)) in per_mix_obs.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{name}\",\n"));
-        if let Some(rec) = records.iter().find(|r| r.group == *name) {
-            s.push_str(&format!(
-                "      \"replay\": {{\"iters\": {}, \"median_ns\": {}, \"p95_ns\": {}, \
-                 \"p99_ns\": {}, \"min_ns\": {}}},\n",
-                rec.iters, rec.median_ns, rec.p95_ns, rec.p99_ns, rec.min_ns
-            ));
-        }
-        let service = obs.service_histogram().unwrap_or_default();
-        let queue = obs.queue_wait_histogram().unwrap_or_default();
-        s.push_str(&format!("      \"service\": {},\n", hist_json(&service)));
-        s.push_str(&format!("      \"queue_wait\": {}\n", hist_json(&queue)));
-        s.push_str(if i + 1 == per_mix_obs.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
 }

@@ -39,7 +39,6 @@ pub mod corpus;
 pub mod experiments;
 pub mod opts;
 pub mod table;
-pub mod timetrack;
 
 pub use avg::AvgMetrics;
 pub use corpus::{build_graph, GraphFamily, FAMILIES, N_NODES};

@@ -6,7 +6,7 @@ use tc_storage::{
     with_retries, FileId, FileKind, Page, PageId, PageStore, Pager, RetryPolicy, RetryTally,
     StorageError, StorageResult,
 };
-use tc_trace::{Event, Kind, Tracer};
+use tc_trace::{Event, Tracer};
 
 struct Frame {
     pid: PageId,
@@ -545,7 +545,7 @@ impl Pager for BufferPool {
         self.policy.on_admit(f);
         self.tracer.emit(Event::PageAlloc {
             page: pid.0,
-            kind: Kind::from_idx(self.store.file_kind(file).idx()),
+            kind: self.store.file_kind(file),
         });
         Ok(pid)
     }

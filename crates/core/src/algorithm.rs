@@ -108,6 +108,15 @@ mod tests {
     }
 
     #[test]
+    fn trace_parser_interns_exactly_these_names() {
+        // A name missing there parses back from a JSONL trace as "?".
+        assert_eq!(
+            tc_trace::ALGORITHM_NAMES,
+            Algorithm::WITH_INDEX.map(Algorithm::name)
+        );
+    }
+
+    #[test]
     fn only_jkb2_needs_inverse() {
         for a in Algorithm::WITH_INDEX {
             assert_eq!(a.needs_inverse(), a == Algorithm::Jkb2);

@@ -5,7 +5,7 @@
 //! DAG workload and the same page-I/O counts on every machine, forever.
 //! External crates version-drift and resolve against a registry; this
 //! crate has **zero dependencies** and pins every random bit the
-//! workspace consumes. It provides three small pieces:
+//! workspace consumes. It provides two small pieces:
 //!
 //! * [`rng`] — a seeded PRNG: SplitMix64 seed expansion feeding
 //!   xoshiro256++, with a `rand`-flavoured API ([`Rng::from_seed`],
@@ -14,9 +14,6 @@
 //! * [`check`] — a mini property-testing harness: seeded case loop,
 //!   tunable case count (`TC_DET_CASES`), greedy shrinking and
 //!   failing-seed replay (`TC_DET_SEED`). Replaces `proptest`.
-//! * [`bench`] — a wall-clock + simulation-metric bench harness with
-//!   warmup, median/p95 and JSON output, which also asserts the metric
-//!   is identical across iterations. Replaces `criterion`.
 //!
 //! ## Seeding conventions
 //!
@@ -50,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod check;
 pub mod rng;
 pub mod zipf;

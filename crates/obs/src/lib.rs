@@ -11,8 +11,7 @@
 //! > durations, histogram quantiles, registry renderings — may flow
 //! > into a trace digest, a report byte, a baseline cell, or any other
 //! > gated output. Timing rides *beside* the deterministic track
-//! > (stderr, `--timing`/`--metrics` files, `BENCH_TIME.json`), never
-//! > inside it.
+//! > (stderr, `--timing`/`--metrics` files), never inside it.
 //!
 //! Three pieces, all dependency-free:
 //!

@@ -1,260 +1,20 @@
-//! Parser for the `tc-trace` JSONL export (`tcq --trace`,
+//! Streaming folds over the `tc-trace` JSONL export (`tcq --trace`,
 //! `section --trace DIR`).
 //!
-//! The exporter writes one flat JSON object per line with a fixed,
-//! escape-free vocabulary (every string is an identifier), so a full
-//! JSON parser is unnecessary — and the workspace is hermetic, so none
-//! is available. This module parses exactly that dialect, strictly
-//! enough to reject garbage with a line-numbered error, and streams
-//! lines into a [`ProfileFold`](crate::ProfileFold) in constant memory
-//! (a G5 trace is millions of lines; collecting `Vec<Event>` first
-//! would cost hundreds of MB).
+//! The line format is owned by `tc_trace::Event` (it writes *and*
+//! parses it); this module streams lines into a
+//! [`ProfileFold`](crate::ProfileFold) in constant memory (a G5 trace
+//! is millions of lines; collecting `Vec<Event>` first would cost
+//! hundreds of MB) and puts a line number on a parse failure.
 
 use crate::fold::{Profile, ProfileFold};
 use std::io::BufRead;
-use tc_trace::{Event, Kind, Phase};
+use tc_trace::Event;
+pub use tc_trace::ParseError;
 
-/// A malformed trace line.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ParseError {
-    /// What was wrong.
-    pub reason: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.reason)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn err<T>(reason: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError {
-        reason: reason.into(),
-    })
-}
-
-/// Raw value of `"key":` in `line`, up to the next `,` or closing `}`
-/// (string values keep their quotes).
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = if rest.starts_with('"') {
-        rest[1..].find('"').map(|i| i + 2)?
-    } else {
-        rest.find([',', '}'])?
-    };
-    Some(&rest[..end])
-}
-
-fn str_field<'a>(line: &'a str, key: &str) -> Result<&'a str, ParseError> {
-    match raw_field(line, key) {
-        Some(v) if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') => Ok(&v[1..v.len() - 1]),
-        _ => err(format!("missing string field \"{key}\"")),
-    }
-}
-
-fn u64_field(line: &str, key: &str) -> Result<u64, ParseError> {
-    raw_field(line, key)
-        .and_then(|v| v.parse().ok())
-        .map_or_else(|| err(format!("missing integer field \"{key}\"")), Ok)
-}
-
-fn u32_field(line: &str, key: &str) -> Result<u32, ParseError> {
-    raw_field(line, key)
-        .and_then(|v| v.parse().ok())
-        .map_or_else(|| err(format!("missing integer field \"{key}\"")), Ok)
-}
-
-fn f64_field(line: &str, key: &str) -> Result<f64, ParseError> {
-    raw_field(line, key)
-        .and_then(|v| v.parse().ok())
-        .map_or_else(|| err(format!("missing number field \"{key}\"")), Ok)
-}
-
-fn bool_field(line: &str, key: &str) -> Result<bool, ParseError> {
-    match raw_field(line, key) {
-        Some("true") => Ok(true),
-        Some("false") => Ok(false),
-        _ => err(format!("missing bool field \"{key}\"")),
-    }
-}
-
-fn kind_field(line: &str) -> Result<Kind, ParseError> {
-    let name = str_field(line, "kind")?;
-    Kind::ALL
-        .into_iter()
-        .find(|k| k.name() == name)
-        .map_or_else(|| err(format!("unknown kind \"{name}\"")), Ok)
-}
-
-fn phase_field(line: &str) -> Result<Phase, ParseError> {
-    match str_field(line, "phase")? {
-        "restructure" => Ok(Phase::Restructure),
-        "compute" => Ok(Phase::Compute),
-        other => err(format!("unknown phase \"{other}\"")),
-    }
-}
-
-/// The eight algorithm names, interned so a parsed `RunBegin` can carry
-/// a `&'static str` like a live one. An unrecognised name (a foreign
-/// trace) parses as `"?"`.
-const ALGORITHMS: [&str; 8] = [
-    "BTC",
-    "HYB",
-    "BJ",
-    "SRCH",
-    "SPN",
-    "JKB",
-    "JKB2",
-    "SEMINAIVE",
-];
-
-fn intern_algorithm(name: &str) -> &'static str {
-    ALGORITHMS.into_iter().find(|a| *a == name).unwrap_or("?")
-}
-
-/// Parses one JSONL line into an [`Event`].
+/// Parses one JSONL line into an [`Event`] ([`Event::parse_jsonl`]).
 pub fn parse_line(line: &str) -> Result<Event, ParseError> {
-    let line = line.trim();
-    if !(line.starts_with('{') && line.ends_with('}')) {
-        return err("not a JSON object");
-    }
-    let ev = str_field(line, "ev")?;
-    let page = |key: &str| u32_field(line, key);
-    Ok(match ev {
-        "run_begin" => Event::RunBegin {
-            algorithm: intern_algorithm(str_field(line, "algorithm")?),
-            ms_per_io: f64_field(line, "ms_per_io")?,
-        },
-        "run_end" => Event::RunEnd,
-        "phase_begin" => Event::PhaseBegin {
-            phase: phase_field(line)?,
-        },
-        "phase_end" => Event::PhaseEnd {
-            phase: phase_field(line)?,
-        },
-        "iteration_begin" => Event::IterationBegin {
-            i: u64_field(line, "i")?,
-        },
-        "page_read" => Event::PageRead {
-            page: page("page")?,
-            kind: kind_field(line)?,
-        },
-        "page_write" => Event::PageWrite {
-            page: page("page")?,
-            kind: kind_field(line)?,
-        },
-        "page_alloc" => Event::PageAlloc {
-            page: page("page")?,
-            kind: kind_field(line)?,
-        },
-        "page_freed" => Event::PageFreed {
-            page: page("page")?,
-        },
-        "fault_injected" => Event::FaultInjected {
-            page: page("page")?,
-            write: bool_field(line, "write")?,
-        },
-        "corruption_detected" => Event::CorruptionDetected {
-            page: page("page")?,
-        },
-        "buf_hit" => Event::BufHit {
-            page: page("page")?,
-            read: bool_field(line, "read")?,
-        },
-        "buf_miss" => Event::BufMiss {
-            page: page("page")?,
-            read: bool_field(line, "read")?,
-        },
-        "evict" => Event::Evict {
-            page: page("page")?,
-            dirty: bool_field(line, "dirty")?,
-        },
-        "flush_write" => Event::FlushWrite {
-            page: page("page")?,
-        },
-        "pin" => Event::Pin {
-            page: page("page")?,
-        },
-        "unpin" => Event::Unpin {
-            page: page("page")?,
-        },
-        "retry" => Event::Retry {
-            n: u64_field(line, "n")?,
-            backoff_ms: u64_field(line, "backoff_ms")?,
-        },
-        "list_fetch" => Event::ListFetch,
-        "union" => Event::Union,
-        "arc" => Event::ArcProcessed {
-            marked: bool_field(line, "marked")?,
-        },
-        "arcs" => Event::ArcsProcessed {
-            n: u64_field(line, "n")?,
-        },
-        "tuple_read" => Event::TupleRead,
-        "tuple_reads" => Event::TupleReads {
-            n: u64_field(line, "n")?,
-        },
-        "generated" => Event::Generated {
-            source: bool_field(line, "source")?,
-        },
-        "duplicate" => Event::Duplicate,
-        "duplicates" => Event::Duplicates {
-            n: u64_field(line, "n")?,
-        },
-        "pruned" => Event::Pruned {
-            n: u64_field(line, "n")?,
-        },
-        "locality" => Event::Locality {
-            delta: f64_field(line, "delta")?,
-        },
-        "tuple_emit" => Event::TupleEmit {
-            source: u32_field(line, "source")?,
-            node: u32_field(line, "node")?,
-        },
-        "tuple_writes" => Event::TupleWrites {
-            n: u64_field(line, "n")?,
-        },
-        "magic_nodes" => Event::MagicNodes {
-            n: u64_field(line, "n")?,
-        },
-        "magic_arcs" => Event::MagicArcs {
-            n: u64_field(line, "n")?,
-        },
-        "rect" => Event::Rect {
-            height: f64_field(line, "height")?,
-            width: f64_field(line, "width")?,
-            max_level: u32_field(line, "max_level")?,
-            arcs: u64_field(line, "arcs")?,
-            nodes: u64_field(line, "nodes")?,
-        },
-        "update_apply" => Event::UpdateApply {
-            insert: bool_field(line, "insert")?,
-            src: u32_field(line, "src")?,
-            dst: u32_field(line, "dst")?,
-        },
-        "delta_applied" => Event::DeltaApplied {
-            inserted: u64_field(line, "inserted")?,
-            removed: u64_field(line, "removed")?,
-        },
-        "chain_assigned" => Event::ChainAssigned {
-            comp: u32_field(line, "comp")?,
-            chain: u32_field(line, "chain")?,
-            pos: u32_field(line, "pos")?,
-        },
-        "chains_built" => Event::ChainsBuilt {
-            chains: u64_field(line, "chains")?,
-            components: u64_field(line, "components")?,
-        },
-        "labels_built" => Event::LabelsBuilt {
-            entries: u64_field(line, "entries")?,
-            finite: u64_field(line, "finite")?,
-        },
-        other => return err(format!("unknown event \"{other}\"")),
-    })
+    Event::parse_jsonl(line)
 }
 
 /// Error of a streaming fold over a JSONL reader.
@@ -297,7 +57,7 @@ pub fn fold_jsonl<R: BufRead>(reader: R, fold: &mut ProfileFold) -> Result<u64, 
         if line.trim().is_empty() {
             continue;
         }
-        let ev = parse_line(&line).map_err(|error| JsonlError::Parse {
+        let ev = Event::parse_jsonl(&line).map_err(|error| JsonlError::Parse {
             line: i as u64 + 1,
             error,
         })?;
@@ -317,138 +77,6 @@ pub fn profile_jsonl<R: BufRead>(reader: R) -> Result<Profile, JsonlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_trace::digest_events;
-
-    /// Every variant round-trips: write_jsonl -> parse_line -> same event.
-    #[test]
-    fn jsonl_roundtrips_every_variant() {
-        let events = [
-            Event::RunBegin {
-                algorithm: "SEMINAIVE",
-                ms_per_io: 20.0,
-            },
-            Event::PhaseBegin {
-                phase: Phase::Restructure,
-            },
-            Event::PhaseEnd {
-                phase: Phase::Restructure,
-            },
-            Event::IterationBegin { i: 3 },
-            Event::PageRead {
-                page: 7,
-                kind: Kind::SuccessorList,
-            },
-            Event::PageWrite {
-                page: 8,
-                kind: Kind::Temp,
-            },
-            Event::PageAlloc {
-                page: 9,
-                kind: Kind::Output,
-            },
-            Event::PageFreed { page: 9 },
-            Event::FaultInjected {
-                page: 1,
-                write: true,
-            },
-            Event::CorruptionDetected { page: 2 },
-            Event::BufHit {
-                page: 3,
-                read: true,
-            },
-            Event::BufMiss {
-                page: 4,
-                read: false,
-            },
-            Event::Evict {
-                page: 5,
-                dirty: true,
-            },
-            Event::FlushWrite { page: 6 },
-            Event::Pin { page: 1 },
-            Event::Unpin { page: 1 },
-            Event::Retry {
-                n: 2,
-                backoff_ms: 30,
-            },
-            Event::ListFetch,
-            Event::Union,
-            Event::ArcProcessed { marked: false },
-            Event::ArcsProcessed { n: 4 },
-            Event::TupleRead,
-            Event::TupleReads { n: 5 },
-            Event::Generated { source: true },
-            Event::Duplicate,
-            Event::Duplicates { n: 6 },
-            Event::Pruned { n: 7 },
-            Event::Locality { delta: -1.5 },
-            Event::TupleEmit { source: 1, node: 2 },
-            Event::TupleWrites { n: 8 },
-            Event::MagicNodes { n: 9 },
-            Event::MagicArcs { n: 10 },
-            Event::Rect {
-                height: 2.5,
-                width: 4.0,
-                max_level: 5,
-                arcs: 11,
-                nodes: 12,
-            },
-            Event::UpdateApply {
-                insert: true,
-                src: 3,
-                dst: 14,
-            },
-            Event::DeltaApplied {
-                inserted: 15,
-                removed: 4,
-            },
-            Event::ChainAssigned {
-                comp: 7,
-                chain: 1,
-                pos: 3,
-            },
-            Event::ChainsBuilt {
-                chains: 2,
-                components: 16,
-            },
-            Event::LabelsBuilt {
-                entries: 32,
-                finite: 20,
-            },
-            Event::RunEnd,
-        ];
-        let mut buf = Vec::new();
-        for e in &events {
-            e.write_jsonl(&mut buf).unwrap();
-        }
-        let text = String::from_utf8(buf).unwrap();
-        let parsed: Vec<Event> = text
-            .lines()
-            .map(|l| parse_line(l).unwrap_or_else(|e| panic!("{l}: {e}")))
-            .collect();
-        assert_eq!(parsed.len(), events.len());
-        assert_eq!(digest_events(&parsed), digest_events(&events));
-    }
-
-    #[test]
-    fn garbage_is_rejected_with_a_reason() {
-        assert!(parse_line("not json").is_err());
-        assert!(parse_line("{\"ev\":\"warp\"}").is_err());
-        assert!(parse_line("{\"ev\":\"buf_hit\",\"page\":1}").is_err());
-        assert!(parse_line("{\"ev\":\"page_read\",\"page\":1,\"kind\":\"nope\"}").is_err());
-    }
-
-    #[test]
-    fn unknown_algorithms_intern_as_placeholder() {
-        let ev = parse_line("{\"ev\":\"run_begin\",\"algorithm\":\"XTC\",\"ms_per_io\":20}");
-        assert_eq!(
-            ev,
-            Ok(Event::RunBegin {
-                algorithm: "?",
-                ms_per_io: 20.0,
-            })
-        );
-    }
 
     #[test]
     fn streaming_fold_counts_lines_and_reports_positions() {

@@ -23,9 +23,9 @@
 //! trace, and profiles computed live ([`ProfileSink`]) or offline
 //! ([`profile_events`], [`profile_jsonl`]) are identical.
 //!
-//! The crate is zero-dependency (only `tc-trace`): it parses the JSONL
-//! trace dialect itself ([`jsonl`]) so `tcq analyze <trace.jsonl>`
-//! works without any external JSON machinery.
+//! The crate is zero-dependency (only `tc-trace`, which parses the
+//! JSONL dialect it writes), so `tcq analyze <trace.jsonl>` works
+//! without any external JSON machinery ([`jsonl`] streams the lines).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,65 +15,10 @@ use crate::page::{Page, PageId};
 use crate::store::Store;
 use std::fmt;
 
-/// What role a file plays in the study's storage layout.
-///
-/// The breakdown lets the experiment harness attribute I/O the way the
-/// paper discusses it: input-relation scans and index probes during the
-/// restructuring phase versus successor-list traffic during the
-/// computation phase.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum FileKind {
-    /// The input relation, clustered on the source attribute.
-    Relation,
-    /// The arc-reversed relation, clustered on the destination attribute
-    /// (the dual representation required by `JKB2`, paper §4.1).
-    InverseRelation,
-    /// Sparse clustered-index pages.
-    Index,
-    /// Successor-list / successor-tree pages (the paper's 30-block format).
-    SuccessorList,
-    /// Scratch space (external-sort runs, seminaive deltas).
-    Temp,
-    /// Materialized query output.
-    Output,
-}
-
-impl FileKind {
-    /// All kinds, in reporting order.
-    pub const ALL: [FileKind; 6] = [
-        FileKind::Relation,
-        FileKind::InverseRelation,
-        FileKind::Index,
-        FileKind::SuccessorList,
-        FileKind::Temp,
-        FileKind::Output,
-    ];
-
-    /// Stable index of this kind into per-kind counter arrays.
-    #[inline]
-    pub fn idx(self) -> usize {
-        match self {
-            FileKind::Relation => 0,
-            FileKind::InverseRelation => 1,
-            FileKind::Index => 2,
-            FileKind::SuccessorList => 3,
-            FileKind::Temp => 4,
-            FileKind::Output => 5,
-        }
-    }
-
-    /// Human-readable name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FileKind::Relation => "relation",
-            FileKind::InverseRelation => "inverse-relation",
-            FileKind::Index => "index",
-            FileKind::SuccessorList => "successor-list",
-            FileKind::Temp => "temp",
-            FileKind::Output => "output",
-        }
-    }
-}
+/// What role a file plays in the study's storage layout: the trace
+/// vocabulary's [`tc_trace::Kind`], so a page transfer's event names the
+/// same value the catalog holds.
+pub use tc_trace::Kind as FileKind;
 
 /// Identifier of a file (an extent of pages) on a page store.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

@@ -32,7 +32,7 @@ use crate::page::{Page, PageId};
 use crate::pager::Pager;
 use std::path::PathBuf;
 use std::sync::Arc;
-use tc_trace::{Event, Kind, Tracer};
+use tc_trace::{Event, Tracer};
 
 /// What the buffer pool, the engine and the experiment harness need
 /// from the substrate.
@@ -289,10 +289,7 @@ impl<M: Medium> PageStore for Store<M> {
         }
         self.stats.reads += 1;
         self.stats.reads_by_kind[kind.idx()] += 1;
-        self.tracer.emit(Event::PageRead {
-            page: pid.0,
-            kind: Kind::from_idx(kind.idx()),
-        });
+        self.tracer.emit(Event::PageRead { page: pid.0, kind });
         Ok(())
     }
 
@@ -318,10 +315,7 @@ impl<M: Medium> PageStore for Store<M> {
         }
         self.stats.writes += 1;
         self.stats.writes_by_kind[kind.idx()] += 1;
-        self.tracer.emit(Event::PageWrite {
-            page: pid.0,
-            kind: Kind::from_idx(kind.idx()),
-        });
+        self.tracer.emit(Event::PageWrite { page: pid.0, kind });
         Ok(())
     }
 

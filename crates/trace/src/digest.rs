@@ -14,7 +14,7 @@
 //! instead. That is FNV-1a itself, not an approximation of it — a zero
 //! byte's step *is* a bare multiply — so no pinned digest can tell.
 
-use crate::event::{Event, Kind, Phase};
+use crate::event::Event;
 
 /// The 64-bit FNV prime.
 const PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -95,9 +95,10 @@ impl Fnv {
         self.byte(b as u8);
     }
 
-    /// Folds one event through its canonical encoding.
+    /// Folds one event through its canonical encoding (generated from
+    /// the vocabulary table in [`crate::event`]).
     pub fn event(&mut self, ev: &Event) {
-        fold_event(self, ev);
+        ev.fold(self);
     }
 }
 
@@ -123,193 +124,6 @@ pub fn digest_events<'a>(events: impl IntoIterator<Item = &'a Event>) -> TraceDi
     TraceDigest {
         hash: h.finish(),
         count,
-    }
-}
-
-fn phase(h: &mut Fnv, p: Phase) {
-    h.byte(p.code());
-}
-
-fn kind(h: &mut Fnv, k: Kind) {
-    h.byte(k.idx() as u8);
-}
-
-fn fold_event(h: &mut Fnv, ev: &Event) {
-    // Discriminant bytes are assigned in declaration order and are part
-    // of the golden-trace contract: renumbering them invalidates every
-    // pinned trace digest.
-    match *ev {
-        Event::RunBegin {
-            algorithm,
-            ms_per_io,
-        } => {
-            h.byte(0);
-            h.str(algorithm);
-            h.f64(ms_per_io);
-        }
-        Event::RunEnd => h.byte(1),
-        Event::PhaseBegin { phase: p } => {
-            h.byte(2);
-            phase(h, p);
-        }
-        Event::PhaseEnd { phase: p } => {
-            h.byte(3);
-            phase(h, p);
-        }
-        Event::IterationBegin { i } => {
-            h.byte(4);
-            h.u64(i);
-        }
-        Event::PageRead { page, kind: k } => {
-            h.byte(5);
-            h.u32(page);
-            kind(h, k);
-        }
-        Event::PageWrite { page, kind: k } => {
-            h.byte(6);
-            h.u32(page);
-            kind(h, k);
-        }
-        Event::FaultInjected { page, write } => {
-            h.byte(7);
-            h.u32(page);
-            h.bool(write);
-        }
-        Event::CorruptionDetected { page } => {
-            h.byte(8);
-            h.u32(page);
-        }
-        Event::BufHit { page, read } => {
-            h.byte(9);
-            h.u32(page);
-            h.bool(read);
-        }
-        Event::BufMiss { page, read } => {
-            h.byte(10);
-            h.u32(page);
-            h.bool(read);
-        }
-        Event::Evict { page, dirty } => {
-            h.byte(11);
-            h.u32(page);
-            h.bool(dirty);
-        }
-        Event::FlushWrite { page } => {
-            h.byte(12);
-            h.u32(page);
-        }
-        Event::Pin { page } => {
-            h.byte(13);
-            h.u32(page);
-        }
-        Event::Unpin { page } => {
-            h.byte(14);
-            h.u32(page);
-        }
-        Event::Retry { n, backoff_ms } => {
-            h.byte(15);
-            h.u64(n);
-            h.u64(backoff_ms);
-        }
-        Event::ListFetch => h.byte(16),
-        Event::Union => h.byte(17),
-        Event::ArcProcessed { marked } => {
-            h.byte(18);
-            h.bool(marked);
-        }
-        Event::ArcsProcessed { n } => {
-            h.byte(19);
-            h.u64(n);
-        }
-        Event::TupleRead => h.byte(20),
-        Event::TupleReads { n } => {
-            h.byte(21);
-            h.u64(n);
-        }
-        Event::Generated { source } => {
-            h.byte(22);
-            h.bool(source);
-        }
-        Event::Duplicate => h.byte(23),
-        Event::Duplicates { n } => {
-            h.byte(24);
-            h.u64(n);
-        }
-        Event::Pruned { n } => {
-            h.byte(25);
-            h.u64(n);
-        }
-        Event::Locality { delta } => {
-            h.byte(26);
-            h.f64(delta);
-        }
-        Event::TupleEmit { source, node } => {
-            h.byte(27);
-            h.u32(source);
-            h.u32(node);
-        }
-        Event::TupleWrites { n } => {
-            h.byte(28);
-            h.u64(n);
-        }
-        Event::MagicNodes { n } => {
-            h.byte(29);
-            h.u64(n);
-        }
-        Event::MagicArcs { n } => {
-            h.byte(30);
-            h.u64(n);
-        }
-        Event::Rect {
-            height,
-            width,
-            max_level,
-            arcs,
-            nodes,
-        } => {
-            h.byte(31);
-            h.f64(height);
-            h.f64(width);
-            h.u32(max_level);
-            h.u64(arcs);
-            h.u64(nodes);
-        }
-        Event::PageAlloc { page, kind: k } => {
-            h.byte(32);
-            h.u32(page);
-            kind(h, k);
-        }
-        Event::PageFreed { page } => {
-            h.byte(33);
-            h.u32(page);
-        }
-        Event::UpdateApply { insert, src, dst } => {
-            h.byte(34);
-            h.bool(insert);
-            h.u32(src);
-            h.u32(dst);
-        }
-        Event::DeltaApplied { inserted, removed } => {
-            h.byte(35);
-            h.u64(inserted);
-            h.u64(removed);
-        }
-        Event::ChainAssigned { comp, chain, pos } => {
-            h.byte(36);
-            h.u32(comp);
-            h.u32(chain);
-            h.u32(pos);
-        }
-        Event::ChainsBuilt { chains, components } => {
-            h.byte(37);
-            h.u64(chains);
-            h.u64(components);
-        }
-        Event::LabelsBuilt { entries, finite } => {
-            h.byte(38);
-            h.u64(entries);
-            h.u64(finite);
-        }
     }
 }
 

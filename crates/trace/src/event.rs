@@ -9,7 +9,16 @@
 //! which is what makes [`crate::replay`] an exact reconstruction rather
 //! than an estimate. Events that carry no metric (pin/unpin, iteration
 //! markers) exist purely for observability and are ignored by replay.
+//!
+//! The vocabulary is declared **once**, in the `events!` table at the
+//! bottom of this module: the enum, [`Event::name`], [`Event::NAMES`],
+//! the JSONL encoder and parser and the digest fold are all generated
+//! from it, and what differs per field *type* lives in the seven impls
+//! of the private `Field` trait. Adding an event is one table entry;
+//! `replay.rs` and `tc-profile`'s fold then fail to compile until they
+//! say what the event means.
 
+use crate::digest::Fnv;
 use std::io::{self, Write};
 
 /// The two phases of the study's uniform algorithm framework (§4).
@@ -39,28 +48,32 @@ impl Phase {
     }
 }
 
-/// File kind of a page transfer — a dependency-free mirror of
-/// `tc_storage::FileKind`, carried by index so the two stay aligned
-/// through `idx()`/[`Kind::from_idx`].
+/// What role a file plays in the study's storage layout (`tc-storage`
+/// re-exports this as `FileKind`).
+///
+/// The breakdown lets the experiment harness attribute I/O the way the
+/// paper discusses it: input-relation scans and index probes during the
+/// restructuring phase versus successor-list traffic during the
+/// computation phase.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum Kind {
-    /// The clustered relation file.
+    /// The input relation, clustered on the source attribute.
     Relation,
-    /// The inverse relation (clustered on destination).
+    /// The arc-reversed relation, clustered on the destination attribute
+    /// (the dual representation required by `JKB2`, paper §4.1).
     InverseRelation,
-    /// The sparse clustered index.
+    /// Sparse clustered-index pages.
     Index,
-    /// Successor-list / tree pages.
+    /// Successor-list / successor-tree pages (the paper's 30-block format).
     SuccessorList,
-    /// Scratch pages (external sort runs, deltas, ...).
+    /// Scratch space (external-sort runs, seminaive deltas).
     Temp,
-    /// Final answer output pages.
+    /// Materialized query output.
     Output,
 }
 
 impl Kind {
-    /// All kinds, indexed by [`Kind::idx`] (same order as
-    /// `tc_storage::FileKind::ALL`).
+    /// All kinds, in reporting order, indexed by [`Kind::idx`].
     pub const ALL: [Kind; 6] = [
         Kind::Relation,
         Kind::InverseRelation,
@@ -70,7 +83,8 @@ impl Kind {
         Kind::Output,
     ];
 
-    /// Stable index, aligned with `tc_storage::FileKind::idx`.
+    /// Stable index of this kind into per-kind counter arrays.
+    #[inline]
     pub fn idx(self) -> usize {
         match self {
             Kind::Relation => 0,
@@ -88,8 +102,7 @@ impl Kind {
         Kind::ALL[idx]
     }
 
-    /// Lower-case name, used by the JSONL export (matches
-    /// `tc_storage::FileKind::name`).
+    /// Lower-case name, used in reports and by the JSONL export.
     pub fn name(self) -> &'static str {
         match self {
             Kind::Relation => "relation",
@@ -102,51 +115,286 @@ impl Kind {
     }
 }
 
-/// One traced unit of work.
-///
-/// Page numbers are raw `u32` values (the storage layer's `PageId.0`):
-/// the crate is dependency-free by design, so it cannot name the
-/// newtypes of the layers above it.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum Event {
+/// `Algorithm::name()` of every algorithm the engine can run, in
+/// `Algorithm::WITH_INDEX` order (a `tc-core` unit test holds the two
+/// equal). A parsed `RunBegin` interns its algorithm against this list
+/// so it can carry a `&'static str` like a live one; an unrecognised
+/// name (a foreign trace) parses as `"?"`.
+pub const ALGORITHM_NAMES: [&str; 9] = [
+    "BTC",
+    "HYB",
+    "BJ",
+    "SRCH",
+    "SPN",
+    "JKB",
+    "JKB2",
+    "SEMINAIVE",
+    "REACHINDEX",
+];
+
+/// A malformed trace line.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ParseError {
+    /// What was wrong.
+    pub reason: String,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.reason)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+fn err<T>(reason: impl Into<String>) -> Result<T, ParseError> {
+    Err(ParseError {
+        reason: reason.into(),
+    })
+}
+
+/// Raw value after `key` (a `"name":` pattern) in `line`, up to the next
+/// `,` or closing `}` (string values keep their quotes).
+fn raw_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let rest = &line[line.find(key)? + key.len()..];
+    let end = match rest.strip_prefix('"') {
+        Some(inner) => inner.find('"')? + 2,
+        None => rest.find([',', '}'])?,
+    };
+    Some(&rest[..end])
+}
+
+/// The inside of a quoted raw value.
+fn unquote(raw: &str) -> Option<&str> {
+    raw.strip_prefix('"')?.strip_suffix('"')
+}
+
+/// Parses the value after `key` as a `T`.
+fn field<T: Field>(line: &str, key: &str) -> Result<T, ParseError> {
+    match raw_value(line, key).and_then(T::parse) {
+        Some(value) => Ok(value),
+        None => err(format!(
+            "missing or malformed field {}",
+            key.trim_end_matches(':')
+        )),
+    }
+}
+
+/// What differs per field *type* rather than per event: how a value is
+/// folded into a digest, printed as a JSON value and parsed back.
+trait Field: Sized {
+    /// Folds the canonical byte encoding.
+    fn fold(self, h: &mut Fnv);
+    /// Prints the JSON value. The vocabulary needs no string escaping:
+    /// every string is a fixed identifier (algorithm, kind, phase names).
+    fn print<W: Write>(self, w: &mut W) -> io::Result<()>;
+    /// Parses a raw JSON value (strings keep their quotes).
+    fn parse(raw: &str) -> Option<Self>;
+}
+
+/// The four scalars: folded by the `Fnv` method of the same name,
+/// printed and parsed by the standard library.
+macro_rules! scalar_field {
+    ($($ty:ident),*) => {$(
+        impl Field for $ty {
+            #[inline]
+            fn fold(self, h: &mut Fnv) {
+                h.$ty(self)
+            }
+            fn print<W: Write>(self, w: &mut W) -> io::Result<()> {
+                write!(w, "{self}")
+            }
+            fn parse(raw: &str) -> Option<$ty> {
+                raw.parse().ok()
+            }
+        }
+    )*};
+}
+
+scalar_field!(u32, u64, f64, bool);
+
+impl Field for Phase {
+    #[inline]
+    fn fold(self, h: &mut Fnv) {
+        h.byte(self.code())
+    }
+    fn print<W: Write>(self, w: &mut W) -> io::Result<()> {
+        write!(w, "\"{}\"", self.name())
+    }
+    fn parse(raw: &str) -> Option<Phase> {
+        let name = unquote(raw)?;
+        [Phase::Restructure, Phase::Compute]
+            .into_iter()
+            .find(|p| p.name() == name)
+    }
+}
+
+impl Field for Kind {
+    #[inline]
+    fn fold(self, h: &mut Fnv) {
+        h.byte(self.idx() as u8)
+    }
+    fn print<W: Write>(self, w: &mut W) -> io::Result<()> {
+        write!(w, "\"{}\"", self.name())
+    }
+    fn parse(raw: &str) -> Option<Kind> {
+        let name = unquote(raw)?;
+        Kind::ALL.into_iter().find(|k| k.name() == name)
+    }
+}
+
+impl Field for &'static str {
+    fn fold(self, h: &mut Fnv) {
+        h.str(self)
+    }
+    fn print<W: Write>(self, w: &mut W) -> io::Result<()> {
+        write!(w, "\"{self}\"")
+    }
+    fn parse(raw: &str) -> Option<&'static str> {
+        let name = unquote(raw)?;
+        Some(
+            ALGORITHM_NAMES
+                .into_iter()
+                .find(|a| *a == name)
+                .unwrap_or("?"),
+        )
+    }
+}
+
+/// The `"name":` pattern of a field, shared by the encoder and the parser.
+macro_rules! key {
+    ($field:ident) => {
+        concat!("\"", stringify!($field), "\":")
+    };
+}
+
+/// Generates the vocabulary from one table. Per entry: doc comments, the
+/// variant, its JSONL name, and its typed fields in canonical order —
+/// the order they are folded and printed in. An entry's position in the
+/// table is its digest discriminant byte, so entries are only ever
+/// appended: moving one invalidates every pinned trace digest.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $name:literal $({
+            $( $(#[$fdoc:meta])* $field:ident : $ty:ty ),* $(,)?
+        })?
+    ),* $(,)?) => {
+        /// One traced unit of work.
+        ///
+        /// Page numbers are raw `u32` values (the storage layer's
+        /// `PageId.0`): the crate is dependency-free by design, so it
+        /// cannot name the newtypes of the layers above it.
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        pub enum Event {
+            $( $(#[$doc])* $variant $({ $( $(#[$fdoc])* $field: $ty ),* })? ),*
+        }
+
+        /// Table positions, which are the digest discriminant bytes.
+        enum Position {
+            $( $variant ),*
+        }
+
+        impl Event {
+            /// Every variant's [`Event::name`], in table order.
+            pub const NAMES: [&'static str; [$( $name ),*].len()] = [$( $name ),*];
+
+            /// The variant name, as used by the JSONL export's `ev` field.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( Event::$variant { .. } => $name ),*
+                }
+            }
+
+            /// Writes the event as one JSON object on one line (JSONL):
+            /// `ev` first, then every field under its own name.
+            pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
+                match *self {
+                    $( Event::$variant $({ $( $field ),* })? => {
+                        w.write_all(concat!("{\"ev\":\"", $name, "\"").as_bytes())?;
+                        $($(
+                            w.write_all(concat!(",", key!($field)).as_bytes())?;
+                            $field.print(w)?;
+                        )*)?
+                    } )*
+                }
+                w.write_all(b"}\n")
+            }
+
+            /// Parses one JSONL line back into the event that wrote it.
+            /// The exporter's dialect is flat and escape-free, so this
+            /// parses exactly that, strictly enough to reject garbage
+            /// with a typed error (never a panic).
+            pub fn parse_jsonl(line: &str) -> Result<Event, ParseError> {
+                let line = line.trim();
+                if !(line.starts_with('{') && line.ends_with('}')) {
+                    return err("not a JSON object");
+                }
+                let Some(ev) = raw_value(line, key!(ev)).and_then(unquote) else {
+                    return err("missing string field \"ev\"");
+                };
+                match ev {
+                    $( $name => Ok(Event::$variant $({
+                        $( $field: field(line, key!($field))? ),*
+                    })?), )*
+                    other => err(format!("unknown event \"{other}\"")),
+                }
+            }
+
+            /// Folds the canonical encoding: the discriminant byte, then
+            /// the fields in declaration order.
+            #[inline]
+            pub(crate) fn fold(&self, h: &mut Fnv) {
+                match *self {
+                    $( Event::$variant $({ $( $field ),* })? => {
+                        h.byte(Position::$variant as u8);
+                        $($( $field.fold(h); )*)?
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+events! {
     // ---- Run structure ----
     /// A query execution started.
-    RunBegin {
+    RunBegin = "run_begin" {
         /// `Algorithm::name()` of the run ("BTC", "SEMINAIVE", ...).
         algorithm: &'static str,
         /// Configured milliseconds per page transfer (the I/O model).
         ms_per_io: f64,
     },
     /// The execution finished (buffer flushed, counters final).
-    RunEnd,
+    RunEnd = "run_end",
     /// A phase started.
-    PhaseBegin {
+    PhaseBegin = "phase_begin" {
         /// Which phase.
         phase: Phase,
     },
     /// A phase ended. The position of `PhaseEnd(Restructure)` in the
     /// stream is exactly where the engine snapshots its counters, so a
     /// replay fold can split per-phase totals at the same boundary.
-    PhaseEnd {
+    PhaseEnd = "phase_end" {
         /// Which phase.
         phase: Phase,
     },
     /// A fixpoint iteration started (Seminaive).
-    IterationBegin {
+    IterationBegin = "iteration_begin" {
         /// 0-based iteration number.
         i: u64,
     },
 
     // ---- Physical storage (tc-storage) ----
     /// A successful physical page read.
-    PageRead {
+    PageRead = "page_read" {
         /// Raw page number.
         page: u32,
         /// File kind of the page.
         kind: Kind,
     },
     /// A successful physical page write.
-    PageWrite {
+    PageWrite = "page_write" {
         /// Raw page number.
         page: u32,
         /// File kind of the page.
@@ -154,21 +402,21 @@ pub enum Event {
     },
     /// The armed fault plan injected a fault into this transfer attempt
     /// (transient/permanent failure, or a silent torn write).
-    FaultInjected {
+    FaultInjected = "fault_injected" {
         /// Raw page number.
         page: u32,
         /// Whether the faulted attempt was a write.
         write: bool,
     },
     /// Checksum verification caught a corrupted page image on read.
-    CorruptionDetected {
+    CorruptionDetected = "corruption_detected" {
         /// Raw page number.
         page: u32,
     },
 
     // ---- Buffer manager (tc-buffer) ----
     /// A page request satisfied from the pool.
-    BufHit {
+    BufHit = "buf_hit" {
         /// Raw page number.
         page: u32,
         /// Whether the request was a read access.
@@ -176,36 +424,36 @@ pub enum Event {
     },
     /// A page request that missed the pool (faulting the page in, or
     /// allocating a fresh page directly in a frame).
-    BufMiss {
+    BufMiss = "buf_miss" {
         /// Raw page number.
         page: u32,
         /// Whether the request was a read access.
         read: bool,
     },
     /// A frame eviction.
-    Evict {
+    Evict = "evict" {
         /// Raw page number of the victim.
         page: u32,
         /// Whether the victim was dirty (forced a write-back).
         dirty: bool,
     },
     /// A dirty page written back by an explicit flush (not an eviction).
-    FlushWrite {
+    FlushWrite = "flush_write" {
         /// Raw page number.
         page: u32,
     },
     /// A page was pinned into its frame.
-    Pin {
+    Pin = "pin" {
         /// Raw page number.
         page: u32,
     },
     /// A pin was released.
-    Unpin {
+    Unpin = "unpin" {
         /// Raw page number.
         page: u32,
     },
     /// A page transfer needed `n` re-attempts after transient faults.
-    Retry {
+    Retry = "retry" {
         /// Re-attempts performed.
         n: u64,
         /// Total simulated backoff charged, in milliseconds.
@@ -214,52 +462,52 @@ pub enum Event {
 
     // ---- Logical work (tc-core) ----
     /// A successor list was fetched.
-    ListFetch,
+    ListFetch = "list_fetch",
     /// A successor-list union was performed.
-    Union,
+    Union = "union",
     /// One arc was considered for expansion.
-    ArcProcessed {
+    ArcProcessed = "arc" {
         /// Whether the marking optimization skipped it.
         marked: bool,
     },
     /// `n` arcs were considered at once (bulk accounting; none marked).
-    ArcsProcessed {
+    ArcsProcessed = "arcs" {
         /// Arc count.
         n: u64,
     },
     /// One entry was read from a successor structure.
-    TupleRead,
+    TupleRead = "tuple_read",
     /// `n` entries were read at once (bulk accounting).
-    TupleReads {
+    TupleReads = "tuple_reads" {
         /// Entry count.
         n: u64,
     },
     /// A distinct tuple was inserted into a successor structure.
-    Generated {
+    Generated = "generated" {
         /// Whether it belongs to a source node's result (an `stc` tuple).
         source: bool,
     },
     /// A derivation found its tuple already present.
-    Duplicate,
+    Duplicate = "duplicate",
     /// `n` duplicate derivations at once (bulk accounting).
-    Duplicates {
+    Duplicates = "duplicates" {
         /// Duplicate count.
         n: u64,
     },
     /// A tree union pruned `n` entries without processing them.
-    Pruned {
+    Pruned = "pruned" {
         /// Pruned-entry count.
         n: u64,
     },
     /// An unmarked arc was expanded at level distance `delta`. Replay
     /// accumulates these in stream order, so the f64 sum is bit-identical
     /// to the engine's.
-    Locality {
+    Locality = "locality" {
         /// `level(i) − level(j)` of the expanded arc.
         delta: f64,
     },
     /// An answer tuple `(source, node)` was produced.
-    TupleEmit {
+    TupleEmit = "tuple_emit" {
         /// Source node id.
         source: u32,
         /// Reached node id.
@@ -267,22 +515,22 @@ pub enum Event {
     },
     /// Final count of entries appended to successor structures
     /// (assignment, not increment — emitted once per run).
-    TupleWrites {
+    TupleWrites = "tuple_writes" {
         /// Entry count.
         n: u64,
     },
     /// Nodes of the (magic) graph processed (assignment semantics).
-    MagicNodes {
+    MagicNodes = "magic_nodes" {
         /// Node count.
         n: u64,
     },
     /// Arcs of the (magic) graph processed (assignment semantics).
-    MagicArcs {
+    MagicArcs = "magic_arcs" {
         /// Arc count.
         n: u64,
     },
     /// Rectangle model of the processed graph (assignment semantics).
-    Rect {
+    Rect = "rect" {
         /// Mean node level `H(G)`.
         height: f64,
         /// `|G| / H(G)`.
@@ -301,7 +549,7 @@ pub enum Event {
     /// the only event that names a page's file kind at birth, so a
     /// profile fold can attribute every later buffer event on the page.
     /// Pure observability: ignored by replay.
-    PageAlloc {
+    PageAlloc = "page_alloc" {
         /// Raw page number.
         page: u32,
         /// File kind of the page.
@@ -312,7 +560,7 @@ pub enum Event {
     /// *new* logical page. Emitted for every page of the freed file,
     /// resident or not, in allocation order. Pure observability: ignored
     /// by replay.
-    PageFreed {
+    PageFreed = "page_freed" {
         /// Raw page number.
         page: u32,
     },
@@ -322,7 +570,7 @@ pub enum Event {
     // reason) ----
     /// One arc update (insert or delete) entered the maintenance run.
     /// Pure observability: ignored by replay.
-    UpdateApply {
+    UpdateApply = "update_apply" {
         /// Whether the update is an insertion (else a deletion).
         insert: bool,
         /// Source node of the updated arc.
@@ -332,7 +580,7 @@ pub enum Event {
     },
     /// The net closure delta of a maintenance run (assignment semantics,
     /// emitted once per `apply`). Pure observability: ignored by replay.
-    DeltaApplied {
+    DeltaApplied = "delta_applied" {
         /// Closure tuples added by the batch.
         inserted: u64,
         /// Closure tuples removed by the batch.
@@ -344,7 +592,7 @@ pub enum Event {
     /// A condensation component was appended to a chain during the
     /// concurrent-chain decomposition. Pure observability: ignored by
     /// replay.
-    ChainAssigned {
+    ChainAssigned = "chain_assigned" {
         /// Component id (condensation node).
         comp: u32,
         /// Chain the component was appended to.
@@ -355,7 +603,7 @@ pub enum Event {
     /// The chain decomposition finished (assignment semantics, emitted
     /// once per build). `chains` is the width parameter k. Pure
     /// observability: ignored by replay.
-    ChainsBuilt {
+    ChainsBuilt = "chains_built" {
         /// Number of chains (k).
         chains: u64,
         /// Number of condensation components decomposed.
@@ -363,138 +611,12 @@ pub enum Event {
     },
     /// The interval-label matrix was persisted (assignment semantics,
     /// emitted once per build). Pure observability: ignored by replay.
-    LabelsBuilt {
+    LabelsBuilt = "labels_built" {
         /// Label tuples written (`components × k`, sentinels included).
         entries: u64,
         /// Finite (reachable) label entries among them.
         finite: u64,
     },
-}
-
-impl Event {
-    /// The variant name, as used by the JSONL export's `ev` field.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::RunBegin { .. } => "run_begin",
-            Event::RunEnd => "run_end",
-            Event::PhaseBegin { .. } => "phase_begin",
-            Event::PhaseEnd { .. } => "phase_end",
-            Event::IterationBegin { .. } => "iteration_begin",
-            Event::PageRead { .. } => "page_read",
-            Event::PageWrite { .. } => "page_write",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::CorruptionDetected { .. } => "corruption_detected",
-            Event::BufHit { .. } => "buf_hit",
-            Event::BufMiss { .. } => "buf_miss",
-            Event::Evict { .. } => "evict",
-            Event::FlushWrite { .. } => "flush_write",
-            Event::Pin { .. } => "pin",
-            Event::Unpin { .. } => "unpin",
-            Event::Retry { .. } => "retry",
-            Event::ListFetch => "list_fetch",
-            Event::Union => "union",
-            Event::ArcProcessed { .. } => "arc",
-            Event::ArcsProcessed { .. } => "arcs",
-            Event::TupleRead => "tuple_read",
-            Event::TupleReads { .. } => "tuple_reads",
-            Event::Generated { .. } => "generated",
-            Event::Duplicate => "duplicate",
-            Event::Duplicates { .. } => "duplicates",
-            Event::Pruned { .. } => "pruned",
-            Event::Locality { .. } => "locality",
-            Event::TupleEmit { .. } => "tuple_emit",
-            Event::TupleWrites { .. } => "tuple_writes",
-            Event::MagicNodes { .. } => "magic_nodes",
-            Event::MagicArcs { .. } => "magic_arcs",
-            Event::Rect { .. } => "rect",
-            Event::PageAlloc { .. } => "page_alloc",
-            Event::PageFreed { .. } => "page_freed",
-            Event::UpdateApply { .. } => "update_apply",
-            Event::DeltaApplied { .. } => "delta_applied",
-            Event::ChainAssigned { .. } => "chain_assigned",
-            Event::ChainsBuilt { .. } => "chains_built",
-            Event::LabelsBuilt { .. } => "labels_built",
-        }
-    }
-
-    /// Writes the event as one JSON object on one line (JSONL). The
-    /// vocabulary needs no string escaping: every string field is a
-    /// fixed identifier ([`Event::name`], algorithm names, kind names).
-    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        write!(w, "{{\"ev\":\"{}\"", self.name())?;
-        match *self {
-            Event::RunBegin {
-                algorithm,
-                ms_per_io,
-            } => write!(w, ",\"algorithm\":\"{algorithm}\",\"ms_per_io\":{ms_per_io}")?,
-            Event::PhaseBegin { phase } | Event::PhaseEnd { phase } => {
-                write!(w, ",\"phase\":\"{}\"", phase.name())?
-            }
-            Event::IterationBegin { i } => write!(w, ",\"i\":{i}")?,
-            Event::PageRead { page, kind }
-            | Event::PageWrite { page, kind }
-            | Event::PageAlloc { page, kind } => {
-                write!(w, ",\"page\":{page},\"kind\":\"{}\"", kind.name())?
-            }
-            Event::FaultInjected { page, write } => {
-                write!(w, ",\"page\":{page},\"write\":{write}")?
-            }
-            Event::CorruptionDetected { page }
-            | Event::FlushWrite { page }
-            | Event::Pin { page }
-            | Event::Unpin { page }
-            | Event::PageFreed { page } => write!(w, ",\"page\":{page}")?,
-            Event::BufHit { page, read } | Event::BufMiss { page, read } => {
-                write!(w, ",\"page\":{page},\"read\":{read}")?
-            }
-            Event::Evict { page, dirty } => write!(w, ",\"page\":{page},\"dirty\":{dirty}")?,
-            Event::Retry { n, backoff_ms } => write!(w, ",\"n\":{n},\"backoff_ms\":{backoff_ms}")?,
-            Event::ArcProcessed { marked } => write!(w, ",\"marked\":{marked}")?,
-            Event::ArcsProcessed { n }
-            | Event::TupleReads { n }
-            | Event::Duplicates { n }
-            | Event::Pruned { n }
-            | Event::TupleWrites { n }
-            | Event::MagicNodes { n }
-            | Event::MagicArcs { n } => write!(w, ",\"n\":{n}")?,
-            Event::Generated { source } => write!(w, ",\"source\":{source}")?,
-            Event::Locality { delta } => write!(w, ",\"delta\":{delta}")?,
-            Event::TupleEmit { source, node } => {
-                write!(w, ",\"source\":{source},\"node\":{node}")?
-            }
-            Event::Rect {
-                height,
-                width,
-                max_level,
-                arcs,
-                nodes,
-            } => write!(
-                w,
-                ",\"height\":{height},\"width\":{width},\"max_level\":{max_level},\"arcs\":{arcs},\"nodes\":{nodes}"
-            )?,
-            Event::UpdateApply { insert, src, dst } => {
-                write!(w, ",\"insert\":{insert},\"src\":{src},\"dst\":{dst}")?
-            }
-            Event::DeltaApplied { inserted, removed } => {
-                write!(w, ",\"inserted\":{inserted},\"removed\":{removed}")?
-            }
-            Event::ChainAssigned { comp, chain, pos } => {
-                write!(w, ",\"comp\":{comp},\"chain\":{chain},\"pos\":{pos}")?
-            }
-            Event::ChainsBuilt { chains, components } => {
-                write!(w, ",\"chains\":{chains},\"components\":{components}")?
-            }
-            Event::LabelsBuilt { entries, finite } => {
-                write!(w, ",\"entries\":{entries},\"finite\":{finite}")?
-            }
-            Event::RunEnd
-            | Event::ListFetch
-            | Event::Union
-            | Event::TupleRead
-            | Event::Duplicate => {}
-        }
-        writeln!(w, "}}")
-    }
 }
 
 #[cfg(test)]
@@ -538,5 +660,26 @@ mod tests {
         assert!(text.contains("\"algorithm\":\"BTC\""));
         assert!(text.contains("\"kind\":\"successor-list\""));
         assert!(text.contains("\"delta\":1.5"));
+    }
+
+    #[test]
+    fn garbage_is_rejected_with_a_reason() {
+        assert!(Event::parse_jsonl("not json").is_err());
+        assert!(Event::parse_jsonl("{\"ev\":\"warp\"}").is_err());
+        assert!(Event::parse_jsonl("{\"ev\":\"buf_hit\",\"page\":1}").is_err());
+        assert!(Event::parse_jsonl("{\"ev\":\"page_read\",\"page\":1,\"kind\":\"nope\"}").is_err());
+    }
+
+    #[test]
+    fn unknown_algorithms_intern_as_placeholder() {
+        let ev =
+            Event::parse_jsonl("{\"ev\":\"run_begin\",\"algorithm\":\"XTC\",\"ms_per_io\":20}");
+        assert_eq!(
+            ev,
+            Ok(Event::RunBegin {
+                algorithm: "?",
+                ms_per_io: 20.0,
+            })
+        );
     }
 }

@@ -54,7 +54,7 @@ pub mod replay;
 pub mod sink;
 
 pub use digest::{digest_events, Fnv, TraceDigest};
-pub use event::{Event, Kind, Phase};
+pub use event::{Event, Kind, ParseError, Phase, ALGORITHM_NAMES};
 pub use replay::{
     replay, ReplayError, ReplayedBufferStats, ReplayedMetrics, ReplayedPhaseIo, ReplayedRect,
 };

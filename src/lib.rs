@@ -3,7 +3,7 @@
 //! Re-exports every layer of the system so that examples and downstream
 //! users can depend on a single crate:
 //!
-//! * [`det`] — deterministic PRNG, property-test harness, bench harness.
+//! * [`det`] — deterministic PRNG, property-test harness.
 //! * [`storage`] — simulated disk, page layouts, relation files, indexes.
 //! * [`buffer`] — buffer pool with pluggable replacement policies.
 //! * [`graph`] — DAG workloads, rectangle model, reference closures.

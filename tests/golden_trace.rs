@@ -9,6 +9,12 @@
 //! so any change to instrumentation points, event ordering, or the
 //! algorithms themselves shows up as a digest break.
 //!
+//! Both tests run on the simulated disk **and** the file-backed store:
+//! the file backend must hit the same pinned digests and pass the same
+//! `replay(trace) == metrics` check, which is the canonical proof that
+//! the two backends are observationally identical (randomised workloads
+//! are `backend_differential.rs`'s job).
+//!
 //! If an intentional change lands, regenerate the constants below (the
 //! failure message prints the new table) and note the break in
 //! CHANGES.md: previously exported traces stop matching.
@@ -16,6 +22,7 @@
 use std::sync::Arc;
 use tc_study::core::prelude::*;
 use tc_study::graph::DagGenerator;
+use tc_study::storage::Backend;
 use tc_study::trace::{digest_events, replay, DigestSink, Tracer};
 
 /// Pinned (algorithm, digest hash, event count) per algorithm, in
@@ -33,9 +40,17 @@ const GOLDEN: [(&str, u64, u64); 9] = [
     ("REACHINDEX", 0xC0E6BB75A2724E06, 777327),
 ];
 
-fn canonical_db() -> Database {
+/// The two backends, each with the canonical 20-page configuration and
+/// a freshly built canonical database on it (the file store lives in a
+/// temp directory removed on drop).
+fn canonical_dbs() -> [(SystemConfig, Database); 2] {
     let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
-    Database::build(&g, true).unwrap()
+    [Backend::Sim, Backend::file_temp()].map(|backend| {
+        let base = SystemConfig::with_buffer(20).backend(backend.clone());
+        let db = Database::build_for(&g, true, &base).unwrap();
+        assert_eq!(db.backend_name(), backend.name(), "wrong backend opened");
+        (base, db)
+    })
 }
 
 fn canonical_query() -> Query {
@@ -44,26 +59,29 @@ fn canonical_query() -> Query {
 
 #[test]
 fn every_algorithm_trace_matches_its_golden_digest() {
-    let mut db = canonical_db();
-    let mut table = Vec::new();
-    for algo in Algorithm::WITH_INDEX {
-        let sink = Arc::new(DigestSink::new());
-        let cfg = SystemConfig::with_buffer(20).traced(Tracer::new(sink.clone()));
-        db.run(&canonical_query(), algo, &cfg).unwrap();
-        let d = sink.digest();
-        table.push((algo.name(), d.hash, d.count));
+    for (base, mut db) in canonical_dbs() {
+        let mut table = Vec::new();
+        for algo in Algorithm::WITH_INDEX {
+            let sink = Arc::new(DigestSink::new());
+            let cfg = base.clone().traced(Tracer::new(sink.clone()));
+            db.run(&canonical_query(), algo, &cfg).unwrap();
+            let d = sink.digest();
+            table.push((algo.name(), d.hash, d.count));
+        }
+        let rendered = table
+            .iter()
+            .map(|(name, hash, count)| format!("    ({name:?}, {hash:#018X}, {count}),"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_eq!(
+            table,
+            GOLDEN,
+            "the canonical G5 event traces changed on the {} backend — if \
+             intentional, replace the GOLDEN table with:\n{rendered}\nand \
+             note the trace break in CHANGES.md",
+            db.backend_name(),
+        );
     }
-    let rendered = table
-        .iter()
-        .map(|(name, hash, count)| format!("    ({name:?}, {hash:#018X}, {count}),"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert_eq!(
-        table, GOLDEN,
-        "the canonical G5 event traces changed — if intentional, replace \
-         the GOLDEN table with:\n{rendered}\nand note the trace break in \
-         CHANGES.md",
-    );
 }
 
 #[test]
@@ -74,26 +92,28 @@ fn replay_reconstructs_metrics_for_every_algorithm_on_golden_g5() {
     // two sides come from independent code paths (snapshot-delta
     // accounting vs. a pure fold), so a lost or double-counted unit of
     // work on either side fails here.
-    let mut db = canonical_db();
-    for algo in Algorithm::WITH_INDEX {
-        let sink = Arc::new(tc_study::trace::VecSink::unbounded());
-        let cfg = SystemConfig::with_buffer(20).traced(Tracer::new(sink.clone()));
-        let res = db.run(&canonical_query(), algo, &cfg).unwrap();
-        let events = sink.events();
-        // The streaming digest and the offline digest agree on the
-        // captured stream (VecSink lost nothing).
-        assert_eq!(sink.dropped(), 0, "{algo}: VecSink dropped events");
-        let replayed = replay(events.iter().cloned()).unwrap();
-        let expected = res.metrics.to_replayed();
-        assert_eq!(
-            replayed,
-            expected,
-            "{algo}: replay(trace) != metrics; field diff:\n{}",
-            expected.diff(&replayed).join("\n")
-        );
-        // Sanity: the digest of the captured events is the digest a
-        // streaming sink would have produced (same canonical encoding).
-        let d = digest_events(events.iter());
-        assert_eq!(d.count, events.len() as u64);
+    for (base, mut db) in canonical_dbs() {
+        let backend = db.backend_name();
+        for algo in Algorithm::WITH_INDEX {
+            let sink = Arc::new(tc_study::trace::VecSink::unbounded());
+            let cfg = base.clone().traced(Tracer::new(sink.clone()));
+            let res = db.run(&canonical_query(), algo, &cfg).unwrap();
+            let events = sink.events();
+            // The streaming digest and the offline digest agree on the
+            // captured stream (VecSink lost nothing).
+            assert_eq!(sink.dropped(), 0, "{algo}: VecSink dropped events");
+            let replayed = replay(events.iter().cloned()).unwrap();
+            let expected = res.metrics.to_replayed();
+            assert_eq!(
+                replayed,
+                expected,
+                "{algo} on {backend}: replay(trace) != metrics; field diff:\n{}",
+                expected.diff(&replayed).join("\n")
+            );
+            // Sanity: the digest of the captured events is the digest a
+            // streaming sink would have produced (same canonical encoding).
+            let d = digest_events(events.iter());
+            assert_eq!(d.count, events.len() as u64);
+        }
     }
 }
