@@ -23,8 +23,8 @@
 //! let file = disk.new_file(FileKind::Temp);
 //! let pid = disk.alloc(file).unwrap();
 //! let mut pool = BufferPool::new(disk, 4, PagePolicy::Lru);
-//! pool.with_page_mut(pid, &mut |p: &mut Page| p.put_u32(0, 1)).unwrap();
-//! pool.with_page(pid, &mut |p: &Page| assert_eq!(p.get_u32(0), 1)).unwrap();
+//! pool.with_page_mut(pid, |p: &mut Page| p.put_u32(0, 1)).unwrap();
+//! pool.with_page(pid, |p: &Page| assert_eq!(p.get_u32(0), 1)).unwrap();
 //! assert_eq!(pool.stats().hits, 1); // second access hit the pool
 //! ```
 
@@ -35,12 +35,12 @@ pub mod policy;
 pub mod pool;
 pub mod stats;
 
-pub use policy::{PagePolicy, ReplacementPolicy};
+pub use policy::PagePolicy;
 pub use pool::BufferPool;
 pub use stats::BufferStats;
 
 // A serving session owns one pool and migrates with it between worker
-// threads; `PageStore: Send` plus `ReplacementPolicy: Send` must keep
+// threads; `PageStore: Send` plus policies of plain owned data must keep
 // the whole pool `Send`, checked here at compile time.
 const _: fn() = || {
     fn sendable<T: Send>() {}

@@ -51,35 +51,68 @@ impl PagePolicy {
     }
 
     /// Instantiates the policy for a pool of `capacity` frames.
-    pub fn build(self, capacity: usize) -> Box<dyn ReplacementPolicy> {
+    pub(crate) fn build(self, capacity: usize) -> ReplacementPolicy {
+        use ReplacementPolicy::*;
         match self {
-            PagePolicy::Lru => Box::new(StampPolicy::new(capacity, StampMode::Lru)),
-            PagePolicy::Mru => Box::new(StampPolicy::new(capacity, StampMode::Mru)),
-            PagePolicy::Fifo => Box::new(StampPolicy::new(capacity, StampMode::Fifo)),
-            PagePolicy::Clock => Box::new(ClockPolicy::new(capacity)),
-            PagePolicy::Lfu => Box::new(LfuPolicy::new(capacity)),
-            PagePolicy::Random => Box::new(RandomPolicy::new(capacity)),
+            PagePolicy::Lru => Stamp(StampPolicy::new(capacity, StampMode::Lru)),
+            PagePolicy::Mru => Stamp(StampPolicy::new(capacity, StampMode::Mru)),
+            PagePolicy::Fifo => Stamp(StampPolicy::new(capacity, StampMode::Fifo)),
+            PagePolicy::Clock => Clock(ClockPolicy::new(capacity)),
+            PagePolicy::Lfu => Lfu(LfuPolicy::new(capacity)),
+            PagePolicy::Random => Random(RandomPolicy::new(capacity)),
         }
     }
 }
 
-/// Frame-level replacement interface driven by the buffer pool.
+/// Frame-level replacement state driven by the buffer pool: one variant
+/// per policy struct, matched inline so a buffer hit makes no indirect
+/// call.
 ///
-/// `Send` is part of the contract: a serving session carries its pool
-/// (and therefore its boxed policy) to whichever worker thread picks the
-/// session up, so policies must not capture thread-bound state. All
-/// policies here are plain owned data.
-pub trait ReplacementPolicy: Send {
+/// All policies are plain owned data, which keeps the pool `Send`: a
+/// serving session carries its pool to whichever worker thread picks
+/// the session up.
+pub(crate) enum ReplacementPolicy {
+    Stamp(StampPolicy),
+    Clock(ClockPolicy),
+    Lfu(LfuPolicy),
+    Random(RandomPolicy),
+}
+
+/// Runs `$call` on whichever policy struct `$policy` holds.
+macro_rules! each_policy {
+    ($policy:expr, $p:ident => $call:expr) => {
+        match $policy {
+            ReplacementPolicy::Stamp($p) => $call,
+            ReplacementPolicy::Clock($p) => $call,
+            ReplacementPolicy::Lfu($p) => $call,
+            ReplacementPolicy::Random($p) => $call,
+        }
+    };
+}
+
+impl ReplacementPolicy {
     /// A page was installed in `frame`.
-    fn on_admit(&mut self, frame: usize);
+    pub(crate) fn on_admit(&mut self, frame: usize) {
+        each_policy!(self, p => p.on_admit(frame))
+    }
+
     /// The page in `frame` was accessed (hit).
-    fn on_access(&mut self, frame: usize);
+    #[inline]
+    pub(crate) fn on_access(&mut self, frame: usize) {
+        each_policy!(self, p => p.on_access(frame))
+    }
+
     /// The page in `frame` was evicted or invalidated.
-    fn on_evict(&mut self, frame: usize);
+    pub(crate) fn on_evict(&mut self, frame: usize) {
+        each_policy!(self, p => p.on_evict(frame))
+    }
+
     /// Chooses a victim among frames for which `evictable` returns true.
     ///
     /// Returns `None` if no frame is evictable (everything pinned).
-    fn victim(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize>;
+    pub(crate) fn victim(&mut self, evictable: impl Fn(usize) -> bool) -> Option<usize> {
+        each_policy!(self, p => p.victim(evictable))
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -91,9 +124,10 @@ enum StampMode {
 
 /// LRU / MRU / FIFO via per-frame logical timestamps.
 ///
-/// Pools in this study hold at most 50 frames, so a linear victim scan is
-/// both simpler and faster than a linked-list order structure.
-struct StampPolicy {
+/// The victim scan is linear in the pool size: the study's pools hold 10
+/// to 50 frames, and a pool large enough to matter (`serve_resident`
+/// runs 16,384 frames) holds its working set and never evicts.
+pub(crate) struct StampPolicy {
     mode: StampMode,
     clock: u64,
     stamps: Vec<u64>,
@@ -116,7 +150,7 @@ impl StampPolicy {
     }
 }
 
-impl ReplacementPolicy for StampPolicy {
+impl StampPolicy {
     fn on_admit(&mut self, frame: usize) {
         let t = self.tick();
         self.stamps[frame] = t;
@@ -134,7 +168,7 @@ impl ReplacementPolicy for StampPolicy {
         self.occupied[frame] = false;
     }
 
-    fn victim(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
+    fn victim(&mut self, evictable: impl Fn(usize) -> bool) -> Option<usize> {
         let mut best: Option<(u64, usize)> = None;
         for f in 0..self.stamps.len() {
             if !self.occupied[f] || !evictable(f) {
@@ -155,7 +189,7 @@ impl ReplacementPolicy for StampPolicy {
 }
 
 /// Second-chance clock.
-struct ClockPolicy {
+pub(crate) struct ClockPolicy {
     referenced: Vec<bool>,
     occupied: Vec<bool>,
     hand: usize,
@@ -171,7 +205,7 @@ impl ClockPolicy {
     }
 }
 
-impl ReplacementPolicy for ClockPolicy {
+impl ClockPolicy {
     fn on_admit(&mut self, frame: usize) {
         self.occupied[frame] = true;
         self.referenced[frame] = true;
@@ -186,7 +220,7 @@ impl ReplacementPolicy for ClockPolicy {
         self.referenced[frame] = false;
     }
 
-    fn victim(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
+    fn victim(&mut self, evictable: impl Fn(usize) -> bool) -> Option<usize> {
         let n = self.referenced.len();
         if n == 0 {
             return None;
@@ -212,7 +246,7 @@ impl ReplacementPolicy for ClockPolicy {
 }
 
 /// Least-frequently-used with admission-order tie-breaking.
-struct LfuPolicy {
+pub(crate) struct LfuPolicy {
     counts: Vec<u64>,
     admitted: Vec<u64>,
     occupied: Vec<bool>,
@@ -230,7 +264,7 @@ impl LfuPolicy {
     }
 }
 
-impl ReplacementPolicy for LfuPolicy {
+impl LfuPolicy {
     fn on_admit(&mut self, frame: usize) {
         self.clock += 1;
         self.counts[frame] = 1;
@@ -247,7 +281,7 @@ impl ReplacementPolicy for LfuPolicy {
         self.counts[frame] = 0;
     }
 
-    fn victim(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
+    fn victim(&mut self, evictable: impl Fn(usize) -> bool) -> Option<usize> {
         let mut best: Option<(u64, u64, usize)> = None;
         for f in 0..self.counts.len() {
             if !self.occupied[f] || !evictable(f) {
@@ -263,7 +297,7 @@ impl ReplacementPolicy for LfuPolicy {
 }
 
 /// Seeded pseudo-random eviction (deterministic across runs).
-struct RandomPolicy {
+pub(crate) struct RandomPolicy {
     occupied: Vec<bool>,
     rng: tc_det::Rng,
 }
@@ -281,7 +315,7 @@ impl RandomPolicy {
     }
 }
 
-impl ReplacementPolicy for RandomPolicy {
+impl RandomPolicy {
     fn on_admit(&mut self, frame: usize) {
         self.occupied[frame] = true;
     }
@@ -292,15 +326,16 @@ impl ReplacementPolicy for RandomPolicy {
         self.occupied[frame] = false;
     }
 
-    fn victim(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
-        let candidates: Vec<usize> = (0..self.occupied.len())
-            .filter(|&f| self.occupied[f] && evictable(f))
-            .collect();
-        if candidates.is_empty() {
+    fn victim(&mut self, evictable: impl Fn(usize) -> bool) -> Option<usize> {
+        // Two walks instead of a candidate list: one draw per eviction,
+        // the same as ever, so the eviction stream is unchanged.
+        let occupied = &self.occupied;
+        let candidates = || (0..occupied.len()).filter(|&f| occupied[f] && evictable(f));
+        let count = candidates().count();
+        if count == 0 {
             return None;
         }
-        let pick = self.rng.random_range(0..candidates.len());
-        Some(candidates[pick])
+        candidates().nth(self.rng.random_range(0..count))
     }
 }
 
@@ -319,7 +354,7 @@ mod tests {
         p.on_admit(1);
         p.on_admit(2);
         p.on_access(0); // 1 is now least recent
-        assert_eq!(p.victim(&mut all), Some(1));
+        assert_eq!(p.victim(all), Some(1));
     }
 
     #[test]
@@ -329,7 +364,7 @@ mod tests {
         p.on_admit(1);
         p.on_admit(2);
         p.on_access(0); // 0 is now most recent
-        assert_eq!(p.victim(&mut all), Some(0));
+        assert_eq!(p.victim(all), Some(0));
     }
 
     #[test]
@@ -339,7 +374,7 @@ mod tests {
         p.on_admit(1);
         p.on_access(0);
         p.on_access(0);
-        assert_eq!(p.victim(&mut all), Some(0));
+        assert_eq!(p.victim(all), Some(0));
     }
 
     #[test]
@@ -349,11 +384,11 @@ mod tests {
         p.on_admit(1);
         p.on_admit(2);
         // All referenced; first sweep clears bits, victim is frame 0.
-        assert_eq!(p.victim(&mut all), Some(0));
+        assert_eq!(p.victim(all), Some(0));
         p.on_evict(0);
         // 1 and 2 now have cleared bits; accessing 1 re-references it.
         p.on_access(1);
-        assert_eq!(p.victim(&mut all), Some(2));
+        assert_eq!(p.victim(all), Some(2));
     }
 
     #[test]
@@ -365,7 +400,7 @@ mod tests {
         p.on_access(0);
         p.on_access(2);
         p.on_access(2);
-        assert_eq!(p.victim(&mut all), Some(1));
+        assert_eq!(p.victim(all), Some(1));
     }
 
     #[test]
@@ -374,10 +409,8 @@ mod tests {
             let mut p = kind.build(2);
             p.on_admit(0);
             p.on_admit(1);
-            let mut only_one = |f: usize| f == 1;
-            assert_eq!(p.victim(&mut only_one), Some(1), "{}", kind.name());
-            let mut none = |_: usize| false;
-            assert_eq!(p.victim(&mut none), None, "{}", kind.name());
+            assert_eq!(p.victim(|f| f == 1), Some(1), "{}", kind.name());
+            assert_eq!(p.victim(|_| false), None, "{}", kind.name());
         }
     }
 
@@ -388,9 +421,7 @@ mod tests {
             for f in 0..8 {
                 p.on_admit(f);
             }
-            (0..4)
-                .map(|_| p.victim(&mut all).unwrap())
-                .collect::<Vec<_>>()
+            (0..4).map(|_| p.victim(all).unwrap()).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
@@ -402,7 +433,7 @@ mod tests {
             p.on_admit(0);
             p.on_admit(1);
             p.on_evict(0);
-            assert_eq!(p.victim(&mut all), Some(1), "{}", kind.name());
+            assert_eq!(p.victim(all), Some(1), "{}", kind.name());
         }
     }
 }

@@ -54,7 +54,7 @@ pub struct BufferPool {
     /// never outgrows the store's page count.
     table: Vec<u32>,
     free: Vec<usize>,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: ReplacementPolicy,
     stats: BufferStats,
     retry: RetryPolicy,
     /// Event tracer; disabled (free) unless a run arms one. Every
@@ -409,7 +409,9 @@ impl BufferPool {
 
     /// Faults `pid` into a frame (or finds it resident) and returns the
     /// frame index. Counts the logical request (`read` distinguishes
-    /// read-only requests for the paper's Figure-13 hit ratio).
+    /// read-only requests for the paper's Figure-13 hit ratio). The hit
+    /// inlines into the caller; the miss is a call.
+    #[inline]
     fn fetch_counted(&mut self, pid: PageId, read: bool) -> StorageResult<usize> {
         self.stats.requests += 1;
         if read {
@@ -424,6 +426,12 @@ impl BufferPool {
             self.policy.on_access(f);
             return Ok(f);
         }
+        self.fetch_miss(pid, read)
+    }
+
+    /// The miss half of [`BufferPool::fetch_counted`].
+    #[cold]
+    fn fetch_miss(&mut self, pid: PageId, read: bool) -> StorageResult<usize> {
         // The miss is counted (and traced) even if the physical read
         // below fails: the request happened.
         self.stats.misses += 1;
@@ -469,7 +477,7 @@ impl BufferPool {
         let frames = &self.frames;
         let victim = self
             .policy
-            .victim(&mut |f: usize| frames[f].pins == 0)
+            .victim(|f| frames[f].pins == 0)
             .ok_or(StorageError::AllFramesPinned)?;
         debug_assert_eq!(self.frames[victim].pins, 0);
         let old_pid = self.frames[victim].pid;
@@ -493,7 +501,8 @@ impl BufferPool {
 }
 
 impl Pager for BufferPool {
-    fn with_page<R>(&mut self, pid: PageId, f: &mut dyn FnMut(&Page) -> R) -> StorageResult<R> {
+    #[inline]
+    fn with_page<R>(&mut self, pid: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R> {
         let fr = self.fetch_counted(pid, true)?;
         let page = match &self.frames[fr].page {
             Some(page) => page,
@@ -505,10 +514,11 @@ impl Pager for BufferPool {
         Ok(f(page))
     }
 
+    #[inline]
     fn with_page_mut<R>(
         &mut self,
         pid: PageId,
-        f: &mut dyn FnMut(&mut Page) -> R,
+        f: impl FnOnce(&mut Page) -> R,
     ) -> StorageResult<R> {
         if self.lends {
             return Err(StorageError::ReadOnlyStore);
@@ -586,12 +596,10 @@ mod tests {
     #[test]
     fn hits_and_misses() {
         let (mut pool, pids) = setup(2);
-        let v = pool
-            .with_page(pids[0], &mut |p: &Page| p.get_u32(0))
-            .unwrap();
+        let v = pool.with_page(pids[0], |p: &Page| p.get_u32(0)).unwrap();
         assert_eq!(v, 0);
-        pool.with_page(pids[0], &mut |_p: &Page| ()).unwrap();
-        pool.with_page(pids[1], &mut |_p: &Page| ()).unwrap();
+        pool.with_page(pids[0], |_p: &Page| ()).unwrap();
+        pool.with_page(pids[1], |_p: &Page| ()).unwrap();
         let s = pool.stats();
         assert_eq!(s.requests, 3);
         assert_eq!(s.hits, 1);
@@ -603,7 +611,7 @@ mod tests {
     fn capacity_is_respected_and_lru_evicts() {
         let (mut pool, pids) = setup(5);
         for &pid in &pids[..4] {
-            pool.with_page(pid, &mut |_p: &Page| ()).unwrap();
+            pool.with_page(pid, |_p: &Page| ()).unwrap();
         }
         assert_eq!(pool.resident(), 3);
         assert!(!pool.is_resident(pids[0]), "LRU should have evicted page 0");
@@ -613,17 +621,15 @@ mod tests {
     #[test]
     fn dirty_pages_write_back_on_eviction() {
         let (mut pool, pids) = setup(5);
-        pool.with_page_mut(pids[0], &mut |p: &mut Page| p.put_u32(0, 99))
+        pool.with_page_mut(pids[0], |p: &mut Page| p.put_u32(0, 99))
             .unwrap();
         for &pid in &pids[1..4] {
-            pool.with_page(pid, &mut |_p: &Page| ()).unwrap();
+            pool.with_page(pid, |_p: &Page| ()).unwrap();
         }
         assert_eq!(pool.stats().dirty_writebacks, 1);
         assert_eq!(pool.store().stats().writes, 1);
         // Refetching sees the written-back value.
-        let v = pool
-            .with_page(pids[0], &mut |p: &Page| p.get_u32(0))
-            .unwrap();
+        let v = pool.with_page(pids[0], |p: &Page| p.get_u32(0)).unwrap();
         assert_eq!(v, 99);
     }
 
@@ -631,7 +637,7 @@ mod tests {
     fn clean_evictions_cost_no_write() {
         let (mut pool, pids) = setup(5);
         for &pid in &pids {
-            pool.with_page(pid, &mut |_p: &Page| ()).unwrap();
+            pool.with_page(pid, |_p: &Page| ()).unwrap();
         }
         assert_eq!(pool.store().stats().writes, 0);
     }
@@ -641,12 +647,12 @@ mod tests {
         let (mut pool, pids) = setup(5);
         pool.pin(pids[0]).unwrap();
         for &pid in &pids[1..5] {
-            pool.with_page(pid, &mut |_p: &Page| ()).unwrap();
+            pool.with_page(pid, |_p: &Page| ()).unwrap();
         }
         assert!(pool.is_resident(pids[0]));
         pool.unpin(pids[0]);
         for &pid in &pids[1..5] {
-            pool.with_page(pid, &mut |_p: &Page| ()).unwrap();
+            pool.with_page(pid, |_p: &Page| ()).unwrap();
         }
         assert!(!pool.is_resident(pids[0]));
     }
@@ -657,7 +663,7 @@ mod tests {
         pool.pin(pids[0]).unwrap();
         pool.pin(pids[1]).unwrap();
         pool.pin(pids[2]).unwrap();
-        let err = pool.with_page(pids[3], &mut |_p: &Page| ()).unwrap_err();
+        let err = pool.with_page(pids[3], |_p: &Page| ()).unwrap_err();
         assert_eq!(err, StorageError::AllFramesPinned);
     }
 
@@ -675,9 +681,9 @@ mod tests {
     #[test]
     fn flush_all_writes_dirty_frames_once() {
         let (mut pool, pids) = setup(2);
-        pool.with_page_mut(pids[0], &mut |p: &mut Page| p.put_u32(4, 1))
+        pool.with_page_mut(pids[0], |p: &mut Page| p.put_u32(4, 1))
             .unwrap();
-        pool.with_page_mut(pids[1], &mut |p: &mut Page| p.put_u32(4, 2))
+        pool.with_page_mut(pids[1], |p: &mut Page| p.put_u32(4, 2))
             .unwrap();
         pool.flush_all().unwrap();
         assert_eq!(pool.store().stats().writes, 2);
@@ -691,7 +697,7 @@ mod tests {
         let file = pool.create_file(FileKind::SuccessorList);
         let pid = pool.alloc_page(file).unwrap();
         assert_eq!(pool.store().stats().writes, 0);
-        pool.with_page_mut(pid, &mut |p: &mut Page| p.put_u32(0, 7))
+        pool.with_page_mut(pid, |p: &mut Page| p.put_u32(0, 7))
             .unwrap();
         pool.flush_all().unwrap();
         assert_eq!(pool.store().stats().writes, 1);
@@ -702,7 +708,7 @@ mod tests {
         let (mut pool, _) = setup(0);
         let file = pool.create_file(FileKind::SuccessorList);
         let pid = pool.alloc_page(file).unwrap();
-        pool.with_page_mut(pid, &mut |p: &mut Page| p.put_u32(0, 7))
+        pool.with_page_mut(pid, |p: &mut Page| p.put_u32(0, 7))
             .unwrap();
         pool.discard_file(file).unwrap();
         pool.flush_all().unwrap();
@@ -712,7 +718,7 @@ mod tests {
     #[test]
     fn into_store_flushes() {
         let (mut pool, pids) = setup(1);
-        pool.with_page_mut(pids[0], &mut |p: &mut Page| p.put_u32(0, 123))
+        pool.with_page_mut(pids[0], |p: &mut Page| p.put_u32(0, 123))
             .unwrap();
         let mut store = pool.into_store().unwrap();
         let mut p = Page::new();
@@ -738,7 +744,7 @@ mod tests {
             for round in 0..3 {
                 for (i, &pid) in pids.iter().enumerate() {
                     if (i + round) % 3 == 0 {
-                        let v = pool.with_page(pid, &mut |p: &Page| p.get_u32(0)).unwrap();
+                        let v = pool.with_page(pid, |p: &Page| p.get_u32(0)).unwrap();
                         assert_eq!(v, i as u32, "{}", policy.name());
                     }
                 }

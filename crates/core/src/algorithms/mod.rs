@@ -53,47 +53,58 @@ impl AnswerCollector {
         }
     }
 
-    /// Distinct answer tuples recorded.
+    /// Answer tuples recorded, a repeated tuple counted every time (the
+    /// algorithms emit each tuple once).
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// The collected pairs (empty unless collecting), sorted.
+    /// The collected pairs (empty unless collecting), sorted; a tuple
+    /// emitted more than once stays in as often as it was emitted.
     ///
-    /// Node ids are dense, so this is an LSD radix sort with one digit
-    /// per component: a stable counting pass on the successor, then one
-    /// on the source — linear in pairs + ids, against a comparison sort
-    /// of the ~1.5 M tuples of a full closure. The scratch buffer of the
-    /// first pass is freed before returning.
+    /// Node ids are dense and a closure is too: the pairs are marked in
+    /// a bit matrix, one row of id bits per source, and read back in
+    /// order over themselves — two linear passes, in place, against a
+    /// comparison sort of the ~1.5 M tuples of a full closure. A bit
+    /// cannot hold a repeated tuple, and a matrix larger than the answer
+    /// (fewer than one tuple in 64 possible) costs more than it saves;
+    /// those answers are comparison-sorted.
     pub fn into_pairs(self) -> Vec<(NodeId, NodeId)> {
         let mut pairs = self.pairs;
-        let mut scratch = vec![(0, 0); pairs.len()];
-        counting_pass(&pairs, &mut scratch, |p| p.1);
-        counting_pass(&scratch, &mut pairs, |p| p.0);
+        let (mut sources, mut ids) = (0, 0);
+        for &(s, x) in &pairs {
+            sources = sources.max(s as usize + 1);
+            ids = ids.max(x as usize + 1);
+        }
+        let words = ids.div_ceil(64);
+        let mut matrix = Vec::new();
+        let mut distinct = sources * words <= pairs.len();
+        if distinct {
+            matrix.resize(sources * words, 0u64);
+            for &(s, x) in &pairs {
+                let word = &mut matrix[s as usize * words + x as usize / 64];
+                let bit = 1u64 << (x % 64);
+                distinct &= *word & bit == 0;
+                *word |= bit;
+            }
+        }
+        if !distinct {
+            pairs.sort_unstable();
+            return pairs;
+        }
+        let mut slots = pairs.iter_mut();
+        for (row, s) in matrix.chunks(words.max(1)).zip(0..) {
+            for (&word, base) in row.iter().zip((0..).step_by(64)) {
+                let mut rest = word;
+                while rest != 0 {
+                    if let Some(slot) = slots.next() {
+                        *slot = (s, base + rest.trailing_zeros());
+                    }
+                    rest &= rest - 1;
+                }
+            }
+        }
         pairs
-    }
-}
-
-/// Stable counting sort of `src` into `dst` (same length) by `key`.
-fn counting_pass(
-    src: &[(NodeId, NodeId)],
-    dst: &mut [(NodeId, NodeId)],
-    key: impl Fn(&(NodeId, NodeId)) -> NodeId,
-) {
-    let buckets = src.iter().map(&key).max().map_or(0, |m| m as usize + 1);
-    // next[k]: where the next pair with key k goes.
-    let mut next = vec![0usize; buckets];
-    for p in src {
-        next[key(p) as usize] += 1;
-    }
-    let mut start = 0;
-    for slot in &mut next {
-        start += std::mem::replace(slot, start);
-    }
-    for p in src {
-        let slot = &mut next[key(p) as usize];
-        dst[*slot] = *p;
-        *slot += 1;
     }
 }
 

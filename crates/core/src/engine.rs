@@ -22,7 +22,8 @@ pub struct RunResult {
     /// The full metric suite.
     pub metrics: CostMetrics,
     /// The answer tuples `(source, successor)`, if collection was enabled
-    /// in the [`SystemConfig`]. Sorted and duplicate-free.
+    /// in the [`SystemConfig`]. Sorted; the algorithms emit each tuple
+    /// once, and nothing here would drop a repeat if one did not.
     pub answer: Option<Vec<(NodeId, NodeId)>>,
     /// The fault trace of the run: every injected fault and checksum
     /// detection, in order. Empty unless the [`SystemConfig`] armed a

@@ -291,7 +291,7 @@ impl ReachIndex {
         let at = start + self.cd.chain_of[b as usize] as usize;
         let mut entry = NO_POS;
         for i in start / TUPLES_PER_PAGE..=(start + k - 1) / TUPLES_PER_PAGE {
-            pager.with_page(self.labels_file.pages()[i], &mut |pg: &tc_storage::Page| {
+            pager.with_page(self.labels_file.pages()[i], |pg: &tc_storage::Page| {
                 if i == at / TUPLES_PER_PAGE {
                     entry = TuplePage::get(pg, at % TUPLES_PER_PAGE).1;
                 }

@@ -213,10 +213,9 @@ mod tests {
         let f = d.create_file(FileKind::Temp);
         let p = d.alloc_page(f).unwrap();
         let mut sink = 0u32;
-        d.with_page_mut(p, &mut |pg: &mut Page| pg.put_u32(0, 5))
+        d.with_page_mut(p, |pg: &mut Page| pg.put_u32(0, 5))
             .unwrap();
-        d.with_page(p, &mut |pg: &Page| sink = pg.get_u32(0))
-            .unwrap();
+        d.with_page(p, |pg: &Page| sink = pg.get_u32(0)).unwrap();
         assert_eq!(sink, 5);
         // with_page_mut = read + write, with_page = read.
         assert_eq!(d.stats().reads, 2);

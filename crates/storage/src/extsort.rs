@@ -49,7 +49,7 @@ pub fn external_sort<P: Pager>(
         let pages = input.pages().to_vec();
         for (i, &pid) in pages.iter().enumerate() {
             let count = input.tuples_on_page(i);
-            pager.with_page(pid, &mut |pg: &Page| {
+            pager.with_page(pid, |pg: &Page| {
                 TuplePage::read_all(pg, count, &mut buf);
             })?;
             if buf.len() >= run_capacity {
@@ -127,7 +127,7 @@ impl RunCursor {
         let count = self.run.tuples_on_page(self.page_idx);
         let pid = self.run.pages()[self.page_idx];
         let buf = &mut self.buf;
-        pager.with_page(pid, &mut |pg: &Page| {
+        pager.with_page(pid, |pg: &Page| {
             TuplePage::read_all(pg, count, buf);
         })?;
         self.page_idx += 1;

@@ -91,9 +91,7 @@ impl ClusteredIndex {
         let read_key = |pager: &mut P, i: usize| -> StorageResult<u32> {
             let page_no = i / KEYS_PER_INDEX_PAGE;
             let slot = i % KEYS_PER_INDEX_PAGE;
-            pager.with_page(self.pages[page_no], &mut |pg: &Page| {
-                IndexPage::get(pg, slot)
-            })
+            pager.with_page(self.pages[page_no], |pg: &Page| IndexPage::get(pg, slot))
         };
 
         // A data page `i` holds keys in [first_key[i], first_key[i+1]], so

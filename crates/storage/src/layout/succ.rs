@@ -118,7 +118,22 @@ impl SuccPage {
     #[inline]
     pub fn entry(page: &Page, b: usize, k: usize) -> SuccEntry {
         debug_assert!(b < BLOCKS_PER_PAGE && k < ENTRIES_PER_BLOCK);
-        let raw = page.get_i32(ENTRIES_OFF + (b * ENTRIES_PER_BLOCK + k) * 4);
+        Self::decode(page.get_i32(ENTRIES_OFF + (b * ENTRIES_PER_BLOCK + k) * 4))
+    }
+
+    /// The first `used` entries of block `b`, decoded in one pass over
+    /// their bytes.
+    #[inline]
+    pub fn entries(page: &Page, b: usize, used: usize) -> impl Iterator<Item = SuccEntry> + '_ {
+        debug_assert!(b < BLOCKS_PER_PAGE && used <= ENTRIES_PER_BLOCK);
+        let off = ENTRIES_OFF + b * ENTRIES_PER_BLOCK * 4;
+        page.bytes()[off..off + used * 4]
+            .chunks_exact(4)
+            .map(|raw| Self::decode(i32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]])))
+    }
+
+    #[inline]
+    fn decode(raw: i32) -> SuccEntry {
         debug_assert!(raw != 0, "entry slot read before being written");
         if raw < 0 {
             SuccEntry {
@@ -140,6 +155,14 @@ impl SuccPage {
         let biased = (e.node + 1) as i32;
         let raw = if e.tagged { -biased } else { biased };
         page.put_i32(ENTRIES_OFF + (b * ENTRIES_PER_BLOCK + k) * 4, raw);
+    }
+
+    /// Clears the tag of entry `k` of block `b`, in place.
+    #[inline]
+    pub fn untag_entry(page: &mut Page, b: usize, k: usize) {
+        debug_assert!(b < BLOCKS_PER_PAGE && k < ENTRIES_PER_BLOCK);
+        let off = ENTRIES_OFF + (b * ENTRIES_PER_BLOCK + k) * 4;
+        page.put_i32(off, page.get_i32(off).wrapping_abs());
     }
 
     /// Index of the first free block on the page, if any.

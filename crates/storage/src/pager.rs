@@ -14,14 +14,14 @@ use crate::page::{Page, PageId};
 /// Page access abstraction shared by the direct disk and the buffer pool.
 pub trait Pager {
     /// Runs `f` with read access to page `pid`.
-    fn with_page<R>(&mut self, pid: PageId, f: &mut dyn FnMut(&Page) -> R) -> StorageResult<R>;
+    ///
+    /// `f` is a generic parameter, not a trait object, so a buffer hit
+    /// inlines into its caller; a `&mut |pg| ..` closure still fits.
+    fn with_page<R>(&mut self, pid: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R>;
 
     /// Runs `f` with write access to page `pid`, marking it dirty.
-    fn with_page_mut<R>(
-        &mut self,
-        pid: PageId,
-        f: &mut dyn FnMut(&mut Page) -> R,
-    ) -> StorageResult<R>;
+    fn with_page_mut<R>(&mut self, pid: PageId, f: impl FnOnce(&mut Page) -> R)
+        -> StorageResult<R>;
 
     /// Allocates a fresh page in `file`.
     ///
@@ -49,13 +49,13 @@ mod tests {
     use super::*;
     use crate::disk::{DiskSim, FileKind};
 
-    // Exercise the trait through a &mut dyn-style helper to ensure the
-    // closure-parameter signatures stay usable from generic code.
+    // Exercise the trait from generic code, to ensure the
+    // closure-parameter signatures stay usable there.
     fn write_then_read<P: Pager>(p: &mut P) -> StorageResult<u32> {
         let file = p.create_file(FileKind::Temp);
         let pid = p.alloc_page(file)?;
-        p.with_page_mut(pid, &mut |pg: &mut Page| pg.put_u32(4, 99))?;
-        p.with_page(pid, &mut |pg: &Page| pg.get_u32(4))
+        p.with_page_mut(pid, |pg: &mut Page| pg.put_u32(4, 99))?;
+        p.with_page(pid, |pg: &Page| pg.get_u32(4))
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl RelationFile {
         let mut out = Vec::with_capacity(self.tuple_count);
         for (i, &pid) in self.pages.iter().enumerate() {
             let count = self.tuples_on_page(i);
-            pager.with_page(pid, &mut |pg: &Page| {
+            pager.with_page(pid, |pg: &Page| {
                 TuplePage::read_all(pg, count, &mut out);
             })?;
         }
@@ -148,7 +148,7 @@ impl RelationFile {
         for (i, &pid) in self.pages.iter().enumerate() {
             let count = self.tuples_on_page(i);
             buf.clear();
-            pager.with_page(pid, &mut |pg: &Page| {
+            pager.with_page(pid, |pg: &Page| {
                 TuplePage::read_all(pg, count, &mut buf);
             })?;
             sink(&buf);
@@ -173,7 +173,7 @@ impl RelationFile {
         for i in lo..=hi.min(self.pages.len().saturating_sub(1)) {
             let count = self.tuples_on_page(i);
             let mut past_key = false;
-            pager.with_page(self.pages[i], &mut |pg: &Page| {
+            pager.with_page(self.pages[i], |pg: &Page| {
                 // Tuples are clustered, so the key's run starts at the
                 // first slot not below it: bisect to it, then walk it.
                 let (mut a, mut b) = (0, count);
@@ -217,7 +217,7 @@ impl RelationFile {
             let base = i * TUPLES_PER_PAGE;
             let from = start.saturating_sub(base);
             let to = (end - base).min(self.tuples_on_page(i));
-            pager.with_page(self.pages[i], &mut |pg: &Page| {
+            pager.with_page(self.pages[i], |pg: &Page| {
                 TuplePage::read_values(pg, from, to, out);
             })?;
         }
@@ -269,7 +269,7 @@ impl TupleWriter {
             .last()
             .ok_or(StorageError::Internal("page allocated above"))?;
         let slot = self.slot;
-        pager.with_page_mut(pid, &mut |pg: &mut Page| {
+        pager.with_page_mut(pid, |pg: &mut Page| {
             TuplePage::put(pg, slot, t.0, t.1);
         })?;
         if let Some(prev) = self.last_key {

@@ -385,7 +385,7 @@ impl<M: Medium> PageStore for Store<M> {
 /// goes through the buffer pool in `tc-buffer`, which has its own
 /// (buffered) `Pager` impl.
 impl<S: PageStore + ?Sized> Pager for S {
-    fn with_page<R>(&mut self, pid: PageId, f: &mut dyn FnMut(&Page) -> R) -> StorageResult<R> {
+    fn with_page<R>(&mut self, pid: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R> {
         let mut tmp = Page::new();
         let policy = self.retry_policy();
         let mut tally = RetryTally::default();
@@ -396,7 +396,7 @@ impl<S: PageStore + ?Sized> Pager for S {
     fn with_page_mut<R>(
         &mut self,
         pid: PageId,
-        f: &mut dyn FnMut(&mut Page) -> R,
+        f: impl FnOnce(&mut Page) -> R,
     ) -> StorageResult<R> {
         let mut tmp = Page::new();
         let policy = self.retry_policy();
@@ -531,9 +531,9 @@ mod tests {
         let s: &mut dyn PageStore = store.as_mut();
         let file = s.create_file(FileKind::Temp);
         let pid = s.alloc_page(file).unwrap();
-        s.with_page_mut(pid, &mut |pg: &mut Page| pg.put_u32(4, 9))
+        s.with_page_mut(pid, |pg: &mut Page| pg.put_u32(4, 9))
             .unwrap();
-        let v = s.with_page(pid, &mut |pg: &Page| pg.get_u32(4)).unwrap();
+        let v = s.with_page(pid, |pg: &Page| pg.get_u32(4)).unwrap();
         assert_eq!(v, 9);
         assert_eq!(s.file_page_ids(file), vec![pid]);
         s.free_file(file).unwrap();

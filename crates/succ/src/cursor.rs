@@ -83,11 +83,9 @@ impl ListCursor {
         }
         let run = &self.blocks[self.pos..end];
         out.reserve(run.iter().map(|&(_, used)| used as usize).sum());
-        pager.with_page(page, &mut |pg: &Page| {
+        pager.with_page(page, |pg: &Page| {
             for &(r, used) in run {
-                for k in 0..used as usize {
-                    out.push(SuccPage::entry(pg, r.block as usize, k));
-                }
+                out.extend(SuccPage::entries(pg, r.block as usize, used as usize));
             }
         })?;
         self.pos = end;

@@ -1,9 +1,11 @@
 //! The paged successor-list store.
 
 use crate::policy::ListPolicy;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tc_storage::layout::succ::{SuccEntry, SuccPage, BLOCKS_PER_PAGE, ENTRIES_PER_BLOCK};
-use tc_storage::{FileId, FileKind, Page, PageId, Pager, StorageResult, SuccBlockRef};
+use tc_storage::{
+    FileId, FileKind, Page, PageId, Pager, StorageError, StorageResult, SuccBlockRef,
+};
 
 /// Allocation and maintenance counters of a [`SuccStore`].
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
@@ -130,8 +132,7 @@ impl SuccStore {
     /// every page must appear in exactly one chain. Intended for tests
     /// and debugging; reads every page of the store through `pager`.
     pub fn verify_integrity<P: Pager>(&self, pager: &mut P) -> StorageResult<()> {
-        use std::collections::HashMap as Map;
-        let mut chained: Map<(PageId, u8), u32> = Map::new();
+        let mut chained: BTreeMap<(PageId, u8), u32> = BTreeMap::new();
         for node in 0..self.dir.len() as u32 {
             let meta = &self.dir[node as usize];
             let len = meta.len as usize;
@@ -153,7 +154,7 @@ impl SuccStore {
                 } else {
                     len - (meta.blocks.len() - 1) * ENTRIES_PER_BLOCK
                 };
-                pager.with_page(r.page, &mut |pg: &Page| {
+                pager.with_page(r.page, |pg: &Page| {
                     assert_eq!(
                         SuccPage::owner(pg, r.block as usize),
                         Some(node),
@@ -171,7 +172,7 @@ impl SuccStore {
         // the free cache must agree with the pages.
         for page in pager.file_page_ids(self.file) {
             let free = self.free_on(page);
-            let on_page_free = pager.with_page(page, &mut |pg: &Page| {
+            let on_page_free = pager.with_page(page, |pg: &Page| {
                 for b in 0..BLOCKS_PER_PAGE {
                     if let Some(owner) = SuccPage::owner(pg, b) {
                         assert_eq!(
@@ -195,23 +196,8 @@ impl SuccStore {
         node: u32,
         entry: SuccEntry,
     ) -> StorageResult<()> {
-        let meta = &self.dir[node as usize];
-        // A new block is needed for the first entry and at every
-        // 15-entry boundary thereafter.
-        let needs_block = meta.blocks.is_empty() || (meta.len as usize) % ENTRIES_PER_BLOCK == 0;
-        let target = if needs_block {
-            self.alloc_block(pager, node)?
-        } else {
-            *meta.blocks.last().expect("non-empty chain")
-        };
-        let slot = (self.dir[node as usize].len as usize) % ENTRIES_PER_BLOCK;
-        pager.with_page_mut(target.page, &mut |pg: &mut Page| {
-            SuccPage::set_entry(pg, target.block as usize, slot, entry);
-            SuccPage::set_used(pg, target.block as usize, slot + 1);
-        })?;
-        self.dir[node as usize].len += 1;
-        self.stats.entries_written += 1;
-        Ok(())
+        let slot = self.dir[node as usize].len as usize % ENTRIES_PER_BLOCK;
+        self.append_at(pager, node, slot, entry)
     }
 
     /// Appends a *flat-list* entry, maintaining the paper's convention
@@ -223,43 +209,60 @@ impl SuccStore {
         node: u32,
         value: u32,
     ) -> StorageResult<()> {
-        let len = self.dir[node as usize].len as usize;
-        if len > 0 {
+        let meta = &self.dir[node as usize];
+        let slot = meta.len as usize % ENTRIES_PER_BLOCK;
+        if let Some(&tail) = meta.blocks.last() {
             // Untag the previous last entry (almost always a buffer hit:
             // it is on the page we are about to append to, or the one
-            // before it).
-            let prev_block = self.dir[node as usize].blocks[(len - 1) / ENTRIES_PER_BLOCK];
-            let prev_slot = (len - 1) % ENTRIES_PER_BLOCK;
-            pager.with_page_mut(prev_block.page, &mut |pg: &mut Page| {
-                let e = SuccPage::entry(pg, prev_block.block as usize, prev_slot);
-                SuccPage::set_entry(
-                    pg,
-                    prev_block.block as usize,
-                    prev_slot,
-                    SuccEntry::plain(e.node),
-                );
+            // before it). It closes the tail block when that block is
+            // full, and sits just before the new slot otherwise.
+            let prev_slot = slot.checked_sub(1).unwrap_or(ENTRIES_PER_BLOCK - 1);
+            pager.with_page_mut(tail.page, |pg: &mut Page| {
+                SuccPage::untag_entry(pg, tail.block as usize, prev_slot)
             })?;
         }
-        self.append(pager, node, SuccEntry::tagged(value))
+        self.append_at(pager, node, slot, SuccEntry::tagged(value))
+    }
+
+    /// Writes `entry` into slot `slot` (the list length modulo the block
+    /// size) of `node`'s tail block. Slot 0 — the first entry and every
+    /// 15-entry boundary thereafter — opens a new block.
+    fn append_at<P: Pager>(
+        &mut self,
+        pager: &mut P,
+        node: u32,
+        slot: usize,
+        entry: SuccEntry,
+    ) -> StorageResult<()> {
+        let target = match self.dir[node as usize].blocks.last() {
+            Some(&tail) if slot != 0 => tail,
+            _ => self.alloc_block(pager, node)?,
+        };
+        pager.with_page_mut(target.page, |pg: &mut Page| {
+            SuccPage::set_entry(pg, target.block as usize, slot, entry);
+            SuccPage::set_used(pg, target.block as usize, slot + 1);
+        })?;
+        self.dir[node as usize].len += 1;
+        self.stats.entries_written += 1;
+        Ok(())
     }
 
     /// Allocates the next block for `node` per the clustering rules and
     /// the list replacement policy.
     fn alloc_block<P: Pager>(&mut self, pager: &mut P, node: u32) -> StorageResult<SuccBlockRef> {
-        if let Some(&tail) = self.dir[node as usize].blocks.last() {
-            // Intra-list clustering: stay on the tail page if possible.
-            if self.free_on(tail.page) > 0 {
-                return self.claim_block(pager, tail.page, node);
-            }
-            // Tail page full: list replacement policy decides.
-            match self.policy {
-                ListPolicy::Spill => self.alloc_on_fill_page(pager, node),
-                ListPolicy::MoveShortest => self.split_move_shortest(pager, tail.page, node),
-                ListPolicy::MoveGrowing => self.split_move_growing(pager, tail.page, node),
-            }
-        } else {
+        let Some(&tail) = self.dir[node as usize].blocks.last() else {
             // First block: inter-list clustering on the shared fill page.
-            self.alloc_on_fill_page(pager, node)
+            return self.alloc_on_fill_page(pager, node);
+        };
+        // Intra-list clustering: stay on the tail page if possible.
+        if self.free_on(tail.page) > 0 {
+            return self.claim_block(pager, tail.page, node);
+        }
+        // Tail page full: list replacement policy decides.
+        match self.policy {
+            ListPolicy::Spill => self.alloc_on_fill_page(pager, node),
+            ListPolicy::MoveShortest => self.split_move_shortest(pager, tail.page, node),
+            ListPolicy::MoveGrowing => self.split_move_growing(pager, tail.page, node),
         }
     }
 
@@ -275,11 +278,14 @@ impl SuccStore {
         node: u32,
     ) -> StorageResult<SuccBlockRef> {
         debug_assert!(self.free_on(page) > 0);
-        let block = pager.with_page_mut(page, &mut |pg: &mut Page| {
-            let b = SuccPage::find_free_block(pg).expect("free cache out of sync");
-            SuccPage::set_owner(pg, b, node);
-            b as u8
-        })?;
+        let block = pager
+            .with_page_mut(page, |pg: &mut Page| {
+                let b = SuccPage::find_free_block(pg)?;
+                SuccPage::set_owner(pg, b, node);
+                Some(b as u8)
+            })?
+            // The free cache said otherwise: it is out of sync.
+            .ok_or(StorageError::PageFull(page))?;
         self.free_cache[page.index()] -= 1;
         let r = SuccBlockRef { page, block };
         self.dir[node as usize].blocks.push(r);
@@ -293,15 +299,25 @@ impl SuccStore {
         pager: &mut P,
         node: u32,
     ) -> StorageResult<SuccBlockRef> {
-        let page = match self.fill_page {
-            Some(p) if self.free_on(p) > 0 => p,
+        let page = self.fill_page_with_room(pager, None)?;
+        self.claim_block(pager, page, node)
+    }
+
+    /// The shared fill page if it has a free block and is not `avoid`,
+    /// else a fresh page that becomes the fill page.
+    fn fill_page_with_room<P: Pager>(
+        &mut self,
+        pager: &mut P,
+        avoid: Option<PageId>,
+    ) -> StorageResult<PageId> {
+        match self.fill_page {
+            Some(p) if self.free_on(p) > 0 && Some(p) != avoid => Ok(p),
             _ => {
                 let p = self.fresh_page(pager)?;
                 self.fill_page = Some(p);
-                p
+                Ok(p)
             }
-        };
-        self.claim_block(pager, page, node)
+        }
     }
 
     fn fresh_page<P: Pager>(&mut self, pager: &mut P) -> StorageResult<PageId> {
@@ -323,25 +339,29 @@ impl SuccStore {
         page: PageId,
         node: u32,
     ) -> StorageResult<SuccBlockRef> {
-        // Inventory the page's owners.
-        let mut by_owner: HashMap<u32, Vec<u8>> = HashMap::new();
-        pager.with_page(page, &mut |pg: &Page| {
+        // Inventory the page's other owners, one slot per block.
+        let mut owners = [0u32; BLOCKS_PER_PAGE];
+        let mut others = 0;
+        pager.with_page(page, |pg: &Page| {
             for b in 0..BLOCKS_PER_PAGE {
-                if let Some(o) = SuccPage::owner(pg, b) {
-                    by_owner.entry(o).or_default().push(b as u8);
+                if let Some(o) = SuccPage::owner(pg, b).filter(|&o| o != node) {
+                    owners[others] = o;
+                    others += 1;
                 }
             }
         })?;
-        by_owner.remove(&node);
-        let victim = by_owner
-            .iter()
-            .min_by_key(|(o, blocks)| (blocks.len(), **o))
-            .map(|(&o, _)| o);
+        // Sorted, each owner is one run; its length is its block count.
+        let owners = &mut owners[..others];
+        owners.sort_unstable();
+        let victim = owners
+            .chunk_by(|a, b| a == b)
+            .min_by_key(|run| (run.len(), run[0]))
+            .map(|run| run[0]);
         let Some(victim) = victim else {
             // Page holds only the growing list.
             return self.alloc_on_fill_page(pager, node);
         };
-        self.relocate_blocks(pager, victim, page)?;
+        self.relocate_blocks(pager, victim, page, None)?;
         self.stats.page_splits += 1;
         self.claim_block(pager, page, node)
     }
@@ -366,62 +386,33 @@ impl SuccStore {
             return self.claim_block(pager, p, node);
         }
         let dest = self.fresh_page(pager)?;
-        self.relocate_blocks_to(pager, node, page, dest)?;
+        self.relocate_blocks(pager, node, page, Some(dest))?;
         self.stats.page_splits += 1;
         self.claim_block(pager, dest, node)
     }
 
-    /// Moves all of `owner`'s blocks that live on `from` to fill-page
-    /// space.
+    /// Moves all of `owner`'s blocks that live on `from` to the page
+    /// `to`, or to fill-page space when there is none.
     fn relocate_blocks<P: Pager>(
         &mut self,
         pager: &mut P,
         owner: u32,
         from: PageId,
+        to: Option<PageId>,
     ) -> StorageResult<()> {
-        let positions: Vec<usize> = self.dir[owner as usize]
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.page == from)
-            .map(|(i, _)| i)
-            .collect();
-        for pos in positions {
+        // A moved block never lands on `from`, so one walk of the chain
+        // meets each of its blocks there exactly once.
+        for pos in 0..self.dir[owner as usize].blocks.len() {
             let old = self.dir[owner as usize].blocks[pos];
-            // Destination: fill page (never `from`, which has no free
-            // blocks).
-            let dest_page = match self.fill_page {
-                Some(p) if self.free_on(p) > 0 && p != from => p,
-                _ => {
-                    let p = self.fresh_page(pager)?;
-                    self.fill_page = Some(p);
-                    p
-                }
+            if old.page != from {
+                continue;
+            }
+            let dest_page = match to {
+                Some(p) => p,
+                // `from` gains a free block with every move; keep off it.
+                None => self.fill_page_with_room(pager, Some(from))?,
             };
             let new = self.move_block(pager, owner, old, dest_page)?;
-            self.dir[owner as usize].blocks[pos] = new;
-        }
-        Ok(())
-    }
-
-    /// Moves all of `owner`'s blocks on `from` to the specific page `to`.
-    fn relocate_blocks_to<P: Pager>(
-        &mut self,
-        pager: &mut P,
-        owner: u32,
-        from: PageId,
-        to: PageId,
-    ) -> StorageResult<()> {
-        let positions: Vec<usize> = self.dir[owner as usize]
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.page == from)
-            .map(|(i, _)| i)
-            .collect();
-        for pos in positions {
-            let old = self.dir[owner as usize].blocks[pos];
-            let new = self.move_block(pager, owner, old, to)?;
             self.dir[owner as usize].blocks[pos] = new;
         }
         Ok(())
@@ -438,28 +429,32 @@ impl SuccStore {
     ) -> StorageResult<SuccBlockRef> {
         debug_assert!(self.free_on(dest_page) > 0);
         // Read the old block.
-        let mut entries: Vec<SuccEntry> = Vec::with_capacity(ENTRIES_PER_BLOCK);
-        let mut used = 0usize;
-        pager.with_page(old.page, &mut |pg: &Page| {
-            used = SuccPage::used(pg, old.block as usize);
-            entries.clear();
-            for k in 0..used {
-                entries.push(SuccPage::entry(pg, old.block as usize, k));
+        let mut entries = [SuccEntry::plain(0); ENTRIES_PER_BLOCK];
+        let used = pager.with_page(old.page, |pg: &Page| {
+            let used = SuccPage::used(pg, old.block as usize);
+            for (e, read) in entries
+                .iter_mut()
+                .zip(SuccPage::entries(pg, old.block as usize, used))
+            {
+                *e = read;
             }
+            used
         })?;
         // Write it to the destination.
-        let new_block = pager.with_page_mut(dest_page, &mut |pg: &mut Page| {
-            let b = SuccPage::find_free_block(pg).expect("free cache out of sync");
-            SuccPage::set_owner(pg, b, owner);
-            SuccPage::set_used(pg, b, used);
-            for (k, &e) in entries.iter().enumerate() {
-                SuccPage::set_entry(pg, b, k, e);
-            }
-            b as u8
-        })?;
+        let new_block = pager
+            .with_page_mut(dest_page, |pg: &mut Page| {
+                let b = SuccPage::find_free_block(pg)?;
+                SuccPage::set_owner(pg, b, owner);
+                SuccPage::set_used(pg, b, used);
+                for (k, &e) in entries.iter().enumerate().take(used) {
+                    SuccPage::set_entry(pg, b, k, e);
+                }
+                Some(b as u8)
+            })?
+            .ok_or(StorageError::PageFull(dest_page))?;
         self.free_cache[dest_page.index()] -= 1;
         // Free the original.
-        pager.with_page_mut(old.page, &mut |pg: &mut Page| {
+        pager.with_page_mut(old.page, |pg: &mut Page| {
             SuccPage::free_block(pg, old.block as usize);
         })?;
         self.free_cache[old.page.index()] += 1;

@@ -117,7 +117,7 @@ fn probe_linear(
         let count = rel.tuples_on_page(i);
         let mut past_key = false;
         pager
-            .with_page(rel.pages()[i], &mut |pg: &Page| {
+            .with_page(rel.pages()[i], |pg: &Page| {
                 for slot in 0..count {
                     let (k, v) = TuplePage::get(pg, slot);
                     if k == key {

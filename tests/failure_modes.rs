@@ -134,11 +134,11 @@ fn pool_exhaustion_is_reported_not_corrupted() {
     for &p in &pids[..3] {
         pool.pin(p).unwrap();
     }
-    let err = pool.with_page(pids[3], &mut |_p: &Page| ()).unwrap_err();
+    let err = pool.with_page(pids[3], |_p: &Page| ()).unwrap_err();
     assert_eq!(err, StorageError::AllFramesPinned);
     // Unpinning recovers the pool.
     pool.unpin(pids[0]);
-    pool.with_page(pids[3], &mut |_p: &Page| ()).unwrap();
+    pool.with_page(pids[3], |_p: &Page| ()).unwrap();
 }
 
 #[test]
@@ -155,7 +155,7 @@ fn freed_files_recycle_pages_without_aliasing() {
     disk.write_page(sp, &page).unwrap();
 
     let mut pool = BufferPool::new(disk, 4, PagePolicy::Lru);
-    pool.with_page(sp, &mut |_p: &Page| ()).unwrap();
+    pool.with_page(sp, |_p: &Page| ()).unwrap();
     pool.free_file(scratch).unwrap();
     assert!(!pool.is_resident(sp), "freed pages leave the pool");
 
@@ -163,12 +163,10 @@ fn freed_files_recycle_pages_without_aliasing() {
     let other = pool.create_file(FileKind::Temp);
     let reused = pool.alloc_page(other).unwrap();
     assert_eq!(reused, sp, "page id recycled");
-    let v = pool
-        .with_page(reused, &mut |p: &Page| p.get_u32(0))
-        .unwrap();
+    let v = pool.with_page(reused, |p: &Page| p.get_u32(0)).unwrap();
     assert_eq!(v, 0, "recycled page is zeroed");
     // And the kept file is untouched.
-    let v = pool.with_page(kp, &mut |p: &Page| p.get_u32(0)).unwrap();
+    let v = pool.with_page(kp, |p: &Page| p.get_u32(0)).unwrap();
     assert_eq!(v, 42);
 }
 

@@ -197,8 +197,8 @@ fn pool_invariants_hold(case: &RawCase, policy: PagePolicy) -> Result<(), String
     for step in 0..120 {
         let pid = *rng.choose(&pids).unwrap();
         let r: Result<(), StorageError> = match rng.random_range(0..5u8) {
-            0 => pool.with_page(pid, &mut |_p: &Page| ()),
-            1 => pool.with_page_mut(pid, &mut |p: &mut Page| p.put_u32(4, step)),
+            0 => pool.with_page(pid, |_p: &Page| ()),
+            1 => pool.with_page_mut(pid, |p: &mut Page| p.put_u32(4, step)),
             2 if pinned.len() < 3 => pool.pin(pid).map(|()| pinned.push(pid)),
             3 if !pinned.is_empty() => {
                 let p = pinned.swap_remove(rng.random_range(0..pinned.len()));

@@ -151,7 +151,7 @@ fn side(mut store: impl PageStore + 'static, case: &Case) -> Side {
 
 fn apply(pool: &mut BufferPool, op: Op, pinned: &mut Vec<u32>) -> StorageResult<Vec<u8>> {
     match op {
-        Op::Read(pid) => pool.with_page(PageId(pid), &mut |p: &Page| p.bytes().to_vec()),
+        Op::Read(pid) => pool.with_page(PageId(pid), |p: &Page| p.bytes().to_vec()),
         Op::Pin(pid) => pool.pin(PageId(pid)).map(|()| {
             pinned.push(pid);
             Vec::new()
@@ -202,7 +202,7 @@ fn a_lending_pool_refuses_mutation_before_counting_it() {
     let mut pool = BufferPool::new(FrozenStore::new(set), 2, PagePolicy::Lru);
     let before = pool.stats().clone();
     assert_eq!(
-        pool.with_page_mut(PageId(0), &mut |p: &mut Page| p.put_u32(0, 1)),
+        pool.with_page_mut(PageId(0), |p: &mut Page| p.put_u32(0, 1)),
         Err(StorageError::ReadOnlyStore)
     );
     let file = pool.create_file(FileKind::Temp);

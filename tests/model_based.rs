@@ -72,14 +72,12 @@ fn buffer_pool_refines_flat_memory() {
                 for op in ops {
                     match *op {
                         PoolOp::Write { page, value } => {
-                            pool.with_page_mut(pids[page], &mut |p: &mut Page| p.put_u32(0, value))
+                            pool.with_page_mut(pids[page], |p: &mut Page| p.put_u32(0, value))
                                 .unwrap();
                             model[page] = value;
                         }
                         PoolOp::Read { page } => {
-                            let v = pool
-                                .with_page(pids[page], &mut |p: &Page| p.get_u32(0))
-                                .unwrap();
+                            let v = pool.with_page(pids[page], |p: &Page| p.get_u32(0)).unwrap();
                             require_eq!(v, model[page], "policy {}", policy.name());
                         }
                         PoolOp::Pin { page } => {
@@ -198,7 +196,7 @@ fn page_table_refines_btreemap_under_recycled_ids() {
                             let Some(&pid) = pages[slot].get(k) else {
                                 continue;
                             };
-                            pool.with_page_mut(pid, &mut |p: &mut Page| p.put_u32(0, value))
+                            pool.with_page_mut(pid, |p: &mut Page| p.put_u32(0, value))
                                 .unwrap();
                             live.insert(pid, value);
                         }
@@ -206,7 +204,7 @@ fn page_table_refines_btreemap_under_recycled_ids() {
                             let Some(&pid) = pages[slot].get(k) else {
                                 continue;
                             };
-                            let v = pool.with_page(pid, &mut |p: &Page| p.get_u32(0)).unwrap();
+                            let v = pool.with_page(pid, |p: &Page| p.get_u32(0)).unwrap();
                             require_eq!(v, live[&pid], "page {:?}", pid);
                             require!(pool.is_resident(pid), "read page {pid:?} not resident");
                         }

@@ -283,9 +283,10 @@ fn metric_invariants() {
     );
 }
 
-/// `AnswerCollector::into_pairs` (two counting passes over dense node
-/// ids) returns exactly what a comparison sort returns, duplicates
-/// included — on arbitrary pairs, on a single source, and with one node.
+/// `AnswerCollector::into_pairs` (no pair compared with another while
+/// the answer is dense and duplicate-free) returns exactly what a
+/// comparison sort returns, duplicates included — on arbitrary pairs,
+/// on a single source, and with one node.
 #[test]
 fn answer_pairs_come_out_like_a_comparison_sort() {
     use tc_study::core::algorithms::AnswerCollector;
@@ -315,6 +316,81 @@ fn answer_pairs_come_out_like_a_comparison_sort() {
             let mut expect = pairs.clone();
             expect.sort_unstable();
             require_eq!(sorted_by_collector(pairs), expect);
+            Ok(())
+        },
+    );
+}
+
+/// The same equality on answers shaped like the engine's: dense rows
+/// (the bit-matrix path, which random pairs over 300 ids never reach)
+/// emitted in per-source runs as BTC/HYB/SPN do or interleaved by
+/// successor as JKB/SRCH do, sources with no tuples, successor ids on
+/// both sides of a 64-bit word and at `n - 1`, and tuples repeated
+/// inside a run and across runs.
+#[test]
+fn answer_pairs_of_every_emission_shape_come_out_sorted() {
+    use tc_study::core::algorithms::AnswerCollector;
+    /// Node count, emission order (0 source runs, 1 runs in scrambled
+    /// source order, 2 by successor), the tuples, and which to repeat.
+    type Case = (u32, u32, Vec<(u32, u32)>, Vec<usize>);
+    Checker::new("into_pairs_emission_shapes").cases(128).run(
+        |rng| -> Case {
+            let n =
+                [1, 63, 64, 65, 66, 129, rng.random_range(2..260u32)][rng.random_range(0..7usize)];
+            let density = [0.02, 0.4, 0.9][rng.random_range(0..3usize)];
+            let mut pairs = Vec::new();
+            for s in 0..n {
+                if rng.random_bool(0.2) {
+                    continue; // a source with no tuples
+                }
+                for x in [62, 63, 64, 65, n - 1] {
+                    if x < n && rng.random_bool(0.5) {
+                        pairs.push((s, x));
+                    }
+                }
+                pairs.extend((0..n).filter(|_| rng.random_bool(density)).map(|x| (s, x)));
+            }
+            pairs.sort_unstable();
+            pairs.dedup(); // only `repeats` repeats a tuple
+            let repeats = match rng.random_range(0..3u32) {
+                0 if !pairs.is_empty() => {
+                    check::vec_of(rng, 1..4, |r| r.random_range(0..pairs.len()))
+                }
+                _ => Vec::new(),
+            };
+            (n, rng.random_range(0..3u32), pairs, repeats)
+        },
+        |(n, order, pairs, repeats)| {
+            let mut out: Vec<Case> = check::shrink_vec(pairs)
+                .into_iter()
+                .map(|p| (*n, *order, p, Vec::new()))
+                .collect();
+            out.extend(check::shrink_vec(repeats).into_iter().map(|r| {
+                let kept = r.into_iter().filter(|&i| i < pairs.len()).collect();
+                (*n, *order, pairs.clone(), kept)
+            }));
+            out
+        },
+        |(n, order, pairs, repeats)| {
+            let mut emitted = pairs.clone();
+            // A repeat right after the original, and one at the very end
+            // (another run of that source, or of that successor).
+            for &i in repeats.iter().filter(|&&i| i < pairs.len()) {
+                emitted.insert(i, pairs[i]);
+                emitted.push(pairs[i]);
+            }
+            match order {
+                0 => {}
+                1 => emitted.sort_by_key(|&(s, _)| (s.wrapping_mul(0x9E37_79B1) % n, s)),
+                _ => emitted.sort_by_key(|&(_, x)| x),
+            }
+            let mut a = AnswerCollector::new(true);
+            for &(s, x) in &emitted {
+                a.emit(s, x);
+            }
+            require_eq!(a.count(), emitted.len() as u64, "repeats are counted");
+            emitted.sort();
+            require_eq!(a.into_pairs(), emitted);
             Ok(())
         },
     );

@@ -90,7 +90,7 @@ fn contract(store: &mut dyn PageStore, name: &str, read_only: bool) {
             .max_transient_streak(2),
     ));
     for (i, &pid) in pages.iter().enumerate() {
-        let got = store.with_page(pid, &mut |pg: &Page| pg.get_u32(0));
+        let got = store.with_page(pid, |pg: &Page| pg.get_u32(0));
         assert_eq!(got, Ok(stamp(i)), "{name}: faulted read of page {i}");
     }
     assert_eq!(

@@ -19,6 +19,9 @@ const AUDITED: &[(&str, &str, usize)] = &[
     // fault layer, layouts) and the buffer pool above it.
     ("io", "crates/storage/src", 16),
     ("io", "crates/buffer/src", 2),
+    // Every generated tuple is a successor-list append: a catalog that
+    // disagrees with its pages is a typed `PageFull`, not a panic.
+    ("io", "crates/succ/src", 7),
     // The dynamic-maintenance and freeze layers own the same store/pool
     // lifecycle as the engine, and `UpdateStream` feeds them.
     ("io", "crates/core/src/dynamic.rs", 1),
