@@ -3,7 +3,7 @@
 //!
 //! Every module exposes `run(&ExpOpts) -> ExpResult<String>`, returning a
 //! markdown report fragment with the paper's expectation stated next to
-//! the measured numbers, so `all_experiments` can assemble the full
+//! the measured numbers, so `section all` can assemble the full
 //! EXPERIMENTS.md.
 //!
 //! # The cell model
@@ -268,26 +268,21 @@ impl Cell {
         )
     }
 
-    /// Executes the cell, returning its output or a typed error naming
-    /// these coordinates.
+    /// Executes the cell untraced and untimed, returning its output or
+    /// a typed error naming these coordinates.
     pub fn execute(&self) -> ExpResult<CellOutput> {
-        self.execute_traced(Tracer::disabled())
+        self.execute_instrumented(Tracer::disabled(), SpanRecorder::disabled())
     }
 
     /// [`Cell::execute`] with the run's event stream routed through
-    /// `tracer`. Query cells arm the tracer on their [`SystemConfig`];
-    /// analysis cells (`Stats`/`Shape`) run no engine and emit nothing.
-    /// A disabled tracer makes this byte-identical to [`Cell::execute`].
-    pub fn execute_traced(&self, tracer: Tracer) -> ExpResult<CellOutput> {
-        self.execute_instrumented(tracer, SpanRecorder::disabled())
-    }
-
-    /// [`Cell::execute_traced`] with a wall-clock [`SpanRecorder`] armed
-    /// alongside the tracer. The recorder captures the engine's phase
-    /// spans (`run` → `restructure`/`compute`/…) for the cell's run;
-    /// it reads the clock but writes nothing any gated output ever
-    /// sees, so the returned [`CellOutput`] — and every trace byte — is
-    /// identical whether the recorder is armed or not.
+    /// `tracer` and a wall-clock [`SpanRecorder`] armed alongside it.
+    /// Query cells arm both on their [`SystemConfig`]; analysis cells
+    /// (`Stats`/`Shape`) run no engine and emit nothing. The recorder
+    /// captures the engine's phase spans (`run` →
+    /// `restructure`/`compute`/…); it reads the clock but writes nothing
+    /// any gated output ever sees, so the returned [`CellOutput`] — and
+    /// every trace byte — is identical whether it is armed or not, and a
+    /// disabled tracer and recorder make this [`Cell::execute`].
     pub fn execute_instrumented(&self, tracer: Tracer, obs: SpanRecorder) -> ExpResult<CellOutput> {
         match &self.task {
             CellTask::Query {
@@ -599,7 +594,7 @@ fn exec_cell(cell: &Cell, i: usize, sinks: Sinks<'_>) -> ExpResult<CellOutput> {
             let Some(t) = tracers.get(i) else {
                 return Err(ExpError::Internal(format!("no tracer for cell {i}")));
             };
-            return cell.execute_traced(t.clone());
+            return cell.execute_instrumented(t.clone(), SpanRecorder::disabled());
         }
         Sinks::Dirs {
             trace,
@@ -635,9 +630,6 @@ fn exec_cell(cell: &Cell, i: usize, sinks: Sinks<'_>) -> ExpResult<CellOutput> {
     }
     if let Some((_, s)) = &prof {
         branches.push(s.clone());
-    }
-    if branches.is_empty() && spans.is_none() {
-        return cell.execute();
     }
     let tracer = if branches.is_empty() {
         Tracer::disabled()
@@ -832,8 +824,7 @@ impl Grid {
         cfg.clone().backend(self.opts.backend.clone())
     }
 
-    /// A single query run at explicit `(instance, set)` coordinates (the
-    /// old `run_one` call sites).
+    /// A single query run at explicit `(instance, set)` coordinates.
     pub fn one(
         &mut self,
         fam: &'static GraphFamily,
@@ -1002,58 +993,6 @@ impl GridResults {
 }
 
 // ---------------------------------------------------------------------
-// Serial convenience wrappers (kept for tests and ad-hoc callers)
-// ---------------------------------------------------------------------
-
-/// Executes one run on a fresh database instance.
-///
-/// A fresh [`Database`] per run keeps the simulated disk from
-/// accumulating scratch files across the sweep and makes every data
-/// point independent, exactly like rerunning the authors' simulator.
-/// Failures surface as a typed [`ExpError`] naming the coordinates.
-pub fn run_one(
-    fam: &'static GraphFamily,
-    instance: u64,
-    set: u64,
-    algorithm: Algorithm,
-    query: QuerySpec,
-    cfg: &SystemConfig,
-) -> ExpResult<CostMetrics> {
-    let cell = Cell {
-        fam,
-        instance,
-        set,
-        task: CellTask::Query {
-            algorithm,
-            query,
-            cfg: cfg.clone(),
-        },
-    };
-    match cell.execute()? {
-        CellOutput::Metrics(m) => Ok(*m),
-        _ => Err(ExpError::Internal("query cell produced non-metrics".into())),
-    }
-}
-
-/// Averages an experiment point over the configured instances and (for
-/// selections) source sets, serially on the calling thread. Sections use
-/// a [`Grid`] instead so their points share one parallel sweep.
-pub fn averaged(
-    fam: &'static GraphFamily,
-    algorithm: Algorithm,
-    query: QuerySpec,
-    cfg: &SystemConfig,
-    opts: &ExpOpts,
-) -> ExpResult<AvgMetrics> {
-    let mut g = Grid::new(&ExpOpts {
-        jobs: 1,
-        ..opts.clone()
-    });
-    let p = g.avg(fam, algorithm, query, cfg);
-    Ok(g.run()?.avg(p))
-}
-
-// ---------------------------------------------------------------------
 // Section registry
 // ---------------------------------------------------------------------
 
@@ -1098,47 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn run_one_produces_metrics() {
-        let m = run_one(
-            family("G3"),
-            0,
-            0,
-            Algorithm::Btc,
-            QuerySpec::Ptc(2),
-            &SystemConfig::default(),
-        )
-        .expect("run_one");
-        assert!(m.total_io() > 0);
-    }
-
-    #[test]
-    fn averaged_folds_the_matrix() {
-        let opts = ExpOpts {
-            instances: 2,
-            source_sets: 2,
-            ..quick1()
-        };
-        let avg = averaged(
-            family("G3"),
-            Algorithm::Srch,
-            QuerySpec::Ptc(2),
-            &SystemConfig::default(),
-            &opts,
-        )
-        .expect("averaged");
-        assert_eq!(avg.runs, 4);
-        let avg_full = averaged(
-            family("G3"),
-            Algorithm::Btc,
-            QuerySpec::Full,
-            &SystemConfig::default(),
-            &opts,
-        )
-        .expect("averaged full");
-        assert_eq!(avg_full.runs, 2, "full closure ignores source sets");
-    }
-
-    #[test]
     fn grid_results_are_positionally_stable() {
         let opts = quick1();
         let mut g = Grid::new(&opts);
@@ -1150,6 +1048,18 @@ mod tests {
         assert_eq!(r.avg(a).runs, 1);
         assert!(r.shape(b).width > 0.0);
         assert_eq!(r.stats(c).count(), 1);
+
+        // The averaging fold over a 2 × 2 matrix.
+        let mut g = Grid::new(&ExpOpts {
+            instances: 2,
+            source_sets: 2,
+            ..opts
+        });
+        let ptc = g.avg(family("G3"), Algorithm::Srch, QuerySpec::Ptc(2), &cfg);
+        let full = g.avg(family("G3"), Algorithm::Btc, QuerySpec::Full, &cfg);
+        let r = g.run().expect("grid");
+        assert_eq!(r.avg(ptc).runs, 4);
+        assert_eq!(r.avg(full).runs, 2, "full closure ignores source sets");
     }
 
     #[test]

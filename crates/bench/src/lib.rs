@@ -3,9 +3,9 @@
 //!
 //! Each experiment lives in [`experiments`] and is exposed both as a
 //! library function returning its report fragment as a string and
-//! through two binaries: `--bin section <name>` runs one section
+//! through one binary: `--bin section <name>` runs one section
 //! (`cargo run -p tc-bench --release --bin section -- table2`), and
-//! `--bin all_experiments` runs the full suite and emits an
+//! `--bin section all` runs the full suite and emits an
 //! `EXPERIMENTS.md`-ready report.
 //!
 //! # Deterministic parallel scheduling
@@ -25,10 +25,10 @@
 //! matrix takes a while; the harness defaults to 2×2 and honours
 //!
 //! ```text
-//! TC_INSTANCES=5 TC_SOURCE_SETS=5 cargo run --release -p tc-bench --bin all_experiments
+//! TC_INSTANCES=5 TC_SOURCE_SETS=5 cargo run --release -p tc-bench --bin section -- all
 //! ```
 //!
-//! (or `--instances 5 --sets 5 --jobs 4` on each binary's command line).
+//! (or `--instances 5 --sets 5 --jobs 4` on the command line).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

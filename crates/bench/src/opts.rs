@@ -186,11 +186,6 @@ impl ExpOpts {
         }
         Ok(o)
     }
-
-    /// [`ExpOpts::parse`] over the process environment and command line.
-    pub fn from_env_and_args() -> Result<ExpOpts, String> {
-        ExpOpts::parse(std::env::args().skip(1))
-    }
 }
 
 fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {

@@ -128,12 +128,6 @@ impl BufferPool {
         self.store.as_ref()
     }
 
-    /// Flushes everything and returns the wrapped store.
-    pub fn into_store(mut self) -> StorageResult<Box<dyn PageStore>> {
-        self.flush_all()?;
-        Ok(self.store)
-    }
-
     /// Returns the wrapped store *without* flushing dirty frames.
     ///
     /// Used when a run's scratch state (e.g. non-source successor lists of
@@ -713,17 +707,6 @@ mod tests {
         pool.discard_file(file).unwrap();
         pool.flush_all().unwrap();
         assert_eq!(pool.store().stats().writes, 0);
-    }
-
-    #[test]
-    fn into_store_flushes() {
-        let (mut pool, pids) = setup(1);
-        pool.with_page_mut(pids[0], |p: &mut Page| p.put_u32(0, 123))
-            .unwrap();
-        let mut store = pool.into_store().unwrap();
-        let mut p = Page::new();
-        store.read_page(pids[0], &mut p).unwrap();
-        assert_eq!(p.get_u32(0), 123);
     }
 
     #[test]

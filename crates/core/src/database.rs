@@ -131,7 +131,7 @@ impl Database {
     /// experiment harness do this). Pair with [`Database::restore_store`].
     ///
     /// Fails with [`StorageError::DiskDetached`] if the store is already
-    /// taken (e.g. by a live [`crate::PathIndex`]).
+    /// taken and not yet restored.
     pub fn take_store(&mut self) -> StorageResult<Box<dyn PageStore>> {
         self.store.take().ok_or(StorageError::DiskDetached)
     }

@@ -19,8 +19,9 @@
 //!   affected source rows are *rederived* over the surviving arcs, so
 //!   tuples with an alternative derivation are reinstated.
 //!
-//! Every `apply` is one traced, metered run shaped exactly like an
-//! engine run: the *restructuring* phase applies the batch to the
+//! Every `apply` is one traced, metered run — the same
+//! `MeteredRun` lifecycle (`crate::lifecycle`) an engine run goes
+//! through: the *restructuring* phase applies the batch to the
 //! in-memory graph and rebuilds the base relation and index on the raw
 //! store; the *computation* phase runs the maintenance joins through a
 //! fresh buffer pool. Page-I/O counting, buffer statistics, fault
@@ -43,18 +44,18 @@
 use crate::algorithm::Algorithm;
 use crate::config::SystemConfig;
 use crate::database::Database;
-use crate::metrics::{CostMetrics, PhaseIo};
+use crate::lifecycle::MeteredRun;
+use crate::metrics::CostMetrics;
 use std::fmt;
-use std::time::Instant;
 use tc_buffer::BufferPool;
 use tc_graph::{closure, Graph, NodeId, UpdateOp};
 use tc_reach::{NullMeter, ReachIndex};
 use tc_storage::{
-    ClusteredIndex, FaultEvent, FaultPlan, FileKind, FrozenPageSet, PageStore, RelationFile,
-    StorageError, StorageResult, TupleWriter,
+    ClusteredIndex, FaultEvent, FileKind, FrozenPageSet, PageStore, RelationFile, StorageError,
+    StorageResult, TupleWriter,
 };
 use tc_succ::{row_offsets, NodeBitVec, TupleRows};
-use tc_trace::{Event, Phase, Tracer};
+use tc_trace::{Event, Tracer};
 
 /// Why [`DynamicClosure::apply`] did not apply a batch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -290,101 +291,30 @@ impl DynamicClosure {
     ///
     /// Panics if an op names a node outside the graph.
     pub fn apply(&mut self, batch: &[UpdateOp]) -> Result<UpdateResult, UpdateError> {
-        let start = Instant::now();
-        let cfg = self.cfg.clone();
-        // Wall-clock spans (observability only, never in a digest):
-        // "update_apply" wraps the batch, with the restructure /
-        // compute phases as children.
-        let _apply_span = cfg.obs.enter("update_apply");
-        let mut store = self.db.take_store()?;
-        if let Some(fault) = &cfg.fault {
-            store.set_fault_plan(FaultPlan::new(fault.clone()));
-        }
-        store.set_retry_policy(cfg.retry);
-        store.set_tracer(cfg.trace.clone());
-        let mut metrics = CostMetrics::traced(Algorithm::Seminaive, cfg.trace.clone());
-
-        cfg.trace.emit(Event::RunBegin {
-            algorithm: Algorithm::Seminaive.name(),
-            ms_per_io: cfg.io_model.ms_per_io,
-        });
-        cfg.trace.emit(Event::PhaseBegin {
-            phase: Phase::Restructure,
-        });
-        let disk_base = store.stats().clone();
+        let cfg = &self.cfg;
+        let (mut run, mut store) =
+            MeteredRun::arm(&mut self.db, "update_apply", Algorithm::Seminaive, cfg)?;
 
         // ---- Restructuring: mutate the graph, rebuild relation+index
         // on the raw store (traced and charged like any bulk load).
-        let restructure_span = cfg.obs.enter("restructure");
-        let applied = apply_to_base(&mut self.db, store.as_mut(), batch, &cfg);
-        drop(restructure_span);
+        let applied = apply_to_base(&mut self.db, store.as_mut(), batch, cfg);
 
-        // ---- Computation: incremental maintenance through a fresh pool.
-        let mut pool = BufferPool::with_store(store, cfg.buffer_pages, cfg.page_policy);
-        pool.set_retry_policy(cfg.retry);
-        pool.set_tracer(cfg.trace.clone());
-        cfg.trace.emit(Event::PhaseEnd {
-            phase: Phase::Restructure,
-        });
-        cfg.trace.emit(Event::PhaseBegin {
-            phase: Phase::Compute,
-        });
-        let disk_at_phase_end = pool.store().stats().clone();
-        let buffer_at_phase_end = pool.stats().clone();
+        // ---- Computation: incremental maintenance through a fresh
+        // pool. A refused batch still crosses the boundary, so every
+        // apply's stream has the same shape.
+        let mut pool = run.open_pool(store);
+        run.enter_compute(&pool);
+        let counted = &mut run.metrics;
+        let outcome =
+            applied.and_then(|ops| Ok(maintain(&self.db, &mut pool, &self.tc, &ops, counted)?));
 
-        let compute_span = cfg.obs.enter("compute");
-        let outcome = applied
-            .and_then(|ops| Ok(maintain(&self.db, &mut pool, &self.tc, &ops, &mut metrics)?));
-        drop(compute_span);
-
-        // Finalize exactly like the engine: the store returns to the
-        // database even on error, disarmed first.
-        let disk_stats_total = pool.store().stats().clone();
-        metrics.buffer = pool.stats().clone();
-        cfg.trace.emit(Event::PhaseEnd {
-            phase: Phase::Compute,
-        });
-        cfg.trace.emit(Event::RunEnd);
-        let mut store = pool.into_store_discard();
-        store.set_tracer(Tracer::disabled());
-        let fault = store.clear_fault_plan();
-        let synced = store.sync();
-        self.db.restore_store(store);
-        let Maintained {
-            file,
-            rows,
-            inserted,
-            removed,
-        } = outcome?;
-        synced?;
-        self.tc = file;
-        self.rows = rows;
-
-        let run_total = disk_stats_total.since(&disk_base);
-        metrics.restructure_io = PhaseIo::from_disk(&disk_at_phase_end.since(&disk_base));
-        metrics.compute_io = PhaseIo::from_disk(&disk_stats_total.since(&disk_at_phase_end));
-        for (i, slot) in metrics.io_by_kind.iter_mut().enumerate() {
-            *slot = (run_total.reads_by_kind[i], run_total.writes_by_kind[i]);
-        }
-        metrics.buffer_compute = metrics.buffer.since(&buffer_at_phase_end);
-        metrics.io_retries = metrics.buffer.retries;
-        metrics.retry_backoff_ms = metrics.buffer.retry_backoff_ms;
-        let fault_trace = match fault {
-            Some(plan) => {
-                metrics.faults_injected = plan.stats().total_injected();
-                metrics.corruptions_detected = plan.stats().detections;
-                plan.into_events()
-            }
-            None => Vec::new(),
-        };
-        metrics.elapsed = start.elapsed();
-        metrics.estimated_io_seconds = cfg.io_model.estimate_seconds(metrics.total_io());
-        metrics.trace = Tracer::disabled();
-
+        let (done, metrics, fault_trace) = run.finish(&mut self.db, pool, outcome)?;
+        self.tc = done.file;
+        self.rows = done.rows;
         Ok(UpdateResult {
             metrics,
-            inserted,
-            removed,
+            inserted: done.inserted,
+            removed: done.removed,
             fault_trace,
         })
     }

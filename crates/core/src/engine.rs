@@ -1,20 +1,18 @@
-//! Query execution: phases, write-out, metric assembly, validation.
+//! Query execution: the algorithms' phases inside one metered run
+//! ([`crate::lifecycle`]), write-out, validation.
 
 use crate::algorithm::Algorithm;
 use crate::algorithms::{btc, hybrid, jkb, search, seminaive, spn, AnswerCollector};
 use crate::config::SystemConfig;
 use crate::database::Database;
-use crate::metrics::{CostMetrics, PhaseIo};
+use crate::lifecycle::MeteredRun;
+use crate::metrics::CostMetrics;
 use crate::query::Query;
 use crate::restructure::{restructure, RestructureOptions};
-use std::time::Instant;
-use tc_buffer::{BufferPool, BufferStats};
+use tc_buffer::BufferPool;
 use tc_graph::{closure, MagicGraph, NodeId, RectangleModel};
 use tc_reach::ReachIndex;
-use tc_storage::{
-    DiskStats, FaultEvent, FaultPlan, FileKind, StorageError, StorageResult, TupleWriter,
-};
-use tc_trace::{Event, Phase, Tracer};
+use tc_storage::{FaultEvent, FileKind, StorageResult, TupleWriter};
 
 /// The outcome of one query execution.
 #[derive(Clone, Debug)]
@@ -44,70 +42,12 @@ pub(crate) fn run(
     algorithm: Algorithm,
     cfg: &SystemConfig,
 ) -> StorageResult<RunResult> {
-    let start = Instant::now();
-    // Wall-clock span for the whole run (observability only — span
-    // timings never reach the trace digest or any counted number).
-    let _run_span = cfg.obs.enter("run");
-    let mut store = db.store.take().ok_or(StorageError::DiskDetached)?;
-    if let Some(fault) = &cfg.fault {
-        store.set_fault_plan(FaultPlan::new(fault.clone()));
-    }
-    let mut pool = BufferPool::with_store(store, cfg.buffer_pages, cfg.page_policy);
-    pool.set_retry_policy(cfg.retry);
-    pool.set_tracer(cfg.trace.clone());
-    let mut metrics = CostMetrics::traced(algorithm, cfg.trace.clone());
+    let (mut run, store) = MeteredRun::arm(db, "run", algorithm, cfg)?;
+    let mut pool = run.open_pool(store);
     let mut answer = AnswerCollector::traced(cfg.validate || cfg.collect_answer, cfg.trace.clone());
+    let outcome = execute(db, &mut run, &mut pool, query, algorithm, cfg, &mut answer);
+    let ((), mut metrics, fault_trace) = run.finish(db, pool, outcome)?;
 
-    cfg.trace.emit(Event::RunBegin {
-        algorithm: algorithm.name(),
-        ms_per_io: cfg.io_model.ms_per_io,
-    });
-    cfg.trace.emit(Event::PhaseBegin {
-        phase: Phase::Restructure,
-    });
-    let disk_base = pool.store().stats().clone();
-    let outcome = execute(
-        db,
-        &mut pool,
-        query,
-        algorithm,
-        cfg,
-        &mut metrics,
-        &mut answer,
-    );
-
-    // Finalize: the store must return to the database even on error, and
-    // the fault plan is always disarmed first, so a failed run never
-    // poisons the database for subsequent queries.
-    let disk_stats_total = pool.store().stats().clone();
-    metrics.buffer = pool.stats().clone();
-    cfg.trace.emit(Event::PhaseEnd {
-        phase: Phase::Compute,
-    });
-    cfg.trace.emit(Event::RunEnd);
-    let mut store = pool.into_store_discard();
-    // The store outlives the run inside the database; disarm its tracer so
-    // a later un-traced run on the same database emits nothing.
-    store.set_tracer(Tracer::disabled());
-    let fault = store.clear_fault_plan();
-    // Durability point for real backends: a completed run's flushed
-    // output pages and the store metadata survive a crash from here on.
-    // A free no-op on the simulator, so sim metrics and digests are
-    // untouched (sync is never counted or traced).
-    let synced = store.sync();
-    db.store = Some(store);
-    let snapshot = outcome?;
-    synced?;
-
-    // All counters are deltas against this run's starting point: the
-    // store's counters are cumulative across a database's runs.
-    let run_total = disk_stats_total.since(&disk_base);
-    metrics.restructure_io = PhaseIo::from_disk(&snapshot.disk_at_phase_end.since(&disk_base));
-    metrics.compute_io = PhaseIo::from_disk(&disk_stats_total.since(&snapshot.disk_at_phase_end));
-    for (i, slot) in metrics.io_by_kind.iter_mut().enumerate() {
-        *slot = (run_total.reads_by_kind[i], run_total.writes_by_kind[i]);
-    }
-    metrics.buffer_compute = metrics.buffer.since(&snapshot.buffer_at_phase_end);
     if algorithm == Algorithm::Srch {
         // SRCH does all its work in what is normally the preprocessing
         // phase; its hit ratio covers the whole run (the paper excludes
@@ -115,21 +55,6 @@ pub(crate) fn run(
         metrics.buffer_compute = metrics.buffer.clone();
     }
     metrics.answer_tuples = answer.count();
-    metrics.io_retries = metrics.buffer.retries;
-    metrics.retry_backoff_ms = metrics.buffer.retry_backoff_ms;
-    let fault_trace = match fault {
-        Some(plan) => {
-            metrics.faults_injected = plan.stats().total_injected();
-            metrics.corruptions_detected = plan.stats().detections;
-            plan.into_events()
-        }
-        None => Vec::new(),
-    };
-    metrics.elapsed = start.elapsed();
-    metrics.estimated_io_seconds = cfg.io_model.estimate_seconds(metrics.total_io());
-    // The metrics leave the engine on the RunResult; the trace belongs to
-    // the run, not to whoever clones the metrics afterwards.
-    metrics.trace = Tracer::disabled();
 
     let answer_pairs = if cfg.validate || cfg.collect_answer {
         let pairs = answer.into_pairs();
@@ -148,46 +73,17 @@ pub(crate) fn run(
     })
 }
 
-/// Phase-boundary snapshot: end of restructuring / preprocessing.
-struct PhaseSnapshot {
-    disk_at_phase_end: DiskStats,
-    buffer_at_phase_end: BufferStats,
-}
-
+/// The body of a run: the algorithm's two phases, with
+/// `run.enter_compute` at the point its restructuring ends.
 fn execute(
     db: &mut Database,
+    run: &mut MeteredRun,
     pool: &mut BufferPool,
     query: &Query,
     algorithm: Algorithm,
     cfg: &SystemConfig,
-    metrics: &mut CostMetrics,
     answer: &mut AnswerCollector,
-) -> StorageResult<PhaseSnapshot> {
-    // The wall-clock phase span mirrors the traced phase boundary: the
-    // restructure span opens here and is swapped for the compute span
-    // inside `snapshot` (the compute span closes when `execute`
-    // returns). A `RefCell` lets the `Fn` closure rotate the guard.
-    let phase_span = std::cell::RefCell::new(Some(cfg.obs.enter("restructure")));
-    // The phase-boundary events are emitted at the exact point the
-    // counters are snapshot, so replay's phase attribution reproduces
-    // the snapshot deltas.
-    let snapshot = |pool: &BufferPool| {
-        cfg.trace.emit(Event::PhaseEnd {
-            phase: Phase::Restructure,
-        });
-        cfg.trace.emit(Event::PhaseBegin {
-            phase: Phase::Compute,
-        });
-        // Close the restructure span before opening compute, so the two
-        // are siblings under "run", not nested.
-        phase_span.borrow_mut().take();
-        *phase_span.borrow_mut() = Some(cfg.obs.enter("compute"));
-        PhaseSnapshot {
-            disk_at_phase_end: pool.store().stats().clone(),
-            buffer_at_phase_end: pool.stats().clone(),
-        }
-    };
-
+) -> StorageResult<()> {
     match algorithm {
         Algorithm::Btc | Algorithm::Hyb | Algorithm::Bj | Algorithm::Spn => {
             let mut r = restructure(
@@ -200,7 +96,7 @@ fn execute(
                     tree_format: algorithm == Algorithm::Spn,
                     list_policy: cfg.list_policy,
                 },
-                metrics,
+                &mut run.metrics,
             )?;
             // The immediate children of sources are answer tuples.
             for &s in &r.sources.clone() {
@@ -208,18 +104,21 @@ fn execute(
                     answer.emit(s, c);
                 }
             }
-            let snap = snapshot(pool);
+            run.enter_compute(pool);
             match algorithm {
-                Algorithm::Spn => spn::expand_all(pool, &mut r, metrics, answer)?,
-                Algorithm::Hyb => hybrid::expand_all(pool, &mut r, metrics, answer, cfg.ilimit)?,
-                _ => btc::expand_all(pool, &mut r, metrics, answer)?,
+                Algorithm::Spn => spn::expand_all(pool, &mut r, &mut run.metrics, answer)?,
+                Algorithm::Hyb => {
+                    hybrid::expand_all(pool, &mut r, &mut run.metrics, answer, cfg.ilimit)?
+                }
+                _ => btc::expand_all(pool, &mut r, &mut run.metrics, answer)?,
             }
             {
                 let _w = cfg.obs.enter("write_out");
                 write_out_lists(pool, &r.store, &r.sources, query)?;
             }
-            metrics.set_tuple_writes(r.store.stats().entries_written);
-            Ok(snap)
+            run.metrics
+                .set_tuple_writes(r.store.stats().entries_written);
+            Ok(())
         }
         Algorithm::Srch => {
             let sources = query.effective_sources(db.n());
@@ -233,15 +132,15 @@ fn execute(
                 &sources,
                 &levels,
                 cfg.list_policy,
-                metrics,
+                &mut run.metrics,
                 answer,
             )?;
             // SRCH's work happens in the preprocessing phase; the
             // computation phase is only the write-out.
-            let snap = snapshot(pool);
+            run.enter_compute(pool);
             pool.flush_file(store.file_id())?;
-            metrics.set_tuple_writes(store.stats().entries_written);
-            Ok(snap)
+            run.metrics.set_tuple_writes(store.stats().entries_written);
+            Ok(())
         }
         Algorithm::Jkb | Algorithm::Jkb2 => {
             let r = restructure(
@@ -254,7 +153,7 @@ fn execute(
                     tree_format: false,
                     list_policy: cfg.list_policy,
                 },
-                metrics,
+                &mut run.metrics,
             )?;
             let mode = if algorithm == Algorithm::Jkb2 {
                 jkb::Preprocessing::DualRepresentation
@@ -263,27 +162,29 @@ fn execute(
             } else {
                 jkb::Preprocessing::RandomInsertion
             };
-            let pred = jkb::preprocess(db, pool, &r, mode, cfg.list_policy, metrics)?;
-            let snap = snapshot(pool);
+            let pred = jkb::preprocess(db, pool, &r, mode, cfg.list_policy, &mut run.metrics)?;
+            run.enter_compute(pool);
             let mut output = TupleWriter::new(pool, FileKind::Output);
-            let trees = jkb::compute(pool, &r, &pred, metrics, answer, &mut output)?;
+            let trees = jkb::compute(pool, &r, &pred, &mut run.metrics, answer, &mut output)?;
             // Write out the answer; the trees and predecessor lists are
             // scratch state.
             let out_file = output.finish();
             pool.flush_file(out_file.file_id())?;
             pool.discard_file(trees.file_id())?;
             pool.discard_file(pred.file_id())?;
-            metrics.set_tuple_writes(pred.stats().entries_written + trees.stats().entries_written);
-            Ok(snap)
+            run.metrics
+                .set_tuple_writes(pred.stats().entries_written + trees.stats().entries_written);
+            Ok(())
         }
         Algorithm::Seminaive => {
             // No restructuring phase at all.
-            let snap = snapshot(pool);
+            run.enter_compute(pool);
             let sources = query.effective_sources(db.n());
-            let tc_file = seminaive::run_seminaive(db, pool, &sources, metrics, answer, &cfg.obs)?;
+            let tc_file =
+                seminaive::run_seminaive(db, pool, &sources, &mut run.metrics, answer, &cfg.obs)?;
             pool.flush_file(tc_file.file_id())?;
-            metrics.set_tuple_writes(tc_file.tuple_count() as u64);
-            Ok(snap)
+            run.metrics.set_tuple_writes(tc_file.tuple_count() as u64);
+            Ok(())
         }
         Algorithm::ReachIndex => {
             // Restructure: condense, decompose into concurrent chains,
@@ -293,16 +194,16 @@ fn execute(
             // the list-based algorithms.
             let idx = {
                 let _s = cfg.obs.enter("reach_index_build");
-                ReachIndex::build(pool, db.graph(), &cfg.trace, metrics)?
+                ReachIndex::build(pool, db.graph(), &cfg.trace, &mut run.metrics)?
             };
             let cond = idx.condensation();
-            metrics.set_magic_nodes(cond.component_count() as u64);
-            metrics.set_magic_arcs(cond.graph.arc_count() as u64);
-            metrics.set_rect(RectangleModel::of(&cond.graph));
+            run.metrics.set_magic_nodes(cond.component_count() as u64);
+            run.metrics.set_magic_arcs(cond.graph.arc_count() as u64);
+            run.metrics.set_rect(RectangleModel::of(&cond.graph));
             for f in idx.files() {
                 pool.flush_file(f)?;
             }
-            let snap = snapshot(pool);
+            run.enter_compute(pool);
 
             // Compute: per source, fetch the persisted label row and
             // scan the chain suffixes it points at — every component on
@@ -315,23 +216,23 @@ fn execute(
             let mut comps: Vec<u32> = Vec::new();
             for &s in &sources {
                 let a = idx.component(s);
-                metrics.count_list_fetch();
+                run.metrics.count_list_fetch();
                 idx.label_row(pool, a, &mut row)?;
-                metrics.count_tuple_reads(k as u64);
+                run.metrics.count_tuple_reads(k as u64);
                 for c in 0..k {
                     let p = row[c];
                     if p == tc_reach::NO_POS {
                         continue;
                     }
                     idx.chain_suffix(pool, c as u32, p, &mut comps)?;
-                    metrics.count_tuple_reads(comps.len() as u64);
+                    run.metrics.count_tuple_reads(comps.len() as u64);
                     for &b in &comps {
                         let members = &cond.members[b as usize];
                         if b == a && members.len() <= 1 {
                             continue; // trivial component: irreflexive
                         }
                         for &v in members {
-                            metrics.count_generated(true);
+                            run.metrics.count_generated(true);
                             answer.emit(s, v);
                             output.push(pool, (s, v))?;
                         }
@@ -340,10 +241,10 @@ fn execute(
             }
             let out_file = output.finish();
             pool.flush_file(out_file.file_id())?;
-            metrics.set_tuple_writes(
+            run.metrics.set_tuple_writes(
                 idx.label_entries() + idx.chain_entries() + out_file.tuple_count() as u64,
             );
-            Ok(snap)
+            Ok(())
         }
     }
 }

@@ -55,8 +55,8 @@ pub mod cyclic;
 pub mod database;
 pub mod dynamic;
 pub mod engine;
+mod lifecycle;
 pub mod metrics;
-pub mod paths;
 pub mod query;
 pub mod restructure;
 pub mod snapshot;
@@ -69,7 +69,6 @@ pub use database::Database;
 pub use dynamic::{DynamicClosure, UpdateError, UpdateResult};
 pub use engine::RunResult;
 pub use metrics::{CostMetrics, PhaseIo};
-pub use paths::PathIndex;
 pub use query::Query;
 pub use snapshot::ClosedSnapshot;
 
@@ -115,7 +114,6 @@ pub mod prelude {
     pub use crate::dynamic::{DynamicClosure, UpdateError, UpdateResult};
     pub use crate::engine::RunResult;
     pub use crate::metrics::CostMetrics;
-    pub use crate::paths::PathIndex;
     pub use crate::query::Query;
     pub use crate::snapshot::ClosedSnapshot;
     pub use tc_buffer::PagePolicy;

@@ -1,12 +1,12 @@
-//! The in-process service loop: per-client request queues, a worker
+//! The in-process service loop: per-client request sequences, a worker
 //! pool, and an atomically swappable snapshot.
 //!
 //! [`Service`] owns the *current* [`ClosedSnapshot`] behind a mutexed
-//! `Arc`. [`Service::serve`] plays a [`QueryStream`] against it:
-//! every client's requests are posted to a private message queue up
-//! front (the senders then hang up), and `workers` threads drain the
-//! queues. A worker claims a *whole* client at a time from an atomic
-//! cursor, opens that client's [`Session`], and answers its queue in
+//! `Arc`. [`Service::serve`] plays a [`QueryStream`] against it: the
+//! whole stream counts as posted at one instant before the workers
+//! start, and `workers` threads drain it. A worker claims a *whole*
+//! client at a time from an atomic cursor (which hands each client out
+//! once), opens that client's [`Session`], and answers its requests in
 //! order — so each session's counters and replies are a pure function
 //! of its own request sequence, never of thread interleaving. That is
 //! what makes the deterministic track (pages read, cache hits,
@@ -25,7 +25,6 @@ use crate::obs::ServeObs;
 use crate::request::{Reply, Request};
 use crate::session::{Session, SessionConfig, SessionStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tc_buffer::BufferStats;
@@ -198,26 +197,9 @@ impl Service {
         cfg: &ServeConfig,
     ) -> Result<ServeReport, ServeError> {
         let clients = stream.clients();
-        // Post every client's requests to its private queue, then hang
-        // up: the queues are the only path requests travel, and a
-        // drained queue tells the worker the client is done. Each
-        // request carries its posting instant so the wall-time track
-        // can split queue-wait from service time.
-        let mut receivers: Vec<Mutex<Option<Receiver<(usize, Request, Instant)>>>> =
-            Vec::with_capacity(clients);
+        // Every request counts as posted now, so the wall-time track can
+        // split queue-wait from service time.
         let posted = Instant::now();
-        for c in 0..clients {
-            let reqs = stream.client(c);
-            let (tx, rx): (SyncSender<_>, _) = std::sync::mpsc::sync_channel(reqs.len().max(1));
-            for (seq, req) in reqs.iter().enumerate() {
-                // A send into a fresh queue sized to the client's whole
-                // stream cannot fail; ignore the impossible error to
-                // keep the serve loop panic-free.
-                let _ = tx.send((seq, *req, posted));
-            }
-            receivers.push(Mutex::new(Some(rx)));
-        }
-
         let cursor = AtomicUsize::new(0);
         let reports: Vec<Mutex<Option<ClientReport>>> =
             (0..clients).map(|_| Mutex::new(None)).collect();
@@ -225,7 +207,7 @@ impl Service {
         let started = Instant::now();
 
         let workers = cfg.workers.clamp(1, clients.max(1));
-        let (cursor, receivers, reports, failure) = (&cursor, &receivers, &reports, &failure);
+        let (cursor, reports, failure) = (&cursor, &reports, &failure);
         std::thread::scope(|scope| {
             for w in 0..workers {
                 scope.spawn(move || {
@@ -236,12 +218,8 @@ impl Service {
                         if c >= clients || lock(failure).is_some() {
                             break;
                         }
-                        let rx = match lock(&receivers[c]).take() {
-                            Some(rx) => rx,
-                            None => continue,
-                        };
                         let claimed = Instant::now();
-                        let report = self.drive_client(c, rx, cfg, failure);
+                        let report = self.drive_client(c, stream.client(c), posted, cfg, failure);
                         busy_ns += claimed.elapsed().as_nanos() as u64;
                         *lock(&reports[c]) = report;
                     }
@@ -269,17 +247,19 @@ impl Service {
         })
     }
 
-    /// Answers one client's whole queue on the calling worker thread.
+    /// Answers one client's requests, in order, on the calling worker
+    /// thread.
     fn drive_client(
         &self,
         client: usize,
-        rx: Receiver<(usize, Request, Instant)>,
+        requests: &[Request],
+        posted: Instant,
         cfg: &ServeConfig,
         failure: &Mutex<Option<ServeError>>,
     ) -> Option<ClientReport> {
         let mut session = Session::new(self.snapshot(), &cfg.session, client as u64);
         let mut records = Vec::new();
-        for (seq, req, posted) in rx {
+        for (seq, req) in requests.iter().enumerate() {
             // Pick up a published snapshot between requests; the one in
             // hand keeps serving the request already being answered.
             if self.epoch.load(Ordering::Acquire) != session.epoch() {
@@ -287,10 +267,10 @@ impl Service {
             }
             let t0 = Instant::now();
             let queue_wait_ns = t0.saturating_duration_since(posted).as_nanos() as u64;
-            match session.handle(&req) {
+            match session.handle(req) {
                 Ok(reply) => {
                     let service_ns = t0.elapsed().as_nanos() as u64;
-                    cfg.obs.record_reply(&req, queue_wait_ns, service_ns);
+                    cfg.obs.record_reply(req, queue_wait_ns, service_ns);
                     records.push(ReplyRecord {
                         client,
                         seq,
@@ -367,22 +347,6 @@ impl ServeReport {
     /// Total hot-source cache probes across all sessions.
     pub fn cache_lookups(&self) -> u64 {
         self.clients.iter().map(|c| c.stats.cache_lookups).sum()
-    }
-
-    /// The `q`-th latency percentile in nanoseconds (`q` in 0..=100),
-    /// or 0 for an empty run. Wall-time track only.
-    pub fn latency_percentile_ns(&self, q: u32) -> u64 {
-        let mut lat: Vec<u64> = self
-            .clients
-            .iter()
-            .flat_map(|c| c.records.iter().map(|r| r.latency_ns))
-            .collect();
-        if lat.is_empty() {
-            return 0;
-        }
-        lat.sort_unstable();
-        let rank = (q.min(100) as usize * lat.len()).div_ceil(100);
-        lat[rank.saturating_sub(1)]
     }
 
     /// Queries per second over the whole run. Wall-time track only.
@@ -470,12 +434,9 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_are_ordered_and_qps_positive() {
+    fn qps_is_positive() {
         let svc = service();
         let report = svc.serve(&stream(), &ServeConfig::default()).unwrap();
-        let p50 = report.latency_percentile_ns(50);
-        let p95 = report.latency_percentile_ns(95);
-        assert!(p50 <= p95);
         assert!(report.qps() > 0.0);
     }
 }

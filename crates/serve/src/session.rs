@@ -84,12 +84,6 @@ impl SessionConfig {
         self
     }
 
-    /// Builder-style: base seed of the cache-replacement streams.
-    pub fn cache_seed(mut self, seed: u64) -> Self {
-        self.cache_seed = seed;
-        self
-    }
-
     /// Builder-style: arm deterministic fault injection per session.
     pub fn faulted(mut self, fault: FaultConfig) -> Self {
         self.fault = Some(fault);

@@ -69,8 +69,8 @@ pub enum StorageError {
         /// Attempts made (first try included).
         attempts: u32,
     },
-    /// The simulated disk was detached (e.g. taken for a path index) when
-    /// an operation needed it.
+    /// The store was detached from its database (taken and not yet
+    /// restored) when an operation needed it.
     DiskDetached,
     /// A mutation (write, allocation, file drop) was attempted on a
     /// read-only store — a frozen snapshot serves queries only; updates

@@ -72,7 +72,7 @@ fn analyze(args: &AnalyzeArgs) -> Result<(), String> {
 fn update(args: &UpdateArgs) -> Result<(), String> {
     let text = std::fs::read_to_string(&args.input).map_err(|e| format!("{}: {e}", args.input))?;
     let lg = LabeledGraph::parse(&text)?;
-    if !lg.graph.is_acyclic() {
+    if !lg.graph.is_acyclic() || !lg.self_loops.is_empty() {
         return Err(format!(
             "{}: cyclic input — dynamic maintenance requires a DAG (condense cycles first)",
             args.input
@@ -151,7 +151,7 @@ fn update(args: &UpdateArgs) -> Result<(), String> {
 fn serve(args: &ServeArgs) -> Result<(), String> {
     let text = std::fs::read_to_string(&args.input).map_err(|e| format!("{}: {e}", args.input))?;
     let lg = LabeledGraph::parse(&text)?;
-    if !lg.graph.is_acyclic() {
+    if !lg.graph.is_acyclic() || !lg.self_loops.is_empty() {
         return Err(format!(
             "{}: cyclic input — serving requires a DAG (condense cycles first)",
             args.input
@@ -264,10 +264,9 @@ fn serve(args: &ServeArgs) -> Result<(), String> {
         report.cache_lookups(),
     );
     // Closing wall-time summary off the tc-obs histograms (stderr only,
-    // never gating). Falls back to the report's percentiles if the
-    // recorder was somehow empty.
-    match (obs.service_histogram(), obs.queue_wait_histogram()) {
-        (Some(service), Some(queue)) if service.count() > 0 => eprintln!(
+    // never gating); the recorder above is always armed.
+    if let (Some(service), Some(queue)) = (obs.service_histogram(), obs.queue_wait_histogram()) {
+        eprintln!(
             "wall-time (non-gating): {:.0} q/s, service p50 {} ns, p95 {} ns, p99 {} ns, \
              queue-wait p50 {} ns, p99 {} ns, workers {}",
             report.qps(),
@@ -277,14 +276,7 @@ fn serve(args: &ServeArgs) -> Result<(), String> {
             queue.percentile(50.0),
             queue.percentile(99.0),
             args.workers,
-        ),
-        _ => eprintln!(
-            "wall-time (non-gating): {:.0} q/s, latency p50 {} ns, p95 {} ns, workers {}",
-            report.qps(),
-            report.latency_percentile_ns(50),
-            report.latency_percentile_ns(95),
-            args.workers,
-        ),
+        );
     }
     if let Some(path) = &args.metrics {
         write_metrics(path, &obs)?;
@@ -320,6 +312,11 @@ fn run(cli: &CliArgs) -> Result<(), String> {
         },
     );
 
+    if !lg.self_loops.is_empty() {
+        let loops = lg.self_loops.len();
+        eprintln!("{loops} self-loop(s): cycles of length one, each such node reaches itself");
+    }
+
     let sources: Vec<u32> = cli
         .sources
         .iter()
@@ -347,7 +344,7 @@ fn run(cli: &CliArgs) -> Result<(), String> {
 
     // Cyclic inputs go through the condensation pipeline; DAGs through
     // the engine directly (optionally advisor-routed).
-    let (algo, answer, metrics) = if lg.graph.is_acyclic() {
+    let (algo, mut answer, metrics) = if lg.graph.is_acyclic() {
         let mut db = Database::build_for(&lg.graph, true, &cfg).map_err(|e| e.to_string())?;
         let (algo, res) = match cli.algorithm {
             Some(a) => (a, db.run(&query, a, &cfg).map_err(|e| e.to_string())?),
@@ -363,6 +360,16 @@ fn run(cli: &CliArgs) -> Result<(), String> {
     if let Some((path, sink)) = sink {
         sink.finish().map_err(|e| format!("{path}: {e}"))?;
         eprintln!("trace written to {path}");
+    }
+
+    // A self-loop is a cycle of length one: a queried source that has
+    // one reaches itself, the convention `run_cyclic` applies to the
+    // members of a larger component (which may already have said so).
+    if !lg.self_loops.is_empty() {
+        let queried = |v: &u32| query.sources().is_none_or(|s| s.contains(v));
+        answer.extend(lg.self_loops.iter().filter(|v| queried(v)).map(|&v| (v, v)));
+        answer.sort_unstable();
+        answer.dedup();
     }
 
     eprintln!(

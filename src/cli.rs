@@ -15,6 +15,10 @@ pub struct LabeledGraph {
     pub graph: Graph,
     /// Label of each id.
     pub labels: Vec<String>,
+    /// Ids whose input had a `v v` line, sorted and deduplicated.
+    /// [`Graph`] is irreflexive and drops them; a self-loop is a cycle
+    /// of length one, and callers must treat it as one.
+    pub self_loops: Vec<NodeId>,
     index: HashMap<String, NodeId>,
 }
 
@@ -32,6 +36,7 @@ impl LabeledGraph {
             })
         };
         let mut arcs: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut self_loops: Vec<NodeId> = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -49,12 +54,19 @@ impl LabeledGraph {
             };
             let u = intern(a, &mut labels, &mut index);
             let v = intern(b, &mut labels, &mut index);
-            arcs.push((u, v));
+            if u == v {
+                self_loops.push(u);
+            } else {
+                arcs.push((u, v));
+            }
         }
+        self_loops.sort_unstable();
+        self_loops.dedup();
         let n = labels.len();
         Ok(LabeledGraph {
             graph: Graph::from_arcs(n, arcs),
             labels,
+            self_loops,
             index,
         })
     }
@@ -208,7 +220,8 @@ serve options (freeze the closure into a snapshot, serve a seeded mix):
       (plus --buffer and --backend as above; input must be acyclic)
 Cyclic inputs are condensed automatically (strongly connected components);
 the advisor default applies to acyclic inputs, cyclic ones run BTC unless
---algo says otherwise.";
+--algo says otherwise. A self-loop line `a a` is a cycle of length one: a
+query reports `a` as reaching itself; update and serve refuse it as cyclic.";
 
 /// Parsed command line for `tcq update`.
 #[derive(Debug, Clone, PartialEq)]
@@ -594,6 +607,14 @@ mod tests {
         assert!(g
             .graph
             .has_arc(g.id("rustc").unwrap(), g.id("llvm").unwrap()));
+    }
+
+    #[test]
+    fn remembers_self_loops_the_graph_drops() {
+        let g = LabeledGraph::parse("a a\na b\nc c\nb c\na a\n").unwrap();
+        assert_eq!((g.graph.n(), g.graph.arc_count()), (3, 2));
+        assert_eq!(g.self_loops, vec![g.id("a").unwrap(), g.id("c").unwrap()]);
+        assert!(LabeledGraph::parse("a b\n").unwrap().self_loops.is_empty());
     }
 
     #[test]

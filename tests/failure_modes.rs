@@ -87,6 +87,57 @@ fn cyclic_input_is_rejected_by_the_engine_and_handled_by_condensation() {
     assert!(res.metrics.answer_tuples > 0);
 }
 
+/// Runs `tcq` with each `"FILE"` in `args` replaced by the path of a
+/// file holding `edges`; returns (exit ok, stdout, stderr).
+fn tcq(edges: &str, args: &[&str]) -> (bool, String, String) {
+    let path = std::env::temp_dir().join(format!(
+        "tcq-failure-modes-{}-{:?}.txt",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, edges).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tcq"))
+        .args(args.iter().map(|&a| match a {
+            "FILE" => path.as_os_str(),
+            a => a.as_ref(),
+        }))
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status.success(), text(&out.stdout), text(&out.stderr))
+}
+
+#[test]
+fn self_loop_lines_are_cycles_of_length_one_not_dropped() {
+    // The 2-cycle `a b / b a` has always reported `a a`; so must `a a`.
+    let edges = "a a\na b\n";
+    let (ok, stdout, stderr) = tcq(edges, &["FILE", "--print-answer"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, "a\ta\na\tb\n");
+    assert!(stderr.contains("1 self-loop(s)"), "{stderr}");
+
+    // A selection reports the loop of a queried source only.
+    let (ok, stdout, stderr) = tcq(edges, &["FILE", "--print-answer", "--sources", "a"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, "a\ta\na\tb\n");
+    let (ok, stdout, stderr) = tcq(edges, &["FILE", "--print-answer", "--sources", "b"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, "");
+
+    // A node of a larger component is not reported twice.
+    let (ok, stdout, stderr) = tcq("a a\na b\nb a\n", &["FILE", "--print-answer", "-s", "a"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, "a\ta\na\tb\n");
+
+    // Maintenance and serving need a DAG; a self-loop is not one.
+    for sub in ["update", "serve"] {
+        let (ok, _, stderr) = tcq(edges, &[sub, "FILE"]);
+        assert!(!ok, "tcq {sub} accepted a self-loop");
+        assert!(stderr.contains("cyclic input"), "{stderr}");
+    }
+}
+
 #[test]
 fn jkb2_without_dual_representation_is_an_error() {
     let g = DagGenerator::new(50, 2.0, 10).seed(4).generate();

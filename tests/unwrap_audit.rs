@@ -22,8 +22,10 @@ const AUDITED: &[(&str, &str, usize)] = &[
     // Every generated tuple is a successor-list append: a catalog that
     // disagrees with its pages is a typed `PageFull`, not a panic.
     ("io", "crates/succ/src", 7),
-    // The dynamic-maintenance and freeze layers own the same store/pool
-    // lifecycle as the engine, and `UpdateStream` feeds them.
+    // The metered-run lifecycle hands the store back on every path; the
+    // dynamic-maintenance and freeze layers run inside it or own the same
+    // store/pool hand-over, and `UpdateStream` feeds them.
+    ("io", "crates/core/src/lifecycle.rs", 1),
     ("io", "crates/core/src/dynamic.rs", 1),
     ("io", "crates/core/src/snapshot.rs", 1),
     ("io", "crates/graph/src/update.rs", 1),
