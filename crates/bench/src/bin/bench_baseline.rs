@@ -17,66 +17,39 @@
 
 use std::process::ExitCode;
 use tc_bench::baseline::{baseline_json_on, diff_report};
+use tc_bench::opts::{backend_value, default_jobs, flag_value};
 use tc_storage::Backend;
 
-fn usage() {
-    eprintln!("usage: bench_baseline [--jobs N] [--backend sim|file|file:DIR] [--check PATH]");
+/// `(jobs, backend, --check path)` off the command line.
+fn parse(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(usize, Backend, Option<String>), String> {
+    let (mut jobs, mut backend, mut check) = (default_jobs(), Backend::Sim, None);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--jobs" => jobs = flag_value(&flag, "a number ≥ 1", &mut args)?,
+            "--backend" => backend = backend_value(&flag, &mut args)?,
+            "--check" => check = Some(flag_value(&flag, "a path", &mut args)?),
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    if jobs < 1 {
+        return Err("--jobs takes a number ≥ 1".into());
+    }
+    Ok((jobs, backend, check))
 }
 
 fn main() -> ExitCode {
-    let mut jobs = tc_bench::opts::default_jobs();
-    let mut check: Option<String> = None;
-    let mut backend = Backend::Sim;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" => {
-                i += 1;
-                jobs = match args.get(i).map(|v| v.parse::<usize>()) {
-                    Some(Ok(n)) if n >= 1 => n,
-                    _ => {
-                        eprintln!("error: --jobs takes a number ≥ 1");
-                        usage();
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--backend" => {
-                i += 1;
-                backend = match args.get(i).map(|v| Backend::parse(v)) {
-                    Some(Ok(b)) => b,
-                    Some(Err(e)) => {
-                        eprintln!("error: {e}");
-                        usage();
-                        return ExitCode::FAILURE;
-                    }
-                    None => {
-                        eprintln!("error: --backend takes sim, file or file:DIR");
-                        usage();
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--check" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => check = Some(path.clone()),
-                    None => {
-                        eprintln!("error: --check takes a path");
-                        usage();
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            other => {
-                eprintln!("error: unknown argument {other}");
-                usage();
-                return ExitCode::FAILURE;
-            }
+    let (jobs, backend, check) = match parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprintln!(
+                "usage: bench_baseline [--jobs N] [--backend sim|file|file:DIR] [--check PATH]"
+            );
+            return ExitCode::FAILURE;
         }
-        i += 1;
-    }
+    };
 
     let current = match baseline_json_on(jobs, backend.clone()) {
         Ok(s) => s,

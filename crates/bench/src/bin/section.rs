@@ -11,10 +11,10 @@
 //!
 //! The section name is the first argument; the rest are the usual
 //! experiment options (`--quick`, `--full`, `--instances`, `--sets`,
-//! `--jobs`, `--trace DIR` for per-cell JSONL event traces,
-//! `--profile DIR` for per-cell rendered profile reports,
-//! `--timing DIR` for per-cell wall-clock span trees (non-gating;
-//! the report bytes are identical with or without it),
+//! `--jobs`, `--trace DIR` for per-cell JSONL event traces (fold one
+//! into a profile report with `tcq analyze`), `--timing DIR` for
+//! per-cell wall-clock span trees (non-gating; the report bytes are
+//! identical with or without it),
 //! `--backend sim|file` for the storage backend). Run with no
 //! arguments to list the known sections. Report bytes on stdout are
 //! identical for any `--jobs` value; timing chatter goes to stderr only.
@@ -24,9 +24,7 @@ use std::time::Instant;
 use tc_bench::experiments::{section, SectionFn, SECTIONS};
 
 fn usage() {
-    eprintln!(
-        "usage: section <name>|all [--quick|--full] [--instances N] [--sets N] [--jobs N] [--trace DIR] [--profile DIR] [--timing DIR] [--backend sim|file|file:DIR]"
-    );
+    eprintln!("usage: section <name>|all {}", tc_bench::opts::FLAGS);
     eprintln!(
         "known sections: {}",
         SECTIONS

@@ -53,9 +53,8 @@ use tc_graph::{
     UpdateStream,
 };
 use tc_obs::SpanRecorder;
-use tc_profile::{render, ProfileSink};
 use tc_storage::StorageError;
-use tc_trace::{JsonlSink, TeeSink, TraceSink, Tracer};
+use tc_trace::{JsonlSink, Tracer};
 
 /// Which query an experiment runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,14 +219,6 @@ impl Cell {
             }
         };
         tc_det::cell_seed(CELL_STREAM, &[fam_idx, self.instance, self.set, task])
-    }
-
-    /// Canonical profile report file name for this cell at canonical
-    /// index `i`: the trace name with `.jsonl` replaced by
-    /// `.profile.txt`, so a cell's trace and profile sort together.
-    pub fn profile_file_name(&self, i: usize) -> String {
-        let name = self.trace_file_name(i);
-        format!("{}.profile.txt", name.trim_end_matches(".jsonl"))
     }
 
     /// Canonical wall-clock span-tree file name for this cell at
@@ -501,27 +492,24 @@ pub fn run_cells_traced(
     jobs: usize,
     trace_dir: &Path,
 ) -> ExpResult<Vec<CellOutput>> {
-    run_cells_dirs(cells, jobs, Some(trace_dir), None, None)
+    run_cells_dirs(cells, jobs, Some(trace_dir), None)
 }
 
-/// [`run_cells`] with optional per-cell JSONL traces under `trace_dir`,
-/// rendered profile reports under `profile_dir` and/or wall-clock span
-/// trees under `timing_dir` (all created if absent, named by
-/// [`Cell::trace_file_name`] / [`Cell::profile_file_name`] /
-/// [`Cell::timing_file_name`]). When trace and profile are both set, one
-/// event stream is teed into both sinks, so the trace and the profile of
-/// a cell describe the same run; traces and profiles are a pure function
-/// of cell coordinates, identical at any worker count. Timing files are
-/// *measured wall-clock* — never byte-stable, never gating — and arming
-/// them changes no byte of any other output.
+/// [`run_cells`] with optional per-cell JSONL traces under `trace_dir`
+/// and/or wall-clock span trees under `timing_dir` (both created if
+/// absent, named by [`Cell::trace_file_name`] /
+/// [`Cell::timing_file_name`]). Traces are a pure function of cell
+/// coordinates, identical at any worker count (`tcq analyze` folds one
+/// into its profile report). Timing files are *measured wall-clock* —
+/// never byte-stable, never gating — and arming them changes no byte of
+/// any other output.
 pub fn run_cells_dirs(
     cells: &[Cell],
     jobs: usize,
     trace_dir: Option<&Path>,
-    profile_dir: Option<&Path>,
     timing_dir: Option<&Path>,
 ) -> ExpResult<Vec<CellOutput>> {
-    for dir in [trace_dir, profile_dir, timing_dir].into_iter().flatten() {
+    for dir in [trace_dir, timing_dir].into_iter().flatten() {
         fs::create_dir_all(dir)
             .map_err(|e| ExpError::Internal(format!("create sink dir {}: {e}", dir.display())))?;
     }
@@ -531,7 +519,6 @@ pub fn run_cells_dirs(
         &[],
         Sinks::Dirs {
             trace: trace_dir,
-            profile: profile_dir,
             timing: timing_dir,
         },
     )
@@ -577,7 +564,6 @@ enum Sinks<'a> {
     /// Per-cell files derived from the cell's canonical name.
     Dirs {
         trace: Option<&'a Path>,
-        profile: Option<&'a Path>,
         timing: Option<&'a Path>,
     },
     /// Caller-supplied tracer per cell index.
@@ -585,10 +571,10 @@ enum Sinks<'a> {
 }
 
 /// Runs cell `i` with its sinks attached. File-backed sinks are per-cell
-/// and flushed before the output is returned, so a cell's trace and
-/// profile files are complete once its result exists.
+/// and flushed before the output is returned, so a cell's trace file is
+/// complete once its result exists.
 fn exec_cell(cell: &Cell, i: usize, sinks: Sinks<'_>) -> ExpResult<CellOutput> {
-    let (trace, profile, timing) = match sinks {
+    let (trace, timing) = match sinks {
         Sinks::None => return cell.execute(),
         Sinks::Each(tracers) => {
             let Some(t) = tracers.get(i) else {
@@ -596,11 +582,7 @@ fn exec_cell(cell: &Cell, i: usize, sinks: Sinks<'_>) -> ExpResult<CellOutput> {
             };
             return cell.execute_instrumented(t.clone(), SpanRecorder::disabled());
         }
-        Sinks::Dirs {
-            trace,
-            profile,
-            timing,
-        } => (trace, profile, timing),
+        Sinks::Dirs { trace, timing } => (trace, timing),
     };
     let file_err = |what: &str, path: &Path, e: std::io::Error| {
         ExpError::Internal(format!("{what} {}: {e}", path.display()))
@@ -614,27 +596,13 @@ fn exec_cell(cell: &Cell, i: usize, sinks: Sinks<'_>) -> ExpResult<CellOutput> {
         }
         None => None,
     };
-    let prof = profile.map(|dir| {
-        (
-            dir.join(cell.profile_file_name(i)),
-            Arc::new(ProfileSink::new()),
-        )
-    });
     let spans = timing.map(|dir| {
         let (recorder, collector) = SpanRecorder::collecting();
         (dir.join(cell.timing_file_name(i)), recorder, collector)
     });
-    let mut branches: Vec<Arc<dyn TraceSink>> = Vec::new();
-    if let Some((_, s)) = &jsonl {
-        branches.push(s.clone());
-    }
-    if let Some((_, s)) = &prof {
-        branches.push(s.clone());
-    }
-    let tracer = if branches.is_empty() {
-        Tracer::disabled()
-    } else {
-        Tracer::new(Arc::new(TeeSink::new(branches)))
+    let tracer = match &jsonl {
+        Some((_, s)) => Tracer::new(s.clone()),
+        None => Tracer::disabled(),
     };
     let recorder = spans
         .as_ref()
@@ -644,10 +612,6 @@ fn exec_cell(cell: &Cell, i: usize, sinks: Sinks<'_>) -> ExpResult<CellOutput> {
     if let Some((path, s)) = jsonl {
         s.finish()
             .map_err(|e| file_err("write trace file", &path, e))?;
-    }
-    if let Some((path, s)) = prof {
-        fs::write(&path, render(&s.finish()))
-            .map_err(|e| file_err("write profile file", &path, e))?;
     }
     if let Some((path, _, collector)) = spans {
         fs::write(&path, collector.tree().to_json())
@@ -901,15 +865,13 @@ impl Grid {
     }
 
     /// Executes every registered cell across `opts.jobs` workers,
-    /// tracing each cell into `opts.trace_dir`, writing each cell's
-    /// rendered profile report into `opts.profile_dir` and its
+    /// tracing each cell into `opts.trace_dir` and writing its
     /// wall-clock span tree into `opts.timing_dir` when set.
     pub fn run(self) -> ExpResult<GridResults> {
         let outputs = run_cells_dirs(
             &self.cells,
             self.opts.jobs,
             self.opts.trace_dir.as_deref(),
-            self.opts.profile_dir.as_deref(),
             self.opts.timing_dir.as_deref(),
         )?;
         Ok(GridResults {

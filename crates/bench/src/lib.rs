@@ -12,8 +12,8 @@
 //!
 //! Every section decomposes into independent *cells* (one
 //! database-build-and-run each) on a shared [`experiments::Grid`]. Cells
-//! execute across `--jobs N` worker threads (env `TC_JOBS`; default:
-//! available parallelism) and results are reassembled in canonical cell
+//! execute across `--jobs N` worker threads (default: available
+//! parallelism) and results are reassembled in canonical cell
 //! order, so a section's report fragment is **byte-identical** at any
 //! thread count — `--jobs 1` and `--jobs 8` produce the same bytes.
 //! Cell seeds are pure functions of cell coordinates
@@ -25,10 +25,10 @@
 //! matrix takes a while; the harness defaults to 2×2 and honours
 //!
 //! ```text
-//! TC_INSTANCES=5 TC_SOURCE_SETS=5 cargo run --release -p tc-bench --bin section -- all
+//! cargo run --release -p tc-bench --bin section -- all --full
 //! ```
 //!
-//! (or `--instances 5 --sets 5 --jobs 4` on the command line).
+//! (or `--instances 5 --sets 5 --jobs 4`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,7 +13,7 @@ pub struct ExpOpts {
     pub instances: u64,
     /// Source sets per instance for selection queries (paper: 5).
     pub source_sets: u64,
-    /// Worker threads for the experiment grid (`--jobs`, `TC_JOBS`).
+    /// Worker threads for the experiment grid (`--jobs`).
     /// Purely a throughput knob: every report is byte-identical at any
     /// value. 1 executes cells inline on the calling thread.
     pub jobs: usize,
@@ -22,21 +22,17 @@ pub struct ExpOpts {
     /// function of each cell's coordinates, so they too are identical at
     /// any worker count.
     pub trace_dir: Option<PathBuf>,
-    /// Directory for per-cell rendered profile reports
-    /// (`--profile <dir>`). Like traces, report contents are a pure
-    /// function of each cell's coordinates.
-    pub profile_dir: Option<PathBuf>,
     /// Directory for per-cell wall-clock span trees (`--timing <dir>`),
     /// one single-line JSON tree per query/updates cell. Unlike traces
-    /// and profiles these hold *measured times* and are therefore never
-    /// byte-stable across runs — they are strictly non-gating; the
+    /// these hold *measured times* and are therefore never byte-stable
+    /// across runs — they are strictly non-gating; the
     /// deterministic outputs of a timed sweep stay byte-identical to an
     /// untimed one (pinned by the determinism-under-timing suite).
     pub timing_dir: Option<PathBuf>,
-    /// Storage backend every cell runs on (`--backend sim|file`,
-    /// `TC_BACKEND`). The default is the simulated counting disk; the
-    /// file backend gives each cell a fresh auto-cleaned temp directory
-    /// and — by construction — identical metrics and trace digests.
+    /// Storage backend every cell runs on (`--backend sim|file`). The
+    /// default is the simulated counting disk; the file backend gives
+    /// each cell a fresh auto-cleaned temp directory and — by
+    /// construction — identical metrics and trace digests.
     pub backend: Backend,
 }
 
@@ -55,7 +51,6 @@ impl Default for ExpOpts {
             source_sets: 2,
             jobs: default_jobs(),
             trace_dir: None,
-            profile_dir: None,
             timing_dir: None,
             backend: Backend::Sim,
         }
@@ -93,12 +88,6 @@ impl ExpOpts {
         self
     }
 
-    /// Builder-style: write per-cell profile reports under `dir`.
-    pub fn profile_dir(mut self, dir: impl Into<PathBuf>) -> ExpOpts {
-        self.profile_dir = Some(dir.into());
-        self
-    }
-
     /// Builder-style: write per-cell wall-clock span trees under `dir`.
     pub fn timing_dir(mut self, dir: impl Into<PathBuf>) -> ExpOpts {
         self.timing_dir = Some(dir.into());
@@ -111,75 +100,24 @@ impl ExpOpts {
         self
     }
 
-    /// Builds options from (in precedence order) the given command-line
-    /// arguments (`--instances k`, `--sets k`, `--jobs n`, `--full`,
-    /// `--quick`) and the `TC_INSTANCES` / `TC_SOURCE_SETS` / `TC_JOBS`
-    /// environment variables. Unknown or malformed arguments are a typed
-    /// error, not a panic, so binaries can exit with a usage message.
+    /// Builds options from command-line arguments (see [`FLAGS`]).
+    /// Unknown or malformed arguments are a typed error, not a panic, so
+    /// binaries can exit with a usage message.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ExpOpts, String> {
         let mut o = ExpOpts::default();
-        if let Some(k) = env_parsed("TC_INSTANCES")? {
-            o.instances = k;
-        }
-        if let Some(k) = env_parsed("TC_SOURCE_SETS")? {
-            o.source_sets = k;
-        }
-        if let Some(k) = env_parsed::<usize>("TC_JOBS")? {
-            o.jobs = k;
-        }
-        if let Ok(v) = std::env::var("TC_BACKEND") {
-            o.backend = Backend::parse(&v).map_err(|e| format!("TC_BACKEND: {e}"))?;
-        }
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => {
-                    o.instances = 5;
-                    o.source_sets = 5;
-                }
-                "--quick" => {
-                    o.instances = 1;
-                    o.source_sets = 1;
-                }
-                "--instances" => o.instances = flag_value(&args, &mut i)?,
-                "--sets" => o.source_sets = flag_value(&args, &mut i)?,
-                "--jobs" => o.jobs = flag_value(&args, &mut i)?,
-                "--trace" => {
-                    let Some(dir) = args.get(i + 1) else {
-                        return Err("--trace takes a directory".into());
-                    };
-                    i += 1;
-                    o.trace_dir = Some(PathBuf::from(dir));
-                }
-                "--profile" => {
-                    let Some(dir) = args.get(i + 1) else {
-                        return Err("--profile takes a directory".into());
-                    };
-                    i += 1;
-                    o.profile_dir = Some(PathBuf::from(dir));
-                }
-                "--timing" => {
-                    let Some(dir) = args.get(i + 1) else {
-                        return Err("--timing takes a directory".into());
-                    };
-                    i += 1;
-                    o.timing_dir = Some(PathBuf::from(dir));
-                }
-                "--backend" => {
-                    let Some(b) = args.get(i + 1) else {
-                        return Err("--backend takes sim, file or file:DIR".into());
-                    };
-                    i += 1;
-                    o.backend = Backend::parse(b)?;
-                }
-                other => {
-                    return Err(format!(
-                        "unknown argument {other} (try --full, --quick, --instances k, --sets k, --jobs n, --trace dir, --profile dir, --timing dir, --backend sim|file)"
-                    ))
-                }
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--full" => (o.instances, o.source_sets) = (5, 5),
+                "--quick" => (o.instances, o.source_sets) = (1, 1),
+                "--instances" => o.instances = flag_value(&flag, "a number", &mut args)?,
+                "--sets" => o.source_sets = flag_value(&flag, "a number", &mut args)?,
+                "--jobs" => o.jobs = flag_value(&flag, "a number", &mut args)?,
+                "--trace" => o.trace_dir = Some(flag_value(&flag, "a directory", &mut args)?),
+                "--timing" => o.timing_dir = Some(flag_value(&flag, "a directory", &mut args)?),
+                "--backend" => o.backend = backend_value(&flag, &mut args)?,
+                other => return Err(format!("unknown argument {other} (try {FLAGS})")),
             }
-            i += 1;
         }
         if o.instances < 1 || o.source_sets < 1 || o.jobs < 1 {
             return Err("--instances, --sets and --jobs must all be ≥ 1".into());
@@ -188,24 +126,33 @@ impl ExpOpts {
     }
 }
 
-fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
-    let flag = &args[*i];
-    let Some(v) = args.get(*i + 1) else {
-        return Err(format!("{flag} takes a number"));
-    };
-    *i += 1;
+/// Every option [`ExpOpts::parse`] accepts, as `section`'s usage line
+/// and the unknown-argument hint show them.
+pub const FLAGS: &str = "[--quick|--full] [--instances N] [--sets N] [--jobs N] \
+                         [--trace DIR] [--timing DIR] [--backend sim|file|file:DIR]";
+
+/// The value of `flag`: the next argument, which must exist, must not
+/// itself be a `--flag`, and must parse as a `T` (`what` names it in the
+/// error).
+pub fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    what: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    let v = args
+        .next()
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} takes {what}"))?;
     v.parse()
-        .map_err(|_| format!("{flag} takes a number, got {v:?}"))
+        .map_err(|_| format!("{flag} takes {what}, got {v:?}"))
 }
 
-fn env_parsed<T: std::str::FromStr>(var: &str) -> Result<Option<T>, String> {
-    match std::env::var(var) {
-        Ok(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{var} must be a number, got {v:?}")),
-        Err(_) => Ok(None),
-    }
+/// [`flag_value`] for a `--backend` ([`Backend`] has its own parser).
+pub fn backend_value(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<Backend, String> {
+    Backend::parse(&flag_value::<String>(flag, "sim, file or file:DIR", args)?)
 }
 
 #[cfg(test)]
@@ -279,16 +226,5 @@ mod tests {
         );
         assert!(ExpOpts::parse(["--timing"].map(String::from)).is_err());
         assert!(ExpOpts::default().timing_dir.is_none());
-    }
-
-    #[test]
-    fn parse_profile_dir() {
-        let o = ExpOpts::parse(["--profile", "/tmp/profiles"].map(String::from)).unwrap();
-        assert_eq!(
-            o.profile_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/profiles"))
-        );
-        assert!(ExpOpts::parse(["--profile"].map(String::from)).is_err());
-        assert!(ExpOpts::default().profile_dir.is_none());
     }
 }

@@ -1,10 +1,10 @@
 //! A small metrics registry: named counters and latency histograms
-//! with deterministic Prometheus-text and JSON exposition.
+//! with deterministic Prometheus-text exposition.
 //!
 //! Handles ([`Counter`], [`Histogram`]) are cheap clones sharing state
 //! with the registry, so hot paths record through a pre-fetched handle
 //! without touching the name map. Names may carry a Prometheus label
-//! suffix (`tc_serve_service_ns{kind="ptc"}`); the renderers splice
+//! suffix (`tc_serve_service_ns{kind="ptc"}`); the renderer splices
 //! quantile labels into it. Rendering iterates a `BTreeMap`, so output
 //! ordering is a pure function of the recorded names — stable across
 //! runs and worker counts (the *values* are wall-clock and are not).
@@ -44,11 +44,6 @@ impl Histogram {
     /// Records one nanosecond value.
     pub fn record(&self, ns: u64) {
         lock_unpoisoned(&self.0).record(ns);
-    }
-
-    /// Merges a locally accumulated histogram in one lock acquisition.
-    pub fn merge_from(&self, other: &LatencyHistogram) {
-        lock_unpoisoned(&self.0).merge(other);
     }
 
     /// Snapshots the current contents.
@@ -150,40 +145,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders every metric as a JSON object: counters as plain
-    /// numbers, histograms as `{count, mean_ns, p50_ns, p95_ns,
-    /// p99_ns, max_ns}`. Key order follows the registry's `BTreeMap`.
-    pub fn render_json(&self) -> String {
-        let map = lock_unpoisoned(&self.inner);
-        let mut counters = Vec::new();
-        let mut hists = Vec::new();
-        for (name, metric) in map.iter() {
-            match metric {
-                Metric::Counter(c) => {
-                    counters.push(format!("    {}: {}", json_string(name), c.get()))
-                }
-                Metric::Histogram(h) => {
-                    let s = h.snapshot();
-                    hists.push(format!(
-                        "    {}: {{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                        json_string(name),
-                        s.count(),
-                        s.mean(),
-                        s.percentile(50.0),
-                        s.percentile(95.0),
-                        s.percentile(99.0),
-                        s.max_observed(),
-                    ))
-                }
-            }
-        }
-        format!(
-            "{{\n  \"counters\": {{\n{}\n  }},\n  \"histograms\": {{\n{}\n  }}\n}}\n",
-            counters.join(",\n"),
-            hists.join(",\n"),
-        )
-    }
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -199,21 +160,6 @@ fn split_labels(name: &str) -> (&str, Option<&str>) {
         Some((base, rest)) => (base, Some(rest.trim_end_matches('}'))),
         None => (name, None),
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -279,20 +225,5 @@ mod tests {
             "{text}"
         );
         assert_eq!(reg.render_prometheus(), text, "rendering must be stable");
-    }
-
-    #[test]
-    fn json_snapshot_has_both_sections() {
-        let reg = MetricsRegistry::new();
-        reg.counter("tc_replies_total").add(5);
-        let h = reg.histogram("tc_latency_ns");
-        for v in 1..=100u64 {
-            h.record(v * 10);
-        }
-        let json = reg.render_json();
-        assert!(json.contains("\"counters\""), "{json}");
-        assert!(json.contains("\"tc_replies_total\": 5"), "{json}");
-        assert!(json.contains("\"p99_ns\""), "{json}");
-        assert!(json.contains("\"count\":100"), "{json}");
     }
 }

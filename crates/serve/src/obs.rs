@@ -116,11 +116,6 @@ impl ServeObs {
     pub fn render_prometheus(&self) -> Option<String> {
         self.0.as_ref().map(|i| i.registry.render_prometheus())
     }
-
-    /// JSON snapshot of everything recorded, if armed.
-    pub fn render_json(&self) -> Option<String> {
-        self.0.as_ref().map(|i| i.registry.render_json())
-    }
 }
 
 impl std::fmt::Debug for ServeObs {
@@ -167,8 +162,6 @@ mod tests {
             prom.contains("tc_serve_worker_busy_ns{worker=\"0\"} 6000"),
             "{prom}"
         );
-        let json = obs.render_json().expect("armed");
-        assert!(json.contains("\"p99_ns\""), "{json}");
         // Clones share the same inner state.
         let clone = obs.clone();
         clone.record_reply(&Request::Path { u: 0, v: 1 }, 1, 1);

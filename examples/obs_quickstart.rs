@@ -79,8 +79,8 @@ fn main() {
         service_hist.percentile(99.0),
     );
 
-    // 3. The same numbers in exposition formats: `tcq serve --metrics
-    //    PATH` writes these files periodically during a serve.
+    // 3. The same numbers as Prometheus text: `tcq serve --metrics
+    //    PATH` writes this file periodically during a serve.
     if let Some(prom) = obs.render_prometheus() {
         let head: Vec<&str> = prom.lines().take(6).collect();
         println!("\nPrometheus text (first lines):\n{}", head.join("\n"));

@@ -5,12 +5,13 @@
 //! tcq deps.txt --sources libssl --print-answer
 //! ```
 
+use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tc_study::cli::{AnalyzeArgs, CliArgs, Command, LabeledGraph, ServeArgs, UpdateArgs, USAGE};
+use tc_study::cli::{AnalyzeArgs, CliArgs, CliError, Command, LabeledGraph, ServeArgs, UpdateArgs};
 use tc_study::core::prelude::*;
 use tc_study::graph::UpdateStream;
 use tc_study::obs::SpanTree;
@@ -22,12 +23,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = match Command::parse(&args) {
         Ok(c) => c,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return if msg == USAGE {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
+        Err(e) => {
+            eprintln!("{e}");
+            return match e {
+                CliError::Help => ExitCode::SUCCESS,
+                CliError::Bad(_) => ExitCode::FAILURE,
             };
         }
     };
@@ -46,11 +46,51 @@ fn main() -> ExitCode {
     }
 }
 
+/// Reads and parses the edge list at `path`. `needs_dag` names the
+/// operation that cannot take a cyclic input (a self-loop line is a
+/// cycle of length one).
+fn load(path: &str, needs_dag: Option<&str>) -> Result<LabeledGraph, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let lg = LabeledGraph::parse(&text)?;
+    match needs_dag {
+        Some(what) if !lg.graph.is_acyclic() || !lg.self_loops.is_empty() => Err(format!(
+            "{path}: cyclic input — {what} requires a DAG (condense cycles first)"
+        )),
+        _ => Ok(lg),
+    }
+}
+
+/// An open `--trace` file: its path and the sink writing it.
+type TraceFile<'a> = Option<(&'a str, Arc<JsonlSink<BufWriter<File>>>)>;
+
+/// Creates the `--trace` file, if one was asked for, and routes `cfg`'s
+/// event stream into it: one JSONL sink for the whole invocation.
+fn open_trace(
+    path: &Option<String>,
+    cfg: SystemConfig,
+) -> Result<(SystemConfig, TraceFile<'_>), String> {
+    let Some(path) = path.as_deref() else {
+        return Ok((cfg, None));
+    };
+    let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    let sink = Arc::new(JsonlSink::new(BufWriter::new(file)));
+    Ok((cfg.traced(Tracer::new(sink.clone())), Some((path, sink))))
+}
+
+/// Flushes the `--trace` file and reports the first deferred write error.
+fn finish_trace(trace: TraceFile<'_>) -> Result<(), String> {
+    if let Some((path, sink)) = trace {
+        sink.finish().map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("trace written to {path}");
+    }
+    Ok(())
+}
+
 /// Folds a `--trace` JSONL file into a profile report on stdout;
 /// `--timing` additionally renders a wall-clock span tree (self/child
 /// attribution) next to it.
 fn analyze(args: &AnalyzeArgs) -> Result<(), String> {
-    let file = std::fs::File::open(&args.input).map_err(|e| format!("{}: {e}", args.input))?;
+    let file = File::open(&args.input).map_err(|e| format!("{}: {e}", args.input))?;
     let mut fold = ProfileFold::new()
         .with_top_k(args.top_k)
         .with_interval(args.interval);
@@ -70,14 +110,7 @@ fn analyze(args: &AnalyzeArgs) -> Result<(), String> {
 /// Materializes the input's closure, then maintains it under a seeded
 /// update stream, one metered maintenance run per batch.
 fn update(args: &UpdateArgs) -> Result<(), String> {
-    let text = std::fs::read_to_string(&args.input).map_err(|e| format!("{}: {e}", args.input))?;
-    let lg = LabeledGraph::parse(&text)?;
-    if !lg.graph.is_acyclic() || !lg.self_loops.is_empty() {
-        return Err(format!(
-            "{}: cyclic input — dynamic maintenance requires a DAG (condense cycles first)",
-            args.input
-        ));
-    }
+    let lg = load(&args.input, Some("dynamic maintenance"))?;
     eprintln!(
         "{}: {} nodes, {} arcs",
         args.input,
@@ -85,16 +118,8 @@ fn update(args: &UpdateArgs) -> Result<(), String> {
         lg.graph.arc_count(),
     );
 
-    let mut cfg = SystemConfig::with_buffer(args.buffer).backend(args.backend.clone());
-    let sink = match &args.trace {
-        Some(path) => {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            let sink = Arc::new(JsonlSink::new(BufWriter::new(file)));
-            cfg = cfg.traced(Tracer::new(sink.clone()));
-            Some((path, sink))
-        }
-        None => None,
-    };
+    let cfg = SystemConfig::with_buffer(args.buffer).backend(args.backend.clone());
+    let (cfg, trace) = open_trace(&args.trace, cfg)?;
 
     let mut dyn_tc = DynamicClosure::build(&lg.graph, &cfg).map_err(|e| e.to_string())?;
     eprintln!(
@@ -129,10 +154,7 @@ fn update(args: &UpdateArgs) -> Result<(), String> {
             res.metrics.elapsed.as_secs_f64() * 1e3,
         );
     }
-    if let Some((path, sink)) = sink {
-        sink.finish().map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("trace written to {path}");
-    }
+    finish_trace(trace)?;
     eprintln!(
         "{} stream done: {} ops in {} batches, closure now {} tuples, {} total page I/O, {:.1} ms",
         args.stream.name(),
@@ -149,14 +171,7 @@ fn update(args: &UpdateArgs) -> Result<(), String> {
 /// seeded query mix against it; `--updates N` additionally applies N
 /// update batches mid-serve, publishing a fresh snapshot after each.
 fn serve(args: &ServeArgs) -> Result<(), String> {
-    let text = std::fs::read_to_string(&args.input).map_err(|e| format!("{}: {e}", args.input))?;
-    let lg = LabeledGraph::parse(&text)?;
-    if !lg.graph.is_acyclic() || !lg.self_loops.is_empty() {
-        return Err(format!(
-            "{}: cyclic input — serving requires a DAG (condense cycles first)",
-            args.input
-        ));
-    }
+    let lg = load(&args.input, Some("serving"))?;
     if lg.graph.n() == 0 {
         return Err(format!("{}: empty graph, nothing to serve", args.input));
     }
@@ -184,7 +199,7 @@ fn serve(args: &ServeArgs) -> Result<(), String> {
     );
     // Wall-clock metrics are always recorded; they never touch the
     // deterministic stdout summary. `--metrics` additionally exposes
-    // them as files, refreshed while the serve runs.
+    // them as a file, refreshed while the serve runs.
     let obs = ServeObs::enabled();
     let serve_cfg = ServeConfig::default()
         .workers(args.workers)
@@ -280,26 +295,21 @@ fn serve(args: &ServeArgs) -> Result<(), String> {
     }
     if let Some(path) = &args.metrics {
         write_metrics(path, &obs)?;
-        eprintln!("metrics written to {path} (Prometheus text) and {path}.json");
+        eprintln!("metrics written to {path} (Prometheus text)");
     }
     Ok(())
 }
 
-/// Writes the armed recorder's metrics: Prometheus text at `path`, the
-/// JSON snapshot at `path.json`.
+/// Writes the armed recorder's metrics as Prometheus text at `path`.
 fn write_metrics(path: &str, obs: &ServeObs) -> Result<(), String> {
-    let (Some(prom), Some(json)) = (obs.render_prometheus(), obs.render_json()) else {
-        return Ok(());
-    };
-    std::fs::write(path, prom).map_err(|e| format!("{path}: {e}"))?;
-    let json_path = format!("{path}.json");
-    std::fs::write(&json_path, json).map_err(|e| format!("{json_path}: {e}"))?;
-    Ok(())
+    match obs.render_prometheus() {
+        Some(prom) => std::fs::write(path, prom).map_err(|e| format!("{path}: {e}")),
+        None => Ok(()),
+    }
 }
 
 fn run(cli: &CliArgs) -> Result<(), String> {
-    let text = std::fs::read_to_string(&cli.input).map_err(|e| format!("{}: {e}", cli.input))?;
-    let lg = LabeledGraph::parse(&text)?;
+    let lg = load(&cli.input, None)?;
     eprintln!(
         "{}: {} nodes, {} arcs{}",
         cli.input,
@@ -327,20 +337,11 @@ fn run(cli: &CliArgs) -> Result<(), String> {
     } else {
         Query::partial(sources)
     };
-    let mut cfg = SystemConfig::with_buffer(cli.buffer)
+    let cfg = SystemConfig::with_buffer(cli.buffer)
         .collecting()
         .backend(cli.backend.clone());
-    // One JSONL sink for the whole invocation (cyclic inputs trace every
-    // condensed sub-run into the same file).
-    let sink = match &cli.trace {
-        Some(path) => {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            let sink = Arc::new(JsonlSink::new(BufWriter::new(file)));
-            cfg = cfg.traced(Tracer::new(sink.clone()));
-            Some((path, sink))
-        }
-        None => None,
-    };
+    // Cyclic inputs trace every condensed sub-run into the same file.
+    let (cfg, trace) = open_trace(&cli.trace, cfg)?;
 
     // Cyclic inputs go through the condensation pipeline; DAGs through
     // the engine directly (optionally advisor-routed).
@@ -357,10 +358,7 @@ fn run(cli: &CliArgs) -> Result<(), String> {
         (algo, res.answer, res.metrics)
     };
 
-    if let Some((path, sink)) = sink {
-        sink.finish().map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("trace written to {path}");
-    }
+    finish_trace(trace)?;
 
     // A self-loop is a cycle of length one: a queried source that has
     // one reaches itself, the convention `run_cyclic` applies to the

@@ -2,11 +2,17 @@
 //! a label↔id mapping, and argument handling.
 //!
 //! Kept in the library so it is unit-testable; `src/bin/tcq.rs` is a thin
-//! wrapper.
+//! wrapper. Every flag is declared once, as a [`Flag`] entry in its
+//! subcommand's [`Args::FLAGS`] table: the parser and the usage text are
+//! generic over the table, so neither can name a flag, a placeholder or
+//! a default the other does not.
 
 use std::collections::HashMap;
+use std::fmt;
 use tc_core::Algorithm;
 use tc_graph::{Graph, NodeId, StreamKind};
+use tc_serve::MixSpec;
+use tc_storage::Backend;
 
 /// An edge-list graph with human-readable node labels.
 #[derive(Debug, Clone)]
@@ -82,6 +88,240 @@ impl LabeledGraph {
     }
 }
 
+/// Why a command line did not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// `--help` / `-h` was given: print [`usage`] and exit 0.
+    Help,
+    /// A malformed command line: print the message and exit 1.
+    Bad(String),
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Help => f.write_str(&usage()),
+            CliError::Bad(msg) => f.write_str(msg),
+        }
+    }
+}
+
+/// One flag of a subcommand. The only place its spellings, placeholder,
+/// help text, range check and default display are written.
+struct Flag<A> {
+    /// Accepted spellings, the short one (if any) first.
+    names: &'static [&'static str],
+    /// Placeholder of the value the flag takes; `""` for a switch.
+    value: &'static str,
+    /// Help text; `\n` starts a continuation line.
+    help: &'static str,
+    /// Parses and range-checks the value (`""` for a switch) into its
+    /// field; the error is reported as `<spelling>: <error>`.
+    set: fn(&mut A, &str) -> Result<(), String>,
+    /// The field as the usage text shows it, applied to `A::default()`.
+    default: Option<fn(&A) -> String>,
+}
+
+/// One [`Flag`]: `flag!([spellings] "PLACEHOLDER": "help", field = parser)`,
+/// where `parser: fn(&str) -> Result<FieldType, String>`. A trailing
+/// `, shown` puts the field's default in the usage text; `, shown by f`
+/// does so through `f: fn(&FieldType) -> impl ToString`.
+macro_rules! flag {
+    (
+        [$($name:literal),+] $value:literal: $help:expr,
+        $field:ident = $parse:expr $(, $($shown:tt)+)?
+    ) => {
+        Flag {
+            names: &[$($name),+],
+            value: $value,
+            help: $help,
+            set: |a, v| {
+                a.$field = $parse(v)?;
+                Ok(())
+            },
+            default: flag!(@default $field $($($shown)+)?),
+        }
+    };
+    (@default $field:ident) => { None };
+    (@default $field:ident shown) => { Some(|a| a.$field.to_string()) };
+    (@default $field:ident shown by $show:expr) => { Some(|a| $show(&a.$field).to_string()) };
+}
+
+const HELP: [&str; 2] = ["--help", "-h"];
+
+/// The argument struct of one subcommand: its defaults, its flag table
+/// and its single positional.
+trait Args: Default + 'static {
+    /// First line of the subcommand's block in the usage text.
+    const HEADING: &'static str;
+    /// What the positional is called in error messages.
+    const POSITIONAL: &'static str;
+    /// Every flag the subcommand accepts.
+    const FLAGS: &'static [Flag<Self>];
+    /// Where the positional goes.
+    fn input(&mut self) -> &mut String;
+
+    /// Parses the words following the subcommand keyword.
+    fn parse(args: &[String]) -> Result<Self, CliError> {
+        let what = Self::POSITIONAL;
+        let find = |word: &str| Self::FLAGS.iter().find(|f| f.names.contains(&word));
+        let is_flag = |word: &str| find(word).is_some() || HELP.contains(&word);
+        let mut out = Self::default();
+        let mut input: Option<&str> = None;
+        let mut words = args.iter().map(String::as_str);
+        while let Some(word) = words.next() {
+            if HELP.contains(&word) {
+                return Err(CliError::Help);
+            } else if let Some(flag) = find(word) {
+                let value = match flag.value {
+                    "" => "",
+                    placeholder => words
+                        .next()
+                        .filter(|v| !is_flag(v))
+                        .ok_or_else(|| CliError::Bad(format!("{word} needs {placeholder}")))?,
+                };
+                (flag.set)(&mut out, value).map_err(|e| CliError::Bad(format!("{word}: {e}")))?;
+            } else if word.starts_with('-') {
+                return Err(CliError::Bad(format!("unknown flag {word}\n{}", usage())));
+            } else if input.replace(word).is_some() {
+                return Err(CliError::Bad(format!("only one {what} is accepted")));
+            }
+        }
+        *out.input() = input
+            .ok_or_else(|| CliError::Bad(format!("missing {what}\n{}", usage())))?
+            .to_string();
+        Ok(out)
+    }
+
+    /// Appends the subcommand's block of the usage text: the heading,
+    /// then one entry per flag with its default read off `Self::default()`.
+    fn usage_block(out: &mut String) {
+        let defaults = Self::default();
+        out.push_str(Self::HEADING);
+        for f in Self::FLAGS {
+            let indent = if f.names.len() == 1 { "    " } else { "" };
+            let mut left = format!("  {indent}{} {}", f.names.join(", "), f.value);
+            let mut help = f.help.to_string();
+            if let Some(show) = f.default {
+                help.push_str(&format!(" (default: {})", show(&defaults)));
+            }
+            for line in help.lines() {
+                out.push_str(&format!("{left:<24}{line}\n"));
+                left.clear();
+            }
+        }
+    }
+}
+
+/// Usage text for `tcq`, assembled from the four flag tables.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "\
+usage: tcq <edges-file> [options]
+       tcq analyze <trace.jsonl> [options]
+       tcq update <edges-file> [options]
+       tcq serve <edges-file> [options]
+  <edges-file>          whitespace edge list: `from to` per line, # comments
+",
+    );
+    CliArgs::usage_block(&mut out);
+    AnalyzeArgs::usage_block(&mut out);
+    UpdateArgs::usage_block(&mut out);
+    ServeArgs::usage_block(&mut out);
+    out.push_str(
+        "\
+Cyclic inputs are condensed automatically (strongly connected components);
+the advisor default applies to acyclic inputs, cyclic ones run BTC unless
+--algo says otherwise. A self-loop line `a a` is a cycle of length one: a
+query reports `a` as reaching itself; update and serve refuse it as cyclic.",
+    );
+    out
+}
+
+// Value parsers: `fn(&str) -> Result<Field, String>`, the error shown
+// after the flag's spelling.
+
+fn number<T: std::str::FromStr<Err: fmt::Display>>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+fn at_least_one<T: std::str::FromStr<Err: fmt::Display> + PartialOrd + From<u8>>(
+    v: &str,
+) -> Result<T, String> {
+    match number::<T>(v)? {
+        n if n >= T::from(1) => Ok(n),
+        _ => Err("must be at least 1".into()),
+    }
+}
+
+fn theta(v: &str) -> Result<f64, String> {
+    match number::<f64>(v)? {
+        t if t.is_finite() && t >= 0.0 => Ok(t),
+        _ => Err("must be a finite number ≥ 0".into()),
+    }
+}
+
+fn switch(_: &str) -> Result<bool, String> {
+    Ok(true)
+}
+
+fn path(v: &str) -> Result<Option<String>, String> {
+    Ok(Some(v.to_string()))
+}
+
+fn source_list(v: &str) -> Result<Vec<String>, String> {
+    let labels: Vec<String> = v
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(String::from)
+        .collect();
+    if labels.is_empty() {
+        return Err("got an empty list (omit the flag for full closure)".into());
+    }
+    Ok(labels)
+}
+
+/// Looks `v` up, ignoring case, among the names of `all`.
+fn by_name<T: Copy>(all: &[T], name: impl Fn(T) -> &'static str, v: &str) -> Result<T, String> {
+    let found = all.iter().find(|&&t| name(t).eq_ignore_ascii_case(v));
+    found.copied().ok_or_else(|| {
+        let names: Vec<String> = all.iter().map(|&t| name(t).to_lowercase()).collect();
+        format!("unknown name {v:?} (try {})", names.join(", "))
+    })
+}
+
+fn algorithm(v: &str) -> Result<Option<Algorithm>, String> {
+    by_name(&Algorithm::WITH_INDEX, Algorithm::name, v).map(Some)
+}
+
+fn stream(v: &str) -> Result<StreamKind, String> {
+    by_name(&StreamKind::ALL, |k| k.name(), v)
+}
+
+const MIXES: [(&str, MixSpec); 3] = [
+    ("reach-heavy", MixSpec::REACH_HEAVY),
+    ("ptc-heavy", MixSpec::PTC_HEAVY),
+    ("mixed", MixSpec::MIXED),
+];
+
+fn mix(v: &str) -> Result<MixSpec, String> {
+    by_name(&MIXES, |m| m.0, v).map(|m| m.1)
+}
+
+fn mix_name(mix: &MixSpec) -> &'static str {
+    MIXES.iter().find(|m| m.1 == *mix).map_or("custom", |m| m.0)
+}
+
+const ALGO_HELP: &str = "btc|hyb|bj|srch|spn|jkb|jkb2|seminaive|reachindex\n\
+                         (omitted: the advisor picks)";
+const BACKEND_HELP: &str = "storage backend: sim (counting), file (real files\n\
+                            in a temp dir) or file:DIR";
+const TIMING_HELP: &str = "also render a wall-clock span tree (a .spans.json\n\
+                           file from `section --timing DIR`)";
+const METRICS_HELP: &str = "write wall-clock metrics as Prometheus text to PATH\n\
+                            (non-gating; stdout is identical with or without it)";
+
 /// Parsed command line for `tcq`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliArgs {
@@ -98,130 +338,85 @@ pub struct CliArgs {
     /// Write the run's JSONL event trace here (`--trace <path>`).
     pub trace: Option<String>,
     /// Storage backend (`--backend sim|file|file:DIR`, default sim).
-    pub backend: tc_storage::Backend,
+    pub backend: Backend,
 }
 
-impl CliArgs {
-    /// Parses `args` (without the program name).
-    pub fn parse(args: &[String]) -> Result<CliArgs, String> {
-        let mut input: Option<String> = None;
-        let mut out = CliArgs {
+impl Default for CliArgs {
+    fn default() -> CliArgs {
+        CliArgs {
             input: String::new(),
             sources: Vec::new(),
             algorithm: None,
             buffer: 20,
             print_answer: false,
             trace: None,
-            backend: tc_storage::Backend::Sim,
-        };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--sources" | "-s" => {
-                    i += 1;
-                    let v = args
-                        .get(i)
-                        .ok_or("--sources needs a comma-separated list")?;
-                    out.sources = v
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(String::from)
-                        .collect();
-                    if out.sources.is_empty() {
-                        return Err(
-                            "--sources got an empty list (omit the flag for full closure)".into(),
-                        );
-                    }
-                }
-                "--algo" | "-a" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--algo needs a name")?;
-                    out.algorithm = Some(parse_algorithm(v)?);
-                }
-                "--buffer" | "-m" => {
-                    i += 1;
-                    out.buffer = args
-                        .get(i)
-                        .ok_or("--buffer needs a page count")?
-                        .parse()
-                        .map_err(|e| format!("--buffer: {e}"))?;
-                    if out.buffer == 0 {
-                        return Err("--buffer needs at least 1 page".into());
-                    }
-                }
-                "--print-answer" => out.print_answer = true,
-                "--trace" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--trace needs an output path")?;
-                    out.trace = Some(v.clone());
-                }
-                "--backend" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--backend needs sim, file or file:DIR")?;
-                    out.backend = tc_storage::Backend::parse(v)?;
-                }
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                flag if flag.starts_with('-') => {
-                    return Err(format!("unknown flag {flag}\n{USAGE}"))
-                }
-                path => {
-                    if input.replace(path.to_string()).is_some() {
-                        return Err("only one input file is accepted".into());
-                    }
-                }
-            }
-            i += 1;
+            backend: Backend::Sim,
         }
-        out.input = input.ok_or_else(|| format!("missing input file\n{USAGE}"))?;
-        Ok(out)
     }
 }
 
-/// Usage text for `tcq`.
-pub const USAGE: &str = "\
-usage: tcq <edges-file> [options]
-       tcq analyze <trace.jsonl> [options]
-       tcq update <edges-file> [options]
-       tcq serve <edges-file> [options]
-  <edges-file>          whitespace edge list: `from to` per line, # comments
-  -s, --sources A,B,..  partial closure from these nodes (default: full)
-  -a, --algo NAME       btc|hyb|bj|srch|spn|jkb|jkb2|seminaive|reachindex
-                        (default: advisor)
-  -m, --buffer N        buffer pool pages (default: 20)
-      --print-answer    print every (source, reachable) pair
-      --trace PATH      write the run's event trace as JSONL to PATH
-      --backend B       storage backend: sim (counting, default), file
-                        (real files in a temp dir) or file:DIR
-analyze options (folds a --trace file into a profile report):
-      --top K           hot-page histogram size (default: 10)
-      --interval N      residency sampling interval, events (default: 65536)
-      --timing PATH     also render a wall-clock span tree (a .spans.json
-                        file from `section --timing DIR`)
-update options (maintains a materialized closure under a seeded stream):
-      --stream KIND     insert-only|delete-heavy|mixed (default: mixed)
-      --batches N       update batches to apply (default: 4)
-      --batch-size K    operations per batch (default: 16)
-      --seed S          stream seed (default: 3658619284)
-      (plus --buffer, --trace and --backend as above; input must be acyclic)
-serve options (freeze the closure into a snapshot, serve a seeded mix):
-      --workers N       worker threads (default: 4)
-      --clients N       concurrent clients (default: 4)
-      --per-client N    requests per client (default: 64)
-      --mix M           reach-heavy|ptc-heavy|mixed (default: mixed)
-      --theta T         Zipf skew of query sources (default: 0.8)
-      --seed S          query-stream seed (default: the canonical seed)
-      --cache N         hot-source cache rows per session (default: 4)
-      --updates N       update batches published mid-serve (default: 0)
-      --batch-size K    operations per published batch (default: 16)
-      --metrics PATH    write wall-clock metrics: Prometheus text at PATH,
-                        JSON at PATH.json (non-gating; stdout is identical
-                        with or without it)
-      (plus --buffer and --backend as above; input must be acyclic)
-Cyclic inputs are condensed automatically (strongly connected components);
-the advisor default applies to acyclic inputs, cyclic ones run BTC unless
---algo says otherwise. A self-loop line `a a` is a cycle of length one: a
-query reports `a` as reaching itself; update and serve refuse it as cyclic.";
+impl Args for CliArgs {
+    const HEADING: &'static str = "";
+    const POSITIONAL: &'static str = "input file";
+    const FLAGS: &'static [Flag<CliArgs>] = &[
+        flag!(["-s", "--sources"] "A,B,..": "partial closure from these nodes (omitted: full)",
+            sources = source_list),
+        flag!(["-a", "--algo"] "NAME": ALGO_HELP,
+            algorithm = algorithm),
+        flag!(["-m", "--buffer"] "N": "buffer pool pages",
+            buffer = at_least_one, shown),
+        flag!(["--print-answer"] "": "print every (source, reachable) pair",
+            print_answer = switch),
+        flag!(["--trace"] "PATH": "write the run's event trace as JSONL to PATH",
+            trace = path),
+        flag!(["--backend"] "B": BACKEND_HELP,
+            backend = Backend::parse, shown by Backend::name),
+    ];
+    fn input(&mut self) -> &mut String {
+        &mut self.input
+    }
+}
+
+/// Parsed command line for `tcq analyze`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AnalyzeArgs {
+    /// JSONL trace path.
+    pub input: String,
+    /// Hot-page histogram size.
+    pub top_k: usize,
+    /// Residency sampling interval, in events.
+    pub interval: u64,
+    /// Wall-clock span-tree JSON to render alongside the profile
+    /// (`--timing <path>`, as written by `section --timing DIR`).
+    pub timing: Option<String>,
+}
+
+impl Default for AnalyzeArgs {
+    fn default() -> AnalyzeArgs {
+        AnalyzeArgs {
+            input: String::new(),
+            top_k: 10,
+            interval: 65_536,
+            timing: None,
+        }
+    }
+}
+
+impl Args for AnalyzeArgs {
+    const HEADING: &'static str = "analyze options (folds a --trace file into a profile report):\n";
+    const POSITIONAL: &'static str = "trace file";
+    const FLAGS: &'static [Flag<AnalyzeArgs>] = &[
+        flag!(["--top"] "K": "hot-page histogram size",
+            top_k = number, shown),
+        flag!(["--interval"] "N": "residency sampling interval, events",
+            interval = at_least_one, shown),
+        flag!(["--timing"] "PATH": TIMING_HELP,
+            timing = path),
+    ];
+    fn input(&mut self) -> &mut String {
+        &mut self.input
+    }
+}
 
 /// Parsed command line for `tcq update`.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,14 +436,12 @@ pub struct UpdateArgs {
     /// Write the maintenance runs' JSONL event trace here.
     pub trace: Option<String>,
     /// Storage backend.
-    pub backend: tc_storage::Backend,
+    pub backend: Backend,
 }
 
-impl UpdateArgs {
-    /// Parses the arguments following the `update` keyword.
-    pub fn parse(args: &[String]) -> Result<UpdateArgs, String> {
-        let mut input: Option<String> = None;
-        let mut out = UpdateArgs {
+impl Default for UpdateArgs {
+    fn default() -> UpdateArgs {
+        UpdateArgs {
             input: String::new(),
             stream: StreamKind::Mixed,
             batches: 4,
@@ -256,82 +449,34 @@ impl UpdateArgs {
             seed: 0xDA12_1994,
             buffer: 20,
             trace: None,
-            backend: tc_storage::Backend::Sim,
-        };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--stream" => {
-                    i += 1;
-                    let v = args
-                        .get(i)
-                        .ok_or("--stream needs insert-only, delete-heavy or mixed")?;
-                    out.stream = StreamKind::ALL
-                        .into_iter()
-                        .find(|k| k.name().eq_ignore_ascii_case(v))
-                        .ok_or_else(|| {
-                            format!(
-                                "unknown stream kind {v:?} (try insert-only, delete-heavy, mixed)"
-                            )
-                        })?;
-                }
-                "--batches" => {
-                    i += 1;
-                    out.batches = parse_count(&args, i, "--batches")?;
-                }
-                "--batch-size" => {
-                    i += 1;
-                    out.batch_size = parse_count(&args, i, "--batch-size")?;
-                }
-                "--seed" => {
-                    i += 1;
-                    out.seed = args
-                        .get(i)
-                        .ok_or("--seed needs a number")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--buffer" | "-m" => {
-                    i += 1;
-                    out.buffer = parse_count(&args, i, "--buffer")?;
-                }
-                "--trace" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--trace needs an output path")?;
-                    out.trace = Some(v.clone());
-                }
-                "--backend" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--backend needs sim, file or file:DIR")?;
-                    out.backend = tc_storage::Backend::parse(v)?;
-                }
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                flag if flag.starts_with('-') => {
-                    return Err(format!("unknown flag {flag}\n{USAGE}"))
-                }
-                path => {
-                    if input.replace(path.to_string()).is_some() {
-                        return Err("only one input file is accepted".into());
-                    }
-                }
-            }
-            i += 1;
+            backend: Backend::Sim,
         }
-        out.input = input.ok_or_else(|| format!("missing input file\n{USAGE}"))?;
-        Ok(out)
     }
 }
 
-fn parse_count(args: &[String], i: usize, flag: &str) -> Result<usize, String> {
-    let n: usize = args
-        .get(i)
-        .ok_or_else(|| format!("{flag} needs a count"))?
-        .parse()
-        .map_err(|e| format!("{flag}: {e}"))?;
-    if n == 0 {
-        return Err(format!("{flag} needs at least 1"));
+impl Args for UpdateArgs {
+    const HEADING: &'static str = "update options (maintains a materialized closure \
+        under a seeded stream;\ninput must be acyclic):\n";
+    const POSITIONAL: &'static str = "input file";
+    const FLAGS: &'static [Flag<UpdateArgs>] = &[
+        flag!(["--stream"] "KIND": "insert-only|delete-heavy|mixed",
+            stream = stream, shown by StreamKind::name),
+        flag!(["--batches"] "N": "update batches to apply",
+            batches = at_least_one, shown),
+        flag!(["--batch-size"] "K": "operations per batch",
+            batch_size = at_least_one, shown),
+        flag!(["--seed"] "S": "stream seed",
+            seed = number, shown),
+        flag!(["-m", "--buffer"] "N": "buffer pool pages",
+            buffer = at_least_one, shown),
+        flag!(["--trace"] "PATH": "write the maintenance runs' event trace as JSONL\nto PATH",
+            trace = path),
+        flag!(["--backend"] "B": BACKEND_HELP,
+            backend = Backend::parse, shown by Backend::name),
+    ];
+    fn input(&mut self) -> &mut String {
+        &mut self.input
     }
-    Ok(n)
 }
 
 /// Parsed command line for `tcq serve`.
@@ -346,38 +491,36 @@ pub struct ServeArgs {
     /// Requests per client.
     pub per_client: usize,
     /// Query-shape mix.
-    pub mix: tc_serve::MixSpec,
+    pub mix: MixSpec,
     /// Zipf skew of query sources.
     pub theta: f64,
     /// Query-stream seed.
     pub seed: u64,
     /// Per-session buffer pool pages.
     pub buffer: usize,
-    /// Hot-source cache rows per session.
+    /// Hot-source cache rows per session (0 disables the cache).
     pub cache: usize,
     /// Update batches published mid-serve (0 = static snapshot).
     pub updates: usize,
     /// Operations per published batch.
     pub batch_size: usize,
-    /// Write wall-clock metrics here: Prometheus text at PATH,
-    /// JSON at PATH.json, refreshed periodically during the serve and
-    /// finalized at the end. Strictly non-gating — the deterministic
-    /// stdout summary is byte-identical with or without it.
+    /// Write wall-clock metrics here as Prometheus text, refreshed
+    /// periodically during the serve and finalized at the end.
+    /// Strictly non-gating — the deterministic stdout summary is
+    /// byte-identical with or without it.
     pub metrics: Option<String>,
     /// Storage backend.
-    pub backend: tc_storage::Backend,
+    pub backend: Backend,
 }
 
-impl ServeArgs {
-    /// Parses the arguments following the `serve` keyword.
-    pub fn parse(args: &[String]) -> Result<ServeArgs, String> {
-        let mut input: Option<String> = None;
-        let mut out = ServeArgs {
+impl Default for ServeArgs {
+    fn default() -> ServeArgs {
+        ServeArgs {
             input: String::new(),
             workers: 4,
             clients: 4,
             per_client: 64,
-            mix: tc_serve::MixSpec::MIXED,
+            mix: MixSpec::MIXED,
             theta: 0.8,
             seed: tc_serve::CANONICAL_SERVE_SEED,
             buffer: 8,
@@ -385,175 +528,43 @@ impl ServeArgs {
             updates: 0,
             batch_size: 16,
             metrics: None,
-            backend: tc_storage::Backend::Sim,
-        };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--metrics" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--metrics needs an output path")?;
-                    out.metrics = Some(v.clone());
-                }
-                "--workers" => {
-                    i += 1;
-                    out.workers = parse_count(&args, i, "--workers")?;
-                }
-                "--clients" => {
-                    i += 1;
-                    out.clients = parse_count(&args, i, "--clients")?;
-                }
-                "--per-client" => {
-                    i += 1;
-                    out.per_client = parse_count(&args, i, "--per-client")?;
-                }
-                "--mix" => {
-                    i += 1;
-                    let v = args
-                        .get(i)
-                        .ok_or("--mix needs reach-heavy, ptc-heavy or mixed")?;
-                    out.mix = match v.to_ascii_lowercase().as_str() {
-                        "reach-heavy" => tc_serve::MixSpec::REACH_HEAVY,
-                        "ptc-heavy" => tc_serve::MixSpec::PTC_HEAVY,
-                        "mixed" => tc_serve::MixSpec::MIXED,
-                        _ => {
-                            return Err(format!(
-                                "unknown mix {v:?} (try reach-heavy, ptc-heavy, mixed)"
-                            ))
-                        }
-                    };
-                }
-                "--theta" => {
-                    i += 1;
-                    out.theta = args
-                        .get(i)
-                        .ok_or("--theta needs a number ≥ 0")?
-                        .parse()
-                        .map_err(|e| format!("--theta: {e}"))?;
-                    if !out.theta.is_finite() || out.theta < 0.0 {
-                        return Err("--theta needs a finite number ≥ 0".into());
-                    }
-                }
-                "--seed" => {
-                    i += 1;
-                    out.seed = args
-                        .get(i)
-                        .ok_or("--seed needs a number")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--buffer" | "-m" => {
-                    i += 1;
-                    out.buffer = parse_count(&args, i, "--buffer")?;
-                }
-                "--cache" => {
-                    i += 1;
-                    // 0 is meaningful here: it disables the cache.
-                    out.cache = args
-                        .get(i)
-                        .ok_or("--cache needs a count")?
-                        .parse()
-                        .map_err(|e| format!("--cache: {e}"))?;
-                }
-                "--updates" => {
-                    i += 1;
-                    out.updates = args
-                        .get(i)
-                        .ok_or("--updates needs a count")?
-                        .parse()
-                        .map_err(|e| format!("--updates: {e}"))?;
-                }
-                "--batch-size" => {
-                    i += 1;
-                    out.batch_size = parse_count(&args, i, "--batch-size")?;
-                }
-                "--backend" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--backend needs sim, file or file:DIR")?;
-                    out.backend = tc_storage::Backend::parse(v)?;
-                }
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                flag if flag.starts_with('-') => {
-                    return Err(format!("unknown flag {flag}\n{USAGE}"))
-                }
-                path => {
-                    if input.replace(path.to_string()).is_some() {
-                        return Err("only one input file is accepted".into());
-                    }
-                }
-            }
-            i += 1;
+            backend: Backend::Sim,
         }
-        out.input = input.ok_or_else(|| format!("missing input file\n{USAGE}"))?;
-        Ok(out)
     }
 }
 
-/// Parsed command line for `tcq analyze`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnalyzeArgs {
-    /// JSONL trace path.
-    pub input: String,
-    /// Hot-page histogram size.
-    pub top_k: usize,
-    /// Residency sampling interval, in events.
-    pub interval: u64,
-    /// Wall-clock span-tree JSON to render alongside the profile
-    /// (`--timing <path>`, as written by `section --timing DIR`).
-    pub timing: Option<String>,
-}
-
-impl AnalyzeArgs {
-    /// Parses the arguments following the `analyze` keyword.
-    pub fn parse(args: &[String]) -> Result<AnalyzeArgs, String> {
-        let mut input: Option<String> = None;
-        let mut out = AnalyzeArgs {
-            input: String::new(),
-            top_k: 10,
-            interval: 65_536,
-            timing: None,
-        };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--timing" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--timing needs a span-tree path")?;
-                    out.timing = Some(v.clone());
-                }
-                "--top" => {
-                    i += 1;
-                    out.top_k = args
-                        .get(i)
-                        .ok_or("--top needs a count")?
-                        .parse()
-                        .map_err(|e| format!("--top: {e}"))?;
-                }
-                "--interval" => {
-                    i += 1;
-                    out.interval = args
-                        .get(i)
-                        .ok_or("--interval needs an event count")?
-                        .parse()
-                        .map_err(|e| format!("--interval: {e}"))?;
-                    if out.interval == 0 {
-                        return Err("--interval needs at least 1 event".into());
-                    }
-                }
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                flag if flag.starts_with('-') => {
-                    return Err(format!("unknown flag {flag}\n{USAGE}"))
-                }
-                path => {
-                    if input.replace(path.to_string()).is_some() {
-                        return Err("only one trace file is accepted".into());
-                    }
-                }
-            }
-            i += 1;
-        }
-        out.input = input.ok_or_else(|| format!("missing trace file\n{USAGE}"))?;
-        Ok(out)
+impl Args for ServeArgs {
+    const HEADING: &'static str = "serve options (freeze the closure into a snapshot, \
+        serve a seeded mix;\ninput must be acyclic):\n";
+    const POSITIONAL: &'static str = "input file";
+    const FLAGS: &'static [Flag<ServeArgs>] = &[
+        flag!(["--workers"] "N": "worker threads",
+            workers = at_least_one, shown),
+        flag!(["--clients"] "N": "concurrent clients",
+            clients = at_least_one, shown),
+        flag!(["--per-client"] "N": "requests per client",
+            per_client = at_least_one, shown),
+        flag!(["--mix"] "M": "reach-heavy|ptc-heavy|mixed",
+            mix = mix, shown by mix_name),
+        flag!(["--theta"] "T": "Zipf skew of query sources",
+            theta = theta, shown),
+        flag!(["--seed"] "S": "query-stream seed",
+            seed = number, shown),
+        flag!(["--cache"] "N": "hot-source cache rows per session, 0 = off",
+            cache = number, shown),
+        flag!(["--updates"] "N": "update batches published mid-serve",
+            updates = number, shown),
+        flag!(["--batch-size"] "K": "operations per published batch",
+            batch_size = at_least_one, shown),
+        flag!(["--metrics"] "PATH": METRICS_HELP,
+            metrics = path),
+        flag!(["-m", "--buffer"] "N": "buffer pool pages per session",
+            buffer = at_least_one, shown),
+        flag!(["--backend"] "B": BACKEND_HELP,
+            backend = Backend::parse, shown by Backend::name),
+    ];
+    fn input(&mut self) -> &mut String {
+        &mut self.input
     }
 }
 
@@ -576,7 +587,7 @@ pub enum Command {
 impl Command {
     /// Parses `args` (without the program name), dispatching on the
     /// leading `analyze` / `update` / `serve` keyword.
-    pub fn parse(args: &[String]) -> Result<Command, String> {
+    pub fn parse(args: &[String]) -> Result<Command, CliError> {
         match args.first().map(String::as_str) {
             Some("analyze") => AnalyzeArgs::parse(&args[1..]).map(Command::Analyze),
             Some("update") => UpdateArgs::parse(&args[1..]).map(Command::Update),
@@ -584,13 +595,6 @@ impl Command {
             _ => CliArgs::parse(args).map(Command::Run),
         }
     }
-}
-
-fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
-    Algorithm::WITH_INDEX
-        .into_iter()
-        .find(|a| a.name().eq_ignore_ascii_case(s))
-        .ok_or_else(|| format!("unknown algorithm {s:?} (try btc, jkb2, srch, ...)"))
 }
 
 #[cfg(test)]
@@ -816,5 +820,151 @@ mod tests {
         assert!(CliArgs::parse(&["g.txt".into(), "--algo".into(), "nope".into()]).is_err());
         assert!(CliArgs::parse(&["g.txt".into(), "--buffer".into(), "0".into()]).is_err());
         assert!(CliArgs::parse(&["g.txt".into(), "-s".into(), "".into()]).is_err());
+    }
+
+    /// A value `flag` accepts that differs from every default.
+    fn sample<A>(flag: &Flag<A>) -> &'static str {
+        match flag.value {
+            "N" | "K" | "S" => "7",
+            "T" => "1.5",
+            "PATH" => "some.path",
+            "A,B,.." => "x,y",
+            "NAME" => "hyb",
+            "KIND" => "delete-heavy",
+            "M" => "ptc-heavy",
+            "B" => "file",
+            other => panic!("no sample value for placeholder {other:?}"),
+        }
+    }
+
+    /// The top-level fields of `a`, one pretty-printed chunk each.
+    fn fields<A: fmt::Debug>(a: &A) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        for line in format!("{a:#?}").lines().skip(1) {
+            match line.strip_prefix("    ") {
+                Some(rest) if !rest.starts_with([' ', '}', ']', ')']) => out.push(line.into()),
+                _ => out.last_mut().expect("a field line first").push_str(line),
+            }
+        }
+        out
+    }
+
+    /// The usage lines of the flag spelled `name`, up to the next flag's.
+    fn entry(block: &str, name: &str) -> String {
+        let is_entry = |l: &str| l.trim_start().starts_with('-');
+        let mut lines = block
+            .lines()
+            .skip_while(|l| !(is_entry(l) && l.contains(name)));
+        let first = lines
+            .next()
+            .unwrap_or_else(|| panic!("no entry for {name}"));
+        let rest = lines.take_while(|l| l.starts_with(' ') && !is_entry(l));
+        let all: Vec<&str> = std::iter::once(first).chain(rest).collect();
+        all.join("\n")
+    }
+
+    fn words(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    /// The contract of one subcommand's table, flag by flag.
+    fn table_contract<A: Args + fmt::Debug + PartialEq>() {
+        let mut block = String::new();
+        A::usage_block(&mut block);
+        let mut defaults = A::default();
+        *defaults.input() = "in".into();
+        assert_eq!(A::parse(&words(&["in"])).unwrap(), defaults);
+
+        for flag in A::FLAGS {
+            for &name in flag.names {
+                assert!(block.contains(name), "{name} missing from:\n{block}");
+                let got = match flag.value {
+                    "" => A::parse(&words(&["in", name])),
+                    _ => A::parse(&words(&["in", name, sample(flag)])),
+                }
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+                let changed = fields(&got)
+                    .into_iter()
+                    .zip(fields(&defaults))
+                    .filter(|(a, b)| a != b)
+                    .count();
+                assert_eq!(changed, 1, "{name} must set exactly one field: {got:?}");
+                if flag.value.is_empty() {
+                    continue;
+                }
+                // A missing value, and a flag where the value should be.
+                let other = A::FLAGS[0].names[0];
+                for args in [vec!["in", name], vec![name, other, "in"], vec![name, "-h"]] {
+                    match A::parse(&words(&args)) {
+                        Err(CliError::Bad(msg)) => {
+                            let expect = format!("{name} needs {}", flag.value);
+                            assert_eq!(msg, expect, "{args:?}");
+                        }
+                        other => panic!("{args:?} parsed as {other:?}"),
+                    }
+                }
+            }
+            if let Some(show) = flag.default {
+                let line = format!("(default: {})", show(&A::default()));
+                let entry = entry(&block, flag.names[flag.names.len() - 1]);
+                assert!(entry.ends_with(&line), "no {line} in {entry:?}");
+            }
+        }
+
+        let bad = |args: &[&str]| match A::parse(&words(args)) {
+            Err(CliError::Bad(msg)) => msg,
+            other => panic!("{args:?} parsed as {other:?}"),
+        };
+        assert!(bad(&["in", "--no-such-flag"]).starts_with("unknown flag --no-such-flag"));
+        assert!(bad(&["in", "again"]).starts_with("only one "));
+        assert!(bad(&[]).starts_with("missing "));
+        for help in HELP {
+            assert_eq!(A::parse(&words(&["in", help])), Err(CliError::Help));
+        }
+    }
+
+    #[test]
+    fn every_flag_of_every_table_keeps_the_contract() {
+        table_contract::<CliArgs>();
+        table_contract::<AnalyzeArgs>();
+        table_contract::<UpdateArgs>();
+        table_contract::<ServeArgs>();
+        let flags = CliArgs::FLAGS.len()
+            + AnalyzeArgs::FLAGS.len()
+            + UpdateArgs::FLAGS.len()
+            + ServeArgs::FLAGS.len();
+        assert_eq!(flags, 28);
+        assert_eq!(CliError::Help.to_string(), usage());
+        // README carries `tcq --help` verbatim.
+        assert!(include_str!("../README.md").contains(&usage()));
+    }
+
+    #[test]
+    fn usage_shows_each_subcommands_own_buffer_default() {
+        // Serve sessions default to 8 pages, the others to 20: the usage
+        // text said "as above" for all three before it read the tables.
+        let mut block = String::new();
+        ServeArgs::usage_block(&mut block);
+        assert!(
+            entry(&block, "--buffer").ends_with("(default: 8)"),
+            "{block}"
+        );
+        assert_eq!(ServeArgs::default().buffer, 8);
+        block.clear();
+        UpdateArgs::usage_block(&mut block);
+        assert!(
+            entry(&block, "--buffer").ends_with("(default: 20)"),
+            "{block}"
+        );
+    }
+
+    #[test]
+    fn negative_numbers_are_values_not_flags() {
+        // So the range check sees them, not the unknown-flag arm.
+        let e = ServeArgs::parse(&words(&["g.txt", "--theta", "-1"])).unwrap_err();
+        assert_eq!(
+            e,
+            CliError::Bad("--theta: must be a finite number ≥ 0".into())
+        );
     }
 }

@@ -139,6 +139,32 @@ fn self_loop_lines_are_cycles_of_length_one_not_dropped() {
 }
 
 #[test]
+fn a_flag_is_never_taken_as_another_flags_value() {
+    // `--trace --print-answer` used to write the trace to a file named
+    // `--print-answer`. (`section --trace --quick` is held the same way
+    // by `crates/bench/tests/section_cli.rs`, next to its binary.)
+    let dir = std::env::temp_dir().join(format!("tcq-swallowed-flag-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("g.txt"), "a b\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tcq"))
+        .args(["g.txt", "--trace", "--print-answer"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        "--trace needs PATH"
+    );
+    assert_eq!(left, ["g.txt"], "tcq created a file");
+}
+
+#[test]
 fn jkb2_without_dual_representation_is_an_error() {
     let g = DagGenerator::new(50, 2.0, 10).seed(4).generate();
     let mut db = Database::build(&g, false).unwrap();

@@ -9,8 +9,9 @@
 //! serve: aggregate reply digest, physical pages read, hot-source
 //! cache counters. The same serve is then repeated at 4 workers and
 //! must reproduce every pinned number bit-for-bit — the serving
-//! layer's core contract (jobs/worker invariance), enforced here and
-//! by CI's `bench_serve --workers 1` vs `--workers 4` byte-diff.
+//! layer's core contract (jobs/worker invariance). The reach-heavy and
+//! ptc-heavy mixes carry no pins of their own; their whole track must
+//! be equal at 1 and 4 workers.
 //!
 //! If an intentional change lands, regenerate the constants below (the
 //! failure message prints the new values) and note the break in
@@ -20,7 +21,9 @@
 use std::sync::Arc;
 use tc_study::core::prelude::*;
 use tc_study::graph::DagGenerator;
-use tc_study::serve::{QueryStream, ServeConfig, ServeReport, Service};
+use tc_study::serve::{
+    LoopMode, MixSpec, QueryStream, ServeConfig, ServeReport, Service, CANONICAL_SERVE_SEED,
+};
 
 /// Canonical stream: 4 clients × 64 requests, balanced mix, theta 0.8,
 /// closed loop, the canonical seed.
@@ -37,7 +40,8 @@ const GOLDEN_PAGES_READ: u64 = 4_311;
 /// Hot-source cache hits / probes across all four sessions.
 const GOLDEN_CACHE: (u64, u64) = (1, 180);
 
-fn canonical_serve(workers: usize) -> ServeReport {
+/// The canonical G5 corpus, frozen once and shape-checked.
+fn canonical_service() -> Service {
     let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
     let snap = ClosedSnapshot::build(&g, &SystemConfig::with_buffer(20)).expect("freeze G5");
     assert_eq!(
@@ -50,12 +54,24 @@ fn canonical_serve(workers: usize) -> ServeReport {
         GOLDEN_SNAPSHOT_PAGES,
         "snapshot shape drifted"
     );
-    let service = Service::new(Arc::new(snap));
+    Service::new(Arc::new(snap))
+}
+
+/// Serves the canonical stream shape (4 clients × 64 requests, theta
+/// 0.8, closed loop, the canonical seed) drawn from `mix`; `MIXED` is
+/// [`QueryStream::canonical_g5`].
+fn canonical_serve(service: &Service, mix: MixSpec, workers: usize) -> ServeReport {
+    let stream = QueryStream::generate(
+        2000,
+        4,
+        64,
+        mix,
+        0.8,
+        LoopMode::Closed,
+        CANONICAL_SERVE_SEED,
+    );
     service
-        .serve(
-            &QueryStream::canonical_g5(),
-            &ServeConfig::default().workers(workers),
-        )
+        .serve(&stream, &ServeConfig::default().workers(workers))
         .expect("canonical serve")
 }
 
@@ -74,8 +90,9 @@ fn canonical_stream_matches_golden_digest() {
 
 #[test]
 fn canonical_serve_matches_golden_track_at_1_and_4_workers() {
+    let service = canonical_service();
     for workers in [1usize, 4] {
-        let report = canonical_serve(workers);
+        let report = canonical_serve(&service, MixSpec::MIXED, workers);
         assert_eq!(report.replies(), 256, "workers {workers}: dropped replies");
         assert_eq!(
             report.digest(),
@@ -93,5 +110,13 @@ fn canonical_serve_matches_golden_track_at_1_and_4_workers() {
             GOLDEN_CACHE,
             "workers {workers}: cache counters drifted"
         );
+    }
+    for mix in [MixSpec::REACH_HEAVY, MixSpec::PTC_HEAVY] {
+        let track = |workers| {
+            let r = canonical_serve(&service, mix, workers);
+            let cache = (r.cache_hits(), r.cache_lookups());
+            (r.replies(), r.digest(), r.pages_read(), cache)
+        };
+        assert_eq!(track(1), track(4), "{mix:?}: 1 vs 4 workers");
     }
 }

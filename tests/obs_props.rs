@@ -1,8 +1,8 @@
 //! Shrink properties of the latency histogram: the algebra that makes
 //! per-worker wall-clock recording safe.
 //!
-//! `tcq serve` and `bench_serve` merge one histogram per worker thread
-//! into the process-wide figures, so the reported percentiles must not
+//! `tcq serve` merges one histogram per worker thread into the
+//! process-wide figures, so the reported percentiles must not
 //! depend on how replies happened to shard across workers, nor on the
 //! order the per-worker histograms are folded. That holds iff merge is
 //! element-wise addition on a fixed bucket layout — associative,

@@ -14,6 +14,9 @@ use tc_bench::corpus::family;
 use tc_bench::experiments::{run_cells_traced, Cell, CellTask, QuerySpec, SECTIONS};
 use tc_bench::ExpOpts;
 use tc_study::core::prelude::*;
+use tc_study::obs::SpanRecorder;
+use tc_study::profile::{profile_jsonl, render, ProfileSink};
+use tc_study::trace::Tracer;
 
 /// FNV-1a over a report fragment's bytes.
 fn digest(s: &str) -> u64 {
@@ -92,6 +95,17 @@ fn per_cell_traces_are_byte_identical_serial_vs_parallel() {
             ));
         }
     }
+
+    // A cell's trace file is all `tcq analyze` needs: folding it gives
+    // the report a live `ProfileSink` riding the same cell renders.
+    let file = std::fs::File::open(dir1.join(cells[0].trace_file_name(0))).expect("cell 0 trace");
+    let offline = profile_jsonl(std::io::BufReader::new(file)).expect("fold cell 0 trace");
+    let live = std::sync::Arc::new(ProfileSink::new());
+    cells[0]
+        .execute_instrumented(Tracer::new(live.clone()), SpanRecorder::disabled())
+        .expect("cell 0 with a live profile sink");
+    assert_eq!(render(&offline), render(&live.finish()));
+
     let _ = std::fs::remove_dir_all(&root);
     assert!(
         diverged.is_empty(),

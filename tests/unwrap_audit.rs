@@ -50,6 +50,10 @@ const AUDITED: &[(&str, &str, usize)] = &[
     // deterministic run they only observe (`lock_unpoisoned`, typed
     // parse errors).
     ("obs", "crates/obs/src", 3),
+    // The front door: argv, the edge-list file and every path on the
+    // command line are outside input; a bad one is a one-line error and
+    // exit 1, never a panic.
+    ("cli", "src", 3),
 ];
 
 /// Audited sites that are allowed to stay: compile-time-constant offset
@@ -177,6 +181,11 @@ fn serve_paths_stay_free_of_unwrap_and_expect() {
 #[test]
 fn obs_paths_stay_free_of_unwrap_and_expect() {
     audit("obs");
+}
+
+#[test]
+fn cli_paths_stay_free_of_unwrap_and_expect() {
+    audit("cli");
 }
 
 #[test]
