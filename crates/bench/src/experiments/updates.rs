@@ -88,9 +88,10 @@ pub fn run(opts: &ExpOpts) -> ExpResult<String> {
     Ok(format!(
         "## Dynamic updates — incremental maintenance vs. from-scratch recompute\n\n\
          Expectation: small batches of localized churn are far cheaper to absorb\n\
-         incrementally (delta propagation touches only the affected rows) than by\n\
-         rerunning a full closure; deletion-heavy churn narrows the gap, since\n\
-         DRed must overdelete and rederive every affected source row. Streams are\n\
+         incrementally (one reverse-topological sweep rebuilds only the rows the\n\
+         batch can change, each from its children's rows) than by rerunning a full\n\
+         closure; deletion-heavy churn costs what insert-only churn costs, since a\n\
+         row that may lose successors goes through the same sweep. Streams are\n\
          seeded per cell, so this table is byte-identical at any `--jobs` and on\n\
          both storage backends.\n\n\
          Per batch ({BATCH_SIZE} ops, {BATCHES} batches per stream):\n\n{}\n\

@@ -5,38 +5,39 @@
 //! live-update scenario (ROADMAP open item 2) on top of the same
 //! substrate. A [`DynamicClosure`] owns a [`Database`] (the clustered
 //! base relation + index) plus a materialized closure file, and
-//! maintains the closure under update batches:
+//! maintains the closure under update batches.
 //!
-//! * **Insertions** use seminaive delta propagation: each inserted arc
-//!   `(u, v)` seeds the new tuples `(u, v)` and `(x, v)` for every
-//!   `tc(x, u)`, and the frontier is joined against the (rebuilt) base
-//!   relation through the clustered index until it empties — the same
-//!   index-nested-loop join the Seminaive baseline runs, restricted to
-//!   the delta.
-//! * **Deletions** use DRed-style overdelete/rederive: first every
-//!   closure tuple with a derivation through a deleted arc is
-//!   *overdeleted* (a fixpoint over the pre-update graph), then the
-//!   affected source rows are *rederived* over the surviving arcs, so
-//!   tuples with an alternative derivation are reinstated.
+//! Maintenance is the paper's winner, BTC (§3), restricted to the rows
+//! a batch can change. A closure row can differ after the batch only if
+//! its source is the tail of a changed arc or an ancestor of one in the
+//! *old* closure; those sources are visited in reverse topological
+//! order of the post-update graph, and each one's row is set to the
+//! union of `{z} ∪ row(z)` over its post-update children `z`, probed
+//! once through the clustered index. A child's row is finished by then
+//! — settled earlier in the sweep, or untouched by the batch — so the
+//! union is the closure row by definition: insertions, deletions and an
+//! arc that comes and goes in one batch are not separate cases. A source
+//! that reaches no deleted arc can only gain successors; it keeps its
+//! row and merges only children whose row changed or whose arc is new.
 //!
 //! Every `apply` is one traced, metered run — the same
 //! `MeteredRun` lifecycle (`crate::lifecycle`) an engine run goes
 //! through: the *restructuring* phase applies the batch to the
 //! in-memory graph and rebuilds the base relation and index on the raw
-//! store; the *computation* phase runs the maintenance joins through a
-//! fresh buffer pool. Page-I/O counting, buffer statistics, fault
+//! store; the *computation* phase scans the closure, runs the sweep
+//! and rewrites the file through a fresh buffer pool. Page-I/O counting, buffer statistics, fault
 //! injection, retry accounting, tracing ([`Event::UpdateApply`] /
 //! [`Event::DeltaApplied`]) and `metrics ≡ replay(trace)` all carry
 //! over unchanged, so dynamic runs are first-class citizens of the
 //! experiment and differential-testing harnesses.
 //!
 //! In memory the closure is its scanned sorted tuple list plus a bit
-//! row per source the batch writes to ([`TupleRows`]), and the batch's
-//! own lookup tables are node-indexed (`NodeLists`), so the wall-clock
-//! cost follows the rows a batch touches, like the counted cost does.
+//! row per source the batch writes to ([`TupleRows`]); rows are merged
+//! with word-parallel ORs, so the wall-clock cost follows the rows a
+//! batch touches, like the counted cost does.
 //!
-//! The whole layer is deterministic: there is no hash container, every
-//! iteration order is derived from sorted data, and all I/O goes
+//! The whole layer is deterministic: there is no hash container, the
+//! sweep order and every row are derived from sorted data, and all I/O goes
 //! through the same counted paths as static runs — a given (graph,
 //! stream, config) triple produces bit-identical tuples, metrics and
 //! trace digests on every backend and at any parallelism.
@@ -48,13 +49,14 @@ use crate::lifecycle::MeteredRun;
 use crate::metrics::CostMetrics;
 use std::fmt;
 use tc_buffer::BufferPool;
+use tc_graph::topo::topological_order;
 use tc_graph::{closure, Graph, NodeId, UpdateOp};
 use tc_reach::{NullMeter, ReachIndex};
 use tc_storage::{
     ClusteredIndex, FaultEvent, FileKind, FrozenPageSet, PageStore, RelationFile, StorageError,
     StorageResult, TupleWriter,
 };
-use tc_succ::{row_offsets, NodeBitVec, TupleRows};
+use tc_succ::{row_offsets, BitRow, TupleRows};
 use tc_trace::{Event, Tracer};
 
 /// Why [`DynamicClosure::apply`] did not apply a batch.
@@ -73,6 +75,16 @@ pub enum UpdateError {
         /// already reaches `src`.
         arc: (NodeId, NodeId),
     },
+    /// An operation names a node the graph does not have. Nothing was
+    /// changed, as for [`UpdateError::ClosesCycle`].
+    UnknownNode {
+        /// Position of the operation in the batch.
+        op_index: usize,
+        /// The node it names.
+        node: NodeId,
+        /// Nodes in the graph: valid ids are `0..n`.
+        n: usize,
+    },
 }
 
 impl fmt::Display for UpdateError {
@@ -84,6 +96,11 @@ impl fmt::Display for UpdateError {
                 "update batch of {ops} ops rejected: inserting {} -> {} closes a cycle \
                  (dynamic maintenance requires a DAG; nothing was changed)",
                 arc.0, arc.1
+            ),
+            UpdateError::UnknownNode { op_index, node, n } => write!(
+                f,
+                "update batch rejected: op {op_index} names node {node}, but the graph has \
+                 nodes 0..{n} (nothing was changed)"
             ),
         }
     }
@@ -115,11 +132,14 @@ pub struct UpdateResult {
 /// The *net* arc changes of a batch, each list in op order: no-op
 /// inserts of present arcs and deletes of absent arcs are skipped, and
 /// an insert and a delete of the same arc cancel — maintenance must
-/// neither propagate from an arc that is gone again nor overdelete
-/// through one that is back.
+/// neither derive through an arc that is gone again nor treat one that
+/// is back as lost.
 struct AppliedOps {
     inserted: Vec<(NodeId, NodeId)>,
     deleted: Vec<(NodeId, NodeId)>,
+    /// A topological order of the post-update graph, parents first;
+    /// empty when the batch changed no arc.
+    order: Vec<NodeId>,
 }
 
 /// A materialized full transitive closure maintained under updates.
@@ -279,17 +299,14 @@ impl DynamicClosure {
     /// # Errors
     ///
     /// A batch whose inserts would close a cycle is rejected whole with
-    /// [`UpdateError::ClosesCycle`] before any file is touched: graph,
-    /// relation, index and closure are exactly as before, and the next
-    /// `apply` works. On [`UpdateError::Storage`] (e.g. an injected
+    /// [`UpdateError::ClosesCycle`], and one with an op naming a node
+    /// outside the graph with [`UpdateError::UnknownNode`], before any
+    /// file is touched: graph, relation, index and closure are exactly
+    /// as before, and the next `apply` works. On [`UpdateError::Storage`] (e.g. an injected
     /// unrecoverable fault) the store is reattached and disarmed, but
     /// the instance's relation, index and closure may be partially
     /// rewritten — discard the instance, as a crashed database would be
     /// recovered, not trusted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an op names a node outside the graph.
     pub fn apply(&mut self, batch: &[UpdateOp]) -> Result<UpdateResult, UpdateError> {
         let cfg = &self.cfg;
         let (mut run, mut store) =
@@ -322,17 +339,26 @@ impl DynamicClosure {
 
 /// Restructuring phase: applies the batch to the in-memory graph and
 /// rebuilds the clustered base relation and its index on the raw store.
-/// A batch that leaves the graph cyclic is taken back out of the graph
-/// and refused before any file is dropped.
+/// A batch naming an unknown node is refused before the graph changes;
+/// one that leaves the graph cyclic is taken back out of the graph and
+/// refused before any file is dropped.
 fn apply_to_base(
     db: &mut Database,
     disk: &mut dyn PageStore,
     batch: &[UpdateOp],
     cfg: &SystemConfig,
 ) -> Result<AppliedOps, UpdateError> {
+    let n = db.graph.n();
+    for (op_index, op) in batch.iter().enumerate() {
+        let (u, v) = op.arc();
+        if let Some(node) = [u, v].into_iter().find(|&x| x as usize >= n) {
+            return Err(UpdateError::UnknownNode { op_index, node, n });
+        }
+    }
     let mut ops = AppliedOps {
         inserted: Vec::new(),
         deleted: Vec::new(),
+        order: Vec::new(),
     };
     for op in batch {
         let (u, v) = op.arc();
@@ -354,7 +380,10 @@ fn apply_to_base(
             }
         }
     }
-    if !ops.inserted.is_empty() && !db.graph.is_acyclic() {
+    if ops.inserted.is_empty() && ops.deleted.is_empty() {
+        return Ok(ops);
+    }
+    let Some(order) = topological_order(&db.graph) else {
         // The net changes are the whole difference between the two arc
         // sets, so taking them back restores the graph exactly. Inserts
         // go newest first: the one whose removal breaks the last cycle
@@ -373,17 +402,16 @@ fn apply_to_base(
             ops: batch.len(),
             arc: closing.unwrap_or(ops.inserted[0]),
         });
-    }
-    if !ops.inserted.is_empty() || !ops.deleted.is_empty() {
-        // In-place rebuild: dropping the old files first lets the new
-        // ones reuse their pages (LIFO), keeping page-id streams — and
-        // trace digests — identical on every backend.
-        disk.drop_file(db.relation.file_id())?;
-        disk.drop_file(db.index.file_id())?;
-        let arcs: Vec<(NodeId, NodeId)> = db.graph.arcs().collect();
-        db.relation = RelationFile::bulk_load(disk, FileKind::Relation, &arcs)?;
-        db.index = ClusteredIndex::build(disk, &db.relation)?;
-    }
+    };
+    ops.order = order;
+    // In-place rebuild: dropping the old files first lets the new ones
+    // reuse their pages (LIFO), keeping page-id streams — and trace
+    // digests — identical on every backend.
+    disk.drop_file(db.relation.file_id())?;
+    disk.drop_file(db.index.file_id())?;
+    let arcs: Vec<(NodeId, NodeId)> = db.graph.arcs().collect();
+    db.relation = RelationFile::bulk_load(disk, FileKind::Relation, &arcs)?;
+    db.index = ClusteredIndex::build(disk, &db.relation)?;
     Ok(ops)
 }
 
@@ -402,108 +430,6 @@ fn net_op(
     }
 }
 
-/// Marks a node that has no list in a [`NodeLists`].
-const NO_LIST: u32 = u32::MAX;
-
-/// Node-indexed lists for the few nodes a batch gives one: a dense slot
-/// table (one `u32` per node) and a `Vec` per listed node. A node is
-/// either unlisted or has a (possibly empty) list.
-struct NodeLists {
-    slot: Vec<u32>,
-    lists: Vec<Vec<NodeId>>,
-}
-
-impl NodeLists {
-    fn new(n: usize) -> NodeLists {
-        NodeLists {
-            slot: vec![NO_LIST; n],
-            lists: Vec::new(),
-        }
-    }
-
-    /// The list of `v`, if it has one.
-    fn get(&self, v: NodeId) -> Option<&[NodeId]> {
-        match self.slot[v as usize] {
-            NO_LIST => None,
-            i => Some(&self.lists[i as usize]),
-        }
-    }
-
-    fn get_mut(&mut self, v: NodeId) -> Option<&mut Vec<NodeId>> {
-        match self.slot[v as usize] {
-            NO_LIST => None,
-            i => Some(&mut self.lists[i as usize]),
-        }
-    }
-
-    /// The list of `v`; empty if it has none.
-    fn of(&self, v: NodeId) -> &[NodeId] {
-        self.get(v).unwrap_or(&[])
-    }
-
-    /// The list of `v`, created empty if it had none.
-    fn entry(&mut self, v: NodeId) -> &mut Vec<NodeId> {
-        if self.slot[v as usize] == NO_LIST {
-            self.slot[v as usize] = self.lists.len() as u32;
-            self.lists.push(Vec::new());
-        }
-        &mut self.lists[self.slot[v as usize] as usize]
-    }
-
-    /// The destinations of `arcs`, listed by source in arc order.
-    fn by_source(n: usize, arcs: &[(NodeId, NodeId)]) -> NodeLists {
-        let mut lists = NodeLists::new(n);
-        for &(u, v) in arcs {
-            lists.entry(u).push(v);
-        }
-        lists
-    }
-}
-
-/// Probes the base relation for the children of `z` through the
-/// clustered index (charged through the pool), memoizing per node in
-/// `cache`: the maintenance fixpoints revisit nodes, and a real system
-/// would keep such join state pinned.
-fn fetch_children<'c>(
-    db: &Database,
-    pool: &mut BufferPool,
-    metrics: &mut CostMetrics,
-    cache: &'c mut NodeLists,
-    z: NodeId,
-) -> StorageResult<&'c [NodeId]> {
-    if cache.get(z).is_none() {
-        metrics.count_list_fetch();
-        let kids = cache.entry(z);
-        if let Some((lo, hi)) = db.index.probe(pool, z)? {
-            db.relation.probe_range(pool, z, lo, hi, kids)?;
-        }
-    }
-    Ok(cache.of(z))
-}
-
-/// The fetched (post-update) children `kids` of a node without the
-/// `inserted` arcs this batch gave it, plus the arcs it `restored`
-/// (deleted by this batch) when the pre-update children are wanted.
-/// Only a node the batch changed pays for the copy into `buf`.
-fn without_batch<'k>(
-    kids: &'k [NodeId],
-    inserted: &[NodeId],
-    restored: &[NodeId],
-    buf: &'k mut Vec<NodeId>,
-) -> &'k [NodeId] {
-    if inserted.is_empty() && restored.is_empty() {
-        return kids;
-    }
-    buf.clear();
-    buf.extend(kids.iter().filter(|y| !inserted.contains(y)));
-    if !restored.is_empty() {
-        buf.extend_from_slice(restored);
-        buf.sort_unstable();
-        buf.dedup();
-    }
-    buf
-}
-
 /// What [`maintain`] leaves behind: the rewritten closure file, its row
 /// offsets, and the net tuple delta.
 struct Maintained {
@@ -513,9 +439,14 @@ struct Maintained {
     removed: u64,
 }
 
-/// Computation phase: DRed overdelete/rederive for the deleted arcs,
-/// seminaive delta propagation for the inserted arcs, then the closure
-/// file rewrite.
+/// The source is, or reaches in the old closure, the tail of an
+/// inserted arc: its row may gain successors.
+const GAINS: u8 = 1;
+/// The same for a deleted arc: its row may lose successors.
+const LOSES: u8 = 2;
+
+/// Computation phase: scan the closure, recompute the rows the batch
+/// can change in one reverse-topological sweep, rewrite the file.
 fn maintain(
     db: &Database,
     pool: &mut BufferPool,
@@ -524,169 +455,75 @@ fn maintain(
     metrics: &mut CostMetrics,
 ) -> StorageResult<Maintained> {
     let n = db.graph().n();
+    let mut reaches = vec![0u8; n];
+    for &(u, _) in &ops.inserted {
+        reaches[u as usize] |= GAINS;
+    }
+    for &(u, _) in &ops.deleted {
+        reaches[u as usize] |= LOSES;
+    }
     // Materialize the current closure through the pool (charged). The
     // sorted list stays as scanned; only rows written to below get a
-    // bit row, and every iteration walks sorted data.
+    // bit row. The same pass hands each tail's flags to its ancestors:
+    // the closure is transitive, so a flag `x` picks up from `y` is one
+    // `x` also gets from the tail itself, whatever the tuple order.
     let mut old: Vec<(NodeId, NodeId)> = Vec::with_capacity(tc.tuple_count());
-    tc.scan_pages(pool, &mut |chunk| old.extend_from_slice(chunk))?;
+    tc.scan_pages(pool, &mut |chunk| {
+        for &(x, y) in chunk {
+            reaches[x as usize] |= reaches[y as usize];
+        }
+        old.extend_from_slice(chunk);
+    })?;
     let mut closure = TupleRows::new(n, &old);
 
-    // tc-by-destination, for the `(x, v) ← tc(x, u)` seed rule, for the
-    // sources of the changed arcs only. One pass over the sorted
-    // closure, so each predecessor list is sorted.
-    let mut preds_tc = NodeLists::new(n);
-    for &(u, _) in ops.deleted.iter().chain(&ops.inserted) {
-        preds_tc.entry(u);
-    }
-    if !ops.deleted.is_empty() || !ops.inserted.is_empty() {
-        for &(x, y) in &old {
-            if let Some(xs) = preds_tc.get_mut(y) {
-                xs.push(x);
-            }
+    // The sweep: children first, so every row merged is final.
+    let mut row = BitRow::new(n);
+    let mut kids: Vec<NodeId> = Vec::new();
+    let mut derived: u64 = 0;
+    for &x in ops.order.iter().rev() {
+        let flags = reaches[x as usize];
+        if flags == 0 {
+            continue;
         }
-    }
-
-    let inserted_by_src = NodeLists::by_source(n, &ops.inserted);
-    let deleted_by_src = NodeLists::by_source(n, &ops.deleted);
-
-    let mut cache = NodeLists::new(n);
-    let mut kids_buf: Vec<NodeId> = Vec::new();
-    let mut round: u64 = 0;
-
-    // ---- DRed step 1: overdelete. A fixpoint over the *old* graph
-    // (the probed post-update children, minus this batch's inserts,
-    // plus its deletes): every tuple with a derivation through a
-    // deleted arc goes into `over`, transitively.
-    if !ops.deleted.is_empty() {
-        let mut over = TupleRows::new(n, &[]);
-        let mut frontier: Vec<(NodeId, NodeId)> = Vec::new();
-        for &(u, v) in &ops.deleted {
-            for &x in std::iter::once(&u).chain(preds_tc.of(u)) {
-                if closure.contains(x, v) && over.insert(x, v) {
-                    frontier.push((x, v));
-                }
-            }
+        metrics.count_list_fetch();
+        kids.clear();
+        if let Some((lo, hi)) = db.index.probe(pool, x)? {
+            db.relation.probe_range(pool, x, lo, hi, &mut kids)?;
         }
-        while !frontier.is_empty() {
-            metrics.trace.emit(Event::IterationBegin { i: round });
-            round += 1;
-            let mut next = Vec::new();
-            for (x, z) in frontier.drain(..) {
-                metrics.count_union();
-                let kids = fetch_children(db, pool, metrics, &mut cache, z)?;
-                // Reconstruct the pre-update children of z.
-                let kids = without_batch(
-                    kids,
-                    inserted_by_src.of(z),
-                    deleted_by_src.of(z),
-                    &mut kids_buf,
-                );
-                metrics.count_arcs_bulk(kids.len() as u64);
-                for &y in kids {
-                    metrics.count_tuple_read();
-                    if closure.contains(x, y) && over.insert(x, y) {
-                        next.push((x, y));
-                    }
-                }
-            }
-            frontier = next;
+        metrics.count_arcs_bulk(kids.len() as u64);
+        // A row that cannot lose starts from itself, and a child it
+        // already covers — old arc, unchanged row — has nothing to add.
+        let keeps = flags & LOSES == 0;
+        row.clear();
+        if keeps {
+            closure.or_row_into(x, &mut row);
         }
-
-        // ---- DRed step 2: rederive. Recompute the overdeleted
-        // sources' rows over the surviving arcs (the post-update graph
-        // minus this batch's inserts — those are the insert phase's
-        // job), reinstating tuples with an alternative derivation.
-        let mut seen = NodeBitVec::new(n);
-        let mut queue: Vec<NodeId> = Vec::new();
-        let mut rederived: u64 = 0;
-        for x in over.touched() {
-            metrics.trace.emit(Event::IterationBegin { i: round });
-            round += 1;
-            seen.clear_fast();
-            seen.insert(x);
-            queue.push(x);
-            while let Some(z) = queue.pop() {
-                metrics.count_union();
-                let kids = fetch_children(db, pool, metrics, &mut cache, z)?;
-                let kids = without_batch(kids, inserted_by_src.of(z), &[], &mut kids_buf);
-                metrics.count_arcs_bulk(kids.len() as u64);
-                for &y in kids {
-                    metrics.count_tuple_read();
-                    if seen.insert(y) {
-                        queue.push(y);
-                    }
-                }
+        for &z in &kids {
+            if keeps && !closure.is_written(z) && !ops.inserted.contains(&(x, z)) {
+                continue;
             }
-            // `seen` minus x itself is what x still reaches.
-            for y in over.row(x) {
-                if y != x && seen.contains(y) {
-                    rederived += 1;
-                } else {
-                    closure.remove(x, y);
-                }
-            }
+            let len = closure.row_len(z) as u64;
+            metrics.count_union();
+            metrics.count_tuple_reads(len);
+            derived += 1 + len;
+            row.set(z);
+            closure.or_row_into(z, &mut row);
         }
-        for _ in 0..rederived {
-            metrics.count_duplicate();
-        }
-    }
-
-    // ---- Seminaive delta propagation for the inserted arcs: seed
-    // `(u, v)` and `(x, v)` for surviving `tc(x, u)`, then join the
-    // frontier with the post-update relation until it empties.
-    if !ops.inserted.is_empty() {
-        let mut frontier: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut seeds: Vec<NodeId> = Vec::new();
-        for &(u, v) in &ops.inserted {
-            seeds.clear();
-            seeds.push(u);
-            seeds.extend(preds_tc.of(u).iter().filter(|&&x| closure.contains(x, u)));
-            for &x in &seeds {
-                if x == v {
-                    continue;
-                }
-                if closure.insert(x, v) {
-                    metrics.count_generated(true);
-                    frontier.push((x, v));
-                } else {
-                    metrics.count_duplicate();
-                }
-            }
-        }
-        while !frontier.is_empty() {
-            metrics.trace.emit(Event::IterationBegin { i: round });
-            round += 1;
-            let mut next = Vec::new();
-            for (x, z) in frontier.drain(..) {
-                metrics.count_union();
-                let kids = fetch_children(db, pool, metrics, &mut cache, z)?;
-                metrics.count_arcs_bulk(kids.len() as u64);
-                for &y in kids {
-                    metrics.count_tuple_read();
-                    if y == x {
-                        continue;
-                    }
-                    if closure.insert(x, y) {
-                        metrics.count_generated(true);
-                        next.push((x, y));
-                    } else {
-                        metrics.count_duplicate();
-                    }
-                }
-            }
-            frontier = next;
-        }
+        closure.set_row(x, &row);
     }
 
     // ---- Net delta and closure rewrite, row by row: untouched rows
     // come straight from the old list, written rows off their bits.
+    // Every derivation that did not add a tuple found it present.
     let (inserted, removed) = closure.delta();
+    for _ in 0..inserted {
+        metrics.count_generated(true);
+    }
+    metrics.count_duplicates(derived - inserted);
     // Free the old file first so the rewrite reuses its pages.
     pool.free_file(tc.file_id())?;
     let mut out = TupleWriter::new(pool, FileKind::Output);
-    for t in closure.iter() {
-        out.push(pool, t)?;
-    }
+    out.extend(pool, closure.iter())?;
     let file = out.finish();
     pool.flush_file(file.file_id())?;
     metrics.set_tuple_writes(file.tuple_count() as u64);
@@ -831,6 +668,36 @@ mod tests {
         live.add_arc(0, 3);
         let res = d.apply(&batch[..2]).unwrap();
         assert!(res.removed > 0);
+        assert_eq!(d.tuples().unwrap(), oracle(&live));
+    }
+
+    #[test]
+    fn op_naming_an_unknown_node_is_refused_whole() {
+        let g = tc_graph::gen::path(5);
+        let mut d = DynamicClosure::build(&g, &SystemConfig::default()).unwrap();
+        let before = d.tuples().unwrap();
+        // The legal delete ahead of it must not stick; 5 is one past
+        // the last node, and either end of an op may be the stranger.
+        for (batch, node) in [
+            ([UpdateOp::Delete(1, 2), UpdateOp::Insert(0, 5)], 5),
+            ([UpdateOp::Delete(1, 2), UpdateOp::Delete(9, 0)], 9),
+        ] {
+            let err = d.apply(&batch).unwrap_err();
+            let refusal = UpdateError::UnknownNode {
+                op_index: 1,
+                node,
+                n: 5,
+            };
+            assert_eq!(err, refusal);
+            assert!(err.to_string().contains(&format!("node {node}")), "{err}");
+            assert_eq!(d.graph(), &g, "graph changed by a refused batch");
+            assert_eq!(d.tuples().unwrap(), before);
+        }
+
+        // The instance is as good as new: the next batch applies.
+        let mut live = g.clone();
+        live.remove_arc(1, 2);
+        d.apply(&[UpdateOp::Delete(1, 2)]).unwrap();
         assert_eq!(d.tuples().unwrap(), oracle(&live));
     }
 

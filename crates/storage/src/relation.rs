@@ -259,29 +259,42 @@ impl TupleWriter {
 
     /// Appends one tuple.
     pub fn push<P: Pager>(&mut self, pager: &mut P, t: Tuple) -> StorageResult<()> {
-        if self.slot == 0 {
-            let pid = pager.alloc_page(self.file)?;
-            self.pages.push(pid);
-            self.first_keys.push(t.0);
-        }
-        let pid = *self
-            .pages
-            .last()
-            .ok_or(StorageError::Internal("page allocated above"))?;
-        let slot = self.slot;
-        pager.with_page_mut(pid, |pg: &mut Page| {
-            TuplePage::put(pg, slot, t.0, t.1);
-        })?;
-        if let Some(prev) = self.last_key {
-            if t.0 < prev {
-                self.sorted = false;
+        self.extend(pager, std::iter::once(t))
+    }
+
+    /// Appends `tuples` in order. The file is what repeated
+    /// [`TupleWriter::push`] would have written — same pages, allocated
+    /// at the same points — but the pager is asked once per page filled,
+    /// not once per tuple.
+    pub fn extend<P: Pager>(
+        &mut self,
+        pager: &mut P,
+        tuples: impl IntoIterator<Item = Tuple>,
+    ) -> StorageResult<()> {
+        let mut tuples = tuples.into_iter().peekable();
+        while let Some(&(first, _)) = tuples.peek() {
+            if self.slot == 0 {
+                let pid = pager.alloc_page(self.file)?;
+                self.pages.push(pid);
+                self.first_keys.push(first);
             }
-        }
-        self.last_key = Some(t.0);
-        self.count += 1;
-        self.slot += 1;
-        if self.slot == TUPLES_PER_PAGE {
-            self.slot = 0;
+            let pid = *self
+                .pages
+                .last()
+                .ok_or(StorageError::Internal("page allocated above"))?;
+            pager.with_page_mut(pid, |pg: &mut Page| {
+                while self.slot < TUPLES_PER_PAGE {
+                    let Some((k, v)) = tuples.next() else { break };
+                    TuplePage::put(pg, self.slot, k, v);
+                    if self.last_key.is_some_and(|prev| k < prev) {
+                        self.sorted = false;
+                    }
+                    self.last_key = Some(k);
+                    self.count += 1;
+                    self.slot += 1;
+                }
+            })?;
+            self.slot %= TUPLES_PER_PAGE;
         }
         Ok(())
     }
@@ -394,6 +407,56 @@ mod tests {
         assert!(w.is_sorted());
         let rel = w.finish();
         assert_eq!(rel.scan(&mut disk).unwrap(), data);
+    }
+
+    #[test]
+    fn extend_writes_what_repeated_push_writes() {
+        // Lengths around the 256-tuple page; `head` tuples go in one at
+        // a time first, so `extend` starts mid-page (or on a boundary).
+        for (len, head) in [
+            (0, 0),
+            (1, 0),
+            (255, 0),
+            (256, 0),
+            (257, 100),
+            (600, 256),
+            (1000, 3),
+        ] {
+            let mut data = arcs(len);
+            if len == 600 {
+                data.swap(10, 500); // unsorted input is recorded, not refused
+            }
+            let (mut pushed_disk, mut extended_disk) = (DiskSim::new(), DiskSim::new());
+            let mut pushed = TupleWriter::new(&mut pushed_disk, FileKind::Temp);
+            let mut extended = TupleWriter::new(&mut extended_disk, FileKind::Temp);
+            for &t in &data {
+                pushed.push(&mut pushed_disk, t).unwrap();
+            }
+            for &t in &data[..head] {
+                extended.push(&mut extended_disk, t).unwrap();
+            }
+            let rest = data[head..].iter().copied();
+            extended.extend(&mut extended_disk, rest).unwrap();
+            assert_eq!(extended.count(), pushed.count(), "len {len}");
+            assert_eq!(extended.is_sorted(), pushed.is_sorted(), "len {len}");
+            let (pushed, extended) = (pushed.finish(), extended.finish());
+            assert_eq!(extended.pages(), pushed.pages(), "len {len}");
+            assert_eq!(extended.first_keys(), pushed.first_keys(), "len {len}");
+            assert_eq!(extended.tuple_count(), len);
+            for &pid in pushed.pages() {
+                let image = |disk: &mut DiskSim| disk.with_page(pid, |pg: &Page| pg.clone());
+                assert!(
+                    image(&mut extended_disk) == image(&mut pushed_disk),
+                    "len {len}"
+                );
+            }
+            // On a direct pager every request is one write: `push` makes
+            // one per tuple, `extend` one per page it fills.
+            let mut filled: Vec<usize> = (head..len).map(|i| i / 256).collect();
+            filled.dedup();
+            assert_eq!(pushed_disk.stats().writes as usize, len);
+            assert_eq!(extended_disk.stats().writes as usize, head + filled.len());
+        }
     }
 
     #[test]

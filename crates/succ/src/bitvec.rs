@@ -10,9 +10,10 @@
 //! set list that makes its reset cheap, and [`crate::TupleRows`] keeps
 //! one per closure row that maintenance has written to.
 
-/// A fixed-size bit set over node ids: test, set, unset, and the set
-/// ids in ascending order.
-#[derive(Clone, Debug)]
+/// A fixed-size bit set over node ids: test, set, unset, word-parallel
+/// union, and the set ids in ascending order. Two rows are equal when
+/// they are over the same `n` and hold the same ids.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitRow {
     words: Vec<u64>,
 }
@@ -59,6 +60,25 @@ impl BitRow {
             self.words[idx / 64] &= !mask;
             true
         }
+    }
+
+    /// Clears every bit.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Sets every bit that is set in `other`, a row over the same `n`.
+    pub fn union_with(&mut self, other: &BitRow) {
+        assert_eq!(self.words.len(), other.words.len(), "rows differ in n");
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
+    /// Makes this row hold exactly the bits of `other`, a row over the
+    /// same `n`.
+    pub fn copy_from(&mut self, other: &BitRow) {
+        self.words.copy_from_slice(&other.words);
     }
 
     /// Number of set bits.
@@ -226,6 +246,37 @@ mod tests {
                 assert!(!row.contains(v));
             }
             assert_eq!(row.count_ones(), 0);
+        }
+    }
+
+    #[test]
+    fn bit_row_union_and_equality_at_the_word_boundary() {
+        for n in [0usize, 1, 63, 64, 65, 128, 129] {
+            let of = |ids: &[u32]| {
+                let mut row = BitRow::new(n);
+                for &v in ids.iter().filter(|&&v| (v as usize) < n) {
+                    row.set(v);
+                }
+                row
+            };
+            let (low, high) = (of(&[0, 62, 63]), of(&[63, 64, 127, 128]));
+            let mut both = low.clone();
+            both.union_with(&high);
+            assert_eq!(both, of(&[0, 62, 63, 64, 127, 128]), "n = {n}");
+            assert_eq!(both.count_ones(), both.ones().count());
+            // Equality is by content, in every word: a row that differs
+            // only in its last id is a different row.
+            if n > 0 {
+                let mut other = both.clone();
+                let last = n as u32 - 1;
+                assert!(other.set(last) || other.unset(last));
+                assert_ne!(both, other, "n = {n}");
+            }
+            let mut again = both.clone();
+            again.union_with(&low);
+            assert_eq!(again, both, "union with a subset changes nothing");
+            both.clear();
+            assert_eq!(both, BitRow::new(n), "n = {n}");
         }
     }
 }

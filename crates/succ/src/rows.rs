@@ -8,8 +8,11 @@
 //! search in the base slice, the first effective write to a row turns it
 //! into a [`BitRow`] of `n` bits, and the result is read back in
 //! ascending order — untouched rows straight from the base, touched rows
-//! off their bits. Memory beyond the base list is `n / 8` bytes per
-//! touched row.
+//! off their bits. Whole rows move through a caller's scratch [`BitRow`]:
+//! [`TupleRows::or_row_into`] unions a row into it (word-parallel when
+//! the row is written) and [`TupleRows::set_row`] stores it back, which
+//! is a write only if the row differs. Memory beyond the base list is
+//! `n / 8` bytes per touched row.
 
 use crate::bitvec::{BitRow, Ones};
 
@@ -119,6 +122,51 @@ impl<'a> TupleRows<'a> {
         self.contains(src, dst) && self.densify(src).unset(dst)
     }
 
+    /// Whether the row of `src` has been written to.
+    pub fn is_written(&self, src: u32) -> bool {
+        self.slot[src as usize] != UNTOUCHED
+    }
+
+    /// Number of successors of `src`.
+    pub fn row_len(&self, src: u32) -> usize {
+        match self.dense_row(src) {
+            Some(bits) => bits.count_ones(),
+            None => self.base_row(src).len(),
+        }
+    }
+
+    /// Adds the successors of `src` to `acc`, a row over the same `n`.
+    pub fn or_row_into(&self, src: u32, acc: &mut BitRow) {
+        match self.dense_row(src) {
+            Some(bits) => acc.union_with(bits),
+            None => {
+                for &(_, dst) in self.base_row(src) {
+                    acc.set(dst);
+                }
+            }
+        }
+    }
+
+    /// Makes `bits` the successors of `src`; returns `true` if the row
+    /// changed. Setting a row to what it holds is not a write.
+    pub fn set_row(&mut self, src: u32, bits: &BitRow) -> bool {
+        let same = match self.dense_row(src) {
+            Some(row) => row == bits,
+            None => {
+                let base = self.base_row(src);
+                bits.count_ones() == base.len() && base.iter().all(|t| bits.contains(t.1))
+            }
+        };
+        if !same {
+            if self.slot[src as usize] == UNTOUCHED {
+                self.slot[src as usize] = self.dense.len() as u32;
+                self.dense.push(BitRow::new(self.n()));
+            }
+            self.dense[self.slot[src as usize] as usize].copy_from(bits);
+        }
+        !same
+    }
+
     /// The successors of `src`, ascending.
     pub fn row(&self, src: u32) -> Row<'_> {
         match self.dense_row(src) {
@@ -134,7 +182,7 @@ impl<'a> TupleRows<'a> {
 
     /// The sources whose row has been written to, ascending.
     pub fn touched(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.n() as u32).filter(move |&src| self.slot[src as usize] != UNTOUCHED)
+        (0..self.n() as u32).filter(move |&src| self.is_written(src))
     }
 
     /// Tuples in the set but not in the base, and tuples in the base but
@@ -158,10 +206,7 @@ impl<'a> TupleRows<'a> {
         let mut end = 0u32;
         offsets.push(end);
         for src in 0..self.n() as u32 {
-            end += match self.dense_row(src) {
-                Some(bits) => bits.count_ones(),
-                None => self.base_row(src).len(),
-            } as u32;
+            end += self.row_len(src) as u32;
             offsets.push(end);
         }
         offsets

@@ -30,9 +30,9 @@ fn main() {
     //    section and `tcq update` use.
     let stream = UpdateStream::generate(&graph, StreamKind::Mixed, 4, 8, 100, 42);
 
-    // 3. Maintain: each apply is one traced, metered run — seminaive
-    //    delta propagation for the batch's inserts, DRed-style
-    //    overdelete/rederive for its deletes. For comparison, recompute
+    // 3. Maintain: each apply is one traced, metered run — the rows
+    //    that reach a changed arc are rebuilt, children first, as the
+    //    union of their children's rows. For comparison, recompute
     //    the closure from scratch on the mutated graph each time.
     let mut live = graph.clone();
     let (mut incr_io, mut scratch_io) = (0u64, 0u64);

@@ -4,9 +4,9 @@
 //! from-scratch recompute — tuples, per-apply `metrics ≡ replay(trace)`,
 //! and trace digests — on both storage backends.
 //!
-//! The stream is mixed churn, so both maintenance paths (seminaive
-//! delta propagation for inserts, DRed overdelete/rederive for deletes)
-//! are exercised; an assertion below holds the stream to that.
+//! The stream is mixed churn, so the maintenance sweep sees rows that
+//! gain successors, rows that lose them and rows that do both; an
+//! assertion below holds the stream to that.
 
 use std::sync::Arc;
 use tc_study::core::prelude::*;

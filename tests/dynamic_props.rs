@@ -274,3 +274,129 @@ fn whole_batches_on_tiny_graphs_match_the_oracle() {
         },
     );
 }
+
+/// Raw input of the permuted-label property: the raw DAG and op triples
+/// of [`RawCase`], ops per batch, a policy index, and the seed of the
+/// node relabelling.
+type PermutedCase = (
+    (usize, Vec<(u32, u32)>),
+    Vec<(bool, u32, u32)>,
+    usize,
+    usize,
+    u64,
+);
+
+/// Everything above orients arcs ascending, so there *descending node
+/// id* is a reverse topological order and maintenance that swept in id
+/// order would pass. Here the DAG and the ops are relabelled through a
+/// seeded permutation, which leaves no relation between ids and the
+/// order, and inserts keep the direction they were drawn with, so a
+/// batch can close a cycle: after every batch the closure is the
+/// oracle's, or the batch is refused as `ClosesCycle` with graph and
+/// closure as they were.
+#[test]
+fn permuted_labels_match_the_oracle_or_refuse_the_cycle() {
+    Checker::new("dynamic_permuted_labels_eq_oracle")
+        .cases(48)
+        .run(
+            |rng: &mut Rng| -> PermutedCase {
+                let (raw, ops, policy, _) = generate(rng);
+                (
+                    raw,
+                    ops,
+                    rng.random_range(1..5usize),
+                    policy,
+                    rng.next_u64(),
+                )
+            },
+            |(raw, ops, per_batch, policy, seed)| {
+                let mut out: Vec<PermutedCase> = check::shrink_vec(ops)
+                    .into_iter()
+                    .map(|o| (raw.clone(), o, *per_batch, *policy, *seed))
+                    .collect();
+                out.extend(
+                    check::shrink_vec(&raw.1)
+                        .into_iter()
+                        .map(|p| ((raw.0, p), ops.clone(), *per_batch, *policy, *seed)),
+                );
+                if *per_batch > 1 {
+                    out.push((raw.clone(), ops.clone(), 1, *policy, *seed));
+                }
+                out
+            },
+            |((n, pairs), raw_ops, per_batch, policy, seed)| {
+                let n = *n as u32;
+                let mut label: Vec<u32> = (0..n).collect();
+                Rng::from_seed(*seed).shuffle(&mut label);
+                let relabel = |(a, b): (u32, u32)| (label[a as usize], label[b as usize]);
+                let oriented = pairs.iter().filter_map(|&(a, b)| orient(a, b));
+                let g = Graph::from_arcs(n as usize, oriented.map(relabel));
+                let ops: Vec<UpdateOp> = raw_ops
+                    .iter()
+                    .filter_map(|&(ins, a, b)| {
+                        let (a, b) = (a % n, b % n);
+                        if ins {
+                            let (u, v) = relabel((a, b));
+                            return Some(UpdateOp::Insert(u, v));
+                        }
+                        // Deletes stay aimed at arcs the DAG can have.
+                        let (u, v) = relabel(orient(a, b)?);
+                        Some(UpdateOp::Delete(u, v))
+                    })
+                    .collect();
+
+                let sink = Arc::new(VecSink::unbounded());
+                let mut cfg = SystemConfig::with_buffer(6).traced(Tracer::new(sink.clone()));
+                cfg.page_policy = PagePolicy::ALL[*policy];
+                let mut dyn_tc =
+                    DynamicClosure::build(&g, &cfg).map_err(|e| format!("build failed: {e}"))?;
+                let mut live = g.clone();
+                let mut seen = 0usize;
+                for batch in ops.chunks(*per_batch) {
+                    let mut next = live.clone();
+                    for op in batch {
+                        match *op {
+                            UpdateOp::Insert(u, v) => next.add_arc(u, v),
+                            UpdateOp::Delete(u, v) => next.remove_arc(u, v),
+                        };
+                    }
+                    let applied = dyn_tc.apply(batch);
+                    require_eq!(sink.dropped(), 0, "VecSink dropped events");
+                    let events = sink.events();
+                    match applied {
+                        Ok(res) => {
+                            require!(next.is_acyclic(), "cyclic batch {:?} applied", batch);
+                            live = next;
+                            let replayed = replay(events[seen..].iter().cloned())
+                                .map_err(|e| format!("replay failed after {batch:?}: {e:?}"))?;
+                            let expected = res.metrics.to_replayed();
+                            require!(
+                                replayed == expected,
+                                "replay(trace) != metrics after {:?}; field diff:\n{}",
+                                batch,
+                                expected.diff(&replayed).join("\n")
+                            );
+                        }
+                        Err(UpdateError::ClosesCycle { .. }) => {
+                            require!(!next.is_acyclic(), "acyclic batch {:?} refused", batch);
+                            require_eq!(
+                                dyn_tc.graph(),
+                                &live,
+                                "refused {:?} changed the graph",
+                                batch
+                            );
+                        }
+                        Err(e) => return Err(format!("apply of {batch:?} failed: {e}")),
+                    }
+                    seen = events.len();
+                    let tuples = dyn_tc.tuples().map_err(|e| format!("scan failed: {e}"))?;
+                    require!(
+                        tuples == oracle(&live),
+                        "maintained closure diverged from the oracle after {:?}",
+                        batch
+                    );
+                }
+                Ok(())
+            },
+        );
+}

@@ -6,7 +6,7 @@ use tc_study::buffer::{BufferPool, PagePolicy};
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require, require_eq, Rng};
 use tc_study::storage::{DiskSim, FileKind, Page, PageId, PageStore, Pager, SuccEntry};
-use tc_study::succ::{row_offsets, ListCursor, ListPolicy, SuccStore, TupleRows};
+use tc_study::succ::{row_offsets, BitRow, ListCursor, ListPolicy, SuccStore, TupleRows};
 
 // ---------------------------------------------------------------------
 // Buffer pool vs. a flat array of page images.
@@ -348,14 +348,19 @@ enum RowOp {
     Contains(u32, u32),
     /// Removes every tuple of one row, one `remove` at a time.
     EmptyRow(u32),
+    /// ORs one row into the case's scratch `BitRow`.
+    OrRow(u32),
+    /// Sets one row to the given successors — or, if the flag is set,
+    /// to what it already holds.
+    SetRow(u32, Vec<u32>, bool),
 }
 
 /// Over a random sorted base list, any sequence of writes and reads
 /// answers like a `BTreeSet`, reads back ascending, counts its delta
 /// against the base, and gives a bit row to exactly the sources an
-/// effective write went to. Sizes sit on and around the word boundary;
-/// sparse bases leave empty rows and sources that occur only as
-/// destinations.
+/// effective write went to — tuple at a time or a whole row through a
+/// scratch `BitRow`. Sizes sit on and around the word boundary; sparse
+/// bases leave empty rows and sources that occur only as destinations.
 #[test]
 fn tuple_rows_refine_btreeset() {
     use std::collections::BTreeSet;
@@ -384,11 +389,13 @@ fn tuple_rows_refine_btreeset() {
             let ops = if n == 0 {
                 Vec::new()
             } else {
-                check::vec_of(rng, 0..200, |r| match r.random_range(0..8u32) {
+                check::vec_of(rng, 0..200, |r| match r.random_range(0..11u32) {
                     0..=2 => RowOp::Insert(id(r), id(r)),
                     3..=4 => RowOp::Remove(src(r), id(r)),
                     5..=6 => RowOp::Contains(src(r), id(r)),
-                    _ => RowOp::EmptyRow(src(r)),
+                    7 => RowOp::EmptyRow(src(r)),
+                    8 => RowOp::OrRow(src(r)),
+                    _ => RowOp::SetRow(src(r), check::vec_of(r, 0..12, &id), r.random_bool(0.5)),
                 })
             };
             (n, base.into_iter().collect::<Vec<_>>(), ops)
@@ -404,6 +411,11 @@ fn tuple_rows_refine_btreeset() {
             let mut rows = TupleRows::new(n, base);
             let mut model: BTreeSet<(u32, u32)> = base.iter().copied().collect();
             let mut written: BTreeSet<u32> = BTreeSet::new();
+            let model_row = |model: &BTreeSet<(u32, u32)>, s: u32| -> Vec<u32> {
+                model.range((s, 0)..=(s, u32::MAX)).map(|t| t.1).collect()
+            };
+            let mut scratch = BitRow::new(n);
+            let mut scratch_model: BTreeSet<u32> = BTreeSet::new();
             for op in ops {
                 match *op {
                     RowOp::Insert(s, d) => {
@@ -431,6 +443,35 @@ fn tuple_rows_refine_btreeset() {
                             written.insert(s);
                         }
                         require_eq!(rows.row(s).count(), 0, "row {} after emptying", s);
+                    }
+                    RowOp::OrRow(s) => {
+                        let row = model_row(&model, s);
+                        require_eq!(rows.row_len(s), row.len(), "row_len {}", s);
+                        require_eq!(rows.is_written(s), written.contains(&s), "row {}", s);
+                        rows.or_row_into(s, &mut scratch);
+                        scratch_model.extend(row);
+                        require_eq!(
+                            scratch.ones().collect::<Vec<_>>(),
+                            scratch_model.iter().copied().collect::<Vec<_>>(),
+                            "scratch after OR of row {}",
+                            s
+                        );
+                    }
+                    RowOp::SetRow(s, ref dsts, same) => {
+                        let held = model_row(&model, s);
+                        let mut to: Vec<u32> = if same { held.clone() } else { dsts.clone() };
+                        to.sort_unstable();
+                        to.dedup();
+                        let mut bits = BitRow::new(n);
+                        for &d in &to {
+                            bits.set(d);
+                        }
+                        require_eq!(rows.set_row(s, &bits), to != held, "set_row {}", s);
+                        if to != held {
+                            written.insert(s);
+                            model.retain(|t| t.0 != s);
+                            model.extend(to.iter().map(|&d| (s, d)));
+                        }
                     }
                 }
             }
