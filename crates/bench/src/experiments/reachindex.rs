@@ -19,7 +19,7 @@
 //!    enabled (`reach_max_width`), scored against the measured winner.
 
 use crate::corpus::{build_graph, family, FAMILIES};
-use crate::experiments::{ExpResult, Grid, QuerySpec};
+use crate::experiments::{ExpError, ExpResult, Grid, QuerySpec};
 use crate::opts::ExpOpts;
 use crate::table::{num, Table};
 use tc_core::prelude::*;
@@ -39,10 +39,12 @@ const REACH_MAX_WIDTH: f64 = 400.0;
 
 /// Chain count k of a family's instance-0 condensation (deterministic,
 /// in-memory; the same decomposition the index persists).
-fn chain_count(fam: &'static crate::corpus::GraphFamily) -> usize {
+fn chain_count(fam: &'static crate::corpus::GraphFamily) -> ExpResult<usize> {
     let g = build_graph(fam, 0);
     let cond = condensation(&g);
-    ChainDecomposition::of(&cond.graph, &Tracer::disabled(), &mut NullMeter).width()
+    ChainDecomposition::of(&cond.graph, &Tracer::disabled(), &mut NullMeter)
+        .map(|cd| cd.width())
+        .ok_or_else(|| ExpError::Internal(format!("{}: condensation is cyclic", fam.name)))
 }
 
 /// Runs the reachability-index study.
@@ -107,7 +109,7 @@ pub fn run(opts: &ExpOpts) -> ExpResult<String> {
     let (mut hits, mut cells) = (0usize, 0usize);
     for (fam, &(shape, idx, bj)) in FAMILIES.iter().zip(&sweep) {
         let rect = r.shape(shape);
-        let k = chain_count(fam);
+        let k = chain_count(fam)?;
         let (idx_io, bj_io) = (r.avg(idx).total_io, r.avg(bj).total_io);
         // The width-k cost model: the advisor sees the chain count as
         // the width, the way the engine's REACHINDEX runs report the

@@ -33,11 +33,12 @@
 
 pub mod policy;
 pub mod pool;
-pub mod stats;
 
 pub use policy::PagePolicy;
 pub use pool::BufferPool;
-pub use stats::BufferStats;
+/// The pool's counters; defined beside the rest of the cost-metric
+/// ledger in `tc-trace`.
+pub use tc_trace::BufferStats;
 
 // A serving session owns one pool and migrates with it between worker
 // threads; `PageStore: Send` plus policies of plain owned data must keep

@@ -1,12 +1,11 @@
 //! The buffer pool.
 
 use crate::policy::{PagePolicy, ReplacementPolicy};
-use crate::stats::BufferStats;
 use tc_storage::{
     with_retries, FileId, FileKind, Page, PageId, PageStore, Pager, RetryPolicy, RetryTally,
     StorageError, StorageResult,
 };
-use tc_trace::{Event, Tracer};
+use tc_trace::{BufferStats, Event, Tracer};
 
 struct Frame {
     pid: PageId,

@@ -149,8 +149,12 @@ impl<'a> MeteredRun<'a> {
         synced?;
 
         let run_total = disk_total.since(&self.disk_base);
-        metrics.restructure_io = PhaseIo::from_disk(&self.disk_at_boundary.since(&self.disk_base));
-        metrics.compute_io = PhaseIo::from_disk(&disk_total.since(&self.disk_at_boundary));
+        let phase_io = |delta: DiskStats| PhaseIo {
+            reads: delta.reads,
+            writes: delta.writes,
+        };
+        metrics.restructure_io = phase_io(self.disk_at_boundary.since(&self.disk_base));
+        metrics.compute_io = phase_io(disk_total.since(&self.disk_at_boundary));
         for (i, slot) in metrics.io_by_kind.iter_mut().enumerate() {
             *slot = (run_total.reads_by_kind[i], run_total.writes_by_kind[i]);
         }

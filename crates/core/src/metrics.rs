@@ -8,169 +8,61 @@
 
 use crate::algorithm::Algorithm;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::time::Duration;
-use tc_buffer::BufferStats;
 use tc_graph::RectangleModel;
-use tc_storage::DiskStats;
-use tc_trace::{Event, Tracer};
+pub use tc_trace::PhaseIo;
+use tc_trace::{Counts, Event, Tracer};
 
-/// Physical page I/O of one execution phase.
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
-pub struct PhaseIo {
-    /// Physical page reads.
-    pub reads: u64,
-    /// Physical page writes.
-    pub writes: u64,
-}
-
-impl PhaseIo {
-    /// Builds from a disk-counter delta.
-    pub fn from_disk(d: &DiskStats) -> PhaseIo {
-        PhaseIo {
-            reads: d.reads,
-            writes: d.writes,
-        }
-    }
-
-    /// Total page transfers.
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
-    }
-}
-
-/// Everything measured about one query execution.
+/// Everything measured about one query execution: the run's [`Counts`]
+/// (which it dereferences to, so `metrics.unions` and
+/// `metrics.total_io()` read the ledger directly), plus what a trace
+/// cannot carry — which algorithm ran and how long it took.
 #[derive(Clone, Debug)]
 pub struct CostMetrics {
     /// Which algorithm ran.
     pub algorithm: Algorithm,
-
-    // ---- Page I/O (the primary metric) ----
-    /// Physical I/O of the restructuring (preprocessing) phase.
-    pub restructure_io: PhaseIo,
-    /// Physical I/O of the computation (expansion) phase, including the
-    /// final write-out.
-    pub compute_io: PhaseIo,
-    /// Physical I/O by file kind over the whole run (reads, writes),
-    /// indexed by [`tc_storage::FileKind::idx`].
-    pub io_by_kind: [(u64, u64); 6],
-
-    // ---- The "misleading" metrics (§7) ----
-    /// Distinct tuples generated (insertions into successor structures);
-    /// the `tc` of selection efficiency.
-    pub tuples_generated: u64,
-    /// Duplicate derivations (scanned entries already present).
-    pub duplicates: u64,
-    /// Generated tuples that belong to source-node results; the `stc` of
-    /// selection efficiency (§6.3.2).
-    pub source_tuples: u64,
-    /// Successor-list unions performed (§6.3.3, Figure 10).
-    pub unions: u64,
-    /// Arcs considered for expansion (marked + unmarked).
-    pub arcs_processed: u64,
-    /// Arcs skipped by the marking optimization (Figure 11).
-    pub arcs_marked: u64,
-    /// Entries read from successor structures ("tuple I/O" in).
-    pub tuple_reads: u64,
-    /// Entries appended to successor structures ("tuple I/O" out).
-    pub tuple_writes: u64,
-    /// Entries a tree union pruned without processing (SPN/JKB savings).
-    pub entries_pruned: u64,
-    /// Successor lists fetched ("successor list I/O").
-    pub list_fetches: u64,
-
-    // ---- Locality (Figure 12) ----
-    /// Sum of `level(i) − level(j)` over unmarked (expanded) arcs.
-    pub unmarked_locality_sum: f64,
-    /// Number of unmarked arcs in that sum.
-    pub unmarked_locality_count: u64,
-
-    // ---- Buffer behaviour (Figure 13) ----
-    /// Buffer statistics of the whole run.
-    pub buffer: BufferStats,
-    /// Buffer statistics of the computation phase only (the paper's hit
-    /// ratio "does not take into account the preprocessing phase").
-    pub buffer_compute: BufferStats,
-
-    // ---- Workload characterization ----
-    /// Nodes in the (magic) graph processed.
-    pub magic_nodes: u64,
-    /// Arcs in the (magic) graph processed.
-    pub magic_arcs: u64,
-    /// Rectangle model of the (magic) graph, when the run computed one.
-    pub rect: Option<RectangleModel>,
-
-    // ---- Fault injection & recovery (zero on fault-free runs) ----
-    /// Physical transfer re-attempts after injected transient faults.
-    pub io_retries: u64,
-    /// Total simulated retry backoff, in milliseconds.
-    pub retry_backoff_ms: u64,
-    /// Faults the armed plan injected during the run.
-    pub faults_injected: u64,
-    /// Corrupted page images caught by checksum verification.
-    pub corruptions_detected: u64,
-
-    // ---- Result & time ----
-    /// Distinct answer tuples produced.
-    pub answer_tuples: u64,
+    /// The run's ledger; `counts == replay(trace)` is the equivalence
+    /// oracle the trace layer is built around.
+    pub counts: Counts,
     /// Wall-clock time of the simulated run (the paper's "user time"
     /// analogue; the simulation itself is the CPU work).
     pub elapsed: Duration,
-    /// Estimated I/O time at the configured ms-per-I/O (Table 3).
-    pub estimated_io_seconds: f64,
-
     /// Event-trace sink the `count_*` methods emit through. Disabled by
     /// default; the engine arms it from the [`crate::SystemConfig`] for
     /// the duration of the run and disarms it before returning.
     pub(crate) trace: Tracer,
 }
 
+impl Deref for CostMetrics {
+    type Target = Counts;
+
+    fn deref(&self) -> &Counts {
+        &self.counts
+    }
+}
+
+impl DerefMut for CostMetrics {
+    fn deref_mut(&mut self) -> &mut Counts {
+        &mut self.counts
+    }
+}
+
 impl CostMetrics {
     /// Fresh zeroed metrics for `algorithm`.
     pub fn new(algorithm: Algorithm) -> CostMetrics {
-        CostMetrics {
-            algorithm,
-            restructure_io: PhaseIo::default(),
-            compute_io: PhaseIo::default(),
-            io_by_kind: [(0, 0); 6],
-            tuples_generated: 0,
-            duplicates: 0,
-            source_tuples: 0,
-            unions: 0,
-            arcs_processed: 0,
-            arcs_marked: 0,
-            tuple_reads: 0,
-            tuple_writes: 0,
-            entries_pruned: 0,
-            list_fetches: 0,
-            unmarked_locality_sum: 0.0,
-            unmarked_locality_count: 0,
-            buffer: BufferStats::default(),
-            buffer_compute: BufferStats::default(),
-            magic_nodes: 0,
-            magic_arcs: 0,
-            rect: None,
-            io_retries: 0,
-            retry_backoff_ms: 0,
-            faults_injected: 0,
-            corruptions_detected: 0,
-            answer_tuples: 0,
-            elapsed: Duration::ZERO,
-            estimated_io_seconds: 0.0,
-            trace: Tracer::disabled(),
-        }
+        CostMetrics::traced(algorithm, Tracer::disabled())
     }
 
     /// Fresh zeroed metrics whose `count_*` methods also emit through
     /// `tracer`.
     pub fn traced(algorithm: Algorithm, tracer: Tracer) -> CostMetrics {
-        let mut m = CostMetrics::new(algorithm);
-        m.trace = tracer;
-        m
-    }
-
-    /// Total physical page I/O — the paper's primary cost measure.
-    pub fn total_io(&self) -> u64 {
-        self.restructure_io.total() + self.compute_io.total()
+        CostMetrics {
+            algorithm,
+            counts: Counts::default(),
+            elapsed: Duration::ZERO,
+            trace: tracer,
+        }
     }
 
     /// Marking percentage: fraction of processed arcs that were marked
@@ -230,188 +122,114 @@ impl CostMetrics {
     // ---- Count-and-emit ----
     //
     // Each counted unit of work goes through exactly one of these, which
-    // bumps the counter *and* emits the matching trace event, so the
-    // `metrics == replay(trace)` oracle cannot drift: there is no code
-    // path that does one without the other. With tracing disabled each
-    // emit is a single branch on a `None`.
+    // builds the event, folds it into the ledger with the same
+    // `Counts::on` that replay uses, and emits it: what the counter does
+    // and what the event means are one definition. The event is a
+    // compile-time constant at each site, so the fold compiles to the
+    // bare increment; with tracing disabled the emit is a single branch
+    // on a `None`.
+
+    #[inline(always)]
+    fn count(&mut self, ev: Event) {
+        self.counts.on(&ev);
+        self.trace.emit(ev);
+    }
 
     /// One successor-list union.
     #[inline]
     pub fn count_union(&mut self) {
-        self.unions += 1;
-        self.trace.emit(Event::Union);
+        self.count(Event::Union);
     }
 
     /// One successor-list fetch.
     #[inline]
     pub fn count_list_fetch(&mut self) {
-        self.list_fetches += 1;
-        self.trace.emit(Event::ListFetch);
+        self.count(Event::ListFetch);
     }
 
     /// One arc considered for expansion; `marked` if the marking
     /// optimization skipped it.
     #[inline]
     pub fn count_arc(&mut self, marked: bool) {
-        self.arcs_processed += 1;
-        if marked {
-            self.arcs_marked += 1;
-        }
-        self.trace.emit(Event::ArcProcessed { marked });
+        self.count(Event::ArcProcessed { marked });
     }
 
     /// `n` arcs processed in bulk (none marked).
     #[inline]
     pub fn count_arcs_bulk(&mut self, n: u64) {
-        self.arcs_processed += n;
-        self.trace.emit(Event::ArcsProcessed { n });
+        self.count(Event::ArcsProcessed { n });
     }
 
     /// One entry read from a successor structure.
     #[inline]
     pub fn count_tuple_read(&mut self) {
-        self.tuple_reads += 1;
-        self.trace.emit(Event::TupleRead);
+        self.count(Event::TupleRead);
     }
 
     /// `n` entries read from successor structures in bulk.
     #[inline]
     pub fn count_tuple_reads(&mut self, n: u64) {
-        self.tuple_reads += n;
-        self.trace.emit(Event::TupleReads { n });
+        self.count(Event::TupleReads { n });
     }
 
     /// One distinct tuple generated; `source` if it belongs to a
     /// source-node result.
     #[inline]
     pub fn count_generated(&mut self, source: bool) {
-        self.tuples_generated += 1;
-        if source {
-            self.source_tuples += 1;
-        }
-        self.trace.emit(Event::Generated { source });
+        self.count(Event::Generated { source });
     }
 
     /// One duplicate derivation.
     #[inline]
     pub fn count_duplicate(&mut self) {
-        self.duplicates += 1;
-        self.trace.emit(Event::Duplicate);
+        self.count(Event::Duplicate);
     }
 
     /// `n` duplicate derivations in bulk.
     #[inline]
     pub fn count_duplicates(&mut self, n: u64) {
-        self.duplicates += n;
-        self.trace.emit(Event::Duplicates { n });
+        self.count(Event::Duplicates { n });
     }
 
     /// `n` entries pruned by a tree union.
     #[inline]
     pub fn count_pruned(&mut self, n: u64) {
-        self.entries_pruned += n;
-        self.trace.emit(Event::Pruned { n });
+        self.count(Event::Pruned { n });
     }
 
     /// One expanded (unmarked) arc's level distance.
     #[inline]
     pub fn count_locality(&mut self, delta: f64) {
-        self.unmarked_locality_sum += delta;
-        self.unmarked_locality_count += 1;
-        self.trace.emit(Event::Locality { delta });
+        self.count(Event::Locality { delta });
     }
 
-    /// Final tuple-write total for the run (assignment, not increment).
+    /// The run's tuple-write total (once per run).
     #[inline]
     pub fn set_tuple_writes(&mut self, n: u64) {
-        self.tuple_writes = n;
-        self.trace.emit(Event::TupleWrites { n });
+        self.count(Event::TupleWrites { n });
     }
 
     /// Magic-graph node count (assignment).
     #[inline]
     pub fn set_magic_nodes(&mut self, n: u64) {
-        self.magic_nodes = n;
-        self.trace.emit(Event::MagicNodes { n });
+        self.count(Event::MagicNodes { n });
     }
 
     /// Magic-graph arc count (assignment).
     #[inline]
     pub fn set_magic_arcs(&mut self, n: u64) {
-        self.magic_arcs = n;
-        self.trace.emit(Event::MagicArcs { n });
+        self.count(Event::MagicArcs { n });
     }
 
     /// Rectangle model of the processed graph (assignment).
     pub fn set_rect(&mut self, rect: RectangleModel) {
-        self.trace.emit(Event::Rect {
+        self.count(Event::Rect {
             height: rect.height,
             width: rect.width,
             max_level: rect.max_level,
             arcs: rect.arcs as u64,
             nodes: rect.nodes as u64,
         });
-        self.rect = Some(rect);
-    }
-
-    /// The view of these metrics that [`tc_trace::replay`] reconstructs:
-    /// every field except wall-clock `elapsed`. Comparing
-    /// `metrics.to_replayed() == replay(trace)` is the equivalence
-    /// oracle the trace layer is built around.
-    pub fn to_replayed(&self) -> tc_trace::ReplayedMetrics {
-        let buf = |b: &BufferStats| tc_trace::ReplayedBufferStats {
-            requests: b.requests,
-            hits: b.hits,
-            misses: b.misses,
-            read_requests: b.read_requests,
-            read_hits: b.read_hits,
-            evictions: b.evictions,
-            dirty_writebacks: b.dirty_writebacks,
-            flush_writes: b.flush_writes,
-            retries: b.retries,
-            retry_backoff_ms: b.retry_backoff_ms,
-        };
-        tc_trace::ReplayedMetrics {
-            algorithm: self.algorithm.name().to_string(),
-            restructure_io: tc_trace::ReplayedPhaseIo {
-                reads: self.restructure_io.reads,
-                writes: self.restructure_io.writes,
-            },
-            compute_io: tc_trace::ReplayedPhaseIo {
-                reads: self.compute_io.reads,
-                writes: self.compute_io.writes,
-            },
-            io_by_kind: self.io_by_kind,
-            tuples_generated: self.tuples_generated,
-            duplicates: self.duplicates,
-            source_tuples: self.source_tuples,
-            unions: self.unions,
-            arcs_processed: self.arcs_processed,
-            arcs_marked: self.arcs_marked,
-            tuple_reads: self.tuple_reads,
-            tuple_writes: self.tuple_writes,
-            entries_pruned: self.entries_pruned,
-            list_fetches: self.list_fetches,
-            unmarked_locality_sum: self.unmarked_locality_sum,
-            unmarked_locality_count: self.unmarked_locality_count,
-            buffer: buf(&self.buffer),
-            buffer_compute: buf(&self.buffer_compute),
-            magic_nodes: self.magic_nodes,
-            magic_arcs: self.magic_arcs,
-            rect: self.rect.as_ref().map(|r| tc_trace::ReplayedRect {
-                height: r.height,
-                width: r.width,
-                max_level: r.max_level,
-                arcs: r.arcs as u64,
-                nodes: r.nodes as u64,
-            }),
-            io_retries: self.io_retries,
-            retry_backoff_ms: self.retry_backoff_ms,
-            faults_injected: self.faults_injected,
-            corruptions_detected: self.corruptions_detected,
-            answer_tuples: self.answer_tuples,
-            estimated_io_seconds: self.estimated_io_seconds,
-        }
     }
 }
 

@@ -10,9 +10,15 @@
 //!
 //! # Fold semantics
 //!
+//! *The ledger.* What an event counts is `tc_trace::Counts::on`'s to
+//! say: every event is handed to the profile's embedded
+//! [`Profile::counts`] first, and this fold adds only what is the
+//! profile's own — the finer tables below, the page-state machine behind
+//! them, residency and the hot-page histogram.
+//!
 //! *Physical attribution.* Every `PageRead`/`PageWrite` is attributed to
-//! the current phase (restructuring until `PhaseEnd(Restructure)`, the
-//! same boundary the engine snapshots and `tc_trace::replay` uses) and
+//! the ledger's current phase (restructuring until
+//! `PhaseEnd(Restructure)`, the same boundary the engine snapshots) and
 //! to the page's file kind carried by the event; per-iteration segments
 //! accumulate the same transfers between `IterationBegin` markers.
 //!
@@ -50,7 +56,7 @@
 //! A victim's class is decided when the miss that evicted it resolves
 //! (only then is the admitted page's kind known).
 
-use tc_trace::{Event, Kind, Phase};
+use tc_trace::{BufferStats, Counts, Event, Kind, PhaseIo};
 
 /// Number of kind buckets: the six `tc_trace::Kind`s plus one
 /// "unknown" bucket (index [`UNKNOWN`]) for pages whose kind never
@@ -66,55 +72,6 @@ pub fn kind_label(slot: usize) -> &'static str {
         Kind::ALL[slot].name()
     } else {
         "unknown"
-    }
-}
-
-/// A read/write pair of physical page-transfer counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IoCounts {
-    /// Physical page reads.
-    pub reads: u64,
-    /// Physical page writes.
-    pub writes: u64,
-}
-
-impl IoCounts {
-    /// Reads plus writes.
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
-    }
-}
-
-/// Per-kind buffer-manager counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KindBufStats {
-    /// Page requests attributed to this kind.
-    pub requests: u64,
-    /// Requests satisfied from the pool.
-    pub hits: u64,
-    /// Requests that missed (resolved or failed).
-    pub misses: u64,
-    /// Read-access requests.
-    pub read_requests: u64,
-    /// Read-access hits.
-    pub read_hits: u64,
-    /// Frames of this kind evicted by the replacement policy.
-    pub evictions: u64,
-    /// Evictions that forced a write-back.
-    pub dirty_evictions: u64,
-    /// Dirty pages written back by explicit flushes.
-    pub flush_writes: u64,
-}
-
-impl KindBufStats {
-    /// Read-hit ratio in basis points (hundredths of a percent), or
-    /// `None` when the kind saw no read requests. Integer arithmetic,
-    /// rounded half away from zero.
-    pub fn read_hit_bp(&self) -> Option<u64> {
-        if self.read_requests == 0 {
-            return None;
-        }
-        Some((self.read_hits * 10_000 + self.read_requests / 2) / self.read_requests)
     }
 }
 
@@ -166,34 +123,6 @@ pub struct ResidencySample {
     pub resident: u64,
 }
 
-/// Logical-work counters: the paper's "misleading" metrics (Table 4),
-/// carried so a correlation against page I/O can be computed from
-/// profiles alone.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LogicalCounts {
-    /// Distinct tuples generated.
-    pub tuples_generated: u64,
-    /// Entries read from successor structures (tuple I/O, read side).
-    pub tuple_reads: u64,
-    /// Entries appended to successor structures (tuple I/O, write side).
-    pub tuple_writes: u64,
-    /// Successor-list fetches (successor-list I/O).
-    pub list_fetches: u64,
-    /// Successor-list unions.
-    pub unions: u64,
-    /// Duplicate derivations.
-    pub duplicates: u64,
-    /// Answer tuples emitted.
-    pub answer_tuples: u64,
-}
-
-impl LogicalCounts {
-    /// Tuple reads plus tuple writes — the paper's "tuple I/O".
-    pub fn tuple_io(&self) -> u64 {
-        self.tuple_reads + self.tuple_writes
-    }
-}
-
 /// The derived profile of one event stream.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Profile {
@@ -207,15 +136,15 @@ pub struct Profile {
     pub events: u64,
     /// Physical transfers by phase (0 = restructuring, 1 = computation)
     /// and kind bucket.
-    pub attribution: [[IoCounts; KIND_SLOTS]; 2],
+    pub attribution: [[PhaseIo; KIND_SLOTS]; 2],
     /// Physical transfers per fixpoint iteration (stream order;
     /// empty for non-iterative algorithms).
-    pub iterations: Vec<IoCounts>,
+    pub iterations: Vec<PhaseIo>,
     /// Top-K pages by physical transfer count (count-descending,
     /// page-id ascending on ties).
     pub hot_pages: Vec<HotPage>,
     /// Buffer-manager counters by kind bucket.
-    pub buffer: [KindBufStats; KIND_SLOTS],
+    pub buffer: [BufferStats; KIND_SLOTS],
     /// Miss classification by kind bucket.
     pub misses: [MissClasses; KIND_SLOTS],
     /// Buffer requests whose miss never resolved (the request errored).
@@ -228,33 +157,27 @@ pub struct Profile {
     /// [`ProfileFold::with_interval`] events (always includes a final
     /// sample at end of stream).
     pub residency: Vec<ResidencySample>,
-    /// Logical-work counters.
-    pub logical: LogicalCounts,
-    /// Faults injected by an armed fault plan.
-    pub faults_injected: u64,
-    /// Transfer re-attempts after transient faults.
-    pub retries: u64,
-    /// Corrupted page images caught by checksums.
-    pub corruptions: u64,
+    /// The stream's ledger: every counter `tc_trace::replay` would
+    /// report for it (logical work, fault tallies, whole-stream page
+    /// I/O and buffer totals). The tables above are finer views of the
+    /// same events and sum to it.
+    pub counts: Counts,
 }
 
 impl Profile {
     /// Physical I/O of the restructuring phase.
-    pub fn restructure_io(&self) -> IoCounts {
+    pub fn restructure_io(&self) -> PhaseIo {
         sum_row(&self.attribution[0])
     }
 
     /// Physical I/O of the computation phase.
-    pub fn compute_io(&self) -> IoCounts {
+    pub fn compute_io(&self) -> PhaseIo {
         sum_row(&self.attribution[1])
     }
 
     /// Whole-run physical I/O by kind bucket.
-    pub fn io_by_kind(&self, slot: usize) -> IoCounts {
-        IoCounts {
-            reads: self.attribution[0][slot].reads + self.attribution[1][slot].reads,
-            writes: self.attribution[0][slot].writes + self.attribution[1][slot].writes,
-        }
+    pub fn io_by_kind(&self, slot: usize) -> PhaseIo {
+        self.attribution[0][slot].plus(&self.attribution[1][slot])
     }
 
     /// Whole-run physical reads.
@@ -273,19 +196,10 @@ impl Profile {
     }
 
     /// Buffer counters summed over kind buckets.
-    pub fn buffer_totals(&self) -> KindBufStats {
-        let mut t = KindBufStats::default();
-        for b in &self.buffer {
-            t.requests += b.requests;
-            t.hits += b.hits;
-            t.misses += b.misses;
-            t.read_requests += b.read_requests;
-            t.read_hits += b.read_hits;
-            t.evictions += b.evictions;
-            t.dirty_evictions += b.dirty_evictions;
-            t.flush_writes += b.flush_writes;
-        }
-        t
+    pub fn buffer_totals(&self) -> BufferStats {
+        self.buffer
+            .iter()
+            .fold(BufferStats::default(), |t, b| t.plus(b))
     }
 
     /// Miss classes summed over kind buckets.
@@ -300,13 +214,8 @@ impl Profile {
     }
 }
 
-fn sum_row(row: &[IoCounts; KIND_SLOTS]) -> IoCounts {
-    let mut t = IoCounts::default();
-    for c in row {
-        t.reads += c.reads;
-        t.writes += c.writes;
-    }
-    t
+fn sum_row(row: &[PhaseIo; KIND_SLOTS]) -> PhaseIo {
+    row.iter().fold(PhaseIo::default(), |t, c| t.plus(c))
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -336,8 +245,7 @@ enum PageState {
 struct Slot {
     kind: usize,
     state: PageState,
-    reads: u64,
-    writes: u64,
+    io: PhaseIo,
 }
 
 impl Default for Slot {
@@ -345,8 +253,7 @@ impl Default for Slot {
         Slot {
             kind: UNKNOWN,
             state: PageState::New,
-            reads: 0,
-            writes: 0,
+            io: PhaseIo::default(),
         }
     }
 }
@@ -370,7 +277,6 @@ pub const DEFAULT_TOP_K: usize = 10;
 /// Streaming fold of an event stream into a [`Profile`].
 pub struct ProfileFold {
     profile: Profile,
-    restructuring: bool,
     slots: Vec<Slot>,
     pending: Option<Pending>,
     resident: u64,
@@ -389,7 +295,6 @@ impl ProfileFold {
     pub fn new() -> ProfileFold {
         ProfileFold {
             profile: Profile::default(),
-            restructuring: true,
             slots: Vec::new(),
             pending: None,
             resident: 0,
@@ -447,12 +352,10 @@ impl ProfileFold {
             Some(k) => k,
             None => p.kind_hint,
         };
-        let b = &mut self.profile.buffer[kind];
-        b.requests += 1;
-        b.misses += 1;
-        if p.read {
-            b.read_requests += 1;
-        }
+        self.profile.buffer[kind].on(&Event::BufMiss {
+            page: p.page,
+            read: p.read,
+        });
         self.profile.misses[kind].add(p.class);
         if let Some(k) = success_kind {
             let s = self.slot(p.page);
@@ -469,27 +372,14 @@ impl ProfileFold {
     /// the page's histogram slot.
     fn physical(&mut self, page: u32, kind: Kind, write: bool) {
         let k = kind.idx();
-        let phase = if self.restructuring { 0 } else { 1 };
-        let row = &mut self.profile.attribution[phase][k];
-        if write {
-            row.writes += 1;
-        } else {
-            row.reads += 1;
-        }
+        let phase = self.profile.counts.phase().code() as usize;
+        self.profile.attribution[phase][k].bump(write);
         if let Some(i) = self.profile.iterations.last_mut() {
-            if write {
-                i.writes += 1;
-            } else {
-                i.reads += 1;
-            }
+            i.bump(write);
         }
         let s = self.slot(page);
         s.kind = k;
-        if write {
-            s.writes += 1;
-        } else {
-            s.reads += 1;
-        }
+        s.io.bump(write);
     }
 
     /// Folds one event.
@@ -513,6 +403,7 @@ impl ProfileFold {
             self.resolve_pending(None);
         }
 
+        self.profile.counts.on(&ev);
         match ev {
             Event::RunBegin {
                 algorithm,
@@ -523,7 +414,6 @@ impl ProfileFold {
                     self.profile.ms_per_io = Some(ms_per_io);
                 }
                 self.profile.runs += 1;
-                self.restructuring = true;
                 // A new run means a new pool and a new page space:
                 // reset residency and page states (histogram counts are
                 // kept — they aggregate across sub-runs).
@@ -535,13 +425,8 @@ impl ProfileFold {
                     self.resident = 0;
                 }
             }
-            Event::PhaseEnd { phase } => {
-                if phase == Phase::Restructure {
-                    self.restructuring = false;
-                }
-            }
             Event::IterationBegin { .. } => {
-                self.profile.iterations.push(IoCounts::default());
+                self.profile.iterations.push(PhaseIo::default());
             }
             Event::PageRead { page, kind } => {
                 if matches!(&self.pending, Some(p) if p.page == page) {
@@ -566,15 +451,9 @@ impl ProfileFold {
                     }
                 }
             }
-            Event::BufHit { page, read } => {
+            Event::BufHit { page, .. } | Event::FlushWrite { page } => {
                 let kind = self.slot(page).kind;
-                let b = &mut self.profile.buffer[kind];
-                b.requests += 1;
-                b.hits += 1;
-                if read {
-                    b.read_requests += 1;
-                    b.read_hits += 1;
-                }
+                self.profile.buffer[kind].on(&ev);
             }
             Event::BufMiss { page, read } => {
                 let s = self.slot(page);
@@ -605,7 +484,7 @@ impl ProfileFold {
                     victims: Vec::new(),
                 });
             }
-            Event::Evict { page, dirty } => {
+            Event::Evict { page, .. } => {
                 let (kind, was_resident) = {
                     let s = self.slot(page);
                     let r = (s.kind, s.state == PageState::Resident);
@@ -615,21 +494,13 @@ impl ProfileFold {
                 if was_resident {
                     self.resident = self.resident.saturating_sub(1);
                 }
-                let b = &mut self.profile.buffer[kind];
-                b.evictions += 1;
-                if dirty {
-                    b.dirty_evictions += 1;
-                }
+                self.profile.buffer[kind].on(&ev);
                 match &mut self.pending {
                     Some(p) => p.victims.push(page),
                     // No pending miss (foreign stream): the admitting
                     // kind will never be known — classify as capacity.
                     None => self.settle_victims(&[page], UNKNOWN),
                 }
-            }
-            Event::FlushWrite { page } => {
-                let kind = self.slot(page).kind;
-                self.profile.buffer[kind].flush_writes += 1;
             }
             Event::PageFreed { page } => {
                 let was_resident = {
@@ -643,36 +514,8 @@ impl ProfileFold {
                     self.resident = self.resident.saturating_sub(1);
                 }
             }
-            Event::FaultInjected { .. } => self.profile.faults_injected += 1,
-            Event::Retry { n, .. } => self.profile.retries += n,
-            Event::CorruptionDetected { .. } => self.profile.corruptions += 1,
-            Event::ListFetch => self.profile.logical.list_fetches += 1,
-            Event::Union => self.profile.logical.unions += 1,
-            Event::TupleRead => self.profile.logical.tuple_reads += 1,
-            Event::TupleReads { n } => self.profile.logical.tuple_reads += n,
-            Event::Generated { .. } => self.profile.logical.tuples_generated += 1,
-            Event::Duplicate => self.profile.logical.duplicates += 1,
-            Event::Duplicates { n } => self.profile.logical.duplicates += n,
-            Event::TupleEmit { .. } => self.profile.logical.answer_tuples += 1,
-            // Assignment semantics (emitted once per run): on condensed
-            // multi-run streams the counts accumulate.
-            Event::TupleWrites { n } => self.profile.logical.tuple_writes += n,
-            Event::RunEnd
-            | Event::PhaseBegin { .. }
-            | Event::Pin { .. }
-            | Event::Unpin { .. }
-            | Event::ArcProcessed { .. }
-            | Event::ArcsProcessed { .. }
-            | Event::Pruned { .. }
-            | Event::Locality { .. }
-            | Event::MagicNodes { .. }
-            | Event::MagicArcs { .. }
-            | Event::Rect { .. }
-            | Event::UpdateApply { .. }
-            | Event::DeltaApplied { .. }
-            | Event::ChainAssigned { .. }
-            | Event::ChainsBuilt { .. }
-            | Event::LabelsBuilt { .. } => {}
+            // Counted by the ledger alone; nothing finer to attribute.
+            _ => {}
         }
 
         self.profile.events += 1;
@@ -704,12 +547,12 @@ impl ProfileFold {
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.reads + s.writes > 0)
+            .filter(|(_, s)| s.io.total() > 0)
             .map(|(page, s)| HotPage {
                 page: page as u32,
                 kind: s.kind,
-                reads: s.reads,
-                writes: s.writes,
+                reads: s.io.reads,
+                writes: s.io.writes,
             })
             .collect();
         hot.sort_by(|a, b| {
@@ -735,6 +578,7 @@ pub fn profile_events(events: impl IntoIterator<Item = Event>) -> Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_trace::Phase;
 
     fn k(i: usize) -> Kind {
         Kind::from_idx(i)
@@ -764,14 +608,14 @@ mod tests {
         let p = f.finish();
         assert_eq!(
             p.restructure_io(),
-            IoCounts {
+            PhaseIo {
                 reads: 1,
                 writes: 0
             }
         );
         assert_eq!(
             p.compute_io(),
-            IoCounts {
+            PhaseIo {
                 reads: 1,
                 writes: 1
             }
@@ -872,7 +716,7 @@ mod tests {
         let last = p.residency.last().copied();
         assert_eq!(last.map(|s| s.resident), Some(1));
         assert_eq!(p.buffer[0].evictions, 1);
-        assert_eq!(p.buffer[0].dirty_evictions, 1);
+        assert_eq!(p.buffer[0].dirty_writebacks, 1);
     }
 
     #[test]

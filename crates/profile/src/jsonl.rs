@@ -85,7 +85,7 @@ mod tests {
         let mut fold = ProfileFold::new();
         assert_eq!(fold_jsonl(text.as_bytes(), &mut fold).unwrap(), 2);
         let p = fold.finish();
-        assert_eq!(p.logical.unions, 1);
+        assert_eq!(p.counts.unions, 1);
         assert_eq!(p.algorithm.as_deref(), Some("BTC"));
 
         let bad = "{\"ev\":\"union\"}\n{\"ev\":\"bogus\"}\n";

@@ -38,8 +38,8 @@ pub mod sink;
 
 pub use corr::{format_milli, ranks_f64, ranks_u64, spearman_from_ranks, spearman_u64};
 pub use fold::{
-    kind_label, profile_events, HotPage, IoCounts, KindBufStats, LogicalCounts, MissClasses,
-    Profile, ProfileFold, ResidencySample, KIND_SLOTS, UNKNOWN,
+    kind_label, profile_events, HotPage, MissClasses, Profile, ProfileFold, ResidencySample,
+    KIND_SLOTS, UNKNOWN,
 };
 pub use jsonl::{fold_jsonl, parse_line, profile_jsonl, JsonlError, ParseError};
 pub use report::{render, write_report};

@@ -6,15 +6,16 @@
 //! report can be pinned by an FNV-1a digest exactly like a trace
 //! (`tests/golden_profile.rs` does).
 
-use crate::fold::{kind_label, IoCounts, Profile, KIND_SLOTS};
+use crate::fold::{kind_label, Profile, KIND_SLOTS};
 use std::io::{self, Write};
+use tc_trace::PhaseIo;
 
 /// Basis points (hundredths of a percent) as `"NN.NN%"`.
 fn pct(bp: u64) -> String {
     format!("{}.{:02}%", bp / 100, bp % 100)
 }
 
-fn io_cell(c: IoCounts) -> String {
+fn io_cell(c: PhaseIo) -> String {
     format!("{} (r {}, w {})", c.total(), c.reads, c.writes)
 }
 
@@ -49,7 +50,7 @@ pub fn render(p: &Profile) -> String {
     }
     out.line(format!(
         "page I/O          : {}",
-        io_cell(IoCounts {
+        io_cell(PhaseIo {
             reads: p.total_reads(),
             writes: p.total_writes(),
         })
@@ -59,10 +60,11 @@ pub fn render(p: &Profile) -> String {
         io_cell(p.restructure_io())
     ));
     out.line(format!("  computation     : {}", io_cell(p.compute_io())));
-    if p.faults_injected + p.retries + p.corruptions > 0 {
+    let counts = &p.counts;
+    if counts.faults_injected + counts.io_retries + counts.corruptions_detected > 0 {
         out.line(format!(
             "faults            : {} injected, {} retries, {} corruptions",
-            p.faults_injected, p.retries, p.corruptions
+            counts.faults_injected, counts.io_retries, counts.corruptions_detected
         ));
     }
 
@@ -132,7 +134,7 @@ pub fn render(p: &Profile) -> String {
         "file", "requests", "hits", "misses", "read-hit"
     ));
     for k in 0..KIND_SLOTS {
-        let b = p.buffer[k];
+        let b = &p.buffer[k];
         if b.requests == 0 && b.evictions == 0 && b.flush_writes == 0 {
             continue;
         }
@@ -165,7 +167,7 @@ pub fn render(p: &Profile) -> String {
             "file", "evictions", "dirty", "flushes"
         ));
         for k in 0..KIND_SLOTS {
-            let b = p.buffer[k];
+            let b = &p.buffer[k];
             if b.evictions + b.flush_writes == 0 {
                 continue;
             }
@@ -173,13 +175,13 @@ pub fn render(p: &Profile) -> String {
                 "{:<18} {:>9} {:>9} {:>9}",
                 kind_label(k),
                 b.evictions,
-                b.dirty_evictions,
+                b.dirty_writebacks,
                 b.flush_writes
             ));
         }
         out.line(format!(
             "{:<18} {:>9} {:>9} {:>9}",
-            "total", t.evictions, t.dirty_evictions, t.flush_writes
+            "total", t.evictions, t.dirty_writebacks, t.flush_writes
         ));
     }
 
@@ -232,20 +234,17 @@ pub fn render(p: &Profile) -> String {
     }
 
     out.heading("Logical work (Table-4 metrics)");
-    out.line(format!(
-        "tuples generated  : {}",
-        p.logical.tuples_generated
-    ));
+    out.line(format!("tuples generated  : {}", counts.tuples_generated));
     out.line(format!(
         "tuple I/O         : {} (reads {}, writes {})",
-        p.logical.tuple_io(),
-        p.logical.tuple_reads,
-        p.logical.tuple_writes
+        counts.tuple_io(),
+        counts.tuple_reads,
+        counts.tuple_writes
     ));
-    out.line(format!("list fetches      : {}", p.logical.list_fetches));
-    out.line(format!("unions            : {}", p.logical.unions));
-    out.line(format!("duplicates        : {}", p.logical.duplicates));
-    out.line(format!("answer tuples     : {}", p.logical.answer_tuples));
+    out.line(format!("list fetches      : {}", counts.list_fetches));
+    out.line(format!("unions            : {}", counts.unions));
+    out.line(format!("duplicates        : {}", counts.duplicates));
+    out.line(format!("answer tuples     : {}", counts.answer_tuples));
 
     out.0
 }

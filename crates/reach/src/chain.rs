@@ -37,15 +37,15 @@ impl ChainDecomposition {
     /// [`Event::ChainAssigned`] per node plus a final
     /// [`Event::ChainsBuilt`] through `tracer`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `dag` is cyclic — condense first (the index builder
-    /// does this for you).
-    pub fn of<M: ReachMeter>(dag: &Graph, tracer: &Tracer, meter: &mut M) -> ChainDecomposition {
+    /// `None` if `dag` is cyclic (nothing is charged or emitted) —
+    /// condense first; the index builder does this for you.
+    pub fn of<M: ReachMeter>(
+        dag: &Graph,
+        tracer: &Tracer,
+        meter: &mut M,
+    ) -> Option<ChainDecomposition> {
         let n = dag.n();
-        let Some(order) = topological_order(dag) else {
-            panic!("chain decomposition requires a DAG (condense cyclic inputs first)");
-        };
+        let order = topological_order(dag)?;
         let parents = dag.reversed();
         let mut chains: Vec<Vec<NodeId>> = Vec::new();
         let mut chain_of = vec![NO_POS; n];
@@ -87,11 +87,11 @@ impl ChainDecomposition {
             chains: chains.len() as u64,
             components: n as u64,
         });
-        ChainDecomposition {
+        Some(ChainDecomposition {
             chains,
             chain_of,
             pos_of,
-        }
+        })
     }
 
     /// Number of chains — the width parameter k.
@@ -111,7 +111,7 @@ mod tests {
     use crate::index::NullMeter;
 
     fn decompose(g: &Graph) -> ChainDecomposition {
-        ChainDecomposition::of(g, &Tracer::disabled(), &mut NullMeter)
+        ChainDecomposition::of(g, &Tracer::disabled(), &mut NullMeter).expect("a DAG")
     }
 
     #[test]
@@ -152,9 +152,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires a DAG")]
-    fn cyclic_input_panics() {
+    fn cyclic_input_is_refused() {
         let g = Graph::from_arcs(2, [(0, 1), (1, 0)]);
-        decompose(&g);
+        assert!(ChainDecomposition::of(&g, &Tracer::disabled(), &mut NullMeter).is_none());
     }
 }

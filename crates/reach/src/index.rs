@@ -25,7 +25,8 @@
 
 use tc_graph::{condensation, Condensation, Graph, NodeId};
 use tc_storage::{
-    FileId, FileKind, Pager, RelationFile, StorageResult, TuplePage, TupleWriter, TUPLES_PER_PAGE,
+    FileId, FileKind, Pager, RelationFile, StorageError, StorageResult, TuplePage, TupleWriter,
+    TUPLES_PER_PAGE,
 };
 use tc_trace::{Event, Tracer};
 
@@ -150,7 +151,8 @@ impl ReachIndex {
         meter: &mut M,
     ) -> StorageResult<ReachIndex> {
         let cond = condensation(graph);
-        let cd = ChainDecomposition::of(&cond.graph, tracer, meter);
+        let cd = ChainDecomposition::of(&cond.graph, tracer, meter)
+            .ok_or(StorageError::Internal("condensation is cyclic"))?;
         let labels = LabelMatrix::compute(&cond.graph, &cd, meter);
 
         let mut chain_starts = Vec::with_capacity(cd.width() + 1);

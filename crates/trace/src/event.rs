@@ -4,27 +4,30 @@
 //! emits it. Events are small `Copy` values — constructing one never
 //! allocates, so the disabled-tracer fast path stays allocation-free.
 //!
-//! The variants mirror the cost-metric suite one-to-one: each metric
-//! counter has exactly one event (or event field) that increments it,
-//! which is what makes [`crate::replay`] an exact reconstruction rather
-//! than an estimate. Events that carry no metric (pin/unpin, iteration
-//! markers) exist purely for observability and are ignored by replay.
+//! The variants mirror the cost-metric suite one-to-one: each counter
+//! of [`crate::Counts`] has exactly one event (or event field) that
+//! increments it, which is what makes [`crate::replay`] an exact
+//! reconstruction rather than an estimate. Events that carry no metric
+//! (pin/unpin, iteration markers) exist purely for observability and
+//! count nothing.
 //!
 //! The vocabulary is declared **once**, in the `events!` table at the
 //! bottom of this module: the enum, [`Event::name`], [`Event::NAMES`],
 //! the JSONL encoder and parser and the digest fold are all generated
 //! from it, and what differs per field *type* lives in the seven impls
 //! of the private `Field` trait. Adding an event is one table entry;
-//! `replay.rs` and `tc-profile`'s fold then fail to compile until they
-//! say what the event means.
+//! [`crate::Counts::on`] — the one fold, which the engine, replay and
+//! `tc-profile` all count through — then fails to compile until it says
+//! what the event means.
 
 use crate::digest::Fnv;
 use std::io::{self, Write};
 
 /// The two phases of the study's uniform algorithm framework (§4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Default)]
 pub enum Phase {
     /// Topological sort + successor-list construction (preprocessing).
+    #[default]
     Restructure,
     /// List expansion and final write-out.
     Compute,

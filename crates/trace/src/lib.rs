@@ -9,16 +9,20 @@
 //! an emitted answer tuple, an injected fault, ...) emits exactly one
 //! typed [`Event`] through a [`Tracer`] handle, and
 //! [`replay`](replay::replay) folds an event stream back into the full
-//! cost-metric suite. The equivalence
+//! cost-metric suite, a [`Counts`]. The equivalence
 //!
 //! ```text
-//! metrics == replay(trace)
+//! metrics.counts == replay(trace)
 //! ```
 //!
 //! is therefore machine-checkable for every algorithm and every
-//! workload: the two sides are computed by *independent* code paths (the
-//! engine's snapshot-delta accounting vs. a pure fold over events), so a
-//! lost or double-counted unit of work on either side breaks the test.
+//! workload. What an event counts is defined once ([`Counts::on`], which
+//! the engine's `count_*` methods and the fold both go through), so the
+//! logical counters agree by construction; page I/O, its phase split and
+//! the buffer tallies are computed by *independent* code paths (the
+//! engine's snapshot-delta accounting over the live store and pool
+//! counters vs. a pure fold over events), so a lost or double-counted
+//! transfer on either side breaks the test.
 //!
 //! # Design
 //!
@@ -48,16 +52,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod counts;
 pub mod digest;
 pub mod event;
 pub mod replay;
 pub mod sink;
 
+pub use counts::{BufferStats, Counts, PhaseIo, Rect};
 pub use digest::{digest_events, Fnv, TraceDigest};
 pub use event::{Event, Kind, ParseError, Phase, ALGORITHM_NAMES};
-pub use replay::{
-    replay, ReplayError, ReplayedBufferStats, ReplayedMetrics, ReplayedPhaseIo, ReplayedRect,
-};
+pub use replay::{replay, ReplayError};
 pub use sink::{DigestSink, JsonlSink, TeeSink, TraceSink, Tracer, VecSink};
 
 // Compile-time thread-safety audit: tracers are embedded in

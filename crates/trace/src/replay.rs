@@ -1,224 +1,17 @@
 //! Replay: re-deriving the cost-metric suite from an event stream.
 //!
-//! [`replay`] folds a trace into a [`ReplayedMetrics`] using *only* the
-//! events — no access to the engine's counters. Because the engine
-//! derives the same numbers from snapshot deltas over live `DiskStats` /
-//! `BufferStats`, the equivalence `metrics == replay(trace)` checks both
-//! sides at once: an event emitted without its counter (or a counter
-//! bumped without its event) breaks the fold, and a bug in the engine's
-//! snapshot arithmetic breaks it from the other side.
-//!
-//! ## Derivation rules
-//!
-//! * Phase attribution: everything before `PhaseEnd(Restructure)` is
-//!   restructuring, everything after is computation — the engine emits
-//!   that boundary event at the exact point it snapshots its counters.
-//! * Buffer identities: `requests = hits + misses` (a fresh-page
-//!   allocation counts as a non-read miss), `read_requests` counts only
-//!   read accesses, evictions/write-backs/flushes are explicit events.
-//! * Floating-point fields are reproduced by performing the *same*
-//!   operations in the *same* order as the engine (stream-order
-//!   summation for locality, the identical `ios * ms_per_io / 1000`
-//!   formula for estimated I/O time), so they are bit-identical, not
-//!   approximately equal.
-//! * `SRCH` has no restructuring payoff, so the engine reports its
-//!   whole-run buffer behaviour as the compute-phase figure; replay
-//!   mirrors that single algorithm-keyed exception.
-//! * `TupleWrites`/`MagicNodes`/`MagicArcs`/`Rect` carry assignment
-//!   semantics (last value wins), matching the engine's single final
-//!   assignment per run.
+//! [`replay`] folds a trace into a [`Counts`] using *only* the events —
+//! no access to the engine's counters. The logical counters agree with
+//! the engine's by construction (both sides are [`Counts::on`]); what
+//! the equivalence `counts == replay(trace)` checks is everything the
+//! engine derives another way, from snapshot deltas over the live
+//! `DiskStats` / `BufferStats`: page I/O and its phase split, the buffer
+//! tallies, the `SRCH` exception, the answer count and the I/O-time
+//! estimate. A lost or double-counted transfer on either side, or a bug
+//! in the engine's snapshot arithmetic, breaks it.
 
-use crate::event::{Event, Phase};
-
-/// Physical page I/O of one phase, as reconstructed from the trace
-/// (mirrors `tc_core::PhaseIo`).
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct ReplayedPhaseIo {
-    /// Physical page reads.
-    pub reads: u64,
-    /// Physical page writes.
-    pub writes: u64,
-}
-
-impl ReplayedPhaseIo {
-    /// Total page transfers.
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
-    }
-}
-
-/// Buffer-manager counters reconstructed from the trace (mirrors
-/// `tc_buffer::BufferStats`).
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct ReplayedBufferStats {
-    /// Logical page requests.
-    pub requests: u64,
-    /// Requests satisfied from the pool.
-    pub hits: u64,
-    /// Requests that faulted a page in (or allocated one).
-    pub misses: u64,
-    /// Read-access requests.
-    pub read_requests: u64,
-    /// Read-access hits.
-    pub read_hits: u64,
-    /// Frames evicted.
-    pub evictions: u64,
-    /// Evictions that wrote a dirty page back.
-    pub dirty_writebacks: u64,
-    /// Dirty pages written by explicit flushes.
-    pub flush_writes: u64,
-    /// Physical-transfer re-attempts after transient faults.
-    pub retries: u64,
-    /// Simulated retry backoff, in milliseconds.
-    pub retry_backoff_ms: u64,
-}
-
-impl ReplayedBufferStats {
-    fn since(&self, base: &ReplayedBufferStats) -> ReplayedBufferStats {
-        ReplayedBufferStats {
-            requests: self.requests - base.requests,
-            hits: self.hits - base.hits,
-            misses: self.misses - base.misses,
-            read_requests: self.read_requests - base.read_requests,
-            read_hits: self.read_hits - base.read_hits,
-            evictions: self.evictions - base.evictions,
-            dirty_writebacks: self.dirty_writebacks - base.dirty_writebacks,
-            flush_writes: self.flush_writes - base.flush_writes,
-            retries: self.retries - base.retries,
-            retry_backoff_ms: self.retry_backoff_ms - base.retry_backoff_ms,
-        }
-    }
-}
-
-/// Rectangle-model statistics reconstructed from the trace (mirrors
-/// `tc_graph::RectangleModel`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReplayedRect {
-    /// Mean node level `H(G)`.
-    pub height: f64,
-    /// `|G| / H(G)`.
-    pub width: f64,
-    /// Maximum node level.
-    pub max_level: u32,
-    /// Arc count.
-    pub arcs: u64,
-    /// Node count.
-    pub nodes: u64,
-}
-
-/// The full cost-metric suite as reconstructed by [`replay`] — one
-/// field per `tc_core::CostMetrics` field except wall-clock `elapsed`
-/// (a trace carries no timestamps by design).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplayedMetrics {
-    /// `Algorithm::name()` of the run.
-    pub algorithm: String,
-    /// Physical I/O of the restructuring phase.
-    pub restructure_io: ReplayedPhaseIo,
-    /// Physical I/O of the computation phase.
-    pub compute_io: ReplayedPhaseIo,
-    /// Whole-run (reads, writes) per file kind, by `FileKind::idx`.
-    pub io_by_kind: [(u64, u64); 6],
-    /// Distinct tuples generated.
-    pub tuples_generated: u64,
-    /// Duplicate derivations.
-    pub duplicates: u64,
-    /// Generated tuples in source-node results.
-    pub source_tuples: u64,
-    /// Successor-list unions.
-    pub unions: u64,
-    /// Arcs considered for expansion.
-    pub arcs_processed: u64,
-    /// Arcs skipped by marking.
-    pub arcs_marked: u64,
-    /// Entries read from successor structures.
-    pub tuple_reads: u64,
-    /// Entries appended to successor structures.
-    pub tuple_writes: u64,
-    /// Entries pruned by tree unions.
-    pub entries_pruned: u64,
-    /// Successor lists fetched.
-    pub list_fetches: u64,
-    /// Sum of level distances over expanded arcs.
-    pub unmarked_locality_sum: f64,
-    /// Number of expanded arcs in that sum.
-    pub unmarked_locality_count: u64,
-    /// Whole-run buffer counters.
-    pub buffer: ReplayedBufferStats,
-    /// Compute-phase buffer counters (whole-run for `SRCH`).
-    pub buffer_compute: ReplayedBufferStats,
-    /// Nodes of the (magic) graph processed.
-    pub magic_nodes: u64,
-    /// Arcs of the (magic) graph processed.
-    pub magic_arcs: u64,
-    /// Rectangle model, when the run computed one.
-    pub rect: Option<ReplayedRect>,
-    /// Transfer re-attempts after injected transient faults.
-    pub io_retries: u64,
-    /// Simulated retry backoff, in milliseconds.
-    pub retry_backoff_ms: u64,
-    /// Faults injected by the armed plan.
-    pub faults_injected: u64,
-    /// Corrupted pages caught by checksum verification.
-    pub corruptions_detected: u64,
-    /// Answer tuples produced.
-    pub answer_tuples: u64,
-    /// Estimated I/O time at the run's ms-per-I/O.
-    pub estimated_io_seconds: f64,
-}
-
-impl ReplayedMetrics {
-    /// Total physical page I/O.
-    pub fn total_io(&self) -> u64 {
-        self.restructure_io.total() + self.compute_io.total()
-    }
-
-    /// Names every field on which `self` and `other` disagree — the
-    /// actionable form of a failed `metrics == replay(trace)` assertion.
-    pub fn diff(&self, other: &ReplayedMetrics) -> Vec<String> {
-        let mut out = Vec::new();
-        macro_rules! cmp {
-            ($field:ident) => {
-                if self.$field != other.$field {
-                    out.push(format!(
-                        "{}: {:?} != {:?}",
-                        stringify!($field),
-                        self.$field,
-                        other.$field
-                    ));
-                }
-            };
-        }
-        cmp!(algorithm);
-        cmp!(restructure_io);
-        cmp!(compute_io);
-        cmp!(io_by_kind);
-        cmp!(tuples_generated);
-        cmp!(duplicates);
-        cmp!(source_tuples);
-        cmp!(unions);
-        cmp!(arcs_processed);
-        cmp!(arcs_marked);
-        cmp!(tuple_reads);
-        cmp!(tuple_writes);
-        cmp!(entries_pruned);
-        cmp!(list_fetches);
-        cmp!(unmarked_locality_sum);
-        cmp!(unmarked_locality_count);
-        cmp!(buffer);
-        cmp!(buffer_compute);
-        cmp!(magic_nodes);
-        cmp!(magic_arcs);
-        cmp!(rect);
-        cmp!(io_retries);
-        cmp!(retry_backoff_ms);
-        cmp!(faults_injected);
-        cmp!(corruptions_detected);
-        cmp!(answer_tuples);
-        cmp!(estimated_io_seconds);
-        out
-    }
-}
+use crate::counts::Counts;
+use crate::event::Event;
 
 /// Why a stream could not be replayed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -239,187 +32,27 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Folds an event stream into the cost metrics it implies. The stream
-/// must begin with `RunBegin`; everything else is tolerated in any
-/// order (unknown-to-replay events like pins are simply ignored), so
-/// partial traces of crashed runs still fold.
-pub fn replay(events: impl IntoIterator<Item = Event>) -> Result<ReplayedMetrics, ReplayError> {
-    let mut it = events.into_iter();
-    let (algorithm, ms_per_io) = match it.next() {
-        Some(Event::RunBegin {
-            algorithm,
-            ms_per_io,
-        }) => (algorithm, ms_per_io),
-        _ => return Err(ReplayError::MissingRunBegin),
-    };
-    let mut m = ReplayedMetrics {
-        algorithm: algorithm.to_string(),
-        restructure_io: ReplayedPhaseIo::default(),
-        compute_io: ReplayedPhaseIo::default(),
-        io_by_kind: [(0, 0); 6],
-        tuples_generated: 0,
-        duplicates: 0,
-        source_tuples: 0,
-        unions: 0,
-        arcs_processed: 0,
-        arcs_marked: 0,
-        tuple_reads: 0,
-        tuple_writes: 0,
-        entries_pruned: 0,
-        list_fetches: 0,
-        unmarked_locality_sum: 0.0,
-        unmarked_locality_count: 0,
-        buffer: ReplayedBufferStats::default(),
-        buffer_compute: ReplayedBufferStats::default(),
-        magic_nodes: 0,
-        magic_arcs: 0,
-        rect: None,
-        io_retries: 0,
-        retry_backoff_ms: 0,
-        faults_injected: 0,
-        corruptions_detected: 0,
-        answer_tuples: 0,
-        estimated_io_seconds: 0.0,
-    };
-    // Before PhaseEnd(Restructure) page transfers belong to the
-    // restructuring phase; the engine emits that event at its counter
-    // snapshot, and we snapshot the buffer counters at the same point.
-    let mut restructuring = true;
-    let mut buffer_at_phase_end = ReplayedBufferStats::default();
-    for ev in it {
-        match ev {
-            Event::PhaseEnd {
-                phase: Phase::Restructure,
-            } => {
-                restructuring = false;
-                buffer_at_phase_end = m.buffer;
-            }
-            Event::PageRead { kind, .. } => {
-                let io = if restructuring {
-                    &mut m.restructure_io
-                } else {
-                    &mut m.compute_io
-                };
-                io.reads += 1;
-                m.io_by_kind[kind.idx()].0 += 1;
-            }
-            Event::PageWrite { kind, .. } => {
-                let io = if restructuring {
-                    &mut m.restructure_io
-                } else {
-                    &mut m.compute_io
-                };
-                io.writes += 1;
-                m.io_by_kind[kind.idx()].1 += 1;
-            }
-            Event::FaultInjected { .. } => m.faults_injected += 1,
-            Event::CorruptionDetected { .. } => m.corruptions_detected += 1,
-            Event::BufHit { read, .. } => {
-                m.buffer.requests += 1;
-                m.buffer.hits += 1;
-                if read {
-                    m.buffer.read_requests += 1;
-                    m.buffer.read_hits += 1;
-                }
-            }
-            Event::BufMiss { read, .. } => {
-                m.buffer.requests += 1;
-                m.buffer.misses += 1;
-                if read {
-                    m.buffer.read_requests += 1;
-                }
-            }
-            Event::Evict { dirty, .. } => {
-                m.buffer.evictions += 1;
-                if dirty {
-                    m.buffer.dirty_writebacks += 1;
-                }
-            }
-            Event::FlushWrite { .. } => m.buffer.flush_writes += 1,
-            Event::Retry { n, backoff_ms } => {
-                m.buffer.retries += n;
-                m.buffer.retry_backoff_ms += backoff_ms;
-            }
-            Event::ListFetch => m.list_fetches += 1,
-            Event::Union => m.unions += 1,
-            Event::ArcProcessed { marked } => {
-                m.arcs_processed += 1;
-                if marked {
-                    m.arcs_marked += 1;
-                }
-            }
-            Event::ArcsProcessed { n } => m.arcs_processed += n,
-            Event::TupleRead => m.tuple_reads += 1,
-            Event::TupleReads { n } => m.tuple_reads += n,
-            Event::Generated { source } => {
-                m.tuples_generated += 1;
-                if source {
-                    m.source_tuples += 1;
-                }
-            }
-            Event::Duplicate => m.duplicates += 1,
-            Event::Duplicates { n } => m.duplicates += n,
-            Event::Pruned { n } => m.entries_pruned += n,
-            Event::Locality { delta } => {
-                m.unmarked_locality_sum += delta;
-                m.unmarked_locality_count += 1;
-            }
-            Event::TupleEmit { .. } => m.answer_tuples += 1,
-            Event::TupleWrites { n } => m.tuple_writes = n,
-            Event::MagicNodes { n } => m.magic_nodes = n,
-            Event::MagicArcs { n } => m.magic_arcs = n,
-            Event::Rect {
-                height,
-                width,
-                max_level,
-                arcs,
-                nodes,
-            } => {
-                m.rect = Some(ReplayedRect {
-                    height,
-                    width,
-                    max_level,
-                    arcs,
-                    nodes,
-                })
-            }
-            // Structure/observability events with no metric counterpart.
-            Event::RunBegin { .. }
-            | Event::RunEnd
-            | Event::PhaseBegin { .. }
-            | Event::PhaseEnd { .. }
-            | Event::IterationBegin { .. }
-            | Event::Pin { .. }
-            | Event::Unpin { .. }
-            | Event::PageAlloc { .. }
-            | Event::PageFreed { .. }
-            | Event::UpdateApply { .. }
-            | Event::DeltaApplied { .. }
-            | Event::ChainAssigned { .. }
-            | Event::ChainsBuilt { .. }
-            | Event::LabelsBuilt { .. } => {}
-        }
+/// Folds an event stream into the counts it implies. The stream must
+/// begin with `RunBegin`; everything else is tolerated in any order, so
+/// partial traces of crashed runs still fold, and a stream of several
+/// runs folds into their sum.
+pub fn replay(events: impl IntoIterator<Item = Event>) -> Result<Counts, ReplayError> {
+    let mut events = events.into_iter().peekable();
+    if !matches!(events.peek(), Some(Event::RunBegin { .. })) {
+        return Err(ReplayError::MissingRunBegin);
     }
-    m.io_retries = m.buffer.retries;
-    m.retry_backoff_ms = m.buffer.retry_backoff_ms;
-    // SRCH does all its work in what the framework calls the
-    // restructuring phase; the engine reports its whole-run buffer
-    // behaviour as the compute figure (the paper's hit ratios would
-    // otherwise be vacuous for it).
-    m.buffer_compute = if m.algorithm == "SRCH" {
-        m.buffer
-    } else {
-        m.buffer.since(&buffer_at_phase_end)
-    };
-    // Same formula, same operand order as `IoCostModel::estimate_seconds`.
-    m.estimated_io_seconds = m.total_io() as f64 * ms_per_io / 1000.0;
-    Ok(m)
+    let mut counts = Counts::default();
+    for ev in events {
+        counts.on(&ev);
+    }
+    Ok(counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Kind;
+    use crate::counts::PhaseIo;
+    use crate::event::{Kind, Phase};
 
     #[test]
     fn rejects_streams_without_run_begin() {
@@ -474,17 +107,16 @@ mod tests {
             Event::RunEnd,
         ];
         let m = replay(trace).unwrap();
-        assert_eq!(m.algorithm, "BTC");
         assert_eq!(
             m.restructure_io,
-            ReplayedPhaseIo {
+            PhaseIo {
                 reads: 1,
                 writes: 0
             }
         );
         assert_eq!(
             m.compute_io,
-            ReplayedPhaseIo {
+            PhaseIo {
                 reads: 0,
                 writes: 1
             }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use tc_study::core::prelude::*;
 use tc_study::graph::{closure, DagGenerator, Graph, NodeId, StreamKind, UpdateOp, UpdateStream};
 use tc_study::storage::Backend;
-use tc_study::trace::{replay, DigestSink, ReplayedMetrics, Tracer, VecSink};
+use tc_study::trace::{replay, Counts, DigestSink, Tracer, VecSink};
 
 /// The canonical G5 instance every golden suite uses.
 fn canonical_graph() -> Graph {
@@ -65,7 +65,7 @@ fn incremental_equals_scratch_after_every_batch() {
         let events = sink.events();
         let replayed = replay(events[seen..].iter().cloned()).expect("replay");
         seen = events.len();
-        let expected = res.metrics.to_replayed();
+        let expected = res.metrics.counts;
         assert_eq!(
             replayed,
             expected,
@@ -95,7 +95,7 @@ fn incremental_equals_scratch_after_every_batch() {
 struct Observed {
     digest_hash: u64,
     digest_count: u64,
-    per_batch: Vec<(u64, u64, u64, ReplayedMetrics)>,
+    per_batch: Vec<(u64, u64, u64, Counts)>,
     final_tuples: usize,
 }
 
@@ -117,7 +117,7 @@ fn run_stream(backend: Backend) -> Observed {
             res.inserted,
             res.removed,
             res.metrics.total_io(),
-            res.metrics.to_replayed(),
+            res.metrics.counts,
         ));
     }
     let d = sink.digest();

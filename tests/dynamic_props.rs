@@ -143,7 +143,7 @@ fn incremental_matches_scratch_on_random_streams() {
                     Err(e) => return Err(format!("replay failed after {op:?}: {e:?}")),
                 };
                 seen = events.len();
-                let expected = res.metrics.to_replayed();
+                let expected = res.metrics.counts;
                 require!(
                     replayed == expected,
                     "replay(trace) != metrics after {:?}; field diff:\n{}",
@@ -222,6 +222,43 @@ fn an_arc_inserted_and_deleted_in_one_batch_derives_nothing() {
     ] {
         assert_eq!(check_batch(&g, &batch), Ok(()));
     }
+}
+
+/// `tcq update --trace` writes one stream with a `RunBegin` per batch.
+/// Replaying it whole must give the sum of the batches: each `RunBegin`
+/// returns the fold to the restructuring phase, `buffer_compute` counts
+/// every run's computation phase, and the once-per-run `TupleWrites`
+/// totals add up. (Before the folds were merged, `replay` stayed in the
+/// first run's computation phase and kept the last `TupleWrites` only,
+/// while `tcq analyze` did neither.)
+#[test]
+fn a_stream_of_two_batches_replays_to_the_sum_of_its_batches() {
+    use UpdateOp::{Delete, Insert};
+    let g = Graph::from_arcs(40, (0..39).map(|i| (i, i + 1)));
+    let sink = Arc::new(VecSink::unbounded());
+    let cfg = SystemConfig::with_buffer(4).traced(Tracer::new(sink.clone()));
+    let mut dyn_tc = DynamicClosure::build(&g, &cfg).expect("build");
+    let a = dyn_tc.apply(&[Delete(19, 20)]).expect("first batch");
+    let b = dyn_tc
+        .apply(&[Insert(19, 20), Delete(5, 6)])
+        .expect("second batch");
+    let (a, b) = (a.metrics.counts, b.metrics.counts);
+    assert!(
+        b.restructure_io.total() > 0 && b.tuple_writes > 0,
+        "the second batch must restructure and write, or the sums below check nothing"
+    );
+    let whole = replay(sink.events()).expect("replay");
+    assert_eq!(
+        whole.restructure_io,
+        a.restructure_io.plus(&b.restructure_io)
+    );
+    assert_eq!(whole.compute_io, a.compute_io.plus(&b.compute_io));
+    assert_eq!(
+        whole.buffer_compute,
+        a.buffer_compute.plus(&b.buffer_compute)
+    );
+    assert_eq!(whole.buffer, a.buffer.plus(&b.buffer));
+    assert_eq!(whole.tuple_writes, a.tuple_writes + b.tuple_writes);
 }
 
 #[test]
@@ -369,7 +406,7 @@ fn permuted_labels_match_the_oracle_or_refuse_the_cycle() {
                             live = next;
                             let replayed = replay(events[seen..].iter().cloned())
                                 .map_err(|e| format!("replay failed after {batch:?}: {e:?}"))?;
-                            let expected = res.metrics.to_replayed();
+                            let expected = res.metrics.counts;
                             require!(
                                 replayed == expected,
                                 "replay(trace) != metrics after {:?}; field diff:\n{}",

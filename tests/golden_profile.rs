@@ -94,7 +94,7 @@ fn profile_attribution_equals_cost_metrics_for_every_algorithm() {
         assert_eq!(b.read_hits, m.buffer.read_hits, "{algo}: read hits");
         assert_eq!(b.evictions, m.buffer.evictions, "{algo}: evictions");
         assert_eq!(
-            b.dirty_evictions, m.buffer.dirty_writebacks,
+            b.dirty_writebacks, m.buffer.dirty_writebacks,
             "{algo}: dirty evictions"
         );
         assert_eq!(b.flush_writes, m.buffer.flush_writes, "{algo}: flushes");
@@ -110,11 +110,11 @@ fn profile_attribution_equals_cost_metrics_for_every_algorithm() {
         assert_eq!(p.failed_requests, 0, "{algo}: failed requests");
 
         // ---- Logical work mirrors the misleading-metric counters.
-        assert_eq!(p.logical.tuples_generated, m.tuples_generated, "{algo}");
-        assert_eq!(p.logical.unions, m.unions, "{algo}: unions");
-        assert_eq!(p.logical.list_fetches, m.list_fetches, "{algo}");
-        assert_eq!(p.logical.tuple_reads, m.tuple_reads, "{algo}");
-        assert_eq!(p.logical.tuple_writes, m.tuple_writes, "{algo}");
+        assert_eq!(p.counts.tuples_generated, m.tuples_generated, "{algo}");
+        assert_eq!(p.counts.unions, m.unions, "{algo}: unions");
+        assert_eq!(p.counts.list_fetches, m.list_fetches, "{algo}");
+        assert_eq!(p.counts.tuple_reads, m.tuple_reads, "{algo}");
+        assert_eq!(p.counts.tuple_writes, m.tuple_writes, "{algo}");
 
         table.push((algo.name(), digest(&render(&p))));
     }

@@ -103,7 +103,7 @@ fn replay_reconstructs_metrics_for_every_algorithm_on_golden_g5() {
             // captured stream (VecSink lost nothing).
             assert_eq!(sink.dropped(), 0, "{algo}: VecSink dropped events");
             let replayed = replay(events.iter().cloned()).unwrap();
-            let expected = res.metrics.to_replayed();
+            let expected = res.metrics.counts;
             assert_eq!(
                 replayed,
                 expected,

@@ -101,8 +101,7 @@ fn golden_g5_metrics_are_identical_with_and_without_spans() {
     );
     assert_eq!(observed.metrics.total_io(), GOLDEN_TOTAL_IO);
     assert_eq!(
-        observed.metrics.to_replayed(),
-        plain.metrics.to_replayed(),
+        observed.metrics.counts, plain.metrics.counts,
         "recording spans changed the measured metrics"
     );
 }

@@ -118,9 +118,9 @@ fn profile_invariants_hold_on_random_workloads() {
                 require_eq!(b.read_requests, m.buffer.read_requests, "{algo}");
                 require_eq!(b.read_hits, m.buffer.read_hits, "{algo}: read hits");
                 require_eq!(b.evictions, m.buffer.evictions, "{algo}: evictions");
-                require_eq!(b.dirty_evictions, m.buffer.dirty_writebacks, "{algo}");
+                require_eq!(b.dirty_writebacks, m.buffer.dirty_writebacks, "{algo}");
                 require_eq!(b.flush_writes, m.buffer.flush_writes, "{algo}: flushes");
-                require_eq!(p.retries, m.buffer.retries, "{algo}: retries");
+                require_eq!(p.counts.io_retries, m.buffer.retries, "{algo}: retries");
 
                 // 3. Miss classes partition the misses (totals and every
                 // per-kind row).

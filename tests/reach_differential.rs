@@ -73,7 +73,7 @@ fn index_full_closure_matches_btc_on_g5() {
 }
 
 /// One index run on the given backend, everything comparable captured.
-fn observe(backend: Backend) -> (u64, u64, tc_study::trace::ReplayedMetrics, u64, u64) {
+fn observe(backend: Backend) -> (u64, u64, tc_study::trace::Counts, u64, u64) {
     let g = canonical_graph();
     let base = SystemConfig::with_buffer(20).backend(backend.clone());
     let mut db = Database::build_for(&g, true, &base).expect("build database");
@@ -86,7 +86,7 @@ fn observe(backend: Backend) -> (u64, u64, tc_study::trace::ReplayedMetrics, u64
     (
         d.hash,
         d.count,
-        res.metrics.to_replayed(),
+        res.metrics.counts.clone(),
         res.metrics.total_io(),
         res.metrics.answer_tuples,
     )
@@ -149,9 +149,9 @@ fn replay_reconstructs_index_metrics_and_sees_chain_events() {
     let replayed = replay(events).expect("replay");
     assert_eq!(
         replayed,
-        res.metrics.to_replayed(),
+        res.metrics.counts,
         "replay(trace) != metrics; field diff:\n{}",
-        res.metrics.to_replayed().diff(&replayed).join("\n")
+        res.metrics.counts.diff(&replayed).join("\n")
     );
 }
 

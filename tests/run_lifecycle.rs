@@ -98,9 +98,9 @@ fn accounted(metrics: &CostMetrics, events: &[Event], what: &str) {
         "{what}: phases partition the total"
     );
     let replayed = replay(events.iter().copied()).expect("replay");
-    let expected = metrics.to_replayed();
+    let expected = &metrics.counts;
     assert!(
-        replayed == expected,
+        &replayed == expected,
         "{what}: replay(trace) != metrics:\n{}",
         expected.diff(&replayed).join("\n")
     );

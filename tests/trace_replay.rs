@@ -9,13 +9,17 @@
 //! and optional transient-fault plans (replay a failure with the printed
 //! `TC_DET_SEED=...`).
 
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter};
 use std::sync::Arc;
 use tc_study::buffer::PagePolicy;
 use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require, require_eq, Rng};
-use tc_study::graph::Graph;
-use tc_study::trace::{replay, Tracer, VecSink};
+use tc_study::graph::{DagGenerator, Graph};
+use tc_study::profile::profile_jsonl;
+use tc_study::storage::TempDir;
+use tc_study::trace::{replay, Event, JsonlSink, Tracer, VecSink};
 
 /// Raw generated input: node count plus unconstrained arc pairs (kept
 /// raw so shrinking can drop arcs directly), a source set, a policy
@@ -92,7 +96,7 @@ fn replay_reconstructs_metrics_on_random_workloads() {
                     Ok(r) => r,
                     Err(e) => return Err(format!("{algo}: replay failed: {e:?}")),
                 };
-                let expected = res.metrics.to_replayed();
+                let expected = res.metrics.counts;
                 require!(
                     replayed == expected,
                     "{}: replay(trace) != metrics; field diff:\n{}",
@@ -102,4 +106,40 @@ fn replay_reconstructs_metrics_on_random_workloads() {
             }
             Ok(())
         });
+}
+
+/// The trace a user keeps is the file `--trace` wrote, not the events in
+/// memory: the JSONL encoder, the line parser and both consumers of the
+/// parsed stream (replay, and the profile `tcq analyze` renders) must
+/// hand back the run's own counts through a real file, for every
+/// algorithm on the canonical G5 workload.
+#[test]
+fn the_trace_on_disk_replays_to_the_runs_counts() {
+    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
+    let mut db = Database::build(&g, true).unwrap();
+    let dir = TempDir::new("trace-replay").unwrap();
+    let path = dir.path().join("run.jsonl");
+    for algo in Algorithm::WITH_INDEX {
+        let sink = Arc::new(JsonlSink::new(BufWriter::new(File::create(&path).unwrap())));
+        let cfg = SystemConfig::with_buffer(20).traced(Tracer::new(sink.clone()));
+        let res = db
+            .run(&Query::partial(vec![11, 503, 977]), algo, &cfg)
+            .unwrap();
+        sink.finish().unwrap();
+        let expected = &res.metrics.counts;
+
+        let lines = BufReader::new(File::open(&path).unwrap()).lines();
+        let replayed = replay(lines.map(|l| Event::parse_jsonl(&l.unwrap()).unwrap())).unwrap();
+        assert!(
+            &replayed == expected,
+            "{algo}: replay(file) != counts; field diff:\n{}",
+            expected.diff(&replayed).join("\n")
+        );
+        let profile = profile_jsonl(BufReader::new(File::open(&path).unwrap())).unwrap();
+        assert!(
+            &profile.counts == expected,
+            "{algo}: profile(file).counts != counts; field diff:\n{}",
+            expected.diff(&profile.counts).join("\n")
+        );
+    }
 }
