@@ -7,10 +7,10 @@
 //! (integer fields only, fixed key order, `\n` line ends), so a byte
 //! comparison against the committed file is a tolerance-zero regression
 //! gate: any drift in page I/O, buffer behaviour, CPU-work counts or
-//! the event stream itself shows up as a diff. The CI `bench-baseline`
-//! job regenerates the file at `--jobs 1` and `--jobs 2` and fails on
-//! any difference, which simultaneously re-proves scheduler
-//! determinism end-to-end.
+//! the event stream itself shows up as a diff. `gate.sh full
+//! bench-baseline` regenerates the file at `--jobs 1` and `--jobs 2`
+//! and fails on any difference, which simultaneously re-proves
+//! scheduler determinism end-to-end.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -19,7 +19,7 @@
 //! ```
 
 use crate::corpus::family;
-use crate::experiments::{run_cells_each_traced, Cell, CellOutput, CellTask, ExpResult, QuerySpec};
+use crate::experiments::{run_cells, Cell, CellOutput, CellTask, ExpResult, QuerySpec, Sinks};
 use std::sync::Arc;
 use tc_core::prelude::*;
 use tc_profile::{Profile, ProfileSink};
@@ -48,6 +48,7 @@ fn query_cell(
     sources: usize,
     buffer: usize,
     policy: PagePolicy,
+    backend: &Backend,
 ) -> BaselineCell {
     let name = format!(
         "{}-{}-ptc{sources}-m{buffer}-{}",
@@ -64,7 +65,9 @@ fn query_cell(
             task: CellTask::Query {
                 algorithm,
                 query: QuerySpec::Ptc(sources),
-                cfg: SystemConfig::with_buffer(buffer).page_policy(policy),
+                cfg: SystemConfig::with_buffer(buffer)
+                    .page_policy(policy)
+                    .backend(backend.clone()),
             },
         },
         buffer,
@@ -72,7 +75,8 @@ fn query_cell(
     }
 }
 
-/// The canonical baseline grid, in canonical order:
+/// The canonical baseline grid, every cell stamped to run on `backend`,
+/// in canonical order:
 ///
 /// 1. all eight algorithms on G5, `ptc(10)`, `M = 10`, LRU;
 /// 2. all eight algorithms on G8 (a wide, bushier family), `ptc(5)`,
@@ -80,52 +84,28 @@ fn query_cell(
 /// 3. BTC on G5 under every replacement policy (`M = 10`);
 /// 4. REACHINDEX on both families at the same coordinates as blocks
 ///    1–2 (appended in v2, so the pre-existing cells keep their order).
-pub fn suite() -> Vec<BaselineCell> {
-    suite_on(Backend::Sim)
-}
-
-/// [`suite`] with every cell stamped to run on `backend`. The grid (and
-/// with it every digest and metric) is backend-invariant by design; CI's
-/// `backend-matrix` job proves it by regenerating the baseline on the
-/// file backend and byte-comparing against the committed `BENCH_5.json`.
-pub fn suite_on(backend: Backend) -> Vec<BaselineCell> {
-    let mut cells = suite_cells();
-    for bc in &mut cells {
-        if let CellTask::Query { cfg, .. } = &mut bc.cell.task {
-            cfg.backend = backend.clone();
-        }
-    }
-    cells
-}
-
-fn suite_cells() -> Vec<BaselineCell> {
+///
+/// The grid (and with it every digest and metric) is backend-invariant
+/// by design; `gate.sh full backend-matrix` proves it by regenerating
+/// the baseline on the file backend and byte-comparing against the
+/// committed `BENCH_5.json`.
+pub fn suite(backend: &Backend) -> Vec<BaselineCell> {
+    let cell = |fam, a, sources, buffer, p| query_cell(fam, a, sources, buffer, p, backend);
     let mut cells = Vec::new();
     for a in Algorithm::ALL {
-        cells.push(query_cell("G5", a, 10, 10, PagePolicy::Lru));
+        cells.push(cell("G5", a, 10, 10, PagePolicy::Lru));
     }
     for a in Algorithm::ALL {
-        cells.push(query_cell("G8", a, 5, 20, PagePolicy::Lru));
+        cells.push(cell("G8", a, 5, 20, PagePolicy::Lru));
     }
     for p in PagePolicy::ALL {
         if p == PagePolicy::Lru {
             continue; // already covered by the first block
         }
-        cells.push(query_cell("G5", Algorithm::Btc, 10, 10, p));
+        cells.push(cell("G5", Algorithm::Btc, 10, 10, p));
     }
-    cells.push(query_cell(
-        "G5",
-        Algorithm::ReachIndex,
-        10,
-        10,
-        PagePolicy::Lru,
-    ));
-    cells.push(query_cell(
-        "G8",
-        Algorithm::ReachIndex,
-        5,
-        20,
-        PagePolicy::Lru,
-    ));
+    cells.push(cell("G5", Algorithm::ReachIndex, 10, 10, PagePolicy::Lru));
+    cells.push(cell("G8", Algorithm::ReachIndex, 5, 20, PagePolicy::Lru));
     cells
 }
 
@@ -145,13 +125,8 @@ pub struct BaselineRow {
 /// cell, in suite order. Each cell's event stream is teed into a
 /// [`DigestSink`] and a [`ProfileSink`], so digest, profile and metrics
 /// all describe the same run.
-pub fn run_suite(jobs: usize) -> ExpResult<Vec<BaselineRow>> {
-    run_suite_on(jobs, Backend::Sim)
-}
-
-/// [`run_suite`] on an explicit storage backend.
-pub fn run_suite_on(jobs: usize, backend: Backend) -> ExpResult<Vec<BaselineRow>> {
-    let suite = suite_on(backend);
+pub fn run_suite(jobs: usize, backend: &Backend) -> ExpResult<Vec<BaselineRow>> {
+    let suite = suite(backend);
     let cells: Vec<Cell> = suite.iter().map(|b| b.cell.clone()).collect();
     let sinks: Vec<(Arc<DigestSink>, Arc<ProfileSink>)> = suite
         .iter()
@@ -161,7 +136,7 @@ pub fn run_suite_on(jobs: usize, backend: Backend) -> ExpResult<Vec<BaselineRow>
         .iter()
         .map(|(d, p)| Tracer::new(Arc::new(TeeSink::new(vec![d.clone(), p.clone()]))))
         .collect();
-    let outputs = run_cells_each_traced(&cells, jobs, &tracers)?;
+    let outputs = run_cells(&cells, jobs, Sinks::Each(&tracers))?;
     let mut rows = Vec::with_capacity(suite.len());
     for ((bc, out), (d, p)) in suite.into_iter().zip(outputs).zip(sinks) {
         let metrics = match out {
@@ -250,16 +225,11 @@ pub fn render_json(rows: &[BaselineRow]) -> String {
     s
 }
 
-/// Runs the suite and renders the canonical JSON in one step.
-pub fn baseline_json(jobs: usize) -> ExpResult<String> {
-    baseline_json_on(jobs, Backend::Sim)
-}
-
-/// [`baseline_json`] on an explicit storage backend. The rendered bytes
-/// must be identical for every backend — that is the point of running it
-/// off-default.
-pub fn baseline_json_on(jobs: usize, backend: Backend) -> ExpResult<String> {
-    Ok(render_json(&run_suite_on(jobs, backend)?))
+/// Runs the suite on `backend` and renders the canonical JSON in one
+/// step. The rendered bytes must be identical for every backend — that
+/// is the point of running it off-default.
+pub fn baseline_json(jobs: usize, backend: &Backend) -> ExpResult<String> {
+    Ok(render_json(&run_suite(jobs, backend)?))
 }
 
 /// Compares freshly rendered baseline bytes against the committed file,
@@ -301,7 +271,7 @@ mod tests {
 
     #[test]
     fn suite_is_canonical_and_named_uniquely() {
-        let s = suite();
+        let s = suite(&Backend::Sim);
         assert_eq!(s.len(), 8 + 8 + 5 + 2);
         let mut names: Vec<&str> = s.iter().map(|b| b.name.as_str()).collect();
         names.sort_unstable();
@@ -323,7 +293,7 @@ mod tests {
         // Running the full suite belongs to the bin / CI gate; here we
         // only pin the JSON shape on a fabricated row.
         let row = BaselineRow {
-            cell: query_cell("G5", Algorithm::Btc, 10, 10, PagePolicy::Lru),
+            cell: query_cell("G5", Algorithm::Btc, 10, 10, PagePolicy::Lru, &Backend::Sim),
             metrics: CostMetrics::new(Algorithm::Btc),
             digest: TraceDigest {
                 hash: 0xAB,

@@ -16,7 +16,7 @@
 //! Wall time is `benchmark/run.sh`'s job, not this binary's.
 
 use std::process::ExitCode;
-use tc_bench::baseline::{baseline_json_on, diff_report};
+use tc_bench::baseline::{baseline_json, diff_report};
 use tc_bench::opts::{backend_value, default_jobs, flag_value};
 use tc_storage::Backend;
 
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let current = match baseline_json_on(jobs, backend.clone()) {
+    let current = match baseline_json(jobs, &backend) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: baseline suite failed: {e}");

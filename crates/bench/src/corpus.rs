@@ -7,6 +7,36 @@
 
 use tc_graph::{DagGenerator, Graph, NodeId};
 
+/// The canonical workload: the one G5 instance, source set and update
+/// stream that every golden, differential and overhead suite under
+/// `tests/` runs, so two suites that must agree on a pinned number run
+/// the same workload by construction. PINS.md lists what is pinned on
+/// it. (`examples/quickstart.rs` spells the same graph and sources out
+/// for the reader; `golden_seed` pins the arc list.)
+pub mod canonical {
+    use tc_core::Query;
+    use tc_graph::{DagGenerator, Graph, NodeId, StreamKind, UpdateStream};
+
+    /// The partial-closure source set.
+    pub const SOURCES: [NodeId; 3] = [11, 503, 977];
+
+    /// The G5 instance: n = 2000, F = 5, l = 200, seed 7.
+    pub fn graph() -> Graph {
+        DagGenerator::new(2000, 5.0, 200).seed(7).generate()
+    }
+
+    /// Partial closure from [`SOURCES`].
+    pub fn query() -> Query {
+        Query::partial(SOURCES.to_vec())
+    }
+
+    /// The update stream over [`graph`]: mixed churn, 2 batches of 8
+    /// ops, locality 200 (the family's `l`), pinned seed.
+    pub fn update_stream(g: &Graph) -> UpdateStream {
+        UpdateStream::generate(g, StreamKind::Mixed, 2, 8, 200, 0xD41A_0007)
+    }
+}
+
 /// Number of nodes in every corpus graph (paper Table 1).
 pub const N_NODES: usize = 2000;
 

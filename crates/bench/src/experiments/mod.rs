@@ -18,7 +18,7 @@
 //! (workload seeds follow `tc-det`'s cell-seeding convention; nothing
 //! reads the clock or the scheduling order), every report fragment is
 //! **byte-identical** at any worker count. `tests/parallel_determinism.rs`
-//! and the CI `parallel-matrix` job hold us to that.
+//! and `gate.sh full parallel-matrix` hold us to that.
 
 pub mod ablations;
 pub mod advisor;
@@ -259,22 +259,17 @@ impl Cell {
         )
     }
 
-    /// Executes the cell untraced and untimed, returning its output or
-    /// a typed error naming these coordinates.
-    pub fn execute(&self) -> ExpResult<CellOutput> {
-        self.execute_instrumented(Tracer::disabled(), SpanRecorder::disabled())
-    }
-
-    /// [`Cell::execute`] with the run's event stream routed through
-    /// `tracer` and a wall-clock [`SpanRecorder`] armed alongside it.
-    /// Query cells arm both on their [`SystemConfig`]; analysis cells
-    /// (`Stats`/`Shape`) run no engine and emit nothing. The recorder
-    /// captures the engine's phase spans (`run` →
+    /// Executes the cell, returning its output or a typed error naming
+    /// these coordinates, with the run's event stream routed through
+    /// `tracer` and a wall-clock [`SpanRecorder`] armed alongside it
+    /// (pass [`Tracer::disabled`] / [`SpanRecorder::disabled`] for a
+    /// plain run). Query cells arm both on their [`SystemConfig`];
+    /// analysis cells (`Stats`/`Shape`) run no engine and emit nothing.
+    /// The recorder captures the engine's phase spans (`run` →
     /// `restructure`/`compute`/…); it reads the clock but writes nothing
     /// any gated output ever sees, so the returned [`CellOutput`] — and
-    /// every trace byte — is identical whether it is armed or not, and a
-    /// disabled tracer and recorder make this [`Cell::execute`].
-    pub fn execute_instrumented(&self, tracer: Tracer, obs: SpanRecorder) -> ExpResult<CellOutput> {
+    /// every trace byte — is identical whether it is armed or not.
+    pub fn execute(&self, tracer: Tracer, obs: SpanRecorder) -> ExpResult<CellOutput> {
         match &self.task {
             CellTask::Query {
                 algorithm,
@@ -469,6 +464,31 @@ pub enum CellOutput {
 // The scheduler
 // ---------------------------------------------------------------------
 
+/// Where (if anywhere) each cell's event stream and span tree go.
+#[derive(Clone, Copy)]
+pub enum Sinks<'a> {
+    /// Untraced, untimed.
+    None,
+    /// Per-cell files: a JSONL event trace under `trace`
+    /// ([`Cell::trace_file_name`]) and/or a wall-clock span tree under
+    /// `timing` ([`Cell::timing_file_name`]); the directories are created
+    /// if absent. Each cell gets its own sink, so traces are a pure
+    /// function of cell coordinates, identical at any worker count
+    /// (`tcq analyze` folds one into its profile report). Timing files
+    /// are *measured wall-clock* — never byte-stable, never gating — and
+    /// arming them changes no byte of any other output.
+    Dirs {
+        /// Directory for the per-cell traces.
+        trace: Option<&'a Path>,
+        /// Directory for the per-cell span trees.
+        timing: Option<&'a Path>,
+    },
+    /// A caller-supplied [`Tracer`] per cell (slot `i` traces cell `i`;
+    /// the slice must be as long as the cell list). The baseline harness
+    /// tees every cell's stream into a digest and a profile fold at once.
+    Each(&'a [Tracer]),
+}
+
 /// Executes `cells` across `jobs` scoped worker threads (a lock-free
 /// work queue over an atomic cursor) and returns their outputs **in cell
 /// order**, regardless of which worker ran what when.
@@ -479,72 +499,31 @@ pub enum CellOutput {
 /// handing out work and the error (with its coordinates) is returned;
 /// which cell's error is reported may depend on scheduling, but some
 /// typed error always surfaces and no worker thread panics.
-pub fn run_cells(cells: &[Cell], jobs: usize) -> ExpResult<Vec<CellOutput>> {
-    run_cells_inner(cells, jobs, &[], Sinks::None)
-}
-
-/// [`run_cells`] writing one JSONL event trace per cell under
-/// `trace_dir` (created if absent), named by [`Cell::trace_file_name`].
-/// Each cell gets its own sink, so trace files — like cell outputs — are
-/// a pure function of cell coordinates, identical at any worker count.
-pub fn run_cells_traced(
-    cells: &[Cell],
-    jobs: usize,
-    trace_dir: &Path,
-) -> ExpResult<Vec<CellOutput>> {
-    run_cells_dirs(cells, jobs, Some(trace_dir), None)
-}
-
-/// [`run_cells`] with optional per-cell JSONL traces under `trace_dir`
-/// and/or wall-clock span trees under `timing_dir` (both created if
-/// absent, named by [`Cell::trace_file_name`] /
-/// [`Cell::timing_file_name`]). Traces are a pure function of cell
-/// coordinates, identical at any worker count (`tcq analyze` folds one
-/// into its profile report). Timing files are *measured wall-clock* —
-/// never byte-stable, never gating — and arming them changes no byte of
-/// any other output.
-pub fn run_cells_dirs(
-    cells: &[Cell],
-    jobs: usize,
-    trace_dir: Option<&Path>,
-    timing_dir: Option<&Path>,
-) -> ExpResult<Vec<CellOutput>> {
-    for dir in [trace_dir, timing_dir].into_iter().flatten() {
-        fs::create_dir_all(dir)
-            .map_err(|e| ExpError::Internal(format!("create sink dir {}: {e}", dir.display())))?;
+pub fn run_cells(cells: &[Cell], jobs: usize, sinks: Sinks<'_>) -> ExpResult<Vec<CellOutput>> {
+    match sinks {
+        Sinks::None => {}
+        Sinks::Dirs { trace, timing } => {
+            for dir in [trace, timing].into_iter().flatten() {
+                fs::create_dir_all(dir).map_err(|e| {
+                    ExpError::Internal(format!("create sink dir {}: {e}", dir.display()))
+                })?;
+            }
+        }
+        Sinks::Each(tracers) => {
+            if tracers.len() != cells.len() {
+                return Err(ExpError::Internal(format!(
+                    "run_cells: {} tracers for {} cells",
+                    tracers.len(),
+                    cells.len()
+                )));
+            }
+        }
     }
-    run_cells_inner(
-        cells,
-        jobs,
-        &[],
-        Sinks::Dirs {
-            trace: trace_dir,
-            timing: timing_dir,
-        },
-    )
+    schedule(cells, jobs, &[], sinks)
 }
 
-/// [`run_cells`] with a caller-supplied [`Tracer`] per cell (slot `i`
-/// traces cell `i`; `tracers.len()` must equal `cells.len()`). The
-/// baseline harness uses this to tee every cell's event stream into a
-/// digest and a profile fold at once.
-pub fn run_cells_each_traced(
-    cells: &[Cell],
-    jobs: usize,
-    tracers: &[Tracer],
-) -> ExpResult<Vec<CellOutput>> {
-    if tracers.len() != cells.len() {
-        return Err(ExpError::Internal(format!(
-            "run_cells_each_traced: {} tracers for {} cells",
-            tracers.len(),
-            cells.len()
-        )));
-    }
-    run_cells_inner(cells, jobs, &[], Sinks::Each(tracers))
-}
-
-/// [`run_cells`] with an artificial pre-execution delay per cell
-/// (`delay_us[i % len]` microseconds before cell `i` runs). Test
+/// [`run_cells`], unsinked, with an artificial pre-execution delay per
+/// cell (`delay_us[i % len]` microseconds before cell `i` runs). Test
 /// support: `tests/scheduler_props.rs` uses it to shake worker
 /// interleavings and prove the output does not depend on them. An empty
 /// slice disables the delays.
@@ -553,21 +532,7 @@ pub fn run_cells_jittered(
     jobs: usize,
     delay_us: &[u64],
 ) -> ExpResult<Vec<CellOutput>> {
-    run_cells_inner(cells, jobs, delay_us, Sinks::None)
-}
-
-/// Where (if anywhere) each cell's event stream goes.
-#[derive(Clone, Copy)]
-enum Sinks<'a> {
-    /// Untraced.
-    None,
-    /// Per-cell files derived from the cell's canonical name.
-    Dirs {
-        trace: Option<&'a Path>,
-        timing: Option<&'a Path>,
-    },
-    /// Caller-supplied tracer per cell index.
-    Each(&'a [Tracer]),
+    schedule(cells, jobs, delay_us, Sinks::None)
 }
 
 /// Runs cell `i` with its sinks attached. File-backed sinks are per-cell
@@ -575,12 +540,12 @@ enum Sinks<'a> {
 /// complete once its result exists.
 fn exec_cell(cell: &Cell, i: usize, sinks: Sinks<'_>) -> ExpResult<CellOutput> {
     let (trace, timing) = match sinks {
-        Sinks::None => return cell.execute(),
+        Sinks::None => (None, None),
         Sinks::Each(tracers) => {
             let Some(t) = tracers.get(i) else {
                 return Err(ExpError::Internal(format!("no tracer for cell {i}")));
             };
-            return cell.execute_instrumented(t.clone(), SpanRecorder::disabled());
+            return cell.execute(t.clone(), SpanRecorder::disabled());
         }
         Sinks::Dirs { trace, timing } => (trace, timing),
     };
@@ -608,7 +573,7 @@ fn exec_cell(cell: &Cell, i: usize, sinks: Sinks<'_>) -> ExpResult<CellOutput> {
         .as_ref()
         .map(|(_, r, _)| r.clone())
         .unwrap_or_else(SpanRecorder::disabled);
-    let out = cell.execute_instrumented(tracer, recorder)?;
+    let out = cell.execute(tracer, recorder)?;
     if let Some((path, s)) = jsonl {
         s.finish()
             .map_err(|e| file_err("write trace file", &path, e))?;
@@ -620,7 +585,7 @@ fn exec_cell(cell: &Cell, i: usize, sinks: Sinks<'_>) -> ExpResult<CellOutput> {
     Ok(out)
 }
 
-fn run_cells_inner(
+fn schedule(
     cells: &[Cell],
     jobs: usize,
     delay_us: &[u64],
@@ -868,12 +833,11 @@ impl Grid {
     /// tracing each cell into `opts.trace_dir` and writing its
     /// wall-clock span tree into `opts.timing_dir` when set.
     pub fn run(self) -> ExpResult<GridResults> {
-        let outputs = run_cells_dirs(
-            &self.cells,
-            self.opts.jobs,
-            self.opts.trace_dir.as_deref(),
-            self.opts.timing_dir.as_deref(),
-        )?;
+        let sinks = Sinks::Dirs {
+            trace: self.opts.trace_dir.as_deref(),
+            timing: self.opts.timing_dir.as_deref(),
+        };
+        let outputs = run_cells(&self.cells, self.opts.jobs, sinks)?;
         Ok(GridResults {
             outputs,
             ranges: self.ranges,
@@ -1039,8 +1003,8 @@ mod tests {
                 },
             })
             .collect();
-        let serial = run_cells(&cells, 1).expect("serial");
-        let parallel = run_cells(&cells, 3).expect("parallel");
+        let serial = run_cells(&cells, 1, Sinks::None).expect("serial");
+        let parallel = run_cells(&cells, 3, Sinks::None).expect("parallel");
         let ios = |outs: &[CellOutput]| -> Vec<u64> {
             outs.iter()
                 .map(|o| match o {
@@ -1090,7 +1054,9 @@ mod tests {
                 cfg,
             },
         };
-        let out = cell.execute().expect("updates cell");
+        let out = cell
+            .execute(Tracer::disabled(), SpanRecorder::disabled())
+            .expect("updates cell");
         let CellOutput::Updates(s) = out else {
             panic!("updates cell produced non-updates output");
         };

@@ -8,7 +8,7 @@
 //! estimate of [`tc_core::CostMetrics::estimated_cpu_seconds`] (1 µs per
 //! tuple-level operation — generous for the paper's hardware) so the
 //! report stays bit-identical across machines, reruns and `--jobs`
-//! values; wall-clock comparisons live in `crates/bench/benches/`.
+//! values; wall-clock comparisons are `benchmark/run.sh`'s job.
 
 use crate::corpus::family;
 use crate::experiments::{ExpResult, Grid, QuerySpec};

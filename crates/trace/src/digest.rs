@@ -1,8 +1,9 @@
 //! FNV-1a digests over canonical event encodings.
 //!
-//! The workspace pins golden values with FNV-1a (same constants as
-//! `golden_seed.rs` / `golden_fault_trace.rs`); this module extends the
-//! convention to event streams. Every event folds into the digest
+//! The workspace pins golden values with FNV-1a, and this module is its
+//! one implementation: the golden suites digest bytes with
+//! [`Fnv::bytes`], and `tests/decode_exactness.rs` keeps the byte-wise
+//! reference the fast path is held to. Every event folds into the digest
 //! through a canonical byte encoding — a discriminant byte followed by
 //! the fields in declaration order, integers little-endian, `f64` via
 //! `to_bits`, strings as length + bytes — so the digest is a pure
@@ -81,6 +82,17 @@ impl Fnv {
         self.u64(x.to_bits());
     }
 
+    /// Plain FNV-1a of a whole buffer: a byte fold from the offset
+    /// basis with no length prefix. This is the digest the golden suites
+    /// pin report fragments, rendered profiles and on-disk bytes with.
+    pub fn bytes(bytes: &[u8]) -> u64 {
+        let mut h = Fnv::new();
+        for &b in bytes {
+            h.byte(b);
+        }
+        h.finish()
+    }
+
     /// Folds a string as length + UTF-8 bytes.
     pub fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
@@ -137,6 +149,8 @@ mod tests {
         let mut h = Fnv::new();
         h.byte(b'a');
         assert_eq!(h.finish(), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(Fnv::bytes(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(Fnv::bytes(b""), Fnv::new().finish());
     }
 
     #[test]

@@ -1,0 +1,160 @@
+#!/usr/bin/env bash
+# gate.sh: every acceptance command of this repository, written once.
+#
+#   ./gate.sh quick          format check, hermetic build, tier-1 tests
+#   ./gate.sh full [GROUP]   every suite at the elevated property-test case
+#                            counts plus the byte comparisons (one group, or all)
+#   ./gate.sh bench          the benchmark/ package's tests and smoke run
+#
+# .github/workflows/ci.yml is a matrix of these lines and the verify skill
+# points here; neither repeats a command, so a suite added to a group is
+# added to CI and to every session's checklist at once. NOT here: the
+# structural "one X" rules (one lifecycle, one ledger, one front door,
+# dependency hygiene, the help words). They are rows of
+# tests/unwrap_audit.rs and run inside tier-1, where a rule that lived only
+# in a script would never run. That file also checks that every
+# `--test NAME [FILTER]` and `-p CRATE --lib FILTER` below names something
+# that exists: a filter that matches nothing passes silently.
+#
+# Every cargo call is --offline: the workspace has no external crate, and a
+# registry dependency that comes back must fail at resolution. Property
+# suites read TC_DET_CASES (TC_DET_SEED replays a failure); nothing else
+# here or in the tests reads the environment. Byte comparisons write both
+# sides to target/gate/ and print their hashes first. PINS.md lists the
+# pinned values these suites hold and the one way to re-pin them.
+set -euo pipefail
+cd "$(dirname "$0")"
+
+OUT=target/gate
+GROUPS_FULL="checks fault-matrix trace dynamic reach serve obs bench-baseline backend-matrix parallel-matrix"
+
+t() { cargo test -q --offline "$@"; }
+
+# Builds the experiment binaries the byte comparisons run.
+harness() { cargo build --release --offline -p tc-bench --bins && mkdir -p "$OUT"; }
+
+# section OUTFILE ARGS...: one `section` report into target/gate/.
+section() { ./target/release/section "${@:2}" >"$OUT/$1"; }
+
+# same A B WHY: two gate outputs must be equal byte for byte.
+same() {
+  sha256sum "$OUT/$1" "$OUT/$2"
+  cmp "$OUT/$1" "$OUT/$2" || { echo "gate: $1 and $2 differ: $3" >&2; exit 1; }
+}
+
+# The quick tier, and the `checks` group of the full one.
+g_checks() {
+  cargo fmt --all --check
+  cargo build --release --offline --workspace --examples
+  t --workspace
+}
+
+g_fault_matrix() {
+  TC_DET_CASES=512 t --test fault_injection --test failure_modes --test golden_fault_trace --test run_lifecycle
+  TC_DET_CASES=256 t --test succ_split_props --test proptest_invariants
+  t --test unwrap_audit
+}
+
+g_trace() {
+  export TC_DET_CASES=256
+  t --test golden_trace --test event_schema_pin --test trace_replay --test trace_overhead
+  t --test decode_exactness fnv
+  t --test golden_profile --test profile_props
+}
+
+g_dynamic() {
+  export TC_DET_CASES=256
+  t --test dynamic_differential --test dynamic_props --test golden_dynamic
+  # The only test in which descending node id is not a valid sweep order.
+  t --test dynamic_props permuted_labels_match_the_oracle_or_refuse_the_cycle
+  t --test model_based tuple_rows_refine_btreeset
+  t -p tc-storage --lib extend_writes_what_repeated_push_writes
+  t -p tc-core --lib cycle_closing_batch_is_rejected_whole
+  t -p tc-core --lib op_naming_an_unknown_node_is_refused_whole
+  t -p tc-core --lib freeze_returns_the_index_pages_when_capture_fails
+  harness
+  section updates-sim.md updates --quick --backend sim
+  section updates-file.md updates --quick --backend file
+  same updates-sim.md updates-file.md "maintenance I/O accounting diverged between the backends"
+}
+
+g_reach() {
+  export TC_DET_CASES=256
+  t --test reach_differential --test reach_props
+  harness
+  section reach-sim.md reachindex --quick --backend sim
+  section reach-file.md reachindex --quick --backend file
+  section reach-j2.md reachindex --quick --jobs 2
+  same reach-sim.md reach-file.md "index I/O accounting diverged between the backends"
+  same reach-sim.md reach-j2.md "a cell is reading shared state"
+}
+
+g_serve() {
+  export TC_DET_CASES=256
+  t --test serve_differential --test serve_props --test lend_props --test serve_snapshot --test golden_serve
+}
+
+g_obs() {
+  export TC_DET_CASES=256
+  t --test obs_overhead --test obs_determinism --test obs_props
+  harness
+  section table2-plain.md table2 --quick
+  section table2-timed.md table2 --quick --timing "$OUT/spans"
+  same table2-plain.md table2-timed.md "wall-clock data leaked into the report"
+}
+
+# Tolerance is zero: every number in BENCH_5.json is deterministic.
+g_bench_baseline() {
+  harness
+  ./target/release/bench_baseline --jobs 1 >"$OUT/bench-j1.json"
+  ./target/release/bench_baseline --jobs 2 >"$OUT/bench-j2.json"
+  same bench-j1.json bench-j2.json "a cell is reading shared state"
+  ./target/release/bench_baseline --check BENCH_5.json
+}
+
+g_backend_matrix() {
+  t --test backend_differential --test file_store_recovery --test store_contract --test store_format_pin
+  t -p tc-storage --lib checksum
+  TC_DET_CASES=256 t --test file_store_recovery recovery_scan_matches_a_per_slot_oracle
+  harness
+  ./target/release/bench_baseline --backend file --check BENCH_5.json
+}
+
+g_parallel_matrix() {
+  harness
+  section report-j1.md all --quick --jobs 1
+  section report-j2.md all --quick --jobs 2
+  same report-j1.md report-j2.md "a cell is reading shared state (wall clock, shared RNG, scheduling order?)"
+}
+
+# benchmark/ is a package of its own that the workspace build never
+# compiles; it reaches the program only through public items, so an API
+# change must not silently break the referee of every performance claim.
+# Nothing here gates on a timing.
+bench() {
+  cargo test --release --offline --manifest-path benchmark/Cargo.toml
+  benchmark/run.sh --smoke
+}
+
+usage() {
+  echo "usage: ./gate.sh quick | full [GROUP] | bench" >&2
+  echo "groups: $GROUPS_FULL" >&2
+  exit 2
+}
+
+# Each group runs in a subshell, so its TC_DET_CASES does not reach the next.
+run_group() {
+  echo "== gate: full $1" >&2
+  ("g_${1//-/_}")
+}
+
+[ $# -le 2 ] || usage
+case "${1:-} ${2:-}" in
+  "quick ") g_checks ;;
+  "bench ") bench ;;
+  "full ") for g in $GROUPS_FULL; do run_group "$g"; done ;;
+  "full "*)
+    [[ " $GROUPS_FULL " == *" $2 "* ]] || usage
+    run_group "$2" ;;
+  *) usage ;;
+esac

@@ -9,21 +9,11 @@
 //! assertion below holds the stream to that.
 
 use std::sync::Arc;
+use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::graph::{closure, DagGenerator, Graph, NodeId, StreamKind, UpdateOp, UpdateStream};
+use tc_study::graph::{closure, Graph, NodeId, UpdateOp};
 use tc_study::storage::Backend;
 use tc_study::trace::{replay, Counts, DigestSink, Tracer, VecSink};
-
-/// The canonical G5 instance every golden suite uses.
-fn canonical_graph() -> Graph {
-    DagGenerator::new(2000, 5.0, 200).seed(7).generate()
-}
-
-/// The canonical update stream: mixed churn, 2 batches of 8 ops,
-/// locality 200 (the family's `l`), pinned seed.
-fn canonical_stream(g: &Graph) -> UpdateStream {
-    UpdateStream::generate(g, StreamKind::Mixed, 2, 8, 200, 0xD41A_0007)
-}
 
 fn oracle(g: &Graph) -> Vec<(NodeId, NodeId)> {
     let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
@@ -32,8 +22,8 @@ fn oracle(g: &Graph) -> Vec<(NodeId, NodeId)> {
 
 #[test]
 fn canonical_stream_exercises_both_paths() {
-    let g = canonical_graph();
-    let s = canonical_stream(&g);
+    let g = canonical::graph();
+    let s = canonical::update_stream(&g);
     let inserts = s.insert_count();
     assert!(inserts > 0, "canonical stream has no inserts");
     assert!(s.op_count() > inserts, "canonical stream has no deletes");
@@ -41,7 +31,7 @@ fn canonical_stream_exercises_both_paths() {
 
 #[test]
 fn incremental_equals_scratch_after_every_batch() {
-    let g = canonical_graph();
+    let g = canonical::graph();
     // One VecSink across the whole stream; each apply's events are the
     // slice appended since the previous apply (every apply is one
     // complete RunBegin..RunEnd envelope).
@@ -51,7 +41,7 @@ fn incremental_equals_scratch_after_every_batch() {
     let scratch_cfg = SystemConfig::with_buffer(20);
     let mut live = g.clone();
     let mut seen = 0usize;
-    for (i, batch) in canonical_stream(&g).batches().iter().enumerate() {
+    for (i, batch) in canonical::update_stream(&g).batches().iter().enumerate() {
         for op in batch {
             match *op {
                 UpdateOp::Insert(u, v) => live.add_arc(u, v),
@@ -103,7 +93,7 @@ struct Observed {
 /// the whole trace, and each apply contributes its tuple delta, total
 /// I/O and replay-comparable metrics view.
 fn run_stream(backend: Backend) -> Observed {
-    let g = canonical_graph();
+    let g = canonical::graph();
     let sink = Arc::new(DigestSink::new());
     let cfg = SystemConfig::with_buffer(20)
         .backend(backend.clone())
@@ -111,7 +101,7 @@ fn run_stream(backend: Backend) -> Observed {
     let mut dyn_tc = DynamicClosure::build(&g, &cfg).expect("build");
     assert_eq!(dyn_tc.backend_name(), backend.name(), "wrong backend");
     let mut per_batch = Vec::new();
-    for batch in canonical_stream(&g).batches() {
+    for batch in canonical::update_stream(&g).batches() {
         let res = dyn_tc.apply(batch).expect("apply");
         per_batch.push((
             res.inserted,

@@ -12,7 +12,8 @@
 //! oracle and is not derived from this list.
 //!
 //! A new variant fails `pinned_list_covers_the_whole_vocabulary` until
-//! it is appended to [`pinned_events`] and the constants are re-pinned.
+//! it is appended to [`pinned_events`] and the constants are re-pinned
+//! (PINS.md).
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -146,10 +147,8 @@ fn generated_encodings_match_the_hand_written_ones() {
     assert_eq!(digest_events(&events), PINNED_DIGEST, "digest fold moved");
 
     let text = jsonl_of(&events);
-    let mut h = Fnv::new();
-    text.bytes().for_each(|b| h.byte(b));
     assert_eq!(
-        (text.len(), h.finish()),
+        (text.len(), Fnv::bytes(text.as_bytes())),
         PINNED_JSONL,
         "JSONL bytes moved:\n{text}"
     );

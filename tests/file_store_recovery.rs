@@ -15,6 +15,7 @@ use tc_study::storage::{
     Backend, FileKind, FileStore, Page, PageId, PageStore, RecoveryReport, StorageError, TempDir,
     FILE_STORE_HEADER_SIZE, FILE_STORE_SLOT_SIZE, PAGE_SIZE,
 };
+use tc_study::trace::Fnv;
 
 /// Creates a store in `dir`, writes one recognizable page, syncs, and
 /// returns the page id's slot index.
@@ -165,14 +166,6 @@ fn clean_reopen_round_trips_the_directory() {
     assert_eq!(Backend::file_temp().name(), "file");
 }
 
-/// Byte-wise FNV-1a 64: the manifest checksum, and format 1's slot
-/// checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
-
 #[test]
 fn format_1_manifest_is_refused_by_name() {
     // The empty format-1 manifest, built by hand: magic, version 1, no
@@ -185,7 +178,9 @@ fn format_1_manifest_is_refused_by_name() {
     for field in [1u32, 0, 0, 0] {
         manifest.extend_from_slice(&field.to_le_bytes());
     }
-    let checksum = fnv1a(&manifest);
+    // The manifest checksum (and format 1's slot checksum) is byte-wise
+    // FNV-1a 64.
+    let checksum = Fnv::bytes(&manifest);
     manifest.extend_from_slice(&checksum.to_le_bytes());
     assert_eq!(manifest.len(), 28);
     std::fs::write(tmp.path().join(MANIFEST_FILE), &manifest).expect("write manifest");
@@ -210,7 +205,7 @@ fn format_1_slot_under_a_format_2_manifest_is_corrupt() {
     let seg = tmp.path().join(SEGMENT_FILE);
     let mut bytes = std::fs::read(&seg).expect("read segment");
     let at = slot * FILE_STORE_SLOT_SIZE;
-    let checksum = fnv1a(&bytes[at + FILE_STORE_HEADER_SIZE..at + FILE_STORE_SLOT_SIZE]);
+    let checksum = Fnv::bytes(&bytes[at + FILE_STORE_HEADER_SIZE..at + FILE_STORE_SLOT_SIZE]);
     bytes[at..at + 4].copy_from_slice(b"TCP1");
     bytes[at + 8..at + 16].copy_from_slice(&checksum.to_le_bytes());
     std::fs::write(&seg, &bytes).expect("write segment");

@@ -6,19 +6,16 @@
 //! the rendered `updates` section report, and holds the section to the
 //! scheduler's byte-identical-at-any-jobs contract.
 //!
-//! If an intentional change lands, regenerate the constants below (the
-//! failure messages print the new values) and note the break in
-//! CHANGES.md.
+//! Re-pinning: PINS.md (one protocol for every pin file).
 
 use std::sync::Arc;
+use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::graph::{DagGenerator, Graph, StreamKind, UpdateStream};
-use tc_study::trace::{DigestSink, Tracer};
+use tc_study::trace::{DigestSink, Fnv, Tracer};
 
-/// Pinned (hash, event count) of the canonical update-stream trace:
-/// the canonical G5 instance (n = 2000, F = 5, l = 200, seed 7),
-/// mixed-churn stream of 2 batches × 8 ops at locality 200 with seed
-/// 0xD41A_0007, 20-page buffer, one digest across both applies.
+/// Pinned (hash, event count) of the canonical update-stream trace
+/// (`canonical::graph` and `canonical::update_stream`, 20-page buffer),
+/// one digest across both applies.
 const GOLDEN_STREAM: (u64, u64) = (0xC59D22F3B9FBCD4F, 168826);
 
 /// Pinned FNV-1a digest of the `updates` section report fragment on the
@@ -26,33 +23,13 @@ const GOLDEN_STREAM: (u64, u64) = (0xC59D22F3B9FBCD4F, 168826);
 /// `golden_report.rs` pins for the section in its registry-wide table.
 const GOLDEN_UPDATES_REPORT: u64 = 0xEF6DDFDF95DC701E;
 
-/// FNV-1a over a report fragment's bytes (same family as the other
-/// golden suites).
-fn digest(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn canonical_graph() -> Graph {
-    DagGenerator::new(2000, 5.0, 200).seed(7).generate()
-}
-
-/// Must match `tests/dynamic_differential.rs`'s canonical stream.
-fn canonical_stream(g: &Graph) -> UpdateStream {
-    UpdateStream::generate(g, StreamKind::Mixed, 2, 8, 200, 0xD41A_0007)
-}
-
 #[test]
 fn canonical_update_stream_trace_matches_golden_digest() {
-    let g = canonical_graph();
+    let g = canonical::graph();
     let sink = Arc::new(DigestSink::new());
     let cfg = SystemConfig::with_buffer(20).traced(Tracer::new(sink.clone()));
     let mut dyn_tc = DynamicClosure::build(&g, &cfg).expect("build");
-    for batch in canonical_stream(&g).batches() {
+    for batch in canonical::update_stream(&g).batches() {
         dyn_tc.apply(batch).expect("apply");
     }
     let d = sink.digest();
@@ -77,7 +54,7 @@ fn updates_report_matches_golden_digest_at_any_jobs() {
         "updates report diverged between jobs=1 and jobs=4 — a cell is \
          reading shared state"
     );
-    let d = digest(&jobs1);
+    let d = Fnv::bytes(jobs1.as_bytes());
     assert_eq!(
         d, GOLDEN_UPDATES_REPORT,
         "the updates report fragment changed — if intentional, set \

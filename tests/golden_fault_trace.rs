@@ -8,32 +8,23 @@
 //! replayability of previously recorded traces and must be made
 //! deliberately.
 //!
-//! If an intentional change lands, regenerate the constants below (the
-//! failure message prints the new values) and note the break in
-//! CHANGES.md: previously recorded fault seeds stop replaying.
+//! Re-pinning: PINS.md (one protocol for every pin file).
 
+use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::graph::DagGenerator;
 use tc_study::storage::FaultEvent;
+use tc_study::trace::Fnv;
 
 /// FNV-1a over the (op, page, kind, outcome) event sequence.
 fn trace_checksum(events: &[FaultEvent]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut byte = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
+    let mut h = Fnv::new();
     for e in events {
-        for b in e.op.to_le_bytes() {
-            byte(b);
-        }
-        for b in e.page.0.to_le_bytes() {
-            byte(b);
-        }
-        byte(e.kind.code());
-        byte(e.outcome.code());
+        h.u64(e.op);
+        h.u32(e.page.0);
+        h.byte(e.kind.code());
+        h.byte(e.outcome.code());
     }
-    h
+    h.finish()
 }
 
 const FAULT_SEED: u64 = 0xDA12_1994;
@@ -43,7 +34,7 @@ const GOLDEN_RETRIES: u64 = 361;
 const GOLDEN_TOTAL_IO: u64 = 17624;
 
 fn faulted_g5_run() -> RunResult {
-    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
+    let g = canonical::graph();
     let mut db = Database::build(&g, true).unwrap();
     let cfg = SystemConfig::with_buffer(20).faulted(
         FaultConfig::new(FAULT_SEED)
@@ -83,7 +74,7 @@ fn pinned_fault_seed_yields_pinned_trace_on_g5() {
 fn transient_faults_leave_g5_page_io_at_the_fault_free_golden_value() {
     // The golden total above must be exactly the fault-free number:
     // failed attempts are not counted as physical transfers.
-    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
+    let g = canonical::graph();
     let mut db = Database::build(&g, true).unwrap();
     let res = db
         .run(

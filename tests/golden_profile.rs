@@ -7,26 +7,13 @@
 //! and the profile fold (this test). Attribution equality here closes
 //! the triangle: profile ≡ metrics ≡ replay.
 //!
-//! If an intentional change lands, regenerate the constants below (the
-//! failure message prints the new table) and note the break in
-//! CHANGES.md alongside the trace-digest break it accompanies.
+//! Re-pinning: PINS.md (one protocol for every pin file).
 
 use std::sync::Arc;
+use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::graph::DagGenerator;
 use tc_study::profile::{profile_events, render, ProfileSink};
-use tc_study::trace::{Tracer, VecSink};
-
-/// FNV-1a over a rendered report's bytes (same family as the trace
-/// digest).
-fn digest(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+use tc_study::trace::{Fnv, Tracer, VecSink};
 
 /// Pinned digest of each algorithm's rendered profile report on the
 /// canonical G5 workload, in `Algorithm::ALL` order.
@@ -44,12 +31,7 @@ const GOLDEN: [(&str, u64); 8] = [
 const BUFFER_PAGES: usize = 20;
 
 fn canonical_db() -> Database {
-    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
-    Database::build(&g, true).unwrap()
-}
-
-fn canonical_query() -> Query {
-    Query::partial(vec![11, 503, 977])
+    Database::build(&canonical::graph(), true).unwrap()
 }
 
 #[test]
@@ -59,7 +41,7 @@ fn profile_attribution_equals_cost_metrics_for_every_algorithm() {
     for algo in Algorithm::ALL {
         let sink = Arc::new(ProfileSink::new());
         let cfg = SystemConfig::with_buffer(BUFFER_PAGES).traced(Tracer::new(sink.clone()));
-        let res = db.run(&canonical_query(), algo, &cfg).unwrap();
+        let res = db.run(&canonical::query(), algo, &cfg).unwrap();
         let m = &res.metrics;
         let p = sink.finish();
 
@@ -116,7 +98,7 @@ fn profile_attribution_equals_cost_metrics_for_every_algorithm() {
         assert_eq!(p.counts.tuple_reads, m.tuple_reads, "{algo}");
         assert_eq!(p.counts.tuple_writes, m.tuple_writes, "{algo}");
 
-        table.push((algo.name(), digest(&render(&p))));
+        table.push((algo.name(), Fnv::bytes(render(&p).as_bytes())));
     }
 
     let rendered = table
@@ -144,7 +126,7 @@ fn live_profile_sink_equals_offline_fold_on_golden_g5() {
         prof_sink.clone(),
     ]));
     let cfg = SystemConfig::with_buffer(BUFFER_PAGES).traced(Tracer::new(tee));
-    db.run(&canonical_query(), Algorithm::Srch, &cfg).unwrap();
+    db.run(&canonical::query(), Algorithm::Srch, &cfg).unwrap();
     assert_eq!(vec_sink.dropped(), 0, "VecSink lost events");
     let offline = profile_events(vec_sink.events().iter().cloned());
     let live = prof_sink.finish();

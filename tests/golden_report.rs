@@ -7,24 +7,11 @@
 //! policies, the averaging, or the report formatting shows up here as a
 //! digest mismatch naming the section.
 //!
-//! If an intentional change lands, regenerate the constants below (the
-//! failure message prints the new values) and note the break in
-//! CHANGES.md: previously recorded experiment numbers for that section
-//! become incomparable.
+//! Re-pinning: PINS.md (one protocol for every pin file).
 
 use tc_bench::experiments::section;
 use tc_bench::ExpOpts;
-
-/// FNV-1a over a report fragment's bytes (same family as
-/// `golden_seed.rs`'s arc checksum).
-fn digest(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+use tc_study::trace::Fnv;
 
 /// Golden quick-grid digests, one per registered section, in canonical
 /// section order.
@@ -52,7 +39,7 @@ fn quick_grid_sections_match_golden_digests() {
     for (name, golden) in GOLDEN {
         let f = section(name).unwrap_or_else(|| panic!("unknown golden section {name}"));
         let fragment = f(&opts).unwrap_or_else(|e| panic!("{name} failed on the quick grid: {e}"));
-        let d = digest(&fragment);
+        let d = Fnv::bytes(fragment.as_bytes());
         if d != golden {
             mismatches.push(format!("    (\"{name}\", {d:#018X}),"));
         }
@@ -78,7 +65,7 @@ fn quick_grid_sections_match_golden_digests_with_timing_armed() {
     for (name, golden) in GOLDEN {
         let f = section(name).unwrap_or_else(|| panic!("unknown golden section {name}"));
         let fragment = f(&opts).unwrap_or_else(|e| panic!("{name} failed with --timing: {e}"));
-        if digest(&fragment) != golden {
+        if Fnv::bytes(fragment.as_bytes()) != golden {
             mismatches.push(name);
         }
     }

@@ -8,50 +8,36 @@
 //! quickstart (n = 2000, F = 5, l = 200, seed 7) — to a golden FNV-1a
 //! checksum of its arc list.
 //!
-//! If an intentional generator change lands, regenerate the constants
-//! below (the failure message prints the new values) and note the break
-//! in CHANGES.md: all previously recorded experiment numbers become
-//! incomparable.
+//! Re-pinning: PINS.md (one protocol for every pin file).
 
+use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::graph::DagGenerator;
+use tc_study::trace::Fnv;
 
-/// FNV-1a over the arc list, arcs in the graph's canonical order.
+/// FNV-1a over the arc list (each end little-endian), arcs in the
+/// graph's canonical order.
 fn arc_checksum(g: &tc_study::graph::Graph) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut byte = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
+    let mut h = Fnv::new();
     for (u, v) in g.arcs() {
-        for b in u.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
-            byte(b);
-        }
+        h.u32(u);
+        h.u32(v);
     }
-    h
+    h.finish()
 }
 
 const GOLDEN_ARC_COUNT: usize = 9757;
 const GOLDEN_CHECKSUM: u64 = 0xFA1F_67FE_29E6_93FB;
 
-fn canonical_workload() -> tc_study::graph::Graph {
-    DagGenerator::new(2000, 5.0, 200).seed(7).generate()
-}
-
-/// A config honouring `TC_BACKEND` (CI's backend-matrix job runs this
-/// suite with `TC_BACKEND=file` and expects identical numbers, since
-/// the metrics are backend-invariant by design).
-fn backend_cfg(buffer: usize) -> SystemConfig {
-    let mut cfg = SystemConfig::with_buffer(buffer);
-    if let Ok(v) = std::env::var("TC_BACKEND") {
-        cfg.backend = Backend::parse(&v).expect("TC_BACKEND must be sim, file or file:DIR");
-    }
-    cfg
+/// Every run below is repeated on the simulated disk and twice on the
+/// file store, against a simulated-disk reference. The metrics are
+/// backend-invariant by design, so all runs must agree.
+fn backends() -> [Backend; 3] {
+    [Backend::Sim, Backend::file_temp(), Backend::file_temp()]
 }
 
 #[test]
 fn canonical_workload_matches_golden_checksum() {
-    let g = canonical_workload();
+    let g = canonical::graph();
     assert_eq!(
         (g.arc_count(), arc_checksum(&g)),
         (GOLDEN_ARC_COUNT, GOLDEN_CHECKSUM),
@@ -65,17 +51,15 @@ fn canonical_workload_matches_golden_checksum() {
 
 #[test]
 fn same_seed_same_workload_and_metrics() {
-    // Two *independent* generate + load + run pipelines must agree bit
-    // for bit on the workload and on every page-I/O metric.
-    let run = || {
-        let g = canonical_workload();
+    // *Independent* generate + load + run pipelines must agree bit for
+    // bit on the workload and on every page-I/O metric, on either backend.
+    let run = |backend: Backend| {
+        let g = canonical::graph();
         let checksum = arc_checksum(&g);
-        let cfg = backend_cfg(20);
+        let cfg = SystemConfig::with_buffer(20).backend(backend);
         let mut db = Database::build_for(&g, true, &cfg).unwrap();
         let full = db.run(&Query::full(), Algorithm::Btc, &cfg).unwrap();
-        let ptc = db
-            .run(&Query::partial(vec![11, 503, 977]), Algorithm::Jkb2, &cfg)
-            .unwrap();
+        let ptc = db.run(&canonical::query(), Algorithm::Jkb2, &cfg).unwrap();
         (
             checksum,
             full.metrics.total_io(),
@@ -84,23 +68,39 @@ fn same_seed_same_workload_and_metrics() {
             ptc.metrics.answer_tuples,
         )
     };
-    let (a, b) = (run(), run());
-    assert_eq!(a, b, "same seed produced diverging workload or metrics");
+    let reference = run(Backend::Sim);
+    for backend in backends() {
+        let name = backend.name();
+        assert_eq!(
+            reference,
+            run(backend),
+            "same seed produced diverging workload or metrics on {name}"
+        );
+    }
 }
 
 #[test]
 fn random_policy_is_reproducible() {
     // The RANDOM replacement policy draws from tc-det's seeded stream;
     // its simulated I/O must also be run-to-run stable.
-    let io = || {
-        let g = canonical_workload();
-        let mut cfg = backend_cfg(20);
-        cfg.page_policy = tc_study::buffer::PagePolicy::Random;
+    let io = |backend: Backend| {
+        let g = canonical::graph();
+        let cfg = SystemConfig::with_buffer(20)
+            .backend(backend)
+            .page_policy(PagePolicy::Random);
         let mut db = Database::build_for(&g, false, &cfg).unwrap();
         db.run(&Query::full(), Algorithm::Btc, &cfg)
             .unwrap()
             .metrics
             .total_io()
     };
-    assert_eq!(io(), io());
+    let reference = io(Backend::Sim);
+    for backend in backends() {
+        let name = backend.name();
+        assert_eq!(
+            reference,
+            io(backend),
+            "RANDOM policy I/O diverged on {name}"
+        );
+    }
 }

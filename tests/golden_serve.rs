@@ -13,14 +13,11 @@
 //! ptc-heavy mixes carry no pins of their own; their whole track must
 //! be equal at 1 and 4 workers.
 //!
-//! If an intentional change lands, regenerate the constants below (the
-//! failure message prints the new values) and note the break in
-//! CHANGES.md: previously recorded serving numbers become
-//! incomparable.
+//! Re-pinning: PINS.md (one protocol for every pin file).
 
 use std::sync::Arc;
+use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::graph::DagGenerator;
 use tc_study::serve::{
     LoopMode, MixSpec, QueryStream, ServeConfig, ServeReport, Service, CANONICAL_SERVE_SEED,
 };
@@ -42,7 +39,7 @@ const GOLDEN_CACHE: (u64, u64) = (1, 180);
 
 /// The canonical G5 corpus, frozen once and shape-checked.
 fn canonical_service() -> Service {
-    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
+    let g = canonical::graph();
     let snap = ClosedSnapshot::build(&g, &SystemConfig::with_buffer(20)).expect("freeze G5");
     assert_eq!(
         snap.closure_tuples(),

@@ -4,7 +4,7 @@
 //! and `golden_fault_trace.rs` (which pins its failure trace): this test
 //! pins the FNV-1a digest of the *event trace* each of the nine
 //! algorithms emits on the canonical G5 workload (n = 2000, F = 5,
-//! l = 200, seed 7, 20-page buffer, sources {11, 503, 977}). The digest
+//! l = 200, seed 7, 20-page buffer, the canonical sources). The digest
 //! covers every event's discriminant and fields in canonical encoding,
 //! so any change to instrumentation points, event ordering, or the
 //! algorithms themselves shows up as a digest break.
@@ -15,13 +15,11 @@
 //! the two backends are observationally identical (randomised workloads
 //! are `backend_differential.rs`'s job).
 //!
-//! If an intentional change lands, regenerate the constants below (the
-//! failure message prints the new table) and note the break in
-//! CHANGES.md: previously exported traces stop matching.
+//! Re-pinning: PINS.md (one protocol for every pin file).
 
 use std::sync::Arc;
+use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::graph::DagGenerator;
 use tc_study::storage::Backend;
 use tc_study::trace::{digest_events, replay, DigestSink, Tracer};
 
@@ -44,17 +42,13 @@ const GOLDEN: [(&str, u64, u64); 9] = [
 /// a freshly built canonical database on it (the file store lives in a
 /// temp directory removed on drop).
 fn canonical_dbs() -> [(SystemConfig, Database); 2] {
-    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
+    let g = canonical::graph();
     [Backend::Sim, Backend::file_temp()].map(|backend| {
         let base = SystemConfig::with_buffer(20).backend(backend.clone());
         let db = Database::build_for(&g, true, &base).unwrap();
         assert_eq!(db.backend_name(), backend.name(), "wrong backend opened");
         (base, db)
     })
-}
-
-fn canonical_query() -> Query {
-    Query::partial(vec![11, 503, 977])
 }
 
 #[test]
@@ -64,7 +58,7 @@ fn every_algorithm_trace_matches_its_golden_digest() {
         for algo in Algorithm::WITH_INDEX {
             let sink = Arc::new(DigestSink::new());
             let cfg = base.clone().traced(Tracer::new(sink.clone()));
-            db.run(&canonical_query(), algo, &cfg).unwrap();
+            db.run(&canonical::query(), algo, &cfg).unwrap();
             let d = sink.digest();
             table.push((algo.name(), d.hash, d.count));
         }
@@ -97,7 +91,7 @@ fn replay_reconstructs_metrics_for_every_algorithm_on_golden_g5() {
         for algo in Algorithm::WITH_INDEX {
             let sink = Arc::new(tc_study::trace::VecSink::unbounded());
             let cfg = base.clone().traced(Tracer::new(sink.clone()));
-            let res = db.run(&canonical_query(), algo, &cfg).unwrap();
+            let res = db.run(&canonical::query(), algo, &cfg).unwrap();
             let events = sink.events();
             // The streaming digest and the offline digest agree on the
             // captured stream (VecSink lost nothing).

@@ -19,10 +19,10 @@
 //! (both failure messages print the new table).
 
 use std::sync::Arc;
+use tc_bench::corpus::canonical;
 use tc_bench::experiments::section;
 use tc_bench::ExpOpts;
 use tc_study::core::prelude::*;
-use tc_study::graph::DagGenerator;
 use tc_study::obs::{SpanRecorder, SpanTree};
 use tc_study::serve::{QueryStream, ServeConfig, ServeObs, Service};
 use tc_study::storage::TempDir;
@@ -49,9 +49,9 @@ const GOLDEN_CACHE: (u64, u64) = (1, 180);
 
 #[test]
 fn golden_traces_hold_with_span_collector_armed() {
-    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
+    let g = canonical::graph();
     let mut db = Database::build(&g, true).unwrap();
-    let query = Query::partial(vec![11, 503, 977]);
+    let query = canonical::query();
     let mut table = Vec::new();
     for algo in Algorithm::WITH_INDEX {
         let sink = Arc::new(DigestSink::new());
@@ -129,7 +129,7 @@ fn section_reports_are_byte_identical_with_and_without_timing() {
 
 #[test]
 fn canonical_serve_holds_golden_pins_with_obs_enabled() {
-    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
+    let g = canonical::graph();
     let snap = ClosedSnapshot::build(&g, &SystemConfig::with_buffer(20)).expect("freeze G5");
     let service = Service::new(Arc::new(snap));
     for workers in [1usize, 4] {

@@ -10,8 +10,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::graph::DagGenerator;
 use tc_study::obs::SpanRecorder;
 
 /// Counts allocations per thread (thread-local, so the harness running
@@ -69,7 +69,7 @@ fn disabled_recorder_enter_does_not_allocate() {
 
 #[test]
 fn golden_g5_metrics_are_identical_with_and_without_spans() {
-    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
+    let g = canonical::graph();
 
     // Unobserved run: the golden number must hold with span recording
     // compiled in but disabled (the production default).

@@ -11,22 +11,12 @@
 //! digest family `golden_seed.rs` uses for workload pinning.
 
 use tc_bench::corpus::family;
-use tc_bench::experiments::{run_cells_traced, Cell, CellTask, QuerySpec, SECTIONS};
+use tc_bench::experiments::{run_cells, Cell, CellTask, QuerySpec, Sinks, SECTIONS};
 use tc_bench::ExpOpts;
 use tc_study::core::prelude::*;
 use tc_study::obs::SpanRecorder;
 use tc_study::profile::{profile_jsonl, render, ProfileSink};
-use tc_study::trace::Tracer;
-
-/// FNV-1a over a report fragment's bytes.
-fn digest(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+use tc_study::trace::{Fnv, Tracer};
 
 #[test]
 fn every_section_is_byte_identical_serial_vs_parallel() {
@@ -39,8 +29,8 @@ fn every_section_is_byte_identical_serial_vs_parallel() {
         if a != b {
             diverged.push(format!(
                 "{name}: jobs=1 digest {:#018X} != jobs=4 digest {:#018X}",
-                digest(&a),
-                digest(&b)
+                Fnv::bytes(a.as_bytes()),
+                Fnv::bytes(b.as_bytes())
             ));
         }
     }
@@ -76,8 +66,13 @@ fn per_cell_traces_are_byte_identical_serial_vs_parallel() {
     let root = std::env::temp_dir().join(format!("tc-trace-det-{}", std::process::id()));
     let dir1 = root.join("jobs1");
     let dir4 = root.join("jobs4");
-    run_cells_traced(&cells, 1, &dir1).expect("jobs=1 traced sweep");
-    run_cells_traced(&cells, 4, &dir4).expect("jobs=4 traced sweep");
+    for (jobs, dir) in [(1, &dir1), (4, &dir4)] {
+        let sinks = Sinks::Dirs {
+            trace: Some(dir),
+            timing: None,
+        };
+        run_cells(&cells, jobs, sinks).unwrap_or_else(|e| panic!("jobs={jobs} traced sweep: {e}"));
+    }
 
     let mut diverged = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
@@ -88,9 +83,9 @@ fn per_cell_traces_are_byte_identical_serial_vs_parallel() {
         if a != b {
             diverged.push(format!(
                 "{name}: jobs=1 digest {:#018X} ({} bytes) != jobs=4 digest {:#018X} ({} bytes)",
-                digest(&String::from_utf8_lossy(&a)),
+                Fnv::bytes(&a),
                 a.len(),
-                digest(&String::from_utf8_lossy(&b)),
+                Fnv::bytes(&b),
                 b.len(),
             ));
         }
@@ -102,7 +97,7 @@ fn per_cell_traces_are_byte_identical_serial_vs_parallel() {
     let offline = profile_jsonl(std::io::BufReader::new(file)).expect("fold cell 0 trace");
     let live = std::sync::Arc::new(ProfileSink::new());
     cells[0]
-        .execute_instrumented(Tracer::new(live.clone()), SpanRecorder::disabled())
+        .execute(Tracer::new(live.clone()), SpanRecorder::disabled())
         .expect("cell 0 with a live profile sink");
     assert_eq!(render(&offline), render(&live.finish()));
 

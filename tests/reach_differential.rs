@@ -6,7 +6,7 @@
 //! algorithms — which makes agreement between them strong evidence for
 //! both sides. This suite holds the index to three contracts on the
 //! canonical G5 workload (n = 2000, F = 5, l = 200, seed 7, 20-page
-//! buffer, sources {11, 503, 977}):
+//! buffer, the canonical sources):
 //!
 //! 1. **Answer equivalence** — the index's answer tuples are
 //!    bit-identical to every one of the eight algorithms', on both the
@@ -21,34 +21,27 @@
 //!    emits during restructuring.
 
 use std::sync::Arc;
+use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
 use tc_study::graph::{closure, DagGenerator};
 use tc_study::storage::Backend;
 use tc_study::trace::{replay, DigestSink, Event, Tracer, VecSink};
 
-fn canonical_graph() -> tc_study::graph::Graph {
-    DagGenerator::new(2000, 5.0, 200).seed(7).generate()
-}
-
-fn canonical_query() -> Query {
-    Query::partial(vec![11, 503, 977])
-}
-
 #[test]
 fn index_answers_match_all_eight_algorithms_on_g5() {
-    let g = canonical_graph();
+    let g = canonical::graph();
     let mut db = Database::build(&g, true).expect("build database");
     let cfg = SystemConfig::with_buffer(20).collecting();
     let idx_res = db
-        .run(&canonical_query(), Algorithm::ReachIndex, &cfg)
+        .run(&canonical::query(), Algorithm::ReachIndex, &cfg)
         .expect("index run");
     let idx_answer = idx_res.answer.as_deref().expect("collected answer");
 
     // Oracle first, then each of the paper's algorithms.
-    let oracle = closure::ptc_answer(&g, &[11, 503, 977]);
+    let oracle = closure::ptc_answer(&g, &canonical::SOURCES);
     assert_eq!(idx_answer, &oracle[..], "REACHINDEX vs ptc_answer oracle");
     for algo in Algorithm::ALL {
-        let res = db.run(&canonical_query(), algo, &cfg).expect("run");
+        let res = db.run(&canonical::query(), algo, &cfg).expect("run");
         assert_eq!(
             idx_answer,
             res.answer.as_deref().expect("collected"),
@@ -59,7 +52,7 @@ fn index_answers_match_all_eight_algorithms_on_g5() {
 
 #[test]
 fn index_full_closure_matches_btc_on_g5() {
-    let g = canonical_graph();
+    let g = canonical::graph();
     let mut db = Database::build(&g, false).expect("build database");
     let cfg = SystemConfig::with_buffer(20).collecting();
     let idx = db
@@ -74,13 +67,13 @@ fn index_full_closure_matches_btc_on_g5() {
 
 /// One index run on the given backend, everything comparable captured.
 fn observe(backend: Backend) -> (u64, u64, tc_study::trace::Counts, u64, u64) {
-    let g = canonical_graph();
+    let g = canonical::graph();
     let base = SystemConfig::with_buffer(20).backend(backend.clone());
     let mut db = Database::build_for(&g, true, &base).expect("build database");
     let sink = Arc::new(DigestSink::new());
     let cfg = base.traced(Tracer::new(sink.clone()));
     let res = db
-        .run(&canonical_query(), Algorithm::ReachIndex, &cfg)
+        .run(&canonical::query(), Algorithm::ReachIndex, &cfg)
         .expect("run");
     let d = sink.digest();
     (
@@ -113,12 +106,12 @@ fn index_is_bit_identical_on_sim_and_file_backends() {
 
 #[test]
 fn replay_reconstructs_index_metrics_and_sees_chain_events() {
-    let g = canonical_graph();
+    let g = canonical::graph();
     let mut db = Database::build(&g, true).expect("build database");
     let sink = Arc::new(VecSink::unbounded());
     let cfg = SystemConfig::with_buffer(20).traced(Tracer::new(sink.clone()));
     let res = db
-        .run(&canonical_query(), Algorithm::ReachIndex, &cfg)
+        .run(&canonical::query(), Algorithm::ReachIndex, &cfg)
         .expect("run");
     assert_eq!(sink.dropped(), 0, "VecSink dropped events");
     let events = sink.events();

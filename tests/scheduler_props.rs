@@ -13,7 +13,9 @@ use tc_study::det::check::{self, Checker};
 use tc_study::det::{require_eq, Rng};
 
 use tc_bench::corpus::family;
-use tc_bench::experiments::{run_cells_jittered, Cell, CellOutput, CellTask, ExpError, QuerySpec};
+use tc_bench::experiments::{
+    run_cells, run_cells_jittered, Cell, CellOutput, CellTask, ExpError, QuerySpec, Sinks,
+};
 use tc_study::core::prelude::*;
 
 // Compile-time audit: everything that crosses the scheduler's
@@ -97,7 +99,7 @@ fn canon(o: &CellOutput) -> String {
 fn baseline() -> &'static Vec<String> {
     static BASELINE: OnceLock<Vec<String>> = OnceLock::new();
     BASELINE.get_or_init(|| {
-        run_cells_jittered(pool(), 1, &[])
+        run_cells(pool(), 1, Sinks::None)
             .unwrap_or_else(|e| panic!("serial baseline failed: {e}"))
             .iter()
             .map(canon)
@@ -156,7 +158,7 @@ fn any_schedule_reproduces_the_serial_outputs() {
             let mut expected_ops = 0u64;
             for &i in picks {
                 if let CellOutput::Metrics(m) =
-                    &run_cells_jittered(&pool()[i..i + 1], 1, &[]).map_err(|e| e.to_string())?[0]
+                    &run_cells(&pool()[i..i + 1], 1, Sinks::None).map_err(|e| e.to_string())?[0]
                 {
                     expected_ops = expected_ops.wrapping_add(m.cpu_ops());
                 }
@@ -190,7 +192,7 @@ fn failures_surface_as_typed_errors_at_any_job_count() {
     let mut cells = vec![bad];
     cells.extend(pool().iter().cloned());
     for jobs in [1usize, 2, 5] {
-        match run_cells_jittered(&cells, jobs, &[]) {
+        match run_cells(&cells, jobs, Sinks::None) {
             Err(ExpError::Cell {
                 fam,
                 instance,

@@ -11,7 +11,7 @@
 //! 1. **Answer equivalence** — served `ptc` rows equal the partial-
 //!    closure answer of every one of the nine algorithms, and served
 //!    `reach`/`path` replies agree with closure membership, for the
-//!    canonical sources {11, 503, 977}.
+//!    canonical sources.
 //! 2. **Backend invariance** — per-reply FNV-1a digest sequences are
 //!    identical whether the snapshot was frozen off the simulated or
 //!    the file-backed store.
@@ -19,29 +19,24 @@
 //!    the canonical stream is identical at 1 and 3 workers.
 
 use std::sync::{Arc, OnceLock};
+use tc_bench::corpus::canonical::{self, SOURCES};
 use tc_study::core::prelude::*;
-use tc_study::graph::{closure, DagGenerator, Graph, NodeId};
+use tc_study::graph::{closure, NodeId};
 use tc_study::serve::{QueryStream, Reply, Request, ServeConfig, Service, Session, SessionConfig};
 use tc_study::storage::Backend;
-
-fn canonical_graph() -> Graph {
-    DagGenerator::new(2000, 5.0, 200).seed(7).generate()
-}
-
-const SOURCES: [NodeId; 3] = [11, 503, 977];
 
 /// One shared sim-backed snapshot for the whole suite (freezing G5 is
 /// the expensive step; every test reads it immutably).
 fn sim_snapshot() -> Arc<ClosedSnapshot> {
     static SNAP: OnceLock<Arc<ClosedSnapshot>> = OnceLock::new();
     Arc::clone(SNAP.get_or_init(|| {
-        let g = canonical_graph();
+        let g = canonical::graph();
         Arc::new(ClosedSnapshot::build(&g, &SystemConfig::with_buffer(20)).expect("freeze G5"))
     }))
 }
 
 fn file_snapshot() -> Arc<ClosedSnapshot> {
-    let g = canonical_graph();
+    let g = canonical::graph();
     let cfg = SystemConfig::with_buffer(20).backend(Backend::File { dir: None });
     Arc::new(ClosedSnapshot::build(&g, &cfg).expect("freeze G5 on the file store"))
 }
@@ -61,7 +56,7 @@ fn rows_of(answer: &[(NodeId, NodeId)]) -> Vec<(NodeId, Vec<NodeId>)> {
 
 #[test]
 fn served_ptc_rows_match_all_nine_algorithms_on_g5() {
-    let g = canonical_graph();
+    let g = canonical::graph();
     let snap = sim_snapshot();
     let mut session = Session::new(snap, &SessionConfig::default(), 0);
     let mut served: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
@@ -76,7 +71,7 @@ fn served_ptc_rows_match_all_nine_algorithms_on_g5() {
 
     let mut db = Database::build(&g, true).expect("build database");
     let cfg = SystemConfig::with_buffer(20).collecting();
-    let query = Query::partial(SOURCES.to_vec());
+    let query = canonical::query();
     for algo in Algorithm::WITH_INDEX {
         let res = db.run(&query, algo, &cfg).expect("run");
         let rows = rows_of(res.answer.as_deref().expect("collected answer"));
@@ -93,7 +88,7 @@ fn served_ptc_rows_match_all_nine_algorithms_on_g5() {
 
 #[test]
 fn served_reach_and_path_agree_with_closure_membership() {
-    let g = canonical_graph();
+    let g = canonical::graph();
     let snap = sim_snapshot();
     let mut session = Session::new(snap, &SessionConfig::default().cache_sources(0), 1);
     for &u in &SOURCES {

@@ -4,8 +4,8 @@
 //! transition (alloc, write, drop, LIFO realloc, sync) and the bytes of
 //! `pages.tcs` and `manifest.tcm` are digested, so moving or rewriting
 //! the slot and manifest encoders cannot drift the format silently. A
-//! deliberate format change bumps the magic and re-pins here, with a
-//! CHANGES.md note.
+//! deliberate format change bumps the magic and re-pins here, by the
+//! protocol in PINS.md.
 //!
 //! Pinned format: **2**. Against format 1 the slot magic is `TCP2` (was
 //! `TCP1`), the slot header's checksum field holds `Page::checksum` (the
@@ -18,13 +18,7 @@
 
 use tc_study::storage::file_store::{MANIFEST_FILE, SEGMENT_FILE};
 use tc_study::storage::{FileKind, FileStore, Page, PageStore, TempDir, PAGE_SIZE};
-
-/// Byte-wise FNV-1a 64.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
+use tc_study::trace::Fnv;
 
 /// A page whose every word depends on `tag`.
 fn stamped(tag: u32) -> Page {
@@ -69,7 +63,7 @@ fn segment_and_manifest_bytes_are_pinned() {
         (SEGMENT_LEN, MANIFEST_LEN),
         "on-disk sizes changed (segment, manifest)"
     );
-    let digests = (fnv1a(&segment), fnv1a(&manifest));
+    let digests = (Fnv::bytes(&segment), Fnv::bytes(&manifest));
     assert_eq!(
         digests,
         (SEGMENT_DIGEST, MANIFEST_DIGEST),

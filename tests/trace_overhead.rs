@@ -9,8 +9,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::graph::DagGenerator;
 use tc_study::trace::{DigestSink, Event, Kind, Phase, Tracer};
 
 /// Counts allocations per thread (thread-local, so the harness running
@@ -84,7 +84,7 @@ fn disabled_tracer_emit_does_not_allocate() {
 
 #[test]
 fn golden_g5_metrics_are_identical_with_and_without_tracing() {
-    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
+    let g = canonical::graph();
 
     // Untraced run: the golden number must hold with tracing compiled in
     // but disabled (the production default).

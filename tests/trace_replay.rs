@@ -12,11 +12,12 @@
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter};
 use std::sync::Arc;
+use tc_bench::corpus::canonical;
 use tc_study::buffer::PagePolicy;
 use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require, require_eq, Rng};
-use tc_study::graph::{DagGenerator, Graph};
+use tc_study::graph::Graph;
 use tc_study::profile::profile_jsonl;
 use tc_study::storage::TempDir;
 use tc_study::trace::{replay, Event, JsonlSink, Tracer, VecSink};
@@ -115,16 +116,13 @@ fn replay_reconstructs_metrics_on_random_workloads() {
 /// algorithm on the canonical G5 workload.
 #[test]
 fn the_trace_on_disk_replays_to_the_runs_counts() {
-    let g = DagGenerator::new(2000, 5.0, 200).seed(7).generate();
-    let mut db = Database::build(&g, true).unwrap();
+    let mut db = Database::build(&canonical::graph(), true).unwrap();
     let dir = TempDir::new("trace-replay").unwrap();
     let path = dir.path().join("run.jsonl");
     for algo in Algorithm::WITH_INDEX {
         let sink = Arc::new(JsonlSink::new(BufWriter::new(File::create(&path).unwrap())));
         let cfg = SystemConfig::with_buffer(20).traced(Tracer::new(sink.clone()));
-        let res = db
-            .run(&Query::partial(vec![11, 503, 977]), algo, &cfg)
-            .unwrap();
+        let res = db.run(&canonical::query(), algo, &cfg).unwrap();
         sink.finish().unwrap();
         let expected = &res.metrics.counts;
 

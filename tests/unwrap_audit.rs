@@ -1,12 +1,26 @@
-//! Error-propagation audit: no `unwrap()`/`expect()` on run paths.
+//! The source scan: rules that hold of the repository's text, checked
+//! in tier-1 so that a rule is never something only a script runs.
 //!
+//! **Error-propagation audit: no `unwrap()`/`expect()` on run paths.**
 //! The fault-injection layer is only as good as the error plumbing above
 //! it: a single `unwrap()` between a page store and `Database::run` turns
-//! a typed, injectable `StorageError` into a panic. This test freezes the
-//! audit: everything in [`AUDITED`] must stay free of
-//! `unwrap()`/`expect()` outside `#[cfg(test)]` modules. It is the only
-//! home of the rule (CI runs it with the rest of the suite); a new file
-//! in an audited directory is covered the moment it exists.
+//! a typed, injectable `StorageError` into a panic. Everything in
+//! [`AUDITED`] must stay free of `unwrap()`/`expect()` outside
+//! `#[cfg(test)]` modules; a new file in an audited directory is covered
+//! the moment it exists.
+//!
+//! **Structural rules: one X.** Each [`RULES`] row says where a spelling
+//! may occur. They keep a collapsed mechanism collapsed: a second copy
+//! of the run envelope, the count ledger or an argv loop fails here by
+//! name, not in a differential test after the fact. Every row carries a
+//! fixture that must trip it.
+//!
+//! **The gate names what exists.** `gate.sh` is the one home of the
+//! acceptance commands and `ci.yml` only calls it; a suite or test
+//! filter it names that matches nothing would pass silently, so every
+//! name is resolved against the tree.
+//!
+//! This file is the only home of these rules.
 
 use std::fs;
 use std::path::Path;
@@ -61,6 +75,16 @@ const AUDITED: &[(&str, &str, usize)] = &[
 /// not data-dependent conditions). Format: (file, needle).
 const ALLOWLIST: &[(&str, &str)] = &[("crates/storage/src/page.rs", "expect(\"in-page offset\")")];
 
+/// CARGO_MANIFEST_DIR is the workspace root: the tests/ dir belongs to
+/// the umbrella crate at the repository top level.
+fn repo() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn read(rel: &str) -> String {
+    fs::read_to_string(repo().join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"))
+}
+
 /// All `.rs` files under `path` (a file, or a directory walked into
 /// `bin/`, `layout/`, ...), as repo-relative paths in sorted order.
 fn rust_files_under(repo: &Path, path: &str) -> Vec<String> {
@@ -91,8 +115,8 @@ fn rust_files_under(repo: &Path, path: &str) -> Vec<String> {
     out
 }
 
-fn violations_in(repo: &Path, rel: &str) -> Vec<String> {
-    let text = fs::read_to_string(repo.join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"));
+fn violations_in(rel: &str) -> Vec<String> {
+    let text = read(rel);
     let mut out = Vec::new();
     let mut in_tests = false;
     for (no, line) in text.lines().enumerate() {
@@ -124,19 +148,16 @@ fn violations_in(repo: &Path, rel: &str) -> Vec<String> {
 
 /// Audits every [`AUDITED`] entry of `group`.
 fn audit(group: &str) {
-    // CARGO_MANIFEST_DIR is the workspace root: the tests/ dir belongs
-    // to the umbrella crate at the repository top level.
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut violations = Vec::new();
     for &(_, path, at_least) in AUDITED.iter().filter(|&&(g, ..)| g == group) {
-        let files = rust_files_under(repo, path);
+        let files = rust_files_under(repo(), path);
         assert!(
             files.len() >= at_least,
             "{path}: audit walked only {} files — layout changed?",
             files.len()
         );
         for rel in &files {
-            violations.extend(violations_in(repo, rel));
+            violations.extend(violations_in(rel));
         }
     }
     assert!(
@@ -191,12 +212,337 @@ fn cli_paths_stay_free_of_unwrap_and_expect() {
 #[test]
 fn allowlist_entries_still_exist() {
     // A stale allowlist hides future violations behind dead entries.
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
     for &(rel, needle) in ALLOWLIST {
-        let text = fs::read_to_string(repo.join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"));
         assert!(
-            text.contains(needle),
+            read(rel).contains(needle),
             "allowlist entry no longer present, remove it: {rel} `{needle}`"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Structural rules
+// ---------------------------------------------------------------------
+
+/// The texts a rule reads.
+enum Scope {
+    /// Every `.rs` file under these directories, this file excepted (it
+    /// has to spell the needles).
+    Rust(&'static [&'static str]),
+    /// The root manifest and every workspace crate's.
+    Manifests,
+    /// What the `tcq` binary prints for `--help` (exit 0 required).
+    Help,
+}
+
+/// What must hold of each needle over the scope's texts.
+enum Want {
+    /// It occurs in none of them.
+    Nowhere,
+    /// It occurs in this file and no other.
+    OnlyIn(&'static str),
+    /// It occurs in all of them.
+    Everywhere,
+}
+
+struct Rule {
+    /// The mechanism the rule keeps single, and what to do instead of
+    /// breaking it.
+    name: &'static str,
+    scope: Scope,
+    want: Want,
+    needles: &'static [&'static str],
+    /// One more text of the scope that must trip the rule.
+    fixture: &'static str,
+}
+
+const EVERYWHERE: &[&str] = &["crates", "src", "tests", "examples"];
+
+const RULES: &[Rule] = &[
+    // The workspace is hermetic: zero external crates, so every build is
+    // reproducible offline. `tc-det` supplies the PRNG and the
+    // property-test harness.
+    Rule {
+        name: "dependency hygiene: no external crate (use crates/det)",
+        scope: Scope::Manifests,
+        want: Want::Nowhere,
+        needles: &["rand", "proptest", "criterion"],
+        fixture: "[dev-dependencies]\nproptest = \"1\"\n",
+    },
+    // The run envelope (arm, phase boundary, finish, metric assembly) is
+    // written once, in `MeteredRun`.
+    Rule {
+        name: "one metered-run lifecycle: the envelope lives in lifecycle.rs",
+        scope: Scope::Rust(&["crates/core/src"]),
+        want: Want::OnlyIn("crates/core/src/lifecycle.rs"),
+        needles: &[
+            "Event::RunBegin",
+            "Event::RunEnd",
+            "Event::PhaseBegin",
+            "Event::PhaseEnd",
+            "clear_fault_plan",
+            "estimate_seconds",
+        ],
+        fixture: "tracer.emit(|| Event::RunBegin { algorithm });",
+    },
+    // The cost-metric suite is one struct, `tc_trace::Counts`...
+    Rule {
+        name: "one ledger: no mirror of the counter structs \
+               (use tc_trace::{Counts, PhaseIo, BufferStats, Rect})",
+        scope: Scope::Rust(EVERYWHERE),
+        want: Want::Nowhere,
+        needles: &[
+            "Replayed",
+            "to_replayed",
+            "LogicalCounts",
+            "KindBufStats",
+            "IoCounts",
+        ],
+        fixture: "let r: Replayed = metrics.to_replayed();",
+    },
+    // ...and what an event counts is one match, `Counts::on`, which the
+    // engine's `count_*` methods, replay and the profile fold all call.
+    Rule {
+        name: "one ledger: an Event match that counts lives in counts.rs",
+        scope: Scope::Rust(EVERYWHERE),
+        want: Want::OnlyIn("crates/trace/src/counts.rs"),
+        needles: &["Event::Union =>"],
+        fixture: "match ev { Event::Union => self.unions += 1, _ => {} }",
+    },
+    // Every tcq flag is one entry of its subcommand's table in
+    // src/cli.rs (parser and usage text both read it); the bench
+    // binaries share `tc_bench::opts::flag_value`.
+    Rule {
+        name: "one front door: no hand-written argv loop \
+               (add a Flag entry or use opts::flag_value)",
+        scope: Scope::Rust(&["src", "crates"]),
+        want: Want::Nowhere,
+        needles: &["while i < args.len()"],
+        fixture: "while i < args.len() { match args[i].as_str() {",
+    },
+    Rule {
+        name: "one front door: tcq --help names every subcommand",
+        scope: Scope::Help,
+        want: Want::Everywhere,
+        needles: &["tcq analyze", "tcq update", "tcq serve"],
+        fixture: "usage: tcq <edges-file> [options]",
+    },
+];
+
+const THIS_FILE: &str = "tests/unwrap_audit.rs";
+
+/// The workspace's crates as `(package name, directory)`.
+fn workspace_crates() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(repo().join("crates")).expect("read crates/") {
+        let dir = format!(
+            "crates/{}",
+            entry.expect("crates/ entry").file_name().to_string_lossy()
+        );
+        let manifest = read(&format!("{dir}/Cargo.toml"));
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \""))
+            .and_then(|rest| rest.strip_suffix('"'))
+            .unwrap_or_else(|| panic!("{dir}/Cargo.toml has no package name"));
+        out.push((name.to_string(), dir));
+    }
+    out.sort();
+    out
+}
+
+/// The `(name, text)` pairs a scope covers.
+fn texts(scope: &Scope) -> Vec<(String, String)> {
+    let paths: Vec<String> = match scope {
+        Scope::Rust(roots) => roots
+            .iter()
+            .flat_map(|root| rust_files_under(repo(), root))
+            .filter(|rel| rel != THIS_FILE)
+            .collect(),
+        Scope::Manifests => std::iter::once("Cargo.toml".to_string())
+            .chain(
+                workspace_crates()
+                    .into_iter()
+                    .map(|(_, dir)| format!("{dir}/Cargo.toml")),
+            )
+            .collect(),
+        Scope::Help => {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_tcq"))
+                .arg("--help")
+                .output()
+                .expect("run tcq --help");
+            assert!(out.status.success(), "tcq --help exited {}", out.status);
+            let text = String::from_utf8_lossy(&out.stderr).into_owned();
+            return vec![("tcq --help".to_string(), text)];
+        }
+    };
+    paths
+        .into_iter()
+        .map(|rel| {
+            let text = read(&rel);
+            (rel, text)
+        })
+        .collect()
+}
+
+/// One line per needle of `rule` that is not where it should be.
+fn broken(rule: &Rule, texts: &[(String, String)]) -> Vec<String> {
+    let mut out = Vec::new();
+    for needle in rule.needles {
+        let hits: Vec<&str> = texts
+            .iter()
+            .filter(|(_, text)| text.contains(needle))
+            .map(|(name, _)| name.as_str())
+            .collect();
+        let ok = match rule.want {
+            Want::Nowhere => hits.is_empty(),
+            Want::OnlyIn(home) => hits == [home],
+            Want::Everywhere => hits.len() == texts.len(),
+        };
+        if !ok {
+            out.push(format!("{}: `{needle}` occurs in {hits:?}", rule.name));
+        }
+    }
+    out
+}
+
+#[test]
+fn structural_rules_hold_and_each_fires_on_its_fixture() {
+    let mut violations = Vec::new();
+    for rule in RULES {
+        let mut texts = texts(&rule.scope);
+        assert!(!texts.is_empty(), "{}: nothing scanned", rule.name);
+        let on_tree = broken(rule, &texts);
+        // The same tree with the fixture added must trip the rule: a row
+        // that cannot fail is not a rule.
+        texts.push(("<fixture>".to_string(), rule.fixture.to_string()));
+        assert!(
+            broken(rule, &texts) != on_tree,
+            "{}: the fixture does not trip the rule",
+            rule.name
+        );
+        violations.extend(on_tree);
+    }
+    assert!(
+        violations.is_empty(),
+        "structural rules broken (tests/unwrap_audit.rs RULES):\n{}",
+        violations.join("\n")
+    );
+}
+
+// ---------------------------------------------------------------------
+// The gate
+// ---------------------------------------------------------------------
+
+/// Whether some `fn` under `files` has `filter` in its name (what
+/// `cargo test FILTER` matches on).
+fn some_fn_matches(files: &[String], filter: &str) -> bool {
+    files.iter().any(|rel| {
+        read(rel).lines().any(|l| {
+            l.trim_start()
+                .strip_prefix("fn ")
+                .is_some_and(|rest| rest.split('(').next().is_some_and(|n| n.contains(filter)))
+        })
+    })
+}
+
+/// Every suite, crate and test filter a gate script names that does not
+/// resolve: `--test NAME [FILTER]` needs `tests/NAME.rs` (with a `fn`
+/// matching FILTER), `-p CRATE --lib FILTER` a workspace crate with such
+/// a `fn` under its `src/`.
+fn unresolved_gate_names(script: &str) -> Vec<String> {
+    let crates = workspace_crates();
+    let mut out = Vec::new();
+    for line in script.lines().filter(|l| !l.trim_start().starts_with('#')) {
+        let toks: Vec<&str> = line.split_whitespace().collect();
+        // Test runs go through the script's `t` wrapper (or spell
+        // `cargo test` out); `-p` means something else to other commands.
+        if !toks.contains(&"t") && !line.contains("cargo test") {
+            continue;
+        }
+        let filter_at = |i: usize| toks.get(i).copied().filter(|t| !t.starts_with('-'));
+        for (i, &tok) in toks.iter().enumerate() {
+            match (tok, toks.get(i + 1)) {
+                ("--test", Some(&suite)) => {
+                    let rel = format!("tests/{suite}.rs");
+                    if !repo().join(&rel).is_file() {
+                        out.push(format!("--test {suite}: no {rel}"));
+                    } else if let Some(f) = filter_at(i + 2) {
+                        if !some_fn_matches(std::slice::from_ref(&rel), f) {
+                            out.push(format!("--test {suite} {f}: no such fn in {rel}"));
+                        }
+                    }
+                }
+                ("-p", Some(&krate)) => {
+                    let Some((_, dir)) = crates.iter().find(|(name, _)| name == krate) else {
+                        out.push(format!("-p {krate}: no such workspace crate"));
+                        continue;
+                    };
+                    let filter = (toks.get(i + 2) == Some(&"--lib"))
+                        .then(|| filter_at(i + 3))
+                        .flatten();
+                    let Some(f) = filter else {
+                        out.push(format!("-p {krate}: expected `--lib FILTER` after it"));
+                        continue;
+                    };
+                    let src = rust_files_under(repo(), &format!("{dir}/src"));
+                    if !some_fn_matches(&src, f) {
+                        out.push(format!("-p {krate} --lib {f}: no such fn in {dir}/src"));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn the_gate_names_only_suites_and_tests_that_exist() {
+    let gate = read("gate.sh");
+    assert!(
+        gate.matches("--test ").count() >= 30 && gate.contains(" -p tc-core --lib "),
+        "gate.sh no longer spells its suites as `--test NAME` / `-p CRATE --lib FILTER`"
+    );
+    let unresolved = unresolved_gate_names(&gate);
+    assert!(
+        unresolved.is_empty(),
+        "gate.sh names suites or tests that do not exist (renamed? a filter \
+         that matches nothing passes silently):\n{}",
+        unresolved.join("\n")
+    );
+    // The resolver itself fires on each kind of dangling name.
+    let dangling = "t --test golden_seed --test no_such_suite\n\
+                    t --test golden_seed no_such_fn\n\
+                    t -p tc-core --lib no_such_fn\n\
+                    t -p tc-core no_such_fn\n\
+                    t -p no-such-crate --lib checksum\n\
+                    # t --test commented_out\n";
+    assert_eq!(unresolved_gate_names(dangling).len(), 5, "{dangling}");
+}
+
+/// The commands of a workflow file that are not a call of the gate.
+fn foreign_ci_commands(workflow: &str) -> Vec<String> {
+    workflow
+        .lines()
+        .filter_map(|l| l.trim_start().trim_start_matches("- ").strip_prefix("run:"))
+        .map(str::trim)
+        .filter(|cmd| {
+            !cmd.starts_with("./gate.sh ") && *cmd != "rustc --version && cargo --version"
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn ci_runs_nothing_but_the_gate() {
+    // A command written into the workflow is one no session can run;
+    // `run: |` opens a block of them.
+    let foreign = foreign_ci_commands(&read(".github/workflows/ci.yml"));
+    assert!(
+        foreign.is_empty(),
+        "ci.yml runs commands of its own (move them into gate.sh): {foreign:?}"
+    );
+    let inline = "      - run: |\n          cargo test -q\n      - run: cargo fmt --check\n";
+    assert_eq!(foreign_ci_commands(inline), ["|", "cargo fmt --check"]);
 }
