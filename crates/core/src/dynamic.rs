@@ -31,10 +31,13 @@
 //! over unchanged, so dynamic runs are first-class citizens of the
 //! experiment and differential-testing harnesses.
 //!
-//! In memory the closure is its scanned sorted tuple list plus a bit
-//! row per source the batch writes to ([`TupleRows`]); rows are merged
-//! with word-parallel ORs, so the wall-clock cost follows the rows a
-//! batch touches, like the counted cost does.
+//! On the medium the closure is a positional [`ValueFile`]: the
+//! successors of source 0, then of source 1, and so on, with no source
+//! stored beside them — the row table `rows` the instance keeps says
+//! where each row starts. In memory it is that scanned column plus a
+//! bit row per source the batch writes to ([`TupleRows`]); rows are
+//! merged with word-parallel ORs, so the wall-clock cost follows the
+//! rows a batch touches, like the counted cost does.
 //!
 //! The whole layer is deterministic: there is no hash container, the
 //! sweep order and every row are derived from sorted data, and all I/O goes
@@ -54,7 +57,7 @@ use tc_graph::{closure, Graph, NodeId, UpdateOp};
 use tc_reach::{NullMeter, ReachIndex};
 use tc_storage::{
     ClusteredIndex, FaultEvent, FileKind, FrozenPageSet, PageStore, RelationFile, StorageError,
-    StorageResult, TupleWriter,
+    StorageResult, ValueFile, ValueWriter,
 };
 use tc_succ::{row_offsets, BitRow, TupleRows};
 use tc_trace::{Event, Tracer};
@@ -162,10 +165,13 @@ struct AppliedOps {
 /// ```
 pub struct DynamicClosure {
     db: Database,
-    tc: RelationFile,
-    /// Row offsets of `tc` (`n + 1` entries): source `u`'s tuples are
-    /// `rows[u]..rows[u + 1]`. Known at build and after every `apply`,
-    /// so `freeze` hands them to the snapshot without a scan.
+    /// The closure's successor column, sources ascending and each
+    /// source's successors ascending.
+    tc: ValueFile,
+    /// Row offsets of `tc` (`n + 1` entries): source `u`'s successors
+    /// are values `rows[u]..rows[u + 1]`. The only record of where a row
+    /// starts; known at build and after every `apply`, so `freeze` hands
+    /// them to the snapshot without a scan.
     rows: Vec<u32>,
     cfg: SystemConfig,
 }
@@ -190,8 +196,9 @@ impl DynamicClosure {
         let mut db = Database::build_for(graph, false, cfg)?;
         let all: Vec<NodeId> = (0..graph.n() as NodeId).collect();
         let full = closure::ptc_answer(graph, &all);
+        let successors: Vec<NodeId> = full.iter().map(|t| t.1).collect();
         let mut store = db.take_store()?;
-        let tc = RelationFile::bulk_load(store.as_mut(), FileKind::Output, &full)?;
+        let tc = ValueFile::bulk_load(store.as_mut(), FileKind::Output, &successors)?;
         store.reset_stats();
         db.restore_store(store);
         Ok(DynamicClosure {
@@ -209,7 +216,7 @@ impl DynamicClosure {
 
     /// Number of tuples in the materialized closure.
     pub fn tuple_count(&self) -> usize {
-        self.tc.tuple_count()
+        self.tc.count()
     }
 
     /// Pages of the materialized closure file.
@@ -228,9 +235,20 @@ impl DynamicClosure {
     /// `apply` (whose metrics are snapshot deltas).
     pub fn tuples(&mut self) -> StorageResult<Vec<(NodeId, NodeId)>> {
         let mut store = self.db.take_store()?;
-        let out = self.tc.scan(store.as_mut());
+        let mut successors = Vec::new();
+        let read = self
+            .tc
+            .read_range(store.as_mut(), 0, self.tc.count(), &mut successors);
         self.db.restore_store(store);
-        out
+        read?;
+        // The file holds no sources: row `u` of the table says which
+        // successors are `u`'s.
+        let mut out = Vec::with_capacity(successors.len());
+        for (u, row) in self.rows.windows(2).enumerate() {
+            let row = &successors[row[0] as usize..row[1] as usize];
+            out.extend(row.iter().map(|&v| (u as NodeId, v)));
+        }
+        Ok(out)
     }
 
     /// Freezes the current state into an immutable
@@ -303,10 +321,12 @@ impl DynamicClosure {
     /// outside the graph with [`UpdateError::UnknownNode`], before any
     /// file is touched: graph, relation, index and closure are exactly
     /// as before, and the next `apply` works. On [`UpdateError::Storage`] (e.g. an injected
-    /// unrecoverable fault) the store is reattached and disarmed, but
-    /// the instance's relation, index and closure may be partially
-    /// rewritten — discard the instance, as a crashed database would be
-    /// recovered, not trusted.
+    /// unrecoverable fault, or a closure file that reads back as
+    /// something other than sorted rows of node ids:
+    /// [`StorageError::CorruptFile`]) the store is reattached and
+    /// disarmed, but the instance's relation, index and closure may be
+    /// partially rewritten — discard the instance, as a crashed database
+    /// would be recovered, not trusted.
     pub fn apply(&mut self, batch: &[UpdateOp]) -> Result<UpdateResult, UpdateError> {
         let cfg = &self.cfg;
         let (mut run, mut store) =
@@ -322,8 +342,11 @@ impl DynamicClosure {
         let mut pool = run.open_pool(store);
         run.enter_compute(&pool);
         let counted = &mut run.metrics;
-        let outcome =
-            applied.and_then(|ops| Ok(maintain(&self.db, &mut pool, &self.tc, &ops, counted)?));
+        let outcome = applied.and_then(|ops| {
+            Ok(maintain(
+                &self.db, &mut pool, &self.tc, &self.rows, &ops, counted,
+            )?)
+        });
 
         let (done, metrics, fault_trace) = run.finish(&mut self.db, pool, outcome)?;
         self.tc = done.file;
@@ -433,7 +456,7 @@ fn net_op(
 /// What [`maintain`] leaves behind: the rewritten closure file, its row
 /// offsets, and the net tuple delta.
 struct Maintained {
-    file: RelationFile,
+    file: ValueFile,
     rows: Vec<u32>,
     inserted: u64,
     removed: u64,
@@ -445,12 +468,70 @@ const GAINS: u8 = 1;
 /// The same for a deleted arc: its row may lose successors.
 const LOSES: u8 = 2;
 
+/// Scans the closure column through `pager`, checking it against its row
+/// table as the pages arrive — every row strictly ascending, every
+/// successor below `n`, the table covering exactly the file — and hands
+/// each tail's flags in `reaches` to its ancestors: the closure is
+/// transitive, so a flag `x` picks up from `y` is one `x` also gets from
+/// the tail itself, whatever the row order. The bytes come back from a
+/// disk, so a violation is a [`StorageError::CorruptFile`], not a panic.
+fn scan_rows(
+    pager: &mut BufferPool,
+    tc: &ValueFile,
+    rows: &[u32],
+    reaches: &mut [u8],
+) -> StorageResult<Vec<NodeId>> {
+    let n = reaches.len();
+    let corrupt = |what| StorageError::CorruptFile {
+        file: tc.file_id().0,
+        what,
+    };
+    if rows.len() != n + 1 || rows[0] != 0 || rows[n] as usize != tc.count() {
+        return Err(corrupt("the row table does not cover the closure file"));
+    }
+    let mut column: Vec<NodeId> = Vec::with_capacity(tc.count());
+    // The row the scan is in, and the last successor seen in it.
+    let (mut x, mut last) = (0usize, None);
+    let mut bad = None;
+    tc.scan_pages(pager, &mut |page| {
+        let mut rest = page;
+        while !rest.is_empty() && bad.is_none() {
+            let at = column.len() + (page.len() - rest.len());
+            while rows[x + 1] as usize <= at {
+                (x, last) = (x + 1, None);
+            }
+            let (row, tail) = rest.split_at(rest.len().min(rows[x + 1] as usize - at));
+            let mut flags = 0;
+            for &y in row {
+                if y as usize >= n {
+                    bad = Some("a successor is not a node of the graph");
+                    break;
+                }
+                if last.is_some_and(|prev| prev >= y) {
+                    bad = Some("a closure row is not strictly ascending");
+                    break;
+                }
+                flags |= reaches[y as usize];
+                last = Some(y);
+            }
+            reaches[x] |= flags;
+            rest = tail;
+        }
+        column.extend_from_slice(page);
+    })?;
+    match bad {
+        Some(what) => Err(corrupt(what)),
+        None => Ok(column),
+    }
+}
+
 /// Computation phase: scan the closure, recompute the rows the batch
 /// can change in one reverse-topological sweep, rewrite the file.
 fn maintain(
     db: &Database,
     pool: &mut BufferPool,
-    tc: &RelationFile,
+    tc: &ValueFile,
+    rows: &[u32],
     ops: &AppliedOps,
     metrics: &mut CostMetrics,
 ) -> StorageResult<Maintained> {
@@ -463,18 +544,9 @@ fn maintain(
         reaches[u as usize] |= LOSES;
     }
     // Materialize the current closure through the pool (charged). The
-    // sorted list stays as scanned; only rows written to below get a
-    // bit row. The same pass hands each tail's flags to its ancestors:
-    // the closure is transitive, so a flag `x` picks up from `y` is one
-    // `x` also gets from the tail itself, whatever the tuple order.
-    let mut old: Vec<(NodeId, NodeId)> = Vec::with_capacity(tc.tuple_count());
-    tc.scan_pages(pool, &mut |chunk| {
-        for &(x, y) in chunk {
-            reaches[x as usize] |= reaches[y as usize];
-        }
-        old.extend_from_slice(chunk);
-    })?;
-    let mut closure = TupleRows::new(n, &old);
+    // column stays as scanned; only rows written to below get a bit row.
+    let column = scan_rows(pool, tc, rows, &mut reaches)?;
+    let mut closure = TupleRows::from_rows(rows.to_vec(), column);
 
     // The sweep: children first, so every row merged is final.
     let mut row = BitRow::new(n);
@@ -512,9 +584,10 @@ fn maintain(
         closure.set_row(x, &row);
     }
 
-    // ---- Net delta and closure rewrite, row by row: untouched rows
-    // come straight from the old list, written rows off their bits.
-    // Every derivation that did not add a tuple found it present.
+    // ---- Net delta and closure rewrite: each run of untouched rows
+    // goes out as the slice of the scanned column it is, each written
+    // row off its bits. Every derivation that did not add a tuple found
+    // it present.
     let (inserted, removed) = closure.delta();
     for _ in 0..inserted {
         metrics.count_generated(true);
@@ -522,11 +595,11 @@ fn maintain(
     metrics.count_duplicates(derived - inserted);
     // Free the old file first so the rewrite reuses its pages.
     pool.free_file(tc.file_id())?;
-    let mut out = TupleWriter::new(pool, FileKind::Output);
-    out.extend(pool, closure.iter())?;
+    let mut out = ValueWriter::new(pool, FileKind::Output);
+    closure.column_runs(|run| out.extend_from_slice(pool, run))?;
     let file = out.finish();
     pool.flush_file(file.file_id())?;
-    metrics.set_tuple_writes(file.tuple_count() as u64);
+    metrics.set_tuple_writes(file.count() as u64);
     metrics
         .trace
         .emit(Event::DeltaApplied { inserted, removed });
@@ -699,6 +772,112 @@ mod tests {
         live.remove_arc(1, 2);
         d.apply(&[UpdateOp::Delete(1, 2)]).unwrap();
         assert_eq!(d.tuples().unwrap(), oracle(&live));
+    }
+
+    #[test]
+    fn tuples_round_trip_closures_with_empty_rows() {
+        // Sources 0 and 1 (first), 4 and 5 (middle) and 8 (last) reach
+        // nothing: their rows are empty, two of them back to back, and
+        // the file has no source column to tell them apart.
+        let g = Graph::from_arcs(9, [(2, 3), (2, 6), (3, 7), (6, 7), (7, 8)]);
+        for cfg in [
+            SystemConfig::with_buffer(8),
+            SystemConfig::with_buffer(8).backend(tc_storage::Backend::file_temp()),
+        ] {
+            let mut d = DynamicClosure::build(&g, &cfg).unwrap();
+            assert_eq!(d.tuples().unwrap(), oracle(&g));
+            // Fill an empty row, empty a filled one, and back.
+            let mut live = g.clone();
+            for op in [
+                UpdateOp::Insert(0, 5),
+                UpdateOp::Insert(4, 6),
+                UpdateOp::Delete(7, 8),
+                UpdateOp::Delete(2, 3),
+                UpdateOp::Delete(2, 6),
+                UpdateOp::Insert(7, 8),
+            ] {
+                match op {
+                    UpdateOp::Insert(u, v) => live.add_arc(u, v),
+                    UpdateOp::Delete(u, v) => live.remove_arc(u, v),
+                };
+                d.apply(&[op]).unwrap();
+                let expect = oracle(&live);
+                assert_eq!(d.tuples().unwrap(), expect, "after {op:?}");
+                let snap = d.freeze(1).unwrap();
+                let mut store = snap.open_store();
+                for u in 0..9 {
+                    let row = closure::successors_of(&live, u);
+                    assert_eq!(
+                        snap.ptc(&mut store, u).unwrap(),
+                        row,
+                        "ptc({u}) after {op:?}"
+                    );
+                }
+            }
+        }
+        // No arc at all: every row is empty and the file has no page.
+        let mut d = DynamicClosure::build(&Graph::empty(4), &SystemConfig::default()).unwrap();
+        assert_eq!(d.closure_pages(), 0);
+        assert!(d.tuples().unwrap().is_empty());
+        d.apply(&[UpdateOp::Insert(1, 3)]).unwrap();
+        assert_eq!(d.tuples().unwrap(), [(1, 3)]);
+    }
+
+    #[test]
+    fn a_bad_closure_file_is_a_typed_error_naming_the_file() {
+        use tc_storage::{Backend, Page, ValuePage};
+
+        /// Rewrites the first closure page through the store, so the
+        /// image the next read gets back carries a checksum that
+        /// verifies. `edit` is given the position of a row of at least
+        /// two successors on that page.
+        fn rewrite(d: &mut DynamicClosure, edit: fn(&mut Page, usize)) {
+            let long = |w: &[u32]| w[1] - w[0] >= 2 && w[1] <= 512;
+            let at = d.rows[d.rows.windows(2).position(long).unwrap()] as usize;
+            let pid = d.tc.pages()[0];
+            let mut store = d.db.take_store().unwrap();
+            let mut page = Page::new();
+            store.read_page(pid, &mut page).unwrap();
+            edit(&mut page, at);
+            store.write_page(pid, &page).unwrap();
+            d.db.restore_store(store);
+        }
+        type Damage = fn(&mut DynamicClosure);
+        let damage: [(&str, Damage); 3] = [
+            ("ascending", |d| {
+                rewrite(d, |page, at| {
+                    let swapped = [ValuePage::get(page, at + 1), ValuePage::get(page, at)];
+                    ValuePage::write(page, at, &swapped);
+                })
+            }),
+            ("not a node", |d| {
+                rewrite(d, |page, at| ValuePage::write(page, at + 1, &[200]))
+            }),
+            ("row table", |d| *d.rows.last_mut().unwrap() -= 1),
+        ];
+        let g = DagGenerator::new(200, 3.0, 40).seed(13).generate();
+        for backend in [Backend::Sim, Backend::file_temp()] {
+            for (what, damage) in damage {
+                let cfg = SystemConfig::with_buffer(12).backend(backend.clone());
+                let mut d = DynamicClosure::build(&g, &cfg).unwrap();
+                damage(&mut d);
+                let file = d.tc.file_id().0;
+                let err = d.apply(&[UpdateOp::Insert(0, 199)]).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        UpdateError::Storage(StorageError::CorruptFile { file: named, .. })
+                            if named == file
+                    ),
+                    "{what}: expected CorruptFile of file {file}, got {err:?}"
+                );
+                let text = err.to_string();
+                assert!(
+                    text.contains(&format!("file {file}")) && text.contains(what),
+                    "{what}: {text}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use tc_graph::{Graph, NodeId};
 use tc_reach::ReachIndex;
 use tc_storage::{
     ClusteredIndex, FileId, FrozenPageSet, FrozenStore, Pager, RelationFile, StorageError,
-    StorageResult,
+    StorageResult, ValueFile,
 };
 
 /// An immutable, `Arc`-shared view of a closed database: catalog +
@@ -58,10 +58,11 @@ pub struct ClosedSnapshot {
     /// Clustered base relation (children probes for `path`).
     relation: RelationFile,
     index: ClusteredIndex,
-    /// Materialized transitive closure, sorted `(source, successor)`.
-    closure: RelationFile,
+    /// Materialized transitive closure: the successor column, sources
+    /// ascending and each source's successors ascending.
+    closure: ValueFile,
     /// Row offsets into `closure` (`n + 1` entries); `ptc(u)` reads
-    /// exactly the pages covering tuples
+    /// exactly the pages covering values
     /// `closure_rows[u]..closure_rows[u + 1]`.
     closure_rows: Vec<u32>,
     /// Chain-decomposition reachability index (labels answer `reach`).
@@ -88,7 +89,7 @@ impl ClosedSnapshot {
         pages: FrozenPageSet,
         relation: RelationFile,
         index: ClusteredIndex,
-        closure: RelationFile,
+        closure: ValueFile,
         closure_rows: Vec<u32>,
         reach: ReachIndex,
     ) -> ClosedSnapshot {
@@ -122,7 +123,7 @@ impl ClosedSnapshot {
 
     /// Tuples in the frozen closure.
     pub fn closure_tuples(&self) -> usize {
-        self.closure.tuple_count()
+        self.closure.count()
     }
 
     /// Width k of the frozen reachability index.
@@ -169,7 +170,7 @@ impl ClosedSnapshot {
             self.closure_rows[u as usize + 1],
         );
         self.closure
-            .read_value_range(pager, start as usize, end as usize, &mut out)?;
+            .read_range(pager, start as usize, end as usize, &mut out)?;
         Ok(out)
     }
 
@@ -230,11 +231,7 @@ impl ClosedSnapshot {
 
 /// The files a snapshot captures: base relation, clustered index,
 /// closure, then the reach index's chains and labels files.
-pub(crate) fn capture_set(
-    db: &Database,
-    closure: &RelationFile,
-    reach: &ReachIndex,
-) -> Vec<FileId> {
+pub(crate) fn capture_set(db: &Database, closure: &ValueFile, reach: &ReachIndex) -> Vec<FileId> {
     let mut files = vec![db.relation.file_id(), db.index.file_id(), closure.file_id()];
     files.extend(reach.files());
     files

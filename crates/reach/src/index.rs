@@ -19,14 +19,16 @@
 //! advisor predict when this index beats the 1994 engines.
 //!
 //! [`ReachIndex::build`] persists the decomposition and the labels in
-//! two paged tuple files through any [`Pager`] (the buffer pool in the
+//! two paged value files through any [`Pager`] (the buffer pool in the
 //! engine), so construction and queries are charged page I/O exactly
-//! like the eight study algorithms.
+//! like the eight study algorithms. Both are read by position — the
+//! index is k·n integers, as in Kritikakis/Tollis — so neither stores a
+//! key beside its values.
 
 use tc_graph::{condensation, Condensation, Graph, NodeId};
 use tc_storage::{
-    FileId, FileKind, Pager, RelationFile, StorageError, StorageResult, TuplePage, TupleWriter,
-    TUPLES_PER_PAGE,
+    FileId, FileKind, Pager, StorageError, StorageResult, ValueFile, ValuePage, ValueWriter,
+    VALUES_PER_PAGE,
 };
 use tc_trace::{Event, Tracer};
 
@@ -121,24 +123,25 @@ impl LabelMatrix {
 ///
 /// Construction condenses the input, decomposes the condensation DAG
 /// into k concurrent chains, computes the interval labels, and writes
-/// two paged files through the supplied [`Pager`]:
+/// two positional [`ValueFile`]s through the supplied [`Pager`]:
 ///
-/// * a **chains file** ([`FileKind::Index`]): one `(chain, component)`
-///   tuple per chain position, chains concatenated in order;
-/// * a **labels file** ([`FileKind::SuccessorList`]): k tuples
-///   `(component, pos-or-NO_POS)` per component, in chain order — the
-///   label rows.
+/// * a **chains file** ([`FileKind::Index`]): one component per chain
+///   position, chains concatenated in order (chain `c` starts at value
+///   `chain_starts[c]`);
+/// * a **labels file** ([`FileKind::SuccessorList`]): k values
+///   `pos-or-NO_POS` per component, in chain order — the label rows,
+///   row `v` at values `v·k..(v + 1)·k`.
 ///
-/// Both files are written in clustering-key order, so point probes can
-/// compute their exact page ranges without a separate index file.
+/// A reader computes the exact page range of what it wants from those
+/// positions, so there is no key to store and no separate index file.
 pub struct ReachIndex {
     cond: Condensation,
     cd: ChainDecomposition,
     labels: LabelMatrix,
-    chains_file: RelationFile,
-    labels_file: RelationFile,
-    /// `chain_starts[c]` = global tuple index of chain `c`'s first entry
-    /// in the chains file.
+    chains_file: ValueFile,
+    labels_file: ValueFile,
+    /// `chain_starts[c]` = position of chain `c`'s first entry in the
+    /// chains file.
     chain_starts: Vec<usize>,
 }
 
@@ -156,23 +159,16 @@ impl ReachIndex {
         let labels = LabelMatrix::compute(&cond.graph, &cd, meter);
 
         let mut chain_starts = Vec::with_capacity(cd.width() + 1);
-        let mut chains_w = TupleWriter::new(pager, FileKind::Index);
-        let mut labels_w = TupleWriter::new(pager, FileKind::SuccessorList);
+        let mut chains_w = ValueWriter::new(pager, FileKind::Index);
+        let mut labels_w = ValueWriter::new(pager, FileKind::SuccessorList);
         let written = (|| {
-            let mut start = 0usize;
-            for (c, chain) in cd.chains.iter().enumerate() {
-                chain_starts.push(start);
-                for &comp in chain {
-                    chains_w.push(pager, (c as u32, comp))?;
-                }
-                start += chain.len();
+            for chain in &cd.chains {
+                chain_starts.push(chains_w.count());
+                chains_w.extend_from_slice(pager, chain)?;
             }
-            for v in 0..cond.component_count() as NodeId {
-                for &p in labels.row(v) {
-                    labels_w.push(pager, (v, p))?;
-                }
-            }
-            Ok(())
+            // The matrix is row-major in component order: it is the
+            // file's content already.
+            labels_w.extend_from_slice(pager, &labels.rows)
         })();
         let (chains_file, labels_file) = (chains_w.finish(), labels_w.finish());
         if let Err(e) = written {
@@ -223,12 +219,12 @@ impl ReachIndex {
         self.cond.component[v as usize]
     }
 
-    /// Total label tuples persisted (`components × k`).
+    /// Total label entries persisted (`components × k`).
     pub fn label_entries(&self) -> u64 {
         (self.cond.component_count() * self.cd.width()) as u64
     }
 
-    /// Total chain tuples persisted (one per component).
+    /// Total chain entries persisted (one per component).
     pub fn chain_entries(&self) -> u64 {
         self.cond.component_count() as u64
     }
@@ -253,8 +249,7 @@ impl ReachIndex {
             return Ok(());
         }
         let start = v as usize * k;
-        self.labels_file
-            .read_value_range(pager, start, start + k, out)
+        self.labels_file.read_range(pager, start, start + k, out)
     }
 
     /// Reads the components at positions `from_pos..` of chain `c` from
@@ -275,7 +270,7 @@ impl ReachIndex {
         }
         let start = self.chain_starts[c as usize] + from;
         let end = self.chain_starts[c as usize] + len;
-        self.chains_file.read_value_range(pager, start, end, out)
+        self.chains_file.read_range(pager, start, end, out)
     }
 
     /// Whether `u` reaches `v` by a non-empty path, answered from the
@@ -292,10 +287,10 @@ impl ReachIndex {
         let start = a as usize * k;
         let at = start + self.cd.chain_of[b as usize] as usize;
         let mut entry = NO_POS;
-        for i in start / TUPLES_PER_PAGE..=(start + k - 1) / TUPLES_PER_PAGE {
+        for i in start / VALUES_PER_PAGE..=(start + k - 1) / VALUES_PER_PAGE {
             pager.with_page(self.labels_file.pages()[i], |pg: &tc_storage::Page| {
-                if i == at / TUPLES_PER_PAGE {
-                    entry = TuplePage::get(pg, at % TUPLES_PER_PAGE).1;
+                if i == at / VALUES_PER_PAGE {
+                    entry = ValuePage::get(pg, at % VALUES_PER_PAGE);
                 }
             })?;
         }

@@ -61,6 +61,17 @@ pub enum StorageError {
         /// Checksum of the bytes actually read back.
         computed: u64,
     },
+    /// Every page of a file read back intact, but together they are not
+    /// what the file is defined to hold (a closure row that does not
+    /// ascend, a successor outside the graph, fewer values than the row
+    /// table addresses). The bytes were written that way: by a bug, or
+    /// by something other than this program.
+    CorruptFile {
+        /// The file whose contents are wrong.
+        file: u32,
+        /// The condition that does not hold.
+        what: &'static str,
+    },
     /// A transient fault did not clear within a retry policy's attempt
     /// budget; the operation is abandoned.
     RetriesExhausted {
@@ -137,6 +148,9 @@ impl fmt::Display for StorageError {
                 f,
                 "page {pid:?} is corrupted: stored checksum {stored:#018X}, read back {computed:#018X}"
             ),
+            StorageError::CorruptFile { file, what } => {
+                write!(f, "file {file} is corrupt: {what}")
+            }
             StorageError::RetriesExhausted { pid, attempts } => write!(
                 f,
                 "page {pid:?} still failing after {attempts} attempts; giving up"

@@ -1,6 +1,7 @@
 //! Byte-exact page layouts for the study's on-disk formats.
 //!
-//! Three formats appear in the paper (§5.1):
+//! Three formats appear in the paper (§5.1), and a fourth follows from
+//! them:
 //!
 //! * **Tuple pages** — the input relation stores 8-byte tuples (two
 //!   integers), 256 per 2048-byte page ([`mod@tuple`]).
@@ -9,6 +10,9 @@
 //! * **Successor-list pages** — after restructuring, "450 successors may be
 //!   stored on each page. (A successor list page is divided into 30 blocks,
 //!   each holding up to 15 successor nodes.)" ([`succ`]).
+//! * **Value pages** — 512 bare 4-byte values, for the files addressed
+//!   by position rather than by key: a materialized closure read through
+//!   its row table, label rows, chains ([`value`]).
 //!
 //! The layout types are zero-cost *views*: they borrow a [`crate::Page`]
 //! and interpret its bytes. All capacities are compile-time constants so
@@ -17,9 +21,11 @@
 pub mod index;
 pub mod succ;
 pub mod tuple;
+pub mod value;
 
 pub use index::{IndexPage, KEYS_PER_INDEX_PAGE};
 pub use succ::{
     SuccBlockRef, SuccEntry, SuccPage, BLOCKS_PER_PAGE, ENTRIES_PER_BLOCK, SUCCESSORS_PER_PAGE,
 };
 pub use tuple::{TuplePage, TUPLES_PER_PAGE};
+pub use value::{ValuePage, VALUES_PER_PAGE};

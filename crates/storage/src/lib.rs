@@ -6,8 +6,10 @@
 //! store with full I/O accounting ([`Store`]), file/extent
 //! management tagged by [`FileKind`], byte-exact page layouts for the
 //! paper's formats (8-byte tuples at 256 per page, sparse clustered index
-//! pages, and 30-block successor-list pages), clustered relation files, and
-//! an external merge sort used to build inverse relations.
+//! pages, and 30-block successor-list pages), clustered relation files,
+//! positional value files (bare `u32`s at 512 per page, for what is read
+//! through a table of offsets rather than by key), and an external merge
+//! sort used to build inverse relations.
 //!
 //! There is one store, generic over the byte [`Medium`] it keeps page
 //! images on: [`DiskSim`] holds them in memory (the paper's simulated
@@ -56,6 +58,7 @@ pub mod page;
 pub mod pager;
 pub mod relation;
 pub mod store;
+pub mod values;
 
 pub use disk::{DiskSim, DiskStats, FileId, FileKind, IoCostModel, Mem};
 pub use error::{StorageError, StorageResult};
@@ -69,11 +72,12 @@ pub use file_store::{HEADER_SIZE as FILE_STORE_HEADER_SIZE, SLOT_SIZE as FILE_ST
 pub use frozen::{Frozen, FrozenPageSet, FrozenStore};
 pub use index::ClusteredIndex;
 pub use layout::{
-    IndexPage, SuccBlockRef, SuccEntry, SuccPage, TuplePage, BLOCKS_PER_PAGE, ENTRIES_PER_BLOCK,
-    SUCCESSORS_PER_PAGE, TUPLES_PER_PAGE,
+    IndexPage, SuccBlockRef, SuccEntry, SuccPage, TuplePage, ValuePage, BLOCKS_PER_PAGE,
+    ENTRIES_PER_BLOCK, SUCCESSORS_PER_PAGE, TUPLES_PER_PAGE, VALUES_PER_PAGE,
 };
 pub use medium::{Catalog, Medium};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pager::Pager;
 pub use relation::{RelationFile, Tuple, TupleWriter};
 pub use store::{Backend, PageStore, Store};
+pub use values::{ValueFile, ValueWriter};

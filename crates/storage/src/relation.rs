@@ -198,31 +198,6 @@ impl RelationFile {
         }
         Ok(())
     }
-
-    /// Reads the tuple *values* at global tuple indices `[start, end)`
-    /// of a contiguously written file, appending them to `out`: one page
-    /// access per page touched, in page order.
-    pub fn read_value_range<P: Pager>(
-        &self,
-        pager: &mut P,
-        start: usize,
-        end: usize,
-        out: &mut Vec<u32>,
-    ) -> StorageResult<()> {
-        if start >= end {
-            return Ok(());
-        }
-        out.reserve_exact(end - start);
-        for i in start / TUPLES_PER_PAGE..=(end - 1) / TUPLES_PER_PAGE {
-            let base = i * TUPLES_PER_PAGE;
-            let from = start.saturating_sub(base);
-            let to = (end - base).min(self.tuples_on_page(i));
-            pager.with_page(self.pages[i], |pg: &Page| {
-                TuplePage::read_values(pg, from, to, out);
-            })?;
-        }
-        Ok(())
-    }
 }
 
 /// Incremental writer of a tuple file through a [`Pager`].

@@ -14,8 +14,9 @@
 //!   through the pool;
 //! * [`NodeBitVec`] — the bit-vector duplicate elimination the paper
 //!   found to cost under 6% of CPU (§6.2), over the plain [`BitRow`];
-//! * [`TupleRows`] — a closure relation as a sorted tuple list plus a
-//!   bit row per source written to, for dynamic maintenance;
+//! * [`TupleRows`] — a closure relation as its successor column and row
+//!   offsets plus a bit row per source written to, for dynamic
+//!   maintenance;
 //! * [`tree`] — the successor spanning-tree encoding (parent stored once,
 //!   negated, followed by its children) and its skip-union, plus the
 //!   special-node predecessor trees of Compute_Tree.

@@ -1,12 +1,12 @@
-//! A set of `(source, successor)` tuples kept as rows: a sorted base
-//! list that is never copied, plus a dense bit row for each source that
-//! has been written to.
+//! A set of `(source, successor)` tuples kept as rows: the successor
+//! column of a sorted base list with its row offsets, never copied, plus
+//! a dense bit row for each source that has been written to.
 //!
 //! Dynamic maintenance reads the whole materialized closure but changes
 //! only the rows of the changed arcs' ancestors. [`TupleRows`] makes the
 //! cost follow the change: membership in an untouched row is a binary
-//! search in the base slice, the first effective write to a row turns it
-//! into a [`BitRow`] of `n` bits, and the result is read back in
+//! search in the base column, the first effective write to a row turns
+//! it into a [`BitRow`] of `n` bits, and the result is read back in
 //! ascending order — untouched rows straight from the base, touched rows
 //! off their bits. Whole rows move through a caller's scratch [`BitRow`]:
 //! [`TupleRows::or_row_into`] unions a row into it (word-parallel when
@@ -47,25 +47,44 @@ pub fn row_offsets(n: usize, tuples: &[Tuple]) -> Vec<u32> {
     offsets
 }
 
-/// A tuple set over `n` nodes: a borrowed sorted base list plus the
-/// rows written since.
+/// A tuple set over `n` nodes: the successor column of a sorted base
+/// list plus the rows written since.
 #[derive(Clone, Debug)]
-pub struct TupleRows<'a> {
-    base: &'a [Tuple],
+pub struct TupleRows {
+    /// Successors of the base list, in list order.
+    base: Vec<u32>,
+    /// Row `s` of the base is `base[offsets[s]..offsets[s + 1]]`.
     offsets: Vec<u32>,
     /// Per source: its index in `dense`, or [`UNTOUCHED`].
     slot: Vec<u32>,
     dense: Vec<BitRow>,
 }
 
-impl<'a> TupleRows<'a> {
+impl TupleRows {
     /// The set holding exactly `base`, which must be strictly ascending
     /// with every id below `n` (see [`row_offsets`]).
-    pub fn new(n: usize, base: &'a [Tuple]) -> TupleRows<'a> {
+    pub fn new(n: usize, base: &[Tuple]) -> TupleRows {
+        TupleRows::from_rows(row_offsets(n, base), base.iter().map(|t| t.1).collect())
+    }
+
+    /// The set whose row `s` is `column[offsets[s]..offsets[s + 1]]`, over
+    /// `offsets.len() - 1` nodes. The offsets are taken as given: the
+    /// caller has checked that every row ascends strictly and stays
+    /// below `n`, as [`row_offsets`] would have.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` starts at 0 and ends at `column.len()`.
+    pub fn from_rows(offsets: Vec<u32>, column: Vec<u32>) -> TupleRows {
+        assert!(
+            offsets.first() == Some(&0)
+                && offsets.last().map(|&e| e as usize) == Some(column.len()),
+            "row offsets do not cover the column"
+        );
         TupleRows {
-            base,
-            offsets: row_offsets(n, base),
-            slot: vec![UNTOUCHED; n],
+            slot: vec![UNTOUCHED; offsets.len() - 1],
+            base: column,
+            offsets,
             dense: Vec::new(),
         }
     }
@@ -75,7 +94,7 @@ impl<'a> TupleRows<'a> {
         self.slot.len()
     }
 
-    fn base_row(&self, src: u32) -> &'a [Tuple] {
+    fn base_row(&self, src: u32) -> &[u32] {
         let s = src as usize;
         &self.base[self.offsets[s] as usize..self.offsets[s + 1] as usize]
     }
@@ -91,7 +110,7 @@ impl<'a> TupleRows<'a> {
     fn densify(&mut self, src: u32) -> &mut BitRow {
         if self.slot[src as usize] == UNTOUCHED {
             let mut bits = BitRow::new(self.n());
-            for &(_, dst) in self.base_row(src) {
+            for &dst in self.base_row(src) {
                 bits.set(dst);
             }
             self.slot[src as usize] = self.dense.len() as u32;
@@ -105,10 +124,7 @@ impl<'a> TupleRows<'a> {
     pub fn contains(&self, src: u32, dst: u32) -> bool {
         match self.dense_row(src) {
             Some(bits) => bits.contains(dst),
-            None => self
-                .base_row(src)
-                .binary_search_by_key(&dst, |t| t.1)
-                .is_ok(),
+            None => self.base_row(src).binary_search(&dst).is_ok(),
         }
     }
 
@@ -140,7 +156,7 @@ impl<'a> TupleRows<'a> {
         match self.dense_row(src) {
             Some(bits) => acc.union_with(bits),
             None => {
-                for &(_, dst) in self.base_row(src) {
+                for &dst in self.base_row(src) {
                     acc.set(dst);
                 }
             }
@@ -154,7 +170,7 @@ impl<'a> TupleRows<'a> {
             Some(row) => row == bits,
             None => {
                 let base = self.base_row(src);
-                bits.count_ones() == base.len() && base.iter().all(|t| bits.contains(t.1))
+                bits.count_ones() == base.len() && base.iter().all(|&dst| bits.contains(dst))
             }
         };
         if !same {
@@ -180,6 +196,32 @@ impl<'a> TupleRows<'a> {
         (0..self.n() as u32).flat_map(move |src| self.row(src).map(move |dst| (src, dst)))
     }
 
+    /// The successor column of the set as it is now — the second
+    /// components of [`TupleRows::iter`], in order — handed to `sink` a
+    /// slice at a time: each run of untouched rows is one slice of the
+    /// base column, each written row one slice read off its bits.
+    pub fn column_runs<E>(&self, mut sink: impl FnMut(&[u32]) -> Result<(), E>) -> Result<(), E> {
+        let n = self.n();
+        let mut row: Vec<u32> = Vec::new();
+        let mut src = 0;
+        while src < n {
+            let written = (src..n).find(|&s| self.slot[s] != UNTOUCHED).unwrap_or(n);
+            let run = self.offsets[src] as usize..self.offsets[written] as usize;
+            if !run.is_empty() {
+                sink(&self.base[run])?;
+            }
+            if written < n {
+                row.clear();
+                row.extend(self.dense[self.slot[written] as usize].ones());
+                if !row.is_empty() {
+                    sink(&row)?;
+                }
+            }
+            src = written + 1;
+        }
+        Ok(())
+    }
+
     /// The sources whose row has been written to, ascending.
     pub fn touched(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.n() as u32).filter(move |&src| self.is_written(src))
@@ -192,7 +234,7 @@ impl<'a> TupleRows<'a> {
         for src in self.touched() {
             let bits = &self.dense[self.slot[src as usize] as usize];
             let base = self.base_row(src);
-            let kept = base.iter().filter(|t| bits.contains(t.1)).count();
+            let kept = base.iter().filter(|&&dst| bits.contains(dst)).count();
             inserted += (bits.count_ones() - kept) as u64;
             removed += (base.len() - kept) as u64;
         }
@@ -216,8 +258,8 @@ impl<'a> TupleRows<'a> {
 /// The successors of one source, ascending.
 #[derive(Clone, Debug)]
 pub enum Row<'a> {
-    /// An untouched row, read from the base list.
-    Base(std::slice::Iter<'a, Tuple>),
+    /// An untouched row, read from the base column.
+    Base(std::slice::Iter<'a, u32>),
     /// A written row, read off its bits.
     Dense(Ones<'a>),
 }
@@ -228,7 +270,7 @@ impl Iterator for Row<'_> {
     #[inline]
     fn next(&mut self) -> Option<u32> {
         match self {
-            Row::Base(tuples) => tuples.next().map(|t| t.1),
+            Row::Base(column) => column.next().copied(),
             Row::Dense(ones) => ones.next(),
         }
     }
@@ -264,5 +306,45 @@ mod tests {
         assert_eq!(rows.iter().collect::<Vec<_>>(), [(0, 2), (2, 3), (3, 0)]);
         assert_eq!(rows.delta(), (1, 1));
         assert_eq!(rows.row_offsets(), [0, 1, 1, 2, 3]);
+    }
+
+    #[test]
+    fn column_runs_are_the_successors_of_iter_in_as_few_slices_as_rows_allow() {
+        // Rows 0, 3 and 6 are empty: first, middle and last.
+        let base = [(1, 2), (1, 5), (2, 0), (4, 1), (4, 2), (4, 3), (5, 6)];
+        let mut rows = TupleRows::new(7, &base);
+        let runs = |rows: &TupleRows| {
+            let mut runs: Vec<Vec<u32>> = Vec::new();
+            rows.column_runs(|run| {
+                runs.push(run.to_vec());
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            runs
+        };
+        assert_eq!(runs(&rows), [[2, 5, 0, 1, 2, 3, 6]], "untouched: one slice");
+        // An empty row gains a tuple, a row in the middle loses all of
+        // its own, the last row gains one.
+        assert!(rows.insert(0, 4) && rows.remove(2, 0) && rows.insert(6, 0));
+        assert_eq!(
+            runs(&rows),
+            [vec![4], vec![2, 5], vec![1, 2, 3, 6], vec![0]]
+        );
+        let column: Vec<u32> = rows.iter().map(|t| t.1).collect();
+        assert_eq!(runs(&rows).concat(), column);
+        let failed = rows.column_runs(|run| {
+            if run == [2, 5] {
+                Err(run.len())
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(failed, Err(2), "the sink's error stops the walk");
+    }
+
+    #[test]
+    #[should_panic(expected = "cover")]
+    fn offsets_that_stop_short_of_the_column_are_refused() {
+        TupleRows::from_rows(vec![0, 1, 2], vec![1, 0, 1]);
     }
 }

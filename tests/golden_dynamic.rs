@@ -16,12 +16,12 @@ use tc_study::trace::{DigestSink, Fnv, Tracer};
 /// Pinned (hash, event count) of the canonical update-stream trace
 /// (`canonical::graph` and `canonical::update_stream`, 20-page buffer),
 /// one digest across both applies.
-const GOLDEN_STREAM: (u64, u64) = (0xC59D22F3B9FBCD4F, 168826);
+const GOLDEN_STREAM: (u64, u64) = (0xD2715B8D4A4B7958, 116905);
 
 /// Pinned FNV-1a digest of the `updates` section report fragment on the
 /// quick grid (1 instance × 1 source set) — the same value
 /// `golden_report.rs` pins for the section in its registry-wide table.
-const GOLDEN_UPDATES_REPORT: u64 = 0xEF6DDFDF95DC701E;
+const GOLDEN_UPDATES_REPORT: u64 = 0xA1036603DBBA3A56;
 
 #[test]
 fn canonical_update_stream_trace_matches_golden_digest() {

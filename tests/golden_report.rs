@@ -28,8 +28,8 @@ const GOLDEN: [(&str, u64); 14] = [
     ("related", 0x65AF_1E01_873F_7F46),
     ("ablations", 0x95ED_6DF1_481D_B021),
     ("advisor", 0x9013_8046_901C_6AC6),
-    ("updates", 0xEF6D_DFDF_95DC_701E),
-    ("reachindex", 0xE4E3_365E_1283_4ACA),
+    ("updates", 0xA103_6603_DBBA_3A56),
+    ("reachindex", 0x86B9_2529_3B71_31FC),
 ];
 
 #[test]

@@ -29,11 +29,11 @@ const GOLDEN_STREAM_DIGEST: u64 = 0xFD93_D1E5_E56C_F60C;
 const GOLDEN_CLOSURE_TUPLES: u64 = 1_482_903;
 /// Pages captured into the frozen snapshot (relation + index + closure
 /// + reachability-index files).
-const GOLDEN_SNAPSHOT_PAGES: usize = 8_615;
+const GOLDEN_SNAPSHOT_PAGES: usize = 4_328;
 /// Aggregate served-reply digest of the canonical serve.
 const GOLDEN_REPLY_DIGEST: u64 = 0xA5C3_446C_233D_2C9E;
 /// Physical pages read across all four sessions.
-const GOLDEN_PAGES_READ: u64 = 4_311;
+const GOLDEN_PAGES_READ: u64 = 3_061;
 /// Hot-source cache hits / probes across all four sessions.
 const GOLDEN_CACHE: (u64, u64) = (1, 180);
 

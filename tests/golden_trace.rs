@@ -35,7 +35,7 @@ const GOLDEN: [(&str, u64, u64); 9] = [
     ("JKB", 0x935C3DC4CFB2FF54, 146559),
     ("JKB2", 0xEE79C2D5908A19EA, 178094),
     ("SEMINAIVE", 0xDA3EAA95B440D129, 155492),
-    ("REACHINDEX", 0xC0E6BB75A2724E06, 777327),
+    ("REACHINDEX", 0xBA809325D2444186, 61492),
 ];
 
 /// The two backends, each with the canonical 20-page configuration and

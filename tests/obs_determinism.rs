@@ -39,12 +39,12 @@ const GOLDEN_TRACES: [(&str, u64, u64); 9] = [
     ("JKB", 0x935C3DC4CFB2FF54, 146559),
     ("JKB2", 0xEE79C2D5908A19EA, 178094),
     ("SEMINAIVE", 0xDA3EAA95B440D129, 155492),
-    ("REACHINDEX", 0xC0E6BB75A2724E06, 777327),
+    ("REACHINDEX", 0xBA809325D2444186, 61492),
 ];
 
 /// Serving pins — the same values as `golden_serve.rs`.
 const GOLDEN_REPLY_DIGEST: u64 = 0xA5C3_446C_233D_2C9E;
-const GOLDEN_PAGES_READ: u64 = 4_311;
+const GOLDEN_PAGES_READ: u64 = 3_061;
 const GOLDEN_CACHE: (u64, u64) = (1, 180);
 
 #[test]

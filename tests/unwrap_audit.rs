@@ -31,7 +31,7 @@ use std::path::Path;
 const AUDITED: &[(&str, &str, usize)] = &[
     // The physical page-transfer path: all of the store (core, media,
     // fault layer, layouts) and the buffer pool above it.
-    ("io", "crates/storage/src", 16),
+    ("io", "crates/storage/src", 18),
     ("io", "crates/buffer/src", 2),
     // Every generated tuple is a successor-list append: a catalog that
     // disagrees with its pages is a typed `PageFull`, not a panic.
