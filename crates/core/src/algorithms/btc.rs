@@ -12,7 +12,7 @@
 //! `BJ` is this same expansion run on the single-parent-reduced magic
 //! graph; `HYB` with `ILIMIT = 0` runs it unchanged.
 
-use crate::algorithms::{AnswerCollector, ChildIndex};
+use crate::algorithms::{write_union, AnswerCollector, ChildIndex};
 use crate::metrics::CostMetrics;
 use crate::restructure::Restructured;
 use tc_buffer::BufferPool;
@@ -31,9 +31,10 @@ pub fn expand_all(
     let n = r.children.len();
     let mut bitvec = NodeBitVec::new(n);
     let mut cidx = ChildIndex::new(n);
-    // Scratch reused by every node and union: the list being unioned and
-    // the marked flags of the node's children.
+    // Scratch reused by every node and union: the list being unioned, the
+    // new successors it brings, and the marked flags of the node's children.
     let mut entries = Vec::new();
+    let mut fresh: Vec<u32> = Vec::new();
     let mut marked: Vec<bool> = Vec::new();
     for i in (0..r.order.len()).rev() {
         let u = r.order[i];
@@ -70,17 +71,15 @@ pub fn expand_all(
             metrics.count_list_fetch();
             metrics.count_locality(r.arc_locality(u, c));
 
-            // Union S_c into S_u (materialized: see ListCursor::collect_entries).
+            // Union S_c into S_u (materialized: see ListCursor::collect_entries);
+            // the new successors are written as one run when it ends.
             ListCursor::new(&r.store, c).collect_into(pool, &mut entries)?;
+            fresh.clear();
             for e in &entries {
                 metrics.count_tuple_read();
                 let x = e.node;
                 if bitvec.insert(x) {
-                    r.store.append_flat(pool, u, x)?;
-                    metrics.count_generated(is_source);
-                    if is_source {
-                        answer.emit(u, x);
-                    }
+                    fresh.push(x);
                 } else {
                     metrics.count_duplicate();
                     // Marking optimization: x reached u through c, so a
@@ -92,6 +91,7 @@ pub fn expand_all(
                     }
                 }
             }
+            write_union(pool, &mut r.store, u, &fresh, is_source, metrics, answer)?;
         }
     }
     Ok(())

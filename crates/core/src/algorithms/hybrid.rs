@@ -16,7 +16,7 @@
 //! forfeits markings. All four effects are mechanical consequences of
 //! this implementation.
 
-use crate::algorithms::{btc, AnswerCollector, ChildIndex};
+use crate::algorithms::{btc, write_union, AnswerCollector, ChildIndex};
 use crate::metrics::CostMetrics;
 use crate::restructure::Restructured;
 use tc_buffer::BufferPool;
@@ -124,6 +124,8 @@ struct BlockState {
     off: Vec<(usize, usize, usize)>,
     /// The list being unioned.
     entries: Vec<SuccEntry>,
+    /// The new successors the union brings.
+    fresh: Vec<NodeId>,
 }
 
 impl BlockState {
@@ -136,6 +138,7 @@ impl BlockState {
             cidx: ChildIndex::new(n),
             off: Vec::new(),
             entries: Vec::new(),
+            fresh: Vec::new(),
         }
     }
 
@@ -157,7 +160,8 @@ impl BlockState {
     }
 
     /// Unions the materialized list in `entries` into the list of `u`
-    /// (block position `bi`, whose children are loaded in `cidx`).
+    /// (block position `bi`, whose children are loaded in `cidx`),
+    /// writing the new successors as one run.
     fn union(
         &mut self,
         pool: &mut BufferPool,
@@ -170,15 +174,12 @@ impl BlockState {
         let is_source = r.is_source[u as usize];
         let bv = &mut self.bitvecs[bi];
         let arcs = &mut self.arcs[self.first[bi]..];
+        self.fresh.clear();
         for e in &self.entries {
             metrics.count_tuple_read();
             let x = e.node;
             if bv.insert(x) {
-                r.store.append_flat(pool, u, x)?;
-                metrics.count_generated(is_source);
-                if is_source {
-                    answer.emit(u, x);
-                }
+                self.fresh.push(x);
             } else {
                 metrics.count_duplicate();
                 if let Some(cj) = self.cidx.position(x) {
@@ -188,7 +189,15 @@ impl BlockState {
                 }
             }
         }
-        Ok(())
+        write_union(
+            pool,
+            &mut r.store,
+            u,
+            &self.fresh,
+            is_source,
+            metrics,
+            answer,
+        )
     }
 }
 

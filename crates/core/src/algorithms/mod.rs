@@ -14,8 +14,41 @@ pub mod search;
 pub mod seminaive;
 pub mod spn;
 
+use crate::metrics::CostMetrics;
+use tc_buffer::BufferPool;
 use tc_graph::NodeId;
+use tc_storage::StorageResult;
+use tc_succ::SuccStore;
 use tc_trace::{Event, Tracer};
+
+/// Ends a union into `u`'s flat list: writes its new successors `fresh`
+/// as one run, then counts (and, for a source, emits) exactly the ones
+/// the run put on a page before returning the run's error, if any.
+///
+/// A tuple is generated if and only if its entry was written. HYB's
+/// dynamic reblocking depends on it: a restarted block re-seeds its
+/// duplicate filters from the lists, so a tuple written but not counted
+/// would never be counted, and one counted but not written would be
+/// counted twice.
+pub(crate) fn write_union(
+    pool: &mut BufferPool,
+    store: &mut SuccStore,
+    u: NodeId,
+    fresh: &[NodeId],
+    is_source: bool,
+    metrics: &mut CostMetrics,
+    answer: &mut AnswerCollector,
+) -> StorageResult<()> {
+    let before = store.len(u);
+    let written = store.extend_flat(pool, u, fresh);
+    for &x in &fresh[..store.len(u) - before] {
+        metrics.count_generated(is_source);
+        if is_source {
+            answer.emit(u, x);
+        }
+    }
+    written
+}
 
 /// Collects answer tuples: always counts, optionally materializes the
 /// pairs for validation. Collection is an in-memory bookkeeping device

@@ -12,7 +12,7 @@
 //! The work happens in what is normally the preprocessing phase; "the
 //! computation phase is no longer needed."
 
-use crate::algorithms::AnswerCollector;
+use crate::algorithms::{write_union, AnswerCollector};
 use crate::database::Database;
 use crate::metrics::CostMetrics;
 use tc_buffer::BufferPool;
@@ -47,6 +47,7 @@ pub fn run_search(
         // unioned into S_s straight from the relation.
         let mut stack: Vec<NodeId> = vec![s];
         let mut kids: Vec<u32> = Vec::new();
+        let mut fresh: Vec<u32> = Vec::new();
         while let Some(y) = stack.pop() {
             visited_any.insert(y);
             metrics.count_union();
@@ -56,18 +57,18 @@ pub fn run_search(
                 db.relation.probe_range(pool, y, lo, hi, &mut kids)?;
             }
             metrics.count_arcs_bulk(kids.len() as u64);
+            fresh.clear();
             for &c in &kids {
                 metrics.count_tuple_read();
                 metrics.count_locality(levels[y as usize] as f64 - levels[c as usize] as f64);
                 if c != s && reached.insert(c) {
-                    store.append_flat(pool, s, c)?;
-                    metrics.count_generated(true);
-                    answer.emit(s, c);
+                    fresh.push(c);
                     stack.push(c);
                 } else {
                     metrics.count_duplicate();
                 }
             }
+            write_union(pool, &mut store, s, &fresh, true, metrics, answer)?;
         }
     }
     metrics.set_magic_nodes(visited_any.len() as u64);

@@ -39,10 +39,12 @@ pub fn expand_all(
     let mut covered = NodeBitVec::new(n);
     let mut cidx = ChildIndex::new(n);
     // Scratch reused by every node and union: the list being unioned,
-    // the marked flags of the node's children, the nodes a union visited.
+    // the marked flags of the node's children, the nodes a union visited,
+    // the new successors it brings.
     let mut entries = Vec::new();
     let mut marked: Vec<bool> = Vec::new();
     let mut seen_this_union: Vec<u32> = Vec::new();
+    let mut fresh: Vec<u32> = Vec::new();
 
     for i in (0..r.order.len()).rev() {
         let u = r.order[i];
@@ -83,11 +85,13 @@ pub fn expand_all(
             // Union the successor tree of c into the tree of u, pruning
             // subtrees rooted at already-present nodes. The raw entries
             // are materialized first (every page fetched — the paper's
-            // "real I/O was not saved" observation), then classified.
+            // "real I/O was not saved" observation), then classified; the
+            // new entries are pushed and written as one run at the end.
             skips.clear_fast();
             ListCursor::new(&r.store, c).collect_into(pool, &mut entries)?;
             let mut state = TreeScanState::new(c);
             seen_this_union.clear();
+            fresh.clear();
             for &e in &entries {
                 match state.step(e, &mut skips) {
                     TreeStep::Marker => {
@@ -106,11 +110,8 @@ pub fn expand_all(
                             // Root-level entries of S_c arrive with
                             // parent == c, which is where they belong in
                             // u's tree (c is a child of u, so present).
-                            appender.append(pool, &mut r.store, parent, x)?;
-                            metrics.count_generated(is_source);
-                            if is_source {
-                                answer.emit(u, x);
-                            }
+                            appender.push(parent, x);
+                            fresh.push(x);
                         } else {
                             metrics.count_duplicate();
                             // Marking is sound even when x is not yet
@@ -129,6 +130,15 @@ pub fn expand_all(
                             // flat-list union would.
                         }
                     }
+                }
+            }
+            // No restart path re-reads a half-written union, so its
+            // tuples are counted once the whole run is written.
+            appender.flush(pool, &mut r.store)?;
+            for &x in &fresh {
+                metrics.count_generated(is_source);
+                if is_source {
+                    answer.emit(u, x);
                 }
             }
             // The union is complete: every node it touched now has its

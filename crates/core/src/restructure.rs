@@ -193,16 +193,24 @@ pub fn restructure(
 
     let mut store = SuccStore::new(pool, n, opts.list_policy);
     if opts.build_lists {
+        // One run per node; a tree starts as its root-level children.
+        let mut roots: Vec<SuccEntry> = Vec::new();
         for &u in &order {
-            for &v in &children[u as usize] {
-                if opts.tree_format {
-                    store.append(pool, u, SuccEntry::plain(v))?;
-                } else {
-                    store.append_flat(pool, u, v)?;
-                }
-                // The immediate successors are result tuples too.
+            let kids = &children[u as usize];
+            let before = store.len(u);
+            let written = if opts.tree_format {
+                roots.clear();
+                roots.extend(kids.iter().map(|&v| SuccEntry::plain(v)));
+                store.extend(pool, u, &roots)
+            } else {
+                store.extend_flat(pool, u, kids)
+            };
+            // The immediate successors are result tuples too, counted
+            // once they are on a page.
+            for _ in before..store.len(u) {
                 metrics.count_generated(is_source[u as usize]);
             }
+            written?;
         }
     }
 

@@ -6,7 +6,9 @@
 //! batch. The snapshot is taken at construction, so the common pattern of
 //! scanning a list's original prefix while appending expanded successors
 //! to the *same* list (BTC expanding `S_i` over `S_i`'s own immediate
-//! children) is well-defined.
+//! children) is well-defined. The engines read a list whole and only then
+//! write: a union collects its new entries while it reads and writes them
+//! as one run ([`SuccStore::extend_flat`]) when the read is done.
 
 use crate::store::SuccStore;
 use tc_storage::layout::succ::{SuccEntry, SuccPage, ENTRIES_PER_BLOCK};
@@ -29,16 +31,9 @@ impl ListCursor {
             .iter()
             .enumerate()
             .map(|(i, &r)| {
-                let used = if i + 1 < chain.len() {
-                    ENTRIES_PER_BLOCK
-                } else {
-                    let rem = len % ENTRIES_PER_BLOCK;
-                    if rem == 0 && len > 0 {
-                        ENTRIES_PER_BLOCK
-                    } else {
-                        rem
-                    }
-                };
+                let used = len
+                    .saturating_sub(i * ENTRIES_PER_BLOCK)
+                    .min(ENTRIES_PER_BLOCK);
                 (r, used as u8)
             })
             .collect();
@@ -102,11 +97,12 @@ impl ListCursor {
     /// Drains the cursor into raw entries (tags preserved).
     ///
     /// The algorithms *materialize* a list before unioning it into a
-    /// growing target: appends during the union may trigger page splits,
-    /// and a split is allowed to relocate any list's blocks — including
-    /// the one being scanned. Materializing first (still one pager access
-    /// per page, charged identically) makes the union immune to such
-    /// relocation, the way a real system's latching would.
+    /// growing target, because a union's writes follow its read: the new
+    /// entries go out as one run once the list has been read, and that
+    /// run may split pages and relocate any list's blocks — including the
+    /// one just read. Materializing first (still one pager access per
+    /// page, charged identically) keeps the entries the union works on
+    /// independent of where the blocks end up.
     pub fn collect_entries<P: Pager>(self, pager: &mut P) -> StorageResult<Vec<SuccEntry>> {
         let mut out = Vec::new();
         self.collect_into(pager, &mut out)?;

@@ -37,11 +37,12 @@ struct ListMeta {
 /// node table the paper's implementation keeps in memory — while all
 /// entry data lives on pages.
 ///
-/// Lists grow by appending. Intra-list clustering: a list prefers free
-/// blocks on its current tail page. Inter-list clustering: first blocks
-/// are packed onto a shared fill page in creation (topological) order.
-/// When a list must grow past a full page, the [`ListPolicy`] decides how
-/// the page is split.
+/// Lists grow by runs ([`SuccStore::extend`], [`SuccStore::extend_flat`];
+/// an append is a run of one), a block per pager request. Intra-list
+/// clustering: a list prefers free blocks on its current tail page.
+/// Inter-list clustering: first blocks are packed onto a shared fill
+/// page in creation (topological) order. When a list must grow past a
+/// full page, the [`ListPolicy`] decides how the page is split.
 pub struct SuccStore {
     file: FileId,
     dir: Vec<ListMeta>,
@@ -130,120 +131,179 @@ impl SuccStore {
     /// on-page state: every chain block must be owned by its node with a
     /// used count matching the chain position, and every owned block on
     /// every page must appear in exactly one chain. Intended for tests
-    /// and debugging; reads every page of the store through `pager`.
+    /// and debugging; reads every page of the store through `pager`. A
+    /// disagreement is a [`StorageError::CorruptFile`] naming the store's
+    /// file and the rule broken.
     pub fn verify_integrity<P: Pager>(&self, pager: &mut P) -> StorageResult<()> {
+        let corrupt = |what| StorageError::CorruptFile {
+            file: self.file.0,
+            what,
+        };
         let mut chained: BTreeMap<(PageId, u8), u32> = BTreeMap::new();
         for node in 0..self.dir.len() as u32 {
             let meta = &self.dir[node as usize];
             let len = meta.len as usize;
-            assert!(
-                len <= meta.blocks.len() * ENTRIES_PER_BLOCK,
-                "node {node}: length {len} exceeds chain capacity"
-            );
-            if !meta.blocks.is_empty() {
-                assert!(
-                    len > (meta.blocks.len() - 1) * ENTRIES_PER_BLOCK,
-                    "node {node}: dangling tail block"
-                );
+            if len > meta.blocks.len() * ENTRIES_PER_BLOCK {
+                return Err(corrupt("length exceeds chain capacity"));
+            }
+            if !meta.blocks.is_empty() && len <= (meta.blocks.len() - 1) * ENTRIES_PER_BLOCK {
+                return Err(corrupt("dangling tail block"));
             }
             for (i, &r) in meta.blocks.iter().enumerate() {
-                let dup = chained.insert((r.page, r.block), node);
-                assert!(dup.is_none(), "block {r:?} in two chains");
-                let expect_used = if i + 1 < meta.blocks.len() {
-                    ENTRIES_PER_BLOCK
-                } else {
-                    len - (meta.blocks.len() - 1) * ENTRIES_PER_BLOCK
-                };
+                if chained.insert((r.page, r.block), node).is_some() {
+                    return Err(corrupt("block in two chains"));
+                }
+                let expect_used = (len - i * ENTRIES_PER_BLOCK).min(ENTRIES_PER_BLOCK);
                 pager.with_page(r.page, |pg: &Page| {
-                    assert_eq!(
-                        SuccPage::owner(pg, r.block as usize),
-                        Some(node),
-                        "block {r:?} owner mismatch"
-                    );
-                    assert_eq!(
-                        SuccPage::used(pg, r.block as usize),
-                        expect_used,
-                        "block {r:?} used-count mismatch"
-                    );
-                })?;
+                    if SuccPage::owner(pg, r.block as usize) != Some(node) {
+                        Err(corrupt("block owned by another node"))
+                    } else if SuccPage::used(pg, r.block as usize) != expect_used {
+                        Err(corrupt("used count disagrees with the chain"))
+                    } else {
+                        Ok(())
+                    }
+                })??;
             }
         }
         // Reverse direction: owned blocks on pages must be chained, and
         // the free cache must agree with the pages.
         for page in pager.file_page_ids(self.file) {
             let free = self.free_on(page);
-            let on_page_free = pager.with_page(page, |pg: &Page| {
-                for b in 0..BLOCKS_PER_PAGE {
-                    if let Some(owner) = SuccPage::owner(pg, b) {
-                        assert_eq!(
-                            chained.get(&(page, b as u8)),
-                            Some(&owner),
-                            "orphaned block {page:?}/{b}"
-                        );
-                    }
+            pager.with_page(page, |pg: &Page| {
+                let orphan = (0..BLOCKS_PER_PAGE).any(|b| {
+                    SuccPage::owner(pg, b)
+                        .is_some_and(|owner| chained.get(&(page, b as u8)) != Some(&owner))
+                });
+                if orphan {
+                    Err(corrupt("owned block in no chain"))
+                } else if SuccPage::free_blocks(pg) != free as usize {
+                    Err(corrupt("free cache disagrees with the page"))
+                } else {
+                    Ok(())
                 }
-                SuccPage::free_blocks(pg)
-            })?;
-            assert_eq!(on_page_free, free as usize, "free cache stale for {page:?}");
+            })??;
         }
         Ok(())
     }
 
-    /// Appends `entry` to `node`'s list.
+    /// Appends `entry` to `node`'s list: a run of one.
     pub fn append<P: Pager>(
         &mut self,
         pager: &mut P,
         node: u32,
         entry: SuccEntry,
     ) -> StorageResult<()> {
-        let slot = self.dir[node as usize].len as usize % ENTRIES_PER_BLOCK;
-        self.append_at(pager, node, slot, entry)
+        self.extend(pager, node, &[entry])
     }
 
     /// Appends a *flat-list* entry, maintaining the paper's convention
-    /// that the last entry of a list is stored negated: the new entry is
-    /// written tagged and the previous tail is untagged.
+    /// that the last entry of a list is stored negated: a run of one.
     pub fn append_flat<P: Pager>(
         &mut self,
         pager: &mut P,
         node: u32,
         value: u32,
     ) -> StorageResult<()> {
-        let meta = &self.dir[node as usize];
-        let slot = meta.len as usize % ENTRIES_PER_BLOCK;
-        if let Some(&tail) = meta.blocks.last() {
-            // Untag the previous last entry (almost always a buffer hit:
-            // it is on the page we are about to append to, or the one
-            // before it). It closes the tail block when that block is
-            // full, and sits just before the new slot otherwise.
-            let prev_slot = slot.checked_sub(1).unwrap_or(ENTRIES_PER_BLOCK - 1);
-            pager.with_page_mut(tail.page, |pg: &mut Page| {
-                SuccPage::untag_entry(pg, tail.block as usize, prev_slot)
-            })?;
-        }
-        self.append_at(pager, node, slot, SuccEntry::tagged(value))
+        self.extend_flat(pager, node, &[value])
     }
 
-    /// Writes `entry` into slot `slot` (the list length modulo the block
-    /// size) of `node`'s tail block. Slot 0 — the first entry and every
-    /// 15-entry boundary thereafter — opens a new block.
-    fn append_at<P: Pager>(
+    /// Appends `entries` to `node`'s list as one run (see
+    /// [`SuccStore::extend_flat`] for the requests it makes).
+    pub fn extend<P: Pager>(
         &mut self,
         pager: &mut P,
         node: u32,
-        slot: usize,
-        entry: SuccEntry,
+        entries: &[SuccEntry],
     ) -> StorageResult<()> {
-        let target = match self.dir[node as usize].blocks.last() {
-            Some(&tail) if slot != 0 => tail,
-            _ => self.alloc_block(pager, node)?,
-        };
-        pager.with_page_mut(target.page, |pg: &mut Page| {
-            SuccPage::set_entry(pg, target.block as usize, slot, entry);
-            SuccPage::set_used(pg, target.block as usize, slot + 1);
+        self.write_run(pager, node, entries, |_, e| e)
+    }
+
+    /// Appends `values` to `node`'s *flat* list as one run: the previous
+    /// last entry is untagged and the run's last entry is stored negated.
+    ///
+    /// A run makes the requests a loop of one-entry appends would, in the
+    /// same order, with each stretch of consecutive requests to one page
+    /// merged into one: the untag, then per block one `with_page_mut`
+    /// that writes every entry the block takes, preceded by
+    /// [`SuccStore`]'s allocation requests when the block is new. On an
+    /// error, the entries written so far stay (`len` counts them) and the
+    /// rest are not written.
+    pub fn extend_flat<P: Pager>(
+        &mut self,
+        pager: &mut P,
+        node: u32,
+        values: &[u32],
+    ) -> StorageResult<()> {
+        if values.is_empty() {
+            return Ok(());
+        }
+        let len = self.dir[node as usize].len as usize;
+        if len > 0 {
+            // Untag the previous last entry (a buffer hit: it is on the
+            // page the run starts on, or the one before it).
+            let prev = self.dir[node as usize].blocks[(len - 1) / ENTRIES_PER_BLOCK];
+            pager.with_page_mut(prev.page, |pg: &mut Page| {
+                SuccPage::untag_entry(pg, prev.block as usize, (len - 1) % ENTRIES_PER_BLOCK)
+            })?;
+        }
+        let last = values.len() - 1;
+        self.write_run(pager, node, values, |i, v| SuccEntry {
+            node: v,
+            tagged: i == last,
+        })
+    }
+
+    /// Writes `entry(i, items[i])` for every item after `node`'s last
+    /// entry: the tail block's free slots first, then blocks from
+    /// [`SuccStore::alloc_block`], one `with_page_mut` per block.
+    fn write_run<P: Pager, T: Copy>(
+        &mut self,
+        pager: &mut P,
+        node: u32,
+        items: &[T],
+        entry: impl Fn(usize, T) -> SuccEntry,
+    ) -> StorageResult<()> {
+        let mut done = 0;
+        while done < items.len() {
+            let meta = &self.dir[node as usize];
+            let (len, slot) = (meta.len as usize, meta.len as usize % ENTRIES_PER_BLOCK);
+            let (target, claimed) = match meta.blocks.last() {
+                Some(&tail) if len < meta.blocks.len() * ENTRIES_PER_BLOCK => (tail, false),
+                _ => (self.alloc_block(pager, node)?, true),
+            };
+            let take = (ENTRIES_PER_BLOCK - slot).min(items.len() - done);
+            let written = pager.with_page_mut(target.page, |pg: &mut Page| {
+                for (k, &x) in items[done..done + take].iter().enumerate() {
+                    let e = entry(done + k, x);
+                    SuccPage::set_entry(pg, target.block as usize, slot + k, e);
+                }
+                SuccPage::set_used(pg, target.block as usize, slot + take);
+            });
+            if let Err(e) = written {
+                // No chain may end in an empty block: give it back.
+                // Should that request fail too, the block stays claimed
+                // and empty, and the next run fills it.
+                if claimed && self.unclaim(pager, target).is_ok() {
+                    self.dir[node as usize].blocks.pop();
+                    self.stats.blocks_allocated -= 1;
+                }
+                return Err(e);
+            }
+            self.dir[node as usize].len += take as u32;
+            self.stats.entries_written += take as u64;
+            done += take;
+        }
+        Ok(())
+    }
+
+    /// Frees the claimed block `r` on its page: the undo of a claim whose
+    /// next request failed, so that a single failed request leaves the
+    /// catalog and the pages agreeing.
+    fn unclaim<P: Pager>(&mut self, pager: &mut P, r: SuccBlockRef) -> StorageResult<()> {
+        pager.with_page_mut(r.page, |pg: &mut Page| {
+            SuccPage::free_block(pg, r.block as usize)
         })?;
-        self.dir[node as usize].len += 1;
-        self.stats.entries_written += 1;
+        self.free_cache[r.page.index()] += 1;
         Ok(())
     }
 
@@ -453,16 +513,22 @@ impl SuccStore {
             })?
             .ok_or(StorageError::PageFull(dest_page))?;
         self.free_cache[dest_page.index()] -= 1;
-        // Free the original.
-        pager.with_page_mut(old.page, |pg: &mut Page| {
-            SuccPage::free_block(pg, old.block as usize);
-        })?;
-        self.free_cache[old.page.index()] += 1;
-        self.stats.blocks_moved += 1;
-        Ok(SuccBlockRef {
+        let new = SuccBlockRef {
             page: dest_page,
             block: new_block,
-        })
+        };
+        // Free the original; should that fail, drop the copy instead, so
+        // the block is in one place only.
+        let freed = pager.with_page_mut(old.page, |pg: &mut Page| {
+            SuccPage::free_block(pg, old.block as usize);
+        });
+        if let Err(e) = freed {
+            let _ = self.unclaim(pager, new);
+            return Err(e);
+        }
+        self.free_cache[old.page.index()] += 1;
+        self.stats.blocks_moved += 1;
+        Ok(new)
     }
 }
 
@@ -638,6 +704,23 @@ mod tests {
             }
             store.verify_integrity(&mut disk).unwrap();
         }
+    }
+
+    #[test]
+    fn verify_integrity_names_the_file_of_a_foreign_owner() {
+        let (mut disk, mut store) = store_with(ListPolicy::Spill, 4);
+        store.extend_flat(&mut disk, 1, &[5, 6, 7]).unwrap();
+        store.verify_integrity(&mut disk).unwrap();
+        let page = store.pages_of(1)[0];
+        disk.with_page_mut(page, |pg: &mut Page| SuccPage::set_owner(pg, 0, 2))
+            .unwrap();
+        assert_eq!(
+            store.verify_integrity(&mut disk),
+            Err(StorageError::CorruptFile {
+                file: store.file_id().0,
+                what: "block owned by another node",
+            })
+        );
     }
 
     #[test]

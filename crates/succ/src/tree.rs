@@ -18,6 +18,12 @@
 //! become page-I/O savings (§6.2).
 //!
 //! The same encoding stores Compute_Tree's special-node predecessor trees.
+//!
+//! Trees are written through a [`TreeAppender`]: SPN `push`es a union's
+//! new children and `flush`es them as one run when the union ends; JKB
+//! calls `append` (a push and a flush) per entry, because its tree writes
+//! interleave with writes to its answer file and deferring them would
+//! reorder page requests, not merge them.
 
 use crate::bitvec::NodeBitVec;
 use crate::cursor::ListCursor;
@@ -36,12 +42,19 @@ pub struct TreeScanStats {
     pub pruned: u64,
 }
 
-/// Incremental writer of tree-encoded lists: groups consecutive appends
-/// by parent, emitting one tagged parent marker per group.
+/// Incremental writer of tree-encoded lists: groups consecutive children
+/// by parent, encoding one tagged parent marker per group.
+///
+/// [`TreeAppender::push`] encodes into a pending buffer and
+/// [`TreeAppender::flush`] writes the buffer as one run
+/// ([`SuccStore::extend`]), so a union that pushes its new children and
+/// flushes once costs a pager request per block, not two per entry. The
+/// buffer is cleared, not dropped, so one appender reuses its allocation.
 pub struct TreeAppender {
     owner: u32,
     current_parent: Option<u32>,
     any_group: bool,
+    pending: Vec<SuccEntry>,
 }
 
 impl TreeAppender {
@@ -51,17 +64,14 @@ impl TreeAppender {
             owner,
             current_parent: None,
             any_group: false,
+            pending: Vec::new(),
         }
     }
 
-    /// Appends `value` as a child of `parent` in `owner`'s tree list.
-    pub fn append<P: Pager>(
-        &mut self,
-        pager: &mut P,
-        store: &mut SuccStore,
-        parent: u32,
-        value: u32,
-    ) -> StorageResult<()> {
+    /// Encodes `value` as a child of `parent` in `owner`'s tree list (a
+    /// group marker first when `parent` opens a new group); nothing is
+    /// written until [`TreeAppender::flush`].
+    pub fn push(&mut self, parent: u32, value: u32) {
         let need_marker = match self.current_parent {
             Some(p) => p != parent,
             // Children of the owner need no marker while we are still in
@@ -69,11 +79,32 @@ impl TreeAppender {
             None => parent != self.owner || self.any_group,
         };
         if need_marker {
-            store.append(pager, self.owner, SuccEntry::tagged(parent))?;
+            self.pending.push(SuccEntry::tagged(parent));
             self.any_group = true;
         }
         self.current_parent = Some(parent);
-        store.append(pager, self.owner, SuccEntry::plain(value))
+        self.pending.push(SuccEntry::plain(value));
+    }
+
+    /// Writes the pushed entries to `owner`'s list as one run. On an
+    /// error the entries the run did not write are dropped with the rest.
+    pub fn flush<P: Pager>(&mut self, pager: &mut P, store: &mut SuccStore) -> StorageResult<()> {
+        let written = store.extend(pager, self.owner, &self.pending);
+        self.pending.clear();
+        written
+    }
+
+    /// Appends `value` as a child of `parent` and writes it at once:
+    /// [`TreeAppender::push`] then [`TreeAppender::flush`].
+    pub fn append<P: Pager>(
+        &mut self,
+        pager: &mut P,
+        store: &mut SuccStore,
+        parent: u32,
+        value: u32,
+    ) -> StorageResult<()> {
+        self.push(parent, value);
+        self.flush(pager, store)
     }
 }
 
@@ -219,6 +250,23 @@ mod tests {
         );
         // Storage: 2 root entries + marker(1) + 2 + marker(2) + 1 = 7.
         assert_eq!(store.len(0), 7);
+    }
+
+    #[test]
+    fn one_flush_writes_what_appends_write() {
+        let (mut disk, mut store) = setup();
+        let pairs = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (0, 6)];
+        let (mut one, mut each) = (TreeAppender::new(0), TreeAppender::new(9));
+        for (p, v) in pairs {
+            one.push(p, v);
+            each.append(&mut disk, &mut store, if p == 0 { 9 } else { p }, v)
+                .unwrap();
+        }
+        assert_eq!(store.len(0), 0, "nothing written before the flush");
+        one.flush(&mut disk, &mut store).unwrap();
+        one.flush(&mut disk, &mut store).unwrap();
+        assert_eq!(read_tree(&store, &mut disk, 0).unwrap(), pairs.to_vec());
+        assert_eq!(store.len(0), store.len(9));
     }
 
     #[test]

@@ -51,7 +51,9 @@ g_checks() {
 
 g_fault_matrix() {
   TC_DET_CASES=512 t --test fault_injection --test failure_modes --test golden_fault_trace --test run_lifecycle
-  TC_DET_CASES=256 t --test succ_split_props --test proptest_invariants
+  TC_DET_CASES=256 t --test succ_split_props --test succ_run_props --test proptest_invariants
+  # A catalog that disagrees with its pages is a typed error naming the file.
+  t -p tc-succ --lib verify_integrity_names_the_file_of_a_foreign_owner
   t --test unwrap_audit
 }
 

@@ -26,7 +26,7 @@ const GOLDEN: [(&str, u64); 14] = [
     ("fig13", 0x9ECE_DEB3_67B8_AFD5),
     ("fig14", 0xDF06_D3BF_DC84_5410),
     ("related", 0x65AF_1E01_873F_7F46),
-    ("ablations", 0x95ED_6DF1_481D_B021),
+    ("ablations", 0x4B85_4915_6D31_D630),
     ("advisor", 0x9013_8046_901C_6AC6),
     ("updates", 0xA103_6603_DBBA_3A56),
     ("reachindex", 0x86B9_2529_3B71_31FC),

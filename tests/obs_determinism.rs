@@ -31,13 +31,13 @@ use tc_study::trace::{DigestSink, Tracer};
 /// Pinned (algorithm, digest hash, event count) per algorithm — the
 /// same table as `golden_trace.rs`, which is its source of truth.
 const GOLDEN_TRACES: [(&str, u64, u64); 9] = [
-    ("BTC", 0x1D96D869883DDEE3, 11529396),
-    ("HYB", 0xB2B3F7FA19E7CCF6, 12337053),
-    ("BJ", 0x81FF14F2FAADD69C, 10416976),
-    ("SRCH", 0xED0E8FCCAA326D6B, 125155),
-    ("SPN", 0xFAB19F9F93A86F79, 9977385),
-    ("JKB", 0x935C3DC4CFB2FF54, 146559),
-    ("JKB2", 0xEE79C2D5908A19EA, 178094),
+    ("BTC", 0x9FABA2F4B7FCE4DA, 9060547),
+    ("HYB", 0xFB2A44807E985F89, 9869439),
+    ("BJ", 0xC7C7DD5DD1098421, 8214073),
+    ("SRCH", 0xCDE86C0304F8C5F4, 121226),
+    ("SPN", 0xAA813878E16DE875, 8240747),
+    ("JKB", 0xDBC91DF315C2877A, 144569),
+    ("JKB2", 0x2033E80CBEDEE7E4, 176104),
     ("SEMINAIVE", 0xDA3EAA95B440D129, 155492),
     ("REACHINDEX", 0xBA809325D2444186, 61492),
 ];
