@@ -382,7 +382,7 @@ impl BufferPool {
         // order: the ids may be recycled for an unrelated file, so a
         // profile fold must treat any later request as a new page.
         if self.tracer.is_enabled() {
-            for pid in self.store.file_pages(file) {
+            for pid in self.store.file_pages(file)? {
                 self.tracer.emit(Event::PageFreed { page: pid.0 });
             }
         }
@@ -528,6 +528,7 @@ impl Pager for BufferPool {
     /// flushed (matching how a real buffer manager defers new-page writes).
     fn alloc_page(&mut self, file: FileId) -> StorageResult<PageId> {
         let pid = self.store.alloc(file)?;
+        let kind = self.store.file_kind(file)?;
         // Install a zeroed frame without reading from disk. The request
         // counts as a non-read miss (no physical transfer yet — the
         // write is charged on eviction or flush).
@@ -546,10 +547,7 @@ impl Pager for BufferPool {
         self.frames[f].pins = 0;
         self.map_page(pid, f);
         self.policy.on_admit(f);
-        self.tracer.emit(Event::PageAlloc {
-            page: pid.0,
-            kind: self.store.file_kind(file),
-        });
+        self.tracer.emit(Event::PageAlloc { page: pid.0, kind });
         Ok(pid)
     }
 
@@ -561,8 +559,8 @@ impl Pager for BufferPool {
         BufferPool::free_file(self, file)
     }
 
-    fn file_page_ids(&self, file: FileId) -> Vec<PageId> {
-        self.store.file_pages(file).to_vec()
+    fn file_page_ids(&self, file: FileId) -> StorageResult<Vec<PageId>> {
+        self.store.file_pages(file).map(<[PageId]>::to_vec)
     }
 }
 

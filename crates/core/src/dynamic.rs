@@ -252,52 +252,45 @@ impl DynamicClosure {
     }
 
     /// Freezes the current state into an immutable
-    /// [`crate::ClosedSnapshot`] stamped with `epoch`: builds the
-    /// chain-decomposition reachability index for the current graph,
-    /// captures the base relation, clustered index, closure and index
-    /// files into a [`tc_storage::FrozenPageSet`], then drops the index
-    /// files from the live store again. Like the initial build, freezing
-    /// is setup, not serving: the live store's counters are reset
-    /// afterwards, so the next `apply`'s metrics are unaffected.
+    /// [`crate::ClosedSnapshot`] stamped with `epoch`, reading the live
+    /// store and writing nothing to it:
+    ///
+    /// 1. capture the base relation, clustered index and closure into a
+    ///    [`FrozenPageSet`];
+    /// 2. thaw the capture into an in-memory store over the same page ids
+    ///    and catalog;
+    /// 3. build the chain-decomposition [`ReachIndex`] for the current
+    ///    graph there, through the store's own pager — its files land
+    ///    past every slot of the live store;
+    /// 4. freeze that store back into the snapshot's page set, moving the
+    ///    pages.
+    ///
+    /// Like the initial build, freezing is setup, not serving: the
+    /// capture's reads are charged to the live store and its counters
+    /// are reset afterwards, so the next `apply`'s metrics are
+    /// unaffected. A failed freeze leaves the live store as it was.
     ///
     /// The live instance keeps working — `freeze` after every batch to
     /// publish updated snapshots while old ones keep serving.
     pub fn freeze(&mut self, epoch: u64) -> StorageResult<crate::ClosedSnapshot> {
-        let store = self.db.take_store()?;
+        let mut store = self.db.take_store()?;
         let origin = store.backend_name();
-        // The reach index builds through a pool like any engine run;
-        // flush makes its files durable before capture.
-        let mut pool = BufferPool::with_store(store, self.cfg.buffer_pages, self.cfg.page_policy);
-        let reach = match ReachIndex::build(
-            &mut pool,
+        let files = crate::snapshot::capture_set(&self.db, &self.tc);
+        let captured = FrozenPageSet::capture(store.as_mut(), &files);
+        store.reset_stats();
+        self.db.restore_store(store);
+        let mut disk = captured?.thaw();
+        let reach = ReachIndex::build(
+            &mut disk,
             self.db.graph(),
             &Tracer::disabled(),
             &mut NullMeter,
-        ) {
-            Ok(idx) => idx,
-            Err(e) => {
-                self.db.restore_store(pool.into_store_discard());
-                return Err(e);
-            }
-        };
-        let flushed = reach.files().iter().try_for_each(|&f| pool.flush_file(f));
-        let mut store = pool.into_store_discard();
-        let captured = flushed.and_then(|()| {
-            let files = crate::snapshot::capture_set(&self.db, &self.tc, &reach);
-            FrozenPageSet::capture(store.as_mut(), &files)
-        });
-        // The index files were only needed for the capture; give their
-        // pages back to the live store whether or not it succeeded.
-        let dropped = reach.files().iter().try_for_each(|&f| store.drop_file(f));
-        store.reset_stats();
-        self.db.restore_store(store);
-        let pages = captured?;
-        dropped?;
+        )?;
         Ok(crate::ClosedSnapshot::assemble(
             epoch,
             origin,
             self.db.graph(),
-            pages,
+            FrozenPageSet::freeze(disk),
             self.db.relation.clone(),
             self.db.index.clone(),
             self.tc.clone(),
@@ -876,6 +869,78 @@ mod tests {
                     text.contains(&format!("file {file}")) && text.contains(what),
                     "{what}: {text}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn freeze_leaves_the_live_store_untouched() {
+        use tc_storage::file_store::SEGMENT_FILE;
+        use tc_storage::{Backend, FileId, PageId, TempDir};
+
+        /// What a freeze must not move: page count, free list, every
+        /// file's pages (files are numbered densely, so the first id the
+        /// store refuses ends the table) and the segment's length.
+        type Layout = (usize, Vec<PageId>, Vec<Vec<PageId>>, Option<u64>);
+        fn layout(d: &DynamicClosure, segment: Option<&std::path::Path>) -> Layout {
+            let store = d.db.store.as_deref().unwrap();
+            let files = (0..)
+                .map_while(|id| store.file_pages(FileId(id)).ok())
+                .map(<[PageId]>::to_vec)
+                .collect();
+            (
+                store.page_count(),
+                store.catalog().free_pages().to_vec(),
+                files,
+                segment.map(|path| std::fs::metadata(path).unwrap().len()),
+            )
+        }
+
+        let g = DagGenerator::new(200, 3.0, 40).seed(12).generate();
+        let dir = TempDir::new("tc-freeze-untouched").unwrap();
+        let segment = dir.path().join(SEGMENT_FILE);
+        let file = Backend::File {
+            dir: Some(dir.path().to_path_buf()),
+        };
+        for (backend, segment) in [(Backend::Sim, None), (file, Some(segment.as_path()))] {
+            let cfg = SystemConfig::with_buffer(12).backend(backend);
+            let mut d = DynamicClosure::build(&g, &cfg).unwrap();
+            // A batch that shrinks the closure leaves the live store
+            // released pages a careless freeze would reuse.
+            let mut live = g.clone();
+            let cut: Vec<UpdateOp> = g
+                .arcs()
+                .take(20)
+                .map(|(u, v)| {
+                    live.remove_arc(u, v);
+                    UpdateOp::Delete(u, v)
+                })
+                .collect();
+            d.apply(&cut).unwrap();
+            let before = layout(&d, segment);
+            assert!(!before.1.is_empty(), "the fixture left no free page");
+
+            let snap = d.freeze(1).unwrap();
+            assert_eq!(layout(&d, segment), before, "{}", d.backend_name());
+            let store = snap.open_store();
+            for f in snap.reach_index().files() {
+                let pages = store.file_pages(f).unwrap();
+                assert!(!pages.is_empty());
+                assert!(
+                    pages.iter().all(|p| p.index() >= before.0),
+                    "{}: an index page sits among the live store's {} slots: {pages:?}",
+                    d.backend_name(),
+                    before.0
+                );
+            }
+            // The snapshot answers from those pages.
+            let mut store = snap.open_store();
+            for u in (0..200).step_by(7) {
+                let row = closure::successors_of(&live, u);
+                for v in (0..200).step_by(3) {
+                    let expect = row.binary_search(&v).is_ok();
+                    assert_eq!(snap.reach(&mut store, u, v).unwrap(), expect, "{u}->{v}");
+                }
             }
         }
     }

@@ -1,12 +1,13 @@
 //! Frozen, shareable snapshots of a closed database.
 //!
-//! A build (or a maintenance batch) ends with a consistent triple on
-//! disk: the clustered base relation + index, the materialized closure,
-//! and — added at freeze time — the chain-decomposition reachability
-//! index. [`ClosedSnapshot`] captures exactly those files into an
-//! immutable [`FrozenPageSet`] and packages the read-only catalog next
-//! to them, so any number of serving sessions can answer
-//! `reach`/`ptc`/`path` queries concurrently:
+//! A build (or a maintenance batch) ends with a consistent pair on disk:
+//! the clustered base relation + index, and the materialized closure.
+//! [`ClosedSnapshot`] captures exactly those files into an immutable
+//! [`FrozenPageSet`], adds the chain-decomposition reachability index to
+//! the capture — built in memory over the captured page ids, so the live
+//! store never holds it ([`crate::DynamicClosure::freeze`]) — and
+//! packages the read-only catalog next to them, so any number of serving
+//! sessions can answer `reach`/`ptc`/`path` queries concurrently:
 //!
 //! * the page images and catalog are shared behind one `Arc` — zero
 //!   copies per session, at open and after: a buffer pool over the
@@ -229,12 +230,11 @@ impl ClosedSnapshot {
     }
 }
 
-/// The files a snapshot captures: base relation, clustered index,
-/// closure, then the reach index's chains and labels files.
-pub(crate) fn capture_set(db: &Database, closure: &ValueFile, reach: &ReachIndex) -> Vec<FileId> {
-    let mut files = vec![db.relation.file_id(), db.index.file_id(), closure.file_id()];
-    files.extend(reach.files());
-    files
+/// The files a snapshot captures from the live store: base relation,
+/// clustered index and closure. The reach index is written into the
+/// capture afterwards, never to the live store.
+pub(crate) fn capture_set(db: &Database, closure: &ValueFile) -> [FileId; 3] {
+    [db.relation.file_id(), db.index.file_id(), closure.file_id()]
 }
 
 #[cfg(test)]

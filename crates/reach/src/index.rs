@@ -20,10 +20,11 @@
 //!
 //! [`ReachIndex::build`] persists the decomposition and the labels in
 //! two paged value files through any [`Pager`] (the buffer pool in the
-//! engine), so construction and queries are charged page I/O exactly
-//! like the eight study algorithms. Both are read by position — the
-//! index is k·n integers, as in Kritikakis/Tollis — so neither stores a
-//! key beside its values.
+//! engine; a snapshot's thawed capture, read straight, at freeze), so
+//! construction and queries are charged page I/O exactly like the eight
+//! study algorithms. It is the one writer of those files. Both are read
+//! by position — the index is k·n integers, as in Kritikakis/Tollis — so
+//! neither stores a key beside its values.
 
 use tc_graph::{condensation, Condensation, Graph, NodeId};
 use tc_storage::{
@@ -91,11 +92,9 @@ impl LabelMatrix {
                 debug_assert!(vi < wi, "condensation ids must be topological");
                 let (lo, hi) = rows.split_at_mut(wi);
                 let dst = &mut lo[vi..vi + k];
-                let src = &hi[..k];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    if s < *d {
-                        *d = s;
-                    }
+                // A branch-free min, so the merge vectorises.
+                for (d, &s) in dst.iter_mut().zip(&hi[..k]) {
+                    *d = (*d).min(s);
                 }
             }
         }

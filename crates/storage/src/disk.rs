@@ -97,10 +97,34 @@ impl IoCostModel {
 /// each (the one function all media use; the file medium keeps it in
 /// its slot header), recorded on write and verified on read while a
 /// fault plan is armed (silent corruption is detected, never absorbed).
+///
+/// The same table is a [`crate::FrozenPageSet`]'s, so a capture thaws
+/// into a `Mem` and freezes back out of one by moving it.
 #[derive(Default)]
 pub struct Mem {
-    pages: Vec<Page>,
-    checksums: Vec<u64>,
+    /// Indexed by [`PageId`]: the image and the checksum recorded for it,
+    /// or `None` for a slot a capture skipped.
+    pub(crate) images: Vec<Option<(Page, u64)>>,
+}
+
+impl Mem {
+    /// The image of `pid` with its recorded checksum.
+    #[inline]
+    pub(crate) fn image(&self, pid: PageId) -> StorageResult<&(Page, u64)> {
+        match self.images.get(pid.index()) {
+            Some(Some(image)) => Ok(image),
+            _ => Err(StorageError::PageOutOfBounds(pid)),
+        }
+    }
+
+    /// [`Medium::read`] without the `&mut`: a frozen view reads the same
+    /// table.
+    #[inline]
+    pub(crate) fn copy_out(&self, pid: PageId, out: &mut Page, verify: bool) -> StorageResult<()> {
+        let (image, sum) = self.image(pid)?;
+        out.bytes_mut().copy_from_slice(image.bytes());
+        verify_image(image, verify.then_some(*sum), pid)
+    }
 }
 
 /// Checks `image` against the checksum `recorded` for it, if one is
@@ -121,16 +145,17 @@ pub(crate) fn verify_image(image: &Page, recorded: Option<u64>, pid: PageId) -> 
 
 impl Medium for Mem {
     fn read(&mut self, pid: PageId, out: &mut Page, verify: bool) -> StorageResult<()> {
-        let i = pid.index();
-        out.bytes_mut().copy_from_slice(self.pages[i].bytes());
-        verify_image(&self.pages[i], verify.then(|| self.checksums[i]), pid)
+        self.copy_out(pid, out, verify)
     }
 
     fn write(&mut self, pid: PageId, data: &Page, tear_at: Option<usize>) -> StorageResult<()> {
+        let Some(Some((page, sum))) = self.images.get_mut(pid.index()) else {
+            return Err(StorageError::PageOutOfBounds(pid));
+        };
         // Record the checksum of the bytes the writer intended; a torn
         // write leaves it stale so verification catches the corruption.
-        self.checksums[pid.index()] = data.checksum();
-        let dst = self.pages[pid.index()].bytes_mut();
+        *sum = data.checksum();
+        let dst = page.bytes_mut();
         dst.copy_from_slice(data.bytes());
         if let Some(off) = tear_at {
             dst[off] ^= 0xFF;
@@ -139,15 +164,13 @@ impl Medium for Mem {
     }
 
     fn zero(&mut self, pid: PageId) -> StorageResult<()> {
-        match self.pages.get_mut(pid.index()) {
-            Some(page) => {
+        match self.images.get_mut(pid.index()) {
+            Some(Some((page, sum))) => {
                 page.clear();
-                self.checksums[pid.index()] = Page::ZERO_CHECKSUM;
+                *sum = Page::ZERO_CHECKSUM;
             }
-            None => {
-                self.pages.push(Page::new());
-                self.checksums.push(Page::ZERO_CHECKSUM);
-            }
+            Some(skipped) => *skipped = Some((Page::new(), Page::ZERO_CHECKSUM)),
+            None => self.images.push(Some((Page::new(), Page::ZERO_CHECKSUM))),
         }
         Ok(())
     }

@@ -548,8 +548,8 @@ mod tests {
         };
         let mut s = FileStore::open(&dir).unwrap();
         assert!(s.recovery().is_clean());
-        assert_eq!(s.file_kind(f), FileKind::SuccessorList);
-        assert_eq!(s.file_pages(f), &[pid]);
+        assert_eq!(s.file_kind(f), Ok(FileKind::SuccessorList));
+        assert_eq!(s.file_pages(f), Ok(&[pid][..]));
         let mut p = Page::new();
         s.read_page(pid, &mut p).unwrap();
         assert_eq!(p.get_i32(0), -42);

@@ -25,8 +25,16 @@
 //! same code ([`PageStore::admit_read`] with no destination: bounds,
 //! fault plan, verification, charge, event) and then borrows the image
 //! through [`FrozenPageSet::page`] instead of receiving a 2 KB copy.
+//!
+//! A set that is not shared yet can still grow: [`FrozenPageSet::thaw`]
+//! turns it into a writable [`DiskSim`] over the same page ids and
+//! catalog, and [`FrozenPageSet::freeze`] turns that store back into a
+//! set. The image table is the same [`Mem`] on both sides, so neither
+//! step copies a page; a snapshot adds files it derives from the
+//! captured ones this way, without writing them to the store it was
+//! captured from.
 
-use crate::disk::{verify_image, FileId};
+use crate::disk::{DiskSim, FileId, Mem};
 use crate::error::{StorageError, StorageResult};
 use crate::medium::{Catalog, FileMeta, Medium, NO_FILE};
 use crate::page::{Page, PageId};
@@ -42,7 +50,7 @@ use std::sync::Arc;
 pub struct FrozenPageSet {
     /// Sparse: populated for captured pages only, each image with the
     /// [`Page::checksum`] recorded at capture time.
-    images: Vec<Option<(Page, u64)>>,
+    mem: Mem,
     catalog: Arc<Catalog>,
 }
 
@@ -51,25 +59,27 @@ impl FrozenPageSet {
     /// `store`, reading through the standard [`PageStore::read_page`]
     /// path. The reads are charged to `store`'s counters; callers that
     /// treat freezing as setup (not serving) should reset those
-    /// counters afterwards, as database builds do.
+    /// counters afterwards, as database builds do. A file id `store`
+    /// never issued is [`StorageError::UnknownFile`].
     pub fn capture(store: &mut dyn PageStore, files: &[FileId]) -> StorageResult<FrozenPageSet> {
-        let mut images: Vec<Option<(Page, u64)>> = Vec::new();
-        images.resize_with(store.page_count(), || None);
+        let mut mem = Mem::default();
+        mem.images.resize_with(store.page_count(), || None);
         let mut catalog = Catalog::default();
-        catalog.page_file.resize(images.len(), NO_FILE);
+        catalog.page_file.resize(mem.images.len(), NO_FILE);
         for &file in files {
+            let pages: Vec<PageId> = store.file_pages(file)?.to_vec();
             for id in catalog.files.len() as u32..=file.0 {
                 catalog.files.push(FileMeta {
-                    kind: store.file_kind(FileId(id)),
+                    kind: store.file_kind(FileId(id))?,
                     pages: Vec::new(),
                 });
             }
-            let pages: Vec<PageId> = store.file_pages(file).to_vec();
             for &pid in &pages {
                 let mut image = Page::new();
                 store.read_page(pid, &mut image)?;
                 let checksum = image.checksum();
-                let slot = images
+                let slot = mem
+                    .images
                     .get_mut(pid.index())
                     .ok_or(StorageError::PageOutOfBounds(pid))?;
                 *slot = Some((image, checksum));
@@ -78,9 +88,25 @@ impl FrozenPageSet {
             catalog.files[file.0 as usize].pages = pages;
         }
         Ok(FrozenPageSet {
-            images,
+            mem,
             catalog: Arc::new(catalog),
         })
+    }
+
+    /// A writable in-memory store over this set's images, page ids and
+    /// catalog, with fresh counters. A slot the capture skipped stays
+    /// unowned, so it reads as [`StorageError::PageOutOfBounds`]; the
+    /// free list is empty, so a new file's pages land past every slot
+    /// the source store had. Moves the images, copies none.
+    pub fn thaw(self) -> DiskSim {
+        Store::with_catalog(self.mem, self.catalog)
+    }
+
+    /// Freezes `store` — typically a thawed set that gained files — into
+    /// a set, moving its images and catalog rather than copying them.
+    pub fn freeze(store: DiskSim) -> FrozenPageSet {
+        let (mem, catalog) = store.into_parts();
+        FrozenPageSet { mem, catalog }
     }
 
     /// Number of captured pages.
@@ -90,10 +116,7 @@ impl FrozenPageSet {
 
     /// The captured image of `pid` with its recorded checksum.
     pub(crate) fn image(&self, pid: PageId) -> StorageResult<&(Page, u64)> {
-        match self.images.get(pid.index()) {
-            Some(Some(image)) => Ok(image),
-            _ => Err(StorageError::PageOutOfBounds(pid)),
-        }
+        self.mem.image(pid)
     }
 
     /// The captured image of `pid`, if it was captured.
@@ -108,9 +131,7 @@ pub struct Frozen(Arc<FrozenPageSet>);
 
 impl Medium for Frozen {
     fn read(&mut self, pid: PageId, out: &mut Page, verify: bool) -> StorageResult<()> {
-        let (image, sum) = self.0.image(pid)?;
-        out.bytes_mut().copy_from_slice(image.bytes());
-        verify_image(image, verify.then_some(*sum), pid)
+        self.0.mem.copy_out(pid, out, verify)
     }
 
     fn lent(&self) -> Option<&FrozenPageSet> {
@@ -171,7 +192,9 @@ const _: fn() = || {
 mod tests {
     use super::*;
     use crate::disk::{DiskSim, FileKind};
+    use crate::fault::{FaultConfig, FaultPlan};
     use crate::relation::RelationFile;
+    use crate::values::ValueFile;
 
     fn frozen_fixture() -> (Arc<FrozenPageSet>, RelationFile) {
         let mut disk = DiskSim::new();
@@ -207,5 +230,81 @@ mod tests {
         assert_eq!(b.stats().reads, 0);
         rel.scan(&mut b).unwrap();
         assert_eq!(a.stats().reads, b.stats().reads);
+    }
+
+    #[test]
+    fn thaw_freeze_round_trips() {
+        // A captured relation between two files the capture skips, one
+        // of them dropped so the source has a free list to ignore.
+        let mut disk = DiskSim::new();
+        let skipped = disk.new_file(FileKind::Temp);
+        disk.alloc(skipped).unwrap();
+        let arcs: Vec<(u32, u32)> = (0..3000).map(|i| (i / 4, i)).collect();
+        let rel = RelationFile::bulk_load(&mut disk, FileKind::Relation, &arcs).unwrap();
+        let dropped = disk.new_file(FileKind::Output);
+        disk.alloc(dropped).unwrap();
+        disk.drop_file(dropped).unwrap();
+        let source_slots = disk.page_count();
+        let set = FrozenPageSet::capture(&mut disk, &[rel.file_id()]).unwrap();
+        let before = set.catalog.as_ref().clone();
+        let images: Vec<(PageId, Page, u64)> = rel
+            .pages()
+            .iter()
+            .map(|&pid| {
+                let (image, sum) = set.image(pid).unwrap();
+                (pid, image.clone(), *sum)
+            })
+            .collect();
+
+        let mut thawed = set.thaw();
+        let hole = PageId(0);
+        assert_eq!(
+            thawed.read_page(hole, &mut Page::new()),
+            Err(StorageError::PageOutOfBounds(hole))
+        );
+        let values: Vec<u32> = (0..1300).map(|i| i * 7 + 1).collect();
+        let file = ValueFile::bulk_load(&mut thawed, FileKind::Index, &values).unwrap();
+        assert!(
+            file.pages().iter().all(|p| p.index() >= source_slots),
+            "a new page reused a slot of the source: {:?}",
+            file.pages()
+        );
+        let set = FrozenPageSet::freeze(thawed);
+
+        // The captured images and checksums are the ones captured.
+        for (pid, image, sum) in &images {
+            let (now, now_sum) = set.image(*pid).unwrap();
+            assert!(now == image, "image of {pid:?} changed");
+            assert_eq!(now_sum, sum, "checksum of {pid:?} changed");
+        }
+        // The catalog gained the new file and nothing else.
+        let after = set.catalog.as_ref();
+        assert_eq!(after.files[..before.files.len()], before.files[..]);
+        assert_eq!(after.files.len(), before.files.len() + 1);
+        assert_eq!(after.files[file.file_id().0 as usize].pages, file.pages());
+        let owners = &after.page_file;
+        assert_eq!(owners[..before.page_file.len()], before.page_file[..]);
+        assert!(owners[before.page_file.len()..]
+            .iter()
+            .all(|&f| f == file.file_id()));
+        assert!(after.free_pages.is_empty());
+        assert_eq!(set.page_count(), rel.page_count() + file.page_count());
+
+        // Skipped slots stay out of bounds; the new file reads back with
+        // every read verified against its recorded checksum.
+        let mut store = FrozenStore::new(Arc::new(set));
+        store.set_fault_plan(FaultPlan::new(FaultConfig::new(3)));
+        for hole in [hole, PageId(source_slots as u32 - 1)] {
+            assert_eq!(
+                store.read_page(hole, &mut Page::new()),
+                Err(StorageError::PageOutOfBounds(hole))
+            );
+        }
+        let mut out = Vec::new();
+        file.read_range(&mut store, 0, values.len(), &mut out)
+            .unwrap();
+        assert_eq!(out, values);
+        assert_eq!(rel.scan(&mut store).unwrap(), arcs);
+        assert_eq!(store.stats().reads as usize, store.pages().page_count());
     }
 }

@@ -61,11 +61,11 @@ pub trait Medium: Send {
     }
 }
 
-/// Owner of a page slot that no file holds (an uncaptured slot of a
-/// frozen view); never a valid index into the file table.
+/// Owner of a page slot that no file holds (a slot a capture skipped,
+/// frozen or thawed); never a valid index into the file table.
 pub(crate) const NO_FILE: FileId = FileId(u32::MAX);
 
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct FileMeta {
     pub(crate) kind: FileKind,
     pub(crate) pages: Vec<PageId>,
@@ -74,7 +74,7 @@ pub(crate) struct FileMeta {
 /// The store's bookkeeping: the file table, the page→file map and the
 /// LIFO free-page list. Pure data, identical on every medium, which is
 /// what makes page-id streams (and so trace digests) backend-invariant.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Catalog {
     /// Indexed by [`FileId`]. A dropped file stays, with no pages.
     pub(crate) files: Vec<FileMeta>,
@@ -88,6 +88,14 @@ impl Catalog {
     /// The released page slots, oldest first; the last is reused next.
     pub fn free_pages(&self) -> &[PageId] {
         &self.free_pages
+    }
+
+    /// The entry of `file`; [`StorageError::UnknownFile`] for an id this
+    /// catalog never issued.
+    pub(crate) fn file(&self, file: FileId) -> StorageResult<&FileMeta> {
+        self.files
+            .get(file.0 as usize)
+            .ok_or(StorageError::UnknownFile(file.0))
     }
 
     /// The file that owns slot `pid`.

@@ -37,11 +37,12 @@ pub trait Pager {
     /// a catalog operation and charges no I/O.
     fn free_file(&mut self, file: FileId) -> StorageResult<()>;
 
-    /// The pages of `file` in allocation order.
+    /// The pages of `file` in allocation order;
+    /// [`crate::StorageError::UnknownFile`] for a file never created.
     ///
     /// Returned by value because a buffered pager cannot hand out a
     /// reference into the disk it wraps while also being borrowed mutably.
-    fn file_page_ids(&self, file: FileId) -> Vec<PageId>;
+    fn file_page_ids(&self, file: FileId) -> StorageResult<Vec<PageId>>;
 }
 
 #[cfg(test)]

@@ -101,12 +101,16 @@ pub trait PageStore: Send {
     fn sync(&mut self) -> StorageResult<()>;
 
     /// The pages belonging to `file`, in allocation order (none once it
-    /// is dropped). Panics on a [`FileId`] this store never issued.
-    fn file_pages(&self, file: FileId) -> &[PageId];
+    /// is dropped); [`StorageError::UnknownFile`] for a [`FileId`] this
+    /// store never issued.
+    fn file_pages(&self, file: FileId) -> StorageResult<&[PageId]>;
 
-    /// The kind of `file`. Panics on a [`FileId`] this store never
-    /// issued.
-    fn file_kind(&self, file: FileId) -> FileKind;
+    /// The kind of `file`; [`StorageError::UnknownFile`] for a
+    /// [`FileId`] this store never issued.
+    fn file_kind(&self, file: FileId) -> StorageResult<FileKind>;
+
+    /// The store's bookkeeping: file table, page owners, free list.
+    fn catalog(&self) -> &Catalog;
 
     /// The file a page belongs to.
     fn page_file(&self, pid: PageId) -> StorageResult<FileId>;
@@ -192,9 +196,10 @@ impl<M: Medium> Store<M> {
         &self.medium
     }
 
-    /// The store's bookkeeping.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+    /// Takes the store apart into its medium and catalog; counters,
+    /// tracer and fault plan go with the store.
+    pub(crate) fn into_parts(self) -> (M, Arc<Catalog>) {
+        (self.medium, self.catalog)
     }
 
     fn emit_fault(&self, pid: PageId, write: bool) {
@@ -223,9 +228,7 @@ impl<M: Medium> PageStore for Store<M> {
 
     fn alloc(&mut self, file: FileId) -> StorageResult<PageId> {
         self.medium.writable()?;
-        if file.0 as usize >= self.catalog.files.len() {
-            return Err(StorageError::UnknownFile(file.0));
-        }
+        self.catalog.file(file)?;
         // Reuse space released by drop_file before growing the medium.
         let reused = self.catalog.free_pages.last().copied();
         let pid = reused.unwrap_or(PageId(self.catalog.page_file.len() as u32));
@@ -327,12 +330,16 @@ impl<M: Medium> PageStore for Store<M> {
         self.medium.sync(&self.catalog)
     }
 
-    fn file_pages(&self, file: FileId) -> &[PageId] {
-        &self.catalog.files[file.0 as usize].pages
+    fn file_pages(&self, file: FileId) -> StorageResult<&[PageId]> {
+        Ok(&self.catalog.file(file)?.pages)
     }
 
-    fn file_kind(&self, file: FileId) -> FileKind {
-        self.catalog.files[file.0 as usize].kind
+    fn file_kind(&self, file: FileId) -> StorageResult<FileKind> {
+        Ok(self.catalog.file(file)?.kind)
+    }
+
+    fn catalog(&self) -> &Catalog {
+        &self.catalog
     }
 
     fn page_file(&self, pid: PageId) -> StorageResult<FileId> {
@@ -419,8 +426,8 @@ impl<S: PageStore + ?Sized> Pager for S {
         PageStore::drop_file(self, file)
     }
 
-    fn file_page_ids(&self, file: FileId) -> Vec<PageId> {
-        PageStore::file_pages(self, file).to_vec()
+    fn file_page_ids(&self, file: FileId) -> StorageResult<Vec<PageId>> {
+        PageStore::file_pages(self, file).map(<[PageId]>::to_vec)
     }
 }
 
@@ -535,7 +542,7 @@ mod tests {
             .unwrap();
         let v = s.with_page(pid, |pg: &Page| pg.get_u32(4)).unwrap();
         assert_eq!(v, 9);
-        assert_eq!(s.file_page_ids(file), vec![pid]);
+        assert_eq!(s.file_page_ids(file), Ok(vec![pid]));
         s.free_file(file).unwrap();
     }
 }

@@ -262,7 +262,11 @@ mod tests {
                     len.div_ceil(VALUES_PER_PAGE),
                     "len {len}"
                 );
-                assert_eq!(store.file_pages(file.file_id()), file.pages(), "len {len}");
+                assert_eq!(
+                    store.file_pages(file.file_id()),
+                    Ok(file.pages()),
+                    "len {len}"
+                );
                 let mut ranges = vec![(0, len), (0, 0), (len, len), (len / 2, len / 2)];
                 for _ in 0..24 {
                     let start = rng.random_range(0..=len);

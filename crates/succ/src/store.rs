@@ -167,7 +167,7 @@ impl SuccStore {
         }
         // Reverse direction: owned blocks on pages must be chained, and
         // the free cache must agree with the pages.
-        for page in pager.file_page_ids(self.file) {
+        for page in pager.file_page_ids(self.file)? {
             let free = self.free_on(page);
             pager.with_page(page, |pg: &Page| {
                 let orphan = (0..BLOCKS_PER_PAGE).any(|b| {

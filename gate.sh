@@ -74,6 +74,8 @@ g_dynamic() {
   t -p tc-core --lib cycle_closing_batch_is_rejected_whole
   t -p tc-core --lib op_naming_an_unknown_node_is_refused_whole
   t -p tc-core --lib freeze_returns_the_index_pages_when_capture_fails
+  # A freeze reads the live store and writes its index into the capture.
+  t -p tc-core --lib freeze_leaves_the_live_store_untouched
   # The closure file has no source column: the row table is the only map.
   t -p tc-core --lib tuples_round_trip_closures_with_empty_rows
   t -p tc-core --lib a_bad_closure_file_is_a_typed_error_naming_the_file
@@ -122,6 +124,8 @@ g_backend_matrix() {
   t -p tc-storage --lib checksum
   # The positional file, on the simulated disk and on a reopened real file.
   t -p tc-storage --lib value_file
+  # A capture thaws into the in-memory medium and freezes back unchanged.
+  t -p tc-storage --lib thaw_freeze_round_trips
   TC_DET_CASES=256 t --test file_store_recovery recovery_scan_matches_a_per_slot_oracle
   harness
   ./target/release/bench_baseline --backend file --check BENCH_5.json

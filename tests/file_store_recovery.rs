@@ -153,7 +153,7 @@ fn clean_reopen_round_trips_the_directory() {
         page.put_u32(0, 0xFEED_BEEF);
         store.write_page(pid, &page).expect("write");
         store.sync().expect("sync");
-        (pid, store.file_kind(f))
+        (pid, store.file_kind(f).expect("kind"))
     };
     let mut store = FileStore::open(tmp.path()).expect("open");
     assert!(store.recovery().is_clean());

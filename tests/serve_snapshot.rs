@@ -11,9 +11,8 @@
 //! row with a tuple only one of them has, a `path` using an arc the
 //! epoch deleted) fails the exact-epoch comparison.
 
-use std::sync::Arc;
 use tc_study::core::prelude::*;
-use tc_study::graph::{closure, DagGenerator, Graph, NodeId, StreamKind, UpdateOp, UpdateStream};
+use tc_study::graph::{closure, DagGenerator, Graph, StreamKind, UpdateOp, UpdateStream};
 use tc_study::serve::{LoopMode, MixSpec, QueryStream, Reply, Request, ServeConfig, Service};
 
 const BATCHES: usize = 3;

@@ -7,7 +7,6 @@
 //! demand and checks that a failed operation leaves the catalog exactly
 //! as it was — the seed of crash-point enumeration (ROADMAP 5c).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tc_study::storage::{
     DiskSim, FaultConfig, FaultPlan, FileId, FileKind, FileStore, FrozenPageSet, FrozenStore,
@@ -45,9 +44,9 @@ fn temp_file_store() -> FileStore {
 fn contract(store: &mut dyn PageStore, name: &str, read_only: bool) {
     assert_eq!(store.backend_name(), name);
     let file = FileId(0);
-    let pages = store.file_pages(file).to_vec();
+    let pages = store.file_pages(file).expect("pages").to_vec();
     assert_eq!(pages.len(), POPULATION, "{name}");
-    assert_eq!(store.file_kind(file), FileKind::Relation, "{name}");
+    assert_eq!(store.file_kind(file), Ok(FileKind::Relation), "{name}");
 
     // Round trip and counting: one read charged per transfer, by kind.
     let mut out = Page::new();
@@ -77,11 +76,6 @@ fn contract(store: &mut dyn PageStore, name: &str, read_only: bool) {
     );
     assert_eq!(store.stats().reads, n, "{name}: a failed read was charged");
 
-    // A file id the store never issued is a caller bug on every medium.
-    let unknown = FileId(9_999);
-    assert!(catch_unwind(AssertUnwindSafe(|| store.file_pages(unknown).len())).is_err());
-    assert!(catch_unwind(AssertUnwindSafe(|| store.file_kind(unknown))).is_err());
-
     // Transient faults retry clean and charge once: failed attempts are
     // not transfers.
     store.set_fault_plan(FaultPlan::new(
@@ -109,7 +103,7 @@ fn contract(store: &mut dyn PageStore, name: &str, read_only: bool) {
         let dummy = store.new_file(FileKind::Temp);
         assert_eq!(store.alloc(dummy), Err(StorageError::ReadOnlyStore));
         assert_eq!(store.drop_file(file), refused);
-        assert_eq!(store.file_pages(file), &pages[..], "{name}");
+        assert_eq!(store.file_pages(file), Ok(&pages[..]), "{name}");
         store.read_page(pages[0], &mut out).expect("read");
         assert_eq!(out.get_u32(0), stamp(0), "{name}: refused write landed");
         assert_eq!(store.stats().writes, 0, "{name}");
@@ -120,17 +114,12 @@ fn contract(store: &mut dyn PageStore, name: &str, read_only: bool) {
     let a = store.new_file(FileKind::Temp);
     let fresh: Vec<PageId> = (0..3).map(|_| store.alloc(a).expect("alloc")).collect();
     assert_eq!(fresh[0], PageId(POPULATION as u32), "{name}: grows densely");
-    assert_eq!(store.file_pages(a), &fresh[..]);
-    assert_eq!(store.alloc(unknown), Err(StorageError::UnknownFile(9_999)));
-    assert_eq!(
-        store.drop_file(unknown),
-        Err(StorageError::UnknownFile(9_999))
-    );
+    assert_eq!(store.file_pages(a), Ok(&fresh[..]));
     let mut dirty = Page::new();
     dirty.put_u32(0, 7);
     store.write_page(fresh[2], &dirty).expect("write");
     store.drop_file(a).expect("drop");
-    assert!(store.file_pages(a).is_empty(), "{name}");
+    assert_eq!(store.file_pages(a), Ok(&[][..]), "{name}");
     assert_eq!(store.stats().since(&before).total(), 1, "{name}: one write");
     assert_eq!(store.stats().writes_by_kind[FileKind::Temp.idx()], 1);
 
@@ -181,9 +170,45 @@ fn frozen_honours_the_contract() {
             Err(StorageError::PageOutOfBounds(hole)),
             "uncaptured pages are out of bounds"
         );
-        assert!(store.file_pages(other).is_empty());
-        assert_eq!(store.file_kind(other), FileKind::Temp);
+        assert_eq!(store.file_pages(other), Ok(&[][..]));
+        assert_eq!(store.file_kind(other), Ok(FileKind::Temp));
         contract(&mut store, "frozen", true);
+    }
+}
+
+#[test]
+fn a_foreign_file_id_is_a_typed_error_on_every_medium() {
+    let mut sim = populate(DiskSim::new());
+    let mut file = populate(temp_file_store());
+    let mut frozen = FrozenStore::new(Arc::new(
+        FrozenPageSet::capture(&mut sim, &[FileId(0)]).expect("capture"),
+    ));
+    let stores: [(&mut dyn PageStore, bool); 3] =
+        [(&mut sim, false), (&mut file, false), (&mut frozen, true)];
+    for (store, read_only) in stores {
+        let name = store.backend_name();
+        let before = store.catalog().clone();
+        for id in [1, 9_999, u32::MAX] {
+            let (foreign, unknown) = (FileId(id), StorageError::UnknownFile(id));
+            assert_eq!(store.file_pages(foreign).unwrap_err(), unknown, "{name}");
+            assert_eq!(store.file_kind(foreign).unwrap_err(), unknown, "{name}");
+            assert_eq!(store.file_page_ids(foreign).unwrap_err(), unknown);
+            // A read-only medium refuses a mutation before it looks.
+            let refused = if read_only {
+                StorageError::ReadOnlyStore
+            } else {
+                unknown.clone()
+            };
+            assert_eq!(store.alloc(foreign).unwrap_err(), refused, "{name}");
+            assert_eq!(store.drop_file(foreign).unwrap_err(), refused, "{name}");
+            let captured = FrozenPageSet::capture(store, &[FileId(0), foreign]);
+            assert_eq!(captured.err(), Some(unknown), "{name}: capture");
+        }
+        assert_eq!(
+            store.catalog(),
+            &before,
+            "{name}: a refusal moved the catalog"
+        );
     }
 }
 
@@ -235,7 +260,7 @@ fn snapshot(store: &Store<Failing>, files: &[FileId]) -> (Vec<Vec<PageId>>, Vec<
     (
         files
             .iter()
-            .map(|&f| store.file_pages(f).to_vec())
+            .map(|&f| store.file_pages(f).expect("pages").to_vec())
             .collect(),
         store.catalog().free_pages().to_vec(),
         store.page_count(),

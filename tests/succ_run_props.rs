@@ -177,9 +177,12 @@ fn merged_requests(events: &VecSink) -> Vec<u32> {
 /// Every page of `file`, read through `pool`.
 fn images(pool: &mut BufferPool, file: FileId) -> Result<Vec<Vec<u8>>, String> {
     pool.file_page_ids(file)
-        .into_iter()
-        .map(|p| pool.with_page(p, |pg: &Page| pg.bytes().to_vec()))
-        .collect::<StorageResult<_>>()
+        .and_then(|pages| {
+            pages
+                .into_iter()
+                .map(|p| pool.with_page(p, |pg: &Page| pg.bytes().to_vec()))
+                .collect::<StorageResult<_>>()
+        })
         .map_err(|e| e.to_string())
 }
 
@@ -289,7 +292,7 @@ impl Pager for Failing<'_> {
         self.disk.free_file(file)
     }
 
-    fn file_page_ids(&self, file: FileId) -> Vec<PageId> {
+    fn file_page_ids(&self, file: FileId) -> StorageResult<Vec<PageId>> {
         self.disk.file_page_ids(file)
     }
 }
