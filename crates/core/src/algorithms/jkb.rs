@@ -149,6 +149,9 @@ pub fn compute(
         r.sources.iter().enumerate().map(|(i, &s)| (s, i)).collect();
     let cover_words = r.sources.len().div_ceil(64).max(1);
     let mut covers: Vec<Vec<u64>> = vec![Vec::new(); n];
+    // Per-union scratch, cleared by each union instead of reallocated.
+    let mut entries = Vec::new();
+    let mut seen_this_union: Vec<u32> = Vec::new();
 
     for &x in &r.order {
         bitvec.clear_fast();
@@ -216,10 +219,10 @@ pub fn compute(
             // is special, T_p's root-level entries belong under p; when it
             // is not, they stay at root level of T_x.
             skips.clear_fast();
-            let entries = ListCursor::new(&trees, p).collect_entries(pool)?;
+            ListCursor::new(&trees, p).collect_into(pool, &mut entries)?;
             let mut state = TreeScanState::new(p);
-            let mut seen_this_union: Vec<u32> = Vec::new();
-            for e in entries {
+            seen_this_union.clear();
+            for &e in &entries {
                 match state.step(e, &mut skips) {
                     TreeStep::Marker => {
                         metrics.count_tuple_read();
@@ -263,7 +266,7 @@ pub fn compute(
             }
             // Contribution complete: everything it touched is covered.
             covered.insert(p);
-            for v in seen_this_union {
+            for &v in &seen_this_union {
                 covered.insert(v);
             }
         }

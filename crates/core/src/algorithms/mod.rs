@@ -53,11 +53,50 @@ pub(crate) fn write_union(
 /// Collects answer tuples: always counts, optionally materializes the
 /// pairs for validation. Collection is an in-memory bookkeeping device
 /// and charges no I/O; the on-disk write-out is modeled separately.
+///
+/// Node ids are dense and a closure is too, so the pairs are kept as a
+/// bit matrix — one row of id bits per source — once that matrix is no
+/// larger than the pairs it replaces (a pair and a matrix word are both
+/// 8 bytes). The matrix needs an id bound
+/// ([`AnswerCollector::with_id_bound`]; the engine passes the graph's
+/// node count): the collector switches the moment its pair list reaches
+/// the matrix's size, and from then on an emit sets a bit. Without a
+/// bound it keeps the pair list. A bit cannot hold a repeated tuple, so
+/// a repeat stays in the pair list, as does any tuple outside the
+/// matrix; either way the result is the sorted multiset of what was
+/// emitted.
 pub struct AnswerCollector {
     collect: bool,
     count: u64,
+    bound: Option<usize>,
+    /// Every tuple before the switch; after it, the tuples no bit took.
     pairs: Vec<(NodeId, NodeId)>,
+    matrix: Option<BitMatrix>,
     trace: Tracer,
+}
+
+/// `sources` rows of `words` 64-bit words.
+struct BitMatrix {
+    sources: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitMatrix {
+    /// Sets the bit of `(s, x)`; `false` when the matrix has no such bit
+    /// or it was set already.
+    #[inline]
+    fn mark(&mut self, s: NodeId, x: NodeId) -> bool {
+        let (s, x) = (s as usize, x as usize);
+        if s >= self.sources || x >= self.words * 64 {
+            return false;
+        }
+        let word = &mut self.bits[s * self.words + x / 64];
+        let bit = 1u64 << (x % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
 }
 
 impl AnswerCollector {
@@ -71,9 +110,18 @@ impl AnswerCollector {
         AnswerCollector {
             collect,
             count: 0,
+            bound: None,
             pairs: Vec::new(),
+            matrix: None,
             trace: tracer,
         }
+    }
+
+    /// Declares that sources and successors are ids below `n`, so the
+    /// collector can switch to its bit matrix while tuples arrive.
+    pub fn with_id_bound(mut self, n: usize) -> AnswerCollector {
+        self.bound = Some(n);
+        self
     }
 
     /// Records the answer tuple `(source, successor)`.
@@ -81,9 +129,30 @@ impl AnswerCollector {
     pub fn emit(&mut self, s: NodeId, x: NodeId) {
         self.count += 1;
         self.trace.emit(Event::TupleEmit { source: s, node: x });
-        if self.collect {
+        if self.collect && !self.matrix.as_mut().is_some_and(|m| m.mark(s, x)) {
             self.pairs.push((s, x));
+            if let (None, Some(n)) = (&self.matrix, self.bound) {
+                self.switch(n);
+            }
         }
+    }
+
+    /// The switch rule: an `n` × `n` bit matrix replaces the pair list
+    /// once it is no larger than the list. Marks the pairs it can and
+    /// keeps the rest.
+    fn switch(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if n * words > self.pairs.len() {
+            return;
+        }
+        let mut m = BitMatrix {
+            sources: n,
+            words,
+            bits: vec![0; n * words],
+        };
+        self.pairs.retain(|&(s, x)| !m.mark(s, x));
+        self.pairs.shrink_to_fit();
+        self.matrix = Some(m);
     }
 
     /// Answer tuples recorded, a repeated tuple counted every time (the
@@ -95,49 +164,32 @@ impl AnswerCollector {
     /// The collected pairs (empty unless collecting), sorted; a tuple
     /// emitted more than once stays in as often as it was emitted.
     ///
-    /// Node ids are dense and a closure is too: the pairs are marked in
-    /// a bit matrix, one row of id bits per source, and read back in
-    /// order over themselves — two linear passes, in place, against a
-    /// comparison sort of the ~1.5 M tuples of a full closure. A bit
-    /// cannot hold a repeated tuple, and a matrix larger than the answer
-    /// (fewer than one tuple in 64 possible) costs more than it saves;
-    /// those answers are comparison-sorted.
+    /// The matrix rows are read out once, in order, into an exactly sized
+    /// vector; the pair list is merged in by a comparison sort only when
+    /// it is not empty. A collector that never switched is
+    /// comparison-sorted.
     pub fn into_pairs(self) -> Vec<(NodeId, NodeId)> {
         let mut pairs = self.pairs;
-        let (mut sources, mut ids) = (0, 0);
-        for &(s, x) in &pairs {
-            sources = sources.max(s as usize + 1);
-            ids = ids.max(x as usize + 1);
-        }
-        let words = ids.div_ceil(64);
-        let mut matrix = Vec::new();
-        let mut distinct = sources * words <= pairs.len();
-        if distinct {
-            matrix.resize(sources * words, 0u64);
-            for &(s, x) in &pairs {
-                let word = &mut matrix[s as usize * words + x as usize / 64];
-                let bit = 1u64 << (x % 64);
-                distinct &= *word & bit == 0;
-                *word |= bit;
-            }
-        }
-        if !distinct {
+        let Some(m) = self.matrix else {
             pairs.sort_unstable();
             return pairs;
-        }
-        let mut slots = pairs.iter_mut();
-        for (row, s) in matrix.chunks(words.max(1)).zip(0..) {
+        };
+        let marked: usize = m.bits.iter().map(|w| w.count_ones() as usize).sum();
+        let mut out = Vec::with_capacity(marked + pairs.len());
+        for (row, s) in m.bits.chunks(m.words.max(1)).zip(0..) {
             for (&word, base) in row.iter().zip((0..).step_by(64)) {
                 let mut rest = word;
                 while rest != 0 {
-                    if let Some(slot) = slots.next() {
-                        *slot = (s, base + rest.trailing_zeros());
-                    }
+                    out.push((s, base + rest.trailing_zeros()));
                     rest &= rest - 1;
                 }
             }
         }
-        pairs
+        if !pairs.is_empty() {
+            out.append(&mut pairs);
+            out.sort_unstable();
+        }
+        out
     }
 }
 

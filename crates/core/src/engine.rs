@@ -44,7 +44,8 @@ pub(crate) fn run(
 ) -> StorageResult<RunResult> {
     let (mut run, store) = MeteredRun::arm(db, "run", algorithm, cfg)?;
     let mut pool = run.open_pool(store);
-    let mut answer = AnswerCollector::traced(cfg.validate || cfg.collect_answer, cfg.trace.clone());
+    let mut answer = AnswerCollector::traced(cfg.validate || cfg.collect_answer, cfg.trace.clone())
+        .with_id_bound(db.n());
     let outcome = execute(db, &mut run, &mut pool, query, algorithm, cfg, &mut answer);
     let ((), mut metrics, fault_trace) = run.finish(db, pool, outcome)?;
 

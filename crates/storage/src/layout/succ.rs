@@ -21,6 +21,7 @@
 //! can carry a sign (the accessors apply the bias; callers see plain ids).
 
 use crate::page::{Page, PageId};
+use std::ops::Range;
 
 /// Blocks per successor page.
 pub const BLOCKS_PER_PAGE: usize = 30;
@@ -32,6 +33,14 @@ pub const SUCCESSORS_PER_PAGE: usize = BLOCKS_PER_PAGE * ENTRIES_PER_BLOCK;
 const OWNERS_OFF: usize = 0;
 const USED_OFF: usize = OWNERS_OFF + BLOCKS_PER_PAGE * 4;
 const ENTRIES_OFF: usize = 152;
+
+/// Byte range of slots `k..k + count` of block `b`.
+#[inline]
+fn slots(b: usize, k: usize, count: usize) -> Range<usize> {
+    debug_assert!(b < BLOCKS_PER_PAGE && k + count <= ENTRIES_PER_BLOCK);
+    let off = ENTRIES_OFF + (b * ENTRIES_PER_BLOCK + k) * 4;
+    off..off + count * 4
+}
 
 /// Address of one block on one successor page.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -117,19 +126,51 @@ impl SuccPage {
     /// Reads entry `k` of block `b`.
     #[inline]
     pub fn entry(page: &Page, b: usize, k: usize) -> SuccEntry {
-        debug_assert!(b < BLOCKS_PER_PAGE && k < ENTRIES_PER_BLOCK);
-        Self::decode(page.get_i32(ENTRIES_OFF + (b * ENTRIES_PER_BLOCK + k) * 4))
+        Self::decode(page.get_i32(slots(b, k, 1).start))
     }
 
     /// The first `used` entries of block `b`, decoded in one pass over
     /// their bytes.
     #[inline]
     pub fn entries(page: &Page, b: usize, used: usize) -> impl Iterator<Item = SuccEntry> + '_ {
-        debug_assert!(b < BLOCKS_PER_PAGE && used <= ENTRIES_PER_BLOCK);
-        let off = ENTRIES_OFF + b * ENTRIES_PER_BLOCK * 4;
-        page.bytes()[off..off + used * 4]
+        page.bytes()[slots(b, 0, used)]
             .chunks_exact(4)
             .map(|raw| Self::decode(i32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]])))
+    }
+
+    /// Writes `entries` into block `b` from slot `k` on, in one pass over
+    /// the slots' bytes, up to the block's end, then sets the used count
+    /// to the slot after the last one written.
+    #[inline]
+    pub fn fill(page: &mut Page, b: usize, k: usize, entries: impl Iterator<Item = SuccEntry>) {
+        let mut used = k;
+        let free = &mut page.bytes_mut()[slots(b, k, ENTRIES_PER_BLOCK - k)];
+        for (raw, e) in free.chunks_exact_mut(4).zip(entries) {
+            raw.copy_from_slice(&Self::encode(e).to_le_bytes());
+            used += 1;
+        }
+        Self::set_used(page, b, used);
+    }
+
+    /// Copies block `b`'s used entries into `raw` as stored, bias and tags
+    /// included, and returns the used count: with [`SuccPage::place_block`]
+    /// a block moves between pages as bytes, never decoded.
+    #[inline]
+    pub fn read_block(page: &Page, b: usize, raw: &mut [u8; ENTRIES_PER_BLOCK * 4]) -> usize {
+        let used = Self::used(page, b);
+        raw[..used * 4].copy_from_slice(&page.bytes()[slots(b, 0, used)]);
+        used
+    }
+
+    /// Gives block `b` to `owner`, writes `raw` (whole entries, as
+    /// [`SuccPage::read_block`] copied them) into its first slots and sets
+    /// the used count to match.
+    #[inline]
+    pub fn place_block(page: &mut Page, b: usize, owner: u32, raw: &[u8]) {
+        let used = raw.len() / 4;
+        Self::set_owner(page, b, owner);
+        Self::set_used(page, b, used);
+        page.bytes_mut()[slots(b, 0, used)].copy_from_slice(raw);
     }
 
     #[inline]
@@ -148,20 +189,26 @@ impl SuccPage {
         }
     }
 
+    #[inline]
+    fn encode(e: SuccEntry) -> i32 {
+        let biased = (e.node + 1) as i32;
+        if e.tagged {
+            -biased
+        } else {
+            biased
+        }
+    }
+
     /// Writes entry `k` of block `b`.
     #[inline]
     pub fn set_entry(page: &mut Page, b: usize, k: usize, e: SuccEntry) {
-        debug_assert!(b < BLOCKS_PER_PAGE && k < ENTRIES_PER_BLOCK);
-        let biased = (e.node + 1) as i32;
-        let raw = if e.tagged { -biased } else { biased };
-        page.put_i32(ENTRIES_OFF + (b * ENTRIES_PER_BLOCK + k) * 4, raw);
+        page.put_i32(slots(b, k, 1).start, Self::encode(e));
     }
 
     /// Clears the tag of entry `k` of block `b`, in place.
     #[inline]
     pub fn untag_entry(page: &mut Page, b: usize, k: usize) {
-        debug_assert!(b < BLOCKS_PER_PAGE && k < ENTRIES_PER_BLOCK);
-        let off = ENTRIES_OFF + (b * ENTRIES_PER_BLOCK + k) * 4;
+        let off = slots(b, k, 1).start;
         page.put_i32(off, page.get_i32(off).wrapping_abs());
     }
 
@@ -170,18 +217,11 @@ impl SuccPage {
         (0..BLOCKS_PER_PAGE).find(|&b| Self::owner(page, b).is_none())
     }
 
-    /// Number of free blocks on the page.
-    pub fn free_blocks(page: &Page) -> usize {
+    /// The page's free blocks as a mask: bit `b` set iff block `b` is free.
+    pub fn free_mask(page: &Page) -> u32 {
         (0..BLOCKS_PER_PAGE)
             .filter(|&b| Self::owner(page, b).is_none())
-            .count()
-    }
-
-    /// Blocks on this page owned by `node`, in block order.
-    pub fn blocks_of(page: &Page, node: u32) -> Vec<usize> {
-        (0..BLOCKS_PER_PAGE)
-            .filter(|&b| Self::owner(page, b) == Some(node))
-            .collect()
+            .fold(0, |mask, b| mask | 1 << b)
     }
 }
 
@@ -234,37 +274,46 @@ mod tests {
     fn free_block_scan() {
         let mut p = Page::new();
         assert_eq!(SuccPage::find_free_block(&p), Some(0));
-        assert_eq!(SuccPage::free_blocks(&p), 30);
+        assert_eq!(SuccPage::free_mask(&p), (1 << BLOCKS_PER_PAGE) - 1);
         for b in 0..BLOCKS_PER_PAGE {
             SuccPage::set_owner(&mut p, b, 5);
         }
         assert_eq!(SuccPage::find_free_block(&p), None);
-        assert_eq!(SuccPage::free_blocks(&p), 0);
-        assert_eq!(SuccPage::blocks_of(&p, 5).len(), 30);
+        assert_eq!(SuccPage::free_mask(&p), 0);
+        SuccPage::free_block(&mut p, 4);
+        assert_eq!(SuccPage::free_mask(&p), 1 << 4);
     }
 
     #[test]
     fn blocks_do_not_alias_headers() {
-        // Filling every entry slot must not disturb owners/used counts.
+        // Filling every entry slot must not disturb owners/used counts,
+        // and a block moved to another page as bytes reads back the same.
         let mut p = Page::new();
+        let e = |b: usize, k: usize| SuccEntry {
+            node: (b * 31 + k) as u32,
+            tagged: k % 3 == 0,
+        };
         for b in 0..BLOCKS_PER_PAGE {
             SuccPage::set_owner(&mut p, b, b as u32);
+            SuccPage::fill(&mut p, b, 0, (0..ENTRIES_PER_BLOCK + 1).map(|k| e(b, k)));
+            assert_eq!(
+                SuccPage::used(&p, b),
+                ENTRIES_PER_BLOCK,
+                "a fill stops at the block's end"
+            );
             SuccPage::set_used(&mut p, b, b % 16);
         }
-        for b in 0..BLOCKS_PER_PAGE {
-            for k in 0..ENTRIES_PER_BLOCK {
-                SuccPage::set_entry(&mut p, b, k, SuccEntry::plain((b * 31 + k) as u32));
-            }
-        }
+        let (mut moved, mut raw) = (Page::new(), [0; ENTRIES_PER_BLOCK * 4]);
         for b in 0..BLOCKS_PER_PAGE {
             assert_eq!(SuccPage::owner(&p, b), Some(b as u32));
             assert_eq!(SuccPage::used(&p, b), b % 16);
             for k in 0..ENTRIES_PER_BLOCK {
-                assert_eq!(
-                    SuccPage::entry(&p, b, k),
-                    SuccEntry::plain((b * 31 + k) as u32)
-                );
+                assert_eq!(SuccPage::entry(&p, b, k), e(b, k));
             }
+            let used = SuccPage::read_block(&p, b, &mut raw);
+            SuccPage::place_block(&mut moved, 29 - b, 7, &raw[..used * 4]);
+            assert_eq!(SuccPage::owner(&moved, 29 - b), Some(7));
+            assert!(SuccPage::entries(&moved, 29 - b, used).eq((0..used).map(|k| e(b, k))));
         }
     }
 }

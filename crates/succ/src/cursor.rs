@@ -12,7 +12,7 @@
 
 use crate::store::SuccStore;
 use tc_storage::layout::succ::{SuccEntry, SuccPage, ENTRIES_PER_BLOCK};
-use tc_storage::{Page, PageId, Pager, StorageResult, SuccBlockRef};
+use tc_storage::{Page, Pager, StorageResult, SuccBlockRef};
 
 /// A page-batched cursor over one list.
 pub struct ListCursor {
@@ -46,12 +46,6 @@ impl ListCursor {
             .iter()
             .map(|&(_, u)| u as usize)
             .sum()
-    }
-
-    /// The page the next batch will touch, if any (used by callers that
-    /// pin pages ahead of reads).
-    pub fn next_page(&self) -> Option<PageId> {
-        self.blocks.get(self.pos).map(|&(r, _)| r.page)
     }
 
     /// Reads the next contiguous same-page run of blocks; returns `None`
@@ -153,7 +147,6 @@ mod tests {
         let mut cur = ListCursor::new(&store, 1);
         assert!(cur.next_batch(&mut disk).unwrap().is_none());
         assert_eq!(cur.remaining_entries(), 0);
-        assert_eq!(cur.next_page(), None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ struct ListMeta {
 /// buffer pool.
 ///
 /// The store keeps a small in-memory catalog (block chains and lengths
-/// per node, free-block counts per page) — the moral equivalent of the
+/// per node, a free-block mask per page) — the moral equivalent of the
 /// node table the paper's implementation keeps in memory — while all
 /// entry data lives on pages.
 ///
@@ -47,9 +47,11 @@ pub struct SuccStore {
     file: FileId,
     dir: Vec<ListMeta>,
     fill_page: Option<PageId>,
-    /// Free blocks per page, indexed by page id (0 for pages of other
-    /// files, which this store never asks about).
-    free_cache: Vec<u8>,
+    /// Free blocks per page as a mask by page id, bit `b` set iff block `b`
+    /// is free (0 for pages of other files, which this store never asks
+    /// about). Its lowest set bit is the block [`SuccPage::find_free_block`]
+    /// would find, so claims need no page scan (`take_free_block`).
+    free_cache: Vec<u32>,
     policy: ListPolicy,
     stats: SuccStats,
 }
@@ -71,11 +73,6 @@ impl SuccStore {
     /// The backing file.
     pub fn file_id(&self) -> FileId {
         self.file
-    }
-
-    /// Number of nodes the store covers.
-    pub fn node_count(&self) -> usize {
-        self.dir.len()
     }
 
     /// Entries currently in `node`'s list.
@@ -166,9 +163,9 @@ impl SuccStore {
             }
         }
         // Reverse direction: owned blocks on pages must be chained, and
-        // the free cache must agree with the pages.
+        // the free mask must agree with the pages bit for bit.
         for page in pager.file_page_ids(self.file)? {
-            let free = self.free_on(page);
+            let free = self.free_mask(page);
             pager.with_page(page, |pg: &Page| {
                 let orphan = (0..BLOCKS_PER_PAGE).any(|b| {
                     SuccPage::owner(pg, b)
@@ -176,7 +173,7 @@ impl SuccStore {
                 });
                 if orphan {
                     Err(corrupt("owned block in no chain"))
-                } else if SuccPage::free_blocks(pg) != free as usize {
+                } else if SuccPage::free_mask(pg) != free {
                     Err(corrupt("free cache disagrees with the page"))
                 } else {
                     Ok(())
@@ -272,12 +269,10 @@ impl SuccStore {
                 _ => (self.alloc_block(pager, node)?, true),
             };
             let take = (ENTRIES_PER_BLOCK - slot).min(items.len() - done);
+            let run = items[done..done + take].iter().zip(done..);
+            let run = run.map(|(&x, i)| entry(i, x));
             let written = pager.with_page_mut(target.page, |pg: &mut Page| {
-                for (k, &x) in items[done..done + take].iter().enumerate() {
-                    let e = entry(done + k, x);
-                    SuccPage::set_entry(pg, target.block as usize, slot + k, e);
-                }
-                SuccPage::set_used(pg, target.block as usize, slot + take);
+                SuccPage::fill(pg, target.block as usize, slot, run)
             });
             if let Err(e) = written {
                 // No chain may end in an empty block: give it back.
@@ -303,7 +298,7 @@ impl SuccStore {
         pager.with_page_mut(r.page, |pg: &mut Page| {
             SuccPage::free_block(pg, r.block as usize)
         })?;
-        self.free_cache[r.page.index()] += 1;
+        self.free_cache[r.page.index()] |= 1 << r.block;
         Ok(())
     }
 
@@ -315,7 +310,7 @@ impl SuccStore {
             return self.alloc_on_fill_page(pager, node);
         };
         // Intra-list clustering: stay on the tail page if possible.
-        if self.free_on(tail.page) > 0 {
+        if self.free_mask(tail.page) != 0 {
             return self.claim_block(pager, tail.page, node);
         }
         // Tail page full: list replacement policy decides.
@@ -326,8 +321,37 @@ impl SuccStore {
         }
     }
 
-    fn free_on(&self, page: PageId) -> u8 {
+    fn free_mask(&self, page: PageId) -> u32 {
         self.free_cache.get(page.index()).copied().unwrap_or(0)
+    }
+
+    /// Takes the mask's lowest free block on `page` and hands it to
+    /// `place` inside one `with_page_mut`. Only that block's owner word is
+    /// read: when it is not zero the mask is stale, and the result is
+    /// [`StorageError::PageFull`] with the page and the catalog unchanged.
+    fn take_free_block<P: Pager>(
+        &mut self,
+        pager: &mut P,
+        page: PageId,
+        place: impl FnOnce(&mut Page, usize),
+    ) -> StorageResult<SuccBlockRef> {
+        let mask = self.free_mask(page);
+        let block = mask.trailing_zeros() as u8;
+        let b = block as usize;
+        let taken = mask != 0
+            && pager.with_page_mut(page, |pg: &mut Page| {
+                let free = SuccPage::owner(pg, b).is_none();
+                if free {
+                    debug_assert_eq!(SuccPage::find_free_block(pg), Some(b));
+                    place(pg, b);
+                }
+                free
+            })?;
+        if !taken {
+            return Err(StorageError::PageFull(page));
+        }
+        self.free_cache[page.index()] &= !(1 << b);
+        Ok(SuccBlockRef { page, block })
     }
 
     /// Claims a free block on `page` for `node`.
@@ -337,17 +361,7 @@ impl SuccStore {
         page: PageId,
         node: u32,
     ) -> StorageResult<SuccBlockRef> {
-        debug_assert!(self.free_on(page) > 0);
-        let block = pager
-            .with_page_mut(page, |pg: &mut Page| {
-                let b = SuccPage::find_free_block(pg)?;
-                SuccPage::set_owner(pg, b, node);
-                Some(b as u8)
-            })?
-            // The free cache said otherwise: it is out of sync.
-            .ok_or(StorageError::PageFull(page))?;
-        self.free_cache[page.index()] -= 1;
-        let r = SuccBlockRef { page, block };
+        let r = self.take_free_block(pager, page, |pg, b| SuccPage::set_owner(pg, b, node))?;
         self.dir[node as usize].blocks.push(r);
         self.stats.blocks_allocated += 1;
         Ok(r)
@@ -371,7 +385,7 @@ impl SuccStore {
         avoid: Option<PageId>,
     ) -> StorageResult<PageId> {
         match self.fill_page {
-            Some(p) if self.free_on(p) > 0 && Some(p) != avoid => Ok(p),
+            Some(p) if self.free_mask(p) != 0 && Some(p) != avoid => Ok(p),
             _ => {
                 let p = self.fresh_page(pager)?;
                 self.fill_page = Some(p);
@@ -385,7 +399,7 @@ impl SuccStore {
         if p.index() >= self.free_cache.len() {
             self.free_cache.resize(p.index() + 1, 0);
         }
-        self.free_cache[p.index()] = BLOCKS_PER_PAGE as u8;
+        self.free_cache[p.index()] = (1 << BLOCKS_PER_PAGE) - 1;
         self.stats.pages_allocated += 1;
         Ok(p)
     }
@@ -478,8 +492,8 @@ impl SuccStore {
         Ok(())
     }
 
-    /// Copies one block to `dest_page`, freeing the original. Returns the
-    /// new block ref. Does not touch the chain (caller updates it).
+    /// Copies one block to `dest_page` as bytes, freeing the original.
+    /// Returns the new block ref; the caller updates the chain.
     fn move_block<P: Pager>(
         &mut self,
         pager: &mut P,
@@ -487,36 +501,13 @@ impl SuccStore {
         old: SuccBlockRef,
         dest_page: PageId,
     ) -> StorageResult<SuccBlockRef> {
-        debug_assert!(self.free_on(dest_page) > 0);
-        // Read the old block.
-        let mut entries = [SuccEntry::plain(0); ENTRIES_PER_BLOCK];
+        let mut raw = [0; ENTRIES_PER_BLOCK * 4];
         let used = pager.with_page(old.page, |pg: &Page| {
-            let used = SuccPage::used(pg, old.block as usize);
-            for (e, read) in entries
-                .iter_mut()
-                .zip(SuccPage::entries(pg, old.block as usize, used))
-            {
-                *e = read;
-            }
-            used
+            SuccPage::read_block(pg, old.block as usize, &mut raw)
         })?;
-        // Write it to the destination.
-        let new_block = pager
-            .with_page_mut(dest_page, |pg: &mut Page| {
-                let b = SuccPage::find_free_block(pg)?;
-                SuccPage::set_owner(pg, b, owner);
-                SuccPage::set_used(pg, b, used);
-                for (k, &e) in entries.iter().enumerate().take(used) {
-                    SuccPage::set_entry(pg, b, k, e);
-                }
-                Some(b as u8)
-            })?
-            .ok_or(StorageError::PageFull(dest_page))?;
-        self.free_cache[dest_page.index()] -= 1;
-        let new = SuccBlockRef {
-            page: dest_page,
-            block: new_block,
-        };
+        let new = self.take_free_block(pager, dest_page, |pg, b| {
+            SuccPage::place_block(pg, b, owner, &raw[..used * 4])
+        })?;
         // Free the original; should that fail, drop the copy instead, so
         // the block is in one place only.
         let freed = pager.with_page_mut(old.page, |pg: &mut Page| {
@@ -526,7 +517,7 @@ impl SuccStore {
             let _ = self.unclaim(pager, new);
             return Err(e);
         }
-        self.free_cache[old.page.index()] += 1;
+        self.free_cache[old.page.index()] |= 1 << old.block;
         self.stats.blocks_moved += 1;
         Ok(new)
     }
@@ -721,6 +712,43 @@ mod tests {
                 what: "block owned by another node",
             })
         );
+    }
+
+    #[test]
+    fn verify_integrity_compares_the_free_mask_bit_for_bit() {
+        let (mut disk, mut store) = store_with(ListPolicy::Spill, 4);
+        store.extend_flat(&mut disk, 1, &[5, 6, 7]).unwrap();
+        let page = store.pages_of(1)[0];
+        // Block 0 is owned and block 1 free: swapping their bits keeps
+        // the free count and breaks the mask.
+        store.free_cache[page.index()] ^= 0b11;
+        assert_eq!(
+            store.verify_integrity(&mut disk),
+            Err(StorageError::CorruptFile {
+                file: store.file_id().0,
+                what: "free cache disagrees with the page",
+            })
+        );
+    }
+
+    #[test]
+    fn a_stale_free_mask_is_page_full_and_changes_nothing() {
+        let (mut disk, mut store) = store_with(ListPolicy::Spill, 4);
+        store.extend_flat(&mut disk, 1, &[5, 6, 7]).unwrap();
+        let page = store.pages_of(1)[0];
+        // Block 1 is the mask's next pick: give it an owner behind the
+        // store's back.
+        disk.with_page_mut(page, |pg: &mut Page| SuccPage::set_owner(pg, 1, 3))
+            .unwrap();
+        let (mask, stats) = (store.free_cache.clone(), store.stats().clone());
+        assert_eq!(
+            store.extend_flat(&mut disk, 2, &[9]),
+            Err(StorageError::PageFull(page))
+        );
+        assert_eq!(store.free_cache, mask);
+        assert_eq!(store.stats(), &stats);
+        assert_eq!((store.len(2), store.block_count(2)), (0, 0));
+        assert_eq!(read_all(&mut disk, &store, 1), vec![5, 6, 7]);
     }
 
     #[test]

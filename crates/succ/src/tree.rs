@@ -31,17 +31,6 @@ use crate::store::SuccStore;
 use tc_storage::layout::succ::SuccEntry;
 use tc_storage::{Pager, StorageResult};
 
-/// Counters from one tree scan.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct TreeScanStats {
-    /// Entries read from pages (tuple I/O).
-    pub scanned: u64,
-    /// Entries actually processed (offered to the visitor).
-    pub processed: u64,
-    /// Entries pruned because an ancestor was skipped.
-    pub pruned: u64,
-}
-
 /// Incremental writer of tree-encoded lists: groups consecutive children
 /// by parent, encoding one tagged parent marker per group.
 ///
@@ -127,10 +116,9 @@ pub enum TreeStep {
 
 /// Caller-driven tree-scan state machine.
 ///
-/// [`scan_tree`] is convenient when the visitor needs no other mutable
-/// state; the algorithms instead drive the scan themselves (they must
-/// append to the target tree through the same pager), feeding raw entries
-/// through [`TreeScanState::step`]. Skip feedback flows through the
+/// The algorithms drive the scan themselves (they append to the target
+/// tree through the same pager), feeding a list's raw entries in stream
+/// order through [`TreeScanState::step`]. Skip feedback flows through the
 /// shared `skips` bit vector: when the caller decides a visited node's
 /// subtree is redundant it inserts the node into `skips`, and any later
 /// group opened by that node is pruned.
@@ -166,41 +154,6 @@ impl TreeScanState {
             node: e.node,
         }
     }
-}
-
-/// Scans `owner`'s tree via `cursor`, calling
-/// `visit(parent, node) -> skip?` for every non-pruned entry in preorder
-/// stream order. When `visit` returns `true`, or when the entry's group
-/// parent was itself skipped, the node is added to `skips` and its later
-/// group (its own children) is pruned.
-///
-/// `skips` must be clear on entry; it is left populated so callers can
-/// inspect which nodes were pruned.
-pub fn scan_tree<P: Pager>(
-    mut cursor: ListCursor,
-    pager: &mut P,
-    owner: u32,
-    skips: &mut NodeBitVec,
-    visit: &mut dyn FnMut(u32, u32) -> bool,
-) -> StorageResult<TreeScanStats> {
-    let mut stats = TreeScanStats::default();
-    let mut state = TreeScanState::new(owner);
-    while let Some(batch) = cursor.next_batch(pager)? {
-        for e in batch {
-            stats.scanned += 1;
-            match state.step(e, skips) {
-                TreeStep::Marker => {}
-                TreeStep::Pruned(_) => stats.pruned += 1,
-                TreeStep::Visit { parent, node } => {
-                    stats.processed += 1;
-                    if visit(parent, node) {
-                        skips.insert(node);
-                    }
-                }
-            }
-        }
-    }
-    Ok(stats)
 }
 
 /// Reads a whole tree into `(parent, child)` pairs (testing/debugging).
@@ -282,108 +235,84 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scan_without_skips_visits_everything() {
+    /// Drives `owner`'s tree through [`TreeScanState::step`] as the
+    /// engines do, skipping each visited node listed in `skip`: the
+    /// visits, the pruned nodes and the number of entries read.
+    fn scan(
+        disk: &mut DiskSim,
+        store: &SuccStore,
+        owner: u32,
+        skip: &[u32],
+    ) -> (Vec<(u32, u32)>, Vec<u32>, usize) {
+        let entries = ListCursor::new(store, owner).collect_entries(disk).unwrap();
+        let (mut skips, mut state) = (NodeBitVec::new(32), TreeScanState::new(owner));
+        let (mut visits, mut pruned) = (Vec::new(), Vec::new());
+        for &e in &entries {
+            match state.step(e, &mut skips) {
+                TreeStep::Marker => {}
+                TreeStep::Pruned(v) => pruned.push(v),
+                TreeStep::Visit { parent, node } => {
+                    visits.push((parent, node));
+                    if skip.contains(&node) {
+                        skips.insert(node);
+                    }
+                }
+            }
+        }
+        (visits, pruned, entries.len())
+    }
+
+    fn tree(arcs: &[(u32, u32)]) -> (DiskSim, SuccStore) {
         let (mut disk, mut store) = setup();
         let mut app = TreeAppender::new(0);
-        for (p, v) in [(0, 1), (0, 2), (1, 3), (3, 4)] {
+        for &(p, v) in arcs {
             app.append(&mut disk, &mut store, p, v).unwrap();
         }
-        let mut skips = NodeBitVec::new(32);
-        let mut seen = Vec::new();
-        let stats = scan_tree(
-            ListCursor::new(&store, 0),
-            &mut disk,
-            0,
-            &mut skips,
-            &mut |p, v| {
-                seen.push((p, v));
-                false
-            },
-        )
-        .unwrap();
-        assert_eq!(seen, vec![(0, 1), (0, 2), (1, 3), (3, 4)]);
-        assert_eq!(stats.processed, 4);
-        assert_eq!(stats.pruned, 0);
-        // 4 children + 2 markers scanned.
-        assert_eq!(stats.scanned, 6);
+        (disk, store)
+    }
+
+    #[test]
+    fn scan_without_skips_visits_everything() {
+        let (mut disk, store) = tree(&[(0, 1), (0, 2), (1, 3), (3, 4)]);
+        let (visits, pruned, read) = scan(&mut disk, &store, 0, &[]);
+        assert_eq!(visits, vec![(0, 1), (0, 2), (1, 3), (3, 4)]);
+        assert!(pruned.is_empty());
+        // 4 children + 2 markers read.
+        assert_eq!(read, 6);
     }
 
     #[test]
     fn skipping_a_node_prunes_its_subtree() {
-        let (mut disk, mut store) = setup();
-        let mut app = TreeAppender::new(0);
         // 0 -> {1, 2}; 1 -> {3}; 3 -> {4, 5}; 2 -> {6}.
-        for (p, v) in [(0, 1), (0, 2), (1, 3), (3, 4), (3, 5), (2, 6)] {
-            app.append(&mut disk, &mut store, p, v).unwrap();
-        }
-        let mut skips = NodeBitVec::new(32);
-        let mut seen = Vec::new();
-        let stats = scan_tree(
-            ListCursor::new(&store, 0),
-            &mut disk,
-            0,
-            &mut skips,
-            &mut |p, v| {
-                seen.push((p, v));
-                v == 3 // prune 3's subtree
-            },
-        )
-        .unwrap();
-        assert_eq!(seen, vec![(0, 1), (0, 2), (1, 3), (2, 6)]);
-        assert_eq!(stats.pruned, 2, "4 and 5 pruned");
-        assert!(skips.contains(4) && skips.contains(5));
+        let (mut disk, store) = tree(&[(0, 1), (0, 2), (1, 3), (3, 4), (3, 5), (2, 6)]);
+        let (visits, pruned, _) = scan(&mut disk, &store, 0, &[3]);
+        assert_eq!(visits, vec![(0, 1), (0, 2), (1, 3), (2, 6)]);
+        assert_eq!(pruned, vec![4, 5]);
     }
 
     #[test]
     fn pruning_cascades_through_descendant_groups() {
-        let (mut disk, mut store) = setup();
-        let mut app = TreeAppender::new(0);
         // 0 -> 1 -> 2 -> 3 (deep chain).
-        for (p, v) in [(0, 1), (1, 2), (2, 3)] {
-            app.append(&mut disk, &mut store, p, v).unwrap();
-        }
-        let mut skips = NodeBitVec::new(32);
-        let mut processed = 0;
-        let stats = scan_tree(
-            ListCursor::new(&store, 0),
-            &mut disk,
-            0,
-            &mut skips,
-            &mut |_p, v| {
-                processed += 1;
-                v == 1
-            },
-        )
-        .unwrap();
-        assert_eq!(processed, 1, "only node 1 offered");
-        assert_eq!(stats.pruned, 2, "2 and 3 pruned transitively");
+        let (mut disk, store) = tree(&[(0, 1), (1, 2), (2, 3)]);
+        let (visits, pruned, _) = scan(&mut disk, &store, 0, &[1]);
+        assert_eq!(visits, vec![(0, 1)], "only node 1 offered");
+        assert_eq!(pruned, vec![2, 3], "2 and 3 pruned transitively");
     }
 
     #[test]
     fn pages_still_fetched_when_everything_pruned() {
         // The paper's key SPN observation: pruning saves entry reads, not
-        // page reads.
-        let (mut disk, mut store) = setup();
-        let mut app = TreeAppender::new(0);
-        app.append(&mut disk, &mut store, 0, 1).unwrap();
-        for v in 2..600u32 {
-            // all under node 1 -> its subtree spans multiple pages
-            app.append(&mut disk, &mut store, 1, v % 32).unwrap();
-        }
+        // page reads. Everything sits under node 1, over several pages.
+        let arcs: Vec<(u32, u32)> = [(0, 1)]
+            .into_iter()
+            .chain((2..600u32).map(|v| (1, v % 32)))
+            .collect();
+        let (mut disk, store) = tree(&arcs);
         let pages = store.pages_of(0).len();
         assert!(pages >= 2);
         disk.reset_stats();
-        let mut skips = NodeBitVec::new(32);
-        let stats = scan_tree(
-            ListCursor::new(&store, 0),
-            &mut disk,
-            0,
-            &mut skips,
-            &mut |_p, v| v == 1,
-        )
-        .unwrap();
-        assert_eq!(stats.processed, 1);
+        let (visits, pruned, _) = scan(&mut disk, &store, 0, &[1]);
+        assert_eq!((visits.len(), pruned.len()), (1, 598));
         assert_eq!(
             disk.stats().reads,
             pages as u64,

@@ -52,8 +52,12 @@ g_checks() {
 g_fault_matrix() {
   TC_DET_CASES=512 t --test fault_injection --test failure_modes --test golden_fault_trace --test run_lifecycle
   TC_DET_CASES=256 t --test succ_split_props --test succ_run_props --test proptest_invariants
+  TC_DET_CASES=256 t --test answer_collector_props
   # A catalog that disagrees with its pages is a typed error naming the file.
   t -p tc-succ --lib verify_integrity_names_the_file_of_a_foreign_owner
+  # A free mask is checked bit for bit, and a stale one is never trusted.
+  t -p tc-succ --lib verify_integrity_compares_the_free_mask_bit_for_bit
+  t -p tc-succ --lib a_stale_free_mask_is_page_full_and_changes_nothing
   t --test unwrap_audit
 }
 
