@@ -1,10 +1,7 @@
 //! The buffer pool.
 
 use crate::policy::{PagePolicy, ReplacementPolicy};
-use tc_storage::{
-    with_retries, FileId, FileKind, Page, PageId, PageStore, Pager, RetryPolicy, RetryTally,
-    StorageError, StorageResult,
-};
+use tc_storage::{FileId, FileKind, Page, PageId, PageStore, Pager, StorageError, StorageResult};
 use tc_trace::{BufferStats, Event, Tracer};
 
 struct Frame {
@@ -34,7 +31,7 @@ const NO_FRAME: u32 = u32::MAX;
 ///
 /// Over a store whose medium lends its pages (a frozen capture:
 /// immutable and in memory) the pool owns no page images. Every request
-/// is counted, admitted, evicted, retried and traced by the same code;
+/// is counted, admitted, evicted and traced by the same code;
 /// only the byte move of a miss is gone, and writing through such a pool
 /// is refused with [`StorageError::ReadOnlyStore`].
 pub struct BufferPool {
@@ -55,7 +52,6 @@ pub struct BufferPool {
     free: Vec<usize>,
     policy: ReplacementPolicy,
     stats: BufferStats,
-    retry: RetryPolicy,
     /// Event tracer; disabled (free) unless a run arms one. Every
     /// counted buffer operation emits exactly one event.
     tracer: Tracer,
@@ -84,7 +80,6 @@ impl BufferPool {
             free: Vec::new(),
             policy: policy.build(capacity),
             stats: BufferStats::default(),
-            retry: RetryPolicy::default(),
             tracer: Tracer::disabled(),
             store,
         }
@@ -97,13 +92,6 @@ impl BufferPool {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.store.set_tracer(tracer.clone());
         self.tracer = tracer;
-    }
-
-    /// Sets the retry policy applied to physical transfers (transient
-    /// faults injected on the wrapped store are retried under it; the
-    /// retry counts surface in [`BufferStats`]).
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// Pool capacity in frames (the paper's `M`).
@@ -266,49 +254,20 @@ impl BufferPool {
         self.table[pid.index()] = f as u32;
     }
 
-    /// Physically reads `pid` into frame `f`, retrying transient faults.
+    /// Physically reads `pid` into frame `f` (the store retries
+    /// transient faults). A frame with no image of its own (the store
+    /// lends them) has the read admitted in place.
     fn read_into(&mut self, pid: PageId, f: usize) -> StorageResult<()> {
-        let policy = self.retry;
-        let mut tally = RetryTally::default();
-        let r = {
-            let store = &mut self.store;
-            // A frame with no image of its own (the store lends them)
-            // has the read admitted in place.
-            let page = &mut self.frames[f].page;
-            with_retries(&policy, &mut tally, || store.admit_read(pid, page.as_mut()))
-        };
-        self.tally_retries(tally);
-        r
+        self.store.admit_read(pid, self.frames[f].page.as_mut())
     }
 
-    /// Folds a transfer's retry tally into the stats, emitting one
-    /// `Retry` event per retried transfer.
-    fn tally_retries(&mut self, tally: RetryTally) {
-        if tally.retries > 0 {
-            self.tracer.emit(Event::Retry {
-                n: tally.retries,
-                backoff_ms: tally.backoff_ms,
-            });
-        }
-        self.stats.retries += tally.retries;
-        self.stats.retry_backoff_ms += tally.backoff_ms;
-    }
-
-    /// Physically writes frame `f` back to its page, retrying transient
-    /// faults. The caller decides what to do with the dirty bit.
+    /// Physically writes frame `f` back to its page (the store retries
+    /// transient faults). The caller decides what to do with the dirty
+    /// bit.
     fn write_back(&mut self, f: usize) -> StorageResult<()> {
-        let policy = self.retry;
-        let mut tally = RetryTally::default();
-        let r = {
-            let store = &mut self.store;
-            let frame = &self.frames[f];
-            let Some(page) = &frame.page else {
-                return Err(StorageError::ReadOnlyStore);
-            };
-            with_retries(&policy, &mut tally, || store.write_page(frame.pid, page))
-        };
-        self.tally_retries(tally);
-        r
+        let frame = &self.frames[f];
+        let page = frame.page.as_ref().ok_or(StorageError::ReadOnlyStore)?;
+        self.store.write_page(frame.pid, page)
     }
 
     /// Writes all dirty frames back to disk (they stay resident and clean).

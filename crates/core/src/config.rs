@@ -2,13 +2,14 @@
 
 use tc_buffer::PagePolicy;
 use tc_obs::SpanRecorder;
-use tc_storage::{Backend, FaultConfig, IoCostModel, RetryPolicy};
+use tc_storage::{Backend, FaultConfig};
 use tc_succ::ListPolicy;
 use tc_trace::Tracer;
 
 /// The system parameters of one experiment: buffer pool size, page and
-/// list replacement policies, the Hybrid algorithm's blocking ratio, and
-/// the I/O latency model.
+/// list replacement policies and the Hybrid algorithm's blocking ratio.
+/// Estimated I/O time always uses the paper's 20 ms per page
+/// ([`tc_storage::MS_PER_IO`]).
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Buffer pool size in pages (the paper's `M`; 10, 20 or 50).
@@ -27,8 +28,6 @@ pub struct SystemConfig {
     /// corresponds to `false`; the sort variant is provided as an
     /// ablation.
     pub jkb_sort_preprocessing: bool,
-    /// I/O latency model for estimated I/O time (20 ms/page in the paper).
-    pub io_model: IoCostModel,
     /// Cross-check every answer against the in-memory oracle (used by the
     /// test suite; adds CPU, no I/O).
     pub validate: bool,
@@ -40,9 +39,6 @@ pub struct SystemConfig {
     /// `None` (the default) runs fault-free with zero overhead on the
     /// read path.
     pub fault: Option<FaultConfig>,
-    /// Retry policy for transient storage faults (only observable when
-    /// `fault` is set).
-    pub retry: RetryPolicy,
     /// Event-trace sink for the run. Disabled by default: every emission
     /// is a single branch on a `None` and costs nothing.
     pub trace: Tracer,
@@ -70,11 +66,9 @@ impl Default for SystemConfig {
             list_policy: ListPolicy::MoveShortest,
             ilimit: 0.2,
             jkb_sort_preprocessing: false,
-            io_model: IoCostModel::default(),
             validate: false,
             collect_answer: false,
             fault: None,
-            retry: RetryPolicy::default(),
             trace: Tracer::disabled(),
             obs: SpanRecorder::disabled(),
             backend: Backend::Sim,
@@ -128,12 +122,6 @@ impl SystemConfig {
         self
     }
 
-    /// Builder-style: set the transient-fault retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Builder-style: record the run's event trace through `tracer`.
     pub fn traced(mut self, tracer: Tracer) -> Self {
         self.trace = tracer;
@@ -157,6 +145,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_storage::MS_PER_IO;
 
     #[test]
     fn default_matches_paper_smallest_config() {
@@ -164,7 +153,7 @@ mod tests {
         assert_eq!(c.buffer_pages, 10);
         assert_eq!(c.page_policy, PagePolicy::Lru);
         assert_eq!(c.list_policy, ListPolicy::MoveShortest);
-        assert!((c.io_model.ms_per_io - 20.0).abs() < 1e-9);
+        assert!((MS_PER_IO - 20.0).abs() < 1e-9);
         assert_eq!(c.backend, Backend::Sim, "published numbers use the sim");
     }
 

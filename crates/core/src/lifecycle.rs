@@ -5,12 +5,13 @@
 //! every algorithm pays restructuring and computation under one
 //! accounting). [`MeteredRun`] owns what they share and nothing else:
 //!
-//! 1. [`MeteredRun::arm`] — root span, fault plan, retry policy and
-//!    tracer on the store, traced metrics, `RunBegin`,
-//!    `PhaseBegin(Restructure)`, the run's counter baseline.
-//! 2. [`MeteredRun::open_pool`] — the run's buffer pool, armed like the
+//! 1. [`MeteredRun::arm`] — root span, fault plan and tracer on the
+//!    store, traced metrics, `RunBegin`, `PhaseBegin(Restructure)`, the
+//!    run's counter baseline.
+//! 2. [`MeteredRun::open_pool`] — the run's buffer pool, traced like the
 //!    store. Opening it emits and counts nothing, so a caller may work
-//!    on the raw store first.
+//!    on the raw store first: the store retries its transfers either
+//!    way.
 //! 3. [`MeteredRun::enter_compute`] — the phase boundary: the two
 //!    boundary events at the exact point the counters are snapshot, so
 //!    replay's phase attribution reproduces the snapshot deltas.
@@ -30,7 +31,9 @@ use crate::metrics::{CostMetrics, PhaseIo};
 use std::time::Instant;
 use tc_buffer::{BufferPool, BufferStats};
 use tc_obs::SpanGuard;
-use tc_storage::{DiskStats, FaultEvent, FaultPlan, PageStore, StorageError, StorageResult};
+use tc_storage::{
+    DiskStats, FaultEvent, FaultPlan, PageStore, StorageError, StorageResult, MS_PER_IO,
+};
 use tc_trace::{Event, Phase, Tracer};
 
 /// One armed run, between [`MeteredRun::arm`] and [`MeteredRun::finish`].
@@ -69,11 +72,10 @@ impl<'a> MeteredRun<'a> {
         if let Some(fault) = &cfg.fault {
             store.set_fault_plan(FaultPlan::new(fault.clone()));
         }
-        store.set_retry_policy(cfg.retry);
         store.set_tracer(cfg.trace.clone());
         cfg.trace.emit(Event::RunBegin {
             algorithm: algorithm.name(),
-            ms_per_io: cfg.io_model.ms_per_io,
+            ms_per_io: MS_PER_IO,
         });
         cfg.trace.emit(Event::PhaseBegin {
             phase: Phase::Restructure,
@@ -96,7 +98,6 @@ impl<'a> MeteredRun<'a> {
     pub(crate) fn open_pool(&self, store: Box<dyn PageStore>) -> BufferPool {
         let cfg = self.cfg;
         let mut pool = BufferPool::with_store(store, cfg.buffer_pages, cfg.page_policy);
-        pool.set_retry_policy(cfg.retry);
         pool.set_tracer(cfg.trace.clone());
         pool
     }
@@ -159,8 +160,8 @@ impl<'a> MeteredRun<'a> {
             *slot = (run_total.reads_by_kind[i], run_total.writes_by_kind[i]);
         }
         metrics.buffer_compute = metrics.buffer.since(&self.buffer_at_boundary);
-        metrics.io_retries = metrics.buffer.retries;
-        metrics.retry_backoff_ms = metrics.buffer.retry_backoff_ms;
+        metrics.io_retries = run_total.retries;
+        metrics.retry_backoff_ms = run_total.retry_backoff_ms;
         let fault_trace = match fault {
             Some(plan) => {
                 metrics.faults_injected = plan.stats().total_injected();
@@ -170,8 +171,14 @@ impl<'a> MeteredRun<'a> {
             None => Vec::new(),
         };
         metrics.elapsed = self.start.elapsed();
-        metrics.estimated_io_seconds = self.cfg.io_model.estimate_seconds(metrics.total_io());
+        metrics.estimated_io_seconds = estimate_seconds(metrics.total_io());
         metrics.trace = Tracer::disabled();
         Ok((value, metrics, fault_trace))
     }
+}
+
+/// Estimated I/O time in seconds for `ios` page transfers at
+/// [`MS_PER_IO`].
+fn estimate_seconds(ios: u64) -> f64 {
+    ios as f64 * MS_PER_IO / 1000.0
 }

@@ -28,9 +28,9 @@ use tc_buffer::{BufferPool, BufferStats, PagePolicy};
 use tc_core::ClosedSnapshot;
 use tc_det::{cell_seed, Rng};
 use tc_graph::NodeId;
-use tc_storage::{FaultConfig, FaultPlan, PageStore, RetryPolicy, StorageResult};
+use tc_storage::{FaultConfig, FaultPlan, PageStore, StorageResult};
 
-/// Per-session configuration: pool shape, cache size, fault/retry
+/// Per-session configuration: pool shape, cache size, fault
 /// plumbing. One config is shared by all sessions of a service run;
 /// per-session randomness (cache replacement, fault streams) is derived
 /// from it with [`cell_seed`] on the client id.
@@ -45,8 +45,6 @@ pub struct SessionConfig {
     /// Base seed of the cache-replacement streams (per-session streams
     /// are `cell_seed(cache_seed, [client])`).
     pub cache_seed: u64,
-    /// Retry policy for transient storage faults.
-    pub retry: RetryPolicy,
     /// Optional deterministic fault injection: each session arms its
     /// private store with a plan seeded `cell_seed(fault.seed, [client])`.
     pub fault: Option<FaultConfig>,
@@ -59,7 +57,6 @@ impl Default for SessionConfig {
             page_policy: PagePolicy::Lru,
             cache_sources: 4,
             cache_seed: 0x5E12_CA5E,
-            retry: RetryPolicy::default(),
             fault: None,
         }
     }
@@ -87,12 +84,6 @@ impl SessionConfig {
     /// Builder-style: arm deterministic fault injection per session.
     pub fn faulted(mut self, fault: FaultConfig) -> Self {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Builder-style: transient-fault retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 }
@@ -174,10 +165,7 @@ impl Session {
             plan.seed = cell_seed(fault.seed, &[client]);
             store.set_fault_plan(FaultPlan::new(plan));
         }
-        store.set_retry_policy(cfg.retry);
-        let mut pool = BufferPool::new(store, cfg.buffer_pages.max(1), cfg.page_policy);
-        pool.set_retry_policy(cfg.retry);
-        pool
+        BufferPool::new(store, cfg.buffer_pages.max(1), cfg.page_policy)
     }
 
     /// The epoch of the snapshot this session currently reads.

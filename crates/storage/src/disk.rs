@@ -38,6 +38,11 @@ pub struct DiskStats {
     pub reads_by_kind: [u64; 6],
     /// Physical writes by file kind (indexed by [`FileKind::idx`]).
     pub writes_by_kind: [u64; 6],
+    /// Transfer re-attempts after transient faults (zero unless a fault
+    /// plan is armed).
+    pub retries: u64,
+    /// Accounted backoff of those re-attempts, in milliseconds.
+    pub retry_backoff_ms: u64,
 }
 
 impl DiskStats {
@@ -54,6 +59,8 @@ impl DiskStats {
         let mut out = DiskStats {
             reads: self.reads - earlier.reads,
             writes: self.writes - earlier.writes,
+            retries: self.retries - earlier.retries,
+            retry_backoff_ms: self.retry_backoff_ms - earlier.retry_backoff_ms,
             ..DiskStats::default()
         };
         for i in 0..6 {
@@ -70,28 +77,11 @@ impl fmt::Display for DiskStats {
     }
 }
 
-/// The I/O latency model used to estimate elapsed I/O time.
-///
-/// The paper established ~20 ms per page I/O for its RZ24 disk by separate
-/// measurement and multiplies the simulated I/O count by it (§6.1).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IoCostModel {
-    /// Milliseconds charged per physical page I/O.
-    pub ms_per_io: f64,
-}
-
-impl Default for IoCostModel {
-    fn default() -> Self {
-        IoCostModel { ms_per_io: 20.0 }
-    }
-}
-
-impl IoCostModel {
-    /// Estimated I/O time in seconds for `ios` page transfers.
-    pub fn estimate_seconds(&self, ios: u64) -> f64 {
-        ios as f64 * self.ms_per_io / 1000.0
-    }
-}
+/// Milliseconds charged per physical page I/O when estimating elapsed
+/// I/O time. The paper established ~20 ms per page I/O for its RZ24 disk
+/// by separate measurement and multiplies the simulated I/O count by it
+/// (§6.1).
+pub const MS_PER_IO: f64 = 20.0;
 
 /// The in-memory medium: page images plus the [`Page::checksum`] of
 /// each (the one function all media use; the file medium keeps it in
@@ -220,12 +210,6 @@ mod tests {
         assert_eq!(delta.reads, 2);
         assert_eq!(delta.writes, 0);
         assert_eq!(delta.reads_by_kind[FileKind::Temp.idx()], 2);
-    }
-
-    #[test]
-    fn cost_model_estimates() {
-        let m = IoCostModel::default();
-        assert!((m.estimate_seconds(100) - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -40,8 +40,10 @@ pub enum StorageError {
         /// Minimum required.
         need: usize,
     },
-    /// A page transfer failed transiently (injected by a
-    /// [`crate::fault::FaultPlan`]); an immediate retry may succeed.
+    /// A page transfer attempt failed transiently (injected by a
+    /// [`crate::fault::FaultPlan`]). The store retries it internally;
+    /// a caller sees [`StorageError::RetriesExhausted`] if it never
+    /// clears.
     TransientIo {
         /// The page whose transfer failed.
         pid: PageId,
@@ -72,7 +74,7 @@ pub enum StorageError {
         /// The condition that does not hold.
         what: &'static str,
     },
-    /// A transient fault did not clear within a retry policy's attempt
+    /// A transient fault did not clear within the store's attempt
     /// budget; the operation is abandoned.
     RetriesExhausted {
         /// The page whose transfers kept failing.
@@ -101,13 +103,6 @@ pub enum StorageError {
     /// in the storage layer itself, reported as a typed error instead of
     /// a panic so I/O paths stay panic-free.
     Internal(&'static str),
-}
-
-impl StorageError {
-    /// Whether the error is transient, i.e. worth retrying.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, StorageError::TransientIo { .. })
-    }
 }
 
 impl fmt::Display for StorageError {

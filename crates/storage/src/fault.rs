@@ -12,9 +12,11 @@
 //!
 //! * [`FaultKind::TransientRead`] / [`FaultKind::TransientWrite`] — the
 //!   attempt fails with [`StorageError::TransientIo`]; an immediate retry
-//!   may succeed. The plan caps consecutive probability-drawn transient
-//!   failures at [`FaultConfig::max_transient_streak`], so a retry loop
-//!   with a larger attempt budget always gets through.
+//!   may succeed, and the store retries it (4 attempts in all). The plan
+//!   caps consecutive probability-drawn transient failures at
+//!   [`FaultConfig::max_transient_streak`]: below the budget they always
+//!   clear, at or above it a request can end in
+//!   [`StorageError::RetriesExhausted`].
 //! * [`FaultKind::PermanentRead`] — the page becomes permanently
 //!   unreadable; every subsequent read fails with
 //!   [`StorageError::PermanentFault`]. Not retryable.
@@ -153,9 +155,10 @@ pub struct FaultConfig {
     pub p_permanent_read: f64,
     /// Probability that a write attempt silently corrupts the page.
     pub p_corrupt_write: f64,
-    /// Cap on *consecutive* probability-drawn transient failures. Keeping
-    /// this below a retry policy's `max_attempts` guarantees transient
-    /// faults always clear on retry. Scheduled faults are exempt.
+    /// Cap on *consecutive* probability-drawn transient failures. Below
+    /// the store's budget of 4 attempts, transient faults always clear on
+    /// retry; at 4 or more a request can exhaust it. Scheduled faults are
+    /// exempt.
     pub max_transient_streak: u32,
     /// Explicit faults, checked before the probability draw.
     pub schedule: Vec<ScheduledFault>,
@@ -471,82 +474,6 @@ impl fmt::Display for FaultEvent {
     }
 }
 
-// ---------------------------------------------------------------------
-// Retry policy
-// ---------------------------------------------------------------------
-
-/// Bounded retry with (simulated) exponential backoff for transient
-/// faults.
-///
-/// The backoff is *accounted*, not slept: the simulation stays
-/// wall-clock-free and deterministic, and the accumulated
-/// [`RetryTally::backoff_ms`] can be folded into estimated I/O time the
-/// same way the paper charges 20 ms per transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum attempts per operation (first try included). Exhausting
-    /// them converts the transient error into
-    /// [`StorageError::RetriesExhausted`].
-    pub max_attempts: u32,
-    /// Simulated backoff before the first retry, in milliseconds;
-    /// doubles per retry.
-    pub backoff_base_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base_ms: 1,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Simulated backoff charged before retry number `retry` (0-based).
-    pub fn backoff_ms(&self, retry: u32) -> u64 {
-        self.backoff_base_ms << retry.min(16)
-    }
-}
-
-/// Retry accounting: how many re-attempts were made and how much
-/// simulated backoff they cost.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct RetryTally {
-    /// Re-attempts after transient failures.
-    pub retries: u64,
-    /// Total simulated backoff, in milliseconds.
-    pub backoff_ms: u64,
-}
-
-/// Runs `attempt` under `policy`: transient failures are retried with
-/// accounted backoff until they clear or the attempt budget is spent
-/// (then [`StorageError::RetriesExhausted`]); any other error propagates
-/// immediately.
-pub fn with_retries<T>(
-    policy: &RetryPolicy,
-    tally: &mut RetryTally,
-    mut attempt: impl FnMut() -> StorageResult<T>,
-) -> StorageResult<T> {
-    let mut failures = 0u32;
-    loop {
-        match attempt() {
-            Err(StorageError::TransientIo { pid, .. }) => {
-                failures += 1;
-                if failures >= policy.max_attempts {
-                    return Err(StorageError::RetriesExhausted {
-                        pid,
-                        attempts: failures,
-                    });
-                }
-                tally.retries += 1;
-                tally.backoff_ms += policy.backoff_ms(failures - 1);
-            }
-            other => return other,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,51 +545,5 @@ mod tests {
         let (b, eb) = run();
         assert_eq!(a, b);
         assert_eq!(ea, eb);
-    }
-
-    #[test]
-    fn retries_clear_transients_and_exhaust_on_persistent_ones() {
-        let policy = RetryPolicy::default();
-        let mut tally = RetryTally::default();
-        // Fails twice, then succeeds.
-        let mut left = 2;
-        let r = with_retries(&policy, &mut tally, || {
-            if left > 0 {
-                left -= 1;
-                Err(StorageError::TransientIo {
-                    pid: PageId(1),
-                    write: false,
-                })
-            } else {
-                Ok(99)
-            }
-        });
-        assert_eq!(r, Ok(99));
-        assert_eq!(tally.retries, 2);
-        assert_eq!(tally.backoff_ms, 1 + 2);
-
-        // Never succeeds: budget of 4 attempts, then typed exhaustion.
-        let mut attempts = 0;
-        let r: StorageResult<()> = with_retries(&policy, &mut tally, || {
-            attempts += 1;
-            Err(StorageError::TransientIo {
-                pid: PageId(5),
-                write: true,
-            })
-        });
-        assert_eq!(
-            r,
-            Err(StorageError::RetriesExhausted {
-                pid: PageId(5),
-                attempts: 4
-            })
-        );
-        assert_eq!(attempts, 4);
-
-        // Non-transient errors pass straight through.
-        let r: StorageResult<()> = with_retries(&policy, &mut tally, || {
-            Err(StorageError::PermanentFault(PageId(2)))
-        });
-        assert_eq!(r, Err(StorageError::PermanentFault(PageId(2))));
     }
 }

@@ -10,8 +10,8 @@
 //!   every medium). Shared behind an [`Arc`]; never mutated again.
 //! * [`FrozenStore`] — the accounting core over one such `Arc`. Each
 //!   serving session owns its *own* `FrozenStore` (and its own buffer
-//!   pool above it), with private [`crate::DiskStats`], tracer, fault
-//!   plan and retry policy — reads never touch shared mutable state, so
+//!   pool above it), with private [`crate::DiskStats`], tracer and fault
+//!   plan — reads never touch shared mutable state, so
 //!   per-session counters are deterministic at any worker count. All
 //!   mutations fail with [`StorageError::ReadOnlyStore`].
 //!

@@ -5,7 +5,7 @@
 //! The paper's instrument is a disk that counts page transfers (§6.1).
 //! [`Store<M>`](Store) is that instrument, written once: it owns the
 //! file [`Catalog`], the LIFO free-page list, [`DiskStats`], the
-//! [`FaultPlan`] consult, the retry policy, the [`Tracer`] and every
+//! [`FaultPlan`] consult, the one retry loop, the [`Tracer`] and every
 //! event emission, over a byte [`Medium`] that only moves page images.
 //! The three stores the rest of the workspace names are aliases:
 //!
@@ -24,7 +24,7 @@
 
 use crate::disk::{verify_image, DiskSim, DiskStats, FileId, FileKind};
 use crate::error::{StorageError, StorageResult};
-use crate::fault::{with_retries, FaultPlan, RetryPolicy, RetryTally};
+use crate::fault::FaultPlan;
 use crate::file_store::{FileStore, TempDir};
 use crate::frozen::FrozenPageSet;
 use crate::medium::{Catalog, FileMeta, Medium};
@@ -51,6 +51,12 @@ use tc_trace::{Event, Tracer};
 ///   *successful* transfer and emit one `PageRead`/`PageWrite` trace
 ///   event; failed attempts (injected faults, detected corruption)
 ///   charge nothing.
+/// * A transient fault is retried inside the call, up to 4 attempts in
+///   all, with an accounted (never slept) backoff of 1 ms that doubles
+///   per retry; then it is [`StorageError::RetriesExhausted`]. Retries
+///   and backoff are counted in [`stats`](PageStore::stats) and reported
+///   as one `Retry` event after the transfer's own events. Pooled,
+///   direct and bulk-load transfers are all retried this way.
 /// * [`alloc`](PageStore::alloc) and [`drop_file`](PageStore::drop_file)
 ///   are catalog operations: never charged, never traced.
 /// * Free pages are reused LIFO ([`drop_file`](PageStore::drop_file)
@@ -138,16 +144,18 @@ pub trait PageStore: Send {
     /// trace and counters) if one was armed.
     fn clear_fault_plan(&mut self) -> Option<FaultPlan>;
 
-    /// Sets the retry policy used by the direct (unbuffered) pager path.
-    fn set_retry_policy(&mut self, retry: RetryPolicy);
-
-    /// The retry policy of the direct (unbuffered) pager path.
-    fn retry_policy(&self) -> RetryPolicy;
-
     /// Short stable backend name (`"sim"`, `"file"`, `"frozen"`), used
     /// in reports and error messages.
     fn backend_name(&self) -> &'static str;
 }
+
+/// Attempts a transfer gets, the first included, before a transient
+/// fault becomes [`StorageError::RetriesExhausted`].
+const MAX_ATTEMPTS: u32 = 4;
+
+/// Accounted backoff before the first retry, in milliseconds; it doubles
+/// per retry. Never slept: the store stays wall-clock-free.
+const BACKOFF_BASE_MS: u64 = 1;
 
 /// The accounting core: one counting, tracing, fault-injecting page
 /// store over any [`Medium`].
@@ -165,9 +173,6 @@ pub struct Store<M: Medium> {
     catalog: Arc<Catalog>,
     stats: DiskStats,
     fault: Option<FaultPlan>,
-    /// Retry policy of the *direct* pager path (tests and bulk loads);
-    /// buffered access retries in `tc-buffer` instead.
-    retry: RetryPolicy,
     /// Disabled (free) unless the engine arms one for a run.
     tracer: Tracer,
 }
@@ -186,7 +191,6 @@ impl<M: Medium> Store<M> {
             catalog,
             stats: DiskStats::default(),
             fault: None,
-            retry: RetryPolicy::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -205,6 +209,107 @@ impl<M: Medium> Store<M> {
     fn emit_fault(&self, pid: PageId, write: bool) {
         self.tracer
             .emit(Event::FaultInjected { page: pid.0, write });
+    }
+
+    /// The one retry loop: runs `attempt` again while it fails
+    /// transiently, up to [`MAX_ATTEMPTS`] in all, charging an accounted
+    /// backoff per retry. Any other outcome ends it. Retries are counted
+    /// and reported after the transfer's own events, whatever it
+    /// returned.
+    fn retrying(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        let (mut retries, mut backoff_ms) = (0u32, 0u64);
+        let outcome = loop {
+            match attempt(self) {
+                Err(StorageError::TransientIo { pid, .. }) if retries + 1 == MAX_ATTEMPTS => {
+                    break Err(StorageError::RetriesExhausted {
+                        pid,
+                        attempts: MAX_ATTEMPTS,
+                    });
+                }
+                Err(StorageError::TransientIo { .. }) => {
+                    backoff_ms += BACKOFF_BASE_MS << retries;
+                    retries += 1;
+                }
+                other => break other,
+            }
+        };
+        if retries > 0 {
+            let n = u64::from(retries);
+            self.stats.retries += n;
+            self.stats.retry_backoff_ms += backoff_ms;
+            self.tracer.emit(Event::Retry { n, backoff_ms });
+        }
+        outcome
+    }
+
+    /// One read attempt: bounds check, fault-plan consult, the medium
+    /// (verifying the image while a plan is armed), then the charge and
+    /// the `PageRead` event. Failed attempts are *not* counted:
+    /// [`DiskStats`] records exactly the successful transfers, so a
+    /// transient-fault run reports the same page-I/O metrics as a
+    /// fault-free one.
+    fn read_once(&mut self, pid: PageId, out: Option<&mut Page>) -> StorageResult<()> {
+        let kind = self.catalog.page_kind(pid)?;
+        let op = match self.fault.as_mut().map(|plan| plan.on_read(pid)) {
+            Some(Err(e)) => {
+                self.emit_fault(pid, false);
+                return Err(e);
+            }
+            Some(Ok(op)) => Some(op),
+            None => None,
+        };
+        let verify = op.is_some();
+        let moved = match (out, self.medium.lent()) {
+            (Some(out), _) => self.medium.read(pid, out, verify),
+            (None, Some(set)) => set
+                .image(pid)
+                .and_then(|(image, sum)| verify_image(image, verify.then_some(*sum), pid)),
+            (None, None) => Err(StorageError::Internal(
+                "in-place read of a medium that lends no pages",
+            )),
+        };
+        if let Err(e) = moved {
+            if matches!(e, StorageError::ChecksumMismatch { .. }) {
+                if let (Some(op), Some(plan)) = (op, self.fault.as_mut()) {
+                    plan.on_detection(op, pid);
+                }
+                self.tracer.emit(Event::CorruptionDetected { page: pid.0 });
+            }
+            return Err(e);
+        }
+        self.stats.reads += 1;
+        self.stats.reads_by_kind[kind.idx()] += 1;
+        self.tracer.emit(Event::PageRead { page: pid.0, kind });
+        Ok(())
+    }
+
+    /// One write attempt. Under a fault plan it may fail transiently, or
+    /// be *torn*: it reports success but one stored byte is flipped
+    /// while the medium's integrity data still describes the intended
+    /// image, so the next physical read detects the damage.
+    fn write_once(&mut self, pid: PageId, data: &Page) -> StorageResult<()> {
+        self.medium.writable()?;
+        let kind = self.catalog.page_kind(pid)?;
+        let tear_at = match self.fault.as_mut().map(|plan| plan.on_write(pid)) {
+            Some(Err(e)) => {
+                self.emit_fault(pid, true);
+                return Err(e);
+            }
+            Some(Ok((_, tear_at))) => tear_at,
+            None => None,
+        };
+        self.medium.write(pid, data, tear_at)?;
+        if tear_at.is_some() {
+            // A torn write is a silent injection: it reports success.
+            self.emit_fault(pid, true);
+        }
+        self.stats.writes += 1;
+        self.stats.writes_by_kind[kind.idx()] += 1;
+        self.tracer.emit(Event::PageWrite { page: pid.0, kind });
+        Ok(())
     }
 }
 
@@ -255,71 +360,18 @@ impl<M: Medium> PageStore for Store<M> {
         Ok(())
     }
 
-    /// With a fault plan armed the attempt may fail instead (transient or
+    /// With a fault plan armed an attempt may fail instead (transient or
     /// permanent fault), and the medium verifies the image so a torn
-    /// write surfaces as [`StorageError::ChecksumMismatch`]. Failed
-    /// attempts are *not* counted: [`DiskStats`] records exactly the
-    /// successful transfers, so a transient-fault run reports the same
-    /// page-I/O metrics as a fault-free one.
-    fn admit_read(&mut self, pid: PageId, out: Option<&mut Page>) -> StorageResult<()> {
-        let kind = self.catalog.page_kind(pid)?;
-        let op = match self.fault.as_mut().map(|plan| plan.on_read(pid)) {
-            Some(Err(e)) => {
-                self.emit_fault(pid, false);
-                return Err(e);
-            }
-            Some(Ok(op)) => Some(op),
-            None => None,
-        };
-        let verify = op.is_some();
-        let moved = match (out, self.medium.lent()) {
-            (Some(out), _) => self.medium.read(pid, out, verify),
-            (None, Some(set)) => set
-                .image(pid)
-                .and_then(|(image, sum)| verify_image(image, verify.then_some(*sum), pid)),
-            (None, None) => Err(StorageError::Internal(
-                "in-place read of a medium that lends no pages",
-            )),
-        };
-        if let Err(e) = moved {
-            if matches!(e, StorageError::ChecksumMismatch { .. }) {
-                if let (Some(op), Some(plan)) = (op, self.fault.as_mut()) {
-                    plan.on_detection(op, pid);
-                }
-                self.tracer.emit(Event::CorruptionDetected { page: pid.0 });
-            }
-            return Err(e);
-        }
-        self.stats.reads += 1;
-        self.stats.reads_by_kind[kind.idx()] += 1;
-        self.tracer.emit(Event::PageRead { page: pid.0, kind });
-        Ok(())
+    /// write surfaces as [`StorageError::ChecksumMismatch`]; a transient
+    /// failure is retried here.
+    fn admit_read(&mut self, pid: PageId, mut out: Option<&mut Page>) -> StorageResult<()> {
+        self.retrying(|store| store.read_once(pid, out.as_deref_mut()))
     }
 
-    /// With a fault plan armed the attempt may fail transiently, or be
-    /// *torn*: the call reports success but one stored byte is flipped
-    /// while the medium's integrity data still describes the intended
-    /// image, so the next physical read detects the damage.
+    /// With a fault plan armed an attempt may fail transiently (retried
+    /// here) or be torn.
     fn write_page(&mut self, pid: PageId, data: &Page) -> StorageResult<()> {
-        self.medium.writable()?;
-        let kind = self.catalog.page_kind(pid)?;
-        let tear_at = match self.fault.as_mut().map(|plan| plan.on_write(pid)) {
-            Some(Err(e)) => {
-                self.emit_fault(pid, true);
-                return Err(e);
-            }
-            Some(Ok((_, tear_at))) => tear_at,
-            None => None,
-        };
-        self.medium.write(pid, data, tear_at)?;
-        if tear_at.is_some() {
-            // A torn write is a silent injection: it reports success.
-            self.emit_fault(pid, true);
-        }
-        self.stats.writes += 1;
-        self.stats.writes_by_kind[kind.idx()] += 1;
-        self.tracer.emit(Event::PageWrite { page: pid.0, kind });
-        Ok(())
+        self.retrying(|store| store.write_once(pid, data))
     }
 
     fn lent(&self) -> Option<&FrozenPageSet> {
@@ -370,22 +422,13 @@ impl<M: Medium> PageStore for Store<M> {
         self.fault.take()
     }
 
-    fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     fn backend_name(&self) -> &'static str {
         self.medium.name()
     }
 }
 
 /// Direct, unbuffered paging over any [`PageStore`]: every access is a
-/// physical transfer, with transient faults retried under the store's
-/// [`RetryPolicy`].
+/// physical transfer, retried by the store like every other.
 ///
 /// This blanket impl is the trait-object path for structures that
 /// bypass the buffer pool (bulk loads, tests). Query execution always
@@ -394,9 +437,7 @@ impl<M: Medium> PageStore for Store<M> {
 impl<S: PageStore + ?Sized> Pager for S {
     fn with_page<R>(&mut self, pid: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R> {
         let mut tmp = Page::new();
-        let policy = self.retry_policy();
-        let mut tally = RetryTally::default();
-        with_retries(&policy, &mut tally, || self.read_page(pid, &mut tmp))?;
+        self.read_page(pid, &mut tmp)?;
         Ok(f(&tmp))
     }
 
@@ -406,11 +447,9 @@ impl<S: PageStore + ?Sized> Pager for S {
         f: impl FnOnce(&mut Page) -> R,
     ) -> StorageResult<R> {
         let mut tmp = Page::new();
-        let policy = self.retry_policy();
-        let mut tally = RetryTally::default();
-        with_retries(&policy, &mut tally, || self.read_page(pid, &mut tmp))?;
+        self.read_page(pid, &mut tmp)?;
         let r = f(&mut tmp);
-        with_retries(&policy, &mut tally, || self.write_page(pid, &tmp))?;
+        self.write_page(pid, &tmp)?;
         Ok(r)
     }
 
@@ -530,6 +569,70 @@ mod tests {
             let store = backend.open().unwrap();
             assert_eq!(store.backend_name(), backend.name());
         }
+    }
+
+    #[test]
+    fn transfers_retry_transients_and_exhaust_on_persistent_ones() {
+        use crate::fault::{FaultConfig, FaultKind};
+        use tc_trace::VecSink;
+
+        let mut disk = DiskSim::new();
+        let file = disk.new_file(FileKind::Temp);
+        let pid = disk.alloc(file).unwrap();
+        disk.write_page(pid, &Page::new()).unwrap();
+        disk.reset_stats();
+        let sink = Arc::new(VecSink::unbounded());
+        disk.set_tracer(Tracer::new(sink.clone()));
+
+        // Fails twice, then succeeds: one read charged, two retries.
+        disk.set_fault_plan(FaultPlan::new(
+            FaultConfig::new(1)
+                .at_op(0, FaultKind::TransientRead)
+                .at_op(1, FaultKind::TransientRead),
+        ));
+        assert_eq!(disk.read_page(pid, &mut Page::new()), Ok(()));
+        assert_eq!((disk.stats().reads, disk.stats().retries), (1, 2));
+        assert_eq!(disk.stats().retry_backoff_ms, 1 + 2);
+        let page = pid.0;
+        let kind = FileKind::Temp;
+        let fault = Event::FaultInjected { page, write: false };
+        assert_eq!(
+            sink.events(),
+            [
+                fault,
+                fault,
+                Event::PageRead { page, kind },
+                Event::Retry {
+                    n: 2,
+                    backoff_ms: 3
+                },
+            ],
+            "the Retry event follows the transfer's own events"
+        );
+
+        // Never clears: four attempts, then typed exhaustion, no charge.
+        disk.set_fault_plan(FaultPlan::new(
+            FaultConfig::new(2).on_page(pid, FaultKind::TransientWrite),
+        ));
+        assert_eq!(
+            disk.write_page(pid, &Page::new()),
+            Err(StorageError::RetriesExhausted { pid, attempts: 4 })
+        );
+        let plan = disk.clear_fault_plan().unwrap();
+        assert_eq!((plan.ops(), plan.stats().transient_writes), (4, 4));
+        assert_eq!((disk.stats().writes, disk.stats().retries), (0, 2 + 3));
+        assert_eq!(disk.stats().retry_backoff_ms, 3 + 1 + 2 + 4);
+
+        // Anything else passes straight through, unretried.
+        disk.set_fault_plan(FaultPlan::new(
+            FaultConfig::new(3).on_page(pid, FaultKind::PermanentRead),
+        ));
+        assert_eq!(
+            disk.read_page(pid, &mut Page::new()),
+            Err(StorageError::PermanentFault(pid))
+        );
+        assert_eq!(disk.clear_fault_plan().unwrap().ops(), 1);
+        assert_eq!(disk.stats().retries, 5);
     }
 
     #[test]

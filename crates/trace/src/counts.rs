@@ -103,11 +103,6 @@ pub struct BufferStats {
     pub dirty_writebacks: u64,
     /// Pages written by an explicit flush (end-of-run write-out).
     pub flush_writes: u64,
-    /// Physical transfer re-attempts after injected transient faults
-    /// (zero unless a fault plan is armed on the wrapped disk).
-    pub retries: u64,
-    /// Total simulated retry backoff, in milliseconds.
-    pub retry_backoff_ms: u64,
 }
 
 impl BufferStats {
@@ -151,8 +146,6 @@ impl BufferStats {
             evictions: f(self.evictions, other.evictions),
             dirty_writebacks: f(self.dirty_writebacks, other.dirty_writebacks),
             flush_writes: f(self.flush_writes, other.flush_writes),
-            retries: f(self.retries, other.retries),
-            retry_backoff_ms: f(self.retry_backoff_ms, other.retry_backoff_ms),
         }
     }
 
@@ -193,10 +186,6 @@ impl BufferStats {
                 }
             }
             Event::FlushWrite { .. } => self.flush_writes += 1,
-            Event::Retry { n, backoff_ms } => {
-                self.retries += n;
-                self.retry_backoff_ms += backoff_ms;
-            }
             _ => {}
         }
     }
@@ -383,7 +372,8 @@ impl Counts {
         } else {
             by_kind.0 += 1;
         }
-        // Same formula, same operand order as `IoCostModel::estimate_seconds`.
+        // Same formula, same operand order as the run lifecycle's
+        // `estimate_seconds` over `tc_storage::MS_PER_IO`.
         self.estimated_io_seconds = self.total_io() as f64 * self.ms_per_io / 1000.0;
     }
 
@@ -421,7 +411,6 @@ impl Counts {
             Event::Retry { n, backoff_ms } => {
                 self.io_retries += n;
                 self.retry_backoff_ms += backoff_ms;
-                self.buffer_event(ev);
             }
             Event::BufHit { .. }
             | Event::BufMiss { .. }
@@ -524,8 +513,6 @@ mod tests {
             evictions: 1,
             dirty_writebacks: 1,
             flush_writes: 0,
-            retries: 0,
-            retry_backoff_ms: 0,
         };
         let b = BufferStats {
             requests: 25,
@@ -536,8 +523,6 @@ mod tests {
             evictions: 4,
             dirty_writebacks: 2,
             flush_writes: 5,
-            retries: 3,
-            retry_backoff_ms: 6,
         };
         let d = b.since(&a);
         assert_eq!(d.requests, 15);

@@ -456,6 +456,8 @@ events! {
         page: u32,
     },
     /// A page transfer needed `n` re-attempts after transient faults.
+    /// The store emits it, after the transfer's own events; it keeps its
+    /// place in this table so every variant keeps its encoding.
     Retry = "retry" {
         /// Re-attempts performed.
         n: u64,

@@ -51,6 +51,11 @@ g_checks() {
 
 g_fault_matrix() {
   TC_DET_CASES=512 t --test fault_injection --test failure_modes --test golden_fault_trace --test run_lifecycle
+  # The store retries every transfer: bare ones on each medium
+  # (`store_contract`), and the bulk loads of a maintenance batch
+  # (`transient_faults_are_invisible_to_maintenance_except_retries`,
+  # run with the rest of `fault_injection` above).
+  t --test store_contract
   TC_DET_CASES=256 t --test succ_split_props --test succ_run_props --test proptest_invariants
   TC_DET_CASES=256 t --test answer_collector_props
   # A catalog that disagrees with its pages is a typed error naming the file.

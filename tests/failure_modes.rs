@@ -264,66 +264,46 @@ fn duplicate_and_unsorted_sources_are_normalized() {
 #[test]
 fn every_storage_error_variant_constructs_and_displays() {
     // One instance of each variant: constructible from outside the
-    // crate, matchable, Display non-empty, and the transient/permanent
-    // split is what the retry loop relies on.
-    let variants: Vec<(StorageError, bool)> = vec![
-        (StorageError::PageOutOfBounds(PageId(3)), false),
-        (StorageError::UnknownFile(9), false),
-        (
-            StorageError::SlotOutOfBounds {
-                slot: 300,
-                capacity: 256,
-            },
-            false,
-        ),
-        (StorageError::PageFull(PageId(1)), false),
-        (StorageError::AllFramesPinned, false),
-        (
-            StorageError::WrongFileKind {
-                expected: "relation",
-                actual: "temp",
-            },
-            false,
-        ),
-        (StorageError::UnsortedInput, false),
-        (
-            StorageError::InsufficientSortMemory { got: 2, need: 3 },
-            false,
-        ),
-        (
-            StorageError::TransientIo {
-                pid: PageId(4),
-                write: true,
-            },
-            true,
-        ),
-        (StorageError::PermanentFault(PageId(5)), false),
-        (
-            StorageError::ChecksumMismatch {
-                pid: PageId(6),
-                stored: 0xAB,
-                computed: 0xCD,
-            },
-            false,
-        ),
-        (
-            StorageError::RetriesExhausted {
-                pid: PageId(7),
-                attempts: 4,
-            },
-            false,
-        ),
-        (StorageError::DiskDetached, false),
-        (StorageError::Internal("invariant"), false),
+    // crate, matchable, and Display non-empty.
+    let variants: Vec<StorageError> = vec![
+        StorageError::PageOutOfBounds(PageId(3)),
+        StorageError::UnknownFile(9),
+        StorageError::SlotOutOfBounds {
+            slot: 300,
+            capacity: 256,
+        },
+        StorageError::PageFull(PageId(1)),
+        StorageError::AllFramesPinned,
+        StorageError::WrongFileKind {
+            expected: "relation",
+            actual: "temp",
+        },
+        StorageError::UnsortedInput,
+        StorageError::InsufficientSortMemory { got: 2, need: 3 },
+        StorageError::TransientIo {
+            pid: PageId(4),
+            write: true,
+        },
+        StorageError::PermanentFault(PageId(5)),
+        StorageError::ChecksumMismatch {
+            pid: PageId(6),
+            stored: 0xAB,
+            computed: 0xCD,
+        },
+        StorageError::RetriesExhausted {
+            pid: PageId(7),
+            attempts: 4,
+        },
+        StorageError::DiskDetached,
+        StorageError::Internal("invariant"),
     ];
-    for (err, transient) in &variants {
-        assert_eq!(err.is_transient(), *transient, "{err:?}");
+    for err in &variants {
         assert!(!format!("{err}").is_empty());
         assert_eq!(err.clone(), *err);
     }
     // No two distinct variants compare equal (guards accidental merges).
-    for (i, (a, _)) in variants.iter().enumerate() {
-        for (b, _) in variants.iter().skip(i + 1) {
+    for (i, a) in variants.iter().enumerate() {
+        for b in variants.iter().skip(i + 1) {
             assert_ne!(a, b);
         }
     }
@@ -365,8 +345,7 @@ fn torn_writes_are_detected_not_absorbed() {
 
     // Every write is torn; with a 4-frame pool the corrupted pages are
     // re-read during the run and checksum verification must catch them.
-    let mut cfg = SystemConfig::with_buffer(4).faulted(FaultConfig::new(2).corrupt_writes(1.0));
-    cfg.retry = tc_study::storage::RetryPolicy::default();
+    let cfg = SystemConfig::with_buffer(4).faulted(FaultConfig::new(2).corrupt_writes(1.0));
     let err = db.run(&Query::full(), Algorithm::Btc, &cfg).unwrap_err();
     assert!(
         matches!(err, StorageError::ChecksumMismatch { .. }),

@@ -7,6 +7,7 @@
 //! leave the buffer pool structurally inconsistent (dropped dirty page,
 //! leaked frame, unbalanced pin).
 
+use tc_bench::corpus::canonical;
 use tc_study::buffer::{BufferPool, PagePolicy};
 use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
@@ -114,6 +115,57 @@ fn transient_faults_are_invisible_except_retries() {
     );
 }
 
+/// The maintenance twin of the test above: the canonical update stream
+/// applied under transient-only plans (the streak cap of 2 is below the
+/// store's 4 attempts, so every fault clears) is indistinguishable from
+/// its fault-free twin but for the fault tallies. That includes the
+/// relation and index an `apply` bulk-loads on the raw store before its
+/// buffer pool exists.
+#[test]
+fn transient_faults_are_invisible_to_maintenance_except_retries() {
+    let g = canonical::graph();
+    let stream = canonical::update_stream(&g);
+    // Per batch: tuple delta, counts with the fault tallies zeroed, and
+    // the closure read back; plus the stream's retries.
+    let run = |fault: Option<FaultConfig>| {
+        let mut cfg = SystemConfig::with_buffer(16);
+        cfg.fault = fault;
+        let mut dyn_tc = DynamicClosure::build(&g, &cfg).expect("build");
+        let (mut batches, mut retries) = (Vec::new(), 0);
+        for (i, batch) in stream.batches().iter().enumerate() {
+            let res = dyn_tc
+                .apply(batch)
+                .unwrap_or_else(|e| panic!("batch {i}: {e}"));
+            let mut counts = res.metrics.counts;
+            assert_eq!(
+                counts.io_retries, counts.faults_injected,
+                "batch {i}: every transient injection is matched by one retry"
+            );
+            retries += counts.io_retries;
+            counts.io_retries = 0;
+            counts.retry_backoff_ms = 0;
+            counts.faults_injected = 0;
+            let tuples = dyn_tc.tuples().expect("scan");
+            batches.push((res.inserted, res.removed, counts, tuples));
+        }
+        (batches, retries)
+    };
+    let (clean, none) = run(None);
+    assert_eq!(none, 0);
+    for seed in 0..4 {
+        let plan = FaultConfig::new(seed)
+            .transient_reads(0.05)
+            .transient_writes(0.05);
+        let (faulted, retries) = run(Some(plan));
+        assert!(retries > 0, "plan {seed} injected nothing");
+        for (i, (f, c)) in faulted.iter().zip(&clean).enumerate() {
+            assert_eq!((f.0, f.1), (c.0, c.1), "plan {seed}, batch {i}");
+            assert!(f.2 == c.2, "plan {seed}, batch {i}: {:?}", c.2.diff(&f.2));
+            assert!(f.3 == c.3, "plan {seed}, batch {i}: closure diverged");
+        }
+    }
+}
+
 /// The fault trace of a faulted run replays bit-for-bit: same seed, same
 /// workload, same events.
 #[test]
@@ -208,12 +260,12 @@ fn pool_invariants_hold(case: &RawCase, policy: PagePolicy) -> Result<(), String
             _ => pool.flush_all(),
         };
         // Errors are expected (that is the point); corruption must stay
-        // *detected*, never silent.
+        // *detected*, never silent. The store retries transient faults,
+        // so a bare `TransientIo` never reaches the pool's caller.
         if let Err(e) = r {
             if !matches!(
                 e,
-                StorageError::TransientIo { .. }
-                    | StorageError::RetriesExhausted { .. }
+                StorageError::RetriesExhausted { .. }
                     | StorageError::PermanentFault(_)
                     | StorageError::ChecksumMismatch { .. }
                     | StorageError::AllFramesPinned

@@ -120,7 +120,7 @@ fn profile_invariants_hold_on_random_workloads() {
                 require_eq!(b.evictions, m.buffer.evictions, "{algo}: evictions");
                 require_eq!(b.dirty_writebacks, m.buffer.dirty_writebacks, "{algo}");
                 require_eq!(b.flush_writes, m.buffer.flush_writes, "{algo}: flushes");
-                require_eq!(p.counts.io_retries, m.buffer.retries, "{algo}: retries");
+                require_eq!(p.counts.io_retries, m.io_retries, "{algo}: retries");
 
                 // 3. Miss classes partition the misses (totals and every
                 // per-kind row).

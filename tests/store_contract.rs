@@ -76,24 +76,59 @@ fn contract(store: &mut dyn PageStore, name: &str, read_only: bool) {
     );
     assert_eq!(store.stats().reads, n, "{name}: a failed read was charged");
 
-    // Transient faults retry clean and charge once: failed attempts are
-    // not transfers.
+    // Transient faults are retried inside the store: a bare transfer
+    // succeeds and charges once, because failed attempts are not
+    // transfers, and each cleared injection is one retry.
+    let before = store.stats().clone();
     store.set_fault_plan(FaultPlan::new(
         FaultConfig::new(11)
             .transient_reads(0.3)
+            .transient_writes(0.3)
             .max_transient_streak(2),
     ));
     for (i, &pid) in pages.iter().enumerate() {
-        let got = store.with_page(pid, |pg: &Page| pg.get_u32(0));
-        assert_eq!(got, Ok(stamp(i)), "{name}: faulted read of page {i}");
+        let charged = store.stats().total();
+        assert_eq!(store.read_page(pid, &mut out), Ok(()), "{name}: page {i}");
+        assert_eq!(out.get_u32(0), stamp(i), "{name}: faulted read of page {i}");
+        assert_eq!(store.stats().total(), charged + 1, "{name}: read {i}");
+        if !read_only {
+            assert_eq!(store.write_page(pid, &out), Ok(()), "{name}: page {i}");
+            assert_eq!(store.stats().total(), charged + 2, "{name}: write {i}");
+        }
     }
-    assert_eq!(
-        store.stats().reads,
-        2 * n,
-        "{name}: failed attempts charged"
-    );
     let plan = store.clear_fault_plan().expect("plan was armed");
+    let cleared = plan.stats().transient_reads + plan.stats().transient_writes;
     assert!(plan.stats().transient_reads > 0, "{name}: nothing injected");
+    assert!(read_only || plan.stats().transient_writes > 0, "{name}");
+    assert_eq!(store.stats().since(&before).retries, cleared, "{name}");
+
+    // A streak cap above the budget of 4 attempts outlasts it: typed
+    // exhaustion after 4 attempts, and nothing charged.
+    let before = store.stats().clone();
+    store.set_fault_plan(FaultPlan::new(
+        FaultConfig::new(12)
+            .transient_reads(1.0)
+            .transient_writes(1.0)
+            .max_transient_streak(100),
+    ));
+    let exhausted = Err(StorageError::RetriesExhausted {
+        pid: pages[0],
+        attempts: 4,
+    });
+    assert_eq!(store.read_page(pages[0], &mut out), exhausted, "{name}");
+    if !read_only {
+        assert_eq!(store.write_page(pages[0], &out), exhausted, "{name}");
+    }
+    let plan = store.clear_fault_plan().expect("plan was armed");
+    let calls = if read_only { 1 } else { 2 };
+    assert_eq!(plan.ops(), 4 * calls, "{name}: attempts per call");
+    let spent = store.stats().since(&before);
+    assert_eq!(
+        spent.total(),
+        0,
+        "{name}: an exhausted transfer was charged"
+    );
+    assert_eq!(spent.retries, 3 * calls, "{name}");
 
     let before = store.stats().clone();
     if read_only {

@@ -11,9 +11,9 @@
 //!
 //! **Structural rules: one X.** Each [`RULES`] row says where a spelling
 //! may occur. They keep a collapsed mechanism collapsed: a second copy
-//! of the run envelope, the count ledger or an argv loop fails here by
-//! name, not in a differential test after the fact. Every row carries a
-//! fixture that must trip it.
+//! of the run envelope, the count ledger, the retry loop or an argv loop
+//! fails here by name, not in a differential test after the fact. Every
+//! row carries a fixture that must trip it.
 //!
 //! **The gate names what exists.** `gate.sh` is the one home of the
 //! acceptance commands and `ci.yml` only calls it; a suite or test
@@ -308,6 +308,16 @@ const RULES: &[Rule] = &[
         want: Want::OnlyIn("crates/trace/src/counts.rs"),
         needles: &["Event::Union =>"],
         fixture: "match ev { Event::Union => self.unions += 1, _ => {} }",
+    },
+    // A transient fault is retried in `Store`'s transfers, under the one
+    // budget, whoever asked for the page: pool, direct pager or bulk load.
+    // The tests reach exhaustion through the plan's streak cap.
+    Rule {
+        name: "one retry loop: transient faults are retried inside Store",
+        scope: Scope::Rust(EVERYWHERE),
+        want: Want::Nowhere,
+        needles: &["RetryPolicy", "set_retry_policy", "with_retries"],
+        fixture: "pool.set_retry_policy(RetryPolicy::default());",
     },
     // Every tcq flag is one entry of its subcommand's table in
     // src/cli.rs (parser and usage text both read it); the bench
