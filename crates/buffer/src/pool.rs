@@ -53,7 +53,8 @@ pub struct BufferPool {
     policy: ReplacementPolicy,
     stats: BufferStats,
     /// Event tracer; disabled (free) unless a run arms one. Every
-    /// counted buffer operation emits exactly one event.
+    /// counted buffer operation emits exactly one event, and `stats` is
+    /// the fold of those events ([`BufferPool::note`]).
     tracer: Tracer,
 }
 
@@ -129,7 +130,7 @@ impl BufferPool {
     pub fn pin(&mut self, pid: PageId) -> StorageResult<()> {
         let f = self.fetch(pid)?;
         self.frames[f].pins += 1;
-        self.tracer.emit(Event::Pin { page: pid.0 });
+        self.note(Event::Pin { page: pid.0 });
         Ok(())
     }
 
@@ -141,7 +142,7 @@ impl BufferPool {
         };
         assert!(self.frames[f].pins > 0, "unpin of unpinned page");
         self.frames[f].pins -= 1;
-        self.tracer.emit(Event::Unpin { page: pid.0 });
+        self.note(Event::Unpin { page: pid.0 });
     }
 
     /// Number of frames currently holding at least one pin.
@@ -270,16 +271,28 @@ impl BufferPool {
         self.store.write_page(frame.pid, page)
     }
 
+    /// Counts and emits one event: the pool's counters are the fold of
+    /// the events it emits, [`BufferStats::on`], and nothing else.
+    #[inline(always)]
+    fn note(&mut self, ev: Event) {
+        self.stats.on(&ev);
+        self.tracer.emit(ev);
+    }
+
+    /// Writes dirty frame `f` back and marks it clean: one flush write.
+    fn flush_frame(&mut self, f: usize) -> StorageResult<()> {
+        self.write_back(f)?;
+        self.frames[f].dirty = false;
+        let page = self.frames[f].pid.0;
+        self.note(Event::FlushWrite { page });
+        Ok(())
+    }
+
     /// Writes all dirty frames back to disk (they stay resident and clean).
     pub fn flush_all(&mut self) -> StorageResult<()> {
         for f in 0..self.frames.len() {
             if self.frames[f].dirty {
-                self.write_back(f)?;
-                self.frames[f].dirty = false;
-                self.stats.flush_writes += 1;
-                self.tracer.emit(Event::FlushWrite {
-                    page: self.frames[f].pid.0,
-                });
+                self.flush_frame(f)?;
             }
         }
         Ok(())
@@ -292,10 +305,7 @@ impl BufferPool {
         for &pid in pages {
             if let Some(f) = self.frame_of(pid) {
                 if self.frames[f].dirty {
-                    self.write_back(f)?;
-                    self.frames[f].dirty = false;
-                    self.stats.flush_writes += 1;
-                    self.tracer.emit(Event::FlushWrite { page: pid.0 });
+                    self.flush_frame(f)?;
                 }
             }
         }
@@ -306,12 +316,7 @@ impl BufferPool {
     pub fn flush_file(&mut self, file: FileId) -> StorageResult<()> {
         for f in 0..self.frames.len() {
             if self.frames[f].dirty && self.store.page_file(self.frames[f].pid)? == file {
-                self.write_back(f)?;
-                self.frames[f].dirty = false;
-                self.stats.flush_writes += 1;
-                self.tracer.emit(Event::FlushWrite {
-                    page: self.frames[f].pid.0,
-                });
+                self.flush_frame(f)?;
             }
         }
         Ok(())
@@ -341,8 +346,8 @@ impl BufferPool {
         // order: the ids may be recycled for an unrelated file, so a
         // profile fold must treat any later request as a new page.
         if self.tracer.is_enabled() {
-            for pid in self.store.file_pages(file)? {
-                self.tracer.emit(Event::PageFreed { page: pid.0 });
+            for pid in self.store.file_pages(file)?.to_vec() {
+                self.note(Event::PageFreed { page: pid.0 });
             }
         }
         self.store.drop_file(file)
@@ -365,16 +370,8 @@ impl BufferPool {
     /// inlines into the caller; the miss is a call.
     #[inline]
     fn fetch_counted(&mut self, pid: PageId, read: bool) -> StorageResult<usize> {
-        self.stats.requests += 1;
-        if read {
-            self.stats.read_requests += 1;
-        }
         if let Some(f) = self.frame_of(pid) {
-            self.stats.hits += 1;
-            if read {
-                self.stats.read_hits += 1;
-            }
-            self.tracer.emit(Event::BufHit { page: pid.0, read });
+            self.note(Event::BufHit { page: pid.0, read });
             self.policy.on_access(f);
             return Ok(f);
         }
@@ -386,8 +383,7 @@ impl BufferPool {
     fn fetch_miss(&mut self, pid: PageId, read: bool) -> StorageResult<usize> {
         // The miss is counted (and traced) even if the physical read
         // below fails: the request happened.
-        self.stats.misses += 1;
-        self.tracer.emit(Event::BufMiss { page: pid.0, read });
+        self.note(Event::BufMiss { page: pid.0, read });
         let f = self.take_frame()?;
         if let Err(e) = self.read_into(pid, f) {
             // Return the frame to the free list so a failed fetch leaks
@@ -439,10 +435,8 @@ impl BufferPool {
             // lost and the caller sees the error.
             self.write_back(victim)?;
             self.frames[victim].dirty = false;
-            self.stats.dirty_writebacks += 1;
         }
-        self.stats.evictions += 1;
-        self.tracer.emit(Event::Evict {
+        self.note(Event::Evict {
             page: old_pid.0,
             dirty: was_dirty,
         });
@@ -491,9 +485,7 @@ impl Pager for BufferPool {
         // Install a zeroed frame without reading from disk. The request
         // counts as a non-read miss (no physical transfer yet — the
         // write is charged on eviction or flush).
-        self.stats.requests += 1;
-        self.stats.misses += 1;
-        self.tracer.emit(Event::BufMiss {
+        self.note(Event::BufMiss {
             page: pid.0,
             read: false,
         });
@@ -506,7 +498,7 @@ impl Pager for BufferPool {
         self.frames[f].pins = 0;
         self.map_page(pid, f);
         self.policy.on_admit(f);
-        self.tracer.emit(Event::PageAlloc { page: pid.0, kind });
+        self.note(Event::PageAlloc { page: pid.0, kind });
         Ok(pid)
     }
 

@@ -48,13 +48,6 @@ pub(crate) fn run(
         .with_id_bound(db.n());
     let outcome = execute(db, &mut run, &mut pool, query, algorithm, cfg, &mut answer);
     let ((), mut metrics, fault_trace) = run.finish(db, pool, outcome)?;
-
-    if algorithm == Algorithm::Srch {
-        // SRCH does all its work in what is normally the preprocessing
-        // phase; its hit ratio covers the whole run (the paper excludes
-        // preprocessing only "for BTC and JKB2").
-        metrics.buffer_compute = metrics.buffer.clone();
-    }
     metrics.answer_tuples = answer.count();
 
     let answer_pairs = if cfg.validate || cfg.collect_answer {
@@ -336,7 +329,12 @@ mod tests {
         let cfg = SystemConfig::default();
         let res = db.run(&Query::full(), Algorithm::Btc, &cfg).unwrap();
         let m = &res.metrics;
-        let by_kind: u64 = m.io_by_kind.iter().map(|&(r, w)| r + w).sum();
+        let by_kind: u64 = m
+            .disk
+            .reads_by_kind
+            .iter()
+            .chain(&m.disk.writes_by_kind)
+            .sum();
         assert_eq!(m.total_io(), by_kind, "kind breakdown sums to total");
         assert!(m.restructure_io.total() > 0);
         assert!(m.compute_io.total() > 0);

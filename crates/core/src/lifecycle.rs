@@ -17,12 +17,16 @@
 //!    replay's phase attribution reproduces the snapshot deltas.
 //! 4. [`MeteredRun::finish`] — `PhaseEnd(Compute)`, `RunEnd`, the store
 //!    disarmed, synced and back in the database *whatever the body
-//!    returned*, then the delta arithmetic into [`CostMetrics`].
+//!    returned*, then the delta arithmetic into [`CostMetrics`]: the
+//!    phase split, the run's whole `DiskStats` delta (page I/O per kind,
+//!    retries, fault tallies: the store folds each into its counters as
+//!    it emits it) and the compute-phase buffer figure, which is the
+//!    whole run's where [`compute_buffer_is_whole_run`] says so (SRCH).
 //!
 //! The envelope events, the fault plan and the I/O-time estimate appear
 //! nowhere else in this crate (CI greps for it). What differs per caller
-//! — which algorithm runs between the calls, the answer, SRCH's
-//! whole-run hit ratio, validation — stays with the caller.
+//! — which algorithm runs between the calls, the answer, validation —
+//! stays with the caller.
 
 use crate::algorithm::Algorithm;
 use crate::config::SystemConfig;
@@ -34,7 +38,7 @@ use tc_obs::SpanGuard;
 use tc_storage::{
     DiskStats, FaultEvent, FaultPlan, PageStore, StorageError, StorageResult, MS_PER_IO,
 };
-use tc_trace::{Event, Phase, Tracer};
+use tc_trace::{compute_buffer_is_whole_run, Event, Phase, Tracer};
 
 /// One armed run, between [`MeteredRun::arm`] and [`MeteredRun::finish`].
 pub(crate) struct MeteredRun<'a> {
@@ -149,27 +153,19 @@ impl<'a> MeteredRun<'a> {
         let value = outcome?;
         synced?;
 
-        let run_total = disk_total.since(&self.disk_base);
         let phase_io = |delta: DiskStats| PhaseIo {
             reads: delta.reads,
             writes: delta.writes,
         };
         metrics.restructure_io = phase_io(self.disk_at_boundary.since(&self.disk_base));
         metrics.compute_io = phase_io(disk_total.since(&self.disk_at_boundary));
-        for (i, slot) in metrics.io_by_kind.iter_mut().enumerate() {
-            *slot = (run_total.reads_by_kind[i], run_total.writes_by_kind[i]);
-        }
-        metrics.buffer_compute = metrics.buffer.since(&self.buffer_at_boundary);
-        metrics.io_retries = run_total.retries;
-        metrics.retry_backoff_ms = run_total.retry_backoff_ms;
-        let fault_trace = match fault {
-            Some(plan) => {
-                metrics.faults_injected = plan.stats().total_injected();
-                metrics.corruptions_detected = plan.stats().detections;
-                plan.into_events()
-            }
-            None => Vec::new(),
+        metrics.disk = disk_total.since(&self.disk_base);
+        metrics.buffer_compute = if compute_buffer_is_whole_run(metrics.algorithm.name()) {
+            metrics.buffer.clone()
+        } else {
+            metrics.buffer.since(&self.buffer_at_boundary)
         };
+        let fault_trace = fault.map(FaultPlan::into_events).unwrap_or_default();
         metrics.elapsed = self.start.elapsed();
         metrics.estimated_io_seconds = estimate_seconds(metrics.total_io());
         metrics.trace = Tracer::disabled();

@@ -61,10 +61,11 @@ pub fn render(p: &Profile) -> String {
     ));
     out.line(format!("  computation     : {}", io_cell(p.compute_io())));
     let counts = &p.counts;
-    if counts.faults_injected + counts.io_retries + counts.corruptions_detected > 0 {
+    let disk = &counts.disk;
+    if disk.faults_injected + disk.retries + disk.corruptions_detected > 0 {
         out.line(format!(
             "faults            : {} injected, {} retries, {} corruptions",
-            counts.faults_injected, counts.io_retries, counts.corruptions_detected
+            disk.faults_injected, disk.retries, disk.corruptions_detected
         ));
     }
 

@@ -13,7 +13,6 @@ use crate::error::{StorageError, StorageResult};
 use crate::medium::Medium;
 use crate::page::{Page, PageId};
 use crate::store::Store;
-use std::fmt;
 
 /// What role a file plays in the study's storage layout: the trace
 /// vocabulary's [`tc_trace::Kind`], so a page transfer's event names the
@@ -24,58 +23,10 @@ pub use tc_trace::Kind as FileKind;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FileId(pub u32);
 
-/// Physical I/O counters, overall and broken down by [`FileKind`].
-///
-/// Counter snapshots subtract cleanly, which is how the engine attributes
-/// I/O to the restructuring versus computation phases.
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
-pub struct DiskStats {
-    /// Total physical page reads.
-    pub reads: u64,
-    /// Total physical page writes.
-    pub writes: u64,
-    /// Physical reads by file kind (indexed by [`FileKind::idx`]).
-    pub reads_by_kind: [u64; 6],
-    /// Physical writes by file kind (indexed by [`FileKind::idx`]).
-    pub writes_by_kind: [u64; 6],
-    /// Transfer re-attempts after transient faults (zero unless a fault
-    /// plan is armed).
-    pub retries: u64,
-    /// Accounted backoff of those re-attempts, in milliseconds.
-    pub retry_backoff_ms: u64,
-}
-
-impl DiskStats {
-    /// Total physical I/Os (reads + writes).
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Counter-wise difference `self - earlier`; used for phase attribution.
-    ///
-    /// Panics in debug builds if `earlier` is not actually earlier.
-    pub fn since(&self, earlier: &DiskStats) -> DiskStats {
-        debug_assert!(self.reads >= earlier.reads && self.writes >= earlier.writes);
-        let mut out = DiskStats {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            retries: self.retries - earlier.retries,
-            retry_backoff_ms: self.retry_backoff_ms - earlier.retry_backoff_ms,
-            ..DiskStats::default()
-        };
-        for i in 0..6 {
-            out.reads_by_kind[i] = self.reads_by_kind[i] - earlier.reads_by_kind[i];
-            out.writes_by_kind[i] = self.writes_by_kind[i] - earlier.writes_by_kind[i];
-        }
-        out
-    }
-}
-
-impl fmt::Display for DiskStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} reads, {} writes", self.reads, self.writes)
-    }
-}
+/// Physical I/O counters, overall and broken down by [`FileKind`]: the
+/// trace vocabulary's [`tc_trace::DiskStats`], whose one fold over the
+/// store's events is how the store counts.
+pub use tc_trace::DiskStats;
 
 /// Milliseconds charged per physical page I/O when estimating elapsed
 /// I/O time. The paper established ~20 ms per page I/O for its RZ24 disk

@@ -41,7 +41,11 @@
 //!
 //! Every injection (and every checksum detection) is appended to the
 //! plan's [`FaultEvent`] trace, which is what the golden fault-trace test
-//! pins.
+//! pins, and the per-kind breakdown of a run's faults. The plan keeps no
+//! counters of its own: the store folds the `FaultInjected` /
+//! `CorruptionDetected` events it emits for them into
+//! [`crate::DiskStats`], so a run's fault tallies are its `DiskStats`
+//! delta, like its page I/O.
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{PageId, PAGE_SIZE};
@@ -237,29 +241,6 @@ impl FaultConfig {
     }
 }
 
-/// Counters of a running (or finished) fault plan.
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
-pub struct FaultStats {
-    /// Transient read failures injected.
-    pub transient_reads: u64,
-    /// Transient write failures injected.
-    pub transient_writes: u64,
-    /// Permanent read failures (every failed read of a dead page counts).
-    pub permanent_reads: u64,
-    /// Writes silently corrupted.
-    pub corruptions: u64,
-    /// Corrupted pages caught by checksum verification on read.
-    pub detections: u64,
-}
-
-impl FaultStats {
-    /// Total faults injected (detections are consequences, not
-    /// injections, and are excluded).
-    pub fn total_injected(&self) -> u64 {
-        self.transient_reads + self.transient_writes + self.permanent_reads + self.corruptions
-    }
-}
-
 /// A live fault plan, armed on any [`crate::PageStore`] with
 /// [`crate::PageStore::set_fault_plan`].
 #[derive(Clone, Debug)]
@@ -270,7 +251,6 @@ pub struct FaultPlan {
     transient_streak: u32,
     dead_pages: Vec<PageId>,
     events: Vec<FaultEvent>,
-    stats: FaultStats,
 }
 
 impl FaultPlan {
@@ -283,7 +263,6 @@ impl FaultPlan {
             transient_streak: 0,
             dead_pages: Vec::new(),
             events: Vec::new(),
-            stats: FaultStats::default(),
         }
     }
 
@@ -295,11 +274,6 @@ impl FaultPlan {
     /// Consumes the plan, returning the fault trace.
     pub fn into_events(self) -> Vec<FaultEvent> {
         self.events
-    }
-
-    /// Injection counters.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
     }
 
     /// Physical page-transfer attempts observed so far.
@@ -334,7 +308,6 @@ impl FaultPlan {
         let op = self.op;
         self.op += 1;
         if self.dead_pages.contains(&pid) {
-            self.stats.permanent_reads += 1;
             self.record(
                 op,
                 pid,
@@ -383,13 +356,11 @@ impl FaultPlan {
     fn inject_read(&mut self, op: u64, pid: PageId, kind: FaultKind) -> StorageResult<u64> {
         match kind {
             FaultKind::TransientRead => {
-                self.stats.transient_reads += 1;
                 self.record(op, pid, kind, FaultOutcome::FailedTransient);
                 Err(StorageError::TransientIo { pid, write: false })
             }
             FaultKind::PermanentRead => {
                 self.dead_pages.push(pid);
-                self.stats.permanent_reads += 1;
                 self.record(op, pid, kind, FaultOutcome::FailedPermanent);
                 Err(StorageError::PermanentFault(pid))
             }
@@ -431,7 +402,6 @@ impl FaultPlan {
         };
         match kind {
             Some(FaultKind::TransientWrite) => {
-                self.stats.transient_writes += 1;
                 self.record(
                     op,
                     pid,
@@ -443,7 +413,6 @@ impl FaultPlan {
             Some(FaultKind::Corrupt) => {
                 // The write itself succeeds, so it breaks any failure streak.
                 self.transient_streak = 0;
-                self.stats.corruptions += 1;
                 self.record(op, pid, FaultKind::Corrupt, FaultOutcome::SilentlyCorrupted);
                 let off = self.rng.random_range(0..PAGE_SIZE);
                 Ok((op, Some(off)))
@@ -459,7 +428,6 @@ impl FaultPlan {
 
     /// Records a checksum-verification catch at read attempt `op`.
     pub(crate) fn on_detection(&mut self, op: u64, pid: PageId) {
-        self.stats.detections += 1;
         self.record(op, pid, FaultKind::Corrupt, FaultOutcome::Detected);
     }
 }
@@ -502,9 +470,15 @@ mod tests {
             plan.on_read(PageId(7)),
             Err(StorageError::PermanentFault(PageId(7)))
         );
-        assert_eq!(plan.stats().transient_reads, 1);
-        assert_eq!(plan.stats().permanent_reads, 2);
-        assert_eq!(plan.events().len(), 3);
+        let kinds: Vec<FaultKind> = plan.events().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                FaultKind::TransientRead,
+                FaultKind::PermanentRead,
+                FaultKind::PermanentRead
+            ]
+        );
     }
 
     #[test]

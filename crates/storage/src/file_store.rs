@@ -451,7 +451,9 @@ fn decode_manifest(buf: &[u8]) -> StorageResult<Catalog> {
     let page_file = take_ids(body, &mut pos, usize::MAX, FileId)?;
     let free_pages = take_ids(body, &mut pos, page_file.len(), PageId)?;
     let file_count = take_u32(body, &mut pos)? as usize;
-    let mut files = Vec::with_capacity(file_count);
+    // A file takes at least 5 bytes, so the body bounds what to reserve:
+    // an untrusted count must not size an allocation.
+    let mut files = Vec::with_capacity(file_count.min(body.len() / 5));
     for _ in 0..file_count {
         let kind = body
             .get(pos)
@@ -466,6 +468,21 @@ fn decode_manifest(buf: &[u8]) -> StorageResult<Catalog> {
     }
     if pos != body.len() {
         return Err(bad_manifest("trailing bytes"));
+    }
+    // A store only writes catalogs in which every slot is held exactly
+    // once: by the file its owner entry names, or by the free list (a
+    // free slot keeps its last owner). Else two files could share a page.
+    let mut held = vec![false; page_file.len()];
+    let mut hold = |pid: PageId| !std::mem::replace(&mut held[pid.index()], true);
+    let owned = files.iter().zip(0..).all(|(meta, f)| {
+        meta.pages
+            .iter()
+            .all(|&p| page_file[p.index()] == FileId(f) && hold(p))
+    });
+    if !owned || !free_pages.iter().all(|&p| hold(p)) || held.contains(&false) {
+        return Err(bad_manifest(
+            "a page held twice, by no file or not by its owner",
+        ));
     }
     Ok(Catalog {
         files,

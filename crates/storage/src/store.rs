@@ -141,7 +141,7 @@ pub trait PageStore: Send {
     fn set_fault_plan(&mut self, plan: FaultPlan);
 
     /// Disarms fault injection, returning the plan (with its fault
-    /// trace and counters) if one was armed.
+    /// trace) if one was armed; the tallies are in [`stats`](PageStore::stats).
     fn clear_fault_plan(&mut self) -> Option<FaultPlan>;
 
     /// Short stable backend name (`"sim"`, `"file"`, `"frozen"`), used
@@ -206,9 +206,16 @@ impl<M: Medium> Store<M> {
         (self.medium, self.catalog)
     }
 
-    fn emit_fault(&self, pid: PageId, write: bool) {
-        self.tracer
-            .emit(Event::FaultInjected { page: pid.0, write });
+    /// Counts and emits one event: the store's counters are the fold of
+    /// the events it emits, [`DiskStats::on`], and nothing else.
+    #[inline(always)]
+    fn note(&mut self, ev: Event) {
+        self.stats.on(&ev);
+        self.tracer.emit(ev);
+    }
+
+    fn note_fault(&mut self, pid: PageId, write: bool) {
+        self.note(Event::FaultInjected { page: pid.0, write });
     }
 
     /// The one retry loop: runs `attempt` again while it fails
@@ -238,9 +245,7 @@ impl<M: Medium> Store<M> {
         };
         if retries > 0 {
             let n = u64::from(retries);
-            self.stats.retries += n;
-            self.stats.retry_backoff_ms += backoff_ms;
-            self.tracer.emit(Event::Retry { n, backoff_ms });
+            self.note(Event::Retry { n, backoff_ms });
         }
         outcome
     }
@@ -255,7 +260,7 @@ impl<M: Medium> Store<M> {
         let kind = self.catalog.page_kind(pid)?;
         let op = match self.fault.as_mut().map(|plan| plan.on_read(pid)) {
             Some(Err(e)) => {
-                self.emit_fault(pid, false);
+                self.note_fault(pid, false);
                 return Err(e);
             }
             Some(Ok(op)) => Some(op),
@@ -276,13 +281,11 @@ impl<M: Medium> Store<M> {
                 if let (Some(op), Some(plan)) = (op, self.fault.as_mut()) {
                     plan.on_detection(op, pid);
                 }
-                self.tracer.emit(Event::CorruptionDetected { page: pid.0 });
+                self.note(Event::CorruptionDetected { page: pid.0 });
             }
             return Err(e);
         }
-        self.stats.reads += 1;
-        self.stats.reads_by_kind[kind.idx()] += 1;
-        self.tracer.emit(Event::PageRead { page: pid.0, kind });
+        self.note(Event::PageRead { page: pid.0, kind });
         Ok(())
     }
 
@@ -295,7 +298,7 @@ impl<M: Medium> Store<M> {
         let kind = self.catalog.page_kind(pid)?;
         let tear_at = match self.fault.as_mut().map(|plan| plan.on_write(pid)) {
             Some(Err(e)) => {
-                self.emit_fault(pid, true);
+                self.note_fault(pid, true);
                 return Err(e);
             }
             Some(Ok((_, tear_at))) => tear_at,
@@ -304,11 +307,9 @@ impl<M: Medium> Store<M> {
         self.medium.write(pid, data, tear_at)?;
         if tear_at.is_some() {
             // A torn write is a silent injection: it reports success.
-            self.emit_fault(pid, true);
+            self.note_fault(pid, true);
         }
-        self.stats.writes += 1;
-        self.stats.writes_by_kind[kind.idx()] += 1;
-        self.tracer.emit(Event::PageWrite { page: pid.0, kind });
+        self.note(Event::PageWrite { page: pid.0, kind });
         Ok(())
     }
 }
@@ -619,9 +620,10 @@ mod tests {
             Err(StorageError::RetriesExhausted { pid, attempts: 4 })
         );
         let plan = disk.clear_fault_plan().unwrap();
-        assert_eq!((plan.ops(), plan.stats().transient_writes), (4, 4));
+        assert_eq!((plan.ops(), plan.events().len()), (4, 4));
         assert_eq!((disk.stats().writes, disk.stats().retries), (0, 2 + 3));
         assert_eq!(disk.stats().retry_backoff_ms, 3 + 1 + 2 + 4);
+        assert_eq!(disk.stats().faults_injected, 2 + 4);
 
         // Anything else passes straight through, unretried.
         disk.set_fault_plan(FaultPlan::new(
@@ -633,6 +635,7 @@ mod tests {
         );
         assert_eq!(disk.clear_fault_plan().unwrap().ops(), 1);
         assert_eq!(disk.stats().retries, 5);
+        assert_eq!(disk.stats().faults_injected, 2 + 4 + 1);
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! To reproduce that comparison every run records all of them, in one
 //! [`Counts`].
 //!
-//! [`Counts::on`] is the only place an [`Event`] is turned into a count.
-//! The engine's `count_*` methods build the event, fold it into the run's
-//! ledger and emit it; [`crate::replay`] and the profile fold feed the
-//! same function from a recorded stream. A counter bumped without its
+//! Every counter table is folded from the events, and each has exactly
+//! one fold: [`DiskStats::on`] for the page store's transfers, retries
+//! and faults, [`BufferStats::on`] for the buffer pool's requests and
+//! replacements, and [`Counts::on`] for a run's whole ledger, which
+//! delegates to the other two. Whoever counts builds the event, folds it
+//! into its own table and emits it — the store, the pool, the engine's
+//! `count_*` methods; [`crate::replay()`] and the profile fold feed the
+//! same functions from a recorded stream. A counter bumped without its
 //! event, or two folds that disagree about an event, cannot be written.
 //!
 //! ## Fold rules
@@ -29,9 +33,9 @@
 //!   summation for locality, the identical `ios * ms_per_io / 1000`
 //!   formula for estimated I/O time), so they are bit-identical, not
 //!   approximately equal.
-//! * `SRCH` has no restructuring payoff, so the engine reports its
-//!   whole-run buffer behaviour as the compute-phase figure; the fold
-//!   mirrors that single algorithm-keyed exception.
+//! * `SRCH` has no restructuring payoff, so its compute-phase buffer
+//!   figure is its whole run: one algorithm-keyed exception, stated once
+//!   in [`compute_buffer_is_whole_run`], which the run lifecycle asks too.
 //! * A stream may carry several runs (`tcq update --trace`, condensed
 //!   sub-runs): every counter accumulates across them, `TupleWrites`
 //!   included (the engine emits it exactly once per run), and each
@@ -39,7 +43,7 @@
 //!   `MagicNodes`/`MagicArcs`/`Rect` describe one graph and keep
 //!   assignment semantics (last value wins).
 
-use crate::event::{Event, Kind, Phase};
+use crate::event::{Event, Phase};
 use std::fmt;
 
 /// Physical page I/O of one execution phase (or any other bucket of
@@ -77,9 +81,88 @@ impl PhaseIo {
     }
 }
 
+/// Physical I/O counters of a page store, overall and by file
+/// [`Kind`](crate::Kind), with the retries and faults behind them: the
+/// fold of the store's events, [`DiskStats::on`]. Snapshots subtract
+/// cleanly, which is how a run takes its delta of a store's counters.
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
+pub struct DiskStats {
+    /// Total physical page reads.
+    pub reads: u64,
+    /// Total physical page writes.
+    pub writes: u64,
+    /// Physical reads by file kind (indexed by [`Kind::idx`](crate::Kind::idx)).
+    pub reads_by_kind: [u64; 6],
+    /// Physical writes by file kind (indexed by [`Kind::idx`](crate::Kind::idx)).
+    pub writes_by_kind: [u64; 6],
+    /// Transfer re-attempts after transient faults (zero unless a fault
+    /// plan is armed).
+    pub retries: u64,
+    /// Accounted backoff of those re-attempts, in milliseconds.
+    pub retry_backoff_ms: u64,
+    /// Faults an armed plan injected: failed attempts and torn writes.
+    pub faults_injected: u64,
+    /// Corrupted page images caught by checksum verification.
+    pub corruptions_detected: u64,
+}
+
+impl DiskStats {
+    /// Total physical I/Os (reads + writes).
+    pub fn total(&self) -> u64 {
+        self.reads + self.writes
+    }
+
+    /// Counter-wise difference `self - earlier`.
+    pub fn since(&self, earlier: &DiskStats) -> DiskStats {
+        let by_kind = |now: &[u64; 6], then: &[u64; 6]| std::array::from_fn(|i| now[i] - then[i]);
+        DiskStats {
+            reads: self.reads - earlier.reads,
+            writes: self.writes - earlier.writes,
+            reads_by_kind: by_kind(&self.reads_by_kind, &earlier.reads_by_kind),
+            writes_by_kind: by_kind(&self.writes_by_kind, &earlier.writes_by_kind),
+            retries: self.retries - earlier.retries,
+            retry_backoff_ms: self.retry_backoff_ms - earlier.retry_backoff_ms,
+            faults_injected: self.faults_injected - earlier.faults_injected,
+            corruptions_detected: self.corruptions_detected - earlier.corruptions_detected,
+        }
+    }
+
+    /// Folds one storage event; any other event is not this table's to
+    /// count. `inline(always)` for the same reason as [`Counts::on`]: the
+    /// store builds each event in place, so only its increment remains.
+    #[inline(always)]
+    pub fn on(&mut self, ev: &Event) {
+        match *ev {
+            Event::PageRead { kind, .. } => {
+                self.reads += 1;
+                self.reads_by_kind[kind.idx()] += 1;
+            }
+            Event::PageWrite { kind, .. } => {
+                self.writes += 1;
+                self.writes_by_kind[kind.idx()] += 1;
+            }
+            Event::Retry { n, backoff_ms } => {
+                self.retries += n;
+                self.retry_backoff_ms += backoff_ms;
+            }
+            Event::FaultInjected { .. } => self.faults_injected += 1,
+            Event::CorruptionDetected { .. } => self.corruptions_detected += 1,
+            _ => {}
+        }
+    }
+}
+
+/// Whether a run of `algorithm` reports its whole-run buffer figure as
+/// the compute phase's: SRCH does all its work in what the framework
+/// calls restructuring (the paper excludes that phase from the hit ratio
+/// only "for BTC and JKB2"). The fold and the run lifecycle both ask here.
+pub fn compute_buffer_is_whole_run(algorithm: &str) -> bool {
+    algorithm == "SRCH"
+}
+
 /// Logical request and replacement counters of a buffer pool.
 ///
-/// Physical I/O lives on the wrapped disk's `DiskStats`; together they
+/// Physical I/O lives on the wrapped disk's [`DiskStats`]; together they
 /// give the paper's buffered-I/O picture: `misses` become physical
 /// reads, `dirty_writebacks` plus final flushes become physical writes,
 /// and the hit ratio (Figure 13 (c)/(d)) is `hits / requests`.
@@ -160,8 +243,9 @@ impl BufferStats {
     }
 
     /// Folds one buffer-manager event; any other event is not this
-    /// table's to count.
-    #[inline]
+    /// table's to count. `inline(always)`: the pool's hit path builds
+    /// its event in place and keeps only the increments.
+    #[inline(always)]
     pub fn on(&mut self, ev: &Event) {
         match *ev {
             Event::BufHit { read, .. } => {
@@ -275,9 +359,9 @@ ledger! {
     /// Physical I/O of the computation (expansion) phase, including the
     /// final write-out.
     compute_io: PhaseIo,
-    /// Physical I/O by file kind over the whole run (reads, writes),
-    /// indexed by [`Kind::idx`].
-    io_by_kind: [(u64, u64); 6],
+    /// Physical I/O of the whole run, by file kind, with its retry and
+    /// fault tallies (zero on fault-free runs).
+    disk: DiskStats,
 
     // ---- The "misleading" metrics (§7) ----
     /// Distinct tuples generated (insertions into successor structures);
@@ -325,16 +409,6 @@ ledger! {
     /// Rectangle model of the (magic) graph, when the run computed one.
     rect: Option<Rect>,
 
-    // ---- Fault injection & recovery (zero on fault-free runs) ----
-    /// Physical transfer re-attempts after injected transient faults.
-    io_retries: u64,
-    /// Total simulated retry backoff, in milliseconds.
-    retry_backoff_ms: u64,
-    /// Faults the armed plan injected during the run.
-    faults_injected: u64,
-    /// Corrupted page images caught by checksum verification.
-    corruptions_detected: u64,
-
     // ---- Result & time ----
     /// Distinct answer tuples produced.
     answer_tuples: u64,
@@ -359,18 +433,14 @@ impl Counts {
         self.phase
     }
 
-    /// One physical page transfer, attributed to the current phase.
+    /// One physical page transfer: the whole-run table's, and the
+    /// current phase's.
     #[inline]
-    fn transfer(&mut self, kind: Kind, write: bool) {
+    fn transfer(&mut self, ev: &Event, write: bool) {
+        self.disk.on(ev);
         match self.phase {
             Phase::Restructure => self.restructure_io.bump(write),
             Phase::Compute => self.compute_io.bump(write),
-        }
-        let by_kind = &mut self.io_by_kind[kind.idx()];
-        if write {
-            by_kind.1 += 1;
-        } else {
-            by_kind.0 += 1;
         }
         // Same formula, same operand order as the run lifecycle's
         // `estimate_seconds` over `tc_storage::MS_PER_IO`.
@@ -392,11 +462,7 @@ impl Counts {
                 ms_per_io,
             } => {
                 self.phase = Phase::Restructure;
-                // SRCH does all its work in what the framework calls
-                // the restructuring phase; the engine reports its
-                // whole-run buffer behaviour as the compute figure (the
-                // paper's hit ratios would otherwise be vacuous for it).
-                self.whole_run_compute = algorithm == "SRCH";
+                self.whole_run_compute = compute_buffer_is_whole_run(algorithm);
                 self.ms_per_io = ms_per_io;
             }
             Event::PhaseEnd { phase } => {
@@ -404,14 +470,11 @@ impl Counts {
                     self.phase = Phase::Compute;
                 }
             }
-            Event::PageRead { kind, .. } => self.transfer(kind, false),
-            Event::PageWrite { kind, .. } => self.transfer(kind, true),
-            Event::FaultInjected { .. } => self.faults_injected += 1,
-            Event::CorruptionDetected { .. } => self.corruptions_detected += 1,
-            Event::Retry { n, backoff_ms } => {
-                self.io_retries += n;
-                self.retry_backoff_ms += backoff_ms;
-            }
+            Event::PageRead { .. } => self.transfer(ev, false),
+            Event::PageWrite { .. } => self.transfer(ev, true),
+            Event::FaultInjected { .. }
+            | Event::CorruptionDetected { .. }
+            | Event::Retry { .. } => self.disk.on(ev),
             Event::BufHit { .. }
             | Event::BufMiss { .. }
             | Event::Evict { .. }

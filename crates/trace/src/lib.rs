@@ -16,13 +16,15 @@
 //! ```
 //!
 //! is therefore machine-checkable for every algorithm and every
-//! workload. What an event counts is defined once ([`Counts::on`], which
-//! the engine's `count_*` methods and the fold both go through), so the
-//! logical counters agree by construction; page I/O, its phase split and
-//! the buffer tallies are computed by *independent* code paths (the
-//! engine's snapshot-delta accounting over the live store and pool
-//! counters vs. a pure fold over events), so a lost or double-counted
-//! transfer on either side breaks the test.
+//! workload. What an event counts is defined once per counter table
+//! ([`DiskStats::on`], [`BufferStats::on`], and [`Counts::on`] over
+//! them), and everything that counts — the store, the buffer pool, the
+//! engine's `count_*` methods — counts by folding the event it emits, so
+//! those counters agree with the fold by construction. What is still
+//! derived two ways is the phase split (the engine's snapshot deltas at
+//! the boundary vs. the boundary event's position in the stream), the
+//! answer count and the I/O-time estimate, so a misplaced boundary or a
+//! lost answer tuple breaks the test.
 //!
 //! # Design
 //!
@@ -58,7 +60,7 @@ pub mod event;
 pub mod replay;
 pub mod sink;
 
-pub use counts::{BufferStats, Counts, PhaseIo, Rect};
+pub use counts::{compute_buffer_is_whole_run, BufferStats, Counts, DiskStats, PhaseIo, Rect};
 pub use digest::{digest_events, Fnv, TraceDigest};
 pub use event::{Event, Kind, ParseError, Phase, ALGORITHM_NAMES};
 pub use replay::{replay, ReplayError};

@@ -1,14 +1,17 @@
 //! Replay: re-deriving the cost-metric suite from an event stream.
 //!
 //! [`replay`] folds a trace into a [`Counts`] using *only* the events —
-//! no access to the engine's counters. The logical counters agree with
-//! the engine's by construction (both sides are [`Counts::on`]); what
-//! the equivalence `counts == replay(trace)` checks is everything the
-//! engine derives another way, from snapshot deltas over the live
-//! `DiskStats` / `BufferStats`: page I/O and its phase split, the buffer
-//! tallies, the `SRCH` exception, the answer count and the I/O-time
-//! estimate. A lost or double-counted transfer on either side, or a bug
-//! in the engine's snapshot arithmetic, breaks it.
+//! no access to the engine's counters. Every counter table agrees with
+//! the run's by construction: the engine's logical counters, the store's
+//! [`DiskStats`](crate::DiskStats) and the pool's
+//! [`BufferStats`](crate::BufferStats) are all the fold of the events
+//! their owner emitted, through the same `on` functions replay calls.
+//! What the equivalence `counts == replay(trace)` still checks is what
+//! the engine derives another way: the phase split (snapshot deltas at
+//! `enter_compute` vs. the position of `PhaseEnd(Restructure)`), the
+//! answer count (the collector vs. `TupleEmit`) and the I/O-time
+//! estimate. A misplaced phase boundary, a lost answer tuple or a bug in
+//! the snapshot arithmetic breaks it.
 
 use crate::counts::Counts;
 use crate::event::Event;
@@ -121,8 +124,9 @@ mod tests {
                 writes: 1
             }
         );
-        assert_eq!(m.io_by_kind[Kind::Relation.idx()], (1, 0));
-        assert_eq!(m.io_by_kind[Kind::SuccessorList.idx()], (0, 1));
+        assert_eq!(m.disk.reads_by_kind[Kind::Relation.idx()], 1);
+        assert_eq!(m.disk.writes_by_kind[Kind::SuccessorList.idx()], 1);
+        assert_eq!(m.disk.total(), 2);
         assert_eq!(m.tuples_generated, 1);
         assert_eq!(m.source_tuples, 1);
         assert_eq!(m.unions, 1);

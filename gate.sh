@@ -58,6 +58,8 @@ g_fault_matrix() {
   t --test store_contract
   TC_DET_CASES=256 t --test succ_split_props --test succ_run_props --test proptest_invariants
   TC_DET_CASES=256 t --test answer_collector_props
+  # A user's edge file, byte-mutated: the graph it describes or a typed error.
+  TC_DET_CASES=4096 t --test failure_modes mutated_edge_files_parse_or_fail_typed
   # A catalog that disagrees with its pages is a typed error naming the file.
   t -p tc-succ --lib verify_integrity_names_the_file_of_a_foreign_owner
   # A free mask is checked bit for bit, and a stale one is never trusted.
@@ -129,13 +131,15 @@ g_bench_baseline() {
 }
 
 g_backend_matrix() {
-  t --test backend_differential --test file_store_recovery --test store_contract --test store_format_pin
+  t --test file_store_recovery --test store_contract --test store_format_pin
   t -p tc-storage --lib checksum
   # The positional file, on the simulated disk and on a reopened real file.
   t -p tc-storage --lib value_file
   # A capture thaws into the in-memory medium and freezes back unchanged.
   t -p tc-storage --lib thaw_freeze_round_trips
   TC_DET_CASES=256 t --test file_store_recovery recovery_scan_matches_a_per_slot_oracle
+  # A synced manifest, byte-mutated: the synced catalog or a typed refusal.
+  TC_DET_CASES=1024 t --test file_store_recovery mutated_manifests_open_as_the_synced_catalog_or_fail_typed
   harness
   ./target/release/bench_baseline --backend file --check BENCH_5.json
 }

@@ -1,7 +1,10 @@
 //! Edge cases and failure injection across the stack.
 
+use std::collections::BTreeSet;
 use tc_study::buffer::{BufferPool, PagePolicy};
+use tc_study::cli::LabeledGraph;
 use tc_study::core::prelude::*;
+use tc_study::det::check::{self, Checker};
 use tc_study::graph::{DagGenerator, Graph};
 use tc_study::storage::{DiskSim, FaultConfig, FileKind, Page, PageId, Pager, StorageError};
 
@@ -402,4 +405,117 @@ fn source_with_no_successors() {
             res.metrics.total_io()
         );
     }
+}
+
+/// An edge file with every feature the parser reads: comments, blank
+/// and whitespace-only lines, tabs, CRLF endings, a self-loop and
+/// non-ASCII labels.
+const EDGE_FILE: &str =
+    "# deps\nlibc gcc\nrustc libc\n\nrustc llvm # tail\nllvm llvm\n\u{3b1} \u{3b2}\r\n  x\ty  \n\t\nx libc";
+
+/// What an edge file describes, written from the format's definition
+/// (one `from to` pair per line, `#` to end of line ignored), not from
+/// the parser: labels in first-appearance order, arcs and self-loops by
+/// label; `None` when a non-blank line is not a pair.
+type Described = (Vec<String>, BTreeSet<(String, String)>, BTreeSet<String>);
+
+fn described(text: &str) -> Option<Described> {
+    let (mut labels, mut arcs, mut loops) = (Vec::new(), BTreeSet::new(), BTreeSet::new());
+    for raw in text.lines() {
+        let content = raw.find('#').map_or(raw, |i| &raw[..i]);
+        match content.split_whitespace().collect::<Vec<_>>()[..] {
+            [] => {}
+            [a, b] => {
+                for label in [a, b] {
+                    if !labels.iter().any(|l| l == label) {
+                        labels.push(label.to_string());
+                    }
+                }
+                if a == b {
+                    loops.insert(a.to_string());
+                } else {
+                    arcs.insert((a.to_string(), b.to_string()));
+                }
+            }
+            _ => return None,
+        }
+    }
+    Some((labels, arcs, loops))
+}
+
+/// Parses `text` and holds the result to [`described`]: `Ok(true)` for
+/// the graph the file describes, `Ok(false)` for a refusal of a file
+/// that is not an edge list, `Err` for anything else, a panic included.
+fn parses_as_described(text: &str) -> Result<bool, String> {
+    use tc_study::det::{require, require_eq};
+    let parsed = std::panic::catch_unwind(|| LabeledGraph::parse(text))
+        .map_err(|_| format!("parser panicked on {text:?}"))?;
+    let (lg, (labels, arcs, loops)) = match (parsed, described(text)) {
+        (Err(_), None) => return Ok(false),
+        (Ok(lg), Some(want)) => (lg, want),
+        (got, want) => return Err(format!("{text:?}: parsed {got:?}, described {want:?}")),
+    };
+    require_eq!(&lg.labels, &labels, "{text:?}");
+    require_eq!(lg.graph.n(), labels.len());
+    for (id, label) in labels.iter().enumerate() {
+        require_eq!(lg.id(label), Some(id as u32), "{label:?}");
+    }
+    let by_label = |id: u32| lg.label(id).to_string();
+    let got_arcs: BTreeSet<_> = lg
+        .graph
+        .arcs()
+        .map(|(u, v)| (by_label(u), by_label(v)))
+        .collect();
+    require_eq!(got_arcs, arcs, "{text:?}");
+    require!(lg.self_loops.windows(2).all(|w| w[0] < w[1]), "{text:?}");
+    let got_loops: BTreeSet<_> = lg.self_loops.iter().map(|&v| by_label(v)).collect();
+    require_eq!(got_loops, loops, "{text:?}");
+    Ok(true)
+}
+
+/// [`EDGE_FILE`]'s lines, each hit by byte mutations (flip, delete,
+/// insert, truncate; as `event_schema_pin` mutates its trace lines)
+/// with probability 1/4, so that some files stay edge lists.
+fn mutated_edge_file(rng: &mut tc_study::det::Rng) -> Vec<String> {
+    let mutated = |rng: &mut tc_study::det::Rng, line: &str| {
+        let mut bytes = line.as_bytes().to_vec();
+        for _ in 0..rng.random_range(1..4usize) {
+            let at = rng.random_range(0..bytes.len().max(1));
+            match rng.random_range(0..4u32) {
+                0 if !bytes.is_empty() => bytes[at] ^= 1 << rng.random_range(0..8u32),
+                1 if !bytes.is_empty() => drop(bytes.remove(at)),
+                2 => bytes.insert(at, rng.next_u32() as u8),
+                _ => bytes.truncate(at),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    };
+    EDGE_FILE
+        .split('\n')
+        .map(|line| match rng.random_bool(0.25) {
+            true => mutated(rng, line),
+            false => line.to_string(),
+        })
+        .collect()
+}
+
+/// A user-supplied edge file, mutated: the parser returns the graph
+/// the file describes or a typed error, and never panics.
+#[test]
+fn mutated_edge_files_parse_or_fail_typed() {
+    assert_eq!(parses_as_described(EDGE_FILE), Ok(true));
+    // The mutation rate leaves both outcomes common, whatever the case
+    // count: the oracle of an accepted file is not vacuous.
+    let accepted = (0..64)
+        .filter(|&seed| {
+            let lines = mutated_edge_file(&mut tc_study::det::Rng::from_seed(seed));
+            parses_as_described(&lines.join("\n")) == Ok(true)
+        })
+        .count();
+    assert!((8..56).contains(&accepted), "{accepted} of 64 accepted");
+    Checker::new("mutated_edge_files_parse_or_fail_typed").run(
+        mutated_edge_file,
+        check::shrink_vec,
+        |lines| parses_as_described(&lines.join("\n")).map(drop),
+    );
 }

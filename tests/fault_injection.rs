@@ -29,7 +29,7 @@ struct Fingerprint {
     total_io: u64,
     restructure_io: (u64, u64),
     compute_io: (u64, u64),
-    io_by_kind: [(u64, u64); 6],
+    io_by_kind: ([u64; 6], [u64; 6]),
     tuples_generated: u64,
     duplicates: u64,
     unions: u64,
@@ -51,7 +51,7 @@ fn fingerprint(res: &RunResult) -> Fingerprint {
         total_io: m.total_io(),
         restructure_io: (m.restructure_io.reads, m.restructure_io.writes),
         compute_io: (m.compute_io.reads, m.compute_io.writes),
-        io_by_kind: m.io_by_kind,
+        io_by_kind: (m.disk.reads_by_kind, m.disk.writes_by_kind),
         tuples_generated: m.tuples_generated,
         duplicates: m.duplicates,
         unions: m.unions,
@@ -95,19 +95,19 @@ fn transient_faults_are_invisible_except_retries() {
             fingerprint(&faulted),
             "{algo}: transient faults changed an observable metric"
         );
-        assert_eq!(clean.metrics.io_retries, 0, "{algo}");
+        assert_eq!(clean.metrics.disk.retries, 0, "{algo}");
         assert_eq!(clean.fault_trace.len(), 0, "{algo}");
         assert_eq!(
-            faulted.metrics.io_retries, faulted.metrics.faults_injected,
+            faulted.metrics.disk.retries, faulted.metrics.disk.faults_injected,
             "{algo}: every transient injection is matched by one retry"
         );
         assert_eq!(
             faulted.fault_trace.len() as u64,
-            faulted.metrics.faults_injected,
+            faulted.metrics.disk.faults_injected,
             "{algo}"
         );
-        total_retries += faulted.metrics.io_retries;
-        total_injected += faulted.metrics.faults_injected;
+        total_retries += faulted.metrics.disk.retries;
+        total_injected += faulted.metrics.disk.faults_injected;
     }
     assert!(
         total_retries > 0 && total_injected > 0,
@@ -138,13 +138,13 @@ fn transient_faults_are_invisible_to_maintenance_except_retries() {
                 .unwrap_or_else(|e| panic!("batch {i}: {e}"));
             let mut counts = res.metrics.counts;
             assert_eq!(
-                counts.io_retries, counts.faults_injected,
+                counts.disk.retries, counts.disk.faults_injected,
                 "batch {i}: every transient injection is matched by one retry"
             );
-            retries += counts.io_retries;
-            counts.io_retries = 0;
-            counts.retry_backoff_ms = 0;
-            counts.faults_injected = 0;
+            retries += counts.disk.retries;
+            counts.disk.retries = 0;
+            counts.disk.retry_backoff_ms = 0;
+            counts.disk.faults_injected = 0;
             let tuples = dyn_tc.tuples().expect("scan");
             batches.push((res.inserted, res.removed, counts, tuples));
         }
@@ -182,8 +182,11 @@ fn fault_trace_replays_across_runs() {
     };
     let (a, b) = (run(), run());
     assert_eq!(a.fault_trace, b.fault_trace);
-    assert_eq!(a.metrics.io_retries, b.metrics.io_retries);
-    assert_eq!(a.metrics.retry_backoff_ms, b.metrics.retry_backoff_ms);
+    assert_eq!(a.metrics.disk.retries, b.metrics.disk.retries);
+    assert_eq!(
+        a.metrics.disk.retry_backoff_ms,
+        b.metrics.disk.retry_backoff_ms
+    );
 }
 
 // ---------------------------------------------------------------------

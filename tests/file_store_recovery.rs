@@ -1,19 +1,23 @@
 //! Crash-safety tests for the file-backed store against *real* files:
 //! CRC detection of bit rot, torn-write detection on reopen, free-page
 //! reuse keeping the segment from growing, refusal of the retired
-//! format 1, and the chunked recovery scan against a per-slot oracle.
+//! format 1, the chunked recovery scan against a per-slot oracle, and
+//! byte mutations of a synced manifest.
 //!
 //! Every test works in a `TempDir`, so the on-disk artifacts vanish on
-//! drop — pass or fail.
+//! drop — pass or fail; `file_backend_temp_dir_is_cleaned_up` checks
+//! that for a whole database.
 
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
+use tc_study::core::prelude::*;
 use tc_study::det::check::{shrink_vec, vec_of, Checker};
 use tc_study::det::{require, require_eq, Rng};
+use tc_study::graph::DagGenerator;
 use tc_study::storage::file_store::{MANIFEST_FILE, SEGMENT_FILE};
 use tc_study::storage::{
-    Backend, FileKind, FileStore, Page, PageId, PageStore, RecoveryReport, StorageError, TempDir,
-    FILE_STORE_HEADER_SIZE, FILE_STORE_SLOT_SIZE, PAGE_SIZE,
+    Backend, Catalog, FileId, FileKind, FileStore, Page, PageId, PageStore, RecoveryReport,
+    StorageError, TempDir, FILE_STORE_HEADER_SIZE, FILE_STORE_SLOT_SIZE, PAGE_SIZE,
 };
 use tc_study::trace::Fnv;
 
@@ -380,4 +384,213 @@ fn recovery_scan_matches_a_per_slot_oracle() {
         }
         Ok(())
     });
+}
+
+#[test]
+fn file_backend_temp_dir_is_cleaned_up() {
+    // The auto-cleaning temp directory is what makes every file-backend
+    // experiment cell leave nothing behind, pass or fail. Capture the
+    // directory, drop the database, and check the directory is gone.
+    let g = DagGenerator::new(120, 3.0, 30).seed(5).generate();
+    let cfg = SystemConfig::with_buffer(10);
+    let tmp = TempDir::new("tc-diff").expect("temp dir");
+    let dir = tmp.path().to_path_buf();
+    let store = FileStore::create_in(tmp).expect("create store");
+    let mut db = Database::build_on(&g, false, Box::new(store)).expect("build");
+    assert!(dir.exists(), "store directory missing while database lives");
+    db.run(&Query::partial(vec![1]), Algorithm::Btc, &cfg)
+        .expect("run");
+    drop(db);
+    assert!(
+        !dir.exists(),
+        "temp store directory survived database drop: {}",
+        dir.display()
+    );
+}
+
+/// A synced store with every part of a catalog populated: live files of
+/// several kinds, a dropped file, reused and still-free slots. Returns
+/// its segment bytes, its manifest bytes and the catalog it synced.
+fn synced_store() -> (Vec<u8>, Vec<u8>, Catalog) {
+    let tmp = TempDir::new("tc-manifest-base").expect("tempdir");
+    let mut store = FileStore::create(tmp.path()).expect("create");
+    let fill = |store: &mut FileStore, kind, pages: usize| {
+        let f = store.new_file(kind);
+        for i in 0..pages {
+            let pid = store.alloc(f).expect("alloc");
+            let mut page = Page::new();
+            page.put_u32(0, 0xF00D_0000 | i as u32);
+            store.write_page(pid, &page).expect("write");
+        }
+        f
+    };
+    fill(&mut store, FileKind::Relation, 6);
+    fill(&mut store, FileKind::Index, 3);
+    let scratch = fill(&mut store, FileKind::Temp, 4);
+    store.drop_file(scratch).expect("drop");
+    fill(&mut store, FileKind::SuccessorList, 2);
+    store.sync().expect("sync");
+    let catalog = store.catalog().clone();
+    drop(store);
+    let read = |name| std::fs::read(tmp.path().join(name)).expect("read store file");
+    (read(SEGMENT_FILE), read(MANIFEST_FILE), catalog)
+}
+
+/// Byte edits of a manifest, applied in order: `(op, at, byte)` flips a
+/// bit, deletes, inserts or truncates at `at % len`, as
+/// `event_schema_pin` mutates its lines. With `reseal` the checksum is
+/// recomputed over the edited body, so the edits reach the structural
+/// decoder instead of stopping at the checksum.
+#[derive(Clone, Debug)]
+struct ManifestEdits {
+    edits: Vec<(u32, usize, u8)>,
+    reseal: bool,
+}
+
+fn gen_manifest_edits(rng: &mut Rng) -> ManifestEdits {
+    ManifestEdits {
+        edits: vec_of(rng, 1..4, |r| {
+            (
+                r.random_range(0..4u32),
+                r.random_range(0..1 << 16usize),
+                r.next_u32() as u8,
+            )
+        }),
+        reseal: rng.random_bool(0.5),
+    }
+}
+
+fn shrink_manifest_edits(m: &ManifestEdits) -> Vec<ManifestEdits> {
+    shrink_vec(&m.edits)
+        .into_iter()
+        .map(|edits| ManifestEdits { edits, ..m.clone() })
+        .collect()
+}
+
+fn edited(manifest: &[u8], m: &ManifestEdits) -> Vec<u8> {
+    let mut bytes = manifest.to_vec();
+    for &(op, at, byte) in &m.edits {
+        let at = at % bytes.len().max(1);
+        match op {
+            0 if !bytes.is_empty() => bytes[at] ^= 1 << (byte % 8),
+            1 if !bytes.is_empty() => drop(bytes.remove(at)),
+            2 => bytes.insert(at, byte),
+            _ => bytes.truncate(at),
+        }
+    }
+    if m.reseal && bytes.len() >= 8 {
+        let body = bytes.len() - 8;
+        let checksum = Fnv::bytes(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+    }
+    bytes
+}
+
+/// The oracle of a resealed manifest that opened: the catalog is one a
+/// store could have written. Every slot is held exactly once — by the
+/// file that owns it, or by the free list — and every page reads back
+/// as an image or a typed error.
+fn require_consistent(store: &mut FileStore) -> Result<(), String> {
+    let mut held = vec![0u32; store.page_count()];
+    let mut f = 0;
+    while let Ok(pages) = store.file_pages(FileId(f)) {
+        for &pid in pages {
+            require!(pid.index() < held.len(), "file {f} lists {pid:?}");
+            require_eq!(store.page_file(pid), Ok(FileId(f)), "owner of {pid:?}");
+            held[pid.index()] += 1;
+        }
+        f += 1;
+    }
+    for &pid in store.catalog().free_pages() {
+        require!(pid.index() < held.len(), "free list names {pid:?}");
+        held[pid.index()] += 1;
+    }
+    require!(
+        held.iter().all(|&n| n == 1),
+        "slots not held exactly once: {held:?}"
+    );
+    let mut page = Page::new();
+    for i in 0..held.len() {
+        // Ok or a typed error; a panic is caught by the caller.
+        let _ = store.read_page(PageId(i as u32), &mut page);
+    }
+    Ok(())
+}
+
+/// Opens a store whose manifest is `manifest` beside `segment`: a typed
+/// refusal by the manifest decoder, or a store. Unedited bytes (up to a
+/// checksum collision) can only be the synced catalog; resealed ones
+/// must at least be a consistent one.
+fn open_edited(
+    segment: &[u8],
+    manifest: &[u8],
+    synced: &Catalog,
+    resealed: bool,
+) -> Result<(), String> {
+    let tmp = TempDir::new("tc-manifest-fuzz").map_err(|e| e.to_string())?;
+    std::fs::write(tmp.path().join(SEGMENT_FILE), segment).map_err(|e| e.to_string())?;
+    std::fs::write(tmp.path().join(MANIFEST_FILE), manifest).map_err(|e| e.to_string())?;
+    let dir = tmp.path().to_path_buf();
+    let outcome = std::panic::catch_unwind(move || {
+        let mut store = match FileStore::open(&dir) {
+            Err(StorageError::Backend {
+                op: "decode manifest",
+                ..
+            }) => return Ok(()),
+            Err(other) => return Err(format!("not a manifest refusal: {other}")),
+            Ok(store) => store,
+        };
+        if resealed {
+            require_consistent(&mut store)
+        } else {
+            require_eq!(store.catalog(), synced, "an edited manifest opened");
+            Ok(())
+        }
+    });
+    outcome.map_err(|_| "opening the edited manifest panicked".to_string())?
+}
+
+#[test]
+fn mutated_manifests_open_as_the_synced_catalog_or_fail_typed() {
+    let (segment, manifest, synced) = synced_store();
+    Checker::new("mutated_manifests_open_as_the_synced_catalog_or_fail_typed").run(
+        gen_manifest_edits,
+        shrink_manifest_edits,
+        |m| open_edited(&segment, &edited(&manifest, m), &synced, m.reseal),
+    );
+}
+
+/// The failing seed of the property above, replayed on every run. One
+/// resealed bit flip turned a page of the successor-list file into a
+/// page the free list also held: two owners of one slot, and the decoder
+/// accepted it.
+#[test]
+fn pinned_manifest_mutation_stays_refused() {
+    let (segment, manifest, synced) = synced_store();
+    let seed = 11806110439225856078;
+    let m = gen_manifest_edits(&mut Rng::from_seed(seed));
+    let outcome = open_edited(&segment, &edited(&manifest, &m), &synced, m.reseal);
+    assert_eq!(outcome, Ok(()), "seed {seed}: {m:?}");
+}
+
+#[test]
+fn a_manifest_count_sizes_no_allocation() {
+    // A well-sealed manifest claiming u32::MAX files: the count must be
+    // refused as truncated, not reserved (≈ 137 GB of file entries).
+    let tmp = TempDir::new("tc-manifest-count").expect("tempdir");
+    let mut manifest = b"TCM1".to_vec();
+    for field in [2u32, 0, 0, u32::MAX] {
+        manifest.extend_from_slice(&field.to_le_bytes());
+    }
+    let checksum = Fnv::bytes(&manifest);
+    manifest.extend_from_slice(&checksum.to_le_bytes());
+    std::fs::write(tmp.path().join(MANIFEST_FILE), &manifest).expect("write manifest");
+    match FileStore::open(tmp.path()) {
+        Err(StorageError::Backend { op, detail }) => {
+            assert_eq!(op, "decode manifest");
+            assert_eq!(detail, "truncated or unknown file kind");
+        }
+        Err(other) => panic!("wrong error: {other:?}"),
+        Ok(_) => panic!("a manifest of u32::MAX files opened"),
+    }
 }

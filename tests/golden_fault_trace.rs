@@ -55,7 +55,7 @@ fn pinned_fault_seed_yields_pinned_trace_on_g5() {
         (
             res.fault_trace.len(),
             trace_checksum(&res.fault_trace),
-            res.metrics.io_retries,
+            res.metrics.disk.retries,
             res.metrics.total_io(),
         ),
         (
@@ -69,7 +69,7 @@ fn pinned_fault_seed_yields_pinned_trace_on_g5() {
          constants and note the replay break in CHANGES.md",
         res.fault_trace.len(),
         trace_checksum(&res.fault_trace),
-        res.metrics.io_retries,
+        res.metrics.disk.retries,
         res.metrics.total_io(),
     );
 }
@@ -88,7 +88,7 @@ fn transient_faults_leave_g5_page_io_at_the_fault_free_golden_value() {
         )
         .unwrap();
     assert_eq!(res.metrics.total_io(), GOLDEN_TOTAL_IO);
-    assert_eq!(res.metrics.io_retries, 0);
+    assert_eq!(res.metrics.disk.retries, 0);
 }
 
 #[test]
@@ -99,9 +99,15 @@ fn two_consecutive_faulted_runs_agree_bit_for_bit() {
     );
     assert_eq!(a.fault_trace, b.fault_trace);
     assert_eq!(a.metrics.total_io(), b.metrics.total_io());
-    assert_eq!(a.metrics.io_retries, b.metrics.io_retries);
-    assert_eq!(a.metrics.retry_backoff_ms, b.metrics.retry_backoff_ms);
-    assert_eq!(a.metrics.faults_injected, b.metrics.faults_injected);
+    assert_eq!(a.metrics.disk.retries, b.metrics.disk.retries);
+    assert_eq!(
+        a.metrics.disk.retry_backoff_ms,
+        b.metrics.disk.retry_backoff_ms
+    );
+    assert_eq!(
+        a.metrics.disk.faults_injected,
+        b.metrics.disk.faults_injected
+    );
     assert_eq!(a.metrics.tuples_generated, b.metrics.tuples_generated);
 }
 

@@ -58,7 +58,13 @@ fn profile_attribution_equals_cost_metrics_for_every_algorithm() {
             "{algo}: compute-phase attribution drifted"
         );
         // …and per file kind.
-        for (k, &(reads, writes)) in m.io_by_kind.iter().enumerate() {
+        for (k, (&reads, &writes)) in m
+            .disk
+            .reads_by_kind
+            .iter()
+            .zip(&m.disk.writes_by_kind)
+            .enumerate()
+        {
             let io = p.io_by_kind(k);
             assert_eq!(
                 (io.reads, io.writes),

@@ -11,9 +11,10 @@
 //!
 //! Both tests run on the simulated disk **and** the file-backed store:
 //! the file backend must hit the same pinned digests and pass the same
-//! `replay(trace) == metrics` check, which is the canonical proof that
-//! the two backends are observationally identical (randomised workloads
-//! are `backend_differential.rs`'s job).
+//! `replay(trace) == metrics` check. On other workloads the backends
+//! agree by construction: one `Store<M>` allocates, counts and emits for
+//! every medium, and `store_contract.rs` holds each medium to the same
+//! contract.
 //!
 //! Re-pinning: PINS.md (one protocol for every pin file).
 

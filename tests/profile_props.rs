@@ -104,7 +104,13 @@ fn profile_invariants_hold_on_random_workloads() {
                 require_eq!(r.writes, m.restructure_io.writes, "{algo}: restr writes");
                 require_eq!(c.reads, m.compute_io.reads, "{algo}: compute reads");
                 require_eq!(c.writes, m.compute_io.writes, "{algo}: compute writes");
-                for (k, &(reads, writes)) in m.io_by_kind.iter().enumerate() {
+                for (k, (&reads, &writes)) in m
+                    .disk
+                    .reads_by_kind
+                    .iter()
+                    .zip(&m.disk.writes_by_kind)
+                    .enumerate()
+                {
                     let io = p.io_by_kind(k);
                     require_eq!(io.reads, reads, "{algo}: kind {k} reads");
                     require_eq!(io.writes, writes, "{algo}: kind {k} writes");
@@ -120,7 +126,7 @@ fn profile_invariants_hold_on_random_workloads() {
                 require_eq!(b.evictions, m.buffer.evictions, "{algo}: evictions");
                 require_eq!(b.dirty_writebacks, m.buffer.dirty_writebacks, "{algo}");
                 require_eq!(b.flush_writes, m.buffer.flush_writes, "{algo}: flushes");
-                require_eq!(p.counts.io_retries, m.io_retries, "{algo}: retries");
+                require_eq!(p.counts.disk.retries, m.disk.retries, "{algo}: retries");
 
                 // 3. Miss classes partition the misses (totals and every
                 // per-kind row).

@@ -274,7 +274,12 @@ fn metric_invariants() {
                     "{}",
                     algo
                 );
-                let by_kind: u64 = m.io_by_kind.iter().map(|&(r, w)| r + w).sum();
+                let by_kind: u64 = m
+                    .disk
+                    .reads_by_kind
+                    .iter()
+                    .chain(&m.disk.writes_by_kind)
+                    .sum();
                 require_eq!(m.total_io(), by_kind, "{}", algo);
                 require!(m.selection_efficiency() <= 1.0 + 1e-9, "{}", algo);
             }

@@ -90,8 +90,13 @@ fn envelope(events: &[Event]) {
 
 /// What a finished run's metrics owe its event stream.
 fn accounted(metrics: &CostMetrics, events: &[Event], what: &str) {
-    let by_kind: u64 = metrics.io_by_kind.iter().map(|&(r, w)| r + w).sum();
-    assert_eq!(by_kind, metrics.total_io(), "{what}: io_by_kind sums");
+    let by_kind: u64 = metrics
+        .disk
+        .reads_by_kind
+        .iter()
+        .chain(&metrics.disk.writes_by_kind)
+        .sum();
+    assert_eq!(by_kind, metrics.total_io(), "{what}: per-kind I/O sums");
     assert_eq!(
         metrics.restructure_io.total() + metrics.compute_io.total(),
         metrics.total_io(),
@@ -207,7 +212,7 @@ fn a_run_killed_by_a_fault_still_closes_the_envelope_and_disarms() {
             &SystemConfig::with_buffer(8).validated(),
         )
         .expect("the next fault-free run succeeds");
-    assert_eq!(res.metrics.faults_injected, 0);
+    assert_eq!(res.metrics.disk.faults_injected, 0);
     assert!(res.fault_trace.is_empty());
     assert_eq!(
         sink.len(),

@@ -9,8 +9,9 @@
 
 use std::sync::Arc;
 use tc_study::storage::{
-    DiskSim, FaultConfig, FaultPlan, FileId, FileKind, FileStore, FrozenPageSet, FrozenStore,
-    Medium, Mem, Page, PageId, PageStore, Pager, StorageError, StorageResult, Store, TempDir,
+    DiskSim, FaultConfig, FaultKind, FaultPlan, FileId, FileKind, FileStore, FrozenPageSet,
+    FrozenStore, Medium, Mem, Page, PageId, PageStore, Pager, StorageError, StorageResult, Store,
+    TempDir,
 };
 
 /// Pages of the canonical population: file 0, kind `Relation`.
@@ -97,10 +98,16 @@ fn contract(store: &mut dyn PageStore, name: &str, read_only: bool) {
         }
     }
     let plan = store.clear_fault_plan().expect("plan was armed");
-    let cleared = plan.stats().transient_reads + plan.stats().transient_writes;
-    assert!(plan.stats().transient_reads > 0, "{name}: nothing injected");
-    assert!(read_only || plan.stats().transient_writes > 0, "{name}");
+    let injected = |kind| plan.events().iter().filter(|e| e.kind == kind).count() as u64;
+    let (reads, writes) = (
+        injected(FaultKind::TransientRead),
+        injected(FaultKind::TransientWrite),
+    );
+    let cleared = reads + writes;
+    assert!(reads > 0, "{name}: nothing injected");
+    assert!(read_only || writes > 0, "{name}");
     assert_eq!(store.stats().since(&before).retries, cleared, "{name}");
+    assert_eq!(store.stats().since(&before).faults_injected, cleared);
 
     // A streak cap above the budget of 4 attempts outlasts it: typed
     // exhaustion after 4 attempts, and nothing charged.

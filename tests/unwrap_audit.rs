@@ -309,6 +309,26 @@ const RULES: &[Rule] = &[
         needles: &["Event::Union =>"],
         fixture: "match ev { Event::Union => self.unions += 1, _ => {} }",
     },
+    // ...and so are the substrate's tables: the store and the buffer pool
+    // count by folding the event they emit (`DiskStats::on`,
+    // `BufferStats::on`, through each one's `note`), and the fault plan
+    // keeps no counters beside its trace.
+    Rule {
+        name: "one fold per counter: count by folding the emitted event \
+               (note(ev) = stats.on(&ev) + emit)",
+        scope: Scope::Rust(&["crates", "src"]),
+        want: Want::Nowhere,
+        needles: &[
+            "stats.reads +=",
+            "stats.hits +=",
+            "stats.misses +=",
+            "stats.evictions +=",
+            "stats.flush_writes +=",
+            "stats.retries +=",
+            "FaultStats",
+        ],
+        fixture: "self.stats.hits += 1;",
+    },
     // A transient fault is retried in `Store`'s transfers, under the one
     // budget, whoever asked for the page: pool, direct pager or bulk load.
     // The tests reach exhaustion through the plan's streak cap.
