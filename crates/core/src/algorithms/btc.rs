@@ -52,9 +52,9 @@ pub fn expand_all(
         // successor lists" being picked back up for expansion.
         metrics.count_list_fetch();
         ListCursor::new(&r.store, u).collect_into(pool, &mut entries)?;
-        for e in &entries {
+        for w in &entries {
             metrics.count_tuple_read();
-            bitvec.insert(e.node);
+            bitvec.insert(w.node());
         }
         let is_source = r.is_source[u as usize];
 
@@ -75,9 +75,9 @@ pub fn expand_all(
             // the new successors are written as one run when it ends.
             ListCursor::new(&r.store, c).collect_into(pool, &mut entries)?;
             fresh.clear();
-            for e in &entries {
+            for w in &entries {
                 metrics.count_tuple_read();
-                let x = e.node;
+                let x = w.node();
                 if bitvec.insert(x) {
                     fresh.push(x);
                 } else {

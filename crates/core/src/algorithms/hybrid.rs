@@ -21,7 +21,7 @@ use crate::metrics::CostMetrics;
 use crate::restructure::Restructured;
 use tc_buffer::BufferPool;
 use tc_graph::NodeId;
-use tc_storage::{PageId, StorageError, StorageResult, SuccEntry};
+use tc_storage::{PageId, StorageError, StorageResult, SuccWord};
 use tc_succ::{ListCursor, NodeBitVec};
 
 /// Expands all lists with blocking at the given `ILIMIT`.
@@ -123,7 +123,7 @@ struct BlockState {
     /// Off-diagonal arcs of the block as `(pos[child], bi, ci)`.
     off: Vec<(usize, usize, usize)>,
     /// The list being unioned.
-    entries: Vec<SuccEntry>,
+    entries: Vec<SuccWord>,
     /// The new successors the union brings.
     fresh: Vec<NodeId>,
 }
@@ -175,9 +175,9 @@ impl BlockState {
         let bv = &mut self.bitvecs[bi];
         let arcs = &mut self.arcs[self.first[bi]..];
         self.fresh.clear();
-        for e in &self.entries {
+        for w in &self.entries {
             metrics.count_tuple_read();
-            let x = e.node;
+            let x = w.node();
             if bv.insert(x) {
                 self.fresh.push(x);
             } else {
@@ -255,9 +255,9 @@ fn expand_block(
         state.bitvecs[bi].clear_fast();
         metrics.count_list_fetch();
         ListCursor::new(&r.store, u).collect_into(pool, &mut state.entries)?;
-        for e in &state.entries {
+        for w in &state.entries {
             metrics.count_tuple_read();
-            state.bitvecs[bi].insert(e.node);
+            state.bitvecs[bi].insert(w.node());
         }
     }
 

@@ -144,49 +144,66 @@ pub fn compute(
     // (indexed into the source list). x is a merge point — special — only
     // if no single special node above it already covers cover[x]; this is
     // the operational form of the paper's "nearest common ancestor of at
-    // least two unrelated sources" (see DESIGN.md).
-    let src_index: std::collections::HashMap<u32, usize> =
-        r.sources.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+    // least two unrelated sources" (see DESIGN.md). `covers` holds every
+    // node's cover in one array, `cover_words` words from `x * cover_words`,
+    // written when x is processed; `src_index[v]` is v's position in the
+    // source list, `NOT_A_SOURCE` if it has none.
+    const NOT_A_SOURCE: u32 = u32::MAX;
+    let mut src_index = vec![NOT_A_SOURCE; n];
+    for (i, &s) in r.sources.iter().enumerate() {
+        src_index[s as usize] = i as u32;
+    }
     let cover_words = r.sources.len().div_ceil(64).max(1);
-    let mut covers: Vec<Vec<u64>> = vec![Vec::new(); n];
-    // Per-union scratch, cleared by each union instead of reallocated.
+    let mut covers = vec![0u64; n * cover_words];
+    fn cover(covers: &[u64], words: usize, v: u32) -> &[u64] {
+        &covers[v as usize * words..][..words]
+    }
+    // Scratch cleared per node or per union instead of reallocated: x's
+    // predecessors, the tree being unioned, the nodes a union visited,
+    // x's cover, and T_x's roots. A root is live unless `demoted` holds
+    // it: a later contribution showed it nested under another special
+    // node.
+    let mut preds = Vec::new();
     let mut entries = Vec::new();
     let mut seen_this_union: Vec<u32> = Vec::new();
+    let mut my_cover = vec![0u64; cover_words];
+    let mut roots: Vec<u32> = Vec::new();
+    let mut demoted = NodeBitVec::new(n);
 
     for &x in &r.order {
         bitvec.clear_fast();
         covered.clear_fast();
+        demoted.clear_fast();
+        roots.clear();
         metrics.count_list_fetch();
-        let mut preds = ListCursor::new(pred, x).collect_entries(pool)?;
+        ListCursor::new(pred, x).collect_into(pool, &mut preds)?;
         metrics.count_tuple_reads(preds.len() as u64);
         // Merge the largest contributions first: broad trees that already
         // contain a merge point land before the narrow related paths they
         // cover, which keeps those paths from masquerading as new roots.
-        preds.sort_by_key(|e| {
-            std::cmp::Reverse(trees.len(e.node) + usize::from(special[e.node as usize]))
+        preds.sort_by_key(|w| {
+            let p = w.node();
+            std::cmp::Reverse(trees.len(p) + usize::from(special[p as usize]))
         });
         let mut appender = TreeAppender::new(x);
-        // Live roots of T_x: a root is demoted when a later contribution
-        // shows it nested under another special node. x becomes special
-        // iff ≥ 2 roots stay live — the merge of source information not
-        // yet covered by any single special node (the paper's nearest
-        // common ancestor of unrelated sources).
-        let mut roots: Vec<(u32, bool)> = Vec::new();
 
         // Forward source-cover DP (pure in-memory bookkeeping).
-        let mut my_cover = vec![0u64; cover_words];
-        if let Some(&i) = src_index.get(&x) {
-            my_cover[i / 64] |= 1u64 << (i % 64);
+        my_cover.fill(0);
+        let i = src_index[x as usize];
+        if i != NOT_A_SOURCE {
+            my_cover[i as usize / 64] |= 1u64 << (i % 64);
         }
-        for pe in &preds {
-            let pc = &covers[pe.node as usize];
-            for (w, &pw) in my_cover.iter_mut().zip(pc.iter()) {
-                *w |= pw;
+        for w in &preds {
+            for (c, &pc) in my_cover
+                .iter_mut()
+                .zip(cover(&covers, cover_words, w.node()))
+            {
+                *c |= pc;
             }
         }
 
-        for pe in preds {
-            let p = pe.node;
+        for w in &preds {
+            let p = w.node();
             metrics.count_arc(false);
             let p_special = special[p as usize];
             let p_tree_empty = trees.is_empty(p);
@@ -208,7 +225,7 @@ pub fn compute(
             if p_special && bitvec.insert(p) {
                 // p roots its own contribution.
                 appender.append(pool, &mut trees, x, p)?;
-                roots.push((p, true));
+                roots.push(p);
                 metrics.count_generated(r.is_source[p as usize]);
                 if r.is_source[p as usize] {
                     answer.emit(p, x);
@@ -222,8 +239,8 @@ pub fn compute(
             ListCursor::new(&trees, p).collect_into(pool, &mut entries)?;
             let mut state = TreeScanState::new(p);
             seen_this_union.clear();
-            for &e in &entries {
-                match state.step(e, &mut skips) {
+            for w in &entries {
+                match state.step(w.entry(), &mut skips) {
                     TreeStep::Marker => {
                         metrics.count_tuple_read();
                     }
@@ -239,7 +256,7 @@ pub fn compute(
                             let mapped = if at_root { x } else { parent };
                             appender.append(pool, &mut trees, mapped, v)?;
                             if at_root {
-                                roots.push((v, true));
+                                roots.push(v);
                             }
                             metrics.count_generated(r.is_source[v as usize]);
                             if r.is_source[v as usize] {
@@ -250,12 +267,9 @@ pub fn compute(
                             metrics.count_duplicate();
                             if !at_root {
                                 // v is nested under another special node:
-                                // if it entered as a root, demote it.
-                                for slot in roots.iter_mut() {
-                                    if slot.0 == v {
-                                        slot.1 = false;
-                                    }
-                                }
+                                // if it entered as a root, demote it (v is
+                                // already in T_x, so it cannot enter later).
+                                demoted.insert(v);
                             }
                             if covered.contains(v) {
                                 skips.insert(v);
@@ -270,15 +284,17 @@ pub fn compute(
                 covered.insert(v);
             }
         }
-        let live = roots.iter().filter(|&&(_, l)| l).count();
-        let some_root_covers_all = roots
-            .iter()
-            .filter(|&&(_, l)| l)
-            .any(|&(rt, _)| covers[rt as usize] == my_cover);
-        if !r.is_source[x as usize] && live >= 2 && !some_root_covers_all {
+        // x becomes special iff ≥ 2 roots of T_x stay live — the merge of
+        // source information not yet covered by any single special node
+        // (the paper's nearest common ancestor of unrelated sources).
+        let mut live = roots.iter().filter(|&&rt| !demoted.contains(rt));
+        if !r.is_source[x as usize]
+            && live.clone().count() >= 2
+            && !live.any(|&rt| cover(&covers, cover_words, rt) == my_cover)
+        {
             special[x as usize] = true;
         }
-        covers[x as usize] = my_cover;
+        covers[x as usize * cover_words..][..cover_words].copy_from_slice(&my_cover);
     }
     Ok(trees)
 }

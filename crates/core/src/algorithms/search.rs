@@ -41,7 +41,6 @@ pub fn run_search(
     let mut visited_any = NodeBitVec::new(n);
 
     for &s in sources {
-        assert!((s as usize) < n, "source {s} out of range");
         reached.clear_fast();
         // DFS from s; each visited node's immediate successor list is
         // unioned into S_s straight from the relation.

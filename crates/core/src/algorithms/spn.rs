@@ -61,10 +61,10 @@ pub fn expand_all(
         // node is expanded exactly once, so no parent markers exist yet.
         metrics.count_list_fetch();
         ListCursor::new(&r.store, u).collect_into(pool, &mut entries)?;
-        for e in &entries {
-            debug_assert!(!e.tagged);
+        for w in &entries {
+            debug_assert!(!w.is_tagged());
             metrics.count_tuple_read();
-            bitvec.insert(e.node);
+            bitvec.insert(w.node());
         }
         let is_source = r.is_source[u as usize];
         let mut appender = TreeAppender::new(u);
@@ -92,8 +92,8 @@ pub fn expand_all(
             let mut state = TreeScanState::new(c);
             seen_this_union.clear();
             fresh.clear();
-            for &e in &entries {
-                match state.step(e, &mut skips) {
+            for w in &entries {
+                match state.step(w.entry(), &mut skips) {
                     TreeStep::Marker => {
                         metrics.count_tuple_read();
                     }

@@ -114,6 +114,7 @@ impl Database {
         query: &Query,
         config: &SystemConfig,
     ) -> StorageResult<(Algorithm, RunResult)> {
+        self.check_sources(query)?;
         let rect = if query.is_full() {
             RectangleModel::of(&self.graph)
         } else {
@@ -159,6 +160,7 @@ impl Database {
         algorithm: Algorithm,
         config: &SystemConfig,
     ) -> StorageResult<RunResult> {
+        self.check_sources(query)?;
         if algorithm.needs_inverse() && self.inverse.is_none() {
             // JKB2's defining assumption is the dual representation.
             return Err(StorageError::WrongFileKind {
@@ -167,6 +169,18 @@ impl Database {
             });
         }
         engine::run(self, query, algorithm, config)
+    }
+
+    /// Refuses a query naming a source outside the graph with
+    /// [`StorageError::UnknownNode`], before the run takes the store.
+    fn check_sources(&self, query: &Query) -> StorageResult<()> {
+        // `Query::partial` sorts its sources, so the last is the largest.
+        match query.sources().and_then(|s| s.last()) {
+            Some(&node) if node as usize >= self.n() => {
+                Err(StorageError::UnknownNode { node, n: self.n() })
+            }
+            _ => Ok(()),
+        }
     }
 }
 

@@ -82,6 +82,14 @@ pub enum StorageError {
         /// Attempts made (first try included).
         attempts: u32,
     },
+    /// A query named a node the graph does not have (a source id ≥ the
+    /// node count); refused before any page is touched.
+    UnknownNode {
+        /// The id the query named.
+        node: u32,
+        /// The graph's node count.
+        n: usize,
+    },
     /// The store was detached from its database (taken and not yet
     /// restored) when an operation needed it.
     DiskDetached,
@@ -150,6 +158,9 @@ impl fmt::Display for StorageError {
                 f,
                 "page {pid:?} still failing after {attempts} attempts; giving up"
             ),
+            StorageError::UnknownNode { node, n } => {
+                write!(f, "node {node} is not in the graph (it has {n} nodes)")
+            }
             StorageError::DiskDetached => {
                 write!(f, "the simulated disk is detached from the database")
             }

@@ -25,7 +25,8 @@ pub mod value;
 
 pub use index::{IndexPage, KEYS_PER_INDEX_PAGE};
 pub use succ::{
-    SuccBlockRef, SuccEntry, SuccPage, BLOCKS_PER_PAGE, ENTRIES_PER_BLOCK, SUCCESSORS_PER_PAGE,
+    SuccBlockRef, SuccEntry, SuccPage, SuccWord, BLOCKS_PER_PAGE, ENTRIES_PER_BLOCK,
+    SUCCESSORS_PER_PAGE,
 };
 pub use tuple::{TuplePage, TUPLES_PER_PAGE};
 pub use value::{ValuePage, VALUES_PER_PAGE};

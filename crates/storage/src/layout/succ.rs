@@ -78,6 +78,47 @@ impl SuccEntry {
     }
 }
 
+/// One entry slot as stored: the biased, sign-tagged `i32`, undecoded.
+///
+/// A list is read as words ([`SuccPage::words`]) and each word is decoded
+/// where it is classified, so a scan moves 4 bytes per entry and a union
+/// that needs only the node id never builds a [`SuccEntry`].
+#[repr(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SuccWord(i32);
+
+impl SuccWord {
+    /// The node id (bias removed, tag ignored).
+    #[inline]
+    pub fn node(self) -> u32 {
+        debug_assert!(self.0 != 0, "entry slot read before being written");
+        self.0.unsigned_abs() - 1
+    }
+
+    /// Whether the entry was stored negated.
+    #[inline]
+    pub fn is_tagged(self) -> bool {
+        self.0 < 0
+    }
+
+    /// The decoded entry.
+    #[inline]
+    pub fn entry(self) -> SuccEntry {
+        SuccEntry {
+            node: self.node(),
+            tagged: self.is_tagged(),
+        }
+    }
+}
+
+/// A word equals the entry it decodes to, so a buffer of words compares
+/// with a list of entries.
+impl PartialEq<SuccEntry> for SuccWord {
+    fn eq(&self, e: &SuccEntry) -> bool {
+        self.entry() == *e
+    }
+}
+
 /// Read/write view of a successor page.
 pub struct SuccPage;
 
@@ -126,16 +167,16 @@ impl SuccPage {
     /// Reads entry `k` of block `b`.
     #[inline]
     pub fn entry(page: &Page, b: usize, k: usize) -> SuccEntry {
-        Self::decode(page.get_i32(slots(b, k, 1).start))
+        SuccWord(page.get_i32(slots(b, k, 1).start)).entry()
     }
 
-    /// The first `used` entries of block `b`, decoded in one pass over
-    /// their bytes.
+    /// The first `used` slots of block `b` as stored words, in one pass
+    /// over their bytes; the caller decodes them.
     #[inline]
-    pub fn entries(page: &Page, b: usize, used: usize) -> impl Iterator<Item = SuccEntry> + '_ {
+    pub fn words(page: &Page, b: usize, used: usize) -> impl Iterator<Item = SuccWord> + '_ {
         page.bytes()[slots(b, 0, used)]
             .chunks_exact(4)
-            .map(|raw| Self::decode(i32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]])))
+            .map(|raw| SuccWord(i32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]])))
     }
 
     /// Writes `entries` into block `b` from slot `k` on, in one pass over
@@ -171,22 +212,6 @@ impl SuccPage {
         Self::set_owner(page, b, owner);
         Self::set_used(page, b, used);
         page.bytes_mut()[slots(b, 0, used)].copy_from_slice(raw);
-    }
-
-    #[inline]
-    fn decode(raw: i32) -> SuccEntry {
-        debug_assert!(raw != 0, "entry slot read before being written");
-        if raw < 0 {
-            SuccEntry {
-                node: (-raw - 1) as u32,
-                tagged: true,
-            }
-        } else {
-            SuccEntry {
-                node: (raw - 1) as u32,
-                tagged: false,
-            }
-        }
     }
 
     #[inline]
@@ -313,7 +338,8 @@ mod tests {
             let used = SuccPage::read_block(&p, b, &mut raw);
             SuccPage::place_block(&mut moved, 29 - b, 7, &raw[..used * 4]);
             assert_eq!(SuccPage::owner(&moved, 29 - b), Some(7));
-            assert!(SuccPage::entries(&moved, 29 - b, used).eq((0..used).map(|k| e(b, k))));
+            let read = SuccPage::words(&moved, 29 - b, used).map(SuccWord::entry);
+            assert!(read.eq((0..used).map(|k| e(b, k))));
         }
     }
 }

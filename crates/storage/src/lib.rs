@@ -69,7 +69,7 @@ pub use file_store::{HEADER_SIZE as FILE_STORE_HEADER_SIZE, SLOT_SIZE as FILE_ST
 pub use frozen::{Frozen, FrozenPageSet, FrozenStore};
 pub use index::ClusteredIndex;
 pub use layout::{
-    IndexPage, SuccBlockRef, SuccEntry, SuccPage, TuplePage, ValuePage, BLOCKS_PER_PAGE,
+    IndexPage, SuccBlockRef, SuccEntry, SuccPage, SuccWord, TuplePage, ValuePage, BLOCKS_PER_PAGE,
     ENTRIES_PER_BLOCK, SUCCESSORS_PER_PAGE, TUPLES_PER_PAGE, VALUES_PER_PAGE,
 };
 pub use medium::{Catalog, Medium};

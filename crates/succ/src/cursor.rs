@@ -9,9 +9,14 @@
 //! children) is well-defined. The engines read a list whole and only then
 //! write: a union collects its new entries while it reads and writes them
 //! as one run ([`SuccStore::extend_flat`]) when the read is done.
+//!
+//! The engines read with [`ListCursor::collect_into`], which copies each
+//! block's slots as stored words ([`SuccWord`], 4 bytes) and leaves the
+//! decoding to the loop that classifies them; `collect_entries`,
+//! `collect_nodes` and `next_batch` decode inside the same read loop.
 
 use crate::store::SuccStore;
-use tc_storage::layout::succ::{SuccEntry, SuccPage, ENTRIES_PER_BLOCK};
+use tc_storage::layout::succ::{SuccEntry, SuccPage, SuccWord, ENTRIES_PER_BLOCK};
 use tc_storage::{Page, Pager, StorageResult, SuccBlockRef};
 
 /// A page-batched cursor over one list.
@@ -52,15 +57,20 @@ impl ListCursor {
     /// at end of list. One pager access per call.
     pub fn next_batch<P: Pager>(&mut self, pager: &mut P) -> StorageResult<Option<Vec<SuccEntry>>> {
         let mut out = Vec::new();
-        Ok(self.read_run(pager, &mut out)?.then_some(out))
+        Ok(self
+            .read_run(pager, &mut out, SuccWord::entry)?
+            .then_some(out))
     }
 
-    /// Appends the entries of the next same-page run of blocks to `out`
-    /// (one pager access); `false` at end of list.
-    fn read_run<P: Pager>(
+    /// Appends the slots of the next same-page run of blocks to `out`,
+    /// each stored word passed through `decode` (one pager access);
+    /// `false` at end of list. Every read of a list goes through here.
+    #[inline]
+    fn read_run<P: Pager, T>(
         &mut self,
         pager: &mut P,
-        out: &mut Vec<SuccEntry>,
+        out: &mut Vec<T>,
+        decode: impl Fn(SuccWord) -> T,
     ) -> StorageResult<bool> {
         if self.pos >= self.blocks.len() {
             return Ok(false);
@@ -74,18 +84,32 @@ impl ListCursor {
         out.reserve(run.iter().map(|&(_, used)| used as usize).sum());
         pager.with_page(page, |pg: &Page| {
             for &(r, used) in run {
-                out.extend(SuccPage::entries(pg, r.block as usize, used as usize));
+                out.extend(SuccPage::words(pg, r.block as usize, used as usize).map(&decode));
             }
         })?;
         self.pos = end;
         Ok(true)
     }
 
+    /// Drains the cursor through `decode` into `out` (cleared first).
+    fn drain_into<P: Pager, T>(
+        mut self,
+        pager: &mut P,
+        out: &mut Vec<T>,
+        decode: impl Fn(SuccWord) -> T,
+    ) -> StorageResult<()> {
+        out.clear();
+        out.reserve(self.remaining_entries());
+        while self.read_run(pager, out, &decode)? {}
+        Ok(())
+    }
+
     /// Convenience: drains the cursor into a vector of node ids (tags
     /// dropped).
     pub fn collect_nodes<P: Pager>(self, pager: &mut P) -> StorageResult<Vec<u32>> {
-        let entries = self.collect_entries(pager)?;
-        Ok(entries.iter().map(|e| e.node).collect())
+        let mut out = Vec::new();
+        self.drain_into(pager, &mut out, SuccWord::node)?;
+        Ok(out)
     }
 
     /// Drains the cursor into raw entries (tags preserved).
@@ -99,21 +123,19 @@ impl ListCursor {
     /// independent of where the blocks end up.
     pub fn collect_entries<P: Pager>(self, pager: &mut P) -> StorageResult<Vec<SuccEntry>> {
         let mut out = Vec::new();
-        self.collect_into(pager, &mut out)?;
+        self.drain_into(pager, &mut out, SuccWord::entry)?;
         Ok(out)
     }
 
-    /// [`ListCursor::collect_entries`] into a caller-owned buffer (cleared
-    /// first), so a loop of unions reuses one allocation.
+    /// [`ListCursor::collect_entries`] as stored words, undecoded, into a
+    /// caller-owned buffer (cleared first), so a loop of unions reuses one
+    /// allocation and decodes each word where it classifies it.
     pub fn collect_into<P: Pager>(
-        mut self,
+        self,
         pager: &mut P,
-        out: &mut Vec<SuccEntry>,
+        out: &mut Vec<SuccWord>,
     ) -> StorageResult<()> {
-        out.clear();
-        out.reserve(self.remaining_entries());
-        while self.read_run(pager, out)? {}
-        Ok(())
+        self.drain_into(pager, out, |w| w)
     }
 }
 
@@ -121,6 +143,8 @@ impl ListCursor {
 mod tests {
     use super::*;
     use crate::policy::ListPolicy;
+    use tc_det::check::{self, Checker};
+    use tc_det::{require, require_eq, Rng};
     use tc_storage::{DiskSim, PageStore};
 
     #[test]
@@ -211,5 +235,154 @@ mod tests {
             assert_eq!(buf, fresh, "node {node}");
         }
         assert_eq!(buf.len(), 500);
+    }
+
+    /// One run written to a list.
+    #[derive(Clone, Debug)]
+    enum Run {
+        /// Entries with their tags as given, the way a tree list holds
+        /// parent markers.
+        Tree(u32, Vec<SuccEntry>),
+        /// A flat run: the list's old last entry is untagged and the run's
+        /// last is stored negated.
+        Flat(u32, Vec<u32>),
+    }
+
+    /// Runs written under one list policy to a store of `lists` lists.
+    #[derive(Clone, Debug)]
+    struct Script {
+        policy: ListPolicy,
+        lists: u32,
+        runs: Vec<Run>,
+    }
+
+    fn script(rng: &mut Rng) -> Script {
+        let policy = *rng.choose(&ListPolicy::ALL).unwrap();
+        let lists = rng.random_range(1..7u32);
+        let runs = check::vec_of(rng, 1..30, |r| {
+            let node = r.random_range(0..lists);
+            // Mostly a few blocks; sometimes more than a page (450 entries).
+            let len = if r.random_bool(0.15) {
+                r.random_range(100..700usize)
+            } else {
+                r.random_range(1..60usize)
+            };
+            if r.random_bool(0.5) {
+                Run::Flat(
+                    node,
+                    (0..len).map(|_| r.random_range(0..100_000u32)).collect(),
+                )
+            } else {
+                let entry = |r: &mut Rng| SuccEntry {
+                    node: r.random_range(0..100_000u32),
+                    tagged: r.random_bool(0.2),
+                };
+                Run::Tree(node, (0..len).map(|_| entry(r)).collect())
+            }
+        });
+        Script {
+            policy,
+            lists,
+            runs,
+        }
+    }
+
+    /// Writes the script's runs; the store, its disk, and every list as
+    /// the runs define it.
+    fn write(s: &Script) -> (DiskSim, SuccStore, Vec<Vec<SuccEntry>>) {
+        let mut disk = DiskSim::new();
+        let mut store = SuccStore::new(&mut disk, s.lists as usize, s.policy);
+        let mut model = vec![Vec::new(); s.lists as usize];
+        for run in &s.runs {
+            match run {
+                Run::Tree(node, entries) => {
+                    store.extend(&mut disk, *node, entries).unwrap();
+                    model[*node as usize].extend_from_slice(entries);
+                }
+                Run::Flat(node, values) => {
+                    store.extend_flat(&mut disk, *node, values).unwrap();
+                    let list = &mut model[*node as usize];
+                    if let Some(last) = list.last_mut() {
+                        last.tagged = false;
+                    }
+                    list.extend(values.iter().map(|&v| SuccEntry::plain(v)));
+                    list.last_mut().unwrap().tagged = true;
+                }
+            }
+        }
+        (disk, store, model)
+    }
+
+    #[test]
+    fn collect_into_decodes_to_collect_entries() {
+        Checker::new("collect_into_decodes_to_collect_entries").run(
+            script,
+            |s: &Script| {
+                check::shrink_vec(&s.runs)
+                    .into_iter()
+                    .map(|runs| Script { runs, ..s.clone() })
+                    .collect()
+            },
+            |s| {
+                let (mut disk, store, model) = write(s);
+                // One buffer for every list, as the engines reuse theirs.
+                let mut words = Vec::new();
+                for (node, want) in (0..s.lists).zip(&model) {
+                    let entries = ListCursor::new(&store, node)
+                        .collect_entries(&mut disk)
+                        .unwrap();
+                    require_eq!(&entries, want, "list {node}");
+                    ListCursor::new(&store, node)
+                        .collect_into(&mut disk, &mut words)
+                        .unwrap();
+                    let decoded: Vec<SuccEntry> = words.iter().map(|w| w.entry()).collect();
+                    require_eq!(decoded, entries, "words of list {node}");
+                    require!(
+                        words
+                            .iter()
+                            .zip(&entries)
+                            .all(|(w, e)| w.node() == e.node && w.is_tagged() == e.tagged),
+                        "node or tag of list {node}"
+                    );
+                    let nodes = ListCursor::new(&store, node)
+                        .collect_nodes(&mut disk)
+                        .unwrap();
+                    require!(
+                        nodes.iter().eq(entries.iter().map(|e| &e.node)),
+                        "nodes of list {node}"
+                    );
+                    let mut cur = ListCursor::new(&store, node);
+                    let mut batched = Vec::new();
+                    while let Some(batch) = cur.next_batch(&mut disk).unwrap() {
+                        batched.extend(batch);
+                    }
+                    require_eq!(batched, entries, "batches of list {node}");
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// The scripts above reach what the property is about: chains over
+    /// several pages, and lists moved by both splitting policies.
+    #[test]
+    fn word_read_scripts_span_pages_and_split_under_both_move_policies() {
+        let (mut multi_page, mut split) = (false, [false; 2]);
+        for seed in 0..64 {
+            let s = script(&mut Rng::from_seed(seed));
+            let (_, store, _) = write(&s);
+            multi_page |= (0..s.lists).any(|v| store.pages_of(v).len() > 1);
+            let moved = store.stats().page_splits > 0 && store.stats().blocks_moved > 0;
+            match s.policy {
+                ListPolicy::MoveShortest => split[0] |= moved,
+                ListPolicy::MoveGrowing => split[1] |= moved,
+                ListPolicy::Spill => {}
+            }
+        }
+        assert!(multi_page, "no list spans two pages");
+        assert_eq!(
+            split, [true; 2],
+            "[MOVE-SHORTEST, MOVE-GROWING] moved a list"
+        );
     }
 }

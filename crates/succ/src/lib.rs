@@ -11,9 +11,11 @@
 //!   policies** ([`ListPolicy`]) that decide what happens when a list
 //!   outgrows its page ("the page must be split", §5.1);
 //! * [`ListCursor`] — page-batched sequential readers charging I/O
-//!   through the pool;
-//! * [`NodeBitVec`] — the bit-vector duplicate elimination the paper
-//!   found to cost under 6% of CPU (§6.2), over the plain [`BitRow`];
+//!   through the pool, copying a list's stored words for the engines to
+//!   decode;
+//! * [`NodeBitVec`] — the paper's bit-vector duplicate elimination, which
+//!   it found to cost under 6% of CPU (§6.2), kept as a generation-stamped
+//!   set with an O(1) reset; [`BitRow`] is the plain bit set;
 //! * [`TupleRows`] — a closure relation as its successor column and row
 //!   offsets plus a bit row per source written to, for dynamic
 //!   maintenance;

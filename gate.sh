@@ -65,6 +65,10 @@ g_fault_matrix() {
   # A free mask is checked bit for bit, and a stale one is never trusted.
   t -p tc-succ --lib verify_integrity_compares_the_free_mask_bit_for_bit
   t -p tc-succ --lib a_stale_free_mask_is_page_full_and_changes_nothing
+  # The stamped duplicate filter against a set model, across generation
+  # wraps; a list read as stored words against the same list decoded.
+  TC_DET_CASES=256 t -p tc-succ --lib stamped_set_matches_a_btreeset_model
+  TC_DET_CASES=256 t -p tc-succ --lib collect_into_decodes_to_collect_entries
   t --test unwrap_audit
 }
 

@@ -189,17 +189,47 @@ fn jkb2_without_dual_representation_is_an_error() {
 }
 
 #[test]
-fn out_of_range_source_panics_cleanly() {
+fn out_of_range_source_is_a_typed_error_before_the_run() {
     let g = DagGenerator::new(50, 2.0, 10).seed(5).generate();
-    let mut db = Database::build(&g, false).unwrap();
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = db.run(
-            &Query::partial(vec![999]),
-            Algorithm::Btc,
-            &SystemConfig::default(),
+    let mut db = Database::build(&g, true).unwrap();
+    let n = g.n() as u32;
+    let footprint = |db: &mut Database| {
+        let store = db.take_store().unwrap();
+        let seen = (store.page_count(), store.catalog().clone());
+        db.restore_store(store);
+        seen
+    };
+    let before = footprint(&mut db);
+    let cfg = SystemConfig::default().validated();
+    for node in [n, u32::MAX] {
+        let query = Query::partial(vec![0, node]);
+        let want = StorageError::UnknownNode {
+            node,
+            n: n as usize,
+        };
+        for algorithm in Algorithm::WITH_INDEX {
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                db.run(&query, algorithm, &cfg).map(|_| ())
+            }));
+            assert_eq!(
+                got.ok(),
+                Some(Err(want.clone())),
+                "{algorithm:?} source {node}"
+            );
+        }
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            db.run_advised(&query, &cfg).map(|_| ())
+        }));
+        assert_eq!(got.ok(), Some(Err(want)), "advised, source {node}");
+        assert_eq!(
+            footprint(&mut db),
+            before,
+            "source {node} touched the store"
         );
-    }));
-    assert!(attempt.is_err());
+    }
+    // The database still answers.
+    db.run(&Query::partial(vec![0, n - 1]), Algorithm::Btc, &cfg)
+        .unwrap();
 }
 
 #[test]
@@ -297,6 +327,7 @@ fn every_storage_error_variant_constructs_and_displays() {
             pid: PageId(7),
             attempts: 4,
         },
+        StorageError::UnknownNode { node: 50, n: 50 },
         StorageError::DiskDetached,
         StorageError::Internal("invariant"),
     ];
