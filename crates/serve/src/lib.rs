@@ -18,7 +18,7 @@
 //! and answer their queues in order, and every session owns its buffer
 //! pool and [hot-source cache](session) so sessions never contend.
 //! Consequently the *deterministic track* — total pages read, cache
-//! hit counts, per-reply FNV-1a digests — is byte-identical at any
+//! hit counts, per-reply digests — is byte-identical at any
 //! worker count, while the *wall-time track* (latency percentiles,
 //! queries/sec) is reported separately and never gates anything.
 //!

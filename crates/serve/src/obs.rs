@@ -1,6 +1,8 @@
 //! Serve-side wall-clock metrics: queue-wait and service-time
 //! histograms plus per-worker busy/idle accounting, backed by the
-//! `tc-obs` registry.
+//! `tc-obs` registry — and, beside them, the deterministic track's
+//! totals (pages read, cache and buffer hits), so an operator reads one
+//! file.
 //!
 //! [`ServeObs`] mirrors the `Tracer`/`SpanRecorder` shape: a cheap
 //! cloneable handle that is one `None` branch when disabled (the
@@ -9,9 +11,11 @@
 //! wall-clock and therefore *never* part of the deterministic track —
 //! the reply digests, page counts and cache counters of a serve are
 //! byte-identical whether a `ServeObs` is armed or not (pinned by the
-//! determinism-under-timing suite).
+//! determinism-under-timing suite). The exported totals only copy
+//! counters a [`ClientReport`] already holds, once per client.
 
 use crate::request::Request;
+use crate::service::ClientReport;
 use std::sync::Arc;
 use tc_obs::{Counter, Histogram, LatencyHistogram, MetricsRegistry};
 
@@ -20,6 +24,19 @@ const REPLIES_TOTAL: &str = "tc_serve_replies_total";
 const QUEUE_WAIT: &str = "tc_serve_queue_wait_ns";
 const SERVICE: &str = "tc_serve_service_ns";
 
+/// A counter name and the [`ClientReport`] field it sums.
+type ClientTotal = (&'static str, fn(&ClientReport) -> u64);
+
+/// Deterministic-track totals an armed [`ServeObs`] exports, one line
+/// each.
+const CLIENT_TOTALS: [ClientTotal; 5] = [
+    ("tc_serve_pages_read_total", |c| c.pages_read),
+    ("tc_serve_cache_hits_total", |c| c.stats.cache_hits),
+    ("tc_serve_cache_lookups_total", |c| c.stats.cache_lookups),
+    ("tc_serve_buffer_hits_total", |c| c.buffer.hits),
+    ("tc_serve_buffer_misses_total", |c| c.buffer.misses),
+];
+
 struct Inner {
     registry: MetricsRegistry,
     replies: Counter,
@@ -27,6 +44,8 @@ struct Inner {
     service: Histogram,
     /// Per-kind service histograms, indexed by `kind_index`.
     by_kind: [Histogram; 3],
+    /// One counter per row of [`CLIENT_TOTALS`], in order.
+    client_totals: [Counter; CLIENT_TOTALS.len()],
 }
 
 fn kind_index(req: &Request) -> usize {
@@ -57,12 +76,14 @@ impl ServeObs {
         let service = registry.histogram(SERVICE);
         let by_kind = ["reach", "ptc", "path"]
             .map(|kind| registry.histogram(&format!("{SERVICE}{{kind=\"{kind}\"}}")));
+        let client_totals = CLIENT_TOTALS.map(|(name, _)| registry.counter(name));
         ServeObs(Some(Arc::new(Inner {
             registry,
             replies,
             queue_wait,
             service,
             by_kind,
+            client_totals,
         })))
     }
 
@@ -80,6 +101,16 @@ impl ServeObs {
             inner.queue_wait.record(queue_wait_ns);
             inner.service.record(service_ns);
             inner.by_kind[kind_index(req)].record(service_ns);
+        }
+    }
+
+    /// Adds one finished client's deterministic counters to the exported
+    /// totals. Called once per client, never per request.
+    pub fn record_client(&self, report: &ClientReport) {
+        if let Some(inner) = &self.0 {
+            for (counter, (_, of)) in inner.client_totals.iter().zip(CLIENT_TOTALS) {
+                counter.add(of(report));
+            }
         }
     }
 

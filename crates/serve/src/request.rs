@@ -3,12 +3,13 @@
 //! Three point-query shapes, matching what the frozen snapshot answers
 //! cheaply: `reach(u, v)` from the reachability-index labels, `ptc(u)`
 //! from the materialized closure row, and `path(u, v)` by the guided
-//! index walk. Replies carry their full answer; [`Reply::digest`] folds
-//! it into the workspace's standard FNV-1a 64 so reply streams can be
-//! pinned and compared byte-for-byte across worker counts and backends.
+//! index walk. Replies carry their full answer; [`Reply::digest`] hashes
+//! it a word at a time with the workspace's [`LaneHash`] so reply
+//! streams can be pinned and compared byte-for-byte across worker counts
+//! and backends.
 
 use tc_graph::NodeId;
-use tc_trace::Fnv;
+use tc_trace::{Fnv, LaneHash};
 
 /// One point query against a frozen snapshot.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,49 +79,29 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// Folds the reply through its canonical encoding (discriminant
-    /// byte, then the answer: bool as one byte, vectors as length +
-    /// little-endian words).
-    pub fn fold(&self, h: &mut Fnv) {
-        match self {
-            Reply::Reach(b) => {
-                h.byte(0);
-                h.bool(*b);
-            }
-            Reply::Ptc(row) => {
-                h.byte(1);
-                h.u64(row.len() as u64);
-                for &x in row {
-                    h.u32(x);
-                }
-            }
-            Reply::Path(hops) => {
-                h.byte(2);
-                match hops {
-                    None => h.bool(false),
-                    Some(hops) => {
-                        h.bool(true);
-                        h.u64(hops.len() as u64);
-                        for &x in hops {
-                            h.u32(x);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The reply's standalone FNV-1a 64 digest.
+    /// The reply's digest: [`LaneHash`] over its ids packed in pairs
+    /// into little-endian words, finished with a tag that holds the id
+    /// count above the shape (`Reach(false)` 0, `Reach(true)` 1, `Ptc`
+    /// 2, `Path(None)` 3, `Path(Some)` 4). Changing any one id always
+    /// changes it: that id's word is the only one that moves.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        self.fold(&mut h);
-        h.finish()
+        let (shape, ids): (u64, &[NodeId]) = match self {
+            Reply::Reach(b) => (u64::from(*b), &[]),
+            Reply::Ptc(row) => (2, row),
+            Reply::Path(None) => (3, &[]),
+            Reply::Path(Some(hops)) => (4, hops),
+        };
+        LaneHash::new()
+            .u32_pairs(ids)
+            .finish((ids.len() as u64) << 3 | shape)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_det::check::{shrink_vec, vec_of, Checker};
+    use tc_det::{require, Rng};
 
     #[test]
     fn digests_distinguish_shape_and_content() {
@@ -130,7 +111,9 @@ mod tests {
         let d = Reply::Ptc(vec![1, 2]);
         let e = Reply::Path(None);
         let f = Reply::Path(Some(vec![1, 2]));
-        let ds: Vec<u64> = [&a, &b, &c, &d, &e, &f]
+        // The fifth empty shape: a path of no hops.
+        let g = Reply::Path(Some(vec![]));
+        let ds: Vec<u64> = [&a, &b, &c, &d, &e, &f, &g]
             .iter()
             .map(|r| r.digest())
             .collect();
@@ -140,6 +123,58 @@ mod tests {
             }
         }
         assert_eq!(a.digest(), Reply::Reach(true).digest());
+    }
+
+    /// An id of any magnitude, small ones (and so repeats) most often.
+    fn id(rng: &mut Rng) -> NodeId {
+        rng.next_u32() >> rng.random_range(0..32u32)
+    }
+
+    #[test]
+    fn reply_digest_sees_every_id() {
+        Checker::new("reply_digest_sees_every_id").run(
+            |rng| {
+                // Mostly short payloads; now and then a full `ptc` row.
+                let len = if rng.random_bool(0.1) { 0..1300 } else { 0..40 };
+                (rng.random_bool(0.5), vec_of(rng, len, id), rng.next_u64())
+            },
+            |(path, ids, seed)| {
+                shrink_vec(ids)
+                    .into_iter()
+                    .map(|ids| (*path, ids, *seed))
+                    .collect()
+            },
+            |(path, ids, seed)| {
+                let digest = |path: bool, ids: &[NodeId]| match path {
+                    true => Reply::Path(Some(ids.to_vec())).digest(),
+                    false => Reply::Ptc(ids.to_vec()).digest(),
+                };
+                let clean = digest(*path, ids);
+                let mut rng = Rng::from_seed(*seed);
+                // One changed id moves one word: never the same digest.
+                for i in 0..ids.len() {
+                    let mut w = ids.clone();
+                    w[i] = w[i].wrapping_add(rng.random_range(1..u32::MAX));
+                    require!(digest(*path, &w) != clean, "changing id {i} went unseen");
+                }
+                for _ in 0..ids.len().min(8) {
+                    let (i, j) = (
+                        rng.random_range(0..ids.len()),
+                        rng.random_range(0..ids.len()),
+                    );
+                    if ids[i] != ids[j] {
+                        let mut w = ids.clone();
+                        w.swap(i, j);
+                        require!(digest(*path, &w) != clean, "swapping {i}, {j} went unseen");
+                    }
+                }
+                let mut w = ids.clone();
+                w.push(0);
+                require!(digest(*path, &w) != clean, "a trailing 0 went unseen");
+                require!(digest(!*path, ids) != clean, "the shape went unseen");
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub struct ReplyRecord {
     pub seq: usize,
     /// Epoch of the snapshot that answered it.
     pub epoch: u64,
-    /// FNV-1a digest of the reply (always present).
+    /// [`Reply::digest`] of the reply (always present).
     pub digest: u64,
     /// Wall-clock service time — wall-time track only, never folded
     /// into any gating digest.
@@ -258,7 +258,7 @@ impl Service {
         failure: &Mutex<Option<ServeError>>,
     ) -> Option<ClientReport> {
         let mut session = Session::new(self.snapshot(), &cfg.session, client as u64);
-        let mut records = Vec::new();
+        let mut records = Vec::with_capacity(requests.len());
         for (seq, req) in requests.iter().enumerate() {
             // Pick up a published snapshot between requests; the one in
             // hand keeps serving the request already being answered.
@@ -293,12 +293,14 @@ impl Service {
                 }
             }
         }
-        Some(ClientReport {
+        let report = ClientReport {
             pages_read: session.pages_read(),
             buffer: session.buffer_stats().clone(),
             stats: session.stats(),
             records,
-        })
+        };
+        cfg.obs.record_client(&report);
+        Some(report)
     }
 }
 
@@ -347,6 +349,13 @@ impl ServeReport {
     /// Total hot-source cache probes across all sessions.
     pub fn cache_lookups(&self) -> u64 {
         self.clients.iter().map(|c| c.stats.cache_lookups).sum()
+    }
+
+    /// Every session's buffer-pool counters, summed.
+    pub fn buffer(&self) -> BufferStats {
+        self.clients
+            .iter()
+            .fold(BufferStats::default(), |t, c| t.plus(&c.buffer))
     }
 
     /// Queries per second over the whole run. Wall-time track only.

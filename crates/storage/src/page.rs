@@ -6,6 +6,7 @@
 //! interpret the raw bytes.
 
 use std::fmt;
+use tc_trace::LaneHash;
 
 /// Page size in bytes, as fixed by the paper's experimental setup (§5.1).
 pub const PAGE_SIZE: usize = 2048;
@@ -111,92 +112,34 @@ impl Page {
         self.bytes.fill(0);
     }
 
-    /// Checksum of the page image: four interleaved multiply-xorshift
-    /// lanes over the page's 256 little-endian 8-byte words (word `i`
-    /// feeds lane `i % 4`), folded into one value at the end. The one
-    /// integrity function of every medium: the in-memory media record it
-    /// at write or capture time, the file medium stores it in the slot
-    /// header.
+    /// Checksum of the page image: the workspace's lane hash
+    /// ([`LaneHash`]) over the page's 256 little-endian 8-byte words,
+    /// finished with [`PAGE_SIZE`]. The one integrity function of every
+    /// medium: the in-memory media record it at write or capture time,
+    /// the file medium stores it in the slot header.
     ///
-    /// Each lane step `h = (h ^ word) * P; h ^= h >> 32` is a bijection
-    /// of `h` for a fixed word and of the word for a fixed `h` (`P` is
-    /// odd, the xorshift is invertible), and the fold applies the same
-    /// step to each lane in turn, so it is a bijection in every lane.
     /// Two images that differ in exactly one word — in particular by any
     /// single flipped bit or byte — therefore *always* get different
-    /// checksums. Damage to several words is caught with probability
-    /// 1 − 2⁻⁶⁴, not certainty; the xorshift is what keeps a flipped high
-    /// bit from staying confined to the bits above it, where the same
-    /// flip in a second word would cancel it. The four lanes carry no
-    /// dependency on one another, so the cost is 64 dependent steps, not
-    /// 256 (or 2048, for a byte-wise hash).
-    ///
-    /// A medium that cannot trust its bytes verifies it on every read,
-    /// the others while fault injection is armed, so silent corruption is
-    /// *detected* (as [`crate::StorageError::ChecksumMismatch`]) rather
-    /// than absorbed into query answers.
+    /// checksums; damage to several words is caught with probability
+    /// 1 − 2⁻⁶⁴ ([`LaneHash`] has the argument). A medium that cannot
+    /// trust its bytes verifies it on every read, the others while fault
+    /// injection is armed, so silent corruption is *detected* (as
+    /// [`crate::StorageError::ChecksumMismatch`]) rather than absorbed
+    /// into query answers.
     pub fn checksum(&self) -> u64 {
         Page::checksum_of(&self.bytes[..])
     }
 
     /// [`Page::checksum`] of a page image held outside a [`Page`] (a
     /// slot of the file segment). `image` is [`PAGE_SIZE`] bytes.
-    pub(crate) fn checksum_of(image: &[u8]) -> u64 {
-        debug_assert_eq!(image.len(), PAGE_SIZE);
-        let mut lanes = LANE_SEEDS;
-        for group in image.chunks_exact(8 * LANES) {
-            for (lane, chunk) in lanes.iter_mut().zip(group.chunks_exact(8)) {
-                let mut word = [0u8; 8];
-                word.copy_from_slice(chunk);
-                *lane = mix(*lane, u64::from_le_bytes(word));
-            }
-        }
-        fold(lanes)
+    pub(crate) const fn checksum_of(image: &[u8]) -> u64 {
+        debug_assert!(image.len() == PAGE_SIZE);
+        LaneHash::new().le_bytes(image).finish(PAGE_SIZE as u64)
     }
 
     /// [`Page::checksum`] of a zero-filled page, for stores that hand out
     /// fresh pages.
-    pub const ZERO_CHECKSUM: u64 = {
-        let mut lanes = LANE_SEEDS;
-        let mut word = 0;
-        while word < PAGE_SIZE / 8 {
-            lanes[word % LANES] = mix(lanes[word % LANES], 0);
-            word += 1;
-        }
-        fold(lanes)
-    };
-}
-
-/// Independent dependency chains in [`Page::checksum`].
-const LANES: usize = 4;
-/// Lane start values (the SplitMix64 increment and its multiples), so a
-/// word moved to another lane meets a different state.
-const LANE_SEEDS: [u64; LANES] = [
-    0x9E37_79B9_7F4A_7C15,
-    0x3C6E_F372_FE94_F82A,
-    0xDAA6_6D2C_7DDF_743F,
-    0x78DD_E6E5_FD29_F054,
-];
-/// The odd multiplier of every step (SplitMix64's first finalizer).
-const MIX_PRIME: u64 = 0xBF58_476D_1CE4_E5B9;
-
-/// One checksum step: absorbs `word` into `h`. A bijection in either
-/// argument with the other fixed.
-#[inline]
-const fn mix(h: u64, word: u64) -> u64 {
-    let h = (h ^ word).wrapping_mul(MIX_PRIME);
-    h ^ (h >> 32)
-}
-
-/// Folds the lanes into the checksum, one [`mix`] per lane.
-const fn fold(lanes: [u64; LANES]) -> u64 {
-    let mut h = PAGE_SIZE as u64;
-    let mut lane = 0;
-    while lane < LANES {
-        h = mix(h, lanes[lane]);
-        lane += 1;
-    }
-    h
+    pub const ZERO_CHECKSUM: u64 = Page::checksum_of(&[0; PAGE_SIZE]);
 }
 
 impl Default for Page {
@@ -326,6 +269,7 @@ mod tests {
             }
             p.checksum()
         };
+        const LANES: usize = LaneHash::LANES;
         for w in 0..PAGE_SIZE / 8 - LANES {
             assert_ne!(swapped(w, w + 1), clean, "neighbours {w}, {}", w + 1);
             assert_ne!(

@@ -114,6 +114,8 @@ g_reach() {
 g_serve() {
   export TC_DET_CASES=256
   t --test serve_differential --test serve_props --test lend_props --test serve_snapshot --test golden_serve
+  # One changed id, a swap, a trailing 0 or another shape: a new digest.
+  TC_DET_CASES=1024 t -p tc-serve --lib reply_digest_sees_every_id
 }
 
 g_obs() {

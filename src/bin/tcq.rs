@@ -269,14 +269,17 @@ fn serve(args: &ServeArgs) -> Result<(), String> {
         report
     })?;
 
+    let buffer = report.buffer();
     println!(
-        "served {} replies: stream={:016x} digest={:016x} pages_read={} cache={}/{}",
+        "served {} replies: stream={:016x} digest={:016x} pages_read={} cache={}/{} buffer={}/{}",
         report.replies(),
         stream.digest(),
         report.digest(),
         report.pages_read(),
         report.cache_hits(),
         report.cache_lookups(),
+        buffer.hits,
+        buffer.misses,
     );
     // Closing wall-time summary off the tc-obs histograms (stderr only,
     // never gating); the recorder above is always armed.

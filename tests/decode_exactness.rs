@@ -1,19 +1,21 @@
 //! The read path's cheaper decodes against what they replaced, kept
 //! here as oracles: `Fnv::u32`'s zero-byte fast path against byte-wise
-//! FNV-1a, `RelationFile::probe_range`'s in-page bisection against the
-//! linear slot scan, and `ReachIndex::reach`'s single-entry decode
-//! against reading the whole label row. Equal answers are not enough:
-//! each must also make the same page requests, because those are what
-//! the study counts.
+//! FNV-1a, `Page::checksum`'s byte reads against the lane hash fed the
+//! page's words one block at a time, `RelationFile::probe_range`'s
+//! in-page bisection against the linear slot scan, and
+//! `ReachIndex::reach`'s single-entry decode against reading the whole
+//! label row. Equal answers are not enough: each must also make the
+//! same page requests, because those are what the study counts.
 
 use tc_study::buffer::{BufferPool, PagePolicy};
 use tc_study::det::Rng;
 use tc_study::graph::{DagGenerator, NodeId};
 use tc_study::reach::{NullMeter, ReachIndex};
 use tc_study::storage::{
-    DiskSim, FileKind, Page, PageStore, Pager, RelationFile, Tuple, TuplePage, TUPLES_PER_PAGE,
+    DiskSim, FileKind, Page, PageStore, Pager, RelationFile, Tuple, TuplePage, PAGE_SIZE,
+    TUPLES_PER_PAGE,
 };
-use tc_study::trace::{Event, Fnv, Kind, Tracer};
+use tc_study::trace::{Event, Fnv, Kind, LaneHash, Tracer};
 
 /// FNV-1a 64, one byte at a time.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -96,6 +98,34 @@ fn fnv_event_digest_is_bytewise_over_a_mixed_stream() {
         bytes.extend(fields.concat());
     }
     assert_eq!(h.finish(), fnv1a(&bytes));
+}
+
+#[test]
+fn page_checksum_is_the_lane_hash_of_its_words() {
+    let mut rng = Rng::from_seed(0xC4EC);
+    let mut page = Page::new();
+    for case in 0..64 {
+        // Zero, sparse and dense pages: a few random bytes, or all.
+        let writes = [0, 1, 16, PAGE_SIZE][case % 4];
+        for _ in 0..writes {
+            let at = rng.random_range(0..PAGE_SIZE);
+            page.bytes_mut()[at] = rng.next_u32() as u8;
+        }
+        let words: Vec<u64> = page
+            .bytes()
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        let lanes = words
+            .chunks(LaneHash::LANES)
+            .fold(LaneHash::new(), |h, block| h.block(block));
+        assert_eq!(
+            page.checksum(),
+            lanes.finish(PAGE_SIZE as u64),
+            "case {case}"
+        );
+    }
+    assert_eq!(Page::ZERO_CHECKSUM, Page::new().checksum());
 }
 
 /// Appends `len` tuples of `key` with distinct values.

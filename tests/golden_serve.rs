@@ -31,7 +31,7 @@ const GOLDEN_CLOSURE_TUPLES: u64 = 1_482_903;
 /// + reachability-index files).
 const GOLDEN_SNAPSHOT_PAGES: usize = 4_328;
 /// Aggregate served-reply digest of the canonical serve.
-const GOLDEN_REPLY_DIGEST: u64 = 0xA5C3_446C_233D_2C9E;
+const GOLDEN_REPLY_DIGEST: u64 = 0xD947_85B3_1083_1163;
 /// Physical pages read across all four sessions.
 const GOLDEN_PAGES_READ: u64 = 3_061;
 /// Hot-source cache hits / probes across all four sessions.

@@ -12,7 +12,9 @@
 //!   themselves well-formed span trees;
 //! - the canonical serve reproduces its golden reply digest, page and
 //!   cache counters (`golden_serve.rs`) with `ServeObs` enabled, at 1
-//!   and 4 workers, while the latency histograms demonstrably filled.
+//!   and 4 workers, while the latency histograms demonstrably filled;
+//!   and `tcq serve --metrics` exports the same deterministic totals it
+//!   prints on stdout.
 //!
 //! The golden constants are deliberately the same values as in their
 //! home tests — if a pin regenerates there, regenerate it here too
@@ -23,6 +25,7 @@ use tc_bench::corpus::canonical;
 use tc_bench::experiments::section;
 use tc_bench::ExpOpts;
 use tc_study::core::prelude::*;
+use tc_study::graph::DagGenerator;
 use tc_study::obs::{SpanRecorder, SpanTree};
 use tc_study::serve::{QueryStream, ServeConfig, ServeObs, Service};
 use tc_study::storage::TempDir;
@@ -43,7 +46,7 @@ const GOLDEN_TRACES: [(&str, u64, u64); 9] = [
 ];
 
 /// Serving pins — the same values as `golden_serve.rs`.
-const GOLDEN_REPLY_DIGEST: u64 = 0xA5C3_446C_233D_2C9E;
+const GOLDEN_REPLY_DIGEST: u64 = 0xD947_85B3_1083_1163;
 const GOLDEN_PAGES_READ: u64 = 3_061;
 const GOLDEN_CACHE: (u64, u64) = (1, 180);
 
@@ -176,4 +179,53 @@ fn canonical_serve_holds_golden_pins_with_obs_enabled() {
         );
         assert_eq!(obs.replies(), Some(256));
     }
+}
+
+/// `key=value` of `line`, split at `/` when the value is a pair.
+fn field<'a>(line: &'a str, key: &str) -> Vec<&'a str> {
+    let value = line
+        .split_whitespace()
+        .find_map(|w| w.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {key}= in {line:?}"));
+    value.split('/').collect()
+}
+
+#[test]
+fn tcq_serve_metrics_export_the_totals_it_prints() {
+    let dir = TempDir::new("obs-serve-metrics").unwrap();
+    let (edges, metrics) = (dir.path().join("g.txt"), dir.path().join("m.prom"));
+    let g = DagGenerator::new(400, 3.0, 60).seed(5).generate();
+    let text: String = g.arcs().map(|(u, v)| format!("{u} {v}\n")).collect();
+    std::fs::write(&edges, text).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tcq"))
+        .arg("serve")
+        .arg(&edges)
+        .args(["--workers", "2", "--clients", "3", "--per-client", "50"])
+        .args(["--buffer", "8", "--cache", "4", "--metrics"])
+        .arg(&metrics)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let prom = std::fs::read_to_string(&metrics).unwrap();
+    let exported = |name: &str| -> &str {
+        prom.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{name} missing from\n{prom}"))
+    };
+    let (cache, buffer) = (field(&stdout, "cache"), field(&stdout, "buffer"));
+    let printed = [
+        ("tc_serve_pages_read_total", field(&stdout, "pages_read")[0]),
+        ("tc_serve_cache_hits_total", cache[0]),
+        ("tc_serve_cache_lookups_total", cache[1]),
+        ("tc_serve_buffer_hits_total", buffer[0]),
+        ("tc_serve_buffer_misses_total", buffer[1]),
+    ];
+    for (name, value) in printed {
+        assert_eq!(exported(name), value, "{name}: stdout {stdout}");
+    }
+    // A cold pool over a 400-node closure reads pages and misses.
+    assert_ne!(exported("tc_serve_pages_read_total"), "0", "{stdout}");
+    assert_ne!(exported("tc_serve_buffer_misses_total"), "0", "{stdout}");
 }
