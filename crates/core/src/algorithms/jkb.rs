@@ -66,9 +66,7 @@ pub fn preprocess(
             let mut buf: Vec<u32> = Vec::new();
             for &x in &r.order {
                 buf.clear();
-                if let Some((lo, hi)) = inv_idx.probe(pool, x)? {
-                    inv_rel.probe_range(pool, x, lo, hi, &mut buf)?;
-                }
+                inv_idx.children(pool, inv_rel, x, &mut buf)?;
                 for &p in &buf {
                     metrics.count_tuple_read();
                     // Keep only magic predecessors.

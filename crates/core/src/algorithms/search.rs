@@ -52,9 +52,7 @@ pub fn run_search(
             metrics.count_union();
             metrics.count_list_fetch();
             kids.clear();
-            if let Some((lo, hi)) = db.index.probe(pool, y)? {
-                db.relation.probe_range(pool, y, lo, hi, &mut kids)?;
-            }
+            db.index.children(pool, &db.relation, y, &mut kids)?;
             metrics.count_arcs_bulk(kids.len() as u64);
             fresh.clear();
             for &c in &kids {

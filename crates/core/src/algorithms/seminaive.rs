@@ -47,9 +47,7 @@ pub fn run_seminaive(
     let mut kids: Vec<u32> = Vec::new();
     for &s in sources {
         kids.clear();
-        if let Some((lo, hi)) = db.index.probe(pool, s)? {
-            db.relation.probe_range(pool, s, lo, hi, &mut kids)?;
-        }
+        db.index.children(pool, &db.relation, s, &mut kids)?;
         metrics.count_list_fetch();
         for &c in &kids {
             metrics.count_tuple_read();
@@ -91,9 +89,7 @@ pub fn run_seminaive(
             metrics.count_union();
             metrics.count_list_fetch();
             kids.clear();
-            if let Some((lo, hi)) = db.index.probe(pool, x)? {
-                db.relation.probe_range(pool, x, lo, hi, &mut kids)?;
-            }
+            db.index.children(pool, &db.relation, x, &mut kids)?;
             metrics.count_arcs_bulk(kids.len() as u64);
             for &c in &kids {
                 metrics.count_tuple_read();

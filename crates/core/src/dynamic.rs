@@ -552,9 +552,7 @@ fn maintain(
         }
         metrics.count_list_fetch();
         kids.clear();
-        if let Some((lo, hi)) = db.index.probe(pool, x)? {
-            db.relation.probe_range(pool, x, lo, hi, &mut kids)?;
-        }
+        db.index.children(pool, &db.relation, x, &mut kids)?;
         metrics.count_arcs_bulk(kids.len() as u64);
         // A row that cannot lose starts from itself, and a child it
         // already covers — old arc, unchanged row — has nothing to add.

@@ -114,9 +114,7 @@ pub fn restructure(
         }
         while let Some(u) = stack.pop() {
             let mut kids: Vec<u32> = Vec::new();
-            if let Some((lo, hi)) = db.index.probe(pool, u)? {
-                db.relation.probe_range(pool, u, lo, hi, &mut kids)?;
-            }
+            db.index.children(pool, &db.relation, u, &mut kids)?;
             for &v in &kids {
                 if !in_magic[v as usize] {
                     in_magic[v as usize] = true;

@@ -198,9 +198,7 @@ impl ClosedSnapshot {
         // past that means the catalog and index disagree.
         for _ in 0..self.n {
             kids.clear();
-            if let Some((lo, hi)) = self.index.probe(pager, cur)? {
-                self.relation.probe_range(pager, cur, lo, hi, &mut kids)?;
-            }
+            self.index.children(pager, &self.relation, cur, &mut kids)?;
             let mut next = None;
             for &c in &kids {
                 if c == v {

@@ -69,6 +69,9 @@ g_fault_matrix() {
   # wraps; a list read as stored words against the same list decoded.
   TC_DET_CASES=256 t -p tc-succ --lib stamped_set_matches_a_btreeset_model
   TC_DET_CASES=256 t -p tc-succ --lib collect_into_decodes_to_collect_entries
+  # An index probe searches the page it fetched: the per-key search's
+  # range, physical reads, and one request per run of same-page reads.
+  TC_DET_CASES=1024 t --test decode_exactness probe_searches_the_index_page_it_fetched
   t --test unwrap_audit
 }
 

@@ -2,18 +2,24 @@
 //! here as oracles: `Fnv::u32`'s zero-byte fast path against byte-wise
 //! FNV-1a, `Page::checksum`'s byte reads against the lane hash fed the
 //! page's words one block at a time, `RelationFile::probe_range`'s
-//! in-page bisection against the linear slot scan, and
-//! `ReachIndex::reach`'s single-entry decode against reading the whole
-//! label row. Equal answers are not enough: each must also make the
-//! same page requests, because those are what the study counts.
+//! in-page bisection against the linear slot scan,
+//! `ClusteredIndex::probe`'s search inside the index page it fetched
+//! against one request per key read, and `ReachIndex::reach`'s
+//! single-entry decode against reading the whole label row. Equal
+//! answers are not enough: each must also make the same page requests,
+//! because those are what the study counts — or, for the probe, the
+//! same requests with a page's consecutive repeats folded into one, and
+//! so the same physical reads.
 
 use tc_study::buffer::{BufferPool, PagePolicy};
-use tc_study::det::Rng;
+use tc_study::det::check::{self, Checker};
+use tc_study::det::{require_eq, Rng};
 use tc_study::graph::{DagGenerator, NodeId};
 use tc_study::reach::{NullMeter, ReachIndex};
+use tc_study::storage::layout::KEYS_PER_INDEX_PAGE;
 use tc_study::storage::{
-    DiskSim, FileKind, Page, PageStore, Pager, RelationFile, Tuple, TuplePage, PAGE_SIZE,
-    TUPLES_PER_PAGE,
+    ClusteredIndex, DiskSim, FileKind, IndexPage, Page, PageId, PageStore, Pager, RelationFile,
+    Tuple, TuplePage, PAGE_SIZE, TUPLES_PER_PAGE,
 };
 use tc_study::trace::{Event, Fnv, Kind, LaneHash, Tracer};
 
@@ -222,6 +228,179 @@ fn probe_range_bisection_matches_the_linear_scan() {
             }
         }
     }
+}
+
+/// `ClusteredIndex::probe` as it was: two bisections over the sparse
+/// keys, one request per key read. Returns the page range and the index
+/// page each request went to, in order.
+fn probe_per_key<P: Pager>(
+    index_pages: &[PageId],
+    entries: usize,
+    pager: &mut P,
+    key: u32,
+) -> (Option<(usize, usize)>, Vec<PageId>) {
+    let mut requests = Vec::new();
+    if entries == 0 {
+        return (None, requests);
+    }
+    let mut read_key = |pager: &mut P, i: usize| {
+        let pid = index_pages[i / KEYS_PER_INDEX_PAGE];
+        requests.push(pid);
+        pager
+            .with_page(pid, |pg: &Page| IndexPage::get(pg, i % KEYS_PER_INDEX_PAGE))
+            .unwrap()
+    };
+    let (mut a, mut b) = (0usize, entries);
+    while a < b {
+        let mid = (a + b) / 2;
+        if read_key(pager, mid) >= key {
+            b = mid;
+        } else {
+            a = mid + 1;
+        }
+    }
+    let first_ge = a;
+    let (mut a, mut b) = (0usize, entries);
+    while a < b {
+        let mid = (a + b) / 2;
+        if read_key(pager, mid) <= key {
+            a = mid + 1;
+        } else {
+            b = mid;
+        }
+    }
+    let last_le = a.saturating_sub(1);
+    let lo = first_ge.saturating_sub(1).min(entries - 1);
+    (Some((lo, last_le.max(lo))), requests)
+}
+
+/// A clustered relation on even keys (every odd key is absent, and so
+/// are 0 and 1, below the first), one case in four past 512 data pages
+/// so the index spans two or three pages. Every relation holds a run of
+/// at least three data pages and a run that starts on a page's first
+/// slot.
+fn clustered_relation(rng: &mut Rng) -> Vec<Tuple> {
+    let pages = match rng.random_range(0..4u32) {
+        0 => rng.random_range(KEYS_PER_INDEX_PAGE + 1..3 * KEYS_PER_INDEX_PAGE),
+        _ => rng.random_range(4..40usize),
+    };
+    let tuples = pages * TUPLES_PER_PAGE - rng.random_range(0..TUPLES_PER_PAGE);
+    let long_at = rng.random_range(0..tuples / 2);
+    let aligned_at = rng.random_range(0..tuples / 2);
+    let (mut long, mut aligned) = (false, false);
+    let mut data: Vec<Tuple> = Vec::new();
+    let mut key = 2 * rng.random_range(1..4u32);
+    while data.len() < tuples {
+        if !aligned && data.len() >= aligned_at {
+            // Stretch the run before it to the end of its page.
+            if let Some(&(prev, _)) = data.last() {
+                let pad = (TUPLES_PER_PAGE - data.len() % TUPLES_PER_PAGE) % TUPLES_PER_PAGE;
+                push_run(&mut data, prev, pad);
+            }
+            aligned = true;
+        }
+        let len = if !long && data.len() >= long_at {
+            long = true;
+            rng.random_range(2 * TUPLES_PER_PAGE + 1..4 * TUPLES_PER_PAGE)
+        } else if rng.random_range(0..10u32) == 0 {
+            rng.random_range(200..800usize)
+        } else {
+            rng.random_range(1..12usize)
+        };
+        push_run(&mut data, key, len);
+        key += 2 * rng.random_range(1..4u32);
+    }
+    data
+}
+
+/// The relation of `data` and its index on a fresh simulated disk.
+fn indexed(data: &[Tuple]) -> (DiskSim, RelationFile, ClusteredIndex) {
+    let mut disk = DiskSim::new();
+    let rel = RelationFile::bulk_load(&mut disk, FileKind::Relation, data).unwrap();
+    let idx = ClusteredIndex::build(&mut disk, &rel).unwrap();
+    (disk, rel, idx)
+}
+
+#[test]
+fn probe_searches_the_index_page_it_fetched() {
+    Checker::new("probe_searches_the_index_page_it_fetched")
+        .cases(48)
+        .run(
+            |rng| rng.next_u64(),
+            check::shrink_none,
+            |&seed| {
+                let mut rng = Rng::from_seed(seed);
+                let data = clustered_relation(&mut rng);
+                let (mut disk, rel, idx) = indexed(&data);
+                let index_pages = disk.file_page_ids(idx.file_id()).unwrap();
+                let entries = rel.page_count();
+                require_eq!(index_pages.len(), entries.div_ceil(KEYS_PER_INDEX_PAGE));
+
+                // Every key around a page boundary, the ends, and a sample of
+                // the rest (all of them on a small relation).
+                let max_key = data[data.len() - 1].0;
+                let mut keys = vec![0, 1, max_key + 1, max_key + 2, u32::MAX];
+                for &k in rel.first_keys() {
+                    keys.extend([k.saturating_sub(1), k, k + 1]);
+                }
+                if entries <= 64 {
+                    keys.extend(0..=max_key);
+                } else {
+                    keys.extend((0..600).map(|_| rng.random_range(0..max_key + 3)));
+                }
+
+                // The same requests, one pool per side, other data pages
+                // touched in between so index pages get evicted.
+                let frames = rng.random_range(2..5usize);
+                let pool = |store| BufferPool::new(store, frames, PagePolicy::Lru);
+                let (mut new, mut old) = (pool(indexed(&data).0), pool(indexed(&data).0));
+                for (i, &key) in keys.iter().enumerate() {
+                    let (range, requests) = probe_per_key(&index_pages, entries, &mut disk, key);
+                    let before = disk.stats().reads;
+                    require_eq!(
+                        idx.probe(&mut disk, key).unwrap(),
+                        range,
+                        "key {key}: page range"
+                    );
+                    // On the bare disk every request is a read.
+                    let key_reads = requests.len();
+                    let mut runs = requests;
+                    runs.dedup();
+                    require_eq!(
+                        disk.stats().reads - before,
+                        runs.len() as u64,
+                        "key {key}: index requests ({key_reads} key reads)"
+                    );
+                    if index_pages.len() == 1 {
+                        require_eq!(runs.len(), 1, "key {key}: a one-page index");
+                    }
+
+                    if rng.random_range(0..3u32) == 0 {
+                        let pid = rel.pages()[rng.random_range(0..entries)];
+                        for side in [&mut new, &mut old] {
+                            side.with_page(pid, |_: &Page| ()).unwrap();
+                        }
+                    }
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    idx.children(&mut new, &rel, key, &mut got).unwrap();
+                    let (range, _) = probe_per_key(&index_pages, entries, &mut old, key);
+                    let (lo, hi) = range.unwrap();
+                    rel.probe_range(&mut old, key, lo, hi, &mut want).unwrap();
+                    require_eq!(got, want, "key {key}: children");
+                    let from = data.partition_point(|t| t.0 < key);
+                    let to = data.partition_point(|t| t.0 <= key);
+                    let stored: Vec<u32> = data[from..to].iter().map(|t| t.1).collect();
+                    require_eq!(got, stored, "key {key}: children against the data");
+                    require_eq!(
+                        new.store().stats().reads,
+                        old.store().stats().reads,
+                        "after key {key} (probe {i}) through {frames} frames: physical reads"
+                    );
+                    require_eq!(new.stats().misses, old.stats().misses, "after key {key}");
+                }
+                Ok(())
+            },
+        );
 }
 
 #[test]

@@ -23,7 +23,7 @@ const GOLDEN: [(&str, u64); 14] = [
     ("figs8-12", 0x04EF_0112_49D4_BAB9),
     ("table4", 0xE3CC_983C_8866_E4DE),
     ("predictiveness", 0xB27F_ED9B_07A2_8CEF),
-    ("fig13", 0x9ECE_DEB3_67B8_AFD5),
+    ("fig13", 0x819A_9F6C_954A_0A1F),
     ("fig14", 0xDF06_D3BF_DC84_5410),
     ("related", 0x65AF_1E01_873F_7F46),
     ("ablations", 0x4B85_4915_6D31_D630),

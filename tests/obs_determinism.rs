@@ -34,14 +34,14 @@ use tc_study::trace::{DigestSink, Tracer};
 /// Pinned (algorithm, digest hash, event count) per algorithm — the
 /// same table as `golden_trace.rs`, which is its source of truth.
 const GOLDEN_TRACES: [(&str, u64, u64); 9] = [
-    ("BTC", 0x9FABA2F4B7FCE4DA, 9060547),
-    ("HYB", 0xFB2A44807E985F89, 9869439),
-    ("BJ", 0xC7C7DD5DD1098421, 8214073),
-    ("SRCH", 0xCDE86C0304F8C5F4, 121226),
-    ("SPN", 0xAA813878E16DE875, 8240747),
-    ("JKB", 0xDBC91DF315C2877A, 144569),
-    ("JKB2", 0x2033E80CBEDEE7E4, 176104),
-    ("SEMINAIVE", 0xDA3EAA95B440D129, 155492),
+    ("BTC", 0x3A5C88BAA9EF2B5D, 9042354),
+    ("HYB", 0x8E22CD8777127090, 9851246),
+    ("BJ", 0x40344C1B0C2E6162, 8195880),
+    ("SRCH", 0x5A858A8E9679B7DB, 83555),
+    ("SPN", 0x82AB2A39C6C99B86, 8222554),
+    ("JKB", 0xFF5B7B2E48B88139, 126376),
+    ("JKB2", 0x2D3F04FED5DF35AA, 139752),
+    ("SEMINAIVE", 0x03CAE93C00223F48, 117821),
     ("REACHINDEX", 0xBA809325D2444186, 61492),
 ];
 
