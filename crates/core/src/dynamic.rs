@@ -56,8 +56,8 @@ use tc_graph::topo::topological_order;
 use tc_graph::{closure, Graph, NodeId, UpdateOp};
 use tc_reach::{NullMeter, ReachIndex};
 use tc_storage::{
-    ClusteredIndex, FaultEvent, FileKind, FrozenPageSet, PageStore, RelationFile, StorageError,
-    StorageResult, ValueFile, ValueWriter,
+    ClusteredIndex, FileKind, FrozenPageSet, PageStore, RelationFile, StorageError, StorageResult,
+    ValueFile, ValueWriter,
 };
 use tc_succ::{row_offsets, BitRow, TupleRows};
 use tc_trace::{Event, Tracer};
@@ -128,8 +128,6 @@ pub struct UpdateResult {
     pub inserted: u64,
     /// Closure tuples removed by the batch (net of re-derivations).
     pub removed: u64,
-    /// The fault trace of the run (empty unless a plan was armed).
-    pub fault_trace: Vec<FaultEvent>,
 }
 
 /// The *net* arc changes of a batch, each list in op order: no-op
@@ -341,14 +339,13 @@ impl DynamicClosure {
             )?)
         });
 
-        let (done, metrics, fault_trace) = run.finish(&mut self.db, pool, outcome)?;
+        let (done, metrics) = run.finish(&mut self.db, pool, outcome)?;
         self.tc = done.file;
         self.rows = done.rows;
         Ok(UpdateResult {
             metrics,
             inserted: done.inserted,
             removed: done.removed,
-            fault_trace,
         })
     }
 }

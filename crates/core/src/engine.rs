@@ -12,7 +12,7 @@ use crate::restructure::{restructure, RestructureOptions};
 use tc_buffer::BufferPool;
 use tc_graph::{closure, MagicGraph, NodeId, RectangleModel};
 use tc_reach::ReachIndex;
-use tc_storage::{FaultEvent, FileKind, StorageResult, TupleWriter};
+use tc_storage::{FileKind, StorageResult, TupleWriter};
 
 /// The outcome of one query execution.
 #[derive(Clone, Debug)]
@@ -23,10 +23,6 @@ pub struct RunResult {
     /// in the [`SystemConfig`]. Sorted; the algorithms emit each tuple
     /// once, and nothing here would drop a repeat if one did not.
     pub answer: Option<Vec<(NodeId, NodeId)>>,
-    /// The fault trace of the run: every injected fault and checksum
-    /// detection, in order. Empty unless the [`SystemConfig`] armed a
-    /// fault plan.
-    pub fault_trace: Vec<FaultEvent>,
 }
 
 impl RunResult {
@@ -47,7 +43,7 @@ pub(crate) fn run(
     let mut answer = AnswerCollector::traced(cfg.validate || cfg.collect_answer, cfg.trace.clone())
         .with_id_bound(db.n());
     let outcome = execute(db, &mut run, &mut pool, query, algorithm, cfg, &mut answer);
-    let ((), mut metrics, fault_trace) = run.finish(db, pool, outcome)?;
+    let ((), mut metrics) = run.finish(db, pool, outcome)?;
     metrics.answer_tuples = answer.count();
 
     let answer_pairs = if cfg.validate || cfg.collect_answer {
@@ -63,7 +59,6 @@ pub(crate) fn run(
     Ok(RunResult {
         metrics,
         answer: answer_pairs,
-        fault_trace,
     })
 }
 

@@ -117,6 +117,6 @@ pub mod prelude {
     pub use crate::query::Query;
     pub use crate::snapshot::ClosedSnapshot;
     pub use tc_buffer::PagePolicy;
-    pub use tc_storage::{Backend, FaultConfig, FaultEvent, FaultKind, FaultOutcome, PageStore};
+    pub use tc_storage::{Backend, FaultConfig, FaultKind, PageStore};
     pub use tc_succ::ListPolicy;
 }

@@ -35,9 +35,7 @@ use crate::metrics::{CostMetrics, PhaseIo};
 use std::time::Instant;
 use tc_buffer::{BufferPool, BufferStats};
 use tc_obs::SpanGuard;
-use tc_storage::{
-    DiskStats, FaultEvent, FaultPlan, PageStore, StorageError, StorageResult, MS_PER_IO,
-};
+use tc_storage::{DiskStats, FaultPlan, PageStore, StorageError, StorageResult, MS_PER_IO};
 use tc_trace::{compute_buffer_is_whole_run, Event, Phase, Tracer};
 
 /// One armed run, between [`MeteredRun::arm`] and [`MeteredRun::finish`].
@@ -127,13 +125,13 @@ impl<'a> MeteredRun<'a> {
     /// the database for the next one; the body's error wins over a sync
     /// error. On success, returns the body's value, the assembled
     /// metrics (tracer stripped: the trace belongs to the run, not to
-    /// whoever clones the metrics afterwards) and the fault trace.
+    /// whoever clones the metrics afterwards).
     pub(crate) fn finish<T, E: From<StorageError>>(
         mut self,
         db: &mut Database,
         pool: BufferPool,
         outcome: Result<T, E>,
-    ) -> Result<(T, CostMetrics, Vec<FaultEvent>), E> {
+    ) -> Result<(T, CostMetrics), E> {
         self.phase_span = None;
         let mut metrics = self.metrics;
         let disk_total = pool.store().stats().clone();
@@ -144,7 +142,7 @@ impl<'a> MeteredRun<'a> {
         self.cfg.trace.emit(Event::RunEnd);
         let mut store = pool.into_store_discard();
         store.set_tracer(Tracer::disabled());
-        let fault = store.clear_fault_plan();
+        store.clear_fault_plan();
         // Durability point for real backends: a completed run's flushed
         // pages and the store metadata survive a crash from here on
         // (never counted or traced; free on the simulator).
@@ -165,11 +163,10 @@ impl<'a> MeteredRun<'a> {
         } else {
             metrics.buffer.since(&self.buffer_at_boundary)
         };
-        let fault_trace = fault.map(FaultPlan::into_events).unwrap_or_default();
         metrics.elapsed = self.start.elapsed();
         metrics.estimated_io_seconds = estimate_seconds(metrics.total_io());
         metrics.trace = Tracer::disabled();
-        Ok((value, metrics, fault_trace))
+        Ok((value, metrics))
     }
 }
 

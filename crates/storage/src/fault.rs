@@ -1,12 +1,12 @@
-//! Deterministic fault injection for the simulated disk.
+//! Deterministic fault injection for every page store.
 //!
 //! The paper treats the disk as infallible; a production reachability
 //! store cannot. This module lets a test (or an experiment) arm a
-//! [`FaultPlan`] on a [`crate::DiskSim`] so that individual page
+//! [`FaultPlan`] on any [`crate::PageStore`] so that individual page
 //! transfers fail or silently corrupt according to a *seeded,
 //! bit-reproducible* schedule: the same [`FaultConfig`] replays the same
-//! failure trace on every run, because every decision flows from a
-//! `tc-det` stream indexed by the global I/O-operation counter.
+//! failures on every run, because every decision flows from a `tc-det`
+//! stream indexed by the global I/O-operation counter.
 //!
 //! ## Fault kinds
 //!
@@ -29,7 +29,7 @@
 //! ## Determinism contract
 //!
 //! Faults are decided per *physical page-transfer attempt*, in order: the
-//! disk keeps one global op counter covering reads and writes (retries
+//! plan keeps one global op counter covering reads and writes (retries
 //! are fresh attempts and consume fresh op indexes). A decision is either
 //! an explicit [`ScheduledFault`] match or a single uniform draw from the
 //! plan's seeded [`tc_det::Rng`] (one draw per attempt whenever any
@@ -39,89 +39,29 @@
 //! same page-I/O metrics as its fault-free twin, with only the retry
 //! counters differing.
 //!
-//! Every injection (and every checksum detection) is appended to the
-//! plan's [`FaultEvent`] trace, which is what the golden fault-trace test
-//! pins, and the per-kind breakdown of a run's faults. The plan keeps no
-//! counters of its own: the store folds the `FaultInjected` /
-//! `CorruptionDetected` events it emits for them into
-//! [`crate::DiskStats`], so a run's fault tallies are its `DiskStats`
-//! delta, like its page I/O.
+//! The plan only decides; it records nothing. It hands each injected
+//! [`FaultKind`] back to the store, which emits it as the one record of
+//! the fault, a `FaultInjected { page, fault }` event (and a checksum
+//! catch as `CorruptionDetected`), and folds those events into
+//! [`crate::DiskStats`]. A run's faults are therefore its event stream,
+//! and its fault tallies its `DiskStats` delta, like its page I/O.
 
-use crate::error::{StorageError, StorageResult};
+use crate::error::StorageError;
 use crate::page::{PageId, PAGE_SIZE};
-use std::fmt;
 use tc_det::Rng;
 
-/// The kinds of storage fault the plan can inject.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum FaultKind {
-    /// A read attempt fails; a retry may succeed.
-    TransientRead,
-    /// A write attempt fails; a retry may succeed.
-    TransientWrite,
-    /// The page becomes permanently unreadable.
-    PermanentRead,
-    /// A write silently corrupts the stored image (torn write); detected
-    /// by checksum on the next physical read.
-    Corrupt,
-}
+/// The kinds of storage fault the plan can inject: the trace
+/// vocabulary's [`tc_trace::FaultKind`], so a `FaultInjected` event names
+/// the fault it records.
+pub use tc_trace::FaultKind;
 
-impl FaultKind {
-    /// Whether this kind applies to read attempts (vs. write attempts).
-    fn is_read_kind(self) -> bool {
-        matches!(self, FaultKind::TransientRead | FaultKind::PermanentRead)
-    }
+/// An injected failure: the fault the plan decided on, and the error the
+/// attempt fails with.
+pub(crate) type Injected = (FaultKind, StorageError);
 
-    /// Stable single-byte encoding, used by trace checksums.
-    pub fn code(self) -> u8 {
-        match self {
-            FaultKind::TransientRead => 0,
-            FaultKind::TransientWrite => 1,
-            FaultKind::PermanentRead => 2,
-            FaultKind::Corrupt => 3,
-        }
-    }
-}
-
-/// What actually happened when a fault fired (or was caught).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum FaultOutcome {
-    /// The attempt failed with a retryable [`StorageError::TransientIo`].
-    FailedTransient,
-    /// The attempt failed with [`StorageError::PermanentFault`].
-    FailedPermanent,
-    /// The write succeeded but the stored image was silently corrupted.
-    SilentlyCorrupted,
-    /// A read's checksum verification caught a corrupted image and failed
-    /// with [`StorageError::ChecksumMismatch`].
-    Detected,
-}
-
-impl FaultOutcome {
-    /// Stable single-byte encoding, used by trace checksums.
-    pub fn code(self) -> u8 {
-        match self {
-            FaultOutcome::FailedTransient => 0,
-            FaultOutcome::FailedPermanent => 1,
-            FaultOutcome::SilentlyCorrupted => 2,
-            FaultOutcome::Detected => 3,
-        }
-    }
-}
-
-/// One entry of a fault trace: what was injected (or detected), where,
-/// and at which position of the global I/O-attempt sequence.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FaultEvent {
-    /// Index of the physical page-transfer attempt (reads and writes
-    /// share one counter; failed attempts consume indexes too).
-    pub op: u64,
-    /// The page involved.
-    pub page: PageId,
-    /// The fault kind.
-    pub kind: FaultKind,
-    /// What happened.
-    pub outcome: FaultOutcome,
+/// Whether `kind` strikes write attempts (else read attempts).
+fn strikes_writes(kind: FaultKind) -> bool {
+    matches!(kind, FaultKind::TransientWrite | FaultKind::Corrupt)
 }
 
 /// An explicit fault to inject, matched against each attempt.
@@ -250,7 +190,6 @@ pub struct FaultPlan {
     op: u64,
     transient_streak: u32,
     dead_pages: Vec<PageId>,
-    events: Vec<FaultEvent>,
 }
 
 impl FaultPlan {
@@ -262,18 +201,7 @@ impl FaultPlan {
             op: 0,
             transient_streak: 0,
             dead_pages: Vec::new(),
-            events: Vec::new(),
         }
-    }
-
-    /// The fault trace so far, in injection order.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Consumes the plan, returning the fault trace.
-    pub fn into_events(self) -> Vec<FaultEvent> {
-        self.events
     }
 
     /// Physical page-transfer attempts observed so far.
@@ -286,35 +214,20 @@ impl FaultPlan {
             .schedule
             .iter()
             .find(|s| {
-                s.kind.is_read_kind() == read
+                strikes_writes(s.kind) != read
                     && s.op.map_or(true, |o| o == op)
                     && s.page.map_or(true, |p| p == pid)
             })
             .map(|s| s.kind)
     }
 
-    fn record(&mut self, op: u64, page: PageId, kind: FaultKind, outcome: FaultOutcome) {
-        self.events.push(FaultEvent {
-            op,
-            page,
-            kind,
-            outcome,
-        });
-    }
-
-    /// Decides the fate of a read attempt on `pid`. Returns the attempt's
-    /// op index on success; an injected failure otherwise.
-    pub(crate) fn on_read(&mut self, pid: PageId) -> StorageResult<u64> {
+    /// Decides the fate of a read attempt on `pid`: `Ok` lets it
+    /// through, an injected failure comes back with its kind.
+    pub(crate) fn on_read(&mut self, pid: PageId) -> Result<(), Injected> {
         let op = self.op;
         self.op += 1;
         if self.dead_pages.contains(&pid) {
-            self.record(
-                op,
-                pid,
-                FaultKind::PermanentRead,
-                FaultOutcome::FailedPermanent,
-            );
-            return Err(StorageError::PermanentFault(pid));
+            return Err((FaultKind::PermanentRead, StorageError::PermanentFault(pid)));
         }
         let scheduled = self.scheduled(op, pid, true);
         let drawn = if self.cfg.p_read_any() > 0.0 {
@@ -334,44 +247,43 @@ impl FaultPlan {
         match (scheduled, drawn) {
             (Some(kind), _) => {
                 // Scheduled faults are explicit: exempt from the streak cap.
-                self.inject_read(op, pid, kind)
+                self.inject_read(pid, kind)
             }
             (None, Some(FaultKind::TransientRead)) => {
                 if self.transient_streak >= self.cfg.max_transient_streak {
                     self.transient_streak = 0;
-                    Ok(op)
+                    Ok(())
                 } else {
                     self.transient_streak += 1;
-                    self.inject_read(op, pid, FaultKind::TransientRead)
+                    self.inject_read(pid, FaultKind::TransientRead)
                 }
             }
-            (None, Some(kind)) => self.inject_read(op, pid, kind),
+            (None, Some(kind)) => self.inject_read(pid, kind),
             (None, None) => {
                 self.transient_streak = 0;
-                Ok(op)
+                Ok(())
             }
         }
     }
 
-    fn inject_read(&mut self, op: u64, pid: PageId, kind: FaultKind) -> StorageResult<u64> {
+    fn inject_read(&mut self, pid: PageId, kind: FaultKind) -> Result<(), Injected> {
         match kind {
             FaultKind::TransientRead => {
-                self.record(op, pid, kind, FaultOutcome::FailedTransient);
-                Err(StorageError::TransientIo { pid, write: false })
+                Err((kind, StorageError::TransientIo { pid, write: false }))
             }
             FaultKind::PermanentRead => {
                 self.dead_pages.push(pid);
-                self.record(op, pid, kind, FaultOutcome::FailedPermanent);
-                Err(StorageError::PermanentFault(pid))
+                Err((kind, StorageError::PermanentFault(pid)))
             }
             // Write kinds are filtered out by `scheduled` / the read draw.
-            _ => Ok(op),
+            _ => Ok(()),
         }
     }
 
-    /// Decides the fate of a write attempt on `pid`. On success returns
-    /// the op index and, for a torn write, the byte offset to corrupt.
-    pub(crate) fn on_write(&mut self, pid: PageId) -> StorageResult<(u64, Option<usize>)> {
+    /// Decides the fate of a write attempt on `pid`. On success returns,
+    /// for a torn write (a [`FaultKind::Corrupt`] injection), the byte
+    /// offset to corrupt; an injected failure comes back with its kind.
+    pub(crate) fn on_write(&mut self, pid: PageId) -> Result<Option<usize>, Injected> {
         let op = self.op;
         self.op += 1;
         let scheduled = self.scheduled(op, pid, false);
@@ -401,44 +313,21 @@ impl FaultPlan {
             (None, drawn) => drawn,
         };
         match kind {
-            Some(FaultKind::TransientWrite) => {
-                self.record(
-                    op,
-                    pid,
-                    FaultKind::TransientWrite,
-                    FaultOutcome::FailedTransient,
-                );
-                Err(StorageError::TransientIo { pid, write: true })
+            Some(kind @ FaultKind::TransientWrite) => {
+                Err((kind, StorageError::TransientIo { pid, write: true }))
             }
             Some(FaultKind::Corrupt) => {
                 // The write itself succeeds, so it breaks any failure streak.
                 self.transient_streak = 0;
-                self.record(op, pid, FaultKind::Corrupt, FaultOutcome::SilentlyCorrupted);
-                let off = self.rng.random_range(0..PAGE_SIZE);
-                Ok((op, Some(off)))
+                Ok(Some(self.rng.random_range(0..PAGE_SIZE)))
             }
             _ => {
                 if scheduled.is_none() {
                     self.transient_streak = 0;
                 }
-                Ok((op, None))
+                Ok(None)
             }
         }
-    }
-
-    /// Records a checksum-verification catch at read attempt `op`.
-    pub(crate) fn on_detection(&mut self, op: u64, pid: PageId) {
-        self.record(op, pid, FaultKind::Corrupt, FaultOutcome::Detected);
-    }
-}
-
-impl fmt::Display for FaultEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "op {} {:?} {:?} -> {:?}",
-            self.op, self.page, self.kind, self.outcome
-        )
     }
 }
 
@@ -456,29 +345,22 @@ mod tests {
         assert!(plan.on_read(PageId(0)).is_ok()); // op 1
         assert_eq!(
             plan.on_read(PageId(0)), // op 2: scheduled transient
-            Err(StorageError::TransientIo {
-                pid: PageId(0),
-                write: false
-            })
-        );
-        assert_eq!(
-            plan.on_read(PageId(7)),
-            Err(StorageError::PermanentFault(PageId(7)))
-        );
-        // Dead pages stay dead even though the schedule entry matched once.
-        assert_eq!(
-            plan.on_read(PageId(7)),
-            Err(StorageError::PermanentFault(PageId(7)))
-        );
-        let kinds: Vec<FaultKind> = plan.events().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            [
+            Err((
                 FaultKind::TransientRead,
-                FaultKind::PermanentRead,
-                FaultKind::PermanentRead
-            ]
+                StorageError::TransientIo {
+                    pid: PageId(0),
+                    write: false
+                }
+            ))
         );
+        let dead = Err((
+            FaultKind::PermanentRead,
+            StorageError::PermanentFault(PageId(7)),
+        ));
+        assert_eq!(plan.on_read(PageId(7)), dead);
+        // Dead pages stay dead even though the schedule entry matched once.
+        assert_eq!(plan.on_read(PageId(7)), dead);
+        assert_eq!(plan.ops(), 5);
     }
 
     #[test]
@@ -505,19 +387,19 @@ mod tests {
             .corrupt_writes(0.05);
         let run = || {
             let mut plan = FaultPlan::new(cfg.clone());
-            let mut log = Vec::new();
-            for i in 0..200u32 {
-                if i % 3 == 0 {
-                    log.push(plan.on_write(PageId(i % 7)).is_ok());
-                } else {
-                    log.push(plan.on_read(PageId(i % 7)).is_ok());
-                }
-            }
-            (log, plan.into_events())
+            let log: Vec<Result<Option<usize>, Injected>> = (0..200u32)
+                .map(|i| match i % 3 {
+                    0 => plan.on_write(PageId(i % 7)),
+                    _ => plan.on_read(PageId(i % 7)).map(|()| None),
+                })
+                .collect();
+            log
         };
-        let (a, ea) = run();
-        let (b, eb) = run();
-        assert_eq!(a, b);
-        assert_eq!(ea, eb);
+        let a = run();
+        assert!(a
+            .iter()
+            .any(|d| matches!(d, Err((FaultKind::TransientRead, _)))));
+        assert!(a.iter().any(|d| matches!(d, Ok(Some(_)))), "no torn write");
+        assert_eq!(a, run());
     }
 }

@@ -63,7 +63,7 @@ pub mod values;
 pub use disk::{DiskSim, DiskStats, FileId, FileKind, Mem, MS_PER_IO};
 pub use error::{StorageError, StorageResult};
 pub use extsort::external_sort;
-pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultOutcome, FaultPlan, ScheduledFault};
+pub use fault::{FaultConfig, FaultKind, FaultPlan, ScheduledFault};
 pub use file_store::{FileStore, RecoveryReport, Segment, TempDir};
 pub use file_store::{HEADER_SIZE as FILE_STORE_HEADER_SIZE, SLOT_SIZE as FILE_STORE_SLOT_SIZE};
 pub use frozen::{Frozen, FrozenPageSet, FrozenStore};

@@ -24,7 +24,7 @@
 
 use crate::disk::{verify_image, DiskSim, DiskStats, FileId, FileKind};
 use crate::error::{StorageError, StorageResult};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultKind, FaultPlan};
 use crate::file_store::{FileStore, TempDir};
 use crate::frozen::FrozenPageSet;
 use crate::medium::{Catalog, FileMeta, Medium};
@@ -140,8 +140,9 @@ pub trait PageStore: Send {
     /// any previous plan.
     fn set_fault_plan(&mut self, plan: FaultPlan);
 
-    /// Disarms fault injection, returning the plan (with its fault
-    /// trace) if one was armed; the tallies are in [`stats`](PageStore::stats).
+    /// Disarms fault injection, returning the plan if one was armed. The
+    /// faults it injected are the store's `FaultInjected` events; their
+    /// tallies are in [`stats`](PageStore::stats).
     fn clear_fault_plan(&mut self) -> Option<FaultPlan>;
 
     /// Short stable backend name (`"sim"`, `"file"`, `"frozen"`), used
@@ -214,8 +215,8 @@ impl<M: Medium> Store<M> {
         self.tracer.emit(ev);
     }
 
-    fn note_fault(&mut self, pid: PageId, write: bool) {
-        self.note(Event::FaultInjected { page: pid.0, write });
+    fn note_fault(&mut self, pid: PageId, fault: FaultKind) {
+        self.note(Event::FaultInjected { page: pid.0, fault });
     }
 
     /// The one retry loop: runs `attempt` again while it fails
@@ -258,15 +259,11 @@ impl<M: Medium> Store<M> {
     /// fault-free one.
     fn read_once(&mut self, pid: PageId, out: Option<&mut Page>) -> StorageResult<()> {
         let kind = self.catalog.page_kind(pid)?;
-        let op = match self.fault.as_mut().map(|plan| plan.on_read(pid)) {
-            Some(Err(e)) => {
-                self.note_fault(pid, false);
-                return Err(e);
-            }
-            Some(Ok(op)) => Some(op),
-            None => None,
-        };
-        let verify = op.is_some();
+        if let Some(Err((fault, e))) = self.fault.as_mut().map(|plan| plan.on_read(pid)) {
+            self.note_fault(pid, fault);
+            return Err(e);
+        }
+        let verify = self.fault.is_some();
         let moved = match (out, self.medium.lent()) {
             (Some(out), _) => self.medium.read(pid, out, verify),
             (None, Some(set)) => set
@@ -278,9 +275,6 @@ impl<M: Medium> Store<M> {
         };
         if let Err(e) = moved {
             if matches!(e, StorageError::ChecksumMismatch { .. }) {
-                if let (Some(op), Some(plan)) = (op, self.fault.as_mut()) {
-                    plan.on_detection(op, pid);
-                }
                 self.note(Event::CorruptionDetected { page: pid.0 });
             }
             return Err(e);
@@ -297,17 +291,17 @@ impl<M: Medium> Store<M> {
         self.medium.writable()?;
         let kind = self.catalog.page_kind(pid)?;
         let tear_at = match self.fault.as_mut().map(|plan| plan.on_write(pid)) {
-            Some(Err(e)) => {
-                self.note_fault(pid, true);
+            Some(Err((fault, e))) => {
+                self.note_fault(pid, fault);
                 return Err(e);
             }
-            Some(Ok((_, tear_at))) => tear_at,
+            Some(Ok(tear_at)) => tear_at,
             None => None,
         };
         self.medium.write(pid, data, tear_at)?;
         if tear_at.is_some() {
             // A torn write is a silent injection: it reports success.
-            self.note_fault(pid, true);
+            self.note_fault(pid, FaultKind::Corrupt);
         }
         self.note(Event::PageWrite { page: pid.0, kind });
         Ok(())
@@ -574,7 +568,7 @@ mod tests {
 
     #[test]
     fn transfers_retry_transients_and_exhaust_on_persistent_ones() {
-        use crate::fault::{FaultConfig, FaultKind};
+        use crate::fault::FaultConfig;
         use tc_trace::VecSink;
 
         let mut disk = DiskSim::new();
@@ -596,7 +590,10 @@ mod tests {
         assert_eq!(disk.stats().retry_backoff_ms, 1 + 2);
         let page = pid.0;
         let kind = FileKind::Temp;
-        let fault = Event::FaultInjected { page, write: false };
+        let fault = Event::FaultInjected {
+            page,
+            fault: FaultKind::TransientRead,
+        };
         assert_eq!(
             sink.events(),
             [
@@ -619,8 +616,7 @@ mod tests {
             disk.write_page(pid, &Page::new()),
             Err(StorageError::RetriesExhausted { pid, attempts: 4 })
         );
-        let plan = disk.clear_fault_plan().unwrap();
-        assert_eq!((plan.ops(), plan.events().len()), (4, 4));
+        assert_eq!(disk.clear_fault_plan().unwrap().ops(), 4);
         assert_eq!((disk.stats().writes, disk.stats().retries), (0, 2 + 3));
         assert_eq!(disk.stats().retry_backoff_ms, 3 + 1 + 2 + 4);
         assert_eq!(disk.stats().faults_injected, 2 + 4);

@@ -14,7 +14,7 @@
 //! The vocabulary is declared **once**, in the `events!` table at the
 //! bottom of this module: the enum, [`Event::name`], [`Event::NAMES`],
 //! the JSONL encoder and parser and the digest fold are all generated
-//! from it, and what differs per field *type* lives in the seven impls
+//! from it, and what differs per field *type* lives in the eight impls
 //! of the private `Field` trait. Adding an event is one table entry;
 //! [`crate::Counts::on`] — the one fold, which the engine, replay and
 //! `tc-profile` all count through — then fails to compile until it says
@@ -118,6 +118,53 @@ impl Kind {
     }
 }
 
+/// Which fault an armed fault plan injected into a page-transfer attempt
+/// (`tc-storage` re-exports this as `FaultKind`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+pub enum FaultKind {
+    /// A read attempt fails; a retry may succeed.
+    TransientRead,
+    /// A write attempt fails; a retry may succeed.
+    TransientWrite,
+    /// The page becomes permanently unreadable.
+    PermanentRead,
+    /// A write silently corrupts the stored image (torn write); detected
+    /// by checksum on the next physical read.
+    Corrupt,
+}
+
+impl FaultKind {
+    /// All kinds, in [`FaultKind::code`] order.
+    pub const ALL: [FaultKind; 4] = [
+        FaultKind::TransientRead,
+        FaultKind::TransientWrite,
+        FaultKind::PermanentRead,
+        FaultKind::Corrupt,
+    ];
+
+    /// Stable single-byte encoding, used by trace digests. The transient
+    /// kinds must stay 0 (read) and 1 (write): pinned transient-fault
+    /// streams fold them at those bytes.
+    pub fn code(self) -> u8 {
+        match self {
+            FaultKind::TransientRead => 0,
+            FaultKind::TransientWrite => 1,
+            FaultKind::PermanentRead => 2,
+            FaultKind::Corrupt => 3,
+        }
+    }
+
+    /// Lower-case name, used by the JSONL export.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultKind::TransientRead => "transient-read",
+            FaultKind::TransientWrite => "transient-write",
+            FaultKind::PermanentRead => "permanent-read",
+            FaultKind::Corrupt => "corrupt",
+        }
+    }
+}
+
 /// `Algorithm::name()` of every algorithm the engine can run, in
 /// `Algorithm::WITH_INDEX` order (a `tc-core` unit test holds the two
 /// equal). A parsed `RunBegin` interns its algorithm against this list
@@ -189,7 +236,8 @@ trait Field: Sized {
     /// Folds the canonical byte encoding.
     fn fold(self, h: &mut Fnv);
     /// Prints the JSON value. The vocabulary needs no string escaping:
-    /// every string is a fixed identifier (algorithm, kind, phase names).
+    /// every string is a fixed identifier (algorithm, kind, fault, phase
+    /// names).
     fn print<W: Write>(self, w: &mut W) -> io::Result<()>;
     /// Parses a raw JSON value (strings keep their quotes).
     fn parse(raw: &str) -> Option<Self>;
@@ -243,6 +291,20 @@ impl Field for Kind {
     fn parse(raw: &str) -> Option<Kind> {
         let name = unquote(raw)?;
         Kind::ALL.into_iter().find(|k| k.name() == name)
+    }
+}
+
+impl Field for FaultKind {
+    #[inline]
+    fn fold(self, h: &mut Fnv) {
+        h.byte(self.code())
+    }
+    fn print<W: Write>(self, w: &mut W) -> io::Result<()> {
+        write!(w, "\"{}\"", self.name())
+    }
+    fn parse(raw: &str) -> Option<FaultKind> {
+        let name = unquote(raw)?;
+        FaultKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -404,12 +466,13 @@ events! {
         kind: Kind,
     },
     /// The armed fault plan injected a fault into this transfer attempt
-    /// (transient/permanent failure, or a silent torn write).
+    /// (transient/permanent failure, or a silent torn write). The one
+    /// record of a run's faults: the plan keeps no log of its own.
     FaultInjected = "fault_injected" {
         /// Raw page number.
         page: u32,
-        /// Whether the faulted attempt was a write.
-        write: bool,
+        /// Which fault.
+        fault: FaultKind,
     },
     /// Checksum verification caught a corrupted page image on read.
     CorruptionDetected = "corruption_detected" {

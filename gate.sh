@@ -54,7 +54,9 @@ g_fault_matrix() {
   # The store retries every transfer: bare ones on each medium
   # (`store_contract`), and the bulk loads of a maintenance batch
   # (`transient_faults_are_invisible_to_maintenance_except_retries`,
-  # run with the rest of `fault_injection` above).
+  # run with the rest of `fault_injection` above). `store_contract` also
+  # holds every fault kind to its one record, the store's event stream
+  # (`every_fault_kind_reaches_the_stream_on_every_medium`).
   t --test store_contract
   TC_DET_CASES=256 t --test succ_split_props --test succ_run_props --test proptest_invariants
   TC_DET_CASES=256 t --test answer_collector_props

@@ -22,7 +22,8 @@ use tc_study::det::check::{self, Checker};
 use tc_study::graph::DagGenerator;
 use tc_study::profile::profile_jsonl;
 use tc_study::trace::{
-    digest_events, DigestSink, Event, Fnv, JsonlSink, Kind, Phase, TeeSink, TraceDigest, Tracer,
+    digest_events, DigestSink, Event, Fnv, JsonlSink, Kind, ParseError, Phase, TeeSink,
+    TraceDigest, Tracer,
 };
 
 /// `digest_events` of [`pinned_events`] at 2ff790d.
@@ -31,8 +32,9 @@ const PINNED_DIGEST: TraceDigest = TraceDigest {
     count: 39,
 };
 /// Length and byte-wise FNV-1a of their concatenated `write_jsonl`
-/// lines at 2ff790d.
-const PINNED_JSONL: (usize, u64) = (1375, 0x72638DC9828F63B7);
+/// lines at 2ff790d, re-pinned once since: `FaultInjected` names its
+/// kind (`"fault":"transient-write"` where it said `"write":true`).
+const PINNED_JSONL: (usize, u64) = (1388, 0x83486584DA912392);
 
 /// One event per variant. Order and values are part of the pin.
 fn pinned_events() -> [Event; 39] {
@@ -63,7 +65,7 @@ fn pinned_events() -> [Event; 39] {
         Event::PageFreed { page: 9 },
         Event::FaultInjected {
             page: 1,
-            write: true,
+            fault: FaultKind::TransientWrite,
         },
         Event::CorruptionDetected { page: 2 },
         Event::BufHit {
@@ -211,6 +213,29 @@ fn mutated_lines_parse_or_fail_typed() {
             Ok(())
         },
     );
+}
+
+/// A fault names its kind: every kind writes a line that parses back to
+/// the event that wrote it, and the `write` flag the event carried before
+/// it named its kind is a typed error, so a trace exported before that
+/// change is refused rather than misread.
+#[test]
+fn every_fault_kind_round_trips_and_the_old_flag_is_refused() {
+    for fault in FaultKind::ALL {
+        let ev = Event::FaultInjected { page: 5, fault };
+        let line = jsonl_of(&[ev]);
+        let name = fault.name();
+        assert_eq!(
+            line,
+            format!("{{\"ev\":\"fault_injected\",\"page\":5,\"fault\":\"{name}\"}}\n")
+        );
+        assert_eq!(Event::parse_jsonl(&line), Ok(ev), "{line}");
+    }
+    let old = Event::parse_jsonl("{\"ev\":\"fault_injected\",\"page\":5,\"write\":true}");
+    match old {
+        Err(ParseError { reason }) => assert!(reason.contains("fault"), "{reason}"),
+        Ok(ev) => panic!("the old form parsed as {ev:?}"),
+    }
 }
 
 /// A `Write` whose bytes stay reachable after a sink takes ownership.

@@ -6,55 +6,88 @@
 //! failure can be replayed bit-for-bit from its seed; any change to the
 //! decision stream (draw order, op counting, retry behaviour) breaks
 //! replayability of previously recorded traces and must be made
-//! deliberately.
+//! deliberately. The faults are read off the run's event stream, their
+//! one record, by a sink that keeps nothing else.
 //!
 //! Re-pinning: PINS.md (one protocol for every pin file).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::storage::FaultEvent;
-use tc_study::trace::{DigestSink, Fnv, Tracer};
+use tc_study::trace::{DigestSink, Event, Fnv, TeeSink, TraceDigest, TraceSink, Tracer};
 
-/// FNV-1a over the (op, page, kind, outcome) event sequence.
-fn trace_checksum(events: &[FaultEvent]) -> u64 {
+/// One fault of a run: its position in the run's event stream, its page
+/// and its kind code ([`DETECTED`] for a checksum catch).
+type Fault = (u64, u32, u8);
+
+/// The code a `CorruptionDetected` event folds as: the one after the
+/// last fault kind's.
+const DETECTED: u8 = FaultKind::ALL.len() as u8;
+
+/// Keeps a run's faults, and nothing else, of its event stream: the
+/// faulted run emits 11.9 M events, of which this keeps a few hundred.
+#[derive(Default)]
+struct FaultLog(Mutex<(u64, Vec<Fault>)>);
+
+impl TraceSink for FaultLog {
+    fn emit(&self, ev: Event) {
+        let mut log = self.0.lock().expect("no emitter panicked");
+        let at = log.0;
+        log.0 += 1;
+        match ev {
+            Event::FaultInjected { page, fault } => log.1.push((at, page, fault.code())),
+            Event::CorruptionDetected { page } => log.1.push((at, page, DETECTED)),
+            _ => {}
+        }
+    }
+}
+
+/// FNV-1a over the (position, page, kind) fault sequence.
+fn trace_checksum(faults: &[Fault]) -> u64 {
     let mut h = Fnv::new();
-    for e in events {
-        h.u64(e.op);
-        h.u32(e.page.0);
-        h.byte(e.kind.code());
-        h.byte(e.outcome.code());
+    for &(at, page, code) in faults {
+        h.u64(at);
+        h.u32(page);
+        h.byte(code);
     }
     h.finish()
 }
 
 const FAULT_SEED: u64 = 0xDA12_1994;
 const GOLDEN_EVENTS: usize = 361;
-const GOLDEN_TRACE_CHECKSUM: u64 = 0x2B36_967E_0A32_08CA;
+const GOLDEN_TRACE_CHECKSUM: u64 = 0x9127_A53A_034A_8702;
 const GOLDEN_RETRIES: u64 = 361;
 const GOLDEN_TOTAL_IO: u64 = 17624;
 /// (hash, event count) of the faulted run's whole event stream, which
 /// pins where each `Retry` lands among the transfers it retried.
 const GOLDEN_STREAM: (u64, u64) = (0x70C7_5B2D_ACFA_1A74, 11_942_065);
 
-fn faulted_g5_run(trace: Tracer) -> RunResult {
+/// The pinned faulted run, with its faults read off its event stream and
+/// the digest of the whole stream.
+fn faulted_g5_run() -> (RunResult, Vec<Fault>, TraceDigest) {
     let g = canonical::graph();
     let mut db = Database::build(&g, true).unwrap();
-    let cfg = SystemConfig::with_buffer(20).traced(trace).faulted(
-        FaultConfig::new(FAULT_SEED)
-            .transient_reads(0.02)
-            .transient_writes(0.02),
-    );
-    db.run(&Query::full(), Algorithm::Btc, &cfg).unwrap()
+    let (log, digest) = (Arc::new(FaultLog::default()), Arc::new(DigestSink::new()));
+    let tee = TeeSink::new(vec![log.clone(), digest.clone()]);
+    let cfg = SystemConfig::with_buffer(20)
+        .traced(Tracer::new(Arc::new(tee)))
+        .faulted(
+            FaultConfig::new(FAULT_SEED)
+                .transient_reads(0.02)
+                .transient_writes(0.02),
+        );
+    let res = db.run(&Query::full(), Algorithm::Btc, &cfg).unwrap();
+    let faults = std::mem::take(&mut log.0.lock().expect("no emitter panicked").1);
+    (res, faults, digest.digest())
 }
 
 #[test]
 fn pinned_fault_seed_yields_pinned_trace_on_g5() {
-    let res = faulted_g5_run(Tracer::disabled());
+    let (res, faults, _) = faulted_g5_run();
     assert_eq!(
         (
-            res.fault_trace.len(),
-            trace_checksum(&res.fault_trace),
+            faults.len(),
+            trace_checksum(&faults),
             res.metrics.disk.retries,
             res.metrics.total_io(),
         ),
@@ -67,8 +100,8 @@ fn pinned_fault_seed_yields_pinned_trace_on_g5() {
         "the pinned fault trace changed: events {} checksum {:#018X} \
          retries {} total_io {} — if intentional, update the golden \
          constants and note the replay break in CHANGES.md",
-        res.fault_trace.len(),
-        trace_checksum(&res.fault_trace),
+        faults.len(),
+        trace_checksum(&faults),
         res.metrics.disk.retries,
         res.metrics.total_io(),
     );
@@ -93,11 +126,8 @@ fn transient_faults_leave_g5_page_io_at_the_fault_free_golden_value() {
 
 #[test]
 fn two_consecutive_faulted_runs_agree_bit_for_bit() {
-    let (a, b) = (
-        faulted_g5_run(Tracer::disabled()),
-        faulted_g5_run(Tracer::disabled()),
-    );
-    assert_eq!(a.fault_trace, b.fault_trace);
+    let ((a, a_faults, _), (b, b_faults, _)) = (faulted_g5_run(), faulted_g5_run());
+    assert_eq!(a_faults, b_faults);
     assert_eq!(a.metrics.total_io(), b.metrics.total_io());
     assert_eq!(a.metrics.disk.retries, b.metrics.disk.retries);
     assert_eq!(
@@ -113,9 +143,7 @@ fn two_consecutive_faulted_runs_agree_bit_for_bit() {
 
 #[test]
 fn the_faulted_event_stream_matches_its_golden_digest() {
-    let sink = Arc::new(DigestSink::new());
-    faulted_g5_run(Tracer::new(sink.clone()));
-    let d = sink.digest();
+    let (_, _, d) = faulted_g5_run();
     assert_eq!(
         (d.hash, d.count),
         GOLDEN_STREAM,

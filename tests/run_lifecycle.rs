@@ -205,15 +205,21 @@ fn a_run_killed_by_a_fault_still_closes_the_envelope_and_disarms() {
 
     // Disarmed: no fault, no tracer left on the store.
     let before = sink.len();
+    let next = Arc::new(VecSink::unbounded());
     let res = db
         .run(
             &Query::full(),
             Algorithm::Btc,
-            &SystemConfig::with_buffer(8).validated(),
+            &SystemConfig::with_buffer(8)
+                .validated()
+                .traced(Tracer::new(next.clone())),
         )
         .expect("the next fault-free run succeeds");
     assert_eq!(res.metrics.disk.faults_injected, 0);
-    assert!(res.fault_trace.is_empty());
+    assert!(!next
+        .events()
+        .iter()
+        .any(|e| matches!(e, Event::FaultInjected { .. })));
     assert_eq!(
         sink.len(),
         before,

@@ -3,9 +3,11 @@
 //! `DiskSim`, `FileStore` and `FrozenStore` are one `Store<M>` over three
 //! media, so what used to be three copies of the same unit tests is one
 //! function, [`contract`], instantiated for `Mem`, `Segment` and
-//! `Frozen`. The second half drives the core over a medium that fails on
-//! demand and checks that a failed operation leaves the catalog exactly
-//! as it was — the seed of crash-point enumeration (ROADMAP 5c).
+//! `Frozen`. Every fault kind is checked the same way, against the
+//! store's own event stream, the one record of what a plan injected. The
+//! second half drives the core over a medium that fails on demand and
+//! checks that a failed operation leaves the catalog exactly as it was —
+//! the seed of crash-point enumeration (ROADMAP 5c).
 
 use std::sync::Arc;
 use tc_study::storage::{
@@ -13,6 +15,7 @@ use tc_study::storage::{
     FrozenStore, Medium, Mem, Page, PageId, PageStore, Pager, StorageError, StorageResult, Store,
     TempDir,
 };
+use tc_study::trace::{Event, Tracer, VecSink};
 
 /// Pages of the canonical population: file 0, kind `Relation`.
 const POPULATION: usize = 40;
@@ -81,6 +84,8 @@ fn contract(store: &mut dyn PageStore, name: &str, read_only: bool) {
     // succeeds and charges once, because failed attempts are not
     // transfers, and each cleared injection is one retry.
     let before = store.stats().clone();
+    let sink = Arc::new(VecSink::unbounded());
+    store.set_tracer(Tracer::new(sink.clone()));
     store.set_fault_plan(FaultPlan::new(
         FaultConfig::new(11)
             .transient_reads(0.3)
@@ -97,8 +102,14 @@ fn contract(store: &mut dyn PageStore, name: &str, read_only: bool) {
             assert_eq!(store.stats().total(), charged + 2, "{name}: write {i}");
         }
     }
-    let plan = store.clear_fault_plan().expect("plan was armed");
-    let injected = |kind| plan.events().iter().filter(|e| e.kind == kind).count() as u64;
+    store.clear_fault_plan().expect("plan was armed");
+    store.set_tracer(Tracer::disabled());
+    let events = sink.events();
+    let injected = |kind| {
+        let of_kind =
+            |e: &&Event| matches!(e, Event::FaultInjected { fault, .. } if *fault == kind);
+        events.iter().filter(of_kind).count() as u64
+    };
     let (reads, writes) = (
         injected(FaultKind::TransientRead),
         injected(FaultKind::TransientWrite),
@@ -250,6 +261,96 @@ fn a_foreign_file_id_is_a_typed_error_on_every_medium() {
             store.catalog(),
             &before,
             "{name}: a refusal moved the catalog"
+        );
+    }
+}
+
+/// Every fault kind reaches the store's event stream, on every medium
+/// (the write kinds on the writable ones): each injection is one
+/// `FaultInjected` naming its kind and page, in attempt order; a torn
+/// write is followed by its `PageWrite`, and the next read of the page
+/// is one `CorruptionDetected` and a `ChecksumMismatch`; a dead page
+/// fails every later read with one `FaultInjected` and no `Retry`.
+#[test]
+fn every_fault_kind_reaches_the_stream_on_every_medium() {
+    let mut sim = populate(DiskSim::new());
+    let mut frozen = FrozenStore::new(Arc::new(
+        FrozenPageSet::capture(&mut sim, &[FileId(0)]).expect("capture"),
+    ));
+    let mut file = populate(temp_file_store());
+    let stores: [(&mut dyn PageStore, bool); 3] =
+        [(&mut sim, false), (&mut file, false), (&mut frozen, true)];
+    for (store, read_only) in stores {
+        let name = store.backend_name();
+        let p = store.file_pages(FileId(0)).expect("pages")[..4].to_vec();
+        let sink = Arc::new(VecSink::unbounded());
+        store.set_tracer(Tracer::new(sink.clone()));
+        // Attempts 0-1 read p[0]; on a writable medium 2-3 write p[1], 4
+        // writes p[2] and 5 reads it back. A write kind never strikes a
+        // read, so on a read-only medium attempt 2 is p[3]'s first read.
+        store.set_fault_plan(FaultPlan::new(
+            FaultConfig::new(0)
+                .at_op(0, FaultKind::TransientRead)
+                .at_op(2, FaultKind::TransientWrite)
+                .at_op(4, FaultKind::Corrupt)
+                .on_page(p[3], FaultKind::PermanentRead),
+        ));
+        let before = store.stats().clone();
+        let injected = |pid: PageId, fault| Event::FaultInjected { page: pid.0, fault };
+        let read = |pid: PageId| Event::PageRead {
+            page: pid.0,
+            kind: FileKind::Relation,
+        };
+        let write = |pid: PageId| Event::PageWrite {
+            page: pid.0,
+            kind: FileKind::Relation,
+        };
+        let one_retry = Event::Retry {
+            n: 1,
+            backoff_ms: 1,
+        };
+        let mut out = Page::new();
+        let mut expected = Vec::new();
+
+        assert_eq!(store.read_page(p[0], &mut out), Ok(()), "{name}");
+        expected.extend([
+            injected(p[0], FaultKind::TransientRead),
+            read(p[0]),
+            one_retry,
+        ]);
+        if !read_only {
+            assert_eq!(store.write_page(p[1], &out), Ok(()), "{name}");
+            expected.extend([
+                injected(p[1], FaultKind::TransientWrite),
+                write(p[1]),
+                one_retry,
+            ]);
+            assert_eq!(store.write_page(p[2], &out), Ok(()), "{name}: torn, yet Ok");
+            expected.extend([injected(p[2], FaultKind::Corrupt), write(p[2])]);
+            let caught = store.read_page(p[2], &mut out);
+            assert!(
+                matches!(caught, Err(StorageError::ChecksumMismatch { pid, .. }) if pid == p[2]),
+                "{name}: {caught:?}"
+            );
+            expected.push(Event::CorruptionDetected { page: p[2].0 });
+        }
+        for _ in 0..2 {
+            let dead = Err(StorageError::PermanentFault(p[3]));
+            assert_eq!(store.read_page(p[3], &mut out), dead, "{name}");
+            expected.push(injected(p[3], FaultKind::PermanentRead));
+        }
+        store.clear_fault_plan().expect("plan was armed");
+        store.set_tracer(Tracer::disabled());
+
+        assert_eq!(sink.events(), expected, "{name}");
+        let faults = expected
+            .iter()
+            .filter(|e| matches!(e, Event::FaultInjected { .. }))
+            .count() as u64;
+        assert_eq!(
+            store.stats().since(&before).faults_injected,
+            faults,
+            "{name}"
         );
     }
 }

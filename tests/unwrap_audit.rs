@@ -311,12 +311,14 @@ const RULES: &[Rule] = &[
     },
     // ...and so are the substrate's tables: the store and the buffer pool
     // count by folding the event they emit (`DiskStats::on`,
-    // `BufferStats::on`, through each one's `note`), and the fault plan
-    // keeps no counters beside its trace.
+    // `BufferStats::on`, through each one's `note`). The fault plan keeps
+    // no counters and no log: the store's `FaultInjected` event names the
+    // kind, and is the one record of a fault.
     Rule {
         name: "one fold per counter: count by folding the emitted event \
-               (note(ev) = stats.on(&ev) + emit)",
-        scope: Scope::Rust(&["crates", "src"]),
+               (note(ev) = stats.on(&ev) + emit); a run's faults are its \
+               FaultInjected / CorruptionDetected events",
+        scope: Scope::Rust(EVERYWHERE),
         want: Want::Nowhere,
         needles: &[
             "stats.reads +=",
@@ -326,8 +328,12 @@ const RULES: &[Rule] = &[
             "stats.flush_writes +=",
             "stats.retries +=",
             "FaultStats",
+            "FaultEvent",
+            "FaultOutcome",
+            "into_events",
+            ".fault_trace",
         ],
-        fixture: "self.stats.hits += 1;",
+        fixture: "self.stats.hits += 1; let log: Vec<FaultEvent> = plan.into_events();",
     },
     // A transient fault is retried in `Store`'s transfers, under the one
     // budget, whoever asked for the page: pool, direct pager or bulk load.
