@@ -19,6 +19,9 @@
 //! arc that comes and goes in one batch are not separate cases. A source
 //! that reaches no deleted arc can only gain successors; it keeps its
 //! row and merges only children whose row changed or whose arc is new.
+//! A source that owns no changed arc and none of whose children's rows
+//! the sweep changed is cut off after its children probe: its row is a
+//! function of those two, so the old row is the new one.
 //!
 //! Every `apply` is one traced, metered run — the same
 //! `MeteredRun` lifecycle (`crate::lifecycle`) an engine run goes
@@ -54,6 +57,7 @@ use std::fmt;
 use tc_buffer::BufferPool;
 use tc_graph::topo::topological_order;
 use tc_graph::{closure, Graph, NodeId, UpdateOp};
+use tc_obs::SpanRecorder;
 use tc_reach::{NullMeter, ReachIndex};
 use tc_storage::{
     ClusteredIndex, FileKind, FrozenPageSet, PageStore, RelationFile, StorageError, StorageResult,
@@ -335,7 +339,7 @@ impl DynamicClosure {
         let counted = &mut run.metrics;
         let outcome = applied.and_then(|ops| {
             Ok(maintain(
-                &self.db, &mut pool, &self.tc, &self.rows, &ops, counted,
+                &self.db, &mut pool, &self.tc, &self.rows, &ops, counted, &cfg.obs,
             )?)
         });
 
@@ -516,7 +520,8 @@ fn scan_rows(
 }
 
 /// Computation phase: scan the closure, recompute the rows the batch
-/// can change in one reverse-topological sweep, rewrite the file.
+/// can change in one reverse-topological sweep, rewrite the file. Each
+/// of the three is a span under `obs` (`scan`, `sweep`, `rewrite`).
 fn maintain(
     db: &Database,
     pool: &mut BufferPool,
@@ -524,6 +529,7 @@ fn maintain(
     rows: &[u32],
     ops: &AppliedOps,
     metrics: &mut CostMetrics,
+    obs: &SpanRecorder,
 ) -> StorageResult<Maintained> {
     let n = db.graph().n();
     let mut reaches = vec![0u8; n];
@@ -535,10 +541,14 @@ fn maintain(
     }
     // Materialize the current closure through the pool (charged). The
     // column stays as scanned; only rows written to below get a bit row.
-    let column = scan_rows(pool, tc, rows, &mut reaches)?;
+    let column = {
+        let _s = obs.enter("scan");
+        scan_rows(pool, tc, rows, &mut reaches)?
+    };
     let mut closure = TupleRows::from_rows(rows.to_vec(), column);
 
     // The sweep: children first, so every row merged is final.
+    let sweep = obs.enter("sweep");
     let mut row = BitRow::new(n);
     let mut kids: Vec<NodeId> = Vec::new();
     let mut derived: u64 = 0;
@@ -551,6 +561,17 @@ fn maintain(
         kids.clear();
         db.index.children(pool, &db.relation, x, &mut kids)?;
         metrics.count_arcs_bulk(kids.len() as u64);
+        // A row is a function of its own arcs and its children's rows:
+        // with no arc of its own changed and no child's row rewritten,
+        // it is final as it stands.
+        let tail = ops
+            .inserted
+            .iter()
+            .chain(&ops.deleted)
+            .any(|&(u, _)| u == x);
+        if !tail && !kids.iter().any(|&z| closure.is_written(z)) {
+            continue;
+        }
         // A row that cannot lose starts from itself, and a child it
         // already covers — old arc, unchanged row — has nothing to add.
         let keeps = flags & LOSES == 0;
@@ -571,11 +592,13 @@ fn maintain(
         }
         closure.set_row(x, &row);
     }
+    drop(sweep);
 
     // ---- Net delta and closure rewrite: each run of untouched rows
     // goes out as the slice of the scanned column it is, each written
     // row off its bits. Every derivation that did not add a tuple found
     // it present.
+    let _s = obs.enter("rewrite");
     let (inserted, removed) = closure.delta();
     for _ in 0..inserted {
         metrics.count_generated(true);
@@ -1002,5 +1025,172 @@ mod tests {
             .map(|p| std::fs::metadata(p).unwrap().len());
         assert_eq!(len[0], len[1], "a failed freeze leaked pages");
         assert_eq!(pair[0].tuples().unwrap(), oracle(&g));
+    }
+
+    /// Arbitrary batches through `apply`: ids past the graph up to
+    /// `u32::MAX`, self-loops, inserts of present arcs and deletes of
+    /// absent ones, empty batches, an op twice, an arc inserted then
+    /// deleted, and cycles. Every outcome is the oracle's closure, or a
+    /// typed refusal that leaves the graph, the tuples, the page count
+    /// and the catalog as they were; a panic fails the case.
+    #[test]
+    fn arbitrary_batches_apply_or_are_refused_unchanged() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use tc_det::check::{self, Checker};
+        use tc_det::Rng;
+
+        /// Node count, base arcs (ascending, so a DAG) and the batches.
+        type Case = (usize, Vec<(NodeId, NodeId)>, Vec<Vec<UpdateOp>>);
+
+        /// Mostly a node of the graph; now and then one past it, a
+        /// random word or `u32::MAX`.
+        fn node(rng: &mut Rng, n: usize) -> NodeId {
+            match rng.random_range(0..40u32) {
+                0 => u32::MAX,
+                1 => n as NodeId,
+                2 => rng.next_u32(),
+                _ => rng.random_range(0..n.max(1) as NodeId),
+            }
+        }
+        fn batch(rng: &mut Rng, n: usize, base: &[(NodeId, NodeId)]) -> Vec<UpdateOp> {
+            let mut ops = Vec::new();
+            for _ in 0..rng.random_range(0..8usize) {
+                let (u, v) = match rng.random_range(0..5u32) {
+                    0 if !base.is_empty() => base[rng.random_range(0..base.len())],
+                    1 => {
+                        let u = node(rng, n);
+                        (u, u)
+                    }
+                    _ => (node(rng, n), node(rng, n)),
+                };
+                let (insert, delete) = (UpdateOp::Insert(u, v), UpdateOp::Delete(u, v));
+                match rng.random_range(0..6u32) {
+                    0 => ops.extend([insert, delete]),
+                    1 => ops.extend([insert, insert]),
+                    2 => ops.extend([delete, delete]),
+                    3 | 4 => ops.push(insert),
+                    _ => ops.push(delete),
+                }
+            }
+            ops
+        }
+        fn generate(rng: &mut Rng) -> Case {
+            let n = rng.random_range(0..10usize);
+            let base: Vec<(NodeId, NodeId)> = check::arc_list(rng, n.max(1) as NodeId, 20)
+                .into_iter()
+                .filter(|&(a, b)| a < b && (b as usize) < n)
+                .collect();
+            let batches = check::vec_of(rng, 1..6, |r| batch(r, n, &base));
+            (n, base, batches)
+        }
+        fn shrink((n, base, batches): &Case) -> Vec<Case> {
+            let mut out: Vec<Case> = check::shrink_vec(batches)
+                .into_iter()
+                .map(|b| (*n, base.clone(), b))
+                .collect();
+            for (i, ops) in batches.iter().enumerate() {
+                for smaller in check::shrink_vec(ops) {
+                    let mut b = batches.clone();
+                    b[i] = smaller;
+                    out.push((*n, base.clone(), b));
+                }
+            }
+            out.extend(
+                check::shrink_vec(base)
+                    .into_iter()
+                    .map(|a| (*n, a, batches.clone())),
+            );
+            out
+        }
+        /// The graph after `batch`, or the refusal it must get.
+        fn model(live: &Graph, batch: &[UpdateOp]) -> Result<Graph, UpdateError> {
+            let n = live.n();
+            for (op_index, op) in batch.iter().enumerate() {
+                let (u, v) = op.arc();
+                if let Some(node) = [u, v].into_iter().find(|&x| x as usize >= n) {
+                    return Err(UpdateError::UnknownNode { op_index, node, n });
+                }
+            }
+            let mut next = live.clone();
+            for op in batch {
+                match *op {
+                    UpdateOp::Insert(u, v) => next.add_arc(u, v),
+                    UpdateOp::Delete(u, v) => next.remove_arc(u, v),
+                };
+            }
+            if next.is_acyclic() {
+                return Ok(next);
+            }
+            // Which insert the refusal names is the implementation's
+            // choice; the check below holds it to one on a cycle.
+            Err(UpdateError::ClosesCycle {
+                ops: batch.len(),
+                arc: (0, 0),
+            })
+        }
+        /// What a refusal must leave as it was.
+        type State = (Graph, Vec<(NodeId, NodeId)>, usize, tc_storage::Catalog);
+        fn state(d: &mut DynamicClosure) -> Result<State, String> {
+            let tuples = d.tuples().map_err(|e| format!("scan failed: {e}"))?;
+            let store = d.db.store.as_deref().ok_or("no store attached")?;
+            let (pages, catalog) = (store.page_count(), store.catalog().clone());
+            Ok((d.graph().clone(), tuples, pages, catalog))
+        }
+
+        Checker::new("arbitrary_batches_apply_or_are_refused_unchanged")
+            .cases(64)
+            .run(generate, shrink, |(n, base, batches)| {
+                let g = Graph::from_arcs(*n, base.iter().copied());
+                let mut d = DynamicClosure::build(&g, &SystemConfig::with_buffer(6))
+                    .map_err(|e| format!("build failed: {e}"))?;
+                let mut live = g;
+                for batch in batches {
+                    let before = state(&mut d)?;
+                    let got = catch_unwind(AssertUnwindSafe(|| d.apply(batch)))
+                        .map_err(|_| format!("apply panicked on {batch:?}"))?;
+                    match (got, model(&live, batch)) {
+                        (Ok(res), Ok(next)) => {
+                            let (old, new) = (oracle(&live), oracle(&next));
+                            live = next;
+                            if d.graph() != &live || d.tuples().ok() != Some(new.clone()) {
+                                return Err(format!("{batch:?}: closure is not the oracle's"));
+                            }
+                            let gained = new.iter().filter(|t| !old.contains(t)).count();
+                            let lost = old.iter().filter(|t| !new.contains(t)).count();
+                            if (res.inserted, res.removed) != (gained as u64, lost as u64) {
+                                return Err(format!("{batch:?}: wrong delta {res:?}"));
+                            }
+                        }
+                        (Err(e), Err(want)) => {
+                            let named = match (&e, &want) {
+                                (
+                                    UpdateError::ClosesCycle { ops, arc: (u, v) },
+                                    UpdateError::ClosesCycle { ops: want_ops, .. },
+                                ) => {
+                                    let mut after = live.clone();
+                                    for op in batch.iter().filter(|op| op.is_insert()) {
+                                        let (a, b) = op.arc();
+                                        after.add_arc(a, b);
+                                    }
+                                    ops == want_ops
+                                        && batch.contains(&UpdateOp::Insert(*u, *v))
+                                        && closure::successors_of(&after, *v).contains(u)
+                                }
+                                _ => e == want,
+                            };
+                            if !named {
+                                return Err(format!("{batch:?}: got {e:?}, expected {want:?}"));
+                            }
+                            if state(&mut d)? != before {
+                                return Err(format!("{batch:?}: refused with {e:?} but changed"));
+                            }
+                        }
+                        (got, want) => {
+                            return Err(format!("{batch:?}: got {got:?}, expected {want:?}"))
+                        }
+                    }
+                }
+                Ok(())
+            });
     }
 }

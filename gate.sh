@@ -99,6 +99,10 @@ g_dynamic() {
   # The closure file has no source column: the row table is the only map.
   t -p tc-core --lib tuples_round_trip_closures_with_empty_rows
   t -p tc-core --lib a_bad_closure_file_is_a_typed_error_naming_the_file
+  # A batch's unions stay within the rows the oracle says it changes, and
+  # arbitrary batches apply to the oracle or are refused with nothing moved.
+  TC_DET_CASES=1024 t --test dynamic_work_bound
+  TC_DET_CASES=1024 t -p tc-core --lib arbitrary_batches_apply_or_are_refused_unchanged
   harness
   section updates-sim.md updates --quick --backend sim
   section updates-file.md updates --quick --backend file

@@ -16,7 +16,7 @@ use tc_study::trace::{DigestSink, Fnv, Tracer};
 /// Pinned (hash, event count) of the canonical update-stream trace
 /// (`canonical::graph` and `canonical::update_stream`, 20-page buffer),
 /// one digest across both applies.
-const GOLDEN_STREAM: (u64, u64) = (0x4E80E2C5F32D2A5E, 89154);
+const GOLDEN_STREAM: (u64, u64) = (0x363B486FD0003B5C, 70978);
 
 /// Pinned FNV-1a digest of the `updates` section report fragment on the
 /// quick grid (1 instance × 1 source set) — the same value
