@@ -5,6 +5,7 @@
 //! `l ∈ {20, 200, 2000}`. Five seeded instances are generated per family
 //! when the paper's full averaging is requested.
 
+use tc_det::splitmix64;
 use tc_graph::{DagGenerator, Graph, NodeId};
 
 /// The canonical workload: the one G5 instance, source set and update
@@ -138,16 +139,9 @@ pub fn build_graph(fam: &GraphFamily, instance: u64) -> Graph {
 pub fn source_set(s: usize, instance: u64, set: u64) -> Vec<NodeId> {
     // splitmix64 stream, rejection-free reservoir-ish selection.
     let mut state = 0x9E3779B97F4A7C15u64 ^ (instance << 32) ^ (set << 16) ^ s as u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    };
     let mut out: Vec<NodeId> = Vec::with_capacity(s);
     while out.len() < s.min(N_NODES) {
-        let v = (next() % N_NODES as u64) as NodeId;
+        let v = (splitmix64(&mut state) % N_NODES as u64) as NodeId;
         if !out.contains(&v) {
             out.push(v);
         }

@@ -73,6 +73,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use tc_trace::Fnv;
 
 /// Slot header magic: `"TCP2"` (transitive-closure page, format 2).
 const PAGE_MAGIC: u32 = u32::from_le_bytes(*b"TCP2");
@@ -91,17 +92,6 @@ const SCAN_SLOTS: usize = (256 << 10) / SLOT_SIZE;
 pub const SEGMENT_FILE: &str = "pages.tcs";
 /// Manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.tcm";
-
-/// Byte-wise FNV-1a 64: the checksum of the (small) manifest. Page
-/// images use [`Page::checksum`].
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Maps an OS-level I/O failure to the typed backend error.
 fn os_err(op: &'static str, e: std::io::Error) -> StorageError {
@@ -379,7 +369,7 @@ fn encode_manifest(catalog: &Catalog) -> Vec<u8> {
         buf.push(file.kind.idx() as u8);
         put_ids(&mut buf, file.pages.iter().map(|p| p.0));
     }
-    let checksum = fnv1a(&buf);
+    let checksum = Fnv::bytes(&buf);
     buf.extend_from_slice(&checksum.to_le_bytes());
     buf
 }
@@ -431,7 +421,7 @@ fn decode_manifest(buf: &[u8]) -> StorageResult<Catalog> {
     let mut stored = [0u8; 8];
     stored.copy_from_slice(tail);
     let stored = u64::from_le_bytes(stored);
-    let computed = fnv1a(body);
+    let computed = Fnv::bytes(body);
     if stored != computed {
         return Err(bad_manifest(format!(
             "checksum mismatch: stored {stored:#018X}, computed {computed:#018X}"

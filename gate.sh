@@ -79,6 +79,7 @@ g_fault_matrix() {
 
 g_trace() {
   export TC_DET_CASES=256
+  # trace_overhead also holds the span recorder free when off and inert when on.
   t --test golden_trace --test event_schema_pin --test trace_replay --test trace_overhead
   t --test decode_exactness fnv
   t --test golden_profile --test profile_props
@@ -129,7 +130,9 @@ g_serve() {
 
 g_obs() {
   export TC_DET_CASES=256
-  t --test obs_overhead --test obs_determinism --test obs_props
+  t --test obs_determinism --test obs_props
+  # The --timing flag's path through the CLI; golden_report holds the
+  # library path on every section.
   harness
   section table2-plain.md table2 --quick
   section table2-timed.md table2 --quick --timing "$OUT/spans"

@@ -2,26 +2,22 @@
 //!
 //! Companion to `golden_trace.rs` (static algorithm traces) and
 //! `golden_report.rs` (section report fragments): pins the FNV-1a
-//! digest of the canonical G5 update-stream maintenance trace and of
-//! the rendered `updates` section report, and holds the section to the
-//! scheduler's byte-identical-at-any-jobs contract.
+//! digest of the canonical G5 update-stream maintenance trace, and
+//! holds the rendered `updates` section to the scheduler's
+//! byte-identical-at-any-jobs contract (its digest is
+//! `golden_report.rs`'s).
 //!
 //! Re-pinning: PINS.md (one protocol for every pin file).
 
 use std::sync::Arc;
 use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
-use tc_study::trace::{DigestSink, Fnv, Tracer};
+use tc_study::trace::{DigestSink, Tracer};
 
 /// Pinned (hash, event count) of the canonical update-stream trace
 /// (`canonical::graph` and `canonical::update_stream`, 20-page buffer),
 /// one digest across both applies.
 const GOLDEN_STREAM: (u64, u64) = (0x363B486FD0003B5C, 70978);
-
-/// Pinned FNV-1a digest of the `updates` section report fragment on the
-/// quick grid (1 instance × 1 source set) — the same value
-/// `golden_report.rs` pins for the section in its registry-wide table.
-const GOLDEN_UPDATES_REPORT: u64 = 0xA1036603DBBA3A56;
 
 #[test]
 fn canonical_update_stream_trace_matches_golden_digest() {
@@ -46,6 +42,8 @@ fn canonical_update_stream_trace_matches_golden_digest() {
 
 #[test]
 fn updates_report_matches_golden_digest_at_any_jobs() {
+    // `golden_report.rs` pins the fragment at the default jobs count;
+    // equal at 1 and 4 workers, the pin holds at any.
     let f = tc_bench::experiments::section("updates").expect("updates section registered");
     let jobs1 = f(&tc_bench::ExpOpts::quick().jobs(1)).expect("updates at jobs=1");
     let jobs4 = f(&tc_bench::ExpOpts::quick().jobs(4)).expect("updates at jobs=4");
@@ -53,12 +51,5 @@ fn updates_report_matches_golden_digest_at_any_jobs() {
         jobs1, jobs4,
         "updates report diverged between jobs=1 and jobs=4 — a cell is \
          reading shared state"
-    );
-    let d = Fnv::bytes(jobs1.as_bytes());
-    assert_eq!(
-        d, GOLDEN_UPDATES_REPORT,
-        "the updates report fragment changed — if intentional, set \
-         GOLDEN_UPDATES_REPORT to {d:#018X} (and the matching row in \
-         tests/golden_report.rs) and note the break in CHANGES.md",
     );
 }

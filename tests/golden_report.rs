@@ -11,6 +11,7 @@
 
 use tc_bench::experiments::section;
 use tc_bench::ExpOpts;
+use tc_study::obs::SpanTree;
 use tc_study::trace::Fnv;
 
 /// Golden quick-grid digests, one per registered section, in canonical
@@ -57,8 +58,7 @@ fn quick_grid_sections_match_golden_digests_with_timing_armed() {
     // The determinism-under-timing gate for the whole 14-section report:
     // running every section with `--timing` (per-cell wall-clock span
     // trees) must reproduce the exact same golden digests — the span
-    // layer rides beside the report, never inside it. Sharing the GOLDEN
-    // table with the plain test above keeps one source of truth.
+    // layer rides beside the report, never inside it.
     let tmp = tc_study::storage::TempDir::new("tc-golden-timing").expect("temp dir");
     let opts = ExpOpts::quick().timing_dir(tmp.path());
     let mut mismatches = Vec::new();
@@ -75,13 +75,29 @@ fn quick_grid_sections_match_golden_digests_with_timing_armed() {
          into the deterministic track",
         mismatches.join(", ")
     );
-    // And the sidecar span trees materialized beside the reports.
-    let spans = std::fs::read_dir(tmp.path())
-        .expect("read timing dir")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-        .count();
+    // And the sidecar materialized beside the reports: every file is a
+    // well-formed span tree, query cells root at `run` and update cells
+    // at `update_apply` (around `DynamicClosure::apply`); pure
+    // statistics cells legitimately record nothing.
+    let (mut spans, mut run, mut update_apply) = (0, 0, 0);
+    for entry in std::fs::read_dir(tmp.path()).expect("read timing dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|x| x != "json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("read span file");
+        let tree = SpanTree::from_json(&text)
+            .unwrap_or_else(|e| panic!("{}: bad span tree: {e}", path.display()));
+        spans += 1;
+        run += tree.find(&["run"]).is_some() as usize;
+        update_apply += tree.find(&["update_apply"]).is_some() as usize;
+    }
     assert!(spans > 0, "--timing wrote no span trees");
+    assert!(run > 0, "no span tree roots at an engine run span");
+    assert!(
+        update_apply > 0,
+        "no span tree roots at an update_apply span"
+    );
 }
 
 #[test]

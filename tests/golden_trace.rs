@@ -9,20 +9,22 @@
 //! so any change to instrumentation points, event ordering, or the
 //! algorithms themselves shows up as a digest break.
 //!
-//! Both tests run on the simulated disk **and** the file-backed store:
-//! the file backend must hit the same pinned digests and pass the same
-//! `replay(trace) == metrics` check. On other workloads the backends
+//! Both tests read one shared run per algorithm on the simulated disk
+//! **and** the file-backed store: the file backend must hit the same
+//! pinned digests and pass the same `replay(trace) == metrics` check. On other workloads the backends
 //! agree by construction: one `Store<M>` allocates, counts and emits for
 //! every medium, and `store_contract.rs` holds each medium to the same
 //! contract.
 //!
 //! Re-pinning: PINS.md (one protocol for every pin file).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tc_bench::corpus::canonical;
 use tc_study::core::prelude::*;
 use tc_study::storage::Backend;
-use tc_study::trace::{digest_events, replay, DigestSink, Tracer};
+use tc_study::trace::{
+    digest_events, replay, Counts, DigestSink, TeeSink, TraceDigest, Tracer, VecSink,
+};
 
 /// Pinned (algorithm, digest hash, event count) per algorithm, in
 /// `Algorithm::WITH_INDEX` order. The first eight entries are the
@@ -52,16 +54,49 @@ fn canonical_dbs() -> [(SystemConfig, Database); 2] {
     })
 }
 
+/// One traced run per (backend, algorithm), shared by both tests:
+/// (backend, algorithm, streaming digest, digest of the capture, replay
+/// of the capture, the engine's metrics). The stream goes to a digest
+/// and a capture at once; one 10 M-event capture lives at a time.
+type Cell = (String, Algorithm, TraceDigest, TraceDigest, Counts, Counts);
+
+fn cells() -> &'static [Cell] {
+    static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let mut cells = Vec::new();
+        for (base, mut db) in canonical_dbs() {
+            for algo in Algorithm::WITH_INDEX {
+                let digest = Arc::new(DigestSink::new());
+                let capture = Arc::new(VecSink::unbounded());
+                let tee = TeeSink::new(vec![digest.clone(), capture.clone()]);
+                let cfg = base.clone().traced(Tracer::new(Arc::new(tee)));
+                let res = db.run(&canonical::query(), algo, &cfg).unwrap();
+                assert_eq!(capture.dropped(), 0, "{algo}: VecSink dropped events");
+                let events = capture.events();
+                drop((cfg, capture));
+                let captured = digest_events(events.iter());
+                let (streamed, replayed) = (digest.digest(), replay(events).unwrap());
+                let (backend, counts) = (db.backend_name().to_string(), res.metrics.counts);
+                cells.push((backend, algo, streamed, captured, replayed, counts));
+            }
+        }
+        cells
+    })
+}
+
 #[test]
 fn every_algorithm_trace_matches_its_golden_digest() {
-    for (base, mut db) in canonical_dbs() {
+    // The streaming digest equals the offline digest of the capture (no
+    // event lost or reordered between them), and both equal GOLDEN.
+    for per_backend in cells().chunks(GOLDEN.len()) {
+        let backend = &per_backend[0].0;
         let mut table = Vec::new();
-        for algo in Algorithm::WITH_INDEX {
-            let sink = Arc::new(DigestSink::new());
-            let cfg = base.clone().traced(Tracer::new(sink.clone()));
-            db.run(&canonical::query(), algo, &cfg).unwrap();
-            let d = sink.digest();
-            table.push((algo.name(), d.hash, d.count));
+        for (_, algo, streamed, captured, _, _) in per_backend {
+            assert_eq!(
+                captured, streamed,
+                "{algo} on {backend}: capture lost events"
+            );
+            table.push((algo.name(), streamed.hash, streamed.count));
         }
         let rendered = table
             .iter()
@@ -69,12 +104,10 @@ fn every_algorithm_trace_matches_its_golden_digest() {
             .collect::<Vec<_>>()
             .join("\n");
         assert_eq!(
-            table,
-            GOLDEN,
-            "the canonical G5 event traces changed on the {} backend — if \
-             intentional, replace the GOLDEN table with:\n{rendered}\nand \
+            table, GOLDEN,
+            "the canonical G5 event traces changed on the {backend} backend — \
+             if intentional, replace the GOLDEN table with:\n{rendered}\nand \
              note the trace break in CHANGES.md",
-            db.backend_name(),
         );
     }
 }
@@ -87,28 +120,11 @@ fn replay_reconstructs_metrics_for_every_algorithm_on_golden_g5() {
     // two sides come from independent code paths (snapshot-delta
     // accounting vs. a pure fold), so a lost or double-counted unit of
     // work on either side fails here.
-    for (base, mut db) in canonical_dbs() {
-        let backend = db.backend_name();
-        for algo in Algorithm::WITH_INDEX {
-            let sink = Arc::new(tc_study::trace::VecSink::unbounded());
-            let cfg = base.clone().traced(Tracer::new(sink.clone()));
-            let res = db.run(&canonical::query(), algo, &cfg).unwrap();
-            let events = sink.events();
-            // The streaming digest and the offline digest agree on the
-            // captured stream (VecSink lost nothing).
-            assert_eq!(sink.dropped(), 0, "{algo}: VecSink dropped events");
-            let replayed = replay(events.iter().cloned()).unwrap();
-            let expected = res.metrics.counts;
-            assert_eq!(
-                replayed,
-                expected,
-                "{algo} on {backend}: replay(trace) != metrics; field diff:\n{}",
-                expected.diff(&replayed).join("\n")
-            );
-            // Sanity: the digest of the captured events is the digest a
-            // streaming sink would have produced (same canonical encoding).
-            let d = digest_events(events.iter());
-            assert_eq!(d.count, events.len() as u64);
-        }
+    for (backend, algo, _, _, replayed, metrics) in cells() {
+        let diff = metrics.diff(replayed).join("\n");
+        assert!(
+            replayed == metrics,
+            "{algo} on {backend}: replay != metrics:\n{diff}"
+        );
     }
 }

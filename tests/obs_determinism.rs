@@ -1,133 +1,73 @@
 //! Determinism-under-timing suite: arming the wall-clock layer leaves
 //! every gated byte untouched.
 //!
-//! `obs_overhead.rs` shows spans are free when disabled; this suite
-//! shows they are *inert* when enabled. Three gates, one per pinned
-//! surface:
+//! `trace_overhead.rs` shows spans are free when disabled; this suite
+//! shows they are *inert* when enabled, by running each surface twice,
+//! armed and unarmed, and holding the two equal:
 //!
-//! - the nine golden G5 event-trace digests (`golden_trace.rs`) hold
-//!   with a span collector armed on the same run;
-//! - an experiment section renders byte-identical report fragments
-//!   with and without `--timing`, while the timing sidecar files are
-//!   themselves well-formed span trees;
-//! - the canonical serve reproduces its golden reply digest, page and
-//!   cache counters (`golden_serve.rs`) with `ServeObs` enabled, at 1
-//!   and 4 workers, while the latency histograms demonstrably filled;
-//!   and `tcq serve --metrics` exports the same deterministic totals it
-//!   prints on stdout.
+//! - each algorithm's canonical G5 event trace (the stream
+//!   `golden_trace.rs` pins) digests the same with a span collector
+//!   armed on the run;
+//! - the canonical serve (the one `golden_serve.rs` pins) reproduces an
+//!   unarmed serve's reply digest, page and cache counters with
+//!   `ServeObs` enabled, at 1 and 4 workers, while the latency
+//!   histograms demonstrably filled; and `tcq serve --metrics` exports
+//!   the same deterministic totals it prints on stdout.
 //!
-//! The golden constants are deliberately the same values as in their
-//! home tests — if a pin regenerates there, regenerate it here too
-//! (both failure messages print the new table).
+//! No pinned value is written here: the pins live in their own files,
+//! and an observer that moved one would fail here as an armed/unarmed
+//! difference. That the experiment reports do not see `--timing` is
+//! `golden_report.rs`'s timing-armed test.
 
 use std::sync::Arc;
 use tc_bench::corpus::canonical;
-use tc_bench::experiments::section;
-use tc_bench::ExpOpts;
 use tc_study::core::prelude::*;
 use tc_study::graph::DagGenerator;
-use tc_study::obs::{SpanRecorder, SpanTree};
-use tc_study::serve::{QueryStream, ServeConfig, ServeObs, Service};
+use tc_study::obs::SpanRecorder;
+use tc_study::serve::{QueryStream, ServeConfig, ServeObs, ServeReport, Service};
 use tc_study::storage::TempDir;
-use tc_study::trace::{DigestSink, Tracer};
-
-/// Pinned (algorithm, digest hash, event count) per algorithm — the
-/// same table as `golden_trace.rs`, which is its source of truth.
-const GOLDEN_TRACES: [(&str, u64, u64); 9] = [
-    ("BTC", 0x3A5C88BAA9EF2B5D, 9042354),
-    ("HYB", 0x8E22CD8777127090, 9851246),
-    ("BJ", 0x40344C1B0C2E6162, 8195880),
-    ("SRCH", 0x5A858A8E9679B7DB, 83555),
-    ("SPN", 0x82AB2A39C6C99B86, 8222554),
-    ("JKB", 0xFF5B7B2E48B88139, 126376),
-    ("JKB2", 0x2D3F04FED5DF35AA, 139752),
-    ("SEMINAIVE", 0x03CAE93C00223F48, 117821),
-    ("REACHINDEX", 0xBA809325D2444186, 61492),
-];
-
-/// Serving pins — the same values as `golden_serve.rs`.
-const GOLDEN_REPLY_DIGEST: u64 = 0xD947_85B3_1083_1163;
-const GOLDEN_PAGES_READ: u64 = 3_061;
-const GOLDEN_CACHE: (u64, u64) = (1, 180);
+use tc_study::trace::{DigestSink, TraceDigest, Tracer};
 
 #[test]
 fn golden_traces_hold_with_span_collector_armed() {
+    // Two databases with the same history: a run recycles the pages of
+    // the runs before it, so a trace is a function of that history too.
     let g = canonical::graph();
-    let mut db = Database::build(&g, true).unwrap();
+    let [mut plain_db, mut armed_db] = [(); 2].map(|_| Database::build(&g, true).unwrap());
     let query = canonical::query();
-    let mut table = Vec::new();
     for algo in Algorithm::WITH_INDEX {
-        let sink = Arc::new(DigestSink::new());
+        let digest = |db: &mut Database, rec: SpanRecorder| -> TraceDigest {
+            let sink = Arc::new(DigestSink::new());
+            let cfg = SystemConfig::with_buffer(20)
+                .traced(Tracer::new(sink.clone()))
+                .observed(rec);
+            db.run(&query, algo, &cfg).unwrap();
+            sink.digest()
+        };
+        let unarmed = digest(&mut plain_db, SpanRecorder::disabled());
         let (rec, collector) = SpanRecorder::collecting();
-        let cfg = SystemConfig::with_buffer(20)
-            .traced(Tracer::new(sink.clone()))
-            .observed(rec);
-        db.run(&query, algo, &cfg).unwrap();
-        let tree = collector.tree();
+        let armed = digest(&mut armed_db, rec);
         assert!(
-            tree.find(&["run"]).is_some_and(|n| n.count > 0),
+            collector.tree().find(&["run"]).is_some_and(|n| n.count > 0),
             "{algo}: armed collector recorded no run span"
         );
-        let d = sink.digest();
-        table.push((algo.name(), d.hash, d.count));
+        assert_eq!(
+            armed, unarmed,
+            "{algo}: arming a span collector changed the event trace — \
+             timing leaked into the deterministic track"
+        );
     }
-    let rendered = table
-        .iter()
-        .map(|(name, hash, count)| format!("    ({name:?}, {hash:#018X}, {count}),"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert_eq!(
-        table, GOLDEN_TRACES,
-        "a timed run drifted off the golden traces — timing leaked into \
-         the deterministic track (or the pins moved in golden_trace.rs; \
-         then replace this table with):\n{rendered}",
-    );
 }
 
-#[test]
-fn section_reports_are_byte_identical_with_and_without_timing() {
-    // Two sections covering distinct engine paths: a full-closure
-    // algorithm comparison and the dynamic-maintenance section. (The
-    // full 14-section sweep runs timing-armed against the golden
-    // digests in `golden_report.rs`.)
-    for name in ["fig6", "updates"] {
-        let f = section(name).unwrap_or_else(|| panic!("unknown section {name}"));
-        let plain = f(&ExpOpts::quick()).unwrap_or_else(|e| panic!("{name} plain run: {e}"));
-
-        let tmp = TempDir::new("tc-obs-timing").expect("temp dir");
-        let timed = f(&ExpOpts::quick().timing_dir(tmp.path()))
-            .unwrap_or_else(|e| panic!("{name} timed run: {e}"));
-        assert_eq!(
-            plain, timed,
-            "{name}: --timing changed the report bytes — timing must stay \
-             strictly outside the deterministic gate"
-        );
-
-        // The sidecar actually materialized: one well-formed span tree
-        // per cell. Engine cells carry a root-level run span; pure
-        // statistics cells legitimately record nothing.
-        let (mut span_files, mut with_run) = (0, 0);
-        let entries = std::fs::read_dir(tmp.path()).expect("read timing dir");
-        for entry in entries {
-            let path = entry.expect("dir entry").path();
-            if path.extension().is_some_and(|e| e == "json") {
-                span_files += 1;
-                let text = std::fs::read_to_string(&path).expect("read span file");
-                let tree = SpanTree::from_json(&text)
-                    .unwrap_or_else(|e| panic!("{}: bad span tree: {e}", path.display()));
-                // Query cells root at `run`; update cells at
-                // `update_apply` (around DynamicClosure::apply).
-                if tree.find(&["run"]).is_some() || tree.find(&["update_apply"]).is_some() {
-                    with_run += 1;
-                }
-            }
-        }
-        assert!(span_files > 0, "{name}: --timing wrote no span trees");
-        assert!(
-            with_run > 0,
-            "{name}: no span tree recorded an engine run span"
-        );
-    }
+/// The deterministic track of a serve: what `golden_serve.rs` pins.
+fn track(report: &ServeReport) -> (usize, u64, u64, (u64, u64)) {
+    let cache = (report.cache_hits(), report.cache_lookups());
+    (
+        report.replies(),
+        report.digest(),
+        report.pages_read(),
+        cache,
+    )
 }
 
 #[test]
@@ -135,33 +75,20 @@ fn canonical_serve_holds_golden_pins_with_obs_enabled() {
     let g = canonical::graph();
     let snap = ClosedSnapshot::build(&g, &SystemConfig::with_buffer(20)).expect("freeze G5");
     let service = Service::new(Arc::new(snap));
+    let stream = QueryStream::canonical_g5();
+    let serve = |cfg: &ServeConfig| service.serve(&stream, cfg).expect("canonical serve");
+    let unarmed = track(&serve(&ServeConfig::default()));
     for workers in [1usize, 4] {
         let obs = ServeObs::enabled();
-        let report = service
-            .serve(
-                &QueryStream::canonical_g5(),
-                &ServeConfig::default()
-                    .workers(workers)
-                    .observed(obs.clone()),
-            )
-            .expect("canonical serve");
-        // The deterministic track: bit-for-bit the golden_serve.rs pins.
-        assert_eq!(report.replies(), 256, "workers {workers}: dropped replies");
-        assert_eq!(
-            report.digest(),
-            GOLDEN_REPLY_DIGEST,
-            "workers {workers}: reply digest drifted to {:#018x} with obs on",
-            report.digest()
+        let report = serve(
+            &ServeConfig::default()
+                .workers(workers)
+                .observed(obs.clone()),
         );
         assert_eq!(
-            report.pages_read(),
-            GOLDEN_PAGES_READ,
-            "workers {workers}: pages read drifted with obs on"
-        );
-        assert_eq!(
-            (report.cache_hits(), report.cache_lookups()),
-            GOLDEN_CACHE,
-            "workers {workers}: cache counters drifted with obs on"
+            track(&report),
+            unarmed,
+            "workers {workers}: (replies, digest, pages read, cache) drifted with obs on"
         );
         // The wall-clock track: one service-time sample per reply, and
         // queue waits recorded alongside.

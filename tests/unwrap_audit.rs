@@ -9,11 +9,12 @@
 //! `#[cfg(test)]` modules; a new file in an audited directory is covered
 //! the moment it exists.
 //!
-//! **Structural rules: one X.** Each [`RULES`] row says where a spelling
-//! may occur. They keep a collapsed mechanism collapsed: a second copy
-//! of the run envelope, the count ledger, the retry loop or an argv loop
-//! fails here by name, not in a differential test after the fact. Every
-//! row carries a fixture that must trip it.
+//! **Structural rules: one X.** Each [`RULES`] row says where a spelling,
+//! or a kind of value, may occur. They keep a collapsed mechanism
+//! collapsed: a second copy of the run envelope, the count ledger, the
+//! retry loop, an argv loop, a hash function or a pinned value fails
+//! here by name, not in a differential test after the fact. Every row
+//! carries a fixture that must trip it.
 //!
 //! **The gate names what exists.** `gate.sh` is the one home of the
 //! acceptance commands and `ci.yml` only calls it; a suite or test
@@ -229,6 +230,8 @@ enum Scope {
     /// Every `.rs` file under these directories, this file excepted (it
     /// has to spell the needles).
     Rust(&'static [&'static str]),
+    /// These files.
+    Files(&'static [&'static str]),
     /// The root manifest and every workspace crate's.
     Manifests,
     /// What the `tcq` binary prints for `--help` (exit 0 required).
@@ -239,10 +242,20 @@ enum Scope {
 enum Want {
     /// It occurs in none of them.
     Nowhere,
-    /// It occurs in this file and no other.
-    OnlyIn(&'static str),
+    /// It occurs in some of these files and in no other.
+    OnlyIn(&'static [&'static str]),
+    /// It occurs in at most one of them.
+    Once,
     /// It occurs in all of them.
     Everywhere,
+}
+
+/// What a rule looks for.
+enum Needles {
+    /// These spellings, verbatim.
+    Spelled(&'static [&'static str]),
+    /// Whatever this function finds in a text.
+    Found(fn(&str) -> Vec<String>),
 }
 
 struct Rule {
@@ -251,7 +264,7 @@ struct Rule {
     name: &'static str,
     scope: Scope,
     want: Want,
-    needles: &'static [&'static str],
+    needles: Needles,
     /// One more text of the scope that must trip the rule.
     fixture: &'static str,
 }
@@ -266,7 +279,7 @@ const RULES: &[Rule] = &[
         name: "dependency hygiene: no external crate (use crates/det)",
         scope: Scope::Manifests,
         want: Want::Nowhere,
-        needles: &["rand", "proptest", "criterion"],
+        needles: Needles::Spelled(&["rand", "proptest", "criterion"]),
         fixture: "[dev-dependencies]\nproptest = \"1\"\n",
     },
     // The run envelope (arm, phase boundary, finish, metric assembly) is
@@ -274,15 +287,15 @@ const RULES: &[Rule] = &[
     Rule {
         name: "one metered-run lifecycle: the envelope lives in lifecycle.rs",
         scope: Scope::Rust(&["crates/core/src"]),
-        want: Want::OnlyIn("crates/core/src/lifecycle.rs"),
-        needles: &[
+        want: Want::OnlyIn(&["crates/core/src/lifecycle.rs"]),
+        needles: Needles::Spelled(&[
             "Event::RunBegin",
             "Event::RunEnd",
             "Event::PhaseBegin",
             "Event::PhaseEnd",
             "clear_fault_plan",
             "estimate_seconds",
-        ],
+        ]),
         fixture: "tracer.emit(|| Event::RunBegin { algorithm });",
     },
     // The cost-metric suite is one struct, `tc_trace::Counts`...
@@ -291,13 +304,13 @@ const RULES: &[Rule] = &[
                (use tc_trace::{Counts, PhaseIo, BufferStats, Rect})",
         scope: Scope::Rust(EVERYWHERE),
         want: Want::Nowhere,
-        needles: &[
+        needles: Needles::Spelled(&[
             "Replayed",
             "to_replayed",
             "LogicalCounts",
             "KindBufStats",
             "IoCounts",
-        ],
+        ]),
         fixture: "let r: Replayed = metrics.to_replayed();",
     },
     // ...and what an event counts is one match, `Counts::on`, which the
@@ -305,8 +318,8 @@ const RULES: &[Rule] = &[
     Rule {
         name: "one ledger: an Event match that counts lives in counts.rs",
         scope: Scope::Rust(EVERYWHERE),
-        want: Want::OnlyIn("crates/trace/src/counts.rs"),
-        needles: &["Event::Union =>"],
+        want: Want::OnlyIn(&["crates/trace/src/counts.rs"]),
+        needles: Needles::Spelled(&["Event::Union =>"]),
         fixture: "match ev { Event::Union => self.unions += 1, _ => {} }",
     },
     // ...and so are the substrate's tables: the store and the buffer pool
@@ -320,7 +333,7 @@ const RULES: &[Rule] = &[
                FaultInjected / CorruptionDetected events",
         scope: Scope::Rust(EVERYWHERE),
         want: Want::Nowhere,
-        needles: &[
+        needles: Needles::Spelled(&[
             "stats.reads +=",
             "stats.hits +=",
             "stats.misses +=",
@@ -332,7 +345,7 @@ const RULES: &[Rule] = &[
             "FaultOutcome",
             "into_events",
             ".fault_trace",
-        ],
+        ]),
         fixture: "self.stats.hits += 1; let log: Vec<FaultEvent> = plan.into_events();",
     },
     // A transient fault is retried in `Store`'s transfers, under the one
@@ -342,7 +355,7 @@ const RULES: &[Rule] = &[
         name: "one retry loop: transient faults are retried inside Store",
         scope: Scope::Rust(EVERYWHERE),
         want: Want::Nowhere,
-        needles: &["RetryPolicy", "set_retry_policy", "with_retries"],
+        needles: Needles::Spelled(&["RetryPolicy", "set_retry_policy", "with_retries"]),
         fixture: "pool.set_retry_policy(RetryPolicy::default());",
     },
     // Every tcq flag is one entry of its subcommand's table in
@@ -353,17 +366,115 @@ const RULES: &[Rule] = &[
                (add a Flag entry or use opts::flag_value)",
         scope: Scope::Rust(&["src", "crates"]),
         want: Want::Nowhere,
-        needles: &["while i < args.len()"],
+        needles: Needles::Spelled(&["while i < args.len()"]),
         fixture: "while i < args.len() { match args[i].as_str() {",
     },
     Rule {
         name: "one front door: tcq --help names every subcommand",
         scope: Scope::Help,
         want: Want::Everywhere,
-        needles: &["tcq analyze", "tcq update", "tcq serve"],
+        needles: Needles::Spelled(&["tcq analyze", "tcq update", "tcq serve"]),
         fixture: "usage: tcq <edges-file> [options]",
     },
+    // A pinned value has one home (PINS.md's table): a suite that needs
+    // to show an observer or a job count leaves a pin alone compares an
+    // armed run with an unarmed one, never with a pasted copy.
+    Rule {
+        name: "one home per pin: a 16-hex-digit literal is written in one \
+               test file (compare with an unarmed run instead of a copy)",
+        scope: Scope::Rust(&["tests"]),
+        want: Want::Once,
+        needles: Needles::Found(long_hex_literals),
+        fixture: include_str!("golden_trace.rs"),
+    },
+    // FNV-1a is `tc_trace::Fnv` and SplitMix64 is `tc_det::splitmix64`;
+    // their constants appear nowhere else in the crates.
+    Rule {
+        name: "one home per hash: FNV-1a is tc_trace::Fnv, SplitMix64 is \
+               tc_det::splitmix64",
+        scope: Scope::Rust(&["crates", "src"]),
+        want: Want::OnlyIn(&["crates/trace/src/digest.rs", "crates/det/src/rng.rs"]),
+        needles: Needles::Found(hash_constants),
+        fixture: "h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);",
+    },
+    // A measured wall time is written once, where it was measured
+    // (EXPERIMENTS.md, CHANGES.md, benchmark/README.md); the overview
+    // documents describe mechanisms and link there.
+    Rule {
+        name: "one home per measurement: no wall time in README.md or \
+               DESIGN.md (link EXPERIMENTS.md, CHANGES.md or \
+               benchmark/README.md)",
+        scope: Scope::Files(&["README.md", "DESIGN.md"]),
+        want: Want::Nowhere,
+        needles: Needles::Found(wall_times),
+        fixture: "The full closure takes ~183 ms on two cores.",
+    },
 ];
+
+/// Every hex literal of 16 digits or more, underscores stripped and
+/// case folded, so `0xAB_CD..` and `0xabcd..` are one value.
+fn long_hex_literals(text: &str) -> Vec<String> {
+    text.split("0x")
+        .skip(1)
+        .map(|rest| {
+            rest.chars()
+                .take_while(|c| c.is_ascii_hexdigit() || *c == '_')
+                .filter(|c| *c != '_')
+                .collect::<String>()
+                .to_ascii_lowercase()
+        })
+        .filter(|digits| digits.len() >= 16)
+        .map(|digits| format!("0x{digits}"))
+        .collect()
+}
+
+/// The FNV-1a prime and SplitMix64's two finalizer multipliers, found
+/// in any spelling.
+fn hash_constants(text: &str) -> Vec<String> {
+    let folded = text.replace('_', "").to_ascii_lowercase();
+    ["100000001b3", "bf58476d1ce4e5b9", "94d049bb133111eb"]
+        .into_iter()
+        .filter(|c| folded.contains(c))
+        .map(|c| format!("0x{c}"))
+        .collect()
+}
+
+/// Times the paper or the code defines, which a document may state:
+/// the estimated cost of an I/O and of a tuple-level operation, the
+/// accounted retry backoff and the metrics-file refresh period.
+const DEFINED_TIMES: &[&str] = &[
+    "20 ms per I/O",
+    "20 ms/IO",
+    "1 µs per tuple-level operation",
+    "backoff of 1 ms",
+    "every 200 ms",
+];
+
+/// Every number followed by ms, µs, us or ns, outside [`DEFINED_TIMES`].
+fn wall_times(text: &str) -> Vec<String> {
+    let mut text = text.to_string();
+    for defined in DEFINED_TIMES {
+        text = text.replace(defined, "");
+    }
+    let mut out = Vec::new();
+    for unit in ["ms", "µs", "μs", "us", "ns"] {
+        for (at, _) in text.match_indices(unit) {
+            let after = text[at + unit.len()..].chars().next();
+            if after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
+                continue;
+            }
+            let before = text[..at].trim_end_matches([' ', '\u{a0}', '\u{202f}']);
+            let number =
+                before.trim_end_matches(|c: char| c.is_ascii_digit() || c == '.' || c == ',');
+            let digits = before[number.len()..].trim_start_matches([',', '.']);
+            if digits.is_empty() || number.ends_with(|c: char| c.is_alphanumeric() || c == '_') {
+                continue;
+            }
+            out.push(format!("{digits} {unit}"));
+        }
+    }
+    out
+}
 
 const THIS_FILE: &str = "tests/unwrap_audit.rs";
 
@@ -395,6 +506,7 @@ fn texts(scope: &Scope) -> Vec<(String, String)> {
             .flat_map(|root| rust_files_under(repo(), root))
             .filter(|rel| rel != THIS_FILE)
             .collect(),
+        Scope::Files(files) => files.iter().map(|f| f.to_string()).collect(),
         Scope::Manifests => std::iter::once("Cargo.toml".to_string())
             .chain(
                 workspace_crates()
@@ -421,18 +533,43 @@ fn texts(scope: &Scope) -> Vec<(String, String)> {
         .collect()
 }
 
+/// Each needle of `rule` with the texts it occurs in.
+fn hits<'t>(rule: &Rule, texts: &'t [(String, String)]) -> Vec<(String, Vec<&'t str>)> {
+    match rule.needles {
+        Needles::Spelled(needles) => needles
+            .iter()
+            .map(|needle| {
+                let hits = texts
+                    .iter()
+                    .filter(|(_, text)| text.contains(needle))
+                    .map(|(name, _)| name.as_str())
+                    .collect();
+                (needle.to_string(), hits)
+            })
+            .collect(),
+        Needles::Found(find) => {
+            let mut found = std::collections::BTreeMap::<String, Vec<&str>>::new();
+            for (name, text) in texts {
+                for needle in find(text) {
+                    let hits = found.entry(needle).or_default();
+                    if hits.last() != Some(&name.as_str()) {
+                        hits.push(name);
+                    }
+                }
+            }
+            found.into_iter().collect()
+        }
+    }
+}
+
 /// One line per needle of `rule` that is not where it should be.
 fn broken(rule: &Rule, texts: &[(String, String)]) -> Vec<String> {
     let mut out = Vec::new();
-    for needle in rule.needles {
-        let hits: Vec<&str> = texts
-            .iter()
-            .filter(|(_, text)| text.contains(needle))
-            .map(|(name, _)| name.as_str())
-            .collect();
+    for (needle, hits) in hits(rule, texts) {
         let ok = match rule.want {
             Want::Nowhere => hits.is_empty(),
-            Want::OnlyIn(home) => hits == [home],
+            Want::OnlyIn(homes) => !hits.is_empty() && hits.iter().all(|h| homes.contains(h)),
+            Want::Once => hits.len() <= 1,
             Want::Everywhere => hits.len() == texts.len(),
         };
         if !ok {
