@@ -63,7 +63,7 @@ use tc_storage::{
     ClusteredIndex, FileKind, FrozenPageSet, PageStore, RelationFile, StorageError, StorageResult,
     ValueFile, ValueWriter,
 };
-use tc_succ::{row_offsets, BitRow, TupleRows};
+use tc_succ::{BitRow, TupleRows};
 use tc_trace::{Event, Tracer};
 
 /// Why [`DynamicClosure::apply`] did not apply a batch.
@@ -196,9 +196,13 @@ impl DynamicClosure {
             "DynamicClosure requires an acyclic graph (condense cycles first)"
         );
         let mut db = Database::build_for(graph, false, cfg)?;
-        let all: Vec<NodeId> = (0..graph.n() as NodeId).collect();
-        let full = closure::ptc_answer(graph, &all);
-        let successors: Vec<NodeId> = full.iter().map(|t| t.1).collect();
+        let mut successors: Vec<NodeId> = Vec::new();
+        let mut rows = Vec::with_capacity(graph.n() + 1);
+        rows.push(0);
+        for s in 0..graph.n() as NodeId {
+            successors.extend(closure::successors_of(graph, s));
+            rows.push(successors.len() as u32);
+        }
         let mut store = db.take_store()?;
         let tc = ValueFile::bulk_load(store.as_mut(), FileKind::Output, &successors)?;
         store.reset_stats();
@@ -206,7 +210,7 @@ impl DynamicClosure {
         Ok(DynamicClosure {
             db,
             tc,
-            rows: row_offsets(graph.n(), &full),
+            rows,
             cfg: cfg.clone(),
         })
     }

@@ -25,13 +25,6 @@ pub struct RunResult {
     pub answer: Option<Vec<(NodeId, NodeId)>>,
 }
 
-impl RunResult {
-    /// Number of distinct answer tuples.
-    pub fn answer_len(&self) -> u64 {
-        self.metrics.answer_tuples
-    }
-}
-
 pub(crate) fn run(
     db: &mut Database,
     query: &Query,

@@ -17,7 +17,7 @@
 //! [`BitRow`] is the plain word array: [`crate::TupleRows`] keeps one per
 //! closure row that maintenance has written to.
 
-/// A fixed-size bit set over node ids: test, set, unset, word-parallel
+/// A fixed-size bit set over node ids: test, set, clear, word-parallel
 /// union, and the set ids in ascending order. Two rows are equal when
 /// they are over the same `n` and hold the same ids.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,20 +51,6 @@ impl BitRow {
             false
         } else {
             self.words[idx / 64] |= mask;
-            true
-        }
-    }
-
-    /// Clears bit `v`; returns `true` if it was set.
-    #[inline]
-    pub fn unset(&mut self, v: u32) -> bool {
-        let idx = v as usize;
-        debug_assert!(idx < self.words.len() * 64);
-        let mask = 1u64 << (idx % 64);
-        if self.words[idx / 64] & mask == 0 {
-            false
-        } else {
-            self.words[idx / 64] &= !mask;
             true
         }
     }
@@ -353,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn bit_row_sets_unsets_and_lists_ascending() {
+    fn bit_row_sets_and_lists_ascending() {
         for n in [0usize, 1, 63, 64, 65, 200] {
             let mut row = BitRow::new(n);
             assert_eq!(row.ones().count(), 0, "n = {n}");
@@ -364,12 +350,10 @@ mod tests {
             }
             assert_eq!(row.ones().collect::<Vec<_>>(), ids, "n = {n}");
             assert_eq!(row.count_ones(), ids.len());
-            for &v in &ids {
-                assert!(row.contains(v));
-                assert!(row.unset(v));
-                assert!(!row.unset(v), "second unset of {v} reports set");
-                assert!(!row.contains(v));
+            for v in 0..n as u32 {
+                assert_eq!(row.contains(v), v % 3 != 1, "{v}");
             }
+            row.clear();
             assert_eq!(row.count_ones(), 0);
         }
     }
@@ -392,10 +376,11 @@ mod tests {
             // Equality is by content, in every word: a row that differs
             // only in its last id is a different row.
             if n > 0 {
-                let mut other = both.clone();
                 let last = n as u32 - 1;
-                assert!(other.set(last) || other.unset(last));
-                assert_ne!(both, other, "n = {n}");
+                let rest = of(&both.ones().filter(|&v| v != last).collect::<Vec<_>>());
+                let mut other = rest.clone();
+                other.set(last);
+                assert_ne!(rest, other, "n = {n}");
             }
             let mut again = both.clone();
             again.union_with(&low);

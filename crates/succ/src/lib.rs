@@ -17,8 +17,8 @@
 //!   it found to cost under 6% of CPU (§6.2), kept as a generation-stamped
 //!   set with an O(1) reset; [`BitRow`] is the plain bit set;
 //! * [`TupleRows`] — a closure relation as its successor column and row
-//!   offsets plus a bit row per source written to, for dynamic
-//!   maintenance;
+//!   offsets plus a bit row per source written to, read and written a
+//!   whole row at a time by dynamic maintenance's row sweep;
 //! * [`tree`] — the successor spanning-tree encoding (parent stored once,
 //!   negated, followed by its children) and its skip-union, plus the
 //!   special-node predecessor trees of Compute_Tree.
@@ -36,5 +36,5 @@ pub mod tree;
 pub use bitvec::{BitRow, NodeBitVec};
 pub use cursor::ListCursor;
 pub use policy::ListPolicy;
-pub use rows::{row_offsets, TupleRows};
+pub use rows::TupleRows;
 pub use store::{SuccStats, SuccStore};

@@ -1,6 +1,7 @@
 //! Crash-safety tests for the file-backed store against *real* files:
 //! CRC detection of bit rot, torn-write detection on reopen, free-page
-//! reuse keeping the segment from growing, refusal of the retired
+//! reuse keeping the segment from growing, a clean reopen over slots
+//! that were freed before any write reached them, refusal of the retired
 //! format 1, the chunked recovery scan against a per-slot oracle, and
 //! byte mutations of a synced manifest.
 //!
@@ -10,13 +11,14 @@
 
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
+use tc_study::buffer::{BufferPool, PagePolicy};
 use tc_study::core::prelude::*;
 use tc_study::det::check::{shrink_vec, vec_of, Checker};
 use tc_study::det::{require, require_eq, Rng};
 use tc_study::graph::DagGenerator;
 use tc_study::storage::file_store::{MANIFEST_FILE, SEGMENT_FILE};
 use tc_study::storage::{
-    Backend, Catalog, FileId, FileKind, FileStore, Page, PageId, PageStore, RecoveryReport,
+    Backend, Catalog, FileId, FileKind, FileStore, Page, PageId, PageStore, Pager, RecoveryReport,
     StorageError, TempDir, FILE_STORE_HEADER_SIZE, FILE_STORE_SLOT_SIZE, PAGE_SIZE,
 };
 use tc_study::trace::Fnv;
@@ -144,6 +146,26 @@ fn freed_pages_are_reused_before_the_segment_grows() {
         .expect("segment")
         .len();
     assert_eq!(after, grown, "segment grew despite a full free list");
+}
+
+#[test]
+fn a_page_freed_before_its_first_write_reopens_clean() {
+    // An engine that discards a scratch file it never flushed leaves
+    // slots that no write ever reached, yet the catalog still addresses
+    // them as free pages: only the image `alloc` zeroes in lets the
+    // recovery scan accept them.
+    let tmp = TempDir::new("tc-recovery-unwritten").expect("tempdir");
+    let store = FileStore::create(tmp.path()).expect("create");
+    let mut pool = BufferPool::new(store, 4, PagePolicy::Lru);
+    let scratch = pool.create_file(FileKind::Temp);
+    for _ in 0..3 {
+        pool.alloc_page(scratch).expect("alloc");
+    }
+    pool.free_file(scratch).expect("free_file");
+    pool.into_store_discard().sync().expect("sync");
+    let store = FileStore::open(tmp.path()).expect("open");
+    assert!(store.recovery().is_clean(), "{:?}", store.recovery());
+    assert_eq!(store.page_count(), 3);
 }
 
 #[test]

@@ -6,7 +6,7 @@ use tc_study::buffer::{BufferPool, PagePolicy};
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require, require_eq, Rng};
 use tc_study::storage::{DiskSim, FileKind, Page, PageId, PageStore, Pager, SuccEntry};
-use tc_study::succ::{row_offsets, BitRow, ListCursor, ListPolicy, SuccStore, TupleRows};
+use tc_study::succ::{BitRow, ListCursor, ListPolicy, SuccStore, TupleRows};
 
 // ---------------------------------------------------------------------
 // Buffer pool vs. a flat array of page images.
@@ -343,11 +343,6 @@ fn flat_tag_invariant() {
 
 #[derive(Debug, Clone)]
 enum RowOp {
-    Insert(u32, u32),
-    Remove(u32, u32),
-    Contains(u32, u32),
-    /// Removes every tuple of one row, one `remove` at a time.
-    EmptyRow(u32),
     /// ORs one row into the case's scratch `BitRow`.
     OrRow(u32),
     /// Sets one row to the given successors — or, if the flag is set,
@@ -355,11 +350,11 @@ enum RowOp {
     SetRow(u32, Vec<u32>, bool),
 }
 
-/// Over a random sorted base list, any sequence of writes and reads
-/// answers like a `BTreeSet`, reads back ascending, counts its delta
-/// against the base, and gives a bit row to exactly the sources an
-/// effective write went to — tuple at a time or a whole row through a
-/// scratch `BitRow`. Sizes sit on and around the word boundary; sparse
+/// Over a random sorted base list, any sequence of whole-row reads and
+/// writes through a scratch `BitRow` answers like a `BTreeSet`, reads
+/// back as the model's column and row offsets, counts its delta against
+/// the base, and gives a bit row to exactly the sources an effective
+/// write went to. Sizes sit on and around the word boundary; sparse
 /// bases leave empty rows and sources that occur only as destinations.
 #[test]
 fn tuple_rows_refine_btreeset() {
@@ -389,12 +384,8 @@ fn tuple_rows_refine_btreeset() {
             let ops = if n == 0 {
                 Vec::new()
             } else {
-                check::vec_of(rng, 0..200, |r| match r.random_range(0..11u32) {
-                    0..=2 => RowOp::Insert(id(r), id(r)),
-                    3..=4 => RowOp::Remove(src(r), id(r)),
-                    5..=6 => RowOp::Contains(src(r), id(r)),
-                    7 => RowOp::EmptyRow(src(r)),
-                    8 => RowOp::OrRow(src(r)),
+                check::vec_of(rng, 0..200, |r| match r.random_range(0..3u32) {
+                    0 => RowOp::OrRow(src(r)),
                     _ => RowOp::SetRow(src(r), check::vec_of(r, 0..12, &id), r.random_bool(0.5)),
                 })
             };
@@ -408,7 +399,15 @@ fn tuple_rows_refine_btreeset() {
         },
         |(n, base, ops)| {
             let n = *n;
-            let mut rows = TupleRows::new(n, base);
+            // Row `s` of a sorted tuple list starts at its first tuple
+            // whose source is not below `s`.
+            let offsets_of = |tuples: &[(u32, u32)]| -> Vec<u32> {
+                (0..=n)
+                    .map(|s| tuples.partition_point(|t| (t.0 as usize) < s) as u32)
+                    .collect()
+            };
+            let mut rows =
+                TupleRows::from_rows(offsets_of(base), base.iter().map(|t| t.1).collect());
             let mut model: BTreeSet<(u32, u32)> = base.iter().copied().collect();
             let mut written: BTreeSet<u32> = BTreeSet::new();
             let model_row = |model: &BTreeSet<(u32, u32)>, s: u32| -> Vec<u32> {
@@ -418,32 +417,6 @@ fn tuple_rows_refine_btreeset() {
             let mut scratch_model: BTreeSet<u32> = BTreeSet::new();
             for op in ops {
                 match *op {
-                    RowOp::Insert(s, d) => {
-                        let fresh = model.insert((s, d));
-                        require_eq!(rows.insert(s, d), fresh, "insert ({}, {})", s, d);
-                        if fresh {
-                            written.insert(s);
-                        }
-                    }
-                    RowOp::Remove(s, d) => {
-                        let present = model.remove(&(s, d));
-                        require_eq!(rows.remove(s, d), present, "remove ({}, {})", s, d);
-                        if present {
-                            written.insert(s);
-                        }
-                    }
-                    RowOp::Contains(s, d) => {
-                        require_eq!(rows.contains(s, d), model.contains(&(s, d)));
-                    }
-                    RowOp::EmptyRow(s) => {
-                        let row: Vec<u32> = rows.row(s).collect();
-                        for &d in &row {
-                            require!(model.remove(&(s, d)), "row {s} lists absent {d}");
-                            require!(rows.remove(s, d), "remove of listed ({s}, {d})");
-                            written.insert(s);
-                        }
-                        require_eq!(rows.row(s).count(), 0, "row {} after emptying", s);
-                    }
                     RowOp::OrRow(s) => {
                         let row = model_row(&model, s);
                         require_eq!(rows.row_len(s), row.len(), "row_len {}", s);
@@ -476,20 +449,24 @@ fn tuple_rows_refine_btreeset() {
                 }
             }
             let expected: Vec<(u32, u32)> = model.iter().copied().collect();
-            require_eq!(rows.iter().collect::<Vec<_>>(), expected);
-            for s in 0..n as u32 {
-                let row: Vec<u32> = model.range((s, 0)..=(s, u32::MAX)).map(|t| t.1).collect();
-                require_eq!(rows.row(s).collect::<Vec<_>>(), row, "row {}", s);
-            }
+            let mut column: Vec<u32> = Vec::new();
+            rows.column_runs(|run| {
+                column.extend_from_slice(run);
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            require_eq!(column, expected.iter().map(|t| t.1).collect::<Vec<_>>());
+            require_eq!(rows.row_offsets(), offsets_of(&expected));
             let inserted = expected.iter().filter(|t| base.binary_search(t).is_err());
             let removed = base.iter().filter(|t| !model.contains(t));
             require_eq!(
                 rows.delta(),
                 (inserted.count() as u64, removed.count() as u64)
             );
-            require_eq!(rows.row_offsets(), row_offsets(n, &expected));
             require_eq!(
-                rows.touched().collect::<Vec<_>>(),
+                (0..n as u32)
+                    .filter(|&s| rows.is_written(s))
+                    .collect::<Vec<_>>(),
                 written.into_iter().collect::<Vec<_>>(),
                 "bit rows exist for exactly the written sources"
             );
