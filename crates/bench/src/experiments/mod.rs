@@ -1,5 +1,5 @@
 //! One module per table/figure of the paper's evaluation section, plus
-//! the deterministic parallel scheduler they all run on.
+//! the cell grid they all run on.
 //!
 //! Every module exposes `run(&ExpOpts) -> ExpResult<String>`, returning a
 //! markdown report fragment with the paper's expectation stated next to
@@ -12,12 +12,13 @@
 //! is an average over independent *cells*, where one cell is one
 //! execution on a fresh [`Database`] — coordinates (family, instance,
 //! source set, algorithm, query, config). Sections declare their cells
-//! through a [`Grid`], the scheduler executes them across
-//! [`ExpOpts::jobs`] workers, and results are reassembled in canonical
-//! cell order. Because each cell is a pure function of its coordinates
-//! (workload seeds follow `tc-det`'s cell-seeding convention; nothing
-//! reads the clock or the scheduling order), every report fragment is
-//! **byte-identical** at any worker count. `tests/parallel_determinism.rs`
+//! through a [`Grid`], [`run_cells`] executes them on `tc-det`'s one
+//! worker pool ([`tc_det::run_indexed`]) across [`ExpOpts::jobs`]
+//! workers, and results come back in canonical cell order. Because each
+//! cell is a pure function of its coordinates (workload seeds follow
+//! `tc-det`'s cell-seeding convention; nothing reads the clock or the
+//! scheduling order), every report fragment is **byte-identical** at
+//! any worker count. `tests/parallel_determinism.rs`
 //! and `gate.sh full parallel-matrix` hold us to that.
 
 pub mod ablations;
@@ -43,9 +44,7 @@ use std::fs;
 use std::io::BufWriter;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use tc_core::prelude::*;
 use tc_core::CostMetrics;
 use tc_graph::{
@@ -461,7 +460,7 @@ pub enum CellOutput {
 }
 
 // ---------------------------------------------------------------------
-// The scheduler
+// Running cells
 // ---------------------------------------------------------------------
 
 /// Where (if anywhere) each cell's event stream and span tree go.
@@ -489,16 +488,15 @@ pub enum Sinks<'a> {
     Each(&'a [Tracer]),
 }
 
-/// Executes `cells` across `jobs` scoped worker threads (a lock-free
-/// work queue over an atomic cursor) and returns their outputs **in cell
-/// order**, regardless of which worker ran what when.
+/// Executes `cells` on [`tc_det::run_indexed`]'s `jobs` workers and
+/// returns their outputs **in cell order**, regardless of which worker
+/// ran what when.
 ///
 /// Determinism: a cell's output is a pure function of its coordinates,
-/// and reassembly is positional, so the returned vector is bit-identical
-/// for every `jobs` value. On the first failing cell the queue stops
-/// handing out work and the error (with its coordinates) is returned;
-/// which cell's error is reported may depend on scheduling, but some
-/// typed error always surfaces and no worker thread panics.
+/// and the pool places it by its index, so the returned vector is
+/// bit-identical for every `jobs` value. On the first failing cell the
+/// pool stops handing out work, and the error of the lowest-index cell
+/// that ran (with its coordinates) is returned; no worker thread panics.
 pub fn run_cells(cells: &[Cell], jobs: usize, sinks: Sinks<'_>) -> ExpResult<Vec<CellOutput>> {
     match sinks {
         Sinks::None => {}
@@ -519,20 +517,7 @@ pub fn run_cells(cells: &[Cell], jobs: usize, sinks: Sinks<'_>) -> ExpResult<Vec
             }
         }
     }
-    schedule(cells, jobs, &[], sinks)
-}
-
-/// [`run_cells`], unsinked, with an artificial pre-execution delay per
-/// cell (`delay_us[i % len]` microseconds before cell `i` runs). Test
-/// support: `tests/scheduler_props.rs` uses it to shake worker
-/// interleavings and prove the output does not depend on them. An empty
-/// slice disables the delays.
-pub fn run_cells_jittered(
-    cells: &[Cell],
-    jobs: usize,
-    delay_us: &[u64],
-) -> ExpResult<Vec<CellOutput>> {
-    schedule(cells, jobs, delay_us, Sinks::None)
+    tc_det::run_indexed(jobs, cells.len(), |_, i| exec_cell(&cells[i], i, sinks))
 }
 
 /// Runs cell `i` with its sinks attached. File-backed sinks are per-cell
@@ -581,96 +566,6 @@ fn exec_cell(cell: &Cell, i: usize, sinks: Sinks<'_>) -> ExpResult<CellOutput> {
     if let Some((path, _, collector)) = spans {
         fs::write(&path, collector.tree().to_json())
             .map_err(|e| file_err("write timing file", &path, e))?;
-    }
-    Ok(out)
-}
-
-fn schedule(
-    cells: &[Cell],
-    jobs: usize,
-    delay_us: &[u64],
-    sinks: Sinks<'_>,
-) -> ExpResult<Vec<CellOutput>> {
-    let delay = |i: usize| {
-        if delay_us.is_empty() {
-            Duration::ZERO
-        } else {
-            Duration::from_micros(delay_us[i % delay_us.len()])
-        }
-    };
-    let jobs = jobs.max(1).min(cells.len().max(1));
-    if jobs == 1 {
-        // Inline fast path: no threads, earliest cell's error wins.
-        let mut out = Vec::with_capacity(cells.len());
-        for (i, cell) in cells.iter().enumerate() {
-            std::thread::sleep(delay(i));
-            out.push(exec_cell(cell, i, sinks)?);
-        }
-        return Ok(out);
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    // Each worker drains the shared cursor and keeps (index, result)
-    // pairs privately; merging by index afterwards restores canonical
-    // order without any cross-thread locking on the hot path.
-    let mut per_worker: Vec<Vec<(usize, ExpResult<CellOutput>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells.len() {
-                            break;
-                        }
-                        std::thread::sleep(delay(i));
-                        let r = exec_cell(&cells[i], i, sinks);
-                        if r.is_err() {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        mine.push((i, r));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // A worker can only panic on a harness bug (cells
-                // report failures as Err); propagate it faithfully.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-
-    let mut slots: Vec<Option<ExpResult<CellOutput>>> = (0..cells.len()).map(|_| None).collect();
-    for (i, r) in per_worker.drain(..).flatten() {
-        slots[i] = Some(r);
-    }
-    // Lowest-index error among the completed cells wins the report.
-    if slots.iter().flatten().any(|r| r.is_err()) {
-        for r in slots.into_iter().flatten() {
-            r?;
-        }
-        return Err(ExpError::Internal("error vanished during merge".into()));
-    }
-    let mut out = Vec::with_capacity(cells.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(v)) => out.push(v),
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(ExpError::Internal(format!(
-                    "scheduler left cell {i} unexecuted without reporting an error"
-                )))
-            }
-        }
     }
     Ok(out)
 }
@@ -822,11 +717,6 @@ impl Grid {
                 cfg: self.cell_cfg(cfg),
             },
         }])
-    }
-
-    /// Number of cells registered so far.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
     }
 
     /// Executes every registered cell across `opts.jobs` workers,

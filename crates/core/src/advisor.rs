@@ -16,8 +16,8 @@
 //! crossovers measured by this reproduction's own Table 4 / Figure 8
 //! benches and can be tuned.
 
-use crate::algorithm::Algorithm;
 use crate::query::Query;
+use crate::Algorithm;
 use tc_graph::RectangleModel;
 
 /// Inputs the advisor decides on: all cheaply available at

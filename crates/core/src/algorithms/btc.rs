@@ -100,10 +100,10 @@ pub fn expand_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Algorithm;
     use crate::database::Database;
     use crate::query::Query;
     use crate::restructure::{restructure, RestructureOptions};
+    use crate::Algorithm;
     use tc_buffer::PagePolicy;
     use tc_graph::{closure, reduction, DagGenerator, Graph};
     use tc_succ::ListPolicy;

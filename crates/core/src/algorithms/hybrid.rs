@@ -354,10 +354,10 @@ fn expand_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Algorithm;
     use crate::database::Database;
     use crate::query::Query;
     use crate::restructure::{restructure, RestructureOptions};
+    use crate::Algorithm;
     use tc_buffer::PagePolicy;
     use tc_graph::{closure, DagGenerator, Graph};
     use tc_succ::ListPolicy;

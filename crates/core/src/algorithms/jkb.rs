@@ -300,9 +300,9 @@ pub fn compute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Algorithm;
     use crate::query::Query;
     use crate::restructure::{restructure, RestructureOptions};
+    use crate::Algorithm;
     use tc_buffer::PagePolicy;
     use tc_graph::{closure, DagGenerator, Graph};
 

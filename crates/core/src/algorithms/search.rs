@@ -75,7 +75,7 @@ pub fn run_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Algorithm;
+    use crate::Algorithm;
     use tc_buffer::PagePolicy;
     use tc_graph::{closure, DagGenerator, Graph, MagicGraph};
 

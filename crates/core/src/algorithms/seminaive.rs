@@ -153,7 +153,7 @@ fn merge_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Algorithm;
+    use crate::Algorithm;
     use tc_buffer::PagePolicy;
     use tc_graph::{closure, DagGenerator, Graph};
 

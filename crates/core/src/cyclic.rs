@@ -15,11 +15,11 @@
 //! Reachability on a cyclic graph is *reflexive inside cycles*: a node on
 //! a cycle reaches itself. The expanded answer reflects that.
 
-use crate::algorithm::Algorithm;
 use crate::config::SystemConfig;
 use crate::database::Database;
 use crate::metrics::CostMetrics;
 use crate::query::Query;
+use crate::Algorithm;
 use tc_graph::{condensation, Condensation, Graph, NodeId};
 use tc_storage::StorageResult;
 
@@ -74,9 +74,9 @@ pub fn run_cyclic(
     // Intra-component reachability: a source on a cycle reaches every
     // member of its component, itself included.
     for &s in &sources {
-        let members = &cond.members[cond.component[s as usize] as usize];
-        if members.len() > 1 {
-            for &v in members {
+        let c = cond.component[s as usize];
+        if cond.is_cyclic(c) {
+            for &v in &cond.members[c as usize] {
                 answer.push((s, v));
             }
         }

@@ -1,10 +1,10 @@
 //! The on-disk database: relation files, indexes, and the graph oracle.
 
 use crate::advisor::{Advisor, WorkloadProfile};
-use crate::algorithm::Algorithm;
 use crate::config::SystemConfig;
 use crate::engine::{self, RunResult};
 use crate::query::Query;
+use crate::Algorithm;
 use tc_graph::{Graph, MagicGraph, RectangleModel};
 use tc_storage::{ClusteredIndex, FileKind, PageStore, RelationFile, StorageError, StorageResult};
 
@@ -89,11 +89,6 @@ impl Database {
     /// Number of nodes.
     pub fn n(&self) -> usize {
         self.graph.n()
-    }
-
-    /// Pages of the base relation.
-    pub fn relation_pages(&self) -> usize {
-        self.relation.page_count()
     }
 
     /// Whether the dual representation is materialized.
@@ -194,7 +189,7 @@ mod tests {
         let g = DagGenerator::new(300, 3.0, 60).seed(1).generate();
         let db = Database::build(&g, false).unwrap();
         assert_eq!(db.relation.tuple_count(), g.arc_count());
-        assert_eq!(db.relation_pages(), g.arc_count().div_ceil(256),);
+        assert_eq!(db.relation.page_count(), g.arc_count().div_ceil(256));
         assert!(!db.has_inverse());
         // Loading is not charged.
         assert_eq!(db.store.as_ref().unwrap().stats().total(), 0);

@@ -48,11 +48,11 @@
 //! stream, config) triple produces bit-identical tuples, metrics and
 //! trace digests on every backend and at any parallelism.
 
-use crate::algorithm::Algorithm;
 use crate::config::SystemConfig;
 use crate::database::Database;
 use crate::lifecycle::MeteredRun;
 use crate::metrics::CostMetrics;
+use crate::Algorithm;
 use std::fmt;
 use tc_buffer::BufferPool;
 use tc_graph::topo::topological_order;

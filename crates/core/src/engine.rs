@@ -1,7 +1,6 @@
 //! Query execution: the algorithms' phases inside one metered run
 //! ([`crate::lifecycle`]), write-out, validation.
 
-use crate::algorithm::Algorithm;
 use crate::algorithms::{btc, hybrid, jkb, search, seminaive, spn, AnswerCollector};
 use crate::config::SystemConfig;
 use crate::database::Database;
@@ -9,6 +8,7 @@ use crate::lifecycle::MeteredRun;
 use crate::metrics::CostMetrics;
 use crate::query::Query;
 use crate::restructure::{restructure, RestructureOptions};
+use crate::Algorithm;
 use tc_buffer::BufferPool;
 use tc_graph::{closure, MagicGraph, NodeId, RectangleModel};
 use tc_reach::ReachIndex;
@@ -209,11 +209,10 @@ fn execute(
                     idx.chain_suffix(pool, c as u32, p, &mut comps)?;
                     run.metrics.count_tuple_reads(comps.len() as u64);
                     for &b in &comps {
-                        let members = &cond.members[b as usize];
-                        if b == a && members.len() <= 1 {
+                        if b == a && !cond.is_cyclic(a) {
                             continue; // trivial component: irreflexive
                         }
-                        for &v in members {
+                        for &v in &cond.members[b as usize] {
                             run.metrics.count_generated(true);
                             answer.emit(s, v);
                             output.push(pool, (s, v))?;

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod advisor;
-pub mod algorithm;
 pub mod algorithms;
 pub mod config;
 pub mod cyclic;
@@ -62,7 +61,6 @@ pub mod restructure;
 pub mod snapshot;
 
 pub use advisor::{Advisor, WorkloadProfile};
-pub use algorithm::Algorithm;
 pub use config::SystemConfig;
 pub use cyclic::{run_cyclic, CyclicResult};
 pub use database::Database;
@@ -71,9 +69,11 @@ pub use engine::RunResult;
 pub use metrics::{CostMetrics, PhaseIo};
 pub use query::Query;
 pub use snapshot::ClosedSnapshot;
+/// Declared beside the trace vocabulary that names it (`RunBegin`).
+pub use tc_trace::Algorithm;
 
-// Compile-time thread-safety audit. The experiment scheduler in
-// `tc-bench` ships these across a `std::thread::scope` boundary (a fresh
+// Compile-time thread-safety audit. The experiment grid in `tc-bench`
+// ships these to the workers of `tc_det::run_indexed` (a fresh
 // `Database` per cell, `SystemConfig`/`Graph`/`Query` shared by
 // reference), so they must stay `Send` (and the shared ones `Sync`).
 // Introducing an `Rc`, raw pointer or other thread-bound state anywhere
@@ -107,7 +107,6 @@ const _: fn() = || {
 /// run queries.
 pub mod prelude {
     pub use crate::advisor::{Advisor, WorkloadProfile};
-    pub use crate::algorithm::Algorithm;
     pub use crate::config::SystemConfig;
     pub use crate::cyclic::{run_cyclic, CyclicResult};
     pub use crate::database::Database;
@@ -116,6 +115,7 @@ pub mod prelude {
     pub use crate::metrics::CostMetrics;
     pub use crate::query::Query;
     pub use crate::snapshot::ClosedSnapshot;
+    pub use crate::Algorithm;
     pub use tc_buffer::PagePolicy;
     pub use tc_storage::{Backend, FaultConfig, FaultKind, PageStore};
     pub use tc_succ::ListPolicy;

@@ -28,10 +28,10 @@
 //! — which algorithm runs between the calls, the answer, validation —
 //! stays with the caller.
 
-use crate::algorithm::Algorithm;
 use crate::config::SystemConfig;
 use crate::database::Database;
 use crate::metrics::{CostMetrics, PhaseIo};
+use crate::Algorithm;
 use std::time::Instant;
 use tc_buffer::{BufferPool, BufferStats};
 use tc_obs::SpanGuard;
@@ -76,7 +76,7 @@ impl<'a> MeteredRun<'a> {
         }
         store.set_tracer(cfg.trace.clone());
         cfg.trace.emit(Event::RunBegin {
-            algorithm: algorithm.name(),
+            algorithm,
             ms_per_io: MS_PER_IO,
         });
         cfg.trace.emit(Event::PhaseBegin {
@@ -158,7 +158,7 @@ impl<'a> MeteredRun<'a> {
         metrics.restructure_io = phase_io(self.disk_at_boundary.since(&self.disk_base));
         metrics.compute_io = phase_io(disk_total.since(&self.disk_at_boundary));
         metrics.disk = disk_total.since(&self.disk_base);
-        metrics.buffer_compute = if compute_buffer_is_whole_run(metrics.algorithm.name()) {
+        metrics.buffer_compute = if compute_buffer_is_whole_run(metrics.algorithm) {
             metrics.buffer.clone()
         } else {
             metrics.buffer.since(&self.buffer_at_boundary)

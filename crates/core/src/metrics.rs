@@ -6,7 +6,7 @@
 //! I/O — and that the cheaper-to-model metrics do *not* predict page I/O.
 //! To reproduce that comparison we record all of them on every run.
 
-use crate::algorithm::Algorithm;
+use crate::Algorithm;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::time::Duration;

@@ -286,7 +286,7 @@ fn single_parent_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Algorithm;
+    use crate::Algorithm;
     use tc_buffer::PagePolicy;
     use tc_graph::{closure, DagGenerator};
 

@@ -5,7 +5,7 @@
 //! DAG workload and the same page-I/O counts on every machine, forever.
 //! External crates version-drift and resolve against a registry; this
 //! crate has **zero dependencies** and pins every random bit the
-//! workspace consumes. It provides two small pieces:
+//! workspace consumes. It provides three small pieces:
 //!
 //! * [`rng`] — a seeded PRNG: SplitMix64 seed expansion feeding
 //!   xoshiro256++, with a `rand`-flavoured API ([`Rng::from_seed`],
@@ -14,6 +14,10 @@
 //! * [`check`] — a mini property-testing harness: seeded case loop,
 //!   tunable case count (`TC_DET_CASES`), greedy shrinking and
 //!   failing-seed replay (`TC_DET_SEED`). Replaces `proptest`.
+//! * [`par`] — the workspace's one worker pool, [`run_indexed`]: jobs
+//!   drain an atomic cursor on scoped threads, results come back in
+//!   index order, the lowest-index error wins. The experiment grid and
+//!   the serve loop both run on it.
 //!
 //! ## Seeding conventions
 //!
@@ -40,7 +44,8 @@
 //!   would then encode the (nondeterministic) execution interleaving.
 //!   Forking is fine *within* one cell, where consumption is sequential.
 //!
-//! Under this convention a sweep's results are bit-identical at any
+//! Under this convention, and because [`run_indexed`] places each result
+//! by its cell's index, a sweep's results are bit-identical at any
 //! worker count, which is what `tests/parallel_determinism.rs` and the
 //! CI `parallel-matrix` job enforce.
 
@@ -48,9 +53,11 @@
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod par;
 pub mod rng;
 pub mod zipf;
 
 pub use check::Checker;
+pub use par::run_indexed;
 pub use rng::{cell_seed, splitmix64, Rng};
 pub use zipf::Zipf;

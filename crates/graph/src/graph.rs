@@ -151,25 +151,6 @@ impl Graph {
             self.m as f64 / self.n() as f64
         }
     }
-
-    /// Renders the graph in Graphviz DOT format, optionally labelling
-    /// nodes through `label` (return `None` to use the node id).
-    pub fn to_dot(&self, name: &str, label: impl Fn(NodeId) -> Option<String>) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph {name} {{");
-        for v in 0..self.n() as NodeId {
-            if let Some(l) = label(v) {
-                let escaped = l.replace('\\', "\\\\").replace('"', "\\\"");
-                let _ = writeln!(out, "    {v} [label=\"{escaped}\"];");
-            }
-        }
-        for (u, v) in self.arcs() {
-            let _ = writeln!(out, "    {u} -> {v};");
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -233,19 +214,6 @@ mod tests {
         assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.in_degrees(), vec![0, 1, 2]);
         assert!((g.avg_out_degree() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dot_export() {
-        let g = Graph::from_arcs(3, [(0, 1), (1, 2)]);
-        let dot = g.to_dot("test", |v| (v == 0).then(|| "root".to_string()));
-        let quoted = g.to_dot("q", |v| (v == 1).then(|| "say \"hi\"".to_string()));
-        assert!(quoted.contains("say \\\"hi\\\""), "{quoted}");
-        assert!(dot.starts_with("digraph test {"));
-        assert!(dot.contains("0 [label=\"root\"];"));
-        assert!(dot.contains("0 -> 1;"));
-        assert!(dot.contains("1 -> 2;"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -42,28 +42,6 @@ pub fn reduction_with_closure(g: &Graph, tc: &BitMatrix) -> Graph {
     Graph::from_arcs(g.n(), arcs)
 }
 
-/// The redundant arcs of `g` (those *not* in the transitive reduction) —
-/// exactly the arcs the marking optimization marks.
-pub fn redundant_arcs(g: &Graph) -> Vec<(u32, u32)> {
-    let tc = dfs_closure(g);
-    let mut out = Vec::new();
-    for u in 0..g.n() as u32 {
-        let children = g.children(u);
-        for &v in children {
-            if children.iter().any(|&w| w != v && tc.get(w, v)) {
-                out.push((u, v));
-            }
-        }
-    }
-    out
-}
-
-/// Checks that `g` and `h` have the same transitive closure — the
-/// defining property relating a graph, its reduction and its closure.
-pub fn closure_equivalent(g: &Graph, h: &Graph) -> bool {
-    g.n() == h.n() && dfs_closure(g) == dfs_closure(h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,8 +55,7 @@ mod tests {
         let tr = transitive_reduction(&g);
         assert_eq!(tr.arc_count(), 2);
         assert!(!tr.has_arc(0, 2));
-        assert!(closure_equivalent(&g, &tr));
-        assert_eq!(redundant_arcs(&g), vec![(0, 2)]);
+        assert_eq!(dfs_closure(&g), dfs_closure(&tr));
     }
 
     #[test]
@@ -94,27 +71,16 @@ mod tests {
         let g = DagGenerator::new(120, 3.0, 30).seed(5).generate();
         let tr = transitive_reduction(&g);
         assert!(tr.arc_count() <= g.arc_count());
-        assert!(closure_equivalent(&g, &tr));
+        let tc = dfs_closure(&tr);
+        assert_eq!(dfs_closure(&g), tc);
         // Minimality: removing any arc of the reduction changes the closure.
         let arcs: Vec<_> = tr.arcs().collect();
         for &(u, v) in arcs.iter().take(20) {
             let smaller = Graph::from_arcs(tr.n(), arcs.iter().copied().filter(|&a| a != (u, v)));
             assert!(
-                !closure_equivalent(&tr, &smaller),
+                dfs_closure(&smaller) != tc,
                 "arc ({u},{v}) was removable — reduction not minimal"
             );
-        }
-    }
-
-    #[test]
-    fn redundant_plus_irredundant_partition_arcs() {
-        let g = DagGenerator::new(150, 5.0, 40).seed(2).generate();
-        let tr = transitive_reduction(&g);
-        let red = redundant_arcs(&g);
-        assert_eq!(tr.arc_count() + red.len(), g.arc_count());
-        for (u, v) in red {
-            assert!(!tr.has_arc(u, v));
-            assert!(g.has_arc(u, v));
         }
     }
 

@@ -29,31 +29,12 @@ impl Condensation {
         self.members.len()
     }
 
-    /// Expands a reachability fact on the condensation back to original
-    /// node pairs: all `(u, v)` with `u` in component `a`, `v` in
-    /// component `b` (for `a != b`), or all ordered pairs of distinct
-    /// nodes plus self-pairs when `a == b` and the component is cyclic
-    /// (every node of a non-trivial SCC reaches every node of it,
-    /// including itself).
-    pub fn expand_pair(&self, a: NodeId, b: NodeId) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::new();
-        if a == b {
-            let ms = &self.members[a as usize];
-            if ms.len() > 1 {
-                for &u in ms {
-                    for &v in ms {
-                        out.push((u, v));
-                    }
-                }
-            }
-        } else {
-            for &u in &self.members[a as usize] {
-                for &v in &self.members[b as usize] {
-                    out.push((u, v));
-                }
-            }
-        }
-        out
+    /// Whether the members of component `c` reach themselves. The graph
+    /// has no self-loops, so a node lies on a cycle iff its component has
+    /// more than one member, and then it reaches every member of it,
+    /// itself included; a node alone in its component reaches none.
+    pub fn is_cyclic(&self, c: NodeId) -> bool {
+        self.members[c as usize].len() > 1
     }
 }
 
@@ -175,6 +156,8 @@ mod tests {
         assert_eq!(c.component[2], cyc);
         assert_ne!(c.component[3], cyc);
         assert_eq!(c.members[cyc as usize], vec![0, 1, 2]);
+        assert!(c.is_cyclic(cyc));
+        assert!(!c.is_cyclic(c.component[3]));
     }
 
     #[test]
@@ -195,23 +178,18 @@ mod tests {
         // Reconstruct the original closure from the condensation closure.
         let mut rebuilt = crate::bitmat::BitMatrix::new(g.n());
         for a in 0..c.component_count() as NodeId {
-            for (u, v) in c.expand_pair(a, a) {
-                rebuilt.set(u, v);
-            }
-            for b in ctc.row_ones(a) {
-                for (u, v) in c.expand_pair(a, b) {
-                    rebuilt.set(u, v);
+            let reached = ctc
+                .row_ones(a)
+                .into_iter()
+                .chain(c.is_cyclic(a).then_some(a));
+            for b in reached {
+                for &u in &c.members[a as usize] {
+                    for &v in &c.members[b as usize] {
+                        rebuilt.set(u, v);
+                    }
                 }
             }
         }
         assert_eq!(rebuilt, direct);
-    }
-
-    #[test]
-    fn expand_pair_trivial_component_has_no_self_pairs() {
-        let g = Graph::from_arcs(2, [(0, 1)]);
-        let c = condensation(&g);
-        let comp0 = c.component[0];
-        assert!(c.expand_pair(comp0, comp0).is_empty());
     }
 }

@@ -593,7 +593,7 @@ mod tests {
     fn attribution_splits_at_the_phase_boundary() {
         let mut f = ProfileFold::new();
         f.push(Event::RunBegin {
-            algorithm: "BTC",
+            algorithm: tc_trace::Algorithm::Btc,
             ms_per_io: 20.0,
         });
         fetch(&mut f, 0, k(0));

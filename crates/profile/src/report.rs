@@ -266,7 +266,7 @@ mod tests {
     fn sample_profile() -> Profile {
         let mut f = ProfileFold::new().with_interval(2);
         f.push(Event::RunBegin {
-            algorithm: "BTC",
+            algorithm: tc_trace::Algorithm::Btc,
             ms_per_io: 20.0,
         });
         for p in 0..3 {

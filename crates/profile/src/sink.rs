@@ -72,7 +72,7 @@ mod tests {
     fn live_fold_equals_offline_fold() {
         let events = [
             Event::RunBegin {
-                algorithm: "BJ",
+                algorithm: tc_trace::Algorithm::Bj,
                 ms_per_io: 20.0,
             },
             Event::BufMiss {

@@ -277,7 +277,7 @@ impl ReachIndex {
     pub fn reach<P: Pager>(&self, pager: &mut P, u: NodeId, v: NodeId) -> StorageResult<bool> {
         let (a, b) = (self.component(u), self.component(v));
         if a == b {
-            return Ok(self.cond.members[a as usize].len() > 1);
+            return Ok(self.cond.is_cyclic(a));
         }
         // The cost of a lookup is defined as reading the label row, so
         // every page of the row is requested, in order; the answer is one
@@ -301,7 +301,7 @@ impl ReachIndex {
     pub fn reach_mem(&self, u: NodeId, v: NodeId) -> bool {
         let (a, b) = (self.component(u), self.component(v));
         if a == b {
-            return self.cond.members[a as usize].len() > 1;
+            return self.cond.is_cyclic(a);
         }
         self.labels.row(a)[self.cd.chain_of[b as usize] as usize] <= self.cd.pos_of[b as usize]
     }

@@ -14,8 +14,9 @@
 //!   the clustered index)
 //!
 //! The design is message-driven and fully in-process: each client's
-//! requests sit in a private queue, worker threads claim whole clients
-//! and answer their queues in order, and every session owns its buffer
+//! requests sit in a private queue, the workers of `tc-det`'s one pool
+//! ([`tc_det::run_indexed`]) claim whole clients and answer their
+//! queues in order, and every session owns its buffer
 //! pool and [hot-source cache](session) so sessions never contend.
 //! Consequently the *deterministic track* — total pages read, cache
 //! hit counts, per-reply digests — is byte-identical at any

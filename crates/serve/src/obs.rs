@@ -114,7 +114,9 @@ impl ServeObs {
         }
     }
 
-    /// Records one worker's busy/idle split at the end of a serve.
+    /// Records one worker's busy/idle split at the end of a serve: busy
+    /// is the time it spent on the clients it ran, idle the rest of the
+    /// serve's wall time.
     pub fn record_worker(&self, worker: usize, busy_ns: u64, idle_ns: u64) {
         if let Some(inner) = &self.0 {
             inner

@@ -4,14 +4,15 @@
 //! [`Service`] owns the *current* [`ClosedSnapshot`] behind a mutexed
 //! `Arc`. [`Service::serve`] plays a [`QueryStream`] against it: the
 //! whole stream counts as posted at one instant before the workers
-//! start, and `workers` threads drain it. A worker claims a *whole*
-//! client at a time from an atomic cursor (which hands each client out
-//! once), opens that client's [`Session`], and answers its requests in
-//! order — so each session's counters and replies are a pure function
-//! of its own request sequence, never of thread interleaving. That is
-//! what makes the deterministic track (pages read, cache hits,
-//! per-reply digests) byte-identical at any worker count, while the
-//! wall-time track (latencies, queries/sec) remains free to vary.
+//! start, and `workers` workers of `tc-det`'s one pool
+//! ([`tc_det::run_indexed`]) drain it. Each job is a *whole* client: the
+//! worker that claims it opens that client's [`Session`] and answers its
+//! requests in order — so each session's counters and replies are a
+//! pure function of its own request sequence, never of thread
+//! interleaving. That is what makes the deterministic track (pages
+//! read, cache hits, per-reply digests) byte-identical at any worker
+//! count, while the wall-time track (latencies, queries/sec) remains
+//! free to vary.
 //!
 //! [`Service::publish`] swaps in a new snapshot while a serve is in
 //! flight: workers load the current epoch (one atomic, no lock) before
@@ -24,7 +25,7 @@ use crate::load::QueryStream;
 use crate::obs::ServeObs;
 use crate::request::{Reply, Request};
 use crate::session::{Session, SessionConfig, SessionStats};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tc_buffer::BufferStats;
@@ -117,8 +118,11 @@ pub struct ClientReport {
     pub stats: SessionStats,
 }
 
-/// A failed request: the service stops the run and reports the first
-/// storage error it hit, attributed to client and sequence number.
+/// A failed request, attributed to client and sequence number. The
+/// service stops handing out clients at the first failure; clients
+/// already being served finish, and the failure reported is the one of
+/// the lowest-numbered failing client among those that ran — not
+/// necessarily the first one hit in time. At one worker it is the first.
 #[derive(Debug)]
 pub struct ServeError {
     /// The client whose request failed.
@@ -188,75 +192,53 @@ impl Service {
         *current = snap;
     }
 
-    /// Plays `stream` against the service with `cfg.workers` threads
-    /// and returns the per-client reports (clients in stream order).
-    /// Stops at the first failed request.
+    /// Plays `stream` against the service on [`tc_det::run_indexed`]'s
+    /// `cfg.workers` workers, one job per client, and returns the
+    /// per-client reports (clients in stream order). Stops handing out
+    /// clients at the first failed request; see [`ServeError`] for which
+    /// failure is reported.
     pub fn serve(
         &self,
         stream: &QueryStream,
         cfg: &ServeConfig,
     ) -> Result<ServeReport, ServeError> {
-        let clients = stream.clients();
         // Every request counts as posted now, so the wall-time track can
         // split queue-wait from service time.
         let posted = Instant::now();
-        let cursor = AtomicUsize::new(0);
-        let reports: Vec<Mutex<Option<ClientReport>>> =
-            (0..clients).map(|_| Mutex::new(None)).collect();
-        let failure: Mutex<Option<ServeError>> = Mutex::new(None);
-        let started = Instant::now();
-
-        let workers = cfg.workers.clamp(1, clients.max(1));
-        let (cursor, reports, failure) = (&cursor, &reports, &failure);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                scope.spawn(move || {
-                    let worker_started = Instant::now();
-                    let mut busy_ns = 0u64;
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= clients || lock(failure).is_some() {
-                            break;
-                        }
-                        let claimed = Instant::now();
-                        let report = self.drive_client(c, stream.client(c), posted, cfg, failure);
-                        busy_ns += claimed.elapsed().as_nanos() as u64;
-                        *lock(&reports[c]) = report;
-                    }
-                    if cfg.obs.is_enabled() {
-                        let total = worker_started.elapsed().as_nanos() as u64;
-                        cfg.obs
-                            .record_worker(w, busy_ns, total.saturating_sub(busy_ns));
-                    }
-                });
+        let done = tc_det::run_indexed(cfg.workers, stream.clients(), |worker, c| {
+            let claimed = Instant::now();
+            let report = self.drive_client(c, stream.client(c), posted, cfg)?;
+            Ok((worker, claimed.elapsed().as_nanos() as u64, report))
+        })?;
+        let wall_ns = posted.elapsed().as_nanos() as u64;
+        // Busy time per worker index; a worker that claimed no client
+        // has no entry.
+        let mut busy_ns: Vec<u64> = Vec::new();
+        let mut clients = Vec::with_capacity(done.len());
+        for (worker, ns, report) in done {
+            if busy_ns.len() <= worker {
+                busy_ns.resize(worker + 1, 0);
             }
-        });
-
-        if let Some(err) = lock(&failure).take() {
-            return Err(err);
+            busy_ns[worker] += ns;
+            clients.push(report);
         }
-        let mut out = Vec::with_capacity(clients);
-        for slot in reports {
-            if let Some(report) = lock(slot).take() {
-                out.push(report);
+        if cfg.obs.is_enabled() {
+            for (worker, busy) in busy_ns.into_iter().enumerate() {
+                cfg.obs
+                    .record_worker(worker, busy, wall_ns.saturating_sub(busy));
             }
         }
-        Ok(ServeReport {
-            clients: out,
-            wall_ns: started.elapsed().as_nanos() as u64,
-        })
+        Ok(ServeReport { clients, wall_ns })
     }
 
-    /// Answers one client's requests, in order, on the calling worker
-    /// thread.
+    /// Answers one client's requests, in order, on the calling worker.
     fn drive_client(
         &self,
         client: usize,
         requests: &[Request],
         posted: Instant,
         cfg: &ServeConfig,
-        failure: &Mutex<Option<ServeError>>,
-    ) -> Option<ClientReport> {
+    ) -> Result<ClientReport, ServeError> {
         let mut session = Session::new(self.snapshot(), &cfg.session, client as u64);
         let mut records = Vec::with_capacity(requests.len());
         for (seq, req) in requests.iter().enumerate() {
@@ -267,31 +249,21 @@ impl Service {
             }
             let t0 = Instant::now();
             let queue_wait_ns = t0.saturating_duration_since(posted).as_nanos() as u64;
-            match session.handle(req) {
-                Ok(reply) => {
-                    let service_ns = t0.elapsed().as_nanos() as u64;
-                    cfg.obs.record_reply(req, queue_wait_ns, service_ns);
-                    records.push(ReplyRecord {
-                        client,
-                        seq,
-                        epoch: session.epoch(),
-                        digest: reply.digest(),
-                        latency_ns: service_ns,
-                        reply: cfg.collect_replies.then_some(reply),
-                    })
-                }
-                Err(source) => {
-                    let mut slot = lock(failure);
-                    if slot.is_none() {
-                        *slot = Some(ServeError {
-                            client,
-                            seq,
-                            source,
-                        });
-                    }
-                    return None;
-                }
-            }
+            let reply = session.handle(req).map_err(|source| ServeError {
+                client,
+                seq,
+                source,
+            })?;
+            let service_ns = t0.elapsed().as_nanos() as u64;
+            cfg.obs.record_reply(req, queue_wait_ns, service_ns);
+            records.push(ReplyRecord {
+                client,
+                seq,
+                epoch: session.epoch(),
+                digest: reply.digest(),
+                latency_ns: service_ns,
+                reply: cfg.collect_replies.then_some(reply),
+            });
         }
         let report = ClientReport {
             pages_read: session.pages_read(),
@@ -300,7 +272,7 @@ impl Service {
             records,
         };
         cfg.obs.record_client(&report);
-        Some(report)
+        Ok(report)
     }
 }
 
@@ -440,6 +412,28 @@ mod tests {
         assert!(with.clients[0].records[0].reply.is_some());
         assert!(without.clients[0].records[0].reply.is_none());
         assert_eq!(with.digest(), without.digest());
+    }
+
+    #[test]
+    fn a_failed_serve_names_the_lowest_numbered_failing_client() {
+        let svc = service();
+        let s = QueryStream::generate(300, 6, 8, MixSpec::MIXED, 0.8, LoopMode::Closed, 77);
+        let mut session = SessionConfig::default();
+        session.fault = Some(tc_storage::FaultConfig::new(5).permanent_reads(1.0));
+        let failure = |workers| {
+            let cfg = ServeConfig::default()
+                .workers(workers)
+                .session(session.clone());
+            let err = svc.serve(&s, &cfg).expect_err("every page read fails");
+            (err.client, err.seq)
+        };
+        // Every client fails; client 0 is handed out first, so it always
+        // runs, whichever client fails first in time.
+        let one = failure(1);
+        assert_eq!(one.0, 0);
+        for workers in [2, 4, 6] {
+            assert_eq!(failure(workers), one, "workers={workers}");
+        }
     }
 
     #[test]

@@ -30,10 +30,15 @@ use tc_det::{cell_seed, Rng};
 use tc_graph::NodeId;
 use tc_storage::{FaultConfig, FaultPlan, PageStore, StorageResult};
 
+/// Base seed of the cache-replacement streams: a session's stream is
+/// `cell_seed(CACHE_SEED, [client])`.
+const CACHE_SEED: u64 = 0x5E12_CA5E;
+
 /// Per-session configuration: pool shape, cache size, fault
 /// plumbing. One config is shared by all sessions of a service run;
-/// per-session randomness (cache replacement, fault streams) is derived
-/// from it with [`cell_seed`] on the client id.
+/// per-session randomness (fault streams from the config's seed, cache
+/// replacement from a fixed one) is derived with [`cell_seed`] on the
+/// client id.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
     /// Frames of the session's private buffer pool.
@@ -42,9 +47,6 @@ pub struct SessionConfig {
     pub page_policy: PagePolicy,
     /// Hot-source cache capacity, in sources (0 disables the cache).
     pub cache_sources: usize,
-    /// Base seed of the cache-replacement streams (per-session streams
-    /// are `cell_seed(cache_seed, [client])`).
-    pub cache_seed: u64,
     /// Optional deterministic fault injection: each session arms its
     /// private store with a plan seeded `cell_seed(fault.seed, [client])`.
     pub fault: Option<FaultConfig>,
@@ -56,7 +58,6 @@ impl Default for SessionConfig {
             buffer_pages: 8,
             page_policy: PagePolicy::Lru,
             cache_sources: 4,
-            cache_seed: 0x5E12_CA5E,
             fault: None,
         }
     }
@@ -149,7 +150,7 @@ impl Session {
     pub fn new(snapshot: Arc<ClosedSnapshot>, cfg: &SessionConfig, client: u64) -> Session {
         let pool = Session::pool_for(&snapshot, cfg, client);
         Session {
-            cache: SourceCache::new(cfg.cache_sources, cell_seed(cfg.cache_seed, &[client])),
+            cache: SourceCache::new(cfg.cache_sources, cell_seed(CACHE_SEED, &[client])),
             snapshot,
             pool,
             stats: SessionStats::default(),

@@ -85,11 +85,6 @@ impl SuccStore {
         self.len(node) == 0
     }
 
-    /// Number of blocks in `node`'s chain.
-    pub fn block_count(&self, node: u32) -> usize {
-        self.dir[node as usize].blocks.len()
-    }
-
     /// The distinct pages holding `node`'s list, in chain order.
     pub fn pages_of(&self, node: u32) -> Vec<PageId> {
         let mut out: Vec<PageId> = Vec::new();
@@ -551,7 +546,7 @@ mod tests {
             store.append(&mut disk, 1, SuccEntry::plain(v)).unwrap();
         }
         assert_eq!(store.len(1), 40);
-        assert_eq!(store.block_count(1), 3); // ceil(40/15)
+        assert_eq!(store.dir[1].blocks.len(), 3); // ceil(40/15)
         assert_eq!(read_all(&mut disk, &store, 1), (0..40).collect::<Vec<_>>());
         assert_eq!(read_all(&mut disk, &store, 0), Vec::<u32>::new());
     }
@@ -747,7 +742,7 @@ mod tests {
         );
         assert_eq!(store.free_cache, mask);
         assert_eq!(store.stats(), &stats);
-        assert_eq!((store.len(2), store.block_count(2)), (0, 0));
+        assert_eq!((store.len(2), store.dir[2].blocks.len()), (0, 0));
         assert_eq!(read_all(&mut disk, &store, 1), vec![5, 6, 7]);
     }
 

@@ -43,7 +43,7 @@
 //!   `MagicNodes`/`MagicArcs`/`Rect` describe one graph and keep
 //!   assignment semantics (last value wins).
 
-use crate::event::{Event, Phase};
+use crate::event::{Algorithm, Event, Phase};
 use std::fmt;
 
 /// Physical page I/O of one execution phase (or any other bucket of
@@ -156,8 +156,8 @@ impl DiskStats {
 /// the compute phase's: SRCH does all its work in what the framework
 /// calls restructuring (the paper excludes that phase from the hit ratio
 /// only "for BTC and JKB2"). The fold and the run lifecycle both ask here.
-pub fn compute_buffer_is_whole_run(algorithm: &str) -> bool {
-    algorithm == "SRCH"
+pub fn compute_buffer_is_whole_run(algorithm: Algorithm) -> bool {
+    algorithm == Algorithm::Srch
 }
 
 /// Logical request and replacement counters of a buffer pool.

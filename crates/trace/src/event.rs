@@ -165,22 +165,100 @@ impl FaultKind {
     }
 }
 
-/// `Algorithm::name()` of every algorithm the engine can run, in
-/// `Algorithm::WITH_INDEX` order (a `tc-core` unit test holds the two
-/// equal). A parsed `RunBegin` interns its algorithm against this list
-/// so it can carry a `&'static str` like a live one; an unrecognised
-/// name (a foreign trace) parses as `"?"`.
-pub const ALGORITHM_NAMES: [&str; 9] = [
-    "BTC",
-    "HYB",
-    "BJ",
-    "SRCH",
-    "SPN",
-    "JKB",
-    "JKB2",
-    "SEMINAIVE",
-    "REACHINDEX",
-];
+/// The candidate algorithms (paper §3/§4.1) plus the Seminaive baseline
+/// (`tc-core` re-exports this; a `RunBegin` names one).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+pub enum Algorithm {
+    /// BTC — the basic graph-based algorithm \[Ioannidis, Ramakrishnan &
+    /// Winger\]: reverse-topological expansion of flat successor lists
+    /// with the immediate-successor and marking optimizations.
+    Btc,
+    /// HYB — Agrawal & Jagadish's Hybrid algorithm: BTC plus *blocking*
+    /// of successor lists (a pinned diagonal block, dynamic reblocking).
+    Hyb,
+    /// BJ — Jiang's BFS algorithm: BTC plus the single-parent
+    /// optimization on the magic graph (PTC only; identical to BTC for
+    /// full closure).
+    Bj,
+    /// SRCH — per-source search without the immediate-successor
+    /// optimization; a k-source query is k single-source searches.
+    Srch,
+    /// SPN — the Spanning Tree algorithm \[Dar & Jagadish, Jakobsson\]:
+    /// successor *trees*, whose unions prune already-present subtrees.
+    Spn,
+    /// JKB — Jakobsson's Compute_Tree with a single (source-clustered)
+    /// relation: special-node predecessor trees; immediate predecessor
+    /// lists must be derived the hard way.
+    Jkb,
+    /// JKB2 — Compute_Tree with the dual representation: an inverse
+    /// relation clustered and indexed on the destination attribute.
+    Jkb2,
+    /// Seminaive delta iteration — the iterative baseline the
+    /// graph-based algorithms were shown to dominate (related work, §8).
+    Seminaive,
+    /// REACHINDEX — the modern chain-decomposition interval-label index
+    /// (Kritikakis & Tollis, via `tc-reach`): restructuring builds and
+    /// persists O(k·n) labels over the condensation DAG; computation
+    /// answers the query by scanning chain suffixes. Not part of the
+    /// 1994 study ([`Algorithm::ALL`]); appended last so the discrete
+    /// discriminants of the original suite stay stable.
+    ReachIndex,
+}
+
+impl Algorithm {
+    /// All algorithms, in the paper's presentation order.
+    pub const ALL: [Algorithm; 8] = [
+        Algorithm::Btc,
+        Algorithm::Hyb,
+        Algorithm::Bj,
+        Algorithm::Srch,
+        Algorithm::Spn,
+        Algorithm::Jkb,
+        Algorithm::Jkb2,
+        Algorithm::Seminaive,
+    ];
+
+    /// The paper's eight algorithms plus the modern reachability index —
+    /// every algorithm the engine can run.
+    pub const WITH_INDEX: [Algorithm; 9] = [
+        Algorithm::Btc,
+        Algorithm::Hyb,
+        Algorithm::Bj,
+        Algorithm::Srch,
+        Algorithm::Spn,
+        Algorithm::Jkb,
+        Algorithm::Jkb2,
+        Algorithm::Seminaive,
+        Algorithm::ReachIndex,
+    ];
+
+    /// The implementation label used in the paper's figures.
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::Btc => "BTC",
+            Algorithm::Hyb => "HYB",
+            Algorithm::Bj => "BJ",
+            Algorithm::Srch => "SRCH",
+            Algorithm::Spn => "SPN",
+            Algorithm::Jkb => "JKB",
+            Algorithm::Jkb2 => "JKB2",
+            Algorithm::Seminaive => "SEMINAIVE",
+            Algorithm::ReachIndex => "REACHINDEX",
+        }
+    }
+
+    /// Whether the algorithm needs the dual graph representation (an
+    /// inverse relation clustered on the destination attribute).
+    pub fn needs_inverse(self) -> bool {
+        matches!(self, Algorithm::Jkb2)
+    }
+}
+
+impl std::fmt::Display for Algorithm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// A malformed trace line.
 #[derive(Debug, PartialEq, Eq)]
@@ -308,21 +386,17 @@ impl Field for FaultKind {
     }
 }
 
-impl Field for &'static str {
+impl Field for Algorithm {
+    #[inline]
     fn fold(self, h: &mut Fnv) {
-        h.str(self)
+        h.str(self.name())
     }
     fn print<W: Write>(self, w: &mut W) -> io::Result<()> {
-        write!(w, "\"{self}\"")
+        write!(w, "\"{}\"", self.name())
     }
-    fn parse(raw: &str) -> Option<&'static str> {
+    fn parse(raw: &str) -> Option<Algorithm> {
         let name = unquote(raw)?;
-        Some(
-            ALGORITHM_NAMES
-                .into_iter()
-                .find(|a| *a == name)
-                .unwrap_or("?"),
-        )
+        Algorithm::WITH_INDEX.into_iter().find(|a| a.name() == name)
     }
 }
 
@@ -425,8 +499,9 @@ events! {
     // ---- Run structure ----
     /// A query execution started.
     RunBegin = "run_begin" {
-        /// `Algorithm::name()` of the run ("BTC", "SEMINAIVE", ...).
-        algorithm: &'static str,
+        /// The run's algorithm, written as its [`Algorithm::name`]
+        /// ("BTC", "SEMINAIVE", ...).
+        algorithm: Algorithm,
         /// Configured milliseconds per page transfer (the I/O model).
         ms_per_io: f64,
     },
@@ -702,7 +777,7 @@ mod tests {
     fn jsonl_lines_are_wellformed() {
         let events = [
             Event::RunBegin {
-                algorithm: "BTC",
+                algorithm: Algorithm::Btc,
                 ms_per_io: 20.0,
             },
             Event::PageRead {
@@ -739,15 +814,47 @@ mod tests {
     }
 
     #[test]
-    fn unknown_algorithms_intern_as_placeholder() {
-        let ev =
-            Event::parse_jsonl("{\"ev\":\"run_begin\",\"algorithm\":\"XTC\",\"ms_per_io\":20}");
+    fn an_unknown_algorithm_is_a_parse_error() {
+        let line = |name: &str| {
+            format!("{{\"ev\":\"run_begin\",\"algorithm\":\"{name}\",\"ms_per_io\":20}}")
+        };
         assert_eq!(
-            ev,
-            Ok(Event::RunBegin {
-                algorithm: "?",
-                ms_per_io: 20.0,
+            Event::parse_jsonl(&line("XTC")),
+            Err(ParseError {
+                reason: "missing or malformed field \"algorithm\"".into()
             })
         );
+        for a in Algorithm::WITH_INDEX {
+            assert_eq!(
+                Event::parse_jsonl(&line(a.name())),
+                Ok(Event::RunBegin {
+                    algorithm: a,
+                    ms_per_io: 20.0,
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn algorithm_names_unique() {
+        let set: std::collections::HashSet<_> =
+            Algorithm::WITH_INDEX.iter().map(|a| a.name()).collect();
+        assert_eq!(set.len(), Algorithm::WITH_INDEX.len());
+    }
+
+    #[test]
+    fn only_jkb2_needs_inverse() {
+        for a in Algorithm::WITH_INDEX {
+            assert_eq!(a.needs_inverse(), a == Algorithm::Jkb2);
+        }
+    }
+
+    #[test]
+    fn all_is_the_paper_suite_and_with_index_appends() {
+        assert_eq!(Algorithm::ALL.len(), 8, "the paper studies eight");
+        assert_eq!(&Algorithm::WITH_INDEX[..8], &Algorithm::ALL[..]);
+        assert_eq!(Algorithm::WITH_INDEX[8], Algorithm::ReachIndex);
+        // Cell-seed discriminants of the original suite must not move.
+        assert_eq!(Algorithm::ReachIndex as u64, 8);
     }
 }

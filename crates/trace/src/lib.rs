@@ -62,7 +62,7 @@ pub mod sink;
 
 pub use counts::{compute_buffer_is_whole_run, BufferStats, Counts, DiskStats, PhaseIo, Rect};
 pub use digest::{digest_events, Fnv, LaneHash, TraceDigest};
-pub use event::{Event, FaultKind, Kind, ParseError, Phase, ALGORITHM_NAMES};
+pub use event::{Algorithm, Event, FaultKind, Kind, ParseError, Phase};
 pub use replay::{replay, ReplayError};
 pub use sink::{DigestSink, JsonlSink, TeeSink, TraceSink, Tracer, VecSink};
 

@@ -67,7 +67,7 @@ mod tests {
     fn folds_a_hand_built_stream() {
         let trace = [
             Event::RunBegin {
-                algorithm: "BTC",
+                algorithm: crate::Algorithm::Btc,
                 ms_per_io: 20.0,
             },
             Event::PhaseBegin {
@@ -150,7 +150,7 @@ mod tests {
     fn srch_reports_whole_run_buffer_stats_as_compute() {
         let trace = [
             Event::RunBegin {
-                algorithm: "SRCH",
+                algorithm: crate::Algorithm::Srch,
                 ms_per_io: 20.0,
             },
             Event::BufMiss {
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn diff_names_the_differing_fields() {
         let base = replay([Event::RunBegin {
-            algorithm: "BTC",
+            algorithm: crate::Algorithm::Btc,
             ms_per_io: 20.0,
         }])
         .unwrap();

@@ -18,6 +18,9 @@ use tc_study::det::{require, require_eq, Rng};
 use tc_study::graph::{closure, Graph, NodeId, UpdateOp};
 use tc_study::trace::{replay, Tracer, VecSink};
 
+mod common;
+use common::{dag_of, orient};
+
 /// Raw generated input: node count plus unconstrained base-arc pairs,
 /// raw update triples `(is_insert, a, b)`, a policy index, and an
 /// optional fault seed. Kept raw so shrinking can drop ops directly.
@@ -27,21 +30,6 @@ type RawCase = (
     usize,
     Option<u64>,
 );
-
-/// Orients pairs ascending (self-loops dropped), so the base graph and
-/// every generated insert stay acyclic by construction.
-fn orient(a: u32, b: u32) -> Option<(u32, u32)> {
-    use std::cmp::Ordering::*;
-    match a.cmp(&b) {
-        Less => Some((a, b)),
-        Greater => Some((b, a)),
-        Equal => None,
-    }
-}
-
-fn dag_of(&(n, ref pairs): &(usize, Vec<(u32, u32)>)) -> Graph {
-    Graph::from_arcs(n, pairs.iter().filter_map(|&(a, b)| orient(a, b)))
-}
 
 /// Maps a raw triple to an op: both kinds oriented ascending, so
 /// inserts can never close a cycle and deletes hit oriented arcs.

@@ -17,21 +17,12 @@ use tc_study::det::check::{self, Checker};
 use tc_study::det::{require, Rng};
 use tc_study::graph::{closure, Graph, NodeId, UpdateOp};
 
+mod common;
+use common::orient_by;
+
 /// Node count, a permutation of the nodes that fixes which way every
 /// arc points, raw base pairs, and raw batches of `(is_insert, a, b)`.
 type RawCase = (usize, Vec<u32>, Vec<(u32, u32)>, Vec<Vec<(bool, u32, u32)>>);
-
-/// Points the pair from the lower to the higher rank (self-loops
-/// dropped): every graph and batch stays acyclic, and the node ids are
-/// not a topological order.
-fn orient(rank: &[u32], a: u32, b: u32) -> Option<(NodeId, NodeId)> {
-    use std::cmp::Ordering::*;
-    match rank[a as usize].cmp(&rank[b as usize]) {
-        Less => Some((a, b)),
-        Greater => Some((b, a)),
-        Equal => None,
-    }
-}
 
 fn generate(rng: &mut Rng) -> RawCase {
     let n = rng.random_range(2..28usize);
@@ -100,7 +91,11 @@ fn unions_stay_within_the_rows_a_batch_changes() {
     Checker::new("unions_stay_within_the_rows_a_batch_changes")
         .cases(64)
         .run(generate, shrink, |(n, rank, pairs, batches)| {
-            let g = Graph::from_arcs(*n, pairs.iter().filter_map(|&(a, b)| orient(rank, a, b)));
+            // Every arc points from the lower to the higher rank: graphs
+            // and batches stay acyclic, and node ids are not a
+            // topological order.
+            let orient = |a, b| orient_by(|v| rank[v as usize], a, b);
+            let g = Graph::from_arcs(*n, pairs.iter().filter_map(|&(a, b)| orient(a, b)));
             let mut dyn_tc = DynamicClosure::build(&g, &SystemConfig::with_buffer(6))
                 .map_err(|e| format!("build failed: {e}"))?;
             let mut live = g;
@@ -108,7 +103,7 @@ fn unions_stay_within_the_rows_a_batch_changes() {
                 let batch: Vec<UpdateOp> = raw
                     .iter()
                     .filter_map(|&(ins, a, b)| {
-                        let (u, v) = orient(rank, a, b)?;
+                        let (u, v) = orient(a, b)?;
                         Some(if ins {
                             UpdateOp::Insert(u, v)
                         } else {

@@ -40,7 +40,7 @@ const PINNED_JSONL: (usize, u64) = (1388, 0x83486584DA912392);
 fn pinned_events() -> [Event; 39] {
     [
         Event::RunBegin {
-            algorithm: "SEMINAIVE",
+            algorithm: Algorithm::Seminaive,
             ms_per_io: 20.0,
         },
         Event::PhaseBegin {

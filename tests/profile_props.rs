@@ -18,9 +18,11 @@ use tc_study::buffer::PagePolicy;
 use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require, require_eq, Rng};
-use tc_study::graph::Graph;
 use tc_study::profile::ProfileSink;
 use tc_study::trace::Tracer;
+
+mod common;
+use common::dag_of;
 
 const BUFFER_PAGES: usize = 8;
 
@@ -28,20 +30,6 @@ const BUFFER_PAGES: usize = 8;
 /// raw so shrinking can drop arcs directly), a source set, a policy
 /// index, and an optional fault seed.
 type RawCase = ((usize, Vec<(u32, u32)>), Vec<u32>, usize, Option<u64>);
-
-fn dag_of(&(n, ref pairs): &(usize, Vec<(u32, u32)>)) -> Graph {
-    Graph::from_arcs(
-        n,
-        pairs.iter().filter_map(|&(a, b)| {
-            use std::cmp::Ordering::*;
-            match a.cmp(&b) {
-                Less => Some((a, b)),
-                Greater => Some((b, a)),
-                Equal => None,
-            }
-        }),
-    )
-}
 
 fn generate(rng: &mut Rng) -> RawCase {
     let n = rng.random_range(2..40usize);

@@ -9,6 +9,9 @@ use tc_study::graph::{
     closure, condensation, model, transitive_reduction, DagGenerator, Graph, RectangleModel,
 };
 
+mod common;
+use common::dag_of;
+
 /// Raw generated input: node count plus unconstrained arc pairs. Kept
 /// raw (rather than as a `Graph`) so shrinking can drop arcs directly.
 type RawGraph = (usize, Vec<(u32, u32)>);
@@ -19,21 +22,6 @@ fn raw_graph(rng: &mut Rng, max_n: usize, max_arcs: usize) -> RawGraph {
         (r.random_range(0..n as u32), r.random_range(0..n as u32))
     });
     (n, pairs)
-}
-
-/// A DAG: each pair is oriented low -> high, self-loops dropped.
-fn dag_of(&(n, ref pairs): &RawGraph) -> Graph {
-    Graph::from_arcs(
-        n,
-        pairs.iter().filter_map(|&(a, b)| {
-            use std::cmp::Ordering::*;
-            match a.cmp(&b) {
-                Less => Some((a, b)),
-                Greater => Some((b, a)),
-                Equal => None,
-            }
-        }),
-    )
 }
 
 /// An arbitrary (possibly cyclic) graph.

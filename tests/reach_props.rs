@@ -26,25 +26,13 @@ use tc_study::graph::{closure, Graph};
 use tc_study::reach::{ChainDecomposition, NullMeter, ReachIndex};
 use tc_study::trace::{replay, Tracer, VecSink};
 
+mod common;
+use common::dag_of;
+
 /// Raw generated input: node count plus unconstrained arc pairs (kept
 /// raw so shrinking can drop arcs directly), a source set, a policy
 /// index, and an optional fault seed.
 type RawCase = ((usize, Vec<(u32, u32)>), Vec<u32>, usize, Option<u64>);
-
-/// Orients the raw pairs upward so the graph is a DAG.
-fn dag_of(&(n, ref pairs): &(usize, Vec<(u32, u32)>)) -> Graph {
-    Graph::from_arcs(
-        n,
-        pairs.iter().filter_map(|&(a, b)| {
-            use std::cmp::Ordering::*;
-            match a.cmp(&b) {
-                Less => Some((a, b)),
-                Greater => Some((b, a)),
-                Equal => None,
-            }
-        }),
-    )
-}
 
 /// Keeps the raw pairs as-is (self-loops dropped) — may be cyclic,
 /// which is exactly what the condensation layer is for.

@@ -3,23 +3,26 @@
 //! replay a failure with the printed `TC_DET_SEED=...`).
 //!
 //! The property: for *any* subset of cells, *any* worker count and *any*
-//! per-cell latency jitter, `run_cells_jittered` returns exactly what
-//! the serial inline path returns, position by position. Jitter shakes
-//! the worker interleavings, so a pass means the reassembly really is
+//! per-cell latency jitter, the worker pool both `run_cells` and the
+//! serve loop run on (`tc_det::run_indexed`) returns exactly what the
+//! serial inline path returns, position by position. The jitter is a
+//! sleep in the job handed to the pool; it shakes the worker
+//! interleavings, so a pass means the reassembly really is
 //! scheduling-independent, not just lucky.
 
 use std::sync::OnceLock;
+use std::time::Duration;
 use tc_study::det::check::{self, Checker};
-use tc_study::det::{require_eq, Rng};
+use tc_study::det::{require_eq, run_indexed, Rng};
 
 use tc_bench::corpus::family;
-use tc_bench::experiments::{
-    run_cells, run_cells_jittered, Cell, CellOutput, CellTask, ExpError, QuerySpec, Sinks,
-};
+use tc_bench::experiments::{run_cells, Cell, CellOutput, CellTask, ExpError, QuerySpec, Sinks};
 use tc_study::core::prelude::*;
+use tc_study::obs::SpanRecorder;
+use tc_study::trace::Tracer;
 
-// Compile-time audit: everything that crosses the scheduler's
-// thread-scope boundary must be Send (and the shared inputs Sync).
+// Compile-time audit: everything that crosses the worker pool's thread
+// boundary must be Send (and the shared inputs Sync).
 const _: fn() = || {
     fn sendable<T: Send>() {}
     fn shareable<T: Sync>() {}
@@ -142,8 +145,13 @@ fn any_schedule_reproduces_the_serial_outputs() {
         .cases(10)
         .run(random_schedule, shrink_schedule, |(picks, jobs, jitter)| {
             let cells: Vec<Cell> = picks.iter().map(|&i| pool()[i].clone()).collect();
-            let out = run_cells_jittered(&cells, *jobs, jitter)
-                .map_err(|e| format!("schedule failed: {e}"))?;
+            let out = run_indexed(*jobs, cells.len(), |_, i| {
+                if !jitter.is_empty() {
+                    std::thread::sleep(Duration::from_micros(jitter[i % jitter.len()]));
+                }
+                cells[i].execute(Tracer::disabled(), SpanRecorder::disabled())
+            })
+            .map_err(|e| format!("schedule failed: {e}"))?;
             require_eq!(out.len(), cells.len());
             // Position-by-position equality against the serial baseline
             // (covers both values and canonical ordering), plus an
@@ -200,8 +208,8 @@ fn failures_surface_as_typed_errors_at_any_job_count() {
                 algorithm,
                 ..
             }) => {
-                // Only one cell can fail, so scheduling freedom over
-                // which error is reported still pins the coordinates.
+                // The failing cell is index 0, which always runs, and
+                // the pool reports the lowest-index error that ran.
                 assert_eq!(
                     (fam, instance, set, algorithm),
                     ("G1", 0, 1, Some(Algorithm::Btc)),

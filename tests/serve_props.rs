@@ -17,11 +17,14 @@ use tc_study::buffer::PagePolicy;
 use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require_eq, Rng};
-use tc_study::graph::{closure, Graph};
+use tc_study::graph::closure;
 use tc_study::serve::{
     LoopMode, MixSpec, QueryStream, Reply, Request, ServeConfig, ServeReport, Service,
     SessionConfig,
 };
+
+mod common;
+use common::dag_of;
 
 /// Raw generated input: `(n, base arc pairs)`, `(clients, per_client,
 /// stream seed, mix index)`, the challenger worker count, a policy
@@ -35,19 +38,6 @@ type RawCase = (
 );
 
 const MIXES: [MixSpec; 3] = [MixSpec::MIXED, MixSpec::REACH_HEAVY, MixSpec::PTC_HEAVY];
-
-fn orient(a: u32, b: u32) -> Option<(u32, u32)> {
-    use std::cmp::Ordering::*;
-    match a.cmp(&b) {
-        Less => Some((a, b)),
-        Greater => Some((b, a)),
-        Equal => None,
-    }
-}
-
-fn dag_of(&(n, ref pairs): &(usize, Vec<(u32, u32)>)) -> Graph {
-    Graph::from_arcs(n, pairs.iter().filter_map(|&(a, b)| orient(a, b)))
-}
 
 fn generate(rng: &mut Rng) -> RawCase {
     let n = rng.random_range(2..40usize);

@@ -17,29 +17,17 @@ use tc_study::buffer::PagePolicy;
 use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require, require_eq, Rng};
-use tc_study::graph::Graph;
 use tc_study::profile::profile_jsonl;
 use tc_study::storage::TempDir;
 use tc_study::trace::{replay, Event, JsonlSink, Tracer, VecSink};
+
+mod common;
+use common::dag_of;
 
 /// Raw generated input: node count plus unconstrained arc pairs (kept
 /// raw so shrinking can drop arcs directly), a source set, a policy
 /// index, and an optional fault seed.
 type RawCase = ((usize, Vec<(u32, u32)>), Vec<u32>, usize, Option<u64>);
-
-fn dag_of(&(n, ref pairs): &(usize, Vec<(u32, u32)>)) -> Graph {
-    Graph::from_arcs(
-        n,
-        pairs.iter().filter_map(|&(a, b)| {
-            use std::cmp::Ordering::*;
-            match a.cmp(&b) {
-                Less => Some((a, b)),
-                Greater => Some((b, a)),
-                Equal => None,
-            }
-        }),
-    )
-}
 
 fn generate(rng: &mut Rng) -> RawCase {
     let n = rng.random_range(2..40usize);

@@ -12,9 +12,9 @@
 //! **Structural rules: one X.** Each [`RULES`] row says where a spelling,
 //! or a kind of value, may occur. They keep a collapsed mechanism
 //! collapsed: a second copy of the run envelope, the count ledger, the
-//! retry loop, an argv loop, a hash function or a pinned value fails
-//! here by name, not in a differential test after the fact. Every row
-//! carries a fixture that must trip it.
+//! retry loop, the worker pool, an argv loop, a hash function or a
+//! pinned value fails here by name, not in a differential test after
+//! the fact. Every row carries a fixture that must trip it.
 //!
 //! **The gate names what exists.** `gate.sh` is the one home of the
 //! acceptance commands and `ci.yml` only calls it; a suite or test
@@ -44,10 +44,14 @@ const AUDITED: &[(&str, &str, usize)] = &[
     ("io", "crates/core/src/dynamic.rs", 1),
     ("io", "crates/core/src/snapshot.rs", 1),
     ("io", "crates/graph/src/update.rs", 1),
-    // The experiment scheduler joins worker threads and reassembles cell
-    // results; a cell failure must surface as a typed `ExpError` naming
-    // its coordinates, never a panic that tears down the whole sweep.
+    // The experiment grid runs every cell through `run_cells`; a cell
+    // failure must surface as a typed `ExpError` naming its coordinates,
+    // never a panic that tears down the whole sweep.
     ("bench", "crates/bench/src", 15),
+    // The one worker pool joins the threads of the experiment grid and
+    // the serve loop and reassembles their results: a job's failure
+    // comes back as that job's error, a job's panic with its payload.
+    ("pool", "crates/det/src/par.rs", 1),
     // A Tracer rides inside every instrumented run: sink errors are
     // deferred (`JsonlSink::finish`) and mutex poisoning is recovered.
     ("trace", "crates/trace/src", 5),
@@ -178,6 +182,11 @@ fn io_paths_stay_free_of_unwrap_and_expect() {
 #[test]
 fn bench_run_paths_stay_free_of_unwrap_and_expect() {
     audit("bench");
+}
+
+#[test]
+fn pool_paths_stay_free_of_unwrap_and_expect() {
+    audit("pool");
 }
 
 #[test]
@@ -375,6 +384,18 @@ const RULES: &[Rule] = &[
         want: Want::Everywhere,
         needles: Needles::Spelled(&["tcq analyze", "tcq update", "tcq serve"]),
         fixture: "usage: tcq <edges-file> [options]",
+    },
+    // The experiment grid and the serve loop run on
+    // `tc_det::run_indexed`, so "the output does not depend on the worker
+    // count" rests on one function, not on each loop's own cursor,
+    // stop flag and reassembly.
+    Rule {
+        name: "one worker pool: threads are spawned in tc_det::par \
+               (hand run_indexed one job per index)",
+        scope: Scope::Rust(&["crates"]),
+        want: Want::OnlyIn(&["crates/det/src/par.rs"]),
+        needles: Needles::Spelled(&["thread::scope("]),
+        fixture: "let out = std::thread::scope(|s| s.spawn(|| drain(cursor)).join());",
     },
     // A pinned value has one home (PINS.md's table): a suite that needs
     // to show an observer or a job count leaves a pin alone compares an
