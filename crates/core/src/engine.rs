@@ -1,5 +1,5 @@
 //! Query execution: the algorithms' phases inside one metered run
-//! ([`crate::lifecycle`]), write-out, validation.
+//! (the crate's `lifecycle` module), write-out, validation.
 
 use crate::algorithms::{btc, hybrid, jkb, search, seminaive, spn, AnswerCollector};
 use crate::config::SystemConfig;

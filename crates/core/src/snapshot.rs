@@ -24,11 +24,12 @@
 //!   the serving layer in `tc-serve`.
 //!
 //! Query cost accounting mirrors the engines: `reach(u, v)` reads the
-//! label row of `u`'s component ([`tc_reach::ReachIndex`]), `ptc(u)`
-//! reads exactly the closure pages holding row `u`, and `path(u, v)`
-//! walks guided by the index, probing base-relation children one node
-//! at a time. Accounting is by page requested; decoding is by need —
-//! `reach` requests the whole label row and decodes one entry of it.
+//! one label page holding entry `L[u][chain(v)]` of `u`'s component
+//! ([`tc_reach::ReachIndex`]), and no page when `u` and `v` share a
+//! component; `ptc(u)` reads exactly the closure pages holding row `u`;
+//! and `path(u, v)` walks guided by the index, probing base-relation
+//! children one node at a time. Accounting is by page requested, and a
+//! request names only the pages the answer is decoded from.
 
 use crate::config::SystemConfig;
 use crate::database::Database;
@@ -149,8 +150,9 @@ impl ClosedSnapshot {
     }
 
     /// Whether `u` reaches `v` by a non-empty path, answered from the
-    /// persisted label row of `u`'s component (page I/O charged to
-    /// `pager`). Out-of-range vertices reach nothing.
+    /// one persisted label entry it needs: one page request charged to
+    /// `pager`, none when `u` and `v` share a component. Out-of-range
+    /// vertices reach nothing.
     pub fn reach<P: Pager>(&self, pager: &mut P, u: NodeId, v: NodeId) -> StorageResult<bool> {
         if u as usize >= self.n || v as usize >= self.n {
             return Ok(false);
@@ -179,9 +181,10 @@ impl ClosedSnapshot {
     /// `None` when `v` is unreachable. The walk is guided: at each node
     /// it probes the base relation for the children and steps to the
     /// first (smallest-id) child that still reaches `v`, so the answer
-    /// is deterministic and the cost is one index probe + one label row
-    /// per hop. Reachability here is irreflexive: `path(u, u)` is
-    /// `None` on the frozen DAG.
+    /// is deterministic and the cost is one `reach` lookup for `(u, v)`,
+    /// then per hop one children read plus one label page per child
+    /// tested with `reach`. Reachability here is irreflexive:
+    /// `path(u, u)` is `None` on the frozen DAG.
     pub fn path<P: Pager>(
         &self,
         pager: &mut P,

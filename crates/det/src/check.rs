@@ -5,9 +5,10 @@
 //! generators, failing-seed reporting and greedy input shrinking.
 //!
 //! A property is a closure `Fn(&T) -> Result<(), String>` over a
-//! generated input `T`; assertions inside it use the [`require!`] /
-//! [`require_eq!`] macros (which return an `Err` instead of panicking, so
-//! the harness can shrink the input before reporting).
+//! generated input `T`; assertions inside it use the
+//! [`require!`](crate::require!) / [`require_eq!`](crate::require_eq!)
+//! macros (which return an `Err` instead of panicking, so the harness
+//! can shrink the input before reporting).
 //!
 //! ```
 //! use tc_det::check::{shrink_vec, Checker};

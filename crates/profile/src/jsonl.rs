@@ -2,10 +2,10 @@
 //! `section --trace DIR`).
 //!
 //! The line format is owned by `tc_trace::Event` (it writes *and*
-//! parses it); this module streams lines into a
-//! [`ProfileFold`](crate::ProfileFold) in constant memory (a G5 trace
-//! is millions of lines; collecting `Vec<Event>` first would cost
-//! hundreds of MB) and puts a line number on a parse failure.
+//! parses it); this module streams lines into a [`ProfileFold`] in
+//! constant memory (a G5 trace is millions of lines; collecting
+//! `Vec<Event>` first would cost hundreds of MB) and puts a line number
+//! on a parse failure.
 
 use crate::fold::{Profile, ProfileFold};
 use std::io::BufRead;

@@ -273,26 +273,19 @@ impl ReachIndex {
     }
 
     /// Whether `u` reaches `v` by a non-empty path, answered from the
-    /// *persisted* label row (charges page I/O through `pager`).
+    /// *persisted* label entry `L[u][chain(v)]`: one pager request, for
+    /// the one page holding that entry, when `u` and `v` lie in
+    /// different components, and none when they share one.
     pub fn reach<P: Pager>(&self, pager: &mut P, u: NodeId, v: NodeId) -> StorageResult<bool> {
         let (a, b) = (self.component(u), self.component(v));
         if a == b {
             return Ok(self.cond.is_cyclic(a));
         }
-        // The cost of a lookup is defined as reading the label row, so
-        // every page of the row is requested, in order; the answer is one
-        // entry of it, and only that one is decoded.
-        let k = self.cd.width();
-        let start = a as usize * k;
-        let at = start + self.cd.chain_of[b as usize] as usize;
-        let mut entry = NO_POS;
-        for i in start / VALUES_PER_PAGE..=(start + k - 1) / VALUES_PER_PAGE {
-            pager.with_page(self.labels_file.pages()[i], |pg: &tc_storage::Page| {
-                if i == at / VALUES_PER_PAGE {
-                    entry = ValuePage::get(pg, at % VALUES_PER_PAGE);
-                }
-            })?;
-        }
+        let at = a as usize * self.cd.width() + self.cd.chain_of[b as usize] as usize;
+        let entry = pager.with_page(
+            self.labels_file.pages()[at / VALUES_PER_PAGE],
+            |pg: &tc_storage::Page| ValuePage::get(pg, at % VALUES_PER_PAGE),
+        )?;
         Ok(entry <= self.cd.pos_of[b as usize])
     }
 

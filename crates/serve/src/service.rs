@@ -1,9 +1,10 @@
 //! The in-process service loop: per-client request sequences, a worker
 //! pool, and an atomically swappable snapshot.
 //!
-//! [`Service`] owns the *current* [`ClosedSnapshot`] behind a mutexed
-//! `Arc`. [`Service::serve`] plays a [`QueryStream`] against it: the
-//! whole stream counts as posted at one instant before the workers
+//! [`Service`] owns the *current*
+//! [`ClosedSnapshot`](tc_core::ClosedSnapshot) behind a mutexed `Arc`.
+//! [`Service::serve`] plays a [`QueryStream`] against it: the whole
+//! stream counts as posted at one instant before the workers
 //! start, and `workers` workers of `tc-det`'s one pool
 //! ([`tc_det::run_indexed`]) drain it. Each job is a *whole* client: the
 //! worker that claims it opens that client's [`Session`] and answers its

@@ -6,7 +6,7 @@
 //!
 //! The variants mirror the cost-metric suite one-to-one: each counter
 //! of [`crate::Counts`] has exactly one event (or event field) that
-//! increments it, which is what makes [`crate::replay`] an exact
+//! increments it, which is what makes [`crate::replay()`] an exact
 //! reconstruction rather than an estimate. Events that carry no metric
 //! (pin/unpin, iteration markers) exist purely for observability and
 //! count nothing.

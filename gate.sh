@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # gate.sh: every acceptance command of this repository, written once.
 #
-#   ./gate.sh quick          format check, hermetic build, tier-1 tests
+#   ./gate.sh quick          format check, hermetic build, warning-free docs,
+#                            tier-1 tests
 #   ./gate.sh full [GROUP]   every suite at the elevated property-test case
 #                            counts plus the byte comparisons (one group, or all)
 #   ./gate.sh bench          the benchmark/ package's tests and smoke run
@@ -46,6 +47,8 @@ same() {
 g_checks() {
   cargo fmt --all --check
   cargo build --release --offline --workspace --examples
+  # Every intra-doc link resolves and no public doc names a private item.
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
   t --workspace
 }
 
@@ -113,6 +116,9 @@ g_dynamic() {
 g_reach() {
   export TC_DET_CASES=256
   t --test reach_differential --test reach_props
+  # A lookup requests the one label page holding its entry, none inside a
+  # component.
+  t --test decode_exactness reach_decodes_one_entry_and_requests_only_its_page
   harness
   section reach-sim.md reachindex --quick --backend sim
   section reach-file.md reachindex --quick --backend file

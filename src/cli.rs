@@ -2,8 +2,8 @@
 //! a label↔id mapping, and argument handling.
 //!
 //! Kept in the library so it is unit-testable; `src/bin/tcq.rs` is a thin
-//! wrapper. Every flag is declared once, as a [`Flag`] entry in its
-//! subcommand's [`Args::FLAGS`] table: the parser and the usage text are
+//! wrapper. Every flag is declared once, as a `Flag` entry in its
+//! subcommand's `Args::FLAGS` table: the parser and the usage text are
 //! generic over the table, so neither can name a flag, a placeholder or
 //! a default the other does not.
 

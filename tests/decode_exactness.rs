@@ -5,11 +5,13 @@
 //! in-page bisection against the linear slot scan,
 //! `ClusteredIndex::probe`'s search inside the index page it fetched
 //! against one request per key read, and `ReachIndex::reach`'s
-//! single-entry decode against reading the whole label row. Equal
-//! answers are not enough: each must also make the same page requests,
-//! because those are what the study counts — or, for the probe, the
-//! same requests with a page's consecutive repeats folded into one, and
-//! so the same physical reads.
+//! one-page, one-entry lookup against the whole label row. Equal
+//! answers are not enough: each must also make the page requests its
+//! reference makes, because those are what the study counts — for the
+//! probe, the same requests with a page's consecutive repeats folded
+//! into one, and so the same physical reads; for `reach`, one request
+//! for the page holding the entry and none when `u` and `v` share a
+//! component.
 
 use tc_study::buffer::{BufferPool, PagePolicy};
 use tc_study::det::check::{self, Checker};
@@ -19,7 +21,7 @@ use tc_study::reach::{NullMeter, ReachIndex};
 use tc_study::storage::layout::KEYS_PER_INDEX_PAGE;
 use tc_study::storage::{
     ClusteredIndex, DiskSim, FileKind, IndexPage, Page, PageId, PageStore, Pager, RelationFile,
-    Tuple, TuplePage, PAGE_SIZE, TUPLES_PER_PAGE,
+    Tuple, TuplePage, PAGE_SIZE, TUPLES_PER_PAGE, VALUES_PER_PAGE,
 };
 use tc_study::trace::{Event, Fnv, Kind, LaneHash, Tracer};
 
@@ -404,7 +406,7 @@ fn probe_searches_the_index_page_it_fetched() {
 }
 
 #[test]
-fn reach_decodes_one_entry_but_requests_the_whole_row() {
+fn reach_decodes_one_entry_and_requests_only_its_page() {
     let g = DagGenerator::new(240, 3.0, 30).seed(21).generate();
     // Two identical builds, so both pools start in the same state.
     let build = || {
@@ -412,33 +414,44 @@ fn reach_decodes_one_entry_but_requests_the_whole_row() {
         let idx = ReachIndex::build(&mut pool, &g, &Tracer::disabled(), &mut NullMeter).unwrap();
         (pool, idx)
     };
-    let ((mut fast_pool, idx), (mut slow_pool, _)) = (build(), build());
+    let ((mut fast_pool, idx), (mut ref_pool, _)) = (build(), build());
+    let k = idx.width();
     assert!(
-        TUPLES_PER_PAGE % idx.width() != 0,
-        "some rows must straddle pages for the test to mean anything (k = {})",
-        idx.width()
+        !VALUES_PER_PAGE.is_multiple_of(k),
+        "some rows must straddle pages for the test to mean anything (k = {k})"
     );
+    let labels = ref_pool
+        .store()
+        .file_pages(idx.files()[1])
+        .unwrap()
+        .to_vec();
+    // A third build, read outside both pools, so neither's counters move.
+    let mut disk = DiskSim::new();
+    let whole = ReachIndex::build(&mut disk, &g, &Tracer::disabled(), &mut NullMeter).unwrap();
     let cd = idx.decomposition();
-    let mut row = Vec::new();
+    let (mut row, mut second_pages) = (Vec::new(), 0);
     for u in 0..g.n() as NodeId {
         for v in 0..g.n() as NodeId {
             let fast = idx.reach(&mut fast_pool, u, v).unwrap();
             let (a, b) = (idx.component(u), idx.component(v));
-            let slow = if a == b {
-                idx.condensation().members[a as usize].len() > 1
-            } else {
-                idx.label_row(&mut slow_pool, a, &mut row).unwrap();
-                row[cd.chain_of[b as usize] as usize] <= cd.pos_of[b as usize]
-            };
-            assert_eq!(fast, slow, "reach({u}, {v})");
+            if a != b {
+                // The reference requests the entry's page and nothing else.
+                let at = a as usize * k + cd.chain_of[b as usize] as usize;
+                ref_pool
+                    .with_page(labels[at / VALUES_PER_PAGE], |_| ())
+                    .unwrap();
+                if at / VALUES_PER_PAGE != a as usize * k / VALUES_PER_PAGE {
+                    second_pages += 1;
+                }
+                whole.label_row(&mut disk, a, &mut row).unwrap();
+                let from_row = row[cd.chain_of[b as usize] as usize] <= cd.pos_of[b as usize];
+                assert_eq!(fast, from_row, "reach({u}, {v}) vs its label row");
+            }
             assert_eq!(fast, idx.reach_mem(u, v), "reach({u}, {v}) vs memory");
-            assert_eq!(
-                fast_pool.stats(),
-                slow_pool.stats(),
-                "after reach({u}, {v})"
-            );
-            assert_eq!(fast_pool.store().stats(), slow_pool.store().stats());
+            assert_eq!(fast_pool.stats(), ref_pool.stats(), "after reach({u}, {v})");
+            assert_eq!(fast_pool.store().stats(), ref_pool.store().stats());
         }
     }
+    assert!(second_pages > 0, "no lookup landed on a row's second page");
     assert!(fast_pool.stats().evictions > 0, "the pool never filled");
 }
