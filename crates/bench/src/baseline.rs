@@ -125,7 +125,7 @@ pub struct BaselineRow {
 /// cell, in suite order. Each cell's event stream is teed into a
 /// [`DigestSink`] and a [`ProfileSink`], so digest, profile and metrics
 /// all describe the same run.
-pub fn run_suite(jobs: usize, backend: &Backend) -> ExpResult<Vec<BaselineRow>> {
+fn run_suite(jobs: usize, backend: &Backend) -> ExpResult<Vec<BaselineRow>> {
     let suite = suite(backend);
     let cells: Vec<Cell> = suite.iter().map(|b| b.cell.clone()).collect();
     let sinks: Vec<(Arc<DigestSink>, Arc<ProfileSink>)> = suite
@@ -161,7 +161,7 @@ pub fn run_suite(jobs: usize, backend: &Backend) -> ExpResult<Vec<BaselineRow>> 
 /// two-space indent, fixed key order, integers and strings only (hit
 /// rates are basis points, the digest is a hex string), trailing
 /// newline. Byte-identical across reruns, machines and `--jobs` values.
-pub fn render_json(rows: &[BaselineRow]) -> String {
+fn render_json(rows: &[BaselineRow]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("  \"suite\": \"{SUITE}\",\n"));

@@ -225,7 +225,7 @@ impl Cell {
     /// `.spans.json`, so a cell's timing file sorts with its trace.
     /// Unlike the trace, its *contents* are measured times — never
     /// byte-stable, never gating.
-    pub fn timing_file_name(&self, i: usize) -> String {
+    fn timing_file_name(&self, i: usize) -> String {
         let name = self.trace_file_name(i);
         format!("{}.spans.json", name.trim_end_matches(".jsonl"))
     }
@@ -470,7 +470,7 @@ pub enum Sinks<'a> {
     None,
     /// Per-cell files: a JSONL event trace under `trace`
     /// ([`Cell::trace_file_name`]) and/or a wall-clock span tree under
-    /// `timing` ([`Cell::timing_file_name`]); the directories are created
+    /// `timing` (the trace's name, `.spans.json` for `.jsonl`); the directories are created
     /// if absent. Each cell gets its own sink, so traces are a pure
     /// function of cell coordinates, identical at any worker count
     /// (`tcq analyze` folds one into its profile report). Timing files

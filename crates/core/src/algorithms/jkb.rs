@@ -59,14 +59,14 @@ pub fn preprocess(
     let mut pred = SuccStore::new(pool, n, list_policy);
     match mode {
         Preprocessing::DualRepresentation => {
-            let (inv_rel, inv_idx) = db
+            let inverse = db
                 .inverse
                 .as_ref()
                 .expect("JKB2 requires the dual representation");
             let mut buf: Vec<u32> = Vec::new();
             for &x in &r.order {
                 buf.clear();
-                inv_idx.children(pool, inv_rel, x, &mut buf)?;
+                inverse.children(pool, x, &mut buf)?;
                 for &p in &buf {
                     metrics.count_tuple_read();
                     // Keep only magic predecessors.

@@ -52,7 +52,7 @@ pub fn run_search(
             metrics.count_union();
             metrics.count_list_fetch();
             kids.clear();
-            db.index.children(pool, &db.relation, y, &mut kids)?;
+            db.relation.children(pool, y, &mut kids)?;
             metrics.count_arcs_bulk(kids.len() as u64);
             fresh.clear();
             for &c in &kids {

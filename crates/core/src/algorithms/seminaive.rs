@@ -47,7 +47,7 @@ pub fn run_seminaive(
     let mut kids: Vec<u32> = Vec::new();
     for &s in sources {
         kids.clear();
-        db.index.children(pool, &db.relation, s, &mut kids)?;
+        db.relation.children(pool, s, &mut kids)?;
         metrics.count_list_fetch();
         for &c in &kids {
             metrics.count_tuple_read();
@@ -89,7 +89,7 @@ pub fn run_seminaive(
             metrics.count_union();
             metrics.count_list_fetch();
             kids.clear();
-            db.index.children(pool, &db.relation, x, &mut kids)?;
+            db.relation.children(pool, x, &mut kids)?;
             metrics.count_arcs_bulk(kids.len() as u64);
             for &c in &kids {
                 metrics.count_tuple_read();

@@ -161,7 +161,6 @@ mod tests {
     use crate::Algorithm;
     use tc_buffer::PagePolicy;
     use tc_graph::{closure, DagGenerator, Graph};
-    use tc_succ::tree::read_tree;
     use tc_succ::ListPolicy;
 
     fn run_one(
@@ -217,8 +216,14 @@ mod tests {
         // real arc of the graph — the structural information SPN sells.
         let g = DagGenerator::new(150, 3.0, 40).seed(7).generate();
         let (r, _, mut pool, _) = run_one(&g, &Query::full(), true);
+        let mut skips = NodeBitVec::new(150);
         for u in 0..150u32 {
-            for (p, v) in read_tree(&r.store, &mut pool, u).unwrap() {
+            let mut scan = TreeScanState::new(u);
+            let entries = ListCursor::new(&r.store, u).collect_entries(&mut pool);
+            for e in entries.unwrap() {
+                let TreeStep::Visit { parent: p, node: v } = scan.step(e, &mut skips) else {
+                    continue;
+                };
                 if p == u {
                     assert!(g.has_arc(u, v), "root arc ({u},{v})");
                 } else {

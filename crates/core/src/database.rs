@@ -6,7 +6,7 @@ use crate::engine::{self, RunResult};
 use crate::query::Query;
 use crate::Algorithm;
 use tc_graph::{Graph, MagicGraph, RectangleModel};
-use tc_storage::{ClusteredIndex, FileKind, PageStore, RelationFile, StorageError, StorageResult};
+use tc_storage::{ClusteredRelation, FileKind, PageStore, StorageError, StorageResult};
 
 /// A loaded database instance (paper §4):
 ///
@@ -27,9 +27,8 @@ use tc_storage::{ClusteredIndex, FileKind, PageStore, RelationFile, StorageError
 pub struct Database {
     pub(crate) store: Option<Box<dyn PageStore>>,
     pub(crate) graph: Graph,
-    pub(crate) relation: RelationFile,
-    pub(crate) index: ClusteredIndex,
-    pub(crate) inverse: Option<(RelationFile, ClusteredIndex)>,
+    pub(crate) relation: ClusteredRelation,
+    pub(crate) inverse: Option<ClusteredRelation>,
 }
 
 impl Database {
@@ -60,14 +59,15 @@ impl Database {
     ) -> StorageResult<Database> {
         let disk = store.as_mut();
         let arcs: Vec<(u32, u32)> = graph.arcs().collect();
-        let relation = RelationFile::bulk_load(disk, FileKind::Relation, &arcs)?;
-        let index = ClusteredIndex::build(disk, &relation)?;
+        let relation = ClusteredRelation::bulk_load(disk, FileKind::Relation, &arcs)?;
         let inverse = if with_inverse {
             let mut inv: Vec<(u32, u32)> = graph.arcs().map(|(u, v)| (v, u)).collect();
             inv.sort_unstable();
-            let rel = RelationFile::bulk_load(disk, FileKind::InverseRelation, &inv)?;
-            let idx = ClusteredIndex::build(disk, &rel)?;
-            Some((rel, idx))
+            Some(ClusteredRelation::bulk_load(
+                disk,
+                FileKind::InverseRelation,
+                &inv,
+            )?)
         } else {
             None
         };
@@ -76,7 +76,6 @@ impl Database {
             store: Some(store),
             graph: graph.clone(),
             relation,
-            index,
             inverse,
         })
     }
@@ -188,8 +187,11 @@ mod tests {
     fn build_lays_out_relation_and_index() {
         let g = DagGenerator::new(300, 3.0, 60).seed(1).generate();
         let db = Database::build(&g, false).unwrap();
-        assert_eq!(db.relation.tuple_count(), g.arc_count());
-        assert_eq!(db.relation.page_count(), g.arc_count().div_ceil(256));
+        assert_eq!(db.relation.tuples().tuple_count(), g.arc_count());
+        assert_eq!(
+            db.relation.tuples().page_count(),
+            g.arc_count().div_ceil(256)
+        );
         assert!(!db.has_inverse());
         // Loading is not charged.
         assert_eq!(db.store.as_ref().unwrap().stats().total(), 0);
@@ -200,10 +202,10 @@ mod tests {
         let g = DagGenerator::new(100, 2.0, 30).seed(2).generate();
         let mut db = Database::build(&g, true).unwrap();
         assert!(db.has_inverse());
-        let (inv, _) = db.inverse.as_ref().unwrap();
+        let inv = db.inverse.as_ref().unwrap().tuples();
         assert_eq!(inv.tuple_count(), g.arc_count());
         let mut disk = db.store.take().unwrap();
-        let inv_arcs = db.inverse.as_ref().unwrap().0.scan(disk.as_mut()).unwrap();
+        let inv_arcs = inv.scan(disk.as_mut()).unwrap();
         db.store = Some(disk);
         for (d, s) in inv_arcs {
             assert!(g.has_arc(s, d));

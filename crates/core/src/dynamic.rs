@@ -60,8 +60,8 @@ use tc_graph::{closure, Graph, NodeId, UpdateOp};
 use tc_obs::SpanRecorder;
 use tc_reach::{NullMeter, ReachIndex};
 use tc_storage::{
-    ClusteredIndex, FileKind, FrozenPageSet, PageStore, RelationFile, StorageError, StorageResult,
-    ValueFile, ValueWriter,
+    ClusteredRelation, FileKind, FrozenPageSet, PageStore, StorageError, StorageResult, ValueFile,
+    ValueWriter,
 };
 use tc_succ::{BitRow, TupleRows};
 use tc_trace::{Event, Tracer};
@@ -298,7 +298,6 @@ impl DynamicClosure {
             self.db.graph(),
             FrozenPageSet::freeze(disk),
             self.db.relation.clone(),
-            self.db.index.clone(),
             self.tc.clone(),
             self.rows.clone(),
             reach,
@@ -428,11 +427,11 @@ fn apply_to_base(
     // In-place rebuild: dropping the old files first lets the new ones
     // reuse their pages (LIFO), keeping page-id streams — and trace
     // digests — identical on every backend.
-    disk.drop_file(db.relation.file_id())?;
-    disk.drop_file(db.index.file_id())?;
+    for file in db.relation.file_ids() {
+        disk.drop_file(file)?;
+    }
     let arcs: Vec<(NodeId, NodeId)> = db.graph.arcs().collect();
-    db.relation = RelationFile::bulk_load(disk, FileKind::Relation, &arcs)?;
-    db.index = ClusteredIndex::build(disk, &db.relation)?;
+    db.relation = ClusteredRelation::bulk_load(disk, FileKind::Relation, &arcs)?;
     Ok(ops)
 }
 
@@ -563,7 +562,7 @@ fn maintain(
         }
         metrics.count_list_fetch();
         kids.clear();
-        db.index.children(pool, &db.relation, x, &mut kids)?;
+        db.relation.children(pool, x, &mut kids)?;
         metrics.count_arcs_bulk(kids.len() as u64);
         // A row is a function of its own arcs and its children's rows:
         // with no arc of its own changed and no child's row rewritten,

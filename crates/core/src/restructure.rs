@@ -97,7 +97,7 @@ pub fn restructure(
         // Sequential scan of the whole relation.
         sources = (0..n as NodeId).collect();
         in_magic.iter_mut().for_each(|b| *b = true);
-        db.relation.scan_pages(pool, &mut |tuples| {
+        db.relation.tuples().scan_pages(pool, &mut |tuples| {
             for &(u, v) in tuples {
                 children[u as usize].push(v);
             }
@@ -114,7 +114,7 @@ pub fn restructure(
         }
         while let Some(u) = stack.pop() {
             let mut kids: Vec<u32> = Vec::new();
-            db.index.children(pool, &db.relation, u, &mut kids)?;
+            db.relation.children(pool, u, &mut kids)?;
             for &v in &kids {
                 if !in_magic[v as usize] {
                     in_magic[v as usize] = true;

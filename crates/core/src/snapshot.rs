@@ -37,8 +37,8 @@ use std::sync::Arc;
 use tc_graph::{Graph, NodeId};
 use tc_reach::ReachIndex;
 use tc_storage::{
-    ClusteredIndex, FileId, FrozenPageSet, FrozenStore, Pager, RelationFile, StorageError,
-    StorageResult, ValueFile,
+    ClusteredRelation, FileId, FrozenPageSet, FrozenStore, Pager, StorageError, StorageResult,
+    ValueFile,
 };
 
 /// An immutable, `Arc`-shared view of a closed database: catalog +
@@ -58,8 +58,7 @@ pub struct ClosedSnapshot {
     /// The captured page images, shared by every session's store.
     pages: Arc<FrozenPageSet>,
     /// Clustered base relation (children probes for `path`).
-    relation: RelationFile,
-    index: ClusteredIndex,
+    relation: ClusteredRelation,
     /// Materialized transitive closure: the successor column, sources
     /// ascending and each source's successors ascending.
     closure: ValueFile,
@@ -89,8 +88,7 @@ impl ClosedSnapshot {
         origin: &'static str,
         graph: &Graph,
         pages: FrozenPageSet,
-        relation: RelationFile,
-        index: ClusteredIndex,
+        relation: ClusteredRelation,
         closure: ValueFile,
         closure_rows: Vec<u32>,
         reach: ReachIndex,
@@ -101,7 +99,6 @@ impl ClosedSnapshot {
             origin,
             pages: Arc::new(pages),
             relation,
-            index,
             closure,
             closure_rows,
             reach,
@@ -201,7 +198,7 @@ impl ClosedSnapshot {
         // past that means the catalog and index disagree.
         for _ in 0..self.n {
             kids.clear();
-            self.index.children(pager, &self.relation, cur, &mut kids)?;
+            self.relation.children(pager, cur, &mut kids)?;
             let mut next = None;
             for &c in &kids {
                 if c == v {
@@ -235,7 +232,8 @@ impl ClosedSnapshot {
 /// clustered index and closure. The reach index is written into the
 /// capture afterwards, never to the live store.
 pub(crate) fn capture_set(db: &Database, closure: &ValueFile) -> [FileId; 3] {
-    [db.relation.file_id(), db.index.file_id(), closure.file_id()]
+    let [relation, index] = db.relation.file_ids();
+    [relation, index, closure.file_id()]
 }
 
 #[cfg(test)]

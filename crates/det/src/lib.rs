@@ -24,7 +24,7 @@
 //! * Workload generators take an explicit `u64` seed; the paper's 5
 //!   instances per graph family use seeds `1..=5`.
 //! * Derived streams (e.g. back-arc injection on top of a generated DAG)
-//!   use `seed ^ CONSTANT` or [`Rng::fork`], never the same stream.
+//!   use `seed ^ CONSTANT` or [`rng::cell_seed`], never the same stream.
 //! * Anything that perturbs a simulation result must flow from one of
 //!   these seeds — wall-clock time and addresses must never leak into
 //!   simulated metrics.
@@ -40,9 +40,10 @@
 //! * Derive the cell's seed with [`rng::cell_seed`]`(STREAM, &coords)`,
 //!   where `STREAM` is a per-purpose constant and `coords` the cell's
 //!   canonical coordinates, then start a fresh [`Rng::from_seed`].
-//! * Never [`Rng::fork`] a shared generator *across* cells — fork order
+//! * Never draw from a generator shared *across* cells — draw order
 //!   would then encode the (nondeterministic) execution interleaving.
-//!   Forking is fine *within* one cell, where consumption is sequential.
+//!   One generator is fine *within* one cell, where consumption is
+//!   sequential.
 //!
 //! Under this convention, and because [`run_indexed`] places each result
 //! by its cell's index, a sweep's results are bit-identical at any

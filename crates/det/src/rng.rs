@@ -32,13 +32,13 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// Derives the canonical seed for one *cell* of an experiment grid.
 ///
 /// This is the workspace's cell-seeding convention (see the crate docs):
-/// a parallel scheduler must never hand cells forks of a shared stream —
-/// fork order would then depend on scheduling order, and the sweep would
+/// a parallel scheduler must never hand cells draws of a shared stream —
+/// draw order would then depend on scheduling order, and the sweep would
 /// stop being reproducible. Instead, every cell derives its seed as a
 /// pure function of a stream constant (`base`, one per logical stream)
 /// and the cell's coordinates, by chaining SplitMix64 over them. The
-/// result feeds [`Rng::from_seed`]; [`Rng::fork`] is then safe *within*
-/// the cell, where consumption order is sequential again.
+/// result feeds [`Rng::from_seed`], whose stream the cell then consumes
+/// in sequential order.
 ///
 /// ```
 /// use tc_det::rng::cell_seed;
@@ -80,12 +80,6 @@ impl Rng {
             splitmix64(&mut sm),
         ];
         Rng { s }
-    }
-
-    /// Derives an independent child generator (for per-case / per-stream
-    /// seeding without consuming much of the parent's stream).
-    pub fn fork(&mut self) -> Rng {
-        Rng::from_seed(self.next_u64())
     }
 
     /// The next 64 uniformly distributed bits.
@@ -286,14 +280,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, sorted, "seed 21 should not yield identity shuffle");
-    }
-
-    #[test]
-    fn forks_are_independent() {
-        let mut parent = Rng::from_seed(5);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub fn transitive_reduction(g: &Graph) -> Graph {
 }
 
 /// Transitive reduction given a precomputed closure of `g`.
-pub fn reduction_with_closure(g: &Graph, tc: &BitMatrix) -> Graph {
+fn reduction_with_closure(g: &Graph, tc: &BitMatrix) -> Graph {
     let mut arcs = Vec::new();
     for u in 0..g.n() as u32 {
         let children = g.children(u);

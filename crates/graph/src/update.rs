@@ -72,7 +72,7 @@ impl StreamKind {
     }
 
     /// Probability that a generated operation is an insertion.
-    pub fn insert_probability(&self) -> f64 {
+    fn insert_probability(&self) -> f64 {
         match self {
             StreamKind::InsertOnly => 1.0,
             StreamKind::DeleteHeavy => 0.25,

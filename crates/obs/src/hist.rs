@@ -62,24 +62,13 @@ impl LatencyHistogram {
         }
     }
 
-    /// The `[lo, hi)` value range of the bucket `v` falls into.
-    pub fn bucket_of(v: u64) -> (u64, u64) {
-        let i = Self::index(v);
-        let hi = if i + 1 < Self::BUCKETS {
-            Self::floor_of(i + 1)
-        } else {
-            u64::MAX
-        };
-        (Self::floor_of(i), hi)
-    }
-
     /// Records one value.
     pub fn record(&mut self, v: u64) {
         self.record_n(v, 1);
     }
 
     /// Records `n` occurrences of `v`.
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -174,12 +163,23 @@ impl std::fmt::Debug for LatencyHistogram {
 mod tests {
     use super::*;
 
+    /// The `[lo, hi)` value range of the bucket `v` falls into.
+    fn bucket_of(v: u64) -> (u64, u64) {
+        let i = LatencyHistogram::index(v);
+        let hi = if i + 1 < LatencyHistogram::BUCKETS {
+            LatencyHistogram::floor_of(i + 1)
+        } else {
+            u64::MAX
+        };
+        (LatencyHistogram::floor_of(i), hi)
+    }
+
     #[test]
     fn linear_range_is_exact() {
         let mut h = LatencyHistogram::new();
         for v in 0..LatencyHistogram::SUB {
             h.record(v);
-            let (lo, hi) = LatencyHistogram::bucket_of(v);
+            let (lo, hi) = bucket_of(v);
             assert_eq!((lo, hi), (v, v + 1));
         }
         assert_eq!(h.count(), LatencyHistogram::SUB);
@@ -190,7 +190,7 @@ mod tests {
     fn buckets_bound_relative_error() {
         for shift in 0..58 {
             for v in [37u64 << shift, (1u64 << (shift + 6)) - 1] {
-                let (lo, hi) = LatencyHistogram::bucket_of(v);
+                let (lo, hi) = bucket_of(v);
                 assert!(lo <= v && v < hi, "{v}: [{lo},{hi})");
                 // Width ≤ lo / SUB in the logarithmic range.
                 if lo >= LatencyHistogram::SUB {
@@ -205,10 +205,10 @@ mod tests {
 
     #[test]
     fn index_is_monotonic_across_decades() {
-        let mut last = LatencyHistogram::bucket_of(0).0;
+        let mut last = bucket_of(0).0;
         let mut v = 1u64;
         while v < u64::MAX / 3 {
-            let (lo, _) = LatencyHistogram::bucket_of(v);
+            let (lo, _) = bucket_of(v);
             assert!(lo >= last, "floor regressed at {v}");
             last = lo;
             v = v.saturating_mul(3) / 2 + 1;
@@ -222,7 +222,7 @@ mod tests {
         h.record(0);
         assert_eq!(h.count(), 2);
         assert!(h.max_observed() > u64::MAX / 2);
-        let (lo, hi) = LatencyHistogram::bucket_of(u64::MAX);
+        let (lo, hi) = bucket_of(u64::MAX);
         assert!(lo <= u64::MAX && hi == u64::MAX);
     }
 

@@ -54,7 +54,7 @@ mod span;
 
 pub use hist::LatencyHistogram;
 pub use registry::{Counter, Histogram, MetricsRegistry};
-pub use span::{fmt_ns, SpanCollector, SpanGuard, SpanNode, SpanRecorder, SpanTree};
+pub use span::{SpanCollector, SpanGuard, SpanNode, SpanRecorder, SpanTree};
 
 use std::sync::{Mutex, MutexGuard};
 

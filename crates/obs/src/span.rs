@@ -244,7 +244,7 @@ impl SpanNode {
     }
 
     /// Looks up a direct child by name.
-    pub fn child(&self, name: &str) -> Option<&SpanNode> {
+    fn child(&self, name: &str) -> Option<&SpanNode> {
         self.children.iter().find(|c| c.name == name)
     }
 }
@@ -320,7 +320,7 @@ impl SpanTree {
 }
 
 /// Human formatting for nanosecond figures (`1.23ms`, `45µs`, `2.1s`).
-pub fn fmt_ns(ns: u64) -> String {
+fn fmt_ns(ns: u64) -> String {
     match ns {
         0..=999 => format!("{ns}ns"),
         1_000..=999_999 => format!("{:.1}µs", ns as f64 / 1e3),

@@ -9,14 +9,9 @@
 //! digits), rounded half away from zero against the floor integer
 //! square root of the variance product.
 
-/// Average ranks of `xs`, scaled by 2 so tie-averages are integral.
-/// Ties receive the mean of the ranks they span.
-pub fn ranks_u64(xs: &[u64]) -> Vec<i64> {
-    ranks_by(xs, |a, b| a.cmp(b))
-}
-
-/// Average ranks of `xs` (scaled by 2), ordering `f64`s by
-/// [`f64::total_cmp`] — deterministic for any input, including ties.
+/// Average ranks of `xs`, scaled by 2 so tie-averages are integral, and
+/// ordering `f64`s by [`f64::total_cmp`] — deterministic for any input,
+/// including ties. Ties receive the mean of the ranks they span.
 pub fn ranks_f64(xs: &[f64]) -> Vec<i64> {
     ranks_by(xs, |a, b| a.total_cmp(b))
 }
@@ -68,8 +63,7 @@ fn div_round(num: i128, den: i128) -> i128 {
     }
 }
 
-/// Spearman's rho over pre-computed scaled ranks (from [`ranks_u64`] /
-/// [`ranks_f64`]), as a fixed-point value scaled by 1000 in
+/// Spearman's rho over pre-computed scaled ranks (from [`ranks_f64`]), as a fixed-point value scaled by 1000 in
 /// `[-1000, 1000]`. Returns `None` when either side is constant (the
 /// correlation is undefined) or the lengths differ.
 pub fn spearman_from_ranks(rx: &[i64], ry: &[i64]) -> Option<i64> {
@@ -100,14 +94,6 @@ pub fn spearman_from_ranks(rx: &[i64], ry: &[i64]) -> Option<i64> {
     Some(r.clamp(-1000, 1000) as i64)
 }
 
-/// Spearman's rho of two `u64` series (scaled by 1000).
-pub fn spearman_u64(xs: &[u64], ys: &[u64]) -> Option<i64> {
-    if xs.len() != ys.len() {
-        return None;
-    }
-    spearman_from_ranks(&ranks_u64(xs), &ranks_u64(ys))
-}
-
 /// Renders a rho scaled by 1000 as a signed three-decimal string
 /// (`+1.000`, `-0.874`, `+0.000`).
 pub fn format_milli(r: i64) -> String {
@@ -119,6 +105,18 @@ pub fn format_milli(r: i64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ranks_u64(xs: &[u64]) -> Vec<i64> {
+        ranks_by(xs, |a, b| a.cmp(b))
+    }
+
+    /// Spearman's rho of two `u64` series (scaled by 1000).
+    fn spearman_u64(xs: &[u64], ys: &[u64]) -> Option<i64> {
+        if xs.len() != ys.len() {
+            return None;
+        }
+        spearman_from_ranks(&ranks_u64(xs), &ranks_u64(ys))
+    }
 
     #[test]
     fn perfect_monotone_series_correlate_to_one() {

@@ -12,11 +12,6 @@ use std::io::BufRead;
 use tc_trace::Event;
 pub use tc_trace::ParseError;
 
-/// Parses one JSONL line into an [`Event`] ([`Event::parse_jsonl`]).
-pub fn parse_line(line: &str) -> Result<Event, ParseError> {
-    Event::parse_jsonl(line)
-}
-
 /// Error of a streaming fold over a JSONL reader.
 #[derive(Debug)]
 pub enum JsonlError {

@@ -14,7 +14,7 @@
 //!   classification (*cold* / *capacity* / *self*: re-fetch after the
 //!   file evicted its own page — the successor-list pathology of §6).
 //! * **Metric predictiveness** — integer Spearman rank correlation
-//!   ([`spearman_u64`]) of the "misleading" logical metrics against
+//!   ([`spearman_from_ranks`]) of the "misleading" logical metrics against
 //!   page I/O, machine-checking Table 4's central claim.
 //!
 //! Everything is **byte-deterministic**: integer or fixed-point
@@ -36,13 +36,13 @@ pub mod jsonl;
 pub mod report;
 pub mod sink;
 
-pub use corr::{format_milli, ranks_f64, ranks_u64, spearman_from_ranks, spearman_u64};
+pub use corr::{format_milli, ranks_f64, spearman_from_ranks};
 pub use fold::{
     kind_label, profile_events, HotPage, MissClasses, Profile, ProfileFold, ResidencySample,
     KIND_SLOTS, UNKNOWN,
 };
-pub use jsonl::{fold_jsonl, parse_line, profile_jsonl, JsonlError, ParseError};
-pub use report::{render, write_report};
+pub use jsonl::{fold_jsonl, profile_jsonl, JsonlError, ParseError};
+pub use report::render;
 pub use sink::ProfileSink;
 
 // Compile-time thread-safety audit: a ProfileSink crosses the

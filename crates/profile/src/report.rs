@@ -7,7 +7,6 @@
 //! (`tests/golden_profile.rs` does).
 
 use crate::fold::{kind_label, Profile, KIND_SLOTS};
-use std::io::{self, Write};
 use tc_trace::PhaseIo;
 
 /// Basis points (hundredths of a percent) as `"NN.NN%"`.
@@ -250,13 +249,6 @@ pub fn render(p: &Profile) -> String {
     out.0
 }
 
-/// Writes the rendered report to `w`. Rendering itself is infallible (a
-/// pure string build — the `JsonlSink` discipline of keeping the hot
-/// path free of I/O); the single write returns the first I/O error.
-pub fn write_report<W: Write>(w: &mut W, p: &Profile) -> io::Result<()> {
-    w.write_all(render(p).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,14 +292,6 @@ mod tests {
         assert!(a.contains("unions             : 1") || a.contains("unions            : 1"));
         // Totals line matches the fold.
         assert!(a.contains("page I/O          : 3 (r 3, w 0)"), "{a}");
-    }
-
-    #[test]
-    fn write_report_emits_the_same_bytes() {
-        let p = sample_profile();
-        let mut buf = Vec::new();
-        write_report(&mut buf, &p).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), render(&p));
     }
 
     #[test]

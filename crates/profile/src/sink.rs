@@ -9,8 +9,8 @@
 //!
 //! `emit` is infallible by contract and performs no I/O — the
 //! `JsonlSink` discipline: failures can only arise when the rendered
-//! report is finally written, where they surface as ordinary
-//! `io::Result`s (see [`crate::report::write_report`]).
+//! report ([`crate::report::render`]) is finally written, where they
+//! surface as ordinary `io::Result`s.
 
 use crate::fold::{Profile, ProfileFold};
 use std::sync::{Mutex, MutexGuard};
@@ -38,13 +38,8 @@ impl Default for ProfileSink {
 impl ProfileSink {
     /// A sink with default fold settings.
     pub fn new() -> ProfileSink {
-        ProfileSink::with_fold(ProfileFold::new())
-    }
-
-    /// A sink over a configured fold (interval, top-K).
-    pub fn with_fold(fold: ProfileFold) -> ProfileSink {
         ProfileSink {
-            inner: Mutex::new(fold),
+            inner: Mutex::new(ProfileFold::new()),
         }
     }
 

@@ -27,10 +27,7 @@
 //! neither stores a key beside its values.
 
 use tc_graph::{condensation, Condensation, Graph, NodeId};
-use tc_storage::{
-    FileId, FileKind, Pager, StorageError, StorageResult, ValueFile, ValuePage, ValueWriter,
-    VALUES_PER_PAGE,
-};
+use tc_storage::{FileId, FileKind, Pager, StorageError, StorageResult, ValueFile, ValueWriter};
 use tc_trace::{Event, Tracer};
 
 use crate::chain::{ChainDecomposition, NO_POS};
@@ -112,7 +109,7 @@ impl LabelMatrix {
     }
 
     /// Number of finite (reachable) entries across all rows.
-    pub fn finite_entries(&self) -> u64 {
+    fn finite_entries(&self) -> u64 {
         self.rows.iter().filter(|&&p| p != NO_POS).count() as u64
     }
 }
@@ -282,11 +279,7 @@ impl ReachIndex {
             return Ok(self.cond.is_cyclic(a));
         }
         let at = a as usize * self.cd.width() + self.cd.chain_of[b as usize] as usize;
-        let entry = pager.with_page(
-            self.labels_file.pages()[at / VALUES_PER_PAGE],
-            |pg: &tc_storage::Page| ValuePage::get(pg, at % VALUES_PER_PAGE),
-        )?;
-        Ok(entry <= self.cd.pos_of[b as usize])
+        Ok(self.labels_file.get(pager, at)? <= self.cd.pos_of[b as usize])
     }
 
     /// Whether `u` reaches `v` by a non-empty path, answered from the

@@ -164,7 +164,6 @@ fn merge_runs<P: Pager>(
             heap.push(Reverse((c.peek(), i)));
         }
     }
-    debug_assert!(w.is_sorted());
     Ok(w.finish())
 }
 

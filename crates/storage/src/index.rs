@@ -1,78 +1,82 @@
-//! Sparse clustered index over a [`RelationFile`].
+//! Clustered relations: a [`RelationFile`] and the sparse index over it,
+//! one value.
 //!
-//! One key per data page (the first clustering key on that page), packed
-//! into [`crate::layout::IndexPage`]s. A probe binary-searches the index
-//! to find the contiguous range of data pages that can contain a key.
-//! The index pages it touches are charged through the pager like any
-//! other page, one request per index page visited: the keys it reads on
-//! a page it has fetched are searched in that page, not requested again.
-//! In practice the index is a handful of pages (one, for a relation of
-//! at most 512 data pages) and stays resident in the buffer pool,
-//! matching the paper's assumption that index access is cheap.
-//! [`ClusteredIndex::children`] is the read the engine makes: the probe,
-//! then the data pages it names.
+//! The paper assumes "a clustered index on the source attribute" (§4).
+//! Because the relation is clustered, a sparse index suffices: one key
+//! per data page, the first clustering key on that page. The position of
+//! a key in the index is the number of the data page it describes, so
+//! the index stores no page pointers and is a [`ValueFile`] of
+//! [`FileKind::Index`]: keys found by position, 512 to a page.
+//!
+//! A [`ClusteredRelation`] is built by one sorted bulk load, which writes
+//! the tuples and then the index of their pages' first keys, so an index
+//! is never paired by hand with a relation it was not built over. A
+//! probe binary-searches the index to find the contiguous range of data
+//! pages that can contain a key. The index pages it touches are charged
+//! through the pager like any other page, one request per index page
+//! visited: the keys it reads on a page it has fetched are searched in
+//! that page, not requested again. In practice the index is a handful of
+//! pages (one, for a relation of at most 512 data pages) and stays
+//! resident in the buffer pool, matching the paper's assumption that
+//! index access is cheap. [`ClusteredRelation::children`] is the read the
+//! engine makes: the probe, then the data pages it names.
 
 use crate::disk::{FileId, FileKind};
 use crate::error::StorageResult;
-use crate::layout::index::{IndexPage, KEYS_PER_INDEX_PAGE};
-use crate::page::{Page, PageId};
+use crate::layout::tuple::TUPLES_PER_PAGE;
+use crate::layout::value::{ValuePage, VALUES_PER_PAGE};
+use crate::page::Page;
 use crate::pager::Pager;
-use crate::relation::RelationFile;
+use crate::relation::{RelationFile, Tuple};
 use crate::store::PageStore;
+use crate::values::ValueFile;
 
-/// A sparse clustered index: maps a key to the data-page range holding it.
+/// A relation file clustered on the first tuple component, with the
+/// sparse index that maps a key to the data-page range holding it.
 #[derive(Clone, Debug)]
-pub struct ClusteredIndex {
-    file: FileId,
-    pages: Vec<PageId>,
-    /// Number of keys (== number of data pages in the indexed relation).
-    entries: usize,
+pub struct ClusteredRelation {
+    tuples: RelationFile,
+    /// The first key of each data page of `tuples`, in page order.
+    keys: ValueFile,
 }
 
-impl ClusteredIndex {
-    /// Builds the index for `rel`, writing index pages to a fresh file.
-    /// Works against any [`PageStore`] backend.
-    pub fn build<S: PageStore + ?Sized>(
+impl ClusteredRelation {
+    /// Bulk-loads `tuples` (which must be sorted on the first component)
+    /// into a fresh file of the given kind, then writes the index of its
+    /// pages' first keys to a fresh [`FileKind::Index`] file. Both bypass
+    /// the buffer pool and are charged to the store, like
+    /// [`RelationFile::bulk_load`]'s writes.
+    pub fn bulk_load<S: PageStore + ?Sized>(
         disk: &mut S,
-        rel: &RelationFile,
-    ) -> StorageResult<ClusteredIndex> {
-        let file = disk.new_file(FileKind::Index);
-        let keys = rel.first_keys();
-        let mut pages = Vec::new();
-        let mut page = Page::new();
-        let mut slot = 0usize;
-        for &k in keys {
-            IndexPage::put(&mut page, slot, k);
-            slot += 1;
-            if slot == KEYS_PER_INDEX_PAGE {
-                let pid = disk.alloc(file)?;
-                disk.write_page(pid, &page)?;
-                pages.push(pid);
-                page.clear();
-                slot = 0;
-            }
-        }
-        if slot > 0 {
-            let pid = disk.alloc(file)?;
-            disk.write_page(pid, &page)?;
-            pages.push(pid);
-        }
-        Ok(ClusteredIndex {
-            file,
-            pages,
-            entries: keys.len(),
+        kind: FileKind,
+        tuples: &[Tuple],
+    ) -> StorageResult<ClusteredRelation> {
+        let relation = RelationFile::bulk_load(disk, kind, tuples)?;
+        let first_keys: Vec<u32> = tuples
+            .iter()
+            .step_by(TUPLES_PER_PAGE)
+            .map(|t| t.0)
+            .collect();
+        Ok(ClusteredRelation {
+            tuples: relation,
+            keys: ValueFile::bulk_load(disk, FileKind::Index, &first_keys)?,
         })
     }
 
-    /// The index's file id (needed to drop the file when the indexed
-    /// relation is rebuilt in place, e.g. by dynamic maintenance).
-    pub fn file_id(&self) -> FileId {
-        self.file
+    /// The tuples, for a scan of the whole relation.
+    pub fn tuples(&self) -> &RelationFile {
+        &self.tuples
     }
 
-    /// Number of index pages.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
+    /// The sparse index: the first key of each data page.
+    pub fn keys(&self) -> &ValueFile {
+        &self.keys
+    }
+
+    /// The relation's file, then its index's: the order they were
+    /// written in, and the order a rebuild in place drops them in.
+    pub fn file_ids(&self) -> [FileId; 2] {
+        [self.tuples.file_id(), self.keys.file_id()]
     }
 
     /// Probes the index for `key`, returning the inclusive range
@@ -95,16 +99,17 @@ impl ClusteredIndex {
         pager: &mut P,
         key: u32,
     ) -> StorageResult<Option<(usize, usize)>> {
-        if self.entries == 0 {
+        let entries = self.keys.count();
+        if entries == 0 {
             return Ok(None);
         }
-        let mut search = Search::new(key, self.entries);
+        let mut search = Search::new(key, entries);
         while let Some(mut i) = search.next() {
-            let page_no = i / KEYS_PER_INDEX_PAGE;
-            pager.with_page(self.pages[page_no], |pg: &Page| loop {
-                search.read(i, IndexPage::get(pg, i % KEYS_PER_INDEX_PAGE));
+            let page_no = i / VALUES_PER_PAGE;
+            pager.with_page(self.keys.pages()[page_no], |pg: &Page| loop {
+                search.read(i, ValuePage::get(pg, i % VALUES_PER_PAGE));
                 match search.next() {
-                    Some(j) if j / KEYS_PER_INDEX_PAGE == page_no => i = j,
+                    Some(j) if j / VALUES_PER_PAGE == page_no => i = j,
                     _ => break,
                 }
             })?;
@@ -112,19 +117,17 @@ impl ClusteredIndex {
         Ok(Some(search.range()))
     }
 
-    /// Appends to `out` the non-key components of `rel`'s tuples with
-    /// clustering key `key`: a [`ClusteredIndex::probe`], then a
-    /// [`RelationFile::probe_range`] over the pages it names. `self` must
-    /// be the index built over `rel`.
+    /// Appends to `out` the non-key components of the tuples with
+    /// clustering key `key`: a [`ClusteredRelation::probe`], then a
+    /// [`RelationFile::probe_range`] over the pages it names.
     pub fn children<P: Pager>(
         &self,
         pager: &mut P,
-        rel: &RelationFile,
         key: u32,
         out: &mut Vec<u32>,
     ) -> StorageResult<()> {
         match self.probe(pager, key)? {
-            Some((lo, hi)) => rel.probe_range(pager, key, lo, hi, out),
+            Some((lo, hi)) => self.tuples.probe_range(pager, key, lo, hi, out),
             None => Ok(()),
         }
     }
@@ -190,9 +193,8 @@ impl Search {
 mod tests {
     use super::*;
     use crate::disk::DiskSim;
-    use crate::relation::Tuple;
 
-    fn setup(keys: &[(u32, usize)]) -> (DiskSim, RelationFile, ClusteredIndex) {
+    fn setup(keys: &[(u32, usize)]) -> (DiskSim, ClusteredRelation) {
         // keys: (key, multiplicity)
         let mut data: Vec<Tuple> = Vec::new();
         for &(k, m) in keys {
@@ -201,54 +203,81 @@ mod tests {
             }
         }
         let mut disk = DiskSim::new();
-        let rel = RelationFile::bulk_load(&mut disk, FileKind::Relation, &data).unwrap();
-        let idx = ClusteredIndex::build(&mut disk, &rel).unwrap();
-        (disk, rel, idx)
+        let rel = ClusteredRelation::bulk_load(&mut disk, FileKind::Relation, &data).unwrap();
+        (disk, rel)
     }
 
     #[test]
     fn probe_single_page_relation() {
-        let (mut disk, rel, idx) = setup(&[(1, 3), (5, 2), (9, 4)]);
-        assert_eq!(idx.page_count(), 1);
+        let (mut disk, rel) = setup(&[(1, 3), (5, 2), (9, 4)]);
+        assert_eq!(rel.keys().page_count(), 1);
         let mut out = Vec::new();
-        idx.children(&mut disk, &rel, 5, &mut out).unwrap();
+        rel.children(&mut disk, 5, &mut out).unwrap();
         assert_eq!(out, vec![0, 1]);
     }
 
     #[test]
     fn probe_key_spanning_pages() {
         // Key 2 has 600 tuples -> spans 3 pages.
-        let (mut disk, rel, idx) = setup(&[(1, 10), (2, 600), (3, 10)]);
+        let (mut disk, rel) = setup(&[(1, 10), (2, 600), (3, 10)]);
         let mut out = Vec::new();
-        idx.children(&mut disk, &rel, 2, &mut out).unwrap();
+        rel.children(&mut disk, 2, &mut out).unwrap();
         assert_eq!(out.len(), 600);
     }
 
     #[test]
     fn probe_absent_key_yields_empty() {
-        let (mut disk, rel, idx) = setup(&[(1, 3), (9, 4)]);
+        let (mut disk, rel) = setup(&[(1, 3), (9, 4)]);
         let mut out = Vec::new();
-        idx.children(&mut disk, &rel, 4, &mut out).unwrap();
+        rel.children(&mut disk, 4, &mut out).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn probe_empty_relation() {
-        let (mut disk, rel, idx) = setup(&[]);
-        assert_eq!(idx.probe(&mut disk, 1).unwrap(), None);
+        let (mut disk, rel) = setup(&[]);
+        assert_eq!(rel.keys().page_count(), 0);
+        assert_eq!(rel.probe(&mut disk, 1).unwrap(), None);
         let mut out = Vec::new();
-        idx.children(&mut disk, &rel, 1, &mut out).unwrap();
+        rel.children(&mut disk, 1, &mut out).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn probe_every_key_round_trip() {
         let keys: Vec<(u32, usize)> = (0..200u32).map(|k| (k, (k % 7 + 1) as usize)).collect();
-        let (mut disk, rel, idx) = setup(&keys);
+        let (mut disk, rel) = setup(&keys);
         for &(k, m) in &keys {
             let mut out = Vec::new();
-            idx.children(&mut disk, &rel, k, &mut out).unwrap();
+            rel.children(&mut disk, k, &mut out).unwrap();
             assert_eq!(out.len(), m, "key {k}");
         }
+    }
+
+    #[test]
+    fn index_reads_back_as_the_first_key_of_every_data_page() {
+        // 600 data pages of distinct keys: the index spans two pages.
+        let data: Vec<Tuple> = (0..600 * TUPLES_PER_PAGE as u32 - 7)
+            .map(|i| (i / 3, i))
+            .collect();
+        let mut disk = DiskSim::new();
+        let rel = ClusteredRelation::bulk_load(&mut disk, FileKind::Relation, &data).unwrap();
+        assert_eq!(rel.tuples().page_count(), 600);
+        assert_eq!(rel.keys().page_count(), 2);
+        let mut keys = Vec::new();
+        rel.keys()
+            .read_range(&mut disk, 0, rel.keys().count(), &mut keys)
+            .unwrap();
+        let mut firsts = Vec::new();
+        for (i, &pid) in rel.tuples().pages().iter().enumerate() {
+            let first = disk.with_page(pid, |pg: &Page| crate::TuplePage::get(pg, 0).0);
+            firsts.push(first.unwrap());
+            assert_eq!(firsts[i], data[i * TUPLES_PER_PAGE].0, "page {i}");
+        }
+        assert_eq!(keys, firsts);
+        assert_eq!(
+            rel.file_ids(),
+            [rel.tuples().file_id(), rel.keys().file_id()]
+        );
     }
 }

@@ -5,10 +5,11 @@
 //! disk: fixed-size 2048-byte pages ([`page::PAGE_SIZE`]), a page-granular
 //! store with full I/O accounting ([`Store`]), file/extent
 //! management tagged by [`FileKind`], byte-exact page layouts for the
-//! paper's formats (8-byte tuples at 256 per page, sparse clustered index
-//! pages, and 30-block successor-list pages), clustered relation files,
-//! positional value files (bare `u32`s at 512 per page, for what is read
-//! through a table of offsets rather than by key), and an external merge
+//! paper's formats (8-byte tuples at 256 per page and 30-block
+//! successor-list pages), positional value files (bare `u32`s at 512 per
+//! page, for what is read by position rather than by key), clustered
+//! relations that carry their own sparse index (a value file of each
+//! data page's first key, [`ClusteredRelation`]), and an external merge
 //! sort used to build inverse relations.
 //!
 //! There is one store, generic over the byte [`Medium`] it keeps page
@@ -67,9 +68,9 @@ pub use fault::{FaultConfig, FaultKind, FaultPlan, ScheduledFault};
 pub use file_store::{FileStore, RecoveryReport, Segment, TempDir};
 pub use file_store::{HEADER_SIZE as FILE_STORE_HEADER_SIZE, SLOT_SIZE as FILE_STORE_SLOT_SIZE};
 pub use frozen::{Frozen, FrozenPageSet, FrozenStore};
-pub use index::ClusteredIndex;
+pub use index::ClusteredRelation;
 pub use layout::{
-    IndexPage, SuccBlockRef, SuccEntry, SuccPage, SuccWord, TuplePage, ValuePage, BLOCKS_PER_PAGE,
+    SuccBlockRef, SuccEntry, SuccPage, SuccWord, TuplePage, ValuePage, BLOCKS_PER_PAGE,
     ENTRIES_PER_BLOCK, SUCCESSORS_PER_PAGE, TUPLES_PER_PAGE, VALUES_PER_PAGE,
 };
 pub use medium::{Catalog, Medium};

@@ -6,8 +6,11 @@
 //! (source for the graph relation, destination for the inverse relation
 //! used by `JKB2`), packed 256 per page in key order.
 //!
-//! Scans and probes go through a [`Pager`], so they are charged to the
-//! buffer pool / disk exactly like any other page access.
+//! A relation found by key carries its sparse index with it, as a
+//! [`crate::ClusteredRelation`]; a [`RelationFile`] alone is scanned
+//! whole (query output, sort runs) or probed over a page range the
+//! index named. Scans and probes go through a [`Pager`], so they are
+//! charged to the buffer pool / disk exactly like any other page access.
 
 use crate::disk::{FileId, FileKind};
 use crate::error::{StorageError, StorageResult};
@@ -29,8 +32,6 @@ pub struct RelationFile {
     file: FileId,
     pages: Vec<PageId>,
     tuple_count: usize,
-    /// First clustering key on each page, kept for the sparse index build.
-    first_keys: Vec<u32>,
 }
 
 impl RelationFile {
@@ -54,14 +55,10 @@ impl RelationFile {
             file,
             pages: Vec::new(),
             tuple_count: 0,
-            first_keys: Vec::new(),
         };
         let mut page = Page::new();
         let mut slot = 0usize;
         for &(k, v) in tuples {
-            if slot == 0 {
-                rel.first_keys.push(k);
-            }
             TuplePage::put(&mut page, slot, k, v);
             slot += 1;
             if slot == TUPLES_PER_PAGE {
@@ -99,11 +96,6 @@ impl RelationFile {
     /// The data pages in key order.
     pub fn pages(&self) -> &[PageId] {
         &self.pages
-    }
-
-    /// First clustering key of each data page (for sparse index builds).
-    pub fn first_keys(&self) -> &[u32] {
-        &self.first_keys
     }
 
     /// Number of valid tuples on page index `i` (all pages are full except
@@ -157,7 +149,7 @@ impl RelationFile {
     }
 
     /// Reads the tuples with clustering key `key` from the page range
-    /// `[lo, hi]` (as produced by a [`crate::ClusteredIndex`] probe),
+    /// `[lo, hi]` (as produced by a [`crate::ClusteredRelation`] probe),
     /// appending the non-key components to `out`.
     ///
     /// Charges one access per page actually touched; stops early once the
@@ -205,16 +197,14 @@ impl RelationFile {
 /// Used wherever tuples are produced a few at a time against the buffer
 /// pool — query output files, external-sort runs, the arc-extraction pass
 /// of `JKB`'s preprocessing. Unlike [`RelationFile::bulk_load`], the input
-/// need not be sorted; [`TupleWriter::finish`] records whether it was, and
-/// only sorted files may later be indexed.
+/// need not be sorted, and nothing the writer writes is indexed: a
+/// relation found by key is a [`crate::ClusteredRelation`], built by one
+/// sorted bulk load.
 pub struct TupleWriter {
     file: FileId,
     pages: Vec<PageId>,
-    first_keys: Vec<u32>,
     count: usize,
     slot: usize,
-    sorted: bool,
-    last_key: Option<u32>,
 }
 
 impl TupleWriter {
@@ -224,11 +214,8 @@ impl TupleWriter {
         TupleWriter {
             file,
             pages: Vec::new(),
-            first_keys: Vec::new(),
             count: 0,
             slot: 0,
-            sorted: true,
-            last_key: None,
         }
     }
 
@@ -247,11 +234,10 @@ impl TupleWriter {
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> StorageResult<()> {
         let mut tuples = tuples.into_iter().peekable();
-        while let Some(&(first, _)) = tuples.peek() {
+        while tuples.peek().is_some() {
             if self.slot == 0 {
                 let pid = pager.alloc_page(self.file)?;
                 self.pages.push(pid);
-                self.first_keys.push(first);
             }
             let pid = *self
                 .pages
@@ -261,10 +247,6 @@ impl TupleWriter {
                 while self.slot < TUPLES_PER_PAGE {
                     let Some((k, v)) = tuples.next() else { break };
                     TuplePage::put(pg, self.slot, k, v);
-                    if self.last_key.is_some_and(|prev| k < prev) {
-                        self.sorted = false;
-                    }
-                    self.last_key = Some(k);
                     self.count += 1;
                     self.slot += 1;
                 }
@@ -279,18 +261,12 @@ impl TupleWriter {
         self.count
     }
 
-    /// Whether every tuple so far arrived in key order.
-    pub fn is_sorted(&self) -> bool {
-        self.sorted
-    }
-
     /// Finishes the file and returns its catalog entry.
     pub fn finish(self) -> RelationFile {
         RelationFile {
             file: self.file,
             pages: self.pages,
             tuple_count: self.count,
-            first_keys: self.first_keys,
         }
     }
 }
@@ -379,7 +355,6 @@ mod tests {
             w.push(&mut disk, t).unwrap();
         }
         assert_eq!(w.count(), 600);
-        assert!(w.is_sorted());
         let rel = w.finish();
         assert_eq!(rel.scan(&mut disk).unwrap(), data);
     }
@@ -399,7 +374,7 @@ mod tests {
         ] {
             let mut data = arcs(len);
             if len == 600 {
-                data.swap(10, 500); // unsorted input is recorded, not refused
+                data.swap(10, 500); // unsorted input is written as it comes
             }
             let (mut pushed_disk, mut extended_disk) = (DiskSim::new(), DiskSim::new());
             let mut pushed = TupleWriter::new(&mut pushed_disk, FileKind::Temp);
@@ -413,10 +388,8 @@ mod tests {
             let rest = data[head..].iter().copied();
             extended.extend(&mut extended_disk, rest).unwrap();
             assert_eq!(extended.count(), pushed.count(), "len {len}");
-            assert_eq!(extended.is_sorted(), pushed.is_sorted(), "len {len}");
             let (pushed, extended) = (pushed.finish(), extended.finish());
             assert_eq!(extended.pages(), pushed.pages(), "len {len}");
-            assert_eq!(extended.first_keys(), pushed.first_keys(), "len {len}");
             assert_eq!(extended.tuple_count(), len);
             for &pid in pushed.pages() {
                 let image = |disk: &mut DiskSim| disk.with_page(pid, |pg: &Page| pg.clone());
@@ -432,15 +405,6 @@ mod tests {
             assert_eq!(pushed_disk.stats().writes as usize, len);
             assert_eq!(extended_disk.stats().writes as usize, head + filled.len());
         }
-    }
-
-    #[test]
-    fn tuple_writer_detects_unsorted() {
-        let mut disk = DiskSim::new();
-        let mut w = TupleWriter::new(&mut disk, FileKind::Temp);
-        w.push(&mut disk, (5, 0)).unwrap();
-        w.push(&mut disk, (3, 0)).unwrap();
-        assert!(!w.is_sorted());
     }
 
     #[test]

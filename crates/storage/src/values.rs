@@ -80,6 +80,20 @@ impl ValueFile {
         &self.pages
     }
 
+    /// The value at position `at`: one page access, for the page that
+    /// holds it. A position at or past the end of the file is refused.
+    pub fn get<P: Pager + ?Sized>(&self, pager: &mut P, at: usize) -> StorageResult<u32> {
+        if at >= self.count {
+            return Err(StorageError::SlotOutOfBounds {
+                slot: at,
+                capacity: self.count,
+            });
+        }
+        pager.with_page(self.pages[at / VALUES_PER_PAGE], |pg: &Page| {
+            ValuePage::get(pg, at % VALUES_PER_PAGE)
+        })
+    }
+
     /// Appends the values at positions `[start, end)` to `out`: one page
     /// access per page touched, in page order. An empty range touches
     /// nothing; one that runs past the end of the file is refused.
@@ -334,6 +348,36 @@ mod tests {
                 pieces_store.read_page(pid, &mut b).unwrap();
                 assert!(a == b, "len {len}: image of {pid:?} differs");
             }
+        }
+    }
+
+    #[test]
+    fn get_reads_one_value_from_its_page() {
+        let mut rng = Rng::from_seed(0x5EED_0514);
+        let len = 3 * VALUES_PER_PAGE + 5;
+        let data = values(len, &mut rng);
+        let mut disk = DiskSim::new();
+        let file = ValueFile::bulk_load(&mut disk, FileKind::Output, &data).unwrap();
+        let mut ats = vec![0, len - 1];
+        for page in 1..=3 {
+            let boundary = page * VALUES_PER_PAGE;
+            ats.extend([boundary - 1, boundary, boundary + 1]);
+        }
+        for at in ats {
+            let mut want = Vec::new();
+            file.read_range(&mut disk, at, at + 1, &mut want).unwrap();
+            let before = disk.stats().reads;
+            assert_eq!(file.get(&mut disk, at).unwrap(), want[0], "at {at}");
+            assert_eq!(disk.stats().reads - before, 1, "at {at}: one request");
+        }
+        for at in [len, len + VALUES_PER_PAGE] {
+            assert_eq!(
+                file.get(&mut disk, at),
+                Err(StorageError::SlotOutOfBounds {
+                    slot: at,
+                    capacity: len
+                })
+            );
         }
     }
 

@@ -12,8 +12,8 @@
 //!
 //! The engines read with [`ListCursor::collect_into`], which copies each
 //! block's slots as stored words ([`SuccWord`], 4 bytes) and leaves the
-//! decoding to the loop that classifies them; `collect_entries`,
-//! `collect_nodes` and `next_batch` decode inside the same read loop.
+//! decoding to the loop that classifies them; `collect_entries` and
+//! `collect_nodes` decode inside the same read loop.
 
 use crate::store::SuccStore;
 use tc_storage::layout::succ::{SuccEntry, SuccPage, SuccWord, ENTRIES_PER_BLOCK};
@@ -46,20 +46,11 @@ impl ListCursor {
     }
 
     /// Total entries the cursor will yield.
-    pub fn remaining_entries(&self) -> usize {
+    fn remaining_entries(&self) -> usize {
         self.blocks[self.pos..]
             .iter()
             .map(|&(_, u)| u as usize)
             .sum()
-    }
-
-    /// Reads the next contiguous same-page run of blocks; returns `None`
-    /// at end of list. One pager access per call.
-    pub fn next_batch<P: Pager>(&mut self, pager: &mut P) -> StorageResult<Option<Vec<SuccEntry>>> {
-        let mut out = Vec::new();
-        Ok(self
-            .read_run(pager, &mut out, SuccWord::entry)?
-            .then_some(out))
     }
 
     /// Appends the slots of the next same-page run of blocks to `out`,
@@ -156,11 +147,10 @@ mod tests {
             store.append(&mut disk, 0, SuccEntry::plain(v)).unwrap();
         }
         disk.reset_stats();
-        let mut cur = ListCursor::new(&store, 0);
+        let cur = ListCursor::new(&store, 0);
         assert_eq!(cur.remaining_entries(), 100);
-        let batch = cur.next_batch(&mut disk).unwrap().unwrap();
-        assert_eq!(batch.len(), 100, "single page read in one batch");
-        assert!(cur.next_batch(&mut disk).unwrap().is_none());
+        let entries = cur.collect_entries(&mut disk).unwrap();
+        assert_eq!(entries.len(), 100, "single page read in one batch");
         assert_eq!(disk.stats().reads, 1);
     }
 
@@ -168,9 +158,10 @@ mod tests {
     fn empty_list_yields_nothing() {
         let mut disk = DiskSim::new();
         let store = SuccStore::new(&mut disk, 2, ListPolicy::Spill);
-        let mut cur = ListCursor::new(&store, 1);
-        assert!(cur.next_batch(&mut disk).unwrap().is_none());
+        let cur = ListCursor::new(&store, 1);
         assert_eq!(cur.remaining_entries(), 0);
+        assert!(cur.collect_entries(&mut disk).unwrap().is_empty());
+        assert_eq!(disk.stats().reads, 0);
     }
 
     #[test]
@@ -194,15 +185,10 @@ mod tests {
         for v in 0..900u32 {
             store.append(&mut disk, 0, SuccEntry::plain(v)).unwrap();
         }
-        let mut cur = ListCursor::new(&store, 0);
-        let mut batches = 0;
-        let mut total = 0;
-        while let Some(b) = cur.next_batch(&mut disk).unwrap() {
-            batches += 1;
-            total += b.len();
-        }
-        assert_eq!(total, 900);
-        assert_eq!(batches, 2, "two pages, two batches");
+        disk.reset_stats();
+        let nodes = ListCursor::new(&store, 0).collect_nodes(&mut disk).unwrap();
+        assert_eq!(nodes, (0..900).collect::<Vec<_>>());
+        assert_eq!(disk.stats().reads, 2, "two pages, two batches");
     }
 
     #[test]
@@ -211,9 +197,11 @@ mod tests {
         let mut store = SuccStore::new(&mut disk, 2, ListPolicy::Spill);
         store.append(&mut disk, 0, SuccEntry::tagged(5)).unwrap();
         store.append(&mut disk, 0, SuccEntry::plain(6)).unwrap();
-        let mut cur = ListCursor::new(&store, 0);
-        let batch = cur.next_batch(&mut disk).unwrap().unwrap();
-        assert_eq!(batch, vec![SuccEntry::tagged(5), SuccEntry::plain(6)]);
+        let entries = ListCursor::new(&store, 0).collect_entries(&mut disk);
+        assert_eq!(
+            entries.unwrap(),
+            vec![SuccEntry::tagged(5), SuccEntry::plain(6)]
+        );
     }
 
     #[test]
@@ -351,12 +339,6 @@ mod tests {
                         nodes.iter().eq(entries.iter().map(|e| &e.node)),
                         "nodes of list {node}"
                     );
-                    let mut cur = ListCursor::new(&store, node);
-                    let mut batched = Vec::new();
-                    while let Some(batch) = cur.next_batch(&mut disk).unwrap() {
-                        batched.extend(batch);
-                    }
-                    require_eq!(batched, entries, "batches of list {node}");
                 }
                 Ok(())
             },

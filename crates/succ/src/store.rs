@@ -531,12 +531,7 @@ mod tests {
     }
 
     fn read_all(disk: &mut DiskSim, store: &SuccStore, node: u32) -> Vec<u32> {
-        let mut cur = ListCursor::new(store, node);
-        let mut out = Vec::new();
-        while let Some(batch) = cur.next_batch(disk).unwrap() {
-            out.extend(batch.iter().map(|e| e.node));
-        }
-        out
+        ListCursor::new(store, node).collect_nodes(disk).unwrap()
     }
 
     #[test]
@@ -584,11 +579,9 @@ mod tests {
         for v in [7u32, 8, 9] {
             store.append_flat(&mut disk, 2, v).unwrap();
         }
-        let mut cur = ListCursor::new(&store, 2);
-        let mut entries = Vec::new();
-        while let Some(batch) = cur.next_batch(&mut disk).unwrap() {
-            entries.extend(batch);
-        }
+        let entries = ListCursor::new(&store, 2)
+            .collect_entries(&mut disk)
+            .unwrap();
         assert_eq!(entries.len(), 3);
         assert!(!entries[0].tagged && !entries[1].tagged);
         assert!(entries[2].tagged, "last entry must be negated");

@@ -26,7 +26,6 @@
 //! reorder page requests, not merge them.
 
 use crate::bitvec::NodeBitVec;
-use crate::cursor::ListCursor;
 use crate::store::SuccStore;
 use tc_storage::layout::succ::SuccEntry;
 use tc_storage::{Pager, StorageResult};
@@ -156,32 +155,29 @@ impl TreeScanState {
     }
 }
 
-/// Reads a whole tree into `(parent, child)` pairs (testing/debugging).
-pub fn read_tree<P: Pager>(
-    store: &SuccStore,
-    pager: &mut P,
-    owner: u32,
-) -> StorageResult<Vec<(u32, u32)>> {
-    let mut cur = ListCursor::new(store, owner);
-    let mut out = Vec::new();
-    let mut parent = owner;
-    while let Some(batch) = cur.next_batch(pager)? {
-        for e in batch {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cursor::ListCursor;
+    use crate::policy::ListPolicy;
+    use tc_storage::{DiskSim, PageStore};
+
+    /// Reads `owner`'s whole tree into `(parent, child)` pairs.
+    fn read_tree<P: Pager>(store: &SuccStore, pager: &mut P, owner: u32) -> Vec<(u32, u32)> {
+        let mut parent = owner;
+        let mut out = Vec::new();
+        for e in ListCursor::new(store, owner)
+            .collect_entries(pager)
+            .unwrap()
+        {
             if e.tagged {
                 parent = e.node;
             } else {
                 out.push((parent, e.node));
             }
         }
+        out
     }
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::policy::ListPolicy;
-    use tc_storage::{DiskSim, PageStore};
 
     fn setup() -> (DiskSim, SuccStore) {
         let mut disk = DiskSim::new();
@@ -198,7 +194,7 @@ mod tests {
             app.append(&mut disk, &mut store, p, v).unwrap();
         }
         assert_eq!(
-            read_tree(&store, &mut disk, 0).unwrap(),
+            read_tree(&store, &mut disk, 0),
             vec![(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]
         );
         // Storage: 2 root entries + marker(1) + 2 + marker(2) + 1 = 7.
@@ -218,7 +214,7 @@ mod tests {
         assert_eq!(store.len(0), 0, "nothing written before the flush");
         one.flush(&mut disk, &mut store).unwrap();
         one.flush(&mut disk, &mut store).unwrap();
-        assert_eq!(read_tree(&store, &mut disk, 0).unwrap(), pairs.to_vec());
+        assert_eq!(read_tree(&store, &mut disk, 0), pairs.to_vec());
         assert_eq!(store.len(0), store.len(9));
     }
 
@@ -230,7 +226,7 @@ mod tests {
         app.append(&mut disk, &mut store, 1, 2).unwrap();
         app.append(&mut disk, &mut store, 7, 3).unwrap(); // back to root
         assert_eq!(
-            read_tree(&store, &mut disk, 7).unwrap(),
+            read_tree(&store, &mut disk, 7),
             vec![(7, 1), (1, 2), (7, 3)]
         );
     }

@@ -3,7 +3,7 @@
 //! FNV-1a, `Page::checksum`'s byte reads against the lane hash fed the
 //! page's words one block at a time, `RelationFile::probe_range`'s
 //! in-page bisection against the linear slot scan,
-//! `ClusteredIndex::probe`'s search inside the index page it fetched
+//! `ClusteredRelation::probe`'s search inside the index page it fetched
 //! against one request per key read, and `ReachIndex::reach`'s
 //! one-page, one-entry lookup against the whole label row. Equal
 //! answers are not enough: each must also make the page requests its
@@ -18,10 +18,9 @@ use tc_study::det::check::{self, Checker};
 use tc_study::det::{require_eq, Rng};
 use tc_study::graph::{DagGenerator, NodeId};
 use tc_study::reach::{NullMeter, ReachIndex};
-use tc_study::storage::layout::KEYS_PER_INDEX_PAGE;
 use tc_study::storage::{
-    ClusteredIndex, DiskSim, FileKind, IndexPage, Page, PageId, PageStore, Pager, RelationFile,
-    Tuple, TuplePage, PAGE_SIZE, TUPLES_PER_PAGE, VALUES_PER_PAGE,
+    ClusteredRelation, DiskSim, FileKind, Page, PageId, PageStore, Pager, RelationFile, Tuple,
+    TuplePage, ValuePage, PAGE_SIZE, TUPLES_PER_PAGE, VALUES_PER_PAGE,
 };
 use tc_study::trace::{Event, Fnv, Kind, LaneHash, Tracer};
 
@@ -232,7 +231,7 @@ fn probe_range_bisection_matches_the_linear_scan() {
     }
 }
 
-/// `ClusteredIndex::probe` as it was: two bisections over the sparse
+/// `ClusteredRelation::probe` as it was: two bisections over the sparse
 /// keys, one request per key read. Returns the page range and the index
 /// page each request went to, in order.
 fn probe_per_key<P: Pager>(
@@ -246,10 +245,10 @@ fn probe_per_key<P: Pager>(
         return (None, requests);
     }
     let mut read_key = |pager: &mut P, i: usize| {
-        let pid = index_pages[i / KEYS_PER_INDEX_PAGE];
+        let pid = index_pages[i / VALUES_PER_PAGE];
         requests.push(pid);
         pager
-            .with_page(pid, |pg: &Page| IndexPage::get(pg, i % KEYS_PER_INDEX_PAGE))
+            .with_page(pid, |pg: &Page| ValuePage::get(pg, i % VALUES_PER_PAGE))
             .unwrap()
     };
     let (mut a, mut b) = (0usize, entries);
@@ -283,7 +282,7 @@ fn probe_per_key<P: Pager>(
 /// slot.
 fn clustered_relation(rng: &mut Rng) -> Vec<Tuple> {
     let pages = match rng.random_range(0..4u32) {
-        0 => rng.random_range(KEYS_PER_INDEX_PAGE + 1..3 * KEYS_PER_INDEX_PAGE),
+        0 => rng.random_range(VALUES_PER_PAGE + 1..3 * VALUES_PER_PAGE),
         _ => rng.random_range(4..40usize),
     };
     let tuples = pages * TUPLES_PER_PAGE - rng.random_range(0..TUPLES_PER_PAGE);
@@ -316,11 +315,10 @@ fn clustered_relation(rng: &mut Rng) -> Vec<Tuple> {
 }
 
 /// The relation of `data` and its index on a fresh simulated disk.
-fn indexed(data: &[Tuple]) -> (DiskSim, RelationFile, ClusteredIndex) {
+fn indexed(data: &[Tuple]) -> (DiskSim, ClusteredRelation) {
     let mut disk = DiskSim::new();
-    let rel = RelationFile::bulk_load(&mut disk, FileKind::Relation, data).unwrap();
-    let idx = ClusteredIndex::build(&mut disk, &rel).unwrap();
-    (disk, rel, idx)
+    let rel = ClusteredRelation::bulk_load(&mut disk, FileKind::Relation, data).unwrap();
+    (disk, rel)
 }
 
 #[test]
@@ -333,16 +331,17 @@ fn probe_searches_the_index_page_it_fetched() {
             |&seed| {
                 let mut rng = Rng::from_seed(seed);
                 let data = clustered_relation(&mut rng);
-                let (mut disk, rel, idx) = indexed(&data);
-                let index_pages = disk.file_page_ids(idx.file_id()).unwrap();
+                let (mut disk, idx) = indexed(&data);
+                let rel = idx.tuples();
+                let index_pages = disk.file_page_ids(idx.keys().file_id()).unwrap();
                 let entries = rel.page_count();
-                require_eq!(index_pages.len(), entries.div_ceil(KEYS_PER_INDEX_PAGE));
+                require_eq!(index_pages.len(), entries.div_ceil(VALUES_PER_PAGE));
 
                 // Every key around a page boundary, the ends, and a sample of
                 // the rest (all of them on a small relation).
                 let max_key = data[data.len() - 1].0;
                 let mut keys = vec![0, 1, max_key + 1, max_key + 2, u32::MAX];
-                for &k in rel.first_keys() {
+                for k in data.iter().step_by(TUPLES_PER_PAGE).map(|t| t.0) {
                     keys.extend([k.saturating_sub(1), k, k + 1]);
                 }
                 if entries <= 64 {
@@ -384,7 +383,7 @@ fn probe_searches_the_index_page_it_fetched() {
                         }
                     }
                     let (mut got, mut want) = (Vec::new(), Vec::new());
-                    idx.children(&mut new, &rel, key, &mut got).unwrap();
+                    idx.children(&mut new, key, &mut got).unwrap();
                     let (range, _) = probe_per_key(&index_pages, entries, &mut old, key);
                     let (lo, hi) = range.unwrap();
                     rel.probe_range(&mut old, key, lo, hi, &mut want).unwrap();

@@ -265,6 +265,9 @@ enum Needles {
     Spelled(&'static [&'static str]),
     /// Whatever this function finds in a text.
     Found(fn(&str) -> Vec<String>),
+    /// Whatever this function finds in the texts taken together, each
+    /// with the texts it names.
+    Across(fn(&[(String, String)]) -> Vec<(String, Vec<&str>)>),
 }
 
 struct Rule {
@@ -430,7 +433,107 @@ const RULES: &[Rule] = &[
         needles: Needles::Found(wall_times),
         fixture: "The full closure takes ~183 ms on two cores.",
     },
+    // A public function is a promise to a caller. One that no other file
+    // names — no crate, no test, no example, not the benchmark — is
+    // either dead or private in all but name.
+    Rule {
+        name: "no orphan API: a pub fn under crates/*/src is named outside \
+               its own file (delete it, make it private, or list it in \
+               UNCALLED_PUB_FNS with the reason)",
+        scope: Scope::Rust(&["crates", "src", "tests", "examples", "benchmark/src"]),
+        want: Want::Nowhere,
+        needles: Needles::Across(uncalled_pub_fns),
+        fixture: "pub fn nothing_else_names_this() {}",
+    },
 ];
+
+/// Public functions that no other file names, kept on purpose:
+/// `(file, name, why)`.
+const UNCALLED_PUB_FNS: &[(&str, &str, &str)] = &[(
+    "crates/core/src/snapshot.rs",
+    "reach_index",
+    "the freeze test in dynamic.rs finds the snapshot's label and chain pages through it",
+)];
+
+/// The lines of `text` that are code: up to the test section, without
+/// comments and without `pub use` re-exports (a re-export names a
+/// function without calling it).
+fn code_lines(text: &str) -> impl Iterator<Item = &str> {
+    let mut in_use = false;
+    text.lines()
+        .take_while(|line| !line.contains("#[cfg(test)]"))
+        .filter(move |line| {
+            let code = line.trim_start();
+            in_use |= code.starts_with("pub use ");
+            let keep = !in_use && !code.starts_with("//");
+            in_use &= !code.contains(';');
+            keep
+        })
+}
+
+/// Every identifier spelled in `text`'s code lines.
+fn identifiers(text: &str) -> std::collections::HashSet<&str> {
+    code_lines(text)
+        .flat_map(|line| line.split(|c: char| !c.is_alphanumeric() && c != '_'))
+        .filter(|word| !word.is_empty())
+        .collect()
+}
+
+/// Each `pub fn` defined in a crate's source (any text outside the
+/// umbrella crate's `src/`, a `tests/` or `examples/` tree and the
+/// benchmark) that no other text's code names, as `pub fn NAME` with
+/// its file; and each [`UNCALLED_PUB_FNS`] entry that is no longer
+/// such a function.
+fn uncalled_pub_fns(texts: &[(String, String)]) -> Vec<(String, Vec<&str>)> {
+    let names: Vec<_> = texts.iter().map(|(_, text)| identifiers(text)).collect();
+    let named_elsewhere = |i: usize, name: &str| {
+        (names.iter().enumerate()).any(|(j, names)| j != i && names.contains(name))
+    };
+    let defines_api = |file: &str| {
+        !file.contains("tests/")
+            && !["src/", "examples/", "benchmark/"]
+                .iter()
+                .any(|r| file.starts_with(r))
+    };
+    let mut out = Vec::new();
+    let mut allowed_seen = Vec::new();
+    for (i, (file, text)) in texts.iter().enumerate() {
+        if !defines_api(file) {
+            continue;
+        }
+        for line in code_lines(text) {
+            let code = line.trim_start();
+            let Some(rest) = code
+                .strip_prefix("pub fn ")
+                .or_else(|| code.strip_prefix("pub const fn "))
+            else {
+                continue;
+            };
+            let name = rest
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .next()
+                .unwrap_or_default();
+            if named_elsewhere(i, name) {
+                continue;
+            }
+            if UNCALLED_PUB_FNS
+                .iter()
+                .any(|&(f, n, _)| f == file && n == name)
+            {
+                allowed_seen.push((file.as_str(), name));
+            } else {
+                out.push((format!("pub fn {name}"), vec![file.as_str()]));
+            }
+        }
+    }
+    for &(file, name, _) in UNCALLED_PUB_FNS {
+        if !allowed_seen.contains(&(file, name)) {
+            let stale = format!("UNCALLED_PUB_FNS entry {name}: no uncalled pub fn of that name");
+            out.push((stale, vec![file]));
+        }
+    }
+    out
+}
 
 /// Every hex literal of 16 digits or more, underscores stripped and
 /// case folded, so `0xAB_CD..` and `0xabcd..` are one value.
@@ -580,6 +683,7 @@ fn hits<'t>(rule: &Rule, texts: &'t [(String, String)]) -> Vec<(String, Vec<&'t 
             }
             found.into_iter().collect()
         }
+        Needles::Across(find) => find(texts),
     }
 }
 
