@@ -9,7 +9,10 @@
 //! space, k chain-suffix probes per source — so the rectangle model's
 //! width `W` (§5.3), which tracks k across the corpus, predicts exactly
 //! where the index beats the paper's algorithms and where it drowns in
-//! its own labels. Three parts:
+//! its own labels. The labels file is chain-major, clustered for the
+//! serving `path` walk, so a selection reads each of the k label columns
+//! once over the span of its sources' components — about one pass over
+//! the label file for a spread-out source set. Three parts:
 //!
 //! 1. **Head-to-head**: all nine algorithms on a narrow family (G4,
 //!    `l = 20`) and a wide one (G6, `l = 2000`).
@@ -162,8 +165,9 @@ pub fn run(opts: &ExpOpts) -> ExpResult<String> {
     Ok(format!(
         "## Reachability index (extension) — chain-decomposition labels vs the 1994 suite\n\n\
          REACHINDEX condenses the graph, partitions the condensation DAG into k\n\
-         concurrent chains, and persists O(k·n) interval labels; a query reads one\n\
-         k-entry label row per source and scans the chain suffixes it points at.\n\
+         concurrent chains, and persists O(k·n) interval labels, one column per\n\
+         chain; a query reads each column once over its sources' span and scans\n\
+         the chain suffixes each source's labels point at.\n\
          All nine algorithms below run the same s = {S} selection on the same paged\n\
          substrate and cost model.\n\n\
          ### Head-to-head on a narrow (G4) and a wide (G6) family\n\n{}\n\

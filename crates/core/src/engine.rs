@@ -187,28 +187,28 @@ fn execute(
             }
             run.enter_compute(pool);
 
-            // Compute: per source, fetch the persisted label row and
-            // scan the chain suffixes it points at — every component on
-            // chain c at a position ≥ the label is reachable, each
-            // exactly once (chains partition the condensation).
+            // Compute: fetch the sources' persisted label rows (one read
+            // of each label column, over the sources' span) and, per
+            // source, scan the chain suffixes its row points at — every
+            // component on chain c at a position ≥ the label is
+            // reachable, each exactly once (chains partition the
+            // condensation).
             let sources = query.effective_sources(db.n());
             let mut output = TupleWriter::new(pool, FileKind::Output);
-            let k = idx.width();
-            let mut row: Vec<u32> = Vec::with_capacity(k);
-            let mut comps: Vec<u32> = Vec::new();
-            for &s in &sources {
-                let a = idx.component(s);
+            let comps: Vec<NodeId> = sources.iter().map(|&s| idx.component(s)).collect();
+            let mut rows: Vec<u32> = Vec::new();
+            idx.label_rows(pool, &comps, &mut run.metrics, &mut rows)?;
+            let mut suffix: Vec<u32> = Vec::new();
+            let k = idx.width().max(1);
+            for ((&s, &a), row) in sources.iter().zip(&comps).zip(rows.chunks_exact(k)) {
                 run.metrics.count_list_fetch();
-                idx.label_row(pool, a, &mut row)?;
-                run.metrics.count_tuple_reads(k as u64);
-                for c in 0..k {
-                    let p = row[c];
+                for (c, &p) in row.iter().enumerate() {
                     if p == tc_reach::NO_POS {
                         continue;
                     }
-                    idx.chain_suffix(pool, c as u32, p, &mut comps)?;
-                    run.metrics.count_tuple_reads(comps.len() as u64);
-                    for &b in &comps {
+                    idx.chain_suffix(pool, c as u32, p, &mut suffix)?;
+                    run.metrics.count_tuple_reads(suffix.len() as u64);
+                    for &b in &suffix {
                         if b == a && !cond.is_cyclic(a) {
                             continue; // trivial component: irreflexive
                         }

@@ -28,7 +28,10 @@
 //! ([`tc_reach::ReachIndex`]), and no page when `u` and `v` share a
 //! component; `ptc(u)` reads exactly the closure pages holding row `u`;
 //! and `path(u, v)` walks guided by the index, probing base-relation
-//! children one node at a time. Accounting is by page requested, and a
+//! children one node at a time. Every label lookup of a walk toward `v`
+//! lands in one column of the chain-major labels file, `chain(v)`'s, so
+//! a walk reads that column's few pages over and over instead of one
+//! page per child tested. Accounting is by page requested, and a
 //! request names only the pages the answer is decoded from.
 
 use crate::config::SystemConfig;
@@ -180,7 +183,9 @@ impl ClosedSnapshot {
     /// first (smallest-id) child that still reaches `v`, so the answer
     /// is deterministic and the cost is one `reach` lookup for `(u, v)`,
     /// then per hop one children read plus one label page per child
-    /// tested with `reach`. Reachability here is irreflexive:
+    /// tested with `reach`. Every one of those label pages belongs to
+    /// column `chain(v)` (⌈N / 512⌉ pages, N the component count), so a
+    /// walk reads one label column. Reachability here is irreflexive:
     /// `path(u, u)` is `None` on the frozen DAG.
     pub fn path<P: Pager>(
         &self,

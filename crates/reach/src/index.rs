@@ -25,6 +25,14 @@
 //! study algorithms. It is the one writer of those files. Both are read
 //! by position — the index is k·n integers, as in Kritikakis/Tollis — so
 //! neither stores a key beside its values.
+//!
+//! The labels file is clustered for the access that dominates: a `path`
+//! walk toward `v` tests `L[y][chain(v)]` for child after child `y`, so
+//! the file is chain-major. Column `c` — entry `L[a][c]` of every
+//! component `a` — is values `c·N..(c + 1)·N`, N the component count,
+//! and a walk's lookups all fall in the ⌈N / 512⌉ pages of one column.
+//! The in-memory [`LabelMatrix`] stays row-major, the shape its
+//! recurrence is computed in.
 
 use tc_graph::{condensation, Condensation, Graph, NodeId};
 use tc_storage::{FileId, FileKind, Pager, StorageError, StorageResult, ValueFile, ValueWriter};
@@ -45,6 +53,10 @@ pub trait ReachMeter {
     /// `n` label entries read from a successor structure.
     fn entries_read(&mut self, n: u64);
 }
+
+/// Label columns transposed per pass over the rows when the labels file
+/// is written: 16 `u32`s fill a 64-byte cache line.
+const TRANSPOSE_BLOCK: usize = 16;
 
 /// A [`ReachMeter`] that counts nothing.
 pub struct NullMeter;
@@ -124,9 +136,9 @@ impl LabelMatrix {
 /// * a **chains file** ([`FileKind::Index`]): one component per chain
 ///   position, chains concatenated in order (chain `c` starts at value
 ///   `chain_starts[c]`);
-/// * a **labels file** ([`FileKind::SuccessorList`]): k values
-///   `pos-or-NO_POS` per component, in chain order — the label rows,
-///   row `v` at values `v·k..(v + 1)·k`.
+/// * a **labels file** ([`FileKind::SuccessorList`]): N values
+///   `pos-or-NO_POS` per chain, N the component count, in chain order —
+///   the label columns, entry `L[a][c]` at value `c·N + a`.
 ///
 /// A reader computes the exact page range of what it wants from those
 /// positions, so there is no key to store and no separate index file.
@@ -162,9 +174,22 @@ impl ReachIndex {
                 chain_starts.push(chains_w.count());
                 chains_w.extend_from_slice(pager, chain)?;
             }
-            // The matrix is row-major in component order: it is the
-            // file's content already.
-            labels_w.extend_from_slice(pager, &labels.rows)
+            // The matrix is row-major; the file is its transpose, written
+            // TRANSPOSE_BLOCK columns at a time, so that each pass over
+            // the rows reads whole cache lines rather than one entry a
+            // row.
+            let (n, k) = (cond.component_count(), cd.width());
+            let mut block = vec![NO_POS; TRANSPOSE_BLOCK.min(k) * n];
+            for c0 in (0..k).step_by(TRANSPOSE_BLOCK) {
+                let w = TRANSPOSE_BLOCK.min(k - c0);
+                for (a, row) in labels.rows.chunks_exact(k).enumerate() {
+                    for (j, &p) in row[c0..c0 + w].iter().enumerate() {
+                        block[j * n + a] = p;
+                    }
+                }
+                labels_w.extend_from_slice(pager, &block[..w * n])?;
+            }
+            Ok(())
         })();
         let (chains_file, labels_file) = (chains_w.finish(), labels_w.finish());
         if let Err(e) = written {
@@ -231,21 +256,43 @@ impl ReachIndex {
         [self.chains_file.file_id(), self.labels_file.file_id()]
     }
 
-    /// Reads component `v`'s persisted label row (k entries, chain
-    /// order) into `out`, touching exactly the pages holding the row.
-    pub fn label_row<P: Pager>(
+    /// Reads the persisted label rows of components `comps` into `out`:
+    /// k entries each, in chain order, row `i` for `comps[i]`. The file
+    /// is chain-major, so this reads each column once, over the span
+    /// from the least to the greatest of `comps`, and requests each
+    /// label page at most once per chain it holds; `meter` is charged
+    /// the entries read. A component past the last is refused.
+    pub fn label_rows<P: Pager, M: ReachMeter>(
         &self,
         pager: &mut P,
-        v: NodeId,
+        comps: &[NodeId],
+        meter: &mut M,
         out: &mut Vec<u32>,
     ) -> StorageResult<()> {
+        let (n, k) = (self.cond.component_count(), self.cd.width());
         out.clear();
-        let k = self.cd.width();
-        if k == 0 {
+        out.resize(comps.len() * k, NO_POS);
+        let (Some(&lo), Some(&hi)) = (comps.iter().min(), comps.iter().max()) else {
             return Ok(());
+        };
+        let (lo, hi) = (lo as usize, hi as usize);
+        if hi >= n {
+            return Err(StorageError::SlotOutOfBounds {
+                slot: hi,
+                capacity: n,
+            });
         }
-        let start = v as usize * k;
-        self.labels_file.read_range(pager, start, start + k, out)
+        let mut column = Vec::with_capacity(hi + 1 - lo);
+        for c in 0..k {
+            column.clear();
+            self.labels_file
+                .read_range(pager, c * n + lo, c * n + hi + 1, &mut column)?;
+            meter.entries_read(column.len() as u64);
+            for (row, &a) in out.chunks_exact_mut(k).zip(comps) {
+                row[c] = column[a as usize - lo];
+            }
+        }
+        Ok(())
     }
 
     /// Reads the components at positions `from_pos..` of chain `c` from
@@ -271,14 +318,15 @@ impl ReachIndex {
 
     /// Whether `u` reaches `v` by a non-empty path, answered from the
     /// *persisted* label entry `L[u][chain(v)]`: one pager request, for
-    /// the one page holding that entry, when `u` and `v` lie in
-    /// different components, and none when they share one.
+    /// the one page of column `chain(v)` holding that entry, when `u`
+    /// and `v` lie in different components, and none when they share
+    /// one.
     pub fn reach<P: Pager>(&self, pager: &mut P, u: NodeId, v: NodeId) -> StorageResult<bool> {
         let (a, b) = (self.component(u), self.component(v));
         if a == b {
             return Ok(self.cond.is_cyclic(a));
         }
-        let at = a as usize * self.cd.width() + self.cd.chain_of[b as usize] as usize;
+        let at = self.cd.chain_of[b as usize] as usize * self.cond.component_count() + a as usize;
         Ok(self.labels_file.get(pager, at)? <= self.cd.pos_of[b as usize])
     }
 
@@ -332,14 +380,27 @@ mod tests {
     }
 
     #[test]
-    fn persisted_rows_equal_matrix_rows() {
+    fn persisted_columns_equal_matrix_columns() {
         let g = DagGenerator::new(300, 4.0, 60).seed(4).generate();
         let (mut disk, idx) = build(&g);
-        let mut row = Vec::new();
-        for v in 0..idx.condensation().component_count() as NodeId {
-            idx.label_row(&mut disk, v, &mut row).unwrap();
-            assert_eq!(&row[..], idx.labels().row(v), "row {v}");
+        let n = idx.condensation().component_count();
+        assert_eq!(idx.labels_file.count(), n * idx.width());
+        for c in 0..idx.width() {
+            for a in 0..n {
+                let entry = idx.labels_file.get(&mut disk, c * n + a).unwrap();
+                assert_eq!(entry, idx.labels().row(a as NodeId)[c], "L[{a}][{c}]");
+            }
         }
+        // Rows of a scattered subset, in the order asked for.
+        let comps: Vec<NodeId> = (0..n as NodeId).rev().step_by(7).collect();
+        let mut rows = Vec::new();
+        idx.label_rows(&mut disk, &comps, &mut NullMeter, &mut rows)
+            .unwrap();
+        for (row, &a) in rows.chunks_exact(idx.width()).zip(&comps) {
+            assert_eq!(row, idx.labels().row(a), "row {a}");
+        }
+        let past = idx.label_rows(&mut disk, &[n as NodeId], &mut NullMeter, &mut rows);
+        assert!(matches!(past, Err(StorageError::SlotOutOfBounds { .. })));
     }
 
     #[test]

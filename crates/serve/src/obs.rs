@@ -23,14 +23,16 @@ use tc_obs::{Counter, Histogram, LatencyHistogram, MetricsRegistry};
 const REPLIES_TOTAL: &str = "tc_serve_replies_total";
 const QUEUE_WAIT: &str = "tc_serve_queue_wait_ns";
 const SERVICE: &str = "tc_serve_service_ns";
+const PAGES_READ: &str = "tc_serve_pages_read_total";
 
 /// A counter name and the [`ClientReport`] field it sums.
 type ClientTotal = (&'static str, fn(&ClientReport) -> u64);
 
 /// Deterministic-track totals an armed [`ServeObs`] exports, one line
-/// each.
+/// each. The pages read are also split by request kind, one
+/// `tc_serve_pages_read_total{kind="…"}` line each.
 const CLIENT_TOTALS: [ClientTotal; 5] = [
-    ("tc_serve_pages_read_total", |c| c.pages_read),
+    (PAGES_READ, |c| c.pages_read),
     ("tc_serve_cache_hits_total", |c| c.stats.cache_hits),
     ("tc_serve_cache_lookups_total", |c| c.stats.cache_lookups),
     ("tc_serve_buffer_hits_total", |c| c.buffer.hits),
@@ -42,18 +44,12 @@ struct Inner {
     replies: Counter,
     queue_wait: Histogram,
     service: Histogram,
-    /// Per-kind service histograms, indexed by `kind_index`.
+    /// Per-kind service histograms, indexed by [`Request::kind`].
     by_kind: [Histogram; 3],
+    /// Per-kind pages read, indexed by [`Request::kind`].
+    pages_by_kind: [Counter; 3],
     /// One counter per row of [`CLIENT_TOTALS`], in order.
     client_totals: [Counter; CLIENT_TOTALS.len()],
-}
-
-fn kind_index(req: &Request) -> usize {
-    match req {
-        Request::Reach { .. } => 0,
-        Request::Ptc { .. } => 1,
-        Request::Path { .. } => 2,
-    }
 }
 
 /// Optional serve-side metrics recorder threaded through
@@ -74,15 +70,18 @@ impl ServeObs {
         let replies = registry.counter(REPLIES_TOTAL);
         let queue_wait = registry.histogram(QUEUE_WAIT);
         let service = registry.histogram(SERVICE);
-        let by_kind = ["reach", "ptc", "path"]
-            .map(|kind| registry.histogram(&format!("{SERVICE}{{kind=\"{kind}\"}}")));
+        let by_kind =
+            Request::KINDS.map(|kind| registry.histogram(&format!("{SERVICE}{{kind=\"{kind}\"}}")));
         let client_totals = CLIENT_TOTALS.map(|(name, _)| registry.counter(name));
+        let pages_by_kind = Request::KINDS
+            .map(|kind| registry.counter(&format!("{PAGES_READ}{{kind=\"{kind}\"}}")));
         ServeObs(Some(Arc::new(Inner {
             registry,
             replies,
             queue_wait,
             service,
             by_kind,
+            pages_by_kind,
             client_totals,
         })))
     }
@@ -100,7 +99,7 @@ impl ServeObs {
             inner.replies.inc();
             inner.queue_wait.record(queue_wait_ns);
             inner.service.record(service_ns);
-            inner.by_kind[kind_index(req)].record(service_ns);
+            inner.by_kind[req.kind()].record(service_ns);
         }
     }
 
@@ -110,6 +109,9 @@ impl ServeObs {
         if let Some(inner) = &self.0 {
             for (counter, (_, of)) in inner.client_totals.iter().zip(CLIENT_TOTALS) {
                 counter.add(of(report));
+            }
+            for (counter, &pages) in inner.pages_by_kind.iter().zip(&report.stats.pages_by_kind) {
+                counter.add(pages);
             }
         }
     }
@@ -195,6 +197,28 @@ mod tests {
             prom.contains("tc_serve_worker_busy_ns{worker=\"0\"} 6000"),
             "{prom}"
         );
+        // A client's pages read are exported whole and split by kind.
+        obs.record_client(&ClientReport {
+            records: Vec::new(),
+            pages_read: 10,
+            buffer: Default::default(),
+            stats: crate::SessionStats {
+                pages_by_kind: [2, 3, 5],
+                ..Default::default()
+            },
+        });
+        let prom = obs.render_prometheus().expect("armed");
+        for line in [
+            "tc_serve_pages_read_total 10",
+            "tc_serve_pages_read_total{kind=\"reach\"} 2",
+            "tc_serve_pages_read_total{kind=\"ptc\"} 3",
+            "tc_serve_pages_read_total{kind=\"path\"} 5",
+        ] {
+            assert!(
+                prom.lines().any(|l| l == line),
+                "{line} missing from\n{prom}"
+            );
+        }
         // Clones share the same inner state.
         let clone = obs.clone();
         clone.record_reply(&Request::Path { u: 0, v: 1 }, 1, 1);

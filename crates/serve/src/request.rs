@@ -36,6 +36,19 @@ pub enum Request {
 }
 
 impl Request {
+    /// The request kinds' names, indexed by [`Request::kind`]: the order
+    /// of every per-kind count and metric label.
+    pub const KINDS: [&'static str; 3] = ["reach", "ptc", "path"];
+
+    /// The request's kind, as an index into [`Request::KINDS`].
+    pub fn kind(&self) -> usize {
+        match self {
+            Request::Reach { .. } => 0,
+            Request::Ptc { .. } => 1,
+            Request::Path { .. } => 2,
+        }
+    }
+
     /// The source vertex the request is keyed on (what the hot-source
     /// cache and the Zipf load skew operate over).
     pub fn source(&self) -> NodeId {

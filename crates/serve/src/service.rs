@@ -314,6 +314,19 @@ impl ServeReport {
         self.clients.iter().map(|c| c.pages_read).sum()
     }
 
+    /// Physical pages read across all sessions, split by request kind
+    /// (indexed by [`Request::kind`]). Sums to [`ServeReport::pages_read`]
+    /// when no session rebound to a published snapshot.
+    pub fn pages_by_kind(&self) -> [u64; 3] {
+        let mut total = [0; 3];
+        for c in &self.clients {
+            for (t, n) in total.iter_mut().zip(c.stats.pages_by_kind) {
+                *t += n;
+            }
+        }
+        total
+    }
+
     /// Total hot-source cache hits across all sessions.
     pub fn cache_hits(&self) -> u64 {
         self.clients.iter().map(|c| c.stats.cache_hits).sum()
@@ -374,6 +387,25 @@ mod tests {
         let one = run(1);
         assert_eq!(one, run(2));
         assert_eq!(one, run(8));
+    }
+
+    #[test]
+    fn pages_by_kind_sum_to_pages_read_at_any_worker_count() {
+        let svc = service();
+        let s = stream();
+        let run = |workers| {
+            let report = svc
+                .serve(&s, &ServeConfig::default().workers(workers))
+                .unwrap();
+            (report.pages_by_kind(), report.pages_read())
+        };
+        let (kinds, total) = run(1);
+        assert_eq!(kinds.iter().sum::<u64>(), total);
+        assert!(
+            kinds.iter().all(|&n| n > 0),
+            "{kinds:?}: a kind read nothing"
+        );
+        assert_eq!(run(4), (kinds, total));
     }
 
     #[test]

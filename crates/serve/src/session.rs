@@ -98,6 +98,11 @@ pub struct SessionStats {
     pub cache_lookups: u64,
     /// Probes answered from the cache.
     pub cache_hits: u64,
+    /// Physical pages read while handling each kind of request, indexed
+    /// by [`Request::kind`]. Carried over a rebind, like the rest of
+    /// these counters, where [`Session::pages_read`] starts again with
+    /// the new pool.
+    pub pages_by_kind: [u64; 3],
 }
 
 /// The hot-source cache: full `ptc` rows keyed by source vertex, with
@@ -189,9 +194,17 @@ impl Session {
         self.snapshot = snap;
     }
 
-    /// Handles one request against the current snapshot.
+    /// Handles one request against the current snapshot, and adds the
+    /// pages it read to its kind's count.
     pub fn handle(&mut self, req: &Request) -> StorageResult<Reply> {
         self.stats.requests += 1;
+        let before = self.pages_read();
+        let reply = self.answer(req);
+        self.stats.pages_by_kind[req.kind()] += self.pages_read() - before;
+        reply
+    }
+
+    fn answer(&mut self, req: &Request) -> StorageResult<Reply> {
         match *req {
             Request::Reach { u, v } => {
                 self.stats.cache_lookups += 1;

@@ -4,11 +4,11 @@
 //! on a key, found through a sparse index, 256 to a page. Three files of
 //! this system are never probed by key. The materialized closure is read
 //! through the row table its owner keeps (source `u`'s successors are
-//! values `rows[u]..rows[u + 1]`), a label row is values `v·k..(v + 1)·k`,
-//! a chain suffix is a run of the chains file whose start is known. Their
-//! readers address values *by position*, so a key stored beside each
-//! value would only double the bytes every scan, rewrite and capture
-//! moves. A [`ValueFile`] is that file: bare values,
+//! values `rows[u]..rows[u + 1]`), a label column is values
+//! `c·N..(c + 1)·N`, a chain suffix is a run of the chains file whose
+//! start is known. Their readers address values *by position*, so a key
+//! stored beside each value would only double the bytes every scan,
+//! rewrite and capture moves. A [`ValueFile`] is that file: bare values,
 //! [`VALUES_PER_PAGE`] to a page, in the order written.
 //!
 //! Reads and writes go through a [`Pager`] and are charged like any other

@@ -21,7 +21,8 @@ fn main() {
     // 1. Build: condense the graph, partition the condensation DAG into
     //    k concurrent chains (greedy path cover in topological order),
     //    compute the k-entry interval-label row of every vertex, and
-    //    persist chains + labels through the paged store.
+    //    persist chains + labels (chain-major: one column per chain)
+    //    through the paged store.
     let mut disk = DiskSim::new();
     let idx = ReachIndex::build(&mut disk, &graph, &Tracer::disabled(), &mut NullMeter)
         .expect("build index");
@@ -46,8 +47,9 @@ fn main() {
 
     // 3. Engine: the same index as the ninth algorithm, through the
     //    standard two-phase run — restructuring builds and persists the
-    //    index, computation scans one label row and its chain suffixes
-    //    per source. Compare against BJ, the paper's all-round winner.
+    //    index, computation reads each label column once over the
+    //    sources and scans the chain suffixes each source's labels
+    //    point at. Compare against BJ, the paper's all-round winner.
     let cfg = SystemConfig::with_buffer(20);
     let query = Query::partial(vec![11, 203, 477]);
     let mut db = Database::build(&graph, true).expect("load database");

@@ -116,9 +116,13 @@ g_dynamic() {
 g_reach() {
   export TC_DET_CASES=256
   t --test reach_differential --test reach_props
-  # A lookup requests the one label page holding its entry, none inside a
-  # component.
-  t --test decode_exactness reach_decodes_one_entry_and_requests_only_its_page
+  # The labels file is chain-major: a lookup requests the one page of its
+  # column holding its entry (none inside a component), and a path walk
+  # toward v stays in column chain(v).
+  t --test decode_exactness label_lookups_request_only_the_page_of_their_column_entry
+  # The REACHINDEX engine reads each label column once, over its sources'
+  # span, and a one-source query at most k + 1 label pages.
+  t --test decode_exactness reachindex_reads_each_label_column_once_over_its_sources_span
   harness
   section reach-sim.md reachindex --quick --backend sim
   section reach-file.md reachindex --quick --backend file

@@ -270,8 +270,10 @@ fn serve(args: &ServeArgs) -> Result<(), String> {
     })?;
 
     let buffer = report.buffer();
+    let [reach, ptc, path] = report.pages_by_kind();
     println!(
-        "served {} replies: stream={:016x} digest={:016x} pages_read={} cache={}/{} buffer={}/{}",
+        "served {} replies: stream={:016x} digest={:016x} pages_read={} \
+         reach/ptc/path={reach}/{ptc}/{path} cache={}/{} buffer={}/{}",
         report.replies(),
         stream.digest(),
         report.digest(),

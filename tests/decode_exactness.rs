@@ -5,24 +5,29 @@
 //! in-page bisection against the linear slot scan,
 //! `ClusteredRelation::probe`'s search inside the index page it fetched
 //! against one request per key read, and `ReachIndex::reach`'s
-//! one-page, one-entry lookup against the whole label row. Equal
+//! one-page, one-entry lookup against the persisted entry. Equal
 //! answers are not enough: each must also make the page requests its
 //! reference makes, because those are what the study counts — for the
 //! probe, the same requests with a page's consecutive repeats folded
 //! into one, and so the same physical reads; for `reach`, one request
-//! for the page holding the entry and none when `u` and `v` share a
-//! component.
+//! for the page of the chain-major labels file holding the entry, none
+//! when `u` and `v` share a component, and only pages of column
+//! `chain(v)` over a whole `path(u, v)` walk. The REACHINDEX engine
+//! reads each label column once, over its sources' span.
 
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use tc_study::buffer::{BufferPool, PagePolicy};
+use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require_eq, Rng};
-use tc_study::graph::{DagGenerator, NodeId};
-use tc_study::reach::{NullMeter, ReachIndex};
+use tc_study::graph::{condensation, DagGenerator, NodeId};
+use tc_study::reach::{ChainDecomposition, NullMeter, ReachIndex};
 use tc_study::storage::{
     ClusteredRelation, DiskSim, FileKind, Page, PageId, PageStore, Pager, RelationFile, Tuple,
     TuplePage, ValuePage, PAGE_SIZE, TUPLES_PER_PAGE, VALUES_PER_PAGE,
 };
-use tc_study::trace::{Event, Fnv, Kind, LaneHash, Tracer};
+use tc_study::trace::{Event, Fnv, Kind, LaneHash, Phase, Tracer, VecSink};
 
 /// FNV-1a 64, one byte at a time.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -405,7 +410,7 @@ fn probe_searches_the_index_page_it_fetched() {
 }
 
 #[test]
-fn reach_decodes_one_entry_and_requests_only_its_page() {
+fn label_lookups_request_only_the_page_of_their_column_entry() {
     let g = DagGenerator::new(240, 3.0, 30).seed(21).generate();
     // Two identical builds, so both pools start in the same state.
     let build = || {
@@ -414,43 +419,208 @@ fn reach_decodes_one_entry_and_requests_only_its_page() {
         (pool, idx)
     };
     let ((mut fast_pool, idx), (mut ref_pool, _)) = (build(), build());
-    let k = idx.width();
+    let n = idx.condensation().component_count();
     assert!(
-        !VALUES_PER_PAGE.is_multiple_of(k),
-        "some rows must straddle pages for the test to mean anything (k = {k})"
+        !VALUES_PER_PAGE.is_multiple_of(n),
+        "some columns must straddle pages for the test to mean anything (N = {n})"
     );
     let labels = ref_pool
         .store()
         .file_pages(idx.files()[1])
         .unwrap()
         .to_vec();
-    // A third build, read outside both pools, so neither's counters move.
+    // A third build, read outside both pools, so neither's counters move:
+    // every component's persisted row.
     let mut disk = DiskSim::new();
     let whole = ReachIndex::build(&mut disk, &g, &Tracer::disabled(), &mut NullMeter).unwrap();
+    let all: Vec<NodeId> = (0..n as NodeId).collect();
+    let mut rows = Vec::new();
+    whole
+        .label_rows(&mut disk, &all, &mut NullMeter, &mut rows)
+        .unwrap();
+    let k = idx.width();
     let cd = idx.decomposition();
-    let (mut row, mut second_pages) = (Vec::new(), 0);
+    let mut later_pages = 0;
     for u in 0..g.n() as NodeId {
         for v in 0..g.n() as NodeId {
             let fast = idx.reach(&mut fast_pool, u, v).unwrap();
             let (a, b) = (idx.component(u), idx.component(v));
             if a != b {
                 // The reference requests the entry's page and nothing else.
-                let at = a as usize * k + cd.chain_of[b as usize] as usize;
+                let c = cd.chain_of[b as usize];
+                let at = c as usize * n + a as usize;
                 ref_pool
                     .with_page(labels[at / VALUES_PER_PAGE], |_| ())
                     .unwrap();
-                if at / VALUES_PER_PAGE != a as usize * k / VALUES_PER_PAGE {
-                    second_pages += 1;
+                if at / VALUES_PER_PAGE != c as usize * n / VALUES_PER_PAGE {
+                    later_pages += 1;
                 }
-                whole.label_row(&mut disk, a, &mut row).unwrap();
-                let from_row = row[cd.chain_of[b as usize] as usize] <= cd.pos_of[b as usize];
-                assert_eq!(fast, from_row, "reach({u}, {v}) vs its label row");
+                let persisted = rows[a as usize * k + c as usize] <= cd.pos_of[b as usize];
+                assert_eq!(fast, persisted, "reach({u}, {v}) vs its persisted entry");
             }
             assert_eq!(fast, idx.reach_mem(u, v), "reach({u}, {v}) vs memory");
             assert_eq!(fast_pool.stats(), ref_pool.stats(), "after reach({u}, {v})");
             assert_eq!(fast_pool.store().stats(), ref_pool.store().stats());
         }
     }
-    assert!(second_pages > 0, "no lookup landed on a row's second page");
+    assert!(
+        later_pages > 0,
+        "no lookup landed past a column's first page"
+    );
     assert!(fast_pool.stats().evictions > 0, "the pool never filled");
+
+    // A path walk toward v tests L[y][chain(v)] for child after child y:
+    // every label page it requests lies in column chain(v). The graph is
+    // large enough that a column spans several pages and a page holds
+    // mostly one column.
+    let g = DagGenerator::new(1500, 3.0, 60).seed(22).generate();
+    let snap = ClosedSnapshot::build(&g, &SystemConfig::with_buffer(12)).unwrap();
+    let idx = snap.reach_index();
+    let n = idx.condensation().component_count();
+    let labels = snap
+        .open_store()
+        .file_pages(idx.files()[1])
+        .unwrap()
+        .to_vec();
+    let page_of: HashMap<u32, usize> = labels.iter().enumerate().map(|(i, p)| (p.0, i)).collect();
+    let mut rng = Rng::from_seed(0xC01);
+    let (mut walks, mut requests) = (0, 0);
+    while walks < 200 {
+        let u = rng.random_range(0..g.n()) as NodeId;
+        let v = rng.random_range(0..g.n()) as NodeId;
+        // Read straight from a store, so every request is a traced read.
+        let mut store = snap.open_store();
+        let sink = Arc::new(VecSink::unbounded());
+        store.set_tracer(Tracer::new(sink.clone()));
+        let Some(hops) = snap.path(&mut store, u, v).unwrap() else {
+            continue;
+        };
+        walks += 1;
+        let c = idx.decomposition().chain_of[idx.component(v) as usize] as usize;
+        let column = c * n / VALUES_PER_PAGE..=((c + 1) * n - 1) / VALUES_PER_PAGE;
+        for e in sink.events() {
+            let Event::PageRead { page, .. } = e else {
+                continue;
+            };
+            if let Some(&i) = page_of.get(&page) {
+                requests += 1;
+                assert!(
+                    column.contains(&i),
+                    "path({u}, {v}) via {hops:?}: label page {i} is outside column {c} \
+                     (pages {column:?})"
+                );
+            }
+        }
+    }
+    assert!(
+        requests > 2 * walks,
+        "walks tested too few children to mean anything ({requests} label requests)"
+    );
+}
+
+#[test]
+fn reachindex_reads_each_label_column_once_over_its_sources_span() {
+    let g = DagGenerator::new(1500, 3.0, 60).seed(23).generate();
+    let cond = condensation(&g);
+    let n = cond.component_count();
+    let k = ChainDecomposition::of(&cond.graph, &Tracer::disabled(), &mut NullMeter)
+        .unwrap()
+        .width();
+    assert!(
+        n > 2 * VALUES_PER_PAGE,
+        "a column must span pages (N = {n})"
+    );
+    // Sources named by component: a narrow window in the middle, a wide
+    // one, and a single source.
+    let by_comp = |lo: usize, hi: usize, step: usize| -> Vec<NodeId> {
+        (0..g.n() as NodeId)
+            .filter(|&v| {
+                let a = cond.component[v as usize] as usize;
+                (lo..hi).contains(&a) && a.is_multiple_of(step)
+            })
+            .collect()
+    };
+    let queries = [
+        by_comp(n / 2, n / 2 + 40, 3),
+        by_comp(n / 8, n - n / 8, 97),
+        by_comp(n / 3, n / 3 + 1, 1),
+    ];
+    for sources in queries {
+        let comps: Vec<usize> = sources
+            .iter()
+            .map(|&s| cond.component[s as usize] as usize)
+            .collect();
+        let (lo, hi) = (
+            comps.iter().min().copied().unwrap(),
+            comps.iter().max().copied().unwrap(),
+        );
+        let sink = Arc::new(VecSink::unbounded());
+        let cfg = SystemConfig::with_buffer(10)
+            .validated()
+            .traced(Tracer::new(sink.clone()));
+        let mut db = Database::build(&g, false).unwrap();
+        db.run(
+            &Query::partial(sources.clone()),
+            Algorithm::ReachIndex,
+            &cfg,
+        )
+        .unwrap();
+        let events = sink.events();
+        // The labels file is the run's one successor-list file; its pages
+        // are allocated in position order.
+        let labels: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::PageAlloc {
+                    page,
+                    kind: Kind::SuccessorList,
+                } => Some(page),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(labels.len(), (n * k).div_ceil(VALUES_PER_PAGE));
+        let compute = events
+            .iter()
+            .position(|e| {
+                matches!(
+                    e,
+                    Event::PhaseBegin {
+                        phase: Phase::Compute
+                    }
+                )
+            })
+            .expect("a compute phase");
+        let mut requested: BTreeMap<usize, usize> = BTreeMap::new();
+        for e in &events[compute..] {
+            if let Event::BufHit { page, .. } | Event::BufMiss { page, .. } = *e {
+                if let Some(i) = labels.iter().position(|&p| p == page) {
+                    *requested.entry(i).or_default() += 1;
+                }
+            }
+        }
+        // Column c's span is values c·N + lo ..= c·N + hi.
+        let spans: Vec<_> = (0..k)
+            .map(|c| (c * n + lo) / VALUES_PER_PAGE..=(c * n + hi) / VALUES_PER_PAGE)
+            .collect();
+        for (&i, &times) in &requested {
+            let chains = spans.iter().filter(|s| s.contains(&i)).count();
+            assert!(
+                chains > 0,
+                "{} sources: label page {i} lies outside every span",
+                sources.len()
+            );
+            assert!(
+                times <= chains,
+                "{} sources: label page {i} requested {times} times, spans {chains} chains",
+                sources.len()
+            );
+        }
+        if sources.len() == 1 {
+            assert!(
+                requested.len() <= k + 1,
+                "one source read {} label pages, k = {k}",
+                requested.len()
+            );
+        }
+    }
 }

@@ -30,7 +30,7 @@ const GOLDEN: [(&str, u64); 14] = [
     ("ablations", 0x4B85_4915_6D31_D630),
     ("advisor", 0x9013_8046_901C_6AC6),
     ("updates", 0xA103_6603_DBBA_3A56),
-    ("reachindex", 0x86B9_2529_3B71_31FC),
+    ("reachindex", 0x627D_DD33_5514_DF6D),
 ];
 
 #[test]

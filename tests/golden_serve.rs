@@ -33,7 +33,7 @@ const GOLDEN_SNAPSHOT_PAGES: usize = 4_328;
 /// Aggregate served-reply digest of the canonical serve.
 const GOLDEN_REPLY_DIGEST: u64 = 0xD947_85B3_1083_1163;
 /// Physical pages read across all four sessions.
-const GOLDEN_PAGES_READ: u64 = 2_282;
+const GOLDEN_PAGES_READ: u64 = 1_183;
 /// Hot-source cache hits / probes across all four sessions.
 const GOLDEN_CACHE: (u64, u64) = (1, 180);
 

@@ -38,7 +38,7 @@ const GOLDEN: [(&str, u64, u64); 9] = [
     ("JKB", 0xFF5B7B2E48B88139, 126376),
     ("JKB2", 0x2D3F04FED5DF35AA, 139752),
     ("SEMINAIVE", 0x03CAE93C00223F48, 117821),
-    ("REACHINDEX", 0xBA809325D2444186, 61492),
+    ("REACHINDEX", 0x35534BBAB3648222, 64970),
 ];
 
 /// The two backends, each with the canonical 20-page configuration and

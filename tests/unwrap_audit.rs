@@ -449,11 +449,7 @@ const RULES: &[Rule] = &[
 
 /// Public functions that no other file names, kept on purpose:
 /// `(file, name, why)`.
-const UNCALLED_PUB_FNS: &[(&str, &str, &str)] = &[(
-    "crates/core/src/snapshot.rs",
-    "reach_index",
-    "the freeze test in dynamic.rs finds the snapshot's label and chain pages through it",
-)];
+const UNCALLED_PUB_FNS: &[(&str, &str, &str)] = &[];
 
 /// The lines of `text` that are code: up to the test section, without
 /// comments and without `pub use` re-exports (a re-export names a
