@@ -9,8 +9,7 @@
 //!
 //! * [`rng`] — a seeded PRNG: SplitMix64 seed expansion feeding
 //!   xoshiro256++, with a `rand`-flavoured API ([`Rng::from_seed`],
-//!   [`Rng::random_range`], [`Rng::fill`], [`Rng::shuffle`]). Replaces
-//!   `rand`.
+//!   [`Rng::random_range`], [`Rng::shuffle`]). Replaces `rand`.
 //! * [`check`] — a mini property-testing harness: seeded case loop,
 //!   tunable case count (`TC_DET_CASES`), greedy shrinking and
 //!   failing-seed replay (`TC_DET_SEED`). Replaces `proptest`.

@@ -140,19 +140,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Fills `dest` with uniformly random bytes.
-    pub fn fill(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rest = chunks.into_remainder();
-        if !rest.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rest.copy_from_slice(&bytes[..rest.len()]);
-        }
-    }
-
     /// Uniform Fisher–Yates shuffle of `slice`.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -258,17 +245,6 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn empty_range_panics() {
         Rng::from_seed(0).random_range(5..5u32);
-    }
-
-    #[test]
-    fn fill_deterministic_and_full() {
-        let mut a = Rng::from_seed(9);
-        let mut b = Rng::from_seed(9);
-        let (mut x, mut y) = ([0u8; 13], [0u8; 13]);
-        a.fill(&mut x);
-        b.fill(&mut y);
-        assert_eq!(x, y);
-        assert!(x.iter().any(|&v| v != 0));
     }
 
     #[test]

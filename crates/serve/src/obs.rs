@@ -11,8 +11,8 @@
 //! wall-clock and therefore *never* part of the deterministic track —
 //! the reply digests, page counts and cache counters of a serve are
 //! byte-identical whether a `ServeObs` is armed or not (pinned by the
-//! determinism-under-timing suite). The exported totals only copy
-//! counters a [`ClientReport`] already holds, once per client.
+//! determinism-under-timing suite). The exported totals are one table
+//! over the ledger a [`ClientReport`] holds, added once per client.
 
 use crate::request::Request;
 use crate::service::ClientReport;
@@ -23,16 +23,25 @@ use tc_obs::{Counter, Histogram, LatencyHistogram, MetricsRegistry};
 const REPLIES_TOTAL: &str = "tc_serve_replies_total";
 const QUEUE_WAIT: &str = "tc_serve_queue_wait_ns";
 const SERVICE: &str = "tc_serve_service_ns";
-const PAGES_READ: &str = "tc_serve_pages_read_total";
 
-/// A counter name and the [`ClientReport`] field it sums.
+/// A counter name and the [`ClientReport`] counter it sums.
 type ClientTotal = (&'static str, fn(&ClientReport) -> u64);
 
+/// The pages a client read handling requests of kind `K`.
+fn pages_of<const K: usize>(c: &ClientReport) -> u64 {
+    c.stats.pages_by_kind[K]
+}
+
 /// Deterministic-track totals an armed [`ServeObs`] exports, one line
-/// each. The pages read are also split by request kind, one
-/// `tc_serve_pages_read_total{kind="…"}` line each.
-const CLIENT_TOTALS: [ClientTotal; 5] = [
-    (PAGES_READ, |c| c.pages_read),
+/// each: the pages read, whole and by [`Request::KINDS`] in order, then
+/// the cache and buffer counters.
+const CLIENT_TOTALS: [ClientTotal; 8] = [
+    ("tc_serve_pages_read_total", |c| {
+        c.stats.pages_by_kind.iter().sum()
+    }),
+    (r#"tc_serve_pages_read_total{kind="reach"}"#, pages_of::<0>),
+    (r#"tc_serve_pages_read_total{kind="ptc"}"#, pages_of::<1>),
+    (r#"tc_serve_pages_read_total{kind="path"}"#, pages_of::<2>),
     ("tc_serve_cache_hits_total", |c| c.stats.cache_hits),
     ("tc_serve_cache_lookups_total", |c| c.stats.cache_lookups),
     ("tc_serve_buffer_hits_total", |c| c.buffer.hits),
@@ -46,8 +55,6 @@ struct Inner {
     service: Histogram,
     /// Per-kind service histograms, indexed by [`Request::kind`].
     by_kind: [Histogram; 3],
-    /// Per-kind pages read, indexed by [`Request::kind`].
-    pages_by_kind: [Counter; 3],
     /// One counter per row of [`CLIENT_TOTALS`], in order.
     client_totals: [Counter; CLIENT_TOTALS.len()],
 }
@@ -73,15 +80,12 @@ impl ServeObs {
         let by_kind =
             Request::KINDS.map(|kind| registry.histogram(&format!("{SERVICE}{{kind=\"{kind}\"}}")));
         let client_totals = CLIENT_TOTALS.map(|(name, _)| registry.counter(name));
-        let pages_by_kind = Request::KINDS
-            .map(|kind| registry.counter(&format!("{PAGES_READ}{{kind=\"{kind}\"}}")));
         ServeObs(Some(Arc::new(Inner {
             registry,
             replies,
             queue_wait,
             service,
             by_kind,
-            pages_by_kind,
             client_totals,
         })))
     }
@@ -109,9 +113,6 @@ impl ServeObs {
         if let Some(inner) = &self.0 {
             for (counter, (_, of)) in inner.client_totals.iter().zip(CLIENT_TOTALS) {
                 counter.add(of(report));
-            }
-            for (counter, &pages) in inner.pages_by_kind.iter().zip(&report.stats.pages_by_kind) {
-                counter.add(pages);
             }
         }
     }
@@ -197,10 +198,10 @@ mod tests {
             prom.contains("tc_serve_worker_busy_ns{worker=\"0\"} 6000"),
             "{prom}"
         );
-        // A client's pages read are exported whole and split by kind.
+        // A client's pages read are exported split by kind, and whole
+        // as the sum of the split.
         obs.record_client(&ClientReport {
             records: Vec::new(),
-            pages_read: 10,
             buffer: Default::default(),
             stats: crate::SessionStats {
                 pages_by_kind: [2, 3, 5],

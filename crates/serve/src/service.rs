@@ -106,16 +106,16 @@ pub struct ReplyRecord {
     pub reply: Option<Reply>,
 }
 
-/// Everything one client's session produced.
+/// Everything one client's session produced: its replies and its
+/// ledger, each counter once and over every snapshot the session read.
+/// The pages it read are the sum of `stats.pages_by_kind`.
 #[derive(Clone, Debug)]
 pub struct ClientReport {
     /// Answered requests, in issue order.
     pub records: Vec<ReplyRecord>,
-    /// Physical pages the session read through its private store.
-    pub pages_read: u64,
-    /// The session's buffer-pool counters.
+    /// The buffer-pool counters of every pool the session bound, added.
     pub buffer: BufferStats,
-    /// The session's logical counters.
+    /// The session's logical counters and per-kind pages read.
     pub stats: SessionStats,
 }
 
@@ -267,8 +267,7 @@ impl Service {
             });
         }
         let report = ClientReport {
-            pages_read: session.pages_read(),
-            buffer: session.buffer_stats().clone(),
+            buffer: session.buffer_total(),
             stats: session.stats(),
             records,
         };
@@ -309,14 +308,14 @@ impl ServeReport {
         self.clients.iter().map(|c| c.records.len()).sum()
     }
 
-    /// Total physical pages read across all sessions.
+    /// Total physical pages read across all sessions: the sum of
+    /// [`ServeReport::pages_by_kind`].
     pub fn pages_read(&self) -> u64 {
-        self.clients.iter().map(|c| c.pages_read).sum()
+        self.pages_by_kind().iter().sum()
     }
 
     /// Physical pages read across all sessions, split by request kind
-    /// (indexed by [`Request::kind`]). Sums to [`ServeReport::pages_read`]
-    /// when no session rebound to a published snapshot.
+    /// (indexed by [`Request::kind`]).
     pub fn pages_by_kind(&self) -> [u64; 3] {
         let mut total = [0; 3];
         for c in &self.clients {
@@ -390,22 +389,22 @@ mod tests {
     }
 
     #[test]
-    fn pages_by_kind_sum_to_pages_read_at_any_worker_count() {
+    fn pages_by_kind_sum_to_the_buffer_misses_at_any_worker_count() {
         let svc = service();
         let s = stream();
         let run = |workers| {
             let report = svc
                 .serve(&s, &ServeConfig::default().workers(workers))
                 .unwrap();
-            (report.pages_by_kind(), report.pages_read())
+            (report.pages_by_kind(), report.buffer().misses)
         };
-        let (kinds, total) = run(1);
-        assert_eq!(kinds.iter().sum::<u64>(), total);
+        let (kinds, misses) = run(1);
+        assert_eq!(kinds.iter().sum::<u64>(), misses);
         assert!(
             kinds.iter().all(|&n| n > 0),
             "{kinds:?}: a kind read nothing"
         );
-        assert_eq!(run(4), (kinds, total));
+        assert_eq!(run(4), (kinds, misses));
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! checked, fault-injectable, counted and traced sequence — it just
 //! moves no bytes, and a session costs no `buffer_pages` × 2 KB.
 //!
+//! A rebind swaps in a fresh pool and store, so [`Session::pages_read`]
+//! and [`Session::buffer_stats`] count one binding; the session's
+//! ledger, [`SessionStats`] and a carried buffer total, counts them all.
+//!
 //! The hot-source cache is keyed on the source vertex and holds full
 //! `ptc` rows. Admission happens on `ptc` misses (the row was just paid
 //! for); `reach(u, v)` queries consult it first and answer by binary
@@ -34,17 +38,15 @@ use tc_storage::{FaultConfig, FaultPlan, PageStore, StorageResult};
 /// `cell_seed(CACHE_SEED, [client])`.
 const CACHE_SEED: u64 = 0x5E12_CA5E;
 
-/// Per-session configuration: pool shape, cache size, fault
+/// Per-session configuration: pool size, cache size, fault
 /// plumbing. One config is shared by all sessions of a service run;
 /// per-session randomness (fault streams from the config's seed, cache
 /// replacement from a fixed one) is derived with [`cell_seed`] on the
-/// client id.
+/// client id. A session's pool is always LRU.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    /// Frames of the session's private buffer pool.
+    /// Frames of the session's private (LRU) buffer pool.
     pub buffer_pages: usize,
-    /// Page replacement policy of the session's pool.
-    pub page_policy: PagePolicy,
     /// Hot-source cache capacity, in sources (0 disables the cache).
     pub cache_sources: usize,
     /// Optional deterministic fault injection: each session arms its
@@ -56,7 +58,6 @@ impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
             buffer_pages: 8,
-            page_policy: PagePolicy::Lru,
             cache_sources: 4,
             fault: None,
         }
@@ -67,12 +68,6 @@ impl SessionConfig {
     /// Builder-style: pool size in frames.
     pub fn buffer_pages(mut self, m: usize) -> Self {
         self.buffer_pages = m;
-        self
-    }
-
-    /// Builder-style: pool replacement policy.
-    pub fn page_policy(mut self, p: PagePolicy) -> Self {
-        self.page_policy = p;
         self
     }
 
@@ -89,7 +84,8 @@ impl SessionConfig {
     }
 }
 
-/// A session's logical counters (I/O counters live on its pool/store).
+/// A session's logical counters and the pages it read, carried over
+/// every rebind.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct SessionStats {
     /// Requests handled.
@@ -99,9 +95,8 @@ pub struct SessionStats {
     /// Probes answered from the cache.
     pub cache_hits: u64,
     /// Physical pages read while handling each kind of request, indexed
-    /// by [`Request::kind`]. Carried over a rebind, like the rest of
-    /// these counters, where [`Session::pages_read`] starts again with
-    /// the new pool.
+    /// by [`Request::kind`]. Their sum is every page the session read,
+    /// under every binding.
     pub pages_by_kind: [u64; 3],
 }
 
@@ -146,6 +141,8 @@ pub struct Session {
     pool: BufferPool,
     cache: SourceCache,
     stats: SessionStats,
+    /// Buffer counters of the pools of earlier bindings.
+    rebound_buffer: BufferStats,
     client: u64,
     cfg: SessionConfig,
 }
@@ -159,6 +156,7 @@ impl Session {
             snapshot,
             pool,
             stats: SessionStats::default(),
+            rebound_buffer: BufferStats::default(),
             client,
             cfg: cfg.clone(),
         }
@@ -171,7 +169,7 @@ impl Session {
             plan.seed = cell_seed(fault.seed, &[client]);
             store.set_fault_plan(FaultPlan::new(plan));
         }
-        BufferPool::new(store, cfg.buffer_pages.max(1), cfg.page_policy)
+        BufferPool::new(store, cfg.buffer_pages.max(1), PagePolicy::Lru)
     }
 
     /// The epoch of the snapshot this session currently reads.
@@ -182,14 +180,17 @@ impl Session {
     /// Points the session at `snap` if its epoch differs from the
     /// current one: a fresh pool over the new page images, cache
     /// cleared (rows of the old closure must not answer for the new),
-    /// logical counters carried over. In-flight state of other sessions
-    /// is untouched — this is how the service swaps snapshots while old
-    /// epochs keep serving.
+    /// the outgoing pool's buffer counters added to the session's
+    /// carried total, logical counters kept. In-flight state of other
+    /// sessions is untouched — this is how the service swaps snapshots
+    /// while old epochs keep serving.
     pub fn rebind(&mut self, snap: Arc<ClosedSnapshot>) {
         if snap.epoch() == self.snapshot.epoch() {
             return;
         }
-        self.pool = Session::pool_for(&snap, &self.cfg, self.client);
+        let pool = Session::pool_for(&snap, &self.cfg, self.client);
+        let old = std::mem::replace(&mut self.pool, pool);
+        self.rebound_buffer = self.rebound_buffer.plus(old.stats());
         self.cache.entries.clear();
         self.snapshot = snap;
     }
@@ -228,19 +229,29 @@ impl Session {
         }
     }
 
-    /// Logical counters (requests, cache probes/hits).
+    /// The whole session's logical counters and per-kind pages read,
+    /// every binding included.
     pub fn stats(&self) -> SessionStats {
         self.stats
     }
 
-    /// Buffer-pool counters of the session's private pool.
+    /// Buffer-pool counters of this binding's pool: they start again at
+    /// every rebind. The whole session's are a
+    /// [`ClientReport::buffer`](crate::ClientReport::buffer).
     pub fn buffer_stats(&self) -> &BufferStats {
         self.pool.stats()
     }
 
-    /// Physical pages read by this session (misses of its private pool,
-    /// each admitted and charged by the frozen store; writes are
-    /// impossible).
+    /// Buffer-pool counters of the whole session: every binding's pool,
+    /// added.
+    pub(crate) fn buffer_total(&self) -> BufferStats {
+        self.rebound_buffer.plus(self.pool.stats())
+    }
+
+    /// Physical pages read under this binding (misses of its private
+    /// pool, each admitted and charged by the frozen store; writes are
+    /// impossible): they start again at every rebind. The whole
+    /// session's are the sum of [`SessionStats::pages_by_kind`].
     pub fn pages_read(&self) -> u64 {
         self.pool.store().stats().reads
     }
@@ -249,7 +260,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_core::SystemConfig;
+    use tc_core::{DynamicClosure, SystemConfig};
     use tc_graph::{closure, DagGenerator};
 
     fn snapshot() -> (tc_graph::Graph, Arc<ClosedSnapshot>) {
@@ -320,5 +331,34 @@ mod tests {
         a.handle(&Request::Ptc { u }).unwrap();
         assert!(a.pages_read() > 0);
         assert_eq!(b.pages_read(), 0);
+    }
+
+    #[test]
+    fn the_ledger_keeps_every_binding_across_a_rebind() {
+        let (g, snap) = snapshot();
+        let cfg = SystemConfig::with_buffer(12);
+        let next = DynamicClosure::build(&g, &cfg).unwrap().freeze(1).unwrap();
+        let requests = [
+            Request::Ptc { u: 3 },
+            Request::Reach { u: 7, v: 150 },
+            Request::Path { u: 0, v: 199 },
+        ];
+        // One binding's reads, as the binding itself counts them.
+        let bind = |s: &mut Session| {
+            for req in &requests {
+                s.handle(req).unwrap();
+            }
+            (s.pages_read(), s.buffer_stats().clone())
+        };
+        let mut s = Session::new(snap, &SessionConfig::default(), 0);
+        let (pages0, buffer0) = bind(&mut s);
+        s.rebind(Arc::new(next));
+        assert_eq!(s.epoch(), 1);
+        let (pages1, buffer1) = bind(&mut s);
+        assert!(pages0 > 0 && pages1 > 0, "a binding read nothing");
+        assert_eq!(s.stats().pages_by_kind.iter().sum::<u64>(), pages0 + pages1);
+        let buffer = buffer0.plus(&buffer1);
+        assert_eq!(s.buffer_total(), buffer);
+        assert_eq!(buffer.misses, pages0 + pages1, "one read per miss");
     }
 }

@@ -136,6 +136,9 @@ g_serve() {
   t --test serve_differential --test serve_props --test lend_props --test serve_snapshot --test golden_serve
   # One changed id, a swap, a trailing 0 or another shape: a new digest.
   TC_DET_CASES=1024 t -p tc-serve --lib reply_digest_sees_every_id
+  # A session's ledger outlives a rebind: the per-kind pages sum to every
+  # binding's reads, and the buffer counters are every pool's, added.
+  t -p tc-serve --lib the_ledger_keeps_every_binding_across_a_rebind
 }
 
 g_obs() {

@@ -1,8 +1,8 @@
 //! Property test: the serving layer's deterministic track is invariant
 //! under worker count.
 //!
-//! For `tc-det`-generated random DAGs × seeded query streams × every
-//! page-replacement policy × optional transient-fault plans, a serve
+//! For `tc-det`-generated random DAGs × seeded query streams ×
+//! optional transient-fault plans, a serve
 //! at 1 worker and a serve at a random 2–8 workers must produce the
 //! same per-reply digest sequence, the same aggregate reply digest,
 //! the same physical page reads, and the same cache counters — and the
@@ -13,7 +13,6 @@
 //! with the printed `TC_DET_SEED=...`.
 
 use std::sync::Arc;
-use tc_study::buffer::PagePolicy;
 use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require_eq, Rng};
@@ -27,12 +26,11 @@ mod common;
 use common::dag_of;
 
 /// Raw generated input: `(n, base arc pairs)`, `(clients, per_client,
-/// stream seed, mix index)`, the challenger worker count, a policy
-/// index, and an optional fault seed.
+/// stream seed, mix index)`, the challenger worker count, and an
+/// optional fault seed.
 type RawCase = (
     (usize, Vec<(u32, u32)>),
     (usize, usize, u64, usize),
-    usize,
     usize,
     Option<u64>,
 );
@@ -51,19 +49,18 @@ fn generate(rng: &mut Rng) -> RawCase {
         rng.random_range(0..MIXES.len()),
     );
     let workers = rng.random_range(2..9usize);
-    let policy = rng.random_range(0..PagePolicy::ALL.len());
     let fault = rng
         .random_range(0..3u32)
         .eq(&0)
         .then(|| rng.random_range(0..1_000_000));
-    ((n, pairs), stream, workers, policy, fault)
+    ((n, pairs), stream, workers, fault)
 }
 
 fn shrink(case: &RawCase) -> Vec<RawCase> {
-    let ((n, pairs), stream, workers, policy, fault) = case;
+    let ((n, pairs), stream, workers, fault) = case;
     let mut out: Vec<RawCase> = check::shrink_vec(pairs)
         .into_iter()
-        .map(|p| ((*n, p), *stream, *workers, *policy, *fault))
+        .map(|p| ((*n, p), *stream, *workers, *fault))
         .collect();
     let (clients, per_client, seed, mix) = *stream;
     if per_client > 1 {
@@ -71,7 +68,6 @@ fn shrink(case: &RawCase) -> Vec<RawCase> {
             (*n, pairs.clone()),
             (clients, per_client / 2, seed, mix),
             *workers,
-            *policy,
             *fault,
         ));
     }
@@ -80,12 +76,11 @@ fn shrink(case: &RawCase) -> Vec<RawCase> {
             (*n, pairs.clone()),
             (clients / 2, per_client, seed, mix),
             *workers,
-            *policy,
             *fault,
         ));
     }
     if fault.is_some() {
-        out.push(((*n, pairs.clone()), *stream, *workers, *policy, None));
+        out.push(((*n, pairs.clone()), *stream, *workers, None));
     }
     out
 }
@@ -115,8 +110,8 @@ fn deterministic_track_is_invariant_under_worker_count() {
     Checker::new("serve_worker_invariance")
         .cases(32)
         .run(generate, shrink, |case| {
-            let (raw, &(clients, per_client, seed, mix), &workers, &policy, fault) =
-                (&case.0, &case.1, &case.2, &case.3, &case.4);
+            let (raw, &(clients, per_client, seed, mix), &workers, fault) =
+                (&case.0, &case.1, &case.2, &case.3);
             let g = dag_of(raw);
             let snap = match ClosedSnapshot::build(&g, &SystemConfig::with_buffer(8)) {
                 Ok(s) => Arc::new(s),
@@ -131,10 +126,7 @@ fn deterministic_track_is_invariant_under_worker_count() {
                 LoopMode::Closed,
                 seed,
             );
-            let mut session = SessionConfig::default()
-                .buffer_pages(4)
-                .page_policy(PagePolicy::ALL[policy])
-                .cache_sources(2);
+            let mut session = SessionConfig::default().buffer_pages(4).cache_sources(2);
             if let Some(seed) = fault {
                 // Transient-only: always clears within the retry
                 // budget, never reaches a counted number.
