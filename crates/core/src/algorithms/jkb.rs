@@ -31,6 +31,7 @@ use crate::database::Database;
 use crate::metrics::CostMetrics;
 use crate::restructure::Restructured;
 use tc_buffer::BufferPool;
+use tc_graph::BitRow;
 use tc_storage::{extsort, FileKind, StorageResult, TupleWriter};
 use tc_succ::tree::{TreeAppender, TreeScanState, TreeStep};
 use tc_succ::{ListCursor, ListPolicy, NodeBitVec, SuccStore};
@@ -138,24 +139,19 @@ pub fn compute(
     // of v).
     let mut covered = NodeBitVec::new(n);
 
-    // Source-cover bitsets: cover[x] = the set of sources reaching x
+    // Source-cover bitsets: covers[x] = the set of sources reaching x
     // (indexed into the source list). x is a merge point — special — only
-    // if no single special node above it already covers cover[x]; this is
+    // if no single special node above it already covers that set; this is
     // the operational form of the paper's "nearest common ancestor of at
-    // least two unrelated sources" (see DESIGN.md). `covers` holds every
-    // node's cover in one array, `cover_words` words from `x * cover_words`,
-    // written when x is processed; `src_index[v]` is v's position in the
-    // source list, `NOT_A_SOURCE` if it has none.
+    // least two unrelated sources" (see DESIGN.md). `covers[x]` is written
+    // when x is processed; `src_index[v]` is v's position in the source
+    // list, `NOT_A_SOURCE` if it has none.
     const NOT_A_SOURCE: u32 = u32::MAX;
     let mut src_index = vec![NOT_A_SOURCE; n];
     for (i, &s) in r.sources.iter().enumerate() {
         src_index[s as usize] = i as u32;
     }
-    let cover_words = r.sources.len().div_ceil(64).max(1);
-    let mut covers = vec![0u64; n * cover_words];
-    fn cover(covers: &[u64], words: usize, v: u32) -> &[u64] {
-        &covers[v as usize * words..][..words]
-    }
+    let mut covers = vec![BitRow::new(r.sources.len()); n];
     // Scratch cleared per node or per union instead of reallocated: x's
     // predecessors, the tree being unioned, the nodes a union visited,
     // x's cover, and T_x's roots. A root is live unless `demoted` holds
@@ -164,7 +160,7 @@ pub fn compute(
     let mut preds = Vec::new();
     let mut entries = Vec::new();
     let mut seen_this_union: Vec<u32> = Vec::new();
-    let mut my_cover = vec![0u64; cover_words];
+    let mut my_cover = BitRow::new(r.sources.len());
     let mut roots: Vec<u32> = Vec::new();
     let mut demoted = NodeBitVec::new(n);
 
@@ -186,18 +182,13 @@ pub fn compute(
         let mut appender = TreeAppender::new(x);
 
         // Forward source-cover DP (pure in-memory bookkeeping).
-        my_cover.fill(0);
+        my_cover.clear();
         let i = src_index[x as usize];
         if i != NOT_A_SOURCE {
-            my_cover[i as usize / 64] |= 1u64 << (i % 64);
+            my_cover.set(i);
         }
         for w in &preds {
-            for (c, &pc) in my_cover
-                .iter_mut()
-                .zip(cover(&covers, cover_words, w.node()))
-            {
-                *c |= pc;
-            }
+            my_cover.union_with(&covers[w.node() as usize]);
         }
 
         for w in &preds {
@@ -288,11 +279,11 @@ pub fn compute(
         let mut live = roots.iter().filter(|&&rt| !demoted.contains(rt));
         if !r.is_source[x as usize]
             && live.clone().count() >= 2
-            && !live.any(|&rt| cover(&covers, cover_words, rt) == my_cover)
+            && !live.any(|&rt| covers[rt as usize] == my_cover)
         {
             special[x as usize] = true;
         }
-        covers[x as usize * cover_words..][..cover_words].copy_from_slice(&my_cover);
+        covers[x as usize].copy_from(&my_cover);
     }
     Ok(trees)
 }

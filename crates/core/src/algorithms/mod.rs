@@ -16,7 +16,7 @@ pub mod spn;
 
 use crate::metrics::CostMetrics;
 use tc_buffer::BufferPool;
-use tc_graph::NodeId;
+use tc_graph::{BitMatrix, NodeId};
 use tc_storage::StorageResult;
 use tc_succ::SuccStore;
 use tc_trace::{Event, Tracer};
@@ -55,7 +55,7 @@ pub(crate) fn write_union(
 /// and charges no I/O; the on-disk write-out is modeled separately.
 ///
 /// Node ids are dense and a closure is too, so the pairs are kept as a
-/// bit matrix — one row of id bits per source — once that matrix is no
+/// [`BitMatrix`] — one row of id bits per source — once that matrix is no
 /// larger than the pairs it replaces (a pair and a matrix word are both
 /// 8 bytes). The matrix needs an id bound
 /// ([`AnswerCollector::with_id_bound`]; the engine passes the graph's
@@ -75,28 +75,12 @@ pub struct AnswerCollector {
     trace: Tracer,
 }
 
-/// `sources` rows of `words` 64-bit words.
-struct BitMatrix {
-    sources: usize,
-    words: usize,
-    bits: Vec<u64>,
-}
-
-impl BitMatrix {
-    /// Sets the bit of `(s, x)`; `false` when the matrix has no such bit
-    /// or it was set already.
-    #[inline]
-    fn mark(&mut self, s: NodeId, x: NodeId) -> bool {
-        let (s, x) = (s as usize, x as usize);
-        if s >= self.sources || x >= self.words * 64 {
-            return false;
-        }
-        let word = &mut self.bits[s * self.words + x / 64];
-        let bit = 1u64 << (x % 64);
-        let fresh = *word & bit == 0;
-        *word |= bit;
-        fresh
-    }
+/// Sets the bit of `(s, x)`; `false` when the matrix has no such bit or
+/// it was set already.
+#[inline]
+fn take(m: &mut BitMatrix, s: NodeId, x: NodeId) -> bool {
+    let n = m.n();
+    (s as usize) < n && (x as usize) < n && m.set(s, x)
 }
 
 impl AnswerCollector {
@@ -129,7 +113,7 @@ impl AnswerCollector {
     pub fn emit(&mut self, s: NodeId, x: NodeId) {
         self.count += 1;
         self.trace.emit(Event::TupleEmit { source: s, node: x });
-        if self.collect && !self.matrix.as_mut().is_some_and(|m| m.mark(s, x)) {
+        if self.collect && !self.matrix.as_mut().is_some_and(|m| take(m, s, x)) {
             self.pairs.push((s, x));
             if let (None, Some(n)) = (&self.matrix, self.bound) {
                 self.switch(n);
@@ -141,16 +125,11 @@ impl AnswerCollector {
     /// once it is no larger than the list. Marks the pairs it can and
     /// keeps the rest.
     fn switch(&mut self, n: usize) {
-        let words = n.div_ceil(64);
-        if n * words > self.pairs.len() {
+        if BitMatrix::words(n) > self.pairs.len() {
             return;
         }
-        let mut m = BitMatrix {
-            sources: n,
-            words,
-            bits: vec![0; n * words],
-        };
-        self.pairs.retain(|&(s, x)| !m.mark(s, x));
+        let mut m = BitMatrix::new(n);
+        self.pairs.retain(|&(s, x)| !take(&mut m, s, x));
         self.pairs.shrink_to_fit();
         self.matrix = Some(m);
     }
@@ -174,16 +153,9 @@ impl AnswerCollector {
             pairs.sort_unstable();
             return pairs;
         };
-        let marked: usize = m.bits.iter().map(|w| w.count_ones() as usize).sum();
-        let mut out = Vec::with_capacity(marked + pairs.len());
-        for (row, s) in m.bits.chunks(m.words.max(1)).zip(0..) {
-            for (&word, base) in row.iter().zip((0..).step_by(64)) {
-                let mut rest = word;
-                while rest != 0 {
-                    out.push((s, base + rest.trailing_zeros()));
-                    rest &= rest - 1;
-                }
-            }
+        let mut out = Vec::with_capacity(m.pair_count() + pairs.len());
+        for s in 0..m.n() as NodeId {
+            out.extend(m.ones(s).map(|x| (s, x)));
         }
         if !pairs.is_empty() {
             out.append(&mut pairs);

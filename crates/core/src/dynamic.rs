@@ -56,14 +56,14 @@ use crate::Algorithm;
 use std::fmt;
 use tc_buffer::BufferPool;
 use tc_graph::topo::topological_order;
-use tc_graph::{closure, Graph, NodeId, UpdateOp};
+use tc_graph::{closure, BitRow, Graph, NodeId, UpdateOp};
 use tc_obs::SpanRecorder;
 use tc_reach::{NullMeter, ReachIndex};
 use tc_storage::{
     ClusteredRelation, FileKind, FrozenPageSet, PageStore, StorageError, StorageResult, ValueFile,
     ValueWriter,
 };
-use tc_succ::{BitRow, TupleRows};
+use tc_succ::TupleRows;
 use tc_trace::{Event, Tracer};
 
 /// Why [`DynamicClosure::apply`] did not apply a batch.

@@ -120,26 +120,6 @@ pub fn layered(layers: usize, width: usize) -> Graph {
     Graph::from_arcs(n, arcs)
 }
 
-/// The grid family of Agrawal & Jagadish's Hybrid study \[2\]: nodes on
-/// a `rows × cols` grid, each with arcs to its right and lower
-/// neighbours. Maximally regular redundancy (every inner node has
-/// in-degree 2), a useful contrast to the random families.
-pub fn grid(rows: usize, cols: usize) -> Graph {
-    let at = |r: usize, c: usize| (r * cols + c) as NodeId;
-    let mut arcs = Vec::new();
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                arcs.push((at(r, c), at(r, c + 1)));
-            }
-            if r + 1 < rows {
-                arcs.push((at(r, c), at(r + 1, c)));
-            }
-        }
-    }
-    Graph::from_arcs(rows * cols, arcs)
-}
-
 /// A random graph *with cycles*: the locality DAG plus `back_arcs` random
 /// back edges. Used to exercise the condensation path (§1).
 pub fn cyclic(n: usize, f: f64, l: usize, back_arcs: usize, seed: u64) -> Graph {
@@ -218,9 +198,5 @@ mod tests {
         assert!(l.is_acyclic());
         let c = cyclic(100, 2.0, 20, 10, 5);
         assert!(!c.is_acyclic());
-        let gr = grid(4, 5);
-        assert_eq!(gr.n(), 20);
-        assert_eq!(gr.arc_count(), 4 * 4 + 3 * 5); // 16 right + 15 down
-        assert!(gr.is_acyclic());
     }
 }

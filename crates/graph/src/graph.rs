@@ -130,7 +130,7 @@ impl Graph {
     }
 
     /// In-degrees of all nodes.
-    pub fn in_degrees(&self) -> Vec<usize> {
+    pub(crate) fn in_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.n()];
         for (_, v) in self.arcs() {
             deg[v as usize] += 1;

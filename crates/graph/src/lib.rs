@@ -9,6 +9,11 @@
 //! and Warren bit-matrix algorithms) used as correctness oracles and to
 //! compute the `|TC(G)|` column of Table 2.
 //!
+//! It is also the one home of dense bit sets over node ids
+//! ([`bitmat`]): [`BitRow`], one set of ids, and [`BitMatrix`], `n` rows
+//! of them. The oracles, the answer collector, JKB's source covers and
+//! dynamic maintenance's closure rows all use these two.
+//!
 //! # Example
 //!
 //! ```
@@ -38,7 +43,7 @@ pub mod scc;
 pub mod topo;
 pub mod update;
 
-pub use bitmat::BitMatrix;
+pub use bitmat::{BitMatrix, BitRow};
 pub use gen::DagGenerator;
 pub use graph::{Graph, NodeId};
 pub use magic::MagicGraph;

@@ -61,16 +61,6 @@ impl MagicGraph {
             sources: srcs,
         }
     }
-
-    /// Number of magic nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether `v` is in the magic subgraph.
-    pub fn contains(&self, v: NodeId) -> bool {
-        self.mask[v as usize]
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +75,7 @@ mod tests {
         let g = Graph::from_arcs(5, [(0, 1), (1, 2), (3, 4)]);
         let m = MagicGraph::of(&g, &[0]);
         assert_eq!(m.nodes, vec![0, 1, 2]);
-        assert!(m.contains(1) && !m.contains(3));
+        assert!(m.mask[1] && !m.mask[3]);
         assert_eq!(m.graph.arc_count(), 2);
     }
 
@@ -102,7 +92,7 @@ mod tests {
         let g = DagGenerator::new(200, 3.0, 50).seed(7).generate();
         let all: Vec<NodeId> = (0..200).collect();
         let m = MagicGraph::of(&g, &all);
-        assert_eq!(m.node_count(), 200);
+        assert_eq!(m.nodes.len(), 200);
         assert_eq!(m.graph.arc_count(), g.arc_count());
     }
 

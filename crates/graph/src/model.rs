@@ -97,13 +97,6 @@ pub struct ArcLocalityStats {
 }
 
 impl ArcLocalityStats {
-    /// Computes locality statistics for `g`.
-    pub fn of(g: &Graph) -> ArcLocalityStats {
-        let levels = node_levels(g);
-        let tr = crate::reduction::transitive_reduction(g);
-        Self::with_parts(g, &tr, &levels)
-    }
-
     /// Computes locality statistics from precomputed reduction and levels.
     pub fn with_parts(g: &Graph, tr: &Graph, levels: &[u32]) -> ArcLocalityStats {
         let loc = |u: NodeId, v: NodeId| (levels[u as usize] - levels[v as usize]) as f64;
@@ -139,6 +132,10 @@ mod tests {
     use crate::closure::dfs_closure;
     use crate::gen::{path, DagGenerator};
     use crate::reduction::transitive_reduction;
+
+    fn locality(g: &Graph) -> ArcLocalityStats {
+        ArcLocalityStats::with_parts(g, &transitive_reduction(g), &node_levels(g))
+    }
 
     fn closure_graph(g: &Graph) -> Graph {
         let tc = dfs_closure(g);
@@ -200,7 +197,7 @@ mod tests {
     fn locality_is_nonnegative_and_irredundant_is_lower() {
         // Locality-2000 graphs have long shortcut arcs that marking avoids.
         let g = DagGenerator::new(500, 5.0, 500).seed(3).generate();
-        let s = ArcLocalityStats::of(&g);
+        let s = locality(&g);
         assert!(s.avg_all >= 1.0);
         assert!(s.avg_irredundant >= 1.0);
         assert!(
@@ -221,7 +218,7 @@ mod tests {
         let m = RectangleModel::of(&iso);
         assert!((m.height - 1.0).abs() < 1e-12);
         assert_eq!(m.width, 0.0);
-        let s = ArcLocalityStats::of(&iso);
+        let s = locality(&iso);
         assert_eq!(s.avg_all, 0.0);
     }
 

@@ -52,18 +52,18 @@ pub fn reverse_topological_order(g: &Graph) -> Option<Vec<NodeId>> {
     })
 }
 
-/// Positions of each node in `order` (inverse permutation).
-pub fn positions(order: &[NodeId], n: usize) -> Vec<usize> {
-    let mut pos = vec![usize::MAX; n];
-    for (i, &u) in order.iter().enumerate() {
-        pos[u as usize] = i;
-    }
-    pos
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Positions of each node in `order` (inverse permutation).
+    fn positions(order: &[NodeId], n: usize) -> Vec<usize> {
+        let mut pos = vec![usize::MAX; n];
+        for (i, &u) in order.iter().enumerate() {
+            pos[u as usize] = i;
+        }
+        pos
+    }
 
     fn check_topo(g: &Graph, order: &[NodeId]) {
         let pos = positions(order, g.n());
@@ -102,11 +102,5 @@ mod tests {
             Vec::<NodeId>::new()
         );
         assert_eq!(topological_order(&Graph::empty(1)).unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn positions_invert_order() {
-        let order = vec![2u32, 0, 1];
-        assert_eq!(positions(&order, 3), vec![1, 2, 0]);
     }
 }

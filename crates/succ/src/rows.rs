@@ -14,7 +14,7 @@
 //! is a write only if the row differs. Memory beyond the base list is
 //! `n / 8` bytes per touched row.
 
-use crate::bitvec::BitRow;
+use tc_graph::BitRow;
 
 /// Marks a source whose row has not been written to.
 const UNTOUCHED: u32 = u32::MAX;

@@ -114,11 +114,6 @@ impl SuccStore {
         &self.stats
     }
 
-    /// Total pages allocated to the store.
-    pub fn page_count(&self) -> usize {
-        self.stats.pages_allocated as usize
-    }
-
     /// Exhaustively cross-checks the in-memory catalog against the
     /// on-page state: every chain block must be owned by its node with a
     /// used count matching the chain position, and every owned block on
@@ -555,9 +550,9 @@ mod tests {
                 .append(&mut disk, node, SuccEntry::plain(node))
                 .unwrap();
         }
-        assert_eq!(store.page_count(), 1);
+        assert_eq!(store.stats.pages_allocated, 1);
         store.append(&mut disk, 30, SuccEntry::plain(1)).unwrap();
-        assert_eq!(store.page_count(), 2);
+        assert_eq!(store.stats.pages_allocated, 2);
     }
 
     #[test]
@@ -567,7 +562,7 @@ mod tests {
         for v in 0..450u32 {
             store.append(&mut disk, 0, SuccEntry::plain(v)).unwrap();
         }
-        assert_eq!(store.page_count(), 1);
+        assert_eq!(store.stats.pages_allocated, 1);
         assert_eq!(store.pages_of(0).len(), 1);
         store.append(&mut disk, 0, SuccEntry::plain(999)).unwrap();
         assert_eq!(store.pages_of(0).len(), 2);
@@ -598,7 +593,7 @@ mod tests {
         for v in 0..225u32 {
             store.append(&mut disk, 1, SuccEntry::plain(v)).unwrap();
         }
-        assert_eq!(store.page_count(), 1);
+        assert_eq!(store.stats.pages_allocated, 1);
         // Growing list 0 must spill to a new page; nothing moves.
         store.append(&mut disk, 0, SuccEntry::plain(999)).unwrap();
         assert_eq!(store.stats().blocks_moved, 0);
@@ -619,7 +614,10 @@ mod tests {
                 .append(&mut disk, 1, SuccEntry::plain(100 + v))
                 .unwrap();
         }
-        assert_eq!(store.page_count(), 1, "28 + 2 blocks share the page");
+        assert_eq!(
+            store.stats.pages_allocated, 1,
+            "28 + 2 blocks share the page"
+        );
         // Growing list 0 past its page forces list 1 (the shortest other)
         // off the page.
         for v in 0..60u32 {
@@ -651,7 +649,7 @@ mod tests {
                 .append(&mut disk, 1, SuccEntry::plain(1000 + v))
                 .unwrap();
         }
-        assert_eq!(store.page_count(), 1);
+        assert_eq!(store.stats.pages_allocated, 1);
         // Growing list 0 moves itself to a fresh page.
         store.append(&mut disk, 0, SuccEntry::plain(9999)).unwrap();
         assert!(store.stats().blocks_moved >= 14);

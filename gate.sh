@@ -94,6 +94,9 @@ g_dynamic() {
   # The only test in which descending node id is not a valid sweep order.
   t --test dynamic_props permuted_labels_match_the_oracle_or_refuse_the_cycle
   t --test model_based tuple_rows_refine_btreeset
+  # The one dense bit set (a closure row is a BitRow) against a set model,
+  # on and around the word boundary.
+  TC_DET_CASES=1024 t -p tc-graph --lib bit_sets_match_a_btreeset_model
   t -p tc-storage --lib extend_writes_what_repeated_push_writes
   t -p tc-core --lib cycle_closing_batch_is_rejected_whole
   t -p tc-core --lib op_naming_an_unknown_node_is_refused_whole

@@ -5,8 +5,9 @@
 use tc_study::buffer::{BufferPool, PagePolicy};
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require, require_eq, Rng};
+use tc_study::graph::BitRow;
 use tc_study::storage::{DiskSim, FileKind, Page, PageId, PageStore, Pager, SuccEntry};
-use tc_study::succ::{BitRow, ListCursor, ListPolicy, SuccStore, TupleRows};
+use tc_study::succ::{ListCursor, ListPolicy, SuccStore, TupleRows};
 
 // ---------------------------------------------------------------------
 // Buffer pool vs. a flat array of page images.

@@ -400,6 +400,16 @@ const RULES: &[Rule] = &[
         needles: Needles::Spelled(&["thread::scope("]),
         fixture: "let out = std::thread::scope(|s| s.spawn(|| drain(cursor)).join());",
     },
+    // A set of node ids as words of bits — a closure row, a source cover,
+    // a dense pair set — is a `BitRow` or a `BitMatrix` row, so the word
+    // math, the row OR and the ascending readout are written once.
+    Rule {
+        name: "one bit set: dense bit sets are tc_graph::{BitRow, BitMatrix}",
+        scope: Scope::Rust(EVERYWHERE),
+        want: Want::OnlyIn(&["crates/graph/src/bitmat.rs"]),
+        needles: Needles::Spelled(&["div_ceil(64)"]),
+        fixture: "let words = n.div_ceil(64);",
+    },
     // A pinned value has one home (PINS.md's table): a suite that needs
     // to show an observer or a job count leaves a pin alone compares an
     // armed run with an unarmed one, never with a pasted copy.
