@@ -42,6 +42,14 @@
 //! merged with word-parallel ORs, so the wall-clock cost follows the
 //! rows a batch touches, like the counted cost does.
 //!
+//! The initial closure comes from the same recurrence run once over the
+//! whole graph: [`DynamicClosure::build`] takes
+//! [`closure::dfs_closure`]'s rows, settled in reverse topological order
+//! as word-parallel unions of the children's rows, and reads each one off
+//! ascending into the column. Its transient `n × n` bit matrix (`n²/8`
+//! bytes) is smaller than the `N × k` label matrix a freeze builds when
+//! `k ≥ N/32`, and than the column itself when `|TC| ≥ n²/32`.
+//!
 //! The whole layer is deterministic: there is no hash container, the
 //! sweep order and every row are derived from sorted data, and all I/O goes
 //! through the same counted paths as static runs — a given (graph,
@@ -182,6 +190,15 @@ impl DynamicClosure {
     /// Builds the database for `graph` and materializes its full
     /// closure on disk (sorted `(source, successor)`, irreflexive).
     ///
+    /// The initial closure is one reverse-topological pass,
+    /// [`closure::dfs_closure`]: each node's row is the union of its
+    /// children's finished rows (the paper's BTC, in memory), and row
+    /// `s` read off ascending is source `s`'s successor list. The pass
+    /// holds an `n × n` bit matrix, `n²/8` bytes, until `build` returns:
+    /// less than the `|TC| × 4`-byte column it fills whenever
+    /// `|TC| ≥ n²/32`, and than the `N × k` label matrix
+    /// [`DynamicClosure::freeze`] builds whenever `k ≥ N/32`.
+    ///
     /// Like [`Database::build_for`], the initial load is not charged:
     /// the store counters are reset once the closure is materialized,
     /// so metrics measure maintenance, not setup.
@@ -196,13 +213,13 @@ impl DynamicClosure {
             "DynamicClosure requires an acyclic graph (condense cycles first)"
         );
         let mut db = Database::build_for(graph, false, cfg)?;
-        let mut successors: Vec<NodeId> = Vec::new();
-        let mut rows = Vec::with_capacity(graph.n() + 1);
-        rows.push(0);
-        for s in 0..graph.n() as NodeId {
-            successors.extend(closure::successors_of(graph, s));
-            rows.push(successors.len() as u32);
-        }
+        let matrix = closure::dfs_closure(graph);
+        let mut successors: Vec<NodeId> = Vec::with_capacity(matrix.pair_count());
+        let mut rows = vec![0];
+        rows.extend((0..graph.n() as NodeId).map(|s| {
+            successors.extend(matrix.ones(s));
+            successors.len() as u32
+        }));
         let mut store = db.take_store()?;
         let tc = ValueFile::bulk_load(store.as_mut(), FileKind::Output, &successors)?;
         store.reset_stats();

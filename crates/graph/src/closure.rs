@@ -5,6 +5,12 @@
 //! All return a [`BitMatrix`] of the transitive closure. The disk-based
 //! algorithms in `tc-core` are validated against these in every
 //! integration test; they also supply Table 2's `|TC(G)|` column.
+//!
+//! [`dfs_closure`] is also a producer: its reverse-topological pass
+//! seeds the maintained closure (`tc_core::DynamicClosure::build` reads
+//! its rows off into the closure file). [`successors_of`] and
+//! [`ptc_answer`] stay the independent oracles the tests hold that
+//! closure to: one plain DFS per source, sharing no code with the pass.
 
 use crate::bitmat::BitMatrix;
 use crate::graph::{Graph, NodeId};
@@ -122,6 +128,70 @@ pub fn ptc_answer(g: &Graph, sources: &[NodeId]) -> Vec<(NodeId, NodeId)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_det::check::{self, Checker};
+    use tc_det::{require_eq, Rng};
+
+    /// Node counts on and around the word boundaries of a row.
+    const WIDTHS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
+
+    /// A DAG drawn as node count, pairs of positions in a hidden
+    /// topological order (with a chain through every position when the
+    /// flag is set) and the seed of the permutation naming the nodes.
+    type Dag = (usize, bool, Vec<(u32, u32)>, u64);
+
+    fn dag(rng: &mut Rng) -> Dag {
+        let n = match rng.random_range(0..12usize) {
+            k @ 0..=7 => WIDTHS[k],
+            _ => rng.random_range(2..301usize),
+        };
+        let pairs = check::vec_of(rng, 0..2 * n + 1, |r| {
+            (r.random_range(0..n as u32), r.random_range(0..n as u32))
+        });
+        (n, rng.random_bool(0.3), pairs, rng.next_u64())
+    }
+
+    /// Each pair points from the lower position to the higher, and the
+    /// ids are permuted, so id order is not a topological order.
+    fn graph_of(&(n, chain, ref pairs, seed): &Dag) -> Graph {
+        let mut label: Vec<NodeId> = (0..n as NodeId).collect();
+        Rng::from_seed(seed).shuffle(&mut label);
+        let chain = (1..n as u32).filter(|_| chain).map(|v| (v - 1, v));
+        let arcs = pairs.iter().map(|&(a, b)| (a.min(b), a.max(b)));
+        let arcs = chain.chain(arcs).filter(|&(a, b)| a != b);
+        Graph::from_arcs(n, arcs.map(|(a, b)| (label[a as usize], label[b as usize])))
+    }
+
+    /// The reverse-topological pass seeds the maintained closure, so each
+    /// of its rows must be the plain per-source DFS's.
+    #[test]
+    fn dfs_closure_rows_match_per_source_dfs() {
+        Checker::new("dfs_closure_rows_match_per_source_dfs").run(
+            dag,
+            |(n, chain, pairs, seed)| {
+                let mut out: Vec<Dag> = check::shrink_vec(pairs)
+                    .into_iter()
+                    .map(|p| (*n, *chain, p, *seed))
+                    .collect();
+                if *chain {
+                    out.push((*n, false, pairs.clone(), *seed));
+                }
+                out
+            },
+            |d| {
+                let g = graph_of(d);
+                let tc = dfs_closure(&g);
+                require_eq!(tc.n(), g.n());
+                let mut pairs = 0;
+                for s in 0..g.n() as NodeId {
+                    let want = successors_of(&g, s);
+                    pairs += want.len();
+                    require_eq!(tc.row_ones(s), want, "row {s}");
+                }
+                require_eq!(tc.pair_count(), pairs);
+                Ok(())
+            },
+        );
+    }
 
     fn diamond() -> Graph {
         // 0 -> {1,2} -> 3

@@ -97,6 +97,11 @@ g_dynamic() {
   # The one dense bit set (a closure row is a BitRow) against a set model,
   # on and around the word boundary.
   TC_DET_CASES=1024 t -p tc-graph --lib bit_sets_match_a_btreeset_model
+  # The initial closure is one reverse-topological pass: each of its rows
+  # against a per-source DFS, and what a build materializes and a
+  # snapshot serves against the oracle, at word-boundary n, permuted ids.
+  TC_DET_CASES=1024 t -p tc-graph --lib dfs_closure_rows_match_per_source_dfs
+  TC_DET_CASES=1024 t --test dynamic_props build_materializes_the_oracle_closure
   t -p tc-storage --lib extend_writes_what_repeated_push_writes
   t -p tc-core --lib cycle_closing_batch_is_rejected_whole
   t -p tc-core --lib op_naming_an_unknown_node_is_refused_whole

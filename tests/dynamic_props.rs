@@ -425,3 +425,101 @@ fn permuted_labels_match_the_oracle_or_refuse_the_cycle() {
             },
         );
 }
+
+/// The arcs a build case has besides its drawn ones, between positions
+/// of a hidden topological order.
+#[derive(Clone, Copy, Debug)]
+enum Spine {
+    /// None: a sparse draw leaves nodes isolated.
+    None,
+    /// One chain through every position, as long as the graph.
+    Chain,
+    /// Position 0 points at every other position.
+    Star,
+}
+
+/// Raw input of the build property: node count, spine, pairs drawn
+/// between positions, and the seed of the relabelling.
+type BuildCase = (usize, Spine, Vec<(u32, u32)>, u64);
+
+/// Node counts on and around the word boundaries of a closure row.
+const WIDTHS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
+
+fn build_case(rng: &mut Rng) -> BuildCase {
+    let n = match rng.random_range(0..12usize) {
+        k @ 0..=7 => WIDTHS[k],
+        _ => rng.random_range(2..301usize),
+    };
+    let spine = [Spine::None, Spine::Chain, Spine::Star][rng.random_range(0..3usize)];
+    let pairs = check::vec_of(rng, 0..2 * n + 1, |r| {
+        (r.random_range(0..n as u32), r.random_range(0..n as u32))
+    });
+    (n, spine, pairs, rng.next_u64())
+}
+
+/// The case's DAG: spine and drawn pairs point from the lower position
+/// to the higher, then every node is renamed through a seeded
+/// permutation, so id order is not a topological order.
+fn shaped_dag(&(n, spine, ref pairs, seed): &BuildCase) -> Graph {
+    let n32 = n as u32;
+    let spine: Vec<(u32, u32)> = match spine {
+        Spine::None => Vec::new(),
+        Spine::Chain => (1..n32).map(|v| (v - 1, v)).collect(),
+        Spine::Star => (1..n32).map(|v| (0, v)).collect(),
+    };
+    let mut label: Vec<NodeId> = (0..n32).collect();
+    Rng::from_seed(seed).shuffle(&mut label);
+    let arcs = spine
+        .into_iter()
+        .chain(pairs.iter().filter_map(|&(a, b)| orient(a, b)));
+    Graph::from_arcs(n, arcs.map(|(a, b)| (label[a as usize], label[b as usize])))
+}
+
+/// The closure a build materializes is the per-source DFS oracle's, read
+/// back from the file and served from a frozen snapshot, at node counts
+/// on the word boundary and with ids that are not a topological order.
+#[test]
+fn build_materializes_the_oracle_closure() {
+    Checker::new("build_materializes_the_oracle_closure")
+        .cases(64)
+        .run(
+            build_case,
+            |(n, spine, pairs, seed)| {
+                let mut out: Vec<BuildCase> = check::shrink_vec(pairs)
+                    .into_iter()
+                    .map(|p| (*n, *spine, p, *seed))
+                    .collect();
+                if !matches!(spine, Spine::None) {
+                    out.push((*n, Spine::None, pairs.clone(), *seed));
+                }
+                out
+            },
+            |case| {
+                let g = shaped_dag(case);
+                let want = oracle(&g);
+                let cfg = SystemConfig::with_buffer(6);
+                let mut dyn_tc =
+                    DynamicClosure::build(&g, &cfg).map_err(|e| format!("build failed: {e}"))?;
+                require_eq!(dyn_tc.tuple_count(), want.len(), "tuple_count");
+                let got = dyn_tc.tuples().map_err(|e| format!("scan failed: {e}"))?;
+                if let Some(i) = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i))
+                {
+                    return Err(format!(
+                        "tuple {i}: built {:?}, oracle {:?}",
+                        got.get(i),
+                        want.get(i)
+                    ));
+                }
+                let snap =
+                    ClosedSnapshot::build(&g, &cfg).map_err(|e| format!("freeze failed: {e}"))?;
+                let mut store = snap.open_store();
+                for u in 0..g.n() as NodeId {
+                    let row = snap
+                        .ptc(&mut store, u)
+                        .map_err(|e| format!("ptc({u}) failed: {e}"))?;
+                    require_eq!(row, closure::successors_of(&g, u), "ptc({u})");
+                }
+                Ok(())
+            },
+        );
+}

@@ -410,6 +410,19 @@ const RULES: &[Rule] = &[
         needles: Needles::Spelled(&["div_ceil(64)"]),
         fixture: "let words = n.div_ceil(64);",
     },
+    // The per-source DFS is the tests' oracle. A closure the library
+    // materializes comes from one reverse-topological pass
+    // (`closure::dfs_closure`), so a build path cannot drift back to one
+    // DFS per source; the engine's `validate` is the one library caller.
+    Rule {
+        name: "per-source traversal is the oracle's: successors_of / \
+               ptc_answer outside tests only in closure.rs and the \
+               engine's validate (use closure::dfs_closure)",
+        scope: Scope::Rust(&["crates", "src"]),
+        want: Want::OnlyIn(&["crates/graph/src/closure.rs", "crates/core/src/engine.rs"]),
+        needles: Needles::Found(per_source_traversals),
+        fixture: "let row = closure::successors_of(graph, s);",
+    },
     // A pinned value has one home (PINS.md's table): a suite that needs
     // to show an observer or a job count leaves a pin alone compares an
     // armed run with an unarmed one, never with a pasted copy.
@@ -539,6 +552,15 @@ fn uncalled_pub_fns(texts: &[(String, String)]) -> Vec<(String, Vec<&str>)> {
         }
     }
     out
+}
+
+/// The per-source oracle calls in `text`'s code lines.
+fn per_source_traversals(text: &str) -> Vec<String> {
+    ["successors_of(", "ptc_answer("]
+        .into_iter()
+        .filter(|call| code_lines(text).any(|line| line.contains(call)))
+        .map(str::to_string)
+        .collect()
 }
 
 /// Every hex literal of 16 digits or more, underscores stripped and
