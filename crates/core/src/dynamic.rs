@@ -221,7 +221,8 @@ impl DynamicClosure {
             successors.len() as u32
         }));
         let mut store = db.take_store()?;
-        let tc = ValueFile::bulk_load(store.as_mut(), FileKind::Output, &successors)?;
+        let n = graph.n() as u64;
+        let tc = ValueFile::bulk_load(store.as_mut(), FileKind::Output, n, &successors)?;
         store.reset_stats();
         db.restore_store(store);
         Ok(DynamicClosure {
@@ -441,9 +442,10 @@ fn apply_to_base(
         });
     };
     ops.order = order;
-    // In-place rebuild: dropping the old files first lets the new ones
-    // reuse their pages (LIFO), keeping page-id streams — and trace
-    // digests — identical on every backend.
+    // In-place rebuild: the old files are dropped first, so the new ones
+    // reuse whichever of their pages no synced catalog still gives them
+    // (LIFO; the rest come back after this run's sync), keeping page-id
+    // streams — and trace digests — identical on every backend.
     for file in db.relation.file_ids() {
         disk.drop_file(file)?;
     }
@@ -624,9 +626,10 @@ fn maintain(
         metrics.count_generated(true);
     }
     metrics.count_duplicates(derived - inserted);
-    // Free the old file first so the rewrite reuses its pages.
+    // Free the old file first: the rewrite reuses whichever of its
+    // pages no synced catalog still gives it.
     pool.free_file(tc.file_id())?;
-    let mut out = ValueWriter::new(pool, FileKind::Output);
+    let mut out = ValueWriter::new(pool, FileKind::Output, n as u64);
     closure.column_runs(|run| out.extend_from_slice(pool, run))?;
     let file = out.finish();
     pool.flush_file(file.file_id())?;
@@ -860,29 +863,29 @@ mod tests {
 
         /// Rewrites the first closure page through the store, so the
         /// image the next read gets back carries a checksum that
-        /// verifies. `edit` is given the position of a row of at least
-        /// two successors on that page.
-        fn rewrite(d: &mut DynamicClosure, edit: fn(&mut Page, usize)) {
+        /// verifies. `edit` is given the file's slot layout and the
+        /// position of a row of at least two successors on that page.
+        fn rewrite(d: &mut DynamicClosure, edit: fn(ValuePage, &mut Page, usize)) {
             let long = |w: &[u32]| w[1] - w[0] >= 2 && w[1] <= 512;
             let at = d.rows[d.rows.windows(2).position(long).unwrap()] as usize;
             let pid = d.tc.pages()[0];
             let mut store = d.db.take_store().unwrap();
             let mut page = Page::new();
             store.read_page(pid, &mut page).unwrap();
-            edit(&mut page, at);
+            edit(d.tc.layout(), &mut page, at);
             store.write_page(pid, &page).unwrap();
             d.db.restore_store(store);
         }
         type Damage = fn(&mut DynamicClosure);
         let damage: [(&str, Damage); 3] = [
             ("ascending", |d| {
-                rewrite(d, |page, at| {
-                    let swapped = [ValuePage::get(page, at + 1), ValuePage::get(page, at)];
-                    ValuePage::write(page, at, &swapped);
+                rewrite(d, |slots, page, at| {
+                    let swapped = [slots.get(page, at + 1), slots.get(page, at)];
+                    slots.write(page, at, &swapped);
                 })
             }),
             ("not a node", |d| {
-                rewrite(d, |page, at| ValuePage::write(page, at + 1, &[200]))
+                rewrite(d, |slots, page, at| slots.write(page, at + 1, &[200]))
             }),
             ("row table", |d| *d.rows.last_mut().unwrap() -= 1),
         ];

@@ -58,6 +58,10 @@ pub trait ReachMeter {
 /// is written: 16 `u32`s fill a 64-byte cache line.
 const TRANSPOSE_BLOCK: usize = 16;
 
+/// The bound the labels file declares: an entry is a chain position or
+/// [`NO_POS`], so every `u32` may occur and each entry keeps 4 bytes.
+const LABEL_BOUND: u64 = NO_POS as u64 + 1;
+
 /// A [`ReachMeter`] that counts nothing.
 pub struct NullMeter;
 
@@ -135,10 +139,12 @@ impl LabelMatrix {
 ///
 /// * a **chains file** ([`FileKind::Index`]): one component per chain
 ///   position, chains concatenated in order (chain `c` starts at value
-///   `chain_starts[c]`);
+///   `chain_starts[c]`), each component id in the fewest whole bytes
+///   that hold N − 1;
 /// * a **labels file** ([`FileKind::SuccessorList`]): N values
 ///   `pos-or-NO_POS` per chain, N the component count, in chain order —
-///   the label columns, entry `L[a][c]` at value `c·N + a`.
+///   the label columns, entry `L[a][c]` at value `c·N + a`, 4 bytes
+///   each, since [`NO_POS`] is `u32::MAX`.
 ///
 /// A reader computes the exact page range of what it wants from those
 /// positions, so there is no key to store and no separate index file.
@@ -167,8 +173,9 @@ impl ReachIndex {
         let labels = LabelMatrix::compute(&cond.graph, &cd, meter);
 
         let mut chain_starts = Vec::with_capacity(cd.width() + 1);
-        let mut chains_w = ValueWriter::new(pager, FileKind::Index);
-        let mut labels_w = ValueWriter::new(pager, FileKind::SuccessorList);
+        let components = cond.component_count() as u64;
+        let mut chains_w = ValueWriter::new(pager, FileKind::Index, components);
+        let mut labels_w = ValueWriter::new(pager, FileKind::SuccessorList, LABEL_BOUND);
         let written = (|| {
             for chain in &cd.chains {
                 chain_starts.push(chains_w.count());

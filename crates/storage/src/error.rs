@@ -74,6 +74,16 @@ pub enum StorageError {
         /// The condition that does not hold.
         what: &'static str,
     },
+    /// A value was written to a positional value file whose bound it
+    /// does not lie below: stored in the file's width it would lose its
+    /// high bytes, so it is refused, and nothing of the call that
+    /// carried it is written.
+    ValueOutOfRange {
+        /// The first value of the call at or above the bound.
+        value: u32,
+        /// The bound the file was created with: every value lies below.
+        bound: u64,
+    },
     /// A transient fault did not clear within the store's attempt
     /// budget; the operation is abandoned.
     RetriesExhausted {
@@ -153,6 +163,9 @@ impl fmt::Display for StorageError {
             ),
             StorageError::CorruptFile { file, what } => {
                 write!(f, "file {file} is corrupt: {what}")
+            }
+            StorageError::ValueOutOfRange { value, bound } => {
+                write!(f, "value {value} is out of range for a file of values below {bound}")
             }
             StorageError::RetriesExhausted { pid, attempts } => write!(
                 f,

@@ -350,11 +350,15 @@ impl Medium for Segment {
 }
 
 /// Appends a count-prefixed list of ids.
-fn put_ids(buf: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
-    buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+fn put_ids(buf: &mut Vec<u8>, ids: impl Iterator<Item = u32>) {
+    let at = buf.len();
+    buf.extend_from_slice(&0u32.to_le_bytes());
+    let mut count = 0u32;
     for id in ids {
         buf.extend_from_slice(&id.to_le_bytes());
+        count += 1;
     }
+    buf[at..at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
 /// Serializes `catalog` in the manifest format, checksum last.
@@ -363,7 +367,10 @@ fn encode_manifest(catalog: &Catalog) -> Vec<u8> {
     buf.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
     buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
     put_ids(&mut buf, catalog.page_file.iter().map(|f| f.0));
-    put_ids(&mut buf, catalog.free_pages.iter().map(|p| p.0));
+    // Held pages are free in a manifest: once it is durable, no synced
+    // catalog gives them to a file.
+    let free = catalog.free_pages.iter().chain(&catalog.held_pages);
+    put_ids(&mut buf, free.map(|p| p.0));
     buf.extend_from_slice(&(catalog.files.len() as u32).to_le_bytes());
     for file in &catalog.files {
         buf.push(file.kind.idx() as u8);
@@ -478,6 +485,7 @@ fn decode_manifest(buf: &[u8]) -> StorageResult<Catalog> {
         files,
         page_file,
         free_pages,
+        held_pages: Vec::new(),
     })
 }
 
@@ -520,7 +528,7 @@ impl FileStore {
         let catalog = decode_manifest(&manifest)?;
         let mut segment = Segment::open(dir, false)?;
         segment.recovery = segment.scan(catalog.page_file.len())?;
-        Ok(Store::with_catalog(segment, Arc::new(catalog)))
+        Ok(Store::recovered(segment, Arc::new(catalog)))
     }
 
     /// The store's directory.

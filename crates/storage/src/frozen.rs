@@ -263,7 +263,7 @@ mod tests {
             Err(StorageError::PageOutOfBounds(hole))
         );
         let values: Vec<u32> = (0..1300).map(|i| i * 7 + 1).collect();
-        let file = ValueFile::bulk_load(&mut thawed, FileKind::Index, &values).unwrap();
+        let file = ValueFile::bulk_load(&mut thawed, FileKind::Index, 1 << 32, &values).unwrap();
         assert!(
             file.pages().iter().all(|p| p.index() >= source_slots),
             "a new page reused a slot of the source: {:?}",

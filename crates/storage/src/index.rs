@@ -6,7 +6,9 @@
 //! per data page, the first clustering key on that page. The position of
 //! a key in the index is the number of the data page it describes, so
 //! the index stores no page pointers and is a [`ValueFile`] of
-//! [`FileKind::Index`]: keys found by position, 512 to a page.
+//! [`FileKind::Index`]: keys found by position, bounded by one past the
+//! relation's last key, so keys below 65,536 take two bytes each, 1,024
+//! to a page.
 //!
 //! A [`ClusteredRelation`] is built by one sorted bulk load, which writes
 //! the tuples and then the index of their pages' first keys, so an index
@@ -16,7 +18,8 @@
 //! through the pager like any other page, one request per index page
 //! visited: the keys it reads on a page it has fetched are searched in
 //! that page, not requested again. In practice the index is a handful of
-//! pages (one, for a relation of at most 512 data pages) and stays
+//! pages (one, for a relation of at most 1,024 data pages whose keys lie
+//! below 65,536) and stays
 //! resident in the buffer pool, matching the paper's assumption that
 //! index access is cheap. [`ClusteredRelation::children`] is the read the
 //! engine makes: the probe, then the data pages it names.
@@ -24,7 +27,6 @@
 use crate::disk::{FileId, FileKind};
 use crate::error::StorageResult;
 use crate::layout::tuple::TUPLES_PER_PAGE;
-use crate::layout::value::{ValuePage, VALUES_PER_PAGE};
 use crate::page::Page;
 use crate::pager::Pager;
 use crate::relation::{RelationFile, Tuple};
@@ -43,9 +45,10 @@ pub struct ClusteredRelation {
 impl ClusteredRelation {
     /// Bulk-loads `tuples` (which must be sorted on the first component)
     /// into a fresh file of the given kind, then writes the index of its
-    /// pages' first keys to a fresh [`FileKind::Index`] file. Both bypass
-    /// the buffer pool and are charged to the store, like
-    /// [`RelationFile::bulk_load`]'s writes.
+    /// pages' first keys to a fresh [`FileKind::Index`] file, bounded by
+    /// one past the last of them (the tuples are sorted, so it is the
+    /// greatest). Both bypass the buffer pool and are charged to the
+    /// store, like [`RelationFile::bulk_load`]'s writes.
     pub fn bulk_load<S: PageStore + ?Sized>(
         disk: &mut S,
         kind: FileKind,
@@ -57,9 +60,10 @@ impl ClusteredRelation {
             .step_by(TUPLES_PER_PAGE)
             .map(|t| t.0)
             .collect();
+        let key_bound = first_keys.last().map_or(0, |&k| u64::from(k) + 1);
         Ok(ClusteredRelation {
             tuples: relation,
-            keys: ValueFile::bulk_load(disk, FileKind::Index, &first_keys)?,
+            keys: ValueFile::bulk_load(disk, FileKind::Index, key_bound, &first_keys)?,
         })
     }
 
@@ -103,13 +107,14 @@ impl ClusteredRelation {
         if entries == 0 {
             return Ok(None);
         }
+        let layout = self.keys.layout();
         let mut search = Search::new(key, entries);
         while let Some(mut i) = search.next() {
-            let page_no = i / VALUES_PER_PAGE;
+            let page_no = layout.locate(i).0;
             pager.with_page(self.keys.pages()[page_no], |pg: &Page| loop {
-                search.read(i, ValuePage::get(pg, i % VALUES_PER_PAGE));
+                search.read(i, layout.get(pg, layout.locate(i).1));
                 match search.next() {
-                    Some(j) if j / VALUES_PER_PAGE == page_no => i = j,
+                    Some(j) if layout.locate(j).0 == page_no => i = j,
                     _ => break,
                 }
             })?;
@@ -256,13 +261,15 @@ mod tests {
 
     #[test]
     fn index_reads_back_as_the_first_key_of_every_data_page() {
-        // 600 data pages of distinct keys: the index spans two pages.
-        let data: Vec<Tuple> = (0..600 * TUPLES_PER_PAGE as u32 - 7)
+        // 1,200 data pages, keys past 65,536: three-byte keys, 682 to an
+        // index page, so the index spans two pages.
+        let data: Vec<Tuple> = (0..1200 * TUPLES_PER_PAGE as u32 - 7)
             .map(|i| (i / 3, i))
             .collect();
         let mut disk = DiskSim::new();
         let rel = ClusteredRelation::bulk_load(&mut disk, FileKind::Relation, &data).unwrap();
-        assert_eq!(rel.tuples().page_count(), 600);
+        assert_eq!(rel.tuples().page_count(), 1200);
+        assert_eq!(rel.keys().values_per_page(), 682);
         assert_eq!(rel.keys().page_count(), 2);
         let mut keys = Vec::new();
         rel.keys()

@@ -7,15 +7,17 @@
 //! * **Successor-list pages** — after restructuring, "450 successors may be
 //!   stored on each page. (A successor list page is divided into 30 blocks,
 //!   each holding up to 15 successor nodes.)" ([`succ`]).
-//! * **Value pages** — 512 bare 4-byte values, for the files addressed
-//!   by position rather than by key: the sparse clustered index (the
-//!   first key of each data page, found by the page's number), a
-//!   materialized closure read through its row table, label rows,
-//!   chains ([`value`]).
+//! * **Value pages** — bare values, each in the fewest whole bytes (1 to
+//!   4) that hold its file's bound, `⌊2048 / width⌋` to a page, for the
+//!   files addressed by position rather than by key: the sparse
+//!   clustered index (the first key of each data page, found by the
+//!   page's number), a materialized closure read through its row table,
+//!   label columns, chains ([`value`]).
 //!
 //! The layout types are zero-cost *views*: they borrow a [`crate::Page`]
-//! and interpret its bytes. All capacities are compile-time constants so
-//! the harness numbers line up with the paper's.
+//! and interpret its bytes. The tuple and successor-list capacities are
+//! compile-time constants so the harness numbers line up with the
+//! paper's; a value page's is its file's, [`ValuePage::per_page`].
 
 pub mod succ;
 pub mod tuple;
@@ -26,4 +28,4 @@ pub use succ::{
     SUCCESSORS_PER_PAGE,
 };
 pub use tuple::{TuplePage, TUPLES_PER_PAGE};
-pub use value::{ValuePage, VALUES_PER_PAGE};
+pub use value::ValuePage;

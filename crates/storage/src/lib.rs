@@ -6,8 +6,9 @@
 //! store with full I/O accounting ([`Store`]), file/extent
 //! management tagged by [`FileKind`], byte-exact page layouts for the
 //! paper's formats (8-byte tuples at 256 per page and 30-block
-//! successor-list pages), positional value files (bare `u32`s at 512 per
-//! page, for what is read by position rather than by key), clustered
+//! successor-list pages), positional value files (bare values in the
+//! fewest whole bytes their file's bound needs, for what is read by
+//! position rather than by key), clustered
 //! relations that carry their own sparse index (a value file of each
 //! data page's first key, [`ClusteredRelation`]), and an external merge
 //! sort used to build inverse relations.
@@ -71,7 +72,7 @@ pub use frozen::{Frozen, FrozenPageSet, FrozenStore};
 pub use index::ClusteredRelation;
 pub use layout::{
     SuccBlockRef, SuccEntry, SuccPage, SuccWord, TuplePage, ValuePage, BLOCKS_PER_PAGE,
-    ENTRIES_PER_BLOCK, SUCCESSORS_PER_PAGE, TUPLES_PER_PAGE, VALUES_PER_PAGE,
+    ENTRIES_PER_BLOCK, SUCCESSORS_PER_PAGE, TUPLES_PER_PAGE,
 };
 pub use medium::{Catalog, Medium};
 pub use page::{Page, PageId, PAGE_SIZE};

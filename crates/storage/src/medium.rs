@@ -71,9 +71,10 @@ pub(crate) struct FileMeta {
     pub(crate) pages: Vec<PageId>,
 }
 
-/// The store's bookkeeping: the file table, the page→file map and the
-/// LIFO free-page list. Pure data, identical on every medium, which is
-/// what makes page-id streams (and so trace digests) backend-invariant.
+/// The store's bookkeeping: the file table, the page→file map, the
+/// LIFO free-page list and the pages held back from it until the next
+/// sync. Pure data, identical on every medium, which is what makes
+/// page-id streams (and so trace digests) backend-invariant.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Catalog {
     /// Indexed by [`FileId`]. A dropped file stays, with no pages.
@@ -82,12 +83,24 @@ pub struct Catalog {
     pub(crate) page_file: Vec<FileId>,
     /// Released slots; allocation reuses from the end.
     pub(crate) free_pages: Vec<PageId>,
+    /// Released slots that the last synced catalog still gives to a
+    /// file, in the order they were released. A sync records them as
+    /// free and, once it is durable, appends them to `free_pages`;
+    /// until then none is reused, so the synced catalog's files keep
+    /// their images.
+    pub(crate) held_pages: Vec<PageId>,
 }
 
 impl Catalog {
     /// The released page slots, oldest first; the last is reused next.
     pub fn free_pages(&self) -> &[PageId] {
         &self.free_pages
+    }
+
+    /// Released slots that wait for the next sync before they can be
+    /// reused, in the order they were released.
+    pub fn held_pages(&self) -> &[PageId] {
+        &self.held_pages
     }
 
     /// The entry of `file`; [`StorageError::UnknownFile`] for an id this

@@ -4,7 +4,8 @@
 //!
 //! The paper's instrument is a disk that counts page transfers (§6.1).
 //! [`Store<M>`](Store) is that instrument, written once: it owns the
-//! file [`Catalog`], the LIFO free-page list, [`DiskStats`], the
+//! file [`Catalog`], the LIFO free-page list (and the pages held off it
+//! until the next sync), [`DiskStats`], the
 //! [`FaultPlan`] consult, the one retry loop, the [`Tracer`] and every
 //! event emission, over a byte [`Medium`] that only moves page images.
 //! The three stores the rest of the workspace names are aliases:
@@ -63,6 +64,13 @@ use tc_trace::{Event, Tracer};
 ///   appends a file's pages in allocation order;
 ///   [`alloc`](PageStore::alloc) pops from the end) so page-id streams —
 ///   and therefore trace digests — are identical on every medium.
+/// * A freed page that the last synced catalog gives to a file is not
+///   reused until the next [`sync`](PageStore::sync) succeeds: it is
+///   held, recorded as free by that sync, and joins the free list
+///   (in the order it was freed) only once the sync is durable. A crash
+///   before then reopens the synced catalog with every one of its files'
+///   images intact. A page no synced catalog gives to a file is reused
+///   at once.
 pub trait PageStore: Send {
     /// Creates a new, empty file of the given kind.
     fn new_file(&mut self, kind: FileKind) -> FileId;
@@ -72,10 +80,11 @@ pub trait PageStore: Send {
     /// Allocation itself is not counted as an I/O.
     fn alloc(&mut self, file: FileId) -> StorageResult<PageId>;
 
-    /// Deletes `file`, releasing all its pages for reuse. A catalog
-    /// operation: charges no I/O. The caller must ensure no buffered
-    /// copies of the pages remain (the buffer pool's `free_file` evicts
-    /// first).
+    /// Deletes `file`, releasing all its pages for reuse: at once, or
+    /// after the next sync for a page the last synced catalog gives to
+    /// it. A catalog operation: charges no I/O. The caller must ensure
+    /// no buffered copies of the pages remain (the buffer pool's
+    /// `free_file` evicts first).
     fn drop_file(&mut self, file: FileId) -> StorageResult<()>;
 
     /// Physically reads page `pid` into `out`, counting one read on
@@ -102,8 +111,11 @@ pub trait PageStore: Send {
     fn write_page(&mut self, pid: PageId, data: &Page) -> StorageResult<()>;
 
     /// Durability point: persists page images and store metadata (free
-    /// list, file directory) so a reopen recovers them. A no-op for the
-    /// media without a reopen. Never counted as I/O and never traced.
+    /// list, file directory) so a reopen recovers them, then releases
+    /// the pages held since the last sync to the free list. The medium
+    /// has nothing to persist when it has no reopen, but the release
+    /// happens on every medium. Never counted as I/O and never traced.
+    /// A failed sync changes nothing.
     fn sync(&mut self) -> StorageResult<()>;
 
     /// The pages belonging to `file`, in allocation order (none once it
@@ -172,6 +184,10 @@ pub struct Store<M: Medium> {
     /// mutates holds the only reference, so `make_mut` never copies
     /// there.
     catalog: Arc<Catalog>,
+    /// Indexed by [`PageId`]: whether the last synced catalog gives the
+    /// slot to a file. Such a slot is held, not freed, when its file is
+    /// dropped. Empty until the first sync (or a reopen).
+    synced: Vec<bool>,
     stats: DiskStats,
     fault: Option<FaultPlan>,
     /// Disabled (free) unless the engine arms one for a run.
@@ -190,9 +206,29 @@ impl<M: Medium> Store<M> {
         Store {
             medium,
             catalog,
+            synced: Vec::new(),
             stats: DiskStats::default(),
             fault: None,
             tracer: Tracer::disabled(),
+        }
+    }
+
+    /// A store over a `medium` reopened at the last sync: `catalog` is
+    /// the synced one, so its files' pages are held when dropped.
+    pub(crate) fn recovered(medium: M, catalog: Arc<Catalog>) -> Store<M> {
+        let mut store = Store::with_catalog(medium, catalog);
+        store.mark_synced();
+        store
+    }
+
+    /// Records the current catalog as the synced one.
+    fn mark_synced(&mut self) {
+        self.synced.clear();
+        self.synced.resize(self.catalog.page_file.len(), false);
+        for meta in &self.catalog.files {
+            for pid in &meta.pages {
+                self.synced[pid.index()] = true;
+            }
         }
     }
 
@@ -351,7 +387,13 @@ impl<M: Medium> PageStore for Store<M> {
             .files
             .get_mut(file.0 as usize)
             .ok_or(StorageError::UnknownFile(file.0))?;
-        catalog.free_pages.append(&mut meta.pages);
+        for pid in meta.pages.drain(..) {
+            if self.synced.get(pid.index()) == Some(&true) {
+                catalog.held_pages.push(pid);
+            } else {
+                catalog.free_pages.push(pid);
+            }
+        }
         Ok(())
     }
 
@@ -374,7 +416,18 @@ impl<M: Medium> PageStore for Store<M> {
     }
 
     fn sync(&mut self) -> StorageResult<()> {
-        self.medium.sync(&self.catalog)
+        self.medium.sync(&self.catalog)?;
+        if self.medium.writable().is_err() {
+            // A read-only store frees nothing and shares its catalog.
+            return Ok(());
+        }
+        if !self.catalog.held_pages.is_empty() {
+            let catalog = Arc::make_mut(&mut self.catalog);
+            let held = std::mem::take(&mut catalog.held_pages);
+            catalog.free_pages.extend(held);
+        }
+        self.mark_synced();
+        Ok(())
     }
 
     fn file_pages(&self, file: FileId) -> StorageResult<&[PageId]> {

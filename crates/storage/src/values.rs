@@ -1,4 +1,5 @@
-//! Positional files of `u32` values.
+//! Positional files of `u32` values, each in the fewest whole bytes its
+//! file's bound needs.
 //!
 //! A [`crate::RelationFile`] is the paper's keyed file: tuples clustered
 //! on a key, found through a sparse index, 256 to a page. Three files of
@@ -9,52 +10,91 @@
 //! start is known. Their readers address values *by position*, so a key
 //! stored beside each value would only double the bytes every scan,
 //! rewrite and capture moves. A [`ValueFile`] is that file: bare values,
-//! [`VALUES_PER_PAGE`] to a page, in the order written.
+//! in the order written.
+//!
+//! For the same reason a value takes no more bytes than its file can
+//! need. Each file is created with the bound its values lie below — a
+//! closure's successors are node ids below `n`, a chain holds component
+//! ids — and stores each value in the fewest whole bytes, 1 to 4, that
+//! hold `bound − 1` ([`ValuePage::for_bound`]),
+//! [`ValueFile::values_per_page`] to a page. Positions are unchanged by
+//! the width: only how many share a page. A value at or above the bound
+//! is refused, [`StorageError::ValueOutOfRange`], before any byte of the
+//! call that carries it is written: it is never truncated.
 //!
 //! Reads and writes go through a [`Pager`] and are charged like any other
 //! page access, one request per page touched.
 
 use crate::disk::{FileId, FileKind};
 use crate::error::{StorageError, StorageResult};
-use crate::layout::value::{ValuePage, VALUES_PER_PAGE};
+use crate::layout::value::ValuePage;
 use crate::page::{Page, PageId};
 use crate::pager::Pager;
 use crate::store::PageStore;
 
+/// Refuses `values` if one lies at or above `bound`, naming the first.
+fn check_bound(values: &[u32], bound: u64) -> StorageResult<()> {
+    if bound > u64::from(u32::MAX) {
+        return Ok(());
+    }
+    // One branch-free pass finds whether any value is out of range; the
+    // search for which one runs only then.
+    match values.iter().max() {
+        Some(&max) if u64::from(max) >= bound => {
+            let value = values
+                .iter()
+                .copied()
+                .find(|&v| u64::from(v) >= bound)
+                .unwrap_or(max);
+            Err(StorageError::ValueOutOfRange { value, bound })
+        }
+        _ => Ok(()),
+    }
+}
+
 /// A file of `u32` values addressed by position.
 ///
-/// The struct is the catalog entry (file id, page list, count); value
-/// `i` lives in slot `i % VALUES_PER_PAGE` of page `i / VALUES_PER_PAGE`.
+/// The struct is the catalog entry (file id, slot layout, page list,
+/// count); value `i` lives in slot `i % p` of page `i / p`, `p` =
+/// [`ValueFile::values_per_page`].
 #[derive(Clone, Debug)]
 pub struct ValueFile {
     file: FileId,
+    layout: ValuePage,
     pages: Vec<PageId>,
     count: usize,
 }
 
 impl ValueFile {
-    /// Loads `values` into a fresh file of the given kind, one write per
-    /// page, bypassing the buffer pool. The writes are charged to the
-    /// store, like [`crate::RelationFile::bulk_load`]'s.
+    /// Loads `values`, each below `bound`, into a fresh file of the
+    /// given kind, one write per page, bypassing the buffer pool. The
+    /// writes are charged to the store, like
+    /// [`crate::RelationFile::bulk_load`]'s. A value at or above `bound`
+    /// is [`StorageError::ValueOutOfRange`], before any file is created.
     pub fn bulk_load<S: PageStore + ?Sized>(
         disk: &mut S,
         kind: FileKind,
+        bound: u64,
         values: &[u32],
     ) -> StorageResult<ValueFile> {
+        check_bound(values, bound)?;
+        let layout = ValuePage::for_bound(bound);
+        let per_page = layout.per_page();
         let file = disk.new_file(kind);
-        let mut pages = Vec::with_capacity(values.len().div_ceil(VALUES_PER_PAGE));
+        let mut pages = Vec::with_capacity(values.len().div_ceil(per_page));
         let mut page = Page::new();
-        for chunk in values.chunks(VALUES_PER_PAGE) {
-            if chunk.len() < VALUES_PER_PAGE {
+        for chunk in values.chunks(per_page) {
+            if chunk.len() < per_page {
                 page.clear();
             }
-            ValuePage::write(&mut page, 0, chunk);
+            layout.write(&mut page, 0, chunk);
             let pid = disk.alloc(file)?;
             disk.write_page(pid, &page)?;
             pages.push(pid);
         }
         Ok(ValueFile {
             file,
+            layout,
             pages,
             count: values.len(),
         })
@@ -80,6 +120,17 @@ impl ValueFile {
         &self.pages
     }
 
+    /// The slot layout of the file's pages.
+    pub fn layout(&self) -> ValuePage {
+        self.layout
+    }
+
+    /// Values a page of this file holds: `⌊2048 / width⌋`, the width
+    /// set by the bound the file was written with.
+    pub fn values_per_page(&self) -> usize {
+        self.layout.per_page()
+    }
+
     /// The value at position `at`: one page access, for the page that
     /// holds it. A position at or past the end of the file is refused.
     pub fn get<P: Pager + ?Sized>(&self, pager: &mut P, at: usize) -> StorageResult<u32> {
@@ -89,9 +140,9 @@ impl ValueFile {
                 capacity: self.count,
             });
         }
-        pager.with_page(self.pages[at / VALUES_PER_PAGE], |pg: &Page| {
-            ValuePage::get(pg, at % VALUES_PER_PAGE)
-        })
+        let layout = self.layout;
+        let (page, slot) = layout.locate(at);
+        pager.with_page(self.pages[page], |pg: &Page| layout.get(pg, slot))
     }
 
     /// Appends the values at positions `[start, end)` to `out`: one page
@@ -114,12 +165,13 @@ impl ValueFile {
             return Ok(());
         }
         out.reserve_exact(end - start);
-        for i in start / VALUES_PER_PAGE..=(end - 1) / VALUES_PER_PAGE {
-            let base = i * VALUES_PER_PAGE;
+        let (layout, per_page) = (self.layout, self.values_per_page());
+        for i in start / per_page..=(end - 1) / per_page {
+            let base = i * per_page;
             let from = start.saturating_sub(base);
-            let to = (end - base).min(VALUES_PER_PAGE);
+            let to = (end - base).min(per_page);
             pager.with_page(self.pages[i], |pg: &Page| {
-                ValuePage::read(pg, from, to, out);
+                layout.read(pg, from, to, out);
             })?;
         }
         Ok(())
@@ -133,11 +185,12 @@ impl ValueFile {
         pager: &mut P,
         sink: &mut dyn FnMut(&[u32]),
     ) -> StorageResult<()> {
-        let mut buf: Vec<u32> = Vec::with_capacity(VALUES_PER_PAGE);
+        let (layout, per_page) = (self.layout, self.values_per_page());
+        let mut buf: Vec<u32> = Vec::with_capacity(per_page);
         for (i, &pid) in self.pages.iter().enumerate() {
-            let valid = (self.count - i * VALUES_PER_PAGE).min(VALUES_PER_PAGE);
+            let valid = (self.count - i * per_page).min(per_page);
             buf.clear();
-            pager.with_page(pid, |pg: &Page| ValuePage::read(pg, 0, valid, &mut buf))?;
+            pager.with_page(pid, |pg: &Page| layout.read(pg, 0, valid, &mut buf))?;
             sink(&buf);
         }
         Ok(())
@@ -151,15 +204,20 @@ impl ValueFile {
 /// fills, never once per value.
 pub struct ValueWriter {
     file: FileId,
+    bound: u64,
+    layout: ValuePage,
     pages: Vec<PageId>,
     count: usize,
 }
 
 impl ValueWriter {
-    /// Starts writing a fresh file of the given kind.
-    pub fn new<P: Pager>(pager: &mut P, kind: FileKind) -> ValueWriter {
+    /// Starts writing a fresh file of the given kind, whose values all
+    /// lie below `bound`.
+    pub fn new<P: Pager>(pager: &mut P, kind: FileKind, bound: u64) -> ValueWriter {
         ValueWriter {
             file: pager.create_file(kind),
+            bound,
+            layout: ValuePage::for_bound(bound),
             pages: Vec::new(),
             count: 0,
         }
@@ -167,13 +225,18 @@ impl ValueWriter {
 
     /// Appends `values` in order: a page is allocated when the previous
     /// one is full, and each page the slice lands on is requested once.
+    /// A value at or above the writer's bound is
+    /// [`StorageError::ValueOutOfRange`], before any value of the call
+    /// is written.
     pub fn extend_from_slice<P: Pager>(
         &mut self,
         pager: &mut P,
         mut values: &[u32],
     ) -> StorageResult<()> {
+        check_bound(values, self.bound)?;
+        let (layout, per_page) = (self.layout, self.layout.per_page());
         while !values.is_empty() {
-            let slot = self.count % VALUES_PER_PAGE;
+            let slot = self.count % per_page;
             if slot == 0 {
                 self.pages.push(pager.alloc_page(self.file)?);
             }
@@ -181,8 +244,8 @@ impl ValueWriter {
                 .pages
                 .last()
                 .ok_or(StorageError::Internal("page allocated above"))?;
-            let (head, rest) = values.split_at(values.len().min(VALUES_PER_PAGE - slot));
-            pager.with_page_mut(pid, |pg: &mut Page| ValuePage::write(pg, slot, head))?;
+            let (head, rest) = values.split_at(values.len().min(per_page - slot));
+            pager.with_page_mut(pid, |pg: &mut Page| layout.write(pg, slot, head))?;
             self.count += head.len();
             values = rest;
         }
@@ -198,6 +261,7 @@ impl ValueWriter {
     pub fn finish(self) -> ValueFile {
         ValueFile {
             file: self.file,
+            layout: self.layout,
             pages: self.pages,
             count: self.count,
         }
@@ -209,26 +273,45 @@ mod tests {
     use super::*;
     use crate::disk::DiskSim;
     use crate::file_store::{FileStore, TempDir};
-    use tc_det::Rng;
+    use crate::page::PAGE_SIZE;
+    use tc_det::check::{shrink_none, Checker};
+    use tc_det::{require, require_eq, Rng};
 
-    /// Lengths around the 512-value page: empty, one value, one short of
-    /// a page, a last page that is exactly full (512, 1024), one over.
-    const LENS: [usize; 6] = [0, 1, 511, 512, 513, 1024];
+    /// The bounds at each width's edges: the largest of a width, the
+    /// smallest of the next, and the widest a `u32` file declares.
+    const BOUNDS: [u64; 10] = [
+        1,
+        2,
+        256,
+        257,
+        1 << 16,
+        (1 << 16) + 1,
+        1 << 24,
+        (1 << 24) + 1,
+        u32::MAX as u64,
+        1 << 32,
+    ];
 
-    fn values(len: usize, rng: &mut Rng) -> Vec<u32> {
-        (0..len).map(|_| rng.next_u32()).collect()
-    }
-
-    /// Pages holding positions `[start, end)`.
-    fn pages_touched(start: usize, end: usize) -> usize {
-        if start >= end {
-            0
-        } else {
-            (end - 1) / VALUES_PER_PAGE - start / VALUES_PER_PAGE + 1
+    /// The width a bound needs, worked out apart from the codec.
+    fn width_of(bound: u64) -> usize {
+        match bound {
+            0..=256 => 1,
+            257..=65_536 => 2,
+            65_537..=16_777_216 => 3,
+            _ => 4,
         }
     }
 
-    /// A store to run a test body on, and what stands for closing and
+    /// Pages holding positions `[start, end)` at `per_page` a page.
+    fn pages_touched(start: usize, end: usize, per_page: usize) -> usize {
+        if start >= end {
+            0
+        } else {
+            (end - 1) / per_page - start / per_page + 1
+        }
+    }
+
+    /// A store to run a case on, and what stands for closing and
     /// reopening it: nothing on the simulated disk, sync + drop + open
     /// on a real file.
     struct Bed<S> {
@@ -252,152 +335,169 @@ mod tests {
         },
     };
 
-    fn read_range_returns_the_written_slice<S: PageStore>(bed: Bed<S>) {
-        let mut rng = Rng::from_seed(0x5EED_0512);
-        for len in LENS {
-            let data = values(len, &mut rng);
-            // The writer starts mid-page whenever there is a page to
-            // start in the middle of.
-            let head = len.min(200);
-            let dir = TempDir::new("tc-valuefile-read").unwrap();
-            let mut store = (bed.fresh)(&dir);
-            let loaded = ValueFile::bulk_load(&mut store, FileKind::Output, &data).unwrap();
-            let mut w = ValueWriter::new(&mut store, FileKind::Output);
-            w.extend_from_slice(&mut store, &data[..head]).unwrap();
-            w.extend_from_slice(&mut store, &data[head..]).unwrap();
-            assert_eq!(w.count(), len);
-            let written = w.finish();
-            let mut store = (bed.reopen)(store, &dir);
+    /// One case: a bound, values below it around the width's page
+    /// capacity, the cuts a piecewise writer splits them at, and the
+    /// medium.
+    #[derive(Clone)]
+    struct Case {
+        bound: u64,
+        values: Vec<u32>,
+        cuts: Vec<usize>,
+        file: bool,
+        seed: u64,
+    }
 
-            for file in [&loaded, &written] {
-                assert_eq!(file.count(), len, "len {len}");
-                assert_eq!(
-                    file.page_count(),
-                    len.div_ceil(VALUES_PER_PAGE),
-                    "len {len}"
-                );
-                assert_eq!(
-                    store.file_pages(file.file_id()),
-                    Ok(file.pages()),
-                    "len {len}"
-                );
-                let mut ranges = vec![(0, len), (0, 0), (len, len), (len / 2, len / 2)];
-                for _ in 0..24 {
-                    let start = rng.random_range(0..=len);
-                    ranges.push((start, rng.random_range(start..=len)));
-                }
-                for (start, end) in ranges {
-                    let mut out = vec![u32::MAX];
-                    let before = store.stats().reads;
-                    file.read_range(&mut store, start, end, &mut out).unwrap();
-                    assert_eq!(out[0], u32::MAX, "read_range appends");
-                    assert_eq!(&out[1..], &data[start..end], "len {len} [{start}, {end})");
-                    let reads = (store.stats().reads - before) as usize;
-                    assert_eq!(
-                        reads,
-                        pages_touched(start, end),
-                        "len {len} [{start}, {end})"
-                    );
-                }
-                let mut scanned = Vec::new();
-                file.scan_pages(&mut store, &mut |chunk| scanned.extend_from_slice(chunk))
-                    .unwrap();
-                assert_eq!(scanned, data, "len {len}");
-                let past = file.read_range(&mut store, 0, len + 1, &mut Vec::new());
-                assert!(
-                    matches!(past, Err(StorageError::SlotOutOfBounds { .. })),
-                    "len {len}"
-                );
-            }
+    /// A failure report names the case, not its thousands of values:
+    /// the seed replays it.
+    impl std::fmt::Debug for Case {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("Case")
+                .field("bound", &self.bound)
+                .field("len", &self.values.len())
+                .field("cuts", &self.cuts)
+                .field("file", &self.file)
+                .finish_non_exhaustive()
         }
     }
 
-    fn pieces_write_what_one_call_writes<S: PageStore>(bed: Bed<S>) {
-        let mut rng = Rng::from_seed(0x5EED_0513);
-        for len in LENS.into_iter().chain([1500, 2048]) {
-            let data = values(len, &mut rng);
-            let mut cuts: Vec<usize> = (0..5).map(|_| rng.random_range(0..=len)).collect();
-            cuts.extend([0, len]);
-            cuts.sort_unstable();
+    fn case(rng: &mut Rng) -> Case {
+        let bound = BOUNDS[rng.random_range(0..BOUNDS.len())];
+        let p = PAGE_SIZE / width_of(bound);
+        let len = match rng.random_range(0..4u32) {
+            0 => rng.random_range(0..3usize),
+            1 => p - 1 + rng.random_range(0..3usize),
+            2 => 2 * p - 1 + rng.random_range(0..3usize),
+            _ => rng.random_range(0..3 * p + 2),
+        };
+        // The top value and zero are drawn often, to reach the high byte.
+        let values: Vec<u32> = (0..len)
+            .map(|_| match rng.random_range(0..4u32) {
+                0 => (bound - 1) as u32,
+                1 => 0,
+                _ => (rng.next_u64() % bound) as u32,
+            })
+            .collect();
+        let mut cuts: Vec<usize> = (0..rng.random_range(0..6usize))
+            .map(|_| rng.random_range(0..=len))
+            .collect();
+        cuts.extend([0, len]);
+        cuts.sort_unstable();
+        Case {
+            bound,
+            values,
+            cuts,
+            file: rng.random_range(0..2u32) == 0,
+            seed: rng.next_u64(),
+        }
+    }
 
-            let dirs = [(); 2].map(|()| TempDir::new("tc-valuefile-pieces").unwrap());
-            let [mut whole_store, mut pieces_store] = dirs.each_ref().map(bed.fresh);
-            let mut whole = ValueWriter::new(&mut whole_store, FileKind::Output);
-            let mut pieces = ValueWriter::new(&mut pieces_store, FileKind::Output);
-            whole.extend_from_slice(&mut whole_store, &data).unwrap();
-            let mut requests = 0;
-            for cut in cuts.windows(2) {
-                pieces
-                    .extend_from_slice(&mut pieces_store, &data[cut[0]..cut[1]])
-                    .unwrap();
-                requests += pages_touched(cut[0], cut[1]);
-            }
+    /// Every way a file is written holds the values it was given at the
+    /// width its bound sets, on the page capacity that width allows: one
+    /// bulk load, one append, the same appends in pieces (whose pages
+    /// are those of the one append, byte for byte), and a value at the
+    /// bound is refused before anything is written.
+    fn widths_round_trip<S: PageStore>(bed: Bed<S>, c: &Case) -> Result<(), String> {
+        let (data, bound) = (&c.values, c.bound);
+        let p = PAGE_SIZE / width_of(bound);
+        let mut rng = Rng::from_seed(c.seed);
+        let dir = TempDir::new("tc-valuefile-widths").unwrap();
+        let mut store = (bed.fresh)(&dir);
+        let loaded = ValueFile::bulk_load(&mut store, FileKind::Output, bound, data).unwrap();
+        let mut whole = ValueWriter::new(&mut store, FileKind::Output, bound);
+        whole.extend_from_slice(&mut store, data).unwrap();
+        let mut pieces = ValueWriter::new(&mut store, FileKind::Output, bound);
+        for cut in c.cuts.windows(2) {
+            let before = store.stats().writes;
+            pieces
+                .extend_from_slice(&mut store, &data[cut[0]..cut[1]])
+                .unwrap();
             // On a direct pager every request to write is one write.
-            assert_eq!(whole_store.stats().writes as usize, pages_touched(0, len));
-            assert_eq!(pieces_store.stats().writes as usize, requests, "len {len}");
+            require_eq!(
+                (store.stats().writes - before) as usize,
+                pages_touched(cut[0], cut[1], p),
+                "piece [{}, {})",
+                cut[0],
+                cut[1]
+            );
+        }
+        if let Ok(top) = u32::try_from(bound) {
+            let (count, pages, writes) = (pieces.count(), store.page_count(), store.stats().writes);
+            let refused = pieces.extend_from_slice(&mut store, &[0, top]);
+            require_eq!(
+                refused,
+                Err(StorageError::ValueOutOfRange { value: top, bound })
+            );
+            require_eq!(
+                (pieces.count(), store.page_count(), store.stats().writes),
+                (count, pages, writes),
+                "a refused call wrote something"
+            );
+            let refused = ValueFile::bulk_load(&mut store, FileKind::Output, bound, &[top]);
+            require!(refused.is_err(), "bulk_load stored {top} below {bound}");
+        }
+        let (whole, pieces) = (whole.finish(), pieces.finish());
+        let mut store = (bed.reopen)(store, &dir);
 
-            let (whole, pieces) = (whole.finish(), pieces.finish());
-            assert_eq!(pieces.count(), whole.count(), "len {len}");
-            assert_eq!(pieces.pages(), whole.pages(), "len {len}");
-            let [dir_w, dir_p] = dirs.each_ref();
-            let mut whole_store = (bed.reopen)(whole_store, dir_w);
-            let mut pieces_store = (bed.reopen)(pieces_store, dir_p);
-            for &pid in whole.pages() {
+        for file in [&loaded, &whole, &pieces] {
+            require_eq!(file.count(), data.len());
+            require_eq!(file.values_per_page(), p);
+            require_eq!(file.page_count(), data.len().div_ceil(p));
+            require_eq!(store.file_pages(file.file_id()), Ok(file.pages()));
+            for at in 0..file.page_count() {
                 let (mut a, mut b) = (Page::new(), Page::new());
-                whole_store.read_page(pid, &mut a).unwrap();
-                pieces_store.read_page(pid, &mut b).unwrap();
-                assert!(a == b, "len {len}: image of {pid:?} differs");
+                store.read_page(whole.pages()[at], &mut a).unwrap();
+                store.read_page(file.pages()[at], &mut b).unwrap();
+                require!(a == b, "page {at} differs from the one append's");
             }
-        }
-    }
-
-    #[test]
-    fn get_reads_one_value_from_its_page() {
-        let mut rng = Rng::from_seed(0x5EED_0514);
-        let len = 3 * VALUES_PER_PAGE + 5;
-        let data = values(len, &mut rng);
-        let mut disk = DiskSim::new();
-        let file = ValueFile::bulk_load(&mut disk, FileKind::Output, &data).unwrap();
-        let mut ats = vec![0, len - 1];
-        for page in 1..=3 {
-            let boundary = page * VALUES_PER_PAGE;
-            ats.extend([boundary - 1, boundary, boundary + 1]);
-        }
-        for at in ats {
-            let mut want = Vec::new();
-            file.read_range(&mut disk, at, at + 1, &mut want).unwrap();
-            let before = disk.stats().reads;
-            assert_eq!(file.get(&mut disk, at).unwrap(), want[0], "at {at}");
-            assert_eq!(disk.stats().reads - before, 1, "at {at}: one request");
-        }
-        for at in [len, len + VALUES_PER_PAGE] {
-            assert_eq!(
-                file.get(&mut disk, at),
+            let len = data.len();
+            let mut ranges = vec![(0, len), (0, 0), (len, len), (len / 2, len / 2)];
+            for _ in 0..12 {
+                let start = rng.random_range(0..=len);
+                ranges.push((start, rng.random_range(start..=len)));
+            }
+            for (start, end) in ranges {
+                let mut out = vec![u32::MAX];
+                let before = store.stats().reads;
+                file.read_range(&mut store, start, end, &mut out).unwrap();
+                require_eq!(out[0], u32::MAX, "read_range appends");
+                require_eq!(&out[1..], &data[start..end], "[{start}, {end})");
+                require_eq!(
+                    (store.stats().reads - before) as usize,
+                    pages_touched(start, end, p),
+                    "[{start}, {end})"
+                );
+            }
+            let mut ats: Vec<usize> = (0..8).map(|_| rng.random_range(0..len.max(1))).collect();
+            ats.extend((1..=len / p).flat_map(|page| [page * p - 1, page * p]));
+            for at in ats.into_iter().filter(|&at| at < len) {
+                let before = store.stats().reads;
+                require_eq!(file.get(&mut store, at), Ok(data[at]), "at {at}");
+                require_eq!(store.stats().reads - before, 1, "at {at}: one request");
+            }
+            require_eq!(
+                file.get(&mut store, len),
                 Err(StorageError::SlotOutOfBounds {
-                    slot: at,
+                    slot: len,
                     capacity: len
                 })
             );
+            let mut scanned = Vec::new();
+            file.scan_pages(&mut store, &mut |chunk| scanned.extend_from_slice(chunk))
+                .unwrap();
+            require_eq!(&scanned, data);
+            let past = file.read_range(&mut store, 0, len + 1, &mut Vec::new());
+            require!(matches!(past, Err(StorageError::SlotOutOfBounds { .. })));
         }
+        Ok(())
     }
 
     #[test]
-    fn value_file_read_range_returns_the_written_slice_sim() {
-        read_range_returns_the_written_slice(SIM);
-    }
-
-    #[test]
-    fn value_file_read_range_returns_the_written_slice_file_reopened() {
-        read_range_returns_the_written_slice(FILE);
-    }
-
-    #[test]
-    fn value_file_pieces_write_what_one_call_writes_sim() {
-        pieces_write_what_one_call_writes(SIM);
-    }
-
-    #[test]
-    fn value_file_pieces_write_what_one_call_writes_file_reopened() {
-        pieces_write_what_one_call_writes(FILE);
+    fn value_file_widths_round_trip_at_every_bound_edge() {
+        Checker::new("value_file_widths_round_trip_at_every_bound_edge")
+            .cases(64)
+            .run(case, shrink_none, |c| match c.file {
+                false => widths_round_trip(SIM, c),
+                true => widths_round_trip(FILE, c),
+            });
     }
 }

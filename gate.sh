@@ -174,6 +174,9 @@ g_backend_matrix() {
   t -p tc-storage --lib checksum
   # The positional file, on the simulated disk and on a reopened real file.
   t -p tc-storage --lib value_file
+  # Every width's edges: the values back, one request per page touched,
+  # the page capacity the bound allows, pieces written as one call.
+  TC_DET_CASES=1024 t -p tc-storage --lib value_file_widths_round_trip_at_every_bound_edge
   # A capture thaws into the in-memory medium and freezes back unchanged.
   t -p tc-storage --lib thaw_freeze_round_trips
   TC_DET_CASES=256 t --test file_store_recovery recovery_scan_matches_a_per_slot_oracle

@@ -22,10 +22,10 @@ use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require_eq, Rng};
 use tc_study::graph::{condensation, DagGenerator, NodeId};
-use tc_study::reach::{ChainDecomposition, NullMeter, ReachIndex};
+use tc_study::reach::{ChainDecomposition, NullMeter, ReachIndex, NO_POS};
 use tc_study::storage::{
     ClusteredRelation, DiskSim, FileKind, Page, PageId, PageStore, Pager, RelationFile, Tuple,
-    TuplePage, ValuePage, PAGE_SIZE, TUPLES_PER_PAGE, VALUES_PER_PAGE,
+    TuplePage, ValuePage, PAGE_SIZE, TUPLES_PER_PAGE,
 };
 use tc_study::trace::{Event, Fnv, Kind, LaneHash, Phase, Tracer, VecSink};
 
@@ -241,6 +241,7 @@ fn probe_range_bisection_matches_the_linear_scan() {
 /// page each request went to, in order.
 fn probe_per_key<P: Pager>(
     index_pages: &[PageId],
+    slots: ValuePage,
     entries: usize,
     pager: &mut P,
     key: u32,
@@ -250,10 +251,10 @@ fn probe_per_key<P: Pager>(
         return (None, requests);
     }
     let mut read_key = |pager: &mut P, i: usize| {
-        let pid = index_pages[i / VALUES_PER_PAGE];
+        let pid = index_pages[i / slots.per_page()];
         requests.push(pid);
         pager
-            .with_page(pid, |pg: &Page| ValuePage::get(pg, i % VALUES_PER_PAGE))
+            .with_page(pid, |pg: &Page| slots.get(pg, i % slots.per_page()))
             .unwrap()
     };
     let (mut a, mut b) = (0usize, entries);
@@ -281,13 +282,16 @@ fn probe_per_key<P: Pager>(
 }
 
 /// A clustered relation on even keys (every odd key is absent, and so
-/// are 0 and 1, below the first), one case in four past 512 data pages
-/// so the index spans two or three pages. Every relation holds a run of
-/// at least three data pages and a run that starts on a page's first
-/// slot.
+/// are 0 and 1, below the first), one case in four past the 1,024 data
+/// pages one index page of two-byte keys covers, so the index spans two
+/// or more pages. Every relation holds a run of at least three data
+/// pages and a run that starts on a page's first slot.
 fn clustered_relation(rng: &mut Rng) -> Vec<Tuple> {
     let pages = match rng.random_range(0..4u32) {
-        0 => rng.random_range(VALUES_PER_PAGE + 1..3 * VALUES_PER_PAGE),
+        0 => {
+            let per_index_page = ValuePage::for_bound(1 << 16).per_page();
+            rng.random_range(per_index_page + 1..3 * per_index_page)
+        }
         _ => rng.random_range(4..40usize),
     };
     let tuples = pages * TUPLES_PER_PAGE - rng.random_range(0..TUPLES_PER_PAGE);
@@ -340,7 +344,10 @@ fn probe_searches_the_index_page_it_fetched() {
                 let rel = idx.tuples();
                 let index_pages = disk.file_page_ids(idx.keys().file_id()).unwrap();
                 let entries = rel.page_count();
-                require_eq!(index_pages.len(), entries.div_ceil(VALUES_PER_PAGE));
+                require_eq!(
+                    index_pages.len(),
+                    entries.div_ceil(idx.keys().values_per_page())
+                );
 
                 // Every key around a page boundary, the ends, and a sample of
                 // the rest (all of them on a small relation).
@@ -361,7 +368,8 @@ fn probe_searches_the_index_page_it_fetched() {
                 let pool = |store| BufferPool::new(store, frames, PagePolicy::Lru);
                 let (mut new, mut old) = (pool(indexed(&data).0), pool(indexed(&data).0));
                 for (i, &key) in keys.iter().enumerate() {
-                    let (range, requests) = probe_per_key(&index_pages, entries, &mut disk, key);
+                    let (range, requests) =
+                        probe_per_key(&index_pages, idx.keys().layout(), entries, &mut disk, key);
                     let before = disk.stats().reads;
                     require_eq!(
                         idx.probe(&mut disk, key).unwrap(),
@@ -389,7 +397,8 @@ fn probe_searches_the_index_page_it_fetched() {
                     }
                     let (mut got, mut want) = (Vec::new(), Vec::new());
                     idx.children(&mut new, key, &mut got).unwrap();
-                    let (range, _) = probe_per_key(&index_pages, entries, &mut old, key);
+                    let (range, _) =
+                        probe_per_key(&index_pages, idx.keys().layout(), entries, &mut old, key);
                     let (lo, hi) = range.unwrap();
                     rel.probe_range(&mut old, key, lo, hi, &mut want).unwrap();
                     require_eq!(got, want, "key {key}: children");
@@ -409,8 +418,15 @@ fn probe_searches_the_index_page_it_fetched() {
         );
 }
 
+/// Entries a page of the labels file holds: an entry may be any `u32`
+/// (`NO_POS` is `u32::MAX`), so each keeps 4 bytes.
+fn labels_per_page() -> usize {
+    ValuePage::for_bound(u64::from(NO_POS) + 1).per_page()
+}
+
 #[test]
 fn label_lookups_request_only_the_page_of_their_column_entry() {
+    let per_page = labels_per_page();
     let g = DagGenerator::new(240, 3.0, 30).seed(21).generate();
     // Two identical builds, so both pools start in the same state.
     let build = || {
@@ -421,7 +437,7 @@ fn label_lookups_request_only_the_page_of_their_column_entry() {
     let ((mut fast_pool, idx), (mut ref_pool, _)) = (build(), build());
     let n = idx.condensation().component_count();
     assert!(
-        !VALUES_PER_PAGE.is_multiple_of(n),
+        !per_page.is_multiple_of(n),
         "some columns must straddle pages for the test to mean anything (N = {n})"
     );
     let labels = ref_pool
@@ -449,10 +465,8 @@ fn label_lookups_request_only_the_page_of_their_column_entry() {
                 // The reference requests the entry's page and nothing else.
                 let c = cd.chain_of[b as usize];
                 let at = c as usize * n + a as usize;
-                ref_pool
-                    .with_page(labels[at / VALUES_PER_PAGE], |_| ())
-                    .unwrap();
-                if at / VALUES_PER_PAGE != c as usize * n / VALUES_PER_PAGE {
+                ref_pool.with_page(labels[at / per_page], |_| ()).unwrap();
+                if at / per_page != c as usize * n / per_page {
                     later_pages += 1;
                 }
                 let persisted = rows[a as usize * k + c as usize] <= cd.pos_of[b as usize];
@@ -497,7 +511,7 @@ fn label_lookups_request_only_the_page_of_their_column_entry() {
         };
         walks += 1;
         let c = idx.decomposition().chain_of[idx.component(v) as usize] as usize;
-        let column = c * n / VALUES_PER_PAGE..=((c + 1) * n - 1) / VALUES_PER_PAGE;
+        let column = c * n / per_page..=((c + 1) * n - 1) / per_page;
         for e in sink.events() {
             let Event::PageRead { page, .. } = e else {
                 continue;
@@ -520,16 +534,14 @@ fn label_lookups_request_only_the_page_of_their_column_entry() {
 
 #[test]
 fn reachindex_reads_each_label_column_once_over_its_sources_span() {
+    let per_page = labels_per_page();
     let g = DagGenerator::new(1500, 3.0, 60).seed(23).generate();
     let cond = condensation(&g);
     let n = cond.component_count();
     let k = ChainDecomposition::of(&cond.graph, &Tracer::disabled(), &mut NullMeter)
         .unwrap()
         .width();
-    assert!(
-        n > 2 * VALUES_PER_PAGE,
-        "a column must span pages (N = {n})"
-    );
+    assert!(n > 2 * per_page, "a column must span pages (N = {n})");
     // Sources named by component: a narrow window in the middle, a wide
     // one, and a single source.
     let by_comp = |lo: usize, hi: usize, step: usize| -> Vec<NodeId> {
@@ -578,7 +590,7 @@ fn reachindex_reads_each_label_column_once_over_its_sources_span() {
                 _ => None,
             })
             .collect();
-        assert_eq!(labels.len(), (n * k).div_ceil(VALUES_PER_PAGE));
+        assert_eq!(labels.len(), (n * k).div_ceil(per_page));
         let compute = events
             .iter()
             .position(|e| {
@@ -600,7 +612,7 @@ fn reachindex_reads_each_label_column_once_over_its_sources_span() {
         }
         // Column c's span is values c·N + lo ..= c·N + hi.
         let spans: Vec<_> = (0..k)
-            .map(|c| (c * n + lo) / VALUES_PER_PAGE..=(c * n + hi) / VALUES_PER_PAGE)
+            .map(|c| (c * n + lo) / per_page..=(c * n + hi) / per_page)
             .collect();
         for (&i, &times) in &requested {
             let chains = spans.iter().filter(|s| s.contains(&i)).count();

@@ -323,6 +323,10 @@ fn every_storage_error_variant_constructs_and_displays() {
             stored: 0xAB,
             computed: 0xCD,
         },
+        StorageError::ValueOutOfRange {
+            value: 2000,
+            bound: 2000,
+        },
         StorageError::RetriesExhausted {
             pid: PageId(7),
             attempts: 4,

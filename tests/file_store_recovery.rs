@@ -108,8 +108,19 @@ fn truncation_mid_slot_is_detected_as_torn_write() {
     );
 }
 
+/// Length of the segment file in `dir`.
+fn segment_len(dir: &std::path::Path) -> u64 {
+    std::fs::metadata(dir.join(SEGMENT_FILE))
+        .expect("segment")
+        .len()
+}
+
 #[test]
 fn freed_pages_are_reused_before_the_segment_grows() {
+    // Pages a synced manifest gives to a file are not reused before the
+    // next sync: until then a crash reopens that manifest, and its file
+    // must still hold its own images. After the sync they are reused
+    // LIFO, like every freed page, before the segment grows.
     let tmp = TempDir::new("tc-recovery-reuse").expect("tempdir");
     let mut store = FileStore::create(tmp.path()).expect("create");
     let scratch = store.new_file(FileKind::Temp);
@@ -122,30 +133,95 @@ fn freed_pages_are_reused_before_the_segment_grows() {
         store.write_page(pid, &page).expect("write");
     }
     store.sync().expect("sync");
-    let grown = std::fs::metadata(tmp.path().join(SEGMENT_FILE))
-        .expect("segment")
-        .len();
+    let grown = segment_len(tmp.path());
 
-    // Free the file, allocate the same number of pages again: every id
-    // comes from the free list (LIFO, like the simulated disk) and the
-    // segment must not grow.
+    // Before the sync: the dropped file's pages are held, none is
+    // reused, and the segment grows by the new file.
     store.drop_file(scratch).expect("drop_file");
+    assert_eq!(store.catalog().held_pages(), &first[..]);
+    assert!(store.catalog().free_pages().is_empty());
     let again = store.new_file(FileKind::Temp);
     let mut second = Vec::new();
     for _ in 0..8 {
-        second.push(store.alloc(again).expect("realloc"));
+        second.push(store.alloc(again).expect("alloc"));
+    }
+    assert!(
+        second.iter().all(|pid| !first.contains(pid)),
+        "a page the synced manifest gives to a file was reused before the sync: {second:?}"
+    );
+    for &pid in &second {
+        store.write_page(pid, &page).expect("write");
+    }
+    store.sync().expect("sync");
+    let regrown = segment_len(tmp.path());
+    assert_eq!(regrown, 2 * grown, "the new file must take new slots");
+
+    // After the sync: the held pages are free, in the order they were
+    // freed, and come back LIFO while the segment stays as it is.
+    assert!(store.catalog().held_pages().is_empty());
+    assert_eq!(store.catalog().free_pages(), &first[..]);
+    let third = store.new_file(FileKind::Temp);
+    let mut reused = Vec::new();
+    for _ in 0..8 {
+        reused.push(store.alloc(third).expect("realloc"));
     }
     let mut expected = first.clone();
     expected.reverse();
-    assert_eq!(second, expected, "free list must be reused LIFO");
-    for &pid in &second {
+    assert_eq!(reused, expected, "free list must be reused LIFO");
+    for &pid in &reused {
         store.write_page(pid, &page).expect("rewrite");
     }
     store.sync().expect("sync");
-    let after = std::fs::metadata(tmp.path().join(SEGMENT_FILE))
-        .expect("segment")
-        .len();
-    assert_eq!(after, grown, "segment grew despite a full free list");
+    assert_eq!(
+        segment_len(tmp.path()),
+        regrown,
+        "segment grew despite a full free list"
+    );
+}
+
+#[test]
+fn a_crash_after_a_drop_reopens_the_dropped_files_own_images() {
+    // File A writes two pages and syncs; A is dropped; file B allocates a
+    // page and writes it; the process stops before the next sync. The
+    // manifest on disk still gives A both pages, so B must not have
+    // written over either of them.
+    let tmp = TempDir::new("tc-recovery-drop-crash").expect("tempdir");
+    let stamp = |tag: u32| {
+        let mut page = Page::new();
+        for i in 0..(PAGE_SIZE / 4) {
+            page.put_u32(i * 4, tag ^ i as u32);
+        }
+        page
+    };
+    let a = {
+        let mut store = FileStore::create(tmp.path()).expect("create");
+        let a = store.new_file(FileKind::Output);
+        for tag in [0xA000, 0xA001] {
+            let pid = store.alloc(a).expect("alloc");
+            store.write_page(pid, &stamp(tag)).expect("write");
+        }
+        store.sync().expect("sync");
+        store.drop_file(a).expect("drop_file");
+        let b = store.new_file(FileKind::Output);
+        let pid = store.alloc(b).expect("alloc");
+        store.write_page(pid, &stamp(0xB000)).expect("write");
+        a
+    };
+    let mut store = FileStore::open(tmp.path()).expect("open");
+    assert!(store.recovery().is_clean(), "{:?}", store.recovery());
+    let pages = store
+        .file_pages(a)
+        .expect("A is in the synced manifest")
+        .to_vec();
+    assert_eq!(pages.len(), 2);
+    for (pid, tag) in pages.into_iter().zip([0xA000, 0xA001]) {
+        let mut image = Page::new();
+        store.read_page(pid, &mut image).expect("read");
+        assert!(
+            image == stamp(tag),
+            "A's page {pid:?} holds another file's image"
+        );
+    }
 }
 
 #[test]

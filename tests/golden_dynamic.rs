@@ -17,7 +17,7 @@ use tc_study::trace::{DigestSink, Tracer};
 /// Pinned (hash, event count) of the canonical update-stream trace
 /// (`canonical::graph` and `canonical::update_stream`, 20-page buffer),
 /// one digest across both applies.
-const GOLDEN_STREAM: (u64, u64) = (0x363B486FD0003B5C, 70978);
+const GOLDEN_STREAM: (u64, u64) = (0x990E0E7CA7F9825E, 44909);
 
 #[test]
 fn canonical_update_stream_trace_matches_golden_digest() {

@@ -29,8 +29,8 @@ const GOLDEN: [(&str, u64); 14] = [
     ("related", 0x65AF_1E01_873F_7F46),
     ("ablations", 0x4B85_4915_6D31_D630),
     ("advisor", 0x9013_8046_901C_6AC6),
-    ("updates", 0xA103_6603_DBBA_3A56),
-    ("reachindex", 0x627D_DD33_5514_DF6D),
+    ("updates", 0xA99B_89A4_88C7_7AF4),
+    ("reachindex", 0xAA2C_099B_E53F_F686),
 ];
 
 #[test]

@@ -456,6 +456,18 @@ const RULES: &[Rule] = &[
         needles: Needles::Found(wall_times),
         fixture: "The full closure takes ~183 ms on two cores.",
     },
+    // A value page holds as many values as its file's width allows, and
+    // the width follows from the bound the file's writer declares. The
+    // capacities are one table in the value layout; a reader asks its
+    // file (`ValueFile::values_per_page`), so a fixed 512 cannot return.
+    Rule {
+        name: "one home for value-page capacity: a value file's slots per \
+               page follow from its bound (ask ValueFile::values_per_page)",
+        scope: Scope::Rust(&["crates", "src", "examples"]),
+        want: Want::OnlyIn(&["crates/storage/src/layout/value.rs"]),
+        needles: Needles::Spelled(&["VALUES_PER_PAGE", "PAGE_SIZE / 4"]),
+        fixture: "let page = at / VALUES_PER_PAGE; let slots = PAGE_SIZE / 4;",
+    },
     // A public function is a promise to a caller. One that no other file
     // names — no crate, no test, no example, not the benchmark — is
     // either dead or private in all but name.
