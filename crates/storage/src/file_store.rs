@@ -528,7 +528,7 @@ impl FileStore {
         let catalog = decode_manifest(&manifest)?;
         let mut segment = Segment::open(dir, false)?;
         segment.recovery = segment.scan(catalog.page_file.len())?;
-        Ok(Store::recovered(segment, Arc::new(catalog)))
+        Ok(Store::with_catalog(segment, Arc::new(catalog)))
     }
 
     /// The store's directory.

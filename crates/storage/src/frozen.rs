@@ -97,7 +97,9 @@ impl FrozenPageSet {
     /// catalog, with fresh counters. A slot the capture skipped stays
     /// unowned, so it reads as [`StorageError::PageOutOfBounds`]; the
     /// free list is empty, so a new file's pages land past every slot
-    /// the source store had. Moves the images, copies none.
+    /// the source store had. The captured files count as synced, so a
+    /// page of one dropped before a sync is held until it. Moves the
+    /// images, copies none.
     pub fn thaw(self) -> DiskSim {
         Store::with_catalog(self.mem, self.catalog)
     }

@@ -184,10 +184,11 @@ pub struct Store<M: Medium> {
     /// mutates holds the only reference, so `make_mut` never copies
     /// there.
     catalog: Arc<Catalog>,
-    /// Indexed by [`PageId`]: whether the last synced catalog gives the
-    /// slot to a file. Such a slot is held, not freed, when its file is
-    /// dropped. Empty until the first sync (or a reopen).
-    synced: Vec<bool>,
+    /// Indexed by [`PageId`]: whether the slot was allocated since the
+    /// last sync. A dropped page not marked here is one the last synced
+    /// catalog gives to a file — every page the store started with
+    /// counts as synced — so it is held, not freed.
+    fresh: Vec<bool>,
     stats: DiskStats,
     fault: Option<FaultPlan>,
     /// Disabled (free) unless the engine arms one for a run.
@@ -201,34 +202,17 @@ impl<M: Medium> Store<M> {
     }
 
     /// A store over a `medium` that already holds the pages `catalog`
-    /// describes (a reopened or captured one), with fresh counters.
+    /// describes (a reopened or captured one), with fresh counters. Its
+    /// files' pages count as synced: one dropped before the next sync
+    /// is held until then.
     pub fn with_catalog(medium: M, catalog: Arc<Catalog>) -> Store<M> {
         Store {
             medium,
             catalog,
-            synced: Vec::new(),
+            fresh: Vec::new(),
             stats: DiskStats::default(),
             fault: None,
             tracer: Tracer::disabled(),
-        }
-    }
-
-    /// A store over a `medium` reopened at the last sync: `catalog` is
-    /// the synced one, so its files' pages are held when dropped.
-    pub(crate) fn recovered(medium: M, catalog: Arc<Catalog>) -> Store<M> {
-        let mut store = Store::with_catalog(medium, catalog);
-        store.mark_synced();
-        store
-    }
-
-    /// Records the current catalog as the synced one.
-    fn mark_synced(&mut self) {
-        self.synced.clear();
-        self.synced.resize(self.catalog.page_file.len(), false);
-        for meta in &self.catalog.files {
-            for pid in &meta.pages {
-                self.synced[pid.index()] = true;
-            }
         }
     }
 
@@ -377,6 +361,10 @@ impl<M: Medium> PageStore for Store<M> {
             catalog.page_file.push(file);
         }
         catalog.files[file.0 as usize].pages.push(pid);
+        if self.fresh.len() <= pid.index() {
+            self.fresh.resize(pid.index() + 1, false);
+        }
+        self.fresh[pid.index()] = true;
         Ok(pid)
     }
 
@@ -388,10 +376,10 @@ impl<M: Medium> PageStore for Store<M> {
             .get_mut(file.0 as usize)
             .ok_or(StorageError::UnknownFile(file.0))?;
         for pid in meta.pages.drain(..) {
-            if self.synced.get(pid.index()) == Some(&true) {
-                catalog.held_pages.push(pid);
-            } else {
+            if self.fresh.get(pid.index()) == Some(&true) {
                 catalog.free_pages.push(pid);
+            } else {
+                catalog.held_pages.push(pid);
             }
         }
         Ok(())
@@ -426,7 +414,7 @@ impl<M: Medium> PageStore for Store<M> {
             let held = std::mem::take(&mut catalog.held_pages);
             catalog.free_pages.extend(held);
         }
-        self.mark_synced();
+        self.fresh.clear();
         Ok(())
     }
 

@@ -37,18 +37,9 @@ fn check_bound(values: &[u32], bound: u64) -> StorageResult<()> {
     if bound > u64::from(u32::MAX) {
         return Ok(());
     }
-    // One branch-free pass finds whether any value is out of range; the
-    // search for which one runs only then.
-    match values.iter().max() {
-        Some(&max) if u64::from(max) >= bound => {
-            let value = values
-                .iter()
-                .copied()
-                .find(|&v| u64::from(v) >= bound)
-                .unwrap_or(max);
-            Err(StorageError::ValueOutOfRange { value, bound })
-        }
-        _ => Ok(()),
+    match values.iter().find(|&&v| u64::from(v) >= bound) {
+        Some(&value) => Err(StorageError::ValueOutOfRange { value, bound }),
+        None => Ok(()),
     }
 }
 
@@ -335,6 +326,180 @@ mod tests {
         },
     };
 
+    /// The largest bound of each width, 1 to 4 bytes.
+    const WIDEST: [u64; 4] = [1 << 8, 1 << 16, 1 << 24, 1 << 32];
+
+    /// Lengths around a page of `p` values: empty, one value, one short
+    /// of a page, a last page that is exactly full (`p`, `2p`), one over.
+    fn lens(p: usize) -> [usize; 6] {
+        [0, 1, p - 1, p, p + 1, 2 * p]
+    }
+
+    fn values(len: usize, bound: u64, rng: &mut Rng) -> Vec<u32> {
+        (0..len).map(|_| (rng.next_u64() % bound) as u32).collect()
+    }
+
+    fn read_range_returns_the_written_slice<S: PageStore>(bed: Bed<S>) {
+        let mut rng = Rng::from_seed(0x5EED_0512);
+        for bound in WIDEST {
+            let p = PAGE_SIZE / width_of(bound);
+            for len in lens(p) {
+                let data = values(len, bound, &mut rng);
+                // The writer starts mid-page whenever there is a page to
+                // start in the middle of.
+                let head = len.min(200);
+                let dir = TempDir::new("tc-valuefile-read").unwrap();
+                let mut store = (bed.fresh)(&dir);
+                let loaded =
+                    ValueFile::bulk_load(&mut store, FileKind::Output, bound, &data).unwrap();
+                let mut w = ValueWriter::new(&mut store, FileKind::Output, bound);
+                w.extend_from_slice(&mut store, &data[..head]).unwrap();
+                w.extend_from_slice(&mut store, &data[head..]).unwrap();
+                assert_eq!(w.count(), len);
+                let written = w.finish();
+                let mut store = (bed.reopen)(store, &dir);
+
+                for file in [&loaded, &written] {
+                    let at = format!("bound {bound} len {len}");
+                    assert_eq!(file.count(), len, "{at}");
+                    assert_eq!(file.page_count(), len.div_ceil(p), "{at}");
+                    assert_eq!(store.file_pages(file.file_id()), Ok(file.pages()), "{at}");
+                    let mut ranges = vec![(0, len), (0, 0), (len, len), (len / 2, len / 2)];
+                    for _ in 0..24 {
+                        let start = rng.random_range(0..=len);
+                        ranges.push((start, rng.random_range(start..=len)));
+                    }
+                    for (start, end) in ranges {
+                        let mut out = vec![u32::MAX];
+                        let before = store.stats().reads;
+                        file.read_range(&mut store, start, end, &mut out).unwrap();
+                        assert_eq!(out[0], u32::MAX, "read_range appends");
+                        assert_eq!(&out[1..], &data[start..end], "{at} [{start}, {end})");
+                        let reads = (store.stats().reads - before) as usize;
+                        assert_eq!(reads, pages_touched(start, end, p), "{at} [{start}, {end})");
+                    }
+                    let mut scanned = Vec::new();
+                    file.scan_pages(&mut store, &mut |chunk| scanned.extend_from_slice(chunk))
+                        .unwrap();
+                    assert_eq!(scanned, data, "{at}");
+                    let past = file.read_range(&mut store, 0, len + 1, &mut Vec::new());
+                    assert!(
+                        matches!(past, Err(StorageError::SlotOutOfBounds { .. })),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn pieces_write_what_one_call_writes<S: PageStore>(bed: Bed<S>) {
+        let mut rng = Rng::from_seed(0x5EED_0513);
+        for bound in WIDEST {
+            let p = PAGE_SIZE / width_of(bound);
+            for len in lens(p).into_iter().chain([3 * p - 36, 4 * p]) {
+                let data = values(len, bound, &mut rng);
+                let mut cuts: Vec<usize> = (0..5).map(|_| rng.random_range(0..=len)).collect();
+                cuts.extend([0, len]);
+                cuts.sort_unstable();
+                let at = format!("bound {bound} len {len}");
+
+                let dirs = [(); 2].map(|()| TempDir::new("tc-valuefile-pieces").unwrap());
+                let [mut whole_store, mut pieces_store] = dirs.each_ref().map(bed.fresh);
+                let mut whole = ValueWriter::new(&mut whole_store, FileKind::Output, bound);
+                let mut pieces = ValueWriter::new(&mut pieces_store, FileKind::Output, bound);
+                whole.extend_from_slice(&mut whole_store, &data).unwrap();
+                let mut requests = 0;
+                for cut in cuts.windows(2) {
+                    pieces
+                        .extend_from_slice(&mut pieces_store, &data[cut[0]..cut[1]])
+                        .unwrap();
+                    requests += pages_touched(cut[0], cut[1], p);
+                }
+                // On a direct pager every request to write is one write.
+                assert_eq!(
+                    whole_store.stats().writes as usize,
+                    pages_touched(0, len, p),
+                    "{at}"
+                );
+                assert_eq!(pieces_store.stats().writes as usize, requests, "{at}");
+
+                let (whole, pieces) = (whole.finish(), pieces.finish());
+                assert_eq!(pieces.count(), whole.count(), "{at}");
+                assert_eq!(pieces.pages(), whole.pages(), "{at}");
+                let [dir_w, dir_p] = dirs.each_ref();
+                let mut whole_store = (bed.reopen)(whole_store, dir_w);
+                let mut pieces_store = (bed.reopen)(pieces_store, dir_p);
+                for &pid in whole.pages() {
+                    let (mut a, mut b) = (Page::new(), Page::new());
+                    whole_store.read_page(pid, &mut a).unwrap();
+                    pieces_store.read_page(pid, &mut b).unwrap();
+                    assert!(a == b, "{at}: image of {pid:?} differs");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn get_reads_one_value_from_its_page() {
+        let mut rng = Rng::from_seed(0x5EED_0514);
+        for bound in WIDEST {
+            let p = PAGE_SIZE / width_of(bound);
+            let len = 3 * p + 5;
+            let data = values(len, bound, &mut rng);
+            let mut disk = DiskSim::new();
+            let file = ValueFile::bulk_load(&mut disk, FileKind::Output, bound, &data).unwrap();
+            let mut ats = vec![0, len - 1];
+            for page in 1..=3 {
+                let boundary = page * p;
+                ats.extend([boundary - 1, boundary, boundary + 1]);
+            }
+            for at in ats {
+                let mut want = Vec::new();
+                file.read_range(&mut disk, at, at + 1, &mut want).unwrap();
+                let before = disk.stats().reads;
+                assert_eq!(
+                    file.get(&mut disk, at).unwrap(),
+                    want[0],
+                    "bound {bound} at {at}"
+                );
+                assert_eq!(
+                    disk.stats().reads - before,
+                    1,
+                    "bound {bound} at {at}: one request"
+                );
+            }
+            for at in [len, len + p] {
+                assert_eq!(
+                    file.get(&mut disk, at),
+                    Err(StorageError::SlotOutOfBounds {
+                        slot: at,
+                        capacity: len
+                    })
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn value_file_read_range_returns_the_written_slice_sim() {
+        read_range_returns_the_written_slice(SIM);
+    }
+
+    #[test]
+    fn value_file_read_range_returns_the_written_slice_file_reopened() {
+        read_range_returns_the_written_slice(FILE);
+    }
+
+    #[test]
+    fn value_file_pieces_write_what_one_call_writes_sim() {
+        pieces_write_what_one_call_writes(SIM);
+    }
+
+    #[test]
+    fn value_file_pieces_write_what_one_call_writes_file_reopened() {
+        pieces_write_what_one_call_writes(FILE);
+    }
+
     /// One case: a bound, values below it around the width's page
     /// capacity, the cuts a piecewise writer splits them at, and the
     /// medium.
@@ -394,26 +559,34 @@ mod tests {
     /// Every way a file is written holds the values it was given at the
     /// width its bound sets, on the page capacity that width allows: one
     /// bulk load, one append, the same appends in pieces (whose pages
-    /// are those of the one append, byte for byte), and a value at the
+    /// are those of the one append, ids and bytes), and a value at the
     /// bound is refused before anything is written.
     fn widths_round_trip<S: PageStore>(bed: Bed<S>, c: &Case) -> Result<(), String> {
         let (data, bound) = (&c.values, c.bound);
-        let p = PAGE_SIZE / width_of(bound);
+        let (p, len) = (PAGE_SIZE / width_of(bound), c.values.len());
         let mut rng = Rng::from_seed(c.seed);
-        let dir = TempDir::new("tc-valuefile-widths").unwrap();
-        let mut store = (bed.fresh)(&dir);
-        let loaded = ValueFile::bulk_load(&mut store, FileKind::Output, bound, data).unwrap();
-        let mut whole = ValueWriter::new(&mut store, FileKind::Output, bound);
-        whole.extend_from_slice(&mut store, data).unwrap();
-        let mut pieces = ValueWriter::new(&mut store, FileKind::Output, bound);
+        // The one append and the pieces each start a fresh store, so
+        // their page ids must match too; the bulk load follows the one
+        // append on its store.
+        let dirs = [(); 2].map(|()| TempDir::new("tc-valuefile-widths").unwrap());
+        let [mut one, mut split] = dirs.each_ref().map(bed.fresh);
+        let mut whole = ValueWriter::new(&mut one, FileKind::Output, bound);
+        whole.extend_from_slice(&mut one, data).unwrap();
+        // On a direct pager every request to write is one write.
+        require_eq!(
+            one.stats().writes as usize,
+            pages_touched(0, len, p),
+            "one append"
+        );
+        let loaded = ValueFile::bulk_load(&mut one, FileKind::Output, bound, data).unwrap();
+        let mut pieces = ValueWriter::new(&mut split, FileKind::Output, bound);
         for cut in c.cuts.windows(2) {
-            let before = store.stats().writes;
+            let before = split.stats().writes;
             pieces
-                .extend_from_slice(&mut store, &data[cut[0]..cut[1]])
+                .extend_from_slice(&mut split, &data[cut[0]..cut[1]])
                 .unwrap();
-            // On a direct pager every request to write is one write.
             require_eq!(
-                (store.stats().writes - before) as usize,
+                (split.stats().writes - before) as usize,
                 pages_touched(cut[0], cut[1], p),
                 "piece [{}, {})",
                 cut[0],
@@ -421,35 +594,37 @@ mod tests {
             );
         }
         if let Ok(top) = u32::try_from(bound) {
-            let (count, pages, writes) = (pieces.count(), store.page_count(), store.stats().writes);
-            let refused = pieces.extend_from_slice(&mut store, &[0, top]);
+            let (count, pages, writes) = (pieces.count(), split.page_count(), split.stats().writes);
+            let refused = pieces.extend_from_slice(&mut split, &[0, top]);
             require_eq!(
                 refused,
                 Err(StorageError::ValueOutOfRange { value: top, bound })
             );
+            let refused = ValueFile::bulk_load(&mut split, FileKind::Output, bound, &[top]);
+            require!(refused.is_err(), "bulk_load stored {top} below {bound}");
             require_eq!(
-                (pieces.count(), store.page_count(), store.stats().writes),
+                (pieces.count(), split.page_count(), split.stats().writes),
                 (count, pages, writes),
                 "a refused call wrote something"
             );
-            let refused = ValueFile::bulk_load(&mut store, FileKind::Output, bound, &[top]);
-            require!(refused.is_err(), "bulk_load stored {top} below {bound}");
         }
         let (whole, pieces) = (whole.finish(), pieces.finish());
-        let mut store = (bed.reopen)(store, &dir);
+        require_eq!(pieces.pages(), whole.pages());
+        let [dir_one, dir_split] = dirs.each_ref();
+        let mut stores = [(bed.reopen)(one, dir_one), (bed.reopen)(split, dir_split)];
 
-        for file in [&loaded, &whole, &pieces] {
-            require_eq!(file.count(), data.len());
+        for (file, on) in [(&loaded, 0), (&whole, 0), (&pieces, 1)] {
+            require_eq!(file.count(), len);
             require_eq!(file.values_per_page(), p);
-            require_eq!(file.page_count(), data.len().div_ceil(p));
-            require_eq!(store.file_pages(file.file_id()), Ok(file.pages()));
+            require_eq!(file.page_count(), len.div_ceil(p));
+            require_eq!(stores[on].file_pages(file.file_id()), Ok(file.pages()));
             for at in 0..file.page_count() {
                 let (mut a, mut b) = (Page::new(), Page::new());
-                store.read_page(whole.pages()[at], &mut a).unwrap();
-                store.read_page(file.pages()[at], &mut b).unwrap();
+                stores[0].read_page(whole.pages()[at], &mut a).unwrap();
+                stores[on].read_page(file.pages()[at], &mut b).unwrap();
                 require!(a == b, "page {at} differs from the one append's");
             }
-            let len = data.len();
+            let store = &mut stores[on];
             let mut ranges = vec![(0, len), (0, 0), (len, len), (len / 2, len / 2)];
             for _ in 0..12 {
                 let start = rng.random_range(0..=len);
@@ -458,7 +633,7 @@ mod tests {
             for (start, end) in ranges {
                 let mut out = vec![u32::MAX];
                 let before = store.stats().reads;
-                file.read_range(&mut store, start, end, &mut out).unwrap();
+                file.read_range(store, start, end, &mut out).unwrap();
                 require_eq!(out[0], u32::MAX, "read_range appends");
                 require_eq!(&out[1..], &data[start..end], "[{start}, {end})");
                 require_eq!(
@@ -471,21 +646,23 @@ mod tests {
             ats.extend((1..=len / p).flat_map(|page| [page * p - 1, page * p]));
             for at in ats.into_iter().filter(|&at| at < len) {
                 let before = store.stats().reads;
-                require_eq!(file.get(&mut store, at), Ok(data[at]), "at {at}");
+                require_eq!(file.get(store, at), Ok(data[at]), "at {at}");
                 require_eq!(store.stats().reads - before, 1, "at {at}: one request");
             }
-            require_eq!(
-                file.get(&mut store, len),
-                Err(StorageError::SlotOutOfBounds {
-                    slot: len,
-                    capacity: len
-                })
-            );
+            for at in [len, len + p] {
+                require_eq!(
+                    file.get(store, at),
+                    Err(StorageError::SlotOutOfBounds {
+                        slot: at,
+                        capacity: len
+                    })
+                );
+            }
             let mut scanned = Vec::new();
-            file.scan_pages(&mut store, &mut |chunk| scanned.extend_from_slice(chunk))
+            file.scan_pages(store, &mut |chunk| scanned.extend_from_slice(chunk))
                 .unwrap();
             require_eq!(&scanned, data);
-            let past = file.read_range(&mut store, 0, len + 1, &mut Vec::new());
+            let past = file.read_range(store, 0, len + 1, &mut Vec::new());
             require!(matches!(past, Err(StorageError::SlotOutOfBounds { .. })));
         }
         Ok(())
