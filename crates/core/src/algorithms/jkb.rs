@@ -100,8 +100,7 @@ pub fn preprocess(
             let mem = pool.capacity().saturating_sub(2).max(3);
             let sorted = extsort::external_sort(pool, &arcs_file, mem, FileKind::Temp)?;
             pool.free_file(arcs_file.file_id())?;
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            sorted.scan_pages(pool, &mut |chunk| pairs.extend_from_slice(chunk))?;
+            let pairs = sorted.scan(pool)?;
             pool.free_file(sorted.file_id())?;
             for (x, p) in pairs {
                 pred.append_flat(pool, x, p)?;

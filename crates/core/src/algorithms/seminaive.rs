@@ -82,8 +82,7 @@ pub fn run_seminaive(
 
         // Join the delta with the relation.
         cand = TupleWriter::new(pool, FileKind::Temp);
-        let mut frontier: Vec<(u32, u32)> = Vec::with_capacity(delta.tuple_count());
-        delta.scan_pages(pool, &mut |chunk| frontier.extend_from_slice(chunk))?;
+        let frontier = delta.scan(pool)?;
         pool.free_file(delta.file_id())?;
         for (s, x) in frontier {
             metrics.count_union();
@@ -113,10 +112,8 @@ fn merge_round(
 ) -> StorageResult<(RelationFile, RelationFile)> {
     // Materialize both sides page-at-a-time through the pool (charged),
     // then write the merge result back out (charged on eviction/flush).
-    let mut old: Vec<(u32, u32)> = Vec::with_capacity(tc.tuple_count());
-    tc.scan_pages(pool, &mut |chunk| old.extend_from_slice(chunk))?;
-    let mut new: Vec<(u32, u32)> = Vec::with_capacity(sorted.tuple_count());
-    sorted.scan_pages(pool, &mut |chunk| new.extend_from_slice(chunk))?;
+    let old = tc.scan(pool)?;
+    let new = sorted.scan(pool)?;
 
     let mut out = TupleWriter::new(pool, FileKind::Output);
     let mut delta = TupleWriter::new(pool, FileKind::Temp);

@@ -34,13 +34,15 @@
 //! over unchanged, so dynamic runs are first-class citizens of the
 //! experiment and differential-testing harnesses.
 //!
-//! On the medium the closure is a positional [`ValueFile`]: the
+//! On the medium the closure is a positional value file: the
 //! successors of source 0, then of source 1, and so on, with no source
-//! stored beside them — the row table `rows` the instance keeps says
-//! where each row starts. In memory it is that scanned column plus a
-//! bit row per source the batch writes to ([`TupleRows`]); rows are
-//! merged with word-parallel ORs, so the wall-clock cost follows the
-//! rows a batch touches, like the counted cost does.
+//! stored beside them, and a row table beside the file that says where
+//! each row starts. [`crate::closure_file`] owns that format: it is the
+//! only code that writes or reads the file. In memory the closure is the
+//! scanned column plus a bit row per source the batch writes to
+//! ([`crate::closure_file::TupleRows`]); rows are merged with
+//! word-parallel ORs, so the wall-clock cost follows the rows a batch
+//! touches, like the counted cost does.
 //!
 //! The initial closure comes from the same recurrence run once over the
 //! whole graph: [`DynamicClosure::build`] takes
@@ -56,6 +58,7 @@
 //! stream, config) triple produces bit-identical tuples, metrics and
 //! trace digests on every backend and at any parallelism.
 
+use crate::closure_file::ClosureFile;
 use crate::config::SystemConfig;
 use crate::database::Database;
 use crate::lifecycle::MeteredRun;
@@ -68,10 +71,8 @@ use tc_graph::{closure, BitRow, Graph, NodeId, UpdateOp};
 use tc_obs::SpanRecorder;
 use tc_reach::{NullMeter, ReachIndex};
 use tc_storage::{
-    ClusteredRelation, FileKind, FrozenPageSet, PageStore, StorageError, StorageResult, ValueFile,
-    ValueWriter,
+    ClusteredRelation, FileKind, FrozenPageSet, PageStore, StorageError, StorageResult,
 };
-use tc_succ::TupleRows;
 use tc_trace::{Event, Tracer};
 
 /// Why [`DynamicClosure::apply`] did not apply a batch.
@@ -157,6 +158,11 @@ struct AppliedOps {
 
 /// A materialized full transitive closure maintained under updates.
 ///
+/// The instance owns the database (base relation and clustered index)
+/// and the closure file with its row table; `apply` reads the closure
+/// once, checked row by row, and rewrites it, and `freeze` shares the
+/// row table with the snapshot it makes.
+///
 /// ```
 /// use tc_core::dynamic::DynamicClosure;
 /// use tc_core::SystemConfig;
@@ -175,14 +181,10 @@ struct AppliedOps {
 /// ```
 pub struct DynamicClosure {
     db: Database,
-    /// The closure's successor column, sources ascending and each
-    /// source's successors ascending.
-    tc: ValueFile,
-    /// Row offsets of `tc` (`n + 1` entries): source `u`'s successors
-    /// are values `rows[u]..rows[u + 1]`. The only record of where a row
-    /// starts; known at build and after every `apply`, so `freeze` hands
-    /// them to the snapshot without a scan.
-    rows: Vec<u32>,
+    /// The closure's successor column and its row table, known at build
+    /// and after every `apply`, so `freeze` hands them to the snapshot
+    /// without a scan.
+    closure: ClosureFile,
     cfg: SystemConfig,
 }
 
@@ -214,21 +216,13 @@ impl DynamicClosure {
         );
         let mut db = Database::build_for(graph, false, cfg)?;
         let matrix = closure::dfs_closure(graph);
-        let mut successors: Vec<NodeId> = Vec::with_capacity(matrix.pair_count());
-        let mut rows = vec![0];
-        rows.extend((0..graph.n() as NodeId).map(|s| {
-            successors.extend(matrix.ones(s));
-            successors.len() as u32
-        }));
         let mut store = db.take_store()?;
-        let n = graph.n() as u64;
-        let tc = ValueFile::bulk_load(store.as_mut(), FileKind::Output, n, &successors)?;
+        let closure = ClosureFile::load(store.as_mut(), &matrix)?;
         store.reset_stats();
         db.restore_store(store);
         Ok(DynamicClosure {
             db,
-            tc,
-            rows,
+            closure,
             cfg: cfg.clone(),
         })
     }
@@ -240,12 +234,12 @@ impl DynamicClosure {
 
     /// Number of tuples in the materialized closure.
     pub fn tuple_count(&self) -> usize {
-        self.tc.count()
+        self.closure.count()
     }
 
     /// Pages of the materialized closure file.
     pub fn closure_pages(&self) -> usize {
-        self.tc.page_count()
+        self.closure.page_count()
     }
 
     /// Short name of the attached backend (`"sim"` / `"file"`).
@@ -256,22 +250,17 @@ impl DynamicClosure {
     /// Reads the materialized closure back from disk (sorted,
     /// duplicate-free). Uses the direct pager path; the reads are
     /// charged to the store's cumulative counters but never to an
-    /// `apply` (whose metrics are snapshot deltas).
+    /// `apply` (whose metrics are snapshot deltas). The file is checked
+    /// as `apply` checks it: a closure that does not read back as sorted
+    /// rows of node ids is [`StorageError::CorruptFile`].
     pub fn tuples(&mut self) -> StorageResult<Vec<(NodeId, NodeId)>> {
         let mut store = self.db.take_store()?;
-        let mut successors = Vec::new();
-        let read = self
-            .tc
-            .read_range(store.as_mut(), 0, self.tc.count(), &mut successors);
+        let mut out = Vec::with_capacity(self.closure.count());
+        let read = self.closure.scan(store.as_mut(), |u, row| {
+            out.extend(row.iter().map(|&v| (u, v)));
+        });
         self.db.restore_store(store);
         read?;
-        // The file holds no sources: row `u` of the table says which
-        // successors are `u`'s.
-        let mut out = Vec::with_capacity(successors.len());
-        for (u, row) in self.rows.windows(2).enumerate() {
-            let row = &successors[row[0] as usize..row[1] as usize];
-            out.extend(row.iter().map(|&v| (u as NodeId, v)));
-        }
         Ok(out)
     }
 
@@ -299,7 +288,7 @@ impl DynamicClosure {
     pub fn freeze(&mut self, epoch: u64) -> StorageResult<crate::ClosedSnapshot> {
         let mut store = self.db.take_store()?;
         let origin = store.backend_name();
-        let files = crate::snapshot::capture_set(&self.db, &self.tc);
+        let files = crate::snapshot::capture_set(&self.db, &self.closure);
         let captured = FrozenPageSet::capture(store.as_mut(), &files);
         store.reset_stats();
         self.db.restore_store(store);
@@ -313,11 +302,9 @@ impl DynamicClosure {
         Ok(crate::ClosedSnapshot::assemble(
             epoch,
             origin,
-            self.db.graph(),
             FrozenPageSet::freeze(disk),
             self.db.relation.clone(),
-            self.tc.clone(),
-            self.rows.clone(),
+            self.closure.clone(),
             reach,
         ))
     }
@@ -360,13 +347,17 @@ impl DynamicClosure {
         let counted = &mut run.metrics;
         let outcome = applied.and_then(|ops| {
             Ok(maintain(
-                &self.db, &mut pool, &self.tc, &self.rows, &ops, counted, &cfg.obs,
+                &self.db,
+                &mut pool,
+                &self.closure,
+                &ops,
+                counted,
+                &cfg.obs,
             )?)
         });
 
         let (done, metrics) = run.finish(&mut self.db, pool, outcome)?;
-        self.tc = done.file;
-        self.rows = done.rows;
+        self.closure = done.closure;
         Ok(UpdateResult {
             metrics,
             inserted: done.inserted,
@@ -469,11 +460,10 @@ fn net_op(
     }
 }
 
-/// What [`maintain`] leaves behind: the rewritten closure file, its row
-/// offsets, and the net tuple delta.
+/// What [`maintain`] leaves behind: the rewritten closure and the net
+/// tuple delta.
 struct Maintained {
-    file: ValueFile,
-    rows: Vec<u32>,
+    closure: ClosureFile,
     inserted: u64,
     removed: u64,
 }
@@ -484,71 +474,13 @@ const GAINS: u8 = 1;
 /// The same for a deleted arc: its row may lose successors.
 const LOSES: u8 = 2;
 
-/// Scans the closure column through `pager`, checking it against its row
-/// table as the pages arrive — every row strictly ascending, every
-/// successor below `n`, the table covering exactly the file — and hands
-/// each tail's flags in `reaches` to its ancestors: the closure is
-/// transitive, so a flag `x` picks up from `y` is one `x` also gets from
-/// the tail itself, whatever the row order. The bytes come back from a
-/// disk, so a violation is a [`StorageError::CorruptFile`], not a panic.
-fn scan_rows(
-    pager: &mut BufferPool,
-    tc: &ValueFile,
-    rows: &[u32],
-    reaches: &mut [u8],
-) -> StorageResult<Vec<NodeId>> {
-    let n = reaches.len();
-    let corrupt = |what| StorageError::CorruptFile {
-        file: tc.file_id().0,
-        what,
-    };
-    if rows.len() != n + 1 || rows[0] != 0 || rows[n] as usize != tc.count() {
-        return Err(corrupt("the row table does not cover the closure file"));
-    }
-    let mut column: Vec<NodeId> = Vec::with_capacity(tc.count());
-    // The row the scan is in, and the last successor seen in it.
-    let (mut x, mut last) = (0usize, None);
-    let mut bad = None;
-    tc.scan_pages(pager, &mut |page| {
-        let mut rest = page;
-        while !rest.is_empty() && bad.is_none() {
-            let at = column.len() + (page.len() - rest.len());
-            while rows[x + 1] as usize <= at {
-                (x, last) = (x + 1, None);
-            }
-            let (row, tail) = rest.split_at(rest.len().min(rows[x + 1] as usize - at));
-            let mut flags = 0;
-            for &y in row {
-                if y as usize >= n {
-                    bad = Some("a successor is not a node of the graph");
-                    break;
-                }
-                if last.is_some_and(|prev| prev >= y) {
-                    bad = Some("a closure row is not strictly ascending");
-                    break;
-                }
-                flags |= reaches[y as usize];
-                last = Some(y);
-            }
-            reaches[x] |= flags;
-            rest = tail;
-        }
-        column.extend_from_slice(page);
-    })?;
-    match bad {
-        Some(what) => Err(corrupt(what)),
-        None => Ok(column),
-    }
-}
-
 /// Computation phase: scan the closure, recompute the rows the batch
 /// can change in one reverse-topological sweep, rewrite the file. Each
 /// of the three is a span under `obs` (`scan`, `sweep`, `rewrite`).
 fn maintain(
     db: &Database,
     pool: &mut BufferPool,
-    tc: &ValueFile,
-    rows: &[u32],
+    old: &ClosureFile,
     ops: &AppliedOps,
     metrics: &mut CostMetrics,
     obs: &SpanRecorder,
@@ -561,13 +493,18 @@ fn maintain(
     for &(u, _) in &ops.deleted {
         reaches[u as usize] |= LOSES;
     }
-    // Materialize the current closure through the pool (charged). The
-    // column stays as scanned; only rows written to below get a bit row.
-    let column = {
+    // Materialize the current closure through the pool (charged), each
+    // row handing its successors' flags to its source: the closure is
+    // transitive, so a flag `x` picks up from `y` is one `x` also gets
+    // from the tail itself, whatever the row order. The column stays as
+    // scanned; only rows written to below get a bit row.
+    let mut closure = {
         let _s = obs.enter("scan");
-        scan_rows(pool, tc, rows, &mut reaches)?
+        old.scan(pool, |x, row| {
+            let flags = row.iter().fold(0, |flags, &y| flags | reaches[y as usize]);
+            reaches[x as usize] |= flags;
+        })?
     };
-    let mut closure = TupleRows::from_rows(rows.to_vec(), column);
 
     // The sweep: children first, so every row merged is final.
     let sweep = obs.enter("sweep");
@@ -626,20 +563,13 @@ fn maintain(
         metrics.count_generated(true);
     }
     metrics.count_duplicates(derived - inserted);
-    // Free the old file first: the rewrite reuses whichever of its
-    // pages no synced catalog still gives it.
-    pool.free_file(tc.file_id())?;
-    let mut out = ValueWriter::new(pool, FileKind::Output, n as u64);
-    closure.column_runs(|run| out.extend_from_slice(pool, run))?;
-    let file = out.finish();
-    pool.flush_file(file.file_id())?;
-    metrics.set_tuple_writes(file.count() as u64);
+    let rewritten = old.rewrite(pool, &closure)?;
+    metrics.set_tuple_writes(rewritten.count() as u64);
     metrics
         .trace
         .emit(Event::DeltaApplied { inserted, removed });
     Ok(Maintained {
-        file,
-        rows: closure.row_offsets(),
+        closure: rewritten,
         inserted,
         removed,
     })
@@ -864,15 +794,19 @@ mod tests {
         /// Rewrites the first closure page through the store, so the
         /// image the next read gets back carries a checksum that
         /// verifies. `edit` is given the file's slot layout and the
-        /// position of a row of at least two successors on that page.
+        /// position of two successors of one row on that page.
         fn rewrite(d: &mut DynamicClosure, edit: fn(ValuePage, &mut Page, usize)) {
-            let long = |w: &[u32]| w[1] - w[0] >= 2 && w[1] <= 512;
-            let at = d.rows[d.rows.windows(2).position(long).unwrap()] as usize;
-            let pid = d.tc.pages()[0];
+            let tuples = d.tuples().unwrap();
+            let file = d.closure.file();
+            let on_page = tuples.len().min(file.values_per_page());
+            let at = (0..on_page - 1)
+                .find(|&i| tuples[i].0 == tuples[i + 1].0)
+                .unwrap();
+            let (pid, layout) = (file.pages()[0], file.layout());
             let mut store = d.db.take_store().unwrap();
             let mut page = Page::new();
             store.read_page(pid, &mut page).unwrap();
-            edit(d.tc.layout(), &mut page, at);
+            edit(layout, &mut page, at);
             store.write_page(pid, &page).unwrap();
             d.db.restore_store(store);
         }
@@ -887,7 +821,9 @@ mod tests {
             ("not a node", |d| {
                 rewrite(d, |slots, page, at| slots.write(page, at + 1, &[200]))
             }),
-            ("row table", |d| *d.rows.last_mut().unwrap() -= 1),
+            ("row table", |d| {
+                d.closure.edit_rows(|rows| *rows.last_mut().unwrap() -= 1)
+            }),
         ];
         let g = DagGenerator::new(200, 3.0, 40).seed(13).generate();
         for backend in [Backend::Sim, Backend::file_temp()] {
@@ -895,16 +831,15 @@ mod tests {
                 let cfg = SystemConfig::with_buffer(12).backend(backend.clone());
                 let mut d = DynamicClosure::build(&g, &cfg).unwrap();
                 damage(&mut d);
-                let file = d.tc.file_id().0;
-                let err = d.apply(&[UpdateOp::Insert(0, 199)]).unwrap_err();
+                let file = d.closure.file_id().0;
+                // Reading the closure back refuses it as maintenance does.
+                let read = d.tuples().unwrap_err();
                 assert!(
-                    matches!(
-                        err,
-                        UpdateError::Storage(StorageError::CorruptFile { file: named, .. })
-                            if named == file
-                    ),
-                    "{what}: expected CorruptFile of file {file}, got {err:?}"
+                    matches!(read, StorageError::CorruptFile { file: named, .. } if named == file),
+                    "{what}: expected CorruptFile of file {file}, got {read:?}"
                 );
+                let err = d.apply(&[UpdateOp::Insert(0, 199)]).unwrap_err();
+                assert_eq!(err, UpdateError::Storage(read), "{what}");
                 let text = err.to_string();
                 assert!(
                     text.contains(&format!("file {file}")) && text.contains(what),
@@ -1022,7 +957,7 @@ mod tests {
             file.seek(SeekFrom::Start(at)).unwrap();
             file.write_all(&b).unwrap();
         };
-        let slot = pair[0].tc.pages()[0].index();
+        let slot = pair[0].closure.file().pages()[0].index();
         flip(&segment[0], slot);
         match pair[0].freeze(1) {
             Err(StorageError::ChecksumMismatch { .. }) => {}

@@ -49,6 +49,7 @@
 
 pub mod advisor;
 pub mod algorithms;
+pub mod closure_file;
 pub mod config;
 pub mod cyclic;
 pub mod database;

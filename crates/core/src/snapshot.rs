@@ -34,6 +34,7 @@
 //! page per child tested. Accounting is by page requested, and a
 //! request names only the pages the answer is decoded from.
 
+use crate::closure_file::ClosureFile;
 use crate::config::SystemConfig;
 use crate::database::Database;
 use std::sync::Arc;
@@ -41,34 +42,29 @@ use tc_graph::{Graph, NodeId};
 use tc_reach::ReachIndex;
 use tc_storage::{
     ClusteredRelation, FileId, FrozenPageSet, FrozenStore, Pager, StorageError, StorageResult,
-    ValueFile,
 };
 
 /// An immutable, `Arc`-shared view of a closed database: catalog +
 /// frozen page images + reachability index, stamped with an epoch.
 ///
-/// Cloning the struct is cheap (the page set is behind an `Arc`); the
-/// serving layer clones one `Arc<ClosedSnapshot>` per in-flight query
-/// instead.
+/// The closure it serves `ptc` from is the live instance's closure file
+/// as of the freeze, with the same row table: the table is shared, not
+/// copied, and the snapshot reads a row through it like the live side.
+/// The serving layer clones one `Arc<ClosedSnapshot>` per in-flight
+/// query.
 pub struct ClosedSnapshot {
     /// Publication stamp: 0 for the initial build, incremented by the
     /// service on every [`crate::DynamicClosure::freeze`] it publishes.
     epoch: u64,
-    /// Number of nodes of the frozen graph.
-    n: usize,
     /// Backend the snapshot was frozen from (`"sim"` / `"file"`).
     origin: &'static str,
     /// The captured page images, shared by every session's store.
     pages: Arc<FrozenPageSet>,
     /// Clustered base relation (children probes for `path`).
     relation: ClusteredRelation,
-    /// Materialized transitive closure: the successor column, sources
-    /// ascending and each source's successors ascending.
-    closure: ValueFile,
-    /// Row offsets into `closure` (`n + 1` entries); `ptc(u)` reads
-    /// exactly the pages covering values
-    /// `closure_rows[u]..closure_rows[u + 1]`.
-    closure_rows: Vec<u32>,
+    /// Materialized transitive closure with its row table; `ptc(u)`
+    /// reads exactly the pages holding row `u`.
+    closure: ClosureFile,
     /// Chain-decomposition reachability index (labels answer `reach`).
     reach: ReachIndex,
 }
@@ -89,21 +85,17 @@ impl ClosedSnapshot {
     pub(crate) fn assemble(
         epoch: u64,
         origin: &'static str,
-        graph: &Graph,
         pages: FrozenPageSet,
         relation: ClusteredRelation,
-        closure: ValueFile,
-        closure_rows: Vec<u32>,
+        closure: ClosureFile,
         reach: ReachIndex,
     ) -> ClosedSnapshot {
         ClosedSnapshot {
             epoch,
-            n: graph.n(),
             origin,
             pages: Arc::new(pages),
             relation,
             closure,
-            closure_rows,
             reach,
         }
     }
@@ -115,7 +107,7 @@ impl ClosedSnapshot {
 
     /// Number of nodes in the frozen graph.
     pub fn n(&self) -> usize {
-        self.n
+        self.closure.n()
     }
 
     /// Backend the snapshot was frozen from (`"sim"` / `"file"`).
@@ -154,7 +146,7 @@ impl ClosedSnapshot {
     /// `pager`, none when `u` and `v` share a component. Out-of-range
     /// vertices reach nothing.
     pub fn reach<P: Pager>(&self, pager: &mut P, u: NodeId, v: NodeId) -> StorageResult<bool> {
-        if u as usize >= self.n || v as usize >= self.n {
+        if u as usize >= self.n() || v as usize >= self.n() {
             return Ok(false);
         }
         self.reach.reach(pager, u, v)
@@ -164,17 +156,7 @@ impl ClosedSnapshot {
     /// a non-empty path, ascending. Reads exactly the closure pages
     /// holding row `u`. Out-of-range sources reach nothing.
     pub fn ptc<P: Pager>(&self, pager: &mut P, u: NodeId) -> StorageResult<Vec<NodeId>> {
-        let mut out = Vec::new();
-        if u as usize >= self.n {
-            return Ok(out);
-        }
-        let (start, end) = (
-            self.closure_rows[u as usize],
-            self.closure_rows[u as usize + 1],
-        );
-        self.closure
-            .read_range(pager, start as usize, end as usize, &mut out)?;
-        Ok(out)
+        self.closure.row(pager, u)
     }
 
     /// One concrete `u → … → v` path (inclusive of both endpoints), or
@@ -201,7 +183,7 @@ impl ClosedSnapshot {
         let mut kids = Vec::new();
         // A DAG walk strictly descends, so n hops bound any path; going
         // past that means the catalog and index disagree.
-        for _ in 0..self.n {
+        for _ in 0..self.n() {
             kids.clear();
             self.relation.children(pager, cur, &mut kids)?;
             let mut next = None;
@@ -236,7 +218,7 @@ impl ClosedSnapshot {
 /// The files a snapshot captures from the live store: base relation,
 /// clustered index and closure. The reach index is written into the
 /// capture afterwards, never to the live store.
-pub(crate) fn capture_set(db: &Database, closure: &ValueFile) -> [FileId; 3] {
+pub(crate) fn capture_set(db: &Database, closure: &ClosureFile) -> [FileId; 3] {
     let [relation, index] = db.relation.file_ids();
     [relation, index, closure.file_id()]
 }

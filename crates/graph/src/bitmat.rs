@@ -5,13 +5,13 @@
 //! off ascending ([`Ones`]).
 //!
 //! A `BitRow` is one set: a row dynamic maintenance writes
-//! (`tc_succ::TupleRows`), a JKB source cover. A `BitMatrix` is `n`
-//! contiguous rows of `n` bits, a binary relation: the in-memory
-//! reference closures and the answer collector's dense pair set. At the
-//! paper's scale (n = 2000) a full matrix is 500 KB — trivially
-//! memory-resident, which is exactly why the paper's *disk-based*
-//! algorithms are interesting and why the closures here are only
-//! oracles, not competitors.
+//! (`tc_core::closure_file::TupleRows`), a JKB source cover. A
+//! `BitMatrix` is `n` contiguous rows of `n` bits, a binary relation:
+//! the in-memory reference closures and the answer collector's dense
+//! pair set. At the paper's scale (n = 2000) a full matrix is 500 KB —
+//! trivially memory-resident, which is exactly why the paper's
+//! *disk-based* algorithms are interesting and why the closures here are
+//! only oracles, not competitors.
 
 use crate::graph::{Graph, NodeId};
 

@@ -4,13 +4,15 @@
 //! A [`crate::RelationFile`] is the paper's keyed file: tuples clustered
 //! on a key, found through a sparse index, 256 to a page. Three files of
 //! this system are never probed by key. The materialized closure is read
-//! through the row table its owner keeps (source `u`'s successors are
-//! values `rows[u]..rows[u + 1]`), a label column is values
+//! through the row table kept beside it (source `u`'s successors are
+//! values `rows[u]..rows[u + 1]`; `tc_core::closure_file` owns both and
+//! is the closure's only reader and writer), a label column is values
 //! `c·N..(c + 1)·N`, a chain suffix is a run of the chains file whose
-//! start is known. Their readers address values *by position*, so a key
-//! stored beside each value would only double the bytes every scan,
-//! rewrite and capture moves. A [`ValueFile`] is that file: bare values,
-//! in the order written.
+//! start is known. Their readers address values *by position* — one
+//! value, a range, or the whole file as one range — so a key stored
+//! beside each value would only double the bytes every scan, rewrite
+//! and capture moves. A [`ValueFile`] is that file: bare values, in the
+//! order written.
 //!
 //! For the same reason a value takes no more bytes than its file can
 //! need. Each file is created with the bound its values lie below — a
@@ -164,25 +166,6 @@ impl ValueFile {
             pager.with_page(self.pages[i], |pg: &Page| {
                 layout.read(pg, from, to, out);
             })?;
-        }
-        Ok(())
-    }
-
-    /// Streams the file page by page through `sink`, which receives each
-    /// page's values in position order — for a reader that checks or
-    /// folds the values as they arrive.
-    pub fn scan_pages<P: Pager + ?Sized>(
-        &self,
-        pager: &mut P,
-        sink: &mut dyn FnMut(&[u32]),
-    ) -> StorageResult<()> {
-        let (layout, per_page) = (self.layout, self.values_per_page());
-        let mut buf: Vec<u32> = Vec::with_capacity(per_page);
-        for (i, &pid) in self.pages.iter().enumerate() {
-            let valid = (self.count - i * per_page).min(per_page);
-            buf.clear();
-            pager.with_page(pid, |pg: &Page| layout.read(pg, 0, valid, &mut buf))?;
-            sink(&buf);
         }
         Ok(())
     }
@@ -378,10 +361,6 @@ mod tests {
                         let reads = (store.stats().reads - before) as usize;
                         assert_eq!(reads, pages_touched(start, end, p), "{at} [{start}, {end})");
                     }
-                    let mut scanned = Vec::new();
-                    file.scan_pages(&mut store, &mut |chunk| scanned.extend_from_slice(chunk))
-                        .unwrap();
-                    assert_eq!(scanned, data, "{at}");
                     let past = file.read_range(&mut store, 0, len + 1, &mut Vec::new());
                     assert!(
                         matches!(past, Err(StorageError::SlotOutOfBounds { .. })),
@@ -658,10 +637,6 @@ mod tests {
                     })
                 );
             }
-            let mut scanned = Vec::new();
-            file.scan_pages(store, &mut |chunk| scanned.extend_from_slice(chunk))
-                .unwrap();
-            require_eq!(&scanned, data);
             let past = file.read_range(store, 0, len + 1, &mut Vec::new());
             require!(matches!(past, Err(StorageError::SlotOutOfBounds { .. })));
         }

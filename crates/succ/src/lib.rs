@@ -16,10 +16,6 @@
 //! * [`NodeBitVec`] — the paper's bit-vector duplicate elimination, which
 //!   it found to cost under 6% of CPU (§6.2), kept as a generation-stamped
 //!   set with an O(1) reset;
-//! * [`TupleRows`] — a closure relation as its successor column and row
-//!   offsets plus a bit row ([`tc_graph::BitRow`], the workspace's one
-//!   dense bit set) per source written to, read and written a whole row
-//!   at a time by dynamic maintenance's row sweep;
 //! * [`tree`] — the successor spanning-tree encoding (parent stored once,
 //!   negated, followed by its children) and its skip-union, plus the
 //!   special-node predecessor trees of Compute_Tree.
@@ -30,12 +26,10 @@
 pub mod bitvec;
 pub mod cursor;
 pub mod policy;
-pub mod rows;
 pub mod store;
 pub mod tree;
 
 pub use bitvec::NodeBitVec;
 pub use cursor::ListCursor;
 pub use policy::ListPolicy;
-pub use rows::TupleRows;
 pub use store::{SuccStats, SuccStore};

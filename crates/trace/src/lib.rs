@@ -46,7 +46,7 @@
 //! | Sink | Storage | Use |
 //! |---|---|---|
 //! | disabled | none | production default (zero cost) |
-//! | [`VecSink`] | all events (optionally a bounded ring) | replay tests |
+//! | [`VecSink`] | all events | replay tests |
 //! | [`DigestSink`] | 16 bytes | golden pins at G5 scale (millions of events) |
 //! | [`JsonlSink`] | external writer | `--trace` export for offline analysis |
 //! | [`TeeSink`] | none (fan-out) | one stream into several sinks (digest + profile) |

@@ -78,64 +78,28 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // VecSink
 // ---------------------------------------------------------------------
 
-struct VecInner {
-    events: Vec<Event>,
-    /// Next overwrite position when the ring is full.
-    head: usize,
-    dropped: u64,
-}
-
-/// Collects events in memory — everything, or (bounded) the most recent
-/// `cap` as a ring. The workhorse of replay tests on small workloads;
-/// prefer [`DigestSink`] at G5 scale.
+/// Collects every event in memory. The workhorse of replay tests on
+/// small workloads; prefer [`DigestSink`] at G5 scale.
 pub struct VecSink {
-    cap: Option<usize>,
-    inner: Mutex<VecInner>,
+    events: Mutex<Vec<Event>>,
 }
 
 impl VecSink {
     /// Collects every event.
     pub fn unbounded() -> VecSink {
         VecSink {
-            cap: None,
-            inner: Mutex::new(VecInner {
-                events: Vec::new(),
-                head: 0,
-                dropped: 0,
-            }),
-        }
-    }
-
-    /// Keeps only the most recent `cap` events (`cap >= 1`), counting
-    /// the overwritten ones in [`VecSink::dropped`].
-    pub fn bounded(cap: usize) -> VecSink {
-        VecSink {
-            cap: Some(cap.max(1)),
-            inner: Mutex::new(VecInner {
-                events: Vec::new(),
-                head: 0,
-                dropped: 0,
-            }),
+            events: Mutex::new(Vec::new()),
         }
     }
 
     /// The collected events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        let inner = lock_unpoisoned(&self.inner);
-        let mut out = Vec::with_capacity(inner.events.len());
-        out.extend_from_slice(&inner.events[inner.head..]);
-        out.extend_from_slice(&inner.events[..inner.head]);
-        out
+        lock_unpoisoned(&self.events).clone()
     }
 
-    /// Events overwritten by the bounded ring (0 when unbounded).
-    pub fn dropped(&self) -> u64 {
-        lock_unpoisoned(&self.inner).dropped
-    }
-
-    /// Number of events currently held.
+    /// Number of events collected.
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.inner).events.len()
+        lock_unpoisoned(&self.events).len()
     }
 
     /// Whether no event has been recorded.
@@ -146,16 +110,7 @@ impl VecSink {
 
 impl TraceSink for VecSink {
     fn emit(&self, ev: Event) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        match self.cap {
-            Some(cap) if inner.events.len() == cap => {
-                let head = inner.head;
-                inner.events[head] = ev;
-                inner.head = (head + 1) % cap;
-                inner.dropped += 1;
-            }
-            _ => inner.events.push(ev),
-        }
+        lock_unpoisoned(&self.events).push(ev);
     }
 }
 
@@ -304,18 +259,7 @@ mod tests {
             t.emit(ev(p));
         }
         assert_eq!(sink.events(), (0..5).map(ev).collect::<Vec<_>>());
-        assert_eq!(sink.dropped(), 0);
-    }
-
-    #[test]
-    fn bounded_ring_keeps_the_most_recent_events() {
-        let sink = VecSink::bounded(3);
-        for p in 0..7 {
-            sink.emit(ev(p));
-        }
-        assert_eq!(sink.events(), vec![ev(4), ev(5), ev(6)]);
-        assert_eq!(sink.dropped(), 4);
-        assert_eq!(sink.len(), 3);
+        assert_eq!(sink.len(), 5);
     }
 
     #[test]

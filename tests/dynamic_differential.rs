@@ -49,7 +49,6 @@ fn incremental_equals_scratch_after_every_batch() {
             };
         }
         let res = dyn_tc.apply(batch).expect("apply");
-        assert_eq!(sink.dropped(), 0, "batch {i}: VecSink dropped events");
 
         // metrics ≡ replay for this apply's event slice.
         let events = sink.events();

@@ -297,7 +297,32 @@ fn duplicate_and_unsorted_sources_are_normalized() {
 #[test]
 fn every_storage_error_variant_constructs_and_displays() {
     // One instance of each variant: constructible from outside the
-    // crate, matchable, and Display non-empty.
+    // crate, matchable, and Display non-empty. `variant` has no wildcard
+    // arm, so a new variant does not compile until it is numbered there;
+    // the list holds each number once, in order.
+    fn variant(err: &StorageError) -> usize {
+        match err {
+            StorageError::PageOutOfBounds(_) => 0,
+            StorageError::UnknownFile(_) => 1,
+            StorageError::SlotOutOfBounds { .. } => 2,
+            StorageError::PageFull(_) => 3,
+            StorageError::AllFramesPinned => 4,
+            StorageError::WrongFileKind { .. } => 5,
+            StorageError::UnsortedInput => 6,
+            StorageError::InsufficientSortMemory { .. } => 7,
+            StorageError::TransientIo { .. } => 8,
+            StorageError::PermanentFault(_) => 9,
+            StorageError::ChecksumMismatch { .. } => 10,
+            StorageError::CorruptFile { .. } => 11,
+            StorageError::ValueOutOfRange { .. } => 12,
+            StorageError::RetriesExhausted { .. } => 13,
+            StorageError::UnknownNode { .. } => 14,
+            StorageError::DiskDetached => 15,
+            StorageError::ReadOnlyStore => 16,
+            StorageError::Backend { .. } => 17,
+            StorageError::Internal(_) => 18,
+        }
+    }
     let variants: Vec<StorageError> = vec![
         StorageError::PageOutOfBounds(PageId(3)),
         StorageError::UnknownFile(9),
@@ -323,6 +348,10 @@ fn every_storage_error_variant_constructs_and_displays() {
             stored: 0xAB,
             computed: 0xCD,
         },
+        StorageError::CorruptFile {
+            file: 2,
+            what: "a closure row is not strictly ascending",
+        },
         StorageError::ValueOutOfRange {
             value: 2000,
             bound: 2000,
@@ -333,8 +362,15 @@ fn every_storage_error_variant_constructs_and_displays() {
         },
         StorageError::UnknownNode { node: 50, n: 50 },
         StorageError::DiskDetached,
+        StorageError::ReadOnlyStore,
+        StorageError::Backend {
+            op: "open segment",
+            detail: "permission denied".to_string(),
+        },
         StorageError::Internal("invariant"),
     ];
+    let listed: Vec<usize> = variants.iter().map(variant).collect();
+    assert_eq!(listed, (0..19).collect::<Vec<_>>(), "one of each, in order");
     for err in &variants {
         assert!(!format!("{err}").is_empty());
         assert_eq!(err.clone(), *err);

@@ -3,11 +3,12 @@
 //! models under randomized operation sequences, on the `tc-det` harness.
 
 use tc_study::buffer::{BufferPool, PagePolicy};
+use tc_study::core::closure_file::TupleRows;
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require, require_eq, Rng};
 use tc_study::graph::BitRow;
 use tc_study::storage::{DiskSim, FileKind, Page, PageId, PageStore, Pager, SuccEntry};
-use tc_study::succ::{ListCursor, ListPolicy, SuccStore, TupleRows};
+use tc_study::succ::{ListCursor, ListPolicy, SuccStore};
 
 // ---------------------------------------------------------------------
 // Buffer pool vs. a flat array of page images.

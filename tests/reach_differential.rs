@@ -113,7 +113,6 @@ fn replay_reconstructs_index_metrics_and_sees_chain_events() {
     let res = db
         .run(&canonical::query(), Algorithm::ReachIndex, &cfg)
         .expect("run");
-    assert_eq!(sink.dropped(), 0, "VecSink dropped events");
     let events = sink.events();
 
     // The new events must be present and self-consistent: one

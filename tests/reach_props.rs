@@ -172,7 +172,6 @@ fn engine_runs_match_the_oracle_under_policies_and_faults() {
                 PagePolicy::ALL[*policy].name(),
                 fault
             );
-            require_eq!(sink.dropped(), 0, "VecSink dropped events");
             let replayed = replay(sink.events()).map_err(|e| format!("replay failed: {e:?}"))?;
             let expected = res.metrics.counts;
             require!(

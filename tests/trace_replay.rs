@@ -16,7 +16,7 @@ use tc_bench::corpus::canonical;
 use tc_study::buffer::PagePolicy;
 use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
-use tc_study::det::{require, require_eq, Rng};
+use tc_study::det::{require, Rng};
 use tc_study::profile::profile_jsonl;
 use tc_study::storage::TempDir;
 use tc_study::trace::{replay, Event, JsonlSink, Tracer, VecSink};
@@ -80,7 +80,6 @@ fn replay_reconstructs_metrics_on_random_workloads() {
                 let Ok(res) = db.run(&Query::partial(sources.clone()), algo, &cfg) else {
                     continue;
                 };
-                require_eq!(sink.dropped(), 0, "{}: VecSink dropped events", algo);
                 let replayed = match replay(sink.events()) {
                     Ok(r) => r,
                     Err(e) => return Err(format!("{algo}: replay failed: {e:?}")),
