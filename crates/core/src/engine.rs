@@ -200,11 +200,12 @@ fn execute(
             idx.label_rows(pool, &comps, &mut run.metrics, &mut rows)?;
             let mut suffix: Vec<u32> = Vec::new();
             let k = idx.width().max(1);
+            let none = idx.decomposition().longest();
             for ((&s, &a), row) in sources.iter().zip(&comps).zip(rows.chunks_exact(k)) {
                 run.metrics.count_list_fetch();
                 for (c, &p) in row.iter().enumerate() {
-                    if p == tc_reach::NO_POS {
-                        continue;
+                    if p == none {
+                        continue; // reaches nothing on chain c
                     }
                     idx.chain_suffix(pool, c as u32, p, &mut suffix)?;
                     run.metrics.count_tuple_reads(suffix.len() as u64);

@@ -222,8 +222,15 @@ mod tests {
         h.record(0);
         assert_eq!(h.count(), 2);
         assert!(h.max_observed() > u64::MAX / 2);
+        // u64::MAX lands in the last bucket, whose floor is within the
+        // relative error of it.
+        assert_eq!(
+            LatencyHistogram::index(u64::MAX),
+            LatencyHistogram::BUCKETS - 1
+        );
         let (lo, hi) = bucket_of(u64::MAX);
-        assert!(lo <= u64::MAX && hi == u64::MAX);
+        assert!(u64::MAX - lo < lo / LatencyHistogram::SUB, "floor {lo}");
+        assert_eq!(hi, u64::MAX);
     }
 
     #[test]

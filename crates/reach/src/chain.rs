@@ -15,8 +15,8 @@ use tc_trace::{Event, Tracer};
 
 use crate::index::ReachMeter;
 
-/// Marker for "not on any chain yet" / "no label" throughout the crate.
-pub const NO_POS: u32 = u32::MAX;
+/// Marker for "not on any chain yet" while the chains are built.
+const NO_POS: u32 = u32::MAX;
 
 /// A partition of a DAG's nodes into k chains (paths), with per-node
 /// chain membership and position.
@@ -97,6 +97,17 @@ impl ChainDecomposition {
     /// Number of chains — the width parameter k.
     pub fn width(&self) -> usize {
         self.chains.len()
+    }
+
+    /// The longest chain's length (0 with no chains). Every position lies
+    /// below it, so the label index stores it as "reaches nothing on
+    /// this chain".
+    pub fn longest(&self) -> u32 {
+        self.chains
+            .iter()
+            .map(|c| c.len() as u32)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total nodes across all chains (equals the DAG's node count).

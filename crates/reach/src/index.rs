@@ -2,14 +2,21 @@
 //!
 //! Given a chain decomposition of width k, the label of node `v` is the
 //! k-vector `L[v][c]` = the minimum position on chain `c` of any node
-//! reachable from `v` (including `v` itself), or [`NO_POS`] when `v`
-//! reaches nothing on chain `c`. Because every chain is a *path* of the
-//! DAG, reaching position `p` on a chain means reaching every position
-//! `≥ p`, so
+//! reachable from `v` (including `v` itself), or the longest chain's
+//! length ([`ChainDecomposition::longest`]) when `v` reaches nothing on
+//! chain `c`. Because every chain is a *path* of the DAG, reaching
+//! position `p` on a chain means reaching every position `≥ p`, so
 //!
 //! ```text
 //! reach(u, v)  ⇔  L[u][chain(v)] ≤ pos(v)
 //! ```
+//!
+//! Every position lies below the longest chain's length, so "no label"
+//! fails that test, loses every min-merge and needs no translation:
+//! the matrix and the labels file hold the same values, and the file
+//! declares one past that length as its bound. The study's graphs have
+//! chains of a few dozen (G5) to about a hundred (G8) positions, so an
+//! entry takes one byte.
 //!
 //! Labels are computed in one reverse-topological pass — each node's row
 //! is the component-wise minimum of its children's rows plus its own
@@ -30,7 +37,7 @@
 //! walk toward `v` tests `L[y][chain(v)]` for child after child `y`, so
 //! the file is chain-major. Column `c` — entry `L[a][c]` of every
 //! component `a` — is values `c·N..(c + 1)·N`, N the component count,
-//! and a walk's lookups all fall in the ⌈N / 512⌉ pages of one column.
+//! and a walk's lookups all fall in the pages of one column.
 //! The in-memory [`LabelMatrix`] stays row-major, the shape its
 //! recurrence is computed in.
 
@@ -38,7 +45,7 @@ use tc_graph::{condensation, Condensation, Graph, NodeId};
 use tc_storage::{FileId, FileKind, Pager, StorageError, StorageResult, ValueFile, ValueWriter};
 use tc_trace::{Event, Tracer};
 
-use crate::chain::{ChainDecomposition, NO_POS};
+use crate::chain::ChainDecomposition;
 
 /// Logical-work accounting hooks for index construction. The engine
 /// implements this on its cost-metric suite so every counted unit of
@@ -58,10 +65,6 @@ pub trait ReachMeter {
 /// is written: 16 `u32`s fill a 64-byte cache line.
 const TRANSPOSE_BLOCK: usize = 16;
 
-/// The bound the labels file declares: an entry is a chain position or
-/// [`NO_POS`], so every `u32` may occur and each entry keeps 4 bytes.
-const LABEL_BOUND: u64 = NO_POS as u64 + 1;
-
 /// A [`ReachMeter`] that counts nothing.
 pub struct NullMeter;
 
@@ -74,7 +77,7 @@ impl ReachMeter for NullMeter {
 }
 
 /// The in-memory label matrix: `k` entries per condensation component,
-/// row-major.
+/// row-major, "no label" being the longest chain's length.
 #[derive(Clone, Debug)]
 pub struct LabelMatrix {
     k: usize,
@@ -92,8 +95,8 @@ impl LabelMatrix {
         meter: &mut M,
     ) -> LabelMatrix {
         let n = dag.n();
-        let k = cd.width();
-        let mut rows = vec![NO_POS; n * k];
+        let (k, none) = (cd.width(), cd.longest());
+        let mut rows = vec![none; n * k];
         for v in (0..n).rev() {
             let vi = v * k;
             rows[vi + cd.chain_of[v] as usize] = cd.pos_of[v];
@@ -124,9 +127,10 @@ impl LabelMatrix {
         &self.rows[v as usize * self.k..(v as usize + 1) * self.k]
     }
 
-    /// Number of finite (reachable) entries across all rows.
-    fn finite_entries(&self) -> u64 {
-        self.rows.iter().filter(|&&p| p != NO_POS).count() as u64
+    /// Number of finite (reachable) entries across all rows: those below
+    /// `none`, the longest chain's length.
+    fn finite_entries(&self, none: u32) -> u64 {
+        self.rows.iter().filter(|&&p| p < none).count() as u64
     }
 }
 
@@ -141,10 +145,11 @@ impl LabelMatrix {
 ///   position, chains concatenated in order (chain `c` starts at value
 ///   `chain_starts[c]`), each component id in the fewest whole bytes
 ///   that hold N − 1;
-/// * a **labels file** ([`FileKind::SuccessorList`]): N values
-///   `pos-or-NO_POS` per chain, N the component count, in chain order —
-///   the label columns, entry `L[a][c]` at value `c·N + a`, 4 bytes
-///   each, since [`NO_POS`] is `u32::MAX`.
+/// * a **labels file** ([`FileKind::SuccessorList`]): N label entries
+///   per chain, N the component count, in chain order — the label
+///   columns, entry `L[a][c]` at value `c·N + a`, each a position or the
+///   longest chain's length `l`, so in the fewest whole bytes that hold
+///   `l` (one byte while `l < 256`).
 ///
 /// A reader computes the exact page range of what it wants from those
 /// positions, so there is no key to store and no separate index file.
@@ -175,7 +180,8 @@ impl ReachIndex {
         let mut chain_starts = Vec::with_capacity(cd.width() + 1);
         let components = cond.component_count() as u64;
         let mut chains_w = ValueWriter::new(pager, FileKind::Index, components);
-        let mut labels_w = ValueWriter::new(pager, FileKind::SuccessorList, LABEL_BOUND);
+        let none = cd.longest();
+        let mut labels_w = ValueWriter::new(pager, FileKind::SuccessorList, u64::from(none) + 1);
         let written = (|| {
             for chain in &cd.chains {
                 chain_starts.push(chains_w.count());
@@ -186,7 +192,7 @@ impl ReachIndex {
             // the rows reads whole cache lines rather than one entry a
             // row.
             let (n, k) = (cond.component_count(), cd.width());
-            let mut block = vec![NO_POS; TRANSPOSE_BLOCK.min(k) * n];
+            let mut block = vec![none; TRANSPOSE_BLOCK.min(k) * n];
             for c0 in (0..k).step_by(TRANSPOSE_BLOCK) {
                 let w = TRANSPOSE_BLOCK.min(k - c0);
                 for (a, row) in labels.rows.chunks_exact(k).enumerate() {
@@ -209,7 +215,7 @@ impl ReachIndex {
         let k = cd.width();
         tracer.emit(Event::LabelsBuilt {
             entries: (cond.component_count() * k) as u64,
-            finite: labels.finite_entries(),
+            finite: labels.finite_entries(none),
         });
 
         Ok(ReachIndex {
@@ -278,7 +284,7 @@ impl ReachIndex {
     ) -> StorageResult<()> {
         let (n, k) = (self.cond.component_count(), self.cd.width());
         out.clear();
-        out.resize(comps.len() * k, NO_POS);
+        out.resize(comps.len() * k, self.cd.longest());
         let (Some(&lo), Some(&hi)) = (comps.iter().min(), comps.iter().max()) else {
             return Ok(());
         };

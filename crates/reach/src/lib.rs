@@ -42,7 +42,7 @@
 pub mod chain;
 pub mod index;
 
-pub use chain::{ChainDecomposition, NO_POS};
+pub use chain::ChainDecomposition;
 pub use index::{LabelMatrix, NullMeter, ReachIndex, ReachMeter};
 
 // A frozen snapshot shares one `ReachIndex` among all serving sessions

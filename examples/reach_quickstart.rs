@@ -9,7 +9,7 @@
 
 use tc_study::core::prelude::*;
 use tc_study::graph::DagGenerator;
-use tc_study::reach::{NullMeter, ReachIndex, NO_POS};
+use tc_study::reach::{NullMeter, ReachIndex};
 use tc_study::storage::DiskSim;
 use tc_study::trace::Tracer;
 
@@ -37,11 +37,14 @@ fn main() {
     //    iff u's label on v's chain is at or before v's position.
     let (u, v) = (11, 477);
     println!("reach({u}, {v}) = {}", idx.reach_mem(u, v));
+    // An entry equal to the longest chain's length means "reaches
+    // nothing on that chain".
+    let none = idx.decomposition().longest();
     let row_finite = idx
         .labels()
         .row(idx.component(u))
         .iter()
-        .filter(|&&p| p != NO_POS)
+        .filter(|&&p| p != none)
         .count();
     println!("source {u} sees {row_finite} of {} chains", idx.width());
 

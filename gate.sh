@@ -2,7 +2,7 @@
 # gate.sh: every acceptance command of this repository, written once.
 #
 #   ./gate.sh quick          format check, hermetic build, warning-free docs,
-#                            tier-1 tests
+#                            clippy over every target, tier-1 tests
 #   ./gate.sh full [GROUP]   every suite at the elevated property-test case
 #                            counts plus the byte comparisons (one group, or all)
 #   ./gate.sh bench          the benchmark/ package's tests and smoke run
@@ -49,6 +49,9 @@ g_checks() {
   cargo build --release --offline --workspace --examples
   # Every intra-doc link resolves and no public doc names a private item.
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+  # Every target, test code included, at clippy's default lint levels:
+  # a deny-by-default lint stops the build of its crate's tests.
+  cargo clippy --offline --all-targets --workspace
   t --workspace
 }
 
@@ -102,6 +105,10 @@ g_dynamic() {
   # snapshot serves against the oracle, at word-boundary n, permuted ids.
   TC_DET_CASES=1024 t -p tc-graph --lib dfs_closure_rows_match_per_source_dfs
   TC_DET_CASES=1024 t --test dynamic_props build_materializes_the_oracle_closure
+  # "No label" is the longest chain's length: at chains of 254 to 65,536
+  # the labels file takes the width that bound needs, and reach and
+  # label_rows still answer as the oracle and the matrix do.
+  TC_DET_CASES=1024 t --test label_width_props label_file_width_follows_the_longest_chain_at_every_edge
   t -p tc-storage --lib extend_writes_what_repeated_push_writes
   t -p tc-core --lib cycle_closing_batch_is_rejected_whole
   t -p tc-core --lib op_naming_an_unknown_node_is_refused_whole

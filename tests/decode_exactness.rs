@@ -22,7 +22,7 @@ use tc_study::core::prelude::*;
 use tc_study::det::check::{self, Checker};
 use tc_study::det::{require_eq, Rng};
 use tc_study::graph::{condensation, DagGenerator, NodeId};
-use tc_study::reach::{ChainDecomposition, NullMeter, ReachIndex, NO_POS};
+use tc_study::reach::{ChainDecomposition, NullMeter, ReachIndex};
 use tc_study::storage::{
     ClusteredRelation, DiskSim, FileKind, Page, PageId, PageStore, Pager, RelationFile, Tuple,
     TuplePage, ValuePage, PAGE_SIZE, TUPLES_PER_PAGE,
@@ -418,15 +418,14 @@ fn probe_searches_the_index_page_it_fetched() {
         );
 }
 
-/// Entries a page of the labels file holds: an entry may be any `u32`
-/// (`NO_POS` is `u32::MAX`), so each keeps 4 bytes.
-fn labels_per_page() -> usize {
-    ValuePage::for_bound(u64::from(NO_POS) + 1).per_page()
+/// Entries a page of the labels file holds: an entry is a chain position
+/// or the longest chain's length, so the file's bound is one past that.
+fn labels_per_page(cd: &ChainDecomposition) -> usize {
+    ValuePage::for_bound(u64::from(cd.longest()) + 1).per_page()
 }
 
 #[test]
 fn label_lookups_request_only_the_page_of_their_column_entry() {
-    let per_page = labels_per_page();
     let g = DagGenerator::new(240, 3.0, 30).seed(21).generate();
     // Two identical builds, so both pools start in the same state.
     let build = || {
@@ -436,6 +435,7 @@ fn label_lookups_request_only_the_page_of_their_column_entry() {
     };
     let ((mut fast_pool, idx), (mut ref_pool, _)) = (build(), build());
     let n = idx.condensation().component_count();
+    let per_page = labels_per_page(idx.decomposition());
     assert!(
         !per_page.is_multiple_of(n),
         "some columns must straddle pages for the test to mean anything (N = {n})"
@@ -487,10 +487,12 @@ fn label_lookups_request_only_the_page_of_their_column_entry() {
     // every label page it requests lies in column chain(v). The graph is
     // large enough that a column spans several pages and a page holds
     // mostly one column.
-    let g = DagGenerator::new(1500, 3.0, 60).seed(22).generate();
+    let g = DagGenerator::new(5000, 3.0, 60).seed(22).generate();
     let snap = ClosedSnapshot::build(&g, &SystemConfig::with_buffer(12)).unwrap();
     let idx = snap.reach_index();
     let n = idx.condensation().component_count();
+    let per_page = labels_per_page(idx.decomposition());
+    assert!(n > 2 * per_page, "a column must span pages (N = {n})");
     let labels = snap
         .open_store()
         .file_pages(idx.files()[1])
@@ -534,13 +536,11 @@ fn label_lookups_request_only_the_page_of_their_column_entry() {
 
 #[test]
 fn reachindex_reads_each_label_column_once_over_its_sources_span() {
-    let per_page = labels_per_page();
-    let g = DagGenerator::new(1500, 3.0, 60).seed(23).generate();
+    let g = DagGenerator::new(5000, 3.0, 60).seed(23).generate();
     let cond = condensation(&g);
     let n = cond.component_count();
-    let k = ChainDecomposition::of(&cond.graph, &Tracer::disabled(), &mut NullMeter)
-        .unwrap()
-        .width();
+    let cd = ChainDecomposition::of(&cond.graph, &Tracer::disabled(), &mut NullMeter).unwrap();
+    let (k, per_page) = (cd.width(), labels_per_page(&cd));
     assert!(n > 2 * per_page, "a column must span pages (N = {n})");
     // Sources named by component: a narrow window in the middle, a wide
     // one, and a single source.
