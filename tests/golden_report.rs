@@ -9,6 +9,8 @@
 //!
 //! Re-pinning: PINS.md (one protocol for every pin file).
 
+use std::sync::OnceLock;
+
 use tc_bench::experiments::section;
 use tc_bench::ExpOpts;
 use tc_study::obs::SpanTree;
@@ -33,27 +35,32 @@ const GOLDEN: [(&str, u64); 14] = [
     ("reachindex", 0xC52C_1362_ED67_40B3),
 ];
 
+/// The unarmed quick-grid fragments, rendered once per test binary and
+/// shared by both grid tests below, so the whole file runs the grid
+/// twice: once unarmed, once with `--timing` armed.
+fn unarmed_fragments() -> &'static [(&'static str, String)] {
+    static FRAGMENTS: OnceLock<Vec<(&'static str, String)>> = OnceLock::new();
+    FRAGMENTS.get_or_init(|| {
+        let opts = ExpOpts::quick();
+        GOLDEN
+            .iter()
+            .map(|&(name, _)| {
+                let f = section(name).unwrap_or_else(|| panic!("unknown golden section {name}"));
+                let fragment =
+                    f(&opts).unwrap_or_else(|e| panic!("{name} failed on the quick grid: {e}"));
+                (name, fragment)
+            })
+            .collect()
+    })
+}
+
 #[test]
 fn quick_grid_sections_match_golden_digests() {
-    // Two runs of the grid: the unarmed fragments against GOLDEN, and
-    // the fragments with `--timing` armed (per-cell wall-clock span
-    // trees) against the unarmed bytes — the span layer rides beside the
-    // report, never inside it. Comparing the armed run with the unarmed
-    // one rather than with GOLDEN keeps a declared re-pin a mismatch of
-    // GOLDEN alone.
-    let tmp = tc_study::storage::TempDir::new("tc-golden-timing").expect("temp dir");
-    let (plain, armed) = (ExpOpts::quick(), ExpOpts::quick().timing_dir(tmp.path()));
-    let (mut mismatches, mut leaks) = (Vec::new(), Vec::new());
-    for (name, golden) in GOLDEN {
-        let f = section(name).unwrap_or_else(|| panic!("unknown golden section {name}"));
-        let fragment = f(&plain).unwrap_or_else(|e| panic!("{name} failed on the quick grid: {e}"));
+    let mut mismatches = Vec::new();
+    for ((name, fragment), &(_, golden)) in unarmed_fragments().iter().zip(&GOLDEN) {
         let d = Fnv::bytes(fragment.as_bytes());
         if d != golden {
             mismatches.push(format!("    (\"{name}\", {d:#018X}),"));
-        }
-        let timed = f(&armed).unwrap_or_else(|e| panic!("{name} failed with --timing: {e}"));
-        if timed != fragment {
-            leaks.push(name);
         }
     }
     assert!(
@@ -62,6 +69,25 @@ fn quick_grid_sections_match_golden_digests() {
          to the values below and note the break in CHANGES.md:\n{}",
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn quick_grid_sections_match_golden_digests_with_timing_armed() {
+    // The determinism-under-timing gate for the whole report: every
+    // section run with `--timing` (per-cell wall-clock span trees) must
+    // reproduce the unarmed bytes — the span layer rides beside the
+    // report, never inside it. Comparing with the unarmed run rather than
+    // with GOLDEN keeps a declared re-pin a mismatch of GOLDEN alone.
+    let tmp = tc_study::storage::TempDir::new("tc-golden-timing").expect("temp dir");
+    let opts = ExpOpts::quick().timing_dir(tmp.path());
+    let mut leaks = Vec::new();
+    for (name, fragment) in unarmed_fragments() {
+        let f = section(name).unwrap_or_else(|| panic!("unknown golden section {name}"));
+        let timed = f(&opts).unwrap_or_else(|e| panic!("{name} failed with --timing: {e}"));
+        if &timed != fragment {
+            leaks.push(*name);
+        }
+    }
     assert!(
         leaks.is_empty(),
         "--timing changed the report bytes of: {} — wall-clock data leaked \

@@ -17,8 +17,8 @@
 //! No pinned value is written here: the pins live in their own files,
 //! and an observer that moved one would fail here as an armed/unarmed
 //! difference. That the experiment reports do not see `--timing` is
-//! `golden_report.rs`'s digest test, which renders every section armed
-//! and unarmed.
+//! `golden_report.rs`'s armed test, which holds every section rendered
+//! with `--timing` to its unarmed bytes.
 
 use std::sync::Arc;
 use tc_bench::corpus::canonical;
